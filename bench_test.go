@@ -348,6 +348,43 @@ func BenchmarkGenerateBatched(b *testing.B) {
 	b.ReportMetric(float64(len(reqs)), "requests-per-batch")
 }
 
+// BenchmarkScoreAnswer measures one score.ScoreAnswerWith call on a
+// warm engine, cycling through the Table 4 pairs in campaign order:
+// every reference is compiled, every answer parsed and every unit test
+// memoized before the timer starts, so an op is the five inline metrics
+// streaming one answer over its compiled reference plus the engine's
+// memo lookup — what a warm-store campaign spends most of its time on.
+// Runs under -benchmem in CI; benchguard holds its allocs/op under the
+// score_answer_max_allocs hard cap of ci/bench-baseline.json.
+func BenchmarkScoreAnswer(b *testing.B) {
+	_, full := fixtures()
+	_, raw := zeroShot() // through engine.Default(), which this leaves warm
+	byID := make(map[string]dataset.Problem, len(full))
+	for _, p := range full {
+		byID[p.ID] = p
+	}
+	type pair struct {
+		problem dataset.Problem
+		answer  string
+	}
+	var pairs []pair
+	for _, m := range llm.Models {
+		for _, s := range raw[m.Name] {
+			pairs = append(pairs, pair{byID[s.ProblemID], s.Answer})
+		}
+	}
+	eng := engine.Default()
+	var unitTests float64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := pairs[i%len(pairs)]
+		unitTests += score.ScoreAnswerWith(eng, pr.problem, pr.answer).UnitTest
+	}
+	b.ReportMetric(unitTests/float64(b.N), "unit-test-pass-rate")
+	b.ReportMetric(float64(len(pairs)), "table4-pairs")
+}
+
 // BenchmarkCampaignParallel runs a 4-model campaign slice through a
 // fresh engine and dispatcher each iteration — the contention profile
 // of a cold fleet-concurrency campaign. Run it at -cpu 1,4 to expose

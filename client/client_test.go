@@ -126,4 +126,12 @@ func TestClientTenantScoping(t *testing.T) {
 	if sa.ID == sb.ID {
 		t.Errorf("tenants team-a and team-b share campaign ID %s", sa.ID)
 	}
+	// Both campaigns checkpoint under the test's temporary directory
+	// until they finish; returning earlier races its removal.
+	if _, err := a.WaitCampaign(ctx, sa.ID, 0); err != nil {
+		t.Error(err)
+	}
+	if _, err := b.WaitCampaign(ctx, sb.ID, 0); err != nil {
+		t.Error(err)
+	}
 }

@@ -64,6 +64,13 @@
 //     independent; measured at the 4-core -cpu point when the run
 //     recorded one. Skipped (loudly) on runners with fewer than 4
 //     CPUs, like the parallel gates.
+//  12. Scoring allocation hard cap (no flag): when the baseline records
+//     score_answer_max_allocs, ScoreAnswer allocs/op — one
+//     score.ScoreAnswerWith call on a warm engine — must stay at or
+//     under it: the five inline metrics run on compiled references and
+//     pooled scratch, and must not start building strings, maps and
+//     slices per answer again. Like gates 5 and 10 the cap does not
+//     ratchet with baseline re-records.
 //
 // With -loadgen, a `cloudeval loadgen -out` report joins the artifact
 // under "loadgen" and two service-tier gates run against it:
@@ -148,6 +155,11 @@ type Artifact struct {
 	// read path. Recorded once in the baseline; does not move with
 	// baseline re-records.
 	StoreColdGetMaxAllocs float64 `json:"store_cold_get_max_allocs,omitempty"`
+	// ScoreAnswerMaxAllocs is the hard allocs/op ceiling for
+	// BenchmarkScoreAnswer — one ScoreAnswerWith call on a warm engine.
+	// Recorded once in the baseline; does not move with baseline
+	// re-records.
+	ScoreAnswerMaxAllocs float64 `json:"score_answer_max_allocs,omitempty"`
 	// PipelineOverlap is CampaignInterleaved ns/op divided by
 	// CampaignPipelined ns/op from this run — how much the streaming
 	// pipeline hides the injected provider latency behind unit-test
@@ -187,6 +199,9 @@ const minOpenFrames = 2000
 
 // coldGetBench is the benchmark the cold-read allocation cap inspects.
 const coldGetBench = "StoreColdGet"
+
+// scoreAnswerBench is the benchmark the scoring allocation cap inspects.
+const scoreAnswerBench = "ScoreAnswer"
 
 // Benchmarks the pipeline-overlap gate compares: the identical
 // latency-injected campaign run through the streaming pipeline vs the
@@ -367,6 +382,7 @@ func run(in, out, sha, baselinePath string, g gates) error {
 			art.ColdPrePRNs = baseline.ColdPrePRNs
 			art.GenerateBatchedMaxAllocs = baseline.GenerateBatchedMaxAllocs
 			art.StoreColdGetMaxAllocs = baseline.StoreColdGetMaxAllocs
+			art.ScoreAnswerMaxAllocs = baseline.ScoreAnswerMaxAllocs
 		}
 	}
 
@@ -435,6 +451,9 @@ func run(in, out, sha, baselinePath string, g gates) error {
 		return err
 	}
 	if err := gateColdGetAllocCap(benchmarks, baseline); err != nil {
+		return err
+	}
+	if err := gateScoreAnswerAllocCap(benchmarks, baseline); err != nil {
 		return err
 	}
 	return gateColdSpeedup(benchmarks, baseline, g.minColdSpeedup)
@@ -673,46 +692,46 @@ func gatePipelineOverlap(benchmarks map[string]BenchResult, minOverlap float64) 
 	return nil
 }
 
-// gateColdGetAllocCap enforces the baseline's hard allocs/op ceiling
-// on StoreColdGet — the uncached pread + verify + decode path. Active
-// whenever the baseline records store_cold_get_max_allocs; no flag,
-// for the same reason as gateAllocCap.
-func gateColdGetAllocCap(benchmarks map[string]BenchResult, baseline Artifact) error {
-	cap := baseline.StoreColdGetMaxAllocs
+// gateHardAllocCap enforces a hard allocs/op ceiling the baseline
+// records for one benchmark. It is active whenever the baseline holds
+// the cap and the run measured the benchmark; there is no flag, because
+// a hard cap that can be flag-disabled in CI is not a hard cap. why
+// says what a breach means.
+func gateHardAllocCap(benchmarks map[string]BenchResult, bench string, cap float64, why string) error {
 	if cap <= 0 {
 		return nil
 	}
-	cur, ok := benchmarks[coldGetBench]
+	cur, ok := benchmarks[bench]
 	if !ok || cur.AllocsPerOp <= 0 {
 		return nil // not measured this run (e.g. a bench subset)
 	}
-	fmt.Printf("benchguard: %s allocs/op %.0f (hard cap %.0f)\n", coldGetBench, cur.AllocsPerOp, cap)
+	fmt.Printf("benchguard: %s allocs/op %.0f (hard cap %.0f)\n", bench, cur.AllocsPerOp, cap)
 	if cur.AllocsPerOp > cap {
-		return fmt.Errorf("%s allocations exceed the hard cap: %.0f allocs/op > %.0f — the cold-read path is growing per-Get garbage",
-			coldGetBench, cur.AllocsPerOp, cap)
+		return fmt.Errorf("%s allocations exceed the hard cap: %.0f allocs/op > %.0f — %s",
+			bench, cur.AllocsPerOp, cap, why)
 	}
 	return nil
 }
 
-// gateAllocCap enforces the baseline's hard allocs/op ceiling on
-// GenerateBatched. Active whenever the baseline records
-// generate_batched_max_allocs; no flag, because a hard cap that can
-// be flag-disabled in CI is not a hard cap.
+// gateColdGetAllocCap caps StoreColdGet — the uncached pread + verify +
+// decode path — at the baseline's store_cold_get_max_allocs.
+func gateColdGetAllocCap(benchmarks map[string]BenchResult, baseline Artifact) error {
+	return gateHardAllocCap(benchmarks, coldGetBench, baseline.StoreColdGetMaxAllocs,
+		"the cold-read path is growing per-Get garbage")
+}
+
+// gateAllocCap caps GenerateBatched at the baseline's
+// generate_batched_max_allocs.
 func gateAllocCap(benchmarks map[string]BenchResult, baseline Artifact) error {
-	cap := baseline.GenerateBatchedMaxAllocs
-	if cap <= 0 {
-		return nil
-	}
-	cur, ok := benchmarks[allocCapBench]
-	if !ok || cur.AllocsPerOp <= 0 {
-		return nil // not measured this run (e.g. a bench subset)
-	}
-	fmt.Printf("benchguard: %s allocs/op %.0f (hard cap %.0f)\n", allocCapBench, cur.AllocsPerOp, cap)
-	if cur.AllocsPerOp > cap {
-		return fmt.Errorf("%s allocations exceed the hard cap: %.0f allocs/op > %.0f (the cap is 50%% of the pre-diet 71,015 and does not move with baseline re-records)",
-			allocCapBench, cur.AllocsPerOp, cap)
-	}
-	return nil
+	return gateHardAllocCap(benchmarks, allocCapBench, baseline.GenerateBatchedMaxAllocs,
+		"the cap is 50% of the pre-diet 71,015 and does not move with baseline re-records")
+}
+
+// gateScoreAnswerAllocCap caps ScoreAnswer — one ScoreAnswerWith call
+// on a warm engine — at the baseline's score_answer_max_allocs.
+func gateScoreAnswerAllocCap(benchmarks map[string]BenchResult, baseline Artifact) error {
+	return gateHardAllocCap(benchmarks, scoreAnswerBench, baseline.ScoreAnswerMaxAllocs,
+		"the inline metrics are building per-answer strings, maps or slices again instead of streaming over the compiled reference")
 }
 
 func gateEngineRatio(benchmarks map[string]BenchResult, baseline Artifact, maxRegress float64) error {

@@ -459,6 +459,50 @@ func TestColdGetAllocCapGate(t *testing.T) {
 	}
 }
 
+func TestScoreAnswerAllocCapGate(t *testing.T) {
+	const sample = `goos: linux
+pkg: cloudeval
+BenchmarkScoreAnswer-4   	   13195	     21000 ns/op	     712 B/op	       1 allocs/op
+PASS
+`
+	benchmarks, err := parseBench(strings.NewReader(sample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := gateScoreAnswerAllocCap(benchmarks, Artifact{ScoreAnswerMaxAllocs: 8}); err != nil {
+		t.Fatalf("cap gate failed under the cap: %v", err)
+	}
+	benchmarks["ScoreAnswer"] = BenchResult{AllocsPerOp: 330} // the two-string forms
+	if err := gateScoreAnswerAllocCap(benchmarks, Artifact{ScoreAnswerMaxAllocs: 8}); err == nil {
+		t.Fatal("cap gate passed 330 allocs/op against a cap of 8")
+	}
+	if err := gateScoreAnswerAllocCap(benchmarks, Artifact{}); err != nil {
+		t.Fatalf("cap gate tripped without a baseline record: %v", err)
+	}
+
+	// End to end: the cap is carried from baseline into the artifact.
+	dir := t.TempDir()
+	benchPath := filepath.Join(dir, "bench.txt")
+	if err := os.WriteFile(benchPath, []byte(sample), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	outPath := filepath.Join(dir, "BENCH_score.json")
+	if err := run(benchPath, outPath, "score", writeBaseline(t, dir, Artifact{ScoreAnswerMaxAllocs: 8}), gates{}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art Artifact
+	if err := json.Unmarshal(data, &art); err != nil {
+		t.Fatal(err)
+	}
+	if art.ScoreAnswerMaxAllocs != 8 {
+		t.Errorf("artifact cap = %v, want 8 carried from baseline", art.ScoreAnswerMaxAllocs)
+	}
+}
+
 func TestAllocCapGate(t *testing.T) {
 	benchmarks, err := parseBench(strings.NewReader(parallelSample))
 	if err != nil {

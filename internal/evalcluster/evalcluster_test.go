@@ -97,6 +97,31 @@ func TestMasterWorkerOverTCP(t *testing.T) {
 	}
 	defer master.Close()
 
+	// All four workers connect first and wait for start, which closes
+	// once every job is queued: an execution takes tens of microseconds,
+	// so a worker that is already running drains 24 jobs before the next
+	// one has dialed.
+	start := make(chan struct{})
+	release := sync.OnceFunc(func() { close(start) })
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer release() // on a failure below, the workers idle out
+	for i := 0; i < 4; i++ {
+		w, err := NewWorker(addr, fmt.Sprintf("worker-%d", i), problems)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer w.Close()
+			<-start
+			if _, err := w.Run(300 * time.Millisecond); err != nil {
+				t.Errorf("worker: %v", err)
+			}
+		}()
+	}
+
 	// Half the answers are correct (the reference), half empty.
 	wantPass := map[string]bool{}
 	for i, p := range problems {
@@ -109,22 +134,7 @@ func TestMasterWorkerOverTCP(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-
-	var wg sync.WaitGroup
-	for i := 0; i < 4; i++ {
-		w, err := NewWorker(addr, fmt.Sprintf("worker-%d", i), problems)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer w.Close()
-			if _, err := w.Run(300 * time.Millisecond); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}()
-	}
+	release()
 
 	results, err := master.Collect(len(problems), 30*time.Second)
 	if err != nil {

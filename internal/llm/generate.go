@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"strings"
+	"sync"
 
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/scenario"
@@ -30,7 +31,9 @@ type GenOptions struct {
 // run Postprocess to extract clean YAML.
 func (m Model) Generate(p dataset.Problem, opts GenOptions) string {
 	rng := m.rng(p, opts, true)
+	defer rngPool.Put(rng)
 	latent := m.rng(p, opts, false)
+	defer rngPool.Put(latent)
 	cat := m.drawCategory(p, opts, rng, latent)
 	// Functional mistakes (which fields are wrong) are a property of the
 	// problem, not the sample: real models get the same thing wrong on
@@ -39,7 +42,20 @@ func (m Model) Generate(p dataset.Problem, opts GenOptions) string {
 	return wrap(m.Profile.Wrap, answer, cat, rng)
 }
 
-// rng derives a deterministic stream. With perSample, the stream varies
+// rngPool recycles generators between generations: a math/rand source
+// is a 4.9 KB lagged-Fibonacci state, and Seed rewrites all of it, so a
+// re-seeded generator gives the stream a fresh one would.
+var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
+// rng draws a generator from rngPool seeded for a deterministic
+// stream; the caller puts it back when done.
+func (m Model) rng(p dataset.Problem, opts GenOptions, perSample bool) *rand.Rand {
+	r := rngPool.Get().(*rand.Rand)
+	r.Seed(m.seed(p, opts, perSample))
+	return r
+}
+
+// seed derives a stream's seed. With perSample, the stream varies
 // by sample index (at temperature > 0), shot count and question
 // variant; otherwise it depends only on (model, base problem) — the
 // problem's latent stream. Competence is a property of the model and
@@ -47,7 +63,7 @@ func (m Model) Generate(p dataset.Problem, opts GenOptions) string {
 // few-shot examples shifts the success odds through the profile
 // factors, it does not re-roll every problem. That is what keeps
 // Tables 5-6's deltas small and pass@k gains bounded, as in the paper.
-func (m Model) rng(p dataset.Problem, opts GenOptions, perSample bool) *rand.Rand {
+func (m Model) seed(p dataset.Problem, opts GenOptions, perSample bool) int64 {
 	h := fnv.New64a()
 	sample, shots := opts.Sample, opts.Shots
 	variant := string(p.Variant)
@@ -67,7 +83,7 @@ func (m Model) rng(p dataset.Problem, opts GenOptions, perSample bool) *rand.Ran
 		tag = "sample"
 	}
 	fmt.Fprintf(h, "%s|%s|%s|%s|%d|%d", tag, m.Name, id, variant, shots, sample)
-	return rand.New(rand.NewSource(int64(h.Sum64())))
+	return int64(h.Sum64())
 }
 
 // Difficulty scores a problem in [0,1]: the family's base difficulty

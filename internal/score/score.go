@@ -66,17 +66,20 @@ func ScoreAnswer(p dataset.Problem, answer string) ProblemScore {
 	return ScoreAnswerWith(engine.Default(), p, answer)
 }
 
-// refContext caches the per-reference artifacts every model evaluation
-// recomputed in the serial seed: the label-stripped reference text and
-// its BLEU n-gram statistics. A twelve-model campaign reuses each
-// problem's reference twelve times, so this alone removes a third of
-// the scoring cost. The cache is keyed by the labeled reference text
-// itself — content, not problem ID — so it cannot alias, and variants
-// sharing a reference share one entry. Distinct references are bounded
-// by the corpus, so so is the cache.
+// refContext holds a reference compiled for scoring: everything the
+// five text-level and YAML-aware metrics need that depends on the
+// reference alone — the label-stripped text, its BLEU n-gram tables,
+// its lines with difflib's index, its parsed documents and its
+// labeled leaves by path. A twelve-model campaign scores each
+// reference twelve times, and before this was compiled once those five
+// metrics were half of a warm campaign's time. The cache is keyed by
+// the labeled reference text itself — content, not problem ID — so it
+// cannot alias, and variants sharing a reference share one entry.
+// Distinct references are bounded by the corpus, so so is the cache.
 type refContext struct {
-	clean string
 	bleu  *textmetrics.BLEURef
+	lines *textmetrics.LineRef
+	kv    *yamlmatch.Ref
 }
 
 var refCache sync.Map // labeled reference text -> *refContext
@@ -85,15 +88,26 @@ func refFor(p dataset.Problem) *refContext {
 	if v, ok := refCache.Load(p.ReferenceYAML); ok {
 		return v.(*refContext)
 	}
-	clean := yamlmatch.StripLabels(p.ReferenceYAML)
-	v, _ := refCache.LoadOrStore(p.ReferenceYAML, &refContext{clean: clean, bleu: textmetrics.NewBLEURef(clean)})
+	kv := yamlmatch.NewRef(p.ReferenceYAML)
+	v, _ := refCache.LoadOrStore(p.ReferenceYAML, &refContext{
+		bleu:  textmetrics.NewBLEURef(kv.Clean),
+		lines: textmetrics.NewLineRef(kv.Clean),
+		kv:    kv,
+	})
 	return v.(*refContext)
+}
+
+// KVWildcard is the KV-wildcard score of answer against p's labeled
+// reference, on the same compiled reference ScoreAnswerWith uses.
+func KVWildcard(p dataset.Problem, answer string) float64 {
+	return refFor(p).kv.KVWildcard(answer)
 }
 
 // ScoreAnswerWith computes all six metrics, submitting the unit test —
 // the function-level metric that needs a simulated cluster — through
-// eng. The five text-level and YAML-aware metrics are cheap and run
-// inline against the problem's cached reference context.
+// eng. The five text-level and YAML-aware metrics run inline on the
+// problem's compiled reference; the two-string functions they equal
+// bit for bit stay in scoreAnswerSerial, the oracle.
 func ScoreAnswerWith(eng *engine.Engine, p dataset.Problem, answer string) ProblemScore {
 	ref := refFor(p)
 	s := ProblemScore{
@@ -101,11 +115,10 @@ func ScoreAnswerWith(eng *engine.Engine, p dataset.Problem, answer string) Probl
 		Variant:    p.Variant,
 		Answer:     answer,
 		BLEU:       ref.bleu.Score(answer),
-		EditDist:   textmetrics.EditDistanceScore(answer, ref.clean),
-		ExactMatch: textmetrics.ExactMatch(answer, ref.clean),
-		KVExact:    yamlmatch.KVExactMatch(answer, ref.clean),
-		KVWildcard: yamlmatch.KVWildcardMatch(answer, p.ReferenceYAML),
+		EditDist:   ref.lines.EditDistanceScore(answer),
+		ExactMatch: ref.lines.ExactMatch(answer),
 	}
+	s.KVExact, s.KVWildcard = ref.kv.Score(answer)
 	s.UnitTest = eng.UnitTest(p, answer).Score()
 	return s
 }

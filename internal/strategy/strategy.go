@@ -23,7 +23,7 @@ import (
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/scenario"
-	"cloudeval/internal/yamlmatch"
+	"cloudeval/internal/score"
 	"cloudeval/internal/yamlx"
 )
 
@@ -117,9 +117,9 @@ func BestOfK(g inference.Generator, m llm.Model, p dataset.Problem, k int, tempe
 		if err != nil {
 			return Result{Answer: best, Samples: i}, err
 		}
-		score := yamlmatch.KVWildcardMatch(answer, p.ReferenceYAML)
-		if score > bestScore {
-			best, bestScore = answer, score
+		kv := score.KVWildcard(p, answer)
+		if kv > bestScore {
+			best, bestScore = answer, kv
 		}
 	}
 	return Result{Answer: best, Samples: k}, nil

@@ -115,48 +115,6 @@ func BLEUTokens(cand, ref []string) float64 { return bleuTokens(cand, ref, false
 
 const bleuMaxN = 4
 
-// BLEURef holds the reference side of a BLEU comparison — tokens and
-// 1..4-gram counts — computed once and reused across candidates. The
-// benchmark scores twelve models against the same reference, so
-// re-tokenizing the reference per candidate is pure waste. A BLEURef is
-// immutable after construction and safe for concurrent use.
-type BLEURef struct {
-	refLen int
-	counts [bleuMaxN]map[string]int
-}
-
-// NewBLEURef precomputes reference n-gram statistics.
-func NewBLEURef(reference string) *BLEURef {
-	toks := Tokenize(reference)
-	r := &BLEURef{refLen: len(toks)}
-	for n := 1; n <= bleuMaxN; n++ {
-		r.counts[n-1] = ngramCounts(toks, n)
-	}
-	return r
-}
-
-// Score computes unsmoothed BLEU of candidate against the precomputed
-// reference; identical to BLEU(candidate, reference).
-func (r *BLEURef) Score(candidate string) float64 {
-	cand := Tokenize(candidate)
-	if len(cand) == 0 || r.refLen == 0 {
-		return 0
-	}
-	logSum := 0.0
-	for n := 1; n <= bleuMaxN; n++ {
-		match, total := clippedMatches(cand, r.counts[n-1], n)
-		if match == 0 || total == 0 {
-			return 0
-		}
-		logSum += math.Log(float64(match) / float64(total))
-	}
-	bp := 1.0
-	if len(cand) < r.refLen {
-		bp = math.Exp(1 - float64(r.refLen)/float64(len(cand)))
-	}
-	return bp * math.Exp(logSum/bleuMaxN)
-}
-
 func bleuTokens(cand, ref []string, smooth bool) float64 {
 	if len(cand) == 0 || len(ref) == 0 {
 		return 0
@@ -183,16 +141,12 @@ func bleuTokens(cand, ref []string, smooth bool) float64 {
 	return bp * math.Exp(logSum/bleuMaxN)
 }
 
-// modifiedPrecision counts clipped n-gram matches.
+// modifiedPrecision counts candidate n-grams clipped by reference counts.
 func modifiedPrecision(cand, ref []string, n int) (match, total int) {
 	if len(cand) < n {
 		return 0, 0
 	}
-	return clippedMatches(cand, ngramCounts(ref, n), n)
-}
-
-// clippedMatches counts candidate n-grams clipped by reference counts.
-func clippedMatches(cand []string, refCounts map[string]int, n int) (match, total int) {
+	refCounts := ngramCounts(ref, n)
 	for g, c := range ngramCounts(cand, n) {
 		total += c
 		if rc, ok := refCounts[g]; ok {
