@@ -139,6 +139,20 @@ func addProviderFlags(fs *flag.FlagSet) providerFlags {
 	}
 }
 
+// storeFlags carries the persistent-store selection shared by bench,
+// figures and campaign.
+type storeFlags struct {
+	path    *string
+	cacheMB *int
+}
+
+func addStoreFlags(fs *flag.FlagSet) storeFlags {
+	return storeFlags{
+		path:    fs.String("store", "", "persistent evaluation store path"),
+		cacheMB: fs.Int("store-cache-mb", 256, "store hot-cache byte budget in MiB (0 disables caching)"),
+	}
+}
+
 // dispatchOptions translates the flag values into dispatcher options:
 // -gen-concurrency -1 defers to the provider default, anything else
 // overrides it (0 lifts the cap entirely).
@@ -170,20 +184,20 @@ func cmdDataset() error {
 }
 
 // newBench builds a benchmark over the provider the flags select,
-// optionally backed by the persistent evaluation store at storePath
+// optionally backed by the persistent evaluation store -store names
 // (which then caches both unit-test results and generations). The
-// returned store is nil when storePath is empty; the closer flushes
+// returned store is nil when no store is selected; the closer flushes
 // the trace/store and surfaces any latched generation error, and must
 // run after the last evaluation.
-func newBench(storePath string, cacheMB int, pf providerFlags) (*cloudeval.Benchmark, *store.Store, func() error, error) {
+func newBench(sf storeFlags, pf providerFlags) (*cloudeval.Benchmark, *store.Store, func() error, error) {
 	prov, err := pf.open()
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	dopts := pf.dispatchOptions()
 	var st *store.Store
-	if storePath != "" {
-		st, err = store.Open(storePath, store.WithHotCacheBytes(int64(cacheMB)<<20))
+	if *sf.path != "" {
+		st, err = store.Open(*sf.path, store.WithHotCacheBytes(int64(*sf.cacheMB)<<20))
 		if err != nil {
 			prov.Close()
 			return nil, nil, nil, err
@@ -252,8 +266,7 @@ func reportGeneration(b *cloudeval.Benchmark) {
 
 func cmdBench(args []string) (retErr error) {
 	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	storePath := fs.String("store", "", "persistent evaluation store path")
-	storeCacheMB := fs.Int("store-cache-mb", 256, "store hot-cache byte budget in MiB (0 disables caching)")
+	sf := addStoreFlags(fs)
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign here")
 	memProfile := fs.String("memprofile", "", "write an allocation profile here after the campaign")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex-contention profile here after the campaign")
@@ -267,7 +280,7 @@ func cmdBench(args []string) (retErr error) {
 		return err
 	}
 	defer stopProfiles()
-	b, st, closeBench, err := newBench(*storePath, *storeCacheMB, pf)
+	b, st, closeBench, err := newBench(sf, pf)
 	if err != nil {
 		return err
 	}
@@ -279,15 +292,13 @@ func cmdBench(args []string) (retErr error) {
 		}
 	}()
 	fmt.Println(b.Table4())
-	if *storePath != "" {
+	if st != nil {
 		stats := b.Engine().Stats()
 		fmt.Printf("engine: %d executed, %d memory hits, %d store hits\n",
 			stats.Executed, stats.CacheHits, stats.StoreHits)
-	}
-	if st != nil {
 		reportStore(st)
 	}
-	if *storePath != "" || pf.configured() {
+	if st != nil || pf.configured() {
 		reportGeneration(b)
 	}
 	return nil
@@ -366,13 +377,12 @@ func cmdFigures(args []string) (retErr error) {
 	fs := flag.NewFlagSet("figures", flag.ExitOnError)
 	id := fs.String("id", "", "experiment id (table1..table9, figure5..figure9)")
 	all := fs.Bool("all", false, "run every experiment")
-	storePath := fs.String("store", "", "persistent evaluation store path")
-	storeCacheMB := fs.Int("store-cache-mb", 256, "store hot-cache byte budget in MiB (0 disables caching)")
+	sf := addStoreFlags(fs)
 	pf := addProviderFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	b, _, closeBench, err := newBench(*storePath, *storeCacheMB, pf)
+	b, _, closeBench, err := newBench(sf, pf)
 	if err != nil {
 		return err
 	}
@@ -396,8 +406,7 @@ func cmdCampaign(args []string) (retErr error) {
 	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
 	dir := fs.String("dir", "", "campaign directory (checkpoints + outputs)")
 	idsFlag := fs.String("ids", "", "comma-separated experiment ids (default: all)")
-	storePath := fs.String("store", "", "persistent evaluation store path")
-	storeCacheMB := fs.Int("store-cache-mb", 256, "store hot-cache byte budget in MiB (0 disables caching)")
+	sf := addStoreFlags(fs)
 	pf := addProviderFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -411,7 +420,7 @@ func cmdCampaign(args []string) (retErr error) {
 			ids = append(ids, strings.ToLower(strings.TrimSpace(id)))
 		}
 	}
-	b, st, closeBench, err := newBench(*storePath, *storeCacheMB, pf)
+	b, st, closeBench, err := newBench(sf, pf)
 	if err != nil {
 		return err
 	}
@@ -432,7 +441,7 @@ func cmdCampaign(args []string) (retErr error) {
 	if st != nil {
 		reportStore(st)
 	}
-	if *storePath != "" || pf.configured() {
+	if st != nil || pf.configured() {
 		reportGeneration(b)
 	}
 	return nil

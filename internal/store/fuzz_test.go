@@ -1,0 +1,245 @@
+package store
+
+// The store's two parsers of bytes it did not necessarily write — the
+// segment scanner behind Open and the sidecar reader — under native
+// fuzzing, plus the golden frames that pin the on-disk frame format.
+// The seeds alone run in `go test`; CI fuzzes past them for a few
+// seconds each.
+
+import (
+	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"encoding/json"
+	"fmt"
+	"hash/crc32"
+	"os"
+	"path/filepath"
+	"testing"
+	"time"
+
+	"cloudeval/internal/inference"
+	"cloudeval/internal/unittest"
+)
+
+// One frame of each kind for fixed inputs, as the store has always
+// written them: [LE payload length][LE CRC-32C][JSON payload], fields
+// in declaration order, zero values omitted.
+const (
+	goldenUnitFrame = "e300000010f124347b2274657374223a2238643335653366616435346135316338353539643337323366343930346534613961373465643733643534343565363730656632666538383037346237306234222c22616e73776572223a2237393633653662376436373766366538306134336164663831663761373739333334383630663261386638336564313866303962373132333130356163323039222c22706173736564223a747275652c226f7574707574223a22756e69745f746573745f7061737365645c6e222c22657869745f636f6465223a332c227669727475616c5f73656373223a39307d"
+	goldenGenFrame  = "bf0000008247c4ad7b226b696e64223a2267656e222c2267656e223a2239343536626466613132656137363935396339346133353732663564393163373364383338363232646630613864396234653831356332373663366237383830222c2274657874223a2261706956657273696f6e3a2076315c6e6b696e643a20506f645c6e222c2270726f6d70745f746f6b656e73223a3132302c22636f6d706c6574696f6e5f746f6b656e73223a33342c226c6174656e63795f6e73223a313233343536373839317d"
+)
+
+func mustUnhex(t testing.TB, s string) []byte {
+	t.Helper()
+	b, err := hex.DecodeString(s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return b
+}
+
+// putGolden records the two golden inputs.
+func putGolden(s *Store) {
+	s.Put(sha256.Sum256([]byte("echo unit_test_passed")), sha256.Sum256([]byte("kind: Pod")),
+		unittest.Result{Passed: true, Output: "unit_test_passed\n", ExitCode: 3, VirtualTime: 90 * time.Second})
+	s.PutGen(inference.Key(sha256.Sum256([]byte("req-1"))), inference.Response{
+		Text:    "apiVersion: v1\nkind: Pod\n",
+		Usage:   inference.Usage{PromptTokens: 120, CompletionTokens: 34},
+		Latency: 1234567891 * time.Nanosecond,
+	})
+}
+
+// nonEmptyFiles returns the contents of every non-empty file matching
+// pattern, in name order.
+func nonEmptyFiles(t testing.TB, pattern string) [][]byte {
+	t.Helper()
+	names, err := filepath.Glob(pattern)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var out [][]byte
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) > 0 {
+			out = append(out, data)
+		}
+	}
+	return out
+}
+
+// TestGoldenFrames pins the frame bytes: what Put and PutGen write for
+// the fixed inputs is the golden hex, byte for byte, so a store written
+// by any earlier version stays readable and identical re-puts stay
+// recognizable by length + CRC.
+func TestGoldenFrames(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "golden")
+	s, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	putGolden(s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got := map[string]bool{}
+	for _, seg := range nonEmptyFiles(t, path+".s[0-9][0-9]") {
+		for len(seg) > 0 {
+			n := frameHeaderSize + int(binary.LittleEndian.Uint32(seg))
+			got[hex.EncodeToString(seg[:n])] = true
+			seg = seg[n:]
+		}
+	}
+	if len(got) != 2 || !got[goldenUnitFrame] || !got[goldenGenFrame] {
+		t.Fatalf("segments hold frames %v, want the two golden frames", got)
+	}
+}
+
+// FuzzReadSnapshot: arbitrary sidecar bytes never panic the parser,
+// and anything it accepts is canonical — it re-serialises to the same
+// bytes, so there is exactly one sidecar per index.
+func FuzzReadSnapshot(f *testing.F) {
+	path := filepath.Join(f.TempDir(), "seed")
+	s, err := Open(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	putGolden(s)
+	for i := 0; i < 32; i++ {
+		s.PutGen(inference.Key(sha256.Sum256([]byte{byte(i)})), inference.Response{Text: fmt.Sprint(i)})
+	}
+	if err := s.Compact(); err != nil {
+		f.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	for _, idx := range nonEmptyFiles(f, path+".s[0-9][0-9].idx") {
+		f.Add(idx, int64(1<<20))
+		f.Add(idx, int64(0)) // stale against an emptied segment
+		f.Add(idx[:len(idx)/2], int64(1<<20))
+	}
+	f.Add([]byte(snapMagic), int64(0))
+	f.Fuzz(func(t *testing.T, data []byte, segSize int64) {
+		snap, err := parseSnapshot(data, segSize)
+		if err != nil {
+			return
+		}
+		if snap.segLen > segSize {
+			t.Fatalf("accepted a sidecar covering %d bytes of a %d-byte segment", snap.segLen, segSize)
+		}
+		if out := snap.marshal(); !bytes.Equal(out, data) {
+			t.Fatalf("accepted sidecar re-serialises differently:\n in  %x\n out %x", data, out)
+		}
+	})
+}
+
+// intactPrefix is the test's own reading of the segment format: the
+// byte length of data's longest prefix of intact frames, and how many
+// distinct keys those frames carry.
+func intactPrefix(data []byte) (int64, int) {
+	digest := func(s string) (string, bool) {
+		b, err := hex.DecodeString(s)
+		return string(b), err == nil && len(b) == sha256.Size
+	}
+	keys := map[string]bool{}
+	off := 0
+	for len(data)-off >= frameHeaderSize {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		if n == 0 || n > maxPayload || len(data)-off-frameHeaderSize < n {
+			break
+		}
+		payload := data[off+frameHeaderSize : off+frameHeaderSize+n]
+		if crc32.Checksum(payload, crc32.MakeTable(crc32.Castagnoli)) != binary.LittleEndian.Uint32(data[off+4:]) {
+			break
+		}
+		var fr struct{ Kind, Test, Answer, Gen string }
+		if json.Unmarshal(payload, &fr) != nil {
+			break
+		}
+		var key string
+		if fr.Kind == "gen" {
+			g, ok := digest(fr.Gen)
+			if !ok {
+				break
+			}
+			key = "gen " + g
+		} else {
+			tk, ok1 := digest(fr.Test)
+			ak, ok2 := digest(fr.Answer)
+			if !ok1 || !ok2 {
+				break
+			}
+			key = "unit " + tk + ak
+		}
+		keys[key] = true
+		off += frameHeaderSize + n
+	}
+	return int64(off), len(keys)
+}
+
+// FuzzScanLog: arbitrary segment bytes never panic Open, which keeps
+// exactly the intact prefix — indexes its keys, truncates the file to
+// it — whatever follows.
+func FuzzScanLog(f *testing.F) {
+	unit, gen := mustUnhex(f, goldenUnitFrame), mustUnhex(f, goldenGenFrame)
+	f.Add(unit)
+	f.Add(gen)
+	f.Add(append(append([]byte{}, gen...), unit...))
+	f.Add(append(append([]byte{}, unit...), gen[:len(gen)-7]...)) // torn tail
+	flipped := append(append([]byte{}, unit...), gen...)
+	flipped[len(unit)+20] ^= 0xFF // CRC failure in the second frame
+	f.Add(flipped)
+	path := filepath.Join(f.TempDir(), "seed")
+	s, err := Open(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	// A few short real segments, kinds mixed and two keys re-recorded;
+	// short so the fuzzer's minimizer stays out of the way.
+	putGolden(s)
+	for i := 0; i < 8; i++ {
+		a, b := sha256.Sum256([]byte{byte(i)}), sha256.Sum256([]byte{byte(i), 1})
+		s.Put(a, b, unittest.Result{Passed: i%2 == 0, Output: fmt.Sprint(i)})
+		s.PutGen(inference.Key(b), inference.Response{Text: fmt.Sprint(i)})
+		if i < 2 {
+			s.Put(a, b, unittest.Result{Output: "re-recorded"})
+		}
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	for _, seg := range nonEmptyFiles(f, path+".s[0-9][0-9]") {
+		f.Add(seg)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		// A one-shard store: two files per run instead of nine.
+		path := filepath.Join(t.TempDir(), "fuzz")
+		if err := os.WriteFile(metaPath(path), []byte("1\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(segPath(path, 0), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		wantLen, wantKeys := intactPrefix(data)
+		s, err := Open(path)
+		if err != nil {
+			t.Fatalf("Open: %v", err)
+		}
+		defer s.closeFiles() // nothing to persist: skip Close's fsyncs
+		if got := s.Len() + s.GenLen(); got != wantKeys {
+			t.Fatalf("indexed %d keys, want %d", got, wantKeys)
+		}
+		fi, err := os.Stat(segPath(path, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() != wantLen {
+			t.Fatalf("segment is %d bytes after Open, want the %d-byte intact prefix of %d", fi.Size(), wantLen, len(data))
+		}
+	})
+}

@@ -2,7 +2,6 @@ package store_test
 
 import (
 	"bytes"
-	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
@@ -93,8 +92,7 @@ func writeLegacyLog(t *testing.T, path string, n, g int) {
 			unittest.Result{Passed: true, Output: fmt.Sprintf("out-%d", i), VirtualTime: time.Duration(i) * time.Second}))
 	}
 	for i := 0; i < g; i++ {
-		key := inference.Key(sha256.Sum256([]byte(fmt.Sprintf("legacy-gen-%d", i))))
-		appendLegacyFrame(t, &buf, legacyGenFrame(key, inference.Response{
+		appendLegacyFrame(t, &buf, legacyGenFrame(legacyGenKey(i), inference.Response{
 			Text:    fmt.Sprintf("kind: Pod # %d\n", i),
 			Usage:   inference.Usage{PromptTokens: 100 + i, CompletionTokens: 30 + i},
 			Latency: time.Duration(i+1) * time.Millisecond,
@@ -105,78 +103,99 @@ func writeLegacyLog(t *testing.T, path string, n, g int) {
 	}
 }
 
+func legacyGenKey(i int) inference.Key { return genKey(fmt.Sprintf("legacy-gen-%d", i)) }
+
+// requireLegacyContents checks the store serves what
+// writeLegacyLog(records, gens) put in the file — every record at its
+// newest in-file value, every generation — and holds nothing else but
+// extra further unit-test records.
+func requireLegacyContents(t *testing.T, s *store.Store, records, gens, extra int) {
+	t.Helper()
+	if s.Len() != records+extra || s.GenLen() != gens {
+		t.Fatalf("Len/GenLen = %d/%d, want %d/%d", s.Len(), s.GenLen(), records+extra, gens)
+	}
+	for i := 0; i < records; i++ {
+		tk, ak := digests(fmt.Sprintf("legacy-test-%d", i), fmt.Sprintf("legacy-answer-%d", i))
+		got, ok := s.Get(tk, ak)
+		if !ok || !got.Passed || got.Output != fmt.Sprintf("out-%d", i) || got.VirtualTime != time.Duration(i)*time.Second {
+			t.Fatalf("legacy record %d = %+v, %v", i, got, ok)
+		}
+	}
+	for i := 0; i < gens; i++ {
+		got, ok := s.GetGen(legacyGenKey(i))
+		if !ok || got.Text != fmt.Sprintf("kind: Pod # %d\n", i) || got.Usage.PromptTokens != 100+i {
+			t.Fatalf("legacy generation %d = %+v, %v", i, got, ok)
+		}
+	}
+}
+
+// segmentBytes snapshots every shard segment's content.
+func segmentBytes(t *testing.T, path string) map[string]string {
+	t.Helper()
+	out := map[string]string{}
+	for _, seg := range segmentPaths(t, path) {
+		data, err := os.ReadFile(seg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		out[seg] = string(data)
+	}
+	return out
+}
+
 // TestLegacySingleFileLogReplays is the backward-compatibility
-// contract: a store written in the pre-shard single-file layout opens
-// transparently — every unit-test and generation record is visible,
-// newest-wins holds within the legacy file, and the legacy bytes are
-// read through, not rewritten.
+// contract: a store written in the pre-shard single-file layout is
+// still a supported input. Open migrates it — every unit-test and
+// generation record is visible, newest-wins holds within the legacy
+// file — and the file is gone once Open returns; the records live on
+// in the segments.
 func TestLegacySingleFileLogReplays(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "eval.store")
 	const records, gens = 40, 10
 	writeLegacyLog(t, path, records, gens)
-	legacyBytes, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	s, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Len() != records || s.GenLen() != gens {
-		t.Fatalf("Len/GenLen = %d/%d, want %d/%d", s.Len(), s.GenLen(), records, gens)
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("legacy log still present after Open (stat err %v)", err)
 	}
-	for i := 0; i < records; i++ {
-		tk, ak := digests(fmt.Sprintf("legacy-test-%d", i), fmt.Sprintf("legacy-answer-%d", i))
-		got, ok := s.Get(tk, ak)
-		if !ok || !got.Passed || got.Output != fmt.Sprintf("out-%d", i) {
-			t.Fatalf("legacy record %d = %+v, %v", i, got, ok)
-		}
+	requireLegacyContents(t, s, records, gens, 0)
+	// One frame per key was copied: the superseded first record of key
+	// 0 stayed behind.
+	if got := s.Appended(); got != records+gens {
+		t.Fatalf("migration appended %d frames, want %d", got, records+gens)
 	}
-	for i := 0; i < gens; i++ {
-		key := inference.Key(sha256.Sum256([]byte(fmt.Sprintf("legacy-gen-%d", i))))
-		got, ok := s.GetGen(key)
-		if !ok || got.Text != fmt.Sprintf("kind: Pod # %d\n", i) {
-			t.Fatalf("legacy generation %d = %+v, %v", i, got, ok)
-		}
-	}
-
-	// Read-through, not rewrite: the legacy log is byte-identical
-	// after open, and new appends land in shard segments, never in it.
 	tk, ak := digests("new-test", "new-answer")
 	s.Put(tk, ak, unittest.Result{Passed: true})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	after, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(legacyBytes, after) {
-		t.Fatal("opening a legacy log modified its bytes")
-	}
 
-	// A reopen sees legacy and segment records together.
+	// A reopen finds migrated and new records in the segments alone.
 	s2, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != records+1 {
-		t.Fatalf("reopened Len = %d, want %d", s2.Len(), records+1)
-	}
 	if _, ok := s2.Get(tk, ak); !ok {
-		t.Fatal("post-upgrade append lost on reopen")
+		t.Fatal("post-migration append lost on reopen")
 	}
+	requireLegacyContents(t, s2, records, gens, 1)
 }
 
 // TestLegacyRecordSupersededBySegmentAppend pins the conflict rule: a
-// key present in the legacy log and re-recorded through the sharded
-// store must serve the newer (segment) value after reopen — segments
-// replay after the legacy pre-pass.
+// key present both in a segment and in a legacy file keeps the segment
+// record — appends have only gone to segments since the sharded layout
+// exists, so it is at least as new.
 func TestLegacyRecordSupersededBySegmentAppend(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "eval.store")
 	writeLegacyLog(t, path, 8, 0)
+	legacyBytes, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	s, err := store.Open(path)
 	if err != nil {
@@ -188,6 +207,11 @@ func TestLegacyRecordSupersededBySegmentAppend(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// The old file comes back (a restored backup, or a crash that beat
+	// the delete) carrying key 3's older value.
+	if err := os.WriteFile(path, legacyBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	s2, err := store.Open(path)
 	if err != nil {
@@ -197,12 +221,59 @@ func TestLegacyRecordSupersededBySegmentAppend(t *testing.T) {
 	if got, ok := s2.Get(tk, ak); !ok || got != newer {
 		t.Fatalf("Get = %+v, %v; want the segment record %+v to win over legacy", got, ok, newer)
 	}
+	if s2.Len() != 8 {
+		t.Fatalf("Len = %d, want 8", s2.Len())
+	}
 }
 
-// TestLegacyCompactMigratesToShardedLayout: Compact on a store opened
-// from a legacy log rewrites every record into the shard segments and
-// removes the single-file log — migrate-on-compact. Everything stays
-// visible in memory, after the migration, and across a reopen.
+// TestLegacyReappearingFileChangesNothing is the idempotence half of
+// the crash argument: a legacy file found beside segments that already
+// hold all of its keys — what a crash between the migration's fsync and
+// its delete leaves — appends nothing, leaves every segment
+// byte-identical, and is removed.
+func TestLegacyReappearingFileChangesNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "eval.store")
+	const records, gens = 16, 4
+	writeLegacyLog(t, path, records, gens)
+	legacyBytes, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	migrated := segmentBytes(t, path)
+
+	if err := os.WriteFile(path, legacyBytes, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if got := s2.Appended(); got != 0 {
+		t.Fatalf("re-migration appended %d frames, want 0", got)
+	}
+	if _, err := os.Stat(path); !os.IsNotExist(err) {
+		t.Fatalf("reappeared legacy log still present after Open (stat err %v)", err)
+	}
+	for seg, want := range migrated {
+		if got := segmentBytes(t, path)[seg]; got != want {
+			t.Fatalf("%s changed: %d -> %d bytes", filepath.Base(seg), len(want), len(got))
+		}
+	}
+	requireLegacyContents(t, s2, records, gens, 0)
+}
+
+// TestLegacyCompactMigratesToShardedLayout carries migrated records
+// through the rest of the sharded layout's life cycle: Compact rewrites
+// them and writes sidecars, and a reopen from those sidecars still
+// serves every one.
 func TestLegacyCompactMigratesToShardedLayout(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "eval.store")
 	const records, gens = 24, 6
@@ -216,22 +287,9 @@ func TestLegacyCompactMigratesToShardedLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	if _, err := os.Stat(path); !os.IsNotExist(err) {
-		t.Fatalf("legacy log still present after migrating Compact (stat err %v)", err)
+		t.Fatalf("legacy log still present after migration and Compact (stat err %v)", err)
 	}
-	var segBytes int64
-	for _, seg := range segmentPaths(t, path) {
-		fi, err := os.Stat(seg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		segBytes += fi.Size()
-	}
-	if segBytes == 0 {
-		t.Fatal("no segment bytes after migrating Compact")
-	}
-	if s.Len() != records || s.GenLen() != gens {
-		t.Fatalf("post-compact Len/GenLen = %d/%d, want %d/%d", s.Len(), s.GenLen(), records, gens)
-	}
+	requireLegacyContents(t, s, records, gens, 0)
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -241,25 +299,14 @@ func TestLegacyCompactMigratesToShardedLayout(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != records || s2.GenLen() != gens {
-		t.Fatalf("reopened Len/GenLen = %d/%d, want %d/%d", s2.Len(), s2.GenLen(), records, gens)
+	if st := s2.LastOpen(); st.SnapshotFrames != records+gens || st.ScannedFrames != 0 {
+		t.Fatalf("reopen after Compact = %+v, want all %d frames from sidecars", st, records+gens)
 	}
-	for i := 0; i < records; i++ {
-		tk, ak := digests(fmt.Sprintf("legacy-test-%d", i), fmt.Sprintf("legacy-answer-%d", i))
-		if got, ok := s2.Get(tk, ak); !ok || !got.Passed || got.Output != fmt.Sprintf("out-%d", i) {
-			t.Fatalf("migrated record %d = %+v, %v", i, got, ok)
-		}
-	}
-	for i := 0; i < gens; i++ {
-		key := inference.Key(sha256.Sum256([]byte(fmt.Sprintf("legacy-gen-%d", i))))
-		if _, ok := s2.GetGen(key); !ok {
-			t.Fatalf("migrated generation %d lost", i)
-		}
-	}
+	requireLegacyContents(t, s2, records, gens, 0)
 }
 
 // TestLegacyTornTailDropped: a legacy log with a crash-torn tail
-// opens cleanly, dropping only the torn record.
+// migrates cleanly, dropping only the torn record.
 func TestLegacyTornTailDropped(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "eval.store")
 	writeLegacyLog(t, path, 8, 0)
@@ -276,9 +323,7 @@ func TestLegacyTornTailDropped(t *testing.T) {
 		t.Fatalf("Open on torn legacy log: %v", err)
 	}
 	defer s.Close()
-	if s.Len() != 7 {
-		t.Fatalf("Len = %d, want 7 (torn final record dropped)", s.Len())
-	}
+	requireLegacyContents(t, s, 7, 0, 0)
 	tk, ak := digests("legacy-test-7", "legacy-answer-7")
 	if _, ok := s.Get(tk, ak); ok {
 		t.Fatal("torn legacy record served")

@@ -11,8 +11,6 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-
-	"cloudeval/internal/inference"
 )
 
 // errLogClosed is returned by logFile.pread after the handle has been
@@ -69,8 +67,7 @@ func (lf *logFile) close() error {
 // committer election — so appends to different shards batch and flush
 // with no shared state at all.
 type segment struct {
-	recs [idxStripes]recStripe
-	gens [idxStripes]genStripe
+	idx [idxStripes]stripe
 
 	appended atomic.Int64
 	flushes  atomic.Int64
@@ -95,8 +92,8 @@ type segment struct {
 	// end is exactly where the next frame will land.
 	size int64
 	// pending accumulates encoded frames for the batch curBatch;
-	// flushedBatch is the highest batch durably written. A writer's
-	// frames are on disk exactly when flushedBatch has reached the
+	// flushedBatch is the highest batch written. A writer's frames
+	// have reached the file exactly when flushedBatch has reached the
 	// batch it enqueued into.
 	pending      []byte
 	curBatch     uint64
@@ -111,25 +108,21 @@ type segment struct {
 func newSegment(f *os.File, idxPath string) *segment {
 	seg := &segment{lf: newLogFile(f), idxPath: idxPath, curBatch: 1}
 	seg.flushed.L = &seg.mu
-	for i := range seg.recs {
-		seg.recs[i].m = make(map[Key]entry)
-	}
-	for i := range seg.gens {
-		seg.gens[i].m = make(map[inference.Key]entry)
+	for i := range seg.idx {
+		seg.idx[i].m = make(map[key]entry)
 	}
 	return seg
 }
 
 // scanLog walks one log file from offset start, calling apply for each
-// intact frame with its key fields, absolute offset, total length
-// (header included), and payload checksum, and returns the offset of
-// the first bad (or missing) frame. One growable payload buffer is
-// reused across frames, and the decode goes through keyFrame — only
-// the fields that feed the offset index — so a multi-gigabyte log
-// replays without ever materializing its payload strings. apply
-// returning false marks the frame bad (malformed key): the scan stops
-// there, exactly like a failed CRC.
-func scanLog(f *os.File, start int64, apply func(fr keyFrame, off int64, n, sum uint32) bool) (int64, error) {
+// intact frame with its key and index entry (src unset — the caller
+// knows which log it is scanning), and returns the offset of the first
+// bad (or missing) frame. One growable payload buffer is reused across
+// frames, and the decode goes through keyFrame — only the fields that
+// feed the offset index — so a multi-gigabyte log replays without ever
+// materializing its payload strings. A frame whose key is malformed is
+// bad: the scan stops there, exactly like a failed CRC.
+func scanLog(f *os.File, start int64, apply func(k key, e entry)) (int64, error) {
 	if _, err := f.Seek(start, io.SeekStart); err != nil {
 		return 0, err
 	}
@@ -161,15 +154,17 @@ func scanLog(f *os.File, start int64, apply func(fr keyFrame, off int64, n, sum 
 		if err := json.Unmarshal(payload, &fr); err != nil {
 			return off, nil
 		}
-		if !apply(fr, off, frameHeaderSize+n, sum) {
+		k, ok := fr.key()
+		if !ok {
 			return off, nil
 		}
+		apply(k, entry{off: off, n: frameHeaderSize + n, sum: sum})
 		off += frameHeaderSize + int64(n)
 	}
 }
 
 // replay loads the segment's log into the store's offset index
-// (routing by key, so even a misplaced record lands where Get looks
+// (routing by key, so even a misplaced record lands where get looks
 // for it) and truncates the segment's torn tail. When the shard's
 // index-snapshot sidecar is present and consistent with the segment,
 // the snapshot supplies every entry up to its recorded byte length and
@@ -183,21 +178,17 @@ func (seg *segment) replay(s *Store) error {
 	}
 	start := int64(0)
 	if snap, err := readSnapshot(seg.idxPath, fi.Size()); err == nil {
-		for _, re := range snap.recs {
-			s.loadRec(re.key, entry{src: seg.lf, off: re.off, n: re.n, sum: re.sum})
+		for _, ie := range snap.entries {
+			ie.e.src = seg.lf
+			s.load(ie.k, ie.e)
 		}
-		for _, ge := range snap.gens {
-			s.loadGen(ge.key, entry{src: seg.lf, off: ge.off, n: ge.n, sum: ge.sum})
-		}
-		seg.snapFrames = len(snap.recs) + len(snap.gens)
+		seg.snapFrames = len(snap.entries)
 		start = snap.segLen
 	}
-	good, err := scanLog(seg.lf.f, start, func(fr keyFrame, off int64, n, sum uint32) bool {
-		if !s.load(seg.lf, fr, off, n, sum) {
-			return false
-		}
+	good, err := scanLog(seg.lf.f, start, func(k key, e entry) {
+		e.src = seg.lf
+		s.load(k, e)
 		seg.scanFrames++
-		return true
 	})
 	if err != nil {
 		return err
@@ -210,8 +201,8 @@ func (seg *segment) replay(s *Store) error {
 }
 
 // appendWait enqueues one encoded frame into the segment's pending
-// group-commit batch and blocks until that batch is on disk,
-// reporting whether the frame durably landed. The first writer to
+// group-commit batch and blocks until that batch has been written,
+// reporting whether the write succeeded. The first writer to
 // find no flush in progress becomes the committer: it drains the
 // whole pending buffer — its own frame plus everything concurrent
 // writers enqueued behind it — in a single write syscall, then
@@ -223,20 +214,16 @@ func (seg *segment) replay(s *Store) error {
 // install runs at enqueue time, under the segment lock, with the
 // frame's assigned offset and owning logFile: callers use it to write
 // the offset-index entry. Installing under the lock — before
-// durability, not after — is what makes compaction race-free: compact
+// the write, not after — is what makes compaction race-free: compact
 // holds this same lock, so every frame it drains into the old file is
 // already indexed and gets carried into the rewrite. A crash before
 // the flush loses the tail frame exactly like the pre-index store.
-func (seg *segment) appendWait(buf []byte, encErr error, install func(lf *logFile, off int64)) bool {
+func (seg *segment) appendWait(buf []byte, install func(lf *logFile, off int64)) bool {
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	if seg.appendErr != nil {
 		// The log is broken (failed append or a lost post-compaction
 		// reopen): don't pretend further appends persist.
-		return false
-	}
-	if encErr != nil {
-		seg.appendErr = encErr
 		return false
 	}
 	off := seg.size
@@ -294,23 +281,13 @@ func (seg *segment) drainLocked() {
 	}
 }
 
-func (seg *segment) lenRecs() int {
+// count reports how many distinct keys of one kind the shard holds.
+func (seg *segment) count(kd kind) int {
 	n := 0
-	for i := range seg.recs {
-		st := &seg.recs[i]
+	for i := range seg.idx {
+		st := &seg.idx[i]
 		st.mu.RLock()
-		n += len(st.m)
-		st.mu.RUnlock()
-	}
-	return n
-}
-
-func (seg *segment) lenGens() int {
-	n := 0
-	for i := range seg.gens {
-		st := &seg.gens[i]
-		st.mu.RLock()
-		n += len(st.m)
+		n += st.n[kd]
 		st.mu.RUnlock()
 	}
 	return n
@@ -322,13 +299,22 @@ func (seg *segment) err() error {
 	return seg.appendErr
 }
 
+// latch records err as the segment's append error unless an earlier
+// one is already latched.
+func (seg *segment) latch(err error) {
+	seg.mu.Lock()
+	defer seg.mu.Unlock()
+	if seg.appendErr == nil {
+		seg.appendErr = err
+	}
+}
+
 // compact rewrites this shard's segment to exactly one frame per key —
 // the newest — via a temp file atomically renamed over path, then
 // writes the shard's index-snapshot sidecar so the next Open loads the
 // index without scanning a single frame. Frames are copied raw from
-// their source logs (segment or legacy), byte-identical and
-// CRC-reverified in flight — compaction neither decodes nor re-encodes
-// a payload.
+// their source log, byte-identical and CRC-reverified in flight —
+// compaction neither decodes nor re-encodes a payload.
 //
 // Holding the shard's log lock throughout keeps this shard's
 // concurrent appends queued in pending until the new handle is in
@@ -349,36 +335,16 @@ func (seg *segment) compact(path string) error {
 	// Snapshot this shard's index slice. Stripe read-locks nest inside
 	// seg.mu here; writers never hold a stripe lock while acquiring
 	// seg.mu, so the order cannot invert.
-	type recKV struct {
-		k Key
-		e entry
-	}
-	type genKV struct {
-		k inference.Key
-		e entry
-	}
-	var recKVs []recKV
-	for i := range seg.recs {
-		st := &seg.recs[i]
+	var live []indexed
+	for i := range seg.idx {
+		st := &seg.idx[i]
 		st.mu.RLock()
 		for k, e := range st.m {
-			recKVs = append(recKVs, recKV{k, e})
+			live = append(live, indexed{k, e})
 		}
 		st.mu.RUnlock()
 	}
-	var genKVs []genKV
-	for i := range seg.gens {
-		st := &seg.gens[i]
-		st.mu.RLock()
-		for k, e := range st.m {
-			genKVs = append(genKVs, genKV{k, e})
-		}
-		st.mu.RUnlock()
-	}
-	sort.Slice(recKVs, func(i, j int) bool { return lessKeys(recKVs[i].k, recKVs[j].k) })
-	sort.Slice(genKVs, func(i, j int) bool {
-		return string(genKVs[i].k[:]) < string(genKVs[j].k[:])
-	})
+	sort.Slice(live, func(i, j int) bool { return live[i].k.less(live[j].k) })
 
 	tmpPath := path + ".compact"
 	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
@@ -391,44 +357,21 @@ func (seg *segment) compact(path string) error {
 		return err
 	}
 
-	// Copy each newest frame raw, recording its offset in the rewrite.
+	// Copy each newest frame raw, re-pointing its collected entry at
+	// its offset in the rewrite. The index itself is untouched until
+	// the rewrite is in place.
 	var off int64
 	var buf []byte
-	copyFrame := func(e entry) (int64, error) {
-		if cap(buf) < int(e.n) {
-			buf = make([]byte, e.n)
+	for i := range live {
+		e := &live[i].e
+		if buf, err = e.read(buf); err != nil {
+			return fail(fmt.Errorf("store: compact read at offset %d: %w", e.off, err))
 		}
-		b := buf[:e.n]
-		if err := e.src.pread(b, e.off); err != nil {
-			return 0, fmt.Errorf("store: compact read: %w", err)
+		if _, err := tmp.Write(buf); err != nil {
+			return fail(err)
 		}
-		if n := binary.LittleEndian.Uint32(b[0:4]); n != e.n-frameHeaderSize ||
-			binary.LittleEndian.Uint32(b[4:8]) != e.sum ||
-			crc32.Checksum(b[frameHeaderSize:], castagnoli) != e.sum {
-			return 0, fmt.Errorf("store: compact: %w at offset %d", errCorruptFrame, e.off)
-		}
-		if _, err := tmp.Write(b); err != nil {
-			return 0, err
-		}
-		at := off
+		e.off = off
 		off += int64(e.n)
-		return at, nil
-	}
-	newRecs := make([]recKV, len(recKVs))
-	for i, kv := range recKVs {
-		at, err := copyFrame(kv.e)
-		if err != nil {
-			return fail(err)
-		}
-		newRecs[i] = recKV{kv.k, entry{off: at, n: kv.e.n, sum: kv.e.sum}}
-	}
-	newGens := make([]genKV, len(genKVs))
-	for i, kv := range genKVs {
-		at, err := copyFrame(kv.e)
-		if err != nil {
-			return fail(err)
-		}
-		newGens[i] = genKV{kv.k, entry{off: at, n: kv.e.n, sum: kv.e.sum}}
 	}
 	if err := tmp.Sync(); err != nil {
 		return fail(err)
@@ -465,19 +408,11 @@ func (seg *segment) compact(path string) error {
 
 	// Point every index entry at its frame in the rewrite. Appends to
 	// this shard are still queued on seg.mu, so the stripe contents are
-	// exactly the collected set; concurrent Gets that raced the swap
+	// exactly the collected set; concurrent gets that raced the swap
 	// retry via errLogClosed and land on the refreshed entries.
-	for _, kv := range newRecs {
-		st := &seg.recs[recStripeOf(kv.k)]
-		st.mu.Lock()
-		st.m[kv.k] = entry{src: newLF, off: kv.e.off, n: kv.e.n, sum: kv.e.sum}
-		st.mu.Unlock()
-	}
-	for _, kv := range newGens {
-		st := &seg.gens[genStripeOf(kv.k)]
-		st.mu.Lock()
-		st.m[kv.k] = entry{src: newLF, off: kv.e.off, n: kv.e.n, sum: kv.e.sum}
-		st.mu.Unlock()
+	for i := range live {
+		live[i].e.src = newLF
+		seg.idx[live[i].k.stripe()].set(live[i].k, live[i].e)
 	}
 	old := seg.lf
 	seg.lf = newLF
@@ -487,17 +422,8 @@ func (seg *segment) compact(path string) error {
 	// The snapshot sidecar: written only after the compacted segment
 	// is durably in place, covering exactly its off bytes. An empty
 	// shard gets no sidecar — there is nothing to accelerate.
-	if len(newRecs)+len(newGens) > 0 {
-		snap := snapshot{segLen: off}
-		snap.recs = make([]snapRec, len(newRecs))
-		for i, kv := range newRecs {
-			snap.recs[i] = snapRec{key: kv.k, off: kv.e.off, n: kv.e.n, sum: kv.e.sum}
-		}
-		snap.gens = make([]snapGen, len(newGens))
-		for i, kv := range newGens {
-			snap.gens[i] = snapGen{key: kv.k, off: kv.e.off, n: kv.e.n, sum: kv.e.sum}
-		}
-		if err := writeSnapshot(seg.idxPath, &snap); err != nil {
+	if len(live) > 0 {
+		if err := writeSnapshot(seg.idxPath, &snapshot{segLen: off, entries: live}); err != nil {
 			return fmt.Errorf("store: write index sidecar: %w", err)
 		}
 	}

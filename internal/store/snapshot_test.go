@@ -440,3 +440,90 @@ func TestCompactConcurrentWithGets(t *testing.T) {
 	default:
 	}
 }
+
+// TestParentWrittenStoreOpens opens testdata/parent-v1, a store
+// directory written by the commit before the single record path: 8
+// shards, 24 unit-test records (key 0 re-recorded once) and 12
+// generations compacted into segments with version-1 sidecars, then a
+// tail of 4 more records, 2 more generations and a re-record of key 5.
+// Every record must read back as written. The v1 sidecars have no
+// reader, so the whole store is scanned; the next Compact replaces
+// them and the store then opens from sidecars alone.
+func TestParentWrittenStoreOpens(t *testing.T) {
+	fixture, err := filepath.Glob(filepath.Join("testdata", "parent-v1", "evalstore.*"))
+	if err != nil || len(fixture) == 0 {
+		t.Fatalf("fixture missing: %v", err)
+	}
+	dir := t.TempDir()
+	for _, f := range fixture {
+		data, err := os.ReadFile(f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, filepath.Base(f)), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	path := filepath.Join(dir, "evalstore")
+	rec := func(i int) unittest.Result {
+		return unittest.Result{
+			Passed:      i%2 == 0,
+			Output:      fmt.Sprintf("compat output %d\n", i),
+			ExitCode:    i % 3,
+			VirtualTime: time.Duration(i) * 1500 * time.Millisecond,
+		}
+	}
+	const records, gens = 28, 14
+	verify := func(s *store.Store) {
+		t.Helper()
+		if s.Shards() != 8 || s.Len() != records || s.GenLen() != gens {
+			t.Fatalf("Shards/Len/GenLen = %d/%d/%d, want 8/%d/%d", s.Shards(), s.Len(), s.GenLen(), records, gens)
+		}
+		for i := 0; i < records; i++ {
+			want := rec(i)
+			if i == 5 {
+				want = rec(105) // re-recorded after the compaction
+			}
+			tk, ak := digests(fmt.Sprintf("compat-test-%d", i), fmt.Sprintf("compat-answer-%d", i))
+			if got, ok := s.Get(tk, ak); !ok || got != want {
+				t.Fatalf("record %d: Get = %+v, %v; want %+v", i, got, ok, want)
+			}
+		}
+		for i := 0; i < gens; i++ {
+			want := inference.Response{
+				Text:    fmt.Sprintf("kind: Pod # %d\n", i),
+				Usage:   inference.Usage{PromptTokens: 100 + i, CompletionTokens: 30 + i},
+				Latency: time.Duration(i+1) * 1234567 * time.Nanosecond,
+			}
+			if got, ok := s.GetGen(genKey(fmt.Sprintf("compat-gen-%d", i))); !ok || got != want {
+				t.Fatalf("generation %d: GetGen = %+v, %v; want %+v", i, got, ok, want)
+			}
+		}
+	}
+
+	s, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 36 compacted frames + a 7-frame tail, none from a sidecar.
+	if st := s.LastOpen(); st.SnapshotFrames != 0 || st.ScannedFrames != 43 {
+		t.Fatalf("LastOpen = %+v, want a full scan of 43 frames", st)
+	}
+	verify(s)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if st := s2.LastOpen(); st.SnapshotFrames != records+gens || st.ScannedFrames != 0 {
+		t.Fatalf("LastOpen after Compact = %+v, want all %d frames from sidecars", st, records+gens)
+	}
+	verify(s2)
+}

@@ -13,6 +13,18 @@
 // campaign's full warm state: a re-campaign neither generates nor
 // executes anything.
 //
+// # One record path
+//
+// Inside the package a record is a (key, frame) pair and nothing else:
+// key is {kind byte; a, b digest} — (test, answer) for a unit-test
+// result, (request key, zero) for a generation — and frame is the JSON
+// payload. One index, one get, one put, one compaction loop and one
+// sidecar entry shape serve every kind; Get/Put/GetGen/PutGen only
+// convert frames to and from unittest.Result and inference.Response.
+// The kind byte is part of the key everywhere a key is used (index,
+// hot cache, sidecar), so the same 32 bytes used as a generation key
+// and as a unit-test digest never alias.
+//
 // # Sharded layout
 //
 // The store is partitioned into N key-range shards (N a power of two,
@@ -27,18 +39,15 @@
 // concurrently, and compacting shard k never blocks appends to the
 // others.
 //
-// A legacy single-file log at <path> itself — the pre-shard layout —
-// is transparently read through: Open replays it first (its records
-// are the oldest, so segment records win conflicts), appends always go
-// to the owning shard's segment, and the first successful Compact
-// migrates every record into the sharded layout and removes the
-// legacy file.
+// A regular file at <path> itself is a log in the pre-shard
+// single-file layout. Open migrates it once — its newest frame per
+// key, raw, into the owning shards, unless a segment already holds
+// that key — and removes it (see migrateLegacy); nothing else in the
+// package knows the layout existed.
 //
 // # On-disk format
 //
-// Every file — legacy log and shard segments alike — is a sequence of
-// length-prefixed, checksummed records, byte-identical to the
-// pre-shard format:
+// Every segment is a sequence of length-prefixed, checksummed records:
 //
 //	[4-byte LE payload length][4-byte LE CRC-32C of payload][JSON payload]
 //
@@ -49,26 +58,35 @@
 // ≠ k. Each log is append-only — a re-recorded key simply appends a
 // newer record, and the newest record per key wins on replay. Compact
 // rewrites each shard to one record per key (newest wins) via an
-// atomic rename.
+// atomic rename. A payload may not exceed maxPayload (64 MiB): replay
+// reads a larger length prefix as a torn header, so put refuses to
+// write one.
 //
-// Concurrency: per-shard indexes are striped behind RWMutexes, so
-// warm-store reads never contend with appends or each other. Appends
-// group-commit per shard: writers encode frames outside any lock,
-// enqueue into the shard's pending buffer, and one of them — the
-// committer — drains the whole batch with a single write syscall,
-// then releases every writer whose frames it carried. A Put still
-// does not return until its frame is on disk (the durability contract
-// tests rely on), but N concurrent Puts to one shard cost one syscall
-// instead of N, and Puts to different shards batch and flush fully
-// independently.
+// # Concurrency and durability
+//
+// Per-shard indexes are striped behind RWMutexes, so warm-store reads
+// never contend with appends or each other. Appends group-commit per
+// shard: writers encode frames outside any lock, enqueue into the
+// shard's pending buffer, and one of them — the committer — drains the
+// whole batch with a single write syscall, then releases every writer
+// whose frames it carried. N concurrent Puts to one shard cost one
+// syscall instead of N, and Puts to different shards batch and flush
+// fully independently.
+//
+// The durability contract, precisely: a returned Put/PutGen means its
+// group-commit batch completed a write(2) — the frame is in the
+// kernel's page cache, visible to every reader of the file and safe
+// from a crash of this process, but not from a power loss. Only Sync,
+// Close and Compact fsync. A crash mid-write leaves a torn tail that
+// the next Open truncates to the last intact frame.
 //
 // # Out-of-core index
 //
 // The resident index holds no payloads: each stripe maps a key to an
 // {owning log, offset, frame length, payload CRC} entry, so resident
-// cost per record is ~100 bytes regardless of how large its output or
-// response text is. Get/GetGen pread the frame on demand, re-verify
-// its checksum, decode, and serve the result through a bounded
+// cost per record is ~130 bytes regardless of how large its output or
+// response text is. A read preads the frame on demand, re-verifies its
+// checksum, decodes, and serves the result through a bounded
 // sharded-LRU hot cache (WithHotCacheBytes, default 256 MiB), so a
 // warm campaign's working set stays in-memory fast while RSS is
 // bounded by index size + cache budget, not corpus size.
@@ -82,6 +100,7 @@
 package store
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -92,6 +111,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -102,19 +122,50 @@ import (
 	"cloudeval/internal/unittest"
 )
 
-// Key content-addresses one evaluation, mirroring the engine's cache
-// key: the digests of the unit-test script and the candidate answer.
-type Key struct {
-	Test   [sha256.Size]byte
-	Answer [sha256.Size]byte
+// kind is a record's type. It leads the index key, so the key spaces
+// of different kinds are disjoint by construction.
+type kind byte
+
+const (
+	kindUnit kind = iota // unit-test result (engine.CacheStore)
+	kindGen              // generation result (inference.GenStore)
+	numKinds
+)
+
+// key addresses one record everywhere the store needs an address: the
+// offset index, the hot cache, compaction order and the sidecar. a and
+// b are (test digest, answer digest) for a unit-test result and
+// (request key, zero) for a generation.
+type key struct {
+	kind kind
+	a, b [sha256.Size]byte
 }
 
-// Record is one persisted unit-test outcome.
-type Record struct {
-	Passed      bool
-	Output      string
-	ExitCode    int
-	VirtualTime time.Duration
+// Shard routing uses the leading digest bytes; striping within a
+// shard uses the second bytes so the two subdivisions stay
+// independent (a shard's keys spread across all of its stripes). A
+// generation's zero b makes these k.a[0] and k.a[1], the routing
+// generation records have always had.
+func (k key) shard(mask int) int { return int(k.a[0]^k.b[0]) & mask }
+func (k key) stripe() int        { return int(k.a[1]^k.b[1]) & (idxStripes - 1) }
+
+// less orders keys for a deterministic compacted segment: unit-test
+// records by (test, answer), then generations by request key.
+func (k key) less(o key) bool {
+	if k.kind != o.kind {
+		return k.kind < o.kind
+	}
+	if c := bytes.Compare(k.a[:], o.a[:]); c != 0 {
+		return c < 0
+	}
+	return bytes.Compare(k.b[:], o.b[:]) < 0
+}
+
+// hotHash mixes digest bytes directly — the keys are already uniform
+// SHA-256 output, so four bytes of each are a perfectly good shard
+// selector.
+func hotHash(k key) uint32 {
+	return binary.LittleEndian.Uint32(k.a[4:8]) ^ binary.LittleEndian.Uint32(k.b[8:12])
 }
 
 // frame is the JSON payload of one on-disk record. Kind selects the
@@ -155,6 +206,27 @@ type keyFrame struct {
 // genKind tags generation frames.
 const genKind = "gen"
 
+// key recovers a scanned frame's index key, reporting false when a
+// digest is malformed (treated like a corrupt frame: the scan stops
+// there).
+func (fr keyFrame) key() (k key, ok bool) {
+	if fr.Kind == genKind {
+		k.kind = kindGen
+		ok = unhex(&k.a, fr.Gen)
+	} else {
+		ok = unhex(&k.a, fr.Test) && unhex(&k.b, fr.Answer)
+	}
+	return k, ok
+}
+
+func unhex(dst *[sha256.Size]byte, s string) bool {
+	if len(s) != 2*sha256.Size {
+		return false
+	}
+	_, err := hex.Decode(dst[:], []byte(s))
+	return err == nil
+}
+
 const frameHeaderSize = 8
 
 // maxPayload rejects absurd length prefixes (a torn header read as a
@@ -172,6 +244,33 @@ type entry struct {
 	off int64
 	n   uint32
 	sum uint32
+}
+
+// read preads the frame e points at into buf (grown when too small)
+// and re-verifies the length prefix and payload checksum against the
+// entry before a byte of it is trusted. Every consumer of stored bytes
+// — get, compaction, migration — reads through here.
+func (e entry) read(buf []byte) ([]byte, error) {
+	if cap(buf) < int(e.n) {
+		buf = make([]byte, e.n)
+	}
+	buf = buf[:e.n]
+	if err := e.src.pread(buf, e.off); err != nil {
+		return buf, err
+	}
+	if binary.LittleEndian.Uint32(buf[0:4]) != e.n-frameHeaderSize ||
+		binary.LittleEndian.Uint32(buf[4:8]) != e.sum ||
+		crc32.Checksum(buf[frameHeaderSize:], castagnoli) != e.sum {
+		return buf, errCorruptFrame
+	}
+	return buf, nil
+}
+
+// indexed pairs a key with its index entry: what compaction collects
+// and sorts, and what a sidecar stores.
+type indexed struct {
+	k key
+	e entry
 }
 
 // Shard-count policy: a power of two sized like memo.Sharded's
@@ -192,46 +291,30 @@ const (
 // its stripes outright.
 const idxStripes = 4
 
-type recStripe struct {
+// stripe is one lock's worth of a shard's offset index. n counts the
+// live keys of each kind so Len/GenLen cost a lock per stripe, not a
+// walk of the map.
+type stripe struct {
 	mu sync.RWMutex
-	m  map[Key]entry
+	m  map[key]entry
+	n  [numKinds]int
 }
 
-type genStripe struct {
-	mu sync.RWMutex
-	m  map[inference.Key]entry
+func (st *stripe) lookup(k key) (entry, bool) {
+	st.mu.RLock()
+	e, ok := st.m[k]
+	st.mu.RUnlock()
+	return e, ok
 }
 
-// Shard routing uses the leading digest bytes; striping within a
-// shard uses the second bytes so the two subdivisions stay
-// independent (a shard's keys spread across all of its stripes).
-func recShardOf(k Key, mask int) int           { return int(k.Test[0]^k.Answer[0]) & mask }
-func recStripeOf(k Key) int                    { return int(k.Test[1]^k.Answer[1]) & (idxStripes - 1) }
-func genShardOf(k inference.Key, mask int) int { return int(k[0]) & mask }
-func genStripeOf(k inference.Key) int          { return int(k[1]) & (idxStripes - 1) }
-
-// lessKeys orders unit-test keys for a deterministic compacted
-// segment.
-func lessKeys(a, b Key) bool {
-	if c := string(a.Test[:]); c != string(b.Test[:]) {
-		return c < string(b.Test[:])
+func (st *stripe) set(k key, e entry) {
+	st.mu.Lock()
+	before := len(st.m)
+	st.m[k] = e
+	if len(st.m) > before {
+		st.n[k.kind]++
 	}
-	return string(a.Answer[:]) < string(b.Answer[:])
-}
-
-// hotKey addresses one decoded result in the hot cache; gen
-// distinguishes the two key spaces (a generation key could otherwise
-// collide with a record whose digests happened to match).
-type hotKey struct {
-	gen  bool
-	a, b [sha256.Size]byte
-}
-
-// hotHash mixes digest bytes directly — the keys are already uniform
-// SHA-256 output, so four bytes of each are a perfectly good shard
-// selector.
-func hotHash(k hotKey) uint32 {
-	return binary.LittleEndian.Uint32(k.a[4:8]) ^ binary.LittleEndian.Uint32(k.b[8:12])
+	st.mu.Unlock()
 }
 
 // DefaultHotCacheBytes is the hot cache's byte budget when Open is not
@@ -281,23 +364,17 @@ type Store struct {
 	segs []*segment
 	mask int
 
-	// cache holds decoded Records/Responses under a byte budget; the
-	// index itself holds only offsets. Values are Record or
-	// inference.Response; cost is the source frame's byte length.
-	cache *memo.Bounded[hotKey, any]
+	// cache holds decoded frames under a byte budget; the index itself
+	// holds only offsets. A cached frame is shared by every reader and
+	// never written after it is added; its cost is the source frame's
+	// byte length.
+	cache *memo.Bounded[key, *frame]
 
 	openStats OpenStats
 
 	// compactMu serializes Compact calls (each shard's compaction also
 	// takes that shard's log lock; appends to other shards proceed).
 	compactMu sync.Mutex
-	// legacyMu guards legacy state: whether the pre-shard single-file
-	// log at path still exists (and must be preserved until a full
-	// Compact has migrated its records) and the open handle on it that
-	// serves on-demand reads of legacy-resident records.
-	legacyMu sync.Mutex
-	legacy   bool
-	legacyLF *logFile
 }
 
 // segPath names shard i's segment file.
@@ -407,15 +484,14 @@ func writeShardMeta(path string, n int) error {
 }
 
 // Open reads (or creates) the sharded store rooted at path, rebuilding
-// the offset index for every intact record: first the legacy
-// single-file log at path itself if one exists (the pre-shard layout,
-// read through transparently), then all shard segments in parallel. A
-// shard whose index-snapshot sidecar validates loads its index
-// directly and scans only the post-snapshot tail; anything wrong with
-// a sidecar silently falls back to that shard's full scan. A truncated
-// or corrupt tail in any file — the signature of a crash mid-append —
-// is dropped and that file truncated back to its last intact record,
-// not treated as fatal.
+// the offset index for every intact record from all shard segments in
+// parallel. A shard whose index-snapshot sidecar validates loads its
+// index directly and scans only the post-snapshot tail; anything wrong
+// with a sidecar silently falls back to that shard's full scan. A
+// truncated or corrupt tail in any segment — the signature of a crash
+// mid-append — is dropped and that file truncated back to its last
+// intact record, not treated as fatal. A pre-shard single-file log at
+// path itself is migrated into the segments and removed.
 func Open(path string, opts ...Option) (*Store, error) {
 	start := time.Now()
 	cfg := config{cacheBytes: DefaultHotCacheBytes}
@@ -430,7 +506,7 @@ func Open(path string, opts ...Option) (*Store, error) {
 		path:  path,
 		mask:  n - 1,
 		segs:  make([]*segment, n),
-		cache: memo.NewBounded[hotKey, any](hotHash, cfg.cacheBytes),
+		cache: memo.NewBounded[key, *frame](hotHash, cfg.cacheBytes),
 	}
 	for i := range s.segs {
 		// O_APPEND: every flush is one write syscall that the kernel
@@ -441,26 +517,10 @@ func Open(path string, opts ...Option) (*Store, error) {
 		// stale offset.
 		f, err := os.OpenFile(segPath(path, i), os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
 		if err != nil {
-			for j := 0; j < i; j++ {
-				s.segs[j].lf.close()
-			}
-			return nil, err
-		}
-		s.segs[i] = newSegment(f, idxPath(path, i))
-	}
-	// Legacy pre-pass: replay the single-file log serially, routing
-	// each record to its owning shard's index. It runs before the
-	// parallel segment replay so segment records — always at least as
-	// new, since appends only ever go to segments once the sharded
-	// store exists — overwrite legacy ones on conflict. The handle
-	// stays open: legacy-resident records are pread on demand like any
-	// others, until Compact migrates them into the segments.
-	if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() {
-		if err := s.replayLegacy(); err != nil {
 			s.closeFiles()
 			return nil, err
 		}
-		s.legacy = true
+		s.segs[i] = newSegment(f, idxPath(path, i))
 	}
 	// Parallel replay: one goroutine per shard, each with its own
 	// reusable payload buffer, each truncating its own torn tail.
@@ -474,12 +534,6 @@ func Open(path string, opts ...Option) (*Store, error) {
 		}(i, seg)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			s.closeFiles()
-			return nil, err
-		}
-	}
 	for _, seg := range s.segs {
 		if seg.snapFrames > 0 {
 			s.openStats.SnapshotShards++
@@ -487,132 +541,95 @@ func Open(path string, opts ...Option) (*Store, error) {
 		s.openStats.SnapshotFrames += seg.snapFrames
 		s.openStats.ScannedFrames += seg.scanFrames
 	}
+	err = errors.Join(errs...)
+	if err == nil {
+		err = s.migrateLegacy()
+	}
+	if err != nil {
+		s.closeFiles()
+		return nil, err
+	}
 	s.openStats.Duration = time.Since(start)
 	return s, nil
 }
 
 func (s *Store) closeFiles() {
 	for _, seg := range s.segs {
-		seg.lf.close()
-	}
-	if s.legacyLF != nil {
-		s.legacyLF.close()
+		if seg != nil {
+			seg.lf.close()
+		}
 	}
 }
 
-// replayLegacy loads the pre-shard single-file log at s.path into the
-// shard indexes and truncates its torn tail. The handle is kept open
-// in s.legacyLF — the offset index points into it until the first
-// full Compact migrates every record into the segments.
-func (s *Store) replayLegacy() error {
-	f, err := os.OpenFile(s.path, os.O_RDWR, 0o644)
+// route resolves a key to its owning shard and index stripe.
+func (s *Store) route(k key) (*segment, *stripe) {
+	seg := s.segs[k.shard(s.mask)]
+	return seg, &seg.idx[k.stripe()]
+}
+
+// load installs one replayed index entry in the stripe that owns its
+// key. Stripe locks are taken because segment replay goroutines run
+// concurrently and a misplaced record (a segment file holding a
+// foreign key, e.g. hand-copied files) must still land in its owning
+// shard's index, where get will look for it.
+func (s *Store) load(k key, e entry) {
+	_, st := s.route(k)
+	st.set(k, e)
+}
+
+// migrateLegacy folds a log in the pre-shard single-file layout — a
+// regular file at s.path — into the segments, then removes it. It runs
+// once per Open, after segment replay, and is the only code that knows
+// the old layout: it keeps the file's newest frame per key, raw-copies
+// (through the CRC re-check in entry.read) those whose key no segment
+// holds into their owning shards in file order, fsyncs, and only then
+// deletes the file. A key a segment already holds is skipped, not
+// compared: appends have only ever gone to segments since the sharded
+// layout exists, so the segment record is at least as new. That rule
+// also makes the migration idempotent — a crash before the delete
+// leaves the file beside segments that hold some or all of its keys,
+// and the next Open copies exactly the rest. A torn tail is dropped
+// with the file, as it would have been truncated from it before.
+func (s *Store) migrateLegacy() error {
+	if fi, err := os.Stat(s.path); err != nil || !fi.Mode().IsRegular() {
+		return nil
+	}
+	f, err := os.Open(s.path)
 	if err != nil {
 		return err
 	}
-	s.legacyLF = newLogFile(f)
-	good, err := scanLog(f, 0, func(fr keyFrame, off int64, n, sum uint32) bool {
-		if !s.load(s.legacyLF, fr, off, n, sum) {
-			return false
-		}
+	lf := newLogFile(f)
+	defer lf.close()
+	newest := make(map[key]entry)
+	if _, err := scanLog(f, 0, func(k key, e entry) {
+		e.src = lf
+		newest[k] = e
 		s.openStats.ScannedFrames++
-		return true
-	})
-	if err != nil {
+	}); err != nil {
 		return err
 	}
-	if err := f.Truncate(good); err != nil {
-		return fmt.Errorf("store: truncate legacy torn tail: %w", err)
-	}
-	return nil
-}
-
-// load routes one scanned frame's index entry into the owning shard's
-// stripe, reporting false on a malformed key (treated like a corrupt
-// frame: replay stops there). Stripe locks are taken because segment
-// replay goroutines run concurrently and a misplaced record (a
-// segment file holding a foreign key, e.g. hand-copied files) must
-// still land in its owning shard's index, where Get will look for it.
-func (s *Store) load(lf *logFile, fr keyFrame, off int64, n, sum uint32) bool {
-	e := entry{src: lf, off: off, n: n, sum: sum}
-	switch fr.Kind {
-	case genKind:
-		key, err := genKeyFromHex(fr.Gen)
-		if err != nil {
-			return false
+	var missing []indexed
+	for k, e := range newest {
+		_, st := s.route(k)
+		if _, ok := st.lookup(k); !ok {
+			missing = append(missing, indexed{k, e})
 		}
-		s.loadGen(key, e)
-	default:
-		key, err := keyFromHex(fr.Test, fr.Answer)
-		if err != nil {
-			return false
+	}
+	sort.Slice(missing, func(i, j int) bool { return missing[i].e.off < missing[j].e.off })
+	var buf []byte
+	for _, m := range missing {
+		if buf, err = m.e.read(buf); err != nil {
+			return fmt.Errorf("store: migrate legacy log: %w", err)
 		}
-		s.loadRec(key, e)
+		s.appendFrame(m.k, buf)
 	}
-	return true
-}
-
-func (s *Store) loadRec(k Key, e entry) {
-	st := &s.segs[recShardOf(k, s.mask)].recs[recStripeOf(k)]
-	st.mu.Lock()
-	st.m[k] = e
-	st.mu.Unlock()
-}
-
-func (s *Store) loadGen(k inference.Key, e entry) {
-	st := &s.segs[genShardOf(k, s.mask)].gens[genStripeOf(k)]
-	st.mu.Lock()
-	st.m[k] = e
-	st.mu.Unlock()
-}
-
-func keyFromHex(test, answer string) (Key, error) {
-	var k Key
-	tb, err := hex.DecodeString(test)
-	if err != nil || len(tb) != sha256.Size {
-		return k, fmt.Errorf("store: bad test digest %q", test)
+	if err := s.Sync(); err != nil {
+		return fmt.Errorf("store: migrate legacy log: %w", err)
 	}
-	ab, err := hex.DecodeString(answer)
-	if err != nil || len(ab) != sha256.Size {
-		return k, fmt.Errorf("store: bad answer digest %q", answer)
-	}
-	copy(k.Test[:], tb)
-	copy(k.Answer[:], ab)
-	return k, nil
+	return os.Remove(s.path)
 }
 
-func genKeyFromHex(s string) (inference.Key, error) {
-	var k inference.Key
-	b, err := hex.DecodeString(s)
-	if err != nil || len(b) != sha256.Size {
-		return k, fmt.Errorf("store: bad generation key %q", s)
-	}
-	copy(k[:], b)
-	return k, nil
-}
-
-func encodeFrame(key Key, rec Record) ([]byte, error) {
-	return framePayload(frame{
-		Test:        hex.EncodeToString(key.Test[:]),
-		Answer:      hex.EncodeToString(key.Answer[:]),
-		Passed:      rec.Passed,
-		Output:      rec.Output,
-		ExitCode:    rec.ExitCode,
-		VirtualSecs: rec.VirtualTime.Seconds(),
-	})
-}
-
-func encodeGenFrame(key inference.Key, resp inference.Response) ([]byte, error) {
-	return framePayload(frame{
-		Kind:             genKind,
-		Gen:              hex.EncodeToString(key[:]),
-		Text:             resp.Text,
-		PromptTokens:     resp.Usage.PromptTokens,
-		CompletionTokens: resp.Usage.CompletionTokens,
-		LatencyNs:        resp.Latency.Nanoseconds(),
-	})
-}
-
-func framePayload(fr frame) ([]byte, error) {
+func encodeFrame(fr frame) ([]byte, error) {
 	payload, err := json.Marshal(fr)
 	if err != nil {
 		return nil, err
@@ -624,240 +641,179 @@ func framePayload(fr frame) ([]byte, error) {
 	return buf, nil
 }
 
-// readFrame preads and decodes the frame an index entry points at,
-// re-verifying the length prefix and payload checksum against the
-// entry before trusting a byte of it.
-func (s *Store) readFrame(e entry) (frame, error) {
-	var fr frame
-	buf := make([]byte, e.n)
-	if err := e.src.pread(buf, e.off); err != nil {
-		return fr, err
+// get is the one read path: the hot cache, else the index entry's
+// frame pread from its segment, verified, decoded and promoted into
+// the cache. It rides out the two read races: an entry pointing into a
+// log whose handle compaction just swapped out (errLogClosed — re-read
+// the refreshed entry and retry), and an entry installed at enqueue
+// time whose group-commit batch has not hit the file yet (drain the
+// shard once, then retry the pread). Anything else that keeps the
+// frame from being read back intact is a miss.
+func (s *Store) get(k key) (*frame, bool) {
+	if fr, ok := s.cache.Get(k); ok {
+		return fr, true
 	}
-	if binary.LittleEndian.Uint32(buf[0:4]) != e.n-frameHeaderSize ||
-		binary.LittleEndian.Uint32(buf[4:8]) != e.sum ||
-		crc32.Checksum(buf[frameHeaderSize:], castagnoli) != e.sum {
-		return fr, errCorruptFrame
+	seg, st := s.route(k)
+	e, ok := st.lookup(k)
+	if !ok {
+		return nil, false
 	}
-	if err := json.Unmarshal(buf[frameHeaderSize:], &fr); err != nil {
-		return fr, err
-	}
-	return fr, nil
-}
-
-// getFrame resolves an index entry to its decoded frame, riding out
-// the two read races: an entry pointing into a log whose handle
-// compaction just swapped out (errLogClosed — re-read the refreshed
-// entry and retry), and an entry installed at enqueue time whose
-// group-commit batch has not hit the file yet (drain the shard once,
-// then retry the pread).
-func (s *Store) getFrame(seg *segment, e entry, lookup func() (entry, bool)) (frame, bool) {
 	drained := false
 	for {
-		fr, err := s.readFrame(e)
+		buf, err := e.read(nil)
 		if err == nil {
+			fr := new(frame)
+			if json.Unmarshal(buf[frameHeaderSize:], fr) != nil {
+				return nil, false
+			}
+			s.cache.Add(k, fr, int64(e.n))
 			return fr, true
 		}
 		if errors.Is(err, errLogClosed) {
-			e2, ok := lookup()
+			e2, ok := st.lookup(k)
 			if !ok || e2 == e {
 				// The store is closed, or the key vanished: give up.
-				return frame{}, false
+				return nil, false
 			}
 			e = e2
 			continue
 		}
-		if !drained {
-			// The frame may still be in the shard's pending batch
-			// (entries become visible at enqueue, durable at flush).
-			// Force the flush and try once more.
-			seg.mu.Lock()
-			seg.drainLocked()
-			seg.mu.Unlock()
-			drained = true
-			continue
+		if drained {
+			return nil, false
 		}
-		return frame{}, false
+		// The frame may still be in the shard's pending batch (entries
+		// become visible at enqueue, written at flush). Force the flush
+		// and try once more.
+		seg.mu.Lock()
+		seg.drainLocked()
+		seg.mu.Unlock()
+		drained = true
+	}
+}
+
+// put is the one write path for a fresh record: encode, then append.
+// An encoding failure latches like a failed append rather than failing
+// the evaluation or generation that produced the record.
+func (s *Store) put(k key, fr frame) {
+	buf, err := encodeFrame(fr)
+	if err != nil {
+		seg, _ := s.route(k)
+		seg.latch(err)
+		return
+	}
+	s.appendFrame(k, buf)
+}
+
+// appendFrame appends one encoded frame under k and returns once its
+// group-commit batch has been written. An identical re-record is a
+// no-op so warm campaigns don't grow the log: JSON encoding is
+// deterministic, so matching frame length + payload CRC against the
+// resident entry recognizes the duplicate without reading a byte. A
+// payload over maxPayload is dropped — not written, not latched, the
+// same advisory contract as an errored result — because replay reads
+// such a length prefix as a torn header and would truncate the segment
+// there, taking every later record in the shard with it. Append
+// failures latch into Err/Sync/Close.
+//
+// The write path deliberately skips the hot cache: a campaign's
+// re-reads of its own results hit the engine's memo tier, and a raw
+// read-after-write is already correct through the pending batch
+// (install-at-enqueue + drain retry) — caching here would only add
+// allocations to every append.
+func (s *Store) appendFrame(k key, buf []byte) {
+	if len(buf)-frameHeaderSize > maxPayload {
+		return
+	}
+	seg, st := s.route(k)
+	n, sum := uint32(len(buf)), binary.LittleEndian.Uint32(buf[4:8])
+	if old, ok := st.lookup(k); ok && old.n == n && old.sum == sum {
+		return
+	}
+	if seg.appendWait(buf, func(lf *logFile, off int64) {
+		st.set(k, entry{src: lf, off: off, n: n, sum: sum})
+	}) {
+		seg.appended.Add(1)
 	}
 }
 
 // Get implements engine.CacheStore: the persisted result for
-// (test, answer), if any. A hot-cache hit returns immediately; a miss
-// preads the record's frame from its segment, verifies and decodes
-// it, and installs it in the cache.
+// (test, answer), if any.
 func (s *Store) Get(test, answer [sha256.Size]byte) (unittest.Result, bool) {
-	key := Key{Test: test, Answer: answer}
-	hk := hotKey{a: test, b: answer}
-	if v, ok := s.cache.Get(hk); ok {
-		rec := v.(Record)
-		return unittest.Result{
-			Passed:      rec.Passed,
-			Output:      rec.Output,
-			ExitCode:    rec.ExitCode,
-			VirtualTime: rec.VirtualTime,
-		}, true
-	}
-	seg := s.segs[recShardOf(key, s.mask)]
-	st := &seg.recs[recStripeOf(key)]
-	lookup := func() (entry, bool) {
-		st.mu.RLock()
-		e, ok := st.m[key]
-		st.mu.RUnlock()
-		return e, ok
-	}
-	e, ok := lookup()
+	fr, ok := s.get(key{kind: kindUnit, a: test, b: answer})
 	if !ok {
 		return unittest.Result{}, false
 	}
-	fr, ok := s.getFrame(seg, e, lookup)
-	if !ok {
-		return unittest.Result{}, false
-	}
-	rec := Record{
+	return unittest.Result{
 		Passed:      fr.Passed,
 		Output:      fr.Output,
 		ExitCode:    fr.ExitCode,
 		VirtualTime: time.Duration(fr.VirtualSecs * float64(time.Second)),
-	}
-	s.cache.Add(hk, rec, int64(e.n))
-	return unittest.Result{
-		Passed:      rec.Passed,
-		Output:      rec.Output,
-		ExitCode:    rec.ExitCode,
-		VirtualTime: rec.VirtualTime,
 	}, true
 }
 
 // Put implements engine.CacheStore: persist one executed result.
 // Errored executions (res.Err != nil) are never recorded — like the
 // engine's in-memory tier, a transient outage must not be frozen into
-// the cache. An identical re-record is a no-op so warm campaigns don't
-// grow the log: JSON encoding is deterministic, so matching frame
-// length + payload CRC against the resident entry recognizes the
-// duplicate without reading a byte. Append failures latch into
-// Err/Sync/Close rather than failing the evaluation that produced the
-// result. Put returns with the record on disk (its shard's
-// group-commit batch flushed).
+// the cache. Put is advisory (see appendFrame): it never fails the
+// evaluation that produced the result, and returns once the record's
+// group-commit batch has been written.
 func (s *Store) Put(test, answer [sha256.Size]byte, res unittest.Result) {
 	if res.Err != nil {
 		return
 	}
-	key := Key{Test: test, Answer: answer}
-	rec := Record{
+	s.put(key{kind: kindUnit, a: test, b: answer}, frame{
+		Test:        hex.EncodeToString(test[:]),
+		Answer:      hex.EncodeToString(answer[:]),
 		Passed:      res.Passed,
 		Output:      res.Output,
 		ExitCode:    res.ExitCode,
-		VirtualTime: res.VirtualTime,
-	}
-	buf, err := encodeFrame(key, rec)
-	seg := s.segs[recShardOf(key, s.mask)]
-	st := &seg.recs[recStripeOf(key)]
-	if err == nil {
-		sum := binary.LittleEndian.Uint32(buf[4:8])
-		st.mu.RLock()
-		old, ok := st.m[key]
-		st.mu.RUnlock()
-		if ok && old.n == uint32(len(buf)) && old.sum == sum {
-			return
-		}
-		// The write path deliberately skips the hot cache: a campaign's
-		// re-reads of its own results hit the engine's memo tier, and a
-		// raw read-after-write is already correct through the pending
-		// batch (install-at-enqueue + drain retry) — caching here would
-		// only add allocations to every append.
-		if seg.appendWait(buf, nil, func(lf *logFile, off int64) {
-			st.mu.Lock()
-			st.m[key] = entry{src: lf, off: off, n: uint32(len(buf)), sum: sum}
-			st.mu.Unlock()
-		}) {
-			seg.appended.Add(1)
-		}
-		return
-	}
-	seg.appendWait(nil, err, nil)
+		VirtualSecs: res.VirtualTime.Seconds(),
+	})
 }
 
 // GetGen implements inference.GenStore: the persisted generation for
-// the given request key, if any — hot cache first, pread on miss.
-func (s *Store) GetGen(key inference.Key) (inference.Response, bool) {
-	hk := hotKey{gen: true, a: key}
-	if v, ok := s.cache.Get(hk); ok {
-		return v.(inference.Response), true
-	}
-	seg := s.segs[genShardOf(key, s.mask)]
-	st := &seg.gens[genStripeOf(key)]
-	lookup := func() (entry, bool) {
-		st.mu.RLock()
-		e, ok := st.m[key]
-		st.mu.RUnlock()
-		return e, ok
-	}
-	e, ok := lookup()
+// the given request key, if any.
+func (s *Store) GetGen(gk inference.Key) (inference.Response, bool) {
+	fr, ok := s.get(key{kind: kindGen, a: gk})
 	if !ok {
 		return inference.Response{}, false
 	}
-	fr, ok := s.getFrame(seg, e, lookup)
-	if !ok {
-		return inference.Response{}, false
-	}
-	resp := inference.Response{
+	return inference.Response{
 		Text: fr.Text,
 		Usage: inference.Usage{
 			PromptTokens:     fr.PromptTokens,
 			CompletionTokens: fr.CompletionTokens,
 		},
 		Latency: time.Duration(fr.LatencyNs),
-	}
-	s.cache.Add(hk, resp, int64(e.n))
-	return resp, true
+	}, true
 }
 
-// PutGen implements inference.GenStore: persist one live generation.
-// An identical re-record is a no-op (recognized by frame length +
-// CRC, as in Put); append failures latch into Err/Sync/Close, never
-// failing the generation that produced the response — the same
-// advisory contract as Put.
-func (s *Store) PutGen(key inference.Key, resp inference.Response) {
-	buf, err := encodeGenFrame(key, resp)
-	seg := s.segs[genShardOf(key, s.mask)]
-	st := &seg.gens[genStripeOf(key)]
-	if err == nil {
-		sum := binary.LittleEndian.Uint32(buf[4:8])
-		st.mu.RLock()
-		old, ok := st.m[key]
-		st.mu.RUnlock()
-		if ok && old.n == uint32(len(buf)) && old.sum == sum {
-			return
-		}
-		// No hot-cache insert on the write path — see Put.
-		if seg.appendWait(buf, nil, func(lf *logFile, off int64) {
-			st.mu.Lock()
-			st.m[key] = entry{src: lf, off: off, n: uint32(len(buf)), sum: sum}
-			st.mu.Unlock()
-		}) {
-			seg.appended.Add(1)
-		}
-		return
-	}
-	seg.appendWait(nil, err, nil)
+// PutGen implements inference.GenStore: persist one live generation,
+// under the same advisory contract as Put.
+func (s *Store) PutGen(gk inference.Key, resp inference.Response) {
+	s.put(key{kind: kindGen, a: gk}, frame{
+		Kind:             genKind,
+		Gen:              hex.EncodeToString(gk[:]),
+		Text:             resp.Text,
+		PromptTokens:     resp.Usage.PromptTokens,
+		CompletionTokens: resp.Usage.CompletionTokens,
+		LatencyNs:        resp.Latency.Nanoseconds(),
+	})
 }
 
-// Len reports how many distinct keys the store holds.
-func (s *Store) Len() int {
+func (s *Store) count(kd kind) int {
 	n := 0
 	for _, seg := range s.segs {
-		n += seg.lenRecs()
+		n += seg.count(kd)
 	}
 	return n
 }
+
+// Len reports how many distinct unit-test keys the store holds.
+func (s *Store) Len() int { return s.count(kindUnit) }
 
 // GenLen reports how many distinct generations the store holds.
-func (s *Store) GenLen() int {
-	n := 0
-	for _, seg := range s.segs {
-		n += seg.lenGens()
-	}
-	return n
-}
+func (s *Store) GenLen() int { return s.count(kindGen) }
 
 // Appended reports how many records this handle has appended since
 // Open, across all shards — the store-side mirror of the engine's
@@ -894,20 +850,17 @@ func (s *Store) CacheStats() memo.BoundedStats { return s.cache.Stats() }
 // snapshot-supplied vs scanned frames, and wall time.
 func (s *Store) LastOpen() OpenStats { return s.openStats }
 
-// Resident per-entry index cost estimates: key + entry struct + map
-// bucket overhead. Estimates, not measurements — the stats surface
-// reports magnitude, and the invariant that matters (payloads are not
-// resident) is structural.
-const (
-	residentPerRec = 128
-	residentPerGen = 96
-)
+// residentPerEntry estimates one index entry's resident cost: key +
+// entry struct + map bucket overhead. An estimate, not a measurement —
+// the stats surface reports magnitude, and the invariant that matters
+// (payloads are not resident) is structural.
+const residentPerEntry = 128
 
 // ResidentBytes estimates the store's resident memory: the offset
 // index (which scales with key count, never payload size) plus the
 // hot cache's current byte cost.
 func (s *Store) ResidentBytes() int64 {
-	return int64(s.Len())*residentPerRec + int64(s.GenLen())*residentPerGen + s.cache.Bytes()
+	return int64(s.Len()+s.GenLen())*residentPerEntry + s.cache.Bytes()
 }
 
 // ShardStat is one shard's observable state: index sizes plus this
@@ -927,8 +880,8 @@ func (s *Store) ShardStats() []ShardStat {
 	out := make([]ShardStat, len(s.segs))
 	for i, seg := range s.segs {
 		out[i] = ShardStat{
-			Records:     seg.lenRecs(),
-			Generations: seg.lenGens(),
+			Records:     seg.count(kindUnit),
+			Generations: seg.count(kindGen),
 			Appended:    seg.appended.Load(),
 			Flushes:     seg.flushes.Load(),
 		}
@@ -956,12 +909,7 @@ func (s *Store) Err() error {
 // loses nothing — neither in shard k (the rename is atomic; the old
 // segment stays until it succeeds, and the sidecar is invalidated
 // before the swap so it can never describe bytes that aren't there)
-// nor in shards ≠ k (their files are untouched). When every shard has
-// been durably rewritten, any legacy pre-shard log at path is fully
-// migrated into the segments (its frames raw-copied by the rewrites)
-// and removed; a crash before that point leaves the legacy file in
-// place, and its stale duplicates are resolved on the next Open by
-// replay order (legacy first, segments overwrite).
+// nor in shards ≠ k (their files are untouched).
 func (s *Store) Compact() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()
@@ -976,28 +924,7 @@ func (s *Store) Compact() error {
 		}(i, seg)
 	}
 	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return err
-		}
-	}
-
-	s.legacyMu.Lock()
-	defer s.legacyMu.Unlock()
-	if s.legacy {
-		// Every shard rewrite succeeded, so every record that lived in
-		// the legacy file now has a byte-identical copy in a segment
-		// and no index entry points at the legacy handle anymore.
-		if s.legacyLF != nil {
-			s.legacyLF.close()
-			s.legacyLF = nil
-		}
-		if err := os.Remove(s.path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("store: remove migrated legacy log: %w", err)
-		}
-		s.legacy = false
-	}
-	return nil
+	return errors.Join(errs...)
 }
 
 // Sync flushes pending batches and every segment to stable storage,
@@ -1012,8 +939,7 @@ func (s *Store) Sync() error {
 	return first
 }
 
-// Close syncs and releases every segment (and the legacy log handle,
-// if one is still being read through). The Store must not be used
+// Close syncs and releases every segment. The Store must not be used
 // after Close.
 func (s *Store) Close() error {
 	var first error
@@ -1022,13 +948,5 @@ func (s *Store) Close() error {
 			first = err
 		}
 	}
-	s.legacyMu.Lock()
-	if s.legacyLF != nil {
-		if err := s.legacyLF.close(); err != nil && first == nil {
-			first = err
-		}
-		s.legacyLF = nil
-	}
-	s.legacyMu.Unlock()
 	return first
 }

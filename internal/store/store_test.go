@@ -13,12 +13,88 @@ import (
 	"testing"
 	"time"
 
+	"cloudeval/internal/inference"
 	"cloudeval/internal/store"
 	"cloudeval/internal/unittest"
 )
 
 func digests(test, answer string) (t, a [sha256.Size]byte) {
 	return sha256.Sum256([]byte(test)), sha256.Sum256([]byte(answer))
+}
+
+func genKey(s string) inference.Key { return inference.Key(sha256.Sum256([]byte(s))) }
+
+func genResp(text string) inference.Response {
+	return inference.Response{
+		Text:    text,
+		Usage:   inference.Usage{PromptTokens: 120, CompletionTokens: 34},
+		Latency: 1234567891 * time.Nanosecond, // sub-second precision must survive
+	}
+}
+
+// recordKind runs one scenario against either record kind through the
+// exported surface: put records revision rev of the record named id,
+// want is what get must then return for it, and count is the kind's
+// Len.
+type recordKind struct {
+	name  string
+	put   func(s *store.Store, id string, rev int)
+	get   func(s *store.Store, id string) (any, bool)
+	want  func(id string, rev int) any
+	count func(s *store.Store) int
+}
+
+func unitResult(id string, rev int) unittest.Result {
+	return unittest.Result{
+		Passed:      rev%2 == 0,
+		Output:      fmt.Sprintf("%s rev %d\n", id, rev),
+		ExitCode:    rev,
+		VirtualTime: time.Duration(rev+1) * 1500 * time.Millisecond,
+	}
+}
+
+func genResponse(id string, rev int) inference.Response {
+	r := genResp(fmt.Sprintf("kind: Pod # %s rev %d\n", id, rev))
+	r.Usage.CompletionTokens += rev
+	return r
+}
+
+var recordKinds = []recordKind{
+	{
+		name: "unit",
+		put: func(s *store.Store, id string, rev int) {
+			tk, ak := digests(id+"-test", id+"-answer")
+			s.Put(tk, ak, unitResult(id, rev))
+		},
+		get: func(s *store.Store, id string) (any, bool) {
+			tk, ak := digests(id+"-test", id+"-answer")
+			return s.Get(tk, ak)
+		},
+		want:  func(id string, rev int) any { return unitResult(id, rev) },
+		count: (*store.Store).Len,
+	},
+	{
+		name:  "gen",
+		put:   func(s *store.Store, id string, rev int) { s.PutGen(genKey(id), genResponse(id, rev)) },
+		get:   func(s *store.Store, id string) (any, bool) { return s.GetGen(genKey(id)) },
+		want:  func(id string, rev int) any { return genResponse(id, rev) },
+		count: (*store.Store).GenLen,
+	},
+}
+
+// forEachKind runs scenario once per record kind, as a subtest.
+func forEachKind(t *testing.T, scenario func(t *testing.T, rk recordKind)) {
+	for _, rk := range recordKinds {
+		t.Run(rk.name, func(t *testing.T) { scenario(t, rk) })
+	}
+}
+
+// mustHold fails unless the store serves revision rev of record id.
+func (rk recordKind) mustHold(t *testing.T, s *store.Store, id string, rev int) {
+	t.Helper()
+	if got, ok := rk.get(s, id); !ok || got != rk.want(id, rev) {
+		t.Fatalf("%s record %q = %+v, %v; want %+v", rk.name, id, got, ok, rk.want(id, rev))
+	}
 }
 
 // segmentPaths lists the store's shard segment files on disk, sorted.
@@ -40,37 +116,22 @@ func segmentPaths(t *testing.T, path string) []string {
 	return segs
 }
 
-// dataFiles lists every file holding store records: the legacy
-// single-file log at path (if present) plus all shard segments.
-func dataFiles(t *testing.T, path string) []string {
-	t.Helper()
-	files := segmentPaths(t, path)
-	if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() {
-		files = append([]string{path}, files...)
-	}
-	return files
-}
-
-// storeSize sums the on-disk record bytes across the legacy log and
-// every shard segment — the sharded replacement for stat(path).Size().
+// storeSize sums the on-disk record bytes across every shard segment —
+// the sharded replacement for stat(path).Size().
 func storeSize(t *testing.T, path string) int64 {
 	t.Helper()
 	var total int64
-	for _, f := range dataFiles(t, path) {
-		fi, err := os.Stat(f)
-		if err != nil {
-			t.Fatal(err)
-		}
-		total += fi.Size()
+	for _, sz := range fileSizes(t, path) {
+		total += sz
 	}
 	return total
 }
 
-// fileSizes snapshots each data file's size, keyed by base name.
+// fileSizes snapshots each segment's size, keyed by file name.
 func fileSizes(t *testing.T, path string) map[string]int64 {
 	t.Helper()
 	out := map[string]int64{}
-	for _, f := range dataFiles(t, path) {
+	for _, f := range segmentPaths(t, path) {
 		fi, err := os.Stat(f)
 		if err != nil {
 			t.Fatal(err)
@@ -80,8 +141,8 @@ func fileSizes(t *testing.T, path string) map[string]int64 {
 	return out
 }
 
-// copyStore clones the store rooted at src (meta, legacy log,
-// segments) to an equivalent layout rooted at dst.
+// copyStore clones the store rooted at src (meta, segments, sidecars)
+// to an equivalent layout rooted at dst.
 func copyStore(t *testing.T, src, dst string) {
 	t.Helper()
 	cp := func(from, to string) {
@@ -95,9 +156,6 @@ func copyStore(t *testing.T, src, dst string) {
 	}
 	if _, err := os.Stat(src + ".shards"); err == nil {
 		cp(src+".shards", dst+".shards")
-	}
-	if fi, err := os.Stat(src); err == nil && fi.Mode().IsRegular() {
-		cp(src, dst)
 	}
 	for _, seg := range segmentPaths(t, src) {
 		cp(seg, dst+strings.TrimPrefix(seg, src))
@@ -123,34 +181,39 @@ func countFramesIn(data []byte, limit int64) int {
 	return n
 }
 
+// TestPutGetAcrossReopen round-trips each record kind through the log
+// exactly, in process and across a reopen. A log holding one kind
+// replays with none of the other — for unit-test records that is the
+// pre-generation log, written before the generation kind existed.
 func TestPutGetAcrossReopen(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "eval.store")
-	s, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tk, ak := digests("echo unit_test_passed", "kind: Pod")
-	want := unittest.Result{Passed: true, Output: "unit_test_passed\n", VirtualTime: 90 * time.Second}
-	s.Put(tk, ak, want)
-	if got, ok := s.Get(tk, ak); !ok || got != want {
-		t.Fatalf("in-process Get = %+v, %v; want %+v", got, ok, want)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
+	forEachKind(t, func(t *testing.T, rk recordKind) {
+		path := filepath.Join(t.TempDir(), "eval.store")
+		s, err := store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rk.put(s, "first", 0)
+		rk.put(s, "second", 1)
+		rk.mustHold(t, s, "first", 0)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 
-	// A fresh process sees the same record.
-	s2, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if got, ok := s2.Get(tk, ak); !ok || got != want {
-		t.Fatalf("reopened Get = %+v, %v; want %+v", got, ok, want)
-	}
-	if s2.Len() != 1 {
-		t.Fatalf("Len = %d, want 1", s2.Len())
-	}
+		// A fresh process sees the same records.
+		s2, err := store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		rk.mustHold(t, s2, "first", 0)
+		rk.mustHold(t, s2, "second", 1)
+		if _, ok := rk.get(s2, "absent"); ok {
+			t.Fatal("absent key must miss")
+		}
+		if got := s2.Len() + s2.GenLen(); rk.count(s2) != 2 || got != 2 {
+			t.Fatalf("%s count = %d of %d records, want 2 of 2", rk.name, rk.count(s2), got)
+		}
+	})
 }
 
 // TestShardedLayoutOnDisk pins the file layout a fresh store creates:
@@ -270,19 +333,75 @@ func TestErroredResultsNeverPersisted(t *testing.T) {
 }
 
 func TestIdenticalRecordDoesNotGrowLog(t *testing.T) {
+	forEachKind(t, func(t *testing.T, rk recordKind) {
+		path := filepath.Join(t.TempDir(), "eval.store")
+		s, err := store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s.Close()
+		rk.put(s, "same", 0)
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		before := storeSize(t, path)
+		for i := 0; i < 10; i++ {
+			rk.put(s, "same", 0)
+		}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		if got := s.Appended(); got != 1 {
+			t.Fatalf("appended %d records for identical re-puts, want 1", got)
+		}
+		if after := storeSize(t, path); after != before {
+			t.Fatalf("identical re-records grew the log: %d -> %d bytes", before, after)
+		}
+	})
+}
+
+// TestOversizePayloadNotPersisted: replay reads a length prefix above
+// 64 MiB as a torn header and truncates the segment there, so a frame
+// that large must never be written — one oversized output would take
+// every later record in its shard with it on the next Open. The put is
+// dropped like an errored result: not persisted, nothing latched.
+func TestOversizePayloadNotPersisted(t *testing.T) {
+	if testing.Short() {
+		t.Skip("encodes a 64 MiB payload")
+	}
 	path := filepath.Join(t.TempDir(), "eval.store")
 	s, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	tk, ak := digests("t", "a")
-	res := unittest.Result{Passed: true}
-	s.Put(tk, ak, res)
-	s.Put(tk, ak, res)
-	s.Put(tk, ak, res)
-	if got := s.Appended(); got != 1 {
-		t.Fatalf("appended %d records for identical re-puts, want 1", got)
+	// Enough normal records after the oversized one that every shard,
+	// its own included, takes some.
+	const normal = 128
+	tk, ak := digests("oversize-test", "oversize-answer")
+	s.Put(tk, ak, unittest.Result{Passed: true, Output: strings.Repeat("x", 64<<20)})
+	if _, ok := s.Get(tk, ak); ok {
+		t.Fatal("oversized record was served")
+	}
+	for i := 0; i < normal; i++ {
+		recordKinds[i%2].put(s, fmt.Sprintf("after-%d", i), i)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("oversized put latched an error: %v", err)
+	}
+
+	s2, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if _, ok := s2.Get(tk, ak); ok {
+		t.Fatal("oversized record was persisted")
+	}
+	for i := 0; i < normal; i++ {
+		recordKinds[i%2].mustHold(t, s2, fmt.Sprintf("after-%d", i), i)
+	}
+	if got := s2.Len() + s2.GenLen(); got != normal {
+		t.Fatalf("reopened store holds %d records, want %d", got, normal)
 	}
 }
 
@@ -410,34 +529,106 @@ func TestCorruptTailDropped(t *testing.T) {
 	}
 }
 
-// TestCompactKeepsNewestPerKey re-records one key with a changed
-// outcome, compacts, and requires the newest record to win — both in
-// memory and on a replay of the compacted segments.
+// TestCompactKeepsNewestPerKey re-records one key with changed
+// content, compacts, and requires the newest record to win — both in
+// memory and on a replay of the compacted segments — while a record of
+// the other kind rides through the same rewrite untouched.
 func TestCompactKeepsNewestPerKey(t *testing.T) {
+	forEachKind(t, func(t *testing.T, rk recordKind) {
+		other := recordKinds[0]
+		if other.name == rk.name {
+			other = recordKinds[1]
+		}
+		path := filepath.Join(t.TempDir(), "eval.store")
+		s, err := store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const newest = 4
+		rk.put(s, "rerun", 0)
+		other.put(s, "bystander", 0)
+		for rev := 1; rev <= newest; rev++ {
+			rk.put(s, "rerun", rev)
+		}
+
+		before := storeSize(t, path)
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+		if after := storeSize(t, path); after >= before {
+			t.Errorf("compaction did not shrink the store: %d -> %d bytes", before, after)
+		}
+		rk.mustHold(t, s, "rerun", newest)
+		// The store stays writable after the handle swap.
+		rk.put(s, "post-compact", 0)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+
+		s2, err := store.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer s2.Close()
+		if rk.count(s2) != 2 || other.count(s2) != 1 {
+			t.Fatalf("replayed %d %s + %d %s keys, want 2 + 1", rk.count(s2), rk.name, other.count(s2), other.name)
+		}
+		rk.mustHold(t, s2, "rerun", newest)
+		rk.mustHold(t, s2, "post-compact", 0)
+		other.mustHold(t, s2, "bystander", 0)
+	})
+}
+
+// TestKindsNeverAlias uses the same 32 bytes as a generation key and
+// as a unit-test test digest (zero answer digest): both route to the
+// same shard and stripe, and must stay two records — in the index, in
+// the hot cache, through Compact and a sidecar reopen, and in
+// Len/GenLen.
+func TestKindsNeverAlias(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "eval.store")
+	shared := sha256.Sum256([]byte("shared bytes"))
+	var zero [sha256.Size]byte
+	unit := unittest.Result{Passed: true, Output: "unit side\n", VirtualTime: 3 * time.Second}
+	gen := genResp("generation side\n")
+
 	s, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	tk, ak := digests("test", "answer")
-	tk2, ak2 := digests("other-test", "other-answer")
-	s.Put(tk, ak, unittest.Result{Passed: false, Output: "flaky first run"})
-	s.Put(tk2, ak2, unittest.Result{Passed: true})
-	s.Put(tk, ak, unittest.Result{Passed: true, Output: "newest wins"})
+	// Only the generation exists: the unit-test lookup must miss, cold
+	// and again once the generation's frame sits in the hot cache.
+	s.PutGen(inference.Key(shared), gen)
+	for pass := 0; pass < 2; pass++ {
+		if _, ok := s.Get(shared, zero); ok {
+			t.Fatalf("pass %d: a generation was served as a unit-test result", pass)
+		}
+		if got, ok := s.GetGen(inference.Key(shared)); !ok || got != gen {
+			t.Fatalf("pass %d: GetGen = %+v, %v", pass, got, ok)
+		}
+	}
+	s.Put(shared, zero, unit)
 
-	before := storeSize(t, path)
+	check := func(s *store.Store, when string) {
+		t.Helper()
+		// Twice: the first read of each fills the hot cache, the second
+		// is served from it.
+		for pass := 0; pass < 2; pass++ {
+			if got, ok := s.Get(shared, zero); !ok || got != unit {
+				t.Fatalf("%s, pass %d: Get = %+v, %v; want %+v", when, pass, got, ok, unit)
+			}
+			if got, ok := s.GetGen(inference.Key(shared)); !ok || got != gen {
+				t.Fatalf("%s, pass %d: GetGen = %+v, %v; want %+v", when, pass, got, ok, gen)
+			}
+		}
+		if s.Len() != 1 || s.GenLen() != 1 {
+			t.Fatalf("%s: Len/GenLen = %d/%d, want 1/1", when, s.Len(), s.GenLen())
+		}
+	}
+	check(s, "in process")
 	if err := s.Compact(); err != nil {
 		t.Fatal(err)
 	}
-	if after := storeSize(t, path); after >= before {
-		t.Errorf("compaction did not shrink the store: %d -> %d bytes", before, after)
-	}
-	if got, ok := s.Get(tk, ak); !ok || !got.Passed || got.Output != "newest wins" {
-		t.Fatalf("post-compact Get = %+v, %v", got, ok)
-	}
-	// The store stays writable after the handle swap.
-	tk3, ak3 := digests("post-compact", "append")
-	s.Put(tk3, ak3, unittest.Result{Passed: true})
+	check(s, "after Compact")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -447,15 +638,10 @@ func TestCompactKeepsNewestPerKey(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if s2.Len() != 3 {
-		t.Fatalf("replayed %d keys, want 3", s2.Len())
+	if st := s2.LastOpen(); st.SnapshotFrames != 2 || st.ScannedFrames != 0 {
+		t.Fatalf("reopen did not load both records from the sidecar: %+v", st)
 	}
-	if got, ok := s2.Get(tk, ak); !ok || !got.Passed || got.Output != "newest wins" {
-		t.Fatalf("replayed Get = %+v, %v; want the newest record", got, ok)
-	}
-	if got, ok := s2.Get(tk3, ak3); !ok || !got.Passed {
-		t.Fatal("post-compact append lost")
-	}
+	check(s2, "reopened from sidecar")
 }
 
 // TestCompactConcurrentWithAppends races repeated full compactions
