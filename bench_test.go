@@ -9,6 +9,7 @@ import (
 	"context"
 	"crypto/sha256"
 	"fmt"
+	"math/rand"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -23,6 +24,7 @@ import (
 	"cloudeval/internal/engine"
 	"cloudeval/internal/evalcluster"
 	"cloudeval/internal/inference"
+	"cloudeval/internal/lagfib"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/repostats"
 	"cloudeval/internal/score"
@@ -384,6 +386,73 @@ func BenchmarkScoreAnswer(b *testing.B) {
 	b.ReportMetric(unitTests/float64(b.N), "unit-test-pass-rate")
 	b.ReportMetric(float64(len(pairs)), "table4-pairs")
 }
+
+// BenchmarkSimGenerate measures one llm.Model.Generate call, cycling
+// through the Table 4 pairs in campaign order (-benchtime 13195x is one
+// sweep): seeding the two streams, the category draw, and a corruptor
+// working on a clone of the problem's compiled generation context,
+// which the fixture pass before the timer has compiled. No dispatcher,
+// metering or post-processing — the generation layer alone. Rides in
+// the CI artifact ungated.
+func BenchmarkSimGenerate(b *testing.B) {
+	_, full := fixtures()
+	type pair struct {
+		model   llm.Model
+		problem dataset.Problem
+	}
+	var pairs []pair
+	bytes := 0
+	for _, m := range llm.Models {
+		for _, p := range full {
+			if m.EnglishOnly && p.Variant == dataset.Translated {
+				continue
+			}
+			pairs = append(pairs, pair{m, p})
+			bytes += len(m.Generate(p, llm.GenOptions{}))
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pr := pairs[i%len(pairs)]
+		benchSink += len(pr.model.Generate(pr.problem, llm.GenOptions{}))
+	}
+	b.ReportMetric(float64(bytes)/float64(len(pairs)), "response-bytes")
+	b.ReportMetric(float64(len(pairs)), "table4-pairs")
+}
+
+// BenchmarkSeedStream measures what a simulated stream costs before
+// its numbers are worth anything: seed a used source, then draw once
+// (a generation's latent stream often draws little more) or 700 times
+// (past the 607-word register, where the lazy source has filled all of
+// it and only the seeding differs). math/rand's own source, which
+// expands the whole register in Seed, runs beside it as the reference.
+func BenchmarkSeedStream(b *testing.B) {
+	sources := []struct {
+		name string
+		src  rand.Source64
+	}{
+		{"lagfib", lagfib.New(0)},
+		{"mathrand", rand.NewSource(0).(rand.Source64)},
+	}
+	for _, s := range sources {
+		for _, draws := range []int{1, 700} {
+			b.Run(fmt.Sprintf("%s/draws=%d", s.name, draws), func(b *testing.B) {
+				var sum uint64
+				for i := 0; i < b.N; i++ {
+					s.src.Seed(int64(i))
+					for d := 0; d < draws; d++ {
+						sum += s.src.Uint64()
+					}
+				}
+				benchSink += int(sum & 1)
+			})
+		}
+	}
+}
+
+// benchSink keeps the compiler from discarding a measured call.
+var benchSink int
 
 // BenchmarkCampaignParallel runs a 4-model campaign slice through a
 // fresh engine and dispatcher each iteration — the contention profile

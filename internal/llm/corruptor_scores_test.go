@@ -27,11 +27,12 @@ func TestCorruptorOutputsScoreAlike(t *testing.T) {
 		kv := yamlmatch.NewRef(p.ReferenceYAML)
 		clean := kv.Clean
 		bleu, lines := textmetrics.NewBLEURef(clean), textmetrics.NewLineRef(clean)
+		c := contextFor(p)
 		answers := []string{
-			truncateYAML(clean, rng),
-			wrongKind(clean, p, rng),
-			corruptYAML(clean, p, rng),
-			harmlessNoise(clean, p, rng),
+			truncateYAML(c, rng),
+			wrongKind(c, rng),
+			corruptYAML(c, rng),
+			harmlessNoise(c, rng),
 		}
 		for cat := 1; cat <= 2; cat++ {
 			answers = append(answers, m.emit(cat, p, rng, rng))

@@ -1,14 +1,14 @@
 package llm
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
 	"math/rand"
+	"strconv"
 	"strings"
 	"sync"
 
 	"cloudeval/internal/dataset"
+	"cloudeval/internal/lagfib"
 	"cloudeval/internal/scenario"
 	"cloudeval/internal/yamlmatch"
 	"cloudeval/internal/yamlx"
@@ -42,10 +42,13 @@ func (m Model) Generate(p dataset.Problem, opts GenOptions) string {
 	return wrap(m.Profile.Wrap, answer, cat, rng)
 }
 
-// rngPool recycles generators between generations: a math/rand source
-// is a 4.9 KB lagged-Fibonacci state, and Seed rewrites all of it, so a
-// re-seeded generator gives the stream a fresh one would.
-var rngPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+// rngPool recycles generators between generations. The front end is
+// math/rand's, so Float64, Intn and NormFloat64 are its own; the source
+// is lagfib's, which yields math/rand's stream for every seed but seeds
+// in constant time — a generation draws a dozen or two numbers, and a
+// math/rand source would expand all 607 words of state for them, twice.
+// A re-seeded source keeps nothing of the stream it gave before.
+var rngPool = sync.Pool{New: func() any { return rand.New(lagfib.New(0)) }}
 
 // rng draws a generator from rngPool seeded for a deterministic
 // stream; the caller puts it back when done.
@@ -64,7 +67,6 @@ func (m Model) rng(p dataset.Problem, opts GenOptions, perSample bool) *rand.Ran
 // factors, it does not re-roll every problem. That is what keeps
 // Tables 5-6's deltas small and pass@k gains bounded, as in the paper.
 func (m Model) seed(p dataset.Problem, opts GenOptions, perSample bool) int64 {
-	h := fnv.New64a()
 	sample, shots := opts.Sample, opts.Shots
 	variant := string(p.Variant)
 	id := p.ID
@@ -82,8 +84,34 @@ func (m Model) seed(p dataset.Problem, opts GenOptions, perSample bool) int64 {
 	if perSample {
 		tag = "sample"
 	}
-	fmt.Fprintf(h, "%s|%s|%s|%s|%d|%d", tag, m.Name, id, variant, shots, sample)
-	return int64(h.Sum64())
+	// FNV-1a over "tag|model|id|variant|shots|sample".
+	h := fnvOffset64
+	h = h.str(tag).str("|").str(m.Name).str("|").str(id).str("|").str(variant).str("|")
+	return int64(h.int(shots).str("|").int(sample))
+}
+
+// fnv64a is a running 64-bit FNV-1a hash, inline so that deriving a
+// seed formats and allocates nothing.
+type fnv64a uint64
+
+const (
+	fnvOffset64 fnv64a = 14695981039346656037
+	fnvPrime64  fnv64a = 1099511628211
+)
+
+func (h fnv64a) str(s string) fnv64a {
+	for i := 0; i < len(s); i++ {
+		h = (h ^ fnv64a(s[i])) * fnvPrime64
+	}
+	return h
+}
+
+func (h fnv64a) int(n int) fnv64a {
+	var buf [20]byte
+	for _, c := range strconv.AppendInt(buf[:0], int64(n), 10) {
+		h = (h ^ fnv64a(c)) * fnvPrime64
+	}
+	return h
 }
 
 // Difficulty scores a problem in [0,1]: the family's base difficulty
@@ -177,7 +205,7 @@ func (m Model) drawCategory(p dataset.Problem, opts GenOptions, rng, latent *ran
 // from the latent (per-problem) stream; cosmetic variation draws from
 // the per-sample stream.
 func (m Model) emit(cat int, p dataset.Problem, latent, rng *rand.Rand) string {
-	clean := yamlmatch.StripLabels(p.ReferenceYAML)
+	c := contextFor(p)
 	switch cat {
 	case 1: // empty or under three lines
 		options := []string{"", "apiVersion: v1", "I cannot help with that.", "yaml"}
@@ -188,54 +216,58 @@ func (m Model) emit(cat int, p dataset.Problem, latent, rng *rand.Rand) string {
 			"The most important settings are the selector and the labels, which must agree.\n" +
 			"Afterwards, check the status and repeat as needed until everything is healthy.\n"
 	case 3: // contains kind but the YAML is cut off / broken
-		return truncateYAML(clean, rng)
+		return truncateYAML(c, rng)
 	case 4: // valid YAML, wrong kind
 		if !scenario.For(p.Category).HasKind {
 			// Families without document kinds (Envoy bootstraps, Compose
 			// files) have nothing to swap; a confused answer of the
 			// "wrong flavor" is a functionally wrong config instead.
-			return corruptYAML(clean, p, latent)
+			return corruptYAML(c, latent)
 		}
-		return wrongKind(clean, p, latent)
+		return wrongKind(c, latent)
 	case 5: // valid YAML, right kind, functionally wrong
-		return corruptYAML(clean, p, latent)
+		return corruptYAML(c, latent)
 	default: // correct
 		if rng.Float64() < m.Profile.NoiseWhenCorrect {
-			return harmlessNoise(clean, p, rng)
+			return harmlessNoise(c, rng)
 		}
-		return clean
+		return c.clean
 	}
 }
 
 // truncateYAML cuts the reference somewhere after the kind line and may
 // break indentation, producing category 3 answers.
-func truncateYAML(clean string, rng *rand.Rand) string {
-	lines := strings.Split(strings.TrimRight(clean, "\n"), "\n")
-	if len(lines) < 4 {
-		return clean[:len(clean)/2]
+func truncateYAML(c *genContext, rng *rand.Rand) string {
+	lines := len(c.lineEnds)
+	if lines < 4 {
+		return c.clean[:len(c.clean)/2]
 	}
-	maxCut := len(lines) - 2
+	maxCut := lines - 2
 	if maxCut < 4 {
 		maxCut = 4
 	}
 	cut := 3 + rng.Intn(maxCut-3)
-	if cut > len(lines) {
-		cut = len(lines)
+	if cut > lines {
+		cut = lines
 	}
-	out := lines[:cut]
 	// Leave a dangling flow value so the document is unparsable.
-	out = append(out, "  spec: [unterminated")
-	return strings.Join(out, "\n") + "\n"
+	return c.clean[:c.lineEnds[cut-1]] + "\n  spec: [unterminated\n"
 }
 
 // wrongKind swaps the resource kind for a plausible but wrong one.
-func wrongKind(clean string, p dataset.Problem, rng *rand.Rand) string {
+func wrongKind(c *genContext, rng *rand.Rand) string {
 	alternatives := []string{"Pod", "Deployment", "Service", "ConfigMap", "ReplicaSet"}
-	doc, err := yamlx.ParseCachedString(clean)
-	if err != nil || doc.Kind != yamlx.MapKind {
-		return clean
+	var doc *yamlx.Node // the first document that is not null, as yamlx.Parse picks it
+	for _, d := range c.docs {
+		if d != nil && d.Kind != yamlx.NullKind {
+			doc = d
+			break
+		}
 	}
-	doc = doc.Clone() // the cached tree is shared; mutate a copy
+	if doc == nil || doc.Kind != yamlx.MapKind {
+		return c.clean
+	}
+	doc = doc.Clone() // the compiled tree is shared; mutate a copy
 	cur := doc.Get("kind").ScalarString()
 	alt := alternatives[rng.Intn(len(alternatives))]
 	for alt == cur {
@@ -251,69 +283,19 @@ func wrongKind(clean string, p dataset.Problem, rng *rand.Rand) string {
 // test: corruption is biased toward leaves whose values the unit-test
 // script actually asserts on, which is what "plausible but wrong"
 // answers get wrong in practice.
-func corruptYAML(clean string, p dataset.Problem, rng *rand.Rand) string {
-	docs, err := yamlx.ParseAllCached([]byte(clean))
-	if err != nil {
-		return clean
+func corruptYAML(c *genContext, rng *rand.Rand) string {
+	if len(c.docs) == 0 {
+		return c.clean
 	}
-	docs = yamlx.CloneDocs(docs) // cached trees are shared; mutate copies
-	// Collect scalar leaves that the unit test observes.
-	type leafRef struct {
-		parent *yamlx.Node
-		key    string
-		idx    int // sequence position, -1 for map entries
-	}
-	var tested []leafRef
-	var visit func(n *yamlx.Node)
-	visit = func(n *yamlx.Node) {
-		if n == nil {
-			return
-		}
-		switch n.Kind {
-		case yamlx.MapKind:
-			for i := range n.Entries {
-				e := &n.Entries[i]
-				if e.Key == "kind" || e.Key == "apiVersion" {
-					continue
-				}
-				if e.Value.IsScalar() {
-					v := e.Value.ScalarString()
-					if v != "" && strings.Contains(p.UnitTest, v) {
-						tested = append(tested, leafRef{parent: n, key: e.Key, idx: -1})
-					}
-					continue
-				}
-				visit(e.Value)
-			}
-		case yamlx.SeqKind:
-			for i, it := range n.Items {
-				if it.IsScalar() {
-					v := it.ScalarString()
-					if v != "" && strings.Contains(p.UnitTest, v) {
-						tested = append(tested, leafRef{parent: n, idx: i})
-					}
-					continue
-				}
-				visit(it)
-			}
-		}
-	}
-	for _, d := range docs {
-		visit(d)
-	}
+	docs := yamlx.CloneDocs(c.docs) // the compiled trees are shared; mutate copies
 	// Corrupt most tested leaves (at least one), then a random leaf or
 	// two for texture.
 	mutated := 0
-	for i, l := range tested {
+	for i, path := range c.tested {
 		if i > 0 && rng.Float64() > 0.8 {
 			continue
 		}
-		if l.idx >= 0 {
-			l.parent.Items[l.idx] = mutateScalar(l.parent.Items[l.idx], rng)
-		} else {
-			cur := l.parent.Get(l.key)
-			l.parent.Set(l.key, mutateScalar(cur, rng))
-		}
+		mutateLeaf(docs, path, rng)
 		mutated++
 	}
 	if mutated == 0 {
@@ -408,17 +390,16 @@ func mutateScalar(v *yamlx.Node, rng *rand.Rand) *yamlx.Node {
 // unit test observes: map keys reorder, wildcard-labeled names change,
 // set-labeled values pick another allowed member. Text metrics drop;
 // KV-wildcard and unit tests stay at 1.
-func harmlessNoise(clean string, p dataset.Problem, rng *rand.Rand) string {
-	labeled, err := yamlx.ParseAllCached([]byte(p.ReferenceYAML))
-	if err != nil {
-		return clean
+func harmlessNoise(c *genContext, rng *rand.Rand) string {
+	if c.labeled == nil {
+		return c.clean
 	}
-	labeled = yamlx.CloneDocs(labeled) // cached trees are shared; mutate copies
+	labeled := yamlx.CloneDocs(c.labeled) // the compiled trees are shared; mutate copies
 	for _, doc := range labeled {
 		applyHarmless(doc, rng)
 	}
 	out := yamlmatch.StripLabels(string(yamlx.MarshalAll(labeled)))
-	if textEqual(out, clean) {
+	if textEqual(out, c.clean) {
 		// Noise is supposed to be visible: rotate the trailing top-level
 		// entries of the first document (YAML-legal, semantics intact).
 		doc := labeled[0]

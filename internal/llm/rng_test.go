@@ -12,17 +12,23 @@ import (
 // a fresh rand.New(rand.NewSource(seed)) gives, for both streams of
 // every (model, problem) pair of Table 4. Each generator goes back to
 // the pool after a different number of draws, so the next pair always
-// gets one with used state.
+// gets one with used state; every 101st stream runs past the source's
+// 607-word register (three or more numbers a round), so some of that
+// state is a register the lazy seed had filled completely.
 func TestPooledRNGMatchesFresh(t *testing.T) {
 	problems := augment.ExpandCorpus(dataset.Generate())
-	draws := 0
+	draws, streams := 0, 0
 	for _, m := range Models {
 		for _, p := range problems {
 			for _, perSample := range []bool{true, false} {
 				pooled := m.rng(p, GenOptions{}, perSample)
 				fresh := rand.New(rand.NewSource(m.seed(p, GenOptions{}, perSample)))
 				draws = draws%7 + 1
-				for i := 0; i < draws; i++ {
+				rounds := draws
+				if streams++; streams%101 == 0 {
+					rounds += 230
+				}
+				for i := 0; i < rounds; i++ {
 					if a, b := pooled.Int63(), fresh.Int63(); a != b {
 						t.Fatalf("%s on %s (perSample=%v) draw %d: pooled Int63 %d, fresh %d", m.Name, p.ID, perSample, i, a, b)
 					}

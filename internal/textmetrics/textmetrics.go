@@ -10,6 +10,7 @@ import (
 	"math"
 	"strings"
 	"unicode"
+	"unicode/utf8"
 )
 
 // Tokenize splits text into word tokens: runs of letters/digits and
@@ -49,11 +50,37 @@ func Words(s string) int { return len(strings.Fields(s)) }
 // tokenizer; this deterministic estimator preserves relative sizes,
 // which is all Tables 1–2 consume.
 // EstimateTokens runs on every generation (usage metering estimates
-// both the prompt and the completion), so it streams over the runes in
+// both the prompt and the completion), so it streams over the text in
 // a single allocation-free pass instead of materializing the token
-// slice the way Tokenize does. TestEstimateTokensMatchesTokenize pins
-// it to the tokenizer-based definition.
+// slice the way Tokenize does. Prompts, references and answers are
+// ASCII but for translated questions, so bytes are classified from
+// nextToken's table until the first one that is not; the word it
+// stands in and the rest of the text go through the rune loop.
+// TestEstimateTokensMatchesTokenize pins both to the tokenizer-based
+// definition.
 func EstimateTokens(s string) int {
+	n, run := 0, 0
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if c >= utf8.RuneSelf {
+			return n + estimateTokensRunes(s[i-run:])
+		}
+		switch asciiClass[c] {
+		case tokWord:
+			run++
+		case tokSpace:
+			n += subwordTokens(run)
+			run = 0
+		default:
+			n += subwordTokens(run) + 1 // punctuation tokenizes alone
+			run = 0
+		}
+	}
+	return n + subwordTokens(run)
+}
+
+// estimateTokensRunes is EstimateTokens for text of any script.
+func estimateTokensRunes(s string) int {
 	n, runes := 0, 0
 	var first rune
 	for _, r := range s {
@@ -76,15 +103,17 @@ func EstimateTokens(s string) int {
 }
 
 // wordTokens estimates one word token's cost: CJK-leading tokens count
-// one per character; others split into subword pieces of about 4
-// characters, long words usually once more.
+// one per character, others split into subword pieces.
 func wordTokens(first rune, runes int) int {
-	if runes == 0 {
-		return 0
-	}
-	if isCJK(first) {
+	if runes > 0 && isCJK(first) {
 		return runes
 	}
+	return subwordTokens(runes)
+}
+
+// subwordTokens is the cost of a word of any other script: pieces of
+// about 4 characters, long words usually once more.
+func subwordTokens(runes int) int {
 	n := (runes + 3) / 4
 	if runes > 4 {
 		n++

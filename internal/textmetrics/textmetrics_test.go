@@ -57,6 +57,13 @@ func TestEstimateTokensMatchesTokenize(t *testing.T) {
 		"supercalifragilisticexpialidocious",
 		strings.Repeat("word ", 100),
 		"-- flags --set key=value,other=值",
+		// The ASCII fast path hands over mid-word, before a non-ASCII
+		// space, and at a byte that is not UTF-8 at all.
+		"abc中文 def",
+		"naïve café",
+		"a\u00a0b\u0085c\u3000d",
+		"ab\xffcd ef\xc3",
+		"\t\v\f\r\n \x00\x7f~",
 	}
 	for _, s := range cases {
 		if got, want := EstimateTokens(s), tokenizeEstimate(s); got != want {
