@@ -49,6 +49,14 @@ func fixtures() ([]dataset.Problem, []dataset.Problem) {
 	return fxOriginals, fxFullCorpus
 }
 
+// benchEng and benchGen are the engine and dispatcher the benchmarks
+// share where they measure a warm path: after the first campaign every
+// generation, and on benchEng every execution, is a cache hit.
+var (
+	benchEng = engine.New()
+	benchGen = inference.NewDispatcher(inference.NewSim(llm.Models))
+)
+
 var (
 	zeroShotOnce sync.Once
 	zsRows       []score.ModelAggregate
@@ -58,7 +66,7 @@ var (
 func zeroShot() ([]score.ModelAggregate, map[string][]score.ProblemScore) {
 	zeroShotOnce.Do(func() {
 		_, full := fixtures()
-		zsRows, zsRaw = score.Benchmark(llm.Models, full)
+		zsRows, zsRaw = score.BenchmarkVia(benchEng, benchGen, llm.Models, full)
 	})
 	return zsRows, zsRaw
 }
@@ -91,7 +99,7 @@ func BenchmarkTable2DatasetStats(b *testing.B) {
 // BenchmarkTable3Cost regenerates the running-cost breakdown.
 func BenchmarkTable3Cost(b *testing.B) {
 	_, full := fixtures()
-	jobs := evalcluster.JobsFromProblems(full)
+	jobs := evalcluster.JobsFromProblems(benchEng, full)
 	var minTotal float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -101,13 +109,13 @@ func BenchmarkTable3Cost(b *testing.B) {
 }
 
 // BenchmarkTable4ZeroShot runs the full 12-model x 1011-problem
-// zero-shot benchmark with all six metrics through the process-wide
-// default engine (warm shared cache after the first iteration).
+// zero-shot benchmark with all six metrics through the shared engine
+// (warm cache after the first iteration).
 func BenchmarkTable4ZeroShot(b *testing.B) {
 	_, full := fixtures()
 	var gpt4 float64
 	for i := 0; i < b.N; i++ {
-		rows, _ := score.Benchmark(llm.Models, full)
+		rows, _ := score.BenchmarkVia(benchEng, benchGen, llm.Models, full)
 		gpt4 = rows[0].UnitTest
 	}
 	b.ReportMetric(gpt4, "gpt4-unit-test")
@@ -140,7 +148,7 @@ func BenchmarkZeroShotEngine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := engine.New()
-		rows, _ := score.BenchmarkWith(eng, llm.Models, full)
+		rows, _ := score.BenchmarkVia(eng, benchGen, llm.Models, full)
 		gpt4 = rows[0].UnitTest
 		stats = eng.Stats()
 	}
@@ -161,7 +169,7 @@ func BenchmarkZeroShotWarmStore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	score.BenchmarkWith(engine.New(engine.WithStore(st)), llm.Models, full)
+	score.BenchmarkVia(engine.New(engine.WithStore(st)), benchGen, llm.Models, full)
 	if err := st.Close(); err != nil {
 		b.Fatal(err)
 	}
@@ -174,7 +182,7 @@ func BenchmarkZeroShotWarmStore(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng := engine.New(engine.WithStore(st))
-		rows, _ := score.BenchmarkWith(eng, llm.Models, full)
+		rows, _ := score.BenchmarkVia(eng, benchGen, llm.Models, full)
 		gpt4 = rows[0].UnitTest
 		stats = eng.Stats()
 		st.Close()
@@ -191,7 +199,7 @@ func BenchmarkTable5Augmented(b *testing.B) {
 	gpt4, _ := llm.ByName("gpt-4")
 	var delta float64
 	for i := 0; i < b.N; i++ {
-		counts := analysis.VariantPassCounts(gpt4, full)
+		counts := analysis.VariantPassCountsVia(benchEng, benchGen, gpt4, full)
 		delta = float64(counts[dataset.Simplified] - counts[dataset.Original])
 	}
 	b.ReportMetric(delta, "gpt4-simplified-delta")
@@ -205,7 +213,7 @@ func BenchmarkTable6FewShot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, name := range []string{"gpt-3.5", "llama-2-70b-chat", "llama-2-7b-chat"} {
 			m, _ := llm.ByName(name)
-			counts := analysis.FewShotPassCounts(m, originals, 3)
+			counts := analysis.FewShotPassCountsVia(benchEng, benchGen, m, originals, 3)
 			if name == "gpt-3.5" {
 				gain = float64(counts[3] - counts[0])
 			}
@@ -235,7 +243,7 @@ func BenchmarkTable8RepoStats(b *testing.B) {
 // to 64 workers with and without the shared image cache.
 func BenchmarkFigure5ClusterScaling(b *testing.B) {
 	_, full := fixtures()
-	jobs := evalcluster.JobsFromProblems(full)
+	jobs := evalcluster.JobsFromProblems(benchEng, full)
 	var speedup, cacheGain float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -274,7 +282,7 @@ func BenchmarkFigure7FailureModes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, name := range []string{"gpt-4", "llama-2-70b-chat", "llama-2-7b-chat"} {
 			m, _ := llm.ByName(name)
-			scores := score.EvaluateModel(m, originals, llm.GenOptions{})
+			scores := score.EvaluateModelVia(benchEng, benchGen, m, originals, llm.GenOptions{})
 			counts := analysis.FailureCounts(scores, byID)
 			if name == "gpt-4" {
 				gpt4Correct = counts[5]
@@ -291,7 +299,7 @@ func BenchmarkFigure8PassAtK(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
 		m, _ := llm.ByName("gpt-3.5")
-		series := analysis.PassAtK(m, originals, 16, 0.75)
+		series := analysis.PassAtKVia(benchEng, benchGen, m, originals, 16, 0.75)
 		gain = float64(series[15]) / float64(series[0])
 	}
 	b.ReportMetric(gain, "gpt3.5-pass@16-over-pass@1")
@@ -304,10 +312,10 @@ func BenchmarkFigure9Predictor(b *testing.B) {
 	var kvwImportance float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := boost.LeaveOneModelOut(raw, boost.DefaultConfig()); err != nil {
+		if _, err := boost.LeaveOneModelOut(benchEng, raw, boost.DefaultConfig()); err != nil {
 			b.Fatal(err)
 		}
-		imp, err := boost.GlobalImportance(raw, boost.DefaultConfig(), 300)
+		imp, err := boost.GlobalImportance(benchEng, raw, boost.DefaultConfig(), 300)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -360,7 +368,7 @@ func BenchmarkGenerateBatched(b *testing.B) {
 // score_answer_max_allocs hard cap of ci/bench-baseline.json.
 func BenchmarkScoreAnswer(b *testing.B) {
 	_, full := fixtures()
-	_, raw := zeroShot() // through engine.Default(), which this leaves warm
+	_, raw := zeroShot() // through benchEng, which this leaves warm
 	byID := make(map[string]dataset.Problem, len(full))
 	for _, p := range full {
 		byID[p.ID] = p
@@ -375,13 +383,12 @@ func BenchmarkScoreAnswer(b *testing.B) {
 			pairs = append(pairs, pair{byID[s.ProblemID], s.Answer})
 		}
 	}
-	eng := engine.Default()
 	var unitTests float64
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pr := pairs[i%len(pairs)]
-		unitTests += score.ScoreAnswerWith(eng, pr.problem, pr.answer).UnitTest
+		unitTests += score.ScoreAnswerWith(benchEng, pr.problem, pr.answer).UnitTest
 	}
 	b.ReportMetric(unitTests/float64(b.N), "unit-test-pass-rate")
 	b.ReportMetric(float64(len(pairs)), "table4-pairs")
@@ -781,7 +788,7 @@ func BenchmarkAblationWildcardLabels(b *testing.B) {
 // the shared cache matters (Figure 5 sensitivity).
 func BenchmarkAblationCacheBandwidth(b *testing.B) {
 	originals, _ := fixtures()
-	jobs := evalcluster.JobsFromProblems(originals)
+	jobs := evalcluster.JobsFromProblems(benchEng, originals)
 	var gainAt25, gainAt400 float64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -809,20 +816,19 @@ func BenchmarkAblationCacheBandwidth(b *testing.B) {
 func BenchmarkAblationFormatRetry(b *testing.B) {
 	originals, _ := fixtures()
 	m, _ := llm.ByName("gpt-4")
-	gen := inference.Default()
 	slice := originals[:150]
 	var greedyPass, retryPass int
 	for i := 0; i < b.N; i++ {
 		greedyPass, retryPass = 0, 0
 		for _, p := range slice {
-			g, err := strategy.Greedy(gen, m, p)
+			g, err := strategy.Greedy(benchGen, m, p)
 			if err != nil {
 				b.Fatal(err)
 			}
 			if unittest.Run(p, g.Answer).Passed {
 				greedyPass++
 			}
-			r, err := strategy.FormatRetry(gen, m, p, 4, 0.75)
+			r, err := strategy.FormatRetry(benchGen, m, p, 4, 0.75)
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -134,6 +134,16 @@ type Stats struct {
 	PipelineQueueDepth int64 `json:"pipeline_queue_depth"`
 	ExecBusy           int64 `json:"exec_busy"`
 
+	// The engine's and the dispatcher's in-memory caches: resident
+	// entries, their charge against the cache's fixed budget, and
+	// entries dropped to stay under it.
+	CacheEntries      int   `json:"cache_entries"`
+	CacheBytes        int64 `json:"cache_bytes"`
+	CacheEvictions    int64 `json:"cache_evictions"`
+	GenCacheEntries   int   `json:"gen_cache_entries"`
+	GenCacheBytes     int64 `json:"gen_cache_bytes"`
+	GenCacheEvictions int64 `json:"gen_cache_evictions"`
+
 	Provider         string `json:"provider"`
 	Generated        int64  `json:"generated"`
 	GenCacheHits     int64  `json:"gen_cache_hits"`
@@ -180,13 +190,15 @@ type StoreStats struct {
 }
 
 // HotCacheStats is the store's bounded hot cache: byte budget,
-// occupancy, and hit/miss counters since the daemon opened the store.
+// occupancy, and hit/miss/eviction counters since the daemon opened
+// the store.
 type HotCacheStats struct {
 	CapacityBytes int64 `json:"capacity_bytes"`
 	Bytes         int64 `json:"bytes"`
 	Entries       int   `json:"entries"`
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
+	Evictions     int64 `json:"evictions"`
 }
 
 // StoreOpenStats describes how the store's last Open rebuilt its

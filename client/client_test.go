@@ -11,6 +11,7 @@ import (
 	"cloudeval/internal/core"
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
+	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/server"
 	"cloudeval/internal/yamlmatch"
@@ -18,7 +19,8 @@ import (
 
 func testServer(t *testing.T, cfg server.Config) (*httptest.Server, *core.Benchmark) {
 	t.Helper()
-	bench := core.NewCustomWith(engine.New(), dataset.Generate()[:6], llm.Models[:2])
+	models := llm.Models[:2]
+	bench := core.NewCustomVia(engine.New(), inference.NewDispatcher(inference.NewSim(models)), dataset.Generate()[:6], models)
 	ts := httptest.NewServer(server.NewWithConfig(bench, t.TempDir(), cfg).Handler())
 	t.Cleanup(ts.Close)
 	return ts, bench

@@ -67,7 +67,10 @@ type Store = store.Store
 
 // New builds the default benchmark: the hand-written problems of every
 // registered workload family, their simplified and translated
-// variants, and the twelve-model zoo of Table 4.
+// variants, and the twelve-model zoo of Table 4, evaluated on the
+// process-wide engine and generated by the process-wide sim
+// dispatcher. This facade is where those defaults are chosen; below
+// it every entry point takes its engine and dispatcher as arguments.
 func New() *Benchmark { return core.New() }
 
 // OpenStore opens (or creates) a persistent evaluation store at path,
@@ -130,7 +133,9 @@ func NewDispatcher(p Provider) *Dispatcher { return inference.NewDispatcher(p) }
 
 // NewWithProvider builds the default benchmark generating through the
 // given dispatcher (e.g. a replayed real-API trace) on the
-// process-wide engine.
+// process-wide engine. d's provider must serve every model of the
+// zoo: one it lacks scores empty answers and latches the cause in
+// d.Err, which callers check after a campaign.
 func NewWithProvider(d *Dispatcher) *Benchmark { return core.NewVia(engine.Default(), d) }
 
 // Dataset returns the original problems of every workload family (the
@@ -146,9 +151,10 @@ func RunUnitTest(p Problem, answerYAML string) UnitTestResult {
 	return unittest.Run(p, answerYAML)
 }
 
-// ScoreAnswer computes all six metrics for a candidate answer.
+// ScoreAnswer computes all six metrics for a candidate answer, running
+// its unit test on the process-wide engine.
 func ScoreAnswer(p Problem, answerYAML string) ProblemScore {
-	return score.ScoreAnswer(p, answerYAML)
+	return score.ScoreAnswerWith(engine.Default(), p, answerYAML)
 }
 
 // Postprocess extracts clean YAML from a raw LLM response using the

@@ -225,9 +225,11 @@ func newBench(sf storeFlags, pf providerFlags) (*cloudeval.Benchmark, *store.Sto
 }
 
 // reportStore prints the persistent store's shard layout and batching
-// ratio — the same counters GET /v1/stats serves — so contention
-// regressions show up in a plain bench run too.
-func reportStore(st *store.Store) {
+// ratio, and beside its hot cache the two in-memory caches above it —
+// the same counters GET /v1/stats serves — so contention regressions
+// and a cache that has started evicting show up in a plain bench run
+// too.
+func reportStore(b *cloudeval.Benchmark, st *store.Store) {
 	ratio := 0.0
 	if f := st.Flushes(); f > 0 {
 		ratio = float64(st.Appended()) / float64(f)
@@ -247,6 +249,10 @@ func reportStore(st *store.Store) {
 	fmt.Fprintf(os.Stderr, "store: resident ~%.1f MiB (hot cache %.1f/%.0f MiB, %d entries, %d hits / %d misses)\n",
 		float64(st.ResidentBytes())/(1<<20), float64(cs.Bytes)/(1<<20), float64(cs.Capacity)/(1<<20),
 		cs.Entries, cs.Hits, cs.Misses)
+	es, gs := b.Engine().Stats(), b.Generator().Stats()
+	fmt.Fprintf(os.Stderr, "caches: engine %d entries, %.1f MiB, %d evictions; inference %d entries, %.1f MiB, %d evictions\n",
+		es.CacheEntries, float64(es.CacheBytes)/(1<<20), es.CacheEvictions,
+		gs.CacheEntries, float64(gs.CacheBytes)/(1<<20), gs.CacheEvictions)
 }
 
 // reportGeneration prints the dispatcher counters and the metered
@@ -296,7 +302,7 @@ func cmdBench(args []string) (retErr error) {
 		stats := b.Engine().Stats()
 		fmt.Printf("engine: %d executed, %d memory hits, %d store hits\n",
 			stats.Executed, stats.CacheHits, stats.StoreHits)
-		reportStore(st)
+		reportStore(b, st)
 	}
 	if st != nil || pf.configured() {
 		reportGeneration(b)
@@ -439,7 +445,7 @@ func cmdCampaign(args []string) (retErr error) {
 	fmt.Fprintf(os.Stderr, "campaign: %d ran, %d resumed from checkpoint\n",
 		len(report.Ran), len(report.Skipped))
 	if st != nil {
-		reportStore(st)
+		reportStore(b, st)
 	}
 	if st != nil || pf.configured() {
 		reportGeneration(b)

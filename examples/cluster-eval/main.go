@@ -88,8 +88,10 @@ func main() {
 		fmt.Printf("  worker-%d processed %d jobs\n", i, n)
 	}
 
-	// Compare with the Figure 5 analytic model for the same workload.
-	simJobs := evalcluster.JobsFromProblems(problems)
+	// Compare with the Figure 5 analytic model for the same workload,
+	// its reference runs measured on an in-process engine (the workers
+	// above have drained).
+	simJobs := evalcluster.JobsFromProblems(engine.New(), problems)
 	for _, w := range []int{1, 4} {
 		r := evalcluster.Simulate(simJobs, evalcluster.DefaultSimConfig(w, true))
 		fmt.Printf("Figure-5 model: %d worker(s), shared cache -> %.2f h of campaign time\n",

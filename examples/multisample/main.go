@@ -8,9 +8,12 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"cloudeval/internal/analysis"
 	"cloudeval/internal/dataset"
+	"cloudeval/internal/engine"
+	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 )
 
@@ -26,10 +29,24 @@ func main() {
 	}
 	fmt.Println()
 
+	// One engine and one dispatcher over exactly the models sampled. A
+	// model the dispatcher lacks would score empty answers and latch the
+	// cause in Err, so each series is checked before it is printed.
+	names := []string{"gpt-4", "gpt-3.5", "llama-2-70b-chat"}
+	models := make([]llm.Model, len(names))
+	for i, name := range names {
+		models[i], _ = llm.ByName(name)
+	}
+	eng := engine.New()
+	disp := inference.NewDispatcher(inference.NewSim(models))
+
 	series := map[string][]int{}
-	for _, name := range []string{"gpt-4", "gpt-3.5", "llama-2-70b-chat"} {
-		m, _ := llm.ByName(name)
-		s := analysis.PassAtK(m, problems, maxK, temperature)
+	for i, name := range names {
+		s := analysis.PassAtKVia(eng, disp, models[i], problems, maxK, temperature)
+		if err := disp.Err(); err != nil {
+			fmt.Fprintln(os.Stderr, "multisample:", err)
+			os.Exit(1)
+		}
 		series[name] = s
 		fmt.Printf("%-20s", name)
 		for _, v := range s {

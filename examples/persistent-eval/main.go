@@ -18,6 +18,7 @@ import (
 	"cloudeval/internal/core"
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
+	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/store"
 )
@@ -41,7 +42,9 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	bench := core.NewCustomWith(engine.New(engine.WithStore(st)), originals, models)
+	// The dispatcher serves exactly the models the benchmark evaluates.
+	bench := core.NewCustomVia(engine.New(engine.WithStore(st)),
+		inference.NewDispatcher(inference.NewSim(models)), originals, models)
 	fmt.Println("== cold run: Table 4 ==")
 	fmt.Println(bench.Table4())
 	stats := bench.Engine().Stats()
@@ -64,7 +67,8 @@ func main() {
 	}
 	defer st2.Close()
 	fmt.Printf("\nreopened store holds %d records\n", st2.Len())
-	bench2 := core.NewCustomWith(engine.New(engine.WithStore(st2)), originals, models)
+	bench2 := core.NewCustomVia(engine.New(engine.WithStore(st2)),
+		inference.NewDispatcher(inference.NewSim(models)), originals, models)
 	fmt.Println("== warm run: identical Table 4, zero executions ==")
 	fmt.Println(bench2.Table4())
 	stats = bench2.Engine().Stats()

@@ -7,8 +7,11 @@ package main
 
 import (
 	"fmt"
+	"os"
 
 	"cloudeval"
+	"cloudeval/internal/engine"
+	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/score"
 )
@@ -33,9 +36,17 @@ func main() {
 	fmt.Printf("  bleu=%.3f edit=%.3f exact=%.0f kv_exact=%.0f kv_wildcard=%.3f unit_test=%.0f\n\n",
 		s.BLEU, s.EditDist, s.ExactMatch, s.KVExact, s.KVWildcard, s.UnitTest)
 
-	// Now run a simulated model over the first 30 problems.
+	// Now run a simulated model over the first 30 problems: unit tests
+	// on an engine, generations through a dispatcher over exactly the
+	// models evaluated. A model the dispatcher lacks scores empty
+	// answers and latches the cause in Err, so check it before printing.
 	model, _ := llm.ByName("gpt-4")
-	scores := score.EvaluateModel(model, problems[:30], llm.GenOptions{})
+	disp := inference.NewDispatcher(inference.NewSim([]llm.Model{model}))
+	scores := score.EvaluateModelVia(engine.New(), disp, model, problems[:30], llm.GenOptions{})
+	if err := disp.Err(); err != nil {
+		fmt.Fprintln(os.Stderr, "quickstart:", err)
+		os.Exit(1)
+	}
 	passed := 0
 	for _, sc := range scores {
 		if sc.UnitTest == 1 {

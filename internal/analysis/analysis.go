@@ -220,23 +220,14 @@ func FormatTable9(breakdown map[string]map[string]map[string]float64, modelOrder
 	return b.String()
 }
 
-// PassAtK runs multi-sample generation (§4.2) through the default
-// engine: for each problem, up to maxK samples at the given
-// temperature; the problem counts as passed at k when any of the first
-// k samples passes its unit test. Returns pass counts indexed by k-1.
-func PassAtK(m llm.Model, problems []dataset.Problem, maxK int, temperature float64) []int {
-	return PassAtKWith(engine.Default(), m, problems, maxK, temperature)
-}
-
-// PassAtKWith is PassAtKVia on the process-wide default dispatcher.
-func PassAtKWith(eng *engine.Engine, m llm.Model, problems []dataset.Problem, maxK int, temperature float64) []int {
-	return PassAtKVia(eng, inference.Default(), m, problems, maxK, temperature)
-}
-
-// PassAtKVia schedules the multi-sample study round by round: round k
-// streams (generate sample k, execute its unit test) through the
-// two-stage pipeline over exactly the problems still unresolved after
-// round k-1. The early exit after the first passing sample — the
+// PassAtKVia runs multi-sample generation (§4.2): for each problem, up
+// to maxK samples at the given temperature; the problem counts as
+// passed at k when any of the first k samples passes its unit test.
+// Returns pass counts indexed by k-1.
+//
+// The study is scheduled round by round: round k streams (generate
+// sample k, execute its unit test) through the two-stage pipeline over
+// exactly the problems still unresolved after round k-1. The early exit after the first passing sample — the
 // paper's lazy sampling — is therefore preserved to the generation:
 // sample k is drawn for precisely the problems whose first k samples
 // all failed, the same set the serial per-problem loop draws it for,
@@ -317,20 +308,8 @@ func PassCount(scores []score.ProblemScore) int {
 	return n
 }
 
-// VariantPassCounts computes Table 5 through the default engine: per
-// model, passes on the original, simplified and translated subsets.
-func VariantPassCounts(m llm.Model, all []dataset.Problem) map[dataset.Variant]int {
-	return VariantPassCountsWith(engine.Default(), m, all)
-}
-
-// VariantPassCountsWith is VariantPassCounts on a caller-owned engine
-// and the default dispatcher.
-func VariantPassCountsWith(eng *engine.Engine, m llm.Model, all []dataset.Problem) map[dataset.Variant]int {
-	return VariantPassCountsVia(eng, inference.Default(), m, all)
-}
-
-// VariantPassCountsVia is VariantPassCounts with generations drawn
-// through gen.
+// VariantPassCountsVia computes Table 5: per model, passes on the
+// original, simplified and translated subsets.
 func VariantPassCountsVia(eng *engine.Engine, gen *inference.Dispatcher, m llm.Model, all []dataset.Problem) map[dataset.Variant]int {
 	out := map[dataset.Variant]int{}
 	for _, variant := range []dataset.Variant{dataset.Original, dataset.Simplified, dataset.Translated} {
@@ -368,20 +347,8 @@ func FormatTable5(counts map[string]map[dataset.Variant]int, order []string) str
 	return b.String()
 }
 
-// FewShotPassCounts computes Table 6 through the default engine: passes
-// on the original subset for 0..maxShots few-shot prompts.
-func FewShotPassCounts(m llm.Model, originals []dataset.Problem, maxShots int) []int {
-	return FewShotPassCountsWith(engine.Default(), m, originals, maxShots)
-}
-
-// FewShotPassCountsWith is FewShotPassCounts on a caller-owned engine
-// and the default dispatcher.
-func FewShotPassCountsWith(eng *engine.Engine, m llm.Model, originals []dataset.Problem, maxShots int) []int {
-	return FewShotPassCountsVia(eng, inference.Default(), m, originals, maxShots)
-}
-
-// FewShotPassCountsVia is FewShotPassCounts with generations drawn
-// through gen.
+// FewShotPassCountsVia computes Table 6: passes on the original subset
+// for 0..maxShots few-shot prompts.
 func FewShotPassCountsVia(eng *engine.Engine, gen *inference.Dispatcher, m llm.Model, originals []dataset.Problem, maxShots int) []int {
 	out := make([]int, maxShots+1)
 	for shots := 0; shots <= maxShots; shots++ {

@@ -5,8 +5,18 @@ import (
 	"testing"
 
 	"cloudeval/internal/dataset"
+	"cloudeval/internal/engine"
+	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/score"
+)
+
+// The package's tests share one engine and one dispatcher over the
+// whole zoo, so a (model, problem) pair one test evaluated is a cache
+// hit for the next.
+var (
+	testEng = engine.New()
+	testGen = inference.NewDispatcher(inference.NewSim(llm.Models))
 )
 
 // problemIn selects the first problem of a subcategory; families are
@@ -94,8 +104,8 @@ func TestFailureCountsShape(t *testing.T) {
 	byID := ProblemIndex(problems)
 	strong, _ := llm.ByName("gpt-4")
 	weak, _ := llm.ByName("llama-2-7b-chat")
-	strongScores := score.EvaluateModel(strong, problems, llm.GenOptions{})
-	weakScores := score.EvaluateModel(weak, problems, llm.GenOptions{})
+	strongScores := score.EvaluateModelVia(testEng, testGen, strong, problems, llm.GenOptions{})
+	weakScores := score.EvaluateModelVia(testEng, testGen, weak, problems, llm.GenOptions{})
 	sc := FailureCounts(strongScores, byID)
 	wc := FailureCounts(weakScores, byID)
 	sum := func(c [6]int) int { return c[0] + c[1] + c[2] + c[3] + c[4] + c[5] }
@@ -121,7 +131,7 @@ func TestSliceScoresEnvoyHardest(t *testing.T) {
 	problems := dataset.Generate()
 	byID := ProblemIndex(problems)
 	m, _ := llm.ByName("gpt-4")
-	scores := score.EvaluateModel(m, problems, llm.GenOptions{})
+	scores := score.EvaluateModelVia(testEng, testGen, m, problems, llm.GenOptions{})
 	slices := Figure6Slices()["application_category"]
 	vals := map[string]float64{}
 	for _, sl := range slices {
@@ -136,7 +146,7 @@ func TestSliceScoresLengthGradient(t *testing.T) {
 	problems := dataset.Generate()
 	byID := ProblemIndex(problems)
 	m, _ := llm.ByName("gpt-3.5")
-	scores := score.EvaluateModel(m, problems, llm.GenOptions{})
+	scores := score.EvaluateModelVia(testEng, testGen, m, problems, llm.GenOptions{})
 	slices := Figure6Slices()["ref_answer_lines"]
 	var short, long float64
 	for _, sl := range slices {
@@ -155,7 +165,7 @@ func TestSliceScoresLengthGradient(t *testing.T) {
 func TestPassAtKMonotone(t *testing.T) {
 	problems := dataset.Generate()[:60]
 	m, _ := llm.ByName("gpt-3.5")
-	series := PassAtK(m, problems, 6, 0.75)
+	series := PassAtKVia(testEng, testGen, m, problems, 6, 0.75)
 	if len(series) != 6 {
 		t.Fatalf("series length = %d", len(series))
 	}
@@ -181,7 +191,7 @@ func TestVariantPassCountsEnglishOnly(t *testing.T) {
 		tr.ID, tr.Variant = p.ID+"-t", dataset.Translated
 		all = append(all, p, s, tr)
 	}
-	counts := VariantPassCounts(m, all)
+	counts := VariantPassCountsVia(testEng, testGen, m, all)
 	if counts[dataset.Translated] != -1 {
 		t.Errorf("PaLM translated should be N/A, got %d", counts[dataset.Translated])
 	}
@@ -193,7 +203,7 @@ func TestVariantPassCountsEnglishOnly(t *testing.T) {
 
 func TestFewShotCounts(t *testing.T) {
 	m, _ := llm.ByName("gpt-3.5")
-	counts := FewShotPassCounts(m, dataset.Generate()[:60], 2)
+	counts := FewShotPassCountsVia(testEng, testGen, m, dataset.Generate()[:60], 2)
 	if len(counts) != 3 {
 		t.Fatalf("counts = %v", counts)
 	}

@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"cloudeval/internal/dataset"
+	"cloudeval/internal/engine"
+	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/score"
 )
@@ -137,11 +139,16 @@ func TestLeaveOneModelOut(t *testing.T) {
 		t.Skip("trains 12 models in -short mode")
 	}
 	problems := dataset.Generate()
+	eng := engine.New()
+	gen := inference.NewDispatcher(inference.NewSim(llm.Models))
 	raw := make(map[string][]score.ProblemScore)
 	for _, m := range llm.Models {
-		raw[m.Name] = score.EvaluateModel(m, problems, llm.GenOptions{})
+		raw[m.Name] = score.EvaluateModelVia(eng, gen, m, problems, llm.GenOptions{})
 	}
-	results, err := LeaveOneModelOut(raw, DefaultConfig())
+	if err := gen.Err(); err != nil {
+		t.Fatal(err)
+	}
+	results, err := LeaveOneModelOut(eng, raw, DefaultConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,7 +170,7 @@ func TestLeaveOneModelOut(t *testing.T) {
 		t.Errorf("gpt-4 prediction error = %.1f%%", byName["gpt-4"].ErrorPercent)
 	}
 
-	imp, err := GlobalImportance(raw, DefaultConfig(), 400)
+	imp, err := GlobalImportance(eng, raw, DefaultConfig(), 400)
 	if err != nil {
 		t.Fatal(err)
 	}

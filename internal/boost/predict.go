@@ -27,17 +27,12 @@ type LeaveOneOutResult struct {
 	ErrorPercent float64
 }
 
-// LeaveOneModelOut reproduces §4.4's protocol through the default
-// engine: for each model, train on the other eleven models' scored
-// answers and predict the held-out model's unit-test score.
-func LeaveOneModelOut(raw map[string][]score.ProblemScore, cfg Config) ([]LeaveOneOutResult, error) {
-	return LeaveOneModelOutWith(engine.Default(), raw, cfg)
-}
-
-// LeaveOneModelOutWith fans the twelve independent hold-out trainings
-// out on eng's scheduler; results land in model-name order, so the
+// LeaveOneModelOut reproduces §4.4's protocol: for each model, train on
+// the other eleven models' scored answers and predict the held-out
+// model's unit-test score. The twelve independent hold-out trainings
+// fan out on eng's scheduler; results land in model-name order, so the
 // output is identical to the serial protocol.
-func LeaveOneModelOutWith(eng *engine.Engine, raw map[string][]score.ProblemScore, cfg Config) ([]LeaveOneOutResult, error) {
+func LeaveOneModelOut(eng *engine.Engine, raw map[string][]score.ProblemScore, cfg Config) ([]LeaveOneOutResult, error) {
 	models := make([]string, 0, len(raw))
 	for m := range raw {
 		models = append(models, m)
@@ -97,16 +92,11 @@ func FormatFigure9A(results []LeaveOneOutResult) string {
 }
 
 // GlobalImportance trains on all models' scores and reports mean |SHAP|
-// per feature (Figure 9b) through the default engine.
-func GlobalImportance(raw map[string][]score.ProblemScore, cfg Config, sample int) (map[string]float64, error) {
-	return GlobalImportanceWith(engine.Default(), raw, cfg, sample)
-}
-
-// GlobalImportanceWith is GlobalImportance with the exact per-instance
-// Shapley evaluations — the dominant cost, 2^5 coalition passes per
-// sampled row — scheduled on eng. Training data is assembled in model-
-// name order so the fitted ensemble is deterministic.
-func GlobalImportanceWith(eng *engine.Engine, raw map[string][]score.ProblemScore, cfg Config, sample int) (map[string]float64, error) {
+// per feature (Figure 9b). The exact per-instance Shapley evaluations —
+// the dominant cost, 2^5 coalition passes per sampled row — are
+// scheduled on eng. Training data is assembled in model-name order so
+// the fitted ensemble is deterministic.
+func GlobalImportance(eng *engine.Engine, raw map[string][]score.ProblemScore, cfg Config, sample int) (map[string]float64, error) {
 	models := make([]string, 0, len(raw))
 	for m := range raw {
 		models = append(models, m)

@@ -130,21 +130,16 @@ func writeAtomic(path string, data []byte) error {
 // experiment, so an interrupted campaign resumes exactly where it
 // died.
 func (b *Benchmark) RunCampaign(dir string, ids []string, w io.Writer) (CampaignReport, error) {
-	return b.RunCampaignProgress(dir, ids, w, nil)
+	return b.runCampaign(dir, ids, w, nil, nil)
 }
 
-// RunCampaignProgress is RunCampaign with a per-experiment completion
-// callback (id, skipped), used by the daemon to surface live campaign
-// status.
-func (b *Benchmark) RunCampaignProgress(dir string, ids []string, w io.Writer, onDone func(id string, skipped bool)) (CampaignReport, error) {
-	return b.runCampaign(dir, ids, w, nil, onDone)
-}
-
-// RunCampaignVia is RunCampaignProgress with fresh experiment outputs
-// produced by gen instead of the benchmark's own generators
-// (checkpointed replays still come from files). The daemon routes
-// campaign generation through its coalescing layer this way, so a
-// campaign and a concurrent direct request share one computation.
+// RunCampaignVia is RunCampaign with fresh experiment outputs produced
+// by gen instead of the benchmark's own generators (checkpointed
+// replays still come from files) and a per-experiment completion
+// callback (id, skipped). The daemon routes campaign generation
+// through its coalescing layer this way, so a campaign and a
+// concurrent direct request share one computation, and surfaces live
+// campaign status from the callback.
 func (b *Benchmark) RunCampaignVia(dir string, ids []string, w io.Writer, gen func(id string) (string, error), onDone func(id string, skipped bool)) (CampaignReport, error) {
 	return b.runCampaign(dir, ids, w, gen, onDone)
 }

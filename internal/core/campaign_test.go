@@ -18,7 +18,8 @@ import (
 )
 
 func smallBench() *core.Benchmark {
-	return core.NewCustomWith(engine.New(), dataset.Generate()[:8], llm.Models[:2])
+	models := llm.Models[:2]
+	return core.NewCustomVia(engine.New(), inference.NewDispatcher(inference.NewSim(models)), dataset.Generate()[:8], models)
 }
 
 func TestCampaignCheckpointAndResume(t *testing.T) {

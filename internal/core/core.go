@@ -49,17 +49,13 @@ type Benchmark struct {
 
 // New builds the default benchmark: full corpus, twelve-model zoo, the
 // process-wide in-process evaluation engine and inference dispatcher.
-func New() *Benchmark { return NewWith(engine.Default()) }
-
-// NewWith builds a benchmark that submits every evaluation through eng
-// — e.g. an engine wrapping evalcluster.ClusterExecutor to fan the
-// campaigns out over a real worker fleet — generating through the
-// default sim dispatcher.
-func NewWith(eng *engine.Engine) *Benchmark { return NewVia(eng, inference.Default()) }
+func New() *Benchmark { return NewVia(engine.Default(), inference.Default()) }
 
 // NewVia builds a benchmark whose generations route through gen — the
 // sim zoo, a record/replay trace, or a live HTTP provider, behind the
-// dispatcher's batching and caches — and whose evaluations run on eng.
+// dispatcher's batching and caches — and whose evaluations run on eng,
+// e.g. an engine wrapping evalcluster.ClusterExecutor to fan the
+// campaigns out over a real worker fleet.
 func NewVia(eng *engine.Engine, gen *inference.Dispatcher) *Benchmark {
 	originals := dataset.Generate()
 	return &Benchmark{
@@ -71,15 +67,11 @@ func NewVia(eng *engine.Engine, gen *inference.Dispatcher) *Benchmark {
 	}
 }
 
-// NewCustomWith builds a benchmark over a custom hand-written problem
-// set and model zoo on eng; the corpus is expanded with the standard
-// augmentation. Smaller corpora keep daemon tests and examples fast
-// while exercising the full pipeline.
-func NewCustomWith(eng *engine.Engine, originals []dataset.Problem, models []llm.Model) *Benchmark {
-	return NewCustomVia(eng, inference.NewDispatcher(inference.NewSim(models)), originals, models)
-}
-
-// NewCustomVia is NewCustomWith with generations routed through gen.
+// NewCustomVia builds a benchmark over a custom hand-written problem
+// set and model zoo on eng and gen; the corpus is expanded with the
+// standard augmentation. Smaller corpora keep daemon tests and
+// examples fast while exercising the full pipeline. gen's provider
+// must serve every model in models.
 func NewCustomVia(eng *engine.Engine, gen *inference.Dispatcher, originals []dataset.Problem, models []llm.Model) *Benchmark {
 	return &Benchmark{
 		Originals: originals,
@@ -124,7 +116,7 @@ func (b *Benchmark) Jobs() []evalcluster.Job {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.jobs == nil {
-		b.jobs = evalcluster.JobsFromProblemsWith(b.eng, b.Problems)
+		b.jobs = evalcluster.JobsFromProblems(b.eng, b.Problems)
 	}
 	return b.jobs
 }
@@ -330,11 +322,11 @@ func (b *Benchmark) Figure8(cfg Figure8Config) string {
 // predictions and SHAP feature importance.
 func (b *Benchmark) Figure9() string {
 	_, raw := b.ZeroShot()
-	results, err := boost.LeaveOneModelOutWith(b.eng, raw, boost.DefaultConfig())
+	results, err := boost.LeaveOneModelOut(b.eng, raw, boost.DefaultConfig())
 	if err != nil {
 		return "error: " + err.Error()
 	}
-	imp, err := boost.GlobalImportanceWith(b.eng, raw, boost.DefaultConfig(), 500)
+	imp, err := boost.GlobalImportance(b.eng, raw, boost.DefaultConfig(), 500)
 	if err != nil {
 		return "error: " + err.Error()
 	}

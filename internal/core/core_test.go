@@ -8,6 +8,7 @@ import (
 	"cloudeval/internal/analysis"
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
+	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/store"
 )
@@ -49,7 +50,9 @@ func TestExtensionFamiliesFlowThroughPipelines(t *testing.T) {
 	}
 	defer st.Close()
 	eng := engine.New(engine.WithStore(st))
-	b := NewCustomWith(eng, subset, llm.Models[:2])
+	models := llm.Models[:2]
+	gen := inference.NewDispatcher(inference.NewSim(models))
+	b := NewCustomVia(eng, gen, subset, models)
 
 	// ZeroShot covers every variant of every extension problem.
 	_, raw := b.ZeroShot()
@@ -64,7 +67,7 @@ func TestExtensionFamiliesFlowThroughPipelines(t *testing.T) {
 	}
 
 	// pass@k sampling runs the same families through the engine.
-	passes := analysis.PassAtKWith(eng, b.Models[0], subset, 2, 0.75)
+	passes := analysis.PassAtKVia(eng, gen, b.Models[0], subset, 2, 0.75)
 	if len(passes) != 2 || passes[1] < passes[0] {
 		t.Errorf("pass@k shape broken: %v", passes)
 	}

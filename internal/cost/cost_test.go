@@ -6,6 +6,7 @@ import (
 
 	"cloudeval/internal/augment"
 	"cloudeval/internal/dataset"
+	"cloudeval/internal/engine"
 	"cloudeval/internal/evalcluster"
 )
 
@@ -28,7 +29,7 @@ func TestInferenceCostOrdering(t *testing.T) {
 
 func TestEvalCostOptions(t *testing.T) {
 	problems := augment.ExpandCorpus(dataset.Generate())
-	jobs := evalcluster.JobsFromProblems(problems)
+	jobs := evalcluster.JobsFromProblems(engine.New(), problems)
 	spot1, dur1 := EvalCost(EvalSpot1, jobs)
 	spot64, dur64 := EvalCost(EvalSpot64, jobs)
 	std64, _ := EvalCost(EvalStd64, jobs)
@@ -43,7 +44,7 @@ func TestEvalCostOptions(t *testing.T) {
 
 func TestTable3EndToEnd(t *testing.T) {
 	problems := augment.ExpandCorpus(dataset.Generate())
-	jobs := evalcluster.JobsFromProblems(problems)
+	jobs := evalcluster.JobsFromProblems(engine.New(), problems)
 	tbl := ComputeTable3(problems, jobs)
 	if tbl.MinTotal <= 0 || tbl.MaxTotal <= tbl.MinTotal {
 		t.Fatalf("total range = %.2f..%.2f", tbl.MinTotal, tbl.MaxTotal)

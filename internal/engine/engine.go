@@ -107,6 +107,14 @@ type Stats struct {
 	CacheHits int64
 	StoreHits int64
 
+	// CacheEntries, CacheBytes and CacheEvictions describe the
+	// in-memory execution cache: how many results it holds, what they
+	// are charged against cacheBudget, and how many it has dropped to
+	// stay under it.
+	CacheEntries   int
+	CacheBytes     int64
+	CacheEvictions int64
+
 	// Pipeline depth gauges — instantaneous, not cumulative. While a
 	// Pipeline call is running, GenInflight is how many stage-one
 	// producer calls are executing right now, QueueDepth how many
@@ -132,8 +140,10 @@ type Engine struct {
 	// cache is the sharded singleflight execution cache: keys hash by
 	// digest prefix into GOMAXPROCS-scaled shards, so a fleet of
 	// workers hitting distinct keys never serializes on one mutex the
-	// way the original single-lock map did.
-	cache *memo.Sharded[cacheKey, unittest.Result]
+	// way the original single-lock map did. It holds at most
+	// cacheBudget; an evicted result is re-read from the store or
+	// re-executed.
+	cache *memo.LRU[cacheKey, unittest.Result]
 
 	executed  atomic.Int64
 	cacheHits atomic.Int64
@@ -161,6 +171,16 @@ type cacheKey struct {
 func shardOf(k cacheKey) uint32 {
 	return binary.LittleEndian.Uint32(k.test[:4]) ^ binary.LittleEndian.Uint32(k.answer[:4])
 }
+
+// cacheBudget caps the execution cache: a long-lived daemon is fed
+// caller-supplied answers without end, so the cache cannot be sized by
+// the corpus. A full Table 4 campaign keeps 5,736 results whose Output
+// totals 187 KB — 1.6 MB as charged by resultCost — so 64 MiB is about
+// forty campaigns' worth and no benchmark workload evicts
+// (TestTable4CampaignNeverEvicts pins the figure).
+const cacheBudget = 64 << 20
+
+func resultCost(res unittest.Result) int64 { return memo.EntryOverhead + int64(len(res.Output)) }
 
 // digests memoizes content → SHA-256 so a campaign hashes each unit
 // test script and each candidate answer once instead of once per job:
@@ -220,7 +240,7 @@ func New(opts ...Option) *Engine {
 	e := &Engine{
 		exec:    PoolExecutor{},
 		workers: runtime.GOMAXPROCS(0),
-		cache:   memo.NewSharded[cacheKey, unittest.Result](shardOf),
+		cache:   memo.NewLRU[cacheKey, unittest.Result](shardOf, cacheBudget),
 	}
 	for _, o := range opts {
 		o(e)
@@ -234,9 +254,9 @@ var (
 )
 
 // Default returns the process-wide engine: in-process pool, shared
-// cache. Serial entry points (score.ScoreAnswer, score.EvaluateModel)
-// route through it so every campaign in a process shares one
-// memoization cache.
+// cache. Nothing below the top reaches for it — every entry point takes
+// its engine as an argument; core.New, the cloudeval facade and
+// cmd/cloudeval are where this default is chosen.
 func Default() *Engine {
 	defaultOnce.Do(func() { defaultEng = New() })
 	return defaultEng
@@ -250,13 +270,17 @@ func (e *Engine) Executor() Executor { return e.exec }
 
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
+	cs := e.cache.Stats()
 	return Stats{
-		Executed:    e.executed.Load(),
-		CacheHits:   e.cacheHits.Load(),
-		StoreHits:   e.storeHits.Load(),
-		GenInflight: e.genInflight.Load(),
-		QueueDepth:  e.queueDepth.Load(),
-		ExecBusy:    e.execBusy.Load(),
+		Executed:       e.executed.Load(),
+		CacheHits:      e.cacheHits.Load(),
+		StoreHits:      e.storeHits.Load(),
+		CacheEntries:   cs.Entries,
+		CacheBytes:     cs.Bytes,
+		CacheEvictions: cs.Evictions,
+		GenInflight:    e.genInflight.Load(),
+		QueueDepth:     e.queueDepth.Load(),
+		ExecBusy:       e.execBusy.Load(),
 	}
 }
 
@@ -285,17 +309,17 @@ func (e *Engine) unitTest(p dataset.Problem, answer string) (unittest.Result, bo
 	// contract: transient executor failures (cluster submit errors,
 	// per-job timeouts) are shared with parked waiters but never
 	// cached — future calls re-execute.
-	res, _, hit := e.cache.Do(key, func() (unittest.Result, error) {
+	res, _, hit := e.cache.Do(key, func() (unittest.Result, int64, error) {
 		// Second tier: a result persisted by an earlier process (or a
 		// CI cache restore) short-circuits execution entirely.
 		if e.store != nil {
 			if res, ok := e.store.Get(key.test, key.answer); ok {
 				fromStore = true
-				return res, nil
+				return res, resultCost(res), nil
 			}
 		}
 		res := e.exec.RunUnitTest(p, answer)
-		return res, res.Err
+		return res, resultCost(res), res.Err
 	})
 	switch {
 	case hit:

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"reflect"
 	"runtime"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -337,8 +339,9 @@ func TestWarmStoreFullCampaign(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	gen := inference.NewDispatcher(inference.NewSim(llm.Models))
 	coldEng := engine.New(engine.WithStore(st))
-	coldRows, _ := score.BenchmarkWith(coldEng, llm.Models, full)
+	coldRows, _ := score.BenchmarkVia(coldEng, gen, llm.Models, full)
 	coldStats := coldEng.Stats()
 	if coldStats.Executed == 0 {
 		t.Fatal("cold campaign executed nothing")
@@ -356,7 +359,7 @@ func TestWarmStoreFullCampaign(t *testing.T) {
 	defer st2.Close()
 	exec := &countingExecutor{}
 	warmEng := engine.New(engine.WithExecutor(exec), engine.WithStore(st2))
-	warmRows, _ := score.BenchmarkWith(warmEng, llm.Models, full)
+	warmRows, _ := score.BenchmarkVia(warmEng, gen, llm.Models, full)
 
 	if got := exec.runs.Load(); got != 0 {
 		t.Errorf("warm campaign executed %d unit tests, want 0", got)
@@ -370,6 +373,122 @@ func TestWarmStoreFullCampaign(t *testing.T) {
 	}
 	if cold, warm := score.FormatTable4(coldRows), score.FormatTable4(warmRows); cold != warm {
 		t.Errorf("Table 4 differs between cold and warm-store campaigns:\n--- cold ---\n%s--- warm ---\n%s", cold, warm)
+	}
+}
+
+// TestTable4CampaignNeverEvicts pins the traffic the two cache budgets
+// were sized from: a full Table 4 campaign leaves 5,736 results in the
+// engine and 13,195 responses in the dispatcher, a small fraction of
+// either budget, so no campaign-shaped workload ever evicts.
+func TestTable4CampaignNeverEvicts(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full benchmark in -short mode")
+	}
+	eng := engine.New()
+	gen := inference.NewDispatcher(inference.NewSim(llm.Models))
+	score.BenchmarkVia(eng, gen, llm.Models, augment.ExpandCorpus(dataset.Generate()))
+	es, gs := eng.Stats(), gen.Stats()
+	if es.CacheEvictions != 0 || gs.CacheEvictions != 0 {
+		t.Fatalf("a campaign evicted: engine %d, dispatcher %d", es.CacheEvictions, gs.CacheEvictions)
+	}
+	if es.CacheEntries != 5736 || es.CacheBytes != 1655802 {
+		t.Errorf("engine cache holds %d results / %d bytes, want 5736 / 1655802", es.CacheEntries, es.CacheBytes)
+	}
+	if gs.CacheEntries != 13195 || gs.CacheBytes != 7780746 {
+		t.Errorf("dispatcher cache holds %d responses / %d bytes, want 13195 / 7780746", gs.CacheEntries, gs.CacheBytes)
+	}
+	if es.CacheBytes*8 > engine.CacheBudget || gs.CacheBytes*8 > engine.CacheBudget {
+		t.Errorf("a campaign (%d / %d bytes) is more than an eighth of the %d budget", es.CacheBytes, gs.CacheBytes, engine.CacheBudget)
+	}
+}
+
+// floodExecutor answers "answer-<i>" with exit code i and a 4 KiB
+// Output shared by every result: the cache charges each entry its
+// length, so a flood of distinct answers overruns the budget without
+// the test holding that much memory.
+type floodExecutor struct{ runs atomic.Int64 }
+
+var floodOutput = strings.Repeat("x", 4096)
+
+func (f *floodExecutor) Name() string { return "flood" }
+func (f *floodExecutor) Close() error { return nil }
+func (f *floodExecutor) RunUnitTest(_ dataset.Problem, answer string) unittest.Result {
+	f.runs.Add(1)
+	i, _ := strconv.Atoi(strings.TrimPrefix(answer, "answer-"))
+	return unittest.Result{Output: floodOutput, ExitCode: i}
+}
+
+// memStore is an in-memory engine.CacheStore.
+type memStore struct {
+	mu sync.Mutex
+	m  map[[2][32]byte]unittest.Result
+}
+
+func (s *memStore) Get(test, answer [32]byte) (unittest.Result, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	res, ok := s.m[[2][32]byte{test, answer}]
+	return res, ok
+}
+
+func (s *memStore) Put(test, answer [32]byte, res unittest.Result) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.m[[2][32]byte{test, answer}] = res
+}
+
+// TestEngineCacheStaysUnderBudget floods one engine with more distinct
+// literal answers than its cache budget holds — what cloudevald's
+// /v1/eval traffic does over days. Resident cost stays under the
+// budget, every answer still gets its own result, and an evicted key
+// is served by the next tier down: the store when there is one, a
+// fresh execution when there is not.
+func TestEngineCacheStaysUnderBudget(t *testing.T) {
+	const answers = 24000 // x (4 KiB + overhead) = 1.5 budgets
+	p := dataset.Generate()[0]
+	for _, withStore := range []bool{false, true} {
+		t.Run(fmt.Sprintf("store=%v", withStore), func(t *testing.T) {
+			exec := &floodExecutor{}
+			opts := []engine.Option{engine.WithExecutor(exec), engine.WithWorkers(8)}
+			if withStore {
+				opts = append(opts, engine.WithStore(&memStore{m: map[[2][32]byte]unittest.Result{}}))
+			}
+			eng := engine.New(opts...)
+			eng.ForEach(answers, func(i int) {
+				if res := eng.UnitTest(p, fmt.Sprintf("answer-%d", i)); res.ExitCode != i {
+					t.Errorf("answer-%d got answer-%d's result", i, res.ExitCode)
+				}
+				if i%500 == 0 {
+					if st := eng.Stats(); st.CacheBytes > engine.CacheBudget {
+						t.Errorf("cache holds %d bytes, budget %d", st.CacheBytes, engine.CacheBudget)
+					}
+				}
+			})
+			st := eng.Stats()
+			if st.CacheBytes > engine.CacheBudget || st.CacheEvictions == 0 || st.Executed != answers {
+				t.Fatalf("after the flood: %+v, want bytes <= %d, evictions, %d executed", st, engine.CacheBudget, answers)
+			}
+			if st.CacheEntries+int(st.CacheEvictions) != answers {
+				t.Errorf("%d resident + %d evicted != %d answers", st.CacheEntries, st.CacheEvictions, answers)
+			}
+
+			// The oldest key of every shard is long gone; the newest is not.
+			if res := eng.UnitTest(p, "answer-0"); res.ExitCode != 0 || res.Output != floodOutput {
+				t.Errorf("evicted key came back as %+v", res)
+			}
+			after := eng.Stats()
+			if withStore {
+				if after.StoreHits != 1 || after.Executed != answers {
+					t.Errorf("evicted key with a store: %+v, want 1 store hit and no new execution", after)
+				}
+			} else if after.Executed != answers+1 {
+				t.Errorf("evicted key without a store: %d executed, want %d", after.Executed, answers+1)
+			}
+			eng.UnitTest(p, "answer-0")
+			if got := eng.Stats(); got.CacheHits != 1 || got.Executed != after.Executed {
+				t.Errorf("re-admitted key: %+v, want 1 cache hit and no new execution", got)
+			}
+		})
 	}
 }
 

@@ -8,13 +8,14 @@ import (
 	"time"
 
 	"cloudeval/internal/dataset"
+	"cloudeval/internal/engine"
 	"cloudeval/internal/miniredis"
 	"cloudeval/internal/store"
 	"cloudeval/internal/yamlmatch"
 )
 
 func TestSimulateScalingShape(t *testing.T) {
-	jobs := JobsFromProblems(dataset.Generate())
+	jobs := JobsFromProblems(engine.New(), dataset.Generate())
 	if len(jobs) != dataset.TotalOriginal {
 		t.Fatalf("jobs = %d", len(jobs))
 	}
@@ -60,7 +61,7 @@ func TestSimulateScalingShape(t *testing.T) {
 }
 
 func TestSimulateDeterministic(t *testing.T) {
-	jobs := JobsFromProblems(dataset.Generate()[:60])
+	jobs := JobsFromProblems(engine.New(), dataset.Generate()[:60])
 	a := Simulate(jobs, DefaultSimConfig(8, true))
 	b := Simulate(jobs, DefaultSimConfig(8, true))
 	if a != b {
@@ -69,7 +70,7 @@ func TestSimulateDeterministic(t *testing.T) {
 }
 
 func TestFigure5Sweep(t *testing.T) {
-	jobs := JobsFromProblems(dataset.Generate()[:100])
+	jobs := JobsFromProblems(engine.New(), dataset.Generate()[:100])
 	results := Figure5(jobs, []int{1, 4, 16, 64})
 	if len(results) != 8 {
 		t.Fatalf("results = %d, want 8", len(results))

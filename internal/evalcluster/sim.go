@@ -17,7 +17,6 @@ import (
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
 	"cloudeval/internal/registry"
-	"cloudeval/internal/unittest"
 	"cloudeval/internal/yamlmatch"
 )
 
@@ -68,25 +67,11 @@ type Job struct {
 
 // JobsFromProblems derives the simulation workload from the corpus by
 // measuring each problem's actual unit-test virtual time (running the
-// reference answer) and extracting its image set.
-func JobsFromProblems(problems []dataset.Problem) []Job {
-	jobs := make([]Job, 0, len(problems))
-	for _, p := range problems {
-		res := unittest.Run(p, yamlmatch.StripLabels(p.ReferenceYAML))
-		jobs = append(jobs, Job{
-			ProblemID: p.ID,
-			TestTime:  res.VirtualTime,
-			Images:    registry.ImagesFor(p),
-		})
-	}
-	return jobs
-}
-
-// JobsFromProblemsWith is JobsFromProblems with the reference-answer
-// measurement runs scheduled on eng — and memoized there, so campaigns
-// that later evaluate a correct answer (textually the clean reference)
-// reuse these executions for free.
-func JobsFromProblemsWith(eng *engine.Engine, problems []dataset.Problem) []Job {
+// reference answer) and extracting its image set. The measurement runs
+// are scheduled on eng — and memoized there, so campaigns that later
+// evaluate a correct answer (textually the clean reference) reuse
+// these executions for free.
+func JobsFromProblems(eng *engine.Engine, problems []dataset.Problem) []Job {
 	jobs := make([]Job, len(problems))
 	eng.ForEach(len(problems), func(i int) {
 		p := problems[i]

@@ -31,6 +31,13 @@ type Stats struct {
 	CacheHits int64
 	StoreHits int64
 	Errors    int64
+	// CacheEntries, CacheBytes and CacheEvictions describe the
+	// in-memory generation cache: how many responses it holds, what
+	// they are charged against cacheBudget, and how many it has
+	// dropped to stay under it.
+	CacheEntries   int
+	CacheBytes     int64
+	CacheEvictions int64
 	// Usage accumulates the metered tokens of live generations only —
 	// what a real API would actually bill (cache and store hits are
 	// free), priced by cost.MeteredCost.
@@ -52,8 +59,9 @@ type Dispatcher struct {
 	// cache is the sharded singleflight generation cache: keys hash
 	// by digest prefix into GOMAXPROCS-scaled shards, so a batched
 	// campaign's hit traffic never serializes on one mutex the way
-	// the original single-lock map did.
-	cache *memo.Sharded[Key, Response]
+	// the original single-lock map did. It holds at most cacheBudget;
+	// an evicted response is re-read from the store or re-generated.
+	cache *memo.LRU[Key, Response]
 
 	generated      atomic.Int64
 	cacheHits      atomic.Int64
@@ -64,6 +72,17 @@ type Dispatcher struct {
 	errOnce        sync.Mutex
 	firstGenerr    error
 }
+
+// cacheBudget caps the generation cache: a long-lived daemon samples at
+// nonzero temperature and takes caller-chosen options, so the cache
+// cannot be sized by the corpus. A full Table 4 campaign keeps 13,195
+// responses whose Text totals 4.4 MB — 7.8 MB as charged by
+// responseCost — so 64 MiB is about eight campaigns' worth and no
+// benchmark workload evicts (engine's TestTable4CampaignNeverEvicts
+// pins the figure).
+const cacheBudget = 64 << 20
+
+func responseCost(resp Response) int64 { return memo.EntryOverhead + int64(len(resp.Text)) }
 
 // DispatchOption configures a Dispatcher.
 type DispatchOption func(*Dispatcher)
@@ -131,7 +150,7 @@ func WithoutGenCache() DispatchOption { return func(d *Dispatcher) { d.noCache =
 func NewDispatcher(prov Provider, opts ...DispatchOption) *Dispatcher {
 	d := &Dispatcher{
 		prov:  prov,
-		cache: memo.NewSharded[Key, Response](keyShard),
+		cache: memo.NewLRU[Key, Response](keyShard, cacheBudget),
 	}
 	if n := DefaultConcurrency(prov); n > 0 {
 		d.sem = make(chan struct{}, n)
@@ -148,10 +167,10 @@ var (
 )
 
 // Default returns the process-wide dispatcher: the sim provider over
-// the full Table 4 zoo with a shared generation cache. Entry points
-// that predate the provider layer (score.EvaluateModel,
-// strategy calls in older examples) route through it, so a process
-// shares one cache the way engine.Default shares one execution cache.
+// the full Table 4 zoo with a shared generation cache. Nothing below
+// the top reaches for it — every generating entry point takes its
+// dispatcher as an argument; core.New is where this default is chosen.
+// It serves the zoo's models by name and no others.
 func Default() *Dispatcher {
 	defaultOnce.Do(func() { defaultDisp = NewDispatcher(NewSim(llm.Models)) })
 	return defaultDisp
@@ -168,11 +187,15 @@ func (d *Dispatcher) Concurrency() int { return cap(d.sem) }
 
 // Stats snapshots the dispatcher counters.
 func (d *Dispatcher) Stats() Stats {
+	cs := d.cache.Stats()
 	return Stats{
-		Generated: d.generated.Load(),
-		CacheHits: d.cacheHits.Load(),
-		StoreHits: d.storeHits.Load(),
-		Errors:    d.errors.Load(),
+		Generated:      d.generated.Load(),
+		CacheHits:      d.cacheHits.Load(),
+		StoreHits:      d.storeHits.Load(),
+		Errors:         d.errors.Load(),
+		CacheEntries:   cs.Entries,
+		CacheBytes:     cs.Bytes,
+		CacheEvictions: cs.Evictions,
 		Usage: Usage{
 			PromptTokens:     int(d.promptToks.Load()),
 			CompletionTokens: int(d.completionToks.Load()),
@@ -227,7 +250,7 @@ func (d *Dispatcher) generate(ctx context.Context, req Request) (Response, error
 	// The singleflight error path preserves the old contract: waiters
 	// parked on a failed generation share its error, but the entry is
 	// never cached — future requests re-generate.
-	resp, err, hit := d.cache.Do(key, func() (Response, error) {
+	resp, err, hit := d.cache.Do(key, func() (Response, int64, error) {
 		// Second tier: a generation persisted by an earlier process
 		// (or a CI cache restore) short-circuits the provider entirely.
 		if d.store != nil {
@@ -239,10 +262,11 @@ func (d *Dispatcher) generate(ctx context.Context, req Request) (Response, error
 				if ob, ok := d.prov.(traceObserver); ok {
 					ob.observe(req, resp)
 				}
-				return resp, nil
+				return resp, responseCost(resp), nil
 			}
 		}
-		return d.live(ctx, req)
+		resp, err := d.live(ctx, req)
+		return resp, responseCost(resp), err
 	})
 	switch {
 	case hit:

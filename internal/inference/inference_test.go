@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -302,6 +303,91 @@ func TestDispatcherNeverCachesErrors(t *testing.T) {
 	}
 	if st := d.Stats(); st.Errors != 1 || st.Generated != 1 {
 		t.Fatalf("stats = %+v, want 1 error / 1 generated", st)
+	}
+}
+
+// floodProvider answers every request with a 4 KiB text shared by all
+// responses and the request's sample number as its completion tokens:
+// the cache charges each entry the text's length, so a flood of
+// distinct samples overruns the budget without the test holding that
+// much memory.
+type floodProvider struct{ calls atomic.Int64 }
+
+var floodText = strings.Repeat("x", 4096)
+
+func (f *floodProvider) Name() string { return "flood" }
+func (f *floodProvider) Close() error { return nil }
+func (f *floodProvider) Generate(_ context.Context, req Request) (Response, error) {
+	f.calls.Add(1)
+	return Response{Text: floodText, Usage: Usage{CompletionTokens: req.Opts.Sample}}, nil
+}
+
+// TestDispatcherCacheStaysUnderBudget floods one dispatcher with more
+// distinct requests than its cache budget holds — a daemon sampling at
+// temperature for days. Resident cost stays under the budget, every
+// request still gets its own response, and an evicted key is served by
+// the next tier down: the store when there is one, the provider when
+// there is not.
+func TestDispatcherCacheStaysUnderBudget(t *testing.T) {
+	const samples = 24000 // x (4 KiB + overhead) = 1.5 budgets
+	p := dataset.Generate()[0]
+	req := func(i int) Request {
+		return Request{Model: "gpt-4", Problem: p, Opts: llm.GenOptions{Sample: i, Temperature: 0.75}}
+	}
+	for _, withStore := range []bool{false, true} {
+		t.Run(fmt.Sprintf("store=%v", withStore), func(t *testing.T) {
+			prov := &floodProvider{}
+			opts := []DispatchOption{WithConcurrency(0)}
+			if withStore {
+				opts = append(opts, WithGenStore(&memGenStore{m: map[Key]Response{}}))
+			}
+			d := NewDispatcher(prov, opts...)
+			var wg sync.WaitGroup
+			for w := 0; w < 8; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := w; i < samples; i += 8 {
+						resp, err := d.Generate(context.Background(), req(i))
+						if err != nil || resp.Usage.CompletionTokens != i {
+							t.Errorf("sample %d got %+v, %v", i, resp.Usage, err)
+							return
+						}
+						if i%500 == 0 {
+							if st := d.Stats(); st.CacheBytes > cacheBudget {
+								t.Errorf("cache holds %d bytes, budget %d", st.CacheBytes, cacheBudget)
+							}
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			st := d.Stats()
+			if st.CacheBytes > cacheBudget || st.CacheEvictions == 0 || st.Generated != samples {
+				t.Fatalf("after the flood: %+v, want bytes <= %d, evictions, %d generated", st, cacheBudget, samples)
+			}
+			if st.CacheEntries+int(st.CacheEvictions) != samples {
+				t.Errorf("%d resident + %d evicted != %d samples", st.CacheEntries, st.CacheEvictions, samples)
+			}
+
+			// The oldest key of every shard is long gone.
+			resp, err := d.Generate(context.Background(), req(0))
+			if err != nil || resp.Text != floodText || resp.Usage.CompletionTokens != 0 {
+				t.Errorf("evicted key came back as %+v, %v", resp.Usage, err)
+			}
+			after := d.Stats()
+			if withStore {
+				if after.StoreHits != 1 || after.Generated != samples {
+					t.Errorf("evicted key with a store: %+v, want 1 store hit and no new generation", after)
+				}
+			} else if after.Generated != samples+1 {
+				t.Errorf("evicted key without a store: %d generated, want %d", after.Generated, samples+1)
+			}
+			d.Generate(context.Background(), req(0))
+			if got := d.Stats(); got.CacheHits != 1 || got.Generated != after.Generated {
+				t.Errorf("re-admitted key: %+v, want 1 cache hit and no new generation", got)
+			}
+		})
 	}
 }
 

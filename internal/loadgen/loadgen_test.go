@@ -13,13 +13,15 @@ import (
 	"cloudeval/internal/core"
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
+	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/server"
 )
 
 func benchAndServer(t *testing.T, cfg server.Config) (*core.Benchmark, *httptest.Server) {
 	t.Helper()
-	bench := core.NewCustomWith(engine.New(), dataset.Generate()[:6], llm.Models[:2])
+	models := llm.Models[:2]
+	bench := core.NewCustomVia(engine.New(), inference.NewDispatcher(inference.NewSim(models)), dataset.Generate()[:6], models)
 	ts := httptest.NewServer(server.NewWithConfig(bench, t.TempDir(), cfg).Handler())
 	t.Cleanup(ts.Close)
 	return bench, ts

@@ -1,16 +1,27 @@
 // Package memo holds the shared memoization building blocks for the
 // process-wide content-addressed caches on the benchmark's hot paths.
 //
-// Two shapes ship:
+// Two types ship:
 //
+//   - LRU, a sharded singleflight map under a byte budget with LRU
+//     eviction, for everything whose values are large or fallible: unit
+//     test executions (engine), provider generations (dispatcher) and
+//     decoded store frames (the store's hot tier). One lock per shard,
+//     errors never cached, resident cost never above the budget.
 //   - Cache, a capped lock-free map for cheap pure computations (shell
 //     ASTs, yamlx documents, envoy bootstraps, jsonpath programs, kind
 //     spellings, content digests). Each cache maps an immutable key —
 //     usually a content digest or the content itself — to an immutable
 //     outcome computed exactly once.
-//   - Sharded, a sharded singleflight cache for expensive fallible
-//     computations (unit-test executions, provider generations), where
-//     a single mutex would serialize a fleet-concurrency campaign.
+//
+// Cache stays a second type because its users are read-mostly pure
+// functions under every kubectl verb and jsonpath lookup: a hit is one
+// sync.Map load with no lock, where LRU takes a shard mutex to move
+// the entry up its recency list. Several of them are keyed by the
+// content string itself and would need a second hash over it to pick
+// a shard. Those users are what ROADMAP item 4(c) removes (compiled
+// artefacts hung off the problem instead of looked up by content), and
+// Cache goes with them.
 //
 // Entry count in Cache is capped: several of these caches are fed by
 // model-generated text (candidate answers, corrupted kinds), which in

@@ -1,8 +1,6 @@
 package memo
 
 import (
-	"errors"
-	"fmt"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -106,107 +104,5 @@ func TestDoPanicUnparksWaiters(t *testing.T) {
 	// The entry was dropped: the next call recomputes and succeeds.
 	if got := c.Do("k", func() int { return 7 }); got != 7 {
 		t.Errorf("post-panic Do = %d, want 7", got)
-	}
-}
-
-func shardHash(k string) uint32 {
-	var h uint32 = 2166136261
-	for i := 0; i < len(k); i++ {
-		h = (h ^ uint32(k[i])) * 16777619
-	}
-	return h
-}
-
-// TestShardedSingleflight mirrors the Cache contract on the sharded
-// path: one fn call per key, shared result, hit reporting.
-func TestShardedSingleflight(t *testing.T) {
-	s := NewSharded[string, int](shardHash)
-	var calls atomic.Int64
-	gate := make(chan struct{})
-	const workers = 32
-	var wg sync.WaitGroup
-	var hits atomic.Int64
-	for i := 0; i < workers; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			<-gate
-			v, err, hit := s.Do("k", func() (int, error) {
-				calls.Add(1)
-				return 42, nil
-			})
-			if err != nil || v != 42 {
-				t.Errorf("Do = %d, %v", v, err)
-			}
-			if hit {
-				hits.Add(1)
-			}
-		}()
-	}
-	close(gate)
-	wg.Wait()
-	if got := calls.Load(); got != 1 {
-		t.Errorf("fn ran %d times, want 1", got)
-	}
-	if got := hits.Load(); got != workers-1 {
-		t.Errorf("hits = %d, want %d (everyone but the winner)", got, workers-1)
-	}
-	if s.Len() != 1 {
-		t.Errorf("Len = %d, want 1", s.Len())
-	}
-}
-
-// TestShardedErrorsNeverCached: an errored computation is shared with
-// parked waiters but removed before they are released — the next call
-// recomputes.
-func TestShardedErrorsNeverCached(t *testing.T) {
-	s := NewSharded[string, int](shardHash)
-	boom := errors.New("transient")
-	if _, err, _ := s.Do("k", func() (int, error) { return 0, boom }); err != boom {
-		t.Fatalf("err = %v, want %v", err, boom)
-	}
-	if s.Len() != 0 {
-		t.Fatalf("errored entry cached: Len = %d", s.Len())
-	}
-	v, err, hit := s.Do("k", func() (int, error) { return 9, nil })
-	if err != nil || v != 9 || hit {
-		t.Errorf("retry Do = %d, %v, hit=%v; want 9, nil, false", v, err, hit)
-	}
-}
-
-// TestShardedConcurrentDistinctKeys hammers many keys across shards
-// under the race detector: every key computes exactly once.
-func TestShardedConcurrentDistinctKeys(t *testing.T) {
-	s := NewSharded[string, int](shardHash)
-	const keys = 512
-	var calls [keys]atomic.Int32
-	var wg sync.WaitGroup
-	for w := 0; w < 8; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < keys; i++ {
-				key := fmt.Sprintf("key-%d", i)
-				v, err, _ := s.Do(key, func() (int, error) {
-					calls[i].Add(1)
-					return i, nil
-				})
-				if err != nil || v != i {
-					t.Errorf("Do(%s) = %d, %v", key, v, err)
-				}
-			}
-		}()
-	}
-	wg.Wait()
-	for i := range calls {
-		if got := calls[i].Load(); got != 1 {
-			t.Errorf("key %d computed %d times, want 1", i, got)
-		}
-	}
-	if s.Len() != keys {
-		t.Errorf("Len = %d, want %d", s.Len(), keys)
-	}
-	if n := s.Shards(); n&(n-1) != 0 || n < 8 {
-		t.Errorf("Shards() = %d, want a power of two >= 8", n)
 	}
 }

@@ -59,13 +59,6 @@ func (s ProblemScore) Metric(name string) float64 {
 	return 0
 }
 
-// ScoreAnswer computes all six metrics for a clean answer against a
-// problem, running the unit test through the process-wide default
-// engine (in-process pool with memoization).
-func ScoreAnswer(p dataset.Problem, answer string) ProblemScore {
-	return ScoreAnswerWith(engine.Default(), p, answer)
-}
-
 // refContext holds a reference compiled for scoring: everything the
 // five text-level and YAML-aware metrics need that depends on the
 // reference alone — the label-stripped text, its BLEU n-gram tables,
@@ -155,21 +148,9 @@ func evalProblems(m llm.Model, problems []dataset.Problem) []dataset.Problem {
 	return kept
 }
 
-// EvaluateModel runs a model over a problem set with the given
-// generation options through the default engine and the default
-// inference dispatcher (sim zoo).
-func EvaluateModel(m llm.Model, problems []dataset.Problem, opts llm.GenOptions) []ProblemScore {
-	return EvaluateModelWith(engine.Default(), m, problems, opts)
-}
-
-// EvaluateModelWith is EvaluateModelVia on the process-wide default
-// dispatcher.
-func EvaluateModelWith(eng *engine.Engine, m llm.Model, problems []dataset.Problem, opts llm.GenOptions) []ProblemScore {
-	return EvaluateModelVia(eng, inference.Default(), m, problems, opts)
-}
-
-// EvaluateModelVia streams every kept problem through the two-stage
-// pipeline: an IO-sized generation stage (gen's provider and caches,
+// EvaluateModelVia runs a model over a problem set with the given
+// generation options, streaming every kept problem through the
+// two-stage pipeline: an IO-sized generation stage (gen's provider and caches,
 // fan-out set by gen.Concurrency()) feeding the engine's CPU-sized
 // execution pool, with the pipeline's backpressure window keeping
 // generations at most a bounded lead ahead of scoring. Results land in
@@ -269,23 +250,11 @@ func Aggregate(m llm.Model, scores []ProblemScore) ModelAggregate {
 	return agg
 }
 
-// Benchmark runs the full zero-shot benchmark through the default
-// engine and inference dispatcher: every model over every problem,
-// returning rows sorted by unit-test score (Table 4) plus the raw
-// per-problem scores for downstream analysis.
-func Benchmark(models []llm.Model, problems []dataset.Problem) ([]ModelAggregate, map[string][]ProblemScore) {
-	return BenchmarkWith(engine.Default(), models, problems)
-}
-
-// BenchmarkWith is BenchmarkVia on the process-wide default
-// dispatcher.
-func BenchmarkWith(eng *engine.Engine, models []llm.Model, problems []dataset.Problem) ([]ModelAggregate, map[string][]ProblemScore) {
-	return BenchmarkVia(eng, inference.Default(), models, problems)
-}
-
-// BenchmarkVia flattens the campaign into one job per (model, problem)
-// pair and streams the whole matrix through the two-stage pipeline at
-// once, so a slow model cannot leave workers idle while another still
+// BenchmarkVia runs the full zero-shot benchmark — every model over
+// every problem — returning rows sorted by unit-test score (Table 4)
+// plus the raw per-problem scores for downstream analysis. It flattens
+// the campaign into one job per (model, problem) pair and streams the
+// whole matrix through the two-stage pipeline at once, so a slow model cannot leave workers idle while another still
 // has problems queued, and provider latency overlaps with unit-test
 // execution instead of adding to it. Generations route through gen —
 // the sim zoo, a recorded trace, or a live endpoint, plus the

@@ -7,8 +7,18 @@ import (
 
 	"cloudeval/internal/augment"
 	"cloudeval/internal/dataset"
+	"cloudeval/internal/engine"
+	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/yamlmatch"
+)
+
+// The package's tests share one engine and one dispatcher over the
+// whole zoo, so the full-corpus campaigns after the first are cache
+// hits.
+var (
+	testEng = engine.New()
+	testGen = inference.NewDispatcher(inference.NewSim(llm.Models))
 )
 
 func fullCorpus() []dataset.Problem {
@@ -18,7 +28,7 @@ func fullCorpus() []dataset.Problem {
 func TestScoreAnswerPerfect(t *testing.T) {
 	p := dataset.Generate()[0]
 	clean := yamlmatch.StripLabels(p.ReferenceYAML)
-	s := ScoreAnswer(p, clean)
+	s := ScoreAnswerWith(testEng, p, clean)
 	if s.UnitTest != 1 {
 		t.Errorf("reference unit test = %v", s.UnitTest)
 	}
@@ -35,7 +45,7 @@ func TestScoreAnswerPerfect(t *testing.T) {
 
 func TestScoreAnswerGarbage(t *testing.T) {
 	p := dataset.Generate()[0]
-	s := ScoreAnswer(p, "completely unrelated text that is not yaml at all")
+	s := ScoreAnswerWith(testEng, p, "completely unrelated text that is not yaml at all")
 	if s.UnitTest != 0 || s.KVWildcard > 0.2 || s.ExactMatch != 0 {
 		t.Errorf("garbage scores too high: %+v", s)
 	}
@@ -57,7 +67,7 @@ func TestTable4Calibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark in -short mode")
 	}
-	rows, _ := Benchmark(llm.Models, fullCorpus())
+	rows, _ := BenchmarkVia(testEng, testGen, llm.Models, fullCorpus())
 	byName := map[string]ModelAggregate{}
 	for _, r := range rows {
 		byName[r.Model] = r
@@ -130,5 +140,43 @@ func TestFormatTable4(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("Table 4 output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestRenamedModelMatchesSerial: the engine path evaluates the model
+// it is handed, not whichever zoo entry shares its name. A zoo model
+// under a new name scores exactly as the serial oracle does when the
+// dispatcher serves it; a dispatcher that lacks it scores empty
+// answers and says so in Err.
+func TestRenamedModelMatchesSerial(t *testing.T) {
+	m, _ := llm.ByName("gpt-4")
+	m.Name = "my-gpt-4"
+	problems := dataset.Generate()[:20]
+	want := EvaluateModelSerial(m, problems, llm.GenOptions{})
+
+	gen := inference.NewDispatcher(inference.NewSim([]llm.Model{m}))
+	got := EvaluateModelVia(engine.New(), gen, m, problems, llm.GenOptions{})
+	if err := gen.Err(); err != nil {
+		t.Fatalf("dispatcher over the renamed model: %v", err)
+	}
+	passes := 0
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("%s: engine path %+v, serial %+v", want[i].ProblemID, got[i], want[i])
+		}
+		passes += int(want[i].UnitTest)
+	}
+	if passes == 0 {
+		t.Fatal("serial oracle passes nothing: the comparison is vacuous")
+	}
+
+	lacking := inference.NewDispatcher(inference.NewSim(llm.Models))
+	for _, s := range EvaluateModelVia(engine.New(), lacking, m, problems, llm.GenOptions{}) {
+		if s.Answer != "" || s.UnitTest != 0 {
+			t.Errorf("%s: scored %+v without a generation", s.ProblemID, s)
+		}
+	}
+	if lacking.Err() == nil {
+		t.Error("dispatcher without the model left Err nil")
 	}
 }

@@ -297,6 +297,13 @@ type statsResponse struct {
 	CacheHits int64  `json:"cache_hits"`
 	StoreHits int64  `json:"store_hits"`
 
+	// The engine's in-memory execution cache: resident results, their
+	// charge against its fixed budget, and results dropped to stay
+	// under it.
+	CacheEntries   int   `json:"cache_entries"`
+	CacheBytes     int64 `json:"cache_bytes"`
+	CacheEvictions int64 `json:"cache_evictions"`
+
 	// Pipeline depth gauges: instantaneous occupancy of the streaming
 	// generation→execution pipeline (DESIGN.md §2.12). All three read
 	// zero when no campaign is mid-flight.
@@ -313,6 +320,11 @@ type statsResponse struct {
 	GenErrors        int64  `json:"gen_errors,omitempty"`
 	PromptTokens     int64  `json:"prompt_tokens"`
 	CompletionTokens int64  `json:"completion_tokens"`
+
+	// The dispatcher's in-memory generation cache, as for the engine's.
+	GenCacheEntries   int   `json:"gen_cache_entries"`
+	GenCacheBytes     int64 `json:"gen_cache_bytes"`
+	GenCacheEvictions int64 `json:"gen_cache_evictions"`
 
 	// Serving-layer counters: daemon uptime, known tenants, and
 	// per-route request/latency aggregates.
@@ -355,6 +367,7 @@ type hotCacheStatsJSON struct {
 	Entries       int   `json:"entries"`
 	Hits          int64 `json:"hits"`
 	Misses        int64 `json:"misses"`
+	Evictions     int64 `json:"evictions"`
 }
 
 // storeOpenStatsJSON describes the last Open's index rebuild.
@@ -382,6 +395,7 @@ func storeStatsFor(st *store.Store) *storeStatsJSON {
 			Entries:       cs.Entries,
 			Hits:          cs.Hits,
 			Misses:        cs.Misses,
+			Evictions:     cs.Evictions,
 		},
 		LastOpen: storeOpenStatsJSON{
 			SnapshotShards: op.SnapshotShards,
@@ -419,6 +433,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		CacheHits: st.CacheHits,
 		StoreHits: st.StoreHits,
 
+		CacheEntries:   st.CacheEntries,
+		CacheBytes:     st.CacheBytes,
+		CacheEvictions: st.CacheEvictions,
+
 		GenInflight:        st.GenInflight,
 		PipelineQueueDepth: st.QueueDepth,
 		ExecBusy:           st.ExecBusy,
@@ -430,6 +448,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		GenErrors:        gst.Errors,
 		PromptTokens:     int64(gst.Usage.PromptTokens),
 		CompletionTokens: int64(gst.Usage.CompletionTokens),
+
+		GenCacheEntries:   gst.CacheEntries,
+		GenCacheBytes:     gst.CacheBytes,
+		GenCacheEvictions: gst.CacheEvictions,
 
 		UptimeSec: time.Since(s.start).Seconds(),
 		Tenants:   tenants,

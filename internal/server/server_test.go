@@ -24,7 +24,8 @@ import (
 )
 
 func smallBench(eng *engine.Engine) *core.Benchmark {
-	return core.NewCustomWith(eng, dataset.Generate()[:10], llm.Models[:3])
+	models := llm.Models[:3]
+	return core.NewCustomVia(eng, inference.NewDispatcher(inference.NewSim(models)), dataset.Generate()[:10], models)
 }
 
 func newTestServer(t *testing.T, bench *core.Benchmark) *httptest.Server {
@@ -131,7 +132,8 @@ func TestFamilyLeaderboardEndpoint(t *testing.T) {
 			subset = append(subset, p)
 		}
 	}
-	bench := core.NewCustomWith(engine.New(), subset, llm.Models[:2])
+	models := llm.Models[:2]
+	bench := core.NewCustomVia(engine.New(), inference.NewDispatcher(inference.NewSim(models)), subset, models)
 	c := newTestClient(t, bench)
 	body, err := c.FamilyLeaderboard(context.Background())
 	if err != nil {
@@ -353,6 +355,11 @@ func TestStatsExposeStoreShards(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&raw); err != nil {
 		t.Fatal(err)
 	}
+	for _, key := range []string{"cache_entries", "cache_bytes", "cache_evictions", "gen_cache_entries", "gen_cache_bytes", "gen_cache_evictions"} {
+		if _, ok := raw[key]; !ok {
+			t.Errorf("stats missing key %q", key)
+		}
+	}
 	var storeBlock map[string]json.RawMessage
 	if err := json.Unmarshal(raw["store"], &storeBlock); err != nil {
 		t.Fatalf("store block: %v", err)
@@ -366,7 +373,7 @@ func TestStatsExposeStoreShards(t *testing.T) {
 	if err := json.Unmarshal(storeBlock["hot_cache"], &hotCache); err != nil {
 		t.Fatalf("hot_cache block: %v", err)
 	}
-	for _, key := range []string{"capacity_bytes", "bytes", "entries", "hits", "misses"} {
+	for _, key := range []string{"capacity_bytes", "bytes", "entries", "hits", "misses", "evictions"} {
 		if _, ok := hotCache[key]; !ok {
 			t.Errorf("hot_cache block missing key %q", key)
 		}

@@ -273,7 +273,7 @@ type indexed struct {
 	e entry
 }
 
-// Shard-count policy: a power of two sized like memo.Sharded's
+// Shard-count policy: a power of two sized like memo.LRU's
 // GOMAXPROCS scaling, but clamped tighter — every shard is an open
 // file, and a store's worth of parallelism saturates well below a
 // cache's. The count is fixed at creation and persisted in the meta
@@ -368,7 +368,7 @@ type Store struct {
 	// holds only offsets. A cached frame is shared by every reader and
 	// never written after it is added; its cost is the source frame's
 	// byte length.
-	cache *memo.Bounded[key, *frame]
+	cache *memo.LRU[key, *frame]
 
 	openStats OpenStats
 
@@ -506,7 +506,7 @@ func Open(path string, opts ...Option) (*Store, error) {
 		path:  path,
 		mask:  n - 1,
 		segs:  make([]*segment, n),
-		cache: memo.NewBounded[key, *frame](hotHash, cfg.cacheBytes),
+		cache: memo.NewLRU[key, *frame](hotHash, cfg.cacheBytes),
 	}
 	for i := range s.segs {
 		// O_APPEND: every flush is one write syscall that the kernel
@@ -843,8 +843,8 @@ func (s *Store) Flushes() int64 {
 func (s *Store) Shards() int { return len(s.segs) }
 
 // CacheStats snapshots the hot cache: budget, resident bytes, entry
-// count, and hit/miss counters since Open.
-func (s *Store) CacheStats() memo.BoundedStats { return s.cache.Stats() }
+// count, and hit/miss/eviction counters since Open.
+func (s *Store) CacheStats() memo.Stats { return s.cache.Stats() }
 
 // LastOpen reports how the most recent Open rebuilt the index —
 // snapshot-supplied vs scanned frames, and wall time.
@@ -860,7 +860,7 @@ const residentPerEntry = 128
 // index (which scales with key count, never payload size) plus the
 // hot cache's current byte cost.
 func (s *Store) ResidentBytes() int64 {
-	return int64(s.Len()+s.GenLen())*residentPerEntry + s.cache.Bytes()
+	return int64(s.Len()+s.GenLen())*residentPerEntry + s.cache.Stats().Bytes
 }
 
 // ShardStat is one shard's observable state: index sizes plus this
