@@ -618,9 +618,10 @@ func BenchmarkStoreOpenWarm(b *testing.B) {
 // BenchmarkStoreOpenSnapshot measures the snapshot-accelerated
 // restart: the same fixture as BenchmarkStoreOpenWarm, but compacted,
 // so every shard carries an index-snapshot sidecar and Open loads the
-// offset index without decoding a single frame. The ratio of
+// offset index without reading a single frame. The ratio of
 // StoreOpenWarm to this benchmark is benchguard's -min-open-speedup
-// gate — the O(log) → O(tail) restart claim, measured.
+// gate; since frames became binary it is about 1 on this fixture
+// (DESIGN.md §2.11 "Index snapshot sidecars").
 func BenchmarkStoreOpenSnapshot(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.store")
 	s, err := store.Open(path)
@@ -666,8 +667,7 @@ func BenchmarkStoreOpenSnapshot(b *testing.B) {
 }
 
 // BenchmarkStoreColdGet measures the out-of-core miss path: every Get
-// bypasses the hot cache (budget 0) and pays pread + CRC + JSON
-// decode. Run with -benchmem; benchguard caps allocs/op here so the
+// bypasses the hot cache (budget 0) and pays pread + CRC + decode. Run with -benchmem; benchguard caps allocs/op here so the
 // on-demand read path cannot silently grow allocation fat — it is what
 // every cache-cold request pays at the store tier.
 func BenchmarkStoreColdGet(b *testing.B) {

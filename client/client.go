@@ -203,11 +203,14 @@ type HotCacheStats struct {
 
 // StoreOpenStats describes how the store's last Open rebuilt its
 // index: entries loaded from index-snapshot sidecars vs decoded by
-// scanning frames, and the rebuild wall time.
+// scanning frames, how many of the scanned frames were in the JSON
+// payload layout (read, no longer written; sidecar-loaded entries are
+// not inspected), and the rebuild wall time.
 type StoreOpenStats struct {
 	SnapshotShards int     `json:"snapshot_shards"`
 	SnapshotFrames int     `json:"snapshot_frames"`
 	ScannedFrames  int     `json:"scanned_frames"`
+	LegacyFrames   int     `json:"legacy_frames"`
 	DurationMs     float64 `json:"duration_ms"`
 }
 

@@ -243,8 +243,8 @@ func reportStore(b *cloudeval.Benchmark, st *store.Store) {
 	}
 	fmt.Fprintf(os.Stderr, "store: per-shard records [%s]\n", strings.Join(counts, " "))
 	op := st.LastOpen()
-	fmt.Fprintf(os.Stderr, "store: open %.1fms — %d frames from %d snapshot sidecars, %d scanned\n",
-		float64(op.Duration.Microseconds())/1e3, op.SnapshotFrames, op.SnapshotShards, op.ScannedFrames)
+	fmt.Fprintf(os.Stderr, "store: open %.1fms — %d frames from %d snapshot sidecars, %d scanned (%d legacy JSON)\n",
+		float64(op.Duration.Microseconds())/1e3, op.SnapshotFrames, op.SnapshotShards, op.ScannedFrames, op.LegacyFrames)
 	cs := st.CacheStats()
 	fmt.Fprintf(os.Stderr, "store: resident ~%.1f MiB (hot cache %.1f/%.0f MiB, %d entries, %d hits / %d misses)\n",
 		float64(st.ResidentBytes())/(1<<20), float64(cs.Bytes)/(1<<20), float64(cs.Capacity)/(1<<20),

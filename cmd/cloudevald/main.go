@@ -148,8 +148,8 @@ func run() error {
 	fmt.Printf("cloudevald: store %s (%d shards, %d results, %d generations), provider %s, %d problems, %d models\n",
 		path, st.Shards(), st.Len(), st.GenLen(), prov.Name(), len(bench.Problems), len(bench.Models))
 	op := st.LastOpen()
-	fmt.Printf("cloudevald: store open %.1fms — %d frames from %d snapshot sidecars, %d scanned; hot cache %d MiB\n",
-		float64(op.Duration.Microseconds())/1e3, op.SnapshotFrames, op.SnapshotShards, op.ScannedFrames, *storeCacheMB)
+	fmt.Printf("cloudevald: store open %.1fms — %d frames from %d snapshot sidecars, %d scanned (%d legacy JSON); hot cache %d MiB\n",
+		float64(op.Duration.Microseconds())/1e3, op.SnapshotFrames, op.SnapshotShards, op.ScannedFrames, op.LegacyFrames, *storeCacheMB)
 	if *warm {
 		start := time.Now()
 		bench.ZeroShot()

@@ -375,6 +375,7 @@ type storeOpenStatsJSON struct {
 	SnapshotShards int     `json:"snapshot_shards"`
 	SnapshotFrames int     `json:"snapshot_frames"`
 	ScannedFrames  int     `json:"scanned_frames"`
+	LegacyFrames   int     `json:"legacy_frames"`
 	DurationMs     float64 `json:"duration_ms"`
 }
 
@@ -401,6 +402,7 @@ func storeStatsFor(st *store.Store) *storeStatsJSON {
 			SnapshotShards: op.SnapshotShards,
 			SnapshotFrames: op.SnapshotFrames,
 			ScannedFrames:  op.ScannedFrames,
+			LegacyFrames:   op.LegacyFrames,
 			DurationMs:     float64(op.Duration.Microseconds()) / 1e3,
 		},
 	}

@@ -382,7 +382,7 @@ func TestStatsExposeStoreShards(t *testing.T) {
 	if err := json.Unmarshal(storeBlock["last_open"], &lastOpen); err != nil {
 		t.Fatalf("last_open block: %v", err)
 	}
-	for _, key := range []string{"snapshot_shards", "snapshot_frames", "scanned_frames", "duration_ms"} {
+	for _, key := range []string{"snapshot_shards", "snapshot_frames", "scanned_frames", "legacy_frames", "duration_ms"} {
 		if _, ok := lastOpen[key]; !ok {
 			t.Errorf("last_open block missing key %q", key)
 		}

@@ -1,8 +1,8 @@
 package store
 
 import (
+	"bufio"
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -76,9 +76,11 @@ type segment struct {
 	idxPath string
 
 	// Open bookkeeping for the store's LastOpen stats: how many index
-	// entries came from the snapshot sidecar vs a frame-by-frame scan.
-	snapFrames int
-	scanFrames int
+	// entries came from the snapshot sidecar vs a frame-by-frame scan,
+	// and how many of the scanned frames were JSON.
+	snapFrames   int
+	scanFrames   int
+	legacyFrames int
 
 	// mu guards the log half: the logFile handle, the logical size,
 	// the group-commit pending buffer and its batch/flush bookkeeping,
@@ -114,49 +116,53 @@ func newSegment(f *os.File, idxPath string) *segment {
 	return seg
 }
 
+// scanBufSize is the buffered reader scanLog reads a log through: a
+// frame is a few hundred bytes, so one read(2) serves hundreds of them.
+const scanBufSize = 64 << 10
+
 // scanLog walks one log file from offset start, calling apply for each
 // intact frame with its key and index entry (src unset — the caller
 // knows which log it is scanning), and returns the offset of the first
-// bad (or missing) frame. One growable payload buffer is reused across
-// frames, and the decode goes through keyFrame — only the fields that
-// feed the offset index — so a multi-gigabyte log replays without ever
-// materializing its payload strings. A frame whose key is malformed is
-// bad: the scan stops there, exactly like a failed CRC.
-func scanLog(f *os.File, start int64, apply func(k key, e entry)) (int64, error) {
+// bad (or missing) frame and how many of the intact ones carried a
+// JSON payload. One growable payload buffer is reused across frames,
+// and payloadKey reads only the key, so a multi-gigabyte log replays
+// without ever materializing its payload strings. A frame whose tag is
+// unknown or whose key is malformed is bad: the scan stops there,
+// exactly like a failed CRC.
+func scanLog(f *os.File, start int64, apply func(k key, e entry)) (good int64, legacy int, err error) {
 	if _, err := f.Seek(start, io.SeekStart); err != nil {
-		return 0, err
+		return 0, 0, err
 	}
 	off := start
-	hdr := make([]byte, frameHeaderSize)
+	var hdr [frameHeaderSize]byte
 	var payload []byte
-	r := io.Reader(f)
+	r := bufio.NewReaderSize(f, scanBufSize)
 	for {
-		if _, err := io.ReadFull(r, hdr); err != nil {
+		if _, err := io.ReadFull(r, hdr[:]); err != nil {
 			// Clean EOF or a torn header: the log ends here.
-			return off, nil
+			return off, legacy, nil
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		sum := binary.LittleEndian.Uint32(hdr[4:8])
 		if n == 0 || n > maxPayload {
-			return off, nil
+			return off, legacy, nil
 		}
 		if cap(payload) < int(n) {
 			payload = make([]byte, n)
 		}
 		payload = payload[:n]
 		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, nil // torn payload
+			return off, legacy, nil // torn payload
 		}
 		if crc32.Checksum(payload, castagnoli) != sum {
-			return off, nil // corrupt frame; drop it and everything after
+			return off, legacy, nil // corrupt frame; drop it and everything after
 		}
-		var fr keyFrame
-		if err := json.Unmarshal(payload, &fr); err != nil {
-			return off, nil
-		}
-		k, ok := fr.key()
+		k, isJSON, ok := payloadKey(payload)
 		if !ok {
-			return off, nil
+			return off, legacy, nil
+		}
+		if isJSON {
+			legacy++
 		}
 		apply(k, entry{off: off, n: frameHeaderSize + n, sum: sum})
 		off += frameHeaderSize + int64(n)
@@ -185,7 +191,7 @@ func (seg *segment) replay(s *Store) error {
 		seg.snapFrames = len(snap.entries)
 		start = snap.segLen
 	}
-	good, err := scanLog(seg.lf.f, start, func(k key, e entry) {
+	good, legacy, err := scanLog(seg.lf.f, start, func(k key, e entry) {
 		e.src = seg.lf
 		s.load(k, e)
 		seg.scanFrames++
@@ -193,6 +199,7 @@ func (seg *segment) replay(s *Store) error {
 	if err != nil {
 		return err
 	}
+	seg.legacyFrames = legacy
 	if err := seg.lf.f.Truncate(good); err != nil {
 		return fmt.Errorf("store: truncate torn tail: %w", err)
 	}
@@ -297,16 +304,6 @@ func (seg *segment) err() error {
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	return seg.appendErr
-}
-
-// latch records err as the segment's append error unless an earlier
-// one is already latched.
-func (seg *segment) latch(err error) {
-	seg.mu.Lock()
-	defer seg.mu.Unlock()
-	if seg.appendErr == nil {
-		seg.appendErr = err
-	}
 }
 
 // compact rewrites this shard's segment to exactly one frame per key —

@@ -527,3 +527,179 @@ func TestParentWrittenStoreOpens(t *testing.T) {
 	}
 	verify(s2)
 }
+
+// TestMixedFormatStore grows the parent-written fixture — every frame
+// of it JSON — with the binary frames written today, and carries the
+// mixture through the store's whole life cycle: newest wins across
+// layouts, an identical re-put of a binary frame appends nothing,
+// Compact copies both layouts raw, and the store reopens from sidecars
+// and, without them, from a scan that counts what is still JSON.
+func TestMixedFormatStore(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "evalstore")
+	copyStore(t, filepath.Join("testdata", "parent-v1", "evalstore"), path)
+	const oldRecords, oldGens = 28, 14 // 43 JSON frames; see TestParentWrittenStoreOpens
+	const fresh = 5
+
+	oldRec := func(i int) unittest.Result {
+		return unittest.Result{
+			Passed:      i%2 == 0,
+			Output:      fmt.Sprintf("compat output %d\n", i),
+			ExitCode:    i % 3,
+			VirtualTime: time.Duration(i) * 1500 * time.Millisecond,
+		}
+	}
+	rerun := unittest.Result{Passed: true, Output: "re-run under the binary layout\n", VirtualTime: 1001 * time.Millisecond}
+	verify := func(s *store.Store, when string) {
+		t.Helper()
+		if s.Len() != oldRecords+fresh || s.GenLen() != oldGens+fresh {
+			t.Fatalf("%s: Len/GenLen = %d/%d, want %d/%d", when, s.Len(), s.GenLen(), oldRecords+fresh, oldGens+fresh)
+		}
+		for i := 0; i < oldRecords; i++ {
+			want := oldRec(i)
+			switch i {
+			case 5:
+				want = oldRec(105) // re-recorded by the parent
+			case 7:
+				want = rerun // re-recorded here
+			}
+			tk, ak := digests(fmt.Sprintf("compat-test-%d", i), fmt.Sprintf("compat-answer-%d", i))
+			if got, ok := s.Get(tk, ak); !ok || got != want {
+				t.Fatalf("%s: record %d: Get = %+v, %v; want %+v", when, i, got, ok, want)
+			}
+		}
+		for i := 0; i < oldGens; i++ {
+			if got, ok := s.GetGen(genKey(fmt.Sprintf("compat-gen-%d", i))); !ok || got.Text != fmt.Sprintf("kind: Pod # %d\n", i) {
+				t.Fatalf("%s: generation %d: GetGen = %+v, %v", when, i, got, ok)
+			}
+		}
+		for i := 0; i < fresh; i++ {
+			id := fmt.Sprintf("mixed-%d", i)
+			recordKinds[0].mustHold(t, s, id, i)
+			recordKinds[1].mustHold(t, s, id, i)
+		}
+	}
+
+	s, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.LastOpen(); st.ScannedFrames != 43 || st.LegacyFrames != 43 {
+		t.Fatalf("LastOpen = %+v, want 43 scanned frames, all JSON", st)
+	}
+	for i := 0; i < fresh; i++ {
+		id := fmt.Sprintf("mixed-%d", i)
+		recordKinds[0].put(s, id, i)
+		recordKinds[1].put(s, id, i)
+	}
+	tk7, ak7 := digests("compat-test-7", "compat-answer-7")
+	s.Put(tk7, ak7, rerun)
+	if got := s.Appended(); got != 2*fresh+1 {
+		t.Fatalf("appended %d frames, want %d", got, 2*fresh+1)
+	}
+	// Identical re-puts of binary frames are recognised by length + CRC.
+	s.Put(tk7, ak7, rerun)
+	recordKinds[1].put(s, "mixed-0", 0)
+	if got := s.Appended(); got != 2*fresh+1 {
+		t.Fatalf("identical re-puts grew the log: %d frames appended, want %d", got, 2*fresh+1)
+	}
+	verify(s, "in process")
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	verify(s, "after Compact")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const live = oldRecords + oldGens + 2*fresh
+	s2, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Sidecar-supplied entries are not inspected, so none counts as JSON.
+	if st := s2.LastOpen(); st.SnapshotFrames != live || st.ScannedFrames != 0 || st.LegacyFrames != 0 {
+		t.Fatalf("LastOpen after Compact = %+v, want all %d frames from sidecars", st, live)
+	}
+	verify(s2, "reopened from sidecars")
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, idx := range sidecarPaths(t, path) {
+		if err := os.Remove(idx); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s3, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	// Compact copied frames raw: record 7 and the fresh ones are binary,
+	// every other live frame is still the JSON the parent wrote.
+	if st := s3.LastOpen(); st.SnapshotFrames != 0 || st.ScannedFrames != live || st.LegacyFrames != live-2*fresh-1 {
+		t.Fatalf("LastOpen without sidecars = %+v, want %d scanned, %d JSON", st, live, live-2*fresh-1)
+	}
+	verify(s3, "rescanned")
+}
+
+// TestFrameUnderWrongKeyIsMiss: an index entry that points at an intact
+// frame recorded under another key — here two sidecar entries with
+// their frame locations swapped and the sidecar's checksum made good —
+// passes the length and CRC checks of the read path. The frame's own
+// key is what catches it: both keys miss, neither is served the
+// other's record, and the rest of the store is untouched.
+func TestFrameUnderWrongKeyIsMiss(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "eval.store")
+	recs, gens := seedCompacted(t, path, 64, 0)
+
+	// Sidecar layout: 20-byte header, 81-byte entries
+	// [1 kind][32 a][32 b][8 offset][4 length][4 crc], 4-byte checksum.
+	const header, entrySize, locAt, locSize = 20, 81, 65, 16
+	swapped := false
+	for _, idx := range sidecarPaths(t, path) {
+		data, err := os.ReadFile(idx)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(data) < header+2*entrySize+4 {
+			continue
+		}
+		loc0 := data[header+locAt : header+locAt+locSize]
+		loc1 := data[header+entrySize+locAt : header+entrySize+locAt+locSize]
+		for i := range loc0 {
+			loc0[i], loc1[i] = loc1[i], loc0[i]
+		}
+		fixCRC(t, data)
+		if err := os.WriteFile(idx, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		swapped = true
+		break
+	}
+	if !swapped {
+		t.Fatal("no sidecar holds two entries")
+	}
+
+	s, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if st := s.LastOpen(); st.SnapshotFrames != len(recs)+len(gens) {
+		t.Fatalf("doctored sidecar was not trusted: LastOpen = %+v", st)
+	}
+	misses := 0
+	for i, want := range recs {
+		tk, ak := digests(fmt.Sprintf("test-%d", i), fmt.Sprintf("answer-%d", i))
+		got, ok := s.Get(tk, ak)
+		if !ok {
+			misses++
+		} else if got != want {
+			t.Fatalf("record %d served another key's frame: %+v, want %+v", i, got, want)
+		}
+	}
+	if misses != 2 {
+		t.Fatalf("%d records missed, want exactly the 2 whose entries were swapped", misses)
+	}
+}

@@ -6,7 +6,7 @@
 // and across CI runs via cache restore — hit disk instead of the
 // simulated cluster.
 //
-// The log holds two record kinds sharing one frame format: unit-test
+// The log holds two record kinds sharing one frame envelope: unit-test
 // results (the original kind, engine.CacheStore) and generation
 // results (inference.GenStore — model responses keyed by the
 // generation request's content address), so one store carries a
@@ -15,15 +15,18 @@
 //
 // # One record path
 //
-// Inside the package a record is a (key, frame) pair and nothing else:
-// key is {kind byte; a, b digest} — (test, answer) for a unit-test
-// result, (request key, zero) for a generation — and frame is the JSON
-// payload. One index, one get, one put, one compaction loop and one
-// sidecar entry shape serve every kind; Get/Put/GetGen/PutGen only
-// convert frames to and from unittest.Result and inference.Response.
-// The kind byte is part of the key everywhere a key is used (index,
-// hot cache, sidecar), so the same 32 bytes used as a generation key
-// and as a unit-test digest never alias.
+// Inside the package a record is a (key, record) pair and nothing
+// else: key is {kind byte; a, b digest} — (test, answer) for a
+// unit-test result, (request key, zero) for a generation — and record
+// is the decoded payload (three int64 fields and the output or text).
+// One index, one get, one put, one compaction loop and one sidecar
+// entry shape serve every kind; Get/Put/GetGen/PutGen only convert
+// records to and from unittest.Result and inference.Response, and the
+// payload codec (codec.go: encode for put, payloadKey for the scan,
+// decode for get) is the only code that knows what a payload looks
+// like. The kind byte is part of the key everywhere a key is used
+// (index, hot cache, sidecar), so the same 32 bytes used as a
+// generation key and as a unit-test digest never alias.
 //
 // # Sharded layout
 //
@@ -49,7 +52,20 @@
 //
 // Every segment is a sequence of length-prefixed, checksummed records:
 //
-//	[4-byte LE payload length][4-byte LE CRC-32C of payload][JSON payload]
+//	[4-byte LE payload length][4-byte LE CRC-32C of payload][payload]
+//
+// A payload is in one of two layouts, told apart by its first byte.
+// The binary layout is the one written: tag 0x01 (unit-test result) or
+// 0x02 (generation), the key's raw digests, three little-endian int64
+// fields, then the output or text to the end of the payload (codec.go
+// has the offsets). The JSON layout — a '{', hex digests, named fields
+// — is what every store wrote before; it is read wherever it is found
+// and never written again (jsonframe.go). There is no conversion pass:
+// Compact copies frames raw, so a segment may hold both, and a JSON
+// frame lives until its key is re-recorded with different content.
+// Any other first byte, or a binary payload shorter than its fixed
+// header, is a corrupt frame exactly like a failed checksum.
+// OpenStats.LegacyFrames counts the JSON frames an Open scanned.
 //
 // Writes are crash-safe by construction: a record torn by a crash or a
 // truncated copy fails its length or checksum check, and Open drops
@@ -85,26 +101,40 @@
 // The resident index holds no payloads: each stripe maps a key to an
 // {owning log, offset, frame length, payload CRC} entry, so resident
 // cost per record is ~130 bytes regardless of how large its output or
-// response text is. A read preads the frame on demand, re-verifies its
-// checksum, decodes, and serves the result through a bounded
-// sharded-LRU hot cache (WithHotCacheBytes, default 256 MiB), so a
-// warm campaign's working set stays in-memory fast while RSS is
+// response text is. A read preads the frame on demand into a pooled
+// buffer, re-verifies its length and checksum against the entry,
+// decodes it, checks that the key inside the frame is the key asked
+// for (anything else is a miss), and serves the record through a
+// bounded sharded-LRU hot cache (WithHotCacheBytes, default 256 MiB),
+// so a warm campaign's working set stays in-memory fast while RSS is
 // bounded by index size + cache budget, not corpus size.
+//
+// Open rebuilds the index by scanning every segment through a buffered
+// reader: per frame a checksum, a bounds check and a copy of the key
+// from its fixed offsets. That is the restart path in practice. A
+// Table 4 campaign store (5,736 results + 13,195 generations, 6 MB)
+// opens in about 6 ms on the 2-vCPU reference box — it was 43 ms when
+// every frame was JSON — most of it building the index maps rather
+// than reading frames.
 //
 // Compact additionally writes each shard's index as a checksummed
 // binary sidecar (<segment>.idx, see snapshot.go) tied to the
 // segment's byte length; Open loads the sidecar when it validates and
-// scans only the frames appended after it — restart cost is O(tail),
-// not O(log). A missing, stale, truncated, or corrupt sidecar falls
-// back to the full scan and produces byte-identical state.
+// scans only the frames appended after it. Only Compact writes
+// sidecars, and nothing outside this package's tests and benchmarks
+// calls Compact, so no store a binary or example creates has one and
+// restart cost is the full scan, not the tail. Since the scan stopped
+// parsing JSON the sidecar buys little on a store that fits the page
+// cache: the same campaign store opens in 5.4 ms from sidecars
+// (DESIGN.md §2.11 "Index snapshot sidecars"). A missing, stale,
+// truncated, or corrupt sidecar falls back to the full scan and
+// produces byte-identical state.
 package store
 
 import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
-	"encoding/hex"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/crc32"
@@ -166,65 +196,6 @@ func (k key) less(o key) bool {
 // selector.
 func hotHash(k key) uint32 {
 	return binary.LittleEndian.Uint32(k.a[4:8]) ^ binary.LittleEndian.Uint32(k.b[8:12])
-}
-
-// frame is the JSON payload of one on-disk record. Kind selects the
-// record type: "" (absent, the original format) is a unit-test
-// result, "gen" a generation result. Logs written before the
-// generation kind existed replay unchanged.
-type frame struct {
-	Kind string `json:"kind,omitempty"`
-
-	// Unit-test fields.
-	Test        string  `json:"test,omitempty"`   // hex sha256 of the unit-test script
-	Answer      string  `json:"answer,omitempty"` // hex sha256 of the answer
-	Passed      bool    `json:"passed,omitempty"`
-	Output      string  `json:"output,omitempty"`
-	ExitCode    int     `json:"exit_code,omitempty"`
-	VirtualSecs float64 `json:"virtual_secs,omitempty"`
-
-	// Generation fields.
-	Gen              string `json:"gen,omitempty"` // hex generation key
-	Text             string `json:"text,omitempty"`
-	PromptTokens     int    `json:"prompt_tokens,omitempty"`
-	CompletionTokens int    `json:"completion_tokens,omitempty"`
-	LatencyNs        int64  `json:"latency_ns,omitempty"`
-}
-
-// keyFrame is the scan-time projection of frame: only the fields that
-// feed the offset index. Replay decodes into this so json.Unmarshal
-// skips the payload strings (Output, Text) entirely — a
-// multi-gigabyte log replays without allocating or retaining a single
-// payload.
-type keyFrame struct {
-	Kind   string `json:"kind"`
-	Test   string `json:"test"`
-	Answer string `json:"answer"`
-	Gen    string `json:"gen"`
-}
-
-// genKind tags generation frames.
-const genKind = "gen"
-
-// key recovers a scanned frame's index key, reporting false when a
-// digest is malformed (treated like a corrupt frame: the scan stops
-// there).
-func (fr keyFrame) key() (k key, ok bool) {
-	if fr.Kind == genKind {
-		k.kind = kindGen
-		ok = unhex(&k.a, fr.Gen)
-	} else {
-		ok = unhex(&k.a, fr.Test) && unhex(&k.b, fr.Answer)
-	}
-	return k, ok
-}
-
-func unhex(dst *[sha256.Size]byte, s string) bool {
-	if len(s) != 2*sha256.Size {
-		return false
-	}
-	_, err := hex.Decode(dst[:], []byte(s))
-	return err == nil
 }
 
 const frameHeaderSize = 8
@@ -353,7 +324,13 @@ type OpenStats struct {
 	// post-snapshot tail, sidecar-less shards, and any legacy file).
 	SnapshotFrames int
 	ScannedFrames  int
-	Duration       time.Duration
+	// LegacyFrames counts the scanned frames whose payload is in the
+	// JSON layout, which is read but no longer written. Entries a
+	// sidecar supplied are not inspected, so only an Open that scanned
+	// everything (SnapshotFrames == 0) with LegacyFrames == 0 shows a
+	// store free of them.
+	LegacyFrames int
+	Duration     time.Duration
 }
 
 // Store is a persistent evaluation cache sharded across per-key-range
@@ -364,11 +341,10 @@ type Store struct {
 	segs []*segment
 	mask int
 
-	// cache holds decoded frames under a byte budget; the index itself
-	// holds only offsets. A cached frame is shared by every reader and
-	// never written after it is added; its cost is the source frame's
-	// byte length.
-	cache *memo.LRU[key, *frame]
+	// cache holds decoded records under a byte budget; the index itself
+	// holds only offsets. A record's cost is its source frame's byte
+	// length.
+	cache *memo.LRU[key, record]
 
 	openStats OpenStats
 
@@ -506,7 +482,7 @@ func Open(path string, opts ...Option) (*Store, error) {
 		path:  path,
 		mask:  n - 1,
 		segs:  make([]*segment, n),
-		cache: memo.NewLRU[key, *frame](hotHash, cfg.cacheBytes),
+		cache: memo.NewLRU[key, record](hotHash, cfg.cacheBytes),
 	}
 	for i := range s.segs {
 		// O_APPEND: every flush is one write syscall that the kernel
@@ -540,6 +516,7 @@ func Open(path string, opts ...Option) (*Store, error) {
 		}
 		s.openStats.SnapshotFrames += seg.snapFrames
 		s.openStats.ScannedFrames += seg.scanFrames
+		s.openStats.LegacyFrames += seg.legacyFrames
 	}
 	err = errors.Join(errs...)
 	if err == nil {
@@ -601,13 +578,15 @@ func (s *Store) migrateLegacy() error {
 	lf := newLogFile(f)
 	defer lf.close()
 	newest := make(map[key]entry)
-	if _, err := scanLog(f, 0, func(k key, e entry) {
+	_, legacy, err := scanLog(f, 0, func(k key, e entry) {
 		e.src = lf
 		newest[k] = e
 		s.openStats.ScannedFrames++
-	}); err != nil {
+	})
+	if err != nil {
 		return err
 	}
+	s.openStats.LegacyFrames += legacy
 	var missing []indexed
 	for k, e := range newest {
 		_, st := s.route(k)
@@ -629,17 +608,18 @@ func (s *Store) migrateLegacy() error {
 	return os.Remove(s.path)
 }
 
-func encodeFrame(fr frame) ([]byte, error) {
-	payload, err := json.Marshal(fr)
-	if err != nil {
-		return nil, err
-	}
-	buf := make([]byte, frameHeaderSize+len(payload))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(payload, castagnoli))
-	copy(buf[frameHeaderSize:], payload)
-	return buf, nil
-}
+// readBuf is a pooled frame buffer for get: a campaign reads each key
+// once, so without it every read allocates its frame. The pool holds
+// pointers so that Put does not allocate a slice header.
+type readBuf struct{ b []byte }
+
+var readBufs = sync.Pool{New: func() any { return new(readBuf) }}
+
+// maxPooledRead is the largest buffer get hands back to readBufs. One
+// outsized output must not pin its megabytes in the pool for the life
+// of the process; frames above it are read into a buffer the collector
+// takes back.
+const maxPooledRead = 64 << 10
 
 // get is the one read path: the hot cache, else the index entry's
 // frame pread from its segment, verified, decoded and promoted into
@@ -648,38 +628,45 @@ func encodeFrame(fr frame) ([]byte, error) {
 // the refreshed entry and retry), and an entry installed at enqueue
 // time whose group-commit batch has not hit the file yet (drain the
 // shard once, then retry the pread). Anything else that keeps the
-// frame from being read back intact is a miss.
-func (s *Store) get(k key) (*frame, bool) {
-	if fr, ok := s.cache.Get(k); ok {
-		return fr, true
+// frame from being read back intact — a frame that verifies but
+// carries another key included — is a miss.
+func (s *Store) get(k key) (record, bool) {
+	if rec, ok := s.cache.Get(k); ok {
+		return rec, true
 	}
 	seg, st := s.route(k)
 	e, ok := st.lookup(k)
 	if !ok {
-		return nil, false
+		return record{}, false
 	}
+	rb := readBufs.Get().(*readBuf)
+	defer func() {
+		if cap(rb.b) <= maxPooledRead {
+			readBufs.Put(rb)
+		}
+	}()
 	drained := false
 	for {
-		buf, err := e.read(nil)
-		if err == nil {
-			fr := new(frame)
-			if json.Unmarshal(buf[frameHeaderSize:], fr) != nil {
-				return nil, false
+		var err error
+		if rb.b, err = e.read(rb.b); err == nil {
+			got, rec, ok := decode(rb.b[frameHeaderSize:])
+			if !ok || got != k {
+				return record{}, false
 			}
-			s.cache.Add(k, fr, int64(e.n))
-			return fr, true
+			s.cache.Add(k, rec, int64(e.n))
+			return rec, true
 		}
 		if errors.Is(err, errLogClosed) {
 			e2, ok := st.lookup(k)
 			if !ok || e2 == e {
 				// The store is closed, or the key vanished: give up.
-				return nil, false
+				return record{}, false
 			}
 			e = e2
 			continue
 		}
 		if drained {
-			return nil, false
+			return record{}, false
 		}
 		// The frame may still be in the shard's pending batch (entries
 		// become visible at enqueue, written at flush). Force the flush
@@ -692,28 +679,23 @@ func (s *Store) get(k key) (*frame, bool) {
 }
 
 // put is the one write path for a fresh record: encode, then append.
-// An encoding failure latches like a failed append rather than failing
-// the evaluation or generation that produced the record.
-func (s *Store) put(k key, fr frame) {
-	buf, err := encodeFrame(fr)
-	if err != nil {
-		seg, _ := s.route(k)
-		seg.latch(err)
+// A payload over maxPayload is dropped — not written, not latched, the
+// same advisory contract as an errored result — because replay reads
+// such a length prefix as a torn header and would truncate the segment
+// there, taking every later record in the shard with it.
+func (s *Store) put(k key, rec record) {
+	if payloadSize(k, rec) > maxPayload {
 		return
 	}
-	s.appendFrame(k, buf)
+	s.appendFrame(k, encode(k, rec))
 }
 
 // appendFrame appends one encoded frame under k and returns once its
 // group-commit batch has been written. An identical re-record is a
-// no-op so warm campaigns don't grow the log: JSON encoding is
+// no-op so warm campaigns don't grow the log: encoding is
 // deterministic, so matching frame length + payload CRC against the
-// resident entry recognizes the duplicate without reading a byte. A
-// payload over maxPayload is dropped — not written, not latched, the
-// same advisory contract as an errored result — because replay reads
-// such a length prefix as a torn header and would truncate the segment
-// there, taking every later record in the shard with it. Append
-// failures latch into Err/Sync/Close.
+// resident entry recognizes the duplicate without reading a byte.
+// Append failures latch into Err/Sync/Close.
 //
 // The write path deliberately skips the hot cache: a campaign's
 // re-reads of its own results hit the engine's memo tier, and a raw
@@ -721,9 +703,6 @@ func (s *Store) put(k key, fr frame) {
 // (install-at-enqueue + drain retry) — caching here would only add
 // allocations to every append.
 func (s *Store) appendFrame(k key, buf []byte) {
-	if len(buf)-frameHeaderSize > maxPayload {
-		return
-	}
 	seg, st := s.route(k)
 	n, sum := uint32(len(buf)), binary.LittleEndian.Uint32(buf[4:8])
 	if old, ok := st.lookup(k); ok && old.n == n && old.sum == sum {
@@ -739,66 +718,40 @@ func (s *Store) appendFrame(k key, buf []byte) {
 // Get implements engine.CacheStore: the persisted result for
 // (test, answer), if any.
 func (s *Store) Get(test, answer [sha256.Size]byte) (unittest.Result, bool) {
-	fr, ok := s.get(key{kind: kindUnit, a: test, b: answer})
+	rec, ok := s.get(key{kind: kindUnit, a: test, b: answer})
 	if !ok {
 		return unittest.Result{}, false
 	}
-	return unittest.Result{
-		Passed:      fr.Passed,
-		Output:      fr.Output,
-		ExitCode:    fr.ExitCode,
-		VirtualTime: time.Duration(fr.VirtualSecs * float64(time.Second)),
-	}, true
+	return rec.result(), true
 }
 
 // Put implements engine.CacheStore: persist one executed result.
 // Errored executions (res.Err != nil) are never recorded — like the
 // engine's in-memory tier, a transient outage must not be frozen into
-// the cache. Put is advisory (see appendFrame): it never fails the
-// evaluation that produced the result, and returns once the record's
-// group-commit batch has been written.
+// the cache. Put is advisory (see put and appendFrame): it never fails
+// the evaluation that produced the result, and returns once the
+// record's group-commit batch has been written.
 func (s *Store) Put(test, answer [sha256.Size]byte, res unittest.Result) {
 	if res.Err != nil {
 		return
 	}
-	s.put(key{kind: kindUnit, a: test, b: answer}, frame{
-		Test:        hex.EncodeToString(test[:]),
-		Answer:      hex.EncodeToString(answer[:]),
-		Passed:      res.Passed,
-		Output:      res.Output,
-		ExitCode:    res.ExitCode,
-		VirtualSecs: res.VirtualTime.Seconds(),
-	})
+	s.put(key{kind: kindUnit, a: test, b: answer}, unitRecord(res))
 }
 
 // GetGen implements inference.GenStore: the persisted generation for
 // the given request key, if any.
 func (s *Store) GetGen(gk inference.Key) (inference.Response, bool) {
-	fr, ok := s.get(key{kind: kindGen, a: gk})
+	rec, ok := s.get(key{kind: kindGen, a: gk})
 	if !ok {
 		return inference.Response{}, false
 	}
-	return inference.Response{
-		Text: fr.Text,
-		Usage: inference.Usage{
-			PromptTokens:     fr.PromptTokens,
-			CompletionTokens: fr.CompletionTokens,
-		},
-		Latency: time.Duration(fr.LatencyNs),
-	}, true
+	return rec.response(), true
 }
 
 // PutGen implements inference.GenStore: persist one live generation,
 // under the same advisory contract as Put.
 func (s *Store) PutGen(gk inference.Key, resp inference.Response) {
-	s.put(key{kind: kindGen, a: gk}, frame{
-		Kind:             genKind,
-		Gen:              hex.EncodeToString(gk[:]),
-		Text:             resp.Text,
-		PromptTokens:     resp.Usage.PromptTokens,
-		CompletionTokens: resp.Usage.CompletionTokens,
-		LatencyNs:        resp.Latency.Nanoseconds(),
-	})
+	s.put(key{kind: kindGen, a: gk}, genRecord(resp))
 }
 
 func (s *Store) count(kd kind) int {

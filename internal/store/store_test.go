@@ -216,6 +216,52 @@ func TestPutGetAcrossReopen(t *testing.T) {
 	})
 }
 
+// TestVirtualTimeRoundTripsExactly: a result's VirtualTime comes back
+// to the nanosecond, read from the pending batch, from disk and across
+// a reopen. The JSON layout stored float seconds, which lost 1 ns for
+// about 3 % of the millisecond multiples (1.001 s, 1.003 s, ...); the
+// binary layout stores the int64.
+func TestVirtualTimeRoundTripsExactly(t *testing.T) {
+	times := []time.Duration{
+		0, 1, 1001 * time.Millisecond, 1003 * time.Millisecond, 4035 * time.Millisecond,
+		599999 * time.Millisecond, 90 * time.Second, 1<<63 - 1, -1500 * time.Millisecond,
+	}
+	// Every millisecond multiple of the first five seconds too: the
+	// loss was spread evenly.
+	for ms := time.Duration(1); ms <= 5000; ms++ {
+		times = append(times, ms*time.Millisecond)
+	}
+	path := filepath.Join(t.TempDir(), "eval.store")
+	// No hot cache: every Get decodes a frame.
+	s, err := store.Open(path, store.WithHotCacheBytes(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(s *store.Store, when string) {
+		t.Helper()
+		for i, vt := range times {
+			tk, ak := digests("vt-test", fmt.Sprint("vt-answer-", i))
+			if got, ok := s.Get(tk, ak); !ok || got.VirtualTime != vt {
+				t.Fatalf("%s: VirtualTime %d ns read back as %d ns (found %v)", when, vt, got.VirtualTime, ok)
+			}
+		}
+	}
+	for i, vt := range times {
+		tk, ak := digests("vt-test", fmt.Sprint("vt-answer-", i))
+		s.Put(tk, ak, unittest.Result{Passed: true, VirtualTime: vt})
+	}
+	check(s, "in process")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := store.Open(path, store.WithHotCacheBytes(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	check(s2, "reopened")
+}
+
 // TestShardedLayoutOnDisk pins the file layout a fresh store creates:
 // a power-of-two shard count persisted in the meta file, one segment
 // file per shard, and no legacy single-file log at path itself.
