@@ -74,6 +74,14 @@ func BenchmarkColdPathUnitTest(b *testing.B) {
 // lex/parse/execute cost per execution. The gap to
 // BenchmarkColdPathUnitTest is what parse-once/run-many buys; the
 // absolute number is what the lexer/parser allocation diet targets.
+// Parse compiles every word of the script — substitution bodies
+// included — so with the AST cache off each run pays, up front and for
+// branches it never takes, the scanning that the interpreter used to
+// spread over the expansions it reached. When that moved, this
+// benchmark stood still (343 -> 332 allocs/op, 27.5 -> 35.7 KB/op,
+// 59.6 -> 58.2 us) while the cached path it is compared with fell from
+// 226 to 134 allocs/op. Production parses a script once per process
+// and never pays this number.
 func BenchmarkColdPathUnitTestNoCaches(b *testing.B) {
 	probs := coldSample(16)
 	refs := make([]string, len(probs))

@@ -454,7 +454,10 @@ func TestEngineCacheStaysUnderBudget(t *testing.T) {
 				opts = append(opts, engine.WithStore(&memStore{m: map[[2][32]byte]unittest.Result{}}))
 			}
 			eng := engine.New(opts...)
-			eng.ForEach(answers, func(i int) {
+			// answer-0 goes in alone, before the flood, so that it is
+			// the oldest key of its shard whichever worker the
+			// scheduler lets run first.
+			flood := func(i int) {
 				if res := eng.UnitTest(p, fmt.Sprintf("answer-%d", i)); res.ExitCode != i {
 					t.Errorf("answer-%d got answer-%d's result", i, res.ExitCode)
 				}
@@ -463,7 +466,9 @@ func TestEngineCacheStaysUnderBudget(t *testing.T) {
 						t.Errorf("cache holds %d bytes, budget %d", st.CacheBytes, engine.CacheBudget)
 					}
 				}
-			})
+			}
+			flood(0)
+			eng.ForEach(answers-1, func(i int) { flood(i + 1) })
 			st := eng.Stats()
 			if st.CacheBytes > engine.CacheBudget || st.CacheEvictions == 0 || st.Executed != answers {
 				t.Fatalf("after the flood: %+v, want bytes <= %d, evictions, %d executed", st, engine.CacheBudget, answers)

@@ -1,6 +1,7 @@
 package evalcluster
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"path/filepath"
 	"sync"
@@ -11,6 +12,7 @@ import (
 	"cloudeval/internal/engine"
 	"cloudeval/internal/miniredis"
 	"cloudeval/internal/store"
+	"cloudeval/internal/unittest"
 	"cloudeval/internal/yamlmatch"
 )
 
@@ -81,6 +83,43 @@ func TestFigure5Sweep(t *testing.T) {
 	}
 }
 
+// rendezvous is passed once two parties have arrived at it.
+type rendezvous struct {
+	mu      sync.Mutex
+	arrived int
+	met     chan struct{}
+	opened  sync.Once
+}
+
+func (r *rendezvous) open() { r.opened.Do(func() { close(r.met) }) }
+
+func (r *rendezvous) arrive() {
+	r.mu.Lock()
+	r.arrived++
+	two := r.arrived == 2
+	r.mu.Unlock()
+	if two {
+		r.open()
+	}
+	<-r.met
+}
+
+// firstJobGate is a worker's evaluation store that holds nothing. A
+// worker consults its store after claiming a job and before executing
+// it, which makes Get the place to hold the worker's first job at the
+// rendezvous.
+type firstJobGate struct {
+	meet  *rendezvous
+	first sync.Once
+}
+
+func (g *firstJobGate) Get(_, _ [sha256.Size]byte) (unittest.Result, bool) {
+	g.first.Do(g.meet.arrive)
+	return unittest.Result{}, false
+}
+
+func (g *firstJobGate) Put(_, _ [sha256.Size]byte, _ unittest.Result) {}
+
 // TestMasterWorkerOverTCP exercises the real coordination path: a
 // miniredis server, one master, several workers, real sockets.
 func TestMasterWorkerOverTCP(t *testing.T) {
@@ -99,19 +138,25 @@ func TestMasterWorkerOverTCP(t *testing.T) {
 	defer master.Close()
 
 	// All four workers connect first and wait for start, which closes
-	// once every job is queued: an execution takes tens of microseconds,
-	// so a worker that is already running drains 24 jobs before the next
-	// one has dialed.
+	// once every job is queued, so none idles out while the queue fills.
+	// An execution takes tens of microseconds — one worker can drain 24
+	// jobs before the next one's first BRPOP arrives — so that two
+	// workers take part is arranged, not hoped for: a worker does not
+	// execute the first job it claims until a second worker has claimed
+	// one too (see firstJobGate).
 	start := make(chan struct{})
+	second := &rendezvous{met: make(chan struct{})}
 	release := sync.OnceFunc(func() { close(start) })
 	var wg sync.WaitGroup
 	defer wg.Wait()
-	defer release() // on a failure below, the workers idle out
+	defer second.open() // on a failure below, the workers idle out
+	defer release()
 	for i := 0; i < 4; i++ {
 		w, err := NewWorker(addr, fmt.Sprintf("worker-%d", i), problems)
 		if err != nil {
 			t.Fatal(err)
 		}
+		w.UseStore(&firstJobGate{meet: second})
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -64,10 +64,22 @@ func (e *Env) Interp() *shell.Interp { return e.Shell }
 func (e *Env) Now() time.Time { return e.Cluster.Now() }
 
 // flagSet is a tiny kubectl-style flag scanner: it separates positional
-// args from --flag=value / --flag value / -x value forms.
+// args from --flag=value / --flag value / -x value forms. A command
+// line has a handful of flags, so they are a short list searched by
+// name, in the order first given.
 type flagSet struct {
 	positional []string
-	flags      map[string]string
+	flags      []flagValue
+}
+
+type flagValue struct{ name, value string }
+
+// flagBuf is where a flagSet's two lists start out. It is the caller's
+// variable, on the caller's stack, so parsing a typical command line
+// allocates nothing.
+type flagBuf struct {
+	positional [4]string
+	flags      [4]flagValue
 }
 
 var valueFlags = map[string]bool{
@@ -83,48 +95,54 @@ var valueFlags = map[string]bool{
 	"-s": true,
 }
 
-func parseFlags(args []string) flagSet {
-	fs := flagSet{flags: map[string]string{}}
+// parseFlags scans args, which it only reads: they may be an argv
+// shared with every other run of the script. Given again, a flag takes
+// its last value.
+func parseFlags(args []string, buf *flagBuf) flagSet {
+	fs := flagSet{positional: buf.positional[:0], flags: buf.flags[:0]}
 	for i := 0; i < len(args); i++ {
 		a := args[i]
 		if !strings.HasPrefix(a, "-") || a == "-" {
 			fs.positional = append(fs.positional, a)
 			continue
 		}
+		name, val := a, "true"
 		if eq := strings.Index(a, "="); eq >= 0 {
-			name := a[:eq]
-			val := a[eq+1:]
-			if name == "--from-literal" {
-				fs.flags[name] = appendList(fs.flags[name], val)
-			} else {
-				fs.flags[name] = val
-			}
-			continue
-		}
-		if valueFlags[a] && i+1 < len(args) {
-			if a == "--from-literal" {
-				fs.flags[a] = appendList(fs.flags[a], args[i+1])
-			} else {
-				fs.flags[a] = args[i+1]
-			}
+			name, val = a[:eq], a[eq+1:]
+		} else if valueFlags[a] && i+1 < len(args) {
+			val = args[i+1]
 			i++
+		}
+		at := 0
+		for at < len(fs.flags) && fs.flags[at].name != name {
+			at++
+		}
+		if at == len(fs.flags) {
+			fs.flags = append(fs.flags, flagValue{name, val})
 			continue
 		}
-		fs.flags[a] = "true"
+		if name == "--from-literal" && fs.flags[at].value != "" {
+			// Repeatable: the values are kept as one NUL-separated list.
+			val = fs.flags[at].value + "\x00" + val
+		}
+		fs.flags[at].value = val
 	}
 	return fs
 }
 
-func appendList(existing, v string) string {
-	if existing == "" {
-		return v
+func (fs flagSet) lookup(name string) (string, bool) {
+	for i := range fs.flags {
+		if fs.flags[i].name == name {
+			return fs.flags[i].value, true
+		}
 	}
-	return existing + "\x00" + v
+	return "", false
 }
 
+// get returns the value of the first of names that was given.
 func (fs flagSet) get(names ...string) string {
 	for _, n := range names {
-		if v, ok := fs.flags[n]; ok {
+		if v, ok := fs.lookup(n); ok {
 			return v
 		}
 	}
@@ -132,7 +150,7 @@ func (fs flagSet) get(names ...string) string {
 }
 
 func (fs flagSet) has(name string) bool {
-	_, ok := fs.flags[name]
+	_, ok := fs.lookup(name)
 	return ok
 }
 

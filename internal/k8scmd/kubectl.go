@@ -17,7 +17,8 @@ func (e *Env) kubectl(in *shell.Interp, io *shell.IO, args []string) int {
 		return 1
 	}
 	sub := args[0]
-	fs := parseFlags(args[1:])
+	var buf flagBuf
+	fs := parseFlags(args[1:], &buf)
 	switch sub {
 	case "apply":
 		return e.kubectlApply(fs, io)
@@ -375,12 +376,15 @@ func (e *Env) kubectlWait(fs flagSet, io *shell.IO) int {
 		fmt.Fprintln(io.Err, "error: you must specify the type of resource to wait on")
 		return 1
 	}
+	// The names are copied out of the flag set: WaitOptions is one value
+	// to escape analysis and its kind is retained (memoized spellings),
+	// which would move every kubectl call's flag buffer to the heap.
 	kind := fs.positional[0]
-	names := fs.positional[1:]
-	if strings.Contains(kind, "/") {
-		parts := strings.SplitN(kind, "/", 2)
-		kind, names = parts[0], append([]string{parts[1]}, names...)
+	var names []string
+	if k, name, ok := strings.Cut(kind, "/"); ok {
+		kind, names = k, append(names, name)
 	}
+	names = append(names, fs.positional[1:]...)
 	opts := kubesim.WaitOptions{
 		Kind:      kind,
 		Namespace: e.namespaceOf(fs),

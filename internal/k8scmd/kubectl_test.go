@@ -172,6 +172,39 @@ kubectl wait --for=condition=complete job/quick --timeout=60s && echo waited`)
 	}
 }
 
+// TestKubectlGetByShortName: kubectl's abbreviations that end in "s"
+// reach the objects apply created, like the kinds they abbreviate.
+func TestKubectlGetByShortName(t *testing.T) {
+	workload := func(kind string) string {
+		return `echo "apiVersion: apps/v1
+kind: ` + kind + `
+metadata:
+  name: agent
+spec:
+  selector:
+    matchLabels:
+      app: agent
+  template:
+    metadata:
+      labels:
+        app: agent
+    spec:
+      containers:
+      - name: c
+        image: busybox:1.36" | kubectl apply -f -
+`
+	}
+	for short, kind := range map[string]string{"ds": "DaemonSet", "sts": "StatefulSet", "rs": "ReplicaSet"} {
+		env := freshEnv(t)
+		out, stderr, code := runIn(t, env, workload(kind)+
+			"kubectl get "+short+" agent -o jsonpath={.metadata.name}\n"+
+			"kubectl get "+strings.ToLower(kind)+" agent -o jsonpath={.metadata.name}")
+		if code != 0 || !strings.HasSuffix(out, "created\nagent\nagent\n") {
+			t.Errorf("kubectl get %s agent: exit %d\nstdout: %s\nstderr: %s", short, code, out, stderr)
+		}
+	}
+}
+
 func TestMinikubeIPAndLifecycle(t *testing.T) {
 	env := freshEnv(t)
 	out, _, _ := runIn(t, env, `minikube ip

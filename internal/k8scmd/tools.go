@@ -123,7 +123,8 @@ func (e *Env) minikube(in *shell.Interp, io *shell.IO, args []string) int {
 		fmt.Fprintf(io.Out, "* minikube %s: ok\n", args[0])
 		return 0
 	case "service":
-		fs := parseFlags(args[1:])
+		var buf flagBuf
+		fs := parseFlags(args[1:], &buf)
 		if len(fs.positional) == 0 {
 			fmt.Fprintln(io.Err, "minikube service: NAME is required")
 			return 1
@@ -174,7 +175,8 @@ func (e *Env) istioctl(in *shell.Interp, io *shell.IO, args []string) int {
 // (which loads the bootstrap into the environment so curl can probe its
 // listeners).
 func (e *Env) envoy(in *shell.Interp, io *shell.IO, args []string) int {
-	fs := parseFlags(args)
+	var buf flagBuf
+	fs := parseFlags(args, &buf)
 	file := fs.get("-c")
 	if file == "" {
 		fmt.Fprintln(io.Err, "envoy: -c <config> is required")

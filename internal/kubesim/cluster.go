@@ -126,11 +126,69 @@ func (c *Cluster) Event(format string, args ...any) {
 func CanonicalKind(kind string) string { return kindKey(kind) }
 
 // kindKey canonicalizes resource kind spellings ("pod", "pods", "po",
-// "Pod" all name the same store). The canonicalization runs on every
-// store access, so results are memoized process-wide; spellings are
-// usually a small fixed vocabulary, but kind: values parsed out of
-// model-generated answers can be arbitrary, hence the capped cache.
+// "Pod" all name the same store). It runs on every store access, some
+// twenty times per unit test, nearly always on one of the spellings
+// manifests and scripts actually use — the canonical name or the
+// manifest's CamelCase — so those are answered by a switch. Anything
+// else is canonicalized by kindKeySlow and memoized process-wide; kind:
+// values parsed out of model-generated answers can be arbitrary, hence
+// the capped cache. TestKindKeyFastMatchesSlow holds the switch to
+// kindKeySlow.
 func kindKey(kind string) string {
+	switch kind {
+	case "pod", "Pod", "pods":
+		return "pod"
+	case "deployment", "Deployment":
+		return "deployment"
+	case "service", "Service", "svc":
+		return "service"
+	case "ingress", "Ingress":
+		return "ingress"
+	case "daemonset", "DaemonSet":
+		return "daemonset"
+	case "statefulset", "StatefulSet":
+		return "statefulset"
+	case "replicaset", "ReplicaSet":
+		return "replicaset"
+	case "job", "Job":
+		return "job"
+	case "cronjob", "CronJob":
+		return "cronjob"
+	case "configmap", "ConfigMap":
+		return "configmap"
+	case "secret", "Secret":
+		return "secret"
+	case "namespace", "Namespace":
+		return "namespace"
+	case "serviceaccount", "ServiceAccount":
+		return "serviceaccount"
+	case "role", "Role":
+		return "role"
+	case "rolebinding", "RoleBinding":
+		return "rolebinding"
+	case "clusterrole", "ClusterRole":
+		return "clusterrole"
+	case "clusterrolebinding", "ClusterRoleBinding":
+		return "clusterrolebinding"
+	case "persistentvolume", "PersistentVolume":
+		return "persistentvolume"
+	case "persistentvolumeclaim", "PersistentVolumeClaim":
+		return "persistentvolumeclaim"
+	case "horizontalpodautoscaler", "HorizontalPodAutoscaler":
+		return "horizontalpodautoscaler"
+	case "networkpolicy", "NetworkPolicy":
+		return "networkpolicy"
+	case "limitrange", "LimitRange":
+		return "limitrange"
+	case "resourcequota", "ResourceQuota":
+		return "resourcequota"
+	case "destinationrule", "DestinationRule":
+		return "destinationrule"
+	case "virtualservice", "VirtualService":
+		return "virtualservice"
+	case "gateway", "Gateway":
+		return "gateway"
+	}
 	return kindKeyCache.Do(kind, func() string { return kindKeySlow(kind) })
 }
 
@@ -138,45 +196,53 @@ var kindKeyCache = memo.New[string, string](1 << 12)
 
 func kindKeySlow(kind string) string {
 	k := strings.ToLower(strings.TrimSpace(kind))
+	// Short names are resolved before the plural is stripped: several
+	// end in "s" themselves (ns, ds, sts, rs).
+	if long, ok := kindShortNames[k]; ok {
+		return long
+	}
 	k = strings.TrimSuffix(k, "es")
 	if strings.HasSuffix(k, "s") && k != "ingress" && k != "statefulset" && k != "daemonset" && k != "limitrange" {
 		k = strings.TrimSuffix(k, "s")
 	}
+	// What is left is a singular, a short name that was given in the
+	// plural ("pvcs"), or a singular whose "es" went with the plural.
+	if long, ok := kindShortNames[k]; ok {
+		return long
+	}
 	switch k {
-	case "po":
-		return "pod"
-	case "svc", "servic": // "services" loses its "es" above
+	case "servic":
 		return "service"
-	case "deploy":
-		return "deployment"
-	case "ds":
-		return "daemonset"
-	case "sts":
-		return "statefulset"
-	case "ns", "namespac":
+	case "namespac":
 		return "namespace"
-	case "cm", "configmap":
-		return "configmap"
-	case "ing", "ingres":
+	case "ingres":
 		return "ingress"
-	case "sa":
-		return "serviceaccount"
-	case "pvc", "persistentvolumeclaim":
-		return "persistentvolumeclaim"
-	case "pv", "persistentvolume":
-		return "persistentvolume"
-	case "hpa", "horizontalpodautoscaler":
-		return "horizontalpodautoscaler"
-	case "rs", "replicaset":
-		return "replicaset"
-	case "netpol", "networkpolic":
+	case "networkpolic":
 		return "networkpolicy"
-	case "destinationrule", "destinationrul":
+	case "destinationrul":
 		return "destinationrule"
-	case "virtualservice", "virtualservic":
+	case "virtualservic":
 		return "virtualservice"
 	}
 	return k
+}
+
+// kindShortNames are kubectl's abbreviations.
+var kindShortNames = map[string]string{
+	"po":     "pod",
+	"svc":    "service",
+	"deploy": "deployment",
+	"ds":     "daemonset",
+	"sts":    "statefulset",
+	"ns":     "namespace",
+	"cm":     "configmap",
+	"ing":    "ingress",
+	"sa":     "serviceaccount",
+	"pvc":    "persistentvolumeclaim",
+	"pv":     "persistentvolume",
+	"hpa":    "horizontalpodautoscaler",
+	"rs":     "replicaset",
+	"netpol": "networkpolicy",
 }
 
 func nsName(ns, name string) string { return ns + "/" + name }

@@ -473,6 +473,46 @@ func TestKindAliases(t *testing.T) {
 	}
 }
 
+// TestKindShortNames: every abbreviation kindKeySlow knows names the
+// same store as the kind it abbreviates, in any case and in the plural —
+// including the four that end in "s" themselves, which the plural
+// stripping used to mangle (ns -> n, ds -> d, sts -> st, rs -> r).
+func TestKindShortNames(t *testing.T) {
+	for short, kind := range map[string]string{
+		"po": "Pod", "svc": "Service", "deploy": "Deployment", "ds": "DaemonSet", "sts": "StatefulSet",
+		"ns": "Namespace", "cm": "ConfigMap", "ing": "Ingress", "sa": "ServiceAccount",
+		"pvc": "PersistentVolumeClaim", "pv": "PersistentVolume", "hpa": "HorizontalPodAutoscaler",
+		"rs": "ReplicaSet", "netpol": "NetworkPolicy",
+	} {
+		want := CanonicalKind(kind)
+		for _, spelling := range []string{short, strings.ToUpper(short), short + "s", " " + short + " "} {
+			if got := kindKey(spelling); got != want {
+				t.Errorf("kindKey(%q) = %q, want %q as for %s", spelling, got, want, kind)
+			}
+		}
+	}
+}
+
+// TestKindKeyFastMatchesSlow holds kindKey's switch to the function it
+// short-cuts, on every spelling the switch names.
+func TestKindKeyFastMatchesSlow(t *testing.T) {
+	camel := []string{
+		"Pod", "Deployment", "Service", "Ingress", "DaemonSet", "StatefulSet", "ReplicaSet", "Job", "CronJob",
+		"ConfigMap", "Secret", "Namespace", "ServiceAccount", "Role", "RoleBinding", "ClusterRole",
+		"ClusterRoleBinding", "PersistentVolume", "PersistentVolumeClaim", "HorizontalPodAutoscaler",
+		"NetworkPolicy", "LimitRange", "ResourceQuota", "DestinationRule", "VirtualService", "Gateway",
+	}
+	spellings := []string{"pods", "svc"}
+	for _, k := range camel {
+		spellings = append(spellings, k, strings.ToLower(k))
+	}
+	for _, s := range spellings {
+		if got, want := kindKey(s), kindKeySlow(s); got != want {
+			t.Errorf("kindKey(%q) = %q, kindKeySlow says %q", s, got, want)
+		}
+	}
+}
+
 func TestDescribeService(t *testing.T) {
 	c := NewCluster()
 	if _, err := c.ApplyYAML(nginxDeployment, "default"); err != nil {

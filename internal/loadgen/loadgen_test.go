@@ -9,7 +9,9 @@ import (
 	"path/filepath"
 	"reflect"
 	"testing"
+	"time"
 
+	"cloudeval/client"
 	"cloudeval/internal/core"
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
@@ -127,6 +129,31 @@ func TestTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// waitCampaigns blocks until every campaign the trace starts has
+// finished. The load generator only starts them; one still writing
+// checkpoints when the test returns races the removal of the server's
+// data directory. Starting a campaign again is how to learn its ID: the
+// ID is a function of tenant and experiments, and the daemon answers
+// with the campaign it already has.
+func waitCampaigns(t *testing.T, baseURL string, ops []Op) {
+	t.Helper()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	for _, op := range ops {
+		if op.Op != "campaign" {
+			continue
+		}
+		c := client.New(baseURL, client.WithTenant(op.Tenant))
+		st, err := c.StartCampaign(ctx, op.Experiments)
+		if err == nil {
+			_, err = c.WaitCampaign(ctx, st.ID, 10*time.Millisecond)
+		}
+		if err != nil {
+			t.Errorf("campaign %v of tenant %q: %v", op.Experiments, op.Tenant, err)
+		}
+	}
+}
+
 // TestRunAgainstServer drives a synthesized trace at an in-process
 // cloudevald and checks the report's accounting: every op completed,
 // ordered percentiles, throughput and per-op slices.
@@ -140,6 +167,9 @@ func TestRunAgainstServer(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Registered after the server and its data directory, so it runs
+	// before either is torn down.
+	t.Cleanup(func() { waitCampaigns(t, ts.URL, ops) })
 	rep, err := Run(context.Background(), Config{BaseURL: ts.URL, Concurrency: 4}, ops)
 	if err != nil {
 		t.Fatal(err)

@@ -8,11 +8,11 @@
 //     test executions (engine), provider generations (dispatcher) and
 //     decoded store frames (the store's hot tier). One lock per shard,
 //     errors never cached, resident cost never above the budget.
-//   - Cache, a capped lock-free map for cheap pure computations (shell
-//     ASTs, yamlx documents, envoy bootstraps, jsonpath programs, kind
-//     spellings, content digests). Each cache maps an immutable key —
-//     usually a content digest or the content itself — to an immutable
-//     outcome computed exactly once.
+//   - Cache, a capped lock-free map for cheap pure computations. Keyed
+//     by a content digest: yamlx documents, envoy bootstraps, content
+//     digests. Keyed by the content itself: shell programs, grep
+//     matchers, jsonpath programs, kind spellings. Each cache maps an
+//     immutable key to an immutable outcome computed exactly once.
 //
 // Cache stays a second type because its users are read-mostly pure
 // functions under every kubectl verb and jsonpath lookup: a hit is one

@@ -311,7 +311,10 @@ func (p *arithParser) parsePrimary() (int64, error) {
 	}
 	if c == '$' {
 		// $var or $(...) inside arithmetic: expand then parse as number.
-		val, n, err := p.in.expandDollar(p.src[p.pos:])
+		// Expressions are the one place left that scans a $-form while
+		// running; the scanner is the word compiler's.
+		seg, n := compileDollar(p.src[p.pos:], 0)
+		val, err := p.in.value(&seg)
 		if err != nil {
 			return 0, err
 		}

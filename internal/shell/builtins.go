@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"strings"
 	"time"
+
+	"cloudeval/internal/memo"
 )
 
 // coreBuiltins is the shared read-only table of coreutils-flavored
@@ -224,15 +226,28 @@ type grepMatcher struct {
 	fold    bool
 }
 
+// grepKey is what a matcher is a pure function of.
+type grepKey struct {
+	pattern string
+	fold    bool
+}
+
+// grepMatchers holds each matcher the first time a script asks for
+// it. Patterns are mostly the constants of the corpus, but one built
+// from a variable holds model output, hence the cap.
+var grepMatchers = memo.New[grepKey, grepMatcher](1 << 10)
+
 func compileGrep(pattern string, ignoreCase bool) grepMatcher {
-	p := pattern
-	if ignoreCase {
-		p = "(?i)" + p
-	}
-	if re, err := regexp.Compile(p); err == nil {
-		return grepMatcher{re: re}
-	}
-	return grepMatcher{literal: pattern, fold: ignoreCase}
+	return grepMatchers.Do(grepKey{pattern, ignoreCase}, func() grepMatcher {
+		p := pattern
+		if ignoreCase {
+			p = "(?i)" + p
+		}
+		if re, err := regexp.Compile(p); err == nil {
+			return grepMatcher{re: re}
+		}
+		return grepMatcher{literal: pattern, fold: ignoreCase}
+	})
 }
 
 func (g grepMatcher) match(line string) bool {
@@ -390,6 +405,9 @@ func builtinHead(in *Interp, io *IO, args []string) int {
 		input = in.FS[files[0]]
 	}
 	lines := strings.Split(strings.TrimSuffix(input, "\n"), "\n")
+	if n < 0 {
+		n = max(len(lines)+n, 0) // -n -K: all but the last K
+	}
 	if n < len(lines) {
 		lines = lines[:n]
 	}
@@ -406,6 +424,9 @@ func builtinTail(in *Interp, io *IO, args []string) int {
 		input = in.FS[files[0]]
 	}
 	lines := strings.Split(strings.TrimSuffix(input, "\n"), "\n")
+	if n < 0 {
+		n = -n // -n -K is -n K
+	}
 	if n < len(lines) {
 		lines = lines[len(lines)-n:]
 	}
@@ -454,7 +475,7 @@ func builtinTr(_ *Interp, io *IO, args []string) int {
 func builtinCut(_ *Interp, io *IO, args []string) int {
 	delim := "\t"
 	field := 1
-	for i := 0; i < len(args); i++ {
+	for i := 0; i < len(args) && field > 0; i++ {
 		a := args[i]
 		switch {
 		case strings.HasPrefix(a, "-d"):
@@ -474,6 +495,10 @@ func builtinCut(_ *Interp, io *IO, args []string) int {
 				field = v
 			}
 		}
+	}
+	if field < 1 {
+		fmt.Fprintln(io.Err, "cut: fields are numbered from 1")
+		return 1
 	}
 	for _, line := range strings.Split(strings.TrimSuffix(io.In, "\n"), "\n") {
 		parts := strings.Split(line, delim)

@@ -7,34 +7,78 @@ import (
 	"strings"
 )
 
-// evalCond evaluates a [[ ... ]] or [ ... ] condition given the raw
-// (unexpanded) operand words. Patterns on the right side of == and !=
-// are glob-matched with quoted segments literal, bash style; "test"/[
-// mode compares literally.
-func (in *Interp) evalCond(words []string, patterns bool) (bool, error) {
-	c := &condParser{in: in, words: words, patterns: patterns}
+// condParser evaluates a condition over one of two operand lists:
+// the compiled words of [[ ... ]], expanded as the evaluation reaches
+// them, or the argv of [ ... ] and test, which the command's own
+// expansion has already finished. Patterns on the right side of == and
+// != are glob-matched with quoted segments literal, bash style, in the
+// first form; the second compares literally.
+type condParser struct {
+	in    *Interp
+	words []word   // [[ ]]
+	args  []string // [ ] and test
+	plain bool     // operands are args
+	pos   int
+}
+
+// evalCond evaluates a [[ ... ]] condition.
+func (in *Interp) evalCond(words []word) (bool, error) {
+	return (&condParser{in: in, words: words}).eval()
+}
+
+// evalCondExpanded evaluates test/[ conditions, whose operands are
+// already expanded argv words.
+func (in *Interp) evalCondExpanded(args []string) (bool, error) {
+	return (&condParser{in: in, args: args, plain: true}).eval()
+}
+
+func (c *condParser) eval() (bool, error) {
 	v, err := c.parseOr()
 	if err != nil {
 		return false, err
 	}
-	if c.pos != len(c.words) {
-		return false, fmt.Errorf("condition: unexpected %q", c.words[c.pos])
+	if tok, ok := c.peek(); ok {
+		if c.plain && !condSyntax(tok) {
+			// An operand of [ is reported the way the shell would have
+			// had to write it.
+			tok = "'" + strings.ReplaceAll(tok, "'", `'\''`) + "'"
+		}
+		return false, fmt.Errorf("condition: unexpected %q", tok)
 	}
 	return v, nil
 }
 
-type condParser struct {
-	in       *Interp
-	words    []string
-	pos      int
-	patterns bool
-}
-
+// peek returns the source form of the next operand: what operators and
+// parentheses are recognised by.
 func (c *condParser) peek() (string, bool) {
+	if c.plain {
+		if c.pos >= len(c.args) {
+			return "", false
+		}
+		return c.args[c.pos], true
+	}
 	if c.pos >= len(c.words) {
 		return "", false
 	}
-	return c.words[c.pos], true
+	return c.words[c.pos].raw, true
+}
+
+// value expands operand i.
+func (c *condParser) value(i int) (string, error) {
+	if c.plain {
+		return c.args[i], nil
+	}
+	return c.in.expandOne(&c.words[i])
+}
+
+// condSyntax reports whether an argv word of [ is part of the
+// condition grammar rather than an operand.
+func condSyntax(a string) bool {
+	switch a {
+	case "!", "(", ")", "&&", "||", "-a", "-o":
+		return true
+	}
+	return binaryOps[a] || unaryOps[a]
 }
 
 func (c *condParser) parseOr() (bool, error) {
@@ -93,6 +137,9 @@ var binaryOps = map[string]bool{
 	"-eq": true, "-ne": true, "-gt": true, "-ge": true, "-lt": true, "-le": true,
 }
 
+// patternOps take a glob pattern on their right inside [[ ]].
+var patternOps = map[string]bool{"==": true, "=": true, "!=": true}
+
 func (c *condParser) parsePrimary() (bool, error) {
 	w, ok := c.peek()
 	if !ok {
@@ -112,12 +159,11 @@ func (c *condParser) parsePrimary() (bool, error) {
 	}
 	if unaryOps[w] {
 		c.pos++
-		operand, ok := c.peek()
-		if !ok {
+		if _, ok := c.peek(); !ok {
 			return false, fmt.Errorf("condition: %s needs an operand", w)
 		}
 		c.pos++
-		val, err := c.in.expandOne(operand)
+		val, err := c.value(c.pos - 1)
 		if err != nil {
 			return false, err
 		}
@@ -137,87 +183,70 @@ func (c *condParser) parsePrimary() (bool, error) {
 		}
 	}
 	// word [binop word]
-	lhsRaw := w
+	lhsAt := c.pos
 	c.pos++
 	opWord, ok := c.peek()
 	if !ok || !binaryOps[opWord] {
 		// Bare word: true when non-empty.
-		val, err := c.in.expandOne(lhsRaw)
+		val, err := c.value(lhsAt)
 		return val != "", err
 	}
 	c.pos++
-	rhsRaw, ok := c.peek()
-	if !ok {
+	if _, ok := c.peek(); !ok {
 		return false, fmt.Errorf("condition: %s needs a right operand", opWord)
 	}
+	rhsAt := c.pos
 	c.pos++
-	lhs, err := c.in.expandOne(lhsRaw)
+	lhs, err := c.value(lhsAt)
+	if err != nil {
+		return false, err
+	}
+	if patternOps[opWord] && !c.plain {
+		pat, err := c.in.expandPattern(&c.words[rhsAt])
+		if err != nil {
+			return false, err
+		}
+		return globMatch(pat, lhs) == (opWord != "!="), nil
+	}
+	rhs, err := c.value(rhsAt)
 	if err != nil {
 		return false, err
 	}
 	switch opWord {
-	case "==", "=", "!=":
-		var matched bool
-		if c.patterns {
-			pat, err := c.in.expandPattern(rhsRaw)
-			if err != nil {
-				return false, err
-			}
-			matched = globMatch(pat, lhs)
-		} else {
-			rhs, err := c.in.expandOne(rhsRaw)
-			if err != nil {
-				return false, err
-			}
-			matched = lhs == rhs
-		}
-		if opWord == "!=" {
-			return !matched, nil
-		}
-		return matched, nil
+	case "==", "=":
+		return lhs == rhs, nil
+	case "!=":
+		return lhs != rhs, nil
 	case "=~":
-		rhs, err := c.in.expandOne(rhsRaw)
-		if err != nil {
-			return false, err
-		}
 		re, err := regexp.Compile(rhs)
 		if err != nil {
 			return false, fmt.Errorf("condition: bad regexp %q: %w", rhs, err)
 		}
 		return re.MatchString(lhs), nil
-	case "<", ">":
-		rhs, err := c.in.expandOne(rhsRaw)
-		if err != nil {
-			return false, err
-		}
-		if opWord == "<" {
-			return lhs < rhs, nil
-		}
+	case "<":
+		return lhs < rhs, nil
+	case ">":
 		return lhs > rhs, nil
-	default: // numeric comparisons
-		rhs, err := c.in.expandOne(rhsRaw)
-		if err != nil {
-			return false, err
-		}
-		ln, err1 := strconv.ParseInt(strings.TrimSpace(lhs), 10, 64)
-		rn, err2 := strconv.ParseInt(strings.TrimSpace(rhs), 10, 64)
-		if err1 != nil || err2 != nil {
-			return false, fmt.Errorf("condition: integer expression expected: %q %s %q", lhs, opWord, rhs)
-		}
-		switch opWord {
-		case "-eq":
-			return ln == rn, nil
-		case "-ne":
-			return ln != rn, nil
-		case "-gt":
-			return ln > rn, nil
-		case "-ge":
-			return ln >= rn, nil
-		case "-lt":
-			return ln < rn, nil
-		case "-le":
-			return ln <= rn, nil
-		}
+	}
+	// numeric comparisons
+	ln, err1 := strconv.ParseInt(strings.TrimSpace(lhs), 10, 64)
+	rn, err2 := strconv.ParseInt(strings.TrimSpace(rhs), 10, 64)
+	if err1 != nil || err2 != nil {
+		return false, fmt.Errorf("condition: integer expression expected: %q %s %q", lhs, opWord, rhs)
+	}
+	switch opWord {
+	case "-eq":
+		return ln == rn, nil
+	case "-ne":
+		return ln != rn, nil
+	case "-gt":
+		return ln > rn, nil
+	case "-ge":
+		return ln >= rn, nil
+	case "-lt":
+		return ln < rn, nil
+	case "-le":
+		return ln <= rn, nil
 	}
 	return false, fmt.Errorf("condition: unsupported operator %q", opWord)
 }

@@ -1,242 +1,316 @@
 package shell
 
 import (
+	"errors"
 	"fmt"
+	"strconv"
 	"strings"
 )
 
-// wordPart is a fragment of an expanded word, tagged with whether it was
-// quoted (quoted fragments never undergo field splitting or globbing).
-type wordPart struct {
+// A word is compiled once, by Parse, into everything about it that
+// does not depend on run-time state: where its quotes, escapes and
+// $-forms are, which variable each names, the parsed body of each
+// command substitution. What is left for a run is to look up the
+// variables, execute the substitutions and assemble the result — no
+// byte of the word's source text is scanned again.
+//
+// A word whose segments are all literal (the great majority: command
+// names, flags, file names, quoted constants) expands to the same
+// thing on every run, so the parser also stores that expansion, in the
+// one rendition its position reads: argv fields for a command word or
+// a for-list item, the unsplit text for an assignment, a redirect
+// target or a condition operand, the glob pattern for the right-hand
+// side of == and != inside [[ ]].
+type word struct {
+	// raw is the source text, kept for the words of [[ ]] only, whose
+	// operators are recognised by it.
+	raw  string
+	segs []segment // what a run evaluates, in order; nil when lit
+	lit  bool      // every segment was literal
+
+	// Renditions of a literal word, each set only by the parser of a
+	// position that reads it.
+	fields []string
 	text   string
+	pat    string
+}
+
+type segKind uint8
+
+const (
+	segLit     segKind = iota // text, verbatim
+	segVar                    // $NAME, ${NAME}: text is the name
+	segLen                    // ${#NAME}
+	segDefault                // ${NAME:-alt}
+	segStatus                 // $?
+	segArith                  // $((text))
+	segSub                    // $(...) or `...`: sub is the parsed body
+	segErr                    // err, raised when evaluation gets here
+)
+
+// segment is one piece of a word. Quoted pieces never undergo field
+// splitting, and their glob metacharacters match literally.
+//
+// A word the scanner cannot finish (an unterminated quote, a
+// substitution whose body does not parse) ends in a segErr instead of
+// failing the parse: the error belongs to the run that reaches it, on
+// that command's stderr, after the substitutions before it in the same
+// word have had their side effects.
+type segment struct {
+	kind   segKind
 	quoted bool
+	text   string
+	alt    string
+	sub    *program
+	err    error
 }
 
-// plainWord reports whether a raw word contains no quoting, escaping or
-// substitution syntax, i.e. it expands to exactly itself. Such words —
-// the overwhelming majority of argv words in unit-test scripts — skip
-// the expansion machinery entirely.
-func plainWord(raw string) bool {
-	for i := 0; i < len(raw); i++ {
-		switch raw[i] {
-		case '\'', '"', '\\', '$', '`':
-			return false
-		}
-	}
-	return true
-}
+// maxSubDepth bounds how deeply command substitutions may nest in one
+// script. Compiling a word parses the bodies of its substitutions, so
+// the parser recurses once per level; scripts people write nest two or
+// three deep.
+const maxSubDepth = 64
 
-// expandParts interprets quotes, backslashes, variables, command and
-// arithmetic substitution inside a raw word.
-func (in *Interp) expandParts(raw string) ([]wordPart, error) {
-	var parts []wordPart
-	var cur strings.Builder
-	curQuoted := false
-	flush := func(quoted bool) {
-		if cur.Len() > 0 || quoted {
-			parts = append(parts, wordPart{text: cur.String(), quoted: curQuoted})
-			cur.Reset()
-		}
-	}
+// compileWord scans a raw word into segments, interpreting quotes,
+// backslashes, variables, command and arithmetic substitution. depth
+// is the substitution nesting level of the script the word is in.
+func compileWord(raw string, depth int) []segment {
+	b := segBuilder{depth: depth}
 	i := 0
-	for i < len(raw) {
-		c := raw[i]
-		switch c {
+	for i < len(raw) && !b.failed {
+		switch raw[i] {
 		case '\'':
 			end := strings.IndexByte(raw[i+1:], '\'')
 			if end < 0 {
-				return nil, fmt.Errorf("unterminated single quote")
+				b.fail(errors.New("unterminated single quote"))
+				break
 			}
-			flush(false)
-			curQuoted = true
-			cur.WriteString(raw[i+1 : i+1+end])
-			flush(true)
-			curQuoted = false
+			b.literal(raw[i+1:i+1+end], true)
 			i += end + 2
 		case '"':
-			content, n, err := scanDoubleQuoted(raw[i:])
-			if err != nil {
-				return nil, err
-			}
-			expanded, err := in.expandInDouble(content)
-			if err != nil {
-				return nil, err
-			}
-			flush(false)
-			curQuoted = true
-			cur.WriteString(expanded)
-			flush(true)
-			curQuoted = false
-			i += n
+			i += b.doubleQuoted(raw[i:])
 		case '\\':
 			if i+1 < len(raw) {
-				flush(false)
-				curQuoted = true
-				cur.WriteByte(raw[i+1])
-				flush(true)
-				curQuoted = false
+				b.literal(raw[i+1:i+2], true)
 				i += 2
 			} else {
 				i++
 			}
 		case '$':
-			val, n, err := in.expandDollar(raw[i:])
-			if err != nil {
-				return nil, err
-			}
-			cur.WriteString(val)
-			i += n
+			i += b.dollar(raw[i:], false)
 		case '`':
-			end := strings.IndexByte(raw[i+1:], '`')
-			if end < 0 {
-				return nil, fmt.Errorf("unterminated backtick")
-			}
-			out, err := in.captureSub(raw[i+1 : i+1+end])
-			if err != nil {
-				return nil, err
-			}
-			cur.WriteString(out)
-			i += end + 2
+			i += b.backtick(raw[i:], false)
 		default:
-			cur.WriteByte(c)
-			i++
+			j := i + 1
+			for j < len(raw) && !strings.ContainsRune("'\"\\$`", rune(raw[j])) {
+				j++
+			}
+			b.literal(raw[i:j], false)
+			i = j
 		}
 	}
-	flush(false)
-	return parts, nil
+	return b.finish()
 }
 
-// scanDoubleQuoted returns the content between double quotes and the
-// total bytes consumed including both quotes.
-func scanDoubleQuoted(s string) (string, int, error) {
-	var b strings.Builder
-	i := 1
-	for i < len(s) {
-		switch s[i] {
+// segBuilder accumulates a word's segments, merging adjacent literal
+// text of the same quotedness into one segment.
+type segBuilder struct {
+	segs   []segment
+	depth  int
+	failed bool
+
+	// The literal being accumulated: text alone while it is one piece
+	// of the source, buf once a second piece joins it.
+	pending bool
+	quoted  bool
+	text    string
+	buf     strings.Builder
+}
+
+func (b *segBuilder) literal(text string, quoted bool) {
+	if b.pending && b.quoted != quoted {
+		b.flush()
+	}
+	if !b.pending {
+		// An empty quoted literal still makes a field; an empty
+		// unquoted one is nothing.
+		if text != "" || quoted {
+			b.pending, b.quoted, b.text = true, quoted, text
+		}
+		return
+	}
+	if b.buf.Len() == 0 {
+		b.buf.WriteString(b.text)
+	}
+	b.buf.WriteString(text)
+}
+
+func (b *segBuilder) flush() {
+	if !b.pending {
+		return
+	}
+	text := b.text
+	if b.buf.Len() > 0 {
+		text = b.buf.String()
+		b.buf.Reset()
+	}
+	b.segs = append(b.segs, segment{kind: segLit, quoted: b.quoted, text: text})
+	b.pending = false
+}
+
+func (b *segBuilder) add(s segment, quoted bool) {
+	switch s.kind {
+	case segLit:
+		b.literal(s.text, quoted)
+	case segErr:
+		b.fail(s.err)
+	default:
+		b.flush()
+		s.quoted = quoted
+		b.segs = append(b.segs, s)
+	}
+}
+
+// fail ends the word: nothing after a scan error is ever evaluated.
+func (b *segBuilder) fail(err error) {
+	b.flush()
+	b.segs = append(b.segs, segment{kind: segErr, err: err})
+	b.failed = true
+}
+
+func (b *segBuilder) finish() []segment {
+	b.flush()
+	return b.segs
+}
+
+// dollar compiles the $-form at the start of s and returns the bytes
+// it spans.
+func (b *segBuilder) dollar(s string, quoted bool) int {
+	seg, n := compileDollar(s, b.depth)
+	b.add(seg, quoted)
+	return n
+}
+
+func (b *segBuilder) backtick(s string, quoted bool) int {
+	end := strings.IndexByte(s[1:], '`')
+	if end < 0 {
+		b.fail(errors.New("unterminated backtick"))
+		return 0
+	}
+	b.add(compileSub(s[1:1+end], b.depth), quoted)
+	return end + 2
+}
+
+// doubleQuoted compiles the double-quoted string at the start of s and
+// returns the bytes it spans, both quotes included. The closing quote
+// is found first: an unterminated string is an error before anything
+// inside it runs.
+func (b *segBuilder) doubleQuoted(s string) int {
+	end := 1
+	for end < len(s) && s[end] != '"' {
+		if s[end] == '\\' {
+			end++
+		}
+		end++
+	}
+	if end >= len(s) {
+		b.fail(errors.New("unterminated double quote"))
+		return 0
+	}
+	content := s[1:end]
+	if content == "" {
+		b.literal("", true)
+	}
+	for i := 0; i < len(content) && !b.failed; {
+		switch content[i] {
 		case '\\':
-			if i+1 < len(s) {
-				b.WriteByte('\\')
-				b.WriteByte(s[i+1])
+			if i+1 < len(content) && strings.ContainsRune("$`\"\\", rune(content[i+1])) {
+				b.literal(content[i+1:i+2], true)
 				i += 2
-				continue
+			} else {
+				b.literal(`\`, true)
+				i++
 			}
-			i++
-		case '"':
-			return b.String(), i + 1, nil
-		default:
-			b.WriteByte(s[i])
-			i++
-		}
-	}
-	return "", 0, fmt.Errorf("unterminated double quote")
-}
-
-// expandInDouble expands $-substitutions inside a double-quoted string.
-func (in *Interp) expandInDouble(content string) (string, error) {
-	var b strings.Builder
-	i := 0
-	for i < len(content) {
-		c := content[i]
-		switch c {
-		case '\\':
-			if i+1 < len(content) {
-				nxt := content[i+1]
-				if nxt == '$' || nxt == '`' || nxt == '"' || nxt == '\\' {
-					b.WriteByte(nxt)
-					i += 2
-					continue
-				}
-			}
-			b.WriteByte('\\')
-			i++
 		case '$':
-			val, n, err := in.expandDollar(content[i:])
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(val)
-			i += n
+			i += b.dollar(content[i:], true)
 		case '`':
-			end := strings.IndexByte(content[i+1:], '`')
-			if end < 0 {
-				return "", fmt.Errorf("unterminated backtick")
-			}
-			out, err := in.captureSub(content[i+1 : i+1+end])
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(out)
-			i += end + 2
+			i += b.backtick(content[i:], true)
 		default:
-			b.WriteByte(c)
-			i++
+			j := i + 1
+			for j < len(content) && !strings.ContainsRune("\\$`", rune(content[j])) {
+				j++
+			}
+			b.literal(content[i:j], true)
+			i = j
 		}
 	}
-	return b.String(), nil
+	return end + 1
 }
 
-// expandDollar expands one $-form at the start of s, returning the value
-// and bytes consumed.
-func (in *Interp) expandDollar(s string) (string, int, error) {
+// compileDollar compiles the one $-form at the start of s, returning
+// the segment and the bytes consumed. A form it cannot scan comes back
+// as a segErr.
+func compileDollar(s string, depth int) (segment, int) {
 	if len(s) < 2 {
-		return "$", 1, nil
+		return segment{kind: segLit, text: "$"}, 1
 	}
 	switch {
 	case strings.HasPrefix(s, "$(("):
 		inner, n, err := balanced(s[1:], "((", "))")
 		if err != nil {
-			return "", 0, err
+			return segment{kind: segErr, err: err}, 0
 		}
-		v, err := in.evalArith(inner)
-		if err != nil {
-			return "", 0, err
-		}
-		return fmt.Sprint(v), 1 + n, nil
+		return segment{kind: segArith, text: inner}, 1 + n
 	case strings.HasPrefix(s, "$("):
 		inner, n, err := balanced(s[1:], "(", ")")
 		if err != nil {
-			return "", 0, err
+			return segment{kind: segErr, err: err}, 0
 		}
-		out, err := in.captureSub(inner)
-		if err != nil {
-			return "", 0, err
-		}
-		return out, 1 + n, nil
+		return compileSub(inner, depth), 1 + n
 	case strings.HasPrefix(s, "${"):
 		inner, n, err := balanced(s[1:], "{", "}")
 		if err != nil {
-			return "", 0, err
+			return segment{kind: segErr, err: err}, 0
 		}
-		return in.paramValue(inner), 1 + n, nil
+		return compileParam(inner), 1 + n
 	case s[1] == '?':
-		return fmt.Sprint(in.lastExit), 2, nil
+		return segment{kind: segStatus}, 2
 	case s[1] == '#':
-		return "0", 2, nil
-	default:
-		j := 1
-		for j < len(s) && (s[j] == '_' || s[j] >= 'a' && s[j] <= 'z' || s[j] >= 'A' && s[j] <= 'Z' || s[j] >= '0' && s[j] <= '9') {
-			j++
-		}
-		if j == 1 {
-			return "$", 1, nil
-		}
-		return in.Env[s[1:j]], j, nil
+		return segment{kind: segLit, text: "0"}, 2
 	}
+	j := 1
+	for j < len(s) && (s[j] == '_' || s[j] >= 'a' && s[j] <= 'z' || s[j] >= 'A' && s[j] <= 'Z' || s[j] >= '0' && s[j] <= '9') {
+		j++
+	}
+	if j == 1 {
+		return segment{kind: segLit, text: "$"}, 1
+	}
+	return segment{kind: segVar, text: s[1:j]}, j
 }
 
-// paramValue handles ${NAME}, ${NAME:-default}, ${#NAME}.
-func (in *Interp) paramValue(inner string) string {
+// compileParam handles ${NAME}, ${NAME:-default}, ${#NAME}.
+func compileParam(inner string) segment {
 	if rest, ok := strings.CutPrefix(inner, "#"); ok {
-		return fmt.Sprint(len(in.Env[rest]))
+		return segment{kind: segLen, text: rest}
 	}
-	if idx := strings.Index(inner, ":-"); idx >= 0 {
-		name, def := inner[:idx], inner[idx+2:]
-		if v := in.Env[name]; v != "" {
-			return v
-		}
-		return def
+	if name, alt, ok := strings.Cut(inner, ":-"); ok {
+		return segment{kind: segDefault, text: name, alt: alt}
 	}
-	return in.Env[inner]
+	return segment{kind: segVar, text: inner}
+}
+
+// compileSub parses the body of a command substitution. A body that
+// does not parse, or that nests past maxSubDepth, is an error of the
+// run that evaluates the substitution.
+func compileSub(body string, depth int) segment {
+	if depth >= maxSubDepth {
+		return segment{kind: segErr, err: fmt.Errorf("command substitution nested more than %d deep", maxSubDepth)}
+	}
+	prog, err := parse(body, depth+1)
+	if err != nil {
+		return segment{kind: segErr, err: err}
+	}
+	return segment{kind: segSub, sub: prog}
 }
 
 // balanced extracts the content between open..close starting at s[0].
@@ -269,106 +343,201 @@ func balanced(s, open, close string) (string, int, error) {
 	return "", 0, fmt.Errorf("unterminated %s...%s", open, close)
 }
 
-// captureSub runs a command substitution and returns its stdout with
-// trailing newlines trimmed. Substitutions inside loops re-run every
-// iteration, so their scripts go through the AST cache too.
-func (in *Interp) captureSub(script string) (string, error) {
-	prog, err := ParseCached(script)
-	if err != nil {
-		return "", err
+// literalOnly evaluates segments that need no interpreter: the parser
+// uses it to precompute the renditions of literal words with the same
+// assemblers a run uses.
+var literalOnly *Interp
+
+func allLiteral(segs []segment) bool {
+	for i := range segs {
+		if segs[i].kind != segLit {
+			return false
+		}
 	}
-	io := newIO("")
-	in.execList(prog.stmts, io)
-	return strings.TrimRight(io.Out.String(), "\n"), nil
+	return true
 }
 
-// expandFields expands a raw word into argv fields: unquoted expansion
-// results undergo IFS whitespace splitting, quoted parts do not.
-func (in *Interp) expandFields(raw string) ([]string, error) {
-	if plainWord(raw) {
-		return []string{raw}, nil
+// argWord compiles a word whose expansion is split into argv fields.
+func argWord(raw string, depth int) word {
+	segs := compileWord(raw, depth)
+	if !allLiteral(segs) {
+		return word{segs: segs}
 	}
-	parts, err := in.expandParts(raw)
-	if err != nil {
-		return nil, err
+	w := word{lit: true}
+	w.fields, _ = literalOnly.appendFields(nil, segs)
+	return w
+}
+
+// textWord compiles a word whose expansion is used unsplit; pattern
+// asks for its glob rendition too.
+func textWord(raw string, depth int, pattern bool) word {
+	segs := compileWord(raw, depth)
+	if !allLiteral(segs) {
+		return word{segs: segs}
 	}
-	// Fields are accumulated in a builder so that a field assembled
-	// from many fragments (adjacent quoted/unquoted parts) costs one
-	// final allocation instead of a quadratic chain of string concats.
-	var fields []string
+	w := word{lit: true}
+	w.text, _ = literalOnly.join(segs, false)
+	if pattern {
+		w.pat, _ = literalOnly.join(segs, true)
+	}
+	return w
+}
+
+// value evaluates one segment.
+func (in *Interp) value(s *segment) (string, error) {
+	switch s.kind {
+	case segLit:
+		return s.text, nil
+	case segVar:
+		return in.Env[s.text], nil
+	case segLen:
+		return strconv.Itoa(len(in.Env[s.text])), nil
+	case segDefault:
+		if v := in.Env[s.text]; v != "" {
+			return v, nil
+		}
+		return s.alt, nil
+	case segStatus:
+		return strconv.Itoa(in.lastExit), nil
+	case segArith:
+		v, err := in.evalArith(s.text)
+		if err != nil {
+			return "", err
+		}
+		return strconv.FormatInt(v, 10), nil
+	case segSub:
+		return in.captureSub(s.sub), nil
+	}
+	return "", s.err
+}
+
+// captureSub runs a command substitution and returns its stdout with
+// trailing newlines trimmed; its stderr is discarded.
+func (in *Interp) captureSub(prog *program) string {
+	io := in.getIO()
+	in.execList(prog.stmts, io)
+	out := strings.TrimRight(io.Out.String(), "\n")
+	in.putIO(io)
+	return out
+}
+
+// expandFields appends the argv fields a word expands to: unquoted
+// expansion results undergo IFS whitespace splitting, quoted parts do
+// not.
+func (in *Interp) expandFields(argv []string, w *word) ([]string, error) {
+	if w.lit {
+		return append(argv, w.fields...), nil
+	}
+	return in.appendFields(argv, w.segs)
+}
+
+func (in *Interp) appendFields(argv []string, segs []segment) ([]string, error) {
+	if len(segs) == 1 {
+		// One segment needs no assembly: "$x" is one field whatever it
+		// holds, and the fields of $x are substrings of its value.
+		v, err := in.value(&segs[0])
+		if err != nil {
+			return nil, err
+		}
+		if segs[0].quoted {
+			return append(argv, v), nil
+		}
+		for v != "" {
+			idx := strings.IndexAny(v, " \t\n")
+			if idx < 0 {
+				return append(argv, v), nil
+			}
+			if idx > 0 {
+				argv = append(argv, v[:idx])
+			}
+			v = strings.TrimLeft(v[idx:], " \t\n")
+		}
+		return argv, nil
+	}
+	// A field assembled from several fragments is accumulated in a
+	// builder, so it costs one final allocation.
 	var cur strings.Builder
 	open := false // a field is being accumulated
-	appendText := func(t string) {
-		cur.WriteString(t)
-		open = true
-	}
-	closeField := func() {
-		if open {
-			fields = append(fields, cur.String())
-			cur.Reset()
-			open = false
+	for i := range segs {
+		v, err := in.value(&segs[i])
+		if err != nil {
+			return nil, err
 		}
-	}
-	for _, p := range parts {
-		if p.quoted {
-			appendText(p.text)
+		if segs[i].quoted {
+			cur.WriteString(v)
+			open = true
 			continue
 		}
-		rest := p.text
-		for len(rest) > 0 {
-			idx := strings.IndexAny(rest, " \t\n")
+		for len(v) > 0 {
+			idx := strings.IndexAny(v, " \t\n")
 			if idx < 0 {
-				appendText(rest)
+				cur.WriteString(v)
+				open = true
 				break
 			}
 			if idx > 0 {
-				appendText(rest[:idx])
+				cur.WriteString(v[:idx])
+				open = true
 			}
-			closeField()
-			rest = strings.TrimLeft(rest[idx:], " \t\n")
+			if open {
+				argv = append(argv, cur.String())
+				cur.Reset()
+				open = false
+			}
+			v = strings.TrimLeft(v[idx:], " \t\n")
 		}
 	}
-	closeField()
-	return fields, nil
+	if open {
+		argv = append(argv, cur.String())
+	}
+	return argv, nil
 }
 
-// expandOne expands a raw word into a single string with no field
+// expandOne expands a word into a single string with no field
 // splitting (assignments, redirect targets, condition operands).
-func (in *Interp) expandOne(raw string) (string, error) {
-	if plainWord(raw) {
-		return raw, nil
+func (in *Interp) expandOne(w *word) (string, error) {
+	if w.lit {
+		return w.text, nil
 	}
-	parts, err := in.expandParts(raw)
-	if err != nil {
-		return "", err
-	}
-	var b strings.Builder
-	for _, p := range parts {
-		b.WriteString(p.text)
-	}
-	return b.String(), nil
+	return in.join(w.segs, false)
 }
 
 // expandPattern expands a word for use as a glob pattern: text that was
 // quoted has its glob metacharacters escaped so only unquoted * and ?
 // act as wildcards.
-func (in *Interp) expandPattern(raw string) (string, error) {
-	parts, err := in.expandParts(raw)
-	if err != nil {
-		return "", err
+func (in *Interp) expandPattern(w *word) (string, error) {
+	if w.lit {
+		return w.pat, nil
+	}
+	return in.join(w.segs, true)
+}
+
+func (in *Interp) join(segs []segment, pattern bool) (string, error) {
+	if len(segs) == 1 {
+		v, err := in.value(&segs[0])
+		if pattern && segs[0].quoted {
+			v = escapeGlob(v)
+		}
+		return v, err
 	}
 	var b strings.Builder
-	for _, p := range parts {
-		if p.quoted {
-			b.WriteString(escapeGlob(p.text))
-		} else {
-			b.WriteString(p.text)
+	for i := range segs {
+		v, err := in.value(&segs[i])
+		if err != nil {
+			return "", err
 		}
+		if pattern && segs[i].quoted {
+			v = escapeGlob(v)
+		}
+		b.WriteString(v)
 	}
 	return b.String(), nil
 }
 
 func escapeGlob(s string) string {
+	if !strings.ContainsAny(s, `*?[]\`) {
+		return s
+	}
 	var b strings.Builder
 	for i := 0; i < len(s); i++ {
 		switch s[i] {

@@ -43,6 +43,29 @@ type Interp struct {
 	steps    int
 	lastExit int
 	exited   bool
+
+	// ioFree holds the IOs of finished runs and command substitutions
+	// for the next one to take. Their builders have been Reset, which
+	// drops the buffer: nothing of an execution is retained here.
+	ioFree []*IO
+}
+
+func (in *Interp) getIO() *IO {
+	if n := len(in.ioFree); n > 0 {
+		io := in.ioFree[n-1]
+		in.ioFree = in.ioFree[:n-1]
+		return io
+	}
+	return newIO("")
+}
+
+// putIO recycles an IO from getIO. Strings taken from its builders
+// stay valid: Reset abandons the buffer, it does not reuse it.
+func (in *Interp) putIO(io *IO) {
+	io.In = ""
+	io.Out.Reset()
+	io.Err.Reset()
+	in.ioFree = append(in.ioFree, io)
 }
 
 // New returns an interpreter with the coreutils builtins installed.
@@ -84,16 +107,20 @@ type Result struct {
 // Run parses and executes a script from a clean control-flow state
 // (variables, files and builtins persist across calls). Parsing goes
 // through the process-wide AST cache, so repeated runs of the same
-// script text skip the lexer and parser entirely.
+// script text skip the lexer, the parser and the word compiler
+// entirely. This is the cache's only lookup per run: the bodies of
+// command substitutions are already part of the program.
 func (in *Interp) Run(script string) (Result, error) {
 	prog, err := ParseCached(script)
 	if err != nil {
 		return Result{}, err
 	}
 	in.exited = false
-	io := newIO("")
+	io := in.getIO()
 	code := in.execList(prog.stmts, io)
-	return Result{Stdout: io.Out.String(), Stderr: io.Err.String(), ExitCode: code}, nil
+	res := Result{Stdout: io.Out.String(), Stderr: io.Err.String(), ExitCode: code}
+	in.putIO(io)
+	return res, nil
 }
 
 func (in *Interp) execList(stmts []node, io *IO) int {
@@ -135,7 +162,7 @@ func (in *Interp) execNode(n node, io *IO) int {
 	case *whileCmd:
 		code = in.execWhile(t, io)
 	case *condCmd:
-		ok, err := in.evalCond(t.words, true)
+		ok, err := in.evalCond(t.words)
 		if err != nil {
 			fmt.Fprintf(io.Err, "shell: line %d: %v\n", t.line, err)
 			code = 2
@@ -210,13 +237,12 @@ func (in *Interp) execIf(c *ifCmd, io *IO) int {
 
 func (in *Interp) execFor(c *forCmd, io *IO) int {
 	var items []string
-	for _, raw := range c.items {
-		fields, err := in.expandFields(raw)
-		if err != nil {
+	for i := range c.items {
+		var err error
+		if items, err = in.expandFields(items, &c.items[i]); err != nil {
 			fmt.Fprintf(io.Err, "shell: for: %v\n", err)
 			return 1
 		}
-		items = append(items, fields...)
 	}
 	code := 0
 	for _, item := range items {
@@ -244,9 +270,10 @@ func (in *Interp) execWhile(c *whileCmd, io *IO) int {
 
 func (in *Interp) execSimple(c *simpleCmd, io *IO) int {
 	// Assignment-only command: set variables.
-	if len(c.words) == 0 {
-		for _, a := range c.assigns {
-			val, err := in.expandOne(a.raw)
+	if len(c.words) == 0 && c.argv == nil {
+		for i := range c.assigns {
+			a := &c.assigns[i]
+			val, err := in.expandOne(&a.val)
 			if err != nil {
 				fmt.Fprintf(io.Err, "shell: %v\n", err)
 				return 1
@@ -255,28 +282,25 @@ func (in *Interp) execSimple(c *simpleCmd, io *IO) int {
 		}
 		return 0
 	}
-	argv := make([]string, 0, len(c.words))
-	for _, w := range c.words {
-		// Words with no quotes, escapes or substitutions expand to
-		// themselves; skip the expansion machinery for them.
-		if plainWord(w) {
-			argv = append(argv, w)
-			continue
+	argv := c.argv
+	if argv == nil {
+		argv = make([]string, 0, len(c.words))
+		for i := range c.words {
+			var err error
+			if argv, err = in.expandFields(argv, &c.words[i]); err != nil {
+				fmt.Fprintf(io.Err, "shell: line %d: %v\n", c.line, err)
+				return 1
+			}
 		}
-		fields, err := in.expandFields(w)
-		if err != nil {
-			fmt.Fprintf(io.Err, "shell: line %d: %v\n", c.line, err)
-			return 1
-		}
-		argv = append(argv, fields...)
 	}
 	if len(argv) == 0 {
 		return 0
 	}
 	// Temporary per-command assignments become plain env updates (our
 	// builtins all read Env directly).
-	for _, a := range c.assigns {
-		val, err := in.expandOne(a.raw)
+	for i := range c.assigns {
+		a := &c.assigns[i]
+		val, err := in.expandOne(&a.val)
 		if err != nil {
 			fmt.Fprintf(io.Err, "shell: %v\n", err)
 			return 1
@@ -302,8 +326,9 @@ func (in *Interp) applyRedirs(redirs []redir, io *IO) (*IO, func(), error) {
 	}
 	cmdIO := &IO{In: io.In, Out: io.Out, Err: io.Err}
 	var flushes []func()
-	for _, r := range redirs {
-		target, err := in.expandOne(r.target)
+	for i := range redirs {
+		r := &redirs[i]
+		target, err := in.expandOne(&r.target)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -374,22 +399,6 @@ func (in *Interp) invoke(argv []string, io *IO) int {
 	}
 	fmt.Fprintf(io.Err, "shell: %s: command not found\n", name)
 	return 127
-}
-
-// evalCondExpanded evaluates test/[ conditions whose operands are
-// already expanded argv words.
-func (in *Interp) evalCondExpanded(args []string) (bool, error) {
-	// Re-quote each operand so evalCond's expansion pass treats it
-	// literally.
-	quoted := make([]string, len(args))
-	for i, a := range args {
-		if binaryOps[a] || unaryOps[a] || a == "!" || a == "(" || a == ")" || a == "&&" || a == "||" || a == "-a" || a == "-o" {
-			quoted[i] = a
-			continue
-		}
-		quoted[i] = "'" + strings.ReplaceAll(a, "'", `'\''`) + "'"
-	}
-	return in.evalCond(quoted, false)
 }
 
 // LastExit exposes the last command's exit code ($?).

@@ -4,6 +4,15 @@
 // variable and command substitution, pattern matching, and redirects
 // onto an in-memory filesystem.
 //
+// A script is compiled once and run many times. Parse produces an
+// immutable program in which every word is already split into its
+// literal text, variable references and command substitutions (see
+// word in expand.go), all-literal words carry their expansion and
+// all-literal commands their finished argv; running it looks variables
+// up, executes substitutions and assembles fields, and never scans the
+// source again. ParseCached shares one program per distinct script
+// text across all interpreters of the process (see cache.go).
+//
 // The interpreter is deliberately hermetic: no real processes, no real
 // files, no real time. Commands are Go builtins; "sleep" advances a
 // virtual clock supplied by the embedder; kubectl/curl/minikube are
@@ -51,7 +60,7 @@ type lexer struct {
 }
 
 // lex splits a script into tokens. Words keep their raw text (quotes,
-// $ expansions and all); the expansion pass interprets them later.
+// $ expansions and all); the parser compiles them.
 func lex(src string) ([]token, error) {
 	l := &lexer{src: src, line: 1}
 	for {
@@ -222,7 +231,8 @@ func (l *lexer) lexWord() error {
 				return err
 			}
 		case '\\':
-			l.pos += 2
+			// A backslash that ends the script escapes nothing.
+			l.pos = min(l.pos+2, len(l.src))
 		case '$':
 			if err := l.scanDollar(); err != nil {
 				return err

@@ -27,9 +27,14 @@ type (
 
 	simpleCmd struct {
 		assigns []assign
-		words   []string // raw word texts
-		redirs  []redir
-		line    int
+		words   []word
+		// argv is the finished argument vector of a command whose words
+		// are all literal, and words is then nil. Every run of the
+		// script, on any goroutine, hands this one slice to the builtin:
+		// nothing may write to it, and cap == len makes an append copy.
+		argv   []string
+		redirs []redir
+		line   int
 	}
 
 	ifCmd struct {
@@ -46,7 +51,7 @@ type (
 
 	forCmd struct {
 		varName string
-		items   []string // raw words
+		items   []word
 		body    []node
 	}
 
@@ -56,7 +61,7 @@ type (
 	}
 
 	condCmd struct { // [[ ... ]]
-		words []string
+		words []word
 		line  int
 	}
 
@@ -81,36 +86,49 @@ func (notCmd) nodeTag()    {}
 
 type assign struct {
 	name string
-	raw  string // raw value text, expanded at exec time
+	val  word
 }
 
 type redir struct {
 	fd     int    // source fd
 	op     string // > >> < >&
-	target string // raw word
+	target word
 }
 
-// Parse compiles a script into its AST.
-func Parse(src string) (*program, error) {
+// Parse compiles a script into its AST, words included: see word for
+// what is decided here and what is left to a run. The result is
+// immutable and may be executed by any number of interpreters at once.
+func Parse(src string) (*program, error) { return parse(src, 0) }
+
+// parse compiles a script that sits depth command substitutions deep
+// in the one handed to Parse.
+func parse(src string, depth int) (*program, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
 	}
-	p := &parser{toks: toks}
-	prog, err := p.parseProgram()
-	if err != nil {
-		return nil, err
-	}
-	return prog, nil
+	p := &parser{toks: toks, depth: depth}
+	return p.parseProgram()
 }
 
 type parser struct {
-	toks []token
-	pos  int
+	toks  []token
+	pos   int
+	depth int
 }
 
 func (p *parser) peek() token { return p.toks[p.pos] }
-func (p *parser) next() token { t := p.toks[p.pos]; p.pos++; return t }
+
+// next consumes a token; the EOF that ends the stream is handed out
+// again and again, so a construct cut short never runs off the end.
+func (p *parser) next() token {
+	t := p.toks[p.pos]
+	if t.kind != tokEOF {
+		p.pos++
+	}
+	return t
+}
+
 func (p *parser) errf(format string, args ...any) error {
 	return fmt.Errorf("shell: line %d: %s", p.peek().line, fmt.Sprintf(format, args...))
 }
@@ -281,7 +299,7 @@ func (p *parser) parseFor() (node, error) {
 	if p.peek().kind == tokWord && p.peek().text == "in" {
 		p.next()
 		for p.peek().kind == tokWord && p.peek().text != "do" {
-			cmd.items = append(cmd.items, p.next().text)
+			cmd.items = append(cmd.items, argWord(p.next().text, p.depth))
 		}
 	}
 	p.skipSeparators()
@@ -317,14 +335,14 @@ func (p *parser) parseWhile(until bool) (node, error) {
 	}
 	if until {
 		// until COND == while ! COND: wrap the condition.
-		cond = []node{&ifCmd{cond: cond, then: []node{&simpleCmd{words: []string{"false"}}}, elseBody: []node{&simpleCmd{words: []string{"true"}}}}}
+		cond = []node{&ifCmd{cond: cond, then: []node{&simpleCmd{argv: []string{"false"}}}, elseBody: []node{&simpleCmd{argv: []string{"true"}}}}}
 	}
 	return &whileCmd{cond: cond, body: body}, nil
 }
 
 func (p *parser) parseCond() (node, error) {
 	start := p.next() // "[["
-	var words []string
+	var words []word
 	for {
 		t := p.peek()
 		if t.kind == tokEOF || t.kind == tokNewline {
@@ -332,7 +350,7 @@ func (p *parser) parseCond() (node, error) {
 		}
 		// Inside [[ ]], && and || are condition operators.
 		if t.kind == tokOp && (t.text == "&&" || t.text == "||") {
-			words = append(words, t.text)
+			words = append(words, word{raw: t.text, lit: true, text: t.text})
 			p.next()
 			continue
 		}
@@ -343,7 +361,11 @@ func (p *parser) parseCond() (node, error) {
 		if t.text == "]]" {
 			return &condCmd{words: words, line: start.line}, nil
 		}
-		words = append(words, t.text)
+		// Only the word after == or != is ever read as a pattern.
+		pattern := len(words) > 0 && patternOps[words[len(words)-1].raw]
+		w := textWord(t.text, p.depth, pattern)
+		w.raw = t.text
+		words = append(words, w)
 	}
 }
 
@@ -352,7 +374,7 @@ func (p *parser) parseSimple() (node, error) {
 	// Leading assignments: NAME=value words before the command name.
 	for p.peek().kind == tokWord && len(cmd.words) == 0 {
 		if name, raw, ok := splitAssign(p.peek().text); ok {
-			cmd.assigns = append(cmd.assigns, assign{name: name, raw: raw})
+			cmd.assigns = append(cmd.assigns, assign{name: name, val: textWord(raw, p.depth, false)})
 			p.next()
 			continue
 		}
@@ -362,7 +384,7 @@ func (p *parser) parseSimple() (node, error) {
 		t := p.peek()
 		switch t.kind {
 		case tokWord:
-			cmd.words = append(cmd.words, t.text)
+			cmd.words = append(cmd.words, argWord(t.text, p.depth))
 			p.next()
 		case tokRedir:
 			r := redir{fd: t.fd, op: t.text}
@@ -371,16 +393,37 @@ func (p *parser) parseSimple() (node, error) {
 			if target.kind != tokWord {
 				return nil, p.errf("redirect needs a target")
 			}
-			r.target = target.text
+			r.target = textWord(target.text, p.depth, false)
 			p.next()
 			cmd.redirs = append(cmd.redirs, r)
 		default:
 			if len(cmd.words) == 0 && len(cmd.assigns) == 0 {
 				return nil, p.errf("expected command")
 			}
+			cmd.bakeArgv()
 			return cmd, nil
 		}
 	}
+}
+
+// bakeArgv replaces the words of an all-literal command by the argv
+// they always expand to.
+func (c *simpleCmd) bakeArgv() {
+	if len(c.words) == 0 {
+		return
+	}
+	n := 0
+	for i := range c.words {
+		if !c.words[i].lit {
+			return
+		}
+		n += len(c.words[i].fields)
+	}
+	c.argv = make([]string, 0, n)
+	for i := range c.words {
+		c.argv = append(c.argv, c.words[i].fields...)
+	}
+	c.words = nil
 }
 
 func (p *parser) expectWord(w string) error {
