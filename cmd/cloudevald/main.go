@@ -180,7 +180,9 @@ func run() error {
 		handler = withPprof(handler)
 		fmt.Println("cloudevald: pprof enabled at /debug/pprof/ (mutex and block sampling on)")
 	}
-	httpSrv := &http.Server{Addr: *addr, Handler: handler}
+	// ReadHeaderTimeout: a client that opens a connection and never
+	// finishes its headers must not hold it, and its goroutine, forever.
+	httpSrv := &http.Server{Addr: *addr, Handler: handler, ReadHeaderTimeout: 10 * time.Second}
 	errc := make(chan error, 1)
 	go func() { errc <- httpSrv.ListenAndServe() }()
 	fmt.Printf("cloudevald: listening on %s\n", *addr)

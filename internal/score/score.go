@@ -96,24 +96,92 @@ func KVWildcard(p dataset.Problem, answer string) float64 {
 	return refFor(p).kv.KVWildcard(answer)
 }
 
+// textScores are the five metrics that depend on the reference and the
+// answer text alone.
+type textScores struct {
+	bleu, editDist, exactMatch, kvExact, kvWildcard float64
+}
+
+func (r *refContext) score(answer string) textScores {
+	t := textScores{
+		bleu:       r.bleu.Score(answer),
+		editDist:   r.lines.EditDistanceScore(answer),
+		exactMatch: r.lines.ExactMatch(answer),
+	}
+	t.kvExact, t.kvWildcard = r.kv.Score(answer)
+	return t
+}
+
+// textMemo holds the text scores of one EvaluateModelVia or
+// BenchmarkVia call by (compiled reference, answer). The three variants
+// of a problem share a reference and often an answer, and weak models
+// converge on the same wrong ones: of Table 4's 13,195 scorings 5,759
+// are distinct. The key is the reference's identity and the whole
+// answer, so two keys are equal only when the scores are. It lives and
+// dies with the call that made it: nothing outlives a campaign, and
+// ScoreAnswerWith, which serves callers' own text, keeps nothing.
+type textMemo struct {
+	mu sync.Mutex
+	m  map[textKey]textScores
+}
+
+type textKey struct {
+	ref    *refContext
+	answer string
+}
+
+// newTextMemo sizes the map for a call of ops scorings, of which about
+// half are expected to be distinct.
+func newTextMemo(ops int) *textMemo {
+	return &textMemo{m: make(map[textKey]textScores, ops/2)}
+}
+
+// score returns ref.score(answer), computed at most once per key
+// unless two workers meet on a new one: then both compute, outside the
+// lock, and store equal values.
+func (tm *textMemo) score(ref *refContext, answer string) textScores {
+	k := textKey{ref, answer}
+	tm.mu.Lock()
+	t, ok := tm.m[k]
+	tm.mu.Unlock()
+	if ok {
+		return t
+	}
+	t = ref.score(answer)
+	tm.mu.Lock()
+	tm.m[k] = t
+	tm.mu.Unlock()
+	return t
+}
+
 // ScoreAnswerWith computes all six metrics, submitting the unit test —
 // the function-level metric that needs a simulated cluster — through
 // eng. The five text-level and YAML-aware metrics run inline on the
 // problem's compiled reference; the two-string functions they equal
 // bit for bit stay in scoreAnswerSerial, the oracle.
 func ScoreAnswerWith(eng *engine.Engine, p dataset.Problem, answer string) ProblemScore {
-	ref := refFor(p)
-	s := ProblemScore{
+	return problemScore(eng, p, answer, refFor(p).score(answer))
+}
+
+// scoreAnswerMemo is ScoreAnswerWith for a campaign: the text scores
+// come from tm. The unit test still goes through eng for every op,
+// which has its own cache and whose Stats count every submission.
+func scoreAnswerMemo(eng *engine.Engine, tm *textMemo, p dataset.Problem, answer string) ProblemScore {
+	return problemScore(eng, p, answer, tm.score(refFor(p), answer))
+}
+
+func problemScore(eng *engine.Engine, p dataset.Problem, answer string, t textScores) ProblemScore {
+	return ProblemScore{
 		ProblemID:  p.ID,
 		Variant:    p.Variant,
 		Answer:     answer,
-		BLEU:       ref.bleu.Score(answer),
-		EditDist:   ref.lines.EditDistanceScore(answer),
-		ExactMatch: ref.lines.ExactMatch(answer),
+		BLEU:       t.bleu,
+		EditDist:   t.editDist,
+		ExactMatch: t.exactMatch,
+		KVExact:    t.kvExact,
+		KVWildcard: t.kvWildcard,
+		UnitTest:   eng.UnitTest(p, answer).Score(),
 	}
-	s.KVExact, s.KVWildcard = ref.kv.Score(answer)
-	s.UnitTest = eng.UnitTest(p, answer).Score()
-	return s
 }
 
 // scoreAnswerSerial is the pre-engine path: the unit test runs directly
@@ -165,12 +233,13 @@ func EvaluateModelVia(eng *engine.Engine, gen *inference.Dispatcher, m llm.Model
 	engine.WarmDigests(kept)
 	inference.WarmPrompts(kept, opts.Shots)
 	out := make([]ProblemScore, len(kept))
+	tm := newTextMemo(len(kept))
 	engine.Pipeline(eng, len(kept), gen.Concurrency(), 0,
 		func(i int) string {
 			return gen.Answer(m, kept[i], opts)
 		},
 		func(i int, answer string) {
-			s := ScoreAnswerWith(eng, kept[i], answer)
+			s := scoreAnswerMemo(eng, tm, kept[i], answer)
 			s.Model = m.Name
 			out[i] = s
 		})
@@ -281,13 +350,14 @@ func BenchmarkVia(eng *engine.Engine, gen *inference.Dispatcher, models []llm.Mo
 	engine.WarmDigests(problems)
 	inference.WarmPrompts(problems, 0)
 	scores := make([]ProblemScore, len(pairs))
+	tm := newTextMemo(len(pairs))
 	engine.Pipeline(eng, len(pairs), gen.Concurrency(), 0,
 		func(i int) string {
 			return gen.Answer(models[pairs[i].model], pairs[i].problem, llm.GenOptions{})
 		},
 		func(i int, answer string) {
 			pr := pairs[i]
-			s := ScoreAnswerWith(eng, pr.problem, answer)
+			s := scoreAnswerMemo(eng, tm, pr.problem, answer)
 			s.Model = models[pr.model].Name
 			scores[i] = s
 		})

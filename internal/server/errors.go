@@ -1,6 +1,9 @@
 package server
 
 import (
+	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"strconv"
 	"time"
@@ -10,7 +13,7 @@ import (
 //
 //	{"error": {"code": "rate_limited", "message": "..."}}
 //
-// The HTTP status carries the class (400/404/429/500/502), the code a
+// The HTTP status carries the class (400/404/413/429/500/502), the code a
 // machine-readable cause within it, and the message the human detail.
 // Handlers never call http.Error directly — the envelope is the wire
 // contract the typed client (cloudeval/client) decodes.
@@ -20,6 +23,7 @@ const (
 	codeBadRequest    = "bad_request"
 	codeInvalidTenant = "invalid_tenant"
 	codeNotFound      = "not_found"
+	codeTooLarge      = "request_too_large"
 	codeRateLimited   = "rate_limited"
 	codeQueueFull     = "campaign_queue_full"
 	codeBadGateway    = "bad_gateway"
@@ -51,4 +55,28 @@ func writeRetryError(w http.ResponseWriter, status int, code, message string, re
 	}
 	w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	writeError(w, status, code, message)
+}
+
+// maxBodyBytes caps what a mutating route reads of a request body. The
+// largest legitimate one — a /v1/eval with a multi-document answer — is
+// a few KB; without a cap one request could make the decoder buffer
+// whatever a client cares to send.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes the request's JSON body into v, reading at most
+// maxBodyBytes of it. On failure it has written the response — 413 for
+// a body over the cap, 400 for anything else — and returns false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	if err == nil {
+		return true
+	}
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		writeError(w, http.StatusRequestEntityTooLarge, codeTooLarge,
+			fmt.Sprintf("request body over %d bytes", tooLarge.Limit))
+	} else {
+		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request: "+err.Error())
+	}
+	return false
 }

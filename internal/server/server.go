@@ -487,8 +487,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req evalRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	p, ok := s.problems[req.Problem]
@@ -574,8 +573,7 @@ func (s *Server) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var req campaignRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request: "+err.Error())
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	ids := req.Experiments

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
@@ -85,6 +86,66 @@ func TestEvalEndpoint(t *testing.T) {
 	apiErr(t, err, 400, "bad_request")
 	_, err = c.Eval(ctx, client.EvalRequest{Problem: p.ID, Answer: "x", Model: "gpt-4"})
 	apiErr(t, err, 400, "bad_request")
+}
+
+// fill is an endless stream of one byte.
+type fill byte
+
+func (f fill) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(f)
+	}
+	return len(p), nil
+}
+
+// countingReader counts what is read through it.
+type countingReader struct {
+	r io.Reader
+	n int64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	c.n += int64(n)
+	return n, err
+}
+
+// TestRequestBodyCapped: both routes that decode a body stop at 1 MiB
+// and answer 413 request_too_large. What the handler takes off the wire
+// — and so what the decoder can buffer — is the cap plus the one byte
+// that shows the body is over it, whether the body is 2 MiB or 64.
+func TestRequestBodyCapped(t *testing.T) {
+	bench := smallBench(engine.New())
+	ts := newTestServer(t, bench)
+	p := bench.Originals[0]
+
+	c := client.New(ts.URL)
+	_, err := c.Eval(context.Background(), client.EvalRequest{Problem: p.ID, Answer: strings.Repeat("a", 2<<20)})
+	apiErr(t, err, 413, "request_too_large")
+
+	// A body under the cap is read and judged on its merits.
+	_, err = c.Eval(context.Background(), client.EvalRequest{Problem: p.ID, Answer: strings.Repeat("a", 1<<19)})
+	if err != nil {
+		t.Errorf("512 KiB answer: %v", err)
+	}
+
+	h := server.New(bench, t.TempDir()).Handler()
+	for _, route := range []string{"/v1/eval", "/v1/campaign"} {
+		for _, size := range []int64{2 << 20, 64 << 20} {
+			body := &countingReader{r: io.MultiReader(
+				strings.NewReader(`{"problem":"`+p.ID+`","answer":"`),
+				io.LimitReader(fill('a'), size),
+				strings.NewReader(`"}`))}
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", route, body))
+			if rec.Code != http.StatusRequestEntityTooLarge || !strings.Contains(rec.Body.String(), `"request_too_large"`) {
+				t.Errorf("%s with a %d MiB body: %d %s, want 413 request_too_large", route, size>>20, rec.Code, rec.Body)
+			}
+			if body.n > 1<<20+1 {
+				t.Errorf("%s with a %d MiB body: the handler read %d bytes of it, want at most 1 MiB + 1", route, size>>20, body.n)
+			}
+		}
+	}
 }
 
 // TestLeaderboardByteIdentical: /v1/leaderboard must render exactly

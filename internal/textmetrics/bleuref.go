@@ -2,59 +2,163 @@ package textmetrics
 
 import (
 	"math"
+	"math/bits"
 	"sync"
 	"unicode"
 	"unicode/utf8"
 )
 
-// gram is an n-gram of reference token ids, n ≤ bleuMaxN; positions
-// past n stay zero. Each order has its own table, so a bigram and a
-// four-gram with the same leading ids never meet. An array key puts no
-// limit on the vocabulary.
-type gram [bleuMaxN]int32
-
 // BLEURef is the reference side of a BLEU comparison compiled once:
-// the reference's token vocabulary and its 1..4-gram counts keyed by
-// token ids. The benchmark scores twelve models against the same
-// reference, so everything that depends on the reference alone is
-// paid here, and Score only streams the candidate over it. A BLEURef
-// is immutable after construction and safe for concurrent use.
+// the reference's token vocabulary and its 1..4-gram counts, held in
+// two open-addressed tables so that Score never touches a Go map. The
+// benchmark scores twelve models against the same reference, so
+// everything that depends on the reference alone is paid here, and
+// Score only streams the candidate over it. A BLEURef is immutable
+// after construction and safe for concurrent use.
+//
+// Every distinct reference n-gram owns one slot of refCount. Unigrams
+// come first, in order of first appearance, so a token's id is the
+// slot of its unigram and slot 0 is always a unigram. A longer n-gram
+// is reached from its (n-1)-token prefix: ext maps the integer
+// prefixSlot<<32 | tokenID to the n-gram's slot. Slots and ids are
+// non-negative int32s, so that key is exact — two different n-grams
+// never share one, whatever the vocabulary size — and because a slot
+// belongs to one n-gram of one order, the four orders share the table.
 type BLEURef struct {
-	refLen int
-	vocab  map[string]int32 // reference token → id
-	// grams[n-1] maps a reference n-gram to its slot in refCount (and
-	// in the per-call counter of the same length).
-	grams    [bleuMaxN]map[gram]int32
+	refLen   int
+	vocab    []vocabCell // open addressing, linear probing; len is a power of two
+	ext      []extCell   // likewise
+	extShift uint8       // 64 - log2(len(ext)): the key's hash keeps its top bits
 	refCount []int32
 }
 
-// NewBLEURef precomputes reference n-gram statistics.
+// vocabCell is one cell of the vocabulary table. No token is empty, so
+// tok == "" marks an empty cell.
+type vocabCell struct {
+	tok string
+	id  int32
+}
+
+// extCell is one cell of the extension table. Slot 0 is a unigram and
+// no extension leads to one, so slot == 0 marks an empty cell.
+type extCell struct {
+	key  uint64
+	slot int32
+}
+
+// tableSize returns the power of two that holds n entries at load
+// ≤ 0.5. It is never below 2, so an empty table still answers probes.
+func tableSize(n int) int {
+	size := 2
+	for size < 2*n {
+		size <<= 1
+	}
+	return size
+}
+
+// tokenHash is 32-bit FNV-1a, small enough to inline into the probe.
+func tokenHash(tok string) uint32 {
+	h := uint32(2166136261)
+	for i := 0; i < len(tok); i++ {
+		h = (h ^ uint32(tok[i])) * 16777619
+	}
+	return h
+}
+
+// tokenID returns the id of a reference token, or -1 for a token the
+// reference never uses.
+func (r *BLEURef) tokenID(tok string) int32 {
+	mask := uint32(len(r.vocab) - 1)
+	for i := tokenHash(tok) & mask; ; i = (i + 1) & mask {
+		c := &r.vocab[i]
+		if c.tok == tok {
+			return c.id
+		}
+		if c.tok == "" {
+			return -1
+		}
+	}
+}
+
+func extKey(prefixSlot, id int32) uint64 { return uint64(prefixSlot)<<32 | uint64(id) }
+
+// extHome is the cell a key probes first: Fibonacci hashing, the top
+// bits of the key times 2^64/φ.
+func extHome(key uint64, shift uint8) int { return int(key * 0x9E3779B97F4A7C15 >> shift) }
+
+// extend returns the slot of the reference n-gram made of the n-gram
+// at prefixSlot followed by token id, or 0 when the reference holds no
+// such n-gram.
+func (r *BLEURef) extend(prefixSlot, id int32) int32 {
+	key := extKey(prefixSlot, id)
+	mask := len(r.ext) - 1
+	for i := extHome(key, r.extShift); ; i = (i + 1) & mask {
+		c := &r.ext[i]
+		if c.slot == 0 || c.key == key {
+			return c.slot
+		}
+	}
+}
+
+// NewBLEURef precomputes reference n-gram statistics. Go maps find the
+// distinct tokens and n-grams here, once; both tables are then sized
+// from those counts and filled in slot order, so a reference always
+// compiles to the same layout.
 func NewBLEURef(reference string) *BLEURef {
 	toks := Tokenize(reference)
-	r := &BLEURef{refLen: len(toks), vocab: make(map[string]int32)}
+	r := &BLEURef{refLen: len(toks)}
 	ids := make([]int32, len(toks))
+	distinct := make(map[string]int32)
 	for i, t := range toks {
-		id, ok := r.vocab[t]
+		id, ok := distinct[t]
 		if !ok {
-			id = int32(len(r.vocab))
-			r.vocab[t] = id
+			id = int32(len(distinct))
+			distinct[t] = id
 		}
 		ids[i] = id
 	}
-	for n := 1; n <= bleuMaxN; n++ {
-		table := make(map[gram]int32)
+	r.refCount = make([]int32, len(distinct))
+	r.vocab = make([]vocabCell, tableSize(len(distinct)))
+	mask := uint32(len(r.vocab) - 1)
+	for i, t := range toks {
+		if r.refCount[ids[i]]++; r.refCount[ids[i]] > 1 {
+			continue // seen before: already in the table
+		}
+		h := tokenHash(t) & mask
+		for r.vocab[h].tok != "" {
+			h = (h + 1) & mask
+		}
+		r.vocab[h] = vocabCell{t, ids[i]}
+	}
+
+	// slots[i] is the slot of the n-gram of the current order that
+	// starts at token i; extending it by the token n-1 further on gives
+	// the next order's.
+	slots := append([]int32(nil), ids...)
+	grams := make(map[uint64]int32)
+	var keys []uint64 // keys[slot-len(distinct)], in slot order
+	for n := 2; n <= bleuMaxN; n++ {
 		for i := 0; i+n <= len(ids); i++ {
-			var g gram
-			copy(g[:], ids[i:i+n])
-			slot, ok := table[g]
+			key := extKey(slots[i], ids[i+n-1])
+			slot, ok := grams[key]
 			if !ok {
 				slot = int32(len(r.refCount))
-				table[g] = slot
+				grams[key] = slot
+				keys = append(keys, key)
 				r.refCount = append(r.refCount, 0)
 			}
 			r.refCount[slot]++
+			slots[i] = slot
 		}
-		r.grams[n-1] = table
+	}
+	r.ext = make([]extCell, tableSize(len(keys)))
+	r.extShift = uint8(64 - bits.TrailingZeros(uint(len(r.ext))))
+	for k, key := range keys {
+		h := extHome(key, r.extShift)
+		for r.ext[h].slot != 0 {
+			h = (h + 1) & (len(r.ext) - 1)
+		}
+		r.ext[h] = extCell{key, int32(len(distinct) + k)}
 	}
 	return r
 }
@@ -82,11 +186,7 @@ func (r *BLEURef) Score(candidate string) float64 {
 		if !ok {
 			break
 		}
-		id, known := r.vocab[tok]
-		if !known {
-			id = -1
-		}
-		ids = append(ids, id)
+		ids = append(ids, r.tokenID(tok))
 		i = next
 	}
 	sc.ids = ids
@@ -103,17 +203,24 @@ func (r *BLEURef) Score(candidate string) float64 {
 	// candidate has used its n-gram no more often than the reference
 	// holds it, which sums to min(candidate count, reference count).
 	var match [bleuMaxN]int
-	for i := range ids {
-		var g gram
-		for n := 0; n < bleuMaxN && i+n < len(ids); n++ {
-			g[n] = ids[i+n]
-			slot, ok := r.grams[n][g]
-			if !ok {
-				break // nor is any longer n-gram starting here
-			}
+	for i, id := range ids {
+		if id < 0 {
+			continue // nothing starting here is in the reference
+		}
+		// Walk from the unigram outwards, one integer probe per token;
+		// an unknown token or a missing n-gram ends it, as no longer
+		// n-gram starting here can match either.
+		slot := id
+		for n := 0; ; {
 			seen[slot]++
 			if seen[slot] <= r.refCount[slot] {
 				match[n]++
+			}
+			if n++; n == bleuMaxN || i+n == len(ids) || ids[i+n] < 0 {
+				break
+			}
+			if slot = r.extend(slot, ids[i+n]); slot == 0 {
+				break
 			}
 		}
 	}

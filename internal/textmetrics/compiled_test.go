@@ -2,6 +2,7 @@ package textmetrics
 
 import (
 	"math"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -104,8 +105,53 @@ func TestNextTokenYieldsTokenize(t *testing.T) {
 	}
 }
 
+// collidingTokens returns two word tokens with the same tokenHash, so
+// that they share a home cell in a vocabulary table of any size.
+func collidingTokens(t testing.TB) (a, b string) {
+	byHash := make(map[uint32]string)
+	for i := 0; i < 1<<22; i++ { // a 32-bit birthday: ~80k tokens expected
+		tok := "t" + strconv.Itoa(i)
+		h := tokenHash(tok)
+		if prev, ok := byHash[h]; ok {
+			return prev, tok
+		}
+		byHash[h] = tok
+	}
+	t.Fatal("no two tokens with equal tokenHash")
+	return "", ""
+}
+
+// bleuRefSeeds are (candidate, reference) pairs aimed at BLEURef's
+// tables: where a walk from unigram to 4-gram stops, what an unknown
+// token does to it, and the cells that double as markers.
+func bleuRefSeeds(t testing.TB) [][2]string {
+	const ref = "a b c d e f"
+	x, y := collidingTokens(t)
+	return [][2]string{
+		{"q r s t u", ref}, // every token unknown
+		{"Z b c d e", ref}, // an unknown token at each position of a matching 4-gram
+		{"a Z c d e", ref},
+		{"a b Z d e", ref},
+		{"a b c Z e", ref},
+		{"a b c d Z", ref},
+		{"a b c d", ref},
+		{"a a a a a b a c", "a b a c"}, // id and slot 0 used beyond its reference count
+		{"a a a a", "a a a"},           // the bigram (slot 0, id 0), whose key is the empty cell's
+		{"a", "a"},                     // a reference of one token: no extension at all
+		{"a a", "a"},
+		{"b", "a"},
+		{"a b c d", "a"},
+		{x + " " + y + " " + x + " " + y, x + " " + y + " " + x + " " + y + " " + x}, // one home cell, two tokens
+		{y + " " + x, x + " " + y},
+		{y, x},
+	}
+}
+
 func FuzzBLEURefMatchesBLEU(f *testing.F) {
 	eachSeedPair(func(candidate, reference string) { f.Add(candidate, reference) })
+	for _, s := range bleuRefSeeds(f) {
+		f.Add(s[0], s[1])
+	}
 	f.Fuzz(func(t *testing.T, candidate, reference string) {
 		checkBLEURef(t, candidate, reference)
 	})

@@ -8,6 +8,7 @@ import (
 	"cloudeval/internal/llm"
 	"cloudeval/internal/prompt"
 	"cloudeval/internal/textmetrics"
+	"cloudeval/internal/yamlmatch"
 )
 
 // TestEstimateTokensOverCorpus holds the byte-wise fast path of
@@ -50,4 +51,41 @@ func TestEstimateTokensOverCorpus(t *testing.T) {
 	if nonASCII == 0 || nonASCII == texts {
 		t.Errorf("%d of %d texts leave ASCII; the corpus should exercise both paths", nonASCII, texts)
 	}
+}
+
+// TestBLEURefTables compiles every distinct reference of the corpus and
+// checks the two open-addressed tables behind BLEURef.Score: every
+// reference n-gram (n = 1..4) is found, from its prefix, with the count
+// the oracle's own n-gram counter gives; no probe sequence laps its
+// table; both tables stay at load ≤ 0.5; and what the 312 compiled
+// references retain stays under the 3 MB DESIGN.md §2.13 quotes.
+func TestBLEURefTables(t *testing.T) {
+	seen := map[string]bool{}
+	bytes, maxProbes := 0, 0
+	for _, p := range augment.ExpandCorpus(dataset.Generate()) {
+		if seen[p.ReferenceYAML] {
+			continue
+		}
+		seen[p.ReferenceYAML] = true
+		clean := yamlmatch.StripLabels(p.ReferenceYAML)
+		rep, err := textmetrics.NewBLEURef(clean).CheckTables(clean)
+		if err != nil {
+			t.Errorf("%s: %v", p.ID, err)
+			continue
+		}
+		if rep.VocabLoad > 0.5 || rep.ExtLoad > 0.5 {
+			t.Errorf("%s: load %.3f (vocabulary) / %.3f (extensions), want ≤ 0.5", p.ID, rep.VocabLoad, rep.ExtLoad)
+		}
+		bytes += rep.Bytes
+		if rep.MaxProbes > maxProbes {
+			maxProbes = rep.MaxProbes
+		}
+	}
+	if len(seen) != 312 {
+		t.Errorf("%d distinct references, want 312", len(seen))
+	}
+	if bytes > 3<<20 {
+		t.Errorf("compiled references retain %d bytes of tables, want ≤ 3 MiB", bytes)
+	}
+	t.Logf("%d references, %d table bytes, longest probe sequence %d", len(seen), bytes, maxProbes)
 }

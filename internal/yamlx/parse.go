@@ -463,18 +463,10 @@ func (p *parser) parseBlockScalar(marker string, parentIndent, lineNum int) (*No
 // scalar but "a: b" is a mapping).
 func splitKey(content string) (key, rest string, isMap bool) {
 	depth := 0
-	var quote byte
 	for i := 0; i < len(content); i++ {
-		c := content[i]
-		if quote != 0 {
-			if c == quote {
-				quote = 0
-			}
-			continue
-		}
-		switch c {
+		switch content[i] {
 		case '\'', '"':
-			quote = c
+			i = quoteEnd(content, i)
 		case '[', '{':
 			depth++
 		case ']', '}':
@@ -489,6 +481,22 @@ func splitKey(content string) (key, rest string, isMap bool) {
 		}
 	}
 	return "", "", false
+}
+
+// quoteEnd returns the index of the quote that closes the one opened at
+// s[i], or len(s) when nothing does. Inside double quotes a backslash
+// escapes the byte after it, so `\"` does not close; single quotes have
+// no escapes (a doubled quote closes and reopens, which scans the same).
+func quoteEnd(s string, i int) int {
+	q := s[i]
+	for i++; i < len(s); i++ {
+		if s[i] == '\\' && q == '"' {
+			i++
+		} else if s[i] == q {
+			return i
+		}
+	}
+	return len(s)
 }
 
 func unquoteKey(k string) string {
@@ -515,18 +523,10 @@ func SplitTrailingComment(line string) (value, comment string) {
 // comment text (without "#"). A "#" only starts a comment at the start
 // of the content or when preceded by whitespace, outside quotes.
 func splitValueComment(s string) (value, comment string) {
-	var quote byte
 	for i := 0; i < len(s); i++ {
-		c := s[i]
-		if quote != 0 {
-			if c == quote {
-				quote = 0
-			}
-			continue
-		}
-		switch c {
+		switch s[i] {
 		case '\'', '"':
-			quote = c
+			i = quoteEnd(s, i)
 		case '#':
 			if i == 0 || s[i-1] == ' ' {
 				return strings.TrimSpace(s[:i]), strings.TrimSpace(s[i+1:])

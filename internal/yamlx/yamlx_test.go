@@ -142,6 +142,37 @@ func TestHashInsideQuotesIsNotComment(t *testing.T) {
 	}
 }
 
+// TestEscapesInsideDoubleQuotes: the key and comment scanners close a
+// double quote at its closing quote, not at an escaped one. The first
+// three inputs are ordinary container args the scanners used to misread
+// (a string taken for a mapping, a value cut at "#", a quoted key taken
+// for a plain scalar); the last two were always read right and must
+// stay so — single quotes have no escapes, and an escaped backslash
+// does not escape the quote after it. The flow rendering stands for
+// the whole tree.
+func TestEscapesInsideDoubleQuotes(t *testing.T) {
+	for _, c := range []struct{ src, want string }{
+		{"args:\n- \"echo \\\"hello: world\\\"\"", `{args: ["echo \"hello: world\""]}`},
+		{`x: "a \" # b"`, `{x: "a \" # b"}`},
+		{`"k\"x": v`, `{"k\\\"x": v}`}, // keys are unquoted, not unescaped
+		{`'it''s: x'`, `"it's: x"`},
+		{`- "a\\": b`, `[{a\\: b}]`},
+	} {
+		n, err := ParseString(c.src)
+		if err != nil {
+			t.Errorf("%q: %v", c.src, err)
+			continue
+		}
+		if got := string(MarshalFlow(n)); got != c.want {
+			t.Errorf("%q parsed as %s, want %s", c.src, got, c.want)
+		}
+	}
+	n := mustParse(t, "args:\n- \"echo \\\"hello: world\\\"\"")
+	if item := n.Path("args", 0); item == nil || item.Kind != StringKind || item.Str != `echo "hello: world"` {
+		t.Errorf("args[0] = %+v, want the string %q", item, `echo "hello: world"`)
+	}
+}
+
 func TestParseSequences(t *testing.T) {
 	n := mustParse(t, `
 plain:
