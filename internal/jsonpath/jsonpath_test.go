@@ -1,8 +1,11 @@
 package jsonpath
 
 import (
+	"regexp"
+	"strings"
 	"testing"
 
+	"cloudeval/internal/dataset"
 	"cloudeval/internal/yamlx"
 )
 
@@ -129,4 +132,48 @@ func TestEvalWildcardOnMap(t *testing.T) {
 	if got != "x y" {
 		t.Errorf("got %q", got)
 	}
+}
+
+// jsonpathFlag matches the template of a "-o jsonpath=…" flag in a
+// unit-test script, quoted or bare.
+var jsonpathFlag = regexp.MustCompile(`jsonpath=('[^']*'|"[^"]*"|\S+)`)
+
+// FuzzEval: a template is script text, and a script is whatever the
+// corpus — or a caller of POST /v1/eval — says it is. Eval must return
+// for any template, without a panic, the same result each time it is
+// asked (compiled steps are cached by expression). Seeded with every
+// template the corpus uses and with the syntax this subset leaves out:
+// filters, slices, unions, range/end.
+func FuzzEval(f *testing.F) {
+	seen := map[string]bool{}
+	for _, p := range dataset.Generate() {
+		for _, m := range jsonpathFlag.FindAllStringSubmatch(p.UnitTest, -1) {
+			if tmpl := strings.Trim(m[1], `'"`); !seen[tmpl] {
+				seen[tmpl] = true
+				f.Add(tmpl)
+			}
+		}
+	}
+	if len(seen) < 50 {
+		f.Fatalf("only %d jsonpath templates found in the corpus", len(seen))
+	}
+	for _, tmpl := range []string{
+		`{.items[?(@.metadata.name=="pod-a")].status.phase}`, `{.items[0:1].metadata.name}`, `{.items[-1:]}`, `{.items[0,1].metadata.name}`,
+		`{range .items[*]}{.metadata.name}{"\n"}{end}`, `{.items[*]['metadata.name', 'status.phase']}`, `{..name}`, `{.items..env..value}`,
+		`{$}`, `{@}`, `{.}`, `{..}`, `{`, `}`, `{}`, `{[}`, `{[']}`, `{['']}`, `{['a\.b']}`, `{["a]}`, `{.[0]}`, `{.items[ 0 ]}`, `{.items[99999999999999999999]}`,
+		`name={.items[0].metadata.name} ip={.items[0].status.hostIP}`, `{.items[*].spec.containers[*].resources.limits}`, "{.a\x00b}",
+	} {
+		f.Add(tmpl)
+	}
+	root, err := yamlx.ParseString(podList)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, tmpl string) {
+		out, err := Eval(root, tmpl)
+		again, err2 := Eval(root, tmpl)
+		if out != again || (err == nil) != (err2 == nil) {
+			t.Errorf("Eval(%q) = %q, %v the first time and %q, %v the second", tmpl, out, err, again, err2)
+		}
+	})
 }

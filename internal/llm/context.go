@@ -1,7 +1,6 @@
 package llm
 
 import (
-	"math/rand"
 	"strings"
 
 	"cloudeval/internal/dataset"
@@ -15,16 +14,32 @@ import (
 // same reference, and the corruptors all start from the same stripped
 // text, the same parsed documents and the same set of leaves the unit
 // test looks at. The documents are shared between goroutines (and with
-// yamlx's document cache): a corruptor clones them before it mutates
-// and never writes through a context's nodes.
+// yamlx's document cache) and never written once compileContext has
+// returned: a corruptor copies the nodes above each of its edits into
+// its arena and renders through the template, which takes a node it
+// knows by its pointer for an untouched subtree.
 type genContext struct {
 	clean string // reference text with the match labels stripped
 	// lineEnds[i] is the offset in clean where line i ends, over the
 	// lines of clean less its trailing newlines.
 	lineEnds []int
-	docs     []*yamlx.Node // clean parsed; nil if it does not parse
-	labeled  []*yamlx.Node // labeled reference parsed, labels in Comment; nil likewise
-	tested   [][]int       // paths to the scalar leaves of docs whose value the unit test mentions
+	docs     []*yamlx.Node   // clean parsed; nil if it does not parse
+	tmpl     *yamlx.Template // of docs
+	labeled  []*yamlx.Node   // labeled reference parsed, labels in Comment; nil likewise
+	tested   [][]int         // paths to the scalar leaves of docs whose value the unit test mentions
+	// noiseBase is labeled with the comment of every scalar mapping value
+	// cleared, which harmlessNoise does to all of them whatever it draws;
+	// subtrees with no such comment are labeled's own. noiseLabels holds
+	// the labels that were cleared and make harmlessNoise draw.
+	noiseBase   []*yamlx.Node
+	noiseTmpl   *yamlx.Template // of noiseBase
+	noiseLabels []noiseLabel
+}
+
+// noiseLabel is the wildcard or set label a scalar of noiseBase carried.
+type noiseLabel struct {
+	node  *yamlx.Node
+	label yamlmatch.Label
 }
 
 // genKey is the content a genContext is a pure function of.
@@ -52,14 +67,20 @@ func compileContext(reference, unitTest string) *genContext {
 	c.lineEnds = append(c.lineEnds, len(body))
 	if docs, err := yamlx.ParseAllCached([]byte(reference)); err == nil {
 		c.labeled = docs
+		c.noiseBase = make([]*yamlx.Node, len(docs))
+		for i, d := range docs {
+			c.noiseBase[i] = c.clearLabels(d)
+		}
+		c.noiseTmpl = yamlx.NewTemplate(c.noiseBase)
 	}
 	docs, err := yamlx.ParseAllCached([]byte(c.clean))
 	if err != nil {
 		return c
 	}
 	c.docs = docs
+	c.tmpl = yamlx.NewTemplate(docs)
 	// A path is the document's index, then child positions (entry or
-	// item index) down to the leaf; it finds the same leaf in a clone.
+	// item index) down to the leaf; it finds the same leaf in a copy.
 	// Positions stand in for keys: a parsed mapping has no duplicates.
 	var path []int
 	var visit func(n *yamlx.Node)
@@ -99,16 +120,56 @@ func child(n *yamlx.Node, pos int) *yamlx.Node {
 	return n.Items[pos]
 }
 
-// mutateLeaf replaces the scalar at path in docs with a mutated one.
-func mutateLeaf(docs []*yamlx.Node, path []int, rng *rand.Rand) {
-	n := docs[path[0]]
-	for _, pos := range path[1 : len(path)-1] {
-		n = child(n, pos)
-	}
-	last := path[len(path)-1]
+// setChild replaces n's child at position pos.
+func setChild(n *yamlx.Node, pos int, c *yamlx.Node) {
 	if n.Kind == yamlx.MapKind {
-		n.Entries[last].Value = mutateScalar(n.Entries[last].Value, rng)
+		n.Entries[pos].Value = c
 	} else {
-		n.Items[last] = mutateScalar(n.Items[last], rng)
+		n.Items[pos] = c
 	}
+}
+
+// clearLabels returns n without the comments of the scalar mapping
+// values below it — n itself where there are none — and notes every
+// label among them that harmlessNoise draws for. Only the nodes above a
+// cleared comment are copied.
+func (c *genContext) clearLabels(n *yamlx.Node) *yamlx.Node {
+	if n == nil || n.IsScalar() {
+		return n
+	}
+	out := n
+	for i := 0; i < n.Len(); i++ {
+		v := child(n, i)
+		nv := v
+		switch {
+		case !v.IsScalar():
+			nv = c.clearLabels(v)
+		case n.Kind == yamlx.MapKind && v.Comment != "":
+			bare := *v
+			bare.Comment = ""
+			nv = &bare
+			label := yamlmatch.ParseLabel(v.Comment)
+			if label.Kind == yamlmatch.WildcardLabel || label.Kind == yamlmatch.SetLabel && len(label.Values) > 0 {
+				c.noiseLabels = append(c.noiseLabels, noiseLabel{nv, label})
+			}
+		}
+		if nv != v {
+			if out == n {
+				out = n.ShallowClone()
+			}
+			setChild(out, i, nv)
+		}
+	}
+	return out
+}
+
+// labelOf is the label harmlessNoise draws for at scalar v of
+// noiseBase, nil if it has none. A reference has a handful at most.
+func (c *genContext) labelOf(v *yamlx.Node) *yamlmatch.Label {
+	for i := range c.noiseLabels {
+		if c.noiseLabels[i].node == v {
+			return &c.noiseLabels[i].label
+		}
+	}
+	return nil
 }

@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"cloudeval/internal/dataset"
-	"cloudeval/internal/yamlx"
 )
 
 // TestConcurrentGenerationsShareContext runs every model and setting
@@ -14,12 +13,12 @@ import (
 // the same compiled context, so each answer must equal the one a
 // single goroutine got, and the context's documents must come out
 // node for node as they went in; under -race a corruptor that wrote
-// through a shared node instead of its clone is reported as well.
+// through a shared node instead of its own copy is reported as well.
 func TestConcurrentGenerationsShareContext(t *testing.T) {
 	problems := dataset.Generate()
 	for _, p := range []dataset.Problem{problems[0], problems[len(problems)/2], problems[len(problems)-1]} {
 		c := contextFor(p)
-		docs, labeled := yamlx.CloneDocs(c.docs), yamlx.CloneDocs(c.labeled)
+		docs, labeled := cloneDocs(c.docs), cloneDocs(c.labeled)
 		var want []string
 		for _, m := range Models {
 			pinSweep(func(opts GenOptions) { want = append(want, m.Generate(p, opts)) })

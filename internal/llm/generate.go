@@ -267,14 +267,14 @@ func wrongKind(c *genContext, rng *rand.Rand) string {
 	if doc == nil || doc.Kind != yamlx.MapKind {
 		return c.clean
 	}
-	doc = doc.Clone() // the compiled tree is shared; mutate a copy
+	a := arenas.Get().(*arena)
+	defer a.release()
 	cur := doc.Get("kind").ScalarString()
 	alt := alternatives[rng.Intn(len(alternatives))]
 	for alt == cur {
 		alt = alternatives[rng.Intn(len(alternatives))]
 	}
-	doc.Set("kind", yamlx.String(alt))
-	return yamlx.MarshalString(doc)
+	return c.tmpl.Marshal(a.own(doc).Set("kind", a.str(alt)))
 }
 
 // corruptYAML perturbs functional leaves of the reference: numeric
@@ -287,7 +287,9 @@ func corruptYAML(c *genContext, rng *rand.Rand) string {
 	if len(c.docs) == 0 {
 		return c.clean
 	}
-	docs := yamlx.CloneDocs(c.docs) // the compiled trees are shared; mutate copies
+	a := arenas.Get().(*arena)
+	defer a.release()
+	docs := a.docs(c.docs)
 	// Corrupt most tested leaves (at least one), then a random leaf or
 	// two for texture.
 	mutated := 0
@@ -295,13 +297,16 @@ func corruptYAML(c *genContext, rng *rand.Rand) string {
 		if i > 0 && rng.Float64() > 0.8 {
 			continue
 		}
-		mutateLeaf(docs, path, rng)
+		last := len(path) - 1
+		parent := a.ownPath(docs, path[:last])
+		setChild(parent, path[last], a.mutateScalar(child(parent, path[last]), rng))
 		mutated++
 	}
 	if mutated == 0 {
 		// Nothing observable found: break the document structurally by
 		// dropping the spec subtree of the first document.
-		if len(docs) > 0 && docs[0].Kind == yamlx.MapKind {
+		if docs[0].Kind == yamlx.MapKind {
+			docs[0] = a.own(docs[0])
 			docs[0].Delete("spec")
 			docs[0].Delete("data")
 			docs[0].Delete("subjects")
@@ -309,80 +314,72 @@ func corruptYAML(c *genContext, rng *rand.Rand) string {
 	}
 	edits := 1 + rng.Intn(2)
 	for i := 0; i < edits; i++ {
-		doc := docs[rng.Intn(len(docs))]
-		corruptNode(doc, rng, 0)
+		a.corruptNode(docs, rng.Intn(len(docs)), rng)
 	}
-	return string(yamlx.MarshalAll(docs))
+	return c.tmpl.MarshalAll(docs)
 }
 
-func corruptNode(n *yamlx.Node, rng *rand.Rand, depth int) bool {
-	if n == nil {
-		return false
-	}
-	switch n.Kind {
-	case yamlx.MapKind:
-		if len(n.Entries) == 0 {
-			return false
-		}
-		idx := rng.Intn(len(n.Entries))
-		e := &n.Entries[idx]
-		// Never corrupt kind/apiVersion here (that is category 4's job).
-		if e.Key == "kind" || e.Key == "apiVersion" {
-			idx = (idx + 1) % len(n.Entries)
-			e = &n.Entries[idx]
-			if e.Key == "kind" || e.Key == "apiVersion" {
-				return false
+// corruptNode walks down from document doc, one random child a level,
+// to a scalar it mutates or a subtree it drops. Nothing is copied until
+// the walk knows what it changes; then the nodes on the way there are.
+func (a *arena) corruptNode(docs []*yamlx.Node, doc int, rng *rand.Rand) {
+	var buf [16]int
+	path := append(buf[:0], doc) // the document, then child positions down to n
+	for n := docs[doc]; n != nil && n.Len() > 0; {
+		idx := rng.Intn(n.Len())
+		if n.Kind == yamlx.MapKind {
+			// Never corrupt kind/apiVersion here (that is category 4's job).
+			if k := n.Entries[idx].Key; k == "kind" || k == "apiVersion" {
+				idx = (idx + 1) % len(n.Entries)
+				if k := n.Entries[idx].Key; k == "kind" || k == "apiVersion" {
+					return
+				}
 			}
 		}
-		if e.Value.IsScalar() {
-			e.Value = mutateScalar(e.Value, rng)
-			return true
+		v := child(n, idx)
+		if v.IsScalar() {
+			setChild(a.ownPath(docs, path), idx, a.mutateScalar(v, rng))
+			return
 		}
-		if depth >= 2 && rng.Float64() < 0.25 {
+		if n.Kind == yamlx.MapKind && len(path) > 2 && rng.Float64() < 0.25 {
 			// Drop an entire subtree.
+			n = a.ownPath(docs, path)
 			n.Entries = append(n.Entries[:idx], n.Entries[idx+1:]...)
-			return true
+			return
 		}
-		return corruptNode(e.Value, rng, depth+1)
-	case yamlx.SeqKind:
-		if len(n.Items) == 0 {
-			return false
-		}
-		idx := rng.Intn(len(n.Items))
-		if n.Items[idx].IsScalar() {
-			n.Items[idx] = mutateScalar(n.Items[idx], rng)
-			return true
-		}
-		return corruptNode(n.Items[idx], rng, depth+1)
-	default:
-		return false
+		path = append(path, idx)
+		n = v
 	}
 }
 
-func mutateScalar(v *yamlx.Node, rng *rand.Rand) *yamlx.Node {
+func (a *arena) mutateScalar(v *yamlx.Node, rng *rand.Rand) *yamlx.Node {
 	switch v.Kind {
 	case yamlx.IntKind:
 		delta := int64(1 + rng.Intn(9))
 		if rng.Intn(2) == 0 && v.Int > delta {
-			return yamlx.Integer(v.Int - delta)
+			delta = -delta
 		}
-		return yamlx.Integer(v.Int + delta)
+		n := a.node()
+		n.Kind, n.Int = yamlx.IntKind, v.Int+delta
+		return n
 	case yamlx.BoolKind:
-		return yamlx.Boolean(!v.Bool)
+		n := a.node()
+		n.Kind, n.Bool = yamlx.BoolKind, !v.Bool
+		return n
 	case yamlx.StringKind:
 		s := v.Str
 		// Mangle the middle so substring assertions fail too.
 		if len(s) > 3 {
 			mid := 1 + rng.Intn(len(s)-2)
-			c := byte('x')
+			c := "x"
 			if s[mid] == 'x' {
-				c = 'q'
+				c = "q"
 			}
-			return yamlx.String(s[:mid] + string(c) + s[mid+1:])
+			return a.str(s[:mid] + c + s[mid+1:])
 		}
-		return yamlx.String(s + "x")
+		return a.str(s + "x")
 	default:
-		return yamlx.String("changed")
+		return a.str("changed")
 	}
 }
 
@@ -394,20 +391,24 @@ func harmlessNoise(c *genContext, rng *rand.Rand) string {
 	if c.labeled == nil {
 		return c.clean
 	}
-	labeled := yamlx.CloneDocs(c.labeled) // the compiled trees are shared; mutate copies
-	for _, doc := range labeled {
-		applyHarmless(doc, rng)
+	a := arenas.Get().(*arena)
+	defer a.release()
+	docs := a.docs(c.noiseBase)
+	for i, doc := range docs {
+		docs[i] = a.applyHarmless(c, doc, rng)
 	}
-	out := yamlmatch.StripLabels(string(yamlx.MarshalAll(labeled)))
+	out := yamlmatch.StripLabels(c.noiseTmpl.MarshalAll(docs))
 	if textEqual(out, c.clean) {
 		// Noise is supposed to be visible: rotate the trailing top-level
 		// entries of the first document (YAML-legal, semantics intact).
-		doc := labeled[0]
-		if doc.Kind == yamlx.MapKind && len(doc.Entries) >= 3 {
-			tail := doc.Entries[1:]
-			rotated := append([]yamlx.Entry{tail[len(tail)-1]}, tail[:len(tail)-1]...)
-			doc.Entries = append(doc.Entries[:1], rotated...)
-			out = yamlmatch.StripLabels(string(yamlx.MarshalAll(labeled)))
+		if doc := docs[0]; doc.Kind == yamlx.MapKind && len(doc.Entries) >= 3 {
+			doc = a.own(doc)
+			last := len(doc.Entries) - 1
+			e := doc.Entries[last]
+			copy(doc.Entries[2:], doc.Entries[1:last])
+			doc.Entries[1] = e
+			docs[0] = doc
+			out = yamlmatch.StripLabels(c.noiseTmpl.MarshalAll(docs))
 		}
 	}
 	return out
@@ -417,45 +418,50 @@ func textEqual(a, b string) bool {
 	return strings.TrimSpace(a) == strings.TrimSpace(b)
 }
 
-func applyHarmless(n *yamlx.Node, rng *rand.Rand) {
+// applyHarmless returns n with the noise applied: n itself where the
+// draws change nothing below it, else a copy of the nodes down to each
+// change. The label comments are already off (see genContext.noiseBase).
+func (a *arena) applyHarmless(c *genContext, n *yamlx.Node, rng *rand.Rand) *yamlx.Node {
 	if n == nil {
-		return
+		return nil
 	}
 	switch n.Kind {
 	case yamlx.MapKind:
 		// Shuffle top-level-entry order occasionally (YAML-legal).
 		if len(n.Entries) > 1 && rng.Float64() < 0.4 {
 			i, j := rng.Intn(len(n.Entries)), rng.Intn(len(n.Entries))
-			if n.Entries[i].Key != "apiVersion" && n.Entries[j].Key != "apiVersion" {
+			if i != j && n.Entries[i].Key != "apiVersion" && n.Entries[j].Key != "apiVersion" {
+				n = a.own(n)
 				n.Entries[i], n.Entries[j] = n.Entries[j], n.Entries[i]
 			}
 		}
-		for _, e := range n.Entries {
-			if e.Value.IsScalar() {
-				label := yamlmatch.ParseLabel(e.Value.Comment)
-				switch label.Kind {
-				case yamlmatch.WildcardLabel:
-					if rng.Float64() < 0.85 {
-						e.Value.Str = "alt-" + e.Value.ScalarString()
-						e.Value.Kind = yamlx.StringKind
-					}
-				case yamlmatch.SetLabel:
-					if len(label.Values) > 0 && rng.Float64() < 0.85 {
-						pickVal := label.Values[rng.Intn(len(label.Values))]
-						e.Value.Str = pickVal
-						e.Value.Kind = yamlx.StringKind
-					}
+		for i := range n.Entries {
+			v := n.Entries[i].Value
+			nv := v
+			if !v.IsScalar() {
+				nv = a.applyHarmless(c, v, rng)
+			} else if label := c.labelOf(v); label != nil && rng.Float64() < 0.85 {
+				if label.Kind == yamlmatch.SetLabel {
+					nv = a.str(label.Values[rng.Intn(len(label.Values))])
+				} else {
+					nv = a.str("alt-" + v.ScalarString())
 				}
-				e.Value.Comment = ""
-			} else {
-				applyHarmless(e.Value, rng)
+				nv.Quoted = v.Quoted // the value changes, the way it was written does not
+			}
+			if nv != v {
+				n = a.own(n)
+				n.Entries[i].Value = nv
 			}
 		}
 	case yamlx.SeqKind:
-		for _, it := range n.Items {
-			applyHarmless(it, rng)
+		for i, it := range n.Items {
+			if nit := a.applyHarmless(c, it, rng); nit != it {
+				n = a.own(n)
+				n.Items[i] = nit
+			}
 		}
 	}
+	return n
 }
 
 // wrap dresses an answer in the model's response style.

@@ -72,9 +72,10 @@ func TestScoringMetamorphic(t *testing.T) {
 			t.Errorf("%s: reference does not parse: %v", p.ID, err)
 			continue
 		}
-		reversed := yamlx.CloneDocs(docs)
-		for _, d := range reversed {
-			reverseKeys(d)
+		reversed := make([]*yamlx.Node, len(docs))
+		for i, d := range docs {
+			reversed[i] = d.Clone()
+			reverseKeys(reversed[i])
 		}
 		for what, text := range map[string]string{
 			"Marshal round-trip": string(yamlx.MarshalAll(docs)),

@@ -241,6 +241,9 @@ func leafIoU(gen, ref []Leaf) float64 {
 // text can serve as the target for text-level metrics and as prompt
 // context.
 func StripLabels(reference string) string {
+	if !strings.Contains(reference, "#") {
+		return reference // no comment, so no label: every line would be put back as it is
+	}
 	lines := strings.Split(reference, "\n")
 	for i, ln := range lines {
 		value, comment := yamlx.SplitTrailingComment(ln)

@@ -15,9 +15,10 @@ import (
 // engine no longer implies a re-parse here.
 //
 // Cached documents are shared across goroutines and MUST be treated as
-// immutable. Callers that mutate parsed trees (the llm answer
-// corruptors, kubesim.Apply's stored manifests) deep-copy first; a
-// Node.Clone of a cached tree is still far cheaper than a re-parse.
+// immutable. Callers that change what they parsed copy first: kubesim's
+// status path and the llm answer corruptors copy only the nodes above
+// each change (ShallowClone, or an arena of their own), Apply's Service
+// manifests take a whole Node.Clone, still far cheaper than a re-parse.
 // Parse errors are cached too, so a malformed answer sampled at high
 // temperature is diagnosed once, not once per metric.
 //
@@ -49,7 +50,7 @@ func SetDocCache(enabled bool) (prev bool) {
 
 // ParseAllCached is ParseAll through the content-addressed document
 // cache. The returned nodes are shared: callers must not mutate them.
-// Use CloneDocs when mutation is needed.
+// Use Clone or ShallowClone when mutation is needed.
 func ParseAllCached(data []byte) ([]*Node, error) {
 	if !docCacheOn.Load() {
 		return ParseAll(data)
@@ -77,16 +78,6 @@ func ParseCachedString(s string) (*Node, error) {
 		return docs[0], nil
 	}
 	return Null(), nil
-}
-
-// CloneDocs deep-copies a document slice, for callers that parse
-// through the cache but need to mutate the result.
-func CloneDocs(docs []*Node) []*Node {
-	out := make([]*Node, len(docs))
-	for i, d := range docs {
-		out[i] = d.Clone()
-	}
-	return out
 }
 
 // ShallowClone copies the node itself — including its Entries or Items

@@ -98,9 +98,9 @@ func TestParseAllCachedConcurrent(t *testing.T) {
 					_ = MarshalAll(ds)
 				} else {
 					// Mutator: clone, then scribble on the copy.
-					cp := CloneDocs(ds)
-					cp[0].Set("kind", String("Mutated"))
-					cp[0].Path("spec").Set("replicas", Integer(int64(r)))
+					cp := ds[0].Clone()
+					cp.Set("kind", String("Mutated"))
+					cp.Path("spec").Set("replicas", Integer(int64(r)))
 				}
 			}
 			errs <- nil

@@ -582,31 +582,50 @@ func scalarFromString(s string, line int) (*Node, error) {
 	return n, nil
 }
 
-// inferScalar applies YAML 1.2 core-schema-ish type inference.
-func inferScalar(s string) *Node {
+// inferKind applies YAML 1.2 core-schema-ish type inference: the kind a
+// plain scalar's text reads as.
+func inferKind(s string) Kind {
 	switch s {
 	case "null", "Null", "NULL", "~":
-		return Null()
-	case "true", "True", "TRUE":
-		return Boolean(true)
-	case "false", "False", "FALSE":
-		return Boolean(false)
+		return NullKind
+	case "true", "True", "TRUE", "false", "False", "FALSE":
+		return BoolKind
 	}
 	// Most scalars are plain strings; strconv's Parse* allocate an
 	// error for every non-numeric input, so gate them behind a cheap
 	// first-byte check.
 	if !looksNumeric(s) {
-		return String(s)
+		return StringKind
 	}
-	if i, err := strconv.ParseInt(s, 10, 64); err == nil {
-		return Integer(i)
+	if _, err := strconv.ParseInt(s, 10, 64); err == nil {
+		return IntKind
 	}
 	if strings.HasPrefix(s, "0x") || strings.HasPrefix(s, "0X") {
-		if i, err := strconv.ParseInt(s[2:], 16, 64); err == nil {
-			return Integer(i)
+		if _, err := strconv.ParseInt(s[2:], 16, 64); err == nil {
+			return IntKind
 		}
 	}
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
+	if _, err := strconv.ParseFloat(s, 64); err == nil {
+		return FloatKind
+	}
+	return StringKind
+}
+
+// inferScalar is the node a plain scalar's text reads as.
+func inferScalar(s string) *Node {
+	switch inferKind(s) {
+	case NullKind:
+		return Null()
+	case BoolKind:
+		return Boolean(s[0] == 't' || s[0] == 'T')
+	case IntKind:
+		i, err := strconv.ParseInt(s, 10, 64)
+		if err != nil {
+			i, _ = strconv.ParseInt(s[2:], 16, 64) // inferKind saw the 0x form parse
+		}
+		return Integer(i)
+	case FloatKind:
+		f, _ := strconv.ParseFloat(s, 64) // inferKind saw it parse
 		return Number(f)
 	}
 	return String(s)

@@ -330,6 +330,30 @@ func TestRoundTripQuotedNumberString(t *testing.T) {
 	}
 }
 
+// TestRoundTripLiteralPlacement: a multi-line string keeps its place
+// whether its key stands alone, follows the "- " of a sequence item (the
+// dash was once overwritten with padding, and the next item then failed
+// to parse) or sits further down the item.
+func TestRoundTripLiteralPlacement(t *testing.T) {
+	for _, tc := range []struct{ name, src string }{
+		{"first key of an item", "items:\n- script: |\n    echo a\n    echo b\n  name: x\n- name: y\n"},
+		{"first key of a nested item", "jobs:\n- steps:\n  - run: |\n      echo a\n\n      echo b\n    name: x\n  - name: y\n  name: outer\n"},
+		{"later key of an item", "items:\n- name: x\n  script: |-\n    echo a\n    echo b\n- name: y\n"},
+		{"plain mapping", "data:\n  script: |\n    echo a\n    echo b\nkind: ConfigMap\n"},
+	} {
+		n := mustParse(t, tc.src)
+		out := MarshalString(n)
+		n2, err := ParseString(out)
+		if err != nil {
+			t.Errorf("%s: marshalled form does not parse: %v\n%s", tc.name, err, out)
+			continue
+		}
+		if !Equal(n, n2) {
+			t.Errorf("%s: changed across Marshal → Parse\nwas %s\nis  %s\n%s", tc.name, MarshalFlow(n), MarshalFlow(n2), out)
+		}
+	}
+}
+
 func TestEqualSemantics(t *testing.T) {
 	a := mustParse(t, "x: 1\ny: 2\n")
 	b := mustParse(t, "y: 2\nx: 1\n")
