@@ -43,12 +43,12 @@ func Categorize(answer string, p dataset.Problem, passed bool) int {
 	if !strings.Contains(answer, backend.Marker+":") {
 		return 2
 	}
-	docs, err := yamlx.ParseAllCached([]byte(answer))
+	docs, err := yamlx.ParseAllCached(answer)
 	if err != nil {
 		return 3
 	}
 	gotKind := firstKind(docs, backend)
-	wantDocs, err := yamlx.ParseAllCached([]byte(p.ReferenceYAML))
+	wantDocs, err := yamlx.ParseAllCached(p.ReferenceYAML)
 	if err != nil {
 		return 5
 	}

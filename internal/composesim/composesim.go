@@ -100,7 +100,7 @@ func (p *Project) AdvanceTime(d time.Duration) {
 // relies on: a top-level `services` mapping of service maps, each with
 // an image, and ports in "host:container" form.
 func (p *Project) Load(src string) error {
-	docs, err := yamlx.ParseAllCached([]byte(src))
+	docs, err := yamlx.ParseAllCached(src)
 	if err != nil {
 		return fmt.Errorf("parsing compose file: %v", err)
 	}

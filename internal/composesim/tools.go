@@ -77,7 +77,7 @@ func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 			return 1
 		}
 		if !hasFlag(rest, "-q", "--quiet") {
-			docs, err := yamlx.ParseAllCached([]byte(src))
+			docs, err := yamlx.ParseAllCached(src)
 			if err == nil {
 				io.Out.Write(yamlx.MarshalAll(docs))
 			}

@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"hash"
+	"sync"
 	"testing"
 
 	"cloudeval/internal/augment"
@@ -24,18 +25,18 @@ const (
 	unitTestStreamsDigest = "499d8830dbb03188b936ba4b392bccc9c2ab58dde3e8c92b740273ea0950f7ce"
 )
 
-// TestUnitTestResultsPinned runs every distinct unit-test execution of
-// a Table 4 campaign — the twelve-model zoo over the augmented corpus,
-// English-only models skipping translated questions, deduplicated on
-// (script, answer) the way the engine memoises — and pins one SHA-256
-// over what unittest.Run reports and a second over the three streams of
-// the same script run on the family's pooled environment directly:
-// unittest.Result drops stderr, and error text is where a change to the
-// shell's expander or a simulator's messages shows first.
-func TestUnitTestResultsPinned(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full Table 4 matrix in -short mode")
-	}
+// execution is one distinct unit-test execution of a campaign.
+type execution struct {
+	problem dataset.Problem
+	answer  string
+}
+
+// table4Executions enumerates every distinct unit-test execution of a
+// Table 4 campaign, in campaign order: the twelve-model zoo over the
+// augmented corpus, English-only models skipping translated questions,
+// deduplicated on (script, answer) the way the engine memoises. The
+// tests of this package that run them all share one enumeration.
+var table4Executions = sync.OnceValue(func() []execution {
 	problems := augment.ExpandCorpus(dataset.Generate())
 	type pair struct{ model, problem int }
 	var pairs []pair
@@ -52,7 +53,31 @@ func TestUnitTestResultsPinned(t *testing.T) {
 	engine.New().ForEach(len(pairs), func(i int) {
 		answers[i] = disp.Answer(llm.Models[pairs[i].model], problems[pairs[i].problem], llm.GenOptions{})
 	})
+	type key struct{ test, answer string }
+	seen := make(map[key]struct{}, len(pairs))
+	var out []execution
+	for i, pr := range pairs {
+		p := problems[pr.problem]
+		k := key{p.UnitTest, answers[i]}
+		if _, dup := seen[k]; dup {
+			continue
+		}
+		seen[k] = struct{}{}
+		out = append(out, execution{p, answers[i]})
+	}
+	return out
+})
 
+// TestUnitTestResultsPinned runs every distinct unit-test execution of
+// a Table 4 campaign (table4Executions) and pins one SHA-256
+// over what unittest.Run reports and a second over the three streams of
+// the same script run on the family's pooled environment directly:
+// unittest.Result drops stderr, and error text is where a change to the
+// shell's expander or a simulator's messages shows first.
+func TestUnitTestResultsPinned(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full Table 4 matrix in -short mode")
+	}
 	writeStr := func(h hash.Hash, s string) {
 		var n [8]byte
 		binary.LittleEndian.PutUint64(n[:], uint64(len(s)))
@@ -65,20 +90,12 @@ func TestUnitTestResultsPinned(t *testing.T) {
 		h.Write(n[:])
 	}
 
-	type key struct{ test, answer string }
-	seen := make(map[key]struct{}, len(pairs))
 	results, streams := sha256.New(), sha256.New()
 	executions, passed := 0, 0
-	for i, pr := range pairs {
-		p := problems[pr.problem]
-		k := key{p.UnitTest, answers[i]}
-		if _, dup := seen[k]; dup {
-			continue
-		}
-		seen[k] = struct{}{}
+	for _, x := range table4Executions() {
+		p, answer := x.problem, x.answer
 		executions++
-
-		res := unittest.Run(p, answers[i])
+		res := unittest.Run(p, answer)
 		if res.Passed {
 			passed++
 		}
@@ -96,7 +113,7 @@ func TestUnitTestResultsPinned(t *testing.T) {
 		backend := scenario.For(p.Category)
 		env := backend.GetEnv()
 		sh := env.Interp()
-		sh.FS["labeled_code.yaml"] = answers[i]
+		sh.FS["labeled_code.yaml"] = answer
 		raw, err := sh.Run(p.UnitTest)
 		backend.PutEnv(env)
 		if err != nil {

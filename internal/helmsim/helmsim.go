@@ -183,7 +183,7 @@ func (e *Env) renderChart(in *shell.Interp, io *shell.IO, file string) ([]*yamlx
 		fmt.Fprintf(io.Err, "Error: open %s: no such file or directory\n", file)
 		return nil, 1
 	}
-	docs, err := yamlx.ParseAllCached([]byte(src))
+	docs, err := yamlx.ParseAllCached(src)
 	if err != nil {
 		fmt.Fprintf(io.Err, "Error: YAML parse error on %s: %v\n", file, err)
 		return nil, 1

@@ -11,12 +11,11 @@ import (
 	"cloudeval/internal/llm"
 )
 
-// everyVerbScript applies the answer and then reads it back through
-// every kubectl path a unit test takes: each kind as a table, wide, as
-// YAML and through two jsonpath shapes, describe, the waits, logs, and
-// delete by file.
-const everyVerbScript = `kubectl apply -f labeled_code.yaml
-for kind in pod deployment service ingress daemonset statefulset replicaset job cronjob configmap secret namespace serviceaccount role rolebinding clusterrole clusterrolebinding persistentvolume persistentvolumeclaim horizontalpodautoscaler networkpolicy limitrange resourcequota destinationrule virtualservice gateway; do
+// readEveryKind reads every kind back as a table, wide, as YAML and
+// through two jsonpath shapes, and describes it — under kubectl's short
+// names and plurals too, which take other paths through kind
+// canonicalisation than the long names (`get po` used to panic).
+const readEveryKind = `for kind in pod deployment service ingress daemonset statefulset replicaset job cronjob configmap secret namespace serviceaccount role rolebinding clusterrole clusterrolebinding persistentvolume persistentvolumeclaim horizontalpodautoscaler networkpolicy limitrange resourcequota destinationrule virtualservice gateway po pods svc services deploy ds sts rs cm ns sa pv pvc hpa ing netpol; do
   kubectl get $kind
   kubectl get $kind -A -o wide
   kubectl get $kind -o yaml
@@ -24,19 +23,27 @@ for kind in pod deployment service ingress daemonset statefulset replicaset job 
   kubectl get $kind -A -o jsonpath='{.items[0].spec..name} {.items..labels}'
   kubectl describe $kind
 done
-kubectl wait --for=condition=Ready pod --all --timeout=30s
-kubectl wait --for=condition=Available deployment --all --timeout=30s
-kubectl wait --for=condition=Complete job --all --timeout=30s
-for d in $(kubectl get deployment -o jsonpath='{.items[*].metadata.name}'); do
-  kubectl rollout status deployment/$d --timeout=30s
-done
-for p in $(kubectl get pods -o jsonpath='{.items[*].metadata.name}'); do
+`
+
+// readEveryPod reads each pod the way scripts that captured its name do.
+const readEveryPod = `for p in $(kubectl get pods -o jsonpath='{.items[*].metadata.name}'); do
   kubectl logs $p
   kubectl get pod $p -o jsonpath='{.status.phase} {.status.hostIP} {.spec.containers[*].image}'
   kubectl describe pod/$p
 done
 kubectl get all
-kubectl delete -f labeled_code.yaml
+`
+
+// everyVerbScript applies the answer and then reads it back through
+// every kubectl path a unit test takes: each kind every way
+// readEveryKind does, the waits, each pod, logs, and delete by file.
+const everyVerbScript = "kubectl apply -f labeled_code.yaml\n" + readEveryKind + `kubectl wait --for=condition=Ready pod --all --timeout=30s
+kubectl wait --for=condition=Available deployment --all --timeout=30s
+kubectl wait --for=condition=Complete job --all --timeout=30s
+for d in $(kubectl get deployment -o jsonpath='{.items[*].metadata.name}'); do
+  kubectl rollout status deployment/$d --timeout=30s
+done
+` + readEveryPod + `kubectl delete -f labeled_code.yaml
 kubectl get pods -A
 `
 

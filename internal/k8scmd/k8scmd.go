@@ -193,7 +193,7 @@ func parseTimeout(s string) time.Duration {
 
 // renderTable prints the default "kubectl get" table for a kind.
 func renderTable(io *shell.IO, kind string, items []*yamlx.Node, cluster *kubesim.Cluster) {
-	switch strings.ToLower(kind)[0:3] {
+	switch kubesim.CanonicalKind(kind) {
 	case "pod":
 		fmt.Fprintf(io.Out, "%-44s %-7s %-9s %-9s %s\n", "NAME", "READY", "STATUS", "RESTARTS", "AGE")
 		for _, it := range items {
@@ -205,7 +205,7 @@ func renderTable(io *shell.IO, kind string, items []*yamlx.Node, cluster *kubesi
 			}
 			fmt.Fprintf(io.Out, "%-44s %-7s %-9s %-9s %s\n", name, ready, phase, "0", "1m")
 		}
-	case "ser", "svc":
+	case "service":
 		fmt.Fprintf(io.Out, "%-20s %-14s %-14s %-14s %-14s %s\n", "NAME", "TYPE", "CLUSTER-IP", "EXTERNAL-IP", "PORT(S)", "AGE")
 		for _, it := range items {
 			name := it.Path("metadata", "name").ScalarString()
@@ -246,6 +246,10 @@ func renderTable(io *shell.IO, kind string, items []*yamlx.Node, cluster *kubesi
 	}
 }
 
+// The head of the List a jsonpath template is evaluated over; like the
+// items under it, only ever read.
+var listAPIVersion, listKind = yamlx.String("v1"), yamlx.String("List")
+
 // evalOutput renders "kubectl get" items according to -o/--output.
 func evalOutput(io *shell.IO, format string, kind string, names []string, items []*yamlx.Node, cluster *kubesim.Cluster) int {
 	switch {
@@ -259,15 +263,11 @@ func evalOutput(io *shell.IO, format string, kind string, names []string, items 
 		if len(names) == 1 && len(items) == 1 {
 			root = items[0]
 		} else {
-			list := yamlx.Map()
-			list.Set("apiVersion", yamlx.String("v1"))
-			list.Set("kind", yamlx.String("List"))
-			seq := yamlx.Seq()
-			for _, it := range items {
-				seq.Append(it)
-			}
-			list.Set("items", seq)
-			root = list
+			root = &yamlx.Node{Kind: yamlx.MapKind, Entries: []yamlx.Entry{
+				{Key: "apiVersion", Value: listAPIVersion},
+				{Key: "kind", Value: listKind},
+				{Key: "items", Value: yamlx.Seq(items...)},
+			}}
 		}
 		out, err := jsonpath.Eval(root, tmpl)
 		if err != nil {
@@ -280,9 +280,7 @@ func evalOutput(io *shell.IO, format string, kind string, names []string, items 
 		}
 		return 0
 	case format == "yaml":
-		var docs []*yamlx.Node
-		docs = append(docs, items...)
-		io.Out.Write(yamlx.MarshalAll(docs))
+		io.Out.Write(yamlx.MarshalAll(items))
 		return 0
 	case format == "name":
 		for _, it := range items {

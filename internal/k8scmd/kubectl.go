@@ -2,6 +2,7 @@ package k8scmd
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"cloudeval/internal/kubesim"
@@ -56,13 +57,22 @@ func (e *Env) kubectlApply(fs flagSet, io *shell.IO) int {
 	}
 	results, err := e.Cluster.ApplyYAML(src, e.namespaceOf(fs))
 	for _, r := range results {
-		fmt.Fprintln(io.Out, r)
+		io.Out.WriteString(r.String())
+		io.Out.WriteByte('\n')
 	}
 	if err != nil {
-		fmt.Fprintf(io.Err, "Error from server (BadRequest): error when creating %q: %v\n", fs.get("-f", "--filename"), err)
+		io.Err.WriteString("Error from server (BadRequest): error when creating ")
+		writeQuoted(io.Err, fs.get("-f", "--filename"))
+		io.Err.WriteString(": " + err.Error() + "\n")
 		return 1
 	}
 	return 0
+}
+
+// writeQuoted writes s as fmt's %q would.
+func writeQuoted(w *strings.Builder, s string) {
+	var buf [64]byte
+	w.Write(strconv.AppendQuote(buf[:0], s))
 }
 
 func (e *Env) kubectlDelete(fs flagSet, io *shell.IO) int {
@@ -291,6 +301,28 @@ spec:
 	return 0
 }
 
+// selectorOf parses the command's -l/--selector. What kubectl cannot
+// parse is its error and the command's failure, never a selector that
+// matches everything.
+func selectorOf(fs flagSet, io *shell.IO) (kubesim.Selector, bool) {
+	sel, err := kubesim.ParseSelector(fs.get("-l", "--selector"))
+	if err != nil {
+		io.Err.WriteString("error: " + err.Error() + "\n")
+		return nil, false
+	}
+	return sel, true
+}
+
+func writeNotFound(io *shell.IO, kind, name string) {
+	io.Err.WriteString("Error from server (NotFound): " + strings.ToLower(kind) + " ")
+	writeQuoted(io.Err, name)
+	io.Err.WriteString(" not found\n")
+}
+
+func writeNoResources(io *shell.IO, ns string) {
+	io.Err.WriteString("No resources found in " + ns + " namespace.\n")
+}
+
 func (e *Env) kubectlGet(fs flagSet, io *shell.IO) int {
 	if len(fs.positional) == 0 {
 		fmt.Fprintln(io.Err, "error: you must specify the type of resource to get")
@@ -307,20 +339,25 @@ func (e *Env) kubectlGet(fs flagSet, io *shell.IO) int {
 	if fs.has("-A") || fs.has("--all-namespaces") {
 		ns = "*"
 	}
+	sel, ok := selectorOf(fs, io)
+	if !ok {
+		return 1
+	}
 	var items []*yamlx.Node
 	if len(names) > 0 {
+		items = make([]*yamlx.Node, 0, len(names))
 		for _, name := range names {
 			n, ok := e.Cluster.GetByName(kind, ns, name)
 			if !ok {
-				fmt.Fprintf(io.Err, "Error from server (NotFound): %s %q not found\n", strings.ToLower(kind), name)
+				writeNotFound(io, kind, name)
 				return 1
 			}
 			items = append(items, n)
 		}
 	} else {
-		items = e.Cluster.List(kind, ns, fs.get("-l", "--selector"))
+		items = e.Cluster.List(kind, ns, sel)
 		if len(items) == 0 && fs.get("-o", "--output") == "" {
-			fmt.Fprintf(io.Err, "No resources found in %s namespace.\n", ns)
+			writeNoResources(io, ns)
 			return 0
 		}
 	}
@@ -342,12 +379,16 @@ func (e *Env) kubectlDescribe(fs flagSet, io *shell.IO) int {
 	}
 	ns := e.namespaceOf(fs)
 	if len(names) == 0 {
-		for _, n := range e.Cluster.List(kind, ns, fs.get("-l", "--selector")) {
-			names = append(names, n.Path("metadata", "name").ScalarString())
+		sel, ok := selectorOf(fs, io)
+		if !ok {
+			return 1
+		}
+		for _, o := range e.Cluster.ListObjects(kind, ns, sel) {
+			names = append(names, o.Name)
 		}
 	}
 	if len(names) == 0 {
-		fmt.Fprintf(io.Err, "No resources found in %s namespace.\n", ns)
+		writeNoResources(io, ns)
 		return 1
 	}
 	code := 0
@@ -376,6 +417,10 @@ func (e *Env) kubectlWait(fs flagSet, io *shell.IO) int {
 		fmt.Fprintln(io.Err, "error: you must specify the type of resource to wait on")
 		return 1
 	}
+	sel, ok := selectorOf(fs, io)
+	if !ok {
+		return 1
+	}
 	// The names are copied out of the flag set: WaitOptions is one value
 	// to escape analysis and its kind is retained (memoized spellings),
 	// which would move every kubectl call's flag buffer to the heap.
@@ -389,20 +434,22 @@ func (e *Env) kubectlWait(fs flagSet, io *shell.IO) int {
 		Kind:      kind,
 		Namespace: e.namespaceOf(fs),
 		Names:     names,
-		Selector:  fs.get("-l", "--selector"),
+		Selector:  sel,
 		All:       fs.has("--all"),
 		Condition: cond,
 		Timeout:   parseTimeout(fs.get("--timeout")),
 	}
 	if err := e.Cluster.WaitFor(opts); err != nil {
-		fmt.Fprintln(io.Err, err)
+		io.Err.WriteString(err.Error())
+		io.Err.WriteByte('\n')
 		return 1
 	}
+	lower := strings.ToLower(kind)
 	for _, n := range names {
-		fmt.Fprintf(io.Out, "%s/%s condition met\n", strings.ToLower(kind), n)
+		io.Out.WriteString(lower + "/" + n + " condition met\n")
 	}
 	if len(names) == 0 {
-		fmt.Fprintf(io.Out, "%s condition met\n", strings.ToLower(kind))
+		io.Out.WriteString(lower + " condition met\n")
 	}
 	return 0
 }

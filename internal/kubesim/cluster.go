@@ -15,8 +15,9 @@
 package kubesim
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"time"
 
@@ -50,17 +51,23 @@ type Object struct {
 	FailMsg   string // reason for Failed
 	PodIP     string
 
-	createdStampCache string // lazily rendered CreatedAt, see createdStamp
+	createdStampNode *yamlx.Node // lazily rendered CreatedAt, see createdStamp
+
+	// The kubectl-style document withStatus last built for this object
+	// and the cluster generation it was built at. It lives and dies with
+	// the Object: Reset drops the objects, and their documents with them.
+	statusDoc *yamlx.Node
+	statusGen uint64
 }
 
-// createdStamp renders CreatedAt in the kubectl timestamp format,
-// caching the result: withStatus runs on every get and the timestamp
-// never changes after creation.
-func (o *Object) createdStamp() string {
-	if o.createdStampCache == "" {
-		o.createdStampCache = o.CreatedAt.Format("2006-01-02T15:04:05Z")
+// createdStamp is CreatedAt as the metadata.creationTimestamp scalar of
+// the object's status documents, rendered once: the timestamp never
+// changes after creation.
+func (o *Object) createdStamp() *yamlx.Node {
+	if o.createdStampNode == nil {
+		o.createdStampNode = yamlx.String(o.CreatedAt.Format("2006-01-02T15:04:05Z"))
 	}
-	return o.createdStampCache
+	return o.createdStampNode
 }
 
 // Cluster is a simulated Kubernetes cluster.
@@ -71,7 +78,18 @@ type Cluster struct {
 	nextPodIP  int
 	nextPort   int
 	events     []string
+
+	// gen counts the changes made to the cluster; see touch.
+	gen uint64
 }
+
+// touch marks the cluster as changed. State derived from the cluster —
+// today the status documents withStatus keeps on each Object — is
+// stamped with the generation it was computed at and is good until the
+// next touch. Every mutator calls it, whatever it changed: one rule that
+// cannot be got subtly wrong instead of a dependency list per derived
+// value (a workload's status reads its pods, a pod's reads the clock).
+func (c *Cluster) touch() { c.gen++ }
 
 // epoch is the fixed virtual time every fresh (or reset) cluster
 // starts at, so evaluations are deterministic.
@@ -94,6 +112,7 @@ func NewCluster() *Cluster {
 // out executions without rebuilding the world. Equivalence with a
 // fresh cluster is what TestPooledEnvNoLeak pins down.
 func (c *Cluster) Reset() {
+	c.touch()
 	c.now = epoch
 	for _, b := range c.objects {
 		clear(b)
@@ -112,6 +131,7 @@ func (c *Cluster) Now() time.Time { return c.now }
 // AdvanceTime moves the virtual clock forward.
 func (c *Cluster) AdvanceTime(d time.Duration) {
 	if d > 0 {
+		c.touch()
 		c.now = c.now.Add(d)
 	}
 }
@@ -272,6 +292,7 @@ func (c *Cluster) CreateNamespace(name string) error {
 	if c.namespaces[name] {
 		return fmt.Errorf("namespaces %q already exists", name)
 	}
+	c.touch()
 	c.namespaces[name] = true
 	return nil
 }
@@ -284,6 +305,7 @@ func (c *Cluster) DeleteNamespace(name string) error {
 	if !c.namespaces[name] {
 		return fmt.Errorf("namespaces %q not found", name)
 	}
+	c.touch()
 	delete(c.namespaces, name)
 	for _, bucket := range c.objects {
 		for key, obj := range bucket {
@@ -308,8 +330,15 @@ func (r ApplyResult) String() string {
 	if r.Created {
 		verb = "created"
 	}
-	return fmt.Sprintf("%s/%s %s", strings.ToLower(r.Kind), r.Name, verb)
+	return strings.ToLower(r.Kind) + "/" + r.Name + " " + verb
 }
+
+// yamlError is what ApplyYAML and DeleteYAML return for text that does
+// not parse. Most model answers end here, so it is not built with fmt.
+type yamlError struct{ err error }
+
+func (e yamlError) Error() string { return "error parsing YAML: " + e.err.Error() }
+func (e yamlError) Unwrap() error { return e.err }
 
 // ApplyYAML parses a (possibly multi-document) manifest and applies
 // every document, mimicking "kubectl apply -f". The defaultNS applies
@@ -319,9 +348,9 @@ func (r ApplyResult) String() string {
 // Apply deep-copies each document before storing it, so the cached
 // trees stay pristine.
 func (c *Cluster) ApplyYAML(src string, defaultNS string) ([]ApplyResult, error) {
-	docs, err := yamlx.ParseAllCached([]byte(src))
+	docs, err := yamlx.ParseAllCached(src)
 	if err != nil {
-		return nil, fmt.Errorf("error parsing YAML: %w", err)
+		return nil, yamlError{err}
 	}
 	var results []ApplyResult
 	for _, doc := range docs {
@@ -346,6 +375,7 @@ func (c *Cluster) Apply(doc *yamlx.Node, defaultNS string) (ApplyResult, error) 
 	if err := ValidateManifest(doc); err != nil {
 		return ApplyResult{}, err
 	}
+	c.touch()
 	kind := doc.Get("kind").ScalarString()
 	meta := doc.Get("metadata")
 	name := meta.Get("name").ScalarString()
@@ -398,9 +428,9 @@ func (c *Cluster) Apply(doc *yamlx.Node, defaultNS string) (ApplyResult, error) 
 // DeleteYAML deletes every resource named in a manifest, mimicking
 // "kubectl delete -f".
 func (c *Cluster) DeleteYAML(src string, defaultNS string) ([]string, error) {
-	docs, err := yamlx.ParseAllCached([]byte(src))
+	docs, err := yamlx.ParseAllCached(src)
 	if err != nil {
-		return nil, fmt.Errorf("error parsing YAML: %w", err)
+		return nil, yamlError{err}
 	}
 	var out []string
 	for _, doc := range docs {
@@ -436,6 +466,7 @@ func (c *Cluster) Delete(kind, ns, name string) error {
 	if _, ok := bucket[key]; !ok {
 		return fmt.Errorf("%s %q not found", strings.ToLower(kind), name)
 	}
+	c.touch()
 	delete(bucket, key)
 	// Cascade to owned objects (pods of a deployment, etc.).
 	for _, b := range c.objects {
@@ -469,36 +500,40 @@ func (c *Cluster) GetByName(kind, ns, name string) (*yamlx.Node, bool) {
 }
 
 // ListObjects returns the stored objects of a kind in a namespace (all
-// namespaces when ns is "*"), filtered by an equality label selector
-// like "app=web" (empty selector matches all), sorted by name. The
-// wait loop uses this to poll conditions without building kubectl-style
-// documents each step.
-func (c *Cluster) ListObjects(kind, ns, selector string) []*Object {
-	sel := parseSelector(selector)
+// namespaces when ns is "*") that a label selector matches (the nil
+// selector matches all), sorted by name. A wait resolves its targets
+// through this, without building kubectl-style documents.
+func (c *Cluster) ListObjects(kind, ns string, sel Selector) []*Object {
+	if ns == "" {
+		ns = "default"
+	}
+	anyNS := ns == "*" || !namespaced(kind)
 	var objs []*Object
 	for _, obj := range c.bucket(kind) {
-		if ns != "*" && namespaced(kind) {
-			effNS := ns
-			if effNS == "" {
-				effNS = "default"
-			}
-			if obj.Namespace != effNS {
-				continue
-			}
+		if (anyNS || obj.Namespace == ns) && sel.matches(obj.Manifest) {
+			objs = append(objs, obj)
 		}
-		if !matchesSelector(obj.Manifest, sel) {
-			continue
-		}
-		objs = append(objs, obj)
 	}
-	sort.Slice(objs, func(i, j int) bool { return objs[i].Name < objs[j].Name })
+	sortByName(objs)
 	return objs
+}
+
+// sortByName puts objects in the order every listing shows them: by
+// name, then namespace, so that nothing a script prints depends on map
+// iteration order.
+func sortByName(objs []*Object) {
+	if len(objs) < 2 {
+		return
+	}
+	slices.SortFunc(objs, func(a, b *Object) int {
+		return cmp.Or(strings.Compare(a.Name, b.Name), strings.Compare(a.Namespace, b.Namespace))
+	})
 }
 
 // List returns resources of a kind with live status populated, in the
 // same order and under the same filters as ListObjects.
-func (c *Cluster) List(kind, ns, selector string) []*yamlx.Node {
-	objs := c.ListObjects(kind, ns, selector)
+func (c *Cluster) List(kind, ns string, sel Selector) []*yamlx.Node {
+	objs := c.ListObjects(kind, ns, sel)
 	out := make([]*yamlx.Node, len(objs))
 	for i, o := range objs {
 		out[i] = c.withStatus(o)
@@ -508,56 +543,10 @@ func (c *Cluster) List(kind, ns, selector string) []*yamlx.Node {
 
 // ListNode wraps List results in a {apiVersion, kind: List, items: []}
 // node, the shape kubectl presents to JSONPath queries.
-func (c *Cluster) ListNode(kind, ns, selector string) *yamlx.Node {
-	items := yamlx.Seq()
-	for _, n := range c.List(kind, ns, selector) {
-		items.Append(n)
-	}
-	list := yamlx.Map()
-	list.Set("apiVersion", yamlx.String("v1"))
-	list.Set("kind", yamlx.String("List"))
-	list.Set("items", items)
-	return list
-}
-
-func parseSelector(s string) map[string]string {
-	s = strings.TrimSpace(s)
-	if s == "" {
-		return nil
-	}
-	sel := make(map[string]string)
-	for _, part := range strings.Split(s, ",") {
-		kv := strings.SplitN(strings.TrimSpace(part), "=", 2)
-		if len(kv) == 2 {
-			sel[kv[0]] = strings.Trim(kv[1], "\"'")
-		}
-	}
-	return sel
-}
-
-func matchesSelector(manifest *yamlx.Node, sel map[string]string) bool {
-	if len(sel) == 0 {
-		return true
-	}
-	labels := manifest.Path("metadata", "labels")
-	for k, v := range sel {
-		lv := labels.Get(k)
-		if lv == nil || lv.ScalarString() != v {
-			return false
-		}
-	}
-	return true
-}
-
-// labelsOf returns a resource's metadata.labels as a map.
-func labelsOf(manifest *yamlx.Node) map[string]string {
-	out := map[string]string{}
-	labels := manifest.Path("metadata", "labels")
-	if labels == nil || labels.Kind != yamlx.MapKind {
-		return out
-	}
-	for _, e := range labels.Entries {
-		out[e.Key] = e.Value.ScalarString()
-	}
-	return out
+func (c *Cluster) ListNode(kind, ns string, sel Selector) *yamlx.Node {
+	return mapOf(
+		kv("apiVersion", strV1),
+		kv("kind", yamlx.String("List")),
+		kv("items", yamlx.Seq(c.List(kind, ns, sel)...)),
+	)
 }

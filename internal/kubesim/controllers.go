@@ -2,6 +2,7 @@ package kubesim
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"cloudeval/internal/yamlx"
@@ -35,11 +36,18 @@ func (c *Cluster) runControllers(obj *Object) {
 	}
 }
 
+// ownedBy reports whether a pod was spawned by the workload; ownerKind
+// is the owner's canonical kind, computed once by whoever walks the pods.
+func (p *Object) ownedBy(ownerKind string, owner *Object) bool {
+	return p.OwnerKind == ownerKind && p.OwnerName == owner.Name && p.Namespace == owner.Namespace
+}
+
 // reapOwnedPods deletes pods owned by obj, for idempotent re-applies.
 func (c *Cluster) reapOwnedPods(owner *Object) {
+	ownerKind := kindKey(owner.Kind)
 	bucket := c.bucket("pod")
 	for k, p := range bucket {
-		if p.OwnerKind == kindKey(owner.Kind) && p.OwnerName == owner.Name && p.Namespace == owner.Namespace {
+		if p.ownedBy(ownerKind, owner) {
 			delete(bucket, k)
 		}
 	}
@@ -51,39 +59,38 @@ func (c *Cluster) spawnPods(owner *Object, n int) {
 	if template == nil {
 		return
 	}
-	hash := shortHash(owner.Name)
+	ownerKind := kindKey(owner.Kind)
+	prefix := owner.Name + "-"
+	if ownerKind != "statefulset" {
+		prefix += shortHash(owner.Name) + "-"
+	}
+	// The template's labels and spec subtrees are shared, not cloned:
+	// pod manifests are never mutated after creation (only service
+	// manifests are, in initService), so every replica can reference the
+	// owner's template directly.
+	labels, spec := template.Path("metadata", "labels"), template.Get("spec")
+	namespace := yamlx.String(owner.Namespace)
+	pods := c.bucket("pod")
 	for i := 0; i < n; i++ {
-		pod := yamlx.Map()
-		pod.Set("apiVersion", yamlx.String("v1"))
-		pod.Set("kind", yamlx.String("Pod"))
-		meta := yamlx.Map()
-		podName := fmt.Sprintf("%s-%s-%d", owner.Name, hash, i)
-		if kindKey(owner.Kind) == "statefulset" {
-			podName = fmt.Sprintf("%s-%d", owner.Name, i)
+		podName := prefix + strconv.Itoa(i)
+		meta := append(make([]yamlx.Entry, 0, 3), kv("name", yamlx.String(podName)), kv("namespace", namespace))
+		if labels != nil {
+			meta = append(meta, kv("labels", labels))
 		}
-		meta.Set("name", yamlx.String(podName))
-		meta.Set("namespace", yamlx.String(owner.Namespace))
-		// The template's labels and spec subtrees are shared, not
-		// cloned: pod manifests are never mutated after creation (only
-		// service manifests are, in initService), so every replica can
-		// reference the owner's template directly.
-		if lbl := template.Path("metadata", "labels"); lbl != nil {
-			meta.Set("labels", lbl)
-		}
-		pod.Set("metadata", meta)
-		if spec := template.Get("spec"); spec != nil {
-			pod.Set("spec", spec)
+		pod := append(make([]yamlx.Entry, 0, 4), kv("apiVersion", strV1), kv("kind", strPod), kv("metadata", mapOf(meta...)))
+		if spec != nil {
+			pod = append(pod, kv("spec", spec))
 		}
 		p := &Object{
-			Manifest:  pod,
+			Manifest:  mapOf(pod...),
 			Kind:      "Pod",
 			Name:      podName,
 			Namespace: owner.Namespace,
 			CreatedAt: c.now,
-			OwnerKind: kindKey(owner.Kind),
+			OwnerKind: ownerKind,
 			OwnerName: owner.Name,
 		}
-		c.bucket("pod")[nsName(owner.Namespace, podName)] = p
+		pods[nsName(owner.Namespace, podName)] = p
 		c.schedulePod(p)
 	}
 }
@@ -91,7 +98,7 @@ func (c *Cluster) spawnPods(owner *Object, n int) {
 // schedulePod assigns IPs and the readiness timestamp, or marks the pod
 // failed when its images cannot be pulled.
 func (c *Cluster) schedulePod(p *Object) {
-	p.PodIP = fmt.Sprintf("10.244.0.%d", c.nextPodIP)
+	p.PodIP = "10.244.0." + strconv.Itoa(c.nextPodIP)
 	c.nextPodIP++
 	if reason, bad := badImage(p.Manifest); bad {
 		p.Failed = true
@@ -130,7 +137,7 @@ func (c *Cluster) initService(svc *Object) {
 	}
 	if spec.Get("clusterIP") == nil {
 		c.nextPodIP++
-		spec.Set("clusterIP", yamlx.String(fmt.Sprintf("10.96.0.%d", c.nextPodIP)))
+		spec.Set("clusterIP", yamlx.String("10.96.0."+strconv.Itoa(c.nextPodIP)))
 	}
 	typ := spec.Get("type").ScalarString()
 	if typ == "NodePort" || typ == "LoadBalancer" {
@@ -146,13 +153,28 @@ func (c *Cluster) initService(svc *Object) {
 	}
 }
 
-// withStatus decorates the stored manifest with the live status fields
-// a kubectl user would see at the current virtual time. Only the spine
-// is copied (root and metadata, via ShallowClone); all other subtrees
-// are shared with the stored manifest, which is safe because every
-// consumer of the returned document — table renderers, jsonpath,
-// marshalers, condition checks — is read-only.
+// withStatus returns the stored manifest decorated with the live status
+// fields a kubectl user would see at the current virtual time. The
+// document is kept on the object with the generation it was built at:
+// a script that reads four fields of one pod at one virtual instant
+// builds it once, and any change to the cluster (see touch) makes the
+// next read build a new one. Handing the same document to several
+// readers is safe because every consumer — table renderers, jsonpath,
+// marshalers, condition checks — is read-only, as sharing subtrees with
+// the stored manifest has always required of them;
+// TestStatusDocsNeverWritten holds them to it and
+// TestStatusMemoNeverStale holds the memo to buildStatus.
 func (c *Cluster) withStatus(obj *Object) *yamlx.Node {
+	if obj.statusDoc == nil || obj.statusGen != c.gen {
+		obj.statusDoc, obj.statusGen = c.buildStatus(obj), c.gen
+	}
+	return obj.statusDoc
+}
+
+// buildStatus builds withStatus's document. Only the spine is copied
+// (root and metadata, via ShallowClone); all other subtrees are shared
+// with the stored manifest.
+func (c *Cluster) buildStatus(obj *Object) *yamlx.Node {
 	n := obj.Manifest.ShallowClone()
 	meta := n.Get("metadata")
 	if meta == nil {
@@ -165,13 +187,13 @@ func (c *Cluster) withStatus(obj *Object) *yamlx.Node {
 		meta.Set("namespace", yamlx.String(obj.Namespace))
 	}
 	if meta.Get("creationTimestamp") == nil {
-		meta.Set("creationTimestamp", yamlx.String(obj.createdStamp()))
+		meta.Set("creationTimestamp", obj.createdStamp())
 	}
 	switch kindKey(obj.Kind) {
 	case "pod":
 		n.Set("status", c.podStatus(obj))
 	case "deployment", "replicaset", "statefulset":
-		n.Set("status", c.workloadStatus(obj, "Available"))
+		n.Set("status", c.workloadStatus(obj))
 	case "daemonset":
 		n.Set("status", c.daemonSetStatus(obj))
 	case "job":
@@ -184,18 +206,57 @@ func (c *Cluster) withStatus(obj *Object) *yamlx.Node {
 	return n
 }
 
-func boolStatus(b bool) *yamlx.Node {
-	if b {
-		return yamlx.String("True")
-	}
-	return yamlx.String("False")
+// The scalars and conditions below are shared by every status document
+// of every cluster in the process, under the same read-only contract as
+// the documents themselves.
+var (
+	strTrue         = yamlx.String("True")
+	strFalse        = yamlx.String("False")
+	strRunning      = yamlx.String("Running")
+	strPending      = yamlx.String("Pending")
+	strErrImagePull = yamlx.String("ErrImagePull")
+	strNodeIP       = yamlx.String(NodeIP)
+	strV1           = yamlx.String("v1")
+	strPod          = yamlx.String("Pod")
+	boolFalse       = yamlx.Boolean(false)
+	boolTrue        = yamlx.Boolean(true)
+	intZero         = yamlx.Integer(0)
+	intOne          = yamlx.Integer(1)
+
+	condInitialized     = newCondition("Initialized")
+	condReady           = newCondition("Ready")
+	condContainersReady = newCondition("ContainersReady")
+	condPodScheduled    = newCondition("PodScheduled")
+	condAvailable       = newCondition("Available")
+	condProgressing     = newCondition("Progressing")
+	condComplete        = newCondition("Complete")
+)
+
+func kv(key string, v *yamlx.Node) yamlx.Entry { return yamlx.Entry{Key: key, Value: v} }
+
+// mapOf returns a mapping of exactly these entries, in this order: one
+// slice at its final size where a chain of Sets would grow it twice.
+func mapOf(entries ...yamlx.Entry) *yamlx.Node {
+	return &yamlx.Node{Kind: yamlx.MapKind, Entries: entries}
 }
 
-func condition(condType string, status bool) *yamlx.Node {
-	m := yamlx.Map()
-	m.Set("type", yamlx.String(condType))
-	m.Set("status", boolStatus(status))
-	return m
+// condition is one entry of status.conditions in both its states,
+// {type: T, status: "False"} and {type: T, status: "True"}.
+type condition [2]*yamlx.Node
+
+func newCondition(condType string) condition {
+	t := yamlx.String(condType)
+	return condition{
+		mapOf(kv("type", t), kv("status", strFalse)),
+		mapOf(kv("type", t), kv("status", strTrue)),
+	}
+}
+
+func (cd condition) is(status bool) *yamlx.Node {
+	if status {
+		return cd[1]
+	}
+	return cd[0]
 }
 
 // PodReady reports whether a pod object is Ready at the current time.
@@ -252,9 +313,10 @@ func (c *Cluster) workloadAllReady(obj *Object) bool {
 
 // readyOwnedPods counts the Ready pods a workload owns.
 func (c *Cluster) readyOwnedPods(obj *Object) int64 {
+	ownerKind := kindKey(obj.Kind)
 	ready := int64(0)
-	for _, p := range c.ownedPods(obj) {
-		if c.PodReady(p) {
+	for _, p := range c.bucket("pod") {
+		if p.ownedBy(ownerKind, obj) && c.PodReady(p) {
 			ready++
 		}
 	}
@@ -262,120 +324,101 @@ func (c *Cluster) readyOwnedPods(obj *Object) int64 {
 }
 
 func (c *Cluster) podStatus(obj *Object) *yamlx.Node {
-	st := yamlx.Map()
 	ready := c.PodReady(obj)
-	switch {
-	case obj.Failed:
-		st.Set("phase", yamlx.String("Pending"))
-		st.Set("reason", yamlx.String("ErrImagePull"))
-		st.Set("message", yamlx.String(obj.FailMsg))
-	case ready:
-		st.Set("phase", yamlx.String("Running"))
-	default:
-		st.Set("phase", yamlx.String("Pending"))
+	phase, readyNode := strPending, boolFalse
+	if ready {
+		phase, readyNode = strRunning, boolTrue
 	}
-	st.Set("hostIP", yamlx.String(NodeIP))
-	st.Set("podIP", yamlx.String(obj.PodIP))
-	conds := yamlx.Seq(
-		condition("Initialized", !obj.Failed),
-		condition("Ready", ready),
-		condition("ContainersReady", ready),
-		condition("PodScheduled", true),
-	)
-	st.Set("conditions", conds)
+	st := append(make([]yamlx.Entry, 0, 7), kv("phase", phase))
+	if obj.Failed {
+		st = append(st, kv("reason", strErrImagePull), kv("message", yamlx.String(obj.FailMsg)))
+	}
 	ctStatuses := yamlx.Seq()
 	if containers := obj.Manifest.Path("spec", "containers"); containers != nil {
-		for _, ct := range containers.Items {
-			cs := yamlx.Map()
-			cs.Set("name", ct.Get("name").Clone())
-			cs.Set("image", ct.Get("image").Clone())
-			cs.Set("ready", yamlx.Boolean(ready))
-			restarts := yamlx.Integer(0)
-			cs.Set("restartCount", restarts)
-			ctStatuses.Append(cs)
+		ctStatuses.Items = make([]*yamlx.Node, len(containers.Items))
+		for i, ct := range containers.Items {
+			ctStatuses.Items[i] = mapOf(
+				kv("name", ct.Get("name")),
+				kv("image", ct.Get("image")),
+				kv("ready", readyNode),
+				kv("restartCount", intZero),
+			)
 		}
 	}
-	st.Set("containerStatuses", ctStatuses)
-	return st
+	return mapOf(append(st,
+		kv("hostIP", strNodeIP),
+		kv("podIP", yamlx.String(obj.PodIP)),
+		kv("conditions", yamlx.Seq(
+			condInitialized.is(!obj.Failed),
+			condReady.is(ready),
+			condContainersReady.is(ready),
+			condPodScheduled.is(true),
+		)),
+		kv("containerStatuses", ctStatuses),
+	)...)
 }
 
-func (c *Cluster) workloadStatus(obj *Object, condType string) *yamlx.Node {
+func (c *Cluster) workloadStatus(obj *Object) *yamlx.Node {
 	desired := int64(1)
 	if r, ok := obj.Manifest.Path("spec", "replicas").AsInt(); ok {
 		desired = r
 	}
 	ready := c.readyOwnedPods(obj)
-	st := yamlx.Map()
-	st.Set("replicas", yamlx.Integer(desired))
-	st.Set("readyReplicas", yamlx.Integer(ready))
-	st.Set("availableReplicas", yamlx.Integer(ready))
-	st.Set("updatedReplicas", yamlx.Integer(desired))
+	desiredNode, readyNode := yamlx.Integer(desired), yamlx.Integer(ready)
 	allReady := ready >= desired && desired > 0
-	st.Set("conditions", yamlx.Seq(
-		condition(condType, allReady),
-		condition("Progressing", true),
-		condition("Ready", allReady),
-	))
-	return st
+	return mapOf(
+		kv("replicas", desiredNode),
+		kv("readyReplicas", readyNode),
+		kv("availableReplicas", readyNode),
+		kv("updatedReplicas", desiredNode),
+		kv("conditions", yamlx.Seq(
+			condAvailable.is(allReady),
+			condProgressing.is(true),
+			condReady.is(allReady),
+		)),
+	)
 }
 
 func (c *Cluster) daemonSetStatus(obj *Object) *yamlx.Node {
 	ready := c.readyOwnedPods(obj)
-	st := yamlx.Map()
-	st.Set("desiredNumberScheduled", yamlx.Integer(1))
-	st.Set("currentNumberScheduled", yamlx.Integer(1))
-	st.Set("numberReady", yamlx.Integer(ready))
-	st.Set("conditions", yamlx.Seq(condition("Ready", ready >= 1)))
-	return st
+	return mapOf(
+		kv("desiredNumberScheduled", intOne),
+		kv("currentNumberScheduled", intOne),
+		kv("numberReady", yamlx.Integer(ready)),
+		kv("conditions", yamlx.Seq(condReady.is(ready >= 1))),
+	)
 }
 
 func (c *Cluster) jobStatus(obj *Object) *yamlx.Node {
 	done := !obj.DoneAt.IsZero() && !c.now.Before(obj.DoneAt)
-	st := yamlx.Map()
-	if done {
-		st.Set("succeeded", yamlx.Integer(1))
-		st.Set("completionTime", yamlx.String(obj.DoneAt.Format("2006-01-02T15:04:05Z")))
-	} else {
-		st.Set("active", yamlx.Integer(1))
+	conds := kv("conditions", yamlx.Seq(condComplete.is(done)))
+	if !done {
+		return mapOf(kv("active", intOne), conds)
 	}
-	st.Set("conditions", yamlx.Seq(condition("Complete", done)))
-	return st
+	return mapOf(
+		kv("succeeded", intOne),
+		kv("completionTime", yamlx.String(obj.DoneAt.Format("2006-01-02T15:04:05Z"))),
+		conds,
+	)
 }
 
 func (c *Cluster) serviceStatus(obj *Object) *yamlx.Node {
-	st := yamlx.Map()
-	lb := yamlx.Map()
 	typ := obj.Manifest.Path("spec", "type").ScalarString()
-	if typ == "LoadBalancer" && !c.now.Before(obj.CreatedAt.Add(LBProvisionTime)) {
-		ing := yamlx.Map()
-		ing.Set("ip", yamlx.String(NodeIP))
-		lb.Set("ingress", yamlx.Seq(ing))
-	}
-	st.Set("loadBalancer", lb)
-	return st
+	return c.loadBalancerStatus(obj, typ == "LoadBalancer")
 }
 
 func (c *Cluster) ingressStatus(obj *Object) *yamlx.Node {
-	st := yamlx.Map()
-	lb := yamlx.Map()
-	if !c.now.Before(obj.CreatedAt.Add(LBProvisionTime)) {
-		ing := yamlx.Map()
-		ing.Set("ip", yamlx.String(NodeIP))
-		lb.Set("ingress", yamlx.Seq(ing))
-	}
-	st.Set("loadBalancer", lb)
-	return st
+	return c.loadBalancerStatus(obj, true)
 }
 
-// ownedPods lists pod objects owned by a workload.
-func (c *Cluster) ownedPods(owner *Object) []*Object {
-	var out []*Object
-	for _, p := range c.bucket("pod") {
-		if p.OwnerKind == kindKey(owner.Kind) && p.OwnerName == owner.Name && p.Namespace == owner.Namespace {
-			out = append(out, p)
-		}
+// loadBalancerStatus is the status of a Service or an Ingress: its
+// loadBalancer gains the node's address once provisioning time is up.
+func (c *Cluster) loadBalancerStatus(obj *Object, balanced bool) *yamlx.Node {
+	lb := yamlx.Map()
+	if balanced && !c.now.Before(obj.CreatedAt.Add(LBProvisionTime)) {
+		lb = mapOf(kv("ingress", yamlx.Seq(mapOf(kv("ip", strNodeIP)))))
 	}
-	return out
+	return mapOf(kv("loadBalancer", lb))
 }
 
 // shortHash derives a stable 6-character suffix from a name, like the

@@ -25,11 +25,10 @@ func (c *Cluster) Describe(kind, ns, name string) (string, error) {
 	if namespaced(kind) {
 		fmt.Fprintf(&b, "Namespace:        %s\n", obj.Namespace)
 	}
-	labels := labelsOf(obj.Manifest)
-	if len(labels) > 0 {
+	if labels := obj.Manifest.Path("metadata", "labels"); labels != nil && labels.Kind == yamlx.MapKind && len(labels.Entries) > 0 {
 		var parts []string
-		for _, k := range obj.Manifest.Path("metadata", "labels").Keys() {
-			parts = append(parts, k+"="+labels[k])
+		for _, e := range labels.Entries {
+			parts = append(parts, e.Key+"="+e.Value.ScalarString())
 		}
 		fmt.Fprintf(&b, "Labels:           %s\n", strings.Join(parts, ","))
 	} else {
@@ -168,13 +167,7 @@ func (c *Cluster) describeWorkload(b *strings.Builder, obj *Object) {
 	if r, ok := obj.Manifest.Path("spec", "replicas").AsInt(); ok {
 		desired = r
 	}
-	ready := 0
-	for _, p := range c.ownedPods(obj) {
-		if c.PodReady(p) {
-			ready++
-		}
-	}
-	fmt.Fprintf(b, "Replicas:         %d desired | %d ready\n", desired, ready)
+	fmt.Fprintf(b, "Replicas:         %d desired | %d ready\n", desired, c.readyOwnedPods(obj))
 	if img := obj.Manifest.Path("spec", "template", "spec", "containers", 0, "image"); img != nil {
 		fmt.Fprintf(b, "Image:            %s\n", img.ScalarString())
 	}

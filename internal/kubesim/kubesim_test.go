@@ -83,7 +83,7 @@ func TestApplyDeploymentCreatesPods(t *testing.T) {
 	if len(res) != 1 || !res[0].Created {
 		t.Fatalf("apply results = %+v", res)
 	}
-	pods := c.List("pods", "default", "app=nginx")
+	pods := c.List("pods", "default", mustSelector("app=nginx"))
 	if len(pods) != 3 {
 		t.Fatalf("got %d pods, want 3", len(pods))
 	}
@@ -94,7 +94,7 @@ func TestApplyDeploymentCreatesPods(t *testing.T) {
 		}
 	}
 	c.AdvanceTime(PodReadyDelay)
-	for _, p := range c.List("pods", "default", "app=nginx") {
+	for _, p := range c.List("pods", "default", mustSelector("app=nginx")) {
 		if !HasCondition(p, "Ready") {
 			t.Error("pod should be Ready after the readiness delay")
 		}
@@ -107,7 +107,7 @@ func TestWaitForPodsReady(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := c.Now()
-	err := c.WaitFor(WaitOptions{Kind: "pod", Namespace: "default", Selector: "app=nginx", Condition: "Ready", Timeout: 60 * time.Second})
+	err := c.WaitFor(WaitOptions{Kind: "pod", Namespace: "default", Selector: mustSelector("app=nginx"), Condition: "Ready", Timeout: 60 * time.Second})
 	if err != nil {
 		t.Fatalf("wait failed: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestWaitForPodsReady(t *testing.T) {
 
 func TestWaitTimesOut(t *testing.T) {
 	c := NewCluster()
-	err := c.WaitFor(WaitOptions{Kind: "pod", Selector: "app=missing", Condition: "Ready", Timeout: 5 * time.Second})
+	err := c.WaitFor(WaitOptions{Kind: "pod", Selector: mustSelector("app=missing"), Condition: "Ready", Timeout: 5 * time.Second})
 	if err == nil {
 		t.Fatal("wait on nothing should error")
 	}
@@ -185,10 +185,10 @@ func TestDaemonSetHostPortProbe(t *testing.T) {
 	if _, err := c.ApplyYAML(registryDaemonSet, "default"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitFor(WaitOptions{Kind: "pod", Namespace: "default", Selector: "app=kube-registry", Condition: "Ready", Timeout: 60 * time.Second}); err != nil {
+	if err := c.WaitFor(WaitOptions{Kind: "pod", Namespace: "default", Selector: mustSelector("app=kube-registry"), Condition: "Ready", Timeout: 60 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	pods := c.List("pods", "default", "app=kube-registry")
+	pods := c.List("pods", "default", mustSelector("app=kube-registry"))
 	if len(pods) != 1 {
 		t.Fatalf("daemonset pods = %d, want 1 on single-node cluster", len(pods))
 	}
@@ -211,7 +211,7 @@ func TestJSONPathOverListNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AdvanceTime(5 * time.Second)
-	list := c.ListNode("pods", "default", "app=kube-registry")
+	list := c.ListNode("pods", "default", mustSelector("app=kube-registry"))
 	envNames, err := jsonpath.Eval(list, "{.items[0].spec.containers[0].env[*].name}")
 	if err != nil {
 		t.Fatal(err)
@@ -273,7 +273,7 @@ func TestDeleteCascades(t *testing.T) {
 	if err := c.Delete("deployment", "default", "nginx-deployment"); err != nil {
 		t.Fatal(err)
 	}
-	if pods := c.List("pods", "default", ""); len(pods) != 0 {
+	if pods := c.List("pods", "default", nil); len(pods) != 0 {
 		t.Errorf("pods after delete = %d, want 0", len(pods))
 	}
 }
@@ -291,7 +291,7 @@ func TestReapplyReplacesPods(t *testing.T) {
 	if res[0].Created {
 		t.Error("re-apply should report configured, not created")
 	}
-	if pods := c.List("pods", "default", "app=nginx"); len(pods) != 2 {
+	if pods := c.List("pods", "default", mustSelector("app=nginx")); len(pods) != 2 {
 		t.Errorf("pods after scale down = %d, want 2", len(pods))
 	}
 }
@@ -556,7 +556,7 @@ spec:
 	if _, err := c.ApplyYAML(sts, "default"); err != nil {
 		t.Fatal(err)
 	}
-	pods := c.List("pod", "default", "app=web")
+	pods := c.List("pod", "default", mustSelector("app=web"))
 	if len(pods) != 2 {
 		t.Fatalf("pods = %d", len(pods))
 	}

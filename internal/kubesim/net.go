@@ -160,34 +160,34 @@ func (c *Cluster) serveThroughService(s *Object) (int, string, bool) {
 	return 200, serveBody(eps[0]), true
 }
 
-// ServiceEndpoints lists the ready pods a service selects.
+// ServiceEndpoints lists the ready pods a service selects, sorted by
+// name like every other listing: which pod answers through a service,
+// and the order describe prints endpoints in, must not depend on map
+// iteration order.
 func (c *Cluster) ServiceEndpoints(s *Object) []*Object {
 	sel := s.Manifest.Path("spec", "selector")
 	if sel == nil || sel.Kind != yamlx.MapKind || len(sel.Entries) == 0 {
 		return nil
 	}
-	want := map[string]string{}
-	for _, e := range sel.Entries {
-		want[e.Key] = e.Value.ScalarString()
-	}
 	var out []*Object
 	for _, p := range c.bucket("pod") {
-		if p.Namespace != s.Namespace || !c.PodReady(p) {
-			continue
-		}
-		labels := labelsOf(p.Manifest)
-		match := true
-		for k, v := range want {
-			if labels[k] != v {
-				match = false
-				break
-			}
-		}
-		if match {
+		if p.Namespace == s.Namespace && c.PodReady(p) && equalityMapMatches(sel, p.Manifest.Path("metadata", "labels")) {
 			out = append(out, p)
 		}
 	}
+	sortByName(out)
 	return out
+}
+
+// equalityMapMatches reports whether labels satisfy a spec.selector
+// mapping: every entry is a key=value requirement.
+func equalityMapMatches(sel, labels *yamlx.Node) bool {
+	for _, e := range sel.Entries {
+		if !(requirement{key: e.Key, op: opIn, value: e.Value.ScalarString()}).matches(labels) {
+			return false
+		}
+	}
+	return true
 }
 
 // EndpointsString renders a service's ready endpoints as kubectl

@@ -117,7 +117,7 @@ spec:
 	for _, off := range offsets {
 		c.AdvanceTime(off)
 		for _, kind := range []string{"pod", "deployment", "statefulset", "daemonset", "job", "service", "replicaset"} {
-			for _, obj := range c.ListObjects(kind, "*", "") {
+			for _, obj := range c.ListObjects(kind, "*", nil) {
 				doc := c.withStatus(obj)
 				for _, cond := range conditions {
 					fast := c.ObjectCondition(obj, cond)

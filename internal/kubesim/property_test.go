@@ -89,13 +89,13 @@ func TestPropertyApplyIsIdempotent(t *testing.T) {
 		}
 		c.AdvanceTime(10 * time.Second)
 		before, ok1 := c.GetByName(kind, "default", name)
-		podsBefore := len(c.List("pod", "default", ""))
+		podsBefore := len(c.List("pod", "default", nil))
 		if _, err := c.ApplyYAML(src, "default"); err != nil {
 			return false
 		}
 		c.AdvanceTime(10 * time.Second)
 		after, ok2 := c.GetByName(kind, "default", name)
-		podsAfter := len(c.List("pod", "default", ""))
+		podsAfter := len(c.List("pod", "default", nil))
 		if !ok1 || !ok2 {
 			return false
 		}
@@ -131,7 +131,7 @@ func TestPropertyDeleteRemovesEverything(t *testing.T) {
 		if _, ok := c.GetByName(kind, "default", name); ok {
 			return false
 		}
-		return len(c.List("pod", "default", "")) == 0
+		return len(c.List("pod", "default", nil)) == 0
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)

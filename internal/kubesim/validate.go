@@ -289,7 +289,7 @@ func KindOf(doc *yamlx.Node) string {
 // FirstKind extracts the first document kind from raw YAML text, the way
 // the benchmark's failure-mode analysis classifies answers.
 func FirstKind(src string) string {
-	docs, err := yamlx.ParseAllCached([]byte(src))
+	docs, err := yamlx.ParseAllCached(src)
 	if err != nil {
 		return ""
 	}

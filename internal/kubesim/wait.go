@@ -1,6 +1,7 @@
 package kubesim
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -13,7 +14,7 @@ type WaitOptions struct {
 	Kind      string
 	Namespace string
 	Names     []string // explicit resource names; empty means selector/all
-	Selector  string   // -l app=web
+	Selector  Selector // -l app=web
 	All       bool     // --all
 	Condition string   // condition name from --for=condition=X
 	Timeout   time.Duration
@@ -24,25 +25,31 @@ type WaitOptions struct {
 // kubectl, it errors when no resources match or the condition never
 // becomes true.
 //
-// The wait loop is the hottest polling path of a unit test (up to 60
-// probes per wait), so conditions are evaluated directly on the stored
-// objects via ObjectCondition instead of materializing kubectl-style
-// status documents each step; TestObjectConditionMatchesStatus pins
-// the two representations together.
+// The targets — by name or by selector — are resolved once, before the
+// loop: a wait only advances the clock, and nothing it can change
+// changes which objects it is waiting for. The loop itself steps in
+// 500 ms as it always has, so every virtual time a script observes is
+// unchanged (TestWaitMatchesSteppingOracle keeps the loop that resolved
+// its targets at every step). It is the hottest polling path of a unit
+// test (up to 60 probes per wait), so conditions are evaluated directly
+// on the stored objects via ObjectCondition instead of materializing
+// kubectl-style status documents each step;
+// TestObjectConditionMatchesStatus pins the two representations
+// together.
 func (c *Cluster) WaitFor(opts WaitOptions) error {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 30 * time.Second
 	}
 	deadline := c.now.Add(opts.Timeout)
 	const step = 500 * time.Millisecond
-	for {
-		targets := c.waitTargets(opts)
-		if len(targets) == 0 {
-			if len(opts.Names) > 0 {
-				return fmt.Errorf("error: %s %q not found", kindKey(opts.Kind), strings.Join(opts.Names, ", "))
-			}
-			return fmt.Errorf("error: no matching resources found")
+	targets := c.waitTargets(opts)
+	if len(targets) == 0 {
+		if len(opts.Names) > 0 {
+			return fmt.Errorf("error: %s %q not found", kindKey(opts.Kind), strings.Join(opts.Names, ", "))
 		}
+		return errNoMatch
+	}
+	for {
 		if c.allConditionsTrue(targets, opts.Condition) {
 			return nil
 		}
@@ -53,17 +60,19 @@ func (c *Cluster) WaitFor(opts WaitOptions) error {
 	}
 }
 
+var errNoMatch = errors.New("error: no matching resources found")
+
 func (c *Cluster) waitTargets(opts WaitOptions) []*Object {
-	if len(opts.Names) > 0 {
-		var out []*Object
-		for _, name := range opts.Names {
-			if o, ok := c.GetObject(opts.Kind, opts.Namespace, name); ok {
-				out = append(out, o)
-			}
-		}
-		return out
+	if len(opts.Names) == 0 {
+		return c.ListObjects(opts.Kind, opts.Namespace, opts.Selector)
 	}
-	return c.ListObjects(opts.Kind, opts.Namespace, opts.Selector)
+	out := make([]*Object, 0, len(opts.Names))
+	for _, name := range opts.Names {
+		if o, ok := c.GetObject(opts.Kind, opts.Namespace, name); ok {
+			out = append(out, o)
+		}
+	}
+	return out
 }
 
 func (c *Cluster) allConditionsTrue(objs []*Object, condType string) bool {

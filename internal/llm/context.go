@@ -65,7 +65,7 @@ func compileContext(reference, unitTest string) *genContext {
 		}
 	}
 	c.lineEnds = append(c.lineEnds, len(body))
-	if docs, err := yamlx.ParseAllCached([]byte(reference)); err == nil {
+	if docs, err := yamlx.ParseAllCached(reference); err == nil {
 		c.labeled = docs
 		c.noiseBase = make([]*yamlx.Node, len(docs))
 		for i, d := range docs {
@@ -73,7 +73,7 @@ func compileContext(reference, unitTest string) *genContext {
 		}
 		c.noiseTmpl = yamlx.NewTemplate(c.noiseBase)
 	}
-	docs, err := yamlx.ParseAllCached([]byte(c.clean))
+	docs, err := yamlx.ParseAllCached(c.clean)
 	if err != nil {
 		return c
 	}

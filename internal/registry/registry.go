@@ -80,7 +80,7 @@ func SizeMB(image string) float64 {
 // declared by the family's scenario backend.
 func ImagesFor(p dataset.Problem) []string {
 	set := map[string]bool{}
-	docs, err := yamlx.ParseAllCached([]byte(p.ReferenceYAML))
+	docs, err := yamlx.ParseAllCached(p.ReferenceYAML)
 	if err == nil {
 		for _, d := range docs {
 			collectImages(d, set)

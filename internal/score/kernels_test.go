@@ -119,9 +119,10 @@ func TestSharedReferenceFromManyGoroutines(t *testing.T) {
 }
 
 // scoreAnswerMaxAllocs caps what ScoreAnswerWith may allocate per call
-// beyond the engine's unit-test lookup, on a warm reference: the one
-// copy of the answer that yamlx.ParseAllCached hashes, and slack for a
-// float leaf rendered for comparison. The two-string forms took ~330.
+// beyond the engine's unit-test lookup, on a warm reference: slack for a
+// float leaf rendered for comparison (yamlx.ParseAllCached hashes the
+// answer without copying it, so it measures 0). The two-string forms
+// took ~330.
 const scoreAnswerMaxAllocs = 4
 
 func TestScoreAnswerAllocs(t *testing.T) {

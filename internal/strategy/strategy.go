@@ -34,7 +34,7 @@ import (
 // scenario backend). This is exactly the check that would catch the
 // paper's failure categories 1-3 without any cluster access.
 func FormatCheck(answer string, p dataset.Problem) bool {
-	docs, err := yamlx.ParseAllCached([]byte(answer))
+	docs, err := yamlx.ParseAllCached(answer)
 	if err != nil {
 		return false
 	}

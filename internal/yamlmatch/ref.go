@@ -33,10 +33,10 @@ type Ref struct {
 // NewRef compiles a labeled reference.
 func NewRef(reference string) *Ref {
 	r := &Ref{Clean: StripLabels(reference), byPath: make(map[string]int32)}
-	if docs, err := yamlx.ParseAllCached([]byte(r.Clean)); err == nil {
+	if docs, err := yamlx.ParseAllCached(r.Clean); err == nil {
 		r.cleanDocs, r.cleanOK = dropNullDocs(docs), true
 	}
-	docs, err := yamlx.ParseAllCached([]byte(reference))
+	docs, err := yamlx.ParseAllCached(reference)
 	if err != nil {
 		return r
 	}
@@ -61,7 +61,7 @@ func NewRef(reference string) *Ref {
 
 // KVWildcard is KVWildcardMatch(generated, reference).
 func (r *Ref) KVWildcard(generated string) float64 {
-	docs, err := yamlx.ParseAllCached([]byte(generated))
+	docs, err := yamlx.ParseAllCached(generated)
 	if err != nil {
 		return 0
 	}
@@ -71,7 +71,7 @@ func (r *Ref) KVWildcard(generated string) float64 {
 // Score is KVExactMatch(generated, r.Clean) and
 // KVWildcardMatch(generated, reference) on one parse of the answer.
 func (r *Ref) Score(generated string) (kvExact, kvWildcard float64) {
-	docs, err := yamlx.ParseAllCached([]byte(generated))
+	docs, err := yamlx.ParseAllCached(generated)
 	if err != nil {
 		return 0, 0
 	}

@@ -81,11 +81,11 @@ func (l Label) Match(genValue, refValue string) bool {
 // semantically identical (mapping order ignored, labels ignored), 0
 // otherwise — including when either side fails to parse.
 func KVExactMatch(generated, reference string) float64 {
-	g, err := yamlx.ParseAllCached([]byte(generated))
+	g, err := yamlx.ParseAllCached(generated)
 	if err != nil {
 		return 0
 	}
-	r, err := yamlx.ParseAllCached([]byte(reference))
+	r, err := yamlx.ParseAllCached(reference)
 	if err != nil {
 		return 0
 	}
@@ -175,11 +175,11 @@ func itoa(i int) string {
 // and reference YAML, honoring reference labels. It returns 0 when the
 // generated text does not parse.
 func KVWildcardMatch(generated, reference string) float64 {
-	gDocs, err := yamlx.ParseAllCached([]byte(generated))
+	gDocs, err := yamlx.ParseAllCached(generated)
 	if err != nil {
 		return 0
 	}
-	rDocs, err := yamlx.ParseAllCached([]byte(reference))
+	rDocs, err := yamlx.ParseAllCached(reference)
 	if err != nil {
 		return 0
 	}

@@ -50,22 +50,41 @@ func SetDocCache(enabled bool) (prev bool) {
 
 // ParseAllCached is ParseAll through the content-addressed document
 // cache. The returned nodes are shared: callers must not mutate them.
-// Use Clone or ShallowClone when mutation is needed.
-func ParseAllCached(data []byte) ([]*Node, error) {
+// Use Clone or ShallowClone when mutation is needed. The text is a
+// string because every caller holds one; a hit hashes it without a heap
+// copy and only the parse a miss runs converts it.
+func ParseAllCached(src string) ([]*Node, error) {
 	if !docCacheOn.Load() {
-		return ParseAll(data)
+		return ParseAll([]byte(src))
 	}
-	o := docCache.Do(sha256.Sum256(data), func() *docOutcome {
-		docs, err := ParseAll(data)
+	o := docCache.Do(digestOf(src), func() *docOutcome {
+		docs, err := ParseAll([]byte(src))
 		return &docOutcome{docs: docs, err: err}
 	})
 	return o.docs, o.err
 }
 
+// digestOf is sha256.Sum256 of a string. Sum256([]byte(s)) copies s to
+// the heap — the conversion does not escape, but the assembly block
+// function may write its argument for all the compiler knows, so
+// -gcflags=-m reports no zero-copy conversion — whereas feeding the
+// hasher through a buffer on this frame allocates nothing.
+func digestOf(s string) (sum [sha256.Size]byte) {
+	h := sha256.New()
+	var buf [512]byte
+	for len(s) > 0 {
+		n := copy(buf[:], s)
+		h.Write(buf[:n])
+		s = s[n:]
+	}
+	h.Sum(sum[:0])
+	return sum
+}
+
 // ParseCachedString is Parse through the document cache: the first
 // non-empty document of the stream, shared and immutable.
 func ParseCachedString(s string) (*Node, error) {
-	docs, err := ParseAllCached([]byte(s))
+	docs, err := ParseAllCached(s)
 	if err != nil {
 		return nil, err
 	}

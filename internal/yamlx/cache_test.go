@@ -1,9 +1,13 @@
 package yamlx
 
 import (
+	"crypto/sha256"
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+
+	"cloudeval/internal/raceflag"
 )
 
 const cachedDoc = `apiVersion: apps/v1
@@ -34,8 +38,8 @@ spec:
 // contract: cached parses return the same shared nodes, and those
 // nodes are semantically identical to a fresh uncached parse.
 func TestParseAllCachedSharedAndEquivalent(t *testing.T) {
-	d1, err1 := ParseAllCached([]byte(cachedDoc))
-	d2, err2 := ParseAllCached([]byte(cachedDoc))
+	d1, err1 := ParseAllCached(cachedDoc)
+	d2, err2 := ParseAllCached(cachedDoc)
 	if err1 != nil || err2 != nil {
 		t.Fatalf("errors: %v / %v", err1, err2)
 	}
@@ -57,7 +61,7 @@ func TestParseAllCachedSharedAndEquivalent(t *testing.T) {
 		}
 	}
 	// Errors are cached too.
-	bad := []byte("a: [unterminated\n")
+	bad := "a: [unterminated\n"
 	if _, err := ParseAllCached(bad); err == nil {
 		t.Fatal("expected error")
 	}
@@ -71,7 +75,7 @@ func TestParseAllCachedSharedAndEquivalent(t *testing.T) {
 // clone and mutate their copies; run under -race in CI this proves the
 // share-immutable/clone-to-mutate discipline holds.
 func TestParseAllCachedConcurrent(t *testing.T) {
-	docs, err := ParseAllCached([]byte(cachedDoc))
+	docs, err := ParseAllCached(cachedDoc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +87,7 @@ func TestParseAllCachedConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < 50; r++ {
-				ds, err := ParseAllCached([]byte(cachedDoc))
+				ds, err := ParseAllCached(cachedDoc)
 				if err != nil {
 					errs <- err
 					return
@@ -145,5 +149,27 @@ func TestShallowClone(t *testing.T) {
 	sc.Items[0] = String("z")
 	if seq.Len() != 2 || seq.Items[0].ScalarString() != "a" {
 		t.Error("seq shallow clone mutated the original")
+	}
+}
+
+// TestDigestOfIsSum256: the cache key is still the SHA-256 of the text —
+// whatever its length relative to the buffer it is fed through — and a
+// hit costs no allocation: the copy of the answer that Sum256([]byte(s))
+// makes was a third of the bytes a kubectl apply allocated.
+func TestDigestOfIsSum256(t *testing.T) {
+	for _, n := range []int{0, 1, 63, 64, 65, 511, 512, 513, 1024, 1500, 5000} {
+		s := strings.Repeat("k: v\n", n/5+1)[:n]
+		if digestOf(s) != sha256.Sum256([]byte(s)) {
+			t.Errorf("digestOf differs from sha256.Sum256 on %d bytes", n)
+		}
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if _, err := ParseAllCached(cachedDoc); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(100, func() { ParseAllCached(cachedDoc) }); allocs != 0 {
+		t.Errorf("a document-cache hit allocates %.0f times, want 0", allocs)
 	}
 }
