@@ -144,7 +144,7 @@ func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 			return 1
 		}
 		for _, a := range r.Applied {
-			e.Cluster.Delete(a.Kind, a.Namespace, a.Name)
+			e.Cluster.Delete(a.Resource, a.Namespace, a.Name)
 		}
 		delete(e.releases, key)
 		for i, k := range e.order {
@@ -193,7 +193,7 @@ func (e *Env) renderChart(in *shell.Interp, io *shell.IO, file string) ([]*yamlx
 		if d == nil || d.Kind == yamlx.NullKind {
 			continue
 		}
-		if err := kubesim.ValidateManifest(d); err != nil {
+		if _, err := kubesim.ValidateManifest(d); err != nil {
 			fmt.Fprintf(io.Err, "Error: unable to build kubernetes objects from release manifest: %v\n", err)
 			return nil, 1
 		}
@@ -230,7 +230,7 @@ func (e *Env) install(io *shell.IO, verb, name, ns string, createNS bool, docs [
 				// own resources; like helm without --atomic, the
 				// release stays at its previous revision.
 				for _, a := range r.Applied {
-					e.Cluster.Delete(a.Kind, a.Namespace, a.Name)
+					e.Cluster.Delete(a.Resource, a.Namespace, a.Name)
 				}
 			}
 			fmt.Fprintf(io.Err, "Error: %s failed: %v\n", verb, err)

@@ -4,18 +4,20 @@ package k8scmd_test
 // k8scmd.
 
 import (
+	"strings"
 	"testing"
 
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/k8scmd"
+	"cloudeval/internal/kubesim"
 	"cloudeval/internal/llm"
 )
 
-// readEveryKind reads every kind back as a table, wide, as YAML and
-// through two jsonpath shapes, and describes it — under kubectl's short
-// names and plurals too, which take other paths through kind
-// canonicalisation than the long names (`get po` used to panic).
-const readEveryKind = `for kind in pod deployment service ingress daemonset statefulset replicaset job cronjob configmap secret namespace serviceaccount role rolebinding clusterrole clusterrolebinding persistentvolume persistentvolumeclaim horizontalpodautoscaler networkpolicy limitrange resourcequota destinationrule virtualservice gateway po pods svc services deploy ds sts rs cm ns sa pv pvc hpa ing netpol; do
+// readEveryKind reads every kind the simulator serves back as a table,
+// wide, as YAML and through two jsonpath shapes, and describes it — by
+// the names api-resources lists, by every short name (`get po` used to
+// panic) and by one name no row knows.
+var readEveryKind = `for kind in $(kubectl api-resources -o name) ` + shortNames() + ` widgets; do
   kubectl get $kind
   kubectl get $kind -A -o wide
   kubectl get $kind -o yaml
@@ -24,6 +26,14 @@ const readEveryKind = `for kind in pod deployment service ingress daemonset stat
   kubectl describe $kind
 done
 `
+
+func shortNames() string {
+	var names []string
+	for _, r := range kubesim.Resources {
+		names = append(names, r.ShortNames...)
+	}
+	return strings.Join(names, " ")
+}
 
 // readEveryPod reads each pod the way scripts that captured its name do.
 const readEveryPod = `for p in $(kubectl get pods -o jsonpath='{.items[*].metadata.name}'); do
@@ -37,7 +47,7 @@ kubectl get all
 // everyVerbScript applies the answer and then reads it back through
 // every kubectl path a unit test takes: each kind every way
 // readEveryKind does, the waits, each pod, logs, and delete by file.
-const everyVerbScript = "kubectl apply -f labeled_code.yaml\n" + readEveryKind + `kubectl wait --for=condition=Ready pod --all --timeout=30s
+var everyVerbScript = "kubectl apply -f labeled_code.yaml\n" + readEveryKind + `kubectl wait --for=condition=Ready pod --all --timeout=30s
 kubectl wait --for=condition=Available deployment --all --timeout=30s
 kubectl wait --for=condition=Complete job --all --timeout=30s
 for d in $(kubectl get deployment -o jsonpath='{.items[*].metadata.name}'); do

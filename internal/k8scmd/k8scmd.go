@@ -192,9 +192,9 @@ func parseTimeout(s string) time.Duration {
 }
 
 // renderTable prints the default "kubectl get" table for a kind.
-func renderTable(io *shell.IO, kind string, items []*yamlx.Node, cluster *kubesim.Cluster) {
-	switch kubesim.CanonicalKind(kind) {
-	case "pod":
+func renderTable(io *shell.IO, res *kubesim.Resource, items []*yamlx.Node) {
+	switch res {
+	case kubesim.Pod:
 		fmt.Fprintf(io.Out, "%-44s %-7s %-9s %-9s %s\n", "NAME", "READY", "STATUS", "RESTARTS", "AGE")
 		for _, it := range items {
 			name := it.Path("metadata", "name").ScalarString()
@@ -205,7 +205,7 @@ func renderTable(io *shell.IO, kind string, items []*yamlx.Node, cluster *kubesi
 			}
 			fmt.Fprintf(io.Out, "%-44s %-7s %-9s %-9s %s\n", name, ready, phase, "0", "1m")
 		}
-	case "service":
+	case kubesim.Service:
 		fmt.Fprintf(io.Out, "%-20s %-14s %-14s %-14s %-14s %s\n", "NAME", "TYPE", "CLUSTER-IP", "EXTERNAL-IP", "PORT(S)", "AGE")
 		for _, it := range items {
 			name := it.Path("metadata", "name").ScalarString()
@@ -250,11 +250,12 @@ func renderTable(io *shell.IO, kind string, items []*yamlx.Node, cluster *kubesi
 // items under it, only ever read.
 var listAPIVersion, listKind = yamlx.String("v1"), yamlx.String("List")
 
-// evalOutput renders "kubectl get" items according to -o/--output.
-func evalOutput(io *shell.IO, format string, kind string, names []string, items []*yamlx.Node, cluster *kubesim.Cluster) int {
+// evalOutput renders "kubectl get" items of a kind (nil for "get all",
+// which has none) according to -o/--output.
+func evalOutput(io *shell.IO, format string, res *kubesim.Resource, names []string, items []*yamlx.Node) int {
 	switch {
 	case format == "":
-		renderTable(io, kind, items, cluster)
+		renderTable(io, res, items)
 		return 0
 	case strings.HasPrefix(format, "jsonpath="):
 		tmpl := strings.TrimPrefix(format, "jsonpath=")
@@ -284,11 +285,11 @@ func evalOutput(io *shell.IO, format string, kind string, names []string, items 
 		return 0
 	case format == "name":
 		for _, it := range items {
-			fmt.Fprintf(io.Out, "%s/%s\n", kubesim.CanonicalKind(kind), it.Path("metadata", "name").ScalarString())
+			io.Out.WriteString(res.Singular + "/" + it.Path("metadata", "name").ScalarString() + "\n")
 		}
 		return 0
 	case format == "wide":
-		renderTable(io, kind, items, cluster)
+		renderTable(io, res, items)
 		return 0
 	default:
 		fmt.Fprintf(io.Err, "error: unable to match a printer suitable for the output format %q\n", format)

@@ -1,9 +1,11 @@
 package k8scmd
 
 import (
+	"errors"
 	"fmt"
 	"strconv"
 	"strings"
+	"text/tabwriter"
 
 	"cloudeval/internal/kubesim"
 	"cloudeval/internal/shell"
@@ -11,7 +13,8 @@ import (
 )
 
 // kubectl implements the kubectl subcommands the benchmark's unit tests
-// use: apply, delete, create, get, describe, wait, logs and rollout.
+// use: apply, delete, create, get, describe, wait, logs and rollout, and
+// api-resources, which lists the simulator's resource table.
 func (e *Env) kubectl(in *shell.Interp, io *shell.IO, args []string) int {
 	if len(args) == 0 {
 		fmt.Fprintln(io.Err, "kubectl: missing subcommand")
@@ -37,6 +40,8 @@ func (e *Env) kubectl(in *shell.Interp, io *shell.IO, args []string) int {
 		return e.kubectlLogs(fs, io)
 	case "rollout":
 		return e.kubectlRollout(fs, io)
+	case "api-resources":
+		return kubectlAPIResources(fs, io)
 	case "version":
 		fmt.Fprintln(io.Out, "Client Version: v1.28.0 (kubesim)")
 		return 0
@@ -97,20 +102,22 @@ func (e *Env) kubectlDelete(fs flagSet, io *shell.IO) int {
 		return 1
 	}
 	kind := fs.positional[0]
+	res, ok := resourceOf(io, kind)
+	if !ok {
+		return 1
+	}
 	code := 0
 	for _, name := range fs.positional[1:] {
-		var err error
-		if k := strings.ToLower(kind); k == "ns" || k == "namespace" || k == "namespaces" {
-			err = e.Cluster.DeleteNamespace(name)
-		} else {
-			err = e.Cluster.Delete(kind, e.namespaceOf(fs), name)
-		}
-		if err != nil {
+		switch err := e.Cluster.Delete(res, e.namespaceOf(fs), name); {
+		case errors.Is(err, kubesim.ErrNotFound):
+			writeNotFound(io, kind, name)
+			code = 1
+		case err != nil:
 			fmt.Fprintf(io.Err, "Error from server (NotFound): %v\n", err)
 			code = 1
-			continue
+		default:
+			fmt.Fprintf(io.Out, "%s %q deleted\n", strings.ToLower(kind), name)
 		}
-		fmt.Fprintf(io.Out, "%s %q deleted\n", strings.ToLower(kind), name)
 	}
 	return code
 }
@@ -137,14 +144,16 @@ func (e *Env) kubectlCreate(fs flagSet, io *shell.IO) int {
 		}
 		fmt.Fprintf(io.Out, "namespace/%s created\n", name)
 		return 0
-	case "secret", "configmap", "cm":
-		return e.createKVResource(kind, fs, io)
+	case "secret":
+		return e.createKVResource(kubesim.Secret, fs, io)
+	case "configmap", "cm":
+		return e.createKVResource(kubesim.ConfigMap, fs, io)
 	case "serviceaccount", "sa":
-		return e.createSimple("ServiceAccount", "v1", fs, io, 1)
+		return e.createSimple(kubesim.ServiceAccount, fs, io)
 	case "clusterrole":
-		return e.createRBACRole("ClusterRole", fs, io)
+		return e.createRBACRole(kubesim.ClusterRole, fs, io)
 	case "role":
-		return e.createRBACRole("Role", fs, io)
+		return e.createRBACRole(kubesim.Role, fs, io)
 	case "deployment", "deploy":
 		return e.createDeployment(fs, io)
 	default:
@@ -153,10 +162,10 @@ func (e *Env) kubectlCreate(fs flagSet, io *shell.IO) int {
 	}
 }
 
-func (e *Env) createKVResource(kind string, fs flagSet, io *shell.IO) int {
+func (e *Env) createKVResource(r *kubesim.Resource, fs flagSet, io *shell.IO) int {
 	pos := fs.positional[1:]
 	// "kubectl create secret generic NAME" has a subtype positional.
-	if kind == "secret" {
+	if r == kubesim.Secret {
 		if len(pos) == 0 || pos[0] != "generic" && pos[0] != "tls" && pos[0] != "docker-registry" {
 			fmt.Fprintln(io.Err, "error: you must specify a secret type (generic)")
 			return 1
@@ -168,16 +177,7 @@ func (e *Env) createKVResource(kind string, fs flagSet, io *shell.IO) int {
 		return 1
 	}
 	name := pos[0]
-	apiKind := "ConfigMap"
-	if kind == "secret" {
-		apiKind = "Secret"
-	}
-	doc := yamlx.Map()
-	doc.Set("apiVersion", yamlx.String("v1"))
-	doc.Set("kind", yamlx.String(apiKind))
-	meta := yamlx.Map()
-	meta.Set("name", yamlx.String(name))
-	doc.Set("metadata", meta)
+	doc := newManifest(r, name)
 	data := yamlx.Map()
 	for _, kv := range strings.Split(fs.get("--from-literal"), "\x00") {
 		if kv == "" {
@@ -190,52 +190,53 @@ func (e *Env) createKVResource(kind string, fs flagSet, io *shell.IO) int {
 			data.Set(parts[0], v)
 		}
 	}
-	if apiKind == "Secret" {
+	if r == kubesim.Secret {
 		doc.Set("stringData", data)
 		doc.Set("type", yamlx.String("Opaque"))
 	} else {
 		doc.Set("data", data)
 	}
-	if _, err := e.Cluster.Apply(doc, e.namespaceOf(fs)); err != nil {
-		fmt.Fprintf(io.Err, "%v\n", err)
-		return 1
-	}
-	fmt.Fprintf(io.Out, "%s/%s created\n", strings.ToLower(apiKind), name)
-	return 0
+	return e.createFrom(doc, r.Singular+"/"+name, fs, io)
 }
 
-func (e *Env) createSimple(apiKind, apiVersion string, fs flagSet, io *shell.IO, nameIdx int) int {
-	if len(fs.positional) <= nameIdx {
-		fmt.Fprintln(io.Err, "error: exactly one NAME is required")
-		return 1
-	}
-	name := fs.positional[nameIdx]
+// newManifest is the head of a manifest kubectl create builds: the row's
+// preferred apiVersion, its Kind and the name.
+func newManifest(r *kubesim.Resource, name string) *yamlx.Node {
 	doc := yamlx.Map()
-	doc.Set("apiVersion", yamlx.String(apiVersion))
-	doc.Set("kind", yamlx.String(apiKind))
+	doc.Set("apiVersion", yamlx.String(r.Versions[0]))
+	doc.Set("kind", yamlx.String(r.Kind))
 	meta := yamlx.Map()
 	meta.Set("name", yamlx.String(name))
 	doc.Set("metadata", meta)
+	return doc
+}
+
+// createFrom applies what kubectl create built and reports it as created.
+func (e *Env) createFrom(doc *yamlx.Node, created string, fs flagSet, io *shell.IO) int {
 	if _, err := e.Cluster.Apply(doc, e.namespaceOf(fs)); err != nil {
 		fmt.Fprintf(io.Err, "%v\n", err)
 		return 1
 	}
-	fmt.Fprintf(io.Out, "%s/%s created\n", strings.ToLower(apiKind), name)
+	io.Out.WriteString(created + " created\n")
 	return 0
 }
 
-func (e *Env) createRBACRole(apiKind string, fs flagSet, io *shell.IO) int {
+func (e *Env) createSimple(r *kubesim.Resource, fs flagSet, io *shell.IO) int {
 	if len(fs.positional) < 2 {
 		fmt.Fprintln(io.Err, "error: exactly one NAME is required")
 		return 1
 	}
 	name := fs.positional[1]
-	doc := yamlx.Map()
-	doc.Set("apiVersion", yamlx.String("rbac.authorization.k8s.io/v1"))
-	doc.Set("kind", yamlx.String(apiKind))
-	meta := yamlx.Map()
-	meta.Set("name", yamlx.String(name))
-	doc.Set("metadata", meta)
+	return e.createFrom(newManifest(r, name), r.Singular+"/"+name, fs, io)
+}
+
+func (e *Env) createRBACRole(r *kubesim.Resource, fs flagSet, io *shell.IO) int {
+	if len(fs.positional) < 2 {
+		fmt.Fprintln(io.Err, "error: exactly one NAME is required")
+		return 1
+	}
+	name := fs.positional[1]
+	doc := newManifest(r, name)
 	rule := yamlx.Map()
 	apiGroups := yamlx.Seq(yamlx.String(""))
 	rule.Set("apiGroups", apiGroups)
@@ -254,12 +255,7 @@ func (e *Env) createRBACRole(apiKind string, fs flagSet, io *shell.IO) int {
 	}
 	rule.Set("resources", resources)
 	doc.Set("rules", yamlx.Seq(rule))
-	if _, err := e.Cluster.Apply(doc, e.namespaceOf(fs)); err != nil {
-		fmt.Fprintf(io.Err, "%v\n", err)
-		return 1
-	}
-	fmt.Fprintf(io.Out, "%s.rbac.authorization.k8s.io/%s created\n", strings.ToLower(apiKind), name)
-	return 0
+	return e.createFrom(doc, r.Singular+".rbac.authorization.k8s.io/"+name, fs, io)
 }
 
 func (e *Env) createDeployment(fs flagSet, io *shell.IO) int {
@@ -313,6 +309,18 @@ func selectorOf(fs flagSet, io *shell.IO) (kubesim.Selector, bool) {
 	return sel, true
 }
 
+// resourceOf resolves the kind a command names to its row of the
+// resource table; a spelling no row knows is the API server's error.
+func resourceOf(io *shell.IO, kind string) (*kubesim.Resource, bool) {
+	r, ok := kubesim.Lookup(kind)
+	if !ok {
+		io.Err.WriteString("error: the server doesn't have a resource type ")
+		writeQuoted(io.Err, kind)
+		io.Err.WriteByte('\n')
+	}
+	return r, ok
+}
+
 func writeNotFound(io *shell.IO, kind, name string) {
 	io.Err.WriteString("Error from server (NotFound): " + strings.ToLower(kind) + " ")
 	writeQuoted(io.Err, name)
@@ -335,6 +343,16 @@ func (e *Env) kubectlGet(fs flagSet, io *shell.IO) int {
 		parts := strings.SplitN(kind, "/", 2)
 		kind, names = parts[0], append([]string{parts[1]}, names...)
 	}
+	// "all" names a category of kinds, not a kind. The simulator has
+	// always answered it as a kind with no objects (res stays nil), and
+	// scripts print what it says, so it still does.
+	var res *kubesim.Resource
+	if kind != "all" {
+		var ok bool
+		if res, ok = resourceOf(io, kind); !ok {
+			return 1
+		}
+	}
 	ns := e.namespaceOf(fs)
 	if fs.has("-A") || fs.has("--all-namespaces") {
 		ns = "*"
@@ -343,25 +361,30 @@ func (e *Env) kubectlGet(fs flagSet, io *shell.IO) int {
 	if !ok {
 		return 1
 	}
+	format := fs.get("-o", "--output")
 	var items []*yamlx.Node
-	if len(names) > 0 {
+	switch {
+	case res == nil && len(names) > 0:
+		writeNotFound(io, kind, names[0])
+		return 1
+	case len(names) > 0:
 		items = make([]*yamlx.Node, 0, len(names))
 		for _, name := range names {
-			n, ok := e.Cluster.GetByName(kind, ns, name)
+			n, ok := e.Cluster.GetByName(res, ns, name)
 			if !ok {
 				writeNotFound(io, kind, name)
 				return 1
 			}
 			items = append(items, n)
 		}
-	} else {
-		items = e.Cluster.List(kind, ns, sel)
-		if len(items) == 0 && fs.get("-o", "--output") == "" {
-			writeNoResources(io, ns)
-			return 0
-		}
+	case res != nil:
+		items = e.Cluster.List(res, ns, sel)
 	}
-	return evalOutput(io, fs.get("-o", "--output"), kind, names, items, e.Cluster)
+	if len(items) == 0 && format == "" {
+		writeNoResources(io, ns)
+		return 0
+	}
+	return evalOutput(io, format, res, names, items)
 }
 
 func (e *Env) kubectlDescribe(fs flagSet, io *shell.IO) int {
@@ -377,13 +400,17 @@ func (e *Env) kubectlDescribe(fs flagSet, io *shell.IO) int {
 	} else {
 		names = fs.positional[1:]
 	}
+	res, ok := resourceOf(io, kind)
+	if !ok {
+		return 1
+	}
 	ns := e.namespaceOf(fs)
 	if len(names) == 0 {
 		sel, ok := selectorOf(fs, io)
 		if !ok {
 			return 1
 		}
-		for _, o := range e.Cluster.ListObjects(kind, ns, sel) {
+		for _, o := range e.Cluster.ListObjects(res, ns, sel) {
 			names = append(names, o.Name)
 		}
 	}
@@ -393,7 +420,7 @@ func (e *Env) kubectlDescribe(fs flagSet, io *shell.IO) int {
 	}
 	code := 0
 	for _, name := range names {
-		out, err := e.Cluster.Describe(kind, ns, name)
+		out, err := e.Cluster.Describe(res, ns, name)
 		if err != nil {
 			fmt.Fprintln(io.Err, err)
 			code = 1
@@ -417,21 +444,20 @@ func (e *Env) kubectlWait(fs flagSet, io *shell.IO) int {
 		fmt.Fprintln(io.Err, "error: you must specify the type of resource to wait on")
 		return 1
 	}
+	kind, names := fs.positional[0], fs.positional[1:]
+	if k, name, ok := strings.Cut(kind, "/"); ok {
+		kind, names = k, append([]string{name}, names...)
+	}
+	res, ok := resourceOf(io, kind)
+	if !ok {
+		return 1
+	}
 	sel, ok := selectorOf(fs, io)
 	if !ok {
 		return 1
 	}
-	// The names are copied out of the flag set: WaitOptions is one value
-	// to escape analysis and its kind is retained (memoized spellings),
-	// which would move every kubectl call's flag buffer to the heap.
-	kind := fs.positional[0]
-	var names []string
-	if k, name, ok := strings.Cut(kind, "/"); ok {
-		kind, names = k, append(names, name)
-	}
-	names = append(names, fs.positional[1:]...)
 	opts := kubesim.WaitOptions{
-		Kind:      kind,
+		Resource:  res,
 		Namespace: e.namespaceOf(fs),
 		Names:     names,
 		Selector:  sel,
@@ -460,7 +486,7 @@ func (e *Env) kubectlLogs(fs flagSet, io *shell.IO) int {
 		return 1
 	}
 	name := fs.positional[0]
-	n, ok := e.Cluster.GetByName("pod", e.namespaceOf(fs), name)
+	n, ok := e.Cluster.GetByName(kubesim.Pod, e.namespaceOf(fs), name)
 	if !ok {
 		fmt.Fprintf(io.Err, "Error from server (NotFound): pods %q not found\n", name)
 		return 1
@@ -476,13 +502,17 @@ func (e *Env) kubectlRollout(fs flagSet, io *shell.IO) int {
 		return 1
 	}
 	target := fs.positional[1]
-	kind, name := "deployment", target
+	kind, name := kubesim.Deployment.Singular, target
 	if strings.Contains(target, "/") {
 		parts := strings.SplitN(target, "/", 2)
 		kind, name = parts[0], parts[1]
 	}
+	res, ok := resourceOf(io, kind)
+	if !ok {
+		return 1
+	}
 	opts := kubesim.WaitOptions{
-		Kind:      kind,
+		Resource:  res,
 		Namespace: e.namespaceOf(fs),
 		Names:     []string{name},
 		Condition: "Available",
@@ -493,5 +523,27 @@ func (e *Env) kubectlRollout(fs flagSet, io *shell.IO) int {
 		return 1
 	}
 	fmt.Fprintf(io.Out, "%s %q successfully rolled out\n", kind, name)
+	return 0
+}
+
+// kubectlAPIResources prints the resource table: every kind the
+// simulator serves, with the names kubectl knows it by.
+func kubectlAPIResources(fs flagSet, io *shell.IO) int {
+	switch format := fs.get("-o", "--output"); format {
+	case "name":
+		for _, r := range kubesim.Resources {
+			io.Out.WriteString(r.Plural + "\n")
+		}
+	case "":
+		w := tabwriter.NewWriter(io.Out, 0, 8, 3, ' ', 0)
+		fmt.Fprintln(w, "NAME\tSHORTNAMES\tAPIVERSION\tNAMESPACED\tKIND")
+		for _, r := range kubesim.Resources {
+			fmt.Fprintf(w, "%s\t%s\t%s\t%t\t%s\n", r.Plural, strings.Join(r.ShortNames, ","), r.Versions[0], r.Namespaced, r.Kind)
+		}
+		w.Flush()
+	default:
+		fmt.Fprintf(io.Err, "error: --output %s is not available\n", format)
+		return 1
+	}
 	return 0
 }

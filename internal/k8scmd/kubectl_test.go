@@ -3,6 +3,8 @@ package k8scmd
 import (
 	"strings"
 	"testing"
+
+	"cloudeval/internal/kubesim"
 )
 
 func freshEnv(t *testing.T) *Env {
@@ -151,6 +153,51 @@ func TestKubectlErrorMessages(t *testing.T) {
 	if code == 0 || !strings.Contains(stderr, "unrecognized") {
 		t.Errorf("bad --for: code=%d stderr=%q", code, stderr)
 	}
+	for _, verb := range []string{"get foo", "get foo -o name", "describe foo", "wait --for=condition=Ready foo --all", "delete foo bar"} {
+		out, stderr, code := runIn(t, env, "kubectl "+verb)
+		if code != 1 || out != "" || stderr != "error: the server doesn't have a resource type \"foo\"\n" {
+			t.Errorf("kubectl %s: exit %d, stdout %q, stderr %q; want the server's unknown-type error", verb, code, out, stderr)
+		}
+	}
+}
+
+// TestKubectlAPIResources: api-resources lists every kind the simulator
+// serves, and every name it prints is one get accepts.
+func TestKubectlAPIResources(t *testing.T) {
+	env := freshEnv(t)
+	out, _, code := runIn(t, env, "kubectl api-resources")
+	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+	if code != 0 || len(lines) != len(kubesim.Resources)+1 || strings.Join(strings.Fields(lines[0]), " ") != "NAME SHORTNAMES APIVERSION NAMESPACED KIND" {
+		t.Fatalf("api-resources: exit %d\n%s", code, out)
+	}
+	for _, want := range []string{
+		"pods po v1 true Pod",
+		"deployments deploy apps/v1 true Deployment",
+		"storageclasses sc storage.k8s.io/v1 false StorageClass",
+		"clusterroles rbac.authorization.k8s.io/v1 false ClusterRole",
+	} {
+		if !containsFields(lines, want) {
+			t.Errorf("api-resources has no row %q:\n%s", want, out)
+		}
+	}
+	names, _, _ := runIn(t, env, "kubectl api-resources -o name")
+	if strings.Count(names, "\n") != len(kubesim.Resources) {
+		t.Errorf("api-resources -o name:\n%s", names)
+	}
+	for _, name := range strings.Fields(names) {
+		if _, stderr, code := runIn(t, env, "kubectl get "+name); code != 0 || !strings.HasPrefix(stderr, "No resources found") {
+			t.Errorf("kubectl get %s: exit %d, stderr %q", name, code, stderr)
+		}
+	}
+}
+
+func containsFields(lines []string, want string) bool {
+	for _, ln := range lines {
+		if strings.Join(strings.Fields(ln), " ") == want {
+			return true
+		}
+	}
+	return false
 }
 
 func TestKubectlWaitSlashForm(t *testing.T) {

@@ -205,6 +205,86 @@ kubectl describe service web | grep Endpoints:`)
 	}
 }
 
+const twoOfEverything = `apiVersion: v1
+kind: Namespace
+metadata: {name: blue}
+---
+apiVersion: apps/v1
+kind: Deployment
+metadata: {name: front}
+spec:
+  replicas: 3
+  selector: {matchLabels: {app: front}}
+  template:
+    metadata: {labels: {app: front}}
+    spec:
+      containers:
+      - name: c
+        image: hashicorp/http-echo
+        ports: [{containerPort: 8080, hostPort: 8080}]
+---
+apiVersion: apps/v1
+kind: Deployment
+metadata: {name: back, namespace: blue}
+spec:
+  selector: {matchLabels: {app: back}}
+  template:
+    metadata: {labels: {app: back}}
+    spec:
+      containers:
+      - name: c
+        image: hashicorp/http-echo
+        ports: [{containerPort: 8080}]
+---
+apiVersion: v1
+kind: Service
+metadata: {name: web}
+spec:
+  type: LoadBalancer
+  selector: {app: front}
+  ports: [{port: 80, targetPort: 8080}]
+---
+apiVersion: v1
+kind: Service
+metadata: {name: web, namespace: blue}
+spec:
+  type: LoadBalancer
+  selector: {app: back}
+  ports: [{port: 80, targetPort: 8080}]
+`
+
+// TestProbeAnswersFromOneObject: where several objects could answer a
+// curl — three pods on one hostPort, two namespaces' LoadBalancers on one
+// port, two namespaces' Services of one name — every fresh environment
+// gets the same answer, from the first object by name. The probe used
+// to take the first the bucket map yielded.
+func TestProbeAnswersFromOneObject(t *testing.T) {
+	transcripts := map[string]int{}
+	for i := 0; i < 50; i++ {
+		env := NewEnv()
+		env.Shell.FS["app.yaml"] = twoOfEverything
+		out, stderr, code := runIn(t, env, `kubectl apply -f app.yaml >/dev/null
+sleep 10
+curl -s $(minikube ip):8080
+curl -s $(minikube ip):80
+curl -s web`)
+		if code != 0 {
+			t.Fatalf("exit %d\nstdout: %s\nstderr: %s", code, out, stderr)
+		}
+		transcripts[out]++
+	}
+	if len(transcripts) != 1 {
+		t.Fatalf("50 fresh environments gave %d transcripts: %v", len(transcripts), transcripts)
+	}
+	for out := range transcripts {
+		lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
+		if len(lines) != 3 || !strings.HasPrefix(lines[0], "hello from front-") || !strings.HasSuffix(lines[0], "-0") ||
+			!strings.HasPrefix(lines[1], "hello from back-") || lines[2] != lines[1] {
+			t.Errorf("transcript %q: want the hostPort answered by front's pod -0, and port 80 and the name web by blue/web, the first Service by name", out)
+		}
+	}
+}
+
 // TestSelectorFormsThroughKubectl: the set and existence forms select
 // (they used to drop the term and match every pod, "==" none), and a
 // selector kubectl cannot parse fails the command with its error.

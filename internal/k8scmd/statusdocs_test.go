@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cloudeval/internal/k8scmd"
+	"cloudeval/internal/kubesim"
 	"cloudeval/internal/yamlx"
 )
 
@@ -79,7 +80,7 @@ func TestStatusDocsNeverWritten(t *testing.T) {
 	if res, err := env.Shell.Run("kubectl apply -f labeled_code.yaml\nsleep 10"); err != nil || res.ExitCode != 0 {
 		t.Fatalf("apply: %v, %+v", err, res)
 	}
-	kinds := []string{"pod", "deployment", "replicaset", "daemonset", "job", "service", "ingress"}
+	kinds := []*kubesim.Resource{kubesim.Pod, kubesim.Deployment, kubesim.ReplicaSet, kubesim.DaemonSet, kubesim.Job, kubesim.Service, kubesim.Ingress}
 	snapshot := func() (docs []*yamlx.Node, text []string) {
 		for _, kind := range kinds {
 			for _, doc := range env.Cluster.List(kind, "*", nil) {
@@ -100,8 +101,8 @@ func TestStatusDocsNeverWritten(t *testing.T) {
 		}
 	}
 	// One pass alone first: it leaves the cluster with nothing lazy left
-	// to fill in (a bucket per kind asked for), so that the concurrent
-	// passes below only read it.
+	// to fill in (the status documents), so that the concurrent passes
+	// below only read it.
 	read(env)
 
 	var wg sync.WaitGroup

@@ -8,6 +8,10 @@
 // virtual clock so that "kubectl wait" and "sleep" in test scripts
 // complete in microseconds of real time.
 //
+// The kinds it serves are the rows of one table, Resources: a manifest's
+// kind and a command's resource type are resolved to a row once, and a
+// spelling no row knows is an error, as it is to an API server.
+//
 // State is a function of virtual time: every derived object records the
 // virtual timestamps at which it transitions (scheduled, ready,
 // complete), so there is no background reconcile loop and the cluster
@@ -16,12 +20,12 @@ package kubesim
 
 import (
 	"cmp"
+	"errors"
 	"fmt"
 	"slices"
 	"strings"
 	"time"
 
-	"cloudeval/internal/memo"
 	"cloudeval/internal/yamlx"
 )
 
@@ -39,13 +43,13 @@ const (
 // virtual timestamps driving its lifecycle.
 type Object struct {
 	Manifest  *yamlx.Node
-	Kind      string
+	Resource  *Resource
 	Name      string
 	Namespace string
 	CreatedAt time.Time
 	ReadyAt   time.Time // pods: when Ready flips true
 	DoneAt    time.Time // jobs: completion time
-	OwnerKind string
+	OwnerKind *Resource
 	OwnerName string
 	Failed    bool   // image pull errors and the like
 	FailMsg   string // reason for Failed
@@ -73,7 +77,7 @@ func (o *Object) createdStamp() *yamlx.Node {
 // Cluster is a simulated Kubernetes cluster.
 type Cluster struct {
 	now        time.Time
-	objects    map[string]map[string]*Object // kindKey -> ns/name -> obj
+	objects    []map[string]*Object // by Resource.bucket: ns/name -> obj
 	namespaces map[string]bool
 	nextPodIP  int
 	nextPort   int
@@ -100,7 +104,7 @@ var epoch = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 func NewCluster() *Cluster {
 	return &Cluster{
 		now:        epoch,
-		objects:    make(map[string]map[string]*Object),
+		objects:    make([]map[string]*Object, len(Resources)),
 		namespaces: map[string]bool{"default": true, "kube-system": true},
 		nextPodIP:  2,
 		nextPort:   30000,
@@ -141,149 +145,19 @@ func (c *Cluster) Event(format string, args ...any) {
 	c.events = append(c.events, fmt.Sprintf(format, args...))
 }
 
-// CanonicalKind returns the canonical lowercase singular for any
-// accepted kind spelling ("pods", "po", "Pod" -> "pod").
-func CanonicalKind(kind string) string { return kindKey(kind) }
-
-// kindKey canonicalizes resource kind spellings ("pod", "pods", "po",
-// "Pod" all name the same store). It runs on every store access, some
-// twenty times per unit test, nearly always on one of the spellings
-// manifests and scripts actually use — the canonical name or the
-// manifest's CamelCase — so those are answered by a switch. Anything
-// else is canonicalized by kindKeySlow and memoized process-wide; kind:
-// values parsed out of model-generated answers can be arbitrary, hence
-// the capped cache. TestKindKeyFastMatchesSlow holds the switch to
-// kindKeySlow.
-func kindKey(kind string) string {
-	switch kind {
-	case "pod", "Pod", "pods":
-		return "pod"
-	case "deployment", "Deployment":
-		return "deployment"
-	case "service", "Service", "svc":
-		return "service"
-	case "ingress", "Ingress":
-		return "ingress"
-	case "daemonset", "DaemonSet":
-		return "daemonset"
-	case "statefulset", "StatefulSet":
-		return "statefulset"
-	case "replicaset", "ReplicaSet":
-		return "replicaset"
-	case "job", "Job":
-		return "job"
-	case "cronjob", "CronJob":
-		return "cronjob"
-	case "configmap", "ConfigMap":
-		return "configmap"
-	case "secret", "Secret":
-		return "secret"
-	case "namespace", "Namespace":
-		return "namespace"
-	case "serviceaccount", "ServiceAccount":
-		return "serviceaccount"
-	case "role", "Role":
-		return "role"
-	case "rolebinding", "RoleBinding":
-		return "rolebinding"
-	case "clusterrole", "ClusterRole":
-		return "clusterrole"
-	case "clusterrolebinding", "ClusterRoleBinding":
-		return "clusterrolebinding"
-	case "persistentvolume", "PersistentVolume":
-		return "persistentvolume"
-	case "persistentvolumeclaim", "PersistentVolumeClaim":
-		return "persistentvolumeclaim"
-	case "horizontalpodautoscaler", "HorizontalPodAutoscaler":
-		return "horizontalpodautoscaler"
-	case "networkpolicy", "NetworkPolicy":
-		return "networkpolicy"
-	case "limitrange", "LimitRange":
-		return "limitrange"
-	case "resourcequota", "ResourceQuota":
-		return "resourcequota"
-	case "destinationrule", "DestinationRule":
-		return "destinationrule"
-	case "virtualservice", "VirtualService":
-		return "virtualservice"
-	case "gateway", "Gateway":
-		return "gateway"
-	}
-	return kindKeyCache.Do(kind, func() string { return kindKeySlow(kind) })
-}
-
-var kindKeyCache = memo.New[string, string](1 << 12)
-
-func kindKeySlow(kind string) string {
-	k := strings.ToLower(strings.TrimSpace(kind))
-	// Short names are resolved before the plural is stripped: several
-	// end in "s" themselves (ns, ds, sts, rs).
-	if long, ok := kindShortNames[k]; ok {
-		return long
-	}
-	k = strings.TrimSuffix(k, "es")
-	if strings.HasSuffix(k, "s") && k != "ingress" && k != "statefulset" && k != "daemonset" && k != "limitrange" {
-		k = strings.TrimSuffix(k, "s")
-	}
-	// What is left is a singular, a short name that was given in the
-	// plural ("pvcs"), or a singular whose "es" went with the plural.
-	if long, ok := kindShortNames[k]; ok {
-		return long
-	}
-	switch k {
-	case "servic":
-		return "service"
-	case "namespac":
-		return "namespace"
-	case "ingres":
-		return "ingress"
-	case "networkpolic":
-		return "networkpolicy"
-	case "destinationrul":
-		return "destinationrule"
-	case "virtualservic":
-		return "virtualservice"
-	}
-	return k
-}
-
-// kindShortNames are kubectl's abbreviations.
-var kindShortNames = map[string]string{
-	"po":     "pod",
-	"svc":    "service",
-	"deploy": "deployment",
-	"ds":     "daemonset",
-	"sts":    "statefulset",
-	"ns":     "namespace",
-	"cm":     "configmap",
-	"ing":    "ingress",
-	"sa":     "serviceaccount",
-	"pvc":    "persistentvolumeclaim",
-	"pv":     "persistentvolume",
-	"hpa":    "horizontalpodautoscaler",
-	"rs":     "replicaset",
-	"netpol": "networkpolicy",
-}
-
 func nsName(ns, name string) string { return ns + "/" + name }
 
-func (c *Cluster) bucket(kind string) map[string]*Object {
-	k := kindKey(kind)
-	b, ok := c.objects[k]
-	if !ok {
-		b = make(map[string]*Object)
-		c.objects[k] = b
-	}
-	return b
-}
+// bucket holds a row's objects. It is nil until the first one is stored
+// (put), and reading a nil map is reading an empty one.
+func (c *Cluster) bucket(r *Resource) map[string]*Object { return c.objects[r.bucket] }
 
-// namespaced reports whether a kind lives inside namespaces.
-func namespaced(kind string) bool {
-	switch kindKey(kind) {
-	case "namespace", "clusterrole", "clusterrolebinding", "persistentvolume", "storageclass", "node":
-		return false
+func (c *Cluster) put(obj *Object) {
+	b := c.objects[obj.Resource.bucket]
+	if b == nil {
+		b = make(map[string]*Object)
+		c.objects[obj.Resource.bucket] = b
 	}
-	return true
+	b[nsName(obj.Namespace, obj.Name)] = obj
 }
 
 // CreateNamespace creates a namespace; creating an existing one errors
@@ -319,7 +193,8 @@ func (c *Cluster) DeleteNamespace(name string) error {
 
 // ApplyResult describes one applied manifest.
 type ApplyResult struct {
-	Kind      string
+	Resource  *Resource
+	Kind      string // as the manifest spells it
 	Name      string
 	Namespace string
 	Created   bool // false: configured (updated)
@@ -372,7 +247,8 @@ func (c *Cluster) ApplyYAML(src string, defaultNS string) ([]ApplyResult, error)
 // Apply validates and stores a single manifest, then runs the
 // controllers that materialize derived objects (pods, endpoints).
 func (c *Cluster) Apply(doc *yamlx.Node, defaultNS string) (ApplyResult, error) {
-	if err := ValidateManifest(doc); err != nil {
+	r, err := ValidateManifest(doc)
+	if err != nil {
 		return ApplyResult{}, err
 	}
 	c.touch()
@@ -386,43 +262,39 @@ func (c *Cluster) Apply(doc *yamlx.Node, defaultNS string) (ApplyResult, error) 
 	if nsNode := meta.Get("namespace"); nsNode != nil && nsNode.ScalarString() != "" {
 		ns = nsNode.ScalarString()
 	}
-	if !namespaced(kind) {
+	if !r.Namespaced {
 		ns = ""
 	} else if !c.namespaces[ns] {
 		return ApplyResult{}, fmt.Errorf("namespaces %q not found", ns)
 	}
 
-	if kindKey(kind) == "namespace" {
+	if r == Namespace {
 		created := !c.namespaces[name]
 		c.namespaces[name] = true
-		c.bucket(kind)[nsName("", name)] = &Object{
-			Manifest: doc, Kind: kind, Name: name, CreatedAt: c.now,
-		}
-		return ApplyResult{Kind: kind, Name: name, Created: created}, nil
+		c.put(&Object{Manifest: doc, Resource: r, Name: name, CreatedAt: c.now})
+		return ApplyResult{Resource: r, Kind: kind, Name: name, Created: created}, nil
 	}
 
-	bucket := c.bucket(kind)
-	key := nsName(ns, name)
-	_, existed := bucket[key]
+	_, existed := c.bucket(r)[nsName(ns, name)]
 	// Stored manifests are immutable after apply for every kind except
 	// Service, whose controller writes allocated values (clusterIP,
 	// nodePort) into the stored tree. Everything else stores the parsed
 	// document as-is — which may come from the shared yamlx cache — so
 	// applying a manifest costs no deep copy.
 	manifest := doc
-	if kindKey(kind) == "service" {
+	if r == Service {
 		manifest = doc.Clone()
 	}
 	obj := &Object{
 		Manifest:  manifest,
-		Kind:      kind,
+		Resource:  r,
 		Name:      name,
 		Namespace: ns,
 		CreatedAt: c.now,
 	}
-	bucket[key] = obj
+	c.put(obj)
 	c.runControllers(obj)
-	return ApplyResult{Kind: kind, Name: name, Namespace: ns, Created: !existed}, nil
+	return ApplyResult{Resource: r, Kind: kind, Name: name, Namespace: ns, Created: !existed}, nil
 }
 
 // DeleteYAML deletes every resource named in a manifest, mimicking
@@ -438,12 +310,19 @@ func (c *Cluster) DeleteYAML(src string, defaultNS string) ([]string, error) {
 			continue
 		}
 		kind := doc.Get("kind").ScalarString()
+		r, ok := Lookup(kind)
+		if !ok {
+			return out, noMatch(kind, doc.Get("apiVersion").ScalarString())
+		}
 		name := doc.Path("metadata", "name").ScalarString()
 		ns := defaultNS
 		if v := doc.Path("metadata", "namespace"); v != nil {
 			ns = v.ScalarString()
 		}
-		if err := c.Delete(kind, ns, name); err != nil {
+		if err := c.Delete(r, ns, name); err != nil {
+			if errors.Is(err, ErrNotFound) {
+				err = fmt.Errorf("%s %q not found", strings.ToLower(kind), name)
+			}
 			return out, err
 		}
 		out = append(out, fmt.Sprintf("%s %q deleted", strings.ToLower(kind), name))
@@ -451,27 +330,28 @@ func (c *Cluster) DeleteYAML(src string, defaultNS string) ([]string, error) {
 	return out, nil
 }
 
-// Delete removes one resource and any objects it owns.
-func (c *Cluster) Delete(kind, ns, name string) error {
-	if kindKey(kind) == "namespace" {
+// ErrNotFound is Delete's error for an object that is not there; the
+// caller names it, as the command or manifest spelled its kind.
+var ErrNotFound = errors.New("not found")
+
+// Delete removes one resource and any objects it owns. Deleting a
+// Namespace deletes everything in it.
+func (c *Cluster) Delete(r *Resource, ns, name string) error {
+	if r == Namespace {
 		return c.DeleteNamespace(name)
 	}
-	if !namespaced(kind) {
-		ns = ""
-	} else if ns == "" {
-		ns = "default"
-	}
-	bucket := c.bucket(kind)
+	ns = r.namespace(ns)
+	bucket := c.bucket(r)
 	key := nsName(ns, name)
 	if _, ok := bucket[key]; !ok {
-		return fmt.Errorf("%s %q not found", strings.ToLower(kind), name)
+		return ErrNotFound
 	}
 	c.touch()
 	delete(bucket, key)
 	// Cascade to owned objects (pods of a deployment, etc.).
 	for _, b := range c.objects {
 		for k, o := range b {
-			if o.OwnerKind == kindKey(kind) && o.OwnerName == name && o.Namespace == ns {
+			if o.OwnerKind == r && o.OwnerName == name && o.Namespace == ns {
 				delete(b, k)
 			}
 		}
@@ -480,19 +360,14 @@ func (c *Cluster) Delete(kind, ns, name string) error {
 }
 
 // GetObject fetches one stored resource without materializing status.
-func (c *Cluster) GetObject(kind, ns, name string) (*Object, bool) {
-	if !namespaced(kind) {
-		ns = ""
-	} else if ns == "" {
-		ns = "default"
-	}
-	obj, ok := c.bucket(kind)[nsName(ns, name)]
+func (c *Cluster) GetObject(r *Resource, ns, name string) (*Object, bool) {
+	obj, ok := c.bucket(r)[nsName(r.namespace(ns), name)]
 	return obj, ok
 }
 
 // GetByName fetches one resource with live status populated.
-func (c *Cluster) GetByName(kind, ns, name string) (*yamlx.Node, bool) {
-	obj, ok := c.GetObject(kind, ns, name)
+func (c *Cluster) GetByName(r *Resource, ns, name string) (*yamlx.Node, bool) {
+	obj, ok := c.GetObject(r, ns, name)
 	if !ok {
 		return nil, false
 	}
@@ -503,13 +378,13 @@ func (c *Cluster) GetByName(kind, ns, name string) (*yamlx.Node, bool) {
 // namespaces when ns is "*") that a label selector matches (the nil
 // selector matches all), sorted by name. A wait resolves its targets
 // through this, without building kubectl-style documents.
-func (c *Cluster) ListObjects(kind, ns string, sel Selector) []*Object {
+func (c *Cluster) ListObjects(r *Resource, ns string, sel Selector) []*Object {
 	if ns == "" {
 		ns = "default"
 	}
-	anyNS := ns == "*" || !namespaced(kind)
+	anyNS := ns == "*" || !r.Namespaced
 	var objs []*Object
-	for _, obj := range c.bucket(kind) {
+	for _, obj := range c.bucket(r) {
 		if (anyNS || obj.Namespace == ns) && sel.matches(obj.Manifest) {
 			objs = append(objs, obj)
 		}
@@ -525,15 +400,29 @@ func sortByName(objs []*Object) {
 	if len(objs) < 2 {
 		return
 	}
-	slices.SortFunc(objs, func(a, b *Object) int {
-		return cmp.Or(strings.Compare(a.Name, b.Name), strings.Compare(a.Namespace, b.Namespace))
-	})
+	slices.SortFunc(objs, byName)
+}
+
+func byName(a, b *Object) int {
+	return cmp.Or(strings.Compare(a.Name, b.Name), strings.Compare(a.Namespace, b.Namespace))
+}
+
+// first returns the object of a bucket that ok accepts and that a sorted
+// listing would reach first, without sorting.
+func first(bucket map[string]*Object, ok func(*Object) bool) *Object {
+	var best *Object
+	for _, o := range bucket {
+		if (best == nil || byName(o, best) < 0) && ok(o) {
+			best = o
+		}
+	}
+	return best
 }
 
 // List returns resources of a kind with live status populated, in the
 // same order and under the same filters as ListObjects.
-func (c *Cluster) List(kind, ns string, sel Selector) []*yamlx.Node {
-	objs := c.ListObjects(kind, ns, sel)
+func (c *Cluster) List(r *Resource, ns string, sel Selector) []*yamlx.Node {
+	objs := c.ListObjects(r, ns, sel)
 	out := make([]*yamlx.Node, len(objs))
 	for i, o := range objs {
 		out[i] = c.withStatus(o)
@@ -543,10 +432,10 @@ func (c *Cluster) List(kind, ns string, sel Selector) []*yamlx.Node {
 
 // ListNode wraps List results in a {apiVersion, kind: List, items: []}
 // node, the shape kubectl presents to JSONPath queries.
-func (c *Cluster) ListNode(kind, ns string, sel Selector) *yamlx.Node {
+func (c *Cluster) ListNode(r *Resource, ns string, sel Selector) *yamlx.Node {
 	return mapOf(
 		kv("apiVersion", strV1),
 		kv("kind", yamlx.String("List")),
-		kv("items", yamlx.Seq(c.List(kind, ns, sel)...)),
+		kv("items", yamlx.Seq(c.List(r, ns, sel)...)),
 	)
 }

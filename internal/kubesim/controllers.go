@@ -13,41 +13,39 @@ import (
 // ports. Derived objects carry their owner so deletes cascade and
 // re-applies replace.
 func (c *Cluster) runControllers(obj *Object) {
-	switch kindKey(obj.Kind) {
-	case "pod":
+	switch obj.Resource {
+	case Pod:
 		c.schedulePod(obj)
-	case "deployment", "replicaset", "statefulset":
+	case Deployment, ReplicaSet, StatefulSet:
 		c.reapOwnedPods(obj)
 		replicas := int64(1)
 		if r, ok := obj.Manifest.Path("spec", "replicas").AsInt(); ok {
 			replicas = r
 		}
 		c.spawnPods(obj, int(replicas))
-	case "daemonset":
+	case DaemonSet:
 		c.reapOwnedPods(obj)
 		// A single-node cluster: one pod per daemonset.
 		c.spawnPods(obj, 1)
-	case "job":
+	case Job:
 		c.reapOwnedPods(obj)
 		obj.DoneAt = c.now.Add(JobCompleteTime)
 		c.spawnPods(obj, 1)
-	case "service":
+	case Service:
 		c.initService(obj)
 	}
 }
 
-// ownedBy reports whether a pod was spawned by the workload; ownerKind
-// is the owner's canonical kind, computed once by whoever walks the pods.
-func (p *Object) ownedBy(ownerKind string, owner *Object) bool {
-	return p.OwnerKind == ownerKind && p.OwnerName == owner.Name && p.Namespace == owner.Namespace
+// ownedBy reports whether a pod was spawned by the workload.
+func (p *Object) ownedBy(owner *Object) bool {
+	return p.OwnerKind == owner.Resource && p.OwnerName == owner.Name && p.Namespace == owner.Namespace
 }
 
 // reapOwnedPods deletes pods owned by obj, for idempotent re-applies.
 func (c *Cluster) reapOwnedPods(owner *Object) {
-	ownerKind := kindKey(owner.Kind)
-	bucket := c.bucket("pod")
+	bucket := c.bucket(Pod)
 	for k, p := range bucket {
-		if p.ownedBy(ownerKind, owner) {
+		if p.ownedBy(owner) {
 			delete(bucket, k)
 		}
 	}
@@ -59,9 +57,8 @@ func (c *Cluster) spawnPods(owner *Object, n int) {
 	if template == nil {
 		return
 	}
-	ownerKind := kindKey(owner.Kind)
 	prefix := owner.Name + "-"
-	if ownerKind != "statefulset" {
+	if owner.Resource != StatefulSet {
 		prefix += shortHash(owner.Name) + "-"
 	}
 	// The template's labels and spec subtrees are shared, not cloned:
@@ -70,7 +67,6 @@ func (c *Cluster) spawnPods(owner *Object, n int) {
 	// owner's template directly.
 	labels, spec := template.Path("metadata", "labels"), template.Get("spec")
 	namespace := yamlx.String(owner.Namespace)
-	pods := c.bucket("pod")
 	for i := 0; i < n; i++ {
 		podName := prefix + strconv.Itoa(i)
 		meta := append(make([]yamlx.Entry, 0, 3), kv("name", yamlx.String(podName)), kv("namespace", namespace))
@@ -83,14 +79,14 @@ func (c *Cluster) spawnPods(owner *Object, n int) {
 		}
 		p := &Object{
 			Manifest:  mapOf(pod...),
-			Kind:      "Pod",
+			Resource:  Pod,
 			Name:      podName,
 			Namespace: owner.Namespace,
 			CreatedAt: c.now,
-			OwnerKind: ownerKind,
+			OwnerKind: owner.Resource,
 			OwnerName: owner.Name,
 		}
-		pods[nsName(owner.Namespace, podName)] = p
+		c.put(p)
 		c.schedulePod(p)
 	}
 }
@@ -183,24 +179,24 @@ func (c *Cluster) buildStatus(obj *Object) *yamlx.Node {
 		meta = meta.ShallowClone()
 	}
 	n.Set("metadata", meta)
-	if meta.Get("namespace") == nil && namespaced(obj.Kind) {
+	if meta.Get("namespace") == nil && obj.Resource.Namespaced {
 		meta.Set("namespace", yamlx.String(obj.Namespace))
 	}
 	if meta.Get("creationTimestamp") == nil {
 		meta.Set("creationTimestamp", obj.createdStamp())
 	}
-	switch kindKey(obj.Kind) {
-	case "pod":
+	switch obj.Resource {
+	case Pod:
 		n.Set("status", c.podStatus(obj))
-	case "deployment", "replicaset", "statefulset":
+	case Deployment, ReplicaSet, StatefulSet:
 		n.Set("status", c.workloadStatus(obj))
-	case "daemonset":
+	case DaemonSet:
 		n.Set("status", c.daemonSetStatus(obj))
-	case "job":
+	case Job:
 		n.Set("status", c.jobStatus(obj))
-	case "service":
+	case Service:
 		n.Set("status", c.serviceStatus(obj))
-	case "ingress":
+	case Ingress:
 		n.Set("status", c.ingressStatus(obj))
 	}
 	return n
@@ -217,7 +213,7 @@ var (
 	strErrImagePull = yamlx.String("ErrImagePull")
 	strNodeIP       = yamlx.String(NodeIP)
 	strV1           = yamlx.String("v1")
-	strPod          = yamlx.String("Pod")
+	strPod          = yamlx.String(Pod.Kind)
 	boolFalse       = yamlx.Boolean(false)
 	boolTrue        = yamlx.Boolean(true)
 	intZero         = yamlx.Integer(0)
@@ -271,8 +267,8 @@ func (c *Cluster) PodReady(obj *Object) bool {
 // status documents. TestObjectConditionMatchesStatus asserts the
 // equivalence for every kind and condition the status builders emit.
 func (c *Cluster) ObjectCondition(obj *Object, condType string) bool {
-	switch kindKey(obj.Kind) {
-	case "pod":
+	switch obj.Resource {
+	case Pod:
 		switch {
 		case strings.EqualFold(condType, "Ready"), strings.EqualFold(condType, "ContainersReady"):
 			return c.PodReady(obj)
@@ -281,18 +277,18 @@ func (c *Cluster) ObjectCondition(obj *Object, condType string) bool {
 		case strings.EqualFold(condType, "PodScheduled"):
 			return true
 		}
-	case "deployment", "replicaset", "statefulset":
+	case Deployment, ReplicaSet, StatefulSet:
 		switch {
 		case strings.EqualFold(condType, "Progressing"):
 			return true
 		case strings.EqualFold(condType, "Available"), strings.EqualFold(condType, "Ready"):
 			return c.workloadAllReady(obj)
 		}
-	case "daemonset":
+	case DaemonSet:
 		if strings.EqualFold(condType, "Ready") {
 			return c.readyOwnedPods(obj) >= 1
 		}
-	case "job":
+	case Job:
 		if strings.EqualFold(condType, "Complete") {
 			return !obj.DoneAt.IsZero() && !c.now.Before(obj.DoneAt)
 		}
@@ -313,10 +309,9 @@ func (c *Cluster) workloadAllReady(obj *Object) bool {
 
 // readyOwnedPods counts the Ready pods a workload owns.
 func (c *Cluster) readyOwnedPods(obj *Object) int64 {
-	ownerKind := kindKey(obj.Kind)
 	ready := int64(0)
-	for _, p := range c.bucket("pod") {
-		if p.ownedBy(ownerKind, obj) && c.PodReady(p) {
+	for _, p := range c.bucket(Pod) {
+		if p.ownedBy(obj) && c.PodReady(p) {
 			ready++
 		}
 	}

@@ -10,19 +10,14 @@ import (
 // Describe renders a "kubectl describe"-style text block for one
 // resource. Only the fields the benchmark's unit tests grep for are
 // guaranteed; the rest is a readable summary.
-func (c *Cluster) Describe(kind, ns, name string) (string, error) {
-	if !namespaced(kind) {
-		ns = ""
-	} else if ns == "" {
-		ns = "default"
-	}
-	obj, ok := c.bucket(kind)[nsName(ns, name)]
+func (c *Cluster) Describe(r *Resource, ns, name string) (string, error) {
+	obj, ok := c.GetObject(r, ns, name)
 	if !ok {
-		return "", fmt.Errorf(`Error from server (NotFound): %s %q not found`, kindKey(kind), name)
+		return "", fmt.Errorf(`Error from server (NotFound): %s %q not found`, r.Singular, name)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Name:             %s\n", obj.Name)
-	if namespaced(kind) {
+	if r.Namespaced {
 		fmt.Fprintf(&b, "Namespace:        %s\n", obj.Namespace)
 	}
 	if labels := obj.Manifest.Path("metadata", "labels"); labels != nil && labels.Kind == yamlx.MapKind && len(labels.Entries) > 0 {
@@ -42,14 +37,14 @@ func (c *Cluster) Describe(kind, ns, name string) (string, error) {
 		}
 		b.WriteString(strings.Join(parts, "\n                  ") + "\n")
 	}
-	switch kindKey(kind) {
-	case "ingress":
+	switch r {
+	case Ingress:
 		c.describeIngress(&b, obj)
-	case "service":
+	case Service:
 		c.describeService(&b, obj)
-	case "pod":
+	case Pod:
 		c.describePod(&b, obj)
-	case "deployment", "daemonset", "statefulset", "replicaset":
+	case Deployment, DaemonSet, StatefulSet, ReplicaSet:
 		c.describeWorkload(&b, obj)
 	default:
 		b.WriteString("Spec:\n")
@@ -95,7 +90,7 @@ func (c *Cluster) describeIngress(b *strings.Builder, obj *Object) {
 			}
 			// Resolve endpoints for the backend hint kubectl shows.
 			epHint := "<error: services \"" + svcName + "\" not found>"
-			if svc, ok := c.bucket("service")[nsName(obj.Namespace, svcName)]; ok {
+			if svc, ok := c.GetObject(Service, obj.Namespace, svcName); ok {
 				epHint = c.EndpointsString(svc)
 			}
 			fmt.Fprintf(b, "  %-10s  %-4s  %s:%s (%s)\n", host, path, svcName, portStr, epHint)

@@ -83,7 +83,7 @@ func TestApplyDeploymentCreatesPods(t *testing.T) {
 	if len(res) != 1 || !res[0].Created {
 		t.Fatalf("apply results = %+v", res)
 	}
-	pods := c.List("pods", "default", mustSelector("app=nginx"))
+	pods := c.List(Pod, "default", mustSelector("app=nginx"))
 	if len(pods) != 3 {
 		t.Fatalf("got %d pods, want 3", len(pods))
 	}
@@ -94,7 +94,7 @@ func TestApplyDeploymentCreatesPods(t *testing.T) {
 		}
 	}
 	c.AdvanceTime(PodReadyDelay)
-	for _, p := range c.List("pods", "default", mustSelector("app=nginx")) {
+	for _, p := range c.List(Pod, "default", mustSelector("app=nginx")) {
 		if !HasCondition(p, "Ready") {
 			t.Error("pod should be Ready after the readiness delay")
 		}
@@ -107,7 +107,7 @@ func TestWaitForPodsReady(t *testing.T) {
 		t.Fatal(err)
 	}
 	start := c.Now()
-	err := c.WaitFor(WaitOptions{Kind: "pod", Namespace: "default", Selector: mustSelector("app=nginx"), Condition: "Ready", Timeout: 60 * time.Second})
+	err := c.WaitFor(WaitOptions{Resource: Pod, Namespace: "default", Selector: mustSelector("app=nginx"), Condition: "Ready", Timeout: 60 * time.Second})
 	if err != nil {
 		t.Fatalf("wait failed: %v", err)
 	}
@@ -118,7 +118,7 @@ func TestWaitForPodsReady(t *testing.T) {
 
 func TestWaitTimesOut(t *testing.T) {
 	c := NewCluster()
-	err := c.WaitFor(WaitOptions{Kind: "pod", Selector: mustSelector("app=missing"), Condition: "Ready", Timeout: 5 * time.Second})
+	err := c.WaitFor(WaitOptions{Resource: Pod, Selector: mustSelector("app=missing"), Condition: "Ready", Timeout: 5 * time.Second})
 	if err == nil {
 		t.Fatal("wait on nothing should error")
 	}
@@ -132,7 +132,7 @@ func TestDeploymentAvailableCondition(t *testing.T) {
 	if _, err := c.ApplyYAML(nginxDeployment, "default"); err != nil {
 		t.Fatal(err)
 	}
-	err := c.WaitFor(WaitOptions{Kind: "deployment", Namespace: "default", All: true, Condition: "available", Timeout: 30 * time.Second})
+	err := c.WaitFor(WaitOptions{Resource: Deployment, Namespace: "default", All: true, Condition: "available", Timeout: 30 * time.Second})
 	if err != nil {
 		t.Fatalf("deployment never became available: %v", err)
 	}
@@ -154,7 +154,7 @@ func TestServiceEndpointsAndURL(t *testing.T) {
 	if !strings.HasPrefix(url, "http://"+NodeIP+":3") {
 		t.Errorf("url = %q", url)
 	}
-	svc, _ := c.bucket("service")[nsName("default", "nginx-service")]
+	svc, _ := c.GetObject(Service, "default", "nginx-service")
 	if got := len(c.ServiceEndpoints(svc)); got != 3 {
 		t.Errorf("endpoints = %d, want 3", got)
 	}
@@ -185,10 +185,10 @@ func TestDaemonSetHostPortProbe(t *testing.T) {
 	if _, err := c.ApplyYAML(registryDaemonSet, "default"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.WaitFor(WaitOptions{Kind: "pod", Namespace: "default", Selector: mustSelector("app=kube-registry"), Condition: "Ready", Timeout: 60 * time.Second}); err != nil {
+	if err := c.WaitFor(WaitOptions{Resource: Pod, Namespace: "default", Selector: mustSelector("app=kube-registry"), Condition: "Ready", Timeout: 60 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	pods := c.List("pods", "default", mustSelector("app=kube-registry"))
+	pods := c.List(Pod, "default", mustSelector("app=kube-registry"))
 	if len(pods) != 1 {
 		t.Fatalf("daemonset pods = %d, want 1 on single-node cluster", len(pods))
 	}
@@ -211,7 +211,7 @@ func TestJSONPathOverListNode(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AdvanceTime(5 * time.Second)
-	list := c.ListNode("pods", "default", mustSelector("app=kube-registry"))
+	list := c.ListNode(Pod, "default", mustSelector("app=kube-registry"))
 	envNames, err := jsonpath.Eval(list, "{.items[0].spec.containers[0].env[*].name}")
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +250,7 @@ roleRef:
 	if _, err := c.ApplyYAML(rb, "default"); err != nil {
 		t.Fatal(err)
 	}
-	n, ok := c.GetByName("rolebinding", "development", "read-secrets")
+	n, ok := c.GetByName(RoleBinding, "development", "read-secrets")
 	if !ok {
 		t.Fatal("rolebinding not stored in its namespace")
 	}
@@ -270,10 +270,10 @@ func TestDeleteCascades(t *testing.T) {
 	if _, err := c.ApplyYAML(nginxDeployment, "default"); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Delete("deployment", "default", "nginx-deployment"); err != nil {
+	if err := c.Delete(Deployment, "default", "nginx-deployment"); err != nil {
 		t.Fatal(err)
 	}
-	if pods := c.List("pods", "default", nil); len(pods) != 0 {
+	if pods := c.List(Pod, "default", nil); len(pods) != 0 {
 		t.Errorf("pods after delete = %d, want 0", len(pods))
 	}
 }
@@ -291,7 +291,7 @@ func TestReapplyReplacesPods(t *testing.T) {
 	if res[0].Created {
 		t.Error("re-apply should report configured, not created")
 	}
-	if pods := c.List("pods", "default", mustSelector("app=nginx")); len(pods) != 2 {
+	if pods := c.List(Pod, "default", mustSelector("app=nginx")); len(pods) != 2 {
 		t.Errorf("pods after scale down = %d, want 2", len(pods))
 	}
 }
@@ -313,14 +313,14 @@ spec:
 	if _, err := c.ApplyYAML(job, "default"); err != nil {
 		t.Fatal(err)
 	}
-	n, _ := c.GetByName("job", "default", "pi")
+	n, _ := c.GetByName(Job, "default", "pi")
 	if HasCondition(n, "Complete") {
 		t.Error("job complete at t=0")
 	}
-	if err := c.WaitFor(WaitOptions{Kind: "job", Namespace: "default", Names: []string{"pi"}, Condition: "complete", Timeout: 30 * time.Second}); err != nil {
+	if err := c.WaitFor(WaitOptions{Resource: Job, Namespace: "default", Names: []string{"pi"}, Condition: "complete", Timeout: 30 * time.Second}); err != nil {
 		t.Fatalf("job never completed: %v", err)
 	}
-	n, _ = c.GetByName("job", "default", "pi")
+	n, _ = c.GetByName(Job, "default", "pi")
 	succeeded, _ := jsonpath.Eval(n, "{.status.succeeded}")
 	if succeeded != "1" {
 		t.Errorf("succeeded = %q", succeeded)
@@ -341,11 +341,11 @@ spec:
 	if _, err := c.ApplyYAML(pod, "default"); err != nil {
 		t.Fatal(err)
 	}
-	err := c.WaitFor(WaitOptions{Kind: "pod", Namespace: "default", Names: []string{"broken"}, Condition: "Ready", Timeout: 10 * time.Second})
+	err := c.WaitFor(WaitOptions{Resource: Pod, Namespace: "default", Names: []string{"broken"}, Condition: "Ready", Timeout: 10 * time.Second})
 	if err == nil {
 		t.Error("pod with bad image should never become Ready")
 	}
-	n, _ := c.GetByName("pod", "default", "broken")
+	n, _ := c.GetByName(Pod, "default", "broken")
 	phase, _ := jsonpath.Eval(n, "{.status.phase}")
 	if phase != "Pending" {
 		t.Errorf("phase = %q", phase)
@@ -392,7 +392,7 @@ spec:
 	if _, err := c.ApplyYAML(fixed, "default"); err != nil {
 		t.Fatalf("fixed ingress rejected: %v", err)
 	}
-	out, err := c.Describe("ingress", "default", "minimal-ingress")
+	out, err := c.Describe(Ingress, "default", "minimal-ingress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -431,6 +431,25 @@ func TestValidateWrongAPIVersion(t *testing.T) {
 	}
 }
 
+// TestUnknownKindRefused: a manifest of a kind no row of the table names
+// is refused with the error a wrong apiVersion gets, and leaves the
+// cluster as it found it — no object and no bucket.
+func TestUnknownKindRefused(t *testing.T) {
+	c := NewCluster()
+	_, err := c.ApplyYAML("apiVersion: example.com/v1\nkind: Widget\nmetadata:\n  name: w\n", "default")
+	if want := `error: unable to recognize: no matches for kind "Widget" in version "example.com/v1"`; err == nil || err.Error() != want {
+		t.Errorf("apply kind: Widget: %v, want %s", err, want)
+	}
+	if len(c.objects) != len(Resources) {
+		t.Errorf("%d buckets for %d rows", len(c.objects), len(Resources))
+	}
+	for i, b := range c.objects {
+		if b != nil {
+			t.Errorf("the %s bucket was created", Resources[i].Kind)
+		}
+	}
+}
+
 func TestValidateEnvNumberValue(t *testing.T) {
 	c := NewCluster()
 	pod := `apiVersion: v1
@@ -456,59 +475,76 @@ spec:
 
 func TestKindAliases(t *testing.T) {
 	for _, alias := range []string{"pod", "pods", "po", "Pod", "PODS"} {
-		if kindKey(alias) != "pod" {
-			t.Errorf("kindKey(%q) = %q", alias, kindKey(alias))
+		if r, _ := Lookup(alias); r != Pod {
+			t.Errorf("Lookup(%q) = %v", alias, r)
 		}
 	}
 	for _, alias := range []string{"svc", "service", "services", "Service"} {
-		if kindKey(alias) != "service" {
-			t.Errorf("kindKey(%q) = %q", alias, kindKey(alias))
+		if r, _ := Lookup(alias); r != Service {
+			t.Errorf("Lookup(%q) = %v", alias, r)
 		}
 	}
-	if kindKey("ingress") != "ingress" || kindKey("ing") != "ingress" {
-		t.Error("ingress alias broken")
-	}
-	if kindKey("deploy") != "deployment" || kindKey("deployments") != "deployment" {
-		t.Error("deployment alias broken")
+	for alias, want := range map[string]*Resource{"ingress": Ingress, "ing": Ingress, "deploy": Deployment, "deployments": Deployment} {
+		if r, _ := Lookup(alias); r != want {
+			t.Errorf("Lookup(%q) = %v, want %s", alias, r, want.Kind)
+		}
 	}
 }
 
-// TestKindShortNames: every abbreviation kindKeySlow knows names the
-// same store as the kind it abbreviates, in any case and in the plural —
-// including the four that end in "s" themselves, which the plural
-// stripping used to mangle (ns -> n, ds -> d, sts -> st, rs -> r).
+// TestKindShortNames: every spelling of every row of the table — its
+// Kind, singular, plural and short names, each also upper-case and
+// padded, and each short name in the plural — resolves to that row. The
+// spellings whose plural the suffix-stripping before the table mangled
+// (roles -> rol, limitranges -> limitrang, networkpolicies ->
+// networkpolici, persistentvolumes -> persistentvolum, nodes -> nod,
+// storageclasses -> storageclas), the four short names that end in "s"
+// themselves (ns, ds, sts, rs) and every kind kubectl and the corpus
+// spell are also checked against Kubernetes' own names and scope, which
+// are written out here rather than read from the table.
 func TestKindShortNames(t *testing.T) {
-	for short, kind := range map[string]string{
-		"po": "Pod", "svc": "Service", "deploy": "Deployment", "ds": "DaemonSet", "sts": "StatefulSet",
-		"ns": "Namespace", "cm": "ConfigMap", "ing": "Ingress", "sa": "ServiceAccount",
-		"pvc": "PersistentVolumeClaim", "pv": "PersistentVolume", "hpa": "HorizontalPodAutoscaler",
-		"rs": "ReplicaSet", "netpol": "NetworkPolicy",
-	} {
-		want := CanonicalKind(kind)
-		for _, spelling := range []string{short, strings.ToUpper(short), short + "s", " " + short + " "} {
-			if got := kindKey(spelling); got != want {
-				t.Errorf("kindKey(%q) = %q, want %q as for %s", spelling, got, want, kind)
+	for _, r := range Resources {
+		spellings := []string{r.Kind, r.Singular, r.Plural}
+		for _, s := range r.ShortNames {
+			spellings = append(spellings, s, s+"s")
+		}
+		for _, s := range spellings {
+			for _, v := range []string{s, strings.ToUpper(s), " " + s + " ", "\t" + s + "\n"} {
+				if got, ok := Lookup(v); !ok || got != r {
+					t.Errorf("Lookup(%q) = %v, %v; want the %s row", v, got, ok, r.Kind)
+				}
 			}
 		}
 	}
-}
 
-// TestKindKeyFastMatchesSlow holds kindKey's switch to the function it
-// short-cuts, on every spelling the switch names.
-func TestKindKeyFastMatchesSlow(t *testing.T) {
-	camel := []string{
+	clusterScoped := map[string]bool{"Namespace": true, "Node": true, "PersistentVolume": true, "StorageClass": true, "ClusterRole": true, "ClusterRoleBinding": true}
+	for spelling, kind := range map[string]string{
+		"pods": "Pod", "svc": "Service", "ns": "Namespace", "ds": "DaemonSet", "sts": "StatefulSet", "rs": "ReplicaSet",
+		"roles": "Role", "clusterroles": "ClusterRole", "limitranges": "LimitRange", "networkpolicies": "NetworkPolicy",
+		"persistentvolumes": "PersistentVolume", "storageclasses": "StorageClass", "storageclass": "StorageClass",
+		"nodes": "Node", "node": "Node",
+	} {
+		r, ok := Lookup(spelling)
+		if !ok || r.Kind != kind {
+			t.Errorf("Lookup(%q) = %v, %v; want %s", spelling, r, ok, kind)
+		} else if r.Namespaced == clusterScoped[kind] {
+			t.Errorf("%s: namespaced = %v", kind, r.Namespaced)
+		}
+	}
+	for _, kind := range []string{
 		"Pod", "Deployment", "Service", "Ingress", "DaemonSet", "StatefulSet", "ReplicaSet", "Job", "CronJob",
 		"ConfigMap", "Secret", "Namespace", "ServiceAccount", "Role", "RoleBinding", "ClusterRole",
 		"ClusterRoleBinding", "PersistentVolume", "PersistentVolumeClaim", "HorizontalPodAutoscaler",
 		"NetworkPolicy", "LimitRange", "ResourceQuota", "DestinationRule", "VirtualService", "Gateway",
+	} {
+		for _, spelling := range []string{kind, strings.ToLower(kind)} {
+			if r, ok := Lookup(spelling); !ok || r.Kind != kind || r.Namespaced == clusterScoped[kind] {
+				t.Errorf("Lookup(%q) = %+v, %v; want the %s row, namespaced %v", spelling, r, ok, kind, !clusterScoped[kind])
+			}
+		}
 	}
-	spellings := []string{"pods", "svc"}
-	for _, k := range camel {
-		spellings = append(spellings, k, strings.ToLower(k))
-	}
-	for _, s := range spellings {
-		if got, want := kindKey(s), kindKeySlow(s); got != want {
-			t.Errorf("kindKey(%q) = %q, kindKeySlow says %q", s, got, want)
+	for _, unknown := range []string{"", "foo", "all", "Widget", "widgets", "rol", "po s", "p"} {
+		if r, ok := Lookup(unknown); ok {
+			t.Errorf("Lookup(%q) = the %s row, want none", unknown, r.Kind)
 		}
 	}
 }
@@ -522,7 +558,7 @@ func TestDescribeService(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.AdvanceTime(10 * time.Second)
-	out, err := c.Describe("svc", "default", "nginx-service")
+	out, err := c.Describe(Service, "default", "nginx-service")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -556,7 +592,7 @@ spec:
 	if _, err := c.ApplyYAML(sts, "default"); err != nil {
 		t.Fatal(err)
 	}
-	pods := c.List("pod", "default", mustSelector("app=web"))
+	pods := c.List(Pod, "default", mustSelector("app=web"))
 	if len(pods) != 2 {
 		t.Fatalf("pods = %d", len(pods))
 	}

@@ -2,6 +2,7 @@ package kubesim
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 
 	"cloudeval/internal/yamlx"
@@ -14,34 +15,22 @@ import (
 // service cluster IPs and DNS names. It returns the status code (200 on
 // success, 503 when a service exists but has no ready endpoints) and a
 // body; ok is false when nothing listens there at all (connection
-// refused).
+// refused). Where several objects could answer — two pods on one
+// hostPort, two namespaces' Services of one name — the first by name
+// does, as in every listing, so the answer never depends on map order.
 func (c *Cluster) HTTPProbe(host string, port int) (code int, body string, ok bool) {
 	// Pod hostPort on the node address.
 	if host == NodeIP {
-		for _, p := range c.bucket("pod") {
-			if pod := c.podListeningOnHostPort(p, port); pod != nil {
-				return 200, serveBody(p), true
-			}
+		if p := first(c.bucket(Pod), func(p *Object) bool { return c.podListeningOnHostPort(p, port) }); p != nil {
+			return 200, serveBody(p), true
 		}
-		// NodePort / LoadBalancer services.
-		for _, s := range c.bucket("service") {
-			spec := s.Manifest.Get("spec")
-			typ := spec.Get("type").ScalarString()
-			if typ != "NodePort" && typ != "LoadBalancer" {
-				continue
-			}
-			if c.serviceHasPort(s, port, true) {
-				return c.serveThroughService(s)
-			}
-			// A provisioned LoadBalancer also answers on its service port.
-			if typ == "LoadBalancer" && !c.now.Before(s.CreatedAt.Add(LBProvisionTime)) && c.serviceHasPort(s, port, false) {
-				return c.serveThroughService(s)
-			}
+		if s := first(c.bucket(Service), func(s *Object) bool { return c.servesOnNode(s, port) }); s != nil {
+			return c.serveThroughService(s)
 		}
 		return 0, "", false
 	}
-	// Direct pod IP.
-	for _, p := range c.bucket("pod") {
+	// Direct pod IP; no two pods share one.
+	for _, p := range c.bucket(Pod) {
 		if p.PodIP == host {
 			if c.podListeningOnContainerPort(p, port) {
 				return 200, serveBody(p), true
@@ -59,16 +48,30 @@ func (c *Cluster) HTTPProbe(host string, port int) (code int, body string, ok bo
 	return 0, "", false
 }
 
-func (c *Cluster) podListeningOnHostPort(p *Object, port int) *Object {
+func (c *Cluster) podListeningOnHostPort(p *Object, port int) bool {
 	if !c.PodReady(p) {
-		return nil
+		return false
 	}
 	for _, ct := range containerPorts(p.Manifest) {
 		if ct.hostPort == port {
-			return p
+			return true
 		}
 	}
-	return nil
+	return false
+}
+
+// servesOnNode reports whether a NodePort or LoadBalancer service
+// answers on the port at the node address.
+func (c *Cluster) servesOnNode(s *Object, port int) bool {
+	typ := s.Manifest.Path("spec", "type").ScalarString()
+	if typ != "NodePort" && typ != "LoadBalancer" {
+		return false
+	}
+	if c.serviceHasPort(s, port, true) {
+		return true
+	}
+	// A provisioned LoadBalancer also answers on its service port.
+	return typ == "LoadBalancer" && !c.now.Before(s.CreatedAt.Add(LBProvisionTime)) && c.serviceHasPort(s, port, false)
 }
 
 func (c *Cluster) podListeningOnContainerPort(p *Object, port int) bool {
@@ -133,9 +136,9 @@ func (c *Cluster) serviceHasPort(s *Object, port int, nodePort bool) bool {
 }
 
 func (c *Cluster) resolveService(host string) *Object {
-	for _, s := range c.bucket("service") {
+	return first(c.bucket(Service), func(s *Object) bool {
 		if s.Manifest.Path("spec", "clusterIP").ScalarString() == host {
-			return s
+			return true
 		}
 		names := []string{
 			s.Name,
@@ -143,13 +146,8 @@ func (c *Cluster) resolveService(host string) *Object {
 			s.Name + "." + s.Namespace + ".svc",
 			s.Name + "." + s.Namespace + ".svc.cluster.local",
 		}
-		for _, n := range names {
-			if host == n {
-				return s
-			}
-		}
-	}
-	return nil
+		return slices.Contains(names, host)
+	})
 }
 
 func (c *Cluster) serveThroughService(s *Object) (int, string, bool) {
@@ -170,7 +168,7 @@ func (c *Cluster) ServiceEndpoints(s *Object) []*Object {
 		return nil
 	}
 	var out []*Object
-	for _, p := range c.bucket("pod") {
+	for _, p := range c.bucket(Pod) {
 		if p.Namespace == s.Namespace && c.PodReady(p) && equalityMapMatches(sel, p.Manifest.Path("metadata", "labels")) {
 			out = append(out, p)
 		}
@@ -218,7 +216,7 @@ func (c *Cluster) ServiceURL(ns, name string) (string, error) {
 	if ns == "" {
 		ns = "default"
 	}
-	s, ok := c.bucket("service")[nsName(ns, name)]
+	s, ok := c.GetObject(Service, ns, name)
 	if !ok {
 		return "", fmt.Errorf("service %q not found in namespace %q", name, ns)
 	}

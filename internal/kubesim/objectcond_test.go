@@ -117,14 +117,14 @@ spec:
 	for _, off := range offsets {
 		c.AdvanceTime(off)
 		for _, kind := range []string{"pod", "deployment", "statefulset", "daemonset", "job", "service", "replicaset"} {
-			for _, obj := range c.ListObjects(kind, "*", nil) {
+			for _, obj := range c.ListObjects(mustResource(kind), "*", nil) {
 				doc := c.withStatus(obj)
 				for _, cond := range conditions {
 					fast := c.ObjectCondition(obj, cond)
 					slow := HasCondition(doc, cond)
 					if fast != slow {
 						t.Errorf("at +%v: %s %s condition %q: ObjectCondition=%v, HasCondition(withStatus)=%v",
-							off, obj.Kind, obj.Name, cond, fast, slow)
+							off, obj.Resource.Kind, obj.Name, cond, fast, slow)
 					}
 				}
 			}

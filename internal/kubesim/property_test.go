@@ -88,14 +88,14 @@ func TestPropertyApplyIsIdempotent(t *testing.T) {
 			return false
 		}
 		c.AdvanceTime(10 * time.Second)
-		before, ok1 := c.GetByName(kind, "default", name)
-		podsBefore := len(c.List("pod", "default", nil))
+		before, ok1 := c.GetByName(mustResource(kind), "default", name)
+		podsBefore := len(c.List(Pod, "default", nil))
 		if _, err := c.ApplyYAML(src, "default"); err != nil {
 			return false
 		}
 		c.AdvanceTime(10 * time.Second)
-		after, ok2 := c.GetByName(kind, "default", name)
-		podsAfter := len(c.List("pod", "default", nil))
+		after, ok2 := c.GetByName(mustResource(kind), "default", name)
+		podsAfter := len(c.List(Pod, "default", nil))
 		if !ok1 || !ok2 {
 			return false
 		}
@@ -125,13 +125,13 @@ func TestPropertyDeleteRemovesEverything(t *testing.T) {
 		if _, err := c.ApplyYAML(src, "default"); err != nil {
 			return false
 		}
-		if err := c.Delete(kind, "default", name); err != nil {
+		if err := c.Delete(mustResource(kind), "default", name); err != nil {
 			return false
 		}
-		if _, ok := c.GetByName(kind, "default", name); ok {
+		if _, ok := c.GetByName(mustResource(kind), "default", name); ok {
 			return false
 		}
-		return len(c.List("pod", "default", nil)) == 0
+		return len(c.List(Pod, "default", nil)) == 0
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)
@@ -164,10 +164,10 @@ spec:
 			return false
 		}
 		c.AdvanceTime(time.Duration(d1))
-		n, _ := c.GetByName("pod", "default", "mono")
+		n, _ := c.GetByName(Pod, "default", "mono")
 		readyBefore := HasCondition(n, "Ready")
 		c.AdvanceTime(time.Duration(d2))
-		n, _ = c.GetByName("pod", "default", "mono")
+		n, _ = c.GetByName(Pod, "default", "mono")
 		readyAfter := HasCondition(n, "Ready")
 		if readyBefore && !readyAfter {
 			return false

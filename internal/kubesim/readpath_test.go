@@ -122,7 +122,7 @@ func TestStatusMemoNeverStale(t *testing.T) {
 				_, err := c.ApplyYAML(drawManifest(rng, ns), "default")
 				changed = err == nil
 			case op < 5:
-				changed = c.Delete(kinds[rng.Intn(len(kinds))], ns, []string{"a", "b", "c"}[rng.Intn(3)]) == nil
+				changed = c.Delete(mustResource(kinds[rng.Intn(len(kinds))]), ns, []string{"a", "b", "c"}[rng.Intn(3)]) == nil
 			case op < 6:
 				if rng.Intn(4) == 0 {
 					changed = c.DeleteNamespace("other") == nil
@@ -135,8 +135,8 @@ func TestStatusMemoNeverStale(t *testing.T) {
 				changed = d > 0
 			default:
 				read = true
-				c.List(kinds[rng.Intn(len(kinds))], "*", nil)
-				c.GetByName("pod", ns, "a")
+				c.List(mustResource(kinds[rng.Intn(len(kinds))]), "*", nil)
+				c.GetByName(Pod, ns, "a")
 			}
 			now := map[*Object]*yamlx.Node{}
 			for _, bucket := range c.objects {
@@ -144,15 +144,15 @@ func TestStatusMemoNeverStale(t *testing.T) {
 					doc := c.withStatus(obj)
 					now[obj] = doc
 					if again := c.withStatus(obj); again != doc {
-						t.Fatalf("seed %d step %d: %s/%s: two reads with nothing in between built two documents", seed, step, obj.Kind, obj.Name)
+						t.Fatalf("seed %d step %d: %s/%s: two reads with nothing in between built two documents", seed, step, obj.Resource.Kind, obj.Name)
 					}
 					if got, want := yamlx.MarshalString(doc), yamlx.MarshalString(c.buildStatus(obj)); got != want {
-						t.Fatalf("seed %d step %d: %s/%s: memoised status is stale\n--- memoised\n%s--- from scratch\n%s", seed, step, obj.Kind, obj.Name, got, want)
+						t.Fatalf("seed %d step %d: %s/%s: memoised status is stale\n--- memoised\n%s--- from scratch\n%s", seed, step, obj.Resource.Kind, obj.Name, got, want)
 					}
 					if prev, ok := last[obj]; ok && changed && prev == doc {
-						t.Fatalf("seed %d step %d: %s/%s: same document after the cluster changed", seed, step, obj.Kind, obj.Name)
+						t.Fatalf("seed %d step %d: %s/%s: same document after the cluster changed", seed, step, obj.Resource.Kind, obj.Name)
 					} else if ok && read && prev != doc {
-						t.Fatalf("seed %d step %d: %s/%s: a read rebuilt the document", seed, step, obj.Kind, obj.Name)
+						t.Fatalf("seed %d step %d: %s/%s: a read rebuilt the document", seed, step, obj.Resource.Kind, obj.Name)
 					}
 				}
 			}
@@ -173,7 +173,7 @@ func waitForOracle(c *Cluster, opts WaitOptions) error {
 		targets := c.waitTargets(opts)
 		if len(targets) == 0 {
 			if len(opts.Names) > 0 {
-				return fmt.Errorf("error: %s %q not found", kindKey(opts.Kind), strings.Join(opts.Names, ", "))
+				return fmt.Errorf("error: %s %q not found", opts.Resource.Singular, strings.Join(opts.Names, ", "))
 			}
 			return fmt.Errorf("error: no matching resources found")
 		}
@@ -181,7 +181,7 @@ func waitForOracle(c *Cluster, opts WaitOptions) error {
 			return nil
 		}
 		if !c.now.Before(deadline) {
-			return fmt.Errorf("error: timed out waiting for the condition on %s", kindKey(opts.Kind))
+			return fmt.Errorf("error: timed out waiting for the condition on %s", opts.Resource.Singular)
 		}
 		c.AdvanceTime(step)
 	}
@@ -230,7 +230,7 @@ func TestWaitMatchesSteppingOracle(t *testing.T) {
 					{Names: []string{"b"}, Timeout: 1200 * time.Millisecond},
 					{All: true, Timeout: 120 * time.Second},
 				} {
-					opts.Kind, opts.Condition = kind, cond
+					opts.Resource, opts.Condition = mustResource(kind), cond
 					got, want := build(seed), build(seed)
 					gotErr, wantErr := got.WaitFor(opts), waitForOracle(want, opts)
 					if errText(gotErr) != errText(wantErr) || !got.Now().Equal(want.Now()) {

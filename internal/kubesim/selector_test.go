@@ -17,6 +17,14 @@ func mustSelector(s string) Selector {
 	return sel
 }
 
+func mustResource(spelling string) *Resource {
+	r, ok := Lookup(spelling)
+	if !ok {
+		panic("no resource " + spelling)
+	}
+	return r
+}
+
 const selectorPods = `apiVersion: v1
 kind: Pod
 metadata:
@@ -97,7 +105,7 @@ func TestSelectorGrammar(t *testing.T) {
 			continue
 		}
 		var names []string
-		for _, o := range c.ListObjects("pod", "default", sel) {
+		for _, o := range c.ListObjects(Pod, "default", sel) {
 			names = append(names, o.Name)
 		}
 		if got := strings.Join(names, " "); got != tc.want {

@@ -2,6 +2,7 @@ package kubesim
 
 import (
 	"fmt"
+	"slices"
 
 	"cloudeval/internal/yamlx"
 )
@@ -10,104 +11,71 @@ import (
 // strict decoding would apply for the kinds the benchmark exercises. It
 // is intentionally unforgiving about the classic mistakes the dataset's
 // debugging problems revolve around (for example the pre-v1 Ingress
-// backend fields).
-func ValidateManifest(doc *yamlx.Node) error {
+// backend fields). A manifest whose kind no row of the table names, or
+// whose apiVersion its row does not accept, is refused as the API server
+// refuses it. It returns the row of the manifest's kind.
+func ValidateManifest(doc *yamlx.Node) (*Resource, error) {
 	if doc == nil || doc.Kind != yamlx.MapKind {
-		return fmt.Errorf("error: unable to decode: document is not a mapping")
+		return nil, fmt.Errorf("error: unable to decode: document is not a mapping")
 	}
 	kind := doc.Get("kind")
 	if kind == nil || kind.ScalarString() == "" {
-		return fmt.Errorf("error: unable to decode: Object 'Kind' is missing")
+		return nil, fmt.Errorf("error: unable to decode: Object 'Kind' is missing")
 	}
 	apiVersion := doc.Get("apiVersion")
 	if apiVersion == nil || apiVersion.ScalarString() == "" {
-		return fmt.Errorf("error: unable to decode: Object 'apiVersion' is missing")
+		return nil, fmt.Errorf("error: unable to decode: Object 'apiVersion' is missing")
 	}
 	k := kind.ScalarString()
 	av := apiVersion.ScalarString()
 	meta := doc.Get("metadata")
-	if kindKey(k) != "list" {
-		if meta == nil || meta.Get("name") == nil || meta.Get("name").ScalarString() == "" {
-			return fmt.Errorf("error: resource name may not be empty (%s)", k)
-		}
+	if meta == nil || meta.Get("name") == nil || meta.Get("name").ScalarString() == "" {
+		return nil, fmt.Errorf("error: resource name may not be empty (%s)", k)
 	}
-	if want, ok := expectedAPIVersions[kindKey(k)]; ok {
-		if !apiVersionAllowed(av, want) {
-			return fmt.Errorf("error: unable to recognize: no matches for kind %q in version %q", k, av)
-		}
+	r, ok := Lookup(k)
+	if !ok || !slices.Contains(r.Versions, av) {
+		return nil, noMatch(k, av)
 	}
-	switch kindKey(k) {
-	case "ingress":
-		return validateIngress(doc, av)
-	case "deployment", "daemonset", "statefulset", "replicaset":
-		return validateWorkload(doc, k)
-	case "job":
-		return validateJob(doc)
-	case "cronjob":
-		return validateCronJob(doc)
-	case "service":
-		return validateService(doc)
-	case "rolebinding", "clusterrolebinding":
-		return validateRoleBinding(doc, k)
-	case "pod":
-		return validatePodSpec(doc.Get("spec"), k)
-	case "destinationrule":
-		if doc.Path("spec", "host") == nil {
-			return fmt.Errorf("error validating DestinationRule: spec.host is required")
-		}
-	case "virtualservice":
-		if doc.Path("spec", "hosts") == nil {
-			return fmt.Errorf("error validating VirtualService: spec.hosts is required")
-		}
-	case "persistentvolumeclaim":
-		if doc.Path("spec", "accessModes") == nil {
-			return fmt.Errorf("error validating PersistentVolumeClaim: spec.accessModes is required")
-		}
-	case "horizontalpodautoscaler":
-		if doc.Path("spec", "scaleTargetRef") == nil {
-			return fmt.Errorf("error validating HorizontalPodAutoscaler: spec.scaleTargetRef is required")
-		}
+	var err error
+	switch r {
+	case Ingress:
+		err = validateIngress(doc, av)
+	case Deployment, DaemonSet, StatefulSet, ReplicaSet:
+		err = validateWorkload(doc, k)
+	case Job:
+		err = validateJob(doc)
+	case CronJob:
+		err = validateCronJob(doc)
+	case Service:
+		err = validateService(doc)
+	case RoleBinding, ClusterRoleBinding:
+		err = validateRoleBinding(doc, k)
+	case Pod:
+		err = validatePodSpec(doc.Get("spec"), k)
+	case DestinationRule:
+		err = required(doc, r, "host")
+	case VirtualService:
+		err = required(doc, r, "hosts")
+	case PersistentVolumeClaim:
+		err = required(doc, r, "accessModes")
+	case HorizontalPodAutoscaler:
+		err = required(doc, r, "scaleTargetRef")
+	}
+	return r, err
+}
+
+// required checks that a spec holds the field.
+func required(doc *yamlx.Node, r *Resource, field string) error {
+	if doc.Path("spec", field) == nil {
+		return fmt.Errorf("error validating %s: spec.%s is required", r.Kind, field)
 	}
 	return nil
 }
 
-// expectedAPIVersions pins the kinds with a single valid group/version
-// in current clusters.
-var expectedAPIVersions = map[string][]string{
-	"deployment":              {"apps/v1"},
-	"daemonset":               {"apps/v1"},
-	"statefulset":             {"apps/v1"},
-	"replicaset":              {"apps/v1"},
-	"pod":                     {"v1"},
-	"service":                 {"v1"},
-	"namespace":               {"v1"},
-	"configmap":               {"v1"},
-	"secret":                  {"v1"},
-	"serviceaccount":          {"v1"},
-	"limitrange":              {"v1"},
-	"persistentvolume":        {"v1"},
-	"persistentvolumeclaim":   {"v1"},
-	"job":                     {"batch/v1"},
-	"cronjob":                 {"batch/v1"},
-	"ingress":                 {"networking.k8s.io/v1"},
-	"networkpolicy":           {"networking.k8s.io/v1"},
-	"role":                    {"rbac.authorization.k8s.io/v1"},
-	"rolebinding":             {"rbac.authorization.k8s.io/v1"},
-	"clusterrole":             {"rbac.authorization.k8s.io/v1"},
-	"clusterrolebinding":      {"rbac.authorization.k8s.io/v1"},
-	"horizontalpodautoscaler": {"autoscaling/v2", "autoscaling/v1"},
-	"destinationrule":         {"networking.istio.io/v1alpha3", "networking.istio.io/v1beta1", "networking.istio.io/v1"},
-	"virtualservice":          {"networking.istio.io/v1alpha3", "networking.istio.io/v1beta1", "networking.istio.io/v1"},
-	"gateway":                 {"networking.istio.io/v1alpha3", "networking.istio.io/v1beta1", "networking.istio.io/v1"},
-}
-
-func apiVersionAllowed(got string, want []string) bool {
-	for _, w := range want {
-		if got == w {
-			return true
-		}
-	}
-	return false
+// noMatch is the API server's answer to a kind it does not serve, or
+// serves under other group/versions.
+func noMatch(kind, apiVersion string) error {
+	return fmt.Errorf("error: unable to recognize: no matches for kind %q in version %q", kind, apiVersion)
 }
 
 func validateIngress(doc *yamlx.Node, apiVersion string) error {
@@ -272,33 +240,4 @@ func validateRoleBinding(doc *yamlx.Node, kind string) error {
 		}
 	}
 	return nil
-}
-
-// KindOf returns the canonical kind key for a manifest, or "".
-func KindOf(doc *yamlx.Node) string {
-	if doc == nil {
-		return ""
-	}
-	k := doc.Get("kind")
-	if k == nil {
-		return ""
-	}
-	return kindKey(k.ScalarString())
-}
-
-// FirstKind extracts the first document kind from raw YAML text, the way
-// the benchmark's failure-mode analysis classifies answers.
-func FirstKind(src string) string {
-	docs, err := yamlx.ParseAllCached(src)
-	if err != nil {
-		return ""
-	}
-	for _, d := range docs {
-		if d != nil && d.Kind == yamlx.MapKind {
-			if k := d.Get("kind"); k != nil {
-				return k.ScalarString()
-			}
-		}
-	}
-	return ""
 }

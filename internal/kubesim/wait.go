@@ -11,7 +11,7 @@ import (
 
 // WaitOptions mirror the flags of "kubectl wait".
 type WaitOptions struct {
-	Kind      string
+	Resource  *Resource
 	Namespace string
 	Names     []string // explicit resource names; empty means selector/all
 	Selector  Selector // -l app=web
@@ -45,7 +45,7 @@ func (c *Cluster) WaitFor(opts WaitOptions) error {
 	targets := c.waitTargets(opts)
 	if len(targets) == 0 {
 		if len(opts.Names) > 0 {
-			return fmt.Errorf("error: %s %q not found", kindKey(opts.Kind), strings.Join(opts.Names, ", "))
+			return fmt.Errorf("error: %s %q not found", opts.Resource.Singular, strings.Join(opts.Names, ", "))
 		}
 		return errNoMatch
 	}
@@ -54,7 +54,7 @@ func (c *Cluster) WaitFor(opts WaitOptions) error {
 			return nil
 		}
 		if !c.now.Before(deadline) {
-			return fmt.Errorf("error: timed out waiting for the condition on %s", kindKey(opts.Kind))
+			return fmt.Errorf("error: timed out waiting for the condition on %s", opts.Resource.Singular)
 		}
 		c.AdvanceTime(step)
 	}
@@ -64,11 +64,11 @@ var errNoMatch = errors.New("error: no matching resources found")
 
 func (c *Cluster) waitTargets(opts WaitOptions) []*Object {
 	if len(opts.Names) == 0 {
-		return c.ListObjects(opts.Kind, opts.Namespace, opts.Selector)
+		return c.ListObjects(opts.Resource, opts.Namespace, opts.Selector)
 	}
 	out := make([]*Object, 0, len(opts.Names))
 	for _, name := range opts.Names {
-		if o, ok := c.GetObject(opts.Kind, opts.Namespace, name); ok {
+		if o, ok := c.GetObject(opts.Resource, opts.Namespace, name); ok {
 			out = append(out, o)
 		}
 	}
