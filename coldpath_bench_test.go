@@ -8,12 +8,9 @@
 //
 //	go test -bench ColdPath -benchmem -benchtime 10x -run '^$' .
 //
-// BenchmarkColdPathUnitTest keeps the cold-path infrastructure
-// (shell AST cache, yamlx document cache, environment prototypes)
-// enabled: that is the path a cache-miss takes in production.
-// BenchmarkColdPathUnitTestNoCaches switches the parse caches off too,
-// isolating the raw lex/parse/execute cost that the allocation diet
-// targets.
+// BenchmarkColdPathUnitTest keeps the cold-path infrastructure (each
+// problem's compiled unit test, the yamlx document cache, environment
+// pools) in place: that is the path a cache-miss takes in production.
 package cloudeval_test
 
 import (
@@ -22,10 +19,8 @@ import (
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
 	"cloudeval/internal/llm"
-	"cloudeval/internal/shell"
 	"cloudeval/internal/unittest"
 	"cloudeval/internal/yamlmatch"
-	"cloudeval/internal/yamlx"
 )
 
 // coldSample picks a spread of problems across categories so the
@@ -58,42 +53,6 @@ func BenchmarkColdPathUnitTest(b *testing.B) {
 	for i, p := range probs {
 		refs[i] = yamlmatch.StripLabels(p.ReferenceYAML)
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := probs[i%len(probs)]
-		res := unittest.Run(p, refs[i%len(probs)])
-		if res.Err != nil {
-			b.Fatal(res.Err)
-		}
-	}
-}
-
-// BenchmarkColdPathUnitTestNoCaches additionally disables the shell
-// AST cache and the yamlx document cache, exposing the raw
-// lex/parse/execute cost per execution. The gap to
-// BenchmarkColdPathUnitTest is what parse-once/run-many buys; the
-// absolute number is what the lexer/parser allocation diet targets.
-// Parse compiles every word of the script — substitution bodies
-// included — so with the AST cache off each run pays, up front and for
-// branches it never takes, the scanning that the interpreter used to
-// spread over the expansions it reached. When that moved, this
-// benchmark stood still (343 -> 332 allocs/op, 27.5 -> 35.7 KB/op,
-// 59.6 -> 58.2 us) while the cached path it is compared with fell from
-// 226 to 134 allocs/op. Production parses a script once per process
-// and never pays this number.
-func BenchmarkColdPathUnitTestNoCaches(b *testing.B) {
-	probs := coldSample(16)
-	refs := make([]string, len(probs))
-	for i, p := range probs {
-		refs[i] = yamlmatch.StripLabels(p.ReferenceYAML)
-	}
-	prevAST := shell.SetASTCache(false)
-	prevDoc := yamlx.SetDocCache(false)
-	defer func() {
-		shell.SetASTCache(prevAST)
-		yamlx.SetDocCache(prevDoc)
-	}()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

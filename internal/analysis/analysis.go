@@ -47,16 +47,25 @@ func Categorize(answer string, p dataset.Problem, passed bool) int {
 	if err != nil {
 		return 3
 	}
-	gotKind := firstKind(docs, backend)
-	wantDocs, err := yamlx.ParseAllCached(p.ReferenceYAML)
-	if err != nil {
+	want := dataset.Memo(p, dataset.ReferenceKind, referenceKind)
+	if want == nil {
 		return 5
 	}
-	wantKind := firstKind(wantDocs, backend)
-	if gotKind == "" || !strings.EqualFold(gotKind, wantKind) {
+	if got := firstKind(docs, backend); got == "" || !strings.EqualFold(got, *want) {
 		return 4
 	}
 	return 5
+}
+
+// referenceKind is the kind p's reference declares, which a problem
+// keeps, or nil when the reference does not parse.
+func referenceKind(p dataset.Problem) *string {
+	docs, err := yamlx.ParseAllCached(p.ReferenceYAML)
+	if err != nil {
+		return nil
+	}
+	kind := firstKind(docs, scenario.For(p.Category))
+	return &kind
 }
 
 // firstKind extracts a document set's identity under a family: the

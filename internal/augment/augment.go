@@ -146,18 +146,20 @@ func Translate(question string) string {
 
 // Augment produces the simplified and translated variants of a problem.
 // The reference YAML, context and unit test are shared with the
-// original, as in the paper.
+// original, as in the paper, and so is the state compiled from them; a
+// corpus problem rewrites its question once per process (see
+// dataset.Problem.Derive).
 func Augment(p dataset.Problem) (simplified, translated dataset.Problem) {
-	simplified = p
-	simplified.ID = p.ID + "-s"
-	simplified.Variant = dataset.Simplified
-	simplified.Question = Simplify(p.Question)
+	return variant(p, dataset.Simplified, "-s", Simplify), variant(p, dataset.Translated, "-t", Translate)
+}
 
-	translated = p
-	translated.ID = p.ID + "-t"
-	translated.Variant = dataset.Translated
-	translated.Question = Translate(p.Question)
-	return simplified, translated
+func variant(p dataset.Problem, v dataset.Variant, suffix string, rewrite func(string) string) dataset.Problem {
+	return p.Derive(v, func(q dataset.Problem) dataset.Problem {
+		q.ID += suffix
+		q.Variant = v
+		q.Question = rewrite(q.Question)
+		return q
+	})
 }
 
 // ExpandCorpus triples the original problems into the full dataset:

@@ -30,6 +30,19 @@ func TestNewBenchmarkShape(t *testing.T) {
 	}
 }
 
+// TestBenchmarksShareOneCompiledCorpus: two benchmarks, as two daemons
+// build them, hold the same problems — compiled state included, which
+// == compares — so nothing compiled for one is compiled again for the
+// other.
+func TestBenchmarksShareOneCompiledCorpus(t *testing.T) {
+	a, b := NewVia(engine.New(), nil), NewVia(engine.New(), nil)
+	for i := range a.Problems {
+		if a.Problems[i] != b.Problems[i] {
+			t.Fatalf("%s: the second benchmark compiled its own", a.Problems[i].ID)
+		}
+	}
+}
+
 // TestExtensionFamiliesFlowThroughPipelines pins the acceptance path
 // for the extension families: compose and helm problems run through
 // ZeroShot (with augmented variants), pass@k sampling, the persistent

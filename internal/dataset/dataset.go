@@ -65,6 +65,8 @@ type Problem struct {
 	// Source records provenance (documentation page, StackOverflow,
 	// blog), mirroring the paper's collection guidelines.
 	Source string
+
+	c *compiled // shared by copies; see Memo
 }
 
 // HasContext reports whether the problem ships a YAML context.
@@ -72,9 +74,12 @@ func (p Problem) HasContext() bool { return p.ContextYAML != "" }
 
 // SolutionLines counts non-empty lines of the reference YAML.
 func (p Problem) SolutionLines() int {
+	return Memo(p, solutionLines, func(p Problem) int { return nonBlankLines(p.ReferenceYAML) })
+}
+
+func nonBlankLines(s string) int {
 	n := 0
 	start := 0
-	s := p.ReferenceYAML
 	for i := 0; i <= len(s); i++ {
 		if i == len(s) || s[i] == '\n' {
 			if lineNotBlank(s[start:i]) {
@@ -111,20 +116,7 @@ func (p Problem) SolutionTokens() int {
 }
 
 // UnitTestLines counts non-empty unit test lines.
-func (p Problem) UnitTestLines() int {
-	n := 0
-	start := 0
-	s := p.UnitTest
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == '\n' {
-			if lineNotBlank(s[start:i]) {
-				n++
-			}
-			start = i + 1
-		}
-	}
-	return n
-}
+func (p Problem) UnitTestLines() int { return nonBlankLines(p.UnitTest) }
 
 // subcategoryCounts pins the Table 2 distribution of the 337 original
 // problems.
@@ -160,12 +152,10 @@ var TotalOriginal = func() int {
 	return n
 }()
 
-// Generate materializes the full original corpus: the paper's 337
-// problems with the Table 2 category distribution, followed by the
-// Compose and Helm extension families. Generation is deterministic,
-// and the paper problems keep their IDs and order as families are
-// appended.
-func Generate() []Problem {
+// generate materializes the original corpus with no compiled state.
+// Generation is deterministic, and the paper problems keep their IDs
+// and order as families are appended.
+func generate() []Problem {
 	var out []Problem
 	for _, sc := range subcategoryCounts {
 		seeds := seedsFor(sc.cat, sc.sub)

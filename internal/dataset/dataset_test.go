@@ -26,10 +26,19 @@ func TestGenerateCountsMatchTable2(t *testing.T) {
 	}
 }
 
+// TestGenerateIsDeterministic runs the generator behind Generate's
+// once-per-process corpus twice: copies of that corpus are trivially
+// equal, two generations need not be.
 func TestGenerateIsDeterministic(t *testing.T) {
-	a, b := Generate(), Generate()
+	a, b := generate(), generate()
+	if len(a) != len(b) {
+		t.Fatalf("%d problems, then %d", len(a), len(b))
+	}
 	for i := range a {
-		if a[i] != b[i] {
+		if a[i].c != nil || b[i].c != nil {
+			t.Fatalf("problem %d: the generator compiled state", i)
+		}
+		if a[i] != b[i] { // with c nil on both, the exported fields
 			t.Fatalf("problem %d differs between generations", i)
 		}
 	}

@@ -182,26 +182,21 @@ const cacheBudget = 64 << 20
 
 func resultCost(res unittest.Result) int64 { return memo.EntryOverhead + int64(len(res.Output)) }
 
-// digests memoizes content → SHA-256 so a campaign hashes each unit
-// test script and each candidate answer once instead of once per job:
-// the same few hundred scripts and answers recur across models,
-// samples and augmented variants. Keys alias the corpus and answer
-// strings already held by the campaign, so the cache adds counters
-// and headers, not text copies. The cap bounds a long-lived daemon
-// fed unbounded generated answers.
-var digests = memo.New[string, [sha256.Size]byte](1 << 16)
-
-func digestOf(s string) [sha256.Size]byte {
-	return digests.Do(s, func() [sha256.Size]byte { return sha256.Sum256([]byte(s)) })
+// TestDigest is the SHA-256 of p's unit test, the first half of a
+// result's cache and store key, computed once per problem (see
+// dataset.Memo). The answer's half is computed per call, with
+// memo.Digest: it is mostly text the engine has never seen.
+func TestDigest(p dataset.Problem) [sha256.Size]byte {
+	return dataset.Memo(p, dataset.TestDigest, func(p dataset.Problem) [sha256.Size]byte {
+		return memo.Digest(p.UnitTest)
+	})
 }
 
-// WarmDigests primes the digest cache with every problem's unit-test
-// script in one pass — called at campaign start so the parallel phase
-// begins with a warm read-only cache instead of singleflighting the
-// first touch of each script across workers.
+// WarmDigests computes every problem's unit-test digest in one pass, so
+// that a campaign's parallel phase starts on a compiled corpus.
 func WarmDigests(problems []dataset.Problem) {
 	for _, p := range problems {
-		digestOf(p.UnitTest)
+		TestDigest(p)
 	}
 }
 
@@ -303,7 +298,7 @@ func (e *Engine) unitTest(p dataset.Problem, answer string) (unittest.Result, bo
 		e.executed.Add(1)
 		return e.exec.RunUnitTest(p, answer), false
 	}
-	key := cacheKey{test: digestOf(p.UnitTest), answer: digestOf(answer)}
+	key := cacheKey{test: TestDigest(p), answer: memo.Digest(answer)}
 	fromStore := false
 	// Returning res.Err as the singleflight error keeps the old
 	// contract: transient executor failures (cluster submit errors,

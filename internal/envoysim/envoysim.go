@@ -62,7 +62,7 @@ type Endpoint struct {
 // it matters because every "envoy -c file" in a unit-test script
 // re-loads the same config on the cold evaluation path.
 func LoadCached(src string) (*Bootstrap, error) {
-	o := bootCache.Do(sha256.Sum256([]byte(src)), func() *bootOutcome {
+	o := bootCache.Do(memo.Digest(src), func() *bootOutcome {
 		boot, err := Load(src)
 		return &bootOutcome{boot: boot, err: err}
 	})

@@ -9,6 +9,7 @@ import (
 
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
+	"cloudeval/internal/memo"
 	"cloudeval/internal/miniredis"
 	"cloudeval/internal/unittest"
 )
@@ -191,8 +192,8 @@ func (w *Worker) execute(job WireJob) WireResult {
 	}
 	var testDigest, answerDigest [sha256.Size]byte
 	if w.store != nil {
-		testDigest = sha256.Sum256([]byte(p.UnitTest))
-		answerDigest = sha256.Sum256([]byte(job.Answer))
+		testDigest = engine.TestDigest(p)
+		answerDigest = memo.Digest(job.Answer)
 		if r, ok := w.store.Get(testDigest, answerDigest); ok {
 			res.Passed = r.Passed
 			res.VirtualSecs = r.VirtualTime.Seconds()

@@ -73,14 +73,15 @@ type Key [sha256.Size]byte
 // pinning — every provider is deterministic at temperature 0, so
 // retries hit the cache instead of a live endpoint.
 //
-// The prompt digest is streamed (prompt.Digest), never materialized:
-// Key runs on every request including cache hits, while the rendered
-// prompt text is needed only on live provider calls.
+// The prompt digest is the problem's own (promptInfoFor), never
+// materialized per request: Key runs on every request including cache
+// hits, while the rendered prompt text is needed only on live provider
+// calls.
 func (r Request) Key() Key { return r.keyFor(r.promptDigest()) }
 
-// promptDigest is the SHA-256 of Prompt(), served from the
-// process-wide prompt cache — equal to prompt.Digest(r.Problem,
-// r.Opts.Shots) but computed once per unique prompt content.
+// promptDigest is the SHA-256 of Prompt(), equal to
+// prompt.Digest(r.Problem, r.Opts.Shots) but computed once per problem
+// and shot count.
 func (r Request) promptDigest() [sha256.Size]byte {
 	return promptInfoFor(r.Problem, r.Opts.Shots).digest
 }

@@ -42,8 +42,8 @@ func (s *Sim) Generate(ctx context.Context, req Request) (Response, error) {
 	}
 	text := m.Generate(req.Problem, req.Opts)
 	// Equal to EstimateUsage(req.Prompt(), text) — the prompt side is
-	// served from the prompt cache instead of re-rendering and
-	// re-tokenizing the same few hundred prompts once per model.
+	// the problem's own count instead of re-rendering and re-tokenizing
+	// its prompt once per model.
 	u := Usage{
 		PromptTokens:     promptInfoFor(req.Problem, req.Opts.Shots).tokens,
 		CompletionTokens: textmetrics.EstimateTokens(text),

@@ -4,7 +4,6 @@ import (
 	"strings"
 
 	"cloudeval/internal/dataset"
-	"cloudeval/internal/memo"
 	"cloudeval/internal/yamlmatch"
 	"cloudeval/internal/yamlx"
 )
@@ -42,21 +41,14 @@ type noiseLabel struct {
 	label yamlmatch.Label
 }
 
-// genKey is the content a genContext is a pure function of.
-type genKey struct{ reference, unitTest string }
-
-// genContexts is capped like the other content-keyed caches: the corpus
-// has a few hundred distinct references, and a full cache compiles
-// fresh instead of growing.
-var genContexts = memo.New[genKey, *genContext](1 << 12)
-
+// contextFor is p's genContext, which a problem keeps (see
+// dataset.Memo) and its variants share.
 func contextFor(p dataset.Problem) *genContext {
-	return genContexts.Do(genKey{p.ReferenceYAML, p.UnitTest}, func() *genContext {
-		return compileContext(p.ReferenceYAML, p.UnitTest)
-	})
+	return dataset.Memo(p, dataset.Generation, compileContext)
 }
 
-func compileContext(reference, unitTest string) *genContext {
+func compileContext(p dataset.Problem) *genContext {
+	reference, unitTest := p.ReferenceYAML, p.UnitTest
 	c := &genContext{clean: yamlmatch.StripLabels(reference)}
 	body := strings.TrimRight(c.clean, "\n")
 	for i := 0; i < len(body); i++ {

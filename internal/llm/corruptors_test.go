@@ -77,10 +77,11 @@ func TestCorruptorsMatchCloneOracle(t *testing.T) {
 // distinctContexts returns one problem for each compiled context the
 // corpus has.
 func distinctContexts() []dataset.Problem {
-	seen := map[genKey]bool{}
+	type key struct{ reference, unitTest string }
+	seen := map[key]bool{}
 	var out []dataset.Problem
 	for _, p := range augment.ExpandCorpus(dataset.Generate()) {
-		if k := (genKey{p.ReferenceYAML, p.UnitTest}); !seen[k] {
+		if k := (key{p.ReferenceYAML, p.UnitTest}); !seen[k] {
 			seen[k] = true
 			out = append(out, p)
 		}
@@ -114,7 +115,7 @@ func TestCompiledTreesNeverWritten(t *testing.T) {
 	wg.Wait()
 	defer yamlx.SetDocCache(yamlx.SetDocCache(false)) // parse afresh below
 	for _, p := range distinctContexts() {
-		c, fresh := contextFor(p), compileContext(p.ReferenceYAML, p.UnitTest)
+		c, fresh := contextFor(p), compileContext(p)
 		for _, trees := range []struct {
 			name      string
 			got, want []*yamlx.Node
@@ -190,7 +191,7 @@ func TestContextsRetain(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i, p := range problems {
-		contexts[i] = compileContext(p.ReferenceYAML, p.UnitTest)
+		contexts[i] = compileContext(p)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)

@@ -8,30 +8,40 @@
 //     test executions (engine), provider generations (dispatcher) and
 //     decoded store frames (the store's hot tier). One lock per shard,
 //     errors never cached, resident cost never above the budget.
-//   - Cache, a capped lock-free map for cheap pure computations. Keyed
-//     by a content digest: yamlx documents, envoy bootstraps, content
-//     digests. Keyed by the content itself: shell programs, grep
-//     matchers, jsonpath programs, kind spellings. Each cache maps an
-//     immutable key to an immutable outcome computed exactly once.
+//   - Cache, a capped lock-free map for cheap pure computations. Each
+//     maps an immutable key to an immutable outcome computed exactly
+//     once.
+//
+// Cache has four users, each keyed by text that only exists at run
+// time, so nothing loaded with the corpus could hold its outcome:
+//
+//   - yamlx's document cache, by the Digest of a YAML text: mostly
+//     candidate answers, parsed again by every kubectl apply and metric;
+//   - envoysim's bootstrap cache, by the Digest of an envoy config,
+//     which is an answer file;
+//   - jsonpath's step cache, by the expression text, which reaches it
+//     as a kubectl argument a script expands while it runs;
+//   - shell's grep matchers, by (pattern, -i), a grep argument likewise
+//     expanded at run time, sometimes from model output.
+//
+// What a benchmark problem fixes — its unit test's digest and program,
+// its compiled reference, its prompts — is compiled onto the problem
+// instead (dataset.Memo) and never looked up by content.
 //
 // Cache stays a second type because its users are read-mostly pure
 // functions under every kubectl verb and jsonpath lookup: a hit is one
 // sync.Map load with no lock, where LRU takes a shard mutex to move
-// the entry up its recency list. Several of them are keyed by the
-// content string itself and would need a second hash over it to pick
-// a shard. Those users are what ROADMAP item 4(c) removes (compiled
-// artefacts hung off the problem instead of looked up by content), and
-// Cache goes with them.
+// the entry up its recency list.
 //
-// Entry count in Cache is capped: several of these caches are fed by
-// model-generated text (candidate answers, corrupted kinds), which in
-// a long-lived cloudevald daemon sampling at nonzero temperature is
-// unbounded. A full cache keeps serving hits for what it already
-// holds and computes everything else fresh — performance degrades to
-// the uncached path, memory does not grow.
+// Entry count in Cache is capped: its users are fed by model-generated
+// text, which in a long-lived cloudevald daemon sampling at nonzero
+// temperature is unbounded. A full cache keeps serving hits for what
+// it already holds and computes everything else fresh — performance
+// degrades to the uncached path, memory does not grow.
 package memo
 
 import (
+	"crypto/sha256"
 	"sync"
 	"sync/atomic"
 )
@@ -114,3 +124,22 @@ func (c *Cache[K, V]) Do(key K, fn func() V) V {
 // Len reports the number of cached entries. It can exceed max by at
 // most P − 1 for P concurrent inserters; see New.
 func (c *Cache[K, V]) Len() int64 { return c.n.Load() }
+
+// Digest is the SHA-256 of s, computed without a heap copy of s: the
+// content key of the caches above and of the engine's results.
+// sha256.Sum256([]byte(s)) copies s to the heap — the conversion does
+// not escape, but the assembly block function may write its argument
+// for all the compiler knows, so -gcflags=-m reports no zero-copy
+// conversion — whereas feeding the hasher through a buffer on this
+// frame allocates nothing.
+func Digest(s string) (sum [sha256.Size]byte) {
+	h := sha256.New()
+	var buf [512]byte
+	for len(s) > 0 {
+		n := copy(buf[:], s)
+		h.Write(buf[:n])
+		s = s[n:]
+	}
+	h.Sum(sum[:0])
+	return sum
+}

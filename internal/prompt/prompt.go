@@ -118,7 +118,7 @@ spec:
 // families declare none, keeping their prompts pinned to Appendix B.
 func Build(p dataset.Problem, shots int) string {
 	var b strings.Builder
-	Write(&b, p, shots)
+	write(&b, p, shots)
 	return b.String()
 }
 
@@ -129,17 +129,15 @@ func Build(p dataset.Problem, shots int) string {
 // together.
 func Digest(p dataset.Problem, shots int) [sha256.Size]byte {
 	h := sha256.New()
-	Write(h, p, shots)
+	write(h, p, shots)
 	var sum [sha256.Size]byte
 	h.Sum(sum[:0])
 	return sum
 }
 
-// Write streams the prompt to w; Build and Digest share it so the
-// digest is by construction the hash of the rendered text. Exported
-// for callers that render into reused buffers (the inference layer's
-// prompt cache) instead of materializing a fresh string per call.
-func Write(w io.Writer, p dataset.Problem, shots int) {
+// write streams the prompt to w; Build and Digest share it so the
+// digest is by construction the hash of the rendered text.
+func write(w io.Writer, p dataset.Problem, shots int) {
 	io.WriteString(w, Template)
 	if hint := scenario.For(p.Category).PromptHint; hint != "" {
 		io.WriteString(w, hint)

@@ -62,7 +62,8 @@ func TestCompiledKernelsMatchOracleTable4(t *testing.T) {
 	problems := fullCorpus()
 	pairs := 0
 	for _, m := range llm.Models {
-		for _, p := range evalProblems(m, problems) {
+		for _, pi := range evalProblems(m, problems) {
+			p := problems[pi]
 			raw := m.Generate(p, llm.GenOptions{})
 			for _, answer := range []string{llm.Postprocess(raw), raw} {
 				got, want := inline(ScoreAnswerWith(eng, p, answer)), oracle(p, answer)
@@ -156,7 +157,8 @@ func BenchmarkInlineMetrics(b *testing.B) {
 	var pairs []pair
 	problems := fullCorpus()
 	for _, m := range llm.Models {
-		for _, p := range evalProblems(m, problems) {
+		for _, pi := range evalProblems(m, problems) {
+			p := problems[pi]
 			ref := refFor(p)
 			pairs = append(pairs, pair{p, ref, ref.kv.Clean, llm.Postprocess(m.Generate(p, llm.GenOptions{}))})
 		}

@@ -42,8 +42,8 @@ func TestCampaignMemoMatchesDirect(t *testing.T) {
 		if len(kept) != len(scores) {
 			t.Fatalf("%s: %d scores for %d problems", m.Name, len(scores), len(kept))
 		}
-		for i, p := range kept {
-			got := scores[i]
+		for i, pi := range kept {
+			p, got := problems[pi], scores[i]
 			want := ScoreAnswerWith(direct, p, got.Answer)
 			want.Model = m.Name
 			if got.ProblemID != want.ProblemID || got.Variant != want.Variant || got.Model != want.Model || sixBits(got) != sixBits(want) {

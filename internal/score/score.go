@@ -65,29 +65,25 @@ func (s ProblemScore) Metric(name string) float64 {
 // its lines with difflib's index, its parsed documents and its
 // labeled leaves by path. A twelve-model campaign scores each
 // reference twelve times, and before this was compiled once those five
-// metrics were half of a warm campaign's time. The cache is keyed by
-// the labeled reference text itself — content, not problem ID — so it
-// cannot alias, and variants sharing a reference share one entry.
-// Distinct references are bounded by the corpus, so so is the cache.
+// metrics were half of a warm campaign's time. A problem keeps its own
+// (see dataset.Memo), and its variants share it.
 type refContext struct {
 	bleu  *textmetrics.BLEURef
 	lines *textmetrics.LineRef
 	kv    *yamlmatch.Ref
 }
 
-var refCache sync.Map // labeled reference text -> *refContext
-
 func refFor(p dataset.Problem) *refContext {
-	if v, ok := refCache.Load(p.ReferenceYAML); ok {
-		return v.(*refContext)
-	}
+	return dataset.Memo(p, dataset.Reference, compileRef)
+}
+
+func compileRef(p dataset.Problem) *refContext {
 	kv := yamlmatch.NewRef(p.ReferenceYAML)
-	v, _ := refCache.LoadOrStore(p.ReferenceYAML, &refContext{
+	return &refContext{
 		bleu:  textmetrics.NewBLEURef(kv.Clean),
 		lines: textmetrics.NewLineRef(kv.Clean),
 		kv:    kv,
-	})
-	return v.(*refContext)
+	}
 }
 
 // KVWildcard is the KV-wildcard score of answer against p's labeled
@@ -203,15 +199,15 @@ func scoreAnswerSerial(p dataset.Problem, answer string) ProblemScore {
 	return s
 }
 
-// evalProblems filters a model's problem set (English-only APIs skip
-// translated questions).
-func evalProblems(m llm.Model, problems []dataset.Problem) []dataset.Problem {
-	kept := make([]dataset.Problem, 0, len(problems))
-	for _, p := range problems {
+// evalProblems lists the indices of the problems a model answers
+// (English-only APIs skip translated questions).
+func evalProblems(m llm.Model, problems []dataset.Problem) []int {
+	kept := make([]int, 0, len(problems))
+	for i, p := range problems {
 		if m.EnglishOnly && p.Variant == dataset.Translated {
 			continue
 		}
-		kept = append(kept, p)
+		kept = append(kept, i)
 	}
 	return kept
 }
@@ -227,19 +223,19 @@ func evalProblems(m llm.Model, problems []dataset.Problem) []dataset.Problem {
 // and latch into gen.Err.
 func EvaluateModelVia(eng *engine.Engine, gen *inference.Dispatcher, m llm.Model, problems []dataset.Problem, opts llm.GenOptions) []ProblemScore {
 	kept := evalProblems(m, problems)
-	// One warm pass over the corpus feeds both cache-key pipelines
-	// (unit-test digests for eng, prompt digests and token counts for
-	// gen) before the parallel phase starts hammering them.
-	engine.WarmDigests(kept)
-	inference.WarmPrompts(kept, opts.Shots)
+	// One warm pass compiles what both key pipelines read (unit-test
+	// digests for eng, prompt digests and token counts for gen) before
+	// the parallel phase starts.
+	engine.WarmDigests(problems)
+	inference.WarmPrompts(problems, opts.Shots)
 	out := make([]ProblemScore, len(kept))
 	tm := newTextMemo(len(kept))
 	engine.Pipeline(eng, len(kept), gen.Concurrency(), 0,
 		func(i int) string {
-			return gen.Answer(m, kept[i], opts)
+			return gen.Answer(m, problems[kept[i]], opts)
 		},
 		func(i int, answer string) {
-			s := scoreAnswerMemo(eng, tm, kept[i], answer)
+			s := scoreAnswerMemo(eng, tm, problems[kept[i]], answer)
 			s.Model = m.Name
 			out[i] = s
 		})
@@ -252,7 +248,8 @@ func EvaluateModelVia(eng *engine.Engine, gen *inference.Dispatcher, m llm.Model
 func EvaluateModelSerial(m llm.Model, problems []dataset.Problem, opts llm.GenOptions) []ProblemScore {
 	kept := evalProblems(m, problems)
 	out := make([]ProblemScore, 0, len(kept))
-	for _, p := range kept {
+	for _, i := range kept {
+		p := problems[i]
 		answer := llm.Postprocess(m.Generate(p, opts))
 		s := scoreAnswerSerial(p, answer)
 		s.Model = m.Name
@@ -331,33 +328,30 @@ func Aggregate(m llm.Model, scores []ProblemScore) ModelAggregate {
 // regrouped afterwards: the rows and raw map are byte-identical to
 // BenchmarkSerial's.
 func BenchmarkVia(eng *engine.Engine, gen *inference.Dispatcher, models []llm.Model, problems []dataset.Problem) ([]ModelAggregate, map[string][]ProblemScore) {
-	type pair struct {
-		model   int
-		problem dataset.Problem
-	}
-	var pairs []pair
+	type pair struct{ model, problem int }
+	pairs := make([]pair, 0, len(models)*len(problems))
 	counts := make([]int, len(models))
 	for mi, m := range models {
 		kept := evalProblems(m, problems)
 		counts[mi] = len(kept)
-		for _, p := range kept {
-			pairs = append(pairs, pair{model: mi, problem: p})
+		for _, pi := range kept {
+			pairs = append(pairs, pair{mi, pi})
 		}
 	}
-	// One warm pass over the corpus feeds both cache-key pipelines
-	// before the parallel matrix starts: unit-test digests for eng,
-	// prompt digests and token counts for gen.
+	// One warm pass compiles what both key pipelines read before the
+	// parallel matrix starts: unit-test digests for eng, prompt digests
+	// and token counts for gen.
 	engine.WarmDigests(problems)
 	inference.WarmPrompts(problems, 0)
 	scores := make([]ProblemScore, len(pairs))
 	tm := newTextMemo(len(pairs))
 	engine.Pipeline(eng, len(pairs), gen.Concurrency(), 0,
 		func(i int) string {
-			return gen.Answer(models[pairs[i].model], pairs[i].problem, llm.GenOptions{})
+			return gen.Answer(models[pairs[i].model], problems[pairs[i].problem], llm.GenOptions{})
 		},
 		func(i int, answer string) {
 			pr := pairs[i]
-			s := scoreAnswerMemo(eng, tm, pr.problem, answer)
+			s := scoreAnswerMemo(eng, tm, problems[pr.problem], answer)
 			s.Model = models[pr.model].Name
 			scores[i] = s
 		})

@@ -61,7 +61,7 @@ type segment struct {
 	quoted bool
 	text   string
 	alt    string
-	sub    *program
+	sub    *Program
 	err    error
 }
 
@@ -413,7 +413,7 @@ func (in *Interp) value(s *segment) (string, error) {
 
 // captureSub runs a command substitution and returns its stdout with
 // trailing newlines trimmed; its stderr is discarded.
-func (in *Interp) captureSub(prog *program) string {
+func (in *Interp) captureSub(prog *Program) string {
 	io := in.getIO()
 	in.execList(prog.stmts, io)
 	out := strings.TrimRight(io.Out.String(), "\n")

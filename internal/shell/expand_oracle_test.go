@@ -546,9 +546,7 @@ func FuzzRunTerminates(f *testing.F) {
 		// seq prints as many lines as it is asked to; everything else
 		// does work bounded by the size of its input.
 		in.Builtins["seq"] = func(*Interp, *IO, []string) int { return 0 }
-		// Run's own steps, minus the process-wide AST cache an endless
-		// supply of scripts has no business in.
-		in.execList(prog.stmts, in.getIO())
+		in.Exec(prog)
 		if in.steps > in.MaxSteps+1 {
 			t.Errorf("%d steps executed, limit %d", in.steps, in.MaxSteps)
 		}

@@ -104,23 +104,24 @@ type Result struct {
 	ExitCode int
 }
 
-// Run parses and executes a script from a clean control-flow state
-// (variables, files and builtins persist across calls). Parsing goes
-// through the process-wide AST cache, so repeated runs of the same
-// script text skip the lexer, the parser and the word compiler
-// entirely. This is the cache's only lookup per run: the bodies of
-// command substitutions are already part of the program.
+// Run parses and executes a script; see Exec.
 func (in *Interp) Run(script string) (Result, error) {
-	prog, err := ParseCached(script)
+	prog, err := Parse(script)
 	if err != nil {
 		return Result{}, err
 	}
+	return in.Exec(prog), nil
+}
+
+// Exec executes a compiled script from a clean control-flow state
+// (variables, files and builtins persist across calls).
+func (in *Interp) Exec(prog *Program) Result {
 	in.exited = false
 	io := in.getIO()
 	code := in.execList(prog.stmts, io)
 	res := Result{Stdout: io.Out.String(), Stderr: io.Err.String(), ExitCode: code}
 	in.putIO(io)
-	return res, nil
+	return res
 }
 
 func (in *Interp) execList(stmts []node, io *IO) int {

@@ -5,13 +5,13 @@
 // onto an in-memory filesystem.
 //
 // A script is compiled once and run many times. Parse produces an
-// immutable program in which every word is already split into its
+// immutable Program in which every word is already split into its
 // literal text, variable references and command substitutions (see
 // word in expand.go), all-literal words carry their expansion and
 // all-literal commands their finished argv; running it looks variables
 // up, executes substitutions and assembles fields, and never scans the
-// source again. ParseCached shares one program per distinct script
-// text across all interpreters of the process (see cache.go).
+// source again. One Program may be run by any number of interpreters
+// at once: a benchmark problem keeps its unit test's (see unittest.Run).
 //
 // The interpreter is deliberately hermetic: no real processes, no real
 // files, no real time. Commands are Go builtins; "sleep" advances a

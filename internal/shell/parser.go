@@ -13,8 +13,6 @@ import (
 //	pipeline := command ("|" command)*
 //	command  := ifCmd | forCmd | whileCmd | condCmd | arithCmd | simple
 type (
-	program struct{ stmts []node }
-
 	node interface{ nodeTag() }
 
 	andOr struct {
@@ -73,7 +71,6 @@ type (
 	}
 )
 
-func (program) nodeTag()   {}
 func (andOr) nodeTag()     {}
 func (pipeline) nodeTag()  {}
 func (simpleCmd) nodeTag() {}
@@ -95,14 +92,20 @@ type redir struct {
 	target word
 }
 
+// Program is a compiled script. It carries no interpreter state, so it
+// is immutable and may be executed by any number of interpreters at
+// once: every piece of mutable state (variables, the virtual FS, step
+// counts, exit flags, the IO free list) lives in the Interp, and the
+// argv an all-literal command shares with every run is only ever read.
+type Program struct{ stmts []node }
+
 // Parse compiles a script into its AST, words included: see word for
-// what is decided here and what is left to a run. The result is
-// immutable and may be executed by any number of interpreters at once.
-func Parse(src string) (*program, error) { return parse(src, 0) }
+// what is decided here and what is left to a run.
+func Parse(src string) (*Program, error) { return parse(src, 0) }
 
 // parse compiles a script that sits depth command substitutions deep
 // in the one handed to Parse.
-func parse(src string, depth int) (*program, error) {
+func parse(src string, depth int) (*Program, error) {
 	toks, err := lex(src)
 	if err != nil {
 		return nil, err
@@ -139,7 +142,7 @@ func (p *parser) skipSeparators() {
 	}
 }
 
-func (p *parser) parseProgram() (*program, error) {
+func (p *parser) parseProgram() (*Program, error) {
 	stmts, err := p.parseList(nil)
 	if err != nil {
 		return nil, err
@@ -147,7 +150,7 @@ func (p *parser) parseProgram() (*program, error) {
 	if p.peek().kind != tokEOF {
 		return nil, p.errf("unexpected token %q", p.peek())
 	}
-	return &program{stmts: stmts}, nil
+	return &Program{stmts: stmts}, nil
 }
 
 // parseList parses statements until EOF or one of the stop keywords

@@ -32,24 +32,19 @@ cat out.txt
 printf '%s\n' done
 `
 
-// TestSharedASTConcurrent runs the same script's cached AST from many
+// TestSharedASTConcurrent runs one compiled program from many
 // interpreters at once and asserts every run is byte-identical to a
-// fresh, uncached parse executed serially. This is the contract that
-// makes the parse-once/run-many cache sound: all mutable state lives
-// in the Interp, never in the shared nodes.
+// fresh parse executed serially. This is the contract that lets a
+// benchmark problem compile its unit test once and run it everywhere:
+// all mutable state lives in the Interp, never in the shared nodes.
 func TestSharedASTConcurrent(t *testing.T) {
-	// Reference output from a fresh parse with the cache off.
-	prev := SetASTCache(false)
-	ref := New()
-	want, err := ref.Run(sharedASTScript)
-	SetASTCache(prev)
+	want, err := New().Run(sharedASTScript)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
-
-	// Warm the cache once, then hammer the shared AST.
-	if _, err := ParseCached(sharedASTScript); err != nil {
-		t.Fatalf("ParseCached: %v", err)
+	prog, err := Parse(sharedASTScript)
+	if err != nil {
+		t.Fatalf("Parse: %v", err)
 	}
 	const goroutines = 16
 	const rounds = 25
@@ -60,13 +55,8 @@ func TestSharedASTConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				in := New()
-				got, err := in.Run(sharedASTScript)
-				if err != nil {
-					errs <- fmt.Errorf("goroutine %d round %d: %v", g, r, err)
-					return
-				}
-				if got.Stdout != want.Stdout || got.Stderr != want.Stderr || got.ExitCode != want.ExitCode {
+				got := New().Exec(prog)
+				if got != want {
 					errs <- fmt.Errorf("goroutine %d round %d diverged from fresh parse:\ngot  %q (%d)\nwant %q (%d)",
 						g, r, got.Stdout, got.ExitCode, want.Stdout, want.ExitCode)
 					return
@@ -81,40 +71,5 @@ func TestSharedASTConcurrent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-	}
-}
-
-// TestParseCachedReturnsSameProgram pins the parse-once property: two
-// cached parses of identical text hand back the same AST, and parse
-// errors are cached alongside successes.
-func TestParseCachedReturnsSameProgram(t *testing.T) {
-	src := "echo " + t.Name()
-	p1, err1 := ParseCached(src)
-	p2, err2 := ParseCached(src)
-	if err1 != nil || err2 != nil {
-		t.Fatalf("errors: %v / %v", err1, err2)
-	}
-	if p1 != p2 {
-		t.Error("cached parse returned distinct programs for identical text")
-	}
-	bad := "if missing_fi_" + t.Name()
-	if _, err := ParseCached(bad); err == nil {
-		t.Fatal("expected parse error")
-	}
-	if _, err := ParseCached(bad); err == nil {
-		t.Fatal("expected cached parse error")
-	}
-}
-
-// TestSetASTCacheBypass ensures the benchmark knob really bypasses the
-// cache: with it off, identical text parses to distinct programs.
-func TestSetASTCacheBypass(t *testing.T) {
-	prev := SetASTCache(false)
-	defer SetASTCache(prev)
-	src := "echo bypass_" + t.Name()
-	p1, _ := ParseCached(src)
-	p2, _ := ParseCached(src)
-	if p1 == p2 {
-		t.Error("cache disabled but identical programs returned")
 	}
 }

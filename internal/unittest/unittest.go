@@ -13,6 +13,7 @@ import (
 
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/scenario"
+	"cloudeval/internal/shell"
 )
 
 // Result captures one unit-test execution.
@@ -29,22 +30,36 @@ type Result struct {
 	Err error
 }
 
+// script is a unit test compiled by the shell, or why it does not
+// parse.
+type script struct {
+	prog *shell.Program
+	err  error
+}
+
+func compileScript(p dataset.Problem) *script {
+	prog, err := shell.Parse(p.UnitTest)
+	return &script{prog, err}
+}
+
 // Run executes the problem's unit test with answerYAML installed as
 // labeled_code.yaml, in an environment drawn from the problem family's
-// pool. Success means the script printed a line containing
+// pool. The script is compiled once per problem (see dataset.Memo).
+// Success means the script printed a line containing
 // "unit_test_passed" (some problems use prefixed markers such as
 // cn1000_unit_test_passed, as in the paper's Figure 1).
 func Run(p dataset.Problem, answerYAML string) Result {
+	s := dataset.Memo(p, dataset.TestProgram, compileScript)
+	if s.err != nil {
+		return Result{Err: s.err}
+	}
 	backend := scenario.For(p.Category)
 	env := backend.GetEnv()
 	defer backend.PutEnv(env)
 	sh := env.Interp()
 	sh.FS["labeled_code.yaml"] = answerYAML
 	start := env.Now()
-	res, err := sh.Run(p.UnitTest)
-	if err != nil {
-		return Result{Err: err}
-	}
+	res := sh.Exec(s.prog)
 	return Result{
 		Passed:      strings.Contains(res.Stdout, "unit_test_passed"),
 		Output:      res.Stdout,

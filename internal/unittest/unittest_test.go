@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"cloudeval/internal/augment"
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/scenario"
 	"cloudeval/internal/yamlmatch"
@@ -130,6 +131,22 @@ func TestVirtualTimeIsTracked(t *testing.T) {
 func TestScoreMapping(t *testing.T) {
 	if (Result{Passed: true}).Score() != 1 || (Result{}).Score() != 0 {
 		t.Error("Score mapping broken")
+	}
+}
+
+// TestCorporaShareCompiledPrograms: every corpus core.NewVia builds is
+// augment.ExpandCorpus(dataset.Generate()); two of them run the same
+// compiled programs, and a problem's variants run its original's.
+func TestCorporaShareCompiledPrograms(t *testing.T) {
+	a, b := augment.ExpandCorpus(dataset.Generate()), augment.ExpandCorpus(dataset.Generate())
+	for i := range a {
+		prog := dataset.Memo(a[i], dataset.TestProgram, compileScript).prog
+		if prog == nil || prog != dataset.Memo(b[i], dataset.TestProgram, compileScript).prog {
+			t.Fatalf("%s: two corpora compiled the unit test twice", a[i].ID)
+		}
+		if prog != dataset.Memo(a[i-i%3], dataset.TestProgram, compileScript).prog {
+			t.Fatalf("%s: the variant compiled its original's unit test again", a[i].ID)
+		}
 	}
 }
 

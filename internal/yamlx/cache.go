@@ -10,9 +10,9 @@ import (
 // The parsed-document cache: YAML sources are content-addressed by
 // digest and parsed exactly once per process. The evaluation cold path
 // re-reads the same texts constantly — every kubectl apply of
-// labeled_code.yaml re-parses the candidate answer, every score
-// recomputation re-parses the reference — so a cache miss in the
-// engine no longer implies a re-parse here.
+// labeled_code.yaml re-parses the candidate answer, and so does every
+// YAML-aware metric — so a cache miss in the engine no longer implies
+// a re-parse here.
 //
 // Cached documents are shared across goroutines and MUST be treated as
 // immutable. Callers that change what they parsed copy first: kubesim's
@@ -22,11 +22,10 @@ import (
 // Parse errors are cached too, so a malformed answer sampled at high
 // temperature is diagnosed once, not once per metric.
 //
-// Unlike the shell's script cache, this cache is fed by
-// model-generated answer text, which a long-lived daemon sampling at
-// nonzero temperature makes unbounded — hence the entry cap (see the
-// memo package): a full cache serves what it holds and parses the
-// rest fresh instead of growing forever.
+// The cache is fed by model-generated answer text, which a long-lived
+// daemon sampling at nonzero temperature makes unbounded — hence the
+// entry cap (see the memo package): a full cache serves what it holds
+// and parses the rest fresh instead of growing forever.
 
 type docOutcome struct {
 	docs []*Node
@@ -57,28 +56,11 @@ func ParseAllCached(src string) ([]*Node, error) {
 	if !docCacheOn.Load() {
 		return ParseAll([]byte(src))
 	}
-	o := docCache.Do(digestOf(src), func() *docOutcome {
+	o := docCache.Do(memo.Digest(src), func() *docOutcome {
 		docs, err := ParseAll([]byte(src))
 		return &docOutcome{docs: docs, err: err}
 	})
 	return o.docs, o.err
-}
-
-// digestOf is sha256.Sum256 of a string. Sum256([]byte(s)) copies s to
-// the heap — the conversion does not escape, but the assembly block
-// function may write its argument for all the compiler knows, so
-// -gcflags=-m reports no zero-copy conversion — whereas feeding the
-// hasher through a buffer on this frame allocates nothing.
-func digestOf(s string) (sum [sha256.Size]byte) {
-	h := sha256.New()
-	var buf [512]byte
-	for len(s) > 0 {
-		n := copy(buf[:], s)
-		h.Write(buf[:n])
-		s = s[n:]
-	}
-	h.Sum(sum[:0])
-	return sum
 }
 
 // ParseCachedString is Parse through the document cache: the first

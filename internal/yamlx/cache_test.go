@@ -7,6 +7,7 @@ import (
 	"sync"
 	"testing"
 
+	"cloudeval/internal/memo"
 	"cloudeval/internal/raceflag"
 )
 
@@ -152,15 +153,16 @@ func TestShallowClone(t *testing.T) {
 	}
 }
 
-// TestDigestOfIsSum256: the cache key is still the SHA-256 of the text —
-// whatever its length relative to the buffer it is fed through — and a
-// hit costs no allocation: the copy of the answer that Sum256([]byte(s))
-// makes was a third of the bytes a kubectl apply allocated.
+// TestDigestOfIsSum256: the cache key, memo.Digest, is still the
+// SHA-256 of the text — whatever its length relative to the buffer it
+// is fed through — and a hit costs no allocation: the copy of the
+// answer that Sum256([]byte(s)) makes was a third of the bytes a
+// kubectl apply allocated.
 func TestDigestOfIsSum256(t *testing.T) {
 	for _, n := range []int{0, 1, 63, 64, 65, 511, 512, 513, 1024, 1500, 5000} {
 		s := strings.Repeat("k: v\n", n/5+1)[:n]
-		if digestOf(s) != sha256.Sum256([]byte(s)) {
-			t.Errorf("digestOf differs from sha256.Sum256 on %d bytes", n)
+		if memo.Digest(s) != sha256.Sum256([]byte(s)) {
+			t.Errorf("memo.Digest differs from sha256.Sum256 on %d bytes", n)
 		}
 	}
 	if raceflag.Enabled {
