@@ -302,6 +302,33 @@ func TestKubectlTranscripts(t *testing.T) {
 		"kubectl get all -A -o yaml",
 	)
 
+	tr.section("logs")
+	podSrc, pod, _ := referenceFor(t, problems, "Pod")
+	tr.env.Shell.FS["pod.yaml"] = podSrc
+	tr.env.Shell.FS["deploy.yaml"], _, _ = referenceFor(t, problems, "Deployment")
+	tr.run(
+		"kubectl create ns other",
+		"kubectl apply -f pod.yaml",
+		"kubectl logs "+pod,
+		"kubectl logs "+pod+" -n default --tail=5",
+		"kubectl logs "+pod+" -n other",
+		"kubectl logs no-such",
+		"kubectl logs",
+		"kubectl apply -f deploy.yaml",
+		"sleep 10",
+		"kubectl logs $(kubectl get pods -o jsonpath='{.items[0].metadata.name}')",
+		"for p in $(kubectl get pods -o jsonpath='{.items[*].metadata.name}'); do kubectl logs $p | grep -c 'container started'; done",
+	)
+
+	tr.section("api-resources")
+	tr.run(
+		"kubectl api-resources",
+		"kubectl api-resources -o name",
+		"kubectl api-resources --output=name | wc -l",
+		"kubectl api-resources --namespaced=true | head -n 3",
+		"kubectl api-resources -o wide",
+	)
+
 	got := tr.b.String()
 	want, err := os.ReadFile(transcriptGolden)
 	if errors.Is(err, fs.ErrNotExist) {

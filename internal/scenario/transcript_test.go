@@ -1,0 +1,617 @@
+package scenario
+
+import (
+	"errors"
+	"io/fs"
+	"os"
+	"strconv"
+	"strings"
+	"testing"
+	"time"
+
+	"cloudeval/internal/dataset"
+	"cloudeval/internal/shell"
+)
+
+// transcript runs commands in an environment and records, for each, the
+// command line, its stdout, its stderr, the virtual time it took and its
+// exit code: the shape of internal/k8scmd/testdata/kubectl.golden. A
+// script that does not parse is recorded with its error.
+type transcript struct {
+	t      *testing.T
+	newEnv func() Env
+	env    Env
+	b      strings.Builder
+}
+
+// section starts a fresh environment holding files.
+func (tr *transcript) section(title string, files map[string]string) {
+	tr.env = tr.newEnv()
+	for name, content := range files {
+		tr.env.Interp().FS[name] = content
+	}
+	tr.b.WriteString("\n### " + title + "\n")
+}
+
+func (tr *transcript) run(cmds ...string) {
+	for _, cmd := range cmds {
+		tr.b.WriteString("$ " + cmd + "\n")
+		start := tr.env.Now()
+		res, err := tr.env.Interp().Run(cmd)
+		if err != nil {
+			tr.b.WriteString("--- parse error: " + err.Error() + "\n")
+			continue
+		}
+		tr.stream(res.Stdout)
+		if res.Stderr != "" {
+			tr.b.WriteString("--- stderr\n")
+			tr.stream(res.Stderr)
+		}
+		if d := tr.env.Now().Sub(start); d != 0 {
+			tr.b.WriteString("--- virtual time +" + d.String() + "\n")
+		}
+		tr.b.WriteString("--- exit " + strconv.Itoa(res.ExitCode) + "\n")
+	}
+}
+
+func (tr *transcript) stream(s string) {
+	tr.b.WriteString(s)
+	if s != "" && !strings.HasSuffix(s, "\n") {
+		tr.b.WriteString("\n--- no newline at end\n")
+	}
+}
+
+// check compares the transcript with the golden file. When the file is
+// missing it records it and fails: delete a golden to record it again,
+// and review the diff.
+func (tr *transcript) check(golden string) {
+	t := tr.t
+	got := tr.b.String()
+	want, err := os.ReadFile(golden)
+	if errors.Is(err, fs.ErrNotExist) {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		t.Fatalf("recorded %s (%d bytes): review it and run the test again", golden, len(got))
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got == string(want) {
+		return
+	}
+	// One block per command: report the commands whose output changed.
+	gotCmds, wantCmds := strings.Split(got, "\n$ "), strings.Split(string(want), "\n$ ")
+	if len(gotCmds) != len(wantCmds) {
+		t.Fatalf("%d commands run, %s has %d", len(gotCmds), golden, len(wantCmds))
+	}
+	reported := 0
+	for i := range gotCmds {
+		if gotCmds[i] != wantCmds[i] && reported < 10 {
+			t.Errorf("output differs from %s:\n--- got\n$ %s\n--- want\n$ %s", golden, gotCmds[i], wantCmds[i])
+			reported++
+		}
+	}
+}
+
+// bareShell is an interpreter with the shell's own builtins only, on a
+// virtual clock that sleep and timeout advance.
+type bareShell struct {
+	sh  *shell.Interp
+	now time.Time
+}
+
+func newBareShell() Env {
+	b := &bareShell{sh: shell.New()}
+	b.sh.AdvanceClock = func(d time.Duration) { b.now = b.now.Add(d) }
+	return b
+}
+
+func (b *bareShell) Interp() *shell.Interp { return b.sh }
+func (b *bareShell) Now() time.Time        { return b.now }
+func (b *bareShell) Reset()                { b.sh.Reset(); b.now = time.Time{} }
+
+const podsTable = `NAME          READY   STATUS
+web-1         1/1     Running
+web-2         0/1     Pending
+db-0          1/1     Running
+`
+
+// TestShellTranscripts pins what the shell's own commands and syntax
+// print, byte for byte: the idioms of the corpus's unit tests (echo,
+// cat, grep, pipes to wc and head, [ ] and [[ ]], loops with sleep,
+// substitutions, redirects) and their error cases, parse errors
+// included.
+func TestShellTranscripts(t *testing.T) {
+	tr := &transcript{t: t, newEnv: newBareShell}
+
+	tr.section("echo and cat", map[string]string{"f.txt": "one\ntwo\n", "nonl.txt": "no newline"})
+	tr.run(
+		`echo hello   world`,
+		`echo -n no newline`,
+		`echo -e 'a\tb\nc\\d'`,
+		`echo 'a\tb'`,
+		`echo -n -e 'x\n'`,
+		`echo`,
+		`echo -- -n`,
+		`cat f.txt`,
+		`cat f.txt nonl.txt`,
+		`cat < f.txt`,
+		`echo piped | cat`,
+		`echo piped | cat - f.txt`,
+		`cat missing.txt`,
+		`cat f.txt missing.txt f.txt`,
+	)
+
+	tr.section("grep", map[string]string{"pods.txt": podsTable})
+	tr.run(
+		`grep Running pods.txt`,
+		`grep -c Running pods.txt`,
+		`grep -v Running pods.txt`,
+		`grep -q Pending pods.txt && echo found`,
+		`grep -q Failed pods.txt || echo absent`,
+		`grep -i RUNNING pods.txt`,
+		`grep -o 'web-[0-9]' pods.txt`,
+		`grep -io 'running' pods.txt`,
+		`grep -v -o web pods.txt`,
+		`grep -E 'web|db' pods.txt`,
+		`grep -e -1 pods.txt`,
+		`grep -m 1 Running pods.txt`,
+		`grep -x Running pods.txt`,
+		`cat pods.txt | grep web | grep -c Running`,
+		`grep -c absent pods.txt`,
+		`grep Running pods.txt missing.txt`,
+		`grep 'a[' pods.txt`,
+		`echo 'a[b' | grep 'a['`,
+		`echo -n '' | grep x`,
+		`grep`,
+		`grep -q`,
+	)
+
+	tr.section("wc and head", map[string]string{
+		"pods.txt":   podsTable,
+		"twelve.txt": "1\n2\n3\n4\n5\n6\n7\n8\n9\n10\n11\n12\n",
+	})
+	tr.run(
+		`wc -l pods.txt`,
+		`cat pods.txt | wc -l`,
+		`wc pods.txt`,
+		`echo -n 'a b' | wc`,
+		`echo -n '' | wc -l`,
+		`echo -n 'no newline' | wc -l`,
+		`grep Running pods.txt | wc -l`,
+		`head -n 2 pods.txt`,
+		`head -2 pods.txt`,
+		`head -n2 pods.txt`,
+		`head -n -1 pods.txt`,
+		`head -n -9 pods.txt`,
+		`cat pods.txt | head -n 1`,
+		`head twelve.txt`,
+		`head -n x pods.txt`,
+		`grep -o 'web-[0-9]' pods.txt | head -n 1 | wc -l`,
+	)
+
+	tr.section("sleep and timeout", nil)
+	tr.run(
+		`sleep 5`,
+		`sleep 0.5`,
+		`sleep 2m`,
+		`sleep 1h`,
+		`sleep`,
+		`sleep soon`,
+		`timeout 10s echo done`,
+		`timeout -s INT 5 echo done`,
+		`timeout 3 sleep 1`,
+		`timeout`,
+		`timeout -s`,
+		`timeout 5`,
+		`timeout soon echo x`,
+		`timeout 5 no-such-command`,
+	)
+
+	tr.section("variables and substitution", nil)
+	tr.run(
+		`x=hello; echo $x ${x} "$x" '$x'`,
+		`echo ${#x} ${#unset}`,
+		`echo ${unset:-fallback} ${x:-fallback}`,
+		`echo $?; false; echo $?`,
+		`echo $#`,
+		`list="a  b   c"; for w in $list; do echo "[$w]"; done`,
+		`echo "$list"`,
+		`echo pre"$x"post 'single $x' "double \$x \"q\" \\"`,
+		`echo a\ b`,
+		`echo "a"'b'c`,
+		`y=$(echo sub); echo "got $y"`,
+		`echo "$(echo nested $(echo deeper))"`,
+		`z="$(echo multi; echo line)"; echo "$z" | wc -l`,
+		`echo $(echo '  spaced   out  ')`,
+		`echo $((2 + 3 * 4)) $(( (2 + 3) * 4 )) $((7 / 2)) $((7 % 2)) $((-3))`,
+		`n=1; ((n++)); ((n += 5)); echo $n`,
+		`(( 3 > 2 )) && echo bigger`,
+		`(( 1 / 0 ))`,
+		`echo $((x + 1))`,
+		`PREFIX=run echo "[$PREFIX]"; echo "[$PREFIX]"`,
+		`echo $UNDEFINED_VAR.`,
+		`echo * ?`,
+		"echo one \\\n  two",
+		`echo a # trailing comment`,
+	)
+
+	tr.section("conditions", map[string]string{"f.txt": "content\n", "empty.txt": ""})
+	tr.run(
+		`x=hello`,
+		`[ -z "" ] && echo empty`,
+		`[ -n "$x" ] && echo set`,
+		`[ "$x" == hello ] && echo eq`,
+		`[ "$x" = hello ] && echo eq1`,
+		`[ "$x" != hello ] || echo ne`,
+		`[ 3 -lt 5 ] && [ 5 -ge 5 ] && [ 2 -ne 3 ] && [ 4 -gt 1 ] && [ 1 -le 1 ] && [ 7 -eq 7 ] && echo numeric`,
+		`[ " 7" -eq 7 ] && echo trimmed`,
+		`[ -f f.txt ] && [ -e f.txt ] && [ -s f.txt ] && echo file`,
+		`[ -s empty.txt ] || echo no-content`,
+		`[ -f missing.txt ] || echo nofile`,
+		`[ -d / ] || echo nodirs`,
+		`[ ! -f missing.txt ] && echo negated`,
+		`[ \( 1 -eq 1 \) -a \( 2 -eq 3 \) ] || echo and`,
+		`[ 1 -eq 1 -o 2 -eq 3 ] && echo or`,
+		`[ "$x" ] && echo bare`,
+		`[ a b ]`,
+		`[ "it's" x ]`,
+		`[ a == ]`,
+		`[ -z ]`,
+		`[ x -eq 1 ]`,
+		`[ 1 -eq 1`,
+		`[ ]`,
+		`[ \( 1 -eq 1 ]`,
+		`[[ $x == h* ]] && echo glob`,
+		`[[ $x == "h*" ]] || echo quoted-literal`,
+		`[[ $x == h?llo ]] && echo one-char`,
+		`[[ $x != *z* ]] && echo no-z`,
+		`[[ $x =~ ^h(el)+o$ ]] && echo regex`,
+		`[[ $x =~ [ ]]`,
+		`[[ -n $x && ( $x == hello || $x == bye ) ]] && echo grouped`,
+		`[[ ! -z $x ]] && echo notempty`,
+		`[[ 10 -gt 9 ]] && echo num`,
+		`[[ $x ]] && echo nonempty`,
+		`[[ -f f.txt ]] && echo file`,
+		`[[ a < b ]]`,
+		`[[ 1 -eq 1`,
+		`[[ a -eq 1 ]]`,
+	)
+
+	tr.section("control flow", map[string]string{"status.txt": "starting\n"})
+	tr.run(
+		`if true; then echo yes; fi`,
+		`if false; then echo yes; elif true; then echo elif; else echo else; fi`,
+		`if false; then echo yes; else echo else; fi`,
+		`if false; then echo yes; fi; echo $?`,
+		`if [ 1 -eq 1 ]
+then
+  echo multi-line
+fi`,
+		`for i in 1 2 3; do echo "item $i"; done`,
+		`for i in; do echo never; done; echo $?`,
+		`for f in $(echo a b); do echo $f; done`,
+		`for x in "a b" c; do echo "[$x]"; done`,
+		`for i in 1 2; do for j in a b; do echo -n "$i$j "; done; done; echo`,
+		`for i in 1 2 3; do sleep 10; done`,
+		`n=0; while [ $n -lt 3 ]; do n=$((n+1)); echo "n=$n"; done`,
+		`until [ $n -eq 0 ]; do n=$((n-1)); done; echo "n=$n"`,
+		`while false; do echo never; done; echo $?`,
+		`tries=0; while ! grep -q ready status.txt; do tries=$((tries+1)); if [ $tries -ge 3 ]; then echo ready > status.txt; fi; sleep 2; done; echo "tries=$tries"`,
+		`! false && echo negated`,
+		`! true || echo negated-true`,
+		`true | false; echo $?`,
+		`false || echo fallback && echo chained`,
+		`exit 3; echo never`,
+		`false; exit`,
+		`if true; then exit 4; fi; echo never`,
+		`for i in 1 2; do exit 5; done`,
+		`while true; do exit 6; done`,
+		`exit x`,
+	)
+
+	tr.section("redirects", nil)
+	tr.run(
+		`echo first > out.txt; echo second >> out.txt; cat out.txt`,
+		`cat missing.txt 2> err.txt; cat err.txt`,
+		`cat missing.txt > all.txt 2>&1; cat all.txt`,
+		`cat missing.txt 2>/dev/null || echo quiet`,
+		`echo to-stderr >&2`,
+		`echo to-stderr 1>&2`,
+		`echo hidden > /dev/null`,
+		`cat < out.txt | wc -l`,
+		`grep -c second < out.txt`,
+		`cat < missing.txt`,
+		`name=dyn.txt; echo dynamic > $name; cat dyn.txt`,
+		`echo x >`,
+	)
+
+	tr.section("other builtins", nil)
+	tr.run(
+		`true; echo $?`,
+		`false; echo $?`,
+		`:; echo $?`,
+		`set -e; echo after-set`,
+		`x=1; unset x; echo "[$x]"`,
+		`echo data > tmp.txt; rm -f tmp.txt; cat tmp.txt`,
+		`basename /a/b/file.yaml`,
+		`basename`,
+		`no-such-command --flag`,
+	)
+
+	tr.section("step limit", nil)
+	tr.env.Interp().MaxSteps = 50
+	tr.run(
+		`while true; do :; done`,
+		`echo after-limit`,
+	)
+
+	tr.section("parse errors", nil)
+	tr.run(
+		`echo "unterminated`,
+		`echo 'unterminated`,
+		`if true; then echo x`,
+		`for x in a b; echo`,
+		`while true; do echo x`,
+		`echo $(echo unterminated`,
+		`(( 1 + 2`,
+		`| grep x`,
+		`echo a &&`,
+		`[[ a == b`,
+	)
+
+	tr.check("testdata/shell.golden")
+}
+
+const composeProject = `name: shop
+services:
+  web:
+    image: nginx:1.25
+    restart: always
+    ports:
+    - "8080:80"
+    - "127.0.0.1:8443:443/tcp"
+    depends_on:
+    - api
+    environment:
+      API_URL: http://api:5000
+  api:
+    image: python:3.12
+    command: ["python", "app.py"]
+    ports:
+    - "5000"
+    depends_on:
+    - cache
+    environment:
+    - MODE=prod
+    - DEBUG
+  cache:
+    image: redis:7
+    ports:
+    - "53:53/udp"
+`
+
+// composeFiles holds a project, a default compose.yaml without a name,
+// and one file per way Load refuses a project.
+var composeFiles = map[string]string{
+	"c.yaml":            composeProject,
+	"compose.yaml":      "services:\n  site:\n    image: httpd:2.4\n    ports:\n    - 80:80\n  db:\n    image: postgres:16\n    command: postgres -c fsync=off\n",
+	"bad-port.yaml":     "services:\n  web:\n    image: nginx\n    ports:\n    - \"eighty:80\"\n",
+	"bad-proto.yaml":    "services:\n  web:\n    image: nginx\n    ports:\n    - \"80:80/icmp\"\n",
+	"zero-port.yaml":    "services:\n  web:\n    image: nginx\n    ports:\n    - \"0:80\"\n",
+	"range.yaml":        "services:\n  web:\n    image: nginx\n    ports:\n    - \"3000-3005:80\"\n",
+	"no-image.yaml":     "services:\n  web:\n    restart: always\n",
+	"cycle.yaml":        "services:\n  a:\n    image: nginx\n    depends_on:\n    - b\n  b:\n    image: nginx\n    depends_on:\n    - a\n",
+	"ghost.yaml":        "services:\n  web:\n    image: nginx\n    depends_on:\n    - ghost\n",
+	"two-docs.yaml":     "services:\n  a:\n    image: nginx\n---\nservices:\n  b:\n    image: nginx\n",
+	"list.yaml":         "- services\n",
+	"empty-svc.yaml":    "services: {}\n",
+	"scalar-svc.yaml":   "services:\n  web: nginx\n",
+	"not-yaml.yaml":     "services: [unterminated\n",
+	"no-services.yaml":  "volumes:\n  data: {}\n",
+	"many-ports.yaml":   "services:\n  web:\n    image: nginx\n    ports:\n    - \"8080:80\"\n    - \"9090:9090\"\n    - \"7000\"\n",
+	"multi-doc-ok.yaml": "---\nservices:\n  web:\n    image: nginx\n",
+}
+
+// TestComposeTranscripts pins what the Compose family's tools print:
+// docker compose config, up, ps, logs and down, the port syntax Load
+// accepts and refuses, and curl against published ports and service
+// names.
+func TestComposeTranscripts(t *testing.T) {
+	tr := &transcript{t: t, newEnv: For(dataset.Compose).NewEnv}
+
+	tr.section("config", composeFiles)
+	tr.run(
+		`docker compose -f c.yaml config`,
+		`docker compose -f c.yaml config -q; echo $?`,
+		`docker compose -f c.yaml config --quiet`,
+		`docker compose --file c.yaml config -q`,
+		`docker compose config`,
+		`docker compose -f multi-doc-ok.yaml config`,
+		`docker compose -f many-ports.yaml config -q`,
+		`docker compose -f missing.yaml config`,
+	)
+	for _, f := range []string{"bad-port", "bad-proto", "zero-port", "range", "no-image", "cycle", "ghost", "two-docs", "list", "empty-svc", "scalar-svc", "not-yaml", "no-services"} {
+		tr.run("docker compose -f " + f + ".yaml config")
+	}
+
+	tr.section("up, ps, logs and down", composeFiles)
+	tr.run(
+		`docker compose ps`,
+		`docker compose -f c.yaml up -d`,
+		`docker compose ps`,
+		`docker ps`,
+		`docker compose ps | grep web | grep -q Up && echo web-up`,
+		`docker compose logs`,
+		`docker compose logs web`,
+		`docker compose logs -f cache`,
+		`docker compose logs api | grep -q 'exec: python app.py' && echo api-cmd`,
+		`docker compose logs ghost`,
+		`docker compose down`,
+		`docker compose ps`,
+		`docker compose logs`,
+		`docker compose -f c.yaml up`,
+		`docker compose -f missing.yaml up`,
+		`docker compose -f bad-port.yaml up -d`,
+	)
+
+	tr.section("curl", composeFiles)
+	tr.run(
+		`docker compose -f c.yaml up -d`,
+		`curl http://localhost:8080/`,
+		`curl -s http://localhost:8080/index.html`,
+		`curl -s -o /dev/null -w "%{http_code}" http://localhost:8080/`,
+		`curl -s -o page.html localhost:8080; cat page.html`,
+		`curl -s -m 5 -w ' %{http_code}' 127.0.0.1:8443/health`,
+		`curl -s http://0.0.0.0:8443`,
+		`curl -s http://api:5000/`,
+		`curl -s http://localhost:5000/`,
+		`curl http://localhost:5000/`,
+		`curl -s -o /dev/null -w "%{http_code}" http://localhost:9999/; echo " exit=$?"`,
+		`curl --fail -L -k localhost:8080`,
+		`curl http://cache/`,
+		`curl`,
+		`curl -s`,
+		`curl -o`,
+		`docker compose down`,
+		`curl -s localhost:8080; echo "exit=$?"`,
+	)
+
+	tr.section("default file, project name and other verbs", composeFiles)
+	tr.run(
+		`docker compose -p demo up -d`,
+		`docker compose ps`,
+		`curl -s http://localhost/`,
+		`curl -s http://site`,
+		`docker compose logs db`,
+		`docker compose version`,
+		`docker version`,
+		`docker info`,
+		`docker images`,
+		`docker pull nginx`,
+		`docker`,
+		`docker compose`,
+		`docker compose -f c.yaml`,
+		`docker compose frob`,
+		`docker frob`,
+		`docker run nginx`,
+	)
+
+	tr.check("testdata/compose.golden")
+}
+
+const helmChart = `apiVersion: apps/v1
+kind: Deployment
+metadata:
+  name: web
+spec:
+  replicas: 2
+  selector:
+    matchLabels:
+      app: web
+  template:
+    metadata:
+      labels:
+        app: web
+    spec:
+      containers:
+      - name: web
+        image: nginx:1.25
+        ports:
+        - containerPort: 80
+---
+apiVersion: v1
+kind: Service
+metadata:
+  name: web
+spec:
+  selector:
+    app: web
+  ports:
+  - port: 80
+    targetPort: 80
+`
+
+var helmFiles = map[string]string{
+	"chart.yaml":    helmChart,
+	"cm.yaml":       "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: settings\ndata:\n  mode: prod\n",
+	"no-api.yaml":   "kind: Deployment\nmetadata:\n  name: x\n",
+	"not-yaml.yaml": "not: [valid",
+	"empty.yaml":    "# nothing here\n",
+	"elsewhere.yaml": strings.Replace(helmChart, "metadata:\n  name: web\nspec:\n  replicas: 2",
+		"metadata:\n  name: web\n  namespace: missing\nspec:\n  replicas: 2", 1),
+}
+
+// TestHelmTranscripts pins what helm prints: template, install,
+// upgrade, ls (one namespace and all of them), status and uninstall,
+// with -n and --create-namespace, and what kubectl sees of a release.
+func TestHelmTranscripts(t *testing.T) {
+	tr := &transcript{t: t, newEnv: For(dataset.Helm).NewEnv}
+
+	tr.section("template", helmFiles)
+	tr.run(
+		`helm template web -f chart.yaml`,
+		`helm template web --values cm.yaml`,
+		`helm template web`,
+		`helm template -f chart.yaml`,
+		`helm template web -f missing.yaml`,
+		`helm template web -f no-api.yaml`,
+		`helm template web -f not-yaml.yaml`,
+		`helm template web -f empty.yaml`,
+		`kubectl get deployments`,
+	)
+
+	tr.section("install, upgrade, ls and status", helmFiles)
+	tr.run(
+		`helm ls`,
+		`helm install web -f chart.yaml`,
+		`kubectl get deployments`,
+		`kubectl get deployment web -o jsonpath='{.spec.replicas}'`,
+		`helm status web`,
+		`sleep 30`,
+		`helm upgrade web -f chart.yaml`,
+		`helm status web`,
+		`helm install cfg -f cm.yaml -n apps --create-namespace`,
+		`helm install cfg2 -f cm.yaml -n apps --create-namespace`,
+		`helm ls`,
+		`helm list`,
+		`helm ls -n apps`,
+		`helm ls -A`,
+		`helm ls --all-namespaces`,
+		`helm status cfg`,
+		`helm status cfg -n apps`,
+		`kubectl get configmaps -n apps`,
+		`helm install web2 -f chart.yaml -n missing`,
+		`helm ls -A`,
+		`helm upgrade web -f elsewhere.yaml`,
+		`helm status web`,
+		`helm install again -f cm.yaml --wait`,
+		`helm install bad -f no-api.yaml`,
+		`helm status`,
+		`helm install`,
+	)
+
+	tr.section("uninstall", helmFiles)
+	tr.run(
+		`helm install web -f chart.yaml`,
+		`helm install cfg -f cm.yaml -n apps --create-namespace`,
+		`helm uninstall web`,
+		`kubectl get deployments`,
+		`helm status web`,
+		`helm uninstall web`,
+		`helm uninstall`,
+		`helm delete cfg -n apps`,
+		`helm ls -A`,
+		`kubectl get configmaps -n apps`,
+	)
+
+	tr.section("other verbs", nil)
+	tr.run(
+		`helm version`,
+		`helm`,
+		`helm frob`,
+	)
+
+	tr.check("testdata/helm.golden")
+}
