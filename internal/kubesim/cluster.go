@@ -174,13 +174,15 @@ func (c *Cluster) CreateNamespace(name string) error {
 // HasNamespace reports whether the namespace exists.
 func (c *Cluster) HasNamespace(name string) bool { return c.namespaces[name] }
 
-// DeleteNamespace removes a namespace and everything inside it.
+// DeleteNamespace removes a namespace, the Namespace object applied for
+// it if there is one, and everything inside it.
 func (c *Cluster) DeleteNamespace(name string) error {
 	if !c.namespaces[name] {
 		return fmt.Errorf("namespaces %q not found", name)
 	}
 	c.touch()
 	delete(c.namespaces, name)
+	delete(c.bucket(Namespace), nsName("", name))
 	for _, bucket := range c.objects {
 		for key, obj := range bucket {
 			if obj.Namespace == name {

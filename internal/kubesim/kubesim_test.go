@@ -450,6 +450,26 @@ func TestUnknownKindRefused(t *testing.T) {
 	}
 }
 
+// TestManifestKindIsExact: a manifest's kind is its row's Kind, spelled
+// exactly. Every other spelling kubectl resolves on a command line is
+// refused as the API server refuses it, and applies nothing.
+func TestManifestKindIsExact(t *testing.T) {
+	for _, kind := range []string{"deploy", "deployment", "deployments", "DEPLOYMENT", "Deployments", `" deploy "`, `" Deployment"`} {
+		c := NewCluster()
+		_, err := c.ApplyYAML(strings.Replace(nginxDeployment, "kind: Deployment", "kind: "+kind, 1), "default")
+		want := `error: unable to recognize: no matches for kind "` + strings.Trim(kind, `"`) + `" in version "apps/v1"`
+		if err == nil || err.Error() != want {
+			t.Errorf("kind: %s: %v, want %s", kind, err, want)
+		}
+		if objs := c.ListObjects(Deployment, "*", nil); len(objs) != 0 {
+			t.Errorf("kind: %s: applied %d deployments", kind, len(objs))
+		}
+	}
+	if _, err := NewCluster().ApplyYAML(nginxDeployment, "default"); err != nil {
+		t.Errorf("kind: Deployment: %v", err)
+	}
+}
+
 func TestValidateEnvNumberValue(t *testing.T) {
 	c := NewCluster()
 	pod := `apiVersion: v1

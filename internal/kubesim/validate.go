@@ -11,9 +11,11 @@ import (
 // strict decoding would apply for the kinds the benchmark exercises. It
 // is intentionally unforgiving about the classic mistakes the dataset's
 // debugging problems revolve around (for example the pre-v1 Ingress
-// backend fields). A manifest whose kind no row of the table names, or
-// whose apiVersion its row does not accept, is refused as the API server
-// refuses it. It returns the row of the manifest's kind.
+// backend fields). A manifest whose kind is not some row's Kind, spelled
+// exactly, or whose apiVersion its row does not accept, is refused as
+// the API server refuses it: the plurals, short names and other casings
+// kubectl accepts on a command line name no kind in a manifest. It
+// returns the row of the manifest's kind.
 func ValidateManifest(doc *yamlx.Node) (*Resource, error) {
 	if doc == nil || doc.Kind != yamlx.MapKind {
 		return nil, fmt.Errorf("error: unable to decode: document is not a mapping")
@@ -33,7 +35,7 @@ func ValidateManifest(doc *yamlx.Node) (*Resource, error) {
 		return nil, fmt.Errorf("error: resource name may not be empty (%s)", k)
 	}
 	r, ok := Lookup(k)
-	if !ok || !slices.Contains(r.Versions, av) {
+	if !ok || r.Kind != k || !slices.Contains(r.Versions, av) {
 		return nil, noMatch(k, av)
 	}
 	var err error
