@@ -397,7 +397,9 @@ func NewEnv() *Env {
 	e := &Env{Project: NewProject(), Shell: shell.New()}
 	e.Shell.AdvanceClock = e.Project.AdvanceTime
 	e.Shell.Builtins["docker"] = e.docker
-	e.Shell.Builtins["curl"] = e.curl
+	e.Shell.Builtins["curl"] = shell.Curl(func(host string, port int, _ string) (int, string, bool) {
+		return e.Project.HTTPProbe(host, port)
+	})
 	return e
 }
 

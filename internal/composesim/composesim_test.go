@@ -182,7 +182,7 @@ func TestEnvConfigEchoesCanonicalYAML(t *testing.T) {
 func TestEnvResetIsPristine(t *testing.T) {
 	e := NewEnv()
 	e.Shell.FS["labeled_code.yaml"] = sampleCompose
-	if _, err := e.Shell.Run("docker compose -f labeled_code.yaml up -d\nexport LEAK=1"); err != nil {
+	if _, err := e.Shell.Run("docker compose -f labeled_code.yaml up -d\nLEAK=1"); err != nil {
 		t.Fatal(err)
 	}
 	e.Reset()

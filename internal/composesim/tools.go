@@ -2,7 +2,6 @@ package composesim
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 
 	"cloudeval/internal/shell"
@@ -76,7 +75,8 @@ func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 		if !ok {
 			return 1
 		}
-		if !hasFlag(rest, "-q", "--quiet") {
+		var buf shell.FlagBuf
+		if !shell.ParseFlags(rest, &buf).Has("-q", "--quiet") {
 			docs, err := yamlx.ParseAllCached(src)
 			if err == nil {
 				io.Out.Write(yamlx.MarshalAll(docs))
@@ -133,17 +133,6 @@ func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 	}
 }
 
-func hasFlag(args []string, names ...string) bool {
-	for _, a := range args {
-		for _, n := range names {
-			if a == n {
-				return true
-			}
-		}
-	}
-	return false
-}
-
 // ps renders the `docker compose ps` table for running containers.
 func (e *Env) ps(io *shell.IO) int {
 	fmt.Fprintf(io.Out, "%-24s %-24s %-16s %-12s %s\n", "NAME", "IMAGE", "SERVICE", "STATUS", "PORTS")
@@ -160,78 +149,4 @@ func (e *Env) ps(io *shell.IO) int {
 			c.Name, c.Service.Image, c.Service.Name, "Up", strings.Join(ports, ", "))
 	}
 	return 0
-}
-
-// curl answers HTTP probes against the project's published ports and
-// service network, supporting the same flag shapes k8scmd's curl does.
-func (e *Env) curl(in *shell.Interp, io *shell.IO, args []string) int {
-	var url, outFile, writeFmt string
-	silent := false
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case a == "-s" || a == "--silent":
-			silent = true
-		case a == "-o" && i+1 < len(args):
-			outFile = args[i+1]
-			i++
-		case a == "-w" && i+1 < len(args):
-			writeFmt = args[i+1]
-			i++
-		case (a == "-m" || a == "--max-time") && i+1 < len(args):
-			i++
-		case strings.HasPrefix(a, "-"):
-			// Accepted and ignored.
-		default:
-			url = a
-		}
-	}
-	if url == "" {
-		fmt.Fprintln(io.Err, "curl: no URL specified")
-		return 2
-	}
-	host, port := splitHostPort(url)
-	code, body, ok := e.Project.HTTPProbe(host, port)
-	if !ok {
-		if !silent {
-			fmt.Fprintf(io.Err, "curl: (7) Failed to connect to %s port %d: Connection refused\n", host, port)
-		}
-		if writeFmt != "" {
-			io.Out.WriteString(strings.ReplaceAll(writeFmt, "%{http_code}", "000"))
-		}
-		return 7
-	}
-	if outFile != "" {
-		if outFile != "/dev/null" {
-			in.FS[outFile] = body
-		}
-	} else {
-		io.Out.WriteString(body)
-		if body != "" && !strings.HasSuffix(body, "\n") {
-			io.Out.WriteString("\n")
-		}
-	}
-	if writeFmt != "" {
-		io.Out.WriteString(strings.ReplaceAll(writeFmt, "%{http_code}", fmt.Sprint(code)))
-	}
-	return 0
-}
-
-func splitHostPort(url string) (host string, port int) {
-	rest := url
-	if i := strings.Index(rest, "://"); i >= 0 {
-		rest = rest[i+3:]
-	}
-	if i := strings.IndexByte(rest, '/'); i >= 0 {
-		rest = rest[:i]
-	}
-	host = rest
-	port = 80
-	if i := strings.LastIndexByte(rest, ':'); i >= 0 {
-		host = rest[:i]
-		if p, err := strconv.Atoi(rest[i+1:]); err == nil {
-			port = p
-		}
-	}
-	return host, port
 }

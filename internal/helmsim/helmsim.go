@@ -64,26 +64,12 @@ func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 		return 1
 	}
 	verb := args[0]
-	var positional []string
-	ns := "default"
-	file := ""
-	createNS := false
-	for i := 1; i < len(args); i++ {
-		a := args[i]
-		switch {
-		case (a == "-n" || a == "--namespace") && i+1 < len(args):
-			ns = args[i+1]
-			i++
-		case (a == "-f" || a == "--values") && i+1 < len(args):
-			file = args[i+1]
-			i++
-		case a == "--create-namespace":
-			createNS = true
-		case strings.HasPrefix(a, "-"):
-			// Accepted and ignored (e.g. --wait).
-		default:
-			positional = append(positional, a)
-		}
+	var buf shell.FlagBuf
+	fs := shell.ParseFlags(args[1:], &buf)
+	positional := fs.Positional
+	ns := fs.Get("-n", "--namespace")
+	if ns == "" {
+		ns = "default"
 	}
 
 	switch verb {
@@ -96,7 +82,7 @@ func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 			return 1
 		}
 		name := positional[0]
-		docs, code := e.renderChart(in, io, file)
+		docs, code := e.renderChart(in, io, fs.Get("-f", "--values"))
 		if code != 0 {
 			return code
 		}
@@ -108,12 +94,12 @@ func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 			}
 			return 0
 		}
-		return e.install(io, verb, name, ns, createNS, docs)
+		return e.install(io, verb, name, ns, fs.Has("--create-namespace"), docs)
 	case "ls", "list":
 		fmt.Fprintf(io.Out, "%-16s %-12s %-9s %-10s %s\n", "NAME", "NAMESPACE", "REVISION", "STATUS", "CHART")
 		for _, key := range e.order {
 			r := e.releases[key]
-			if r.Namespace != ns && !hasAllNamespaces(args) {
+			if r.Namespace != ns && !fs.Has("-A", "--all-namespaces") {
 				continue
 			}
 			fmt.Fprintf(io.Out, "%-16s %-12s %-9d %-10s %s-0.1.0\n", r.Name, r.Namespace, r.Revision, "deployed", r.Name)
@@ -159,15 +145,6 @@ func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 		fmt.Fprintf(io.Err, "Error: unknown command %q for \"helm\"\n", verb)
 		return 1
 	}
-}
-
-func hasAllNamespaces(args []string) bool {
-	for _, a := range args {
-		if a == "-A" || a == "--all-namespaces" {
-			return true
-		}
-	}
-	return false
 }
 
 // renderChart reads and validates the chart bundle: every document must

@@ -8,7 +8,7 @@ import (
 
 // TestPooledEnvNoLeak is the regression test for environment
 // recycling: nothing one execution does — files written, variables
-// exported, namespaces created, workloads applied, envoy started,
+// set, namespaces created, workloads applied, envoy started,
 // virtual time consumed — may survive Env.Reset, the wipe the
 // per-family scenario pools run on every put (the k8s-tools
 // instantiation of the contract; internal/scenario/pool_test.go
@@ -18,12 +18,12 @@ func TestPooledEnvNoLeak(t *testing.T) {
 	first := pool.Get().(*Env)
 	script := `
 kubectl create namespace leaky
-kubectl create deployment web --image=nginx -n leaky
+kubectl apply -f seed.yaml -n leaky
 echo secret > /tmp/leak.txt
-export LEAKVAR=oops
+LEAKVAR=oops
 sleep 5
 `
-	first.Shell.FS["seed.yaml"] = "kind: ConfigMap"
+	first.Shell.FS["seed.yaml"] = "apiVersion: apps/v1\nkind: Deployment\nmetadata:\n  name: web\nspec:\n  selector:\n    matchLabels: {app: web}\n  template:\n    metadata:\n      labels: {app: web}\n    spec:\n      containers:\n      - name: web\n        image: nginx\n"
 	if _, err := first.Shell.Run(script); err != nil {
 		t.Fatalf("first run: %v", err)
 	}

@@ -1,6 +1,6 @@
 // Package k8scmd binds the cloud-native command-line tools the
-// benchmark's unit tests invoke — kubectl, curl, minikube, istioctl and
-// envoy — to the kubesim and envoysim backends, as shell builtins.
+// benchmark's unit tests invoke — kubectl, curl, minikube and envoy — to
+// the kubesim and envoysim backends, as shell builtins.
 package k8scmd
 
 import (
@@ -32,11 +32,9 @@ func NewEnv() *Env {
 	}
 	e.Shell.AdvanceClock = e.Cluster.AdvanceTime
 	e.Shell.Builtins["kubectl"] = e.kubectl
-	e.Shell.Builtins["curl"] = e.curl
+	e.Shell.Builtins["curl"] = shell.Curl(e.probe)
 	e.Shell.Builtins["minikube"] = e.minikube
-	e.Shell.Builtins["istioctl"] = e.istioctl
 	e.Shell.Builtins["envoy"] = e.envoy
-	e.Shell.Builtins["docker"] = e.docker
 	return e
 }
 
@@ -47,7 +45,7 @@ func NewEnv() *Env {
 // pools (scenario.Backend.GetEnv/PutEnv, which generalized this
 // package's former env pool) wipe environments with Reset on put.
 // Rebuilding an Env per execution would re-allocate the cluster maps,
-// the interpreter maps and six builtin bindings; a pooled reset
+// the interpreter maps and four builtin bindings; a pooled reset
 // additionally retains map bucket capacity, which is why it beat
 // clone-from-prototype on the cold path (BenchmarkEnvFresh vs
 // BenchmarkEnvPooled; see DESIGN.md §2.6).
@@ -63,99 +61,8 @@ func (e *Env) Interp() *shell.Interp { return e.Shell }
 // Now returns the environment's virtual time, satisfying scenario.Env.
 func (e *Env) Now() time.Time { return e.Cluster.Now() }
 
-// flagSet is a tiny kubectl-style flag scanner: it separates positional
-// args from --flag=value / --flag value / -x value forms. A command
-// line has a handful of flags, so they are a short list searched by
-// name, in the order first given.
-type flagSet struct {
-	positional []string
-	flags      []flagValue
-}
-
-type flagValue struct{ name, value string }
-
-// flagBuf is where a flagSet's two lists start out. It is the caller's
-// variable, on the caller's stack, so parsing a typical command line
-// allocates nothing.
-type flagBuf struct {
-	positional [4]string
-	flags      [4]flagValue
-}
-
-var valueFlags = map[string]bool{
-	"-n": true, "--namespace": true,
-	"-l": true, "--selector": true,
-	"-o": true, "--output": true,
-	"--for": true, "--timeout": true,
-	"--from-literal": true, "--image": true,
-	"--port": true, "--replicas": true,
-	"-f": true, "--filename": true,
-	"-c": true, "-w": true, "--max-time": true, "-m": true,
-	"--verb": true, "--resource": true,
-	"-s": true,
-}
-
-// parseFlags scans args, which it only reads: they may be an argv
-// shared with every other run of the script. Given again, a flag takes
-// its last value.
-func parseFlags(args []string, buf *flagBuf) flagSet {
-	fs := flagSet{positional: buf.positional[:0], flags: buf.flags[:0]}
-	for i := 0; i < len(args); i++ {
-		a := args[i]
-		if !strings.HasPrefix(a, "-") || a == "-" {
-			fs.positional = append(fs.positional, a)
-			continue
-		}
-		name, val := a, "true"
-		if eq := strings.Index(a, "="); eq >= 0 {
-			name, val = a[:eq], a[eq+1:]
-		} else if valueFlags[a] && i+1 < len(args) {
-			val = args[i+1]
-			i++
-		}
-		at := 0
-		for at < len(fs.flags) && fs.flags[at].name != name {
-			at++
-		}
-		if at == len(fs.flags) {
-			fs.flags = append(fs.flags, flagValue{name, val})
-			continue
-		}
-		if name == "--from-literal" && fs.flags[at].value != "" {
-			// Repeatable: the values are kept as one NUL-separated list.
-			val = fs.flags[at].value + "\x00" + val
-		}
-		fs.flags[at].value = val
-	}
-	return fs
-}
-
-func (fs flagSet) lookup(name string) (string, bool) {
-	for i := range fs.flags {
-		if fs.flags[i].name == name {
-			return fs.flags[i].value, true
-		}
-	}
-	return "", false
-}
-
-// get returns the value of the first of names that was given.
-func (fs flagSet) get(names ...string) string {
-	for _, n := range names {
-		if v, ok := fs.lookup(n); ok {
-			return v
-		}
-	}
-	return ""
-}
-
-func (fs flagSet) has(name string) bool {
-	_, ok := fs.lookup(name)
-	return ok
-}
-
-func (e *Env) namespaceOf(fs flagSet) string {
-	if ns := fs.get("-n", "--namespace"); ns != "" {
+func (e *Env) namespaceOf(fs shell.FlagSet) string {
+	if ns := fs.Get("-n", "--namespace"); ns != "" {
 		return ns
 	}
 	return "default"
@@ -163,8 +70,8 @@ func (e *Env) namespaceOf(fs flagSet) string {
 
 // readManifest resolves "-f FILE" or "-f -" against the virtual FS or
 // stdin.
-func (e *Env) readManifest(fs flagSet, io *shell.IO) (string, error) {
-	file := fs.get("-f", "--filename")
+func (e *Env) readManifest(fs shell.FlagSet, io *shell.IO) (string, error) {
+	file := fs.Get("-f", "--filename")
 	if file == "" {
 		return "", fmt.Errorf("error: must specify one of -f and -k")
 	}

@@ -247,7 +247,6 @@ roleRef:
 
 const fig1Test = `kubectl create ns development
 kubectl apply -f labeled_code.yaml
-kubectl create secret generic top-secret --from-literal=password=s3cr3t -n development
 kubectl create clusterrole secret-reader --verb=get,list --resource=secrets
 namespace=$(kubectl get rolebinding read-secrets -n development -o jsonpath='{.metadata.namespace}')
 subject_name=$(kubectl get rolebinding read-secrets -n development -o jsonpath='{.subjects[0].name}')

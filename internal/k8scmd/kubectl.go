@@ -21,8 +21,8 @@ func (e *Env) kubectl(in *shell.Interp, io *shell.IO, args []string) int {
 		return 1
 	}
 	sub := args[0]
-	var buf flagBuf
-	fs := parseFlags(args[1:], &buf)
+	var buf shell.FlagBuf
+	fs := shell.ParseFlags(args[1:], &buf)
 	switch sub {
 	case "apply":
 		return e.kubectlApply(fs, io)
@@ -54,7 +54,7 @@ func (e *Env) kubectl(in *shell.Interp, io *shell.IO, args []string) int {
 	}
 }
 
-func (e *Env) kubectlApply(fs flagSet, io *shell.IO) int {
+func (e *Env) kubectlApply(fs shell.FlagSet, io *shell.IO) int {
 	src, err := e.readManifest(fs, io)
 	if err != nil {
 		fmt.Fprintln(io.Err, err)
@@ -67,7 +67,7 @@ func (e *Env) kubectlApply(fs flagSet, io *shell.IO) int {
 	}
 	if err != nil {
 		io.Err.WriteString("Error from server (BadRequest): error when creating ")
-		writeQuoted(io.Err, fs.get("-f", "--filename"))
+		writeQuoted(io.Err, fs.Get("-f", "--filename"))
 		io.Err.WriteString(": " + err.Error() + "\n")
 		return 1
 	}
@@ -80,8 +80,8 @@ func writeQuoted(w *strings.Builder, s string) {
 	w.Write(strconv.AppendQuote(buf[:0], s))
 }
 
-func (e *Env) kubectlDelete(fs flagSet, io *shell.IO) int {
-	if fs.get("-f", "--filename") != "" {
+func (e *Env) kubectlDelete(fs shell.FlagSet, io *shell.IO) int {
+	if fs.Get("-f", "--filename") != "" {
 		src, err := e.readManifest(fs, io)
 		if err != nil {
 			fmt.Fprintln(io.Err, err)
@@ -97,17 +97,17 @@ func (e *Env) kubectlDelete(fs flagSet, io *shell.IO) int {
 		}
 		return 0
 	}
-	if len(fs.positional) < 2 {
+	if len(fs.Positional) < 2 {
 		fmt.Fprintln(io.Err, "error: resource(s) were provided, but no name was specified")
 		return 1
 	}
-	kind := fs.positional[0]
+	kind := fs.Positional[0]
 	res, ok := resourceOf(io, kind)
 	if !ok {
 		return 1
 	}
 	code := 0
-	for _, name := range fs.positional[1:] {
+	for _, name := range fs.Positional[1:] {
 		switch err := e.Cluster.Delete(res, e.namespaceOf(fs), name); {
 		case errors.Is(err, kubesim.ErrNotFound):
 			writeNotFound(io, kind, name)
@@ -122,186 +122,76 @@ func (e *Env) kubectlDelete(fs flagSet, io *shell.IO) int {
 	return code
 }
 
-func (e *Env) kubectlCreate(fs flagSet, io *shell.IO) int {
-	if fs.get("-f", "--filename") != "" {
+// kubectlCreate creates what a manifest holds (-f), a namespace, or a
+// role or cluster role granting --verb on --resource.
+func (e *Env) kubectlCreate(fs shell.FlagSet, io *shell.IO) int {
+	if fs.Get("-f", "--filename") != "" {
 		return e.kubectlApply(fs, io)
 	}
-	if len(fs.positional) == 0 {
+	if len(fs.Positional) == 0 {
 		fmt.Fprintln(io.Err, "error: you must specify resources to create")
 		return 1
 	}
-	kind := strings.ToLower(fs.positional[0])
-	switch kind {
+	var role *kubesim.Resource
+	switch kind := strings.ToLower(fs.Positional[0]); kind {
 	case "ns", "namespace":
-		if len(fs.positional) < 2 {
-			fmt.Fprintln(io.Err, "error: exactly one NAME is required")
-			return 1
-		}
-		name := fs.positional[1]
+	case "clusterrole":
+		role = kubesim.ClusterRole
+	case "role":
+		role = kubesim.Role
+	default:
+		fmt.Fprintf(io.Err, "error: unknown resource type %q for kubectl create\n", kind)
+		return 1
+	}
+	if len(fs.Positional) < 2 {
+		fmt.Fprintln(io.Err, "error: exactly one NAME is required")
+		return 1
+	}
+	name := fs.Positional[1]
+	if role == nil {
 		if err := e.Cluster.CreateNamespace(name); err != nil {
 			fmt.Fprintf(io.Err, "Error from server (AlreadyExists): %v\n", err)
 			return 1
 		}
 		fmt.Fprintf(io.Out, "namespace/%s created\n", name)
 		return 0
-	case "secret":
-		return e.createKVResource(kubesim.Secret, fs, io)
-	case "configmap", "cm":
-		return e.createKVResource(kubesim.ConfigMap, fs, io)
-	case "serviceaccount", "sa":
-		return e.createSimple(kubesim.ServiceAccount, fs, io)
-	case "clusterrole":
-		return e.createRBACRole(kubesim.ClusterRole, fs, io)
-	case "role":
-		return e.createRBACRole(kubesim.Role, fs, io)
-	case "deployment", "deploy":
-		return e.createDeployment(fs, io)
-	default:
-		fmt.Fprintf(io.Err, "error: unknown resource type %q for kubectl create\n", kind)
-		return 1
 	}
-}
-
-func (e *Env) createKVResource(r *kubesim.Resource, fs flagSet, io *shell.IO) int {
-	pos := fs.positional[1:]
-	// "kubectl create secret generic NAME" has a subtype positional.
-	if r == kubesim.Secret {
-		if len(pos) == 0 || pos[0] != "generic" && pos[0] != "tls" && pos[0] != "docker-registry" {
-			fmt.Fprintln(io.Err, "error: you must specify a secret type (generic)")
-			return 1
-		}
-		pos = pos[1:]
-	}
-	if len(pos) == 0 {
-		fmt.Fprintln(io.Err, "error: exactly one NAME is required")
-		return 1
-	}
-	name := pos[0]
-	doc := newManifest(r, name)
-	data := yamlx.Map()
-	for _, kv := range strings.Split(fs.get("--from-literal"), "\x00") {
-		if kv == "" {
-			continue
-		}
-		parts := strings.SplitN(kv, "=", 2)
-		if len(parts) == 2 {
-			v := yamlx.String(parts[1])
-			v.Quoted = true
-			data.Set(parts[0], v)
-		}
-	}
-	if r == kubesim.Secret {
-		doc.Set("stringData", data)
-		doc.Set("type", yamlx.String("Opaque"))
-	} else {
-		doc.Set("data", data)
-	}
-	return e.createFrom(doc, r.Singular+"/"+name, fs, io)
-}
-
-// newManifest is the head of a manifest kubectl create builds: the row's
-// preferred apiVersion, its Kind and the name.
-func newManifest(r *kubesim.Resource, name string) *yamlx.Node {
-	doc := yamlx.Map()
-	doc.Set("apiVersion", yamlx.String(r.Versions[0]))
-	doc.Set("kind", yamlx.String(r.Kind))
 	meta := yamlx.Map()
 	meta.Set("name", yamlx.String(name))
+	rule := yamlx.Map()
+	rule.Set("apiGroups", yamlx.Seq(yamlx.String("")))
+	rule.Set("verbs", listOf(fs.Get("--verb")))
+	rule.Set("resources", listOf(fs.Get("--resource")))
+	doc := yamlx.Map()
+	doc.Set("apiVersion", yamlx.String(role.Versions[0]))
+	doc.Set("kind", yamlx.String(role.Kind))
 	doc.Set("metadata", meta)
-	return doc
-}
-
-// createFrom applies what kubectl create built and reports it as created.
-func (e *Env) createFrom(doc *yamlx.Node, created string, fs flagSet, io *shell.IO) int {
+	doc.Set("rules", yamlx.Seq(rule))
 	if _, err := e.Cluster.Apply(doc, e.namespaceOf(fs)); err != nil {
 		fmt.Fprintf(io.Err, "%v\n", err)
 		return 1
 	}
-	io.Out.WriteString(created + " created\n")
+	io.Out.WriteString(role.Singular + ".rbac.authorization.k8s.io/" + name + " created\n")
 	return 0
 }
 
-func (e *Env) createSimple(r *kubesim.Resource, fs flagSet, io *shell.IO) int {
-	if len(fs.positional) < 2 {
-		fmt.Fprintln(io.Err, "error: exactly one NAME is required")
-		return 1
-	}
-	name := fs.positional[1]
-	return e.createFrom(newManifest(r, name), r.Singular+"/"+name, fs, io)
-}
-
-func (e *Env) createRBACRole(r *kubesim.Resource, fs flagSet, io *shell.IO) int {
-	if len(fs.positional) < 2 {
-		fmt.Fprintln(io.Err, "error: exactly one NAME is required")
-		return 1
-	}
-	name := fs.positional[1]
-	doc := newManifest(r, name)
-	rule := yamlx.Map()
-	apiGroups := yamlx.Seq(yamlx.String(""))
-	rule.Set("apiGroups", apiGroups)
-	verbs := yamlx.Seq()
-	for _, v := range strings.Split(fs.get("--verb"), ",") {
+// listOf is a comma-separated flag value as a sequence, empty items
+// dropped.
+func listOf(csv string) *yamlx.Node {
+	seq := yamlx.Seq()
+	for _, v := range strings.Split(csv, ",") {
 		if v != "" {
-			verbs.Append(yamlx.String(v))
+			seq.Append(yamlx.String(v))
 		}
 	}
-	rule.Set("verbs", verbs)
-	resources := yamlx.Seq()
-	for _, r := range strings.Split(fs.get("--resource"), ",") {
-		if r != "" {
-			resources.Append(yamlx.String(r))
-		}
-	}
-	rule.Set("resources", resources)
-	doc.Set("rules", yamlx.Seq(rule))
-	return e.createFrom(doc, r.Singular+".rbac.authorization.k8s.io/"+name, fs, io)
-}
-
-func (e *Env) createDeployment(fs flagSet, io *shell.IO) int {
-	if len(fs.positional) < 2 {
-		fmt.Fprintln(io.Err, "error: exactly one NAME is required")
-		return 1
-	}
-	name := fs.positional[1]
-	image := fs.get("--image")
-	if image == "" {
-		fmt.Fprintln(io.Err, "error: --image is required")
-		return 1
-	}
-	src := fmt.Sprintf(`apiVersion: apps/v1
-kind: Deployment
-metadata:
-  name: %s
-  labels:
-    app: %s
-spec:
-  replicas: 1
-  selector:
-    matchLabels:
-      app: %s
-  template:
-    metadata:
-      labels:
-        app: %s
-    spec:
-      containers:
-      - name: %s
-        image: %s
-`, name, name, name, name, name, image)
-	if _, err := e.Cluster.ApplyYAML(src, e.namespaceOf(fs)); err != nil {
-		fmt.Fprintf(io.Err, "%v\n", err)
-		return 1
-	}
-	fmt.Fprintf(io.Out, "deployment.apps/%s created\n", name)
-	return 0
+	return seq
 }
 
 // selectorOf parses the command's -l/--selector. What kubectl cannot
 // parse is its error and the command's failure, never a selector that
 // matches everything.
-func selectorOf(fs flagSet, io *shell.IO) (kubesim.Selector, bool) {
-	sel, err := kubesim.ParseSelector(fs.get("-l", "--selector"))
+func selectorOf(fs shell.FlagSet, io *shell.IO) (kubesim.Selector, bool) {
+	sel, err := kubesim.ParseSelector(fs.Get("-l", "--selector"))
 	if err != nil {
 		io.Err.WriteString("error: " + err.Error() + "\n")
 		return nil, false
@@ -331,13 +221,13 @@ func writeNoResources(io *shell.IO, ns string) {
 	io.Err.WriteString("No resources found in " + ns + " namespace.\n")
 }
 
-func (e *Env) kubectlGet(fs flagSet, io *shell.IO) int {
-	if len(fs.positional) == 0 {
+func (e *Env) kubectlGet(fs shell.FlagSet, io *shell.IO) int {
+	if len(fs.Positional) == 0 {
 		fmt.Fprintln(io.Err, "error: you must specify the type of resource to get")
 		return 1
 	}
-	kind := fs.positional[0]
-	names := fs.positional[1:]
+	kind := fs.Positional[0]
+	names := fs.Positional[1:]
 	// "kubectl get deploy/name" form.
 	if strings.Contains(kind, "/") {
 		parts := strings.SplitN(kind, "/", 2)
@@ -354,14 +244,14 @@ func (e *Env) kubectlGet(fs flagSet, io *shell.IO) int {
 		}
 	}
 	ns := e.namespaceOf(fs)
-	if fs.has("-A") || fs.has("--all-namespaces") {
+	if fs.Has("-A", "--all-namespaces") {
 		ns = "*"
 	}
 	sel, ok := selectorOf(fs, io)
 	if !ok {
 		return 1
 	}
-	format := fs.get("-o", "--output")
+	format := fs.Get("-o", "--output")
 	var items []*yamlx.Node
 	switch {
 	case res == nil && len(names) > 0:
@@ -387,18 +277,18 @@ func (e *Env) kubectlGet(fs flagSet, io *shell.IO) int {
 	return evalOutput(io, format, res, names, items)
 }
 
-func (e *Env) kubectlDescribe(fs flagSet, io *shell.IO) int {
-	if len(fs.positional) < 1 {
+func (e *Env) kubectlDescribe(fs shell.FlagSet, io *shell.IO) int {
+	if len(fs.Positional) < 1 {
 		fmt.Fprintln(io.Err, "error: you must specify the type of resource to describe")
 		return 1
 	}
-	kind := fs.positional[0]
+	kind := fs.Positional[0]
 	var names []string
 	if strings.Contains(kind, "/") {
 		parts := strings.SplitN(kind, "/", 2)
 		kind, names = parts[0], []string{parts[1]}
 	} else {
-		names = fs.positional[1:]
+		names = fs.Positional[1:]
 	}
 	res, ok := resourceOf(io, kind)
 	if !ok {
@@ -431,8 +321,8 @@ func (e *Env) kubectlDescribe(fs flagSet, io *shell.IO) int {
 	return code
 }
 
-func (e *Env) kubectlWait(fs flagSet, io *shell.IO) int {
-	forSpec := fs.get("--for")
+func (e *Env) kubectlWait(fs shell.FlagSet, io *shell.IO) int {
+	forSpec := fs.Get("--for")
 	cond, ok := strings.CutPrefix(forSpec, "condition=")
 	if !ok {
 		fmt.Fprintf(io.Err, "error: unrecognized --for spec %q\n", forSpec)
@@ -440,11 +330,11 @@ func (e *Env) kubectlWait(fs flagSet, io *shell.IO) int {
 	}
 	// condition may carry "=True".
 	cond = strings.TrimSuffix(cond, "=True")
-	if len(fs.positional) == 0 {
+	if len(fs.Positional) == 0 {
 		fmt.Fprintln(io.Err, "error: you must specify the type of resource to wait on")
 		return 1
 	}
-	kind, names := fs.positional[0], fs.positional[1:]
+	kind, names := fs.Positional[0], fs.Positional[1:]
 	if k, name, ok := strings.Cut(kind, "/"); ok {
 		kind, names = k, append([]string{name}, names...)
 	}
@@ -461,9 +351,9 @@ func (e *Env) kubectlWait(fs flagSet, io *shell.IO) int {
 		Namespace: e.namespaceOf(fs),
 		Names:     names,
 		Selector:  sel,
-		All:       fs.has("--all"),
+		All:       fs.Has("--all"),
 		Condition: cond,
-		Timeout:   parseTimeout(fs.get("--timeout")),
+		Timeout:   parseTimeout(fs.Get("--timeout")),
 	}
 	if err := e.Cluster.WaitFor(opts); err != nil {
 		io.Err.WriteString(err.Error())
@@ -480,12 +370,12 @@ func (e *Env) kubectlWait(fs flagSet, io *shell.IO) int {
 	return 0
 }
 
-func (e *Env) kubectlLogs(fs flagSet, io *shell.IO) int {
-	if len(fs.positional) == 0 {
+func (e *Env) kubectlLogs(fs shell.FlagSet, io *shell.IO) int {
+	if len(fs.Positional) == 0 {
 		fmt.Fprintln(io.Err, "error: expected a pod name")
 		return 1
 	}
-	name := fs.positional[0]
+	name := fs.Positional[0]
 	n, ok := e.Cluster.GetByName(kubesim.Pod, e.namespaceOf(fs), name)
 	if !ok {
 		fmt.Fprintf(io.Err, "Error from server (NotFound): pods %q not found\n", name)
@@ -496,12 +386,12 @@ func (e *Env) kubectlLogs(fs flagSet, io *shell.IO) int {
 	return 0
 }
 
-func (e *Env) kubectlRollout(fs flagSet, io *shell.IO) int {
-	if len(fs.positional) < 2 || fs.positional[0] != "status" {
+func (e *Env) kubectlRollout(fs shell.FlagSet, io *shell.IO) int {
+	if len(fs.Positional) < 2 || fs.Positional[0] != "status" {
 		fmt.Fprintln(io.Err, "error: only 'rollout status' is supported")
 		return 1
 	}
-	target := fs.positional[1]
+	target := fs.Positional[1]
 	kind, name := kubesim.Deployment.Singular, target
 	if strings.Contains(target, "/") {
 		parts := strings.SplitN(target, "/", 2)
@@ -516,7 +406,7 @@ func (e *Env) kubectlRollout(fs flagSet, io *shell.IO) int {
 		Namespace: e.namespaceOf(fs),
 		Names:     []string{name},
 		Condition: "Available",
-		Timeout:   parseTimeout(fs.get("--timeout")),
+		Timeout:   parseTimeout(fs.Get("--timeout")),
 	}
 	if err := e.Cluster.WaitFor(opts); err != nil {
 		fmt.Fprintln(io.Err, err)
@@ -528,8 +418,8 @@ func (e *Env) kubectlRollout(fs flagSet, io *shell.IO) int {
 
 // kubectlAPIResources prints the resource table: every kind the
 // simulator serves, with the names kubectl knows it by.
-func kubectlAPIResources(fs flagSet, io *shell.IO) int {
-	switch format := fs.get("-o", "--output"); format {
+func kubectlAPIResources(fs shell.FlagSet, io *shell.IO) int {
+	switch format := fs.Get("-o", "--output"); format {
 	case "name":
 		for _, r := range kubesim.Resources {
 			io.Out.WriteString(r.Plural + "\n")

@@ -21,40 +21,6 @@ func runIn(t *testing.T, env *Env, script string) (string, string, int) {
 	return res.Stdout, res.Stderr, res.ExitCode
 }
 
-func TestKubectlCreateDeploymentImperative(t *testing.T) {
-	env := freshEnv(t)
-	out, _, code := runIn(t, env, `kubectl create deployment web --image=nginx:latest
-kubectl rollout status deployment/web --timeout=60s
-kubectl get pods -l app=web -o name`)
-	if code != 0 {
-		t.Fatalf("exit %d\n%s", code, out)
-	}
-	if !strings.Contains(out, "deployment.apps/web created") {
-		t.Errorf("create output: %s", out)
-	}
-	if !strings.Contains(out, "pod/web-") {
-		t.Errorf("expected created pods, got: %s", out)
-	}
-}
-
-func TestKubectlCreateConfigMapAndServiceAccount(t *testing.T) {
-	env := freshEnv(t)
-	out, _, code := runIn(t, env, `kubectl create configmap app-cfg --from-literal=mode=prod --from-literal=level=3
-kubectl get configmap app-cfg -o=jsonpath='{.data.mode}/{.data.level}'
-echo
-kubectl create serviceaccount ci-bot
-kubectl get serviceaccount ci-bot -o name`)
-	if code != 0 {
-		t.Fatalf("exit %d\n%s", code, out)
-	}
-	if !strings.Contains(out, "prod/3") {
-		t.Errorf("configmap literals missing: %s", out)
-	}
-	if !strings.Contains(out, "serviceaccount/ci-bot") {
-		t.Errorf("serviceaccount: %s", out)
-	}
-}
-
 func TestKubectlDeleteByNameAndNamespace(t *testing.T) {
 	env := freshEnv(t)
 	out, _, _ := runIn(t, env, `kubectl create ns scratch
@@ -259,13 +225,5 @@ minikube start
 minikube status`)
 	if !strings.Contains(out, "192.168.49.2") || !strings.Contains(out, "Done!") {
 		t.Errorf("minikube output:\n%s", out)
-	}
-}
-
-func TestIstioctlAnalyze(t *testing.T) {
-	env := freshEnv(t)
-	out, _, code := runIn(t, env, `istioctl analyze && istioctl version`)
-	if code != 0 || !strings.Contains(out, "No validation issues") {
-		t.Errorf("istioctl: code=%d\n%s", code, out)
 	}
 }

@@ -215,7 +215,6 @@ func (r ApplyResult) String() string {
 type yamlError struct{ err error }
 
 func (e yamlError) Error() string { return "error parsing YAML: " + e.err.Error() }
-func (e yamlError) Unwrap() error { return e.err }
 
 // ApplyYAML parses a (possibly multi-document) manifest and applies
 // every document, mimicking "kubectl apply -f". The defaultNS applies

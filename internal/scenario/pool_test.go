@@ -19,25 +19,26 @@ var poolFixtures = map[dataset.Category]struct {
 	probe string
 }{
 	dataset.Kubernetes: {
-		dirty: "kubectl create namespace leaky\nkubectl create deployment web --image=nginx -n leaky\necho secret > leak.txt\nexport LEAKVAR=oops\nsleep 5\n",
+		seed:  map[string]string{"web.yaml": "apiVersion: apps/v1\nkind: Deployment\nmetadata:\n  name: web\nspec:\n  selector:\n    matchLabels: {app: web}\n  template:\n    metadata:\n      labels: {app: web}\n    spec:\n      containers:\n      - name: web\n        image: nginx\n"},
+		dirty: "kubectl create namespace leaky\nkubectl apply -f web.yaml -n leaky\necho secret > leak.txt\nLEAKVAR=oops\nsleep 5\n",
 		probe: "kubectl get ns default -o name && cat leak.txt; echo [$LEAKVAR]",
 	},
 	dataset.Envoy: {
-		dirty: "kubectl create namespace leaky\necho secret > leak.txt\nexport LEAKVAR=oops\nsleep 5\n",
+		dirty: "kubectl create namespace leaky\necho secret > leak.txt\nLEAKVAR=oops\nsleep 5\n",
 		probe: "kubectl get ns default -o name && cat leak.txt; echo [$LEAKVAR]",
 	},
 	dataset.Istio: {
-		dirty: "kubectl create namespace leaky\necho secret > leak.txt\nexport LEAKVAR=oops\nsleep 5\n",
+		dirty: "kubectl create namespace leaky\necho secret > leak.txt\nLEAKVAR=oops\nsleep 5\n",
 		probe: "kubectl get ns default -o name && cat leak.txt; echo [$LEAKVAR]",
 	},
 	dataset.Compose: {
 		seed:  map[string]string{"app.yaml": "services:\n  leakweb:\n    image: nginx:latest\n    ports:\n    - \"8080:80\"\n"},
-		dirty: "docker compose -f app.yaml up -d\necho secret > leak.txt\nexport LEAKVAR=oops\nsleep 5\n",
+		dirty: "docker compose -f app.yaml up -d\necho secret > leak.txt\nLEAKVAR=oops\nsleep 5\n",
 		probe: "docker compose ps; curl -s -o /dev/null -w \"%{http_code}\" http://localhost:8080/; cat leak.txt; echo [$LEAKVAR]",
 	},
 	dataset.Helm: {
 		seed:  map[string]string{"chart.yaml": "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: leaky\ndata:\n  k: v\n"},
-		dirty: "helm install leaky -f chart.yaml\necho secret > leak.txt\nexport LEAKVAR=oops\nsleep 5\n",
+		dirty: "helm install leaky -f chart.yaml\necho secret > leak.txt\nLEAKVAR=oops\nsleep 5\n",
 		probe: "helm ls; kubectl get configmap leaky; cat leak.txt; echo [$LEAKVAR]",
 	},
 }

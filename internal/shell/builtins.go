@@ -3,7 +3,6 @@ package shell
 import (
 	"fmt"
 	"regexp"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -26,9 +25,8 @@ var coreBuiltins map[string]Builtin
 func init() { coreBuiltins = buildCoreBuiltins() }
 
 func buildCoreBuiltins() map[string]Builtin {
-	b := make(map[string]Builtin, 32)
+	b := make(map[string]Builtin, 16)
 	b["echo"] = builtinEcho
-	b["printf"] = builtinPrintf
 	b["cat"] = builtinCat
 	b["grep"] = builtinGrep
 	b["sleep"] = builtinSleep
@@ -36,15 +34,9 @@ func buildCoreBuiltins() map[string]Builtin {
 	b["false"] = func(*Interp, *IO, []string) int { return 1 }
 	b[":"] = func(*Interp, *IO, []string) int { return 0 }
 	b["exit"] = builtinExit
-	b["test"] = builtinTest
 	b["wc"] = builtinWC
-	b["sort"] = builtinSort
 	b["head"] = builtinHead
-	b["tail"] = builtinTail
-	b["tr"] = builtinTr
-	b["cut"] = builtinCut
 	b["timeout"] = builtinTimeout
-	b["export"] = builtinExport
 	b["set"] = func(*Interp, *IO, []string) int { return 0 }
 	b["unset"] = func(in *Interp, _ *IO, args []string) int {
 		for _, a := range args {
@@ -60,8 +52,6 @@ func buildCoreBuiltins() map[string]Builtin {
 		}
 		return 0
 	}
-	b["tee"] = builtinTee
-	b["seq"] = builtinSeq
 	b["basename"] = func(_ *Interp, io *IO, args []string) int {
 		if len(args) > 0 {
 			parts := strings.Split(args[0], "/")
@@ -94,19 +84,6 @@ func builtinEcho(_ *Interp, io *IO, args []string) int {
 	if newline {
 		io.Out.WriteString("\n")
 	}
-	return 0
-}
-
-func builtinPrintf(_ *Interp, io *IO, args []string) int {
-	if len(args) == 0 {
-		return 1
-	}
-	format := strings.NewReplacer(`\n`, "\n", `\t`, "\t").Replace(args[0])
-	rest := make([]any, len(args)-1)
-	for i, a := range args[1:] {
-		rest[i] = a
-	}
-	fmt.Fprintf(io.Out, format, rest...)
 	return 0
 }
 
@@ -303,18 +280,6 @@ func builtinExit(in *Interp, io *IO, args []string) int {
 	return code
 }
 
-func builtinTest(in *Interp, io *IO, args []string) int {
-	ok, err := in.evalCondExpanded(args)
-	if err != nil {
-		fmt.Fprintf(io.Err, "test: %v\n", err)
-		return 2
-	}
-	if ok {
-		return 0
-	}
-	return 1
-}
-
 func builtinWC(in *Interp, io *IO, args []string) int {
 	lines := false
 	var files []string
@@ -345,34 +310,7 @@ func builtinWC(in *Interp, io *IO, args []string) int {
 	return 0
 }
 
-func builtinSort(in *Interp, io *IO, args []string) int {
-	reverse := false
-	var files []string
-	for _, a := range args {
-		if a == "-r" {
-			reverse = true
-		} else if !strings.HasPrefix(a, "-") {
-			files = append(files, a)
-		}
-	}
-	input := io.In
-	if len(files) > 0 {
-		input = in.FS[files[0]]
-	}
-	lines := strings.Split(strings.TrimSuffix(input, "\n"), "\n")
-	sort.Strings(lines)
-	if reverse {
-		for i, j := 0, len(lines)-1; i < j; i, j = i+1, j-1 {
-			lines[i], lines[j] = lines[j], lines[i]
-		}
-	}
-	for _, ln := range lines {
-		fmt.Fprintln(io.Out, ln)
-	}
-	return 0
-}
-
-func headTailCount(args []string) (int, []string) {
+func builtinHead(in *Interp, io *IO, args []string) int {
 	n := 10
 	var files []string
 	for i := 0; i < len(args); i++ {
@@ -395,11 +333,6 @@ func headTailCount(args []string) (int, []string) {
 			files = append(files, a)
 		}
 	}
-	return n, files
-}
-
-func builtinHead(in *Interp, io *IO, args []string) int {
-	n, files := headTailCount(args)
 	input := io.In
 	if len(files) > 0 {
 		input = in.FS[files[0]]
@@ -413,100 +346,6 @@ func builtinHead(in *Interp, io *IO, args []string) int {
 	}
 	for _, ln := range lines {
 		fmt.Fprintln(io.Out, ln)
-	}
-	return 0
-}
-
-func builtinTail(in *Interp, io *IO, args []string) int {
-	n, files := headTailCount(args)
-	input := io.In
-	if len(files) > 0 {
-		input = in.FS[files[0]]
-	}
-	lines := strings.Split(strings.TrimSuffix(input, "\n"), "\n")
-	if n < 0 {
-		n = -n // -n -K is -n K
-	}
-	if n < len(lines) {
-		lines = lines[len(lines)-n:]
-	}
-	for _, ln := range lines {
-		fmt.Fprintln(io.Out, ln)
-	}
-	return 0
-}
-
-func builtinTr(_ *Interp, io *IO, args []string) int {
-	// Both forms run in one rune-wise pass over the input instead of
-	// one ReplaceAll (a full copy) per character of the spec. For
-	// translation this also matches real tr on overlapping sets: each
-	// input character is mapped from the original, never re-translated
-	// by a later spec pair (`echo ab | tr ab ba` gives "ba", where the
-	// old chained-ReplaceAll implementation gave "aa").
-	if len(args) == 2 && args[0] == "-d" {
-		drop := args[1]
-		io.Out.Grow(len(io.In))
-		for _, r := range io.In {
-			if !strings.ContainsRune(drop, r) {
-				io.Out.WriteRune(r)
-			}
-		}
-		return 0
-	}
-	if len(args) == 2 {
-		from := []rune(args[0])
-		to := []rune(args[1])
-		io.Out.Grow(len(io.In))
-		for _, r := range io.In {
-			for j, f := range from {
-				if f == r && j < len(to) {
-					r = to[j]
-					break
-				}
-			}
-			io.Out.WriteRune(r)
-		}
-		return 0
-	}
-	io.Out.WriteString(io.In)
-	return 0
-}
-
-func builtinCut(_ *Interp, io *IO, args []string) int {
-	delim := "\t"
-	field := 1
-	for i := 0; i < len(args) && field > 0; i++ {
-		a := args[i]
-		switch {
-		case strings.HasPrefix(a, "-d"):
-			if a == "-d" && i+1 < len(args) {
-				delim = args[i+1]
-				i++
-			} else {
-				delim = strings.Trim(a[2:], "'\"")
-			}
-		case strings.HasPrefix(a, "-f"):
-			spec := a[2:]
-			if spec == "" && i+1 < len(args) {
-				spec = args[i+1]
-				i++
-			}
-			if v, err := strconv.Atoi(spec); err == nil {
-				field = v
-			}
-		}
-	}
-	if field < 1 {
-		fmt.Fprintln(io.Err, "cut: fields are numbered from 1")
-		return 1
-	}
-	for _, line := range strings.Split(strings.TrimSuffix(io.In, "\n"), "\n") {
-		parts := strings.Split(line, delim)
-		if field-1 < len(parts) {
-			fmt.Fprintln(io.Out, parts[field-1])
-		} else {
-			fmt.Fprintln(io.Out, line)
-		}
 	}
 	return 0
 }
@@ -536,51 +375,4 @@ func builtinTimeout(in *Interp, io *IO, args []string) int {
 	}
 	in.Advance(d)
 	return in.invoke(args[i:], io)
-}
-
-func builtinExport(in *Interp, io *IO, args []string) int {
-	for _, a := range args {
-		if name, val, ok := splitAssign(a); ok {
-			in.Env[name] = val
-		}
-	}
-	return 0
-}
-
-func builtinTee(in *Interp, io *IO, args []string) int {
-	appendMode := false
-	var files []string
-	for _, a := range args {
-		if a == "-a" {
-			appendMode = true
-		} else {
-			files = append(files, a)
-		}
-	}
-	io.Out.WriteString(io.In)
-	for _, f := range files {
-		if appendMode {
-			in.FS[f] += io.In
-		} else {
-			in.FS[f] = io.In
-		}
-	}
-	return 0
-}
-
-func builtinSeq(_ *Interp, io *IO, args []string) int {
-	lo, hi := 1, 0
-	switch len(args) {
-	case 1:
-		hi, _ = strconv.Atoi(args[0])
-	case 2:
-		lo, _ = strconv.Atoi(args[0])
-		hi, _ = strconv.Atoi(args[1])
-	default:
-		return 1
-	}
-	for i := lo; i <= hi; i++ {
-		fmt.Fprintln(io.Out, i)
-	}
-	return 0
 }

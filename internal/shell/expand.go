@@ -44,7 +44,7 @@ const (
 	segDefault                // ${NAME:-alt}
 	segStatus                 // $?
 	segArith                  // $((text))
-	segSub                    // $(...) or `...`: sub is the parsed body
+	segSub                    // $(...): sub is the parsed body
 	segErr                    // err, raised when evaluation gets here
 )
 
@@ -98,11 +98,9 @@ func compileWord(raw string, depth int) []segment {
 			}
 		case '$':
 			i += b.dollar(raw[i:], false)
-		case '`':
-			i += b.backtick(raw[i:], false)
 		default:
 			j := i + 1
-			for j < len(raw) && !strings.ContainsRune("'\"\\$`", rune(raw[j])) {
+			for j < len(raw) && !strings.ContainsRune("'\"\\$", rune(raw[j])) {
 				j++
 			}
 			b.literal(raw[i:j], false)
@@ -191,16 +189,6 @@ func (b *segBuilder) dollar(s string, quoted bool) int {
 	return n
 }
 
-func (b *segBuilder) backtick(s string, quoted bool) int {
-	end := strings.IndexByte(s[1:], '`')
-	if end < 0 {
-		b.fail(errors.New("unterminated backtick"))
-		return 0
-	}
-	b.add(compileSub(s[1:1+end], b.depth), quoted)
-	return end + 2
-}
-
 // doubleQuoted compiles the double-quoted string at the start of s and
 // returns the bytes it spans, both quotes included. The closing quote
 // is found first: an unterminated string is an error before anything
@@ -233,11 +221,9 @@ func (b *segBuilder) doubleQuoted(s string) int {
 			}
 		case '$':
 			i += b.dollar(content[i:], true)
-		case '`':
-			i += b.backtick(content[i:], true)
 		default:
 			j := i + 1
-			for j < len(content) && !strings.ContainsRune("\\$`", rune(content[j])) {
+			for j < len(content) && !strings.ContainsRune("\\$", rune(content[j])) {
 				j++
 			}
 			b.literal(content[i:j], true)

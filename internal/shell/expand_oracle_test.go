@@ -31,7 +31,7 @@ type oracleWordPart struct {
 func oraclePlainWord(raw string) bool {
 	for i := 0; i < len(raw); i++ {
 		switch raw[i] {
-		case '\'', '"', '\\', '$', '`':
+		case '\'', '"', '\\', '$':
 			return false
 		}
 	}
@@ -98,17 +98,6 @@ func (in *Interp) oracleExpandParts(raw string) ([]oracleWordPart, error) {
 			}
 			cur.WriteString(val)
 			i += n
-		case '`':
-			end := strings.IndexByte(raw[i+1:], '`')
-			if end < 0 {
-				return nil, fmt.Errorf("unterminated backtick")
-			}
-			out, err := in.oracleCaptureSub(raw[i+1 : i+1+end])
-			if err != nil {
-				return nil, err
-			}
-			cur.WriteString(out)
-			i += end + 2
 		default:
 			cur.WriteByte(c)
 			i++
@@ -168,17 +157,6 @@ func (in *Interp) oracleExpandInDouble(content string) (string, error) {
 			}
 			b.WriteString(val)
 			i += n
-		case '`':
-			end := strings.IndexByte(content[i+1:], '`')
-			if end < 0 {
-				return "", fmt.Errorf("unterminated backtick")
-			}
-			out, err := in.oracleCaptureSub(content[i+1 : i+1+end])
-			if err != nil {
-				return "", err
-			}
-			b.WriteString(out)
-			i += end + 2
 		default:
 			b.WriteByte(c)
 			i++
@@ -448,7 +426,7 @@ func FuzzWordMatchesOracle(f *testing.F) {
 		`${unterminated`, `$((1+`, `a$`, `$#`, `$?`, `trailing\`, `$(echo $(echo x))`, "`echo tick`",
 		`$(echo side > g)$(if)`, `$(x=changed)"unterminated`, `"$(echo "nested quotes")"`, `${x:-fallback}`, `${#x}`,
 		`$((COUNT + 1))`, `$(( $(echo 2) * 3 ))`, `pre"$a"post`, `''`, `""`, `''$x`, `"a\$b\q"`, `*"*"\*`, `$(exit 3)$?`,
-		`$(cat f)`, `"$(printf 'a\n\n')"`, `$(while true; do :; done)`,
+		`$(cat f)`, `"$(echo -e 'a\n\n')"`, `$(while true; do :; done)`,
 	} {
 		for seed := uint64(0); seed < 4; seed++ {
 			f.Add(w, seed*7+uint64(i))
@@ -530,8 +508,8 @@ func FuzzRunTerminates(f *testing.F) {
 	}
 	for _, s := range []string{
 		sharedASTScript, "", "\\", "echo \\", "x=$(", "while true; do :; done", "until false; do x=$((x+1)); done",
-		"for i in $(seq 1 5); do echo $i | tr 1 2; done", "[ a == a ] && [[ b != c ]] || exit 2", "echo $(($(echo 1)+1)) > f; cat < f",
-		"if then fi", "for", "for x in", "[[ a == ", "(( 1 / 0 ))", "echo `echo \\`", "cut -d: -f0", "head -n -1 <f", "exit 7; echo no",
+		"for i in 1 2 3 4 5; do echo $i | grep -o 1; done", "[ a == a ] && [[ b != c ]] || exit 2", "echo $(($(echo 1)+1)) > f; cat < f",
+		"if then fi", "for", "for x in", "[[ a == ", "(( 1 / 0 ))", "echo `echo \\`", "wc -l f | head -n 1", "head -n -1 <f", "exit 7; echo no",
 		"echo " + strings.Repeat("$(", maxSubDepth+2) + strings.Repeat(")", maxSubDepth+2),
 	} {
 		f.Add(s)
@@ -543,9 +521,6 @@ func FuzzRunTerminates(f *testing.F) {
 		}
 		in := New()
 		in.MaxSteps = 300
-		// seq prints as many lines as it is asked to; everything else
-		// does work bounded by the size of its input.
-		in.Builtins["seq"] = func(*Interp, *IO, []string) int { return 0 }
 		in.Exec(prog)
 		if in.steps > in.MaxSteps+1 {
 			t.Errorf("%d steps executed, limit %d", in.steps, in.MaxSteps)

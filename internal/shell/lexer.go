@@ -15,8 +15,11 @@
 //
 // The interpreter is deliberately hermetic: no real processes, no real
 // files, no real time. Commands are Go builtins; "sleep" advances a
-// virtual clock supplied by the embedder; kubectl/curl/minikube are
-// registered by the k8scmd package against a kubesim cluster.
+// virtual clock supplied by the embedder; kubectl, helm, docker compose
+// and the rest are registered by each workload family against its
+// simulator, parsing their flags with ParseFlags, and curl is Curl over
+// the family's probe. The builtins are those the corpus's scripts run
+// or a transcript golden pins (see ci/oracle-reach.txt).
 package shell
 
 import (
@@ -227,9 +230,7 @@ func (l *lexer) lexWord() error {
 				return err
 			}
 		case '`':
-			if err := l.scanBackticks(); err != nil {
-				return err
-			}
+			return l.backtick()
 		case '\\':
 			// A backslash that ends the script escapes nothing.
 			l.pos = min(l.pos+2, len(l.src))
@@ -281,6 +282,8 @@ func (l *lexer) scanDouble() error {
 			if err := l.scanDollar(); err != nil {
 				return err
 			}
+		case '`':
+			return l.backtick()
 		case '"':
 			l.pos++
 			return nil
@@ -291,24 +294,10 @@ func (l *lexer) scanDouble() error {
 	return fmt.Errorf("shell: line %d: unterminated double quote", startLine)
 }
 
-func (l *lexer) scanBackticks() error {
-	startLine := l.line
-	l.pos++ // opening backtick
-	for l.pos < len(l.src) {
-		switch l.src[l.pos] {
-		case '\n':
-			l.line++
-			l.pos++
-		case '\\':
-			l.pos += 2
-		case '`':
-			l.pos++
-			return nil
-		default:
-			l.pos++
-		}
-	}
-	return fmt.Errorf("shell: line %d: unterminated backtick substitution", startLine)
+// backtick refuses the `...` form of command substitution: $(...) is
+// the one spelling, and a backslash-escaped backtick is a literal one.
+func (l *lexer) backtick() error {
+	return fmt.Errorf("shell: line %d: `...` command substitution is not supported: use $(...)", l.line)
 }
 
 // scanDollar consumes $VAR, ${...}, $(...), $((...)).

@@ -43,10 +43,17 @@ func TestCommandSubstitution(t *testing.T) {
 	res := run(t, `
 x=$(echo inner)
 echo "got: $x"
-echo "ticks: `+"`echo old-style`"+`"
+echo "escaped: \`+"`"+`"
 `)
-	if res.Stdout != "got: inner\nticks: old-style\n" {
+	if res.Stdout != "got: inner\nescaped: `\n" {
 		t.Errorf("stdout = %q", res.Stdout)
+	}
+	// $(...) is the one spelling of a command substitution.
+	for _, src := range []string{"echo `echo old-style`", "echo \"ticks: `echo old-style`\""} {
+		_, err := New().Run(src)
+		if err == nil || !strings.Contains(err.Error(), "use $(...)") {
+			t.Errorf("%s: err = %v, want the error naming $(...)", src, err)
+		}
 	}
 }
 
@@ -173,8 +180,8 @@ func TestStepLimitStopsRunawayLoops(t *testing.T) {
 }
 
 func TestPipelines(t *testing.T) {
-	res := run(t, `echo -e "b\na\nc" | sort | head -n 2`)
-	if res.Stdout != "a\nb\n" {
+	res := run(t, `echo -e "b\na\nc" | grep -v a | head -n 1`)
+	if res.Stdout != "b\n" {
 		t.Errorf("stdout = %q", res.Stdout)
 	}
 }

@@ -113,6 +113,17 @@ empty:
 	}
 }
 
+// TestKindString: the names the messages above print kinds by.
+func TestKindString(t *testing.T) {
+	var got []string
+	for k := NullKind; k <= SeqKind+1; k++ {
+		got = append(got, k.String())
+	}
+	if want := "null bool int float string map seq kind(7)"; strings.Join(got, " ") != want {
+		t.Errorf("kind names = %q, want %q", got, want)
+	}
+}
+
 func TestParseComments(t *testing.T) {
 	src := `metadata:
   name: kube-registry-proxy # *
