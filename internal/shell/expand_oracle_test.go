@@ -423,7 +423,7 @@ func FuzzWordMatchesOracle(f *testing.F) {
 	}
 	for i, w := range []string{
 		"", `"$x"`, `$x`, `a"b"'c'\d$e`, `'unterminated`, `"unterminated`, "`unterminated", `$(unterminated`,
-		`${unterminated`, `$((1+`, `a$`, `$#`, `$?`, `trailing\`, `$(echo $(echo x))`, "`echo tick`",
+		`${unterminated`, `$((1+`, `a$`, `$#`, `$?`, `trailing\`, `$(echo $(echo x))`, "\"\\`echo tick\\`\"",
 		`$(echo side > g)$(if)`, `$(x=changed)"unterminated`, `"$(echo "nested quotes")"`, `${x:-fallback}`, `${#x}`,
 		`$((COUNT + 1))`, `$(( $(echo 2) * 3 ))`, `pre"$a"post`, `''`, `""`, `''$x`, `"a\$b\q"`, `*"*"\*`, `$(exit 3)$?`,
 		`$(cat f)`, `"$(echo -e 'a\n\n')"`, `$(while true; do :; done)`,
