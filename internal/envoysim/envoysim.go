@@ -58,7 +58,7 @@ type Endpoint struct {
 // LoadCached is Load through a content-addressed cache: each distinct
 // bootstrap text is parsed and validated once per process, and the
 // resulting Bootstrap is shared. This is safe because a Bootstrap is
-// immutable after Load — Probe/RouteFor/ClusterByName only read — and
+// immutable after Load — Probe and RouteFor only read — and
 // it matters because every "envoy -c file" in a unit-test script
 // re-loads the same config on the cold evaluation path.
 func LoadCached(src string) (*Bootstrap, error) {
@@ -298,14 +298,4 @@ func (b *Bootstrap) Probe(port int, path string) (code int, body string, ok bool
 		}
 	}
 	return 503, "unknown cluster", true
-}
-
-// ClusterByName returns a cluster and whether it exists.
-func (b *Bootstrap) ClusterByName(name string) (Cluster, bool) {
-	for _, c := range b.Clusters {
-		if c.Name == name {
-			return c, true
-		}
-	}
-	return Cluster{}, false
 }

@@ -72,9 +72,9 @@ func TestLoadGoodConfig(t *testing.T) {
 	if len(l.Routes) != 2 {
 		t.Fatalf("routes = %d", len(l.Routes))
 	}
-	c, ok := b.ClusterByName("api_cluster")
-	if !ok || c.LbPolicy != "LEAST_REQUEST" || len(c.Endpoints) != 1 {
-		t.Errorf("api cluster = %+v", c)
+	c := b.Clusters[0]
+	if c.Name != "api_cluster" || c.LbPolicy != "LEAST_REQUEST" || len(c.Endpoints) != 1 {
+		t.Fatalf("api cluster = %+v", c)
 	}
 	if c.Endpoints[0].Port != 9001 {
 		t.Errorf("endpoint port = %d", c.Endpoints[0].Port)

@@ -24,65 +24,167 @@ import (
 
 // Eval renders a JSONPath template against a YAML tree.
 func Eval(root *yamlx.Node, template string) (string, error) {
-	var out strings.Builder
-	i := 0
-	for i < len(template) {
-		c := template[i]
-		if c != '{' {
-			out.WriteByte(c)
-			i++
-			continue
+	t, err := Compile(template)
+	if err != nil {
+		return "", err
+	}
+	return string(t.Append(nil, root)), nil
+}
+
+// Template is a compiled JSONPath template: its literal text and the
+// steps of each expression, parsed once and only read afterwards, so
+// one Template serves any number of goroutines.
+type Template struct {
+	parts []part
+}
+
+// part is literal text, or an expression's steps when expr is set.
+type part struct {
+	lit   string
+	expr  bool
+	steps []step
+}
+
+// Compile parses a template. Templates come from script text, run
+// again on every execution of the script, so each is compiled once per
+// process; because the text may be expanded from what a script read at
+// run time, the cache is capped (see the memo package).
+func Compile(template string) (*Template, error) {
+	c := templates.Do(template, func() compiled {
+		t, err := compile(template)
+		return compiled{t, err}
+	})
+	return c.t, c.err
+}
+
+type compiled struct {
+	t   *Template
+	err error
+}
+
+var templates = memo.New[string, compiled](1 << 14)
+
+func compile(template string) (*Template, error) {
+	t := &Template{}
+	for i := 0; i < len(template); {
+		open := strings.IndexByte(template[i:], '{')
+		if open < 0 {
+			t.parts = append(t.parts, part{lit: template[i:]})
+			break
+		}
+		if open > 0 {
+			t.parts = append(t.parts, part{lit: template[i : i+open]})
+			i += open
 		}
 		end := strings.IndexByte(template[i:], '}')
 		if end < 0 {
-			return "", fmt.Errorf("jsonpath: unterminated '{' in %q", template)
+			return nil, fmt.Errorf("jsonpath: unterminated '{' in %q", template)
 		}
-		expr := template[i+1 : i+end]
+		expr := strings.TrimSpace(template[i+1 : i+end])
 		i += end + 1
-		res, err := EvalExpr(root, expr)
+		if strings.HasPrefix(expr, "range") || strings.HasPrefix(expr, "end") {
+			return nil, fmt.Errorf("jsonpath: range templates are not supported: %q", expr)
+		}
+		steps, err := parseSteps(strings.TrimPrefix(expr, "$"))
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		parts := make([]string, len(res))
-		for j, n := range res {
-			parts[j] = render(n)
-		}
-		out.WriteString(strings.Join(parts, " "))
+		t.parts = append(t.parts, part{expr: true, steps: steps})
 	}
-	return out.String(), nil
+	return t, nil
 }
 
-func render(n *yamlx.Node) string {
+// Append renders the template against root onto dst: literal text as
+// written, and each expression's matches in document order, separated
+// by single spaces. It walks each expression depth first and allocates
+// nothing but what dst grows by (and the flow text of a matched mapping
+// or sequence).
+func (t *Template) Append(dst []byte, root *yamlx.Node) []byte {
+	for i := range t.parts {
+		p := &t.parts[i]
+		if p.expr {
+			dst, _ = appendMatches(dst, root, p.steps, 0)
+		} else {
+			dst = append(dst, p.lit...)
+		}
+	}
+	return dst
+}
+
+// appendMatches appends every node the steps reach from n, counting
+// them on from k, which is how many the expression has written already:
+// all but its first follow a space.
+func appendMatches(dst []byte, n *yamlx.Node, steps []step, k int) ([]byte, int) {
+	if len(steps) == 0 {
+		if k > 0 {
+			dst = append(dst, ' ')
+		}
+		return appendNode(dst, n), k + 1
+	}
 	if n == nil {
-		return ""
+		return dst, k
 	}
-	if n.IsScalar() {
-		return n.ScalarString()
+	s, rest := &steps[0], steps[1:]
+	switch s.kind {
+	case fieldStep:
+		if v := n.Get(s.name); v != nil {
+			return appendMatches(dst, v, rest, k)
+		}
+	case indexStep:
+		if n.Kind == yamlx.SeqKind && s.index >= 0 && s.index < len(n.Items) {
+			return appendMatches(dst, n.Items[s.index], rest, k)
+		}
+	case wildcardStep:
+		switch n.Kind {
+		case yamlx.SeqKind:
+			for _, it := range n.Items {
+				dst, k = appendMatches(dst, it, rest, k)
+			}
+		case yamlx.MapKind:
+			for _, e := range n.Entries {
+				dst, k = appendMatches(dst, e.Value, rest, k)
+			}
+		}
+	case recursiveStep:
+		return appendRecursive(dst, n, s.name, rest, k)
 	}
-	return string(yamlx.MarshalFlow(n))
+	return dst, k
 }
 
-// EvalExpr evaluates one bare expression like ".items[0].metadata.name"
-// and returns every matching node.
-func EvalExpr(root *yamlx.Node, expr string) ([]*yamlx.Node, error) {
-	expr = strings.TrimSpace(expr)
-	if strings.HasPrefix(expr, "range") || strings.HasPrefix(expr, "end") {
-		return nil, fmt.Errorf("jsonpath: range templates are not supported: %q", expr)
+// appendRecursive applies the steps after "..name" to every value under
+// n whose key is name, each before the values below it.
+func appendRecursive(dst []byte, n *yamlx.Node, name string, rest []step, k int) ([]byte, int) {
+	if n == nil {
+		return dst, k
 	}
-	expr = strings.TrimPrefix(expr, "$")
-	steps, err := parseStepsCached(expr)
-	if err != nil {
-		return nil, err
-	}
-	current := []*yamlx.Node{root}
-	for _, st := range steps {
-		var next []*yamlx.Node
-		for _, n := range current {
-			next = append(next, st.apply(n)...)
+	switch n.Kind {
+	case yamlx.MapKind:
+		for _, e := range n.Entries {
+			if e.Key == name {
+				dst, k = appendMatches(dst, e.Value, rest, k)
+			}
+			dst, k = appendRecursive(dst, e.Value, name, rest, k)
 		}
-		current = next
+	case yamlx.SeqKind:
+		for _, it := range n.Items {
+			dst, k = appendRecursive(dst, it, name, rest, k)
+		}
 	}
-	return current, nil
+	return dst, k
+}
+
+// appendNode writes a match as kubectl prints it: a scalar as typed, a
+// mapping or sequence in flow form, nothing for a missing node.
+func appendNode(dst []byte, n *yamlx.Node) []byte {
+	switch {
+	case n == nil:
+		return dst
+	case n.Kind == yamlx.IntKind:
+		return strconv.AppendInt(dst, n.Int, 10)
+	case n.IsScalar():
+		return append(dst, n.ScalarString()...)
+	}
+	return append(dst, yamlx.MarshalFlow(n)...)
 }
 
 type stepKind int
@@ -99,80 +201,6 @@ type step struct {
 	name  string
 	index int
 }
-
-func (s step) apply(n *yamlx.Node) []*yamlx.Node {
-	if n == nil {
-		return nil
-	}
-	switch s.kind {
-	case fieldStep:
-		if v := n.Get(s.name); v != nil {
-			return []*yamlx.Node{v}
-		}
-		return nil
-	case indexStep:
-		if n.Kind == yamlx.SeqKind && s.index >= 0 && s.index < len(n.Items) {
-			return []*yamlx.Node{n.Items[s.index]}
-		}
-		return nil
-	case wildcardStep:
-		switch n.Kind {
-		case yamlx.SeqKind:
-			return n.Items
-		case yamlx.MapKind:
-			var out []*yamlx.Node
-			for _, e := range n.Entries {
-				out = append(out, e.Value)
-			}
-			return out
-		}
-		return nil
-	case recursiveStep:
-		var out []*yamlx.Node
-		collectRecursive(n, s.name, &out)
-		return out
-	}
-	return nil
-}
-
-func collectRecursive(n *yamlx.Node, name string, out *[]*yamlx.Node) {
-	if n == nil {
-		return
-	}
-	switch n.Kind {
-	case yamlx.MapKind:
-		for _, e := range n.Entries {
-			if e.Key == name {
-				*out = append(*out, e.Value)
-			}
-			collectRecursive(e.Value, name, out)
-		}
-	case yamlx.SeqKind:
-		for _, it := range n.Items {
-			collectRecursive(it, name, out)
-		}
-	}
-}
-
-// parseStepsCached compiles an expression once per process: the same
-// handful of templates run on every unit-test execution, and a step
-// slice is immutable after parse, so compiled expressions are shared.
-// Expressions come from script text, so the cache is capped (see the
-// memo package).
-func parseStepsCached(expr string) ([]step, error) {
-	o := stepCache.Do(expr, func() *stepsOutcome {
-		steps, err := parseSteps(expr)
-		return &stepsOutcome{steps: steps, err: err}
-	})
-	return o.steps, o.err
-}
-
-type stepsOutcome struct {
-	steps []step
-	err   error
-}
-
-var stepCache = memo.New[string, *stepsOutcome](1 << 14)
 
 func parseSteps(expr string) ([]step, error) {
 	var steps []step

@@ -22,7 +22,20 @@ type Env struct {
 	Cluster *kubesim.Cluster
 	Envoy   *envoysim.Bootstrap // set once "envoy -c file" runs
 	Shell   *shell.Interp
+
+	// What kubectl get reuses from one call to the next. named holds the
+	// objects a get names while it prints them. list is the List a
+	// jsonpath template reads when a get does not name exactly one
+	// object; items holds that get's objects while the template renders,
+	// into rendered, which is then written out.
+	named       []*yamlx.Node
+	list, items yamlx.Node
+	rendered    []byte
 }
+
+// The head of the List a jsonpath template is evaluated over; like the
+// items under it, only ever read.
+var listAPIVersion, listKind = yamlx.String("v1"), yamlx.String("List")
 
 // NewEnv builds a fresh environment with all tools registered.
 func NewEnv() *Env {
@@ -30,6 +43,12 @@ func NewEnv() *Env {
 		Cluster: kubesim.NewCluster(),
 		Shell:   shell.New(),
 	}
+	e.items.Kind = yamlx.SeqKind
+	e.list = yamlx.Node{Kind: yamlx.MapKind, Entries: []yamlx.Entry{
+		{Key: "apiVersion", Value: listAPIVersion},
+		{Key: "kind", Value: listKind},
+		{Key: "items", Value: &e.items},
+	}}
 	e.Shell.AdvanceClock = e.Cluster.AdvanceTime
 	e.Shell.Builtins["kubectl"] = e.kubectl
 	e.Shell.Builtins["curl"] = shell.Curl(e.probe)
@@ -53,7 +72,15 @@ func (e *Env) Reset() {
 	e.Cluster.Reset()
 	e.Envoy = nil
 	e.Shell.Reset()
+	if cap(e.rendered) > maxRendered {
+		e.rendered = nil
+	}
 }
+
+// maxRendered is the largest jsonpath buffer a pooled Env keeps, the
+// same cap as the shell's streams: one hostile answer's output does not
+// stay with the Env.
+const maxRendered = 64 << 10
 
 // Interp returns the environment's shell, satisfying scenario.Env.
 func (e *Env) Interp() *shell.Interp { return e.Shell }
@@ -153,13 +180,9 @@ func renderTable(io *shell.IO, res *kubesim.Resource, items []*yamlx.Node) {
 	}
 }
 
-// The head of the List a jsonpath template is evaluated over; like the
-// items under it, only ever read.
-var listAPIVersion, listKind = yamlx.String("v1"), yamlx.String("List")
-
 // evalOutput renders "kubectl get" items of a kind (nil for "get all",
 // which has none) according to -o/--output.
-func evalOutput(io *shell.IO, format string, res *kubesim.Resource, names []string, items []*yamlx.Node) int {
+func (e *Env) evalOutput(io *shell.IO, format string, res *kubesim.Resource, names []string, items []*yamlx.Node) int {
 	switch {
 	case format == "":
 		renderTable(io, res, items)
@@ -167,24 +190,21 @@ func evalOutput(io *shell.IO, format string, res *kubesim.Resource, names []stri
 	case strings.HasPrefix(format, "jsonpath="):
 		tmpl := strings.TrimPrefix(format, "jsonpath=")
 		tmpl = strings.Trim(tmpl, "'\"")
-		var root *yamlx.Node
-		if len(names) == 1 && len(items) == 1 {
-			root = items[0]
-		} else {
-			root = &yamlx.Node{Kind: yamlx.MapKind, Entries: []yamlx.Entry{
-				{Key: "apiVersion", Value: listAPIVersion},
-				{Key: "kind", Value: listKind},
-				{Key: "items", Value: yamlx.Seq(items...)},
-			}}
-		}
-		out, err := jsonpath.Eval(root, tmpl)
+		t, err := jsonpath.Compile(tmpl)
 		if err != nil {
 			fmt.Fprintf(io.Err, "error: error parsing jsonpath %s: %v\n", tmpl, err)
 			return 1
 		}
-		io.Out.WriteString(out)
-		if out != "" {
-			io.Out.WriteString("\n")
+		root := &e.list
+		if len(names) == 1 && len(items) == 1 {
+			root = items[0]
+		}
+		e.items.Items = items
+		e.rendered = t.Append(e.rendered[:0], root)
+		e.items.Items = nil
+		if len(e.rendered) > 0 {
+			io.Out.Write(e.rendered)
+			io.Out.WriteByte('\n')
 		}
 		return 0
 	case format == "yaml":

@@ -1,8 +1,13 @@
 package k8scmd
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"cloudeval/internal/raceflag"
+	"cloudeval/internal/shell"
+	"cloudeval/internal/yamlx"
 )
 
 // runScript executes a unit-test script in a fresh environment with the
@@ -396,5 +401,69 @@ spec:
 	}
 	if !strings.Contains(res.Stdout, "rolled") {
 		t.Errorf("rollout status failed: %+v", res)
+	}
+}
+
+// TestGetJSONPathOverList: a get that does not name exactly one object
+// hands its template a List, {apiVersion: v1, kind: List, items: [...]},
+// whose items are that get's objects alone; the Env lets go of them
+// once the template has rendered.
+func TestGetJSONPathOverList(t *testing.T) {
+	env := NewEnv()
+	env.Shell.FS["labeled_code.yaml"] = sample1YAML
+	res, err := env.Shell.Run(`kubectl apply -f labeled_code.yaml
+sleep 5
+kubectl get pods -l app=kube-registry-modified -o jsonpath='{.items[0].spec.containers[0].env[*].name}'
+kubectl get pods --selector=app=kube-registry-modified -o=jsonpath='{.items[0].spec.containers[0].resources.limits.cpu}'
+kubectl get pods -l app=nothing -o jsonpath='{.kind} {.apiVersion} [{.items}]'
+kubectl get ds kube-registry-proxy-modified -o jsonpath='{.kind}'
+kubectl get ds kube-registry-proxy-modified kube-registry-proxy-modified -o jsonpath='{.kind} {.items[*].kind}'
+`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := "daemonset/kube-registry-proxy-modified created\n" +
+		"REGISTRY_HOST REGISTRY_PORT\n100m\nList v1 [[]]\nDaemonSet\nList DaemonSet DaemonSet\n"
+	if res.Stdout != want || res.Stderr != "" || res.ExitCode != 0 {
+		t.Errorf("stdout %q, stderr %q, exit %d; want %q", res.Stdout, res.Stderr, res.ExitCode, want)
+	}
+	if env.items.Items != nil || slices.ContainsFunc(env.named, func(n *yamlx.Node) bool { return n != nil }) {
+		t.Errorf("the Env still holds the objects of its last gets: %d listed, %v named", len(env.items.Items), env.named)
+	}
+}
+
+// getPhaseMaxAllocs caps what one execution of getPhase allocates on a
+// warmed Env: the substitution's value. It was 9 while the shell's
+// streams were strings.Builders, jsonpath built a slice per step and
+// kubectl a List node and an items slice per get.
+const getPhaseMaxAllocs = 1
+
+const getPhase = `p=$(kubectl get pod web -o jsonpath='{.status.phase}')`
+
+// TestGetJSONPathAllocs pins the read a unit test makes most: a kubectl
+// get through a jsonpath template, inside a command substitution. The
+// template is compiled, the streams are pooled and the rendering buffer
+// is the Env's, so what is left is the value the script keeps.
+func TestGetJSONPathAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("the race detector allocates on its own")
+	}
+	env := NewEnv()
+	env.Shell.FS["pod.yaml"] = "apiVersion: v1\nkind: Pod\nmetadata:\n  name: web\nspec:\n  containers:\n  - name: web\n    image: nginx\n"
+	if res, err := env.Shell.Run("kubectl apply -f pod.yaml"); err != nil || res.ExitCode != 0 {
+		t.Fatalf("apply: %v %+v", err, res)
+	}
+	prog, err := shell.Parse(getPhase)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env.Shell.Exec(prog)
+	if p := env.Shell.Env["p"]; p != "Pending" {
+		t.Fatalf("p = %q, want Pending", p)
+	}
+	allocs := testing.AllocsPerRun(200, func() { env.Shell.Exec(prog) })
+	t.Logf("%.1f allocations per execution of %s", allocs, getPhase)
+	if allocs > getPhaseMaxAllocs {
+		t.Errorf("%.1f allocations per execution of %s, cap %d", allocs, getPhase, getPhaseMaxAllocs)
 	}
 }

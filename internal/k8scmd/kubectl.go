@@ -68,14 +68,16 @@ func (e *Env) kubectlApply(fs shell.FlagSet, io *shell.IO) int {
 	if err != nil {
 		io.Err.WriteString("Error from server (BadRequest): error when creating ")
 		writeQuoted(io.Err, fs.Get("-f", "--filename"))
-		io.Err.WriteString(": " + err.Error() + "\n")
+		io.Err.WriteString(": ")
+		io.Err.WriteString(err.Error())
+		io.Err.WriteByte('\n')
 		return 1
 	}
 	return 0
 }
 
 // writeQuoted writes s as fmt's %q would.
-func writeQuoted(w *strings.Builder, s string) {
+func writeQuoted(w *shell.Stream, s string) {
 	var buf [64]byte
 	w.Write(strconv.AppendQuote(buf[:0], s))
 }
@@ -212,13 +214,17 @@ func resourceOf(io *shell.IO, kind string) (*kubesim.Resource, bool) {
 }
 
 func writeNotFound(io *shell.IO, kind, name string) {
-	io.Err.WriteString("Error from server (NotFound): " + strings.ToLower(kind) + " ")
+	io.Err.WriteString("Error from server (NotFound): ")
+	io.Err.WriteString(strings.ToLower(kind))
+	io.Err.WriteByte(' ')
 	writeQuoted(io.Err, name)
 	io.Err.WriteString(" not found\n")
 }
 
 func writeNoResources(io *shell.IO, ns string) {
-	io.Err.WriteString("No resources found in " + ns + " namespace.\n")
+	io.Err.WriteString("No resources found in ")
+	io.Err.WriteString(ns)
+	io.Err.WriteString(" namespace.\n")
 }
 
 func (e *Env) kubectlGet(fs shell.FlagSet, io *shell.IO) int {
@@ -258,7 +264,7 @@ func (e *Env) kubectlGet(fs shell.FlagSet, io *shell.IO) int {
 		writeNotFound(io, kind, names[0])
 		return 1
 	case len(names) > 0:
-		items = make([]*yamlx.Node, 0, len(names))
+		items = e.named[:0]
 		for _, name := range names {
 			n, ok := e.Cluster.GetByName(res, ns, name)
 			if !ok {
@@ -267,6 +273,8 @@ func (e *Env) kubectlGet(fs shell.FlagSet, io *shell.IO) int {
 			}
 			items = append(items, n)
 		}
+		e.named = items
+		defer clear(items)
 	case res != nil:
 		items = e.Cluster.List(res, ns, sel)
 	}
@@ -274,7 +282,7 @@ func (e *Env) kubectlGet(fs shell.FlagSet, io *shell.IO) int {
 		writeNoResources(io, ns)
 		return 0
 	}
-	return evalOutput(io, format, res, names, items)
+	return e.evalOutput(io, format, res, names, items)
 }
 
 func (e *Env) kubectlDescribe(fs shell.FlagSet, io *shell.IO) int {

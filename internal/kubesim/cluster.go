@@ -81,7 +81,6 @@ type Cluster struct {
 	namespaces map[string]bool
 	nextPodIP  int
 	nextPort   int
-	events     []string
 
 	// gen counts the changes made to the cluster; see touch.
 	gen uint64
@@ -126,7 +125,6 @@ func (c *Cluster) Reset() {
 	c.namespaces["kube-system"] = true
 	c.nextPodIP = 2
 	c.nextPort = 30000
-	c.events = c.events[:0]
 }
 
 // Now returns the current virtual time.
@@ -138,11 +136,6 @@ func (c *Cluster) AdvanceTime(d time.Duration) {
 		c.touch()
 		c.now = c.now.Add(d)
 	}
-}
-
-// Event records a control-plane event visible in describe output.
-func (c *Cluster) Event(format string, args ...any) {
-	c.events = append(c.events, fmt.Sprintf(format, args...))
 }
 
 func nsName(ns, name string) string { return ns + "/" + name }
@@ -429,14 +422,4 @@ func (c *Cluster) List(r *Resource, ns string, sel Selector) []*yamlx.Node {
 		out[i] = c.withStatus(o)
 	}
 	return out
-}
-
-// ListNode wraps List results in a {apiVersion, kind: List, items: []}
-// node, the shape kubectl presents to JSONPath queries.
-func (c *Cluster) ListNode(r *Resource, ns string, sel Selector) *yamlx.Node {
-	return mapOf(
-		kv("apiVersion", strV1),
-		kv("kind", yamlx.String("List")),
-		kv("items", yamlx.Seq(c.List(r, ns, sel)...)),
-	)
 }

@@ -99,7 +99,6 @@ func (c *Cluster) schedulePod(p *Object) {
 	if reason, bad := badImage(p.Manifest); bad {
 		p.Failed = true
 		p.FailMsg = reason
-		c.Event("Failed to pull image for pod %s/%s: %s", p.Namespace, p.Name, reason)
 		return
 	}
 	p.ReadyAt = p.CreatedAt.Add(PodReadyDelay)

@@ -205,26 +205,6 @@ func TestDaemonSetHostPortProbe(t *testing.T) {
 	}
 }
 
-func TestJSONPathOverListNode(t *testing.T) {
-	c := NewCluster()
-	if _, err := c.ApplyYAML(registryDaemonSet, "default"); err != nil {
-		t.Fatal(err)
-	}
-	c.AdvanceTime(5 * time.Second)
-	list := c.ListNode(Pod, "default", mustSelector("app=kube-registry"))
-	envNames, err := jsonpath.Eval(list, "{.items[0].spec.containers[0].env[*].name}")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if envNames != "REGISTRY_HOST REGISTRY_PORT" {
-		t.Errorf("env names = %q", envNames)
-	}
-	cpu, _ := jsonpath.Eval(list, "{.items[0].spec.containers[0].resources.limits.cpu}")
-	if cpu != "100m" {
-		t.Errorf("cpu = %q", cpu)
-	}
-}
-
 func TestNamespaces(t *testing.T) {
 	c := NewCluster()
 	if err := c.CreateNamespace("development"); err != nil {

@@ -44,10 +44,15 @@ type noiseLabel struct {
 // contextFor is p's genContext, which a problem keeps (see
 // dataset.Memo) and its variants share.
 func contextFor(p dataset.Problem) *genContext {
-	return dataset.Memo(p, dataset.Generation, compileContext)
+	return dataset.Memo(p, dataset.Generation, func(p dataset.Problem) *genContext {
+		return compileContext(p, yamlx.ParseAllCached)
+	})
 }
 
-func compileContext(p dataset.Problem) *genContext {
+// compileContext compiles p's context from the documents parse reads
+// out of its reference: the process's document cache, or a parse of
+// their own for tests that compare with or weigh what was compiled.
+func compileContext(p dataset.Problem, parse func(string) ([]*yamlx.Node, error)) *genContext {
 	reference, unitTest := p.ReferenceYAML, p.UnitTest
 	c := &genContext{clean: yamlmatch.StripLabels(reference)}
 	body := strings.TrimRight(c.clean, "\n")
@@ -57,7 +62,7 @@ func compileContext(p dataset.Problem) *genContext {
 		}
 	}
 	c.lineEnds = append(c.lineEnds, len(body))
-	if docs, err := yamlx.ParseAllCached(reference); err == nil {
+	if docs, err := parse(reference); err == nil {
 		c.labeled = docs
 		c.noiseBase = make([]*yamlx.Node, len(docs))
 		for i, d := range docs {
@@ -65,7 +70,7 @@ func compileContext(p dataset.Problem) *genContext {
 		}
 		c.noiseTmpl = yamlx.NewTemplate(c.noiseBase)
 	}
-	docs, err := yamlx.ParseAllCached(c.clean)
+	docs, err := parse(c.clean)
 	if err != nil {
 		return c
 	}

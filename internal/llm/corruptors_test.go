@@ -89,6 +89,10 @@ func distinctContexts() []dataset.Problem {
 	return out
 }
 
+// parseAfresh parses past the document cache, so a context compiled
+// with it owns its documents.
+func parseAfresh(src string) ([]*yamlx.Node, error) { return yamlx.ParseAll([]byte(src)) }
+
 // TestCompiledTreesNeverWritten: sixteen goroutines generate over the
 // whole corpus at once, each with its own model and options, all
 // through the same compiled contexts. Afterwards every context's trees
@@ -113,9 +117,8 @@ func TestCompiledTreesNeverWritten(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	defer yamlx.SetDocCache(yamlx.SetDocCache(false)) // parse afresh below
 	for _, p := range distinctContexts() {
-		c, fresh := contextFor(p), compileContext(p)
+		c, fresh := contextFor(p), compileContext(p, parseAfresh)
 		for _, trees := range []struct {
 			name      string
 			got, want []*yamlx.Node
@@ -174,14 +177,13 @@ func TestGenerateAllocs(t *testing.T) {
 
 // TestContextsRetain bounds the heap the corpus's compiled contexts
 // hold — parsed trees, both templates and the noise base — counting the
-// documents too (the document cache is off, so each context owns its
-// own). A campaign keeps all of them for as long as it runs, and so
-// does every set-up of the benchmark.
+// documents too (parsed afresh, so each context owns its own). A
+// campaign keeps all of them for as long as it runs, and so does every
+// set-up of the benchmark.
 func TestContextsRetain(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("heap accounting differs under the race detector")
 	}
-	defer yamlx.SetDocCache(yamlx.SetDocCache(false))
 	problems := distinctContexts()
 	if len(problems) != 312 {
 		t.Errorf("%d distinct contexts, want 312", len(problems))
@@ -191,7 +193,7 @@ func TestContextsRetain(t *testing.T) {
 	runtime.GC()
 	runtime.ReadMemStats(&before)
 	for i, p := range problems {
-		contexts[i] = compileContext(p)
+		contexts[i] = compileContext(p, parseAfresh)
 	}
 	runtime.GC()
 	runtime.ReadMemStats(&after)

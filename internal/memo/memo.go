@@ -19,8 +19,8 @@
 //     candidate answers, parsed again by every kubectl apply and metric;
 //   - envoysim's bootstrap cache, by the Digest of an envoy config,
 //     which is an answer file;
-//   - jsonpath's step cache, by the expression text, which reaches it
-//     as a kubectl argument a script expands while it runs;
+//   - jsonpath's template cache, by the template text, which reaches
+//     it as a kubectl argument a script expands while it runs;
 //   - shell's grep matchers, by (pattern, -i), a grep argument likewise
 //     expanded at run time, sometimes from model output.
 //

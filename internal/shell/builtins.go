@@ -76,16 +76,26 @@ func builtinEcho(_ *Interp, io *IO, args []string) int {
 			break
 		}
 	}
-	out := strings.Join(args, " ")
-	if interpret {
-		out = strings.NewReplacer(`\n`, "\n", `\t`, "\t", `\\`, `\`).Replace(out)
+	for i, a := range args {
+		if i > 0 {
+			io.Out.WriteByte(' ')
+		}
+		if interpret {
+			// No escape holds a space, so escaping each argument is
+			// escaping the line.
+			echoEscapes.WriteString(io.Out, a)
+		} else {
+			io.Out.WriteString(a)
+		}
 	}
-	io.Out.WriteString(out)
 	if newline {
-		io.Out.WriteString("\n")
+		io.Out.WriteByte('\n')
 	}
 	return 0
 }
+
+// echoEscapes are the backslash escapes echo -e interprets.
+var echoEscapes = strings.NewReplacer(`\n`, "\n", `\t`, "\t", `\\`, `\`)
 
 func builtinCat(in *Interp, io *IO, args []string) int {
 	if len(args) == 0 {

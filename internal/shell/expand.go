@@ -1,6 +1,7 @@
 package shell
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"strconv"
@@ -398,11 +399,12 @@ func (in *Interp) value(s *segment) (string, error) {
 }
 
 // captureSub runs a command substitution and returns its stdout with
-// trailing newlines trimmed; its stderr is discarded.
+// trailing newlines trimmed; its stderr is discarded unwritten.
 func (in *Interp) captureSub(prog *Program) string {
 	io := in.getIO()
+	io.Err = discard
 	in.execList(prog.stmts, io)
-	out := strings.TrimRight(io.Out.String(), "\n")
+	out := string(bytes.TrimRight(io.out.buf, "\n"))
 	in.putIO(io)
 	return out
 }

@@ -236,7 +236,8 @@ func (in *Interp) oracleCaptureSub(script string) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	io := newIO("")
+	io := in.getIO()
+	defer in.putIO(io)
 	in.execList(prog.stmts, io)
 	return strings.TrimRight(io.Out.String(), "\n"), nil
 }

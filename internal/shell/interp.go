@@ -2,20 +2,32 @@ package shell
 
 import (
 	"fmt"
-	"strings"
 	"time"
 )
 
-// IO carries a command's standard streams. Pipelines connect one
-// command's Out to the next command's In.
+// IO carries a command's standard streams. Out and Err start at the two
+// streams the IO owns; a pipeline stage's Err, a redirection or "2>&1"
+// points them at someone else's. A pipeline hands a copy of one
+// command's Out to the next command as its In. IOs come from and go back
+// to their Interp's pool, so a builtin must not keep one, or a stream,
+// past its return.
 type IO struct {
 	In  string
-	Out *strings.Builder
-	Err *strings.Builder
+	Out *Stream
+	Err *Stream
+
+	out, err Stream
+	// files are the ">" and ">>" targets of a redirected command,
+	// written to the virtual FS when it returns.
+	files []fileOut
 }
 
-func newIO(stdin string) *IO {
-	return &IO{In: stdin, Out: &strings.Builder{}, Err: &strings.Builder{}}
+// fileOut is a redirection of output to a virtual file: where it goes,
+// and the pooled IO whose out stream collects it.
+type fileOut struct {
+	path   string
+	append bool
+	io     *IO
 }
 
 // Builtin is a command implementation. It returns the exit status.
@@ -44,27 +56,36 @@ type Interp struct {
 	lastExit int
 	exited   bool
 
-	// ioFree holds the IOs of finished runs and command substitutions
-	// for the next one to take. Their builders have been Reset, which
-	// drops the buffer: nothing of an execution is retained here.
+	// ioFree holds the IOs of finished runs, command substitutions,
+	// pipeline stages and redirected commands for the next one to take.
+	// Their streams keep their buffers, emptied, up to maxPooled each.
 	ioFree []*IO
 }
 
+// getIO returns an empty IO whose Out and Err are its own streams.
 func (in *Interp) getIO() *IO {
 	if n := len(in.ioFree); n > 0 {
 		io := in.ioFree[n-1]
 		in.ioFree = in.ioFree[:n-1]
 		return io
 	}
-	return newIO("")
+	io := &IO{}
+	io.Out, io.Err = &io.out, &io.err
+	return io
 }
 
-// putIO recycles an IO from getIO. Strings taken from its builders
-// stay valid: Reset abandons the buffer, it does not reuse it.
+// putIO recycles an IO from getIO, and the IOs of its files. Whatever
+// was taken out of its streams was copied: their buffers are reused.
 func (in *Interp) putIO(io *IO) {
+	for _, f := range io.files {
+		in.putIO(f.io)
+	}
+	clear(io.files)
+	io.files = io.files[:0]
 	io.In = ""
-	io.Out.Reset()
-	io.Err.Reset()
+	io.out.reset()
+	io.err.reset()
+	io.Out, io.Err = &io.out, &io.err
 	in.ioFree = append(in.ioFree, io)
 }
 
@@ -119,7 +140,7 @@ func (in *Interp) Exec(prog *Program) Result {
 	in.exited = false
 	io := in.getIO()
 	code := in.execList(prog.stmts, io)
-	res := Result{Stdout: io.Out.String(), Stderr: io.Err.String(), ExitCode: code}
+	res := Result{Stdout: io.out.String(), Stderr: io.err.String(), ExitCode: code}
 	in.putIO(io)
 	return res
 }
@@ -199,17 +220,20 @@ func (in *Interp) execNode(n node, io *IO) int {
 func (in *Interp) execPipeline(p *pipeline, io *IO) int {
 	stdin := io.In
 	code := 0
+	last := len(p.cmds) - 1
 	for i, cmd := range p.cmds {
-		stage := &IO{In: stdin, Out: &strings.Builder{}, Err: io.Err}
-		if i == len(p.cmds)-1 {
+		stage := in.getIO()
+		stage.In, stage.Err = stdin, io.Err
+		if i == last {
 			stage.Out = io.Out
 		}
 		code = in.execNode(cmd, stage)
+		if i < last && !in.exited {
+			stdin = stage.out.String()
+		}
+		in.putIO(stage)
 		if in.exited {
 			return code
-		}
-		if i < len(p.cmds)-1 {
-			stdin = stage.Out.String()
 		}
 	}
 	return code
@@ -309,55 +333,57 @@ func (in *Interp) execSimple(c *simpleCmd, io *IO) int {
 		in.Env[a.name] = val
 	}
 
-	cmdIO, finish, err := in.applyRedirs(c.redirs, io)
-	if err != nil {
-		fmt.Fprintf(io.Err, "shell: line %d: %v\n", c.line, err)
-		return 1
+	if len(c.redirs) == 0 {
+		return in.invoke(argv, io)
 	}
-	code := in.invoke(argv, cmdIO)
-	finish()
+	cmdIO := in.getIO()
+	code := 1
+	if err := in.applyRedirs(c.redirs, io, cmdIO); err != nil {
+		fmt.Fprintf(io.Err, "shell: line %d: %v\n", c.line, err)
+	} else {
+		code = in.invoke(argv, cmdIO)
+		for _, f := range cmdIO.files {
+			if f.append {
+				in.FS[f.path] += string(f.io.out.buf)
+			} else {
+				in.FS[f.path] = f.io.out.String()
+			}
+		}
+	}
+	in.putIO(cmdIO)
 	return code
 }
 
-// applyRedirs builds the IO a command should run with and a finish
-// function that flushes redirected output into the virtual FS.
-func (in *Interp) applyRedirs(redirs []redir, io *IO) (*IO, func(), error) {
-	if len(redirs) == 0 {
-		return io, func() {}, nil
-	}
-	cmdIO := &IO{In: io.In, Out: io.Out, Err: io.Err}
-	var flushes []func()
+// applyRedirs points cmdIO's streams where a command's redirections say,
+// starting from io's. Output to a file collects in a stream of a pooled
+// IO, listed in cmdIO.files; output to /dev/null is discarded unwritten.
+func (in *Interp) applyRedirs(redirs []redir, io, cmdIO *IO) error {
+	cmdIO.In, cmdIO.Out, cmdIO.Err = io.In, io.Out, io.Err
 	for i := range redirs {
 		r := &redirs[i]
 		target, err := in.expandOne(&r.target)
 		if err != nil {
-			return nil, nil, err
+			return err
 		}
 		switch r.op {
 		case "<":
 			content, ok := in.FS[target]
 			if !ok {
-				return nil, nil, fmt.Errorf("%s: no such file", target)
+				return fmt.Errorf("%s: no such file", target)
 			}
 			cmdIO.In = content
 		case ">", ">>":
-			buf := &strings.Builder{}
-			tgt, op := target, r.op
-			if r.fd == 2 {
-				cmdIO.Err = buf
-			} else {
-				cmdIO.Out = buf
+			s := discard
+			if target != "/dev/null" {
+				f := fileOut{path: target, append: r.op == ">>", io: in.getIO()}
+				cmdIO.files = append(cmdIO.files, f)
+				s = &f.io.out
 			}
-			flushes = append(flushes, func() {
-				if tgt == "/dev/null" {
-					return
-				}
-				if op == ">>" {
-					in.FS[tgt] = in.FS[tgt] + buf.String()
-				} else {
-					in.FS[tgt] = buf.String()
-				}
-			})
+			if r.fd == 2 {
+				cmdIO.Err = s
+			} else {
+				cmdIO.Out = s
+			}
 		case ">&":
 			if r.fd == 2 && target == "1" {
 				cmdIO.Err = cmdIO.Out
@@ -366,11 +392,7 @@ func (in *Interp) applyRedirs(redirs []redir, io *IO) (*IO, func(), error) {
 			}
 		}
 	}
-	return cmdIO, func() {
-		for _, f := range flushes {
-			f()
-		}
-	}, nil
+	return nil
 }
 
 // invoke dispatches argv[0] to a builtin.

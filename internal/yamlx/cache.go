@@ -2,7 +2,6 @@ package yamlx
 
 import (
 	"crypto/sha256"
-	"sync/atomic"
 
 	"cloudeval/internal/memo"
 )
@@ -32,20 +31,7 @@ type docOutcome struct {
 	err  error
 }
 
-var (
-	docCacheOn atomic.Bool
-	docCache   = memo.New[[sha256.Size]byte, *docOutcome](1 << 16)
-)
-
-func init() { docCacheOn.Store(true) }
-
-// SetDocCache toggles the process-wide parsed-document cache and
-// returns the previous setting. It exists for cold-path benchmarks and
-// tests that need the raw parse cost; production callers leave it
-// enabled.
-func SetDocCache(enabled bool) (prev bool) {
-	return docCacheOn.Swap(enabled)
-}
+var docCache = memo.New[[sha256.Size]byte, *docOutcome](1 << 16)
 
 // ParseAllCached is ParseAll through the content-addressed document
 // cache. The returned nodes are shared: callers must not mutate them.
@@ -53,9 +39,6 @@ func SetDocCache(enabled bool) (prev bool) {
 // string because every caller holds one; a hit hashes it without a heap
 // copy and only the parse a miss runs converts it.
 func ParseAllCached(src string) ([]*Node, error) {
-	if !docCacheOn.Load() {
-		return ParseAll([]byte(src))
-	}
 	o := docCache.Do(memo.Digest(src), func() *docOutcome {
 		docs, err := ParseAll([]byte(src))
 		return &docOutcome{docs: docs, err: err}

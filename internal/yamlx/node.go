@@ -14,7 +14,6 @@ package yamlx
 import (
 	"fmt"
 	"math"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -151,18 +150,6 @@ func (n *Node) Delete(key string) bool {
 		}
 	}
 	return false
-}
-
-// Keys returns the mapping keys in document order.
-func (n *Node) Keys() []string {
-	if n == nil || n.Kind != MapKind {
-		return nil
-	}
-	out := make([]string, len(n.Entries))
-	for i, e := range n.Entries {
-		out[i] = e.Key
-	}
-	return out
 }
 
 // Path walks nested mappings/sequences: string elements index mappings,
@@ -339,84 +326,6 @@ func canonicalKind(n *Node) Kind {
 		return n.Kind
 	default:
 		return StringKind
-	}
-}
-
-// ToGo converts the node into plain Go values: map[string]any (order
-// lost), []any, string, int64, float64, bool, nil.
-func (n *Node) ToGo() any {
-	if n == nil {
-		return nil
-	}
-	switch n.Kind {
-	case NullKind:
-		return nil
-	case BoolKind:
-		return n.Bool
-	case IntKind:
-		return n.Int
-	case FloatKind:
-		return n.Float
-	case StringKind:
-		return n.Str
-	case MapKind:
-		m := make(map[string]any, len(n.Entries))
-		for _, e := range n.Entries {
-			m[e.Key] = e.Value.ToGo()
-		}
-		return m
-	case SeqKind:
-		s := make([]any, len(n.Items))
-		for i, it := range n.Items {
-			s[i] = it.ToGo()
-		}
-		return s
-	}
-	return nil
-}
-
-// FromGo converts plain Go values into a Node. Map keys are sorted for
-// determinism. Supported: nil, bool, int/int64/float64, string,
-// map[string]any, []any and []string.
-func FromGo(v any) *Node {
-	switch t := v.(type) {
-	case nil:
-		return Null()
-	case bool:
-		return Boolean(t)
-	case int:
-		return Integer(int64(t))
-	case int64:
-		return Integer(t)
-	case float64:
-		return Number(t)
-	case string:
-		return String(t)
-	case map[string]any:
-		keys := make([]string, 0, len(t))
-		for k := range t {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		m := Map()
-		for _, k := range keys {
-			m.Set(k, FromGo(t[k]))
-		}
-		return m
-	case []any:
-		s := Seq()
-		for _, it := range t {
-			s.Append(FromGo(it))
-		}
-		return s
-	case []string:
-		s := Seq()
-		for _, it := range t {
-			s.Append(String(it))
-		}
-		return s
-	default:
-		return String(fmt.Sprint(v))
 	}
 }
 

@@ -383,29 +383,13 @@ func TestEqualSemantics(t *testing.T) {
 	}
 }
 
-func TestToGoFromGo(t *testing.T) {
-	n := mustParse(t, sampleDeployment)
-	g := n.ToGo()
-	back := FromGo(g)
-	if !Equal(n, back) {
-		t.Error("ToGo/FromGo should preserve semantics")
-	}
-	m, ok := g.(map[string]any)
-	if !ok {
-		t.Fatalf("ToGo returned %T", g)
-	}
-	if m["kind"] != "Deployment" {
-		t.Errorf("kind = %v", m["kind"])
-	}
-}
-
 func TestNodeHelpers(t *testing.T) {
 	m := Map().Set("a", Integer(1)).Set("b", String("x"))
 	if !m.Has("a") || m.Has("z") {
 		t.Error("Has misbehaves")
 	}
-	if !reflect.DeepEqual(m.Keys(), []string{"a", "b"}) {
-		t.Errorf("Keys = %v", m.Keys())
+	if len(m.Entries) != 2 || m.Entries[0].Key != "a" || m.Entries[1].Key != "b" {
+		t.Errorf("entries = %v", m.Entries)
 	}
 	if !m.Delete("a") || m.Delete("a") {
 		t.Error("Delete misbehaves")
