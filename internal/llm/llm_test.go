@@ -124,6 +124,10 @@ func TestPostprocessPolicies(t *testing.T) {
 		{"plain", yaml},
 		{"markdown", "Sure thing!\n```yaml\n" + yaml + "```\ndone\n"},
 		{"bare-fence", "```\n" + yaml + "```\n"},
+		{"yml-fence", "```yml\n" + yaml + "```\n"},
+		{"Yaml-fence", "Sure:\n```Yaml\n" + yaml + "```\nDone.\n"},
+		{"info-fence-unclosed", "```yml\n" + yaml},
+		{"info-fence-crlf", "```yml\r\n" + yaml + "```\r\n"},
 		{"here", "Here is the YAML file:\n" + yaml},
 		{"preamble-apiversion", "The following manifest works.\n" + yaml},
 		{"code-tags", "<code>\n" + yaml + "</code>\n"},
@@ -140,6 +144,22 @@ func TestPostprocessPolicies(t *testing.T) {
 		}
 		if n.Get("kind").ScalarString() != "Pod" {
 			t.Errorf("%s: lost the document: %q", c.name, got)
+		}
+	}
+	// A fence's info string is not the answer's first line; a block
+	// that closes on its opener's line has no info string.
+	for raw, want := range map[string]string{
+		"```yml\n" + yaml + "```\n":    yaml,
+		"```Yaml\n" + yaml + "```\n":   yaml,
+		"```yml\n" + yaml:              yaml,
+		"```a: 1```":                   "a: 1\n",
+		"```a: 1":                      "a: 1\n",
+		"```\n\n" + yaml + "\n```\n":   yaml,
+		"x ```yml b```\n" + yaml:       "yml b\n",
+		"```text\n```\n" + yaml + "\n": "\n",
+	} {
+		if got := Postprocess(raw); got != want {
+			t.Errorf("Postprocess(%q) = %q, want %q", raw, got, want)
 		}
 	}
 }

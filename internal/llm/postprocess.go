@@ -51,15 +51,20 @@ func Postprocess(response string) string {
 	return strings.TrimSpace(out) + "\n"
 }
 
-type delimiter struct{ open, close string }
+// delimiter is one policy-3 pair. info marks an opener that may be
+// followed by an info string naming the language ("```yml", "```Yaml").
+type delimiter struct {
+	open, close string
+	info        bool
+}
 
 var delimiters = []delimiter{
-	{"```yaml", "```"},
-	{"```YAML", "```"},
-	{"```", "```"},
-	{"<code>", "</code>"},
-	{`\begin{code}`, `\end{code}`},
-	{"START SOLUTION", "END SOLUTION"},
+	{"```yaml", "```", false},
+	{"```YAML", "```", false},
+	{"```", "```", true},
+	{"<code>", "</code>", false},
+	{`\begin{code}`, `\end{code}`, false},
+	{"START SOLUTION", "END SOLUTION", false},
 }
 
 func extractDelimited(s string) (string, bool) {
@@ -70,6 +75,12 @@ func extractDelimited(s string) (string, bool) {
 		}
 		rest := s[start+len(d.open):]
 		end := strings.Index(rest, d.close)
+		// The rest of the opener's line is its info string, not YAML —
+		// unless the block closes on that same line ("```a: 1```").
+		if nl := strings.IndexByte(rest, '\n'); d.info && nl >= 0 && (end < 0 || nl < end) {
+			rest = rest[nl+1:]
+			end = strings.Index(rest, d.close)
+		}
 		if end < 0 {
 			// Unclosed fence: take everything after it.
 			return strings.TrimLeft(rest, "\n"), true
