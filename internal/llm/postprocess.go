@@ -2,6 +2,7 @@ package llm
 
 import (
 	"strings"
+	"unicode"
 
 	"cloudeval/internal/scenario"
 )
@@ -16,39 +17,57 @@ import (
 //     declared by the scenario backends;
 //  3. extract text enclosed by ``` fences, <code></code>,
 //     \begin{code}\end{code}, or START SOLUTION / END SOLUTION.
+//
+// The result is the extracted text with surrounding white space
+// removed, followed by one newline. Whenever a newline follows that
+// text in response — as in every wrap style of the zoo — the result is
+// a slice of response, not a copy, and so keeps all of response alive.
 func Postprocess(response string) string {
-	out := response
 	// Policy 3 first when explicit delimiters exist: they are the
 	// strongest signal, and once a fenced block is extracted the other
 	// policies must not trim it further (a document may legally put
 	// "kind:" before "apiVersion:").
-	if extracted, ok := extractDelimited(out); ok {
-		return strings.TrimSpace(extracted) + "\n"
+	lo, hi, ok := extractDelimited(response)
+	if !ok {
+		lo, hi = yamlStart(response), len(response)
 	}
-	// Policy 1: strip everything before the last preamble line
-	// containing "Here".
-	lines := strings.Split(out, "\n")
-	for i, ln := range lines {
-		if strings.Contains(ln, "Here") && i+1 < len(lines) {
-			candidate := strings.Join(lines[i+1:], "\n")
-			if looksLikeYAMLStart(candidate) {
-				out = candidate
-			}
-			break
+	// Trim as strings.TrimSpace does, keeping the bounds.
+	hi = lo + len(strings.TrimRightFunc(response[lo:hi], unicode.IsSpace))
+	lo = hi - len(strings.TrimSpace(response[lo:hi]))
+	if hi < len(response) && response[hi] == '\n' {
+		return response[lo : hi+1]
+	}
+	return response[lo:hi] + "\n"
+}
+
+// yamlStart is where policies 1 and 2 start an undelimited answer.
+func yamlStart(s string) int {
+	// Policy 1: skip the first line containing "Here" when what follows
+	// it looks like YAML.
+	start := 0
+	if i := strings.Index(s, "Here"); i >= 0 {
+		if nl := strings.IndexByte(s[i:], '\n'); nl >= 0 && looksLikeYAMLStart(s[i+nl+1:]) {
+			start = i + nl + 1
 		}
 	}
 	// Policy 2: cut to the first family document-start line. Postprocess
 	// has no problem context, so every family's marker applies to every
 	// answer; scenario.IsDocStartLine keeps prose that merely begins
 	// with a block marker from matching.
-	lines = strings.Split(out, "\n")
-	for i, ln := range lines {
-		if scenario.IsDocStartLine(strings.TrimSpace(ln)) {
-			out = strings.Join(lines[i:], "\n")
-			break
+	for i := start; ; {
+		line := s[i:]
+		nl := strings.IndexByte(line, '\n')
+		if nl >= 0 {
+			line = line[:nl]
 		}
+		if scenario.IsDocStartLine(strings.TrimSpace(line)) {
+			return i
+		}
+		if nl < 0 {
+			return start
+		}
+		i += nl + 1
 	}
-	return strings.TrimSpace(out) + "\n"
 }
 
 // delimiter is one policy-3 pair. info marks an opener that may be
@@ -67,34 +86,34 @@ var delimiters = []delimiter{
 	{"START SOLUTION", "END SOLUTION", false},
 }
 
-func extractDelimited(s string) (string, bool) {
+// extractDelimited returns the bounds of the text enclosed by the first
+// delimiter pair, in the order of delimiters, that opens in s.
+func extractDelimited(s string) (lo, hi int, ok bool) {
 	for _, d := range delimiters {
 		start := strings.Index(s, d.open)
 		if start < 0 {
 			continue
 		}
-		rest := s[start+len(d.open):]
-		end := strings.Index(rest, d.close)
+		lo = start + len(d.open)
+		end := strings.Index(s[lo:], d.close)
 		// The rest of the opener's line is its info string, not YAML —
 		// unless the block closes on that same line ("```a: 1```").
-		if nl := strings.IndexByte(rest, '\n'); d.info && nl >= 0 && (end < 0 || nl < end) {
-			rest = rest[nl+1:]
-			end = strings.Index(rest, d.close)
+		if nl := strings.IndexByte(s[lo:], '\n'); d.info && nl >= 0 && (end < 0 || nl < end) {
+			lo += nl + 1
+			end = strings.Index(s[lo:], d.close)
 		}
 		if end < 0 {
 			// Unclosed fence: take everything after it.
-			return strings.TrimLeft(rest, "\n"), true
+			return lo, len(s), true
 		}
-		return strings.Trim(rest[:end], "\n") + "\n", true
+		return lo, lo + end, true
 	}
-	return "", false
+	return 0, 0, false
 }
 
+// looksLikeYAMLStart reports whether the first non-blank line of s
+// reads like a YAML mapping entry or sequence item.
 func looksLikeYAMLStart(s string) bool {
-	t := strings.TrimSpace(s)
-	if t == "" {
-		return false
-	}
-	first := strings.SplitN(t, "\n", 2)[0]
-	return strings.Contains(first, ":") || strings.HasPrefix(first, "-") || strings.HasPrefix(first, "```")
+	first, _, _ := strings.Cut(strings.TrimSpace(s), "\n")
+	return strings.Contains(first, ":") || strings.HasPrefix(first, "-")
 }

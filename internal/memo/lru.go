@@ -40,18 +40,19 @@ type LRU[K comparable, V any] struct {
 }
 
 // lruEntry is one key's slot. From creation until its computation
-// settles it is in flight: present in the shard's map, off the recency
-// list, and v belongs to the computing goroutine. Settling publishes v
-// to parked waiters through fl and — on success — links the entry,
-// after which it is immutable apart from its list pointers.
+// settles it is pending (in flight): present in the shard's map, off
+// the recency list, and v belongs to the computing goroutine. Settling
+// publishes v to parked waiters through fl and — on success — links the
+// entry, after which it is immutable apart from its list pointers.
 type lruEntry[K comparable, V any] struct {
 	key        K
 	v          V
 	cost       int64
 	prev, next *lruEntry[K, V]
-	// fl is non-nil while the entry is in flight. It is a separate
-	// allocation so that a committed entry — the resident one — does
-	// not carry the rendezvous it no longer needs.
+	pending    bool
+	// fl is the rendezvous of a pending entry, allocated by the first
+	// caller that parks on it: most computations have no waiter, and a
+	// miss then costs the entry alone. Settling drops it.
 	fl *flight
 }
 
@@ -127,7 +128,13 @@ func (c *LRU[K, V]) Do(key K, fn func() (V, int64, error)) (v V, err error, hit 
 	sh.mu.Lock()
 	if e, ok := sh.m[key]; ok {
 		sh.hits++
-		if fl := e.fl; fl != nil {
+		if e.pending {
+			fl := e.fl
+			if fl == nil {
+				fl = new(flight)
+				fl.done.Add(1)
+				e.fl = fl
+			}
 			sh.mu.Unlock()
 			fl.done.Wait()
 			return e.v, fl.err, true
@@ -137,38 +144,42 @@ func (c *LRU[K, V]) Do(key K, fn func() (V, int64, error)) (v V, err error, hit 
 		sh.mu.Unlock()
 		return v, nil, true
 	}
-	// fl.err starts as the panic verdict and is overwritten by fn's own:
-	// if fn never returns, settle drops the entry and hands waiters
-	// errPanicked with no recover in the way of the panic.
-	fl := &flight{err: errPanicked}
-	fl.done.Add(1)
-	e := &lruEntry[K, V]{key: key, fl: fl}
+	e := &lruEntry[K, V]{key: key, pending: true}
 	sh.m[key] = e
 	sh.misses++
 	sh.mu.Unlock()
 
+	// err starts as the panic verdict and is overwritten by fn's own:
+	// if fn never returns, settle drops the entry and hands waiters
+	// errPanicked with no recover in the way of the panic.
 	var cost int64
-	defer func() { c.settle(sh, e, fl, cost) }()
-	e.v, cost, fl.err = fn()
-	return e.v, fl.err, false
+	err = errPanicked
+	defer func() { c.settle(sh, e, cost, err) }()
+	e.v, cost, err = fn()
+	return e.v, err, false
 }
 
-// settle ends e's flight: commit it at cost if it succeeded, fits and
-// still owns its key (an Add may have displaced it meanwhile), drop it
-// otherwise, then release the waiters.
-func (c *LRU[K, V]) settle(sh *lruShard[K, V], e *lruEntry[K, V], fl *flight, cost int64) {
+// settle ends e's flight with fn's verdict err: commit e at cost if err
+// is nil, it fits and it still owns its key (an Add may have displaced
+// it meanwhile), drop it otherwise, then hand err to the waiters, if
+// any parked, and release them.
+func (c *LRU[K, V]) settle(sh *lruShard[K, V], e *lruEntry[K, V], cost int64, err error) {
 	cost = max(cost, 1)
 	sh.mu.Lock()
+	fl := e.fl
+	e.pending, e.fl = false, nil
 	if sh.m[e.key] == e {
-		if fl.err == nil && cost <= c.perShard {
-			e.fl = nil
+		if err == nil && cost <= c.perShard {
 			sh.admit(e, cost, c.perShard)
 		} else {
 			delete(sh.m, e.key)
 		}
 	}
 	sh.mu.Unlock()
-	fl.done.Done()
+	if fl != nil {
+		fl.err = err
+		fl.done.Done()
+	}
 }
 
 // Get returns the committed value for key, marking it most recently
@@ -178,7 +189,7 @@ func (c *LRU[K, V]) Get(key K) (V, bool) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	e, ok := sh.m[key]
-	if !ok || e.fl != nil {
+	if !ok || e.pending {
 		sh.misses++
 		var zero V
 		return zero, false
@@ -203,7 +214,7 @@ func (c *LRU[K, V]) Add(key K, v V, cost int64) {
 	// released from its flight may still be reading it without the
 	// lock. One in flight is displaced from the map and settles
 	// detached.
-	if old, ok := sh.m[key]; ok && old.fl == nil {
+	if old, ok := sh.m[key]; ok && !old.pending {
 		sh.unlink(old)
 		sh.bytes -= old.cost
 	}

@@ -374,6 +374,72 @@ func TestAddDisplacesInFlight(t *testing.T) {
 	}
 }
 
+// TestParkedWaiterOnDisplacedEntry: an Add that displaces an entry
+// callers are parked on leaves them parked on the computation, which
+// hands them its own value and releases them once — a second release
+// would panic in the computing caller, which blockedDo reports.
+func TestParkedWaiterOnDisplacedEntry(t *testing.T) {
+	c := NewLRU[int, int](intHash, 1<<20)
+	release, done := blockedDo(c, 1, val(11, 10))
+	parked := make(chan int, 2)
+	for range 2 {
+		go func() {
+			v, err, hit := c.Do(1, val(-1, 10))
+			if err != nil || !hit {
+				t.Errorf("parked caller: err=%v, hit=%v", err, hit)
+			}
+			parked <- v
+		}()
+	}
+	waitHits(c, 2)
+	if _, ok := c.Get(1); ok {
+		t.Fatal("Get served an entry in flight")
+	}
+	c.Add(1, 99, 20)
+	close(release)
+	if got := <-done; got[0] != 11 || got[1] != nil {
+		t.Fatalf("computing caller got %v, want its own 11", got)
+	}
+	for range 2 {
+		if v := <-parked; v != 11 {
+			t.Fatalf("parked caller got %d, want the computed 11", v)
+		}
+	}
+	if v, ok := c.Get(1); !ok || v != 99 {
+		t.Fatalf("Get(1) = %d, %v; want the added 99", v, ok)
+	}
+	if st := c.Stats(); st.Bytes != 20 || st.Entries != 1 {
+		t.Fatalf("Stats = %+v, want 20 bytes / 1 entry", st)
+	}
+}
+
+// TestDoMissAllocs: an uncontended miss allocates its entry and nothing
+// else — no rendezvous unless a caller parks — and a hit allocates
+// nothing. The one-unit shard keeps one committed entry, each miss
+// evicting the last, so the map never grows.
+func TestDoMissAllocs(t *testing.T) {
+	c := NewLRU[int, int](oneShard, 0)
+	key := 0
+	fn := func() (int, int64, error) { return key, 1, nil }
+	miss := testing.AllocsPerRun(100, func() {
+		key++
+		if _, _, hit := c.Do(key, fn); hit {
+			t.Fatal("a new key hit")
+		}
+	})
+	hit := testing.AllocsPerRun(100, func() {
+		if _, _, hit := c.Do(key, fn); !hit {
+			t.Fatal("the last key missed")
+		}
+	})
+	if miss != 1 || hit != 0 {
+		t.Errorf("Do allocates %v per miss and %v per hit, want 1 and 0", miss, hit)
+	}
+	if st := c.Stats(); st.Entries != 1 {
+		t.Errorf("Stats = %+v, want the one committed entry", st)
+	}
+}
+
 // TestConcurrentDoOverBudget: a working set many times the budget,
 // walked by several goroutines in different orders, never holds more
 // than the budget and always returns each key's own value.
