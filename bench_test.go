@@ -615,61 +615,11 @@ func BenchmarkStoreOpenWarm(b *testing.B) {
 	b.ReportMetric(float64(records+gens), "records-replayed")
 }
 
-// BenchmarkStoreOpenSnapshot measures the snapshot-accelerated
-// restart: the same fixture as BenchmarkStoreOpenWarm, but compacted,
-// so every shard carries an index-snapshot sidecar and Open loads the
-// offset index without reading a single frame. The ratio of
-// StoreOpenWarm to this benchmark is benchguard's -min-open-speedup
-// gate; since frames became binary it is about 1 on this fixture
-// (DESIGN.md §2.11 "Index snapshot sidecars").
-func BenchmarkStoreOpenSnapshot(b *testing.B) {
-	path := filepath.Join(b.TempDir(), "bench.store")
-	s, err := store.Open(path)
-	if err != nil {
-		b.Fatal(err)
-	}
-	const records, gens = 4000, 1000
-	for i := 0; i < records; i++ {
-		tk := sha256.Sum256([]byte(fmt.Sprintf("warm-test-%d", i)))
-		ak := sha256.Sum256([]byte(fmt.Sprintf("warm-answer-%d", i)))
-		s.Put(tk, ak, unittest.Result{Passed: i%2 == 0, Output: "unit_test_passed\n", VirtualTime: time.Second})
-	}
-	for i := 0; i < gens; i++ {
-		key := inference.Key(sha256.Sum256([]byte(fmt.Sprintf("warm-gen-%d", i))))
-		s.PutGen(key, inference.Response{
-			Text:  fmt.Sprintf("apiVersion: v1\nkind: Pod # %d\n", i),
-			Usage: inference.Usage{PromptTokens: 120, CompletionTokens: 40},
-		})
-	}
-	if err := s.Compact(); err != nil {
-		b.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		w, err := store.Open(path)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if w.Len() != records || w.GenLen() != gens {
-			b.Fatalf("replayed %d/%d, want %d/%d", w.Len(), w.GenLen(), records, gens)
-		}
-		if st := w.LastOpen(); st.ScannedFrames != 0 {
-			b.Fatalf("snapshot Open scanned %d frames, want 0", st.ScannedFrames)
-		}
-		if err := w.Close(); err != nil {
-			b.Fatal(err)
-		}
-	}
-	b.ReportMetric(float64(records+gens), "records-replayed")
-}
-
-// BenchmarkStoreColdGet measures the out-of-core miss path: every Get
-// bypasses the hot cache (budget 0) and pays pread + CRC + decode. Run with -benchmem; benchguard caps allocs/op here so the
-// on-demand read path cannot silently grow allocation fat — it is what
-// every cache-cold request pays at the store tier.
+// BenchmarkStoreColdGet measures the store's one read path: every Get
+// pays pread + CRC + decode. Run with -benchmem; benchguard caps
+// allocs/op here so the on-demand read path cannot silently grow
+// allocation fat — it is what every request that misses the in-memory
+// tiers pays at the store.
 func BenchmarkStoreColdGet(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.store")
 	s, err := store.Open(path)
@@ -687,7 +637,7 @@ func BenchmarkStoreColdGet(b *testing.B) {
 	if err := s.Close(); err != nil {
 		b.Fatal(err)
 	}
-	c, err := store.Open(path, store.WithHotCacheBytes(0))
+	c, err := store.Open(path)
 	if err != nil {
 		b.Fatal(err)
 	}

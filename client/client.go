@@ -181,37 +181,19 @@ type StoreStats struct {
 	FramesPerFlush float64      `json:"frames_per_flush"`
 	PerShard       []ShardStats `json:"per_shard"`
 
-	// Out-of-core economics: resident memory (offset index plus hot
-	// cache — payloads live on disk), the bounded hot cache's state,
-	// and how the last Open rebuilt the index.
+	// Out-of-core economics: resident memory (the offset index —
+	// payloads live on disk) and how the last Open rebuilt the index.
 	ResidentBytes int64          `json:"resident_bytes"`
-	HotCache      HotCacheStats  `json:"hot_cache"`
 	LastOpen      StoreOpenStats `json:"last_open"`
 }
 
-// HotCacheStats is the store's bounded hot cache: byte budget,
-// occupancy, and hit/miss/eviction counters since the daemon opened
-// the store.
-type HotCacheStats struct {
-	CapacityBytes int64 `json:"capacity_bytes"`
-	Bytes         int64 `json:"bytes"`
-	Entries       int   `json:"entries"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
-}
-
 // StoreOpenStats describes how the store's last Open rebuilt its
-// index: entries loaded from index-snapshot sidecars vs decoded by
-// scanning frames, how many of the scanned frames were in the JSON
-// payload layout (read, no longer written; sidecar-loaded entries are
-// not inspected), and the rebuild wall time.
+// index: frames scanned, how many of them were in the JSON payload
+// layout (read, no longer written), and the rebuild wall time.
 type StoreOpenStats struct {
-	SnapshotShards int     `json:"snapshot_shards"`
-	SnapshotFrames int     `json:"snapshot_frames"`
-	ScannedFrames  int     `json:"scanned_frames"`
-	LegacyFrames   int     `json:"legacy_frames"`
-	DurationMs     float64 `json:"duration_ms"`
+	ScannedFrames int     `json:"scanned_frames"`
+	LegacyFrames  int     `json:"legacy_frames"`
+	DurationMs    float64 `json:"duration_ms"`
 }
 
 // Eval scores one problem via POST /v1/eval.

@@ -42,13 +42,6 @@
 //     the sharded group-commit log must scale with writers, not
 //     serialize them on one committer. Skipped (loudly) on runners
 //     with fewer than 4 CPUs, like the campaign parallel gate.
-//  9. Snapshot Open speedup (-min-open-speedup): StoreOpenSnapshot
-//     (compacted store, index loaded from sidecars) must be at least
-//     the given factor faster than StoreOpenWarm (same fixture, full
-//     frame scan) from the same run. Both benchmarks run on the same
-//     machine in the same process, so the ratio is hardware-
-//     independent; skipped (loudly) when the fixture is too small for
-//     the scan cost to dominate Open's fixed costs.
 //  10. Cold-read allocation hard cap (no flag): when the baseline
 //     records store_cold_get_max_allocs, StoreColdGet allocs/op must
 //     stay at or under it — the pread + verify + decode path must not
@@ -144,15 +137,9 @@ type Artifact struct {
 	// -max-alloc-regress gate, this cap cannot drift upward by
 	// re-recording the baseline from a regressed run.
 	GenerateBatchedMaxAllocs float64 `json:"generate_batched_max_allocs,omitempty"`
-	// StoreOpenSnapshotSpeedup is StoreOpenWarm ns/op divided by
-	// StoreOpenSnapshot ns/op from this run — how much faster a
-	// compacted store opens through its index sidecars than through the
-	// full frame scan (higher is better). Recorded whenever both
-	// benchmarks ran.
-	StoreOpenSnapshotSpeedup float64 `json:"store_open_snapshot_speedup,omitempty"`
 	// StoreColdGetMaxAllocs is the hard allocs/op ceiling for
-	// BenchmarkStoreColdGet — the store's uncached pread + CRC + decode
-	// read path. Recorded once in the baseline; does not move with
+	// BenchmarkStoreColdGet — the store's pread + CRC + decode read
+	// path. Recorded once in the baseline; does not move with
 	// baseline re-records.
 	StoreColdGetMaxAllocs float64 `json:"store_cold_get_max_allocs,omitempty"`
 	// ScoreAnswerMaxAllocs is the hard allocs/op ceiling for
@@ -184,18 +171,6 @@ const allocCapBench = "GenerateBatched"
 
 // storeBench is the benchmark the store-scaling gate inspects.
 const storeBench = "StoreAppendParallel"
-
-// Benchmarks the snapshot-Open gate compares: the same store fixture
-// opened via a full frame scan vs via index-snapshot sidecars.
-const (
-	openScanBench = "StoreOpenWarm"
-	openSnapBench = "StoreOpenSnapshot"
-)
-
-// minOpenFrames is the smallest records-replayed fixture the snapshot
-// gate trusts: below this, Open's fixed costs (file opens, goroutine
-// spawn) drown the scan cost and the ratio measures noise.
-const minOpenFrames = 2000
 
 // coldGetBench is the benchmark the cold-read allocation cap inspects.
 const coldGetBench = "StoreColdGet"
@@ -300,7 +275,6 @@ type gates struct {
 	minColdSpeedup     float64 // ColdPathUnitTest ns vs baseline cold_unittest_pre_pr_ns
 	minParallelScale   float64 // CampaignParallel 1-core ns vs 4-core ns
 	minStoreScale      float64 // StoreAppendParallel 1-core ns vs 4-core ns
-	minOpenSpeedup     float64 // StoreOpenWarm ns vs StoreOpenSnapshot ns
 	minPipelineOverlap float64 // CampaignInterleaved ns vs CampaignPipelined ns
 	loadgenPath        string  // cloudeval loadgen report to gate ("" disables)
 	maxP99Ms           float64 // loadgen p99 latency ceiling in ms
@@ -318,7 +292,6 @@ func main() {
 	flag.Float64Var(&g.minColdSpeedup, "min-cold-speedup", 2, "fail when ColdPathUnitTest ns/op is not at least this factor below the baseline's cold_unittest_pre_pr_ns (0 disables)")
 	flag.Float64Var(&g.minParallelScale, "min-parallel-speedup", 2.5, "fail when CampaignParallel at 4 cores is not at least this factor faster than at 1 core (0 disables; skipped on machines with fewer than 4 CPUs)")
 	flag.Float64Var(&g.minStoreScale, "min-store-speedup", 0, "fail when StoreAppendParallel at 4 cores is not at least this factor faster than at 1 core (0 disables; skipped on machines with fewer than 4 CPUs)")
-	flag.Float64Var(&g.minOpenSpeedup, "min-open-speedup", 0, "fail when StoreOpenSnapshot is not at least this factor faster than StoreOpenWarm in the same run (0 disables; skipped when the fixture replays fewer than 2000 records)")
 	flag.Float64Var(&g.minPipelineOverlap, "min-pipeline-overlap", 0, "fail when CampaignPipelined is not at least this factor faster than CampaignInterleaved in the same run (0 disables; skipped on machines with fewer than 4 CPUs)")
 	flag.StringVar(&g.loadgenPath, "loadgen", "", "cloudeval loadgen report JSON to gate and fold into the artifact")
 	flag.Float64Var(&g.maxP99Ms, "max-p99-ms", 0, "fail when the loadgen report's p99 latency exceeds this many milliseconds (0 disables; skipped on machines with fewer than 4 CPUs)")
@@ -356,9 +329,6 @@ func run(in, out, sha, baselinePath string, g gates) error {
 	}
 	if scale, ok := storeScale(benchmarks); ok {
 		art.StoreAppendParallelScaling = scale
-	}
-	if speedup, _, ok := openSpeedup(benchmarks); ok {
-		art.StoreOpenSnapshotSpeedup = speedup
 	}
 	if overlap, ok := pipelineOverlap(benchmarks); ok {
 		art.PipelineOverlap = overlap
@@ -442,9 +412,6 @@ func run(in, out, sha, baselinePath string, g gates) error {
 		return err
 	}
 	if err := gateStoreScale(benchmarks, g.minStoreScale); err != nil {
-		return err
-	}
-	if err := gateOpenSpeedup(benchmarks, g.minOpenSpeedup); err != nil {
 		return err
 	}
 	if err := gatePipelineOverlap(benchmarks, g.minPipelineOverlap); err != nil {
@@ -594,51 +561,6 @@ func gateStoreScale(benchmarks map[string]BenchResult, minScale float64) error {
 	if scale < minScale {
 		return fmt.Errorf("store scaling regressed: %s runs only %.2fx faster at 4 cores (need %.1fx) — appends are serializing on a shared committer",
 			storeBench, scale, minScale)
-	}
-	return nil
-}
-
-// openSpeedup computes StoreOpenWarm ns/op over StoreOpenSnapshot
-// ns/op when both ran, along with the smaller of the two fixtures'
-// records-replayed counts (the gate's too-small-to-trust signal).
-func openSpeedup(benchmarks map[string]BenchResult) (speedup, frames float64, ok bool) {
-	scan, okScan := benchmarks[openScanBench]
-	snap, okSnap := benchmarks[openSnapBench]
-	if !okScan || !okSnap || scan.NsPerOp <= 0 || snap.NsPerOp <= 0 {
-		return 0, 0, false
-	}
-	frames = scan.Metrics["records-replayed"]
-	if f := snap.Metrics["records-replayed"]; f < frames {
-		frames = f
-	}
-	return scan.NsPerOp / snap.NsPerOp, frames, true
-}
-
-// gateOpenSpeedup enforces the snapshot-accelerated restart: opening a
-// compacted store through its index sidecars must beat the full frame
-// scan of the same fixture by at least minSpeedup. Both measurements
-// come from the same run on the same machine, so the ratio is
-// hardware-independent; the gate announces itself skipped (rather than
-// passing silently) when the fixture is too small for the scan cost to
-// dominate Open's fixed per-file costs.
-func gateOpenSpeedup(benchmarks map[string]BenchResult, minSpeedup float64) error {
-	if minSpeedup <= 0 {
-		return nil
-	}
-	speedup, frames, ok := openSpeedup(benchmarks)
-	if !ok {
-		return fmt.Errorf("%s/%s missing from bench output (open-speedup gate active)", openScanBench, openSnapBench)
-	}
-	if frames < minOpenFrames {
-		fmt.Printf("benchguard: open-speedup gate skipped: fixture replays %.0f records (< %d) — too small for the scan cost to dominate\n",
-			frames, minOpenFrames)
-		return nil
-	}
-	fmt.Printf("benchguard: snapshot Open %.2fx faster than full-scan Open over %.0f records (required %.1fx)\n",
-		speedup, frames, minSpeedup)
-	if speedup < minSpeedup {
-		return fmt.Errorf("snapshot Open regressed: only %.2fx faster than the full scan (need %.1fx) — the sidecar fast path is not paying for itself",
-			speedup, minSpeedup)
 	}
 	return nil
 }

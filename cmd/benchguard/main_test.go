@@ -290,72 +290,12 @@ func TestStoreScaleGate(t *testing.T) {
 	}
 }
 
-// snapshotSample pairs the full-scan and snapshot Open benchmarks of
-// one run (4.4x apart) plus the cold-read path with -benchmem.
-const snapshotSample = `goos: linux
+// coldGetSample is the store's read-path benchmark with -benchmem.
+const coldGetSample = `goos: linux
 pkg: cloudeval
-BenchmarkStoreOpenWarm-4        	      20	  22000000 ns/op	      5000 records-replayed
-BenchmarkStoreOpenSnapshot-4    	      80	   5000000 ns/op	      5000 records-replayed
 BenchmarkStoreColdGet-4         	  200000	      6500 ns/op	     824 B/op	      11 allocs/op
 PASS
 `
-
-func TestOpenSpeedupGate(t *testing.T) {
-	benchmarks, err := parseBench(strings.NewReader(snapshotSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if speedup, frames, ok := openSpeedup(benchmarks); !ok || speedup != 4.4 || frames != 5000 {
-		t.Errorf("openSpeedup = %v, %v, %v; want 4.4 over 5000 frames", speedup, frames, ok)
-	}
-	if err := gateOpenSpeedup(benchmarks, 0); err != nil {
-		t.Fatalf("disabled gate failed: %v", err)
-	}
-	if err := gateOpenSpeedup(benchmarks, 3); err != nil {
-		t.Fatalf("gate failed a 4.4x speedup against a 3x floor: %v", err)
-	}
-	if err := gateOpenSpeedup(benchmarks, 5); err == nil {
-		t.Fatal("gate passed a 4.4x speedup against a 5x floor")
-	}
-	if err := gateOpenSpeedup(map[string]BenchResult{}, 3); err == nil {
-		t.Fatal("gate passed with neither Open benchmark present")
-	}
-	// A toy fixture must skip loudly, not pass or fail on noise.
-	tiny, err := parseBench(strings.NewReader(strings.ReplaceAll(
-		snapshotSample, "5000 records-replayed", "100 records-replayed")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gateOpenSpeedup(tiny, 1000); err != nil {
-		t.Fatalf("gate did not skip a 100-record fixture: %v", err)
-	}
-
-	// The measured speedup is recorded in the artifact.
-	dir := t.TempDir()
-	benchPath := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(benchPath, []byte(snapshotSample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outPath := filepath.Join(dir, "BENCH_snap.json")
-	base := Artifact{StoreColdGetMaxAllocs: 24}
-	if err := run(benchPath, outPath, "snap", writeBaseline(t, dir, base), gates{minOpenSpeedup: 3}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if art.StoreOpenSnapshotSpeedup != 4.4 {
-		t.Errorf("artifact open speedup = %v, want 4.4", art.StoreOpenSnapshotSpeedup)
-	}
-	if art.StoreColdGetMaxAllocs != 24 {
-		t.Errorf("artifact cold-get cap = %v, want 24 carried from baseline", art.StoreColdGetMaxAllocs)
-	}
-}
 
 // pipelineSample pairs the pipelined and interleaved latency-campaign
 // benchmarks of one run: 8x apart at 4 cores, 20x at 1 core (a single
@@ -440,7 +380,7 @@ func TestPipelineOverlapInArtifact(t *testing.T) {
 }
 
 func TestColdGetAllocCapGate(t *testing.T) {
-	benchmarks, err := parseBench(strings.NewReader(snapshotSample))
+	benchmarks, err := parseBench(strings.NewReader(coldGetSample))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,6 +396,29 @@ func TestColdGetAllocCapGate(t *testing.T) {
 	}
 	if err := gateColdGetAllocCap(map[string]BenchResult{}, Artifact{StoreColdGetMaxAllocs: 24}); err != nil {
 		t.Fatalf("cap gate tripped on a run without the benchmark: %v", err)
+	}
+
+	// The cap is carried from the baseline into the artifact.
+	dir := t.TempDir()
+	benchPath := filepath.Join(dir, "bench.txt")
+	if err := os.WriteFile(benchPath, []byte(coldGetSample), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	outPath := filepath.Join(dir, "BENCH_cold.json")
+	base := Artifact{StoreColdGetMaxAllocs: 24}
+	if err := run(benchPath, outPath, "cold", writeBaseline(t, dir, base), gates{}); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var art Artifact
+	if err := json.Unmarshal(data, &art); err != nil {
+		t.Fatal(err)
+	}
+	if art.StoreColdGetMaxAllocs != 24 {
+		t.Errorf("artifact cold-get cap = %v, want 24 carried from baseline", art.StoreColdGetMaxAllocs)
 	}
 }
 

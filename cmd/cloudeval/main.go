@@ -100,10 +100,9 @@ Commands:
 
 -store attaches the persistent evaluation store at F: unit-test
 results and generations persist across invocations, so a warm re-run
-neither executes nor generates anything. -store-cache-mb bounds the
-store's hot cache of decoded records (default 256 MiB): payloads live
-on disk behind an offset index, so resident memory stays under
-index + cache regardless of store size.
+neither executes nor generates anything. Payloads live on disk behind
+an offset index, so resident memory is the index's regardless of
+store size.
 
 bench, figures, campaign and models take inference provider flags:
   -provider sim              the deterministic model zoo (default)
@@ -142,14 +141,12 @@ func addProviderFlags(fs *flag.FlagSet) providerFlags {
 // storeFlags carries the persistent-store selection shared by bench,
 // figures and campaign.
 type storeFlags struct {
-	path    *string
-	cacheMB *int
+	path *string
 }
 
 func addStoreFlags(fs *flag.FlagSet) storeFlags {
 	return storeFlags{
-		path:    fs.String("store", "", "persistent evaluation store path"),
-		cacheMB: fs.Int("store-cache-mb", 256, "store hot-cache byte budget in MiB (0 disables caching)"),
+		path: fs.String("store", "", "persistent evaluation store path"),
 	}
 }
 
@@ -197,7 +194,7 @@ func newBench(sf storeFlags, pf providerFlags) (*cloudeval.Benchmark, *store.Sto
 	dopts := pf.dispatchOptions()
 	var st *store.Store
 	if *sf.path != "" {
-		st, err = store.Open(*sf.path, store.WithHotCacheBytes(int64(*sf.cacheMB)<<20))
+		st, err = store.Open(*sf.path)
 		if err != nil {
 			prov.Close()
 			return nil, nil, nil, err
@@ -225,10 +222,9 @@ func newBench(sf storeFlags, pf providerFlags) (*cloudeval.Benchmark, *store.Sto
 }
 
 // reportStore prints the persistent store's shard layout and batching
-// ratio, and beside its hot cache the two in-memory caches above it —
-// the same counters GET /v1/stats serves — so contention regressions
-// and a cache that has started evicting show up in a plain bench run
-// too.
+// ratio, and the two in-memory caches above it — the same counters GET
+// /v1/stats serves — so contention regressions and a cache that has
+// started evicting show up in a plain bench run too.
 func reportStore(b *cloudeval.Benchmark, st *store.Store) {
 	ratio := 0.0
 	if f := st.Flushes(); f > 0 {
@@ -243,12 +239,8 @@ func reportStore(b *cloudeval.Benchmark, st *store.Store) {
 	}
 	fmt.Fprintf(os.Stderr, "store: per-shard records [%s]\n", strings.Join(counts, " "))
 	op := st.LastOpen()
-	fmt.Fprintf(os.Stderr, "store: open %.1fms — %d frames from %d snapshot sidecars, %d scanned (%d legacy JSON)\n",
-		float64(op.Duration.Microseconds())/1e3, op.SnapshotFrames, op.SnapshotShards, op.ScannedFrames, op.LegacyFrames)
-	cs := st.CacheStats()
-	fmt.Fprintf(os.Stderr, "store: resident ~%.1f MiB (hot cache %.1f/%.0f MiB, %d entries, %d hits / %d misses)\n",
-		float64(st.ResidentBytes())/(1<<20), float64(cs.Bytes)/(1<<20), float64(cs.Capacity)/(1<<20),
-		cs.Entries, cs.Hits, cs.Misses)
+	fmt.Fprintf(os.Stderr, "store: open %.1fms — %d frames scanned (%d legacy JSON), index ~%.1f MiB resident\n",
+		float64(op.Duration.Microseconds())/1e3, op.ScannedFrames, op.LegacyFrames, float64(st.ResidentBytes())/(1<<20))
 	es, gs := b.Engine().Stats(), b.Generator().Stats()
 	fmt.Fprintf(os.Stderr, "caches: engine %d entries, %.1f MiB, %d evictions; inference %d entries, %.1f MiB, %d evictions\n",
 		es.CacheEntries, float64(es.CacheBytes)/(1<<20), es.CacheEvictions,

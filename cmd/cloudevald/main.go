@@ -94,7 +94,6 @@ func run() error {
 	addr := flag.String("addr", ":8080", "listen address")
 	data := flag.String("data", "cloudevald-data", "data directory (store + campaign checkpoints)")
 	storePath := flag.String("store", "", "evaluation store path (default <data>/eval.store)")
-	storeCacheMB := flag.Int("store-cache-mb", 256, "store hot-cache byte budget in MiB (0 disables caching)")
 	provider := flag.String("provider", "sim", `inference provider: "sim" or "http:<base-url>" (key from $CLOUDEVAL_API_KEY)`)
 	record := flag.String("record", "", "record every live generation to this JSONL trace")
 	replay := flag.String("replay", "", "serve generations from this JSONL trace (overrides -provider)")
@@ -114,7 +113,7 @@ func run() error {
 	if path == "" {
 		path = filepath.Join(*data, "eval.store")
 	}
-	st, err := store.Open(path, store.WithHotCacheBytes(int64(*storeCacheMB)<<20))
+	st, err := store.Open(path)
 	if err != nil {
 		return err
 	}
@@ -148,8 +147,8 @@ func run() error {
 	fmt.Printf("cloudevald: store %s (%d shards, %d results, %d generations), provider %s, %d problems, %d models\n",
 		path, st.Shards(), st.Len(), st.GenLen(), prov.Name(), len(bench.Problems), len(bench.Models))
 	op := st.LastOpen()
-	fmt.Printf("cloudevald: store open %.1fms — %d frames from %d snapshot sidecars, %d scanned (%d legacy JSON); hot cache %d MiB\n",
-		float64(op.Duration.Microseconds())/1e3, op.SnapshotFrames, op.SnapshotShards, op.ScannedFrames, op.LegacyFrames, *storeCacheMB)
+	fmt.Printf("cloudevald: store open %.1fms — %d frames scanned (%d legacy JSON)\n",
+		float64(op.Duration.Microseconds())/1e3, op.ScannedFrames, op.LegacyFrames)
 	if *warm {
 		start := time.Now()
 		bench.ZeroShot()

@@ -175,7 +175,6 @@ func runWorker(args []string) error {
 	name := fs.String("name", "worker", "worker name")
 	idle := fs.Duration("idle", 10*time.Second, "exit after this long without jobs")
 	storePath := fs.String("store", "", "persistent evaluation store: repeated jobs are answered from disk")
-	storeCacheMB := fs.Int("store-cache-mb", 256, "store hot-cache byte budget in MiB (0 disables caching)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -185,7 +184,7 @@ func runWorker(args []string) error {
 	}
 	defer w.Close()
 	if *storePath != "" {
-		st, err := store.Open(*storePath, store.WithHotCacheBytes(int64(*storeCacheMB)<<20))
+		st, err := store.Open(*storePath)
 		if err != nil {
 			return err
 		}

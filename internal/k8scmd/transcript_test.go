@@ -31,7 +31,7 @@ var transcriptKinds = []struct {
 	{"StatefulSet", "statefulsets", []string{"sts"}, "Available", true},
 	{"DaemonSet", "daemonsets", []string{"ds"}, "Ready", true},
 	{"Job", "jobs", nil, "Complete", false},
-	{"CronJob", "cronjobs", nil, "", false},
+	{"CronJob", "cronjobs", []string{"cj"}, "", false},
 	{"Service", "services", []string{"svc"}, "", false},
 	{"Ingress", "ingresses", []string{"ing"}, "", false},
 	{"ConfigMap", "configmaps", []string{"cm"}, "", false},
@@ -46,11 +46,11 @@ var transcriptKinds = []struct {
 	{"PersistentVolumeClaim", "persistentvolumeclaims", []string{"pvc"}, "", false},
 	{"HorizontalPodAutoscaler", "horizontalpodautoscalers", []string{"hpa"}, "", false},
 	{"NetworkPolicy", "networkpolicies", []string{"netpol"}, "", false},
-	{"LimitRange", "limitranges", nil, "", false},
-	{"ResourceQuota", "resourcequotas", nil, "", false},
-	{"DestinationRule", "destinationrules", nil, "", false},
-	{"VirtualService", "virtualservices", nil, "", false},
-	{"Gateway", "gateways", nil, "", false},
+	{"LimitRange", "limitranges", []string{"limits"}, "", false},
+	{"ResourceQuota", "resourcequotas", []string{"quota"}, "", false},
+	{"DestinationRule", "destinationrules", []string{"dr"}, "", false},
+	{"VirtualService", "virtualservices", []string{"vs"}, "", false},
+	{"Gateway", "gateways", []string{"gw"}, "", false},
 	{"StorageClass", "storageclasses", []string{"sc"}, "", false},
 	{"Node", "nodes", []string{"no"}, "", false},
 }

@@ -33,13 +33,13 @@ var (
 // Resources in.
 var (
 	ConfigMap             = row(&Resource{Kind: "ConfigMap", Plural: "configmaps", ShortNames: []string{"cm"}, Versions: core, Namespaced: true})
-	LimitRange            = row(&Resource{Kind: "LimitRange", Plural: "limitranges", Versions: core, Namespaced: true})
+	LimitRange            = row(&Resource{Kind: "LimitRange", Plural: "limitranges", ShortNames: []string{"limits"}, Versions: core, Namespaced: true})
 	Namespace             = row(&Resource{Kind: "Namespace", Plural: "namespaces", ShortNames: []string{"ns"}, Versions: core})
 	Node                  = row(&Resource{Kind: "Node", Plural: "nodes", ShortNames: []string{"no"}, Versions: core})
 	PersistentVolumeClaim = row(&Resource{Kind: "PersistentVolumeClaim", Plural: "persistentvolumeclaims", ShortNames: []string{"pvc"}, Versions: core, Namespaced: true})
 	PersistentVolume      = row(&Resource{Kind: "PersistentVolume", Plural: "persistentvolumes", ShortNames: []string{"pv"}, Versions: core})
 	Pod                   = row(&Resource{Kind: "Pod", Plural: "pods", ShortNames: []string{"po"}, Versions: core, Namespaced: true})
-	ResourceQuota         = row(&Resource{Kind: "ResourceQuota", Plural: "resourcequotas", Versions: core, Namespaced: true})
+	ResourceQuota         = row(&Resource{Kind: "ResourceQuota", Plural: "resourcequotas", ShortNames: []string{"quota"}, Versions: core, Namespaced: true})
 	Secret                = row(&Resource{Kind: "Secret", Plural: "secrets", Versions: core, Namespaced: true})
 	ServiceAccount        = row(&Resource{Kind: "ServiceAccount", Plural: "serviceaccounts", ShortNames: []string{"sa"}, Versions: core, Namespaced: true})
 	Service               = row(&Resource{Kind: "Service", Plural: "services", ShortNames: []string{"svc"}, Versions: core, Namespaced: true})
@@ -51,7 +51,7 @@ var (
 
 	HorizontalPodAutoscaler = row(&Resource{Kind: "HorizontalPodAutoscaler", Plural: "horizontalpodautoscalers", ShortNames: []string{"hpa"}, Versions: []string{"autoscaling/v2", "autoscaling/v1"}, Namespaced: true})
 
-	CronJob = row(&Resource{Kind: "CronJob", Plural: "cronjobs", Versions: batch, Namespaced: true})
+	CronJob = row(&Resource{Kind: "CronJob", Plural: "cronjobs", ShortNames: []string{"cj"}, Versions: batch, Namespaced: true})
 	Job     = row(&Resource{Kind: "Job", Plural: "jobs", Versions: batch, Namespaced: true})
 
 	Ingress       = row(&Resource{Kind: "Ingress", Plural: "ingresses", ShortNames: []string{"ing"}, Versions: networking, Namespaced: true})
@@ -64,9 +64,9 @@ var (
 
 	StorageClass = row(&Resource{Kind: "StorageClass", Plural: "storageclasses", ShortNames: []string{"sc"}, Versions: []string{"storage.k8s.io/v1"}})
 
-	DestinationRule = row(&Resource{Kind: "DestinationRule", Plural: "destinationrules", Versions: istio, Namespaced: true})
-	Gateway         = row(&Resource{Kind: "Gateway", Plural: "gateways", Versions: istio, Namespaced: true})
-	VirtualService  = row(&Resource{Kind: "VirtualService", Plural: "virtualservices", Versions: istio, Namespaced: true})
+	DestinationRule = row(&Resource{Kind: "DestinationRule", Plural: "destinationrules", ShortNames: []string{"dr"}, Versions: istio, Namespaced: true})
+	Gateway         = row(&Resource{Kind: "Gateway", Plural: "gateways", ShortNames: []string{"gw"}, Versions: istio, Namespaced: true})
+	VirtualService  = row(&Resource{Kind: "VirtualService", Plural: "virtualservices", ShortNames: []string{"vs"}, Versions: istio, Namespaced: true})
 )
 
 // Resources is the table's rows, in declaration order.

@@ -7,18 +7,16 @@ import (
 )
 
 // LRU is a sharded singleflight cache under a byte budget: the
-// engine's execution cache, the dispatcher's generation cache and the
-// store's hot tier of decoded frames. Keys hash into shards, each with
-// its own mutex, map and recency list, so concurrent calls on
-// different keys never serialize on one lock.
+// engine's execution cache and the dispatcher's generation cache. Keys
+// hash into shards, each with its own mutex, map and recency list, so
+// concurrent calls on different keys never serialize on one lock.
 //
-// Do gives the singleflight contract for expensive, fallible
-// computations: concurrent calls with the same key collapse into one
-// fn call; laggards park on the winner's entry and share its result. A
-// fn error is handed to every parked waiter but never cached — a
-// transient executor or API failure must not be frozen into the cache.
-// Get and Add are the plain two-step form for callers that do their
-// own miss handling.
+// Do is its one operation, the singleflight contract for expensive,
+// fallible computations: concurrent calls with the same key collapse
+// into one fn call; laggards park on the winner's entry and share its
+// result. A fn error is handed to every parked waiter but never cached
+// — a transient executor or API failure must not be frozen into the
+// cache.
 //
 // Every committed entry carries a caller-supplied cost. The budget is
 // divided evenly across the shards and each shard evicts its least
@@ -160,68 +158,24 @@ func (c *LRU[K, V]) Do(key K, fn func() (V, int64, error)) (v V, err error, hit 
 }
 
 // settle ends e's flight with fn's verdict err: commit e at cost if err
-// is nil, it fits and it still owns its key (an Add may have displaced
-// it meanwhile), drop it otherwise, then hand err to the waiters, if
-// any parked, and release them.
+// is nil and it fits, drop it otherwise, then hand err to the waiters,
+// if any parked, and release them. A pending entry is never evicted,
+// so e still owns its key.
 func (c *LRU[K, V]) settle(sh *lruShard[K, V], e *lruEntry[K, V], cost int64, err error) {
 	cost = max(cost, 1)
 	sh.mu.Lock()
 	fl := e.fl
 	e.pending, e.fl = false, nil
-	if sh.m[e.key] == e {
-		if err == nil && cost <= c.perShard {
-			sh.admit(e, cost, c.perShard)
-		} else {
-			delete(sh.m, e.key)
-		}
+	if err == nil && cost <= c.perShard {
+		sh.admit(e, cost, c.perShard)
+	} else {
+		delete(sh.m, e.key)
 	}
 	sh.mu.Unlock()
 	if fl != nil {
 		fl.err = err
 		fl.done.Done()
 	}
-}
-
-// Get returns the committed value for key, marking it most recently
-// used. A key still in flight is a miss: Get never waits.
-func (c *LRU[K, V]) Get(key K) (V, bool) {
-	sh := &c.shards[c.hash(key)&c.mask]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	e, ok := sh.m[key]
-	if !ok || e.pending {
-		sh.misses++
-		var zero V
-		return zero, false
-	}
-	sh.hits++
-	sh.moveToFront(e)
-	return e.v, true
-}
-
-// Add inserts key at the given cost, replacing any entry it has and
-// evicting least recently used entries until the shard is back under
-// budget. Entries costlier than a shard's whole budget are silently
-// not cached.
-func (c *LRU[K, V]) Add(key K, v V, cost int64) {
-	cost = max(cost, 1)
-	if cost > c.perShard {
-		return
-	}
-	sh := &c.shards[c.hash(key)&c.mask]
-	sh.mu.Lock()
-	// A committed entry is replaced, never updated in place: waiters
-	// released from its flight may still be reading it without the
-	// lock. One in flight is displaced from the map and settles
-	// detached.
-	if old, ok := sh.m[key]; ok && !old.pending {
-		sh.unlink(old)
-		sh.bytes -= old.cost
-	}
-	e := &lruEntry[K, V]{key: key, v: v}
-	sh.m[key] = e
-	sh.admit(e, cost, c.perShard)
-	sh.mu.Unlock()
 }
 
 // admit links e, already in the map, as most recently used, charges
@@ -279,7 +233,7 @@ type Stats struct {
 	Capacity  int64 // total budget across shards
 	Bytes     int64 // cost of the committed entries
 	Entries   int   // committed and in-flight entries
-	Hits      int64 // Get and Do calls served by an existing entry
+	Hits      int64 // Do calls served by an existing entry
 	Misses    int64
 	Evictions int64 // entries removed to make room
 }

@@ -16,121 +16,108 @@ func intHash(k int) uint32 { return uint32(k) * 2654435761 }
 func oneShard(int) uint32    { return 0 }
 func perShard(n int64) int64 { return n * int64(shardCount()) }
 
-// val is an fn for Do that yields v at cost.
+// val is an fn for Do that yields v at cost. Do is the one way a value
+// enters an LRU; the budget cases below run it as their "Do" subtest.
 func val(v int, cost int64) func() (int, int64, error) {
 	return func() (int, int64, error) { return v, cost, nil }
 }
 
-// inserters are the two ways a value enters an LRU. The budget cases
-// below hold for both.
-var inserters = []struct {
-	name string
-	put  func(c *LRU[int, int], k, v int, cost int64)
-}{
-	{"Add", func(c *LRU[int, int], k, v int, cost int64) { c.Add(k, v, cost) }},
-	{"Do", func(c *LRU[int, int], k, v int, cost int64) { c.Do(k, val(v, cost)) }},
+// peek reports key's committed value without counting a hit or a miss
+// or refreshing its recency.
+func (c *LRU[K, V]) peek(key K) (V, bool) {
+	sh := &c.shards[c.hash(key)&c.mask]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if e, ok := sh.m[key]; ok && !e.pending {
+		return e.v, true
+	}
+	var zero V
+	return zero, false
 }
 
-// TestBoundedHitMiss: basic add/get plus the hit/miss counters the
-// store's stats surface reports; Do counts into the same pair.
+// TestBoundedHitMiss: a miss computes and commits, a hit serves the
+// committed value without calling fn, and both count into the stats the
+// engine and dispatcher report.
 func TestBoundedHitMiss(t *testing.T) {
 	c := NewLRU[int, string](intHash, 1<<20)
-	if _, ok := c.Get(1); ok {
-		t.Fatal("empty cache hit")
+	if _, ok := c.peek(1); ok {
+		t.Fatal("empty cache holds a value")
 	}
-	c.Add(1, "one", 3)
-	if v, ok := c.Get(1); !ok || v != "one" {
-		t.Fatalf("Get(1) = %q, %v", v, ok)
+	one := func() (string, int64, error) { return "one", 3, nil }
+	if v, err, hit := c.Do(1, one); err != nil || hit || v != "one" {
+		t.Fatalf("first Do(1) = %q, %v, hit=%v", v, err, hit)
 	}
+	other := func() (string, int64, error) { return "other", 5, nil }
+	if v, err, hit := c.Do(1, other); err != nil || !hit || v != "one" {
+		t.Fatalf("second Do(1) = %q, %v, hit=%v; want the committed \"one\"", v, err, hit)
+	}
+	c.Do(2, other)
 	st := c.Stats()
-	if st.Hits != 1 || st.Misses != 1 || st.Entries != 1 || st.Bytes != 3 {
-		t.Fatalf("Stats = %+v, want 1 hit / 1 miss / 1 entry / 3 bytes", st)
-	}
-	two := func() (string, int64, error) { return "two", 4, nil }
-	c.Do(2, two)
-	if v, _, hit := c.Do(2, two); !hit || v != "two" {
-		t.Fatalf("second Do(2) = %q, hit=%v", v, hit)
-	}
-	st = c.Stats()
-	if st.Hits != 2 || st.Misses != 2 || st.Entries != 2 || st.Bytes != 7 || st.Capacity != 1<<20 {
-		t.Fatalf("Stats = %+v, want 2 hits / 2 misses / 2 entries / 7 of 1 MiB", st)
+	if st.Hits != 1 || st.Misses != 2 || st.Entries != 2 || st.Bytes != 8 || st.Capacity != 1<<20 {
+		t.Fatalf("Stats = %+v, want 1 hit / 2 misses / 2 entries / 8 of 1 MiB", st)
 	}
 }
 
 // TestBoundedEvictsLRU: a shard over budget sheds its least recently
-// used entries, and a Get refreshes recency.
+// used entries, and a hit refreshes recency.
 func TestBoundedEvictsLRU(t *testing.T) {
-	for _, in := range inserters {
-		t.Run(in.name, func(t *testing.T) {
-			c := NewLRU[int, int](oneShard, perShard(30))
-			in.put(c, 1, 1, 10)
-			in.put(c, 2, 2, 10)
-			in.put(c, 3, 3, 10)
-			c.Get(1) // refresh 1: evicting now should drop 2 first
-			in.put(c, 4, 4, 10)
-			if _, ok := c.Get(2); ok {
-				t.Fatal("LRU entry 2 survived eviction")
+	t.Run("Do", func(t *testing.T) {
+		c := NewLRU[int, int](oneShard, perShard(30))
+		for k := 1; k <= 3; k++ {
+			c.Do(k, val(k, 10))
+		}
+		// Refresh 1: evicting now should drop 2 first.
+		if v, _, hit := c.Do(1, val(-1, 10)); !hit || v != 1 {
+			t.Fatalf("Do(1) = %d, hit=%v; want the committed 1", v, hit)
+		}
+		c.Do(4, val(4, 10))
+		if _, ok := c.peek(2); ok {
+			t.Fatal("LRU entry 2 survived eviction")
+		}
+		for _, k := range []int{1, 3, 4} {
+			if v, ok := c.peek(k); !ok || v != k {
+				t.Fatalf("entry %d evicted out of LRU order", k)
 			}
-			for _, k := range []int{1, 3, 4} {
-				if _, ok := c.Get(k); !ok {
-					t.Fatalf("entry %d evicted out of LRU order", k)
-				}
-			}
-			if st := c.Stats(); st.Evictions != 1 || st.Bytes != 30 {
-				t.Fatalf("Stats = %+v, want 1 eviction / 30 bytes", st)
-			}
-		})
-	}
+		}
+		if st := c.Stats(); st.Evictions != 1 || st.Bytes != 30 {
+			t.Fatalf("Stats = %+v, want 1 eviction / 30 bytes", st)
+		}
+	})
 }
 
 // TestBoundedStaysUnderBudget is the RSS contract: whatever passes
 // through, resident cost never exceeds the configured capacity.
 func TestBoundedStaysUnderBudget(t *testing.T) {
-	for _, in := range inserters {
-		t.Run(in.name, func(t *testing.T) {
-			c := NewLRU[int, int](intHash, 4096)
-			for i := 0; i < 10000; i++ {
-				in.put(c, i, i, 64)
-				if st := c.Stats(); st.Bytes > st.Capacity {
-					t.Fatalf("resident %d bytes exceeds capacity %d after %d inserts", st.Bytes, st.Capacity, i+1)
-				}
+	t.Run("Do", func(t *testing.T) {
+		c := NewLRU[int, int](intHash, 4096)
+		for i := 0; i < 10000; i++ {
+			c.Do(i, val(i, 64))
+			if st := c.Stats(); st.Bytes > st.Capacity {
+				t.Fatalf("resident %d bytes exceeds capacity %d after %d inserts", st.Bytes, st.Capacity, i+1)
 			}
-			if c.Stats().Entries == 0 {
-				t.Fatal("everything was evicted — budget accounting is broken")
-			}
-		})
-	}
+		}
+		if c.Stats().Entries == 0 {
+			t.Fatal("everything was evicted — budget accounting is broken")
+		}
+	})
 }
 
-// TestBoundedOversizedEntryNotCached: an entry costlier than a whole
-// shard's budget is refused rather than thrashing the shard.
+// TestBoundedOversizedEntryNotCached: a value costlier than a whole
+// shard's budget is returned to its caller but not cached, rather than
+// thrashing the shard.
 func TestBoundedOversizedEntryNotCached(t *testing.T) {
-	for _, in := range inserters {
-		t.Run(in.name, func(t *testing.T) {
-			c := NewLRU[int, int](intHash, 1) // 1 byte per shard after the floor
-			in.put(c, 1, 1, 1<<20)
-			if _, ok := c.Get(1); ok {
-				t.Fatal("oversized entry was cached")
-			}
-			if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
-				t.Fatalf("Stats = %+v after refusing an oversized entry", st)
-			}
-		})
-	}
-}
-
-// TestBoundedUpdateAdjustsCost: re-adding a key replaces its value and
-// re-charges its cost instead of double counting.
-func TestBoundedUpdateAdjustsCost(t *testing.T) {
-	c := NewLRU[int, string](intHash, 1<<20)
-	c.Add(1, "small", 10)
-	c.Add(1, "larger", 500)
-	if v, _ := c.Get(1); v != "larger" {
-		t.Fatalf("Get = %q after update", v)
-	}
-	if st := c.Stats(); st.Bytes != 500 || st.Entries != 1 || st.Evictions != 0 {
-		t.Fatalf("Stats = %+v after update, want 500 bytes / 1 entry / 0 evictions", st)
-	}
+	t.Run("Do", func(t *testing.T) {
+		c := NewLRU[int, int](intHash, 1) // 1 byte per shard after the floor
+		if v, err, _ := c.Do(1, val(1, 1<<20)); err != nil || v != 1 {
+			t.Fatalf("Do = %d, %v", v, err)
+		}
+		if _, ok := c.peek(1); ok {
+			t.Fatal("oversized entry was cached")
+		}
+		if st := c.Stats(); st.Bytes != 0 || st.Entries != 0 {
+			t.Fatalf("Stats = %+v after refusing an oversized entry", st)
+		}
+	})
 }
 
 // TestBoundedConcurrent hammers one cache from many goroutines under
@@ -144,9 +131,12 @@ func TestBoundedConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 2000; i++ {
 				k := (w*2000 + i) % 512
-				c.Add(k, k, 32)
-				c.Get(k)
-				c.Get(k + 1)
+				c.Do(k, val(k, 32))
+				c.Do(k+1, val(k+1, 32))
+				if v, ok := c.peek(k); ok && v != k {
+					t.Errorf("key %d holds %d", k, v)
+					return
+				}
 			}
 		}(w)
 	}
@@ -325,7 +315,7 @@ func TestInFlightNeitherChargedNorEvicted(t *testing.T) {
 		t.Fatalf("in flight: Stats = %+v, want 0 bytes / 1 entry", st)
 	}
 	for k := 2; k <= 9; k++ { // 80 bytes through a 30-byte shard
-		c.Add(k, k, 10)
+		c.Do(k, val(k, 10))
 	}
 	if st := c.Stats(); st.Evictions != 5 || st.Bytes != 30 || st.Entries != 4 {
 		t.Fatalf("after churn: Stats = %+v, want 5 evictions / 30 bytes / 3 committed + 1 in flight", st)
@@ -347,69 +337,11 @@ func TestInFlightNeitherChargedNorEvicted(t *testing.T) {
 		t.Fatalf("parked caller got %d, want 11", v)
 	}
 	// Committing charged it and pushed out the oldest survivor.
-	if v, ok := c.Get(1); !ok || v != 11 {
-		t.Fatalf("Get(1) = %d, %v after commit", v, ok)
+	if v, ok := c.peek(1); !ok || v != 11 {
+		t.Fatalf("peek(1) = %d, %v after commit", v, ok)
 	}
 	if st := c.Stats(); st.Evictions != 6 || st.Bytes != 30 || st.Entries != 3 {
 		t.Fatalf("after commit: Stats = %+v, want 6 evictions / 30 bytes / 3 entries", st)
-	}
-}
-
-// TestAddDisplacesInFlight: an Add for a key being computed wins the
-// slot; the computation still answers its own callers but does not
-// overwrite or double-charge.
-func TestAddDisplacesInFlight(t *testing.T) {
-	c := NewLRU[int, int](intHash, 1<<20)
-	release, done := blockedDo(c, 1, val(11, 10))
-	c.Add(1, 99, 20)
-	close(release)
-	if got := <-done; got[0] != 11 {
-		t.Fatalf("computing caller got %v, want its own 11", got)
-	}
-	if v, ok := c.Get(1); !ok || v != 99 {
-		t.Fatalf("Get(1) = %d, %v; want the added 99", v, ok)
-	}
-	if st := c.Stats(); st.Bytes != 20 || st.Entries != 1 {
-		t.Fatalf("Stats = %+v, want 20 bytes / 1 entry", st)
-	}
-}
-
-// TestParkedWaiterOnDisplacedEntry: an Add that displaces an entry
-// callers are parked on leaves them parked on the computation, which
-// hands them its own value and releases them once — a second release
-// would panic in the computing caller, which blockedDo reports.
-func TestParkedWaiterOnDisplacedEntry(t *testing.T) {
-	c := NewLRU[int, int](intHash, 1<<20)
-	release, done := blockedDo(c, 1, val(11, 10))
-	parked := make(chan int, 2)
-	for range 2 {
-		go func() {
-			v, err, hit := c.Do(1, val(-1, 10))
-			if err != nil || !hit {
-				t.Errorf("parked caller: err=%v, hit=%v", err, hit)
-			}
-			parked <- v
-		}()
-	}
-	waitHits(c, 2)
-	if _, ok := c.Get(1); ok {
-		t.Fatal("Get served an entry in flight")
-	}
-	c.Add(1, 99, 20)
-	close(release)
-	if got := <-done; got[0] != 11 || got[1] != nil {
-		t.Fatalf("computing caller got %v, want its own 11", got)
-	}
-	for range 2 {
-		if v := <-parked; v != 11 {
-			t.Fatalf("parked caller got %d, want the computed 11", v)
-		}
-	}
-	if v, ok := c.Get(1); !ok || v != 99 {
-		t.Fatalf("Get(1) = %d, %v; want the added 99", v, ok)
-	}
-	if st := c.Stats(); st.Bytes != 20 || st.Entries != 1 {
-		t.Fatalf("Stats = %+v, want 20 bytes / 1 entry", st)
 	}
 }
 

@@ -5,9 +5,9 @@
 //
 //   - LRU, a sharded singleflight map under a byte budget with LRU
 //     eviction, for everything whose values are large or fallible: unit
-//     test executions (engine), provider generations (dispatcher) and
-//     decoded store frames (the store's hot tier). One lock per shard,
-//     errors never cached, resident cost never above the budget.
+//     test executions (engine) and provider generations (dispatcher).
+//     One lock per shard, errors never cached, resident cost never above
+//     the budget.
 //   - Cache, a capped lock-free map for cheap pure computations. Each
 //     maps an immutable key to an immutable outcome computed exactly
 //     once.

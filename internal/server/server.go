@@ -351,36 +351,20 @@ type storeStatsJSON struct {
 	FramesPerFlush float64           `json:"frames_per_flush"`
 	PerShard       []store.ShardStat `json:"per_shard"`
 
-	// Out-of-core economics: resident memory (offset index + hot
-	// cache, never payload-proportional), the bounded hot cache's
-	// occupancy and hit rates, and how the last Open rebuilt the index
-	// (snapshot sidecars vs frame scanning).
+	// Out-of-core economics: resident memory (the offset index, never
+	// payload-proportional) and how the last Open rebuilt the index.
 	ResidentBytes int64              `json:"resident_bytes"`
-	HotCache      hotCacheStatsJSON  `json:"hot_cache"`
 	LastOpen      storeOpenStatsJSON `json:"last_open"`
-}
-
-// hotCacheStatsJSON is the bounded hot cache's stats block.
-type hotCacheStatsJSON struct {
-	CapacityBytes int64 `json:"capacity_bytes"`
-	Bytes         int64 `json:"bytes"`
-	Entries       int   `json:"entries"`
-	Hits          int64 `json:"hits"`
-	Misses        int64 `json:"misses"`
-	Evictions     int64 `json:"evictions"`
 }
 
 // storeOpenStatsJSON describes the last Open's index rebuild.
 type storeOpenStatsJSON struct {
-	SnapshotShards int     `json:"snapshot_shards"`
-	SnapshotFrames int     `json:"snapshot_frames"`
-	ScannedFrames  int     `json:"scanned_frames"`
-	LegacyFrames   int     `json:"legacy_frames"`
-	DurationMs     float64 `json:"duration_ms"`
+	ScannedFrames int     `json:"scanned_frames"`
+	LegacyFrames  int     `json:"legacy_frames"`
+	DurationMs    float64 `json:"duration_ms"`
 }
 
 func storeStatsFor(st *store.Store) *storeStatsJSON {
-	cs := st.CacheStats()
 	op := st.LastOpen()
 	out := &storeStatsJSON{
 		Shards:        st.Shards(),
@@ -390,20 +374,10 @@ func storeStatsFor(st *store.Store) *storeStatsJSON {
 		Flushes:       st.Flushes(),
 		PerShard:      st.ShardStats(),
 		ResidentBytes: st.ResidentBytes(),
-		HotCache: hotCacheStatsJSON{
-			CapacityBytes: cs.Capacity,
-			Bytes:         cs.Bytes,
-			Entries:       cs.Entries,
-			Hits:          cs.Hits,
-			Misses:        cs.Misses,
-			Evictions:     cs.Evictions,
-		},
 		LastOpen: storeOpenStatsJSON{
-			SnapshotShards: op.SnapshotShards,
-			SnapshotFrames: op.SnapshotFrames,
-			ScannedFrames:  op.ScannedFrames,
-			LegacyFrames:   op.LegacyFrames,
-			DurationMs:     float64(op.Duration.Microseconds()) / 1e3,
+			ScannedFrames: op.ScannedFrames,
+			LegacyFrames:  op.LegacyFrames,
+			DurationMs:    float64(op.Duration.Microseconds()) / 1e3,
 		},
 	}
 	if out.Flushes > 0 {

@@ -425,40 +425,31 @@ func TestStatsExposeStoreShards(t *testing.T) {
 	if err := json.Unmarshal(raw["store"], &storeBlock); err != nil {
 		t.Fatalf("store block: %v", err)
 	}
-	for _, key := range []string{"shards", "records", "generations", "appended", "flushes", "frames_per_flush", "per_shard", "resident_bytes", "hot_cache", "last_open"} {
+	for _, key := range []string{"shards", "records", "generations", "appended", "flushes", "frames_per_flush", "per_shard", "resident_bytes", "last_open"} {
 		if _, ok := storeBlock[key]; !ok {
 			t.Errorf("store block missing key %q", key)
 		}
 	}
-	var hotCache map[string]json.RawMessage
-	if err := json.Unmarshal(storeBlock["hot_cache"], &hotCache); err != nil {
-		t.Fatalf("hot_cache block: %v", err)
-	}
-	for _, key := range []string{"capacity_bytes", "bytes", "entries", "hits", "misses", "evictions"} {
-		if _, ok := hotCache[key]; !ok {
-			t.Errorf("hot_cache block missing key %q", key)
-		}
+	if len(storeBlock) != 9 {
+		t.Errorf("store block has %d keys, want exactly 9: %v", len(storeBlock), storeBlock)
 	}
 	var lastOpen map[string]json.RawMessage
 	if err := json.Unmarshal(storeBlock["last_open"], &lastOpen); err != nil {
 		t.Fatalf("last_open block: %v", err)
 	}
-	for _, key := range []string{"snapshot_shards", "snapshot_frames", "scanned_frames", "legacy_frames", "duration_ms"} {
+	for _, key := range []string{"scanned_frames", "legacy_frames", "duration_ms"} {
 		if _, ok := lastOpen[key]; !ok {
 			t.Errorf("last_open block missing key %q", key)
 		}
 	}
+	if len(lastOpen) != 3 {
+		t.Errorf("last_open block has %d keys, want exactly 3: %v", len(lastOpen), lastOpen)
+	}
 
 	// The typed client decodes the out-of-core economics: a campaign's
-	// records are resident as index + cache, never as raw payload maps.
+	// records are resident as index entries, never as raw payload maps.
 	if ss.ResidentBytes <= 0 {
 		t.Errorf("resident_bytes = %d, want > 0 on a populated store", ss.ResidentBytes)
-	}
-	if ss.HotCache.CapacityBytes <= 0 {
-		t.Errorf("hot_cache.capacity_bytes = %d, want > 0", ss.HotCache.CapacityBytes)
-	}
-	if ss.HotCache.Entries == 0 && ss.HotCache.Misses == 0 {
-		t.Errorf("hot cache untouched by a store-backed campaign: %+v", ss.HotCache)
 	}
 	var perShard []map[string]json.RawMessage
 	if err := json.Unmarshal(storeBlock["per_shard"], &perShard); err != nil {

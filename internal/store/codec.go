@@ -36,9 +36,8 @@ const (
 	genHeaderSize  = 1 + sha256.Size + 8*numFields
 )
 
-// record is a decoded payload less its key, and what the hot cache
-// holds: the three fixed fields of the record's kind in payload order,
-// and its Output or Text.
+// record is a decoded payload less its key: the three fixed fields of
+// the record's kind in payload order, and its Output or Text.
 type record struct {
 	text string
 	num  [numFields]int64

@@ -1,9 +1,9 @@
 package store
 
 // The store's parsers of bytes it did not necessarily write — the
-// segment scanner behind Open, the payload codec under it and the
-// sidecar reader — under native fuzzing, plus the golden frames that
-// pin the on-disk frame format.
+// segment scanner behind Open and the payload codec under it — under
+// native fuzzing, plus the golden frames that pin the on-disk frame
+// format.
 // The seeds alone run in `go test`; CI fuzzes past them for a few
 // seconds each.
 
@@ -153,45 +153,6 @@ func TestGoldenFrames(t *testing.T) {
 			}
 		})
 	}
-}
-
-// FuzzReadSnapshot: arbitrary sidecar bytes never panic the parser,
-// and anything it accepts is canonical — it re-serialises to the same
-// bytes, so there is exactly one sidecar per index.
-func FuzzReadSnapshot(f *testing.F) {
-	path := filepath.Join(f.TempDir(), "seed")
-	s, err := Open(path)
-	if err != nil {
-		f.Fatal(err)
-	}
-	putGolden(s)
-	for i := 0; i < 32; i++ {
-		s.PutGen(inference.Key(sha256.Sum256([]byte{byte(i)})), inference.Response{Text: fmt.Sprint(i)})
-	}
-	if err := s.Compact(); err != nil {
-		f.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		f.Fatal(err)
-	}
-	for _, idx := range nonEmptyFiles(f, path+".s[0-9][0-9].idx") {
-		f.Add(idx, int64(1<<20))
-		f.Add(idx, int64(0)) // stale against an emptied segment
-		f.Add(idx[:len(idx)/2], int64(1<<20))
-	}
-	f.Add([]byte(snapMagic), int64(0))
-	f.Fuzz(func(t *testing.T, data []byte, segSize int64) {
-		snap, err := parseSnapshot(data, segSize)
-		if err != nil {
-			return
-		}
-		if snap.segLen > segSize {
-			t.Fatalf("accepted a sidecar covering %d bytes of a %d-byte segment", snap.segLen, segSize)
-		}
-		if out := snap.marshal(); !bytes.Equal(out, data) {
-			t.Fatalf("accepted sidecar re-serialises differently:\n in  %x\n out %x", data, out)
-		}
-	})
 }
 
 // intactPrefix is the test's own reading of the segment format: the

@@ -72,13 +72,8 @@ type segment struct {
 	appended atomic.Int64
 	flushes  atomic.Int64
 
-	// idxPath names this shard's index-snapshot sidecar (<seg>.idx).
-	idxPath string
-
-	// Open bookkeeping for the store's LastOpen stats: how many index
-	// entries came from the snapshot sidecar vs a frame-by-frame scan,
-	// and how many of the scanned frames were JSON.
-	snapFrames   int
+	// Open bookkeeping for the store's LastOpen stats: how many frames
+	// the replay scanned, and how many of them were JSON.
 	scanFrames   int
 	legacyFrames int
 
@@ -107,8 +102,8 @@ type segment struct {
 	appendErr error
 }
 
-func newSegment(f *os.File, idxPath string) *segment {
-	seg := &segment{lf: newLogFile(f), idxPath: idxPath, curBatch: 1}
+func newSegment(f *os.File) *segment {
+	seg := &segment{lf: newLogFile(f), curBatch: 1}
 	seg.flushed.L = &seg.mu
 	for i := range seg.idx {
 		seg.idx[i].m = make(map[key]entry)
@@ -120,7 +115,7 @@ func newSegment(f *os.File, idxPath string) *segment {
 // frame is a few hundred bytes, so one read(2) serves hundreds of them.
 const scanBufSize = 64 << 10
 
-// scanLog walks one log file from offset start, calling apply for each
+// scanLog walks one log file from its start, calling apply for each
 // intact frame with its key and index entry (src unset — the caller
 // knows which log it is scanning), and returns the offset of the first
 // bad (or missing) frame and how many of the intact ones carried a
@@ -129,11 +124,11 @@ const scanBufSize = 64 << 10
 // without ever materializing its payload strings. A frame whose tag is
 // unknown or whose key is malformed is bad: the scan stops there,
 // exactly like a failed CRC.
-func scanLog(f *os.File, start int64, apply func(k key, e entry)) (good int64, legacy int, err error) {
-	if _, err := f.Seek(start, io.SeekStart); err != nil {
+func scanLog(f *os.File, apply func(k key, e entry)) (good int64, legacy int, err error) {
+	if _, err := f.Seek(0, io.SeekStart); err != nil {
 		return 0, 0, err
 	}
-	off := start
+	var off int64
 	var hdr [frameHeaderSize]byte
 	var payload []byte
 	r := bufio.NewReaderSize(f, scanBufSize)
@@ -169,29 +164,11 @@ func scanLog(f *os.File, start int64, apply func(k key, e entry)) (good int64, l
 	}
 }
 
-// replay loads the segment's log into the store's offset index
+// replay scans the segment's log into the store's offset index
 // (routing by key, so even a misplaced record lands where get looks
-// for it) and truncates the segment's torn tail. When the shard's
-// index-snapshot sidecar is present and consistent with the segment,
-// the snapshot supplies every entry up to its recorded byte length and
-// only the appended tail is scanned; a missing, stale, truncated or
-// corrupt sidecar falls back to the full frame-by-frame scan and
-// reproduces byte-identical state.
+// for it) and truncates the segment's torn tail.
 func (seg *segment) replay(s *Store) error {
-	fi, err := seg.lf.f.Stat()
-	if err != nil {
-		return err
-	}
-	start := int64(0)
-	if snap, err := readSnapshot(seg.idxPath, fi.Size()); err == nil {
-		for _, ie := range snap.entries {
-			ie.e.src = seg.lf
-			s.load(ie.k, ie.e)
-		}
-		seg.snapFrames = len(snap.entries)
-		start = snap.segLen
-	}
-	good, legacy, err := scanLog(seg.lf.f, start, func(k key, e entry) {
+	good, legacy, err := scanLog(seg.lf.f, func(k key, e entry) {
 		e.src = seg.lf
 		s.load(k, e)
 		seg.scanFrames++
@@ -307,29 +284,23 @@ func (seg *segment) err() error {
 }
 
 // compact rewrites this shard's segment to exactly one frame per key —
-// the newest — via a temp file atomically renamed over path, then
-// writes the shard's index-snapshot sidecar so the next Open loads the
-// index without scanning a single frame. Frames are copied raw from
-// their source log, byte-identical and CRC-reverified in flight —
-// compaction neither decodes nor re-encodes a payload.
+// the newest — via a temp file atomically renamed over path. Frames
+// are copied raw from their source log, byte-identical and
+// CRC-reverified in flight — compaction neither decodes nor re-encodes
+// a payload.
 //
 // Holding the shard's log lock throughout keeps this shard's
 // concurrent appends queued in pending until the new handle is in
 // place; appends to other shards never touch this lock. Entries
 // installed at enqueue time under that same lock guarantee the
 // collected index covers every frame drained into the old file, so
-// nothing racing the rewrite is lost either side of the rename. The
-// crash argument for the sidecar is ordering: the old sidecar is
-// removed before the segment rename, the new one written (temp +
-// rename) only after, so a crash anywhere in between leaves a
-// sidecar-less segment that the next Open fully scans — never a
-// sidecar describing bytes that are not there.
+// nothing racing the rewrite is lost either side of the rename.
 func (seg *segment) compact(path string) error {
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	seg.drainLocked()
 
-	// Snapshot this shard's index slice. Stripe read-locks nest inside
+	// Collect this shard's index slice. Stripe read-locks nest inside
 	// seg.mu here; writers never hold a stripe lock while acquiring
 	// seg.mu, so the order cannot invert.
 	var live []indexed
@@ -378,10 +349,11 @@ func (seg *segment) compact(path string) error {
 		return err
 	}
 
-	// Invalidate the old sidecar BEFORE the segment swap: between here
-	// and the new sidecar's rename, a crash leaves a segment with no
-	// sidecar — a full scan, never a lying fast path.
-	if err := os.Remove(seg.idxPath); err != nil && !os.IsNotExist(err) {
+	// Remove a leftover index sidecar (<segment>.idx, written by earlier
+	// versions) BEFORE the segment swap: it describes the bytes about to
+	// be replaced, and a version that still reads sidecars would trust
+	// it, scan from mid-frame and truncate the rewrite.
+	if err := os.Remove(path + ".idx"); err != nil && !os.IsNotExist(err) {
 		os.Remove(tmpPath)
 		return fmt.Errorf("store: remove stale index sidecar: %w", err)
 	}
@@ -415,15 +387,6 @@ func (seg *segment) compact(path string) error {
 	seg.lf = newLF
 	seg.size = off
 	old.close()
-
-	// The snapshot sidecar: written only after the compacted segment
-	// is durably in place, covering exactly its off bytes. An empty
-	// shard gets no sidecar — there is nothing to accelerate.
-	if len(live) > 0 {
-		if err := writeSnapshot(seg.idxPath, &snapshot{segLen: off, entries: live}); err != nil {
-			return fmt.Errorf("store: write index sidecar: %w", err)
-		}
-	}
 	return nil
 }
 

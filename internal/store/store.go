@@ -19,14 +19,14 @@
 // else: key is {kind byte; a, b digest} — (test, answer) for a
 // unit-test result, (request key, zero) for a generation — and record
 // is the decoded payload (three int64 fields and the output or text).
-// One index, one get, one put, one compaction loop and one sidecar
-// entry shape serve every kind; Get/Put/GetGen/PutGen only convert
-// records to and from unittest.Result and inference.Response, and the
-// payload codec (codec.go: encode for put, payloadKey for the scan,
-// decode for get) is the only code that knows what a payload looks
-// like. The kind byte is part of the key everywhere a key is used
-// (index, hot cache, sidecar), so the same 32 bytes used as a
-// generation key and as a unit-test digest never alias.
+// One index, one get, one put and one compaction loop serve every
+// kind; Get/Put/GetGen/PutGen only convert records to and from
+// unittest.Result and inference.Response, and the payload codec
+// (codec.go: encode for put, payloadKey for the scan, decode for get)
+// is the only code that knows what a payload looks like. The kind byte
+// is part of the key everywhere a key is used (index, frame, compaction
+// order), so the same 32 bytes used as a generation key and as a
+// unit-test digest never alias.
 //
 // # Sharded layout
 //
@@ -103,32 +103,22 @@
 // cost per record is ~130 bytes regardless of how large its output or
 // response text is. A read preads the frame on demand into a pooled
 // buffer, re-verifies its length and checksum against the entry,
-// decodes it, checks that the key inside the frame is the key asked
-// for (anything else is a miss), and serves the record through a
-// bounded sharded-LRU hot cache (WithHotCacheBytes, default 256 MiB),
-// so a warm campaign's working set stays in-memory fast while RSS is
-// bounded by index size + cache budget, not corpus size.
+// decodes it and checks that the key inside the frame is the key asked
+// for (anything else is a miss). Nothing decoded is kept: the engine's
+// and the dispatcher's memo.LRUs above the store already hold what a
+// process reads twice, so RSS is bounded by index size, not corpus
+// size, and a read allocates only the text it returns.
 //
 // Open rebuilds the index by scanning every segment through a buffered
 // reader: per frame a checksum, a bounds check and a copy of the key
-// from its fixed offsets. That is the restart path in practice. A
-// Table 4 campaign store (5,736 results + 13,195 generations, 6 MB)
-// opens in about 6 ms on the 2-vCPU reference box — it was 43 ms when
-// every frame was JSON — most of it building the index maps rather
-// than reading frames.
+// from its fixed offsets. A Table 4 campaign store (5,736 results +
+// 13,195 generations, 6 MB) opens in about 6 ms on the 2-vCPU reference
+// box — it was 43 ms when every frame was JSON — most of it building
+// the index maps rather than reading frames.
 //
-// Compact additionally writes each shard's index as a checksummed
-// binary sidecar (<segment>.idx, see snapshot.go) tied to the
-// segment's byte length; Open loads the sidecar when it validates and
-// scans only the frames appended after it. Only Compact writes
-// sidecars, and nothing outside this package's tests and benchmarks
-// calls Compact, so no store a binary or example creates has one and
-// restart cost is the full scan, not the tail. Since the scan stopped
-// parsing JSON the sidecar buys little on a store that fits the page
-// cache: the same campaign store opens in 5.4 ms from sidecars
-// (DESIGN.md §2.11 "Index snapshot sidecars"). A missing, stale,
-// truncated, or corrupt sidecar falls back to the full scan and
-// produces byte-identical state.
+// Open never reads the index sidecars (<segment>.idx) earlier versions
+// wrote at Compact; Compact deletes a shard's leftover one (see
+// segment.compact).
 package store
 
 import (
@@ -163,9 +153,9 @@ const (
 )
 
 // key addresses one record everywhere the store needs an address: the
-// offset index, the hot cache, compaction order and the sidecar. a and
-// b are (test digest, answer digest) for a unit-test result and
-// (request key, zero) for a generation.
+// offset index, the frame and compaction order. a and b are (test
+// digest, answer digest) for a unit-test result and (request key,
+// zero) for a generation.
 type key struct {
 	kind kind
 	a, b [sha256.Size]byte
@@ -189,13 +179,6 @@ func (k key) less(o key) bool {
 		return c < 0
 	}
 	return bytes.Compare(k.b[:], o.b[:]) < 0
-}
-
-// hotHash mixes digest bytes directly — the keys are already uniform
-// SHA-256 output, so four bytes of each are a perfectly good shard
-// selector.
-func hotHash(k key) uint32 {
-	return binary.LittleEndian.Uint32(k.a[4:8]) ^ binary.LittleEndian.Uint32(k.b[8:12])
 }
 
 const frameHeaderSize = 8
@@ -237,8 +220,8 @@ func (e entry) read(buf []byte) ([]byte, error) {
 	return buf, nil
 }
 
-// indexed pairs a key with its index entry: what compaction collects
-// and sorts, and what a sidecar stores.
+// indexed pairs a key with its index entry: what compaction and
+// migration collect and sort.
 type indexed struct {
 	k key
 	e entry
@@ -288,46 +271,14 @@ func (st *stripe) set(k key, e entry) {
 	st.mu.Unlock()
 }
 
-// DefaultHotCacheBytes is the hot cache's byte budget when Open is not
-// given WithHotCacheBytes: large enough that a typical campaign's
-// working set is fully resident, small enough to bound RSS on stores
-// that have outgrown memory.
-const DefaultHotCacheBytes int64 = 256 << 20
-
-// Option configures Open.
-type Option func(*config)
-
-type config struct {
-	cacheBytes int64
-}
-
-// WithHotCacheBytes caps the hot cache's resident decoded-frame budget
-// at n bytes. Zero or negative effectively disables caching (every
-// read goes to disk) — useful for benchmarks and for processes that
-// only append.
-func WithHotCacheBytes(n int64) Option {
-	return func(c *config) {
-		c.cacheBytes = n
-	}
-}
-
-// OpenStats describes how the last Open rebuilt the index: how much
-// came from index-snapshot sidecars versus frame-by-frame scanning,
-// and how long the whole replay took.
+// OpenStats describes how the last Open rebuilt the index: how many
+// frames it scanned and how long the whole replay took.
 type OpenStats struct {
-	// SnapshotShards counts shards whose sidecar validated and was
-	// used; SnapshotFrames is the index entries they supplied without
-	// touching a frame.
-	SnapshotShards int
-	// SnapshotFrames and ScannedFrames partition the index entries by
-	// provenance: supplied by a sidecar vs decoded from the log (the
-	// post-snapshot tail, sidecar-less shards, and any legacy file).
-	SnapshotFrames int
-	ScannedFrames  int
+	// ScannedFrames counts the intact frames of every segment and of
+	// any legacy file, superseded ones included.
+	ScannedFrames int
 	// LegacyFrames counts the scanned frames whose payload is in the
-	// JSON layout, which is read but no longer written. Entries a
-	// sidecar supplied are not inspected, so only an Open that scanned
-	// everything (SnapshotFrames == 0) with LegacyFrames == 0 shows a
+	// JSON layout, which is read but no longer written; zero shows a
 	// store free of them.
 	LegacyFrames int
 	Duration     time.Duration
@@ -341,11 +292,6 @@ type Store struct {
 	segs []*segment
 	mask int
 
-	// cache holds decoded records under a byte budget; the index itself
-	// holds only offsets. A record's cost is its source frame's byte
-	// length.
-	cache *memo.LRU[key, record]
-
 	openStats OpenStats
 
 	// compactMu serializes Compact calls (each shard's compaction also
@@ -355,9 +301,6 @@ type Store struct {
 
 // segPath names shard i's segment file.
 func segPath(path string, i int) string { return fmt.Sprintf("%s.s%02d", path, i) }
-
-// idxPath names shard i's index-snapshot sidecar.
-func idxPath(path string, i int) string { return segPath(path, i) + ".idx" }
 
 // metaPath names the shard-count meta file.
 func metaPath(path string) string { return path + ".shards" }
@@ -407,7 +350,9 @@ func resolveShardCount(path string) (int, error) {
 }
 
 // inferShardCount scans for existing segment files and returns the
-// smallest power of two covering every index found.
+// smallest power of two covering every index found. A name with
+// anything after the index (a leftover <segment>.idx, a compaction's
+// temp file) is not a segment.
 func inferShardCount(path string) (int, bool, error) {
 	dir := filepath.Dir(path)
 	prefix := filepath.Base(path) + ".s"
@@ -421,7 +366,7 @@ func inferShardCount(path string) (int, bool, error) {
 	maxIdx := -1
 	for _, e := range entries {
 		name := e.Name()
-		if !strings.HasPrefix(name, prefix) || strings.HasSuffix(name, ".idx") {
+		if !strings.HasPrefix(name, prefix) {
 			continue
 		}
 		idx, err := strconv.Atoi(name[len(prefix):])
@@ -460,29 +405,22 @@ func writeShardMeta(path string, n int) error {
 }
 
 // Open reads (or creates) the sharded store rooted at path, rebuilding
-// the offset index for every intact record from all shard segments in
-// parallel. A shard whose index-snapshot sidecar validates loads its
-// index directly and scans only the post-snapshot tail; anything wrong
-// with a sidecar silently falls back to that shard's full scan. A
-// truncated or corrupt tail in any segment — the signature of a crash
-// mid-append — is dropped and that file truncated back to its last
-// intact record, not treated as fatal. A pre-shard single-file log at
-// path itself is migrated into the segments and removed.
-func Open(path string, opts ...Option) (*Store, error) {
+// the offset index for every intact record by scanning all shard
+// segments in parallel. A truncated or corrupt tail in any segment —
+// the signature of a crash mid-append — is dropped and that file
+// truncated back to its last intact record, not treated as fatal. A
+// pre-shard single-file log at path itself is migrated into the
+// segments and removed.
+func Open(path string) (*Store, error) {
 	start := time.Now()
-	cfg := config{cacheBytes: DefaultHotCacheBytes}
-	for _, opt := range opts {
-		opt(&cfg)
-	}
 	n, err := resolveShardCount(path)
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{
-		path:  path,
-		mask:  n - 1,
-		segs:  make([]*segment, n),
-		cache: memo.NewLRU[key, record](hotHash, cfg.cacheBytes),
+		path: path,
+		mask: n - 1,
+		segs: make([]*segment, n),
 	}
 	for i := range s.segs {
 		// O_APPEND: every flush is one write syscall that the kernel
@@ -496,7 +434,7 @@ func Open(path string, opts ...Option) (*Store, error) {
 			s.closeFiles()
 			return nil, err
 		}
-		s.segs[i] = newSegment(f, idxPath(path, i))
+		s.segs[i] = newSegment(f)
 	}
 	// Parallel replay: one goroutine per shard, each with its own
 	// reusable payload buffer, each truncating its own torn tail.
@@ -511,10 +449,6 @@ func Open(path string, opts ...Option) (*Store, error) {
 	}
 	wg.Wait()
 	for _, seg := range s.segs {
-		if seg.snapFrames > 0 {
-			s.openStats.SnapshotShards++
-		}
-		s.openStats.SnapshotFrames += seg.snapFrames
 		s.openStats.ScannedFrames += seg.scanFrames
 		s.openStats.LegacyFrames += seg.legacyFrames
 	}
@@ -578,7 +512,7 @@ func (s *Store) migrateLegacy() error {
 	lf := newLogFile(f)
 	defer lf.close()
 	newest := make(map[key]entry)
-	_, legacy, err := scanLog(f, 0, func(k key, e entry) {
+	_, legacy, err := scanLog(f, func(k key, e entry) {
 		e.src = lf
 		newest[k] = e
 		s.openStats.ScannedFrames++
@@ -621,19 +555,16 @@ var readBufs = sync.Pool{New: func() any { return new(readBuf) }}
 // takes back.
 const maxPooledRead = 64 << 10
 
-// get is the one read path: the hot cache, else the index entry's
-// frame pread from its segment, verified, decoded and promoted into
-// the cache. It rides out the two read races: an entry pointing into a
-// log whose handle compaction just swapped out (errLogClosed — re-read
-// the refreshed entry and retry), and an entry installed at enqueue
-// time whose group-commit batch has not hit the file yet (drain the
-// shard once, then retry the pread). Anything else that keeps the
-// frame from being read back intact — a frame that verifies but
-// carries another key included — is a miss.
+// get is the one read path: the index entry's frame, pread from its
+// segment into a pooled buffer, verified and decoded. It rides out the
+// two read races: an entry pointing into a log whose handle compaction
+// just swapped out (errLogClosed — re-read the refreshed entry and
+// retry), and an entry installed at enqueue time whose group-commit
+// batch has not hit the file yet (drain the shard once, then retry the
+// pread). Anything else that keeps the frame from being read back
+// intact — a frame that verifies but carries another key included — is
+// a miss.
 func (s *Store) get(k key) (record, bool) {
-	if rec, ok := s.cache.Get(k); ok {
-		return rec, true
-	}
 	seg, st := s.route(k)
 	e, ok := st.lookup(k)
 	if !ok {
@@ -653,7 +584,6 @@ func (s *Store) get(k key) (record, bool) {
 			if !ok || got != k {
 				return record{}, false
 			}
-			s.cache.Add(k, rec, int64(e.n))
 			return rec, true
 		}
 		if errors.Is(err, errLogClosed) {
@@ -695,13 +625,8 @@ func (s *Store) put(k key, rec record) {
 // no-op so warm campaigns don't grow the log: encoding is
 // deterministic, so matching frame length + payload CRC against the
 // resident entry recognizes the duplicate without reading a byte.
-// Append failures latch into Err/Sync/Close.
-//
-// The write path deliberately skips the hot cache: a campaign's
-// re-reads of its own results hit the engine's memo tier, and a raw
-// read-after-write is already correct through the pending batch
-// (install-at-enqueue + drain retry) — caching here would only add
-// allocations to every append.
+// Append failures latch into Err/Sync/Close. A read-after-write is
+// correct through the pending batch (install-at-enqueue + drain retry).
 func (s *Store) appendFrame(k key, buf []byte) {
 	seg, st := s.route(k)
 	n, sum := uint32(len(buf)), binary.LittleEndian.Uint32(buf[4:8])
@@ -795,12 +720,13 @@ func (s *Store) Flushes() int64 {
 // Shards reports the store's shard count.
 func (s *Store) Shards() int { return len(s.segs) }
 
-// CacheStats snapshots the hot cache: budget, resident bytes, entry
-// count, and hit/miss/eviction counters since Open.
-func (s *Store) CacheStats() memo.Stats { return s.cache.Stats() }
+// CacheStats is always zero: the store keeps no cache. It stays only
+// because bench/ still reads it, and goes when bench/'s wrappers do
+// (ROADMAP.md item 6(a)).
+func (s *Store) CacheStats() memo.Stats { return memo.Stats{} }
 
-// LastOpen reports how the most recent Open rebuilt the index —
-// snapshot-supplied vs scanned frames, and wall time.
+// LastOpen reports how the most recent Open rebuilt the index: scanned
+// frames and wall time.
 func (s *Store) LastOpen() OpenStats { return s.openStats }
 
 // residentPerEntry estimates one index entry's resident cost: key +
@@ -810,10 +736,9 @@ func (s *Store) LastOpen() OpenStats { return s.openStats }
 const residentPerEntry = 128
 
 // ResidentBytes estimates the store's resident memory: the offset
-// index (which scales with key count, never payload size) plus the
-// hot cache's current byte cost.
+// index, which scales with key count, never payload size.
 func (s *Store) ResidentBytes() int64 {
-	return int64(s.Len()+s.GenLen())*residentPerEntry + s.cache.Stats().Bytes
+	return int64(s.Len()+s.GenLen()) * residentPerEntry
 }
 
 // ShardStat is one shard's observable state: index sizes plus this
@@ -853,16 +778,13 @@ func (s *Store) Err() error {
 }
 
 // Compact rewrites every shard to exactly one record per key — the
-// newest — shedding superseded appends, and leaves each non-empty
-// shard with a fresh index-snapshot sidecar for the next Open's fast
-// path. Shards compact concurrently and independently: each rewrite
-// goes to a temp file that atomically renames over that shard's
-// segment, holding only that shard's log lock, so appends to other
-// shards proceed throughout and a crash mid-compaction of shard k
-// loses nothing — neither in shard k (the rename is atomic; the old
-// segment stays until it succeeds, and the sidecar is invalidated
-// before the swap so it can never describe bytes that aren't there)
-// nor in shards ≠ k (their files are untouched).
+// newest — shedding superseded appends. Shards compact concurrently
+// and independently: each rewrite goes to a temp file that atomically
+// renames over that shard's segment, holding only that shard's log
+// lock, so appends to other shards proceed throughout and a crash
+// mid-compaction of shard k loses nothing — neither in shard k (the
+// rename is atomic; the old segment stays until it succeeds) nor in
+// shards ≠ k (their files are untouched).
 func (s *Store) Compact() error {
 	s.compactMu.Lock()
 	defer s.compactMu.Unlock()

@@ -106,8 +106,8 @@ func segmentPaths(t *testing.T, path string) []string {
 	}
 	segs := matches[:0]
 	for _, m := range matches {
-		// Index-snapshot sidecars (<seg>.idx) are derived acceleration
-		// state, not record bytes.
+		// Index sidecars (<seg>.idx) left by earlier versions are not
+		// record bytes.
 		if !strings.HasSuffix(m, ".idx") {
 			segs = append(segs, m)
 		}
@@ -141,8 +141,8 @@ func fileSizes(t *testing.T, path string) map[string]int64 {
 	return out
 }
 
-// copyStore clones the store rooted at src (meta, segments, sidecars)
-// to an equivalent layout rooted at dst.
+// copyStore clones the store rooted at src (meta, segments, leftover
+// sidecars) to an equivalent layout rooted at dst.
 func copyStore(t *testing.T, src, dst string) {
 	t.Helper()
 	cp := func(from, to string) {
@@ -232,8 +232,7 @@ func TestVirtualTimeRoundTripsExactly(t *testing.T) {
 		times = append(times, ms*time.Millisecond)
 	}
 	path := filepath.Join(t.TempDir(), "eval.store")
-	// No hot cache: every Get decodes a frame.
-	s, err := store.Open(path, store.WithHotCacheBytes(0))
+	s, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -254,7 +253,7 @@ func TestVirtualTimeRoundTripsExactly(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := store.Open(path, store.WithHotCacheBytes(0))
+	s2, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -627,9 +626,8 @@ func TestCompactKeepsNewestPerKey(t *testing.T) {
 
 // TestKindsNeverAlias uses the same 32 bytes as a generation key and
 // as a unit-test test digest (zero answer digest): both route to the
-// same shard and stripe, and must stay two records — in the index, in
-// the hot cache, through Compact and a sidecar reopen, and in
-// Len/GenLen.
+// same shard and stripe, and must stay two records — in the index,
+// on every read, through Compact and a reopen, and in Len/GenLen.
 func TestKindsNeverAlias(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "eval.store")
 	shared := sha256.Sum256([]byte("shared bytes"))
@@ -641,8 +639,8 @@ func TestKindsNeverAlias(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Only the generation exists: the unit-test lookup must miss, cold
-	// and again once the generation's frame sits in the hot cache.
+	// Only the generation exists: the unit-test lookup must miss, before
+	// and after the generation has been read.
 	s.PutGen(inference.Key(shared), gen)
 	for pass := 0; pass < 2; pass++ {
 		if _, ok := s.Get(shared, zero); ok {
@@ -656,8 +654,6 @@ func TestKindsNeverAlias(t *testing.T) {
 
 	check := func(s *store.Store, when string) {
 		t.Helper()
-		// Twice: the first read of each fills the hot cache, the second
-		// is served from it.
 		for pass := 0; pass < 2; pass++ {
 			if got, ok := s.Get(shared, zero); !ok || got != unit {
 				t.Fatalf("%s, pass %d: Get = %+v, %v; want %+v", when, pass, got, ok, unit)
@@ -684,10 +680,10 @@ func TestKindsNeverAlias(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	if st := s2.LastOpen(); st.SnapshotFrames != 2 || st.ScannedFrames != 0 {
-		t.Fatalf("reopen did not load both records from the sidecar: %+v", st)
+	if st := s2.LastOpen(); st.ScannedFrames != 2 {
+		t.Fatalf("reopen did not scan both records: %+v", st)
 	}
-	check(s2, "reopened from sidecar")
+	check(s2, "reopened")
 }
 
 // TestCompactConcurrentWithAppends races repeated full compactions
@@ -957,4 +953,344 @@ func TestConcurrentPutGet(t *testing.T) {
 	if s2.Len() != n {
 		t.Fatalf("replayed %d keys, want %d", s2.Len(), n)
 	}
+}
+
+// TestStoreReadAllocs: a Get or GetGen of a stored record allocates
+// once, for the text it returns, whether the key is read for the first
+// time or again; a miss allocates nothing.
+func TestStoreReadAllocs(t *testing.T) {
+	s, err := store.Open(filepath.Join(t.TempDir(), "eval.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const n = 100
+	type unitKey struct{ test, answer [sha256.Size]byte }
+	units := make([]unitKey, n)
+	gens := make([]inference.Key, n)
+	for i := range units {
+		units[i].test, units[i].answer = digests(fmt.Sprint("allocs-test-", i), fmt.Sprint("allocs-answer-", i))
+		s.Put(units[i].test, units[i].answer, unitResult("allocs", i))
+		gens[i] = genKey(fmt.Sprint("allocs-gen-", i))
+		s.PutGen(gens[i], genResponse("allocs", i))
+	}
+	missed := false
+	get := func(u unitKey) {
+		if _, ok := s.Get(u.test, u.answer); !ok {
+			missed = true
+		}
+	}
+	getGen := func(k inference.Key) {
+		if _, ok := s.GetGen(k); !ok {
+			missed = true
+		}
+	}
+	// AllocsPerRun calls f runs+1 times: every call reads a new key.
+	next := 0
+	firstGet := testing.AllocsPerRun(n-1, func() { get(units[next]); next++ })
+	next = 0
+	firstGetGen := testing.AllocsPerRun(n-1, func() { getGen(gens[next]); next++ })
+	repeatGet := testing.AllocsPerRun(n, func() { get(units[0]) })
+	repeatGetGen := testing.AllocsPerRun(n, func() { getGen(gens[0]) })
+	if missed {
+		t.Fatal("a stored record missed")
+	}
+	absentTest, absentAnswer := digests("absent-test", "absent-answer")
+	miss := testing.AllocsPerRun(n, func() {
+		if _, ok := s.Get(absentTest, absentAnswer); ok {
+			missed = true
+		}
+		if _, ok := s.GetGen(genKey("absent")); ok {
+			missed = true
+		}
+	})
+	if missed {
+		t.Fatal("an absent key hit")
+	}
+	if firstGet != 1 || firstGetGen != 1 || repeatGet != 1 || repeatGetGen != 1 || miss != 0 {
+		t.Errorf("allocs per read: Get %v first / %v repeat, GetGen %v first / %v repeat, miss %v; want 1, 1, 1, 1, 0",
+			firstGet, repeatGet, firstGetGen, repeatGetGen, miss)
+	}
+}
+
+// TestCompactConcurrentWithGets hammers Get/GetGen while Compact
+// rewrites every shard: readers must never observe a missing or wrong
+// record through the handle swap (they ride errLogClosed retries onto
+// the refreshed entries).
+func TestCompactConcurrentWithGets(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "eval.store")
+	s, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+
+	const n = 64
+	wantRec := make([]unittest.Result, n)
+	wantGen := make([]inference.Response, n)
+	for i := 0; i < n; i++ {
+		tk, ak := digests(fmt.Sprintf("ct-%d", i), fmt.Sprintf("ca-%d", i))
+		wantRec[i] = unittest.Result{Passed: true, Output: fmt.Sprintf("out-%d", i)}
+		s.Put(tk, ak, wantRec[i])
+		wantGen[i] = inference.Response{Text: fmt.Sprintf("gen-%d", i)}
+		s.PutGen(genKey(fmt.Sprintf("cg-%d", i)), wantGen[i])
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errc := make(chan error, 8)
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; ; i++ {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := (w + i) % n
+				tk, ak := digests(fmt.Sprintf("ct-%d", k), fmt.Sprintf("ca-%d", k))
+				if got, ok := s.Get(tk, ak); !ok || got != wantRec[k] {
+					select {
+					case errc <- fmt.Errorf("Get(%d) = %+v, %v during compact", k, got, ok):
+					default:
+					}
+					return
+				}
+				if got, ok := s.GetGen(genKey(fmt.Sprintf("cg-%d", k))); !ok || got != wantGen[k] {
+					select {
+					case errc <- fmt.Errorf("GetGen(%d) = %+v, %v during compact", k, got, ok):
+					default:
+					}
+					return
+				}
+			}
+		}(w)
+	}
+	for i := 0; i < 5; i++ {
+		if err := s.Compact(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	select {
+	case err := <-errc:
+		t.Fatal(err)
+	default:
+	}
+}
+
+// parentV1 copies testdata/parent-v1, a store directory written by the
+// commit before the single record path, and returns the copy's path.
+// Its 8 shards hold parentV1Records unit-test records and parentV1Gens
+// generations, every frame JSON: 24 records (key 0 re-recorded once)
+// and 12 generations compacted into segments beside version-1 index
+// sidecars, then a tail of 4 more records, 2 more generations and a
+// re-record of key 5 — 43 frames in all.
+func parentV1(t *testing.T) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "evalstore")
+	copyStore(t, filepath.Join("testdata", "parent-v1", "evalstore"), path)
+	return path
+}
+
+const parentV1Records, parentV1Gens = 28, 14
+
+// parentV1Result is the i-th unit-test record parentV1 was written with.
+func parentV1Result(i int) unittest.Result {
+	return unittest.Result{
+		Passed:      i%2 == 0,
+		Output:      fmt.Sprintf("compat output %d\n", i),
+		ExitCode:    i % 3,
+		VirtualTime: time.Duration(i) * 1500 * time.Millisecond,
+	}
+}
+
+// requireParentV1 fails unless s holds exactly parentV1's records, each
+// as last written.
+func requireParentV1(t *testing.T, s *store.Store) {
+	t.Helper()
+	if s.Shards() != 8 || s.Len() != parentV1Records || s.GenLen() != parentV1Gens {
+		t.Fatalf("Shards/Len/GenLen = %d/%d/%d, want 8/%d/%d", s.Shards(), s.Len(), s.GenLen(), parentV1Records, parentV1Gens)
+	}
+	for i := 0; i < parentV1Records; i++ {
+		want := parentV1Result(i)
+		if i == 5 {
+			want = parentV1Result(105) // re-recorded after the compaction
+		}
+		tk, ak := digests(fmt.Sprintf("compat-test-%d", i), fmt.Sprintf("compat-answer-%d", i))
+		if got, ok := s.Get(tk, ak); !ok || got != want {
+			t.Fatalf("record %d: Get = %+v, %v; want %+v", i, got, ok, want)
+		}
+	}
+	for i := 0; i < parentV1Gens; i++ {
+		want := inference.Response{
+			Text:    fmt.Sprintf("kind: Pod # %d\n", i),
+			Usage:   inference.Usage{PromptTokens: 100 + i, CompletionTokens: 30 + i},
+			Latency: time.Duration(i+1) * 1234567 * time.Nanosecond,
+		}
+		if got, ok := s.GetGen(genKey(fmt.Sprintf("compat-gen-%d", i))); !ok || got != want {
+			t.Fatalf("generation %d: GetGen = %+v, %v; want %+v", i, got, ok, want)
+		}
+	}
+}
+
+// TestParentWrittenStoreOpens: every record of testdata/parent-v1 reads
+// back as written. Open reads no sidecar, so the store is scanned in
+// full, both as the parent left it and after a Compact.
+func TestParentWrittenStoreOpens(t *testing.T) {
+	path := parentV1(t)
+	s, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// 36 compacted frames + a 7-frame tail.
+	if st := s.LastOpen(); st.ScannedFrames != 43 {
+		t.Fatalf("LastOpen = %+v, want a full scan of 43 frames", st)
+	}
+	requireParentV1(t, s)
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	s2, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	if st := s2.LastOpen(); st.ScannedFrames != parentV1Records+parentV1Gens {
+		t.Fatalf("LastOpen after Compact = %+v, want a full scan of %d frames", st, parentV1Records+parentV1Gens)
+	}
+	requireParentV1(t, s2)
+}
+
+// TestCompactRemovesLeftoverSidecars is the downgrade guard: Compact
+// deletes the index sidecars an earlier version left beside the
+// segments it rewrites, so a binary that still reads them never trusts
+// one describing bytes that are gone. Every record and generation
+// reads back afterwards.
+func TestCompactRemovesLeftoverSidecars(t *testing.T) {
+	path := parentV1(t)
+	sidecars := func() []string {
+		t.Helper()
+		m, err := filepath.Glob(path + ".s[0-9]*.idx")
+		if err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if len(sidecars()) == 0 {
+		t.Fatal("fixture ships no sidecars")
+	}
+	s, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if left := sidecars(); len(left) != 0 {
+		t.Fatalf("sidecars left after Compact: %v", left)
+	}
+	requireParentV1(t, s)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	s2, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	requireParentV1(t, s2)
+}
+
+// TestMixedFormatStore grows the parent-written fixture — every frame
+// of it JSON — with the binary frames written today, and carries the
+// mixture through the store's whole life cycle: newest wins across
+// layouts, an identical re-put of a binary frame appends nothing,
+// Compact copies both layouts raw, and a reopen's scan counts what is
+// still JSON.
+func TestMixedFormatStore(t *testing.T) {
+	path := parentV1(t)
+	const fresh = 5
+	rerun := unittest.Result{Passed: true, Output: "re-run under the binary layout\n", VirtualTime: 1001 * time.Millisecond}
+	verify := func(s *store.Store, when string) {
+		t.Helper()
+		if s.Len() != parentV1Records+fresh || s.GenLen() != parentV1Gens+fresh {
+			t.Fatalf("%s: Len/GenLen = %d/%d, want %d/%d", when, s.Len(), s.GenLen(), parentV1Records+fresh, parentV1Gens+fresh)
+		}
+		for i := 0; i < parentV1Records; i++ {
+			want := parentV1Result(i)
+			switch i {
+			case 5:
+				want = parentV1Result(105) // re-recorded by the parent
+			case 7:
+				want = rerun // re-recorded here
+			}
+			tk, ak := digests(fmt.Sprintf("compat-test-%d", i), fmt.Sprintf("compat-answer-%d", i))
+			if got, ok := s.Get(tk, ak); !ok || got != want {
+				t.Fatalf("%s: record %d: Get = %+v, %v; want %+v", when, i, got, ok, want)
+			}
+		}
+		for i := 0; i < parentV1Gens; i++ {
+			if got, ok := s.GetGen(genKey(fmt.Sprintf("compat-gen-%d", i))); !ok || got.Text != fmt.Sprintf("kind: Pod # %d\n", i) {
+				t.Fatalf("%s: generation %d: GetGen = %+v, %v", when, i, got, ok)
+			}
+		}
+		for i := 0; i < fresh; i++ {
+			id := fmt.Sprintf("mixed-%d", i)
+			recordKinds[0].mustHold(t, s, id, i)
+			recordKinds[1].mustHold(t, s, id, i)
+		}
+	}
+
+	s, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := s.LastOpen(); st.ScannedFrames != 43 || st.LegacyFrames != 43 {
+		t.Fatalf("LastOpen = %+v, want 43 scanned frames, all JSON", st)
+	}
+	for i := 0; i < fresh; i++ {
+		id := fmt.Sprintf("mixed-%d", i)
+		recordKinds[0].put(s, id, i)
+		recordKinds[1].put(s, id, i)
+	}
+	tk7, ak7 := digests("compat-test-7", "compat-answer-7")
+	s.Put(tk7, ak7, rerun)
+	if got := s.Appended(); got != 2*fresh+1 {
+		t.Fatalf("appended %d frames, want %d", got, 2*fresh+1)
+	}
+	// Identical re-puts of binary frames are recognised by length + CRC.
+	s.Put(tk7, ak7, rerun)
+	recordKinds[1].put(s, "mixed-0", 0)
+	if got := s.Appended(); got != 2*fresh+1 {
+		t.Fatalf("identical re-puts grew the log: %d frames appended, want %d", got, 2*fresh+1)
+	}
+	verify(s, "in process")
+	if err := s.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	verify(s, "after Compact")
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	const live = parentV1Records + parentV1Gens + 2*fresh
+	s2, err := store.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s2.Close()
+	// Compact copied frames raw: record 7 and the fresh ones are binary,
+	// every other live frame is still the JSON the parent wrote.
+	if st := s2.LastOpen(); st.ScannedFrames != live || st.LegacyFrames != live-2*fresh-1 {
+		t.Fatalf("LastOpen after Compact = %+v, want %d scanned, %d JSON", st, live, live-2*fresh-1)
+	}
+	verify(s2, "reopened")
 }
