@@ -23,6 +23,7 @@ import (
 	"net/url"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
 )
 
@@ -94,10 +95,10 @@ type EvalRequest struct {
 
 // EvalResponse carries the scored answer and all six metrics.
 type EvalResponse struct {
-	Problem string             `json:"problem"`
-	Model   string             `json:"model,omitempty"`
-	Answer  string             `json:"answer"`
-	Scores  map[string]float64 `json:"scores"`
+	Problem string `json:"problem"`
+	Model   string `json:"model,omitempty"`
+	Answer  string `json:"answer"`
+	Scores  Scores `json:"scores"`
 }
 
 // CampaignStatus is one campaign's lifecycle snapshot: state is
@@ -333,10 +334,12 @@ func (c *Client) do(req *http.Request, out any) error {
 		return err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
-	if err != nil {
+	buf := bodyPool.Get().(*bytes.Buffer)
+	defer putBody(buf)
+	if _, err := buf.ReadFrom(resp.Body); err != nil {
 		return err
 	}
+	body := buf.Bytes()
 	if resp.StatusCode/100 != 2 {
 		return apiError(resp, body)
 	}
@@ -347,6 +350,23 @@ func (c *Client) do(req *http.Request, out any) error {
 		return fmt.Errorf("cloudevald: decode %s response: %w", req.URL.Path, err)
 	}
 	return nil
+}
+
+// maxPooledBody is the largest body buffer putBody keeps: a /v1/eval
+// reply is a few KB, a campaign's outputs can be far more.
+const maxPooledBody = 64 << 10
+
+// bodyPool holds the buffers JSON replies are read into. json.Unmarshal
+// and apiError copy out what they keep, so a buffer is free again once
+// its reply is decoded.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func putBody(b *bytes.Buffer) {
+	if b.Cap() > maxPooledBody {
+		return
+	}
+	b.Reset()
+	bodyPool.Put(b)
 }
 
 // apiError decodes the shared error envelope; a body that is not the

@@ -1,11 +1,13 @@
 package server
 
 import (
+	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 )
 
@@ -63,13 +65,20 @@ func writeRetryError(w http.ResponseWriter, status int, code, message string, re
 // whatever a client cares to send.
 const maxBodyBytes = 1 << 20
 
-// decodeBody decodes the request's JSON body into v, reading at most
-// maxBodyBytes of it. On failure it has written the response — 413 for
-// a body over the cap, 400 for anything else — and returns false.
+// decodeBody decodes the request's JSON body, which must be exactly one
+// JSON value, into v, reading at most maxBodyBytes of it (and the one
+// byte that shows a body is over). On failure it has written the
+// response — 413 for a body over the cap, even one whose value ends
+// before it, 400 for anything else, trailing bytes after the value
+// included — and returns false.
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
-	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	buf := getBuffer()
+	defer putBuffer(buf)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err == nil {
-		return true
+		if err = json.Unmarshal(buf.Bytes(), v); err == nil {
+			return true
+		}
 	}
 	var tooLarge *http.MaxBytesError
 	if errors.As(err, &tooLarge) {
@@ -79,4 +88,26 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 		writeError(w, http.StatusBadRequest, codeBadRequest, "bad request: "+err.Error())
 	}
 	return false
+}
+
+// maxPooledBuffer is the largest buffer putBuffer keeps. A /v1/eval
+// body or reply is a few KB; the buffer that read a body near the 1 MiB
+// cap, or wrote a campaign's outputs, is left to the collector rather
+// than pinned in the pool.
+const maxPooledBuffer = 64 << 10
+
+// bufferPool holds the buffers JSON bodies pass through: a request body
+// on its way to json.Unmarshal, a reply on its way to its one Write.
+var bufferPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+
+func getBuffer() *bytes.Buffer {
+	return bufferPool.Get().(*bytes.Buffer)
+}
+
+func putBuffer(b *bytes.Buffer) {
+	if b.Cap() > maxPooledBuffer {
+		return
+	}
+	b.Reset()
+	bufferPool.Put(b)
 }

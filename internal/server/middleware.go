@@ -24,7 +24,10 @@ var (
 	idCounter atomic.Int64
 )
 
-const requestIDHeader = "X-Request-ID"
+// requestIDHeader is X-Request-ID in canonical form, which Header.Get
+// and Header.Set look up without allocating the canonical key; on the
+// wire the name is the same, since Set canonicalises it anyway.
+const requestIDHeader = "X-Request-Id"
 
 // validRequestID bounds what we echo back: printable ASCII without
 // separators, at most 128 bytes. Anything else gets a generated ID

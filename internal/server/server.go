@@ -49,6 +49,7 @@ import (
 	"os"
 	"path/filepath"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -446,10 +447,24 @@ type evalRequest struct {
 }
 
 type evalResponse struct {
-	Problem string             `json:"problem"`
-	Model   string             `json:"model,omitempty"`
-	Answer  string             `json:"answer"`
-	Scores  map[string]float64 `json:"scores"`
+	Problem string     `json:"problem"`
+	Model   string     `json:"model,omitempty"`
+	Answer  string     `json:"answer"`
+	Scores  evalScores `json:"scores"`
+}
+
+// evalScores are the six metrics of score.Metrics. encoding/json writes
+// a struct's fields in declaration order and a map's keys sorted;
+// score.Metrics is sorted and the fields follow it, so this writes the
+// bytes a map[string]float64 of the six did, without reflecting over a
+// map.
+type evalScores struct {
+	BLEU       float64 `json:"bleu"`
+	EditDist   float64 `json:"edit_distance"`
+	ExactMatch float64 `json:"exact_match"`
+	KVExact    float64 `json:"kv_exact"`
+	KVWildcard float64 `json:"kv_wildcard"`
+	UnitTest   float64 `json:"unit_test"`
 }
 
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
@@ -488,15 +503,18 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 		answer = llm.Postprocess(resp.Text)
 	}
 	sc := score.ScoreAnswerWith(s.bench.Engine(), p, answer)
-	scores := make(map[string]float64, len(score.Metrics))
-	for _, name := range score.Metrics {
-		scores[name] = sc.Metric(name)
-	}
 	writeJSON(w, http.StatusOK, evalResponse{
 		Problem: p.ID,
 		Model:   req.Model,
 		Answer:  answer,
-		Scores:  scores,
+		Scores: evalScores{
+			BLEU:       sc.BLEU,
+			EditDist:   sc.EditDist,
+			ExactMatch: sc.ExactMatch,
+			KVExact:    sc.KVExact,
+			KVWildcard: sc.KVWildcard,
+			UnitTest:   sc.UnitTest,
+		},
 	})
 }
 
@@ -773,10 +791,29 @@ func readCampaignOutput(dir, id string) (string, error) {
 	return string(data), err
 }
 
+// jsonContentType is every JSON reply's Content-Type value. Handlers
+// share the slice instead of allocating one per reply; nothing writes
+// into a header's value slice.
+var jsonContentType = []string{"application/json"}
+
+// writeJSON writes v as the reply: indented by two spaces and ending in
+// a newline, the bytes json.Encoder with SetIndent("", "  ") writes,
+// with an explicit Content-Length and in one Write. v is marshalled
+// before anything is written, so a value that cannot be encoded is a
+// 500 internal envelope, not a 200 with an empty body.
 func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	raw, err := json.Marshal(v)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, codeInternal, "encode reply: "+err.Error())
+		return
+	}
+	buf := getBuffer()
+	defer putBuffer(buf)
+	json.Indent(buf, raw, "", "  ") // raw is valid JSON: Indent cannot fail
+	buf.WriteByte('\n')
+	h := w.Header()
+	h["Content-Type"] = jsonContentType
+	h.Set("Content-Length", strconv.Itoa(buf.Len()))
 	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
+	w.Write(buf.Bytes())
 }

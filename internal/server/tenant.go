@@ -33,7 +33,7 @@ type tenantState struct {
 // tenantName extracts and validates the requesting tenant.
 func tenantName(r *http.Request) (string, error) {
 	t := r.Header.Get("X-Tenant")
-	if t == "" {
+	if t == "" && r.URL.RawQuery != "" {
 		t = r.URL.Query().Get("tenant")
 	}
 	if t == "" {
