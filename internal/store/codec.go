@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"hash/crc32"
+	"slices"
 	"time"
 
 	"cloudeval/internal/inference"
@@ -74,7 +75,7 @@ func (rec record) response() inference.Response {
 	}
 }
 
-// payloadSize is the payload length encode produces for rec under k.
+// payloadSize is the payload length appendFrame writes for rec under k.
 func payloadSize(k key, rec record) int {
 	if k.kind == kindGen {
 		return genHeaderSize + len(rec.text)
@@ -82,12 +83,15 @@ func payloadSize(k key, rec record) int {
 	return unitHeaderSize + len(rec.text)
 }
 
-// encode builds the complete frame — envelope and binary payload — for
-// rec under k, in its one allocation. The bytes depend on (k, rec)
-// alone, which is what lets appendFrame recognise an identical re-put
-// by length and CRC.
-func encode(k key, rec record) []byte {
-	buf := make([]byte, frameHeaderSize+payloadSize(k, rec))
+// appendFrame appends the complete frame — envelope and binary payload
+// — for rec under k to dst, growing dst at most once, and writes the
+// length and CRC-32C into the envelope in place. The bytes depend on
+// (k, rec) alone, which is what lets the write path recognise an
+// identical re-put by length and CRC.
+func appendFrame(dst []byte, k key, rec record) []byte {
+	size := frameHeaderSize + payloadSize(k, rec)
+	dst = slices.Grow(dst, size)
+	buf := dst[len(dst) : len(dst)+size]
 	p := buf[frameHeaderSize:]
 	n := 1 + copy(p[1:], k.a[:])
 	if k.kind == kindGen {
@@ -103,7 +107,7 @@ func encode(k key, rec record) []byte {
 	copy(p[n:], rec.text)
 	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(p)))
 	binary.LittleEndian.PutUint32(buf[4:8], crc32.Checksum(p, castagnoli))
-	return buf
+	return dst[:len(dst)+size]
 }
 
 // binaryKey reads the tag and key of a binary payload and returns what

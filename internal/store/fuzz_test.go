@@ -283,13 +283,18 @@ func frameOf(payload []byte) []byte {
 // is binary, and agree on the key wherever both accept; an unknown tag
 // or a payload shorter than its tag's fixed header is rejected by both;
 // a binary payload they accept re-encodes to itself, so there is one
-// payload per (key, record); and a record built from the input survives
-// encode → decode under both kinds.
+// payload per (key, record). appendFrame onto a non-empty prefix made
+// from the input — one with no room left, one with junk in its spare
+// capacity — leaves the prefix intact and appends exactly the frame it
+// appends to nothing: for the golden inputs the golden frames, and for
+// a record built from the input, under both kinds, a frame whose
+// envelope matches its payload and which decodes back to that key and
+// record.
 func FuzzFrameCodec(f *testing.F) {
 	for _, golden := range []string{goldenUnitFrame, goldenGenFrame, goldenJSONUnitFrame, goldenJSONGenFrame} {
 		f.Add(mustUnhex(f, golden)[frameHeaderSize:])
 	}
-	f.Add(encode(key{a: goldenTest, b: goldenAnswer}, record{})[frameHeaderSize:]) // empty Output
+	f.Add(appendFrame(nil, key{a: goldenTest, b: goldenAnswer}, record{})[frameHeaderSize:]) // empty Output
 	f.Add([]byte{tagGen})
 	f.Add([]byte("{not json"))
 	f.Add([]byte{})
@@ -311,20 +316,50 @@ func FuzzFrameCodec(f *testing.F) {
 			if scanOK != wantOK || decodeOK != wantOK {
 				t.Fatalf("payloadKey/decode accept = %v/%v, want %v for %x", scanOK, decodeOK, wantOK, p)
 			}
-			if wantOK && !bytes.Equal(encode(dk, rec)[frameHeaderSize:], p) {
+			if wantOK && !bytes.Equal(appendFrame(nil, dk, rec)[frameHeaderSize:], p) {
 				t.Fatalf("accepted binary payload re-encodes differently: %x", p)
 			}
 		}
 
 		a := sha256.Sum256(p)
 		want := record{text: string(p), num: [numFields]int64{int64(len(p)), -int64(len(p)), int64(crc32.Checksum(p, castagnoli)) << 31}}
-		for _, k := range []key{{kind: kindUnit, a: a, b: sha256.Sum256(a[:])}, {kind: kindGen, a: a}} {
-			payload := encode(k, want)[frameHeaderSize:]
-			if gk, got, ok := decode(payload); !ok || gk != k || got != want {
-				t.Fatalf("decode(encode(%+v, %+v)) = %+v, %+v, %v", k, want, gk, got, ok)
-			}
-			if sk, legacy, ok := payloadKey(payload); !ok || legacy || sk != k {
-				t.Fatalf("payloadKey(encode(%+v)) = %+v, %v, %v", k, sk, legacy, ok)
+		cases := []struct {
+			k      key
+			rec    record
+			golden string
+		}{
+			{key{a: goldenTest, b: goldenAnswer}, unitRecord(goldenResult), goldenUnitFrame},
+			{key{kind: kindGen, a: goldenGenKey}, genRecord(goldenResponse), goldenGenFrame},
+			{key{kind: kindUnit, a: a, b: sha256.Sum256(a[:])}, want, ""},
+			{key{kind: kindGen, a: a}, want, ""},
+		}
+		tight := append([]byte{0xA5}, p...)
+		tight = tight[:len(tight):len(tight)]
+		roomy := bytes.Repeat([]byte{0xFF}, len(tight)+4096)[:len(tight)]
+		copy(roomy, tight)
+		for _, prefix := range [][]byte{tight, roomy} {
+			for _, c := range cases {
+				out := appendFrame(prefix, c.k, c.rec)
+				if !bytes.Equal(out[:len(tight)], tight) {
+					t.Fatalf("appendFrame(%+v) changed its %d-byte prefix", c.k, len(tight))
+				}
+				frame := out[len(tight):]
+				if fresh := appendFrame(nil, c.k, c.rec); !bytes.Equal(frame, fresh) {
+					t.Fatalf("appendFrame(%+v) onto a prefix wrote %x, onto nothing %x", c.k, frame, fresh)
+				}
+				if c.golden != "" && hex.EncodeToString(frame) != c.golden {
+					t.Fatalf("appendFrame(%+v) = %x, want the golden %s", c.k, frame, c.golden)
+				}
+				payload := frame[frameHeaderSize:]
+				if binary.LittleEndian.Uint32(frame) != uint32(len(payload)) || binary.LittleEndian.Uint32(frame[4:]) != crc32.Checksum(payload, castagnoli) {
+					t.Fatalf("appendFrame(%+v): envelope %x does not match its payload", c.k, frame[:frameHeaderSize])
+				}
+				if gk, got, ok := decode(payload); !ok || gk != c.k || got != c.rec {
+					t.Fatalf("decode(appendFrame(%+v, %+v)) = %+v, %+v, %v", c.k, c.rec, gk, got, ok)
+				}
+				if sk, legacy, ok := payloadKey(payload); !ok || legacy || sk != c.k {
+					t.Fatalf("payloadKey(appendFrame(%+v)) = %+v, %v, %v", c.k, sk, legacy, ok)
+				}
 			}
 		}
 	})

@@ -91,8 +91,12 @@ type segment struct {
 	// pending accumulates encoded frames for the batch curBatch;
 	// flushedBatch is the highest batch written. A writer's frames
 	// have reached the file exactly when flushedBatch has reached the
-	// batch it enqueued into.
+	// batch it enqueued into. spare is the buffer of the last
+	// completed write, swapped in as the next pending: a segment fills
+	// one buffer while the other is being written, and never refills a
+	// buffer before its write has returned.
 	pending      []byte
+	spare        []byte
 	curBatch     uint64
 	flushedBatch uint64
 	flushing     bool
@@ -184,40 +188,51 @@ func (seg *segment) replay(s *Store) error {
 	return nil
 }
 
-// appendWait enqueues one encoded frame into the segment's pending
-// group-commit batch and blocks until that batch has been written,
-// reporting whether the write succeeded. The first writer to
-// find no flush in progress becomes the committer: it drains the
-// whole pending buffer — its own frame plus everything concurrent
-// writers enqueued behind it — in a single write syscall, then
-// releases every writer it carried. Writers arriving mid-flush
-// accumulate the next batch; one of them commits it when the
-// in-flight flush completes. Frame encoding happens in the callers,
-// outside the lock.
+// appendWait encodes one frame under k into the segment's pending
+// group-commit batch — enc appends it to the slice it is given — and
+// blocks until that batch has been written, counting the frame in
+// appended if the write succeeded. The first writer to find no flush
+// in progress becomes the committer: it drains the whole pending
+// buffer — its own frame plus everything concurrent writers enqueued
+// behind it — in a single write syscall, then releases every writer it
+// carried. Writers arriving mid-flush accumulate the next batch; one
+// of them commits it when the in-flight flush completes.
 //
-// install runs at enqueue time, under the segment lock, with the
-// frame's assigned offset and owning logFile: callers use it to write
-// the offset-index entry. Installing under the lock — before
-// the write, not after — is what makes compaction race-free: compact
-// holds this same lock, so every frame it drains into the old file is
-// already indexed and gets carried into the rewrite. A crash before
-// the flush loses the tail frame exactly like the pre-index store.
-func (seg *segment) appendWait(buf []byte, install func(lf *logFile, off int64)) bool {
+// The frame's length and CRC are read back from the bytes enc wrote.
+// If st already holds them for k, the frame is an identical re-record
+// (encoding is deterministic): it is cut from pending again and the
+// log does not grow. Otherwise k's index entry is set at enqueue time,
+// under the segment lock — before the write, not after — which is what
+// makes compaction race-free: compact holds this same lock, so every
+// frame it drains into the old file is already indexed and gets
+// carried into the rewrite. A crash before the flush loses the tail
+// frame exactly like the pre-index store. Lock order is seg.mu, then
+// the stripe's lock, as in compact.
+func (seg *segment) appendWait(k key, st *stripe, enc func(dst []byte) []byte) {
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	if seg.appendErr != nil {
 		// The log is broken (failed append or a lost post-compaction
 		// reopen): don't pretend further appends persist.
-		return false
+		return
 	}
-	off := seg.size
-	seg.pending = append(seg.pending, buf...)
-	seg.size += int64(len(buf))
-	install(seg.lf, off)
+	start := len(seg.pending)
+	seg.pending = enc(seg.pending)
+	frame := seg.pending[start:]
+	n, sum := uint32(len(frame)), binary.LittleEndian.Uint32(frame[4:8])
+	if old, ok := st.lookup(k); ok && old.n == n && old.sum == sum {
+		seg.pending = seg.pending[:start]
+		return
+	}
+	st.set(k, entry{src: seg.lf, off: seg.size, n: n, sum: sum})
+	seg.size += int64(n)
 	myBatch := seg.curBatch
 	for {
 		if seg.flushedBatch >= myBatch {
-			return seg.appendErr == nil
+			if seg.appendErr == nil {
+				seg.appended.Add(1)
+			}
+			return
 		}
 		if !seg.flushing {
 			seg.flushBatchLocked()
@@ -230,12 +245,14 @@ func (seg *segment) appendWait(buf []byte, install func(lf *logFile, off int64))
 // flushBatchLocked writes the whole pending buffer as one syscall and
 // advances flushedBatch past every frame it carried. Callers hold
 // seg.mu; the lock is dropped for the write itself so concurrent
-// writers keep enqueueing the next batch.
+// writers keep enqueueing the next batch, into the spare buffer. The
+// written buffer becomes the next spare unless it grew past
+// maxPooledBuf.
 func (seg *segment) flushBatchLocked() {
 	batch := seg.curBatch
 	buf := seg.pending
 	f := seg.lf.f
-	seg.pending = nil
+	seg.pending, seg.spare = seg.spare[:0], nil
 	seg.curBatch++
 	seg.flushing = true
 	seg.mu.Unlock()
@@ -244,6 +261,9 @@ func (seg *segment) flushBatchLocked() {
 	// inside the batch on the next Open.
 	_, werr := f.Write(buf)
 	seg.mu.Lock()
+	if cap(buf) <= maxPooledBuf {
+		seg.spare = buf
+	}
 	seg.flushing = false
 	seg.flushedBatch = batch
 	seg.flushes.Add(1)

@@ -22,7 +22,7 @@
 // One index, one get, one put and one compaction loop serve every
 // kind; Get/Put/GetGen/PutGen only convert records to and from
 // unittest.Result and inference.Response, and the payload codec
-// (codec.go: encode for put, payloadKey for the scan, decode for get)
+// (codec.go: appendFrame for put, payloadKey for the scan, decode for get)
 // is the only code that knows what a payload looks like. The kind byte
 // is part of the key everywhere a key is used (index, frame, compaction
 // order), so the same 32 bytes used as a generation key and as a
@@ -82,12 +82,14 @@
 //
 // Per-shard indexes are striped behind RWMutexes, so warm-store reads
 // never contend with appends or each other. Appends group-commit per
-// shard: writers encode frames outside any lock, enqueue into the
-// shard's pending buffer, and one of them — the committer — drains the
-// whole batch with a single write syscall, then releases every writer
-// whose frames it carried. N concurrent Puts to one shard cost one
-// syscall instead of N, and Puts to different shards batch and flush
-// fully independently.
+// shard: under the shard's log lock each writer encodes its frame
+// straight into the shard's pending buffer, and one of them — the
+// committer — drains the whole batch with a single write syscall, then
+// releases every writer whose frames it carried. N concurrent Puts to
+// one shard cost one syscall instead of N, and Puts to different shards
+// batch and flush fully independently. A shard keeps the buffer of its
+// last write for its next batch, so a Put allocates nothing once the
+// store is warm.
 //
 // The durability contract, precisely: a returned Put/PutGen means its
 // group-commit batch completed a write(2) — the frame is in the
@@ -534,7 +536,8 @@ func (s *Store) migrateLegacy() error {
 		if buf, err = m.e.read(buf); err != nil {
 			return fmt.Errorf("store: migrate legacy log: %w", err)
 		}
-		s.appendFrame(m.k, buf)
+		seg, st := s.route(m.k)
+		seg.appendWait(m.k, st, func(dst []byte) []byte { return append(dst, buf...) })
 	}
 	if err := s.Sync(); err != nil {
 		return fmt.Errorf("store: migrate legacy log: %w", err)
@@ -549,11 +552,11 @@ type readBuf struct{ b []byte }
 
 var readBufs = sync.Pool{New: func() any { return new(readBuf) }}
 
-// maxPooledRead is the largest buffer get hands back to readBufs. One
-// outsized output must not pin its megabytes in the pool for the life
-// of the process; frames above it are read into a buffer the collector
-// takes back.
-const maxPooledRead = 64 << 10
+// maxPooledBuf is the largest buffer the store keeps for reuse: a read
+// buffer get hands back to readBufs, or a segment's spare batch buffer.
+// One outsized output must not pin its megabytes for the life of the
+// process; a larger buffer is left to the collector.
+const maxPooledBuf = 64 << 10
 
 // get is the one read path: the index entry's frame, pread from its
 // segment into a pooled buffer, verified and decoded. It rides out the
@@ -572,7 +575,7 @@ func (s *Store) get(k key) (record, bool) {
 	}
 	rb := readBufs.Get().(*readBuf)
 	defer func() {
-		if cap(rb.b) <= maxPooledRead {
+		if cap(rb.b) <= maxPooledBuf {
 			readBufs.Put(rb)
 		}
 	}()
@@ -608,36 +611,21 @@ func (s *Store) get(k key) (record, bool) {
 	}
 }
 
-// put is the one write path for a fresh record: encode, then append.
-// A payload over maxPayload is dropped — not written, not latched, the
-// same advisory contract as an errored result — because replay reads
-// such a length prefix as a torn header and would truncate the segment
-// there, taking every later record in the shard with it.
+// put is the one write path for a fresh record: its frame is encoded
+// straight into its shard's pending batch, and put returns once that
+// batch has been written (segment.appendWait). An identical re-record
+// is a no-op, so warm campaigns don't grow the log. Append failures
+// latch into Err/Sync/Close. A payload over maxPayload is dropped —
+// not written, not latched, the same advisory contract as an errored
+// result — because replay reads such a length prefix as a torn header
+// and would truncate the segment there, taking every later record in
+// the shard with it.
 func (s *Store) put(k key, rec record) {
 	if payloadSize(k, rec) > maxPayload {
 		return
 	}
-	s.appendFrame(k, encode(k, rec))
-}
-
-// appendFrame appends one encoded frame under k and returns once its
-// group-commit batch has been written. An identical re-record is a
-// no-op so warm campaigns don't grow the log: encoding is
-// deterministic, so matching frame length + payload CRC against the
-// resident entry recognizes the duplicate without reading a byte.
-// Append failures latch into Err/Sync/Close. A read-after-write is
-// correct through the pending batch (install-at-enqueue + drain retry).
-func (s *Store) appendFrame(k key, buf []byte) {
 	seg, st := s.route(k)
-	n, sum := uint32(len(buf)), binary.LittleEndian.Uint32(buf[4:8])
-	if old, ok := st.lookup(k); ok && old.n == n && old.sum == sum {
-		return
-	}
-	if seg.appendWait(buf, func(lf *logFile, off int64) {
-		st.set(k, entry{src: lf, off: off, n: n, sum: sum})
-	}) {
-		seg.appended.Add(1)
-	}
+	seg.appendWait(k, st, func(dst []byte) []byte { return appendFrame(dst, k, rec) })
 }
 
 // Get implements engine.CacheStore: the persisted result for
@@ -653,7 +641,7 @@ func (s *Store) Get(test, answer [sha256.Size]byte) (unittest.Result, bool) {
 // Put implements engine.CacheStore: persist one executed result.
 // Errored executions (res.Err != nil) are never recorded — like the
 // engine's in-memory tier, a transient outage must not be frozen into
-// the cache. Put is advisory (see put and appendFrame): it never fails
+// the cache. Put is advisory (see put): it never fails
 // the evaluation that produced the result, and returns once the
 // record's group-commit batch has been written.
 func (s *Store) Put(test, answer [sha256.Size]byte, res unittest.Result) {

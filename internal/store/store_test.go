@@ -1013,6 +1013,47 @@ func TestStoreReadAllocs(t *testing.T) {
 	}
 }
 
+// TestStoreWriteAllocs: on a warm store a fresh Put or PutGen encodes
+// its frame straight into its shard's batch buffer and writes it from
+// there, so it allocates only when an index map grows — under half an
+// allocation per write on average — and an identical re-put allocates
+// nothing.
+func TestStoreWriteAllocs(t *testing.T) {
+	s, err := store.Open(filepath.Join(t.TempDir(), "eval.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	const warm, n = 1000, 200
+	type unitKey struct{ test, answer [sha256.Size]byte }
+	units := make([]unitKey, warm+n+1)
+	gens := make([]inference.Key, warm+n+1)
+	for i := range units {
+		units[i].test, units[i].answer = digests(fmt.Sprint("wallocs-test-", i), fmt.Sprint("wallocs-answer-", i))
+		gens[i] = genKey(fmt.Sprint("wallocs-gen-", i))
+	}
+	res, resp := unitResult("wallocs", 1), genResponse("wallocs", 1)
+	for i := 0; i < warm; i++ {
+		s.Put(units[i].test, units[i].answer, res)
+		s.PutGen(gens[i], resp)
+	}
+	// AllocsPerRun calls f runs+1 times: every call writes a new key.
+	next := warm
+	put := testing.AllocsPerRun(n, func() { s.Put(units[next].test, units[next].answer, res); next++ })
+	next = warm
+	putGen := testing.AllocsPerRun(n, func() { s.PutGen(gens[next], resp); next++ })
+	rePut := testing.AllocsPerRun(n, func() {
+		s.Put(units[0].test, units[0].answer, res)
+		s.PutGen(gens[0], resp)
+	})
+	if got, want := s.Appended(), int64(2*(warm+n+1)); got != want {
+		t.Fatalf("Appended = %d, want %d", got, want)
+	}
+	if put > 0.5 || putGen > 0.5 || rePut != 0 {
+		t.Errorf("allocs per write: Put %v, PutGen %v, identical re-put %v; want <= 0.5, <= 0.5, 0", put, putGen, rePut)
+	}
+}
+
 // TestCompactConcurrentWithGets hammers Get/GetGen while Compact
 // rewrites every shard: readers must never observe a missing or wrong
 // record through the handle swap (they ride errLogClosed retries onto
