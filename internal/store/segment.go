@@ -91,10 +91,8 @@ type segment struct {
 	// pending accumulates encoded frames for the batch curBatch;
 	// flushedBatch is the highest batch written. A writer's frames
 	// have reached the file exactly when flushedBatch has reached the
-	// batch it enqueued into. spare is the buffer of the last
-	// completed write, swapped in as the next pending: a segment fills
-	// one buffer while the other is being written, and never refills a
-	// buffer before its write has returned.
+	// batch it enqueued into. spare is the last written buffer, the
+	// next pending: no buffer is refilled while its write is in flight.
 	pending      []byte
 	spare        []byte
 	curBatch     uint64
@@ -188,26 +186,20 @@ func (seg *segment) replay(s *Store) error {
 	return nil
 }
 
-// appendWait encodes one frame under k into the segment's pending
-// group-commit batch — enc appends it to the slice it is given — and
-// blocks until that batch has been written, counting the frame in
-// appended if the write succeeded. The first writer to find no flush
-// in progress becomes the committer: it drains the whole pending
-// buffer — its own frame plus everything concurrent writers enqueued
-// behind it — in a single write syscall, then releases every writer it
-// carried. Writers arriving mid-flush accumulate the next batch; one
-// of them commits it when the in-flight flush completes.
+// appendWait appends one frame under k — enc writes it onto the slice
+// it is given — to the segment's pending group-commit batch, and blocks
+// until that batch has been written, counting the frame in appended if
+// the write succeeded. The first writer to find no flush in progress
+// becomes the committer: it drains the whole pending buffer in a single
+// write syscall, then releases every writer it carried; writers
+// arriving mid-flush accumulate the next batch.
 //
-// The frame's length and CRC are read back from the bytes enc wrote.
-// If st already holds them for k, the frame is an identical re-record
-// (encoding is deterministic): it is cut from pending again and the
-// log does not grow. Otherwise k's index entry is set at enqueue time,
-// under the segment lock — before the write, not after — which is what
-// makes compaction race-free: compact holds this same lock, so every
-// frame it drains into the old file is already indexed and gets
-// carried into the rewrite. A crash before the flush loses the tail
-// frame exactly like the pre-index store. Lock order is seg.mu, then
-// the stripe's lock, as in compact.
+// A frame whose length and CRC st already holds for k is an identical
+// re-record (encoding is deterministic): it is cut off again and the log
+// does not grow. Otherwise k's index entry is set now, under seg.mu
+// (then the stripe lock, the order compact uses): compact holds seg.mu,
+// so every frame it drains into the old file is already indexed and is
+// carried into the rewrite.
 func (seg *segment) appendWait(k key, st *stripe, enc func(dst []byte) []byte) {
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
@@ -245,9 +237,8 @@ func (seg *segment) appendWait(k key, st *stripe, enc func(dst []byte) []byte) {
 // flushBatchLocked writes the whole pending buffer as one syscall and
 // advances flushedBatch past every frame it carried. Callers hold
 // seg.mu; the lock is dropped for the write itself so concurrent
-// writers keep enqueueing the next batch, into the spare buffer. The
-// written buffer becomes the next spare unless it grew past
-// maxPooledBuf.
+// writers keep enqueueing the next batch, into the spare buffer; the
+// written one becomes the next spare unless it grew past maxPooledBuf.
 func (seg *segment) flushBatchLocked() {
 	batch := seg.curBatch
 	buf := seg.pending

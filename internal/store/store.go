@@ -82,14 +82,12 @@
 //
 // Per-shard indexes are striped behind RWMutexes, so warm-store reads
 // never contend with appends or each other. Appends group-commit per
-// shard: under the shard's log lock each writer encodes its frame
-// straight into the shard's pending buffer, and one of them — the
-// committer — drains the whole batch with a single write syscall, then
-// releases every writer whose frames it carried. N concurrent Puts to
-// one shard cost one syscall instead of N, and Puts to different shards
-// batch and flush fully independently. A shard keeps the buffer of its
-// last write for its next batch, so a Put allocates nothing once the
-// store is warm.
+// shard: each writer encodes its frame under the shard's log lock,
+// straight into the pending buffer that one of them — the committer —
+// drains with a single write syscall (the buffer of the previous write
+// is reused for the next batch), then releases every writer whose
+// frames it carried. N concurrent Puts to one shard cost one syscall
+// instead of N, and Puts to different shards batch independently.
 //
 // The durability contract, precisely: a returned Put/PutGen means its
 // group-commit batch completed a write(2) — the frame is in the
@@ -611,15 +609,13 @@ func (s *Store) get(k key) (record, bool) {
 	}
 }
 
-// put is the one write path for a fresh record: its frame is encoded
-// straight into its shard's pending batch, and put returns once that
-// batch has been written (segment.appendWait). An identical re-record
-// is a no-op, so warm campaigns don't grow the log. Append failures
-// latch into Err/Sync/Close. A payload over maxPayload is dropped —
-// not written, not latched, the same advisory contract as an errored
-// result — because replay reads such a length prefix as a torn header
-// and would truncate the segment there, taking every later record in
-// the shard with it.
+// put is the one write path for a fresh record: segment.appendWait
+// encodes its frame into the shard's pending batch and returns once the
+// batch is written; an identical re-record is a no-op, and append
+// failures latch into Err/Sync/Close. A payload over maxPayload is
+// dropped — not written, not latched — because replay reads such a
+// length prefix as a torn header and would truncate the segment there,
+// taking every later record in the shard with it.
 func (s *Store) put(k key, rec record) {
 	if payloadSize(k, rec) > maxPayload {
 		return
