@@ -229,9 +229,12 @@ func (d *Dispatcher) Close() error { return d.prov.Close() }
 // concurrency limit. Concurrent calls with the same key collapse into
 // one provider call; errors are returned, latched into Err, and never
 // cached, so a transient API failure is retried on the next request.
+// A failure the caller's own ctx caused (a client that hung up) is
+// returned but neither latched nor counted: it says nothing about the
+// provider, and Stats().Errors is what fails a running campaign.
 func (d *Dispatcher) Generate(ctx context.Context, req Request) (Response, error) {
 	resp, err := d.generate(ctx, req)
-	if err != nil {
+	if err != nil && ctx.Err() == nil {
 		d.latch(err)
 	}
 	return resp, err

@@ -420,3 +420,22 @@ func TestAnswerOnErrorIsEmptyAndLatched(t *testing.T) {
 		t.Fatal("error must latch")
 	}
 }
+
+// TestCancelledGenerateNotLatched: a generation the caller cancelled
+// fails, but it is the caller's failure, not the provider's. It must
+// not bump Errors or latch into Err, where it would fail every
+// campaign running beside it on the same dispatcher.
+func TestCancelledGenerateNotLatched(t *testing.T) {
+	d := NewDispatcher(NewSim(llm.Models))
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := d.Generate(ctx, Request{Model: "gpt-4", Problem: dataset.Generate()[0]}); err == nil {
+		t.Fatal("a cancelled generation should fail")
+	}
+	if n := d.Stats().Errors; n != 0 {
+		t.Errorf("Errors = %d, want 0", n)
+	}
+	if err := d.Err(); err != nil {
+		t.Errorf("Err() = %v, want nil", err)
+	}
+}
