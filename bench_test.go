@@ -49,12 +49,13 @@ func fixtures() ([]dataset.Problem, []dataset.Problem) {
 	return fxOriginals, fxFullCorpus
 }
 
-// benchEng and benchGen are the engine and dispatcher the benchmarks
+// benchEv, over benchEng and benchGen, is the evaluator the benchmarks
 // share where they measure a warm path: after the first campaign every
 // generation, and on benchEng every execution, is a cache hit.
 var (
 	benchEng = engine.New()
 	benchGen = inference.NewDispatcher(inference.NewSim(llm.Models))
+	benchEv  = score.NewEvaluator(benchEng, benchGen)
 )
 
 var (
@@ -66,7 +67,7 @@ var (
 func zeroShot() ([]score.ModelAggregate, map[string][]score.ProblemScore) {
 	zeroShotOnce.Do(func() {
 		_, full := fixtures()
-		zsRows, zsRaw = score.BenchmarkVia(benchEng, benchGen, llm.Models, full)
+		zsRows, zsRaw = benchEv.Benchmark(llm.Models, full)
 	})
 	return zsRows, zsRaw
 }
@@ -115,7 +116,7 @@ func BenchmarkTable4ZeroShot(b *testing.B) {
 	_, full := fixtures()
 	var gpt4 float64
 	for i := 0; i < b.N; i++ {
-		rows, _ := score.BenchmarkVia(benchEng, benchGen, llm.Models, full)
+		rows, _ := benchEv.Benchmark(llm.Models, full)
 		gpt4 = rows[0].UnitTest
 	}
 	b.ReportMetric(gpt4, "gpt4-unit-test")
@@ -148,7 +149,7 @@ func BenchmarkZeroShotEngine(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := engine.New()
-		rows, _ := score.BenchmarkVia(eng, benchGen, llm.Models, full)
+		rows, _ := score.NewEvaluator(eng, benchGen).Benchmark(llm.Models, full)
 		gpt4 = rows[0].UnitTest
 		stats = eng.Stats()
 	}
@@ -169,7 +170,7 @@ func BenchmarkZeroShotWarmStore(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	score.BenchmarkVia(engine.New(engine.WithStore(st)), benchGen, llm.Models, full)
+	score.NewEvaluator(engine.New(engine.WithStore(st)), benchGen).Benchmark(llm.Models, full)
 	if err := st.Close(); err != nil {
 		b.Fatal(err)
 	}
@@ -182,7 +183,7 @@ func BenchmarkZeroShotWarmStore(b *testing.B) {
 			b.Fatal(err)
 		}
 		eng := engine.New(engine.WithStore(st))
-		rows, _ := score.BenchmarkVia(eng, benchGen, llm.Models, full)
+		rows, _ := score.NewEvaluator(eng, benchGen).Benchmark(llm.Models, full)
 		gpt4 = rows[0].UnitTest
 		stats = eng.Stats()
 		st.Close()
@@ -199,7 +200,7 @@ func BenchmarkTable5Augmented(b *testing.B) {
 	gpt4, _ := llm.ByName("gpt-4")
 	var delta float64
 	for i := 0; i < b.N; i++ {
-		counts := analysis.VariantPassCountsVia(benchEng, benchGen, gpt4, full)
+		counts := benchEv.Variants(gpt4, full)
 		delta = float64(counts[dataset.Simplified] - counts[dataset.Original])
 	}
 	b.ReportMetric(delta, "gpt4-simplified-delta")
@@ -213,7 +214,7 @@ func BenchmarkTable6FewShot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, name := range []string{"gpt-3.5", "llama-2-70b-chat", "llama-2-7b-chat"} {
 			m, _ := llm.ByName(name)
-			counts := analysis.FewShotPassCountsVia(benchEng, benchGen, m, originals, 3)
+			counts := benchEv.FewShot(m, originals, 3)
 			if name == "gpt-3.5" {
 				gain = float64(counts[3] - counts[0])
 			}
@@ -282,7 +283,7 @@ func BenchmarkFigure7FailureModes(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		for _, name := range []string{"gpt-4", "llama-2-70b-chat", "llama-2-7b-chat"} {
 			m, _ := llm.ByName(name)
-			scores := score.EvaluateModelVia(benchEng, benchGen, m, originals, llm.GenOptions{})
+			scores := benchEv.Model(m, originals, llm.GenOptions{})
 			counts := analysis.FailureCounts(scores, byID)
 			if name == "gpt-4" {
 				gpt4Correct = counts[5]
@@ -299,7 +300,7 @@ func BenchmarkFigure8PassAtK(b *testing.B) {
 	var gain float64
 	for i := 0; i < b.N; i++ {
 		m, _ := llm.ByName("gpt-3.5")
-		series := analysis.PassAtKVia(benchEng, benchGen, m, originals, 16, 0.75)
+		series := benchEv.PassAtK(m, originals, 16, 0.75)
 		gain = float64(series[15]) / float64(series[0])
 	}
 	b.ReportMetric(gain, "gpt3.5-pass@16-over-pass@1")
@@ -358,7 +359,7 @@ func BenchmarkGenerateBatched(b *testing.B) {
 	b.ReportMetric(float64(len(reqs)), "requests-per-batch")
 }
 
-// BenchmarkScoreAnswer measures one score.ScoreAnswerWith call on a
+// BenchmarkScoreAnswer measures one score.Evaluator.Score call on a
 // warm engine, cycling through the Table 4 pairs in campaign order:
 // every reference is compiled, every answer parsed and every unit test
 // memoized before the timer starts, so an op is the five inline metrics
@@ -388,7 +389,7 @@ func BenchmarkScoreAnswer(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		pr := pairs[i%len(pairs)]
-		unitTests += score.ScoreAnswerWith(benchEng, pr.problem, pr.answer).UnitTest
+		unitTests += benchEv.Score(pr.problem, pr.answer).UnitTest
 	}
 	b.ReportMetric(unitTests/float64(b.N), "unit-test-pass-rate")
 	b.ReportMetric(float64(len(pairs)), "table4-pairs")
@@ -475,7 +476,7 @@ func BenchmarkCampaignParallel(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eng := engine.New()
 		gen := inference.NewDispatcher(inference.NewSim(llm.Models))
-		rows, _ := score.BenchmarkVia(eng, gen, models, originals)
+		rows, _ := score.NewEvaluator(eng, gen).Benchmark(models, originals)
 		gpt4 = rows[0].UnitTest
 	}
 	b.ReportMetric(gpt4, "gpt4-unit-test")
@@ -509,13 +510,14 @@ func BenchmarkCampaignPipelined(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := engine.New()
+		ev := score.NewEvaluator(eng, nil)
 		scores := make([]score.ProblemScore, n)
 		engine.Pipeline(eng, n, gen.Concurrency(), 0,
 			func(j int) string {
 				return gen.Answer(models[j/len(probs)], probs[j%len(probs)], llm.GenOptions{})
 			},
 			func(j int, answer string) {
-				scores[j] = score.ScoreAnswerWith(eng, probs[j%len(probs)], answer)
+				scores[j] = ev.Score(probs[j%len(probs)], answer)
 			})
 		peak = prov.MaxInFlight()
 	}
@@ -535,10 +537,11 @@ func BenchmarkCampaignInterleaved(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		eng := engine.New()
+		ev := score.NewEvaluator(eng, nil)
 		scores := make([]score.ProblemScore, n)
 		eng.ForEach(n, func(j int) {
 			answer := gen.Answer(models[j/len(probs)], probs[j%len(probs)], llm.GenOptions{})
-			scores[j] = score.ScoreAnswerWith(eng, probs[j%len(probs)], answer)
+			scores[j] = ev.Score(probs[j%len(probs)], answer)
 		})
 	}
 	b.ReportMetric(float64(n), "pairs-per-campaign")

@@ -13,6 +13,7 @@ import (
 	"cloudeval/internal/engine"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/score"
 	"cloudeval/internal/server"
 	"cloudeval/internal/yamlmatch"
 )
@@ -20,7 +21,7 @@ import (
 func testServer(t *testing.T, cfg server.Config) (*httptest.Server, *core.Benchmark) {
 	t.Helper()
 	models := llm.Models[:2]
-	bench := core.NewCustomVia(engine.New(), inference.NewDispatcher(inference.NewSim(models)), dataset.Generate()[:6], models)
+	bench := core.New(score.NewEvaluator(engine.New(), inference.NewDispatcher(inference.NewSim(models))), dataset.Generate()[:6], models)
 	ts := httptest.NewServer(server.NewWithConfig(bench, t.TempDir(), cfg).Handler())
 	t.Cleanup(ts.Close)
 	return ts, bench

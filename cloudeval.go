@@ -19,6 +19,11 @@
 //	result := cloudeval.RunUnitTest(p, myYAML)
 //	fmt.Println(result.Passed)
 //
+// Each benchmark runs every evaluation on its own evaluator
+// (Benchmark.Evaluator), one engine and one inference dispatcher built
+// with it; nothing is shared process-wide, so two benchmarks never see
+// each other's caches.
+//
 // See DESIGN.md for the system inventory, the engine architecture and
 // the index mapping experiment IDs to the paper's tables and figures.
 package cloudeval
@@ -42,8 +47,8 @@ type Benchmark = core.Benchmark
 // Engine is the parallel evaluation engine every campaign submits
 // through: a work-stealing scheduler over a pluggable executor (the
 // in-process pool by default, the distributed evalcluster path via
-// cmd/evalnode) with answer memoization. Benchmark.Engine exposes a
-// benchmark's engine; see DESIGN.md §2.
+// cmd/evalnode) with answer memoization. A benchmark's evaluator holds
+// its engine (Benchmark.Evaluator().Engine()); see DESIGN.md §2.
 type Engine = engine.Engine
 
 // Problem is one benchmark entry: question, optional YAML context,
@@ -67,11 +72,17 @@ type Store = store.Store
 
 // New builds the default benchmark: the hand-written problems of every
 // registered workload family, their simplified and translated
-// variants, and the twelve-model zoo of Table 4, evaluated on the
-// process-wide engine and generated by the process-wide sim
-// dispatcher. This facade is where those defaults are chosen; below
-// it every entry point takes its engine and dispatcher as arguments.
-func New() *Benchmark { return core.New() }
+// variants, and the twelve-model zoo of Table 4, evaluated on an
+// engine and a sim dispatcher of its own. Two benchmarks share no
+// cache; this facade is where those defaults are chosen, and below it
+// every entry point is handed its evaluator.
+func New() *Benchmark {
+	return newBenchmark(engine.New(), inference.NewDispatcher(inference.NewSim(llm.Models)))
+}
+
+func newBenchmark(eng *engine.Engine, disp *Dispatcher) *Benchmark {
+	return core.New(score.NewEvaluator(eng, disp), dataset.Generate(), llm.Models)
+}
 
 // OpenStore opens (or creates) a persistent evaluation store at path,
 // replaying every intact record and dropping a crash-torn tail.
@@ -88,7 +99,7 @@ func NewPersistent(storePath string) (*Benchmark, *Store, error) {
 		return nil, nil, err
 	}
 	disp := inference.NewDispatcher(inference.NewSim(llm.Models), inference.WithGenStore(st))
-	return core.NewVia(engine.New(engine.WithStore(st)), disp), st, nil
+	return newBenchmark(engine.New(engine.WithStore(st)), disp), st, nil
 }
 
 // Provider is the pluggable inference seam: one Generate call per
@@ -131,13 +142,6 @@ func OpenReplayProvider(path string) (Provider, error) { return inference.OpenRe
 // NewDispatcher builds the batched, cached front-end over a provider.
 func NewDispatcher(p Provider) *Dispatcher { return inference.NewDispatcher(p) }
 
-// NewWithProvider builds the default benchmark generating through the
-// given dispatcher (e.g. a replayed real-API trace) on the
-// process-wide engine. d's provider must serve every model of the
-// zoo: one it lacks scores empty answers and latches the cause in
-// d.Err, which callers check after a campaign.
-func NewWithProvider(d *Dispatcher) *Benchmark { return core.NewVia(engine.Default(), d) }
-
 // Dataset returns the original problems of every workload family (the
 // paper's 337 plus the Compose and Helm extensions).
 func Dataset() []Problem { return dataset.Generate() }
@@ -152,9 +156,11 @@ func RunUnitTest(p Problem, answerYAML string) UnitTestResult {
 }
 
 // ScoreAnswer computes all six metrics for a candidate answer, running
-// its unit test on the process-wide engine.
+// its unit test on a fresh engine: a cheap value with no goroutines, so
+// nothing is shared with any other call. Repeated scoring should call
+// Score on a benchmark's evaluator, whose engine memoizes unit tests.
 func ScoreAnswer(p Problem, answerYAML string) ProblemScore {
-	return score.ScoreAnswerWith(engine.Default(), p, answerYAML)
+	return score.NewEvaluator(engine.New(), nil).Score(p, answerYAML)
 }
 
 // Postprocess extracts clean YAML from a raw LLM response using the

@@ -50,3 +50,16 @@ func TestBenchmarkFacadeExperiments(t *testing.T) {
 		}
 	}
 }
+
+// TestBenchmarksShareNoEvaluator: each cloudeval.New builds its own
+// engine and dispatcher, so one benchmark's caches and error counters
+// never show up in another's.
+func TestBenchmarksShareNoEvaluator(t *testing.T) {
+	a, b := cloudeval.New().Evaluator(), cloudeval.New().Evaluator()
+	if a.Engine() == b.Engine() {
+		t.Error("two benchmarks share an engine")
+	}
+	if a.Dispatcher() == b.Dispatcher() {
+		t.Error("two benchmarks share a dispatcher")
+	}
+}

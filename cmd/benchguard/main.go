@@ -59,7 +59,7 @@
 //     CPUs, like the parallel gates.
 //  12. Scoring allocation hard cap (no flag): when the baseline records
 //     score_answer_max_allocs, ScoreAnswer allocs/op — one
-//     score.ScoreAnswerWith call on a warm engine — must stay at or
+//     score.Evaluator.Score call on a warm engine — must stay at or
 //     under it: the five inline metrics run on compiled references and
 //     pooled scratch, and must not start building strings, maps and
 //     slices per answer again. Like gates 5 and 10 the cap does not
@@ -143,7 +143,7 @@ type Artifact struct {
 	// baseline re-records.
 	StoreColdGetMaxAllocs float64 `json:"store_cold_get_max_allocs,omitempty"`
 	// ScoreAnswerMaxAllocs is the hard allocs/op ceiling for
-	// BenchmarkScoreAnswer — one ScoreAnswerWith call on a warm engine.
+	// BenchmarkScoreAnswer — one Evaluator.Score call on a warm engine.
 	// Recorded once in the baseline; does not move with baseline
 	// re-records.
 	ScoreAnswerMaxAllocs float64 `json:"score_answer_max_allocs,omitempty"`
@@ -649,7 +649,7 @@ func gateAllocCap(benchmarks map[string]BenchResult, baseline Artifact) error {
 		"the cap is 50% of the pre-diet 71,015 and does not move with baseline re-records")
 }
 
-// gateScoreAnswerAllocCap caps ScoreAnswer — one ScoreAnswerWith call
+// gateScoreAnswerAllocCap caps ScoreAnswer — one Evaluator.Score call
 // on a warm engine — at the baseline's score_answer_max_allocs.
 func gateScoreAnswerAllocCap(benchmarks map[string]BenchResult, baseline Artifact) error {
 	return gateHardAllocCap(benchmarks, scoreAnswerBench, baseline.ScoreAnswerMaxAllocs,

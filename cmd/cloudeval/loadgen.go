@@ -17,6 +17,7 @@ import (
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/loadgen"
+	"cloudeval/internal/score"
 	"cloudeval/internal/server"
 	"cloudeval/internal/store"
 )
@@ -110,7 +111,7 @@ func cmdLoadgen(args []string) (retErr error) {
 		}
 		disp := inference.NewDispatcher(inference.NewSim(llm.Models), dopts...)
 		defer disp.Close()
-		bench := core.NewVia(eng, disp)
+		bench := core.New(score.NewEvaluator(eng, disp), dataset.Generate(), llm.Models)
 		dataDir, err := os.MkdirTemp("", "cloudeval-loadgen-")
 		if err != nil {
 			return err

@@ -31,10 +31,12 @@ import (
 	"cloudeval"
 	"cloudeval/internal/core"
 	"cloudeval/internal/cost"
+	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
 	"cloudeval/internal/evalcluster"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/score"
 	"cloudeval/internal/store"
 )
 
@@ -192,6 +194,7 @@ func newBench(sf storeFlags, pf providerFlags) (*cloudeval.Benchmark, *store.Sto
 		return nil, nil, nil, err
 	}
 	dopts := pf.dispatchOptions()
+	var eopts []engine.Option
 	var st *store.Store
 	if *sf.path != "" {
 		st, err = store.Open(*sf.path)
@@ -200,12 +203,9 @@ func newBench(sf storeFlags, pf providerFlags) (*cloudeval.Benchmark, *store.Sto
 			return nil, nil, nil, err
 		}
 		dopts = append(dopts, inference.WithGenStore(st))
+		eopts = append(eopts, engine.WithStore(st))
 	}
 	disp := inference.NewDispatcher(prov, dopts...)
-	eng := engine.Default()
-	if st != nil {
-		eng = engine.New(engine.WithStore(st))
-	}
 	closer := func() error {
 		err := disp.Close()
 		if st != nil {
@@ -218,7 +218,7 @@ func newBench(sf storeFlags, pf providerFlags) (*cloudeval.Benchmark, *store.Sto
 		}
 		return err
 	}
-	return core.NewVia(eng, disp), st, closer, nil
+	return core.New(score.NewEvaluator(engine.New(eopts...), disp), dataset.Generate(), llm.Models), st, closer, nil
 }
 
 // reportStore prints the persistent store's shard layout and batching
@@ -241,7 +241,7 @@ func reportStore(b *cloudeval.Benchmark, st *store.Store) {
 	op := st.LastOpen()
 	fmt.Fprintf(os.Stderr, "store: open %.1fms — %d frames scanned (%d legacy JSON), index ~%.1f MiB resident\n",
 		float64(op.Duration.Microseconds())/1e3, op.ScannedFrames, op.LegacyFrames, float64(st.ResidentBytes())/(1<<20))
-	es, gs := b.Engine().Stats(), b.Generator().Stats()
+	es, gs := b.Evaluator().Engine().Stats(), b.Evaluator().Dispatcher().Stats()
 	fmt.Fprintf(os.Stderr, "caches: engine %d entries, %.1f MiB, %d evictions; inference %d entries, %.1f MiB, %d evictions\n",
 		es.CacheEntries, float64(es.CacheBytes)/(1<<20), es.CacheEvictions,
 		gs.CacheEntries, float64(gs.CacheBytes)/(1<<20), gs.CacheEvictions)
@@ -251,9 +251,10 @@ func reportStore(b *cloudeval.Benchmark, st *store.Store) {
 // inference cost whenever a non-default provider or a store is in
 // play — the observability end of the provider layer.
 func reportGeneration(b *cloudeval.Benchmark) {
-	stats := b.Generator().Stats()
+	disp := b.Evaluator().Dispatcher()
+	stats := disp.Stats()
 	fmt.Fprintf(os.Stderr, "inference (%s): %d generated, %d memory hits, %d store hits, %d errors\n",
-		b.Generator().Provider().Name(), stats.Generated, stats.CacheHits, stats.StoreHits, stats.Errors)
+		disp.Provider().Name(), stats.Generated, stats.CacheHits, stats.StoreHits, stats.Errors)
 	if stats.Usage.Total() > 0 {
 		fmt.Fprintf(os.Stderr, "tokens: %d prompt + %d completion; metered cost: $%.2f at %s rates\n",
 			stats.Usage.PromptTokens, stats.Usage.CompletionTokens,
@@ -291,7 +292,7 @@ func cmdBench(args []string) (retErr error) {
 	}()
 	fmt.Println(b.Table4())
 	if st != nil {
-		stats := b.Engine().Stats()
+		stats := b.Evaluator().Engine().Stats()
 		fmt.Printf("engine: %d executed, %d memory hits, %d store hits\n",
 			stats.Executed, stats.CacheHits, stats.StoreHits)
 		reportStore(b, st)
@@ -430,7 +431,7 @@ func cmdCampaign(args []string) (retErr error) {
 			retErr = cerr
 		}
 	}()
-	report, err := b.RunCampaign(*dir, ids, os.Stdout)
+	report, err := b.RunCampaign(*dir, ids, os.Stdout, nil, nil)
 	if err != nil {
 		return err
 	}

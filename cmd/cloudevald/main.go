@@ -51,8 +51,11 @@ import (
 	"time"
 
 	"cloudeval/internal/core"
+	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
 	"cloudeval/internal/inference"
+	"cloudeval/internal/llm"
+	"cloudeval/internal/score"
 	"cloudeval/internal/server"
 	"cloudeval/internal/store"
 )
@@ -135,7 +138,7 @@ func run() error {
 	defer disp.Close()
 
 	eng := engine.New(engine.WithStore(st))
-	bench := core.NewVia(eng, disp)
+	bench := core.New(score.NewEvaluator(eng, disp), dataset.Generate(), llm.Models)
 	srv := server.NewWithConfig(bench, *data, server.Config{
 		TenantRate:      *tenantRate,
 		TenantBurst:     *tenantBurst,

@@ -10,11 +10,11 @@ import (
 	"fmt"
 	"os"
 
-	"cloudeval/internal/analysis"
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/score"
 )
 
 func main() {
@@ -37,12 +37,12 @@ func main() {
 	for i, name := range names {
 		models[i], _ = llm.ByName(name)
 	}
-	eng := engine.New()
 	disp := inference.NewDispatcher(inference.NewSim(models))
+	ev := score.NewEvaluator(engine.New(), disp)
 
 	series := map[string][]int{}
 	for i, name := range names {
-		s := analysis.PassAtKVia(eng, disp, models[i], problems, maxK, temperature)
+		s := ev.PassAtK(models[i], problems, maxK, temperature)
 		if err := disp.Err(); err != nil {
 			fmt.Fprintln(os.Stderr, "multisample:", err)
 			os.Exit(1)

@@ -20,6 +20,7 @@ import (
 	"cloudeval/internal/engine"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/score"
 	"cloudeval/internal/store"
 )
 
@@ -43,17 +44,17 @@ func main() {
 		log.Fatal(err)
 	}
 	// The dispatcher serves exactly the models the benchmark evaluates.
-	bench := core.NewCustomVia(engine.New(engine.WithStore(st)),
-		inference.NewDispatcher(inference.NewSim(models)), originals, models)
+	bench := core.New(score.NewEvaluator(engine.New(engine.WithStore(st)),
+		inference.NewDispatcher(inference.NewSim(models))), originals, models)
 	fmt.Println("== cold run: Table 4 ==")
 	fmt.Println(bench.Table4())
-	stats := bench.Engine().Stats()
+	stats := bench.Evaluator().Engine().Stats()
 	fmt.Printf("cold:  %d unit tests executed, %d memory hits, %d store hits\n",
 		stats.Executed, stats.CacheHits, stats.StoreHits)
 
 	// Checkpoint a campaign too, then "crash" before table4 finishes by
 	// only running part of it.
-	if _, err := bench.RunCampaign(campaignDir, []string{"table2"}, io.Discard); err != nil {
+	if _, err := bench.RunCampaign(campaignDir, []string{"table2"}, io.Discard, nil, nil); err != nil {
 		log.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -67,17 +68,17 @@ func main() {
 	}
 	defer st2.Close()
 	fmt.Printf("\nreopened store holds %d records\n", st2.Len())
-	bench2 := core.NewCustomVia(engine.New(engine.WithStore(st2)),
-		inference.NewDispatcher(inference.NewSim(models)), originals, models)
+	bench2 := core.New(score.NewEvaluator(engine.New(engine.WithStore(st2)),
+		inference.NewDispatcher(inference.NewSim(models))), originals, models)
 	fmt.Println("== warm run: identical Table 4, zero executions ==")
 	fmt.Println(bench2.Table4())
-	stats = bench2.Engine().Stats()
+	stats = bench2.Evaluator().Engine().Stats()
 	fmt.Printf("warm:  %d unit tests executed, %d store hits\n", stats.Executed, stats.StoreHits)
 
 	// The campaign resumes from its manifest: table2 replays from its
 	// checkpoint file, only table4 is new — and its unit tests all come
 	// from the store.
-	report, err := bench2.RunCampaign(campaignDir, []string{"table2", "table4"}, io.Discard)
+	report, err := bench2.RunCampaign(campaignDir, []string{"table2", "table4"}, io.Discard, nil, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

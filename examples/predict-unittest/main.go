@@ -27,10 +27,7 @@ func main() {
 	// cause in Err, so check it before training on the scores.
 	eng := engine.New()
 	disp := inference.NewDispatcher(inference.NewSim(llm.Models))
-	raw := map[string][]score.ProblemScore{}
-	for _, m := range llm.Models {
-		raw[m.Name] = score.EvaluateModelVia(eng, disp, m, problems, llm.GenOptions{})
-	}
+	_, raw := score.NewEvaluator(eng, disp).Benchmark(llm.Models, problems)
 	if err := disp.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "predict-unittest:", err)
 		os.Exit(1)

@@ -42,7 +42,7 @@ func main() {
 	// answers and latches the cause in Err, so check it before printing.
 	model, _ := llm.ByName("gpt-4")
 	disp := inference.NewDispatcher(inference.NewSim([]llm.Model{model}))
-	scores := score.EvaluateModelVia(engine.New(), disp, model, problems[:30], llm.GenOptions{})
+	scores := score.NewEvaluator(engine.New(), disp).Model(model, problems[:30], llm.GenOptions{})
 	if err := disp.Err(); err != nil {
 		fmt.Fprintln(os.Stderr, "quickstart:", err)
 		os.Exit(1)

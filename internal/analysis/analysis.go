@@ -1,8 +1,9 @@
 // Package analysis implements the evaluation studies of §4: failure
-// mode categorization (Figure 7), performance breakdowns by category,
-// code context, answer length and question tokens (Figure 6, Table 9),
-// multi-sample pass@k (Figure 8), augmented-dataset comparisons
-// (Table 5) and few-shot prompting (Table 6).
+// mode categorization (Figure 7) and performance breakdowns by
+// category, code context, answer length and question tokens (Figure 6,
+// Table 9). It renders the studies whose evaluation loops live on
+// score.Evaluator: multi-sample pass@k (Figure 8), augmented-dataset
+// comparisons (Table 5) and few-shot prompting (Table 6).
 package analysis
 
 import (
@@ -10,9 +11,6 @@ import (
 	"strings"
 
 	"cloudeval/internal/dataset"
-	"cloudeval/internal/engine"
-	"cloudeval/internal/inference"
-	"cloudeval/internal/llm"
 	"cloudeval/internal/scenario"
 	"cloudeval/internal/score"
 	"cloudeval/internal/yamlx"
@@ -229,59 +227,6 @@ func FormatTable9(breakdown map[string]map[string]map[string]float64, modelOrder
 	return b.String()
 }
 
-// PassAtKVia runs multi-sample generation (§4.2): for each problem, up
-// to maxK samples at the given temperature; the problem counts as
-// passed at k when any of the first k samples passes its unit test.
-// Returns pass counts indexed by k-1.
-//
-// The study is scheduled round by round: round k streams (generate
-// sample k, execute its unit test) through the two-stage pipeline over
-// exactly the problems still unresolved after round k-1. The early exit after the first passing sample — the
-// paper's lazy sampling — is therefore preserved to the generation:
-// sample k is drawn for precisely the problems whose first k samples
-// all failed, the same set the serial per-problem loop draws it for,
-// so both the counts and the provider bill match the serial path
-// exactly.
-func PassAtKVia(eng *engine.Engine, gen *inference.Dispatcher, m llm.Model, problems []dataset.Problem, maxK int, temperature float64) []int {
-	firstPass := make([]int, len(problems)) // index of first passing sample, or -1
-	pending := make([]int, len(problems))   // problem indices still unresolved
-	for i := range problems {
-		firstPass[i] = -1
-		pending[i] = i
-	}
-	for k := 0; k < maxK && len(pending) > 0; k++ {
-		opts := llm.GenOptions{Sample: k, Temperature: temperature}
-		passed := make([]bool, len(pending))
-		engine.Pipeline(eng, len(pending), gen.Concurrency(), 0,
-			func(j int) string {
-				return gen.Answer(m, problems[pending[j]], opts)
-			},
-			func(j int, ans string) {
-				passed[j] = eng.UnitTest(problems[pending[j]], ans).Passed
-			})
-		still := pending[:0]
-		for j, idx := range pending {
-			if passed[j] {
-				firstPass[idx] = k
-			} else {
-				still = append(still, idx)
-			}
-		}
-		pending = still
-	}
-	out := make([]int, maxK)
-	for k := 1; k <= maxK; k++ {
-		n := 0
-		for _, idx := range firstPass {
-			if idx >= 0 && idx < k {
-				n++
-			}
-		}
-		out[k-1] = n
-	}
-	return out
-}
-
 // FormatFigure8 renders pass@k series for several models.
 func FormatFigure8(series map[string][]int, order []string) string {
 	var b strings.Builder
@@ -306,38 +251,6 @@ func FormatFigure8(series map[string][]int, order []string) string {
 	return b.String()
 }
 
-// PassCount tallies unit-test passes in a score set.
-func PassCount(scores []score.ProblemScore) int {
-	n := 0
-	for _, s := range scores {
-		if s.UnitTest == 1 {
-			n++
-		}
-	}
-	return n
-}
-
-// VariantPassCountsVia computes Table 5: per model, passes on the
-// original, simplified and translated subsets.
-func VariantPassCountsVia(eng *engine.Engine, gen *inference.Dispatcher, m llm.Model, all []dataset.Problem) map[dataset.Variant]int {
-	out := map[dataset.Variant]int{}
-	for _, variant := range []dataset.Variant{dataset.Original, dataset.Simplified, dataset.Translated} {
-		if m.EnglishOnly && variant == dataset.Translated {
-			out[variant] = -1 // N/A
-			continue
-		}
-		var subset []dataset.Problem
-		for _, p := range all {
-			if p.Variant == variant {
-				subset = append(subset, p)
-			}
-		}
-		scores := score.EvaluateModelVia(eng, gen, m, subset, llm.GenOptions{})
-		out[variant] = PassCount(scores)
-	}
-	return out
-}
-
 // FormatTable5 renders variant pass counts.
 func FormatTable5(counts map[string]map[dataset.Variant]int, order []string) string {
 	var b strings.Builder
@@ -354,17 +267,6 @@ func FormatTable5(counts map[string]map[dataset.Variant]int, order []string) str
 		b.WriteString(line + "\n")
 	}
 	return b.String()
-}
-
-// FewShotPassCountsVia computes Table 6: passes on the original subset
-// for 0..maxShots few-shot prompts.
-func FewShotPassCountsVia(eng *engine.Engine, gen *inference.Dispatcher, m llm.Model, originals []dataset.Problem, maxShots int) []int {
-	out := make([]int, maxShots+1)
-	for shots := 0; shots <= maxShots; shots++ {
-		scores := score.EvaluateModelVia(eng, gen, m, originals, llm.GenOptions{Shots: shots})
-		out[shots] = PassCount(scores)
-	}
-	return out
 }
 
 // FormatTable6 renders few-shot pass counts.

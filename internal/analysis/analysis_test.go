@@ -11,13 +11,9 @@ import (
 	"cloudeval/internal/score"
 )
 
-// The package's tests share one engine and one dispatcher over the
-// whole zoo, so a (model, problem) pair one test evaluated is a cache
-// hit for the next.
-var (
-	testEng = engine.New()
-	testGen = inference.NewDispatcher(inference.NewSim(llm.Models))
-)
+// The package's tests share one evaluator over the whole zoo, so a
+// (model, problem) pair one test evaluated is a cache hit for the next.
+var testEv = score.NewEvaluator(engine.New(), inference.NewDispatcher(inference.NewSim(llm.Models)))
 
 // problemIn selects the first problem of a subcategory; families are
 // identified by subcategory here so the tests stay free of category
@@ -104,8 +100,8 @@ func TestFailureCountsShape(t *testing.T) {
 	byID := ProblemIndex(problems)
 	strong, _ := llm.ByName("gpt-4")
 	weak, _ := llm.ByName("llama-2-7b-chat")
-	strongScores := score.EvaluateModelVia(testEng, testGen, strong, problems, llm.GenOptions{})
-	weakScores := score.EvaluateModelVia(testEng, testGen, weak, problems, llm.GenOptions{})
+	strongScores := testEv.Model(strong, problems, llm.GenOptions{})
+	weakScores := testEv.Model(weak, problems, llm.GenOptions{})
 	sc := FailureCounts(strongScores, byID)
 	wc := FailureCounts(weakScores, byID)
 	sum := func(c [6]int) int { return c[0] + c[1] + c[2] + c[3] + c[4] + c[5] }
@@ -131,7 +127,7 @@ func TestSliceScoresEnvoyHardest(t *testing.T) {
 	problems := dataset.Generate()
 	byID := ProblemIndex(problems)
 	m, _ := llm.ByName("gpt-4")
-	scores := score.EvaluateModelVia(testEng, testGen, m, problems, llm.GenOptions{})
+	scores := testEv.Model(m, problems, llm.GenOptions{})
 	slices := Figure6Slices()["application_category"]
 	vals := map[string]float64{}
 	for _, sl := range slices {
@@ -146,7 +142,7 @@ func TestSliceScoresLengthGradient(t *testing.T) {
 	problems := dataset.Generate()
 	byID := ProblemIndex(problems)
 	m, _ := llm.ByName("gpt-3.5")
-	scores := score.EvaluateModelVia(testEng, testGen, m, problems, llm.GenOptions{})
+	scores := testEv.Model(m, problems, llm.GenOptions{})
 	slices := Figure6Slices()["ref_answer_lines"]
 	var short, long float64
 	for _, sl := range slices {
@@ -165,7 +161,7 @@ func TestSliceScoresLengthGradient(t *testing.T) {
 func TestPassAtKMonotone(t *testing.T) {
 	problems := dataset.Generate()[:60]
 	m, _ := llm.ByName("gpt-3.5")
-	series := PassAtKVia(testEng, testGen, m, problems, 6, 0.75)
+	series := testEv.PassAtK(m, problems, 6, 0.75)
 	if len(series) != 6 {
 		t.Fatalf("series length = %d", len(series))
 	}
@@ -191,7 +187,7 @@ func TestVariantPassCountsEnglishOnly(t *testing.T) {
 		tr.ID, tr.Variant = p.ID+"-t", dataset.Translated
 		all = append(all, p, s, tr)
 	}
-	counts := VariantPassCountsVia(testEng, testGen, m, all)
+	counts := testEv.Variants(m, all)
 	if counts[dataset.Translated] != -1 {
 		t.Errorf("PaLM translated should be N/A, got %d", counts[dataset.Translated])
 	}
@@ -203,7 +199,7 @@ func TestVariantPassCountsEnglishOnly(t *testing.T) {
 
 func TestFewShotCounts(t *testing.T) {
 	m, _ := llm.ByName("gpt-3.5")
-	counts := FewShotPassCountsVia(testEng, testGen, m, dataset.Generate()[:60], 2)
+	counts := testEv.FewShot(m, dataset.Generate()[:60], 2)
 	if len(counts) != 3 {
 		t.Fatalf("counts = %v", counts)
 	}

@@ -143,7 +143,7 @@ func TestLeaveOneModelOut(t *testing.T) {
 	gen := inference.NewDispatcher(inference.NewSim(llm.Models))
 	raw := make(map[string][]score.ProblemScore)
 	for _, m := range llm.Models {
-		raw[m.Name] = score.EvaluateModelVia(eng, gen, m, problems, llm.GenOptions{})
+		raw[m.Name] = score.NewEvaluator(eng, gen).Model(m, problems, llm.GenOptions{})
 	}
 	if err := gen.Err(); err != nil {
 		t.Fatal(err)

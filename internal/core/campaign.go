@@ -129,22 +129,14 @@ func writeAtomic(path string, data []byte) error {
 // otherwise. The manifest is checkpointed atomically after every
 // experiment, so an interrupted campaign resumes exactly where it
 // died.
-func (b *Benchmark) RunCampaign(dir string, ids []string, w io.Writer) (CampaignReport, error) {
-	return b.runCampaign(dir, ids, w, nil, nil)
-}
-
-// RunCampaignVia is RunCampaign with fresh experiment outputs produced
-// by gen instead of the benchmark's own generators (checkpointed
-// replays still come from files) and a per-experiment completion
-// callback (id, skipped). The daemon routes campaign generation
-// through its coalescing layer this way, so a campaign and a
-// concurrent direct request share one computation, and surfaces live
+//
+// gen, when non-nil, produces fresh outputs in place of the
+// benchmark's own generators, and onDone, when non-nil, is called as
+// each experiment completes (id, skipped). The daemon routes campaign
+// generation through its coalescing layer this way, so a campaign and
+// a concurrent direct request share one computation, and surfaces live
 // campaign status from the callback.
-func (b *Benchmark) RunCampaignVia(dir string, ids []string, w io.Writer, gen func(id string) (string, error), onDone func(id string, skipped bool)) (CampaignReport, error) {
-	return b.runCampaign(dir, ids, w, gen, onDone)
-}
-
-func (b *Benchmark) runCampaign(dir string, ids []string, w io.Writer, gen func(id string) (string, error), onDone func(id string, skipped bool)) (CampaignReport, error) {
+func (b *Benchmark) RunCampaign(dir string, ids []string, w io.Writer, gen func(id string) (string, error), onDone func(id string, skipped bool)) (CampaignReport, error) {
 	var report CampaignReport
 	if ids == nil {
 		ids = ExperimentIDs
@@ -190,14 +182,16 @@ func (b *Benchmark) runCampaign(dir string, ids []string, w io.Writer, gen func(
 				// miss, dead endpoint) scores empty answers; it must
 				// fail the campaign here, not be checkpointed as
 				// complete and replayed as authoritative forever. The
-				// delta is over the dispatcher's process-wide counter,
-				// so a concurrent failing campaign on the same
-				// benchmark can fail this one too — conservative: a
-				// clean retry succeeds, corrupt output never persists.
-				errsBefore := b.gen.Stats().Errors
+				// delta is over the dispatcher's counter, which the
+				// whole benchmark shares, so a concurrent failing
+				// campaign on the same benchmark can fail this one
+				// too — conservative: a clean retry succeeds, corrupt
+				// output never persists.
+				disp := b.ev.Dispatcher()
+				errsBefore := disp.Stats().Errors
 				out = gens[id]()
-				if failed := b.gen.Stats().Errors - errsBefore; failed > 0 {
-					return report, fmt.Errorf("core: experiment %s: %d generation failures (first: %v)", id, failed, b.gen.Err())
+				if failed := disp.Stats().Errors - errsBefore; failed > 0 {
+					return report, fmt.Errorf("core: experiment %s: %d generation failures (first: %v)", id, failed, disp.Err())
 				}
 			}
 			name := id + ".txt"

@@ -15,11 +15,12 @@ import (
 	"cloudeval/internal/engine"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/score"
 )
 
 func smallBench() *core.Benchmark {
 	models := llm.Models[:2]
-	return core.NewCustomVia(engine.New(), inference.NewDispatcher(inference.NewSim(models)), dataset.Generate()[:8], models)
+	return core.New(score.NewEvaluator(engine.New(), inference.NewDispatcher(inference.NewSim(models))), dataset.Generate()[:8], models)
 }
 
 func TestCampaignCheckpointAndResume(t *testing.T) {
@@ -28,7 +29,7 @@ func TestCampaignCheckpointAndResume(t *testing.T) {
 	ids := []string{"table2", "table4"}
 
 	var first strings.Builder
-	report, err := b.RunCampaign(dir, ids, &first)
+	report, err := b.RunCampaign(dir, ids, &first, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +47,7 @@ func TestCampaignCheckpointAndResume(t *testing.T) {
 	// A fresh benchmark (fresh process) replays from the checkpoint:
 	// nothing runs, output identical.
 	var second strings.Builder
-	report2, err := smallBench().RunCampaign(dir, ids, &second)
+	report2, err := smallBench().RunCampaign(dir, ids, &second, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,10 +63,10 @@ func TestCampaignPartialResume(t *testing.T) {
 	dir := t.TempDir()
 	// Simulate a campaign interrupted after table2: only table2 in the
 	// manifest, then a wider re-run.
-	if _, err := smallBench().RunCampaign(dir, []string{"table2"}, nil); err != nil {
+	if _, err := smallBench().RunCampaign(dir, []string{"table2"}, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
-	report, err := smallBench().RunCampaign(dir, []string{"table2", "table4"}, nil)
+	report, err := smallBench().RunCampaign(dir, []string{"table2", "table4"}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -76,13 +77,13 @@ func TestCampaignPartialResume(t *testing.T) {
 
 func TestCampaignMissingOutputFileReruns(t *testing.T) {
 	dir := t.TempDir()
-	if _, err := smallBench().RunCampaign(dir, []string{"table2"}, nil); err != nil {
+	if _, err := smallBench().RunCampaign(dir, []string{"table2"}, nil, nil, nil); err != nil {
 		t.Fatal(err)
 	}
 	if err := os.Remove(filepath.Join(dir, "table2.txt")); err != nil {
 		t.Fatal(err)
 	}
-	report, err := smallBench().RunCampaign(dir, []string{"table2"}, nil)
+	report, err := smallBench().RunCampaign(dir, []string{"table2"}, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +93,7 @@ func TestCampaignMissingOutputFileReruns(t *testing.T) {
 }
 
 func TestCampaignUnknownExperiment(t *testing.T) {
-	if _, err := smallBench().RunCampaign(t.TempDir(), []string{"table99"}, nil); err == nil {
+	if _, err := smallBench().RunCampaign(t.TempDir(), []string{"table99"}, nil, nil, nil); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -113,8 +114,8 @@ func (failingGenProvider) Close() error { return nil }
 func TestCampaignFailsOnGenerationErrors(t *testing.T) {
 	dir := t.TempDir()
 	disp := inference.NewDispatcher(failingGenProvider{})
-	b := core.NewCustomVia(engine.New(), disp, dataset.Generate()[:4], llm.Models[:2])
-	_, err := b.RunCampaign(dir, []string{"table4"}, io.Discard)
+	b := core.New(score.NewEvaluator(engine.New(), disp), dataset.Generate()[:4], llm.Models[:2])
+	_, err := b.RunCampaign(dir, []string{"table4"}, io.Discard, nil, nil)
 	if err == nil || !strings.Contains(err.Error(), "generation failures") {
 		t.Fatalf("campaign over a dead provider: err = %v, want generation failures", err)
 	}
@@ -127,8 +128,8 @@ func TestCampaignFailsOnGenerationErrors(t *testing.T) {
 	}
 
 	// After the provider recovers, the same campaign runs clean.
-	healthy := core.NewCustomVia(engine.New(), inference.NewDispatcher(inference.NewSim(llm.Models[:2])), dataset.Generate()[:4], llm.Models[:2])
-	report, err := healthy.RunCampaign(dir, []string{"table4"}, io.Discard)
+	healthy := core.New(score.NewEvaluator(engine.New(), inference.NewDispatcher(inference.NewSim(llm.Models[:2]))), dataset.Generate()[:4], llm.Models[:2])
+	report, err := healthy.RunCampaign(dir, []string{"table4"}, io.Discard, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

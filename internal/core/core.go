@@ -28,8 +28,8 @@ import (
 
 // Benchmark is a configured CloudEval-YAML instance. Every campaign —
 // zero-shot, few-shot, pass@k, failure analysis, predictor training —
-// submits its evaluation jobs through one engine, so the whole paper
-// reproduction shares a scheduler and a memoization cache.
+// runs on its one evaluator, so the whole paper reproduction shares a
+// scheduler, a generation cache and a unit-test cache.
 type Benchmark struct {
 	// Originals are the hand-written problems (the paper's 337 plus the
 	// Compose and Helm extension families); Problems is the full corpus
@@ -38,8 +38,7 @@ type Benchmark struct {
 	Problems  []dataset.Problem
 	Models    []llm.Model
 
-	eng *engine.Engine
-	gen *inference.Dispatcher
+	ev *score.Evaluator
 
 	mu       sync.Mutex
 	rows     []score.ModelAggregate
@@ -47,47 +46,28 @@ type Benchmark struct {
 	jobs     []evalcluster.Job
 }
 
-// New builds the default benchmark: full corpus, twelve-model zoo, the
-// process-wide in-process evaluation engine and inference dispatcher.
-func New() *Benchmark { return NewVia(engine.Default(), inference.Default()) }
-
-// NewVia builds a benchmark whose generations route through gen — the
-// sim zoo, a record/replay trace, or a live HTTP provider, behind the
-// dispatcher's batching and caches — and whose evaluations run on eng,
-// e.g. an engine wrapping evalcluster.ClusterExecutor to fan the
-// campaigns out over a real worker fleet.
-func NewVia(eng *engine.Engine, gen *inference.Dispatcher) *Benchmark {
-	originals := dataset.Generate()
-	return &Benchmark{
-		Originals: originals,
-		Problems:  augment.ExpandCorpus(originals),
-		Models:    llm.Models,
-		eng:       eng,
-		gen:       gen,
-	}
-}
-
-// NewCustomVia builds a benchmark over a custom hand-written problem
-// set and model zoo on eng and gen; the corpus is expanded with the
-// standard augmentation. Smaller corpora keep daemon tests and
-// examples fast while exercising the full pipeline. gen's provider
-// must serve every model in models.
-func NewCustomVia(eng *engine.Engine, gen *inference.Dispatcher, originals []dataset.Problem, models []llm.Model) *Benchmark {
+// New builds a benchmark over a hand-written problem set, expanded
+// with the standard augmentation, and a model zoo, evaluated by ev.
+// dataset.Generate() and llm.Models give the paper's benchmark;
+// smaller corpora keep daemon tests and examples fast while exercising
+// the full pipeline. ev's dispatcher must serve every model in models.
+func New(ev *score.Evaluator, originals []dataset.Problem, models []llm.Model) *Benchmark {
 	return &Benchmark{
 		Originals: originals,
 		Problems:  augment.ExpandCorpus(originals),
 		Models:    models,
-		eng:       eng,
-		gen:       gen,
+		ev:        ev,
 	}
 }
 
-// Engine returns the engine the benchmark's campaigns run on.
-func (b *Benchmark) Engine() *engine.Engine { return b.eng }
+// NewVia is New over the full corpus and zoo, evaluated on eng and gen.
+// Only bench/ calls it; it goes with ROADMAP item 6(a).
+func NewVia(eng *engine.Engine, gen *inference.Dispatcher) *Benchmark {
+	return New(score.NewEvaluator(eng, gen), dataset.Generate(), llm.Models)
+}
 
-// Generator returns the inference dispatcher the benchmark's
-// campaigns generate through.
-func (b *Benchmark) Generator() *inference.Dispatcher { return b.gen }
+// Evaluator returns the evaluator the benchmark's campaigns run on.
+func (b *Benchmark) Evaluator() *score.Evaluator { return b.ev }
 
 // ZeroShot runs (and caches) the Table 4 campaign: every model over the
 // full corpus with all six metrics, every (model, problem) pair one
@@ -96,9 +76,10 @@ func (b *Benchmark) ZeroShot() ([]score.ModelAggregate, map[string][]score.Probl
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.rows == nil {
-		errsBefore := b.gen.Stats().Errors
-		rows, raw := score.BenchmarkVia(b.eng, b.gen, b.Models, b.Problems)
-		if b.gen.Stats().Errors != errsBefore {
+		gen := b.ev.Dispatcher()
+		errsBefore := gen.Stats().Errors
+		rows, raw := b.ev.Benchmark(b.Models, b.Problems)
+		if gen.Stats().Errors != errsBefore {
 			// Failed generations scored as empty answers: serve the rows
 			// (the campaign completes deterministically) but do not
 			// memoize them — a retry after the provider recovers must
@@ -116,7 +97,7 @@ func (b *Benchmark) Jobs() []evalcluster.Job {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	if b.jobs == nil {
-		b.jobs = evalcluster.JobsFromProblems(b.eng, b.Problems)
+		b.jobs = evalcluster.JobsFromProblems(b.ev.Engine(), b.Problems)
 	}
 	return b.jobs
 }
@@ -204,7 +185,7 @@ func (b *Benchmark) FamilyLeaderboard() string {
 func (b *Benchmark) Table5() string {
 	counts := map[string]map[dataset.Variant]int{}
 	for _, m := range b.Models {
-		counts[m.Name] = analysis.VariantPassCountsVia(b.eng, b.gen, m, b.Problems)
+		counts[m.Name] = b.ev.Variants(m, b.Problems)
 	}
 	return analysis.FormatTable5(counts, b.ModelNames())
 }
@@ -216,7 +197,7 @@ var Table6Models = []string{"gpt-3.5", "llama-2-70b-chat", "llama-2-7b-chat"}
 func (b *Benchmark) Table6() string {
 	counts := map[string][]int{}
 	for _, name := range Table6Models {
-		counts[name] = analysis.FewShotPassCountsVia(b.eng, b.gen, b.model(name), b.Originals, 3)
+		counts[name] = b.ev.FewShot(b.model(name), b.Originals, 3)
 	}
 	return analysis.FormatTable6(counts, Table6Models)
 }
@@ -283,7 +264,7 @@ func (b *Benchmark) Figure7() string {
 	byID := analysis.ProblemIndex(b.Originals)
 	counts := map[string][6]int{}
 	for _, name := range Figure7Models {
-		scores := score.EvaluateModelVia(b.eng, b.gen, b.model(name), b.Originals, llm.GenOptions{})
+		scores := b.ev.Model(b.model(name), b.Originals, llm.GenOptions{})
 		counts[name] = analysis.FailureCounts(scores, byID)
 	}
 	return analysis.FormatFigure7(counts, Figure7Models)
@@ -313,7 +294,7 @@ func (b *Benchmark) Figure8(cfg Figure8Config) string {
 		if name == "gpt-4" {
 			k = cfg.GPT4MaxK
 		}
-		series[name] = analysis.PassAtKVia(b.eng, b.gen, b.model(name), b.Originals, k, cfg.Temperature)
+		series[name] = b.ev.PassAtK(b.model(name), b.Originals, k, cfg.Temperature)
 	}
 	return analysis.FormatFigure8(series, Figure8Models)
 }
@@ -322,11 +303,11 @@ func (b *Benchmark) Figure8(cfg Figure8Config) string {
 // predictions and SHAP feature importance.
 func (b *Benchmark) Figure9() string {
 	_, raw := b.ZeroShot()
-	results, err := boost.LeaveOneModelOut(b.eng, raw, boost.DefaultConfig())
+	results, err := boost.LeaveOneModelOut(b.ev.Engine(), raw, boost.DefaultConfig())
 	if err != nil {
 		return "error: " + err.Error()
 	}
-	imp, err := boost.GlobalImportance(b.eng, raw, boost.DefaultConfig(), 500)
+	imp, err := boost.GlobalImportance(b.ev.Engine(), raw, boost.DefaultConfig(), 500)
 	if err != nil {
 		return "error: " + err.Error()
 	}

@@ -5,16 +5,23 @@ import (
 	"strings"
 	"testing"
 
-	"cloudeval/internal/analysis"
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/score"
 	"cloudeval/internal/store"
 )
 
+// paperBench builds the paper's benchmark, the full corpus and the
+// twelve-model zoo, on an evaluator of its own.
+func paperBench() *Benchmark {
+	ev := score.NewEvaluator(engine.New(), inference.NewDispatcher(inference.NewSim(llm.Models)))
+	return New(ev, dataset.Generate(), llm.Models)
+}
+
 func TestNewBenchmarkShape(t *testing.T) {
-	b := New()
+	b := paperBench()
 	if len(b.Originals) != dataset.TotalOriginal {
 		t.Errorf("originals = %d", len(b.Originals))
 	}
@@ -35,7 +42,7 @@ func TestNewBenchmarkShape(t *testing.T) {
 // == compares — so nothing compiled for one is compiled again for the
 // other.
 func TestBenchmarksShareOneCompiledCorpus(t *testing.T) {
-	a, b := NewVia(engine.New(), nil), NewVia(engine.New(), nil)
+	a, b := paperBench(), paperBench()
 	for i := range a.Problems {
 		if a.Problems[i] != b.Problems[i] {
 			t.Fatalf("%s: the second benchmark compiled its own", a.Problems[i].ID)
@@ -65,7 +72,7 @@ func TestExtensionFamiliesFlowThroughPipelines(t *testing.T) {
 	eng := engine.New(engine.WithStore(st))
 	models := llm.Models[:2]
 	gen := inference.NewDispatcher(inference.NewSim(models))
-	b := NewCustomVia(eng, gen, subset, models)
+	b := New(score.NewEvaluator(eng, gen), subset, models)
 
 	// ZeroShot covers every variant of every extension problem.
 	_, raw := b.ZeroShot()
@@ -80,7 +87,7 @@ func TestExtensionFamiliesFlowThroughPipelines(t *testing.T) {
 	}
 
 	// pass@k sampling runs the same families through the engine.
-	passes := analysis.PassAtKVia(eng, gen, b.Models[0], subset, 2, 0.75)
+	passes := b.Evaluator().PassAtK(b.Models[0], subset, 2, 0.75)
 	if len(passes) != 2 || passes[1] < passes[0] {
 		t.Errorf("pass@k shape broken: %v", passes)
 	}
@@ -94,7 +101,7 @@ func TestExtensionFamiliesFlowThroughPipelines(t *testing.T) {
 }
 
 func TestExperimentRegistryComplete(t *testing.T) {
-	b := New()
+	b := paperBench()
 	gens := b.Experiments()
 	if len(gens) != len(ExperimentIDs) {
 		t.Errorf("registry has %d generators, IDs list %d", len(gens), len(ExperimentIDs))
@@ -107,7 +114,7 @@ func TestExperimentRegistryComplete(t *testing.T) {
 }
 
 func TestCheapExperimentsProduceOutput(t *testing.T) {
-	b := New()
+	b := paperBench()
 	for _, id := range []string{"table1", "table2", "table7", "table8"} {
 		out := b.Experiments()[id]()
 		if strings.TrimSpace(out) == "" {
@@ -120,7 +127,7 @@ func TestZeroShotCached(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark in -short mode")
 	}
-	b := New()
+	b := paperBench()
 	rows1, raw1 := b.ZeroShot()
 	rows2, raw2 := b.ZeroShot()
 	if &rows1[0] != &rows2[0] {
@@ -145,7 +152,7 @@ func TestFigure7Output(t *testing.T) {
 	if testing.Short() {
 		t.Skip("model evaluation in -short mode")
 	}
-	b := New()
+	b := paperBench()
 	out := b.Figure7()
 	for _, m := range Figure7Models {
 		if !strings.Contains(out, m) {
@@ -155,7 +162,7 @@ func TestFigure7Output(t *testing.T) {
 }
 
 func TestFigure5Output(t *testing.T) {
-	b := New()
+	b := paperBench()
 	out := b.Figure5()
 	if !strings.Contains(out, "64") || !strings.Contains(out, "Workers") {
 		t.Errorf("Figure 5 output:\n%s", out)

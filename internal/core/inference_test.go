@@ -11,6 +11,7 @@ import (
 	"cloudeval/internal/engine"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/score"
 	"cloudeval/internal/store"
 )
 
@@ -45,7 +46,7 @@ func TestRecordReplayRoundTripTable4(t *testing.T) {
 	}
 	recorded := core.NewVia(eng, inference.NewDispatcher(rec))
 	want := recorded.Table4()
-	if err := recorded.Generator().Err(); err != nil {
+	if err := recorded.Evaluator().Dispatcher().Err(); err != nil {
 		t.Fatal(err)
 	}
 	if err := rec.Close(); err != nil {
@@ -61,7 +62,7 @@ func TestRecordReplayRoundTripTable4(t *testing.T) {
 	}
 	replayed := core.NewVia(eng, inference.NewDispatcher(replay))
 	got := replayed.Table4()
-	if err := replayed.Generator().Err(); err != nil {
+	if err := replayed.Evaluator().Dispatcher().Err(); err != nil {
 		t.Fatalf("replay fell short of the campaign: %v", err)
 	}
 	if got != want {
@@ -90,10 +91,7 @@ func TestWarmGenerationStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	cold := &countingProvider{inner: inference.NewSim(models)}
-	b1 := core.NewCustomVia(
-		engine.New(engine.WithStore(st)),
-		inference.NewDispatcher(cold, inference.WithGenStore(st)),
-		originals, models)
+	b1 := core.New(score.NewEvaluator(engine.New(engine.WithStore(st)), inference.NewDispatcher(cold, inference.WithGenStore(st))), originals, models)
 	want := b1.Table4()
 	if cold.calls.Load() == 0 {
 		t.Fatal("cold campaign generated nothing")
@@ -113,7 +111,7 @@ func TestWarmGenerationStore(t *testing.T) {
 	defer st2.Close()
 	warm := &countingProvider{inner: inference.NewSim(models)}
 	disp2 := inference.NewDispatcher(warm, inference.WithGenStore(st2))
-	b2 := core.NewCustomVia(engine.New(engine.WithStore(st2)), disp2, originals, models)
+	b2 := core.New(score.NewEvaluator(engine.New(engine.WithStore(st2)), disp2), originals, models)
 	got := b2.Table4()
 	if got != want {
 		t.Error("warm-store Table 4 differs from the cold run")

@@ -9,6 +9,7 @@ import (
 	"cloudeval/internal/engine"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/score"
 )
 
 // TestStudyOutputsPinned pins, byte for byte, the four studies that
@@ -19,8 +20,7 @@ import (
 // under a second. A change to how those loops are scheduled or wired
 // must leave all four digests alone.
 func TestStudyOutputsPinned(t *testing.T) {
-	b := NewCustomVia(engine.New(), inference.NewDispatcher(inference.NewSim(llm.Models)),
-		dataset.Generate()[:40], llm.Models)
+	b := New(score.NewEvaluator(engine.New(), inference.NewDispatcher(inference.NewSim(llm.Models))), dataset.Generate()[:40], llm.Models)
 	want := map[string]string{
 		"table5":  "ea91ea966a20dd07900c1dc30b8f653ba694ba35b8e71dbe6ee5673315d142e6",
 		"table6":  "4c7f80b63b8bbbde4a16d9b2e60a3f61050ad15abbda1d27b0e40a3d5e4b3ba9",

@@ -243,20 +243,6 @@ func New(opts ...Option) *Engine {
 	return e
 }
 
-var (
-	defaultOnce sync.Once
-	defaultEng  *Engine
-)
-
-// Default returns the process-wide engine: in-process pool, shared
-// cache. Nothing below the top reaches for it — every entry point takes
-// its engine as an argument; core.New, the cloudeval facade and
-// cmd/cloudeval are where this default is chosen.
-func Default() *Engine {
-	defaultOnce.Do(func() { defaultEng = New() })
-	return defaultEng
-}
-
 // Workers reports the scheduler's parallelism.
 func (e *Engine) Workers() int { return e.workers }
 

@@ -199,7 +199,7 @@ func TestParallelMatchesSerialTable4(t *testing.T) {
 			eng := engine.New(engine.WithWorkers(workers))
 			prov := inference.NewDelay(inference.NewSim(llm.Models), 0, time.Millisecond)
 			gen := inference.NewDispatcher(prov, inference.WithoutGenCache())
-			parRows, parRaw := score.BenchmarkVia(eng, gen, llm.Models, full)
+			parRows, parRaw := score.NewEvaluator(eng, gen).Benchmark(llm.Models, full)
 
 			if parallel := score.FormatTable4(parRows); serialTable != parallel {
 				t.Errorf("Table 4 differs between serial and parallel runs:\n--- serial ---\n%s--- parallel ---\n%s", serialTable, parallel)
@@ -341,7 +341,7 @@ func TestWarmStoreFullCampaign(t *testing.T) {
 	}
 	gen := inference.NewDispatcher(inference.NewSim(llm.Models))
 	coldEng := engine.New(engine.WithStore(st))
-	coldRows, _ := score.BenchmarkVia(coldEng, gen, llm.Models, full)
+	coldRows, _ := score.NewEvaluator(coldEng, gen).Benchmark(llm.Models, full)
 	coldStats := coldEng.Stats()
 	if coldStats.Executed == 0 {
 		t.Fatal("cold campaign executed nothing")
@@ -359,7 +359,7 @@ func TestWarmStoreFullCampaign(t *testing.T) {
 	defer st2.Close()
 	exec := &countingExecutor{}
 	warmEng := engine.New(engine.WithExecutor(exec), engine.WithStore(st2))
-	warmRows, _ := score.BenchmarkVia(warmEng, gen, llm.Models, full)
+	warmRows, _ := score.NewEvaluator(warmEng, gen).Benchmark(llm.Models, full)
 
 	if got := exec.runs.Load(); got != 0 {
 		t.Errorf("warm campaign executed %d unit tests, want 0", got)
@@ -386,7 +386,7 @@ func TestTable4CampaignNeverEvicts(t *testing.T) {
 	}
 	eng := engine.New()
 	gen := inference.NewDispatcher(inference.NewSim(llm.Models))
-	score.BenchmarkVia(eng, gen, llm.Models, augment.ExpandCorpus(dataset.Generate()))
+	score.NewEvaluator(eng, gen).Benchmark(llm.Models, augment.ExpandCorpus(dataset.Generate()))
 	es, gs := eng.Stats(), gen.Stats()
 	if es.CacheEvictions != 0 || gs.CacheEvictions != 0 {
 		t.Fatalf("a campaign evicted: engine %d, dispatcher %d", es.CacheEvictions, gs.CacheEvictions)

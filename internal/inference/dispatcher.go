@@ -161,21 +161,6 @@ func NewDispatcher(prov Provider, opts ...DispatchOption) *Dispatcher {
 	return d
 }
 
-var (
-	defaultOnce sync.Once
-	defaultDisp *Dispatcher
-)
-
-// Default returns the process-wide dispatcher: the sim provider over
-// the full Table 4 zoo with a shared generation cache. Nothing below
-// the top reaches for it — every generating entry point takes its
-// dispatcher as an argument; core.New is where this default is chosen.
-// It serves the zoo's models by name and no others.
-func Default() *Dispatcher {
-	defaultOnce.Do(func() { defaultDisp = NewDispatcher(NewSim(llm.Models)) })
-	return defaultDisp
-}
-
 // Provider returns the dispatcher's provider.
 func (d *Dispatcher) Provider() Provider { return d.prov }
 

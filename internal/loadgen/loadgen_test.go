@@ -17,13 +17,14 @@ import (
 	"cloudeval/internal/engine"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/score"
 	"cloudeval/internal/server"
 )
 
 func benchAndServer(t *testing.T, cfg server.Config) (*core.Benchmark, *httptest.Server) {
 	t.Helper()
 	models := llm.Models[:2]
-	bench := core.NewCustomVia(engine.New(), inference.NewDispatcher(inference.NewSim(models)), dataset.Generate()[:6], models)
+	bench := core.New(score.NewEvaluator(engine.New(), inference.NewDispatcher(inference.NewSim(models))), dataset.Generate()[:6], models)
 	ts := httptest.NewServer(server.NewWithConfig(bench, t.TempDir(), cfg).Handler())
 	t.Cleanup(ts.Close)
 	return bench, ts

@@ -36,7 +36,7 @@ func observe(eng *engine.Engine, p dataset.Problem, answers [3]string) observati
 	var o observation
 	for i, a := range answers {
 		o.runs[i] = unittest.Run(p, a)
-		o.scores[i] = sixBits(ScoreAnswerWith(eng, p, a))
+		o.scores[i] = sixBits(NewEvaluator(eng, nil).Score(p, a))
 	}
 	o.key = inference.Request{Model: "gpt-4", Problem: p}.Key()
 	for i, name := range []string{"gpt-4", "llama-2-7b-chat"} {
@@ -83,7 +83,7 @@ func TestEditedCopiesComputeFresh(t *testing.T) {
 	}
 }
 
-// TestCorporaShareCompiledReferences: every corpus core.NewVia builds is
+// TestCorporaShareCompiledReferences: every paper benchmark's corpus is
 // augment.ExpandCorpus(dataset.Generate()); two of them hold the same
 // compiled references, and a problem's variants hold its original's.
 func TestCorporaShareCompiledReferences(t *testing.T) {

@@ -15,7 +15,7 @@ import (
 )
 
 // noExecutor answers every unit test with a zero Result, so that
-// ScoreAnswerWith costs its five inline metrics and the engine's
+// Evaluator.Score costs its five inline metrics and the engine's
 // bookkeeping, not a simulated cluster.
 type noExecutor struct{}
 
@@ -49,7 +49,7 @@ func sameBits(a, b [5]float64) bool {
 	return true
 }
 
-// TestCompiledKernelsMatchOracleTable4 runs ScoreAnswerWith against the
+// TestCompiledKernelsMatchOracleTable4 runs Evaluator.Score against the
 // two-string functions over every (model, problem) pair of Table 4 —
 // the extracted answer, and the raw response with the model's prose,
 // fences and truncations still on it — and requires all five inline
@@ -58,7 +58,7 @@ func TestCompiledKernelsMatchOracleTable4(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full matrix in -short mode")
 	}
-	eng := engine.New(engine.WithExecutor(noExecutor{}))
+	ev := NewEvaluator(engine.New(engine.WithExecutor(noExecutor{})), nil)
 	problems := fullCorpus()
 	pairs := 0
 	for _, m := range llm.Models {
@@ -66,7 +66,7 @@ func TestCompiledKernelsMatchOracleTable4(t *testing.T) {
 			p := problems[pi]
 			raw := m.Generate(p, llm.GenOptions{})
 			for _, answer := range []string{llm.Postprocess(raw), raw} {
-				got, want := inline(ScoreAnswerWith(eng, p, answer)), oracle(p, answer)
+				got, want := inline(ev.Score(p, answer)), oracle(p, answer)
 				if !sameBits(got, want) {
 					t.Errorf("%s on %s: compiled %v, two-string %v\nanswer: %q", m.Name, p.ID, got, want, answer)
 				}
@@ -96,7 +96,7 @@ func table4Answers() (dataset.Problem, []string) {
 // never carry one call's state into another. Under -race it also
 // shows that scoring only reads the compiled forms.
 func TestSharedReferenceFromManyGoroutines(t *testing.T) {
-	eng := engine.New(engine.WithExecutor(noExecutor{}))
+	ev := NewEvaluator(engine.New(engine.WithExecutor(noExecutor{})), nil)
 	p, answers := table4Answers()
 	want := make([][5]float64, len(answers))
 	for i, a := range answers {
@@ -109,7 +109,7 @@ func TestSharedReferenceFromManyGoroutines(t *testing.T) {
 			defer wg.Done()
 			for k := 0; k < 20*len(answers); k++ {
 				i := (k + g) % len(answers) // goroutines disagree on what runs when
-				if got := inline(ScoreAnswerWith(eng, p, answers[i])); !sameBits(got, want[i]) {
+				if got := inline(ev.Score(p, answers[i])); !sameBits(got, want[i]) {
 					t.Errorf("goroutine %d, answer %d: got %v, want %v", g, i, got, want[i])
 					return
 				}
@@ -119,7 +119,8 @@ func TestSharedReferenceFromManyGoroutines(t *testing.T) {
 	wg.Wait()
 }
 
-// scoreAnswerMaxAllocs caps what ScoreAnswerWith may allocate per call
+// scoreAnswerMaxAllocs caps what Evaluator.Score, the per-request path
+// of the daemon's /v1/eval, may allocate per call
 // beyond the engine's unit-test lookup, on a warm reference: slack for a
 // float leaf rendered for comparison (yamlx.ParseAllCached hashes the
 // answer without copying it, so it measures 0). The two-string forms
@@ -131,13 +132,14 @@ func TestScoreAnswerAllocs(t *testing.T) {
 		t.Skip("sync.Pool drops items at random under the race detector")
 	}
 	eng := engine.New(engine.WithExecutor(noExecutor{}))
+	ev := NewEvaluator(eng, nil)
 	p, answers := table4Answers()
 	for i, a := range answers {
-		ScoreAnswerWith(eng, p, a) // compile the reference, parse the answer, memoize the unit test
-		all := testing.AllocsPerRun(50, func() { ScoreAnswerWith(eng, p, a) })
+		ev.Score(p, a) // compile the reference, parse the answer, memoize the unit test
+		all := testing.AllocsPerRun(50, func() { ev.Score(p, a) })
 		unit := testing.AllocsPerRun(50, func() { eng.UnitTest(p, a) })
 		if all-unit > scoreAnswerMaxAllocs {
-			t.Errorf("answer %d: ScoreAnswerWith %v allocs, of them UnitTest %v: the five inline metrics take %v, cap %d",
+			t.Errorf("answer %d: Score %v allocs, of them UnitTest %v: the five inline metrics take %v, cap %d",
 				i, all, unit, all-unit, scoreAnswerMaxAllocs)
 		}
 	}

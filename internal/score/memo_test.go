@@ -20,8 +20,8 @@ func sixBits(s ProblemScore) [6]uint64 {
 }
 
 // TestCampaignMemoMatchesDirect holds the call-scoped text memo of
-// BenchmarkVia to the path that has none: every raw score of the full
-// Table 4 matrix equals, bit for bit, ScoreAnswerWith called for that
+// Evaluator.Benchmark to the path that has none: every raw score of the
+// full Table 4 matrix equals, bit for bit, Evaluator.Score called for that
 // op on a fresh engine. The memo sits in front of the five text metrics
 // only — the engine must still have been asked about every op.
 func TestCampaignMemoMatchesDirect(t *testing.T) {
@@ -30,12 +30,12 @@ func TestCampaignMemoMatchesDirect(t *testing.T) {
 	}
 	problems := fullCorpus()
 	eng := engine.New()
-	_, raw := BenchmarkVia(eng, inference.NewDispatcher(inference.NewSim(llm.Models)), llm.Models, problems)
+	_, raw := NewEvaluator(eng, inference.NewDispatcher(inference.NewSim(llm.Models))).Benchmark(llm.Models, problems)
 	if st := eng.Stats(); st.Executed != 5736 || st.CacheHits != 7459 {
 		t.Errorf("campaign engine: executed %d, cache hits %d; want 5736 / 7459 (every op submitted)", st.Executed, st.CacheHits)
 	}
 
-	direct := engine.New()
+	direct := NewEvaluator(engine.New(), nil)
 	ops, distinct := 0, map[textKey]bool{}
 	for _, m := range llm.Models {
 		kept, scores := evalProblems(m, problems), raw[m.Name]
@@ -44,7 +44,7 @@ func TestCampaignMemoMatchesDirect(t *testing.T) {
 		}
 		for i, pi := range kept {
 			p, got := problems[pi], scores[i]
-			want := ScoreAnswerWith(direct, p, got.Answer)
+			want := direct.Score(p, got.Answer)
 			want.Model = m.Name
 			if got.ProblemID != want.ProblemID || got.Variant != want.Variant || got.Model != want.Model || sixBits(got) != sixBits(want) {
 				t.Errorf("%s on %s: campaign %+v, direct %+v", m.Name, p.ID, got, want)

@@ -12,8 +12,6 @@ import (
 	"sync"
 
 	"cloudeval/internal/dataset"
-	"cloudeval/internal/engine"
-	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/textmetrics"
 	"cloudeval/internal/unittest"
@@ -87,7 +85,7 @@ func compileRef(p dataset.Problem) *refContext {
 }
 
 // KVWildcard is the KV-wildcard score of answer against p's labeled
-// reference, on the same compiled reference ScoreAnswerWith uses.
+// reference, on the same compiled reference Evaluator.Score uses.
 func KVWildcard(p dataset.Problem, answer string) float64 {
 	return refFor(p).kv.KVWildcard(answer)
 }
@@ -108,14 +106,14 @@ func (r *refContext) score(answer string) textScores {
 	return t
 }
 
-// textMemo holds the text scores of one EvaluateModelVia or
-// BenchmarkVia call by (compiled reference, answer). The three variants
+// textMemo holds the text scores of one campaign call of an Evaluator
+// (Model, Benchmark) by (compiled reference, answer). The three variants
 // of a problem share a reference and often an answer, and weak models
 // converge on the same wrong ones: of Table 4's 13,195 scorings 5,759
 // are distinct. The key is the reference's identity and the whole
 // answer, so two keys are equal only when the scores are. It lives and
 // dies with the call that made it: nothing outlives a campaign, and
-// ScoreAnswerWith, which serves callers' own text, keeps nothing.
+// Score, which serves callers' own text, keeps nothing.
 type textMemo struct {
 	mu sync.Mutex
 	m  map[textKey]textScores
@@ -150,36 +148,6 @@ func (tm *textMemo) score(ref *refContext, answer string) textScores {
 	return t
 }
 
-// ScoreAnswerWith computes all six metrics, submitting the unit test —
-// the function-level metric that needs a simulated cluster — through
-// eng. The five text-level and YAML-aware metrics run inline on the
-// problem's compiled reference; the two-string functions they equal
-// bit for bit stay in scoreAnswerSerial, the oracle.
-func ScoreAnswerWith(eng *engine.Engine, p dataset.Problem, answer string) ProblemScore {
-	return problemScore(eng, p, answer, refFor(p).score(answer))
-}
-
-// scoreAnswerMemo is ScoreAnswerWith for a campaign: the text scores
-// come from tm. The unit test still goes through eng for every op,
-// which has its own cache and whose Stats count every submission.
-func scoreAnswerMemo(eng *engine.Engine, tm *textMemo, p dataset.Problem, answer string) ProblemScore {
-	return problemScore(eng, p, answer, tm.score(refFor(p), answer))
-}
-
-func problemScore(eng *engine.Engine, p dataset.Problem, answer string, t textScores) ProblemScore {
-	return ProblemScore{
-		ProblemID:  p.ID,
-		Variant:    p.Variant,
-		Answer:     answer,
-		BLEU:       t.bleu,
-		EditDist:   t.editDist,
-		ExactMatch: t.exactMatch,
-		KVExact:    t.kvExact,
-		KVWildcard: t.kvWildcard,
-		UnitTest:   eng.UnitTest(p, answer).Score(),
-	}
-}
-
 // scoreAnswerSerial is the pre-engine path: the unit test runs directly
 // on the calling goroutine with no cache. Kept as the baseline the
 // engine is benchmarked and determinism-tested against.
@@ -210,36 +178,6 @@ func evalProblems(m llm.Model, problems []dataset.Problem) []int {
 		kept = append(kept, i)
 	}
 	return kept
-}
-
-// EvaluateModelVia runs a model over a problem set with the given
-// generation options, streaming every kept problem through the
-// two-stage pipeline: an IO-sized generation stage (gen's provider and caches,
-// fan-out set by gen.Concurrency()) feeding the engine's CPU-sized
-// execution pool, with the pipeline's backpressure window keeping
-// generations at most a bounded lead ahead of scoring. Results land in
-// problem order, so the output is byte-identical to the serial path
-// regardless of schedule. Generation failures score as empty answers
-// and latch into gen.Err.
-func EvaluateModelVia(eng *engine.Engine, gen *inference.Dispatcher, m llm.Model, problems []dataset.Problem, opts llm.GenOptions) []ProblemScore {
-	kept := evalProblems(m, problems)
-	// One warm pass compiles what both key pipelines read (unit-test
-	// digests for eng, prompt digests and token counts for gen) before
-	// the parallel phase starts.
-	engine.WarmDigests(problems)
-	inference.WarmPrompts(problems, opts.Shots)
-	out := make([]ProblemScore, len(kept))
-	tm := newTextMemo(len(kept))
-	engine.Pipeline(eng, len(kept), gen.Concurrency(), 0,
-		func(i int) string {
-			return gen.Answer(m, problems[kept[i]], opts)
-		},
-		func(i int, answer string) {
-			s := scoreAnswerMemo(eng, tm, problems[kept[i]], answer)
-			s.Model = m.Name
-			out[i] = s
-		})
-	return out
 }
 
 // EvaluateModelSerial is the pre-engine loop: one problem at a time on
@@ -316,69 +254,25 @@ func Aggregate(m llm.Model, scores []ProblemScore) ModelAggregate {
 	return agg
 }
 
-// BenchmarkVia runs the full zero-shot benchmark — every model over
-// every problem — returning rows sorted by unit-test score (Table 4)
-// plus the raw per-problem scores for downstream analysis. It flattens
-// the campaign into one job per (model, problem) pair and streams the
-// whole matrix through the two-stage pipeline at once, so a slow model cannot leave workers idle while another still
-// has problems queued, and provider latency overlaps with unit-test
-// execution instead of adding to it. Generations route through gen —
-// the sim zoo, a recorded trace, or a live endpoint, plus the
-// generation caches. Scores are written to pair-indexed slots and
-// regrouped afterwards: the rows and raw map are byte-identical to
-// BenchmarkSerial's.
-func BenchmarkVia(eng *engine.Engine, gen *inference.Dispatcher, models []llm.Model, problems []dataset.Problem) ([]ModelAggregate, map[string][]ProblemScore) {
-	type pair struct{ model, problem int }
-	pairs := make([]pair, 0, len(models)*len(problems))
-	counts := make([]int, len(models))
-	for mi, m := range models {
-		kept := evalProblems(m, problems)
-		counts[mi] = len(kept)
-		for _, pi := range kept {
-			pairs = append(pairs, pair{mi, pi})
-		}
-	}
-	// One warm pass compiles what both key pipelines read before the
-	// parallel matrix starts: unit-test digests for eng, prompt digests
-	// and token counts for gen.
-	engine.WarmDigests(problems)
-	inference.WarmPrompts(problems, 0)
-	scores := make([]ProblemScore, len(pairs))
-	tm := newTextMemo(len(pairs))
-	engine.Pipeline(eng, len(pairs), gen.Concurrency(), 0,
-		func(i int) string {
-			return gen.Answer(models[pairs[i].model], problems[pairs[i].problem], llm.GenOptions{})
-		},
-		func(i int, answer string) {
-			pr := pairs[i]
-			s := scoreAnswerMemo(eng, tm, problems[pr.problem], answer)
-			s.Model = models[pr.model].Name
-			scores[i] = s
-		})
-
-	rows := make([]ModelAggregate, 0, len(models))
-	raw := make(map[string][]ProblemScore, len(models))
-	offset := 0
-	for mi, m := range models {
-		modelScores := scores[offset : offset+counts[mi] : offset+counts[mi]]
-		offset += counts[mi]
-		raw[m.Name] = modelScores
-		rows = append(rows, Aggregate(m, modelScores))
-	}
-	sort.SliceStable(rows, func(i, j int) bool { return rows[i].UnitTest > rows[j].UnitTest })
-	return rows, raw
-}
-
 // BenchmarkSerial is the pre-engine campaign loop: models evaluated one
 // after another, each problem sequentially, no cache. Kept as the
 // baseline for the engine's determinism and speedup claims.
 func BenchmarkSerial(models []llm.Model, problems []dataset.Problem) ([]ModelAggregate, map[string][]ProblemScore) {
+	perModel := make([][]ProblemScore, len(models))
+	for mi, m := range models {
+		perModel[mi] = EvaluateModelSerial(m, problems, llm.GenOptions{})
+	}
+	return rank(models, perModel)
+}
+
+// rank aggregates each model's scores into its Table 4 row and sorts
+// the rows by unit-test score; raw maps model names to the scores.
+func rank(models []llm.Model, perModel [][]ProblemScore) ([]ModelAggregate, map[string][]ProblemScore) {
 	rows := make([]ModelAggregate, 0, len(models))
 	raw := make(map[string][]ProblemScore, len(models))
-	for _, m := range models {
-		scores := EvaluateModelSerial(m, problems, llm.GenOptions{})
-		raw[m.Name] = scores
-		rows = append(rows, Aggregate(m, scores))
+	for mi, m := range models {
+		raw[m.Name] = perModel[mi]
+		rows = append(rows, Aggregate(m, perModel[mi]))
 	}
 	sort.SliceStable(rows, func(i, j int) bool { return rows[i].UnitTest > rows[j].UnitTest })
 	return rows, raw

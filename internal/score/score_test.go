@@ -13,13 +13,9 @@ import (
 	"cloudeval/internal/yamlmatch"
 )
 
-// The package's tests share one engine and one dispatcher over the
-// whole zoo, so the full-corpus campaigns after the first are cache
-// hits.
-var (
-	testEng = engine.New()
-	testGen = inference.NewDispatcher(inference.NewSim(llm.Models))
-)
+// The package's tests share one evaluator over the whole zoo, so the
+// full-corpus campaigns after the first are cache hits.
+var testEv = NewEvaluator(engine.New(), inference.NewDispatcher(inference.NewSim(llm.Models)))
 
 func fullCorpus() []dataset.Problem {
 	return augment.ExpandCorpus(dataset.Generate())
@@ -28,7 +24,7 @@ func fullCorpus() []dataset.Problem {
 func TestScoreAnswerPerfect(t *testing.T) {
 	p := dataset.Generate()[0]
 	clean := yamlmatch.StripLabels(p.ReferenceYAML)
-	s := ScoreAnswerWith(testEng, p, clean)
+	s := testEv.Score(p, clean)
 	if s.UnitTest != 1 {
 		t.Errorf("reference unit test = %v", s.UnitTest)
 	}
@@ -45,7 +41,7 @@ func TestScoreAnswerPerfect(t *testing.T) {
 
 func TestScoreAnswerGarbage(t *testing.T) {
 	p := dataset.Generate()[0]
-	s := ScoreAnswerWith(testEng, p, "completely unrelated text that is not yaml at all")
+	s := testEv.Score(p, "completely unrelated text that is not yaml at all")
 	if s.UnitTest != 0 || s.KVWildcard > 0.2 || s.ExactMatch != 0 {
 		t.Errorf("garbage scores too high: %+v", s)
 	}
@@ -67,7 +63,7 @@ func TestTable4Calibration(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full benchmark in -short mode")
 	}
-	rows, _ := BenchmarkVia(testEng, testGen, llm.Models, fullCorpus())
+	rows, _ := testEv.Benchmark(llm.Models, fullCorpus())
 	byName := map[string]ModelAggregate{}
 	for _, r := range rows {
 		byName[r.Model] = r
@@ -155,7 +151,7 @@ func TestRenamedModelMatchesSerial(t *testing.T) {
 	want := EvaluateModelSerial(m, problems, llm.GenOptions{})
 
 	gen := inference.NewDispatcher(inference.NewSim([]llm.Model{m}))
-	got := EvaluateModelVia(engine.New(), gen, m, problems, llm.GenOptions{})
+	got := NewEvaluator(engine.New(), gen).Model(m, problems, llm.GenOptions{})
 	if err := gen.Err(); err != nil {
 		t.Fatalf("dispatcher over the renamed model: %v", err)
 	}
@@ -171,7 +167,7 @@ func TestRenamedModelMatchesSerial(t *testing.T) {
 	}
 
 	lacking := inference.NewDispatcher(inference.NewSim(llm.Models))
-	for _, s := range EvaluateModelVia(engine.New(), lacking, m, problems, llm.GenOptions{}) {
+	for _, s := range NewEvaluator(engine.New(), lacking).Model(m, problems, llm.GenOptions{}) {
 		if s.Answer != "" || s.UnitTest != 0 {
 			t.Errorf("%s: scored %+v without a generation", s.ProblemID, s)
 		}

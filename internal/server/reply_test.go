@@ -16,6 +16,7 @@ import (
 	"cloudeval/internal/engine"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/score"
 	"cloudeval/internal/server"
 	"cloudeval/internal/yamlmatch"
 )
@@ -73,7 +74,7 @@ func TestEvalReplyBytes(t *testing.T) {
 	release := make(chan struct{})
 	models := llm.Models[:2]
 	disp := inference.NewDispatcher(gatedProvider{release: release, inner: inference.NewSim(models)})
-	bench := core.NewCustomVia(engine.New(), disp, dataset.Generate()[:4], models)
+	bench := core.New(score.NewEvaluator(engine.New(), disp), dataset.Generate()[:4], models)
 	ts := httptest.NewServer(server.New(bench, t.TempDir()).Handler())
 	defer ts.Close()
 	p := bench.Originals[0]

@@ -30,8 +30,8 @@
 //
 // The inference provider — sim zoo, replayed trace, or live HTTP
 // endpoint — is configured at construction via the benchmark's
-// dispatcher (core.NewVia); every model generation the server performs
-// routes through it and its generation cache.
+// evaluator (core.New); every model generation the server performs
+// routes through its dispatcher and generation cache.
 //
 // Every experiment computation is coalesced per tenant: concurrent
 // requests for the same experiment share one in-flight generation, and
@@ -58,7 +58,6 @@ import (
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
-	"cloudeval/internal/score"
 	"cloudeval/internal/store"
 )
 
@@ -220,10 +219,12 @@ func (s *Server) experiment(tn *tenantState, id string) (string, error) {
 	// generation as an empty answer so the run completes, latching the
 	// error into the dispatcher — so count failures across the run and
 	// refuse to cache (or checkpoint) an output produced with any. The
-	// counter is process-wide, so a concurrent failing request can fail
-	// an unrelated clean experiment — deliberately conservative: a
-	// retry succeeds, a corrupt output is never cached.
-	genStats := s.bench.Generator().Stats()
+	// counter is the dispatcher's, which every request shares, so a
+	// concurrent failing request can fail an unrelated clean experiment
+	// — deliberately conservative: a retry succeeds, a corrupt output
+	// is never cached. A request whose client hung up is not counted.
+	disp := s.bench.Evaluator().Dispatcher()
+	genStats := disp.Stats()
 	func() {
 		defer func() {
 			if r := recover(); r != nil {
@@ -233,9 +234,9 @@ func (s *Server) experiment(tn *tenantState, id string) (string, error) {
 		f.out = gen()
 	}()
 	if f.err == nil {
-		if failed := s.bench.Generator().Stats().Errors - genStats.Errors; failed > 0 {
+		if failed := disp.Stats().Errors - genStats.Errors; failed > 0 {
 			f.err = fmt.Errorf("experiment %s: %d generation failures (first: %v)",
-				id, failed, s.bench.Generator().Err())
+				id, failed, disp.Err())
 		}
 	}
 	close(f.done)
@@ -388,9 +389,8 @@ func storeStatsFor(st *store.Store) *storeStatsJSON {
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	eng := s.bench.Engine()
+	eng, gen := s.bench.Evaluator().Engine(), s.bench.Evaluator().Dispatcher()
 	st := eng.Stats()
-	gen := s.bench.Generator()
 	gst := gen.Stats()
 	routes := make(map[string]routeStatsJSON, len(s.routes))
 	for pattern, rs := range s.routes {
@@ -495,14 +495,14 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusNotFound, codeNotFound, fmt.Sprintf("unknown model %q", req.Model))
 			return
 		}
-		resp, err := s.bench.Generator().Generate(r.Context(), inference.Request{Model: m.Name, Problem: p})
+		resp, err := s.bench.Evaluator().Dispatcher().Generate(r.Context(), inference.Request{Model: m.Name, Problem: p})
 		if err != nil {
 			writeError(w, http.StatusBadGateway, codeBadGateway, "generation failed: "+err.Error())
 			return
 		}
 		answer = llm.Postprocess(resp.Text)
 	}
-	sc := score.ScoreAnswerWith(s.bench.Engine(), p, answer)
+	sc := s.bench.Evaluator().Score(p, answer)
 	writeJSON(w, http.StatusOK, evalResponse{
 		Problem: p.ID,
 		Model:   req.Model,
@@ -673,7 +673,7 @@ func (s *Server) runCampaign(tn *tenantState, c *campaign) {
 		fail(err)
 		return
 	}
-	_, err = s.bench.RunCampaignVia(dir, c.Experiments, nil,
+	_, err = s.bench.RunCampaign(dir, c.Experiments, nil,
 		func(id string) (string, error) { return s.experiment(tn, id) },
 		func(id string, skipped bool) {
 			if skipped {

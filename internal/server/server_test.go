@@ -21,6 +21,7 @@ import (
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/raceflag"
+	"cloudeval/internal/score"
 	"cloudeval/internal/server"
 	"cloudeval/internal/store"
 	"cloudeval/internal/yamlmatch"
@@ -28,7 +29,7 @@ import (
 
 func smallBench(eng *engine.Engine) *core.Benchmark {
 	models := llm.Models[:3]
-	return core.NewCustomVia(eng, inference.NewDispatcher(inference.NewSim(models)), dataset.Generate()[:10], models)
+	return core.New(score.NewEvaluator(eng, inference.NewDispatcher(inference.NewSim(models))), dataset.Generate()[:10], models)
 }
 
 func newTestServer(t *testing.T, bench *core.Benchmark) *httptest.Server {
@@ -272,7 +273,7 @@ func TestFamilyLeaderboardEndpoint(t *testing.T) {
 		}
 	}
 	models := llm.Models[:2]
-	bench := core.NewCustomVia(engine.New(), inference.NewDispatcher(inference.NewSim(models)), subset, models)
+	bench := core.New(score.NewEvaluator(engine.New(), inference.NewDispatcher(inference.NewSim(models))), subset, models)
 	c := newTestClient(t, bench)
 	body, err := c.FamilyLeaderboard(context.Background())
 	if err != nil {
@@ -566,7 +567,7 @@ func TestColdStartWarmGenerationStore(t *testing.T) {
 		t.Fatal(err)
 	}
 	warmDisp := inference.NewDispatcher(inference.NewSim(models), inference.WithGenStore(st))
-	warmBench := core.NewCustomVia(engine.New(engine.WithStore(st)), warmDisp, originals, models)
+	warmBench := core.New(score.NewEvaluator(engine.New(engine.WithStore(st)), warmDisp), originals, models)
 	want := warmBench.Table4()
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
@@ -578,7 +579,7 @@ func TestColdStartWarmGenerationStore(t *testing.T) {
 	}
 	defer st2.Close()
 	coldDisp := inference.NewDispatcher(inference.NewSim(models), inference.WithGenStore(st2))
-	bench := core.NewCustomVia(engine.New(engine.WithStore(st2)), coldDisp, originals, models)
+	bench := core.New(score.NewEvaluator(engine.New(engine.WithStore(st2)), coldDisp), originals, models)
 	c := newTestClient(t, bench)
 
 	if got, err := c.Leaderboard(ctx); err != nil || got != want {
@@ -612,7 +613,7 @@ func (failingProvider) Close() error { return nil }
 func TestGenerationFailuresFailExperiments(t *testing.T) {
 	ctx := context.Background()
 	disp := inference.NewDispatcher(failingProvider{})
-	bench := core.NewCustomVia(engine.New(), disp, dataset.Generate()[:4], llm.Models[:2])
+	bench := core.New(score.NewEvaluator(engine.New(), disp), dataset.Generate()[:4], llm.Models[:2])
 	c := newTestClient(t, bench)
 
 	_, err := c.Leaderboard(ctx)

@@ -16,6 +16,7 @@ import (
 	"cloudeval/internal/engine"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/score"
 	"cloudeval/internal/server"
 )
 
@@ -150,7 +151,7 @@ func TestCampaignQueueBounded(t *testing.T) {
 	release := make(chan struct{})
 	models := llm.Models[:2]
 	disp := inference.NewDispatcher(gatedProvider{release: release, inner: inference.NewSim(models)})
-	bench := core.NewCustomVia(engine.New(), disp, dataset.Generate()[:4], models)
+	bench := core.New(score.NewEvaluator(engine.New(), disp), dataset.Generate()[:4], models)
 	cfg := server.Config{CampaignQueue: 1}
 	ts := httptest.NewServer(server.NewWithConfig(bench, t.TempDir(), cfg).Handler())
 	defer ts.Close()

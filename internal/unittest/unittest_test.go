@@ -134,7 +134,7 @@ func TestScoreMapping(t *testing.T) {
 	}
 }
 
-// TestCorporaShareCompiledPrograms: every corpus core.NewVia builds is
+// TestCorporaShareCompiledPrograms: every paper benchmark's corpus is
 // augment.ExpandCorpus(dataset.Generate()); two of them run the same
 // compiled programs, and a problem's variants run its original's.
 func TestCorporaShareCompiledPrograms(t *testing.T) {
