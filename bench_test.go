@@ -26,10 +26,8 @@ import (
 	"cloudeval/internal/inference"
 	"cloudeval/internal/lagfib"
 	"cloudeval/internal/llm"
-	"cloudeval/internal/repostats"
 	"cloudeval/internal/score"
 	"cloudeval/internal/store"
-	"cloudeval/internal/strategy"
 	"cloudeval/internal/unittest"
 	"cloudeval/internal/yamlmatch"
 )
@@ -221,23 +219,6 @@ func BenchmarkTable6FewShot(b *testing.B) {
 		}
 	}
 	b.ReportMetric(gain, "gpt3.5-3shot-gain")
-}
-
-// BenchmarkTable8RepoStats recounts the YAML survey through the scanner.
-func BenchmarkTable8RepoStats(b *testing.B) {
-	var atLeast10 int
-	for i := 0; i < b.N; i++ {
-		count := 0
-		for _, r := range repostats.Table8[:25] {
-			_, yaml := repostats.ScanTree(repostats.SyntheticTree(r))
-			if yaml >= 10 {
-				count++
-			}
-		}
-		atLeast10 = repostats.CountAtLeast(repostats.Table8, 10)
-		_ = count
-	}
-	b.ReportMetric(float64(atLeast10), "repos-10plus-yaml")
 }
 
 // BenchmarkFigure5ClusterScaling sweeps the evaluation cluster from 1
@@ -761,37 +742,6 @@ func BenchmarkAblationCacheBandwidth(b *testing.B) {
 	}
 	b.ReportMetric(gainAt25, "cache-gain-25mbps")
 	b.ReportMetric(gainAt400, "cache-gain-400mbps")
-}
-
-// BenchmarkAblationFormatRetry quantifies the paper's observation 1
-// (§4.1): a basic format check + regenerate loop recovers the trivially
-// malformed answers of the best model.
-func BenchmarkAblationFormatRetry(b *testing.B) {
-	originals, _ := fixtures()
-	m, _ := llm.ByName("gpt-4")
-	slice := originals[:150]
-	var greedyPass, retryPass int
-	for i := 0; i < b.N; i++ {
-		greedyPass, retryPass = 0, 0
-		for _, p := range slice {
-			g, err := strategy.Greedy(benchGen, m, p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if unittest.Run(p, g.Answer).Passed {
-				greedyPass++
-			}
-			r, err := strategy.FormatRetry(benchGen, m, p, 4, 0.75)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if unittest.Run(p, r.Answer).Passed {
-				retryPass++
-			}
-		}
-	}
-	b.ReportMetric(float64(greedyPass), "passes-greedy")
-	b.ReportMetric(float64(retryPass), "passes-format-retry")
 }
 
 // BenchmarkAblationVirtualClock measures unit-test throughput: the

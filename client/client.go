@@ -56,9 +56,6 @@ func New(base string, opts ...Option) *Client {
 	return c
 }
 
-// Tenant reports the tenant this client sends as ("" = default).
-func (c *Client) Tenant() string { return c.tenant }
-
 // APIError is a non-2xx response: the HTTP status, the error
 // envelope's code and message, and the correlation/backpressure
 // headers. Plain-text error bodies (proxies, panics upstream of the

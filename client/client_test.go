@@ -114,9 +114,6 @@ func TestClientTenantScoping(t *testing.T) {
 	ts, _ := testServer(t, server.Config{})
 	a := client.New(ts.URL, client.WithTenant("team-a"))
 	b := client.New(ts.URL, client.WithTenant("team-b"))
-	if a.Tenant() != "team-a" {
-		t.Errorf("Tenant() = %q", a.Tenant())
-	}
 
 	sa, err := a.StartCampaign(ctx, []string{"table2"})
 	if err != nil {

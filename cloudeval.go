@@ -80,13 +80,9 @@ func New() *Benchmark {
 	return newBenchmark(engine.New(), inference.NewDispatcher(inference.NewSim(llm.Models)))
 }
 
-func newBenchmark(eng *engine.Engine, disp *Dispatcher) *Benchmark {
+func newBenchmark(eng *engine.Engine, disp *inference.Dispatcher) *Benchmark {
 	return core.New(score.NewEvaluator(eng, disp), dataset.Generate(), llm.Models)
 }
-
-// OpenStore opens (or creates) a persistent evaluation store at path,
-// replaying every intact record and dropping a crash-torn tail.
-func OpenStore(path string) (*Store, error) { return store.Open(path) }
 
 // NewPersistent builds a benchmark whose engine and inference
 // dispatcher are both backed by the persistent store at storePath:
@@ -101,46 +97,6 @@ func NewPersistent(storePath string) (*Benchmark, *Store, error) {
 	disp := inference.NewDispatcher(inference.NewSim(llm.Models), inference.WithGenStore(st))
 	return newBenchmark(engine.New(engine.WithStore(st)), disp), st, nil
 }
-
-// Provider is the pluggable inference seam: one Generate call per
-// (model, problem, options) request, returning text, metered token
-// usage and latency. See DESIGN.md §2.8.
-type Provider = inference.Provider
-
-// Dispatcher is the batched inference front-end over a Provider:
-// per-provider concurrency limits, a content-addressed generation
-// cache (in-memory + store-backed), and metered usage accounting.
-type Dispatcher = inference.Dispatcher
-
-// GenRequest and GenResponse are one generation exchange.
-type (
-	GenRequest  = inference.Request
-	GenResponse = inference.Response
-)
-
-// NewSimProvider wraps the simulated zoo as a provider, byte-identical
-// to the models' direct Generate.
-func NewSimProvider(models []Model) Provider { return inference.NewSim(models) }
-
-// NewHTTPProvider speaks the OpenAI-compatible chat-completions
-// protocol to the endpoint rooted at baseURL, authenticating with
-// apiKey when non-empty.
-func NewHTTPProvider(baseURL, apiKey string) Provider {
-	return inference.NewHTTP(baseURL, inference.WithAPIKey(apiKey))
-}
-
-// NewRecordProvider wraps inner, recording every generation to the
-// JSONL trace at path; OpenReplayProvider serves a recorded trace
-// with zero live calls.
-func NewRecordProvider(path string, inner Provider) (Provider, error) {
-	return inference.NewRecord(path, inner)
-}
-
-// OpenReplayProvider loads the JSONL trace at path as a provider.
-func OpenReplayProvider(path string) (Provider, error) { return inference.OpenReplay(path) }
-
-// NewDispatcher builds the batched, cached front-end over a provider.
-func NewDispatcher(p Provider) *Dispatcher { return inference.NewDispatcher(p) }
 
 // Dataset returns the original problems of every workload family (the
 // paper's 337 plus the Compose and Helm extensions).

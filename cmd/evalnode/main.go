@@ -169,7 +169,7 @@ func firstError(results []engine.Result) string {
 	return ""
 }
 
-func runWorker(args []string) error {
+func runWorker(args []string) (retErr error) {
 	fs := flag.NewFlagSet("worker", flag.ExitOnError)
 	addr := fs.String("addr", "127.0.0.1:6399", "redis address")
 	name := fs.String("name", "worker", "worker name")
@@ -188,7 +188,12 @@ func runWorker(args []string) error {
 		if err != nil {
 			return err
 		}
-		defer st.Close()
+		// Close is where a latched append failure surfaces.
+		defer func() {
+			if cerr := st.Close(); retErr == nil {
+				retErr = cerr
+			}
+		}()
 		w.UseStore(st)
 		fmt.Printf("%s: evaluation store %s (%d shards, %d records)\n", *name, *storePath, st.Shards(), st.Len())
 	}

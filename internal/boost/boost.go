@@ -186,14 +186,6 @@ func (m *Model) Margin(x []float64) float64 {
 // PredictProba returns P(pass | features).
 func (m *Model) PredictProba(x []float64) float64 { return sigmoid(m.Margin(x)) }
 
-// Predict returns the 0/1 classification at threshold 0.5.
-func (m *Model) Predict(x []float64) float64 {
-	if m.PredictProba(x) >= 0.5 {
-		return 1
-	}
-	return 0
-}
-
 // expectedValue computes E[tree(x) | x_S = given] by descending the
 // tree: present features follow the instance, absent features average
 // both children weighted by training coverage.
@@ -248,19 +240,10 @@ func (m *Model) SHAP(x []float64) []float64 {
 	return phi
 }
 
-// MeanAbsSHAP averages |phi| per feature over a set of instances, the
-// global importance of Figure 9(b).
-func (m *Model) MeanAbsSHAP(rows [][]float64) []float64 {
-	return m.meanAbsSHAP(rows, func(n int, fn func(int)) {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-	})
-}
-
-// meanAbsSHAP computes the per-row Shapley evaluations — the dominant
-// cost, 2^5 coalition passes each — through forEach (the engine's
-// scheduler or a serial loop). Each row's vector lands in its own slot
+// meanAbsSHAP averages |phi| per feature over a set of instances, the
+// global importance of Figure 9(b). The per-row Shapley evaluations —
+// the dominant cost, 2^5 coalition passes each — run through forEach
+// (the engine's scheduler). Each row's vector lands in its own slot
 // before the reduction, so the averages do not depend on schedule.
 func (m *Model) meanAbsSHAP(rows [][]float64, forEach func(int, func(int))) []float64 {
 	out := make([]float64, len(m.Features))

@@ -36,7 +36,7 @@ func TestTrainLearnsThreshold(t *testing.T) {
 		if x[0] > 0.6 {
 			want = 1
 		}
-		if m.Predict(x) == want {
+		if (m.PredictProba(x) >= 0.5) == (want == 1) {
 			correct++
 		}
 	}
@@ -71,7 +71,7 @@ func TestTrainLearnsInteraction(t *testing.T) {
 		if (x[0] > 0.5) != (x[1] > 0.5) {
 			want = 1
 		}
-		if m.Predict(x) == want {
+		if (m.PredictProba(x) >= 0.5) == (want == 1) {
 			correct++
 		}
 	}
@@ -126,7 +126,7 @@ func TestSHAPLocalAccuracy(t *testing.T) {
 		}
 	}
 	// The irrelevant feature b gets near-zero attribution on average.
-	imp := m.MeanAbsSHAP(rows[:200])
+	imp := m.meanAbsSHAP(rows[:200], engine.New().ForEach)
 	if imp[1] > imp[0]/3 || imp[1] > imp[2] {
 		t.Errorf("irrelevant feature importance too high: %v", imp)
 	}

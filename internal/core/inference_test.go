@@ -68,9 +68,6 @@ func TestRecordReplayRoundTripTable4(t *testing.T) {
 	if got != want {
 		t.Errorf("replayed Table 4 differs from the recorded campaign:\n--- recorded ---\n%s--- replayed ---\n%s", want, got)
 	}
-	if replay.Misses() != 0 {
-		t.Errorf("replay missed %d generations", replay.Misses())
-	}
 	// Families leaderboard shares the ZeroShot campaign, so the full
 	// corpus (extension families included) was replayed too.
 	if gf, wf := replayed.FamilyLeaderboard(), recorded.FamilyLeaderboard(); gf != wf {

@@ -15,7 +15,6 @@ package dataset
 
 import (
 	"fmt"
-	"sort"
 
 	"cloudeval/internal/textmetrics"
 )
@@ -231,8 +230,3 @@ var (
 )
 
 func pick[T any](list []T, i int) T { return list[i%len(list)] }
-
-// SortByID orders problems deterministically for presentation.
-func SortByID(ps []Problem) {
-	sort.Slice(ps, func(i, j int) bool { return ps[i].ID < ps[j].ID })
-}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -120,38 +121,42 @@ func (g *firstJobGate) Get(_, _ [sha256.Size]byte) (unittest.Result, bool) {
 
 func (g *firstJobGate) Put(_, _ [sha256.Size]byte, _ unittest.Result) {}
 
-// TestMasterWorkerOverTCP exercises the real coordination path: a
-// miniredis server, one master, several workers, real sockets.
-func TestMasterWorkerOverTCP(t *testing.T) {
+// startStore starts an in-process coordination store for one test.
+func startStore(t *testing.T) string {
+	t.Helper()
 	srv := miniredis.NewServer()
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer srv.Close()
+	t.Cleanup(srv.Close)
+	return addr
+}
 
+// TestMasterWorkerOverTCP exercises the coordination path evalnode
+// master takes: an engine over a ClusterExecutor, a miniredis server,
+// several workers, real sockets.
+func TestMasterWorkerOverTCP(t *testing.T) {
+	addr := startStore(t)
 	problems := dataset.Generate()[:24]
-	master, err := NewMaster(addr)
+	exec, err := NewClusterExecutor(addr, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
+	master := engine.New(engine.WithExecutor(exec), engine.WithWorkers(len(problems)))
 	defer master.Close()
 
-	// All four workers connect first and wait for start, which closes
-	// once every job is queued, so none idles out while the queue fills.
 	// An execution takes tens of microseconds — one worker can drain 24
 	// jobs before the next one's first BRPOP arrives — so that two
 	// workers take part is arranged, not hoped for: a worker does not
 	// execute the first job it claims until a second worker has claimed
 	// one too (see firstJobGate).
-	start := make(chan struct{})
 	second := &rendezvous{met: make(chan struct{})}
-	release := sync.OnceFunc(func() { close(start) })
+	processed := make([]int, 4)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	defer second.open() // on a failure below, the workers idle out
-	defer release()
-	for i := 0; i < 4; i++ {
+	for i := range processed {
 		w, err := NewWorker(addr, fmt.Sprintf("worker-%d", i), problems)
 		if err != nil {
 			t.Fatal(err)
@@ -161,73 +166,82 @@ func TestMasterWorkerOverTCP(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			defer w.Close()
-			<-start
-			if _, err := w.Run(300 * time.Millisecond); err != nil {
+			n, err := w.Run(time.Second)
+			if err != nil {
 				t.Errorf("worker: %v", err)
 			}
+			processed[i] = n
 		}()
 	}
 
 	// Half the answers are correct (the reference), half empty.
-	wantPass := map[string]bool{}
+	index := make(map[string]dataset.Problem, len(problems))
+	jobs := make([]engine.Job, len(problems))
 	for i, p := range problems {
+		index[p.ID] = p
 		answer := ""
 		if i%2 == 0 {
 			answer = yamlmatch.StripLabels(p.ReferenceYAML)
 		}
-		wantPass[p.ID] = i%2 == 0
-		if _, err := master.Submit(p.ID, answer); err != nil {
-			t.Fatal(err)
-		}
+		jobs[i] = engine.Job{ID: fmt.Sprintf("job-%d", i), ProblemID: p.ID, Answer: answer}
 	}
-	release()
-
-	results, err := master.Collect(len(problems), 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
+	results := master.Run(jobs, index, nil)
 	wg.Wait()
-	if len(results) != len(problems) {
-		t.Fatalf("results = %d, want %d", len(results), len(problems))
-	}
-	workersSeen := map[string]bool{}
-	for _, r := range results {
-		if r.Passed != wantPass[r.ProblemID] {
-			t.Errorf("%s: passed = %v, want %v (%s)", r.ProblemID, r.Passed, wantPass[r.ProblemID], r.Output)
+	for i, r := range results {
+		if r.Error != "" {
+			t.Errorf("%s: %s", r.ProblemID, r.Error)
 		}
-		workersSeen[r.Worker] = true
+		if r.Passed != (i%2 == 0) {
+			t.Errorf("%s: passed = %v, want %v (%s)", r.ProblemID, r.Passed, i%2 == 0, r.Output)
+		}
 	}
-	if len(workersSeen) < 2 {
-		t.Errorf("only %d workers participated; expected parallel draining", len(workersSeen))
+	total, took := 0, 0
+	for _, n := range processed {
+		total += n
+		if n > 0 {
+			took++
+		}
 	}
-	if n, _ := master.Pending(); n != 0 {
-		t.Errorf("queue not drained: %d left", n)
+	// The master's cache keeps jobs with the script and answer of an
+	// earlier one off the wire.
+	if sent := master.Stats().Executed; int64(total) != sent {
+		t.Errorf("workers processed %d jobs, the master sent %d", total, sent)
 	}
+	if took < 2 {
+		t.Errorf("only %d workers participated; expected parallel draining", took)
+	}
+}
+
+// countingStore counts the executions a worker records in its store.
+type countingStore struct {
+	engine.CacheStore
+	puts atomic.Int64
+}
+
+func (c *countingStore) Put(test, answer [sha256.Size]byte, res unittest.Result) {
+	c.puts.Add(1)
+	c.CacheStore.Put(test, answer, res)
 }
 
 // TestWorkerConsultsStore: a fleet worker backed by a persistent store
 // executes each distinct (problem, answer) once; repeated jobs — even
 // after the worker restarts against a reopened store — are answered
-// from disk with CacheHit set.
+// from memory or disk.
 func TestWorkerConsultsStore(t *testing.T) {
-	srv := miniredis.NewServer()
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-
+	addr := startStore(t)
 	path := filepath.Join(t.TempDir(), "worker.store")
 	problems := dataset.Generate()[:4]
 	answer := yamlmatch.StripLabels(problems[0].ReferenceYAML)
 
-	master, err := NewMaster(addr)
+	exec, err := NewClusterExecutor(addr, 30*time.Second)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer master.Close()
+	defer exec.Close()
 
-	runBatch := func(n int) []WireResult {
+	// runBatch sends n identical jobs to a new worker over the store at
+	// path and returns how many it executed.
+	runBatch := func(n int) int64 {
 		t.Helper()
 		st, err := store.Open(path)
 		if err != nil {
@@ -239,41 +253,85 @@ func TestWorkerConsultsStore(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer w.Close()
-		w.UseStore(st)
+		counted := &countingStore{CacheStore: st}
+		w.UseStore(counted)
+		done := make(chan error, 1)
+		go func() {
+			_, err := w.Run(300 * time.Millisecond)
+			done <- err
+		}()
 		for i := 0; i < n; i++ {
-			if _, err := master.Submit(problems[0].ID, answer); err != nil {
-				t.Fatal(err)
+			r := exec.RunUnitTest(problems[0], answer)
+			if r.Err != nil || !r.Passed {
+				t.Fatalf("reference answer: passed=%v err=%v (%s)", r.Passed, r.Err, r.Output)
 			}
 		}
-		if _, err := w.Run(300 * time.Millisecond); err != nil {
+		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
-		results, err := master.Collect(n, 30*time.Second)
+		return counted.puts.Load()
+	}
+
+	if n := runBatch(3); n != 1 {
+		t.Errorf("first batch: %d executions, want 1", n)
+	}
+	// A restarted worker against the reopened store never executes.
+	if n := runBatch(2); n != 0 {
+		t.Errorf("restarted worker: %d executions, want 0", n)
+	}
+}
+
+// TestWorkerFailureIsAnError: a job a worker cannot run — its problem
+// is not in the worker's list, or its unit test does not parse — comes
+// back to the master as an error, not as a failing test, and nothing of
+// it is stored.
+func TestWorkerFailureIsAnError(t *testing.T) {
+	addr := startStore(t)
+	problems := dataset.Generate()[:2]
+	broken := problems[1]
+	broken.UnitTest = "echo `date`" // the shell refuses backticks at parse time
+	index := map[string]dataset.Problem{problems[0].ID: problems[0], broken.ID: broken}
+
+	exec, err := NewClusterExecutor(addr, 30*time.Second)
+	if err != nil {
+		t.Fatal(err)
+	}
+	master := engine.New(engine.WithExecutor(exec))
+	defer master.Close()
+
+	st, err := store.Open(filepath.Join(t.TempDir(), "worker.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	for _, tc := range []struct {
+		name     string
+		problems []dataset.Problem
+		job      engine.Job
+	}{
+		{"unknown problem", problems[1:], engine.Job{ID: "job-1", ProblemID: problems[0].ID, Answer: "a: 1"}},
+		{"unparsable unit test", []dataset.Problem{broken}, engine.Job{ID: "job-2", ProblemID: broken.ID, Answer: "a: 1"}},
+	} {
+		w, err := NewWorker(addr, "w", tc.problems)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return results
-	}
-
-	first := runBatch(3)
-	hits := 0
-	for _, r := range first {
-		if !r.Passed {
-			t.Fatalf("reference answer failed: %s", r.Output)
+		w.UseStore(st)
+		done := make(chan error, 1)
+		go func() {
+			_, err := w.Run(300 * time.Millisecond)
+			done <- err
+		}()
+		r := master.RunOne(tc.job, index)
+		if err := <-done; err != nil {
+			t.Fatal(err)
 		}
-		if r.CacheHit {
-			hits++
+		w.Close()
+		if r.Error == "" {
+			t.Errorf("%s: master result %+v has no Error", tc.name, r)
 		}
 	}
-	if hits != 2 {
-		t.Errorf("first batch: %d cache hits, want 2 (one execution)", hits)
-	}
-
-	// A restarted worker against the reopened store never executes.
-	second := runBatch(2)
-	for _, r := range second {
-		if !r.Passed || !r.CacheHit {
-			t.Errorf("restarted worker result = %+v, want a passing store hit", r)
-		}
+	if n := st.Len(); n != 0 {
+		t.Errorf("worker store holds %d results of jobs that did not run, want 0", n)
 	}
 }

@@ -20,7 +20,7 @@ import (
 // can fan out over TCP; the engine keeps as many jobs in flight as it
 // has scheduler workers.
 type ClusterExecutor struct {
-	master  *Master
+	submit  *miniredis.Client
 	collect *miniredis.Client
 	timeout time.Duration
 
@@ -38,20 +38,24 @@ type ClusterExecutor struct {
 // collector, so a blocked collect never stalls a submit. timeout bounds
 // how long one job may wait for a worker (0 means a 2-minute default).
 func NewClusterExecutor(addr string, timeout time.Duration) (*ClusterExecutor, error) {
-	master, err := NewMaster(addr)
+	submit, err := miniredis.Dial(addr)
 	if err != nil {
+		return nil, err
+	}
+	if err := submit.Ping(); err != nil {
+		submit.Close()
 		return nil, err
 	}
 	collect, err := miniredis.Dial(addr)
 	if err != nil {
-		master.Close()
+		submit.Close()
 		return nil, err
 	}
 	if timeout <= 0 {
 		timeout = 2 * time.Minute
 	}
 	e := &ClusterExecutor{
-		master:  master,
+		submit:  submit,
 		collect: collect,
 		timeout: timeout,
 		waiters: make(map[string]chan engine.Result),
@@ -68,7 +72,9 @@ func (e *ClusterExecutor) Name() string { return "cluster" }
 // RunUnitTest implements engine.Executor: the unit test executes on
 // whichever cluster worker claims the job. Problem bodies stay with the
 // workers (as in the paper); only the ID and answer cross the wire.
-// Missing workers or timeouts surface through the result's Err field.
+// Missing workers, timeouts and a job the worker could not run (an
+// unknown problem, a script that does not parse) surface through the
+// result's Err field.
 func (e *ClusterExecutor) RunUnitTest(p dataset.Problem, answer string) unittest.Result {
 	id := fmt.Sprintf("xjob-%d", e.nextID.Add(1))
 	ch := make(chan engine.Result, 1)
@@ -81,16 +87,24 @@ func (e *ClusterExecutor) RunUnitTest(p dataset.Problem, answer string) unittest
 		e.mu.Unlock()
 	}()
 
-	if err := e.master.SubmitJob(engine.Job{ID: id, ProblemID: p.ID, Answer: answer}); err != nil {
+	payload, err := json.Marshal(engine.Job{ID: id, ProblemID: p.ID, Answer: answer})
+	if err == nil {
+		err = e.submit.LPush(jobQueue, string(payload))
+	}
+	if err != nil {
 		return unittest.Result{Err: fmt.Errorf("evalcluster: submit: %w", err)}
 	}
 	select {
 	case res := <-ch:
-		return unittest.Result{
+		r := unittest.Result{
 			Passed:      res.Passed,
 			Output:      res.Output,
 			VirtualTime: time.Duration(res.VirtualSecs * float64(time.Second)),
 		}
+		if res.Error != "" {
+			r.Err = fmt.Errorf("evalcluster: %s: %s", res.Worker, res.Error)
+		}
+		return r
 	case <-time.After(e.timeout):
 		return unittest.Result{Err: fmt.Errorf("evalcluster: no result for %s within %v", id, e.timeout)}
 	case <-e.done:
@@ -138,8 +152,8 @@ func (e *ClusterExecutor) Close() error {
 	}
 	err := e.collect.Close()
 	e.wg.Wait()
-	if merr := e.master.Close(); err == nil {
-		err = merr
+	if serr := e.submit.Close(); err == nil {
+		err = serr
 	}
 	return err
 }

@@ -165,9 +165,3 @@ type Provider interface {
 	// connections).
 	Close() error
 }
-
-// Generator is the minimal generate-one seam the strategies accept:
-// both a bare Provider and the caching Dispatcher satisfy it.
-type Generator interface {
-	Generate(ctx context.Context, req Request) (Response, error)
-}

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"os"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -126,13 +125,6 @@ func (r *Record) record(req Request, resp Response) {
 	r.seen[key] = true
 }
 
-// Recorded reports how many distinct generations the trace holds.
-func (r *Record) Recorded() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.seen)
-}
-
 // Close flushes the trace, closes it and the inner provider, and
 // surfaces any latched write error.
 func (r *Record) Close() error {
@@ -157,7 +149,6 @@ func (r *Record) Close() error {
 type Replay struct {
 	path    string
 	entries map[Key]Response
-	misses  atomic.Int64
 }
 
 // OpenReplay loads the trace at path. Malformed lines are an error —
@@ -210,7 +201,6 @@ func (r *Replay) Generate(ctx context.Context, req Request) (Response, error) {
 	}
 	resp, ok := r.entries[req.Key()]
 	if !ok {
-		r.misses.Add(1)
 		return Response{}, fmt.Errorf("inference: trace %s has no entry for model %s problem %s (sample %d, temp %g, shots %d)",
 			r.path, req.Model, req.Problem.ID, req.Opts.Sample, req.Opts.Temperature, req.Opts.Shots)
 	}
@@ -222,6 +212,3 @@ func (r *Replay) Close() error { return nil }
 
 // Len reports how many generations the trace holds.
 func (r *Replay) Len() int { return len(r.entries) }
-
-// Misses reports how many requests found no trace entry.
-func (r *Replay) Misses() int64 { return r.misses.Load() }

@@ -41,27 +41,13 @@ func TestModelsZooShape(t *testing.T) {
 }
 
 // TestByNameMatchesZoo pins the init-time lookup map to the slice:
-// every zoo entry resolves to itself, and Names stays a stable cached
-// ranking-order view.
+// every zoo entry resolves to itself.
 func TestByNameMatchesZoo(t *testing.T) {
 	for i, m := range Models {
 		got, ok := ByName(m.Name)
 		if !ok || got.Name != m.Name || got.Profile != m.Profile {
 			t.Errorf("ByName(%q) does not match Models[%d]", m.Name, i)
 		}
-	}
-	names := Names()
-	if len(names) != len(Models) {
-		t.Fatalf("Names() has %d entries, want %d", len(names), len(Models))
-	}
-	for i, m := range Models {
-		if names[i] != m.Name {
-			t.Errorf("Names()[%d] = %q, want %q (ranking order)", i, names[i], m.Name)
-		}
-	}
-	// The cached slice is shared: repeated calls return the same view.
-	if &names[0] != &Names()[0] {
-		t.Error("Names() should return the cached slice, not rebuild per call")
 	}
 }
 

@@ -222,33 +222,19 @@ var Models = []Model{
 	},
 }
 
-// modelsByName and modelNames are built once at init: ByName is on
-// the per-generation path (trace replays, server eval requests), so
-// it must not rescan the zoo, and Names must not rebuild its slice
-// per call.
-var (
-	modelsByName = func() map[string]Model {
-		m := make(map[string]Model, len(Models))
-		for _, mm := range Models {
-			m[mm.Name] = mm
-		}
-		return m
-	}()
-	modelNames = func() []string {
-		out := make([]string, len(Models))
-		for i, m := range Models {
-			out[i] = m.Name
-		}
-		return out
-	}()
-)
+// modelsByName is built once at init: ByName is on the per-generation
+// path (trace replays, server eval requests), so it must not rescan
+// the zoo.
+var modelsByName = func() map[string]Model {
+	m := make(map[string]Model, len(Models))
+	for _, mm := range Models {
+		m[mm.Name] = mm
+	}
+	return m
+}()
 
 // ByName returns the model with the given name.
 func ByName(name string) (Model, bool) {
 	m, ok := modelsByName[name]
 	return m, ok
 }
-
-// Names lists model names in ranking order. The returned slice is
-// cached and shared; callers must not modify it.
-func Names() []string { return modelNames }

@@ -121,10 +121,6 @@ func (c *Cache[K, V]) Do(key K, fn func() V) V {
 	}
 }
 
-// Len reports the number of cached entries. It can exceed max by at
-// most P − 1 for P concurrent inserters; see New.
-func (c *Cache[K, V]) Len() int64 { return c.n.Load() }
-
 // Digest is the SHA-256 of s, computed without a heap copy of s: the
 // content key of the caches above and of the engine's results.
 // sha256.Sum256([]byte(s)) copies s to the heap — the conversion does

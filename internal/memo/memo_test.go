@@ -37,8 +37,8 @@ func TestDoSingleflight(t *testing.T) {
 			t.Errorf("caller %d got %d, want 42", i, r)
 		}
 	}
-	if c.Len() != 1 {
-		t.Errorf("Len = %d, want 1", c.Len())
+	if c.n.Load() != 1 {
+		t.Errorf("Len = %d, want 1", c.n.Load())
 	}
 }
 
@@ -51,8 +51,8 @@ func TestDoFullCacheComputesFresh(t *testing.T) {
 			t.Fatalf("Do(%d) = %d", i, got)
 		}
 	}
-	if c.Len() != 2 {
-		t.Errorf("Len = %d, want 2 (cap)", c.Len())
+	if c.n.Load() != 2 {
+		t.Errorf("Len = %d, want 2 (cap)", c.n.Load())
 	}
 	// Stored keys still hit without recomputing.
 	var called bool
@@ -85,10 +85,10 @@ func TestLenBoundUnderConcurrentInserts(t *testing.T) {
 	}
 	wg.Wait()
 	bound := int64(max + workers)
-	if got := c.Len(); got > bound {
+	if got := c.n.Load(); got > bound {
 		t.Errorf("Len = %d after concurrent inserts, want <= %d (max %d + %d workers)", got, bound, max, workers)
 	}
-	if got := c.Len(); got < max {
+	if got := c.n.Load(); got < max {
 		t.Errorf("Len = %d, cache stopped short of its cap %d", got, max)
 	}
 }

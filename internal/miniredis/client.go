@@ -114,33 +114,9 @@ func (c *Client) Ping() error {
 	return nil
 }
 
-// Set stores a string value.
-func (c *Client) Set(key, value string) error {
-	_, err := c.Do("SET", key, value)
-	return err
-}
-
-// Get fetches a string value; ok is false when the key is absent.
-func (c *Client) Get(key string) (string, bool, error) {
-	v, err := c.Do("GET", key)
-	if err != nil {
-		return "", false, err
-	}
-	if v == nil {
-		return "", false, nil
-	}
-	return v.(string), true, nil
-}
-
 // LPush prepends values to a list.
 func (c *Client) LPush(key string, values ...string) error {
 	_, err := c.Do(append([]string{"LPUSH", key}, values...)...)
-	return err
-}
-
-// RPush appends values to a list.
-func (c *Client) RPush(key string, values ...string) error {
-	_, err := c.Do(append([]string{"RPUSH", key}, values...)...)
 	return err
 }
 
@@ -157,52 +133,4 @@ func (c *Client) BRPop(timeout time.Duration, keys ...string) (key, value string
 		return "", "", false, fmt.Errorf("miniredis: malformed brpop reply %v", pair)
 	}
 	return pair[0], pair[1], true, nil
-}
-
-// LLen returns a list's length.
-func (c *Client) LLen(key string) (int, error) {
-	v, err := c.Do("LLEN", key)
-	if err != nil {
-		return 0, err
-	}
-	return v.(int), nil
-}
-
-// HSet stores hash fields.
-func (c *Client) HSet(key string, fieldValues ...string) error {
-	_, err := c.Do(append([]string{"HSET", key}, fieldValues...)...)
-	return err
-}
-
-// HGetAll fetches a hash as a map.
-func (c *Client) HGetAll(key string) (map[string]string, error) {
-	v, err := c.Do("HGETALL", key)
-	if err != nil {
-		return nil, err
-	}
-	flat, _ := v.([]string)
-	out := make(map[string]string, len(flat)/2)
-	for i := 0; i+1 < len(flat); i += 2 {
-		out[flat[i]] = flat[i+1]
-	}
-	return out, nil
-}
-
-// Incr increments a counter.
-func (c *Client) Incr(key string) (int, error) {
-	v, err := c.Do("INCR", key)
-	if err != nil {
-		return 0, err
-	}
-	return v.(int), nil
-}
-
-// Keys lists keys matching a prefix pattern ("jobs:*").
-func (c *Client) Keys(pattern string) ([]string, error) {
-	v, err := c.Do("KEYS", pattern)
-	if err != nil {
-		return nil, err
-	}
-	out, _ := v.([]string)
-	return out, nil
 }

@@ -3,6 +3,7 @@ package miniredis
 import (
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -24,32 +25,34 @@ func startServer(t *testing.T) (*Server, *Client) {
 	return srv, cli
 }
 
+// TestPingSetGet: the server answers PING and refuses the string
+// commands (SET, GET) it no longer serves with an error reply, and the
+// connection that sent them goes on serving the queue commands.
 func TestPingSetGet(t *testing.T) {
 	_, c := startServer(t)
 	if err := c.Ping(); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Set("k", "value with spaces\nand newlines"); err != nil {
+	for _, cmd := range [][]string{{"SET", "k", "v"}, {"GET", "k"}} {
+		_, err := c.Do(cmd...)
+		if err == nil || !strings.Contains(err.Error(), "ERR unknown command") {
+			t.Fatalf("%s: err = %v, want an unknown-command error", cmd[0], err)
+		}
+	}
+	if err := c.LPush("q", "job"); err != nil {
 		t.Fatal(err)
 	}
-	v, ok, err := c.Get("k")
-	if err != nil || !ok || v != "value with spaces\nand newlines" {
-		t.Fatalf("get = %q %v %v", v, ok, err)
-	}
-	_, ok, err = c.Get("missing")
-	if err != nil || ok {
-		t.Fatalf("missing key: ok=%v err=%v", ok, err)
+	_, v, ok, err := c.BRPop(time.Second, "q")
+	if err != nil || !ok || v != "job" {
+		t.Fatalf("brpop after refused commands = %q %v %v", v, ok, err)
 	}
 }
 
 func TestListsAndBlockingPop(t *testing.T) {
 	_, c := startServer(t)
-	if err := c.RPush("q", "a", "b"); err != nil {
-		t.Fatal(err)
-	}
-	n, err := c.LLen("q")
+	n, err := c.Do("RPUSH", "q", "a", "b")
 	if err != nil || n != 2 {
-		t.Fatalf("llen = %d %v", n, err)
+		t.Fatalf("rpush = %v %v", n, err)
 	}
 	// BRPOP takes from the tail.
 	_, v, ok, err := c.BRPop(time.Second, "q")
@@ -78,37 +81,6 @@ func TestListsAndBlockingPop(t *testing.T) {
 	_, _, ok, err = c.BRPop(100*time.Millisecond, "empty")
 	if err != nil || ok {
 		t.Fatalf("timeout brpop: ok=%v err=%v", ok, err)
-	}
-}
-
-func TestHashes(t *testing.T) {
-	_, c := startServer(t)
-	if err := c.HSet("job:1", "status", "done", "score", "1"); err != nil {
-		t.Fatal(err)
-	}
-	m, err := c.HGetAll("job:1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m["status"] != "done" || m["score"] != "1" {
-		t.Fatalf("hgetall = %v", m)
-	}
-}
-
-func TestIncrAndKeys(t *testing.T) {
-	_, c := startServer(t)
-	for i := 1; i <= 3; i++ {
-		n, err := c.Incr("counter")
-		if err != nil || n != i {
-			t.Fatalf("incr = %d %v", n, err)
-		}
-	}
-	c.Set("job:1", "x")
-	c.Set("job:2", "y")
-	c.Set("other", "z")
-	keys, err := c.Keys("job:*")
-	if err != nil || len(keys) != 2 {
-		t.Fatalf("keys = %v %v", keys, err)
 	}
 }
 
@@ -151,21 +123,6 @@ func TestConcurrentWorkersDrainQueue(t *testing.T) {
 	wg.Wait()
 	if len(seen) != jobs {
 		t.Fatalf("drained %d jobs, want %d", len(seen), jobs)
-	}
-}
-
-func TestExpiry(t *testing.T) {
-	_, c := startServer(t)
-	c.Set("temp", "v")
-	if _, err := c.Do("EXPIRE", "temp", "1"); err != nil {
-		t.Fatal(err)
-	}
-	v, err := c.Do("TTL", "temp")
-	if err != nil || v.(int) < 0 || v.(int) > 1 {
-		t.Fatalf("ttl = %v %v", v, err)
-	}
-	if _, err := c.Do("TTL", "absent"); err != nil {
-		t.Fatal(err)
 	}
 }
 

@@ -1,7 +1,9 @@
 // Package miniredis implements the slice of Redis the evaluation
 // platform's master node uses to "manage unit test contexts, inputs,
-// and outputs" (§3.3): a RESP2 server and client over TCP supporting
-// strings, counters, hashes, lists and blocking pops.
+// and outputs" (§3.3): a RESP2 server and client over TCP serving the
+// job queue between one master and its workers. It answers PING,
+// LPUSH/RPUSH and BRPOP/BLPOP on lists, and refuses every other
+// command with "-ERR unknown command".
 //
 // It speaks the real wire protocol, so the evalcluster package's
 // master/worker code has the same shape it would have against Redis.
@@ -19,12 +21,9 @@ import (
 
 // Server is a minimal Redis-compatible server.
 type Server struct {
-	mu      sync.Mutex
-	strings map[string]string
-	hashes  map[string]map[string]string
-	lists   map[string][]string
-	expiry  map[string]time.Time
-	cond    *sync.Cond
+	mu    sync.Mutex
+	lists map[string][]string
+	cond  *sync.Cond
 
 	ln     net.Listener
 	closed chan struct{}
@@ -33,11 +32,8 @@ type Server struct {
 // NewServer returns an unstarted server.
 func NewServer() *Server {
 	s := &Server{
-		strings: make(map[string]string),
-		hashes:  make(map[string]map[string]string),
-		lists:   make(map[string][]string),
-		expiry:  make(map[string]time.Time),
-		closed:  make(chan struct{}),
+		lists:  make(map[string][]string),
+		closed: make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
 	return s
@@ -238,7 +234,6 @@ func simple(s string) string   { return "+" + s + "\r\n" }
 func errReply(s string) string { return "-ERR " + s + "\r\n" }
 func intReply(n int) string    { return ":" + strconv.Itoa(n) + "\r\n" }
 func bulk(s string) string     { return "$" + strconv.Itoa(len(s)) + "\r\n" + s + "\r\n" }
-func nilBulk() string          { return "$-1\r\n" }
 func arrayReply(ss []string) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "*%d\r\n", len(ss))
@@ -257,161 +252,14 @@ func (s *Server) dispatch(args []string) string {
 	switch cmd {
 	case "PING":
 		return simple("PONG")
-	case "ECHO":
-		if len(args) != 2 {
-			return errReply("wrong number of arguments for 'echo'")
-		}
-		return bulk(args[1])
-	case "SET":
-		return s.cmdSet(args[1:])
-	case "GET":
-		return s.cmdGet(args[1:])
-	case "DEL":
-		return s.cmdDel(args[1:])
-	case "EXISTS":
-		return s.cmdExists(args[1:])
-	case "INCR":
-		return s.cmdIncrBy(args[1], 1)
-	case "INCRBY":
-		if len(args) != 3 {
-			return errReply("wrong number of arguments for 'incrby'")
-		}
-		n, err := strconv.Atoi(args[2])
-		if err != nil {
-			return errReply("value is not an integer or out of range")
-		}
-		return s.cmdIncrBy(args[1], n)
 	case "LPUSH", "RPUSH":
 		return s.cmdPush(cmd, args[1:])
-	case "LPOP", "RPOP":
-		return s.cmdPop(cmd, args[1:])
 	case "BRPOP", "BLPOP":
-		return s.cmdBlockingPop(cmd, args[1:])
-	case "LLEN":
-		return s.cmdLLen(args[1:])
-	case "LRANGE":
-		return s.cmdLRange(args[1:])
-	case "HSET":
-		return s.cmdHSet(args[1:])
-	case "HGET":
-		return s.cmdHGet(args[1:])
-	case "HGETALL":
-		return s.cmdHGetAll(args[1:])
-	case "HLEN":
-		return s.cmdHLen(args[1:])
-	case "KEYS":
-		return s.cmdKeys(args[1:])
-	case "EXPIRE":
-		return s.cmdExpire(args[1:])
-	case "TTL":
-		return s.cmdTTL(args[1:])
-	case "FLUSHALL":
-		s.mu.Lock()
-		s.strings = map[string]string{}
-		s.hashes = map[string]map[string]string{}
-		s.lists = map[string][]string{}
-		s.expiry = map[string]time.Time{}
-		s.mu.Unlock()
-		return simple("OK")
+		reply, _ := s.cmdBlockingPopWatch(cmd, args[1:], nil)
+		return reply
 	default:
 		return errReply("unknown command '" + args[0] + "'")
 	}
-}
-
-// expireLocked drops a key whose TTL has elapsed. Callers hold mu.
-func (s *Server) expireLocked(key string) {
-	if t, ok := s.expiry[key]; ok && time.Now().After(t) {
-		delete(s.strings, key)
-		delete(s.hashes, key)
-		delete(s.lists, key)
-		delete(s.expiry, key)
-	}
-}
-
-func (s *Server) cmdSet(args []string) string {
-	if len(args) < 2 {
-		return errReply("wrong number of arguments for 'set'")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.strings[args[0]] = args[1]
-	delete(s.expiry, args[0])
-	for i := 2; i+1 < len(args); i += 2 {
-		if strings.ToUpper(args[i]) == "EX" {
-			if secs, err := strconv.Atoi(args[i+1]); err == nil {
-				s.expiry[args[0]] = time.Now().Add(time.Duration(secs) * time.Second)
-			}
-		}
-	}
-	return simple("OK")
-}
-
-func (s *Server) cmdGet(args []string) string {
-	if len(args) != 1 {
-		return errReply("wrong number of arguments for 'get'")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.expireLocked(args[0])
-	v, ok := s.strings[args[0]]
-	if !ok {
-		return nilBulk()
-	}
-	return bulk(v)
-}
-
-func (s *Server) cmdDel(args []string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, k := range args {
-		if _, ok := s.strings[k]; ok {
-			delete(s.strings, k)
-			n++
-		}
-		if _, ok := s.hashes[k]; ok {
-			delete(s.hashes, k)
-			n++
-		}
-		if _, ok := s.lists[k]; ok {
-			delete(s.lists, k)
-			n++
-		}
-	}
-	return intReply(n)
-}
-
-func (s *Server) cmdExists(args []string) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, k := range args {
-		s.expireLocked(k)
-		if _, ok := s.strings[k]; ok {
-			n++
-		} else if _, ok := s.hashes[k]; ok {
-			n++
-		} else if _, ok := s.lists[k]; ok {
-			n++
-		}
-	}
-	return intReply(n)
-}
-
-func (s *Server) cmdIncrBy(key string, delta int) string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	cur := 0
-	if v, ok := s.strings[key]; ok {
-		n, err := strconv.Atoi(v)
-		if err != nil {
-			return errReply("value is not an integer or out of range")
-		}
-		cur = n
-	}
-	cur += delta
-	s.strings[key] = strconv.Itoa(cur)
-	return intReply(cur)
 }
 
 func (s *Server) cmdPush(cmd string, args []string) string {
@@ -432,34 +280,9 @@ func (s *Server) cmdPush(cmd string, args []string) string {
 	return intReply(len(s.lists[key]))
 }
 
-func (s *Server) cmdPop(cmd string, args []string) string {
-	if len(args) != 1 {
-		return errReply("wrong number of arguments for 'pop'")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	key := args[0]
-	lst := s.lists[key]
-	if len(lst) == 0 {
-		return nilBulk()
-	}
-	var v string
-	if cmd == "LPOP" {
-		v, s.lists[key] = lst[0], lst[1:]
-	} else {
-		v, s.lists[key] = lst[len(lst)-1], lst[:len(lst)-1]
-	}
-	return bulk(v)
-}
-
-// cmdBlockingPop implements BRPOP/BLPOP with a timeout in seconds
-// (0 = wait forever) for dispatch paths with no connection to watch.
-func (s *Server) cmdBlockingPop(cmd string, args []string) string {
-	reply, _ := s.cmdBlockingPopWatch(cmd, args, nil)
-	return reply
-}
-
-// cmdBlockingPopWatch is the blocking pop core. When gone closes, it
+// cmdBlockingPopWatch implements BRPOP/BLPOP with a timeout in seconds
+// (0 = wait forever); gone is nil on a path with no connection to
+// watch (a pop pipelined behind other commands). When gone closes, it
 // returns an empty reply without popping anything. A successful pop
 // comes with a rollback that re-pushes the element (for a reply that
 // could not be delivered).
@@ -535,183 +358,4 @@ func (s *Server) tryPopLocked(cmd string, keys []string) (string, func()) {
 		return arrayReply([]string{key, v}), rollback
 	}
 	return "", nil
-}
-
-func (s *Server) cmdLLen(args []string) string {
-	if len(args) != 1 {
-		return errReply("wrong number of arguments for 'llen'")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return intReply(len(s.lists[args[0]]))
-}
-
-func (s *Server) cmdLRange(args []string) string {
-	if len(args) != 3 {
-		return errReply("wrong number of arguments for 'lrange'")
-	}
-	start, err1 := strconv.Atoi(args[1])
-	stop, err2 := strconv.Atoi(args[2])
-	if err1 != nil || err2 != nil {
-		return errReply("value is not an integer or out of range")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	lst := s.lists[args[0]]
-	n := len(lst)
-	if start < 0 {
-		start += n
-	}
-	if stop < 0 {
-		stop += n
-	}
-	if start < 0 {
-		start = 0
-	}
-	if stop >= n {
-		stop = n - 1
-	}
-	if start > stop || n == 0 {
-		return arrayReply(nil)
-	}
-	return arrayReply(lst[start : stop+1])
-}
-
-func (s *Server) cmdHSet(args []string) string {
-	if len(args) < 3 || len(args)%2 == 0 {
-		return errReply("wrong number of arguments for 'hset'")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h, ok := s.hashes[args[0]]
-	if !ok {
-		h = map[string]string{}
-		s.hashes[args[0]] = h
-	}
-	added := 0
-	for i := 1; i+1 < len(args); i += 2 {
-		if _, exists := h[args[i]]; !exists {
-			added++
-		}
-		h[args[i]] = args[i+1]
-	}
-	return intReply(added)
-}
-
-func (s *Server) cmdHGet(args []string) string {
-	if len(args) != 2 {
-		return errReply("wrong number of arguments for 'hget'")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	v, ok := s.hashes[args[0]][args[1]]
-	if !ok {
-		return nilBulk()
-	}
-	return bulk(v)
-}
-
-func (s *Server) cmdHGetAll(args []string) string {
-	if len(args) != 1 {
-		return errReply("wrong number of arguments for 'hgetall'")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	h := s.hashes[args[0]]
-	keys := make([]string, 0, len(h))
-	for k := range h {
-		keys = append(keys, k)
-	}
-	// Deterministic order for tests.
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
-	var flat []string
-	for _, k := range keys {
-		flat = append(flat, k, h[k])
-	}
-	return arrayReply(flat)
-}
-
-func (s *Server) cmdHLen(args []string) string {
-	if len(args) != 1 {
-		return errReply("wrong number of arguments for 'hlen'")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return intReply(len(s.hashes[args[0]]))
-}
-
-func (s *Server) cmdKeys(args []string) string {
-	if len(args) != 1 {
-		return errReply("wrong number of arguments for 'keys'")
-	}
-	pattern := args[0]
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var out []string
-	match := func(k string) bool {
-		if pattern == "*" {
-			return true
-		}
-		if strings.HasSuffix(pattern, "*") {
-			return strings.HasPrefix(k, strings.TrimSuffix(pattern, "*"))
-		}
-		return k == pattern
-	}
-	for k := range s.strings {
-		if match(k) {
-			out = append(out, k)
-		}
-	}
-	for k := range s.hashes {
-		if match(k) {
-			out = append(out, k)
-		}
-	}
-	for k := range s.lists {
-		if match(k) {
-			out = append(out, k)
-		}
-	}
-	return arrayReply(out)
-}
-
-func (s *Server) cmdExpire(args []string) string {
-	if len(args) != 2 {
-		return errReply("wrong number of arguments for 'expire'")
-	}
-	secs, err := strconv.Atoi(args[1])
-	if err != nil {
-		return errReply("value is not an integer or out of range")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.strings[args[0]]; !ok {
-		return intReply(0)
-	}
-	s.expiry[args[0]] = time.Now().Add(time.Duration(secs) * time.Second)
-	return intReply(1)
-}
-
-func (s *Server) cmdTTL(args []string) string {
-	if len(args) != 1 {
-		return errReply("wrong number of arguments for 'ttl'")
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := s.strings[args[0]]; !ok {
-		return intReply(-2)
-	}
-	t, ok := s.expiry[args[0]]
-	if !ok {
-		return intReply(-1)
-	}
-	rem := int(time.Until(t).Seconds())
-	if rem < 0 {
-		rem = 0
-	}
-	return intReply(rem)
 }

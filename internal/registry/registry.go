@@ -148,12 +148,6 @@ func (l *Link) Transfer(start time.Duration, sizeMB float64) (end time.Duration)
 // TotalMB reports the bytes the link carried.
 func (l *Link) TotalMB() float64 { return l.bytesMB }
 
-// Reset clears the link for another run.
-func (l *Link) Reset() {
-	l.busyUntil = 0
-	l.bytesMB = 0
-}
-
 // PullThroughCache is the master-side shared registry cache: the first
 // request for an image pays the WAN; later requests are served over the
 // (much faster) cluster LAN.
@@ -169,12 +163,6 @@ type PullThroughCache struct {
 // NewPullThroughCache wires a cache between a WAN and a LAN link.
 func NewPullThroughCache(wan, lan *Link) *PullThroughCache {
 	return &PullThroughCache{WAN: wan, LAN: lan, stored: make(map[string]bool)}
-}
-
-// Pull fetches an image at virtual time start and returns the completion
-// time.
-func (c *PullThroughCache) Pull(image string, start time.Duration) time.Duration {
-	return c.PullBytes(image, SizeMB(image), start)
 }
 
 // PullBytes fetches sizeMB worth of an image's layers (callers discount
@@ -196,11 +184,6 @@ type DirectPuller struct {
 	WAN *Link
 }
 
-// Pull fetches an image over the WAN.
-func (d *DirectPuller) Pull(image string, start time.Duration) time.Duration {
-	return d.PullBytes(image, SizeMB(image), start)
-}
-
 // PullBytes fetches sizeMB worth of an image's layers over the WAN.
 func (d *DirectPuller) PullBytes(image string, sizeMB float64, start time.Duration) time.Duration {
 	return d.WAN.Transfer(start, sizeMB)
@@ -208,6 +191,5 @@ func (d *DirectPuller) PullBytes(image string, sizeMB float64, start time.Durati
 
 // Puller abstracts the two distribution paths.
 type Puller interface {
-	Pull(image string, start time.Duration) time.Duration
 	PullBytes(image string, sizeMB float64, start time.Duration) time.Duration
 }

@@ -91,21 +91,17 @@ func TestLinkSerializesTransfers(t *testing.T) {
 	if l.TotalMB() != 375 {
 		t.Errorf("traffic = %v", l.TotalMB())
 	}
-	l.Reset()
-	if l.TotalMB() != 0 {
-		t.Error("reset failed")
-	}
 }
 
 func TestPullThroughCacheHitsAndMisses(t *testing.T) {
 	wan := NewLink(100)
 	lan := NewLink(1000)
 	c := NewPullThroughCache(wan, lan)
-	end1 := c.Pull("nginx:latest", 0)
+	end1 := c.PullBytes("nginx:latest", SizeMB("nginx:latest"), 0)
 	if c.Misses != 1 || c.Hits != 0 {
 		t.Fatalf("after first pull: hits=%d misses=%d", c.Hits, c.Misses)
 	}
-	end2 := c.Pull("nginx:latest", end1)
+	end2 := c.PullBytes("nginx:latest", SizeMB("nginx:latest"), end1)
 	if c.Hits != 1 {
 		t.Fatalf("second pull should hit: hits=%d", c.Hits)
 	}
@@ -122,8 +118,8 @@ func TestPullThroughCacheHitsAndMisses(t *testing.T) {
 func TestDirectPullerAlwaysWAN(t *testing.T) {
 	wan := NewLink(100)
 	d := &DirectPuller{WAN: wan}
-	d.Pull("redis:7", 0)
-	d.Pull("redis:7", 0)
+	d.PullBytes("redis:7", SizeMB("redis:7"), 0)
+	d.PullBytes("redis:7", SizeMB("redis:7"), 0)
 	if wan.TotalMB() != 2*SizeMB("redis:7") {
 		t.Errorf("direct pulls must both cross the WAN: %v MB", wan.TotalMB())
 	}

@@ -5,9 +5,7 @@
 //
 // Offline substitution: instead of crawling GitHub, the package ships
 // the surveyed repository manifest (name, stars, total files, YAML
-// files) transcribed from the paper's Table 8, plus a scanner that can
-// recount a synthetic file tree so the counting logic itself is
-// exercised end to end.
+// files) transcribed from the paper's Table 8.
 package repostats
 
 import (
@@ -78,17 +76,6 @@ var Table8 = []Repo{
 	{"FFmpeg", 38520, 8287, 1}, {"NGINX(Wasm)", 19089, 559, 0},
 }
 
-// CountMoreThan reports repositories with more than n YAML files.
-func CountMoreThan(repos []Repo, n int) int {
-	c := 0
-	for _, r := range repos {
-		if r.YAMLFiles > n {
-			c++
-		}
-	}
-	return c
-}
-
 // CountAtLeast reports repositories with n or more YAML files. The
 // paper's "90 out of 100 use more than 10 YAML files" counts this way
 // (OpenCV sits exactly at 10).
@@ -100,42 +87,6 @@ func CountAtLeast(repos []Repo, n int) int {
 		}
 	}
 	return c
-}
-
-// IsYAMLPath reports whether a path names a YAML file.
-func IsYAMLPath(path string) bool {
-	lower := strings.ToLower(path)
-	return strings.HasSuffix(lower, ".yaml") || strings.HasSuffix(lower, ".yml")
-}
-
-// ScanTree counts YAML files in a file listing (the scanner the survey
-// would run against a checkout).
-func ScanTree(paths []string) (total, yaml int) {
-	for _, p := range paths {
-		total++
-		if IsYAMLPath(p) {
-			yaml++
-		}
-	}
-	return total, yaml
-}
-
-// SyntheticTree fabricates a deterministic file listing matching a
-// repo's recorded totals, so the scanner can be validated against the
-// survey numbers.
-func SyntheticTree(r Repo) []string {
-	paths := make([]string, 0, r.TotalFiles)
-	for i := 0; i < r.YAMLFiles; i++ {
-		ext := ".yaml"
-		if i%3 == 0 {
-			ext = ".yml"
-		}
-		paths = append(paths, fmt.Sprintf("%s/config/manifest_%d%s", strings.ToLower(r.Name), i, ext))
-	}
-	for i := r.YAMLFiles; i < r.TotalFiles; i++ {
-		paths = append(paths, fmt.Sprintf("%s/src/file_%d.go", strings.ToLower(r.Name), i))
-	}
-	return paths
 }
 
 // FormatTable8 renders the survey summary.

@@ -4,8 +4,8 @@
 // to hardwire per category — the simulated environment factory with
 // per-backend pooling (generalizing the k8scmd env pool), the tool
 // images an environment implies (registry.ImagesFor), the answer-shape
-// markers the format checker and failure categorizer inspect
-// (strategy.FormatCheck, analysis.Categorize), the reference-corruptor
+// markers the post-processor and failure categorizer inspect
+// (llm.Postprocess, analysis.Categorize), the reference-corruptor
 // profile and difficulty base the simulated models draw on (llm), and
 // the per-family analysis grouping (analysis.Figure6Slices, the
 // cloudevald family leaderboard).
@@ -13,7 +13,7 @@
 // Adding a workload family is one Register call: provide an
 // environment whose shell binds the family's tools, point the backend
 // at it, and every layer — unittest execution, image accounting,
-// generation, format checking, failure analysis, per-family
+// generation, post-processing, failure analysis, per-family
 // leaderboards — picks the family up from the registry. See DESIGN.md
 // §2.7 and CONTRIBUTING.md ("Adding a workload family").
 package scenario

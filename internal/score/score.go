@@ -84,12 +84,6 @@ func compileRef(p dataset.Problem) *refContext {
 	}
 }
 
-// KVWildcard is the KV-wildcard score of answer against p's labeled
-// reference, on the same compiled reference Evaluator.Score uses.
-func KVWildcard(p dataset.Problem, answer string) float64 {
-	return refFor(p).kv.KVWildcard(answer)
-}
-
 // textScores are the five metrics that depend on the reference and the
 // answer text alone.
 type textScores struct {
@@ -209,25 +203,6 @@ type ModelAggregate struct {
 	KVExact    float64
 	KVWildcard float64
 	UnitTest   float64
-}
-
-// Metric extracts a named aggregate value.
-func (a ModelAggregate) Metric(name string) float64 {
-	switch name {
-	case "bleu":
-		return a.BLEU
-	case "edit_distance":
-		return a.EditDist
-	case "exact_match":
-		return a.ExactMatch
-	case "kv_exact":
-		return a.KVExact
-	case "kv_wildcard":
-		return a.KVWildcard
-	case "unit_test":
-		return a.UnitTest
-	}
-	return 0
 }
 
 // Aggregate averages per-problem scores into a model row.

@@ -75,7 +75,7 @@ func TestEvalReplyBytes(t *testing.T) {
 	models := llm.Models[:2]
 	disp := inference.NewDispatcher(gatedProvider{release: release, inner: inference.NewSim(models)})
 	bench := core.New(score.NewEvaluator(engine.New(), disp), dataset.Generate()[:4], models)
-	ts := httptest.NewServer(server.New(bench, t.TempDir()).Handler())
+	ts := httptest.NewServer(server.NewWithConfig(bench, t.TempDir(), server.Config{}).Handler())
 	defer ts.Close()
 	p := bench.Originals[0]
 

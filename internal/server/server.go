@@ -129,12 +129,6 @@ type campaign struct {
 	errMsg    string
 }
 
-// New builds a permissive (unlimited) server over bench. dataDir roots
-// campaign checkpoints; it is created on demand.
-func New(bench *core.Benchmark, dataDir string) *Server {
-	return NewWithConfig(bench, dataDir, Config{})
-}
-
 // NewWithConfig builds a server over bench with admission control per
 // cfg. dataDir roots campaign checkpoints (the default tenant's under
 // <dataDir>/campaigns/<id>, other tenants' under

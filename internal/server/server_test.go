@@ -34,7 +34,7 @@ func smallBench(eng *engine.Engine) *core.Benchmark {
 
 func newTestServer(t *testing.T, bench *core.Benchmark) *httptest.Server {
 	t.Helper()
-	ts := httptest.NewServer(server.New(bench, t.TempDir()).Handler())
+	ts := httptest.NewServer(server.NewWithConfig(bench, t.TempDir(), server.Config{}).Handler())
 	t.Cleanup(ts.Close)
 	return ts
 }
@@ -92,7 +92,7 @@ func TestEvalEndpoint(t *testing.T) {
 
 	// A body is exactly one JSON value: bytes after it are a 400, and a
 	// body over the cap is a 413 even when its value ends before the cap.
-	h := server.New(bench, t.TempDir()).Handler()
+	h := server.NewWithConfig(bench, t.TempDir(), server.Config{}).Handler()
 	value := `{"problem":"` + p.ID + `","answer":"x"}`
 	for _, tc := range []struct {
 		name   string
@@ -141,7 +141,7 @@ func TestEvalHandlerAllocs(t *testing.T) {
 	}
 	const evalHandlerMaxAllocs = 20
 	bench := smallBench(engine.New())
-	h := server.New(bench, t.TempDir()).Handler()
+	h := server.NewWithConfig(bench, t.TempDir(), server.Config{}).Handler()
 	p := bench.Originals[0]
 	payload, err := json.Marshal(client.EvalRequest{Problem: p.ID, Answer: yamlmatch.StripLabels(p.ReferenceYAML)})
 	if err != nil {
@@ -208,7 +208,7 @@ func TestRequestBodyCapped(t *testing.T) {
 		t.Errorf("512 KiB answer: %v", err)
 	}
 
-	h := server.New(bench, t.TempDir()).Handler()
+	h := server.NewWithConfig(bench, t.TempDir(), server.Config{}).Handler()
 	for _, route := range []string{"/v1/eval", "/v1/campaign"} {
 		for _, size := range []int64{2 << 20, 64 << 20} {
 			body := &countingReader{r: io.MultiReader(
@@ -309,7 +309,7 @@ func TestCampaignAsyncResume(t *testing.T) {
 	dataDir := t.TempDir()
 	ids := []string{"table2", "table4"}
 
-	ts := httptest.NewServer(server.New(smallBench(engine.New()), dataDir).Handler())
+	ts := httptest.NewServer(server.NewWithConfig(smallBench(engine.New()), dataDir, server.Config{}).Handler())
 	c := client.New(ts.URL)
 	started, err := c.StartCampaign(ctx, ids)
 	if err != nil {
@@ -326,7 +326,7 @@ func TestCampaignAsyncResume(t *testing.T) {
 	// ID, and the restarted daemon serves it from checkpoints: the new
 	// engine never executes.
 	eng2 := engine.New()
-	ts2 := httptest.NewServer(server.New(smallBench(eng2), dataDir).Handler())
+	ts2 := httptest.NewServer(server.NewWithConfig(smallBench(eng2), dataDir, server.Config{}).Handler())
 	defer ts2.Close()
 	c2 := client.New(ts2.URL)
 

@@ -30,7 +30,7 @@ func TestTenantIsolationCampaigns(t *testing.T) {
 	ctx := context.Background()
 	dataDir := t.TempDir()
 	bench := smallBench(engine.New())
-	ts := httptest.NewServer(server.New(bench, dataDir).Handler())
+	ts := httptest.NewServer(server.NewWithConfig(bench, dataDir, server.Config{}).Handler())
 	defer ts.Close()
 
 	defTenant := client.New(ts.URL) // default tenant

@@ -288,12 +288,6 @@ func (seg *segment) count(kd kind) int {
 	return n
 }
 
-func (seg *segment) err() error {
-	seg.mu.Lock()
-	defer seg.mu.Unlock()
-	return seg.appendErr
-}
-
 // compact rewrites this shard's segment to exactly one frame per key —
 // the newest — via a temp file atomically renamed over path. Frames
 // are copied raw from their source log, byte-identical and

@@ -612,7 +612,7 @@ func (s *Store) get(k key) (record, bool) {
 // put is the one write path for a fresh record: segment.appendWait
 // encodes its frame into the shard's pending batch and returns once the
 // batch is written; an identical re-record is a no-op, and append
-// failures latch into Err/Sync/Close. A payload over maxPayload is
+// failures latch into Sync/Close. A payload over maxPayload is
 // dropped — not written, not latched — because replay reads such a
 // length prefix as a torn header and would truncate the segment there,
 // taking every later record in the shard with it.
@@ -749,16 +749,6 @@ func (s *Store) ShardStats() []ShardStat {
 		}
 	}
 	return out
-}
-
-// Err reports the first append failure on any shard, if any.
-func (s *Store) Err() error {
-	for _, seg := range s.segs {
-		if err := seg.err(); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Compact rewrites every shard to exactly one record per key — the

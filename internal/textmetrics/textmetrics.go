@@ -139,9 +139,6 @@ func BLEUSmoothed(candidate, reference string) float64 {
 	return bleuTokens(Tokenize(candidate), Tokenize(reference), true)
 }
 
-// BLEUTokens is unsmoothed BLEU over pre-tokenized inputs.
-func BLEUTokens(cand, ref []string) float64 { return bleuTokens(cand, ref, false) }
-
 const bleuMaxN = 4
 
 func bleuTokens(cand, ref []string, smooth bool) float64 {

@@ -59,15 +59,6 @@ func NewRef(reference string) *Ref {
 	return r
 }
 
-// KVWildcard is KVWildcardMatch(generated, reference).
-func (r *Ref) KVWildcard(generated string) float64 {
-	docs, err := yamlx.ParseAllCached(generated)
-	if err != nil {
-		return 0
-	}
-	return r.kvWildcard(docs)
-}
-
 // Score is KVExactMatch(generated, r.Clean) and
 // KVWildcardMatch(generated, reference) on one parse of the answer.
 func (r *Ref) Score(generated string) (kvExact, kvWildcard float64) {

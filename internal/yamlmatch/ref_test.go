@@ -57,9 +57,6 @@ func checkRef(t testing.TB, generated, reference string) {
 	if !sameBits(exact, wantExact) || !sameBits(wild, wantWild) {
 		t.Errorf("Ref(%q).Score(%q) = %v, %v; two-string forms = %v, %v", reference, generated, exact, wild, wantExact, wantWild)
 	}
-	if got := r.KVWildcard(generated); !sameBits(got, wantWild) {
-		t.Errorf("Ref(%q).KVWildcard(%q) = %v, KVWildcardMatch = %v", reference, generated, got, wantWild)
-	}
 }
 
 func eachSeedPair(f func(generated, reference string)) {
