@@ -198,7 +198,7 @@ func (e *Env) install(io *shell.IO, verb, name, ns string, createNS bool, docs [
 		r.Revision = prev.Revision + 1
 	}
 	for _, d := range docs {
-		res, err := e.Cluster.Apply(d.Clone(), ns)
+		res, err := e.Cluster.Apply(d, ns)
 		if err != nil {
 			if !existed {
 				// Fresh install: roll back what landed so a failed

@@ -1,8 +1,10 @@
 // Package kubesim implements an in-memory Kubernetes cluster that
 // stands in for minikube in the CloudEval-YAML evaluation platform.
 //
-// The simulator stores applied manifests as YAML trees, runs the
-// controllers the benchmark's unit tests observe (Deployments,
+// The simulator keeps each applied manifest as parsed (the yamlx
+// document cache's tree, never written) and each object's lifecycle as
+// typed fields, building YAML only where a command reads it. It runs
+// the controllers the benchmark's unit tests observe (Deployments,
 // ReplicaSets, DaemonSets, Jobs and StatefulSets create Pods; Services
 // select endpoints; LoadBalancers acquire ingress IPs), and advances a
 // virtual clock so that "kubectl wait" and "sleep" in test scripts
@@ -40,9 +42,11 @@ const (
 )
 
 // Object is one stored resource: the manifest as applied plus the
-// virtual timestamps driving its lifecycle.
+// virtual timestamps driving its lifecycle. A pod a workload spawned
+// has no manifest: it carries its owner's template labels and spec, and
+// its documents are built only when a command reads them (buildStatus).
 type Object struct {
-	Manifest  *yamlx.Node
+	manifest  *yamlx.Node // nil for a spawned pod
 	Resource  *Resource
 	Name      string
 	Namespace string
@@ -55,6 +59,9 @@ type Object struct {
 	FailMsg   string // reason for Failed
 	PodIP     string
 
+	// A spawned pod's share of its owner's pod template, never written.
+	tmplLabels, tmplSpec *yamlx.Node
+
 	createdStampNode *yamlx.Node // lazily rendered CreatedAt, see createdStamp
 
 	// The kubectl-style document withStatus last built for this object
@@ -62,6 +69,22 @@ type Object struct {
 	// the Object: Reset drops the objects, and their documents with them.
 	statusDoc *yamlx.Node
 	statusGen uint64
+}
+
+// labels is the object's metadata.labels, nil when it has none.
+func (o *Object) labels() *yamlx.Node {
+	if o.manifest == nil {
+		return o.tmplLabels
+	}
+	return o.manifest.Path("metadata", "labels")
+}
+
+// spec is the object's spec, nil when it has none.
+func (o *Object) spec() *yamlx.Node {
+	if o.manifest == nil {
+		return o.tmplSpec
+	}
+	return o.manifest.Get("spec")
 }
 
 // createdStamp is CreatedAt as the metadata.creationTimestamp scalar of
@@ -77,7 +100,7 @@ func (o *Object) createdStamp() *yamlx.Node {
 // Cluster is a simulated Kubernetes cluster.
 type Cluster struct {
 	now        time.Time
-	objects    []map[string]*Object // by Resource.bucket: ns/name -> obj
+	objects    []map[key]*Object // by Resource.bucket
 	namespaces map[string]bool
 	nextPodIP  int
 	nextPort   int
@@ -103,7 +126,7 @@ var epoch = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 func NewCluster() *Cluster {
 	return &Cluster{
 		now:        epoch,
-		objects:    make([]map[string]*Object, len(Resources)),
+		objects:    make([]map[key]*Object, len(Resources)),
 		namespaces: map[string]bool{"default": true, "kube-system": true},
 		nextPodIP:  2,
 		nextPort:   30000,
@@ -138,19 +161,21 @@ func (c *Cluster) AdvanceTime(d time.Duration) {
 	}
 }
 
-func nsName(ns, name string) string { return ns + "/" + name }
+// key names an object within its row's bucket; the namespace is "" for
+// a cluster-scoped row.
+type key struct{ ns, name string }
 
 // bucket holds a row's objects. It is nil until the first one is stored
 // (put), and reading a nil map is reading an empty one.
-func (c *Cluster) bucket(r *Resource) map[string]*Object { return c.objects[r.bucket] }
+func (c *Cluster) bucket(r *Resource) map[key]*Object { return c.objects[r.bucket] }
 
 func (c *Cluster) put(obj *Object) {
 	b := c.objects[obj.Resource.bucket]
 	if b == nil {
-		b = make(map[string]*Object)
+		b = make(map[key]*Object)
 		c.objects[obj.Resource.bucket] = b
 	}
-	b[nsName(obj.Namespace, obj.Name)] = obj
+	b[key{obj.Namespace, obj.Name}] = obj
 }
 
 // CreateNamespace creates a namespace; creating an existing one errors
@@ -175,11 +200,11 @@ func (c *Cluster) DeleteNamespace(name string) error {
 	}
 	c.touch()
 	delete(c.namespaces, name)
-	delete(c.bucket(Namespace), nsName("", name))
+	delete(c.bucket(Namespace), key{"", name})
 	for _, bucket := range c.objects {
-		for key, obj := range bucket {
+		for k, obj := range bucket {
 			if obj.Namespace == name {
-				delete(bucket, key)
+				delete(bucket, k)
 			}
 		}
 	}
@@ -204,22 +229,24 @@ func (r ApplyResult) String() string {
 }
 
 // yamlError is what ApplyYAML and DeleteYAML return for text that does
-// not parse. Most model answers end here, so it is not built with fmt.
-type yamlError struct{ err error }
+// not parse. Most model answers end here, so it costs nothing: it is one
+// pointer wide, and its text is the cached ParseError's, formatted when
+// the parser failed.
+type yamlError struct{ err *yamlx.ParseError }
 
-func (e yamlError) Error() string { return "error parsing YAML: " + e.err.Error() }
+func (e yamlError) Error() string { return e.err.ApplyText() }
 
 // ApplyYAML parses a (possibly multi-document) manifest and applies
 // every document, mimicking "kubectl apply -f". The defaultNS applies
 // to namespaced resources without an explicit metadata.namespace.
 // Parsing goes through the yamlx document cache — the same answer text
 // is applied once per model sample but parsed once per process — and
-// Apply deep-copies each document before storing it, so the cached
-// trees stay pristine.
+// Apply never writes a document it is given, so the cached trees stay
+// pristine.
 func (c *Cluster) ApplyYAML(src string, defaultNS string) ([]ApplyResult, error) {
 	docs, err := yamlx.ParseAllCached(src)
 	if err != nil {
-		return nil, yamlError{err}
+		return nil, yamlError{err.(*yamlx.ParseError)}
 	}
 	var results []ApplyResult
 	for _, doc := range docs {
@@ -239,7 +266,9 @@ func (c *Cluster) ApplyYAML(src string, defaultNS string) ([]ApplyResult, error)
 }
 
 // Apply validates and stores a single manifest, then runs the
-// controllers that materialize derived objects (pods, endpoints).
+// controllers that materialize derived objects (pods, endpoints). It
+// stores doc itself and never writes it: a Service's allocations go into
+// copies of the nodes they change (initService).
 func (c *Cluster) Apply(doc *yamlx.Node, defaultNS string) (ApplyResult, error) {
 	r, err := ValidateManifest(doc)
 	if err != nil {
@@ -265,22 +294,13 @@ func (c *Cluster) Apply(doc *yamlx.Node, defaultNS string) (ApplyResult, error) 
 	if r == Namespace {
 		created := !c.namespaces[name]
 		c.namespaces[name] = true
-		c.put(&Object{Manifest: doc, Resource: r, Name: name, CreatedAt: c.now})
+		c.put(&Object{manifest: doc, Resource: r, Name: name, CreatedAt: c.now})
 		return ApplyResult{Resource: r, Kind: kind, Name: name, Created: created}, nil
 	}
 
-	_, existed := c.bucket(r)[nsName(ns, name)]
-	// Stored manifests are immutable after apply for every kind except
-	// Service, whose controller writes allocated values (clusterIP,
-	// nodePort) into the stored tree. Everything else stores the parsed
-	// document as-is — which may come from the shared yamlx cache — so
-	// applying a manifest costs no deep copy.
-	manifest := doc
-	if r == Service {
-		manifest = doc.Clone()
-	}
+	_, existed := c.bucket(r)[key{ns, name}]
 	obj := &Object{
-		Manifest:  manifest,
+		manifest:  doc,
 		Resource:  r,
 		Name:      name,
 		Namespace: ns,
@@ -296,7 +316,7 @@ func (c *Cluster) Apply(doc *yamlx.Node, defaultNS string) (ApplyResult, error) 
 func (c *Cluster) DeleteYAML(src string, defaultNS string) ([]string, error) {
 	docs, err := yamlx.ParseAllCached(src)
 	if err != nil {
-		return nil, yamlError{err}
+		return nil, yamlError{err.(*yamlx.ParseError)}
 	}
 	var out []string
 	for _, doc := range docs {
@@ -336,12 +356,12 @@ func (c *Cluster) Delete(r *Resource, ns, name string) error {
 	}
 	ns = r.namespace(ns)
 	bucket := c.bucket(r)
-	key := nsName(ns, name)
-	if _, ok := bucket[key]; !ok {
+	k := key{ns, name}
+	if _, ok := bucket[k]; !ok {
 		return ErrNotFound
 	}
 	c.touch()
-	delete(bucket, key)
+	delete(bucket, k)
 	// Cascade to owned objects (pods of a deployment, etc.).
 	for _, b := range c.objects {
 		for k, o := range b {
@@ -355,7 +375,7 @@ func (c *Cluster) Delete(r *Resource, ns, name string) error {
 
 // GetObject fetches one stored resource without materializing status.
 func (c *Cluster) GetObject(r *Resource, ns, name string) (*Object, bool) {
-	obj, ok := c.bucket(r)[nsName(r.namespace(ns), name)]
+	obj, ok := c.bucket(r)[key{r.namespace(ns), name}]
 	return obj, ok
 }
 
@@ -379,7 +399,7 @@ func (c *Cluster) ListObjects(r *Resource, ns string, sel Selector) []*Object {
 	anyNS := ns == "*" || !r.Namespaced
 	var objs []*Object
 	for _, obj := range c.bucket(r) {
-		if (anyNS || obj.Namespace == ns) && sel.matches(obj.Manifest) {
+		if (anyNS || obj.Namespace == ns) && sel.matches(obj.labels()) {
 			objs = append(objs, obj)
 		}
 	}
@@ -403,7 +423,7 @@ func byName(a, b *Object) int {
 
 // first returns the object of a bucket that ok accepts and that a sorted
 // listing would reach first, without sorting.
-func first(bucket map[string]*Object, ok func(*Object) bool) *Object {
+func first(bucket map[key]*Object, ok func(*Object) bool) *Object {
 	var best *Object
 	for _, o := range bucket {
 		if (best == nil || byName(o, best) < 0) && ok(o) {

@@ -19,7 +19,7 @@ func (c *Cluster) runControllers(obj *Object) {
 	case Deployment, ReplicaSet, StatefulSet:
 		c.reapOwnedPods(obj)
 		replicas := int64(1)
-		if r, ok := obj.Manifest.Path("spec", "replicas").AsInt(); ok {
+		if r, ok := obj.spec().Get("replicas").AsInt(); ok {
 			replicas = r
 		}
 		c.spawnPods(obj, int(replicas))
@@ -51,9 +51,12 @@ func (c *Cluster) reapOwnedPods(owner *Object) {
 	}
 }
 
-// spawnPods creates n pods from the workload's pod template.
+// spawnPods creates n pods from the workload's pod template. A pod
+// holds no manifest of its own: every replica refers to the template's
+// labels and spec subtrees, which nothing writes, and its documents are
+// built only when a command reads them (buildStatus).
 func (c *Cluster) spawnPods(owner *Object, n int) {
-	template := owner.Manifest.Path("spec", "template")
+	template := owner.spec().Get("template")
 	if template == nil {
 		return
 	}
@@ -61,30 +64,17 @@ func (c *Cluster) spawnPods(owner *Object, n int) {
 	if owner.Resource != StatefulSet {
 		prefix += shortHash(owner.Name) + "-"
 	}
-	// The template's labels and spec subtrees are shared, not cloned:
-	// pod manifests are never mutated after creation (only service
-	// manifests are, in initService), so every replica can reference the
-	// owner's template directly.
 	labels, spec := template.Path("metadata", "labels"), template.Get("spec")
-	namespace := yamlx.String(owner.Namespace)
 	for i := 0; i < n; i++ {
-		podName := prefix + strconv.Itoa(i)
-		meta := append(make([]yamlx.Entry, 0, 3), kv("name", yamlx.String(podName)), kv("namespace", namespace))
-		if labels != nil {
-			meta = append(meta, kv("labels", labels))
-		}
-		pod := append(make([]yamlx.Entry, 0, 4), kv("apiVersion", strV1), kv("kind", strPod), kv("metadata", mapOf(meta...)))
-		if spec != nil {
-			pod = append(pod, kv("spec", spec))
-		}
 		p := &Object{
-			Manifest:  mapOf(pod...),
-			Resource:  Pod,
-			Name:      podName,
-			Namespace: owner.Namespace,
-			CreatedAt: c.now,
-			OwnerKind: owner.Resource,
-			OwnerName: owner.Name,
+			Resource:   Pod,
+			Name:       prefix + strconv.Itoa(i),
+			Namespace:  owner.Namespace,
+			CreatedAt:  c.now,
+			OwnerKind:  owner.Resource,
+			OwnerName:  owner.Name,
+			tmplLabels: labels,
+			tmplSpec:   spec,
 		}
 		c.put(p)
 		c.schedulePod(p)
@@ -96,7 +86,7 @@ func (c *Cluster) spawnPods(owner *Object, n int) {
 func (c *Cluster) schedulePod(p *Object) {
 	p.PodIP = "10.244.0." + strconv.Itoa(c.nextPodIP)
 	c.nextPodIP++
-	if reason, bad := badImage(p.Manifest); bad {
+	if reason, bad := badImage(p.spec()); bad {
 		p.Failed = true
 		p.FailMsg = reason
 		return
@@ -104,8 +94,8 @@ func (c *Cluster) schedulePod(p *Object) {
 	p.ReadyAt = p.CreatedAt.Add(PodReadyDelay)
 }
 
-func badImage(pod *yamlx.Node) (string, bool) {
-	containers := pod.Path("spec", "containers")
+func badImage(spec *yamlx.Node) (string, bool) {
+	containers := spec.Get("containers")
 	if containers == nil || containers.Kind != yamlx.SeqKind || len(containers.Items) == 0 {
 		return "no containers in pod spec", true
 	}
@@ -122,29 +112,47 @@ func badImage(pod *yamlx.Node) (string, bool) {
 	return "", false
 }
 
-// initService assigns a cluster IP and node ports once, mutating the
-// stored manifest so repeated gets are stable.
+// initService assigns a cluster IP and node ports once, into the stored
+// manifest so repeated gets are stable. The applied document may be the
+// yamlx cache's, shared by every cluster, so it is copied on write: only
+// the nodes on the path to an allocated value — the root, spec, the
+// ports sequence and each port given a nodePort — are copied
+// (ShallowClone), and a Service that names all of its values is stored
+// as applied. validateService has made sure spec is a mapping and
+// spec.ports a sequence of mappings.
 func (c *Cluster) initService(svc *Object) {
-	spec := svc.Manifest.Get("spec")
-	if spec == nil {
-		spec = yamlx.Map()
-		svc.Manifest.Set("spec", spec)
-	}
+	spec := svc.manifest.Get("spec")
+	var newSpec *yamlx.Node
 	if spec.Get("clusterIP") == nil {
+		newSpec = spec.ShallowClone()
 		c.nextPodIP++
-		spec.Set("clusterIP", yamlx.String("10.96.0."+strconv.Itoa(c.nextPodIP)))
+		newSpec.Set("clusterIP", yamlx.String("10.96.0."+strconv.Itoa(c.nextPodIP)))
 	}
-	typ := spec.Get("type").ScalarString()
-	if typ == "NodePort" || typ == "LoadBalancer" {
+	if typ := spec.Get("type").ScalarString(); typ == "NodePort" || typ == "LoadBalancer" {
 		ports := spec.Get("ports")
-		if ports != nil && ports.Kind == yamlx.SeqKind {
-			for _, p := range ports.Items {
-				if p.Get("nodePort") == nil {
-					p.Set("nodePort", yamlx.Integer(int64(c.nextPort)))
-					c.nextPort++
-				}
+		var newPorts *yamlx.Node
+		for i, p := range ports.Items {
+			if p.Get("nodePort") != nil {
+				continue
 			}
+			if newPorts == nil {
+				newPorts = ports.ShallowClone()
+			}
+			p = p.ShallowClone()
+			p.Set("nodePort", yamlx.Integer(int64(c.nextPort)))
+			c.nextPort++
+			newPorts.Items[i] = p
 		}
+		if newPorts != nil {
+			if newSpec == nil {
+				newSpec = spec.ShallowClone()
+			}
+			newSpec.Set("ports", newPorts)
+		}
+	}
+	if newSpec != nil {
+		svc.manifest = svc.manifest.ShallowClone()
+		svc.manifest.Set("spec", newSpec)
 	}
 }
 
@@ -168,9 +176,14 @@ func (c *Cluster) withStatus(obj *Object) *yamlx.Node {
 
 // buildStatus builds withStatus's document. Only the spine is copied
 // (root and metadata, via ShallowClone); all other subtrees are shared
-// with the stored manifest.
+// with the stored manifest. A spawned pod, which has no manifest, gets
+// its document built whole, in the key order a manifest of its own
+// would have had.
 func (c *Cluster) buildStatus(obj *Object) *yamlx.Node {
-	n := obj.Manifest.ShallowClone()
+	if obj.manifest == nil {
+		return c.spawnedPodDoc(obj)
+	}
+	n := obj.manifest.ShallowClone()
 	meta := n.Get("metadata")
 	if meta == nil {
 		meta = yamlx.Map()
@@ -199,6 +212,22 @@ func (c *Cluster) buildStatus(obj *Object) *yamlx.Node {
 		n.Set("status", c.ingressStatus(obj))
 	}
 	return n
+}
+
+// spawnedPodDoc is a spawned pod's status document: apiVersion, kind,
+// metadata (name, namespace, the template's labels, creationTimestamp),
+// the template's spec and the pod's status.
+func (c *Cluster) spawnedPodDoc(obj *Object) *yamlx.Node {
+	meta := append(make([]yamlx.Entry, 0, 4), kv("name", yamlx.String(obj.Name)), kv("namespace", yamlx.String(obj.Namespace)))
+	if obj.tmplLabels != nil {
+		meta = append(meta, kv("labels", obj.tmplLabels))
+	}
+	meta = append(meta, kv("creationTimestamp", obj.createdStamp()))
+	doc := append(make([]yamlx.Entry, 0, 5), kv("apiVersion", strV1), kv("kind", strPod), kv("metadata", mapOf(meta...)))
+	if obj.tmplSpec != nil {
+		doc = append(doc, kv("spec", obj.tmplSpec))
+	}
+	return mapOf(append(doc, kv("status", c.podStatus(obj)))...)
 }
 
 // The scalars and conditions below are shared by every status document
@@ -300,7 +329,7 @@ func (c *Cluster) ObjectCondition(obj *Object, condType string) bool {
 // conditions.
 func (c *Cluster) workloadAllReady(obj *Object) bool {
 	desired := int64(1)
-	if r, ok := obj.Manifest.Path("spec", "replicas").AsInt(); ok {
+	if r, ok := obj.spec().Get("replicas").AsInt(); ok {
 		desired = r
 	}
 	return c.readyOwnedPods(obj) >= desired && desired > 0
@@ -328,7 +357,7 @@ func (c *Cluster) podStatus(obj *Object) *yamlx.Node {
 		st = append(st, kv("reason", strErrImagePull), kv("message", yamlx.String(obj.FailMsg)))
 	}
 	ctStatuses := yamlx.Seq()
-	if containers := obj.Manifest.Path("spec", "containers"); containers != nil {
+	if containers := obj.spec().Get("containers"); containers != nil {
 		ctStatuses.Items = make([]*yamlx.Node, len(containers.Items))
 		for i, ct := range containers.Items {
 			ctStatuses.Items[i] = mapOf(
@@ -354,7 +383,7 @@ func (c *Cluster) podStatus(obj *Object) *yamlx.Node {
 
 func (c *Cluster) workloadStatus(obj *Object) *yamlx.Node {
 	desired := int64(1)
-	if r, ok := obj.Manifest.Path("spec", "replicas").AsInt(); ok {
+	if r, ok := obj.spec().Get("replicas").AsInt(); ok {
 		desired = r
 	}
 	ready := c.readyOwnedPods(obj)
@@ -397,7 +426,7 @@ func (c *Cluster) jobStatus(obj *Object) *yamlx.Node {
 }
 
 func (c *Cluster) serviceStatus(obj *Object) *yamlx.Node {
-	typ := obj.Manifest.Path("spec", "type").ScalarString()
+	typ := obj.spec().Get("type").ScalarString()
 	return c.loadBalancerStatus(obj, typ == "LoadBalancer")
 }
 

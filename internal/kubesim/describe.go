@@ -20,7 +20,7 @@ func (c *Cluster) Describe(r *Resource, ns, name string) (string, error) {
 	if r.Namespaced {
 		fmt.Fprintf(&b, "Namespace:        %s\n", obj.Namespace)
 	}
-	if labels := obj.Manifest.Path("metadata", "labels"); labels != nil && labels.Kind == yamlx.MapKind && len(labels.Entries) > 0 {
+	if labels := obj.labels(); labels != nil && labels.Kind == yamlx.MapKind && len(labels.Entries) > 0 {
 		var parts []string
 		for _, e := range labels.Entries {
 			parts = append(parts, e.Key+"="+e.Value.ScalarString())
@@ -29,7 +29,7 @@ func (c *Cluster) Describe(r *Resource, ns, name string) (string, error) {
 	} else {
 		b.WriteString("Labels:           <none>\n")
 	}
-	if ann := obj.Manifest.Path("metadata", "annotations"); ann != nil && ann.Kind == yamlx.MapKind {
+	if ann := obj.manifest.Path("metadata", "annotations"); ann != nil && ann.Kind == yamlx.MapKind {
 		b.WriteString("Annotations:      ")
 		var parts []string
 		for _, e := range ann.Entries {
@@ -48,7 +48,7 @@ func (c *Cluster) Describe(r *Resource, ns, name string) (string, error) {
 		c.describeWorkload(&b, obj)
 	default:
 		b.WriteString("Spec:\n")
-		if spec := obj.Manifest.Get("spec"); spec != nil {
+		if spec := obj.spec(); spec != nil {
 			indented(&b, yamlx.MarshalString(spec))
 		}
 	}
@@ -67,7 +67,7 @@ func (c *Cluster) describeIngress(b *strings.Builder, obj *Object) {
 	b.WriteString("Rules:\n")
 	b.WriteString("  Host        Path  Backends\n")
 	b.WriteString("  ----        ----  --------\n")
-	rules := obj.Manifest.Path("spec", "rules")
+	rules := obj.spec().Get("rules")
 	if rules == nil {
 		return
 	}
@@ -99,7 +99,7 @@ func (c *Cluster) describeIngress(b *strings.Builder, obj *Object) {
 }
 
 func (c *Cluster) describeService(b *strings.Builder, obj *Object) {
-	spec := obj.Manifest.Get("spec")
+	spec := obj.spec()
 	typ := spec.Get("type").ScalarString()
 	if typ == "" {
 		typ = "ClusterIP"
@@ -145,7 +145,7 @@ func (c *Cluster) describePod(b *strings.Builder, obj *Object) {
 	fmt.Fprintf(b, "Status:           %s\n", status)
 	fmt.Fprintf(b, "IP:               %s\n", obj.PodIP)
 	b.WriteString("Containers:\n")
-	if containers := obj.Manifest.Path("spec", "containers"); containers != nil {
+	if containers := obj.spec().Get("containers"); containers != nil {
 		for _, ct := range containers.Items {
 			fmt.Fprintf(b, "  %s:\n    Image:  %s\n", ct.Get("name").ScalarString(), ct.Get("image").ScalarString())
 			if ports := ct.Get("ports"); ports != nil {
@@ -159,11 +159,11 @@ func (c *Cluster) describePod(b *strings.Builder, obj *Object) {
 
 func (c *Cluster) describeWorkload(b *strings.Builder, obj *Object) {
 	desired := int64(1)
-	if r, ok := obj.Manifest.Path("spec", "replicas").AsInt(); ok {
+	if r, ok := obj.spec().Get("replicas").AsInt(); ok {
 		desired = r
 	}
 	fmt.Fprintf(b, "Replicas:         %d desired | %d ready\n", desired, c.readyOwnedPods(obj))
-	if img := obj.Manifest.Path("spec", "template", "spec", "containers", 0, "image"); img != nil {
+	if img := obj.spec().Path("template", "spec", "containers", 0, "image"); img != nil {
 		fmt.Fprintf(b, "Image:            %s\n", img.ScalarString())
 	}
 }

@@ -6,6 +6,8 @@ import (
 	"time"
 
 	"cloudeval/internal/jsonpath"
+	"cloudeval/internal/raceflag"
+	"cloudeval/internal/yamlx"
 )
 
 const nginxDeployment = `apiVersion: apps/v1
@@ -599,5 +601,33 @@ spec:
 	name0, _ := jsonpath.Eval(pods[0], "{.metadata.name}")
 	if name0 != "web-0" {
 		t.Errorf("statefulset pod name = %q, want web-0", name0)
+	}
+}
+
+// TestApplyParseErrorText: text that does not parse fails apply and
+// delete with kubectl's "error parsing YAML: " before the parser's own
+// error. The parser formatted that text when it failed, and the
+// document cache keeps the error, so a failed apply of text it has
+// seen allocates nothing.
+func TestApplyParseErrorText(t *testing.T) {
+	const src = "apiVersion: v1\nkind: Pod\nmetadata: {name: [web\n"
+	c := NewCluster()
+	_, applyErr := c.ApplyYAML(src, "default")
+	_, deleteErr := c.DeleteYAML(src, "default")
+	_, parseErr := yamlx.ParseString(src)
+	want := "error parsing YAML: yaml: line 3: unterminated flow sequence"
+	for _, err := range []error{applyErr, deleteErr} {
+		if err == nil || err.Error() != want {
+			t.Errorf("err = %v, want %s", err, want)
+		}
+	}
+	if parseErr == nil || "error parsing YAML: "+parseErr.Error() != want {
+		t.Errorf("parse error = %v, want the apply text without its prefix", parseErr)
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() { c.ApplyYAML(src, "default") }); allocs != 0 {
+		t.Errorf("%.1f allocations per failed apply of cached text, want 0", allocs)
 	}
 }

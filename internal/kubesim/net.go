@@ -52,7 +52,7 @@ func (c *Cluster) podListeningOnHostPort(p *Object, port int) bool {
 	if !c.PodReady(p) {
 		return false
 	}
-	for _, ct := range containerPorts(p.Manifest) {
+	for _, ct := range containerPorts(p.spec()) {
 		if ct.hostPort == port {
 			return true
 		}
@@ -63,7 +63,7 @@ func (c *Cluster) podListeningOnHostPort(p *Object, port int) bool {
 // servesOnNode reports whether a NodePort or LoadBalancer service
 // answers on the port at the node address.
 func (c *Cluster) servesOnNode(s *Object, port int) bool {
-	typ := s.Manifest.Path("spec", "type").ScalarString()
+	typ := s.spec().Get("type").ScalarString()
 	if typ != "NodePort" && typ != "LoadBalancer" {
 		return false
 	}
@@ -78,7 +78,7 @@ func (c *Cluster) podListeningOnContainerPort(p *Object, port int) bool {
 	if !c.PodReady(p) {
 		return false
 	}
-	for _, ct := range containerPorts(p.Manifest) {
+	for _, ct := range containerPorts(p.spec()) {
 		if ct.containerPort == port {
 			return true
 		}
@@ -91,9 +91,9 @@ type portPair struct {
 	hostPort      int
 }
 
-func containerPorts(pod *yamlx.Node) []portPair {
+func containerPorts(spec *yamlx.Node) []portPair {
 	var out []portPair
-	containers := pod.Path("spec", "containers")
+	containers := spec.Get("containers")
 	if containers == nil {
 		return nil
 	}
@@ -119,7 +119,7 @@ func containerPorts(pod *yamlx.Node) []portPair {
 // serviceHasPort reports whether a service exposes the port; nodePort
 // selects matching against allocated node ports instead of service ports.
 func (c *Cluster) serviceHasPort(s *Object, port int, nodePort bool) bool {
-	ports := s.Manifest.Path("spec", "ports")
+	ports := s.spec().Get("ports")
 	if ports == nil || ports.Kind != yamlx.SeqKind {
 		return false
 	}
@@ -137,7 +137,7 @@ func (c *Cluster) serviceHasPort(s *Object, port int, nodePort bool) bool {
 
 func (c *Cluster) resolveService(host string) *Object {
 	return first(c.bucket(Service), func(s *Object) bool {
-		if s.Manifest.Path("spec", "clusterIP").ScalarString() == host {
+		if s.spec().Get("clusterIP").ScalarString() == host {
 			return true
 		}
 		names := []string{
@@ -163,13 +163,13 @@ func (c *Cluster) serveThroughService(s *Object) (int, string, bool) {
 // and the order describe prints endpoints in, must not depend on map
 // iteration order.
 func (c *Cluster) ServiceEndpoints(s *Object) []*Object {
-	sel := s.Manifest.Path("spec", "selector")
+	sel := s.spec().Get("selector")
 	if sel == nil || sel.Kind != yamlx.MapKind || len(sel.Entries) == 0 {
 		return nil
 	}
 	var out []*Object
 	for _, p := range c.bucket(Pod) {
-		if p.Namespace == s.Namespace && c.PodReady(p) && equalityMapMatches(sel, p.Manifest.Path("metadata", "labels")) {
+		if p.Namespace == s.Namespace && c.PodReady(p) && equalityMapMatches(sel, p.labels()) {
 			out = append(out, p)
 		}
 	}
@@ -192,7 +192,7 @@ func equalityMapMatches(sel, labels *yamlx.Node) bool {
 // describe shows them: "10.244.0.5:80,10.244.0.6:80".
 func (c *Cluster) EndpointsString(s *Object) string {
 	targetPort := 0
-	if ports := s.Manifest.Path("spec", "ports"); ports != nil && len(ports.Items) > 0 {
+	if ports := s.spec().Get("ports"); ports != nil && len(ports.Items) > 0 {
 		if v, ok := ports.Items[0].Get("targetPort").AsInt(); ok {
 			targetPort = int(v)
 		} else if v, ok := ports.Items[0].Get("port").AsInt(); ok {
@@ -220,7 +220,7 @@ func (c *Cluster) ServiceURL(ns, name string) (string, error) {
 	if !ok {
 		return "", fmt.Errorf("service %q not found in namespace %q", name, ns)
 	}
-	spec := s.Manifest.Get("spec")
+	spec := s.spec()
 	typ := spec.Get("type").ScalarString()
 	if typ != "NodePort" && typ != "LoadBalancer" {
 		return "", fmt.Errorf("service %s/%s has no node port", ns, name)
@@ -236,7 +236,7 @@ func (c *Cluster) ServiceURL(ns, name string) (string, error) {
 // serveBody fabricates a response body hinting at the serving image, so
 // tests can grep for application banners.
 func serveBody(p *Object) string {
-	img := p.Manifest.Path("spec", "containers", 0, "image").ScalarString()
+	img := p.spec().Path("containers", 0, "image").ScalarString()
 	switch {
 	case strings.Contains(img, "nginx"):
 		return "<html><title>Welcome to nginx!</title></html>"

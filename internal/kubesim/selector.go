@@ -51,11 +51,9 @@ func (r requirement) matches(labels *yamlx.Node) bool {
 	return in == (r.op == opIn)
 }
 
-func (s Selector) matches(manifest *yamlx.Node) bool {
-	if len(s) == 0 {
-		return true
-	}
-	labels := manifest.Path("metadata", "labels")
+// matches reports whether an object's metadata.labels (nil when it has
+// none) satisfy every requirement.
+func (s Selector) matches(labels *yamlx.Node) bool {
 	for _, r := range s {
 		if !r.matches(labels) {
 			return false

@@ -224,7 +224,7 @@ func FuzzParseSelector(f *testing.F) {
 			}
 			return
 		}
-		sel.matches(manifestWithLabels(nil)) // any selector can be asked
+		sel.matches(manifestWithLabels(nil).Path("metadata", "labels")) // any selector can be asked
 		if !equalityList(s) {
 			return
 		}
@@ -243,7 +243,7 @@ func FuzzParseSelector(f *testing.F) {
 		}
 		for _, labels := range cases {
 			m := manifestWithLabels(labels)
-			if got, want := sel.matches(m), matchesSelectorOld(m, old); got != want {
+			if got, want := sel.matches(m.Path("metadata", "labels")), matchesSelectorOld(m, old); got != want {
 				t.Fatalf("-l %q on labels %v: matches = %v, the old parser said %v", s, labels, got, want)
 			}
 		}

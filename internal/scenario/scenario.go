@@ -141,23 +141,6 @@ func All() []*Backend {
 	return append([]*Backend(nil), order...)
 }
 
-// DocStarts lists the distinct document-start prefixes across all
-// families, in registration order — the post-processor's policy-2
-// marker set.
-func DocStarts() []string {
-	mu.RLock()
-	defer mu.RUnlock()
-	var out []string
-	seen := map[string]bool{}
-	for _, b := range order {
-		if b.DocStart != "" && !seen[b.DocStart] {
-			seen[b.DocStart] = true
-			out = append(out, b.DocStart)
-		}
-	}
-	return out
-}
-
 // docStartRules snapshots the marker set once: backends register at
 // package init and the post-processor calls IsDocStartLine per answer
 // line, so the set is immutable by the time it is read.

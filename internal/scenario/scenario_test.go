@@ -54,19 +54,3 @@ func TestForFallsBackToKubernetes(t *testing.T) {
 		t.Errorf("unknown category resolved to %s", got.Category)
 	}
 }
-
-func TestDocStartsDeduplicated(t *testing.T) {
-	starts := DocStarts()
-	seen := map[string]bool{}
-	for _, s := range starts {
-		if seen[s] {
-			t.Errorf("duplicate doc start %q", s)
-		}
-		seen[s] = true
-	}
-	for _, want := range []string{"apiVersion:", "static_resources:", "services:"} {
-		if !seen[want] {
-			t.Errorf("doc starts missing %q: %v", want, starts)
-		}
-	}
-}

@@ -14,12 +14,12 @@ import (
 // a re-parse here.
 //
 // Cached documents are shared across goroutines and MUST be treated as
-// immutable. Callers that change what they parsed copy first: kubesim's
-// status path and the llm answer corruptors copy only the nodes above
-// each change (ShallowClone, or an arena of their own), Apply's Service
-// manifests take a whole Node.Clone, still far cheaper than a re-parse.
-// Parse errors are cached too, so a malformed answer sampled at high
-// temperature is diagnosed once, not once per metric.
+// immutable. Callers that change what they parsed copy first, and only
+// the nodes above each change: kubesim's status documents and Service
+// allocations (ShallowClone), the llm answer corruptors (an arena of
+// their own). Parse errors are cached too, text and all, so a malformed
+// answer sampled at high temperature is diagnosed once, not once per
+// metric or apply.
 //
 // The cache is fed by model-generated answer text, which a long-lived
 // daemon sampling at nonzero temperature makes unbounded — hence the

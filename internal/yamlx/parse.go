@@ -6,18 +6,29 @@ import (
 	"strings"
 )
 
-// ParseError describes a parse failure with its source line.
+// ParseError describes a parse failure with its source line. Every
+// error the parser returns is one, and only the parser makes them. Its
+// text is formatted once, when the parser makes it: the document cache
+// keeps the error with the text that failed, and printing it again
+// allocates nothing.
 type ParseError struct {
 	Line int
 	Msg  string
+	text string // applyPrefix + "yaml: line N: " + Msg
 }
 
-func (e *ParseError) Error() string {
-	return fmt.Sprintf("yaml: line %d: %s", e.Line, e.Msg)
-}
+// applyPrefix is what "kubectl apply -f" puts before a parse error.
+const applyPrefix = "error parsing YAML: "
+
+func (e *ParseError) Error() string { return e.text[len(applyPrefix):] }
+
+// ApplyText is the error as "kubectl apply -f" and "kubectl delete -f"
+// report it: "error parsing YAML: " followed by Error.
+func (e *ParseError) ApplyText() string { return e.text }
 
 func errAt(line int, format string, args ...any) error {
-	return &ParseError{Line: line, Msg: fmt.Sprintf(format, args...)}
+	msg := fmt.Sprintf(format, args...)
+	return &ParseError{Line: line, Msg: msg, text: applyPrefix + "yaml: line " + strconv.Itoa(line) + ": " + msg}
 }
 
 // Parse parses a single YAML document. If the input contains multiple
