@@ -558,7 +558,7 @@ func BenchmarkStoreAppendParallel(b *testing.B) {
 
 // BenchmarkStoreOpenWarm measures the warm-restart replay path: a
 // multi-thousand-record log opened from scratch each iteration — the
-// cost a restarted cloudevald pays before serving its first request.
+// cost a restarted daemon pays before serving its first request.
 // The sharded store replays segments in parallel, so this should scale
 // with cores where the single-file replay could not.
 func BenchmarkStoreOpenWarm(b *testing.B) {

@@ -3,21 +3,18 @@
 # (bench/ is a module of its own and is not counted), the first of these
 # that executes it:
 #
-#   binary   one of the four shipped binaries, built with -cover and run
-#            on commands that need no network:
-#              cloudeval   help, dataset, bench, bench -store twice (cold,
-#                          then warm), bench -record then -replay, bench
-#                          -record over the warm store, figures -all,
-#                          campaign -dir twice (the second resumes),
-#                          models, models -replay, cost, cluster
-#                          -workers 8 -cache, eval; loadgen in process
-#                          (-warm -store -tenants a,b -record-trace),
-#                          then -trace
-#              cloudevald  -pprof, driven by cloudeval loadgen -addr and
-#                          stopped with SIGINT
-#              evalnode    redis, a worker with a store, a master with
-#                          -limit 20 over loopback TCP
-#              datasetgen  -augmented -digest
+#   binary   the shipped binary, cmd/cloudeval, built with -cover and
+#            run on commands that need no network: dataset -out
+#            -augmented -digest, help, dataset, bench, bench -store
+#            twice (cold, then warm), bench -record then -replay, bench
+#            -record over the warm store, figures -all, campaign -dir
+#            twice (the second resumes), models, models -replay, cost,
+#            cluster -workers 8 -cache, eval; loadgen in process (-warm
+#            -store -tenants a,b -record-trace), then -trace; serve
+#            -pprof, driven by loadgen -addr and stopped with SIGINT;
+#            node redis, a node worker with a store and a node master
+#            with -limit 20 over loopback TCP, the redis node stopped
+#            with SIGTERM
 #   example  one of the programs under examples/, built the same way
 #   test     some test of go test ./...
 #   nothing  none of them
@@ -28,8 +25,8 @@
 # each with its reason.
 #
 # Run from the repository root: ci/module-reach.sh. It takes about two
-# minutes and listens on loopback: cloudevald on port
-# $MODULE_REACH_HTTP_PORT (default 18631), evalnode redis on a port the
+# minutes and listens on loopback: serve on port
+# $MODULE_REACH_HTTP_PORT (default 18631), node redis on a port the
 # kernel picks. CI runs it and fails when the committed file differs.
 set -euo pipefail
 
@@ -49,9 +46,7 @@ cleanup() {
 trap cleanup EXIT
 
 mkdir -p "$tmp/bin" "$tmp/cov/binary" "$tmp/cov/example" "$tmp/work"
-for b in cloudeval cloudevald evalnode datasetgen; do
-	go build -cover -coverpkg="${module}..." -o "$tmp/bin/$b" "./cmd/$b"
-done
+go build -cover -coverpkg="${module}..." -o "$tmp/bin/cloudeval" ./cmd/cloudeval
 examples=()
 for d in examples/*/; do
 	e=$(basename "$d")
@@ -72,22 +67,22 @@ run() {
 	fi
 }
 
-# start PROGRAM ARG... starts one covered program in the background with
-# its output in $tmp/PROGRAM.log; its pid is in $started.
+# start NAME ARG... starts cloudeval ARG... in the background with its
+# output in $tmp/NAME.log; its pid is in $started.
 start() {
-	local prog=$1
+	local name=$1
 	shift
-	(cd "$tmp/work" && GOCOVERDIR="$tmp/cov/binary" TMPDIR="$tmp/work" exec "$tmp/bin/$prog" "$@" >"$tmp/$prog.log" 2>&1) &
+	(cd "$tmp/work" && GOCOVERDIR="$tmp/cov/binary" TMPDIR="$tmp/work" exec "$tmp/bin/cloudeval" "$@" >"$tmp/$name.log" 2>&1) &
 	started=$!
 	pids+=("$started")
 }
 
-# stop PROGRAM PID sends SIGINT and waits for a clean exit, which
+# stop NAME PID SIGNAL sends SIGNAL and waits for a clean exit, which
 # flushes the program's counters.
 stop() {
-	kill -INT "$2"
+	kill "-$3" "$2"
 	if ! wait "$2"; then
-		echo "module-reach: $1 did not exit cleanly:" >&2
+		echo "module-reach: $1 did not exit cleanly on SIG$3:" >&2
 		cat "$tmp/$1.log" >&2
 		exit 1
 	fi
@@ -106,7 +101,7 @@ await() {
 	exit 1
 }
 
-run binary datasetgen -out dataset -augmented -digest digest.txt
+run binary cloudeval dataset -out dataset -augmented -digest digest.txt
 run binary cloudeval help
 run binary cloudeval dataset
 run binary cloudeval bench
@@ -126,26 +121,25 @@ run binary cloudeval eval -problem k8s-pod-001 -f dataset/k8s-pod-001/labeled_co
 run binary cloudeval loadgen -warm -store loadgen.store -tenants a,b -record-trace ops.trace -out loadgen.json
 run binary cloudeval loadgen -trace ops.trace -out replay.json
 
-start cloudevald -pprof -addr "127.0.0.1:$http_port" -data daemon
+start serve serve -pprof -addr "127.0.0.1:$http_port" -data daemon
 daemon=$started
-await "$tmp/cloudevald.log" 'listening on'
+await "$tmp/serve.log" 'listening on'
 run binary cloudeval loadgen -addr "http://127.0.0.1:$http_port" -n 40 -out daemon.json
-stop cloudevald "$daemon"
+stop serve "$daemon" INT
 
-start evalnode redis -addr 127.0.0.1:0
+start redis node redis -addr 127.0.0.1:0
 redis=$started
-await "$tmp/evalnode.log" 'listening on'
-addr=$(sed -n 's/^evalnode redis listening on //p' "$tmp/evalnode.log")
-(cd "$tmp/work" && GOCOVERDIR="$tmp/cov/binary" "$tmp/bin/evalnode" worker -addr "$addr" -idle 2s -store worker.store >"$tmp/worker.log" 2>&1) &
-worker=$!
-pids+=("$worker")
-run binary evalnode master -addr "$addr" -limit 20
+await "$tmp/redis.log" 'listening on'
+addr=$(sed -n 's/^node redis: listening on //p' "$tmp/redis.log")
+start worker node worker -addr "$addr" -idle 2s -store worker.store
+worker=$started
+run binary cloudeval node master -addr "$addr" -limit 20
 if ! wait "$worker"; then
-	echo "module-reach: evalnode worker failed:" >&2
+	echo "module-reach: node worker failed:" >&2
 	cat "$tmp/worker.log" >&2
 	exit 1
 fi
-stop evalnode "$redis"
+stop redis "$redis" TERM
 
 for e in "${examples[@]}"; do
 	run example "example-$e"

@@ -1,4 +1,4 @@
-// Package client is the typed Go client for the cloudevald /v1 API:
+// Package client is the typed Go client for cloudeval serve's /v1 API:
 // one method per endpoint, the shared error envelope decoded into
 // *APIError, and tenancy attached per client. It is the programmatic
 // face of the service tier — cloudeval loadgen drives its load through
@@ -27,7 +27,7 @@ import (
 	"time"
 )
 
-// Client talks to one cloudevald instance as one tenant. Construct
+// Client talks to one daemon as one tenant. Construct
 // with New; the zero value is not usable.
 type Client struct {
 	base   string
@@ -46,7 +46,7 @@ func WithTenant(name string) Option { return func(c *Client) { c.tenant = name }
 // transports, test doubles).
 func WithHTTPClient(h *http.Client) Option { return func(c *Client) { c.http = h } }
 
-// New builds a client for the cloudevald instance rooted at base
+// New builds a client for the daemon rooted at base
 // (e.g. "http://127.0.0.1:8080" — no trailing /v1).
 func New(base string, opts ...Option) *Client {
 	c := &Client{base: strings.TrimRight(base, "/"), http: http.DefaultClient}

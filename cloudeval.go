@@ -24,6 +24,11 @@
 // with it; nothing is shared process-wide, so two benchmarks never see
 // each other's caches.
 //
+// The cloudeval command (cmd/cloudeval) is the one binary over this
+// API: the tables and figures, the dataset writer, the HTTP daemon
+// (cloudeval serve) and the distributed cluster's nodes (cloudeval
+// node redis|worker|master).
+//
 // See DESIGN.md for the system inventory, the engine architecture and
 // the index mapping experiment IDs to the paper's tables and figures.
 package cloudeval
@@ -47,7 +52,7 @@ type Benchmark = core.Benchmark
 // Engine is the parallel evaluation engine every campaign submits
 // through: a work-stealing scheduler over a pluggable executor (the
 // in-process pool by default, the distributed evalcluster path via
-// cmd/evalnode) with answer memoization. A benchmark's evaluator holds
+// cloudeval node) with answer memoization. A benchmark's evaluator holds
 // its engine (Benchmark.Evaluator().Engine()); see DESIGN.md §2.
 type Engine = engine.Engine
 

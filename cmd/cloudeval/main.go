@@ -1,10 +1,12 @@
-// Command cloudeval is the benchmark's CLI: it prints dataset
-// statistics, runs the model zoo, and regenerates every table and
-// figure of the paper.
+// Command cloudeval is the benchmark's one binary: it prints and
+// writes the dataset, runs the model zoo, regenerates every table and
+// figure of the paper, serves the benchmark over HTTP, and runs the
+// nodes of the distributed evaluation cluster.
 //
 // Usage:
 //
-//	cloudeval dataset            # Table 2 statistics
+//	cloudeval dataset            # Tables 1 and 2
+//	cloudeval dataset -out dataset -augmented -digest ci/dataset-digest.txt   # write the corpus tree and its digest manifest
 //	cloudeval bench              # Table 4 zero-shot leaderboard
 //	cloudeval bench -store eval.store      # ... with the persistent store (warm reruns execute nothing)
 //	cloudeval bench -record gen.trace      # ... recording every generation to a JSONL trace
@@ -18,62 +20,76 @@
 //	cloudeval cluster -workers 64 -cache   # one Figure 5 point
 //	cloudeval eval -problem k8s-pod-001 -f answer.yaml
 //	cloudeval loadgen -n 300 -concurrency 8 -out loadgen.json   # drive the service tier under load
+//	cloudeval serve -addr :8080 -data cloudevald-data           # the HTTP daemon (API.md)
+//	cloudeval node redis  -addr 127.0.0.1:6399                  # the cluster's coordination store
+//	cloudeval node worker -addr 127.0.0.1:6399 -name worker-1   # a worker executing unit tests
+//	cloudeval node master -addr 127.0.0.1:6399 -model gpt-4 -limit 50
+//
+// wiring.go builds the evaluator chain every subcommand runs on.
 package main
 
 import (
+	"crypto/sha256"
 	"flag"
 	"fmt"
 	"os"
+	"path/filepath"
 	"runtime"
 	"runtime/pprof"
 	"strings"
 
 	"cloudeval"
+	"cloudeval/internal/augment"
 	"cloudeval/internal/core"
 	"cloudeval/internal/cost"
 	"cloudeval/internal/dataset"
-	"cloudeval/internal/engine"
 	"cloudeval/internal/evalcluster"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
-	"cloudeval/internal/score"
-	"cloudeval/internal/store"
 )
+
+// commands maps each subcommand to the function that declares its
+// flags on fs and returns what runs it once they are parsed. The
+// cluster's roles are "node redis", "node worker" and "node master".
+var commands = map[string]func(fs *flag.FlagSet) func() error{
+	"dataset":     cmdDataset,
+	"bench":       cmdBench,
+	"figures":     cmdFigures,
+	"campaign":    cmdCampaign,
+	"models":      cmdModels,
+	"cost":        cmdCost,
+	"cluster":     cmdCluster,
+	"eval":        cmdEval,
+	"loadgen":     cmdLoadgen,
+	"serve":       cmdServe,
+	"node redis":  cmdRedis,
+	"node worker": cmdWorker,
+	"node master": cmdMaster,
+}
 
 func main() {
 	if len(os.Args) < 2 {
 		usage()
 		os.Exit(2)
 	}
-	cmd, args := os.Args[1], os.Args[2:]
-	var err error
-	switch cmd {
-	case "dataset":
-		err = cmdDataset()
-	case "bench":
-		err = cmdBench(args)
-	case "figures":
-		err = cmdFigures(args)
-	case "campaign":
-		err = cmdCampaign(args)
-	case "models":
-		err = cmdModels(args)
-	case "cost":
-		err = cmdCost()
-	case "cluster":
-		err = cmdCluster(args)
-	case "eval":
-		err = cmdEval(args)
-	case "loadgen":
-		err = cmdLoadgen(args)
-	case "help", "-h", "--help":
+	name, args := os.Args[1], os.Args[2:]
+	if name == "node" && len(args) > 0 {
+		name, args = name+" "+args[0], args[1:]
+	}
+	if name == "help" || name == "-h" || name == "--help" {
 		usage()
-	default:
-		fmt.Fprintf(os.Stderr, "cloudeval: unknown command %q\n", cmd)
+		return
+	}
+	cmd, ok := commands[name]
+	if !ok {
+		fmt.Fprintf(os.Stderr, "cloudeval: unknown command %q\n", name)
 		usage()
 		os.Exit(2)
 	}
-	if err != nil {
+	fs := flag.NewFlagSet(name, flag.ExitOnError)
+	run := cmd(fs)
+	fs.Parse(args) // ExitOnError: a bad flag exits here
+	if err := run(); err != nil {
 		fmt.Fprintln(os.Stderr, "cloudeval:", err)
 		os.Exit(1)
 	}
@@ -83,7 +99,11 @@ func usage() {
 	fmt.Fprint(os.Stderr, `cloudeval - the CloudEval-YAML benchmark
 
 Commands:
-  dataset             print dataset statistics (Table 2) and augmentation stats (Table 1)
+  dataset             print augmentation stats (Table 1) and dataset statistics (Table 2)
+  dataset [-out D] [-augmented] [-digest F]
+                      write the corpus to D, one directory per problem, and
+                      its per-problem digest manifest to F (-augmented adds
+                      the simplified and translated variants)
   bench [-store F] [-cpuprofile F] [-memprofile F] [-mutexprofile F] [-blockprofile F]
                       run the zero-shot benchmark (Table 4), optionally profiled
   figures -id <id>    regenerate one experiment (table1..table9, figure5..figure9)
@@ -95,10 +115,21 @@ Commands:
   eval -problem <id> -f <file>    run one answer through the full scoring pipeline
   loadgen [-addr URL] [-n N] [-qps Q] [-concurrency C] [-tenants a,b]
           [-trace F | -seed S [-record-trace F]] [-warm] [-out report.json]
-                      drive a live (-addr) or in-process cloudevald under a
+                      drive a live (-addr) or in-process daemon under a
                       synthesized or replayed request mix; the JSON report
                       (throughput, p50/p95/p99, error classes) feeds
                       benchguard's latency gates
+  serve [-addr A] [-data D] [-store F] [-warm] [-pprof] [-tenant-rate R]
+        [-tenant-burst B] [-campaign-queue N] [-campaign-workers N]
+                      serve the benchmark over HTTP (API.md) until SIGINT
+                      or SIGTERM; the store defaults to D/eval.store
+  node redis  [-addr A]           the cluster's coordination store, until SIGINT or SIGTERM
+  node worker [-addr A] [-name N] [-idle T] [-store F]
+                      execute the unit tests the master queues
+  node master [-addr A] [-model M] [-limit N] [-inflight N] [-timeout T]
+              [-gen-concurrency N]
+                      evaluate one model on the first N problems through
+                      the cluster's workers
 
 -store attaches the persistent evaluation store at F: unit-test
 results and generations persist across invocations, so a warm re-run
@@ -106,7 +137,7 @@ neither executes nor generates anything. Payloads live on disk behind
 an offset index, so resident memory is the index's regardless of
 store size.
 
-bench, figures, campaign and models take inference provider flags:
+bench, figures, campaign, models and serve take inference provider flags:
   -provider sim              the deterministic model zoo (default)
   -provider http:<base-url>  a live OpenAI-compatible endpoint
                              (API key from $CLOUDEVAL_API_KEY)
@@ -119,139 +150,118 @@ bench, figures, campaign and models take inference provider flags:
                              generation stage into the CPU-sized
                              execution pool, so N is how much provider
                              latency can hide behind unit-test execution.
+                             node master takes this one alone.
 `)
 }
 
-// providerFlags carries the inference provider selection shared by
-// bench, figures, campaign and models.
-type providerFlags struct {
-	provider       *string
-	record         *string
-	replay         *string
-	genConcurrency *int
-}
-
-func addProviderFlags(fs *flag.FlagSet) providerFlags {
-	return providerFlags{
-		provider:       fs.String("provider", "sim", `inference provider: "sim" or "http:<base-url>"`),
-		record:         fs.String("record", "", "record generations to this JSONL trace file"),
-		replay:         fs.String("replay", "", "replay generations from this JSONL trace file"),
-		genConcurrency: fs.Int("gen-concurrency", -1, "max generations in flight (0 = unbounded; -1 = provider default: sim/replay unbounded, http 64)"),
-	}
-}
-
-// storeFlags carries the persistent-store selection shared by bench,
-// figures and campaign.
-type storeFlags struct {
-	path *string
-}
-
-func addStoreFlags(fs *flag.FlagSet) storeFlags {
-	return storeFlags{
-		path: fs.String("store", "", "persistent evaluation store path"),
-	}
-}
-
-// dispatchOptions translates the flag values into dispatcher options:
-// -gen-concurrency -1 defers to the provider default, anything else
-// overrides it (0 lifts the cap entirely).
-func (pf providerFlags) dispatchOptions() []inference.DispatchOption {
-	if *pf.genConcurrency >= 0 {
-		return []inference.DispatchOption{inference.WithConcurrency(*pf.genConcurrency)}
-	}
-	return nil
-}
-
-// configured reports whether any non-default provider flag is set.
-func (pf providerFlags) configured() bool {
-	return *pf.provider != "sim" || *pf.record != "" || *pf.replay != ""
-}
-
-// open builds the provider the flags select: replay trace > live
-// provider, optionally wrapped in a recorder.
-func (pf providerFlags) open() (inference.Provider, error) {
-	return inference.OpenSpec(*pf.provider, *pf.record, *pf.replay, os.Getenv("CLOUDEVAL_API_KEY"))
-}
-
-func cmdDataset() error {
-	b := cloudeval.New()
-	fmt.Println("== Table 1: practical data augmentation ==")
-	fmt.Println(b.Table1())
-	fmt.Println("== Table 2: dataset statistics ==")
-	fmt.Println(b.Table2())
-	return nil
-}
-
-// newBench builds a benchmark over the provider the flags select,
-// optionally backed by the persistent evaluation store -store names
-// (which then caches both unit-test results and generations). The
-// returned store is nil when no store is selected; the closer flushes
-// the trace/store and surfaces any latched generation error, and must
-// run after the last evaluation.
-func newBench(sf storeFlags, pf providerFlags) (*cloudeval.Benchmark, *store.Store, func() error, error) {
-	prov, err := pf.open()
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	dopts := pf.dispatchOptions()
-	var eopts []engine.Option
-	var st *store.Store
-	if *sf.path != "" {
-		st, err = store.Open(*sf.path)
-		if err != nil {
-			prov.Close()
-			return nil, nil, nil, err
+// cmdDataset prints Tables 1 and 2, or, with -out or -digest, writes
+// the corpus in the layout of the paper's released dataset:
+//
+//	<out>/<problem-id>/
+//	    prompt.txt        the natural-language question (plus context)
+//	    context.yaml      the optional YAML context
+//	    labeled_code.yaml the labeled reference answer
+//	    unit_test.sh      the bash unit test
+//
+// The digest manifest has one "id sha256" line per problem plus a
+// total line. CI regenerates it and fails on a dirty diff, so a corpus
+// change lands with its regenerated ci/dataset-digest.txt.
+func cmdDataset(fs *flag.FlagSet) func() error {
+	out := fs.String("out", "", "write the corpus tree here (empty: no tree)")
+	augmented := fs.Bool("augmented", false, "include simplified and translated variants (triples the corpus)")
+	digest := fs.String("digest", "", "also write a per-problem content digest manifest here")
+	return func() error {
+		if *out == "" && *digest == "" {
+			b := cloudeval.New()
+			fmt.Println("== Table 1: practical data augmentation ==")
+			fmt.Println(b.Table1())
+			fmt.Println("== Table 2: dataset statistics ==")
+			fmt.Println(b.Table2())
+			return nil
 		}
-		dopts = append(dopts, inference.WithGenStore(st))
-		eopts = append(eopts, engine.WithStore(st))
-	}
-	disp := inference.NewDispatcher(prov, dopts...)
-	closer := func() error {
-		err := disp.Close()
-		if st != nil {
-			if serr := st.Close(); err == nil {
-				err = serr
+		problems := dataset.Generate()
+		if *augmented {
+			problems = augment.ExpandCorpus(problems)
+		}
+		if *out != "" {
+			for _, p := range problems {
+				dir := filepath.Join(*out, p.ID)
+				if err := os.MkdirAll(dir, 0o755); err != nil {
+					return err
+				}
+				files := map[string]string{"prompt.txt": p.Question, "labeled_code.yaml": p.ReferenceYAML, "unit_test.sh": p.UnitTest}
+				if p.ContextYAML != "" {
+					files["context.yaml"] = p.ContextYAML
+				}
+				for name, content := range files {
+					if err := os.WriteFile(filepath.Join(dir, name), []byte(content), 0o644); err != nil {
+						return err
+					}
+				}
 			}
+			fmt.Printf("wrote %d problems to %s\n", len(problems), *out)
 		}
-		if gerr := disp.Err(); err == nil {
-			err = gerr
+		if *digest != "" {
+			if err := os.WriteFile(*digest, []byte(manifest(problems)), 0o644); err != nil {
+				return err
+			}
+			fmt.Printf("wrote digest manifest for %d problems to %s\n", len(problems), *digest)
 		}
-		return err
+		return nil
 	}
-	return core.New(score.NewEvaluator(engine.New(eopts...), disp), dataset.Generate(), llm.Models), st, closer, nil
 }
 
-// reportStore prints the persistent store's shard layout and batching
-// ratio, and the two in-memory caches above it — the same counters GET
-// /v1/stats serves — so contention regressions and a cache that has
-// started evicting show up in a plain bench run too.
-func reportStore(b *cloudeval.Benchmark, st *store.Store) {
-	ratio := 0.0
-	if f := st.Flushes(); f > 0 {
-		ratio = float64(st.Appended()) / float64(f)
+// manifest hashes everything cmdDataset writes for each problem.
+// Generation is deterministic, so the manifest is too.
+func manifest(problems []dataset.Problem) string {
+	var b strings.Builder
+	for _, p := range problems {
+		h := sha256.New()
+		fmt.Fprintf(h, "%s\x00%s\x00%s\x00%s\x00%s\x00%s\x00%s",
+			p.ID, p.Category, p.Subcategory, p.Question, p.ContextYAML, p.ReferenceYAML, p.UnitTest)
+		fmt.Fprintf(&b, "%s %x\n", p.ID, h.Sum(nil))
 	}
-	fmt.Fprintf(os.Stderr, "store: %d shards, %d results, %d generations, %.2f frames/flush\n",
-		st.Shards(), st.Len(), st.GenLen(), ratio)
-	perShard := st.ShardStats()
-	counts := make([]string, len(perShard))
-	for i, sh := range perShard {
-		counts[i] = fmt.Sprintf("%d", sh.Records+sh.Generations)
-	}
-	fmt.Fprintf(os.Stderr, "store: per-shard records [%s]\n", strings.Join(counts, " "))
-	op := st.LastOpen()
-	fmt.Fprintf(os.Stderr, "store: open %.1fms — %d frames scanned (%d legacy JSON), index ~%.1f MiB resident\n",
-		float64(op.Duration.Microseconds())/1e3, op.ScannedFrames, op.LegacyFrames, float64(st.ResidentBytes())/(1<<20))
-	es, gs := b.Evaluator().Engine().Stats(), b.Evaluator().Dispatcher().Stats()
-	fmt.Fprintf(os.Stderr, "caches: engine %d entries, %.1f MiB, %d evictions; inference %d entries, %.1f MiB, %d evictions\n",
-		es.CacheEntries, float64(es.CacheBytes)/(1<<20), es.CacheEvictions,
-		gs.CacheEntries, float64(gs.CacheBytes)/(1<<20), gs.CacheEvictions)
+	fmt.Fprintf(&b, "total %d\n", len(problems))
+	return b.String()
 }
 
-// reportGeneration prints the dispatcher counters and the metered
-// inference cost whenever a non-default provider or a store is in
-// play — the observability end of the provider layer.
-func reportGeneration(b *cloudeval.Benchmark) {
-	disp := b.Evaluator().Dispatcher()
+// report prints, after a bench or campaign run, the counters that
+// show contention and eviction regressions in a plain run: with a
+// store, its shard layout and batching ratio and the two in-memory
+// caches above it (the counters GET /v1/stats serves), and, with a
+// store or a non-default provider, the dispatcher counters and the
+// metered inference cost. executed adds the engine's execution line.
+func (c *chain) report(w *wiring, executed bool) {
+	ev := c.ev
+	if st := c.store; st != nil {
+		es := ev.Engine().Stats()
+		if executed {
+			fmt.Printf("engine: %d executed, %d memory hits, %d store hits\n", es.Executed, es.CacheHits, es.StoreHits)
+		}
+		ratio := 0.0
+		if f := st.Flushes(); f > 0 {
+			ratio = float64(st.Appended()) / float64(f)
+		}
+		fmt.Fprintf(os.Stderr, "store: %d shards, %d results, %d generations, %.2f frames/flush\n",
+			st.Shards(), st.Len(), st.GenLen(), ratio)
+		perShard := st.ShardStats()
+		counts := make([]string, len(perShard))
+		for i, sh := range perShard {
+			counts[i] = fmt.Sprintf("%d", sh.Records+sh.Generations)
+		}
+		fmt.Fprintf(os.Stderr, "store: per-shard records [%s]\n", strings.Join(counts, " "))
+		op := st.LastOpen()
+		fmt.Fprintf(os.Stderr, "store: open %.1fms — %d frames scanned (%d legacy JSON), index ~%.1f MiB resident\n",
+			float64(op.Duration.Microseconds())/1e3, op.ScannedFrames, op.LegacyFrames, float64(st.ResidentBytes())/(1<<20))
+		gs := ev.Dispatcher().Stats()
+		fmt.Fprintf(os.Stderr, "caches: engine %d entries, %.1f MiB, %d evictions; inference %d entries, %.1f MiB, %d evictions\n",
+			es.CacheEntries, float64(es.CacheBytes)/(1<<20), es.CacheEvictions,
+			gs.CacheEntries, float64(gs.CacheBytes)/(1<<20), gs.CacheEvictions)
+	}
+	if c.store == nil && !w.configured() {
+		return
+	}
+	disp := ev.Dispatcher()
 	stats := disp.Stats()
 	fmt.Fprintf(os.Stderr, "inference (%s): %d generated, %d memory hits, %d store hits, %d errors\n",
 		disp.Provider().Name(), stats.Generated, stats.CacheHits, stats.StoreHits, stats.Errors)
@@ -263,44 +273,29 @@ func reportGeneration(b *cloudeval.Benchmark) {
 	}
 }
 
-func cmdBench(args []string) (retErr error) {
-	fs := flag.NewFlagSet("bench", flag.ExitOnError)
-	sf := addStoreFlags(fs)
+func cmdBench(fs *flag.FlagSet) func() error {
+	w := newWiring()
+	w.storeFlag(fs, "persistent evaluation store path")
 	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile of the campaign here")
 	memProfile := fs.String("memprofile", "", "write an allocation profile here after the campaign")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex-contention profile here after the campaign")
 	blockProfile := fs.String("blockprofile", "", "write a blocking profile here after the campaign")
-	pf := addProviderFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	stopProfiles, err := startProfiles(*cpuProfile, *memProfile, *mutexProfile, *blockProfile)
-	if err != nil {
-		return err
-	}
-	defer stopProfiles()
-	b, st, closeBench, err := newBench(sf, pf)
-	if err != nil {
-		return err
-	}
-	// Deferred so an error mid-campaign still flushes the trace
-	// recorder and closes the store.
-	defer func() {
-		if cerr := closeBench(); retErr == nil {
-			retErr = cerr
+	w.providerFlags(fs)
+	return func() (retErr error) {
+		stopProfiles, err := startProfiles(*cpuProfile, *memProfile, *mutexProfile, *blockProfile)
+		if err != nil {
+			return err
 		}
-	}()
-	fmt.Println(b.Table4())
-	if st != nil {
-		stats := b.Evaluator().Engine().Stats()
-		fmt.Printf("engine: %d executed, %d memory hits, %d store hits\n",
-			stats.Executed, stats.CacheHits, stats.StoreHits)
-		reportStore(b, st)
+		defer stopProfiles()
+		c, err := w.open()
+		if err != nil {
+			return err
+		}
+		defer c.closeOnReturn(&retErr)
+		fmt.Println(c.benchmark().Table4())
+		c.report(w, true)
+		return nil
 	}
-	if st != nil || pf.configured() {
-		reportGeneration(b)
-	}
-	return nil
 }
 
 // startProfiles starts a CPU profile and arranges heap, mutex, and
@@ -372,169 +367,148 @@ func startProfiles(cpuPath, memPath, mutexPath, blockPath string) (stop func(), 
 	}, nil
 }
 
-func cmdFigures(args []string) (retErr error) {
-	fs := flag.NewFlagSet("figures", flag.ExitOnError)
+func cmdFigures(fs *flag.FlagSet) func() error {
 	id := fs.String("id", "", "experiment id (table1..table9, figure5..figure9)")
 	all := fs.Bool("all", false, "run every experiment")
-	sf := addStoreFlags(fs)
-	pf := addProviderFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	b, _, closeBench, err := newBench(sf, pf)
-	if err != nil {
-		return err
-	}
-	defer func() {
-		if cerr := closeBench(); retErr == nil {
-			retErr = cerr
+	w := newWiring()
+	w.storeFlag(fs, "persistent evaluation store path")
+	w.providerFlags(fs)
+	return func() (retErr error) {
+		c, err := w.open()
+		if err != nil {
+			return err
 		}
-	}()
-	if *all {
-		return b.RunAll(os.Stdout)
+		defer c.closeOnReturn(&retErr)
+		b := c.benchmark()
+		if *all {
+			return b.RunAll(os.Stdout)
+		}
+		gen, ok := b.Experiments()[strings.ToLower(*id)]
+		if !ok {
+			return fmt.Errorf("unknown experiment %q (known: %s)", *id, strings.Join(core.ExperimentIDs, ", "))
+		}
+		fmt.Println(gen())
+		return nil
 	}
-	gen, ok := b.Experiments()[strings.ToLower(*id)]
-	if !ok {
-		return fmt.Errorf("unknown experiment %q (known: %s)", *id, strings.Join(core.ExperimentIDs, ", "))
-	}
-	fmt.Println(gen())
-	return nil
 }
 
-func cmdCampaign(args []string) (retErr error) {
-	fs := flag.NewFlagSet("campaign", flag.ExitOnError)
+func cmdCampaign(fs *flag.FlagSet) func() error {
 	dir := fs.String("dir", "", "campaign directory (checkpoints + outputs)")
 	idsFlag := fs.String("ids", "", "comma-separated experiment ids (default: all)")
-	sf := addStoreFlags(fs)
-	pf := addProviderFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *dir == "" {
-		return fmt.Errorf("campaign requires -dir")
-	}
-	var ids []string
-	if *idsFlag != "" {
-		for _, id := range strings.Split(*idsFlag, ",") {
-			ids = append(ids, strings.ToLower(strings.TrimSpace(id)))
+	w := newWiring()
+	w.storeFlag(fs, "persistent evaluation store path")
+	w.providerFlags(fs)
+	return func() (retErr error) {
+		if *dir == "" {
+			return fmt.Errorf("campaign requires -dir")
 		}
-	}
-	b, st, closeBench, err := newBench(sf, pf)
-	if err != nil {
-		return err
-	}
-	// Deferred: a campaign that fails mid-run (dead endpoint, trace
-	// miss) must still flush the recorded-so-far trace and close the
-	// store cleanly.
-	defer func() {
-		if cerr := closeBench(); retErr == nil {
-			retErr = cerr
+		var ids []string
+		if *idsFlag != "" {
+			for _, id := range strings.Split(*idsFlag, ",") {
+				ids = append(ids, strings.ToLower(strings.TrimSpace(id)))
+			}
 		}
-	}()
-	report, err := b.RunCampaign(*dir, ids, os.Stdout, nil, nil)
-	if err != nil {
-		return err
+		c, err := w.open()
+		if err != nil {
+			return err
+		}
+		defer c.closeOnReturn(&retErr)
+		b := c.benchmark()
+		report, err := b.RunCampaign(*dir, ids, os.Stdout, nil, nil)
+		if err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "campaign: %d ran, %d resumed from checkpoint\n",
+			len(report.Ran), len(report.Skipped))
+		c.report(w, false)
+		return nil
 	}
-	fmt.Fprintf(os.Stderr, "campaign: %d ran, %d resumed from checkpoint\n",
-		len(report.Ran), len(report.Skipped))
-	if st != nil {
-		reportStore(b, st)
-	}
-	if st != nil || pf.configured() {
-		reportGeneration(b)
-	}
-	return nil
 }
 
 // cmdModels lists the model zoo in ranking order and describes the
 // provider the flags configure.
-func cmdModels(args []string) error {
-	fs := flag.NewFlagSet("models", flag.ExitOnError)
-	pf := addProviderFlags(fs)
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	// models never generates, so -record must not truncate an existing
-	// trace just to print the listing: describe the provider without
-	// the recorder wrapper.
-	prov, err := inference.OpenSpec(*pf.provider, "", *pf.replay, os.Getenv("CLOUDEVAL_API_KEY"))
-	if err != nil {
-		return err
-	}
-	defer prov.Close()
-	fmt.Printf("%-4s %-24s %-5s %-5s %-8s\n", "Rank", "Model", "Size", "Open", "English")
-	for i, m := range llm.Models {
-		open, english := "N", "any"
-		if m.OpenSource {
-			open = "Y"
+func cmdModels(fs *flag.FlagSet) func() error {
+	w := newWiring()
+	w.providerFlags(fs)
+	return func() error {
+		// models never generates, so -record must not truncate an
+		// existing trace just to print the listing.
+		w.record = ""
+		prov, err := w.openProvider()
+		if err != nil {
+			return err
 		}
-		if m.EnglishOnly {
-			english = "only"
+		defer prov.Close()
+		fmt.Printf("%-4s %-24s %-5s %-5s %-8s\n", "Rank", "Model", "Size", "Open", "English")
+		for i, m := range llm.Models {
+			open, english := "N", "any"
+			if m.OpenSource {
+				open = "Y"
+			}
+			if m.EnglishOnly {
+				english = "only"
+			}
+			fmt.Printf("%-4d %-24s %-5s %-5s %-8s\n", i+1, m.Name, m.Size, open, english)
 		}
-		fmt.Printf("%-4d %-24s %-5s %-5s %-8s\n", i+1, m.Name, m.Size, open, english)
-	}
-	fmt.Printf("\nprovider: %s", prov.Name())
-	switch p := prov.(type) {
-	case *inference.Sim:
-		fmt.Printf(" (%d simulated models)", len(llm.Models))
-	case *inference.Replay:
-		fmt.Printf(" (%d recorded generations from %s)", p.Len(), *pf.replay)
-	}
-	fmt.Println()
-	return nil
-}
-
-func cmdCost() error {
-	b := cloudeval.New()
-	fmt.Println(b.Table3())
-	return nil
-}
-
-func cmdCluster(args []string) error {
-	fs := flag.NewFlagSet("cluster", flag.ExitOnError)
-	workers := fs.Int("workers", 64, "worker count")
-	cache := fs.Bool("cache", false, "enable the shared pull-through image cache")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	b := cloudeval.New()
-	res := evalcluster.Simulate(b.Jobs(), evalcluster.DefaultSimConfig(*workers, *cache))
-	fmt.Printf("workers=%d cache=%v\n", res.Workers, res.SharedCache)
-	fmt.Printf("evaluation time: %.2f hours\n", res.Total.Hours())
-	fmt.Printf("WAN traffic:     %.1f GB\n", res.WANTrafficMB/1024)
-	if res.SharedCache {
-		fmt.Printf("cache hits/misses: %d/%d\n", res.CacheHits, res.CacheMisses)
-	}
-	return nil
-}
-
-func cmdEval(args []string) error {
-	fs := flag.NewFlagSet("eval", flag.ExitOnError)
-	problemID := fs.String("problem", "", "problem ID, e.g. k8s-pod-001")
-	file := fs.String("f", "", "path to the candidate YAML answer")
-	if err := fs.Parse(args); err != nil {
-		return err
-	}
-	if *problemID == "" || *file == "" {
-		return fmt.Errorf("eval requires -problem and -f")
-	}
-	answer, err := os.ReadFile(*file)
-	if err != nil {
-		return err
-	}
-	for _, p := range cloudeval.Dataset() {
-		if p.ID != *problemID {
-			continue
+		fmt.Printf("\nprovider: %s", prov.Name())
+		switch p := prov.(type) {
+		case *inference.Sim:
+			fmt.Printf(" (%d simulated models)", len(llm.Models))
+		case *inference.Replay:
+			fmt.Printf(" (%d recorded generations from %s)", p.Len(), w.replay)
 		}
-		s := cloudeval.ScoreAnswer(p, string(answer))
-		fmt.Printf("problem:      %s (%s/%s)\n", p.ID, p.Category, p.Subcategory)
-		fmt.Printf("bleu:         %.3f\n", s.BLEU)
-		fmt.Printf("edit_distance:%.3f\n", s.EditDist)
-		fmt.Printf("exact_match:  %.0f\n", s.ExactMatch)
-		fmt.Printf("kv_exact:     %.0f\n", s.KVExact)
-		fmt.Printf("kv_wildcard:  %.3f\n", s.KVWildcard)
-		fmt.Printf("unit_test:    %.0f\n", s.UnitTest)
+		fmt.Println()
 		return nil
 	}
-	return fmt.Errorf("problem %q not found", *problemID)
+}
+
+func cmdCost(*flag.FlagSet) func() error {
+	return func() error {
+		fmt.Println(cloudeval.New().Table3())
+		return nil
+	}
+}
+
+func cmdCluster(fs *flag.FlagSet) func() error {
+	workers := fs.Int("workers", 64, "worker count")
+	cache := fs.Bool("cache", false, "enable the shared pull-through image cache")
+	return func() error {
+		res := evalcluster.Simulate(cloudeval.New().Jobs(), evalcluster.DefaultSimConfig(*workers, *cache))
+		fmt.Printf("workers=%d cache=%v\n", res.Workers, res.SharedCache)
+		fmt.Printf("evaluation time: %.2f hours\n", res.Total.Hours())
+		fmt.Printf("WAN traffic:     %.1f GB\n", res.WANTrafficMB/1024)
+		if res.SharedCache {
+			fmt.Printf("cache hits/misses: %d/%d\n", res.CacheHits, res.CacheMisses)
+		}
+		return nil
+	}
+}
+
+func cmdEval(fs *flag.FlagSet) func() error {
+	problemID := fs.String("problem", "", "problem ID, e.g. k8s-pod-001")
+	file := fs.String("f", "", "path to the candidate YAML answer")
+	return func() error {
+		if *problemID == "" || *file == "" {
+			return fmt.Errorf("eval requires -problem and -f")
+		}
+		answer, err := os.ReadFile(*file)
+		if err != nil {
+			return err
+		}
+		for _, p := range cloudeval.Dataset() {
+			if p.ID != *problemID {
+				continue
+			}
+			s := cloudeval.ScoreAnswer(p, string(answer))
+			fmt.Printf("problem:      %s (%s/%s)\n", p.ID, p.Category, p.Subcategory)
+			fmt.Printf("bleu:         %.3f\n", s.BLEU)
+			fmt.Printf("edit_distance:%.3f\n", s.EditDist)
+			fmt.Printf("exact_match:  %.0f\n", s.ExactMatch)
+			fmt.Printf("kv_exact:     %.0f\n", s.KVExact)
+			fmt.Printf("kv_wildcard:  %.3f\n", s.KVWildcard)
+			fmt.Printf("unit_test:    %.0f\n", s.UnitTest)
+			return nil
+		}
+		return fmt.Errorf("problem %q not found", *problemID)
+	}
 }

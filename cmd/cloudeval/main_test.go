@@ -1,23 +1,28 @@
 package main
 
 import (
-	"os/exec"
+	"flag"
+	"os"
 	"path/filepath"
-	"regexp"
-	"sort"
 	"strings"
 	"testing"
+
+	"cloudeval/internal/dataset"
+	"cloudeval/internal/llm"
 )
 
 // pinnedFlags is every subcommand's flag set, as sorted name=default
 // pairs. A flag renamed, dropped, added or given a new default fails
-// TestFlagsPinned: scripts and CI call these by name.
+// TestFlagsPinned: scripts and CI call these by name. One default
+// moved when the four binaries became one: dataset's -out was
+// "dataset", and is empty so that plain "cloudeval dataset" writes
+// nothing and prints Tables 1 and 2.
 var pinnedFlags = map[string]string{
 	"bench":       "blockprofile= cpuprofile= gen-concurrency=-1 memprofile= mutexprofile= provider=sim record= replay= store=",
 	"campaign":    "dir= gen-concurrency=-1 ids= provider=sim record= replay= store=",
 	"cluster":     "cache=false workers=64",
 	"cost":        "",
-	"dataset":     "augmented=false digest= out=dataset",
+	"dataset":     "augmented=false digest= out=",
 	"eval":        "f= problem=",
 	"figures":     "all=false gen-concurrency=-1 id= provider=sim record= replay= store=",
 	"loadgen":     "addr= concurrency=8 n=200 out= qps=0 record-trace= seed=1 store= tenants= trace= warm=false",
@@ -28,58 +33,40 @@ var pinnedFlags = map[string]string{
 	"serve":       "addr=:8080 campaign-queue=0 campaign-workers=0 data=cloudevald-data gen-concurrency=-1 pprof=false provider=sim record= replay= store= tenant-burst=0 tenant-rate=0 warm=false",
 }
 
-// binaries maps a subcommand to the binary and arguments that serve it.
-var binaries = map[string][]string{
-	"serve":       {"cloudevald"},
-	"node master": {"evalnode", "master"},
-	"node redis":  {"evalnode", "redis"},
-	"node worker": {"evalnode", "worker"},
-	"dataset":     {"datasetgen"},
-}
-
-var (
-	flagLine    = regexp.MustCompile(`^  -([a-z-]+)(?: ([a-z]+))?$`)
-	defaultText = regexp.MustCompile(`\(default ("(?:[^"\\]|\\.)*"|[^:)][^)]*)\)$`)
-	zeroOf      = map[string]string{"": "false", "string": "", "int": "0", "float": "0", "duration": "0s"}
-)
-
-// helpFlags parses what `-h` prints into sorted name=default pairs.
-func helpFlags(out string) string {
-	var pairs []string
-	lines := strings.Split(out, "\n")
-	for i, l := range lines {
-		m := flagLine.FindStringSubmatch(l)
-		if m == nil {
-			continue
-		}
-		def := zeroOf[m[2]]
-		if i+1 < len(lines) {
-			// A string's default prints quoted; an unquoted one is usage text.
-			if d := defaultText.FindStringSubmatch(lines[i+1]); d != nil && (m[2] != "string" || d[1][0] == '"') {
-				def = strings.Trim(d[1], `"`)
-			}
-		}
-		pairs = append(pairs, m[1]+"="+def)
-	}
-	sort.Strings(pairs)
-	return strings.Join(pairs, " ")
-}
-
 func TestFlagsPinned(t *testing.T) {
-	dir := t.TempDir()
-	for _, b := range []string{"cloudeval", "cloudevald", "evalnode", "datasetgen"} {
-		if out, err := exec.Command("go", "build", "-o", filepath.Join(dir, b), "cloudeval/cmd/"+b).CombinedOutput(); err != nil {
-			t.Fatalf("go build %s: %v\n%s", b, err, out)
+	for name, cmd := range commands {
+		fs := flag.NewFlagSet(name, flag.ContinueOnError)
+		cmd(fs)
+		var pairs []string
+		fs.VisitAll(func(f *flag.Flag) { pairs = append(pairs, f.Name+"="+f.DefValue) })
+		want, ok := pinnedFlags[name]
+		if !ok {
+			t.Errorf("%s has no pinned flags", name)
+		} else if got := strings.Join(pairs, " "); got != want {
+			t.Errorf("%s flags:\n got %s\nwant %s", name, got, want)
 		}
 	}
-	for cmd, want := range pinnedFlags {
-		argv, ok := binaries[cmd]
-		if !ok {
-			argv = []string{"cloudeval", cmd}
-		}
-		out, _ := exec.Command(filepath.Join(dir, argv[0]), append(argv[1:], "-h")...).CombinedOutput()
-		if got := helpFlags(string(out)); got != want {
-			t.Errorf("%s flags:\n got %s\nwant %s", cmd, got, want)
-		}
+	if len(pinnedFlags) != len(commands) {
+		t.Errorf("%d subcommands pinned, %d exist", len(pinnedFlags), len(commands))
+	}
+}
+
+// TestCloseReturnsGenerationError: a campaign renders a failed
+// generation as an empty answer and carries on, so the chain's close
+// is where the failure must surface, and with it the exit status.
+func TestCloseReturnsGenerationError(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "empty.trace")
+	if err := os.WriteFile(trace, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	w := newWiring()
+	w.replay = trace
+	c, err := w.open()
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.ev.Model(llm.Models[0], dataset.Generate()[:1], llm.GenOptions{})
+	if err := c.close(); err == nil || !strings.Contains(err.Error(), "has no entry") {
+		t.Fatalf("close = %v, want the replay miss", err)
 	}
 }

@@ -157,7 +157,7 @@ func (b *Benchmark) Table4() string {
 
 // FamilyLeaderboard renders per-workload-family unit-test scores for
 // every model over the full corpus, one column per registered scenario
-// backend plus the overall average — the per-family rows the cloudevald
+// backend plus the overall average — the per-family rows the daemon's
 // leaderboard serves, covering the extension families Table 4 pins out.
 func (b *Benchmark) FamilyLeaderboard() string {
 	rows, raw := b.ZeroShot()

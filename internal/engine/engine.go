@@ -317,7 +317,7 @@ func (e *Engine) unitTest(p dataset.Problem, answer string) (unittest.Result, bo
 }
 
 // RunOne executes a single job, resolving its problem by ID — the
-// per-job contract of Run, exported so streaming callers (the evalnode
+// per-job contract of Run, exported so streaming callers (cloudeval node
 // master's generation pipeline) can drive jobs one at a time as their
 // answers arrive instead of materializing the whole batch first. An
 // unknown problem ID or executor failure produces a Result with Error

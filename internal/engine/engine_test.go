@@ -438,7 +438,7 @@ func (s *memStore) Put(test, answer [32]byte, res unittest.Result) {
 }
 
 // TestEngineCacheStaysUnderBudget floods one engine with more distinct
-// literal answers than its cache budget holds — what cloudevald's
+// literal answers than its cache budget holds — what the daemon's
 // /v1/eval traffic does over days. Resident cost stays under the
 // budget, every answer still gets its own result, and an evicted key
 // is served by the next tier down: the store when there is one, a

@@ -133,8 +133,8 @@ func startStore(t *testing.T) string {
 	return addr
 }
 
-// TestMasterWorkerOverTCP exercises the coordination path evalnode
-// master takes: an engine over a ClusterExecutor, a miniredis server,
+// TestMasterWorkerOverTCP exercises the coordination path cloudeval
+// node master takes: an engine over a ClusterExecutor, a miniredis server,
 // several workers, real sockets.
 func TestMasterWorkerOverTCP(t *testing.T) {
 	addr := startStore(t)

@@ -7,7 +7,7 @@
 //     Figure 5's evaluation-time curves;
 //   - Master/Worker: real components coordinating through a Redis-
 //     compatible store over TCP, executing unit tests in the simulated
-//     cluster. They power cmd/evalnode and the cluster-eval example.
+//     cluster. They power cloudeval node and the cluster-eval example.
 package evalcluster
 
 import (

@@ -7,8 +7,8 @@ import (
 	"cloudeval/internal/llm"
 )
 
-// OpenSpec builds the provider a CLI flag triple selects — shared by
-// cloudeval and cloudevald so the flag semantics cannot drift:
+// OpenSpec builds the provider a CLI flag triple selects — the one
+// call cmd/cloudeval's wiring makes for every subcommand:
 //
 //	replay != ""          serve the JSONL trace at that path (zero live calls)
 //	provider == "sim"     the deterministic zoo

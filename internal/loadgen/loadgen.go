@@ -1,4 +1,4 @@
-// Package loadgen is the cloudevald load-generation harness: it
+// Package loadgen is cloudeval serve's load-generation harness: it
 // synthesizes (or replays) a mix of /v1 requests over the benchmark
 // corpus, fires them at a target QPS with bounded concurrency through
 // the typed client, and reports throughput, latency percentiles and
@@ -49,18 +49,21 @@ type Mix struct {
 	Eval        int `json:"eval"`
 	EvalModel   int `json:"eval_model"`
 	Leaderboard int `json:"leaderboard"`
+	Families    int `json:"families"`
 	Stats       int `json:"stats"`
 	Campaign    int `json:"campaign"`
 }
 
 // DefaultMix is an eval-heavy service profile: mostly single-answer
-// scoring, some model generations, a trickle of leaderboard, stats and
-// campaign traffic.
+// scoring, some model generations, a trickle of leaderboard (paper and
+// per-family), stats and campaign traffic.
 func DefaultMix() Mix {
-	return Mix{Eval: 70, EvalModel: 10, Leaderboard: 5, Stats: 10, Campaign: 5}
+	return Mix{Eval: 70, EvalModel: 10, Leaderboard: 3, Families: 2, Stats: 10, Campaign: 5}
 }
 
-func (m Mix) total() int { return m.Eval + m.EvalModel + m.Leaderboard + m.Stats + m.Campaign }
+func (m Mix) total() int {
+	return m.Eval + m.EvalModel + m.Leaderboard + m.Families + m.Stats + m.Campaign
+}
 
 // campaignSets are the experiment sets synthesized campaign ops cycle
 // through: the cheap static tables, so a campaign op measures the
@@ -95,7 +98,9 @@ func Synthesize(problems []dataset.Problem, models []string, tenants []string, n
 			op = Op{Op: "eval_model", Problem: p.ID, Model: models[rng.Intn(len(models))]}
 		case w < mix.Eval+mix.EvalModel+mix.Leaderboard:
 			op = Op{Op: "leaderboard"}
-		case w < mix.Eval+mix.EvalModel+mix.Leaderboard+mix.Stats:
+		case w < mix.Eval+mix.EvalModel+mix.Leaderboard+mix.Families:
+			op = Op{Op: "families"}
+		case w < mix.Eval+mix.EvalModel+mix.Leaderboard+mix.Families+mix.Stats:
 			op = Op{Op: "stats"}
 		default:
 			op = Op{Op: "campaign", Experiments: campaignSets[rng.Intn(len(campaignSets))]}
@@ -149,7 +154,7 @@ func LoadTrace(path string) ([]Op, error) {
 
 // Config parameterizes one load run.
 type Config struct {
-	// BaseURL is the cloudevald instance under load.
+	// BaseURL is the daemon under load.
 	BaseURL string
 	// QPS is the offered load; 0 emits as fast as workers drain.
 	QPS float64

@@ -69,9 +69,33 @@ func TestSynthesizeDeterministic(t *testing.T) {
 			}
 		}
 	}
-	// With the default eval-heavy mix over 200 ops, evals dominate.
-	if counts["eval"] == 0 || counts["stats"] == 0 {
+	// With the default eval-heavy mix over 200 ops, evals dominate,
+	// and both leaderboards are requested.
+	if counts["eval"] == 0 || counts["stats"] == 0 || counts["leaderboard"] == 0 || counts["families"] == 0 {
 		t.Errorf("mix not represented: %v", counts)
+	}
+}
+
+// TestFamiliesSplitLeaderboard: Families takes two of the five weights
+// leaderboard had, right after it, so a seed draws the same stream as
+// before and only some leaderboard ops become families ops.
+func TestFamiliesSplitLeaderboard(t *testing.T) {
+	problems := dataset.Generate()[:6]
+	models := []string{"gpt-4", "llama-2-7b"}
+	now, _ := Synthesize(problems, models, nil, 400, 42, DefaultMix())
+	before, _ := Synthesize(problems, models, nil, 400, 42, Mix{Eval: 70, EvalModel: 10, Leaderboard: 5, Stats: 10, Campaign: 5})
+	families := 0
+	for i := range now {
+		if now[i].Op == "families" && before[i].Op == "leaderboard" {
+			families++
+			now[i].Op = "leaderboard"
+		}
+		if !reflect.DeepEqual(now[i], before[i]) {
+			t.Fatalf("op %d = %+v, was %+v", i, now[i], before[i])
+		}
+	}
+	if families == 0 {
+		t.Fatal("no leaderboard op became families")
 	}
 }
 
@@ -156,7 +180,7 @@ func waitCampaigns(t *testing.T, baseURL string, ops []Op) {
 }
 
 // TestRunAgainstServer drives a synthesized trace at an in-process
-// cloudevald and checks the report's accounting: every op completed,
+// daemon and checks the report's accounting: every op completed,
 // ordered percentiles, throughput and per-op slices.
 func TestRunAgainstServer(t *testing.T) {
 	bench, ts := benchAndServer(t, server.Config{})

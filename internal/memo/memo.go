@@ -34,7 +34,7 @@
 // the entry up its recency list.
 //
 // Entry count in Cache is capped: its users are fed by model-generated
-// text, which in a long-lived cloudevald daemon sampling at nonzero
+// text, which in a long-lived daemon (cloudeval serve) sampling at nonzero
 // temperature is unbounded. A full cache keeps serving hits for what
 // it already holds and computes everything else fresh — performance
 // degrades to the uncached path, memory does not grow.

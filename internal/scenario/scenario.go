@@ -8,7 +8,7 @@
 // (llm.Postprocess, analysis.Categorize), the reference-corruptor
 // profile and difficulty base the simulated models draw on (llm), and
 // the per-family analysis grouping (analysis.Figure6Slices, the
-// cloudevald family leaderboard).
+// daemon's family leaderboard).
 //
 // Adding a workload family is one Register call: provide an
 // environment whose shell binds the family's tools, point the backend

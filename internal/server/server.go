@@ -1,4 +1,4 @@
-// Package server implements the cloudevald HTTP service: the
+// Package server implements the HTTP service cloudeval serve runs: the
 // CloudEval-YAML benchmark as a long-lived, multi-tenant daemon over a
 // shared engine and persistent evaluation store. Endpoints (documented
 // in detail in API.md at the repository root):
@@ -64,7 +64,7 @@ import (
 // Config tunes the service tier. The zero value is fully permissive —
 // no rate limit, unbounded campaign admission — matching the
 // pre-tenancy daemon, so embedded and test servers need no
-// configuration. cloudevald exposes each knob as a flag.
+// configuration. cloudeval serve exposes each knob as a flag.
 type Config struct {
 	// TenantRate is the per-tenant token-bucket refill rate, in
 	// requests per second, applied to POST /v1/eval and POST

@@ -357,7 +357,7 @@ func TestCampaignAsyncResume(t *testing.T) {
 }
 
 // TestColdStartWarmStore is the daemon-side acceptance contract: a
-// cold-started cloudevald whose engine sits on a warm persistent store
+// cold-started daemon whose engine sits on a warm persistent store
 // serves the Table 4 leaderboard byte-identical to core.Benchmark
 // without executing a single unit test.
 func TestColdStartWarmStore(t *testing.T) {
