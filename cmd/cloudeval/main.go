@@ -230,14 +230,10 @@ func manifest(problems []dataset.Problem) string {
 // store, its shard layout and batching ratio and the two in-memory
 // caches above it (the counters GET /v1/stats serves), and, with a
 // store or a non-default provider, the dispatcher counters and the
-// metered inference cost. executed adds the engine's execution line.
-func (c *chain) report(w *wiring, executed bool) {
+// metered inference cost.
+func (c *chain) report(w *wiring) {
 	ev := c.ev
 	if st := c.store; st != nil {
-		es := ev.Engine().Stats()
-		if executed {
-			fmt.Printf("engine: %d executed, %d memory hits, %d store hits\n", es.Executed, es.CacheHits, es.StoreHits)
-		}
 		ratio := 0.0
 		if f := st.Flushes(); f > 0 {
 			ratio = float64(st.Appended()) / float64(f)
@@ -253,7 +249,7 @@ func (c *chain) report(w *wiring, executed bool) {
 		op := st.LastOpen()
 		fmt.Fprintf(os.Stderr, "store: open %.1fms — %d frames scanned (%d legacy JSON), index ~%.1f MiB resident\n",
 			float64(op.Duration.Microseconds())/1e3, op.ScannedFrames, op.LegacyFrames, float64(st.ResidentBytes())/(1<<20))
-		gs := ev.Dispatcher().Stats()
+		es, gs := ev.Engine().Stats(), ev.Dispatcher().Stats()
 		fmt.Fprintf(os.Stderr, "caches: engine %d entries, %.1f MiB, %d evictions; inference %d entries, %.1f MiB, %d evictions\n",
 			es.CacheEntries, float64(es.CacheBytes)/(1<<20), es.CacheEvictions,
 			gs.CacheEntries, float64(gs.CacheBytes)/(1<<20), gs.CacheEvictions)
@@ -293,7 +289,11 @@ func cmdBench(fs *flag.FlagSet) func() error {
 		}
 		defer c.closeOnReturn(&retErr)
 		fmt.Println(c.benchmark().Table4())
-		c.report(w, true)
+		if c.store != nil {
+			es := c.ev.Engine().Stats()
+			fmt.Printf("engine: %d executed, %d memory hits, %d store hits\n", es.Executed, es.CacheHits, es.StoreHits)
+		}
+		c.report(w)
 		return nil
 	}
 }
@@ -420,7 +420,7 @@ func cmdCampaign(fs *flag.FlagSet) func() error {
 		}
 		fmt.Fprintf(os.Stderr, "campaign: %d ran, %d resumed from checkpoint\n",
 			len(report.Ran), len(report.Skipped))
-		c.report(w, false)
+		c.report(w)
 		return nil
 	}
 }
