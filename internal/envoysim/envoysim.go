@@ -11,8 +11,8 @@
 package envoysim
 
 import (
-	"crypto/sha256"
 	"fmt"
+	"hash/maphash"
 	"strings"
 
 	"cloudeval/internal/memo"
@@ -55,16 +55,17 @@ type Endpoint struct {
 	Port    int
 }
 
-// LoadCached is Load through a content-addressed cache: each distinct
-// bootstrap text is parsed and validated once per process, and the
-// resulting Bootstrap is shared. This is safe because a Bootstrap is
-// immutable after Load — Probe and RouteFor only read — and
-// it matters because every "envoy -c file" in a unit-test script
-// re-loads the same config on the cold evaluation path.
+// LoadCached is Load through the bootstrap cache, keyed by the config
+// text: each distinct bootstrap text is parsed and validated once per
+// process while its entry lasts, and the resulting Bootstrap is shared.
+// This is safe because a Bootstrap is immutable after Load — Probe and
+// RouteFor only read — and it matters because every "envoy -c file" in
+// a unit-test script re-loads the same config on the cold evaluation
+// path.
 func LoadCached(src string) (*Bootstrap, error) {
-	o := bootCache.Do(memo.Digest(src), func() *bootOutcome {
+	o, _, _ := bootCache.Do(src, func() (bootOutcome, int64, error) {
 		boot, err := Load(src)
-		return &bootOutcome{boot: boot, err: err}
+		return bootOutcome{boot, err}, bootCost(src), nil
 	})
 	return o.boot, o.err
 }
@@ -74,9 +75,22 @@ type bootOutcome struct {
 	err  error
 }
 
-// Bootstrap texts come from answer files, so the cache is capped like
-// the yamlx document cache.
-var bootCache = memo.New[[sha256.Size]byte, *bootOutcome](1 << 14)
+// Bootstrap texts come from answer files, so the cache is held to a
+// byte budget like the yamlx document cache. Every experiment of
+// cloudeval figures together loads 1,003 distinct texts, charged 2 MB.
+const bootBudget = 16 << 20
+
+// bootCost charges an entry its key text plus its Bootstrap, measured
+// at half the text on the corpus's envoy references (the parsed
+// documents are the document cache's to charge).
+func bootCost(src string) int64 { return memo.EntryOverhead + 2*int64(len(src)) }
+
+var (
+	bootSeed  = maphash.MakeSeed()
+	bootCache = memo.NewLRU[string, bootOutcome](bootShard, bootBudget)
+)
+
+func bootShard(s string) uint32 { return uint32(maphash.String(bootSeed, s)) }
 
 // Load parses and validates a bootstrap config from YAML text.
 func Load(src string) (*Bootstrap, error) {

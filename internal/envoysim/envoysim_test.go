@@ -3,6 +3,8 @@ package envoysim
 import (
 	"strings"
 	"testing"
+
+	"cloudeval/internal/raceflag"
 )
 
 const goodConfig = `static_resources:
@@ -160,5 +162,23 @@ func TestRedirectRoutesAreLegal(t *testing.T) {
 	// The redirect route is not routable to a cluster, but "/" still is.
 	if got := b.RouteFor(10000, "/page"); got != "web_cluster" {
 		t.Errorf("fallback route = %q", got)
+	}
+}
+
+// TestLoadCachedHit: a repeated LoadCached hands back the Bootstrap the
+// first one built and allocates nothing.
+func TestLoadCachedHit(t *testing.T) {
+	b1, err := LoadCached(goodConfig)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if b2, _ := LoadCached(goodConfig); b2 != b1 {
+		t.Fatal("a repeated LoadCached built a second Bootstrap")
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() { LoadCached(goodConfig) }); allocs != 0 {
+		t.Errorf("a bootstrap-cache hit allocates %.0f times, want 0", allocs)
 	}
 }

@@ -6,10 +6,10 @@ import (
 	"sync"
 )
 
-// LRU is a sharded singleflight cache under a byte budget: the
-// engine's execution cache and the dispatcher's generation cache. Keys
-// hash into shards, each with its own mutex, map and recency list, so
-// concurrent calls on different keys never serialize on one lock.
+// LRU is a sharded singleflight cache under a byte budget, behind every
+// process-wide cache the package comment lists. Keys hash into shards,
+// each with its own mutex, map and recency list, so concurrent calls on
+// different keys never serialize on one lock.
 //
 // Do is its one operation, the singleflight contract for expensive,
 // fallible computations: concurrent calls with the same key collapse

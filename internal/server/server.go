@@ -88,8 +88,7 @@ type Config struct {
 	Store *store.Store
 }
 
-// Server serves one benchmark instance. Construct with New or
-// NewWithConfig.
+// Server serves one benchmark instance. Construct with NewWithConfig.
 type Server struct {
 	bench   *core.Benchmark
 	dataDir string

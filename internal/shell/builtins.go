@@ -2,6 +2,7 @@ package shell
 
 import (
 	"fmt"
+	"hash/maphash"
 	"regexp"
 	"strconv"
 	"strings"
@@ -127,18 +128,25 @@ func builtinGrep(in *Interp, io *IO, args []string) int {
 	for i := 0; i < len(args); i++ {
 		a := args[i]
 		switch {
-		case a == "-q":
-			quiet = true
-		case a == "-v":
-			invert = true
-		case a == "-c":
-			count = true
-		case a == "-i":
-			ignoreCase = true
-		case a == "-o":
-			only = true
-		case a == "-E" || a == "-e":
-			if a == "-e" && i+1 < len(args) {
+		case len(a) > 1 && a[0] == '-' && strings.Trim(a[1:], "qvcioE") == "":
+			// One flag or several combined (-qi, -io); -E is the
+			// default syntax already.
+			for _, f := range a[1:] {
+				switch f {
+				case 'q':
+					quiet = true
+				case 'v':
+					invert = true
+				case 'c':
+					count = true
+				case 'i':
+					ignoreCase = true
+				case 'o':
+					only = true
+				}
+			}
+		case a == "-e":
+			if i+1 < len(args) {
 				pattern = args[i+1]
 				havePattern = true
 				i++
@@ -219,22 +227,38 @@ type grepKey struct {
 	fold    bool
 }
 
-// grepMatchers holds each matcher the first time a script asks for
-// it. Patterns are mostly the constants of the corpus, but one built
-// from a variable holds model output, hence the cap.
-var grepMatchers = memo.New[grepKey, grepMatcher](1 << 10)
+// grepBudget bounds the matcher cache. Patterns are mostly the
+// constants of the corpus — every experiment of cloudeval figures
+// together compiles 65, charged 225 KB — but one built from a variable
+// holds model output.
+const grepBudget = 4 << 20
+
+// grepCost charges an entry its pattern plus its compiled regexp,
+// measured at about 1 KB for a short pattern and 50 bytes more per
+// pattern byte.
+func grepCost(pattern string) int64 { return memo.EntryOverhead + 1<<10 + 64*int64(len(pattern)) }
+
+// grepMatchers holds each matcher the first time a script asks for it.
+var (
+	grepSeed     = maphash.MakeSeed()
+	grepMatchers = memo.NewLRU[grepKey, grepMatcher](grepShard, grepBudget)
+)
+
+func grepShard(k grepKey) uint32 { return uint32(maphash.String(grepSeed, k.pattern)) }
 
 func compileGrep(pattern string, ignoreCase bool) grepMatcher {
-	return grepMatchers.Do(grepKey{pattern, ignoreCase}, func() grepMatcher {
+	m, _, _ := grepMatchers.Do(grepKey{pattern, ignoreCase}, func() (grepMatcher, int64, error) {
 		p := pattern
 		if ignoreCase {
 			p = "(?i)" + p
 		}
+		m := grepMatcher{literal: pattern, fold: ignoreCase}
 		if re, err := regexp.Compile(p); err == nil {
-			return grepMatcher{re: re}
+			m = grepMatcher{re: re}
 		}
-		return grepMatcher{literal: pattern, fold: ignoreCase}
+		return m, grepCost(pattern), nil
 	})
+	return m
 }
 
 func (g grepMatcher) match(line string) bool {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"cloudeval/internal/raceflag"
 )
 
 func run(t *testing.T, script string) Result {
@@ -200,6 +202,41 @@ func TestGrep(t *testing.T) {
 	res = run(t, `echo -e "a\nb\na" | grep -c a`)
 	if res.Stdout != "2\n" {
 		t.Errorf("grep -c = %q", res.Stdout)
+	}
+}
+
+// TestGrepCombinedFlags: letters of -q, -v, -c, -i, -o and -E combine
+// into one argument as in GNU grep; any other letter leaves the
+// argument ignored, as an unknown flag is.
+func TestGrepCombinedFlags(t *testing.T) {
+	for _, tc := range []struct {
+		script, stdout string
+		exit           int
+	}{
+		{`echo -e "Running\nPending" | grep -qi running`, "", 0},
+		{`echo -e "Running\nPending" | grep -io RUN`, "Run\n", 0},
+		{`echo -e "a\nb\na" | grep -vc a`, "1\n", 0},
+		{`echo -e "a\nb" | grep -Ev a`, "b\n", 0},
+		{`echo -e "A\na" | grep -iz a`, "a\n", 0},
+	} {
+		if res := run(t, tc.script); res.Stdout != tc.stdout || res.ExitCode != tc.exit {
+			t.Errorf("%s: stdout %q exit %d, want %q exit %d", tc.script, res.Stdout, res.ExitCode, tc.stdout, tc.exit)
+		}
+	}
+}
+
+// TestGrepMatcherHit: a repeated matcher lookup hands back the compiled
+// regexp the first one built and allocates nothing.
+func TestGrepMatcherHit(t *testing.T) {
+	m := compileGrep("Run+ing", true)
+	if again := compileGrep("Run+ing", true); m.re == nil || again.re != m.re {
+		t.Fatal("a repeated lookup compiled the pattern again")
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() { compileGrep("Run+ing", true) }); allocs != 0 {
+		t.Errorf("a grep-matcher hit allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -1,17 +1,16 @@
 package yamlx
 
 import (
-	"crypto/sha256"
+	"hash/maphash"
 
 	"cloudeval/internal/memo"
 )
 
-// The parsed-document cache: YAML sources are content-addressed by
-// digest and parsed exactly once per process. The evaluation cold path
-// re-reads the same texts constantly — every kubectl apply of
-// labeled_code.yaml re-parses the candidate answer, and so does every
-// YAML-aware metric — so a cache miss in the engine no longer implies
-// a re-parse here.
+// The parsed-document cache: each YAML text is parsed exactly once per
+// process while its entry lasts. The evaluation cold path re-reads the
+// same texts constantly — every kubectl apply of labeled_code.yaml
+// re-parses the candidate answer, and so does every YAML-aware metric —
+// so a cache miss in the engine no longer implies a re-parse here.
 //
 // Cached documents are shared across goroutines and MUST be treated as
 // immutable. Callers that change what they parsed copy first, and only
@@ -21,27 +20,42 @@ import (
 // answer sampled at high temperature is diagnosed once, not once per
 // metric or apply.
 //
-// The cache is fed by model-generated answer text, which a long-lived
-// daemon sampling at nonzero temperature makes unbounded — hence the
-// entry cap (see the memo package): a full cache serves what it holds
-// and parses the rest fresh instead of growing forever.
+// The cache is keyed by the text itself and fed by model-generated
+// answers, which a long-lived daemon sampling at nonzero temperature
+// makes unbounded — hence the byte budget (see the memo package).
 
 type docOutcome struct {
 	docs []*Node
 	err  error
 }
 
-var docCache = memo.New[[sha256.Size]byte, *docOutcome](1 << 16)
+// docBudget bounds what the cache retains. A full Table 4 campaign
+// keeps 5,245 texts charged 29 MB, every experiment of cloudeval
+// figures together 6,491 charged 37.5 MB, so no benchmark workload
+// evicts.
+const docBudget = 128 << 20
 
-// ParseAllCached is ParseAll through the content-addressed document
-// cache. The returned nodes are shared: callers must not mutate them.
-// Use Clone or ShallowClone when mutation is needed. The text is a
-// string because every caller holds one; a hit hashes it without a heap
-// copy and only the parse a miss runs converts it.
+// docCost charges an entry its key text plus its parsed documents,
+// measured at 12.5 times the text on a 320-byte manifest and 7.8 times
+// on a 1 MiB one.
+func docCost(src string) int64 { return memo.EntryOverhead + 16*int64(len(src)) }
+
+var (
+	docSeed  = maphash.MakeSeed()
+	docCache = memo.NewLRU[string, docOutcome](docShard, docBudget)
+)
+
+func docShard(s string) uint32 { return uint32(maphash.String(docSeed, s)) }
+
+// ParseAllCached is ParseAll through the document cache. The returned
+// nodes are shared: callers must not mutate them. Use Clone or
+// ShallowClone when mutation is needed. The text is a string because
+// every caller holds one; a hit only hashes and compares it, and only
+// the parse a miss runs converts it.
 func ParseAllCached(src string) ([]*Node, error) {
-	o := docCache.Do(memo.Digest(src), func() *docOutcome {
+	o, _, _ := docCache.Do(src, func() (docOutcome, int64, error) {
 		docs, err := ParseAll([]byte(src))
-		return &docOutcome{docs: docs, err: err}
+		return docOutcome{docs, err}, docCost(src), nil
 	})
 	return o.docs, o.err
 }

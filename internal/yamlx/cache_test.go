@@ -175,3 +175,29 @@ func TestDigestOfIsSum256(t *testing.T) {
 		t.Errorf("a document-cache hit allocates %.0f times, want 0", allocs)
 	}
 }
+
+// TestDocCacheFloodStaysUnderBudget: a flood of distinct ~1 MiB texts,
+// /v1/eval's largest bodies, twice the budget as charged, never holds
+// more than the budget, and a text after the flood is still admitted
+// and then hit. A text costlier than a whole shard's share is refused,
+// which is what a machine with many shards does with these.
+func TestDocCacheFloodStaysUnderBudget(t *testing.T) {
+	EmptyCache(t)
+	body := strings.Repeat("x", 1<<20-1<<12) // one scalar, cheap to parse
+	for i := int64(0); i <= 2*docBudget/docCost(body); i++ {
+		src := fmt.Sprintf("k%d: %s\n", i, body)
+		if docs, err := ParseAllCached(src); err != nil || len(docs) != 1 {
+			t.Fatalf("flood text %d: %d documents, %v", i, len(docs), err)
+		}
+		if st := docCache.Stats(); st.Bytes > st.Capacity {
+			t.Fatalf("after %d flood texts the cache holds %d bytes, over its %d budget", i+1, st.Bytes, st.Capacity)
+		}
+	}
+	before := docCache.Stats()
+	t.Logf("after the flood: %+v", before)
+	d1, _ := ParseAllCached(cachedDoc)
+	d2, _ := ParseAllCached(cachedDoc)
+	if st := docCache.Stats(); d1[0] != d2[0] || st.Hits != before.Hits+1 {
+		t.Fatalf("a text after the flood was not cached: %+v before, %+v after", before, st)
+	}
+}
