@@ -357,10 +357,19 @@ func TestWarmStoreFullCampaign(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st2.Close()
+	// One frame per key: a campaign records each result once, which is
+	// why the store needs no compaction. A key re-recorded with new
+	// content would show here as a superseded frame.
+	if op := st2.LastOpen(); op.ScannedFrames != st2.Len() {
+		t.Errorf("cold campaign left %d frames for %d keys, want one frame per key", op.ScannedFrames, st2.Len())
+	}
 	exec := &countingExecutor{}
 	warmEng := engine.New(engine.WithExecutor(exec), engine.WithStore(st2))
 	warmRows, _ := score.NewEvaluator(warmEng, gen).Benchmark(llm.Models, full)
 
+	if got := st2.Appended(); got != 0 {
+		t.Errorf("warm campaign appended %d frames, want 0", got)
+	}
 	if got := exec.runs.Load(); got != 0 {
 		t.Errorf("warm campaign executed %d unit tests, want 0", got)
 	}

@@ -8,15 +8,13 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
 
-// errLogClosed is returned by logFile.pread after the handle has been
-// swapped out (compaction) or the store closed. Readers holding a
-// pre-swap index entry retry against the refreshed entry; a pread must
-// never land on a recycled file descriptor.
+// errLogClosed is returned by logFile.pread once the store has been
+// closed: a Get racing Close misses, and its pread never lands on a
+// recycled file descriptor.
 var errLogClosed = errors.New("store: log file closed")
 
 // errCorruptFrame marks an on-demand read whose frame failed its
@@ -24,10 +22,10 @@ var errLogClosed = errors.New("store: log file closed")
 var errCorruptFrame = errors.New("store: corrupt frame")
 
 // logFile wraps one log's *os.File behind a close guard so on-demand
-// reads (Get pread) can race compaction's handle swap safely: pread
-// takes the read half, close takes the write half, and a pread after
-// close reports errLogClosed instead of touching a dead (or worse,
-// recycled) descriptor.
+// reads (Get pread) can race Close safely: pread takes the read half,
+// close takes the write half, and a pread after close reports
+// errLogClosed instead of touching a dead (or worse, recycled)
+// descriptor.
 type logFile struct {
 	mu     sync.RWMutex
 	f      *os.File
@@ -77,12 +75,14 @@ type segment struct {
 	scanFrames   int
 	legacyFrames int
 
-	// mu guards the log half: the logFile handle, the logical size,
-	// the group-commit pending buffer and its batch/flush bookkeeping,
-	// and appendErr. Index reads never take it.
+	// lf is set by newSegment and closed by close, never replaced.
+	lf *logFile
+
+	// mu guards the log half: the logical size, the group-commit
+	// pending buffer and its batch/flush bookkeeping, and appendErr.
+	// Index reads never take it.
 	mu      sync.Mutex
 	flushed sync.Cond // signaled whenever flushedBatch advances
-	lf      *logFile
 	// size is the segment's logical end: file length plus enqueued but
 	// not yet flushed bytes. Frames are assigned their offsets here, at
 	// enqueue time — batches flush strictly in order, so the logical
@@ -196,16 +196,15 @@ func (seg *segment) replay(s *Store) error {
 //
 // A frame whose length and CRC st already holds for k is an identical
 // re-record (encoding is deterministic): it is cut off again and the log
-// does not grow. Otherwise k's index entry is set now, under seg.mu
-// (then the stripe lock, the order compact uses): compact holds seg.mu,
-// so every frame it drains into the old file is already indexed and is
-// carried into the rewrite.
+// does not grow. Otherwise k's index entry is set now, under seg.mu,
+// so a get that finds it before the batch is written drains the shard
+// and reads it back.
 func (seg *segment) appendWait(k key, st *stripe, enc func(dst []byte) []byte) {
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
 	if seg.appendErr != nil {
-		// The log is broken (failed append or a lost post-compaction
-		// reopen): don't pretend further appends persist.
+		// The log is broken (a failed append): don't pretend further
+		// appends persist.
 		return
 	}
 	start := len(seg.pending)
@@ -286,113 +285,6 @@ func (seg *segment) count(kd kind) int {
 		st.mu.RUnlock()
 	}
 	return n
-}
-
-// compact rewrites this shard's segment to exactly one frame per key —
-// the newest — via a temp file atomically renamed over path. Frames
-// are copied raw from their source log, byte-identical and
-// CRC-reverified in flight — compaction neither decodes nor re-encodes
-// a payload.
-//
-// Holding the shard's log lock throughout keeps this shard's
-// concurrent appends queued in pending until the new handle is in
-// place; appends to other shards never touch this lock. Entries
-// installed at enqueue time under that same lock guarantee the
-// collected index covers every frame drained into the old file, so
-// nothing racing the rewrite is lost either side of the rename.
-func (seg *segment) compact(path string) error {
-	seg.mu.Lock()
-	defer seg.mu.Unlock()
-	seg.drainLocked()
-
-	// Collect this shard's index slice. Stripe read-locks nest inside
-	// seg.mu here; writers never hold a stripe lock while acquiring
-	// seg.mu, so the order cannot invert.
-	var live []indexed
-	for i := range seg.idx {
-		st := &seg.idx[i]
-		st.mu.RLock()
-		for k, e := range st.m {
-			live = append(live, indexed{k, e})
-		}
-		st.mu.RUnlock()
-	}
-	sort.Slice(live, func(i, j int) bool { return live[i].k.less(live[j].k) })
-
-	tmpPath := path + ".compact"
-	tmp, err := os.OpenFile(tmpPath, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpPath)
-		return err
-	}
-
-	// Copy each newest frame raw, re-pointing its collected entry at
-	// its offset in the rewrite. The index itself is untouched until
-	// the rewrite is in place.
-	var off int64
-	var buf []byte
-	for i := range live {
-		e := &live[i].e
-		if buf, err = e.read(buf); err != nil {
-			return fail(fmt.Errorf("store: compact read at offset %d: %w", e.off, err))
-		}
-		if _, err := tmp.Write(buf); err != nil {
-			return fail(err)
-		}
-		e.off = off
-		off += int64(e.n)
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpPath)
-		return err
-	}
-
-	// Remove a leftover index sidecar (<segment>.idx, written by earlier
-	// versions) BEFORE the segment swap: it describes the bytes about to
-	// be replaced, and a version that still reads sidecars would trust
-	// it, scan from mid-frame and truncate the rewrite.
-	if err := os.Remove(path + ".idx"); err != nil && !os.IsNotExist(err) {
-		os.Remove(tmpPath)
-		return fmt.Errorf("store: remove stale index sidecar: %w", err)
-	}
-	if err := os.Rename(tmpPath, path); err != nil {
-		os.Remove(tmpPath)
-		return err
-	}
-	// Swap the handle to the compacted segment. If the reopen fails,
-	// the old handle now points at the unlinked pre-compaction inode —
-	// keep serving reads from it, but latch the error so appends stop
-	// being trusted and Sync/Close surface it, instead of silently
-	// persisting into an orphan.
-	f, err := os.OpenFile(path, os.O_RDWR|os.O_APPEND, 0o644)
-	if err != nil {
-		if seg.appendErr == nil {
-			seg.appendErr = fmt.Errorf("store: reopen after compaction: %w", err)
-		}
-		return err
-	}
-	newLF := newLogFile(f)
-
-	// Point every index entry at its frame in the rewrite. Appends to
-	// this shard are still queued on seg.mu, so the stripe contents are
-	// exactly the collected set; concurrent gets that raced the swap
-	// retry via errLogClosed and land on the refreshed entries.
-	for i := range live {
-		live[i].e.src = newLF
-		seg.idx[live[i].k.stripe()].set(live[i].k, live[i].e)
-	}
-	old := seg.lf
-	seg.lf = newLF
-	seg.size = off
-	old.close()
-	return nil
 }
 
 // sync flushes pending batches and the segment to stable storage, and

@@ -19,14 +19,13 @@
 // else: key is {kind byte; a, b digest} — (test, answer) for a
 // unit-test result, (request key, zero) for a generation — and record
 // is the decoded payload (three int64 fields and the output or text).
-// One index, one get, one put and one compaction loop serve every
-// kind; Get/Put/GetGen/PutGen only convert records to and from
-// unittest.Result and inference.Response, and the payload codec
-// (codec.go: appendFrame for put, payloadKey for the scan, decode for get)
-// is the only code that knows what a payload looks like. The kind byte
-// is part of the key everywhere a key is used (index, frame, compaction
-// order), so the same 32 bytes used as a generation key and as a
-// unit-test digest never alias.
+// One index, one get and one put serve every kind; Get/Put/GetGen/PutGen
+// only convert records to and from unittest.Result and
+// inference.Response, and the payload codec (codec.go: appendFrame for
+// put, payloadKey for the scan, decode for get) is the only code that
+// knows what a payload looks like. The kind byte is part of the key
+// everywhere a key is used (index, frame), so the same 32 bytes used as
+// a generation key and as a unit-test digest never alias.
 //
 // # Sharded layout
 //
@@ -38,15 +37,10 @@
 // stripes. Concurrent Puts to different shards land on independent
 // files with independent write batches instead of serializing on one
 // committer; Open replays all segments in parallel (one goroutine and
-// one reusable payload buffer per shard); Compact rewrites shards
-// concurrently, and compacting shard k never blocks appends to the
-// others.
+// one reusable payload buffer per shard).
 //
 // A regular file at <path> itself is a log in the pre-shard
-// single-file layout. Open migrates it once — its newest frame per
-// key, raw, into the owning shards, unless a segment already holds
-// that key — and removes it (see migrateLegacy); nothing else in the
-// package knows the layout existed.
+// single-file layout. Open refuses it before creating anything.
 //
 // # On-disk format
 //
@@ -61,8 +55,8 @@
 // has the offsets). The JSON layout — a '{', hex digests, named fields
 // — is what every store wrote before; it is read wherever it is found
 // and never written again (jsonframe.go). There is no conversion pass:
-// Compact copies frames raw, so a segment may hold both, and a JSON
-// frame lives until its key is re-recorded with different content.
+// a segment may hold both, and a JSON frame lives until its key is
+// re-recorded with different content.
 // Any other first byte, or a binary payload shorter than its fixed
 // header, is a corrupt frame exactly like a failed checksum.
 // OpenStats.LegacyFrames counts the JSON frames an Open scanned.
@@ -71,12 +65,14 @@
 // truncated copy fails its length or checksum check, and Open drops
 // everything from the first bad frame onward (that file's tail)
 // instead of failing — a torn tail in shard k loses nothing in shards
-// ≠ k. Each log is append-only — a re-recorded key simply appends a
-// newer record, and the newest record per key wins on replay. Compact
-// rewrites each shard to one record per key (newest wins) via an
-// atomic rename. A payload may not exceed maxPayload (64 MiB): replay
-// reads a larger length prefix as a torn header, so put refuses to
-// write one.
+// ≠ k. Each log is append-only and never rewritten — a re-recorded
+// key simply appends a newer record, and the newest record per key
+// wins on replay. Nothing compacts a log: a campaign records each key
+// once (an identical re-put appends nothing), so a log holds one frame
+// per key, and a store made stale by a change to what produced its
+// records is deleted whole, not rewritten. A payload may not exceed
+// maxPayload (64 MiB): replay reads a larger length prefix as a torn
+// header, so put refuses to write one.
 //
 // # Concurrency and durability
 //
@@ -92,8 +88,8 @@
 // The durability contract, precisely: a returned Put/PutGen means its
 // group-commit batch completed a write(2) — the frame is in the
 // kernel's page cache, visible to every reader of the file and safe
-// from a crash of this process, but not from a power loss. Only Sync,
-// Close and Compact fsync. A crash mid-write leaves a torn tail that
+// from a crash of this process, but not from a power loss. Only Sync
+// and Close fsync a segment. A crash mid-write leaves a torn tail that
 // the next Open truncates to the last intact frame.
 //
 // # Out-of-core index
@@ -116,13 +112,11 @@
 // box — it was 43 ms when every frame was JSON — most of it building
 // the index maps rather than reading frames.
 //
-// Open never reads the index sidecars (<segment>.idx) earlier versions
-// wrote at Compact; Compact deletes a shard's leftover one (see
-// segment.compact).
+// Open neither reads nor deletes the index sidecars (<segment>.idx)
+// earlier versions wrote beside their segments.
 package store
 
 import (
-	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"errors"
@@ -131,7 +125,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strconv"
 	"strings"
 	"sync"
@@ -153,9 +146,8 @@ const (
 )
 
 // key addresses one record everywhere the store needs an address: the
-// offset index, the frame and compaction order. a and b are (test
-// digest, answer digest) for a unit-test result and (request key,
-// zero) for a generation.
+// offset index and the frame. a and b are (test digest, answer digest)
+// for a unit-test result and (request key, zero) for a generation.
 type key struct {
 	kind kind
 	a, b [sha256.Size]byte
@@ -168,18 +160,6 @@ type key struct {
 // generation records have always had.
 func (k key) shard(mask int) int { return int(k.a[0]^k.b[0]) & mask }
 func (k key) stripe() int        { return int(k.a[1]^k.b[1]) & (idxStripes - 1) }
-
-// less orders keys for a deterministic compacted segment: unit-test
-// records by (test, answer), then generations by request key.
-func (k key) less(o key) bool {
-	if k.kind != o.kind {
-		return k.kind < o.kind
-	}
-	if c := bytes.Compare(k.a[:], o.a[:]); c != 0 {
-		return c < 0
-	}
-	return bytes.Compare(k.b[:], o.b[:]) < 0
-}
 
 const frameHeaderSize = 8
 
@@ -202,8 +182,7 @@ type entry struct {
 
 // read preads the frame e points at into buf (grown when too small)
 // and re-verifies the length prefix and payload checksum against the
-// entry before a byte of it is trusted. Every consumer of stored bytes
-// — get, compaction, migration — reads through here.
+// entry before a byte of it is trusted.
 func (e entry) read(buf []byte) ([]byte, error) {
 	if cap(buf) < int(e.n) {
 		buf = make([]byte, e.n)
@@ -218,13 +197,6 @@ func (e entry) read(buf []byte) ([]byte, error) {
 		return buf, errCorruptFrame
 	}
 	return buf, nil
-}
-
-// indexed pairs a key with its index entry: what compaction and
-// migration collect and sort.
-type indexed struct {
-	k key
-	e entry
 }
 
 // Shard-count policy: a power of two sized like memo.LRU's
@@ -274,8 +246,8 @@ func (st *stripe) set(k key, e entry) {
 // OpenStats describes how the last Open rebuilt the index: how many
 // frames it scanned and how long the whole replay took.
 type OpenStats struct {
-	// ScannedFrames counts the intact frames of every segment and of
-	// any legacy file, superseded ones included.
+	// ScannedFrames counts the intact frames of every segment,
+	// superseded ones included.
 	ScannedFrames int
 	// LegacyFrames counts the scanned frames whose payload is in the
 	// JSON layout, which is read but no longer written; zero shows a
@@ -288,15 +260,10 @@ type OpenStats struct {
 // segment files. It is safe for concurrent use and implements
 // engine.CacheStore and inference.GenStore.
 type Store struct {
-	path string
 	segs []*segment
 	mask int
 
 	openStats OpenStats
-
-	// compactMu serializes Compact calls (each shard's compaction also
-	// takes that shard's log lock; appends to other shards proceed).
-	compactMu sync.Mutex
 }
 
 // segPath names shard i's segment file.
@@ -326,16 +293,20 @@ func defaultShardCount() int {
 // the meta file if present, else inferred from existing segment files
 // (a crash can lose the meta file but not the renamed segments), else
 // the default for a fresh store. The resolved count is (re)written to
-// the meta file atomically.
+// the meta file atomically. An empty meta file counts as a missing
+// one: it is what a power loss leaves when the rename that created it
+// reached the disk and its two bytes did not.
 func resolveShardCount(path string) (int, error) {
-	if data, err := os.ReadFile(metaPath(path)); err == nil {
+	data, err := os.ReadFile(metaPath(path))
+	if err != nil && !os.IsNotExist(err) {
+		return 0, err
+	}
+	if len(data) > 0 {
 		n, err := strconv.Atoi(strings.TrimSpace(string(data)))
 		if err != nil || n < 1 || n > 1<<16 || n&(n-1) != 0 {
 			return 0, fmt.Errorf("store: corrupt shard meta %s: %q", metaPath(path), strings.TrimSpace(string(data)))
 		}
 		return n, nil
-	} else if !os.IsNotExist(err) {
-		return 0, err
 	}
 	n := defaultShardCount()
 	if inferred, ok, err := inferShardCount(path); err != nil {
@@ -351,8 +322,8 @@ func resolveShardCount(path string) (int, error) {
 
 // inferShardCount scans for existing segment files and returns the
 // smallest power of two covering every index found. A name with
-// anything after the index (a leftover <segment>.idx, a compaction's
-// temp file) is not a segment.
+// anything after the index (a <segment>.idx or <segment>.compact an
+// earlier version left behind) is not a segment.
 func inferShardCount(path string) (int, bool, error) {
 	dir := filepath.Dir(path)
 	prefix := filepath.Base(path) + ".s"
@@ -390,35 +361,51 @@ func inferShardCount(path string) (int, bool, error) {
 	return n, true, nil
 }
 
-// writeShardMeta records the shard count atomically (temp + rename),
-// so a crash mid-write never leaves a torn meta file.
+// writeShardMeta records the shard count atomically (temp, fsync,
+// rename), so a crash mid-write never leaves a torn meta file and a
+// power loss never leaves the rename without the bytes it names.
 func writeShardMeta(path string, n int) error {
 	tmp := metaPath(path) + ".tmp"
-	if err := os.WriteFile(tmp, []byte(strconv.Itoa(n)+"\n"), 0o644); err != nil {
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, metaPath(path)); err != nil {
+	_, err = f.WriteString(strconv.Itoa(n) + "\n")
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, metaPath(path))
+	}
+	if err != nil {
 		os.Remove(tmp)
-		return err
 	}
-	return nil
+	return err
 }
 
 // Open reads (or creates) the sharded store rooted at path, rebuilding
 // the offset index for every intact record by scanning all shard
 // segments in parallel. A truncated or corrupt tail in any segment —
 // the signature of a crash mid-append — is dropped and that file
-// truncated back to its last intact record, not treated as fatal. A
-// pre-shard single-file log at path itself is migrated into the
-// segments and removed.
+// truncated back to its last intact record, not treated as fatal.
+//
+// A regular file at path itself is a log in the pre-shard single-file
+// layout: Open fails before creating anything and leaves the file as
+// it was.
 func Open(path string) (*Store, error) {
 	start := time.Now()
+	if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() {
+		return nil, fmt.Errorf("store: %s is a single-file log from before the sharded layout, which this version no longer reads: "+
+			"open it once with an older build to migrate it, or delete it (the store is a cache)", path)
+	}
 	n, err := resolveShardCount(path)
 	if err != nil {
 		return nil, err
 	}
 	s := &Store{
-		path: path,
 		mask: n - 1,
 		segs: make([]*segment, n),
 	}
@@ -452,11 +439,7 @@ func Open(path string) (*Store, error) {
 		s.openStats.ScannedFrames += seg.scanFrames
 		s.openStats.LegacyFrames += seg.legacyFrames
 	}
-	err = errors.Join(errs...)
-	if err == nil {
-		err = s.migrateLegacy()
-	}
-	if err != nil {
+	if err := errors.Join(errs...); err != nil {
 		s.closeFiles()
 		return nil, err
 	}
@@ -488,61 +471,6 @@ func (s *Store) load(k key, e entry) {
 	st.set(k, e)
 }
 
-// migrateLegacy folds a log in the pre-shard single-file layout — a
-// regular file at s.path — into the segments, then removes it. It runs
-// once per Open, after segment replay, and is the only code that knows
-// the old layout: it keeps the file's newest frame per key, raw-copies
-// (through the CRC re-check in entry.read) those whose key no segment
-// holds into their owning shards in file order, fsyncs, and only then
-// deletes the file. A key a segment already holds is skipped, not
-// compared: appends have only ever gone to segments since the sharded
-// layout exists, so the segment record is at least as new. That rule
-// also makes the migration idempotent — a crash before the delete
-// leaves the file beside segments that hold some or all of its keys,
-// and the next Open copies exactly the rest. A torn tail is dropped
-// with the file, as it would have been truncated from it before.
-func (s *Store) migrateLegacy() error {
-	if fi, err := os.Stat(s.path); err != nil || !fi.Mode().IsRegular() {
-		return nil
-	}
-	f, err := os.Open(s.path)
-	if err != nil {
-		return err
-	}
-	lf := newLogFile(f)
-	defer lf.close()
-	newest := make(map[key]entry)
-	_, legacy, err := scanLog(f, func(k key, e entry) {
-		e.src = lf
-		newest[k] = e
-		s.openStats.ScannedFrames++
-	})
-	if err != nil {
-		return err
-	}
-	s.openStats.LegacyFrames += legacy
-	var missing []indexed
-	for k, e := range newest {
-		_, st := s.route(k)
-		if _, ok := st.lookup(k); !ok {
-			missing = append(missing, indexed{k, e})
-		}
-	}
-	sort.Slice(missing, func(i, j int) bool { return missing[i].e.off < missing[j].e.off })
-	var buf []byte
-	for _, m := range missing {
-		if buf, err = m.e.read(buf); err != nil {
-			return fmt.Errorf("store: migrate legacy log: %w", err)
-		}
-		seg, st := s.route(m.k)
-		seg.appendWait(m.k, st, func(dst []byte) []byte { return append(dst, buf...) })
-	}
-	if err := s.Sync(); err != nil {
-		return fmt.Errorf("store: migrate legacy log: %w", err)
-	}
-	return os.Remove(s.path)
-}
-
 // readBuf is a pooled frame buffer for get: a campaign reads each key
 // once, so without it every read allocates its frame. The pool holds
 // pointers so that Put does not allocate a slice header.
@@ -558,13 +486,11 @@ const maxPooledBuf = 64 << 10
 
 // get is the one read path: the index entry's frame, pread from its
 // segment into a pooled buffer, verified and decoded. It rides out the
-// two read races: an entry pointing into a log whose handle compaction
-// just swapped out (errLogClosed — re-read the refreshed entry and
-// retry), and an entry installed at enqueue time whose group-commit
-// batch has not hit the file yet (drain the shard once, then retry the
-// pread). Anything else that keeps the frame from being read back
-// intact — a frame that verifies but carries another key included — is
-// a miss.
+// one read race, an entry installed at enqueue time whose group-commit
+// batch has not hit the file yet, by draining the shard once and
+// retrying the pread. Anything else that keeps the frame from being
+// read back intact — a closed store, or a frame that verifies but
+// carries another key — is a miss.
 func (s *Store) get(k key) (record, bool) {
 	seg, st := s.route(k)
 	e, ok := st.lookup(k)
@@ -586,15 +512,6 @@ func (s *Store) get(k key) (record, bool) {
 				return record{}, false
 			}
 			return rec, true
-		}
-		if errors.Is(err, errLogClosed) {
-			e2, ok := st.lookup(k)
-			if !ok || e2 == e {
-				// The store is closed, or the key vanished: give up.
-				return record{}, false
-			}
-			e = e2
-			continue
 		}
 		if drained {
 			return record{}, false
@@ -749,31 +666,6 @@ func (s *Store) ShardStats() []ShardStat {
 		}
 	}
 	return out
-}
-
-// Compact rewrites every shard to exactly one record per key — the
-// newest — shedding superseded appends. Shards compact concurrently
-// and independently: each rewrite goes to a temp file that atomically
-// renames over that shard's segment, holding only that shard's log
-// lock, so appends to other shards proceed throughout and a crash
-// mid-compaction of shard k loses nothing — neither in shard k (the
-// rename is atomic; the old segment stays until it succeeds) nor in
-// shards ≠ k (their files are untouched).
-func (s *Store) Compact() error {
-	s.compactMu.Lock()
-	defer s.compactMu.Unlock()
-
-	errs := make([]error, len(s.segs))
-	var wg sync.WaitGroup
-	for i, seg := range s.segs {
-		wg.Add(1)
-		go func(i int, seg *segment) {
-			defer wg.Done()
-			errs[i] = seg.compact(segPath(s.path, i))
-		}(i, seg)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
 }
 
 // Sync flushes pending batches and every segment to stable storage,

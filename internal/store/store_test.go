@@ -327,36 +327,86 @@ func TestShardCountStableAcrossGOMAXPROCS(t *testing.T) {
 }
 
 // TestShardMetaRebuiltFromSegments simulates losing the meta file: the
-// count is re-inferred from the segment files on disk, so records keep
-// routing to the shards that hold them.
+// count is re-inferred from the segment files on disk and written back,
+// so records keep routing to the shards that hold them. An empty meta
+// file — what a power loss can leave when the rename that created it
+// outlived its bytes — counts as a lost one.
 func TestShardMetaRebuiltFromSegments(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "eval.store")
+	losses := []struct {
+		name string
+		lose func(meta string) error
+	}{
+		{"deleted", os.Remove},
+		{"empty", func(meta string) error { return os.WriteFile(meta, nil, 0o644) }},
+	}
+	for _, loss := range losses {
+		t.Run(loss.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "eval.store")
+			s, err := store.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := s.Shards()
+			const records = 32
+			for i := 0; i < records; i++ {
+				recordKinds[0].put(s, fmt.Sprint("meta-", i), i)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if err := loss.lose(path + ".shards"); err != nil {
+				t.Fatal(err)
+			}
+			s2, err := store.Open(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer s2.Close()
+			if s2.Shards() != n || s2.Len() != records {
+				t.Fatalf("Shards/Len = %d/%d after meta loss, want %d/%d", s2.Shards(), s2.Len(), n, records)
+			}
+			for i := 0; i < records; i++ {
+				recordKinds[0].mustHold(t, s2, fmt.Sprint("meta-", i), i)
+			}
+			if data, err := os.ReadFile(path + ".shards"); err != nil || string(data) != fmt.Sprintf("%d\n", n) {
+				t.Fatalf("meta file after reopen = %q, %v; want %d", data, err, n)
+			}
+		})
+	}
+}
+
+// TestSingleFileLogRefused: a regular file at the store path is a log in
+// the pre-shard single-file layout. Open fails, names the path, and
+// creates nothing: the file is byte-identical afterwards and no segment
+// or meta file appears beside it.
+func TestSingleFileLogRefused(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "eval.store")
+	old := []byte("a log in the single-file layout")
+	if err := os.WriteFile(path, old, 0o644); err != nil {
+		t.Fatal(err)
+	}
 	s, err := store.Open(path)
+	if err == nil {
+		s.Close()
+		t.Fatal("Open accepted a single-file log")
+	}
+	if !strings.Contains(err.Error(), path) {
+		t.Errorf("error %q does not name %s", err, path)
+	}
+	if data, rerr := os.ReadFile(path); rerr != nil || string(data) != string(old) {
+		t.Fatalf("single-file log changed by Open: %q, %v", data, rerr)
+	}
+	entries, err := os.ReadDir(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	n := s.Shards()
-	const records = 32
-	for i := 0; i < records; i++ {
-		tk, ak := digests(fmt.Sprintf("t-%d", i), fmt.Sprintf("a-%d", i))
-		s.Put(tk, ak, unittest.Result{Passed: true})
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(path + ".shards"); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Shards() != n {
-		t.Fatalf("inferred %d shards from segments, created with %d", s2.Shards(), n)
-	}
-	if s2.Len() != records {
-		t.Fatalf("replayed %d records after meta loss, want %d", s2.Len(), records)
+	if len(entries) != 1 {
+		var names []string
+		for _, e := range entries {
+			names = append(names, e.Name())
+		}
+		t.Fatalf("Open created files beside the log: %v", names)
 	}
 }
 
@@ -574,11 +624,11 @@ func TestCorruptTailDropped(t *testing.T) {
 	}
 }
 
-// TestCompactKeepsNewestPerKey re-records one key with changed
-// content, compacts, and requires the newest record to win — both in
-// memory and on a replay of the compacted segments — while a record of
-// the other kind rides through the same rewrite untouched.
-func TestCompactKeepsNewestPerKey(t *testing.T) {
+// TestReplayKeepsNewestPerKey re-records one key with changed
+// content and requires the newest record to win — in process and on a
+// replay of the appended revisions — while a record of the other kind
+// beside it is untouched.
+func TestReplayKeepsNewestPerKey(t *testing.T) {
 	forEachKind(t, func(t *testing.T, rk recordKind) {
 		other := recordKinds[0]
 		if other.name == rk.name {
@@ -595,17 +645,7 @@ func TestCompactKeepsNewestPerKey(t *testing.T) {
 		for rev := 1; rev <= newest; rev++ {
 			rk.put(s, "rerun", rev)
 		}
-
-		before := storeSize(t, path)
-		if err := s.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		if after := storeSize(t, path); after >= before {
-			t.Errorf("compaction did not shrink the store: %d -> %d bytes", before, after)
-		}
 		rk.mustHold(t, s, "rerun", newest)
-		// The store stays writable after the handle swap.
-		rk.put(s, "post-compact", 0)
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -615,11 +655,13 @@ func TestCompactKeepsNewestPerKey(t *testing.T) {
 			t.Fatal(err)
 		}
 		defer s2.Close()
-		if rk.count(s2) != 2 || other.count(s2) != 1 {
-			t.Fatalf("replayed %d %s + %d %s keys, want 2 + 1", rk.count(s2), rk.name, other.count(s2), other.name)
+		if st := s2.LastOpen(); st.ScannedFrames != newest+2 {
+			t.Fatalf("LastOpen = %+v, want every one of the %d appended frames scanned", st, newest+2)
+		}
+		if rk.count(s2) != 1 || other.count(s2) != 1 {
+			t.Fatalf("replayed %d %s + %d %s keys, want 1 + 1", rk.count(s2), rk.name, other.count(s2), other.name)
 		}
 		rk.mustHold(t, s2, "rerun", newest)
-		rk.mustHold(t, s2, "post-compact", 0)
 		other.mustHold(t, s2, "bystander", 0)
 	})
 }
@@ -627,7 +669,7 @@ func TestCompactKeepsNewestPerKey(t *testing.T) {
 // TestKindsNeverAlias uses the same 32 bytes as a generation key and
 // as a unit-test test digest (zero answer digest): both route to the
 // same shard and stripe, and must stay two records — in the index,
-// on every read, through Compact and a reopen, and in Len/GenLen.
+// on every read, through a reopen, and in Len/GenLen.
 func TestKindsNeverAlias(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "eval.store")
 	shared := sha256.Sum256([]byte("shared bytes"))
@@ -667,10 +709,6 @@ func TestKindsNeverAlias(t *testing.T) {
 		}
 	}
 	check(s, "in process")
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	check(s, "after Compact")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -684,70 +722,6 @@ func TestKindsNeverAlias(t *testing.T) {
 		t.Fatalf("reopen did not scan both records: %+v", st)
 	}
 	check(s2, "reopened")
-}
-
-// TestCompactConcurrentWithAppends races repeated full compactions
-// against appenders hammering every shard: nothing deadlocks, nothing
-// is lost, and the final replay sees every record — the non-blocking
-// per-shard compaction claim exercised under -race.
-func TestCompactConcurrentWithAppends(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "eval.store")
-	s, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	const writers = 8
-	const perWriter = 64
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	// Appenders hammer all shards while Compact runs several times.
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				tk, ak := digests(fmt.Sprintf("cc-test-%d", w), fmt.Sprintf("cc-answer-%d-%d", w, i))
-				s.Put(tk, ak, unittest.Result{Passed: true})
-			}
-		}(w)
-	}
-	var compactErr error
-	var cwg sync.WaitGroup
-	cwg.Add(1)
-	go func() {
-		defer cwg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			if err := s.Compact(); err != nil {
-				compactErr = err
-				return
-			}
-		}
-	}()
-	wg.Wait()
-	close(stop)
-	cwg.Wait()
-	if compactErr != nil {
-		t.Fatal(compactErr)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if s2.Len() != writers*perWriter {
-		t.Fatalf("replayed %d keys after concurrent compaction, want %d", s2.Len(), writers*perWriter)
-	}
 }
 
 // TestTornMultiFrameBatchTruncates is the group-commit crash contract,
@@ -955,6 +929,52 @@ func TestConcurrentPutGet(t *testing.T) {
 	}
 }
 
+// TestConcurrentGetsAcrossClose races readers of both kinds against
+// Close: a read that wins the race returns the record as written, one
+// that loses it misses, and none preads a closed descriptor. After
+// Close every read misses.
+func TestConcurrentGetsAcrossClose(t *testing.T) {
+	s, err := store.Open(filepath.Join(t.TempDir(), "eval.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	const n = 64
+	for i := 0; i < n; i++ {
+		recordKinds[i%2].put(s, fmt.Sprint("close-", i), i)
+	}
+	start := make(chan struct{})
+	errc := make(chan error, 4)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			<-start
+			for i := w; i < w+4*n; i++ {
+				rk, id := recordKinds[i%2], fmt.Sprint("close-", i%n)
+				if got, ok := rk.get(s, id); ok && got != rk.want(id, i%n) {
+					errc <- fmt.Errorf("%s record %q = %+v across Close", rk.name, id, got)
+					return
+				}
+			}
+		}(w)
+	}
+	close(start)
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Error(err)
+	}
+	for i := 0; i < 2; i++ {
+		if got, ok := recordKinds[i].get(s, fmt.Sprint("close-", i)); ok {
+			t.Errorf("%s read after Close = %+v, want a miss", recordKinds[i].name, got)
+		}
+	}
+}
+
 // TestStoreReadAllocs: a Get or GetGen of a stored record allocates
 // once, for the text it returns, whether the key is read for the first
 // time or again; a miss allocates nothing.
@@ -1054,75 +1074,6 @@ func TestStoreWriteAllocs(t *testing.T) {
 	}
 }
 
-// TestCompactConcurrentWithGets hammers Get/GetGen while Compact
-// rewrites every shard: readers must never observe a missing or wrong
-// record through the handle swap (they ride errLogClosed retries onto
-// the refreshed entries).
-func TestCompactConcurrentWithGets(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "eval.store")
-	s, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-
-	const n = 64
-	wantRec := make([]unittest.Result, n)
-	wantGen := make([]inference.Response, n)
-	for i := 0; i < n; i++ {
-		tk, ak := digests(fmt.Sprintf("ct-%d", i), fmt.Sprintf("ca-%d", i))
-		wantRec[i] = unittest.Result{Passed: true, Output: fmt.Sprintf("out-%d", i)}
-		s.Put(tk, ak, wantRec[i])
-		wantGen[i] = inference.Response{Text: fmt.Sprintf("gen-%d", i)}
-		s.PutGen(genKey(fmt.Sprintf("cg-%d", i)), wantGen[i])
-	}
-
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	errc := make(chan error, 8)
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				k := (w + i) % n
-				tk, ak := digests(fmt.Sprintf("ct-%d", k), fmt.Sprintf("ca-%d", k))
-				if got, ok := s.Get(tk, ak); !ok || got != wantRec[k] {
-					select {
-					case errc <- fmt.Errorf("Get(%d) = %+v, %v during compact", k, got, ok):
-					default:
-					}
-					return
-				}
-				if got, ok := s.GetGen(genKey(fmt.Sprintf("cg-%d", k))); !ok || got != wantGen[k] {
-					select {
-					case errc <- fmt.Errorf("GetGen(%d) = %+v, %v during compact", k, got, ok):
-					default:
-					}
-					return
-				}
-			}
-		}(w)
-	}
-	for i := 0; i < 5; i++ {
-		if err := s.Compact(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	close(stop)
-	wg.Wait()
-	select {
-	case err := <-errc:
-		t.Fatal(err)
-	default:
-	}
-}
-
 // parentV1 copies testdata/parent-v1, a store directory written by the
 // commit before the single record path, and returns the copy's path.
 // Its 8 shards hold parentV1Records unit-test records and parentV1Gens
@@ -1180,82 +1131,30 @@ func requireParentV1(t *testing.T, s *store.Store) {
 
 // TestParentWrittenStoreOpens: every record of testdata/parent-v1 reads
 // back as written. Open reads no sidecar, so the store is scanned in
-// full, both as the parent left it and after a Compact.
+// full, both as the parent left it and after a close and reopen.
 func TestParentWrittenStoreOpens(t *testing.T) {
 	path := parentV1(t)
-	s, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 36 compacted frames + a 7-frame tail.
-	if st := s.LastOpen(); st.ScannedFrames != 43 {
-		t.Fatalf("LastOpen = %+v, want a full scan of 43 frames", st)
-	}
-	requireParentV1(t, s)
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	if st := s2.LastOpen(); st.ScannedFrames != parentV1Records+parentV1Gens {
-		t.Fatalf("LastOpen after Compact = %+v, want a full scan of %d frames", st, parentV1Records+parentV1Gens)
-	}
-	requireParentV1(t, s2)
-}
-
-// TestCompactRemovesLeftoverSidecars is the downgrade guard: Compact
-// deletes the index sidecars an earlier version left beside the
-// segments it rewrites, so a binary that still reads them never trusts
-// one describing bytes that are gone. Every record and generation
-// reads back afterwards.
-func TestCompactRemovesLeftoverSidecars(t *testing.T) {
-	path := parentV1(t)
-	sidecars := func() []string {
-		t.Helper()
-		m, err := filepath.Glob(path + ".s[0-9]*.idx")
+	for _, when := range []string{"as the parent left it", "reopened"} {
+		s, err := store.Open(path)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return m
+		// 36 compacted frames + a 7-frame tail.
+		if st := s.LastOpen(); st.ScannedFrames != 43 {
+			t.Fatalf("%s: LastOpen = %+v, want a full scan of 43 frames", when, st)
+		}
+		requireParentV1(t, s)
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if len(sidecars()) == 0 {
-		t.Fatal("fixture ships no sidecars")
-	}
-	s, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if left := sidecars(); len(left) != 0 {
-		t.Fatalf("sidecars left after Compact: %v", left)
-	}
-	requireParentV1(t, s)
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	s2, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	requireParentV1(t, s2)
 }
 
 // TestMixedFormatStore grows the parent-written fixture — every frame
 // of it JSON — with the binary frames written today, and carries the
 // mixture through the store's whole life cycle: newest wins across
-// layouts, an identical re-put of a binary frame appends nothing,
-// Compact copies both layouts raw, and a reopen's scan counts what is
-// still JSON.
+// layouts, an identical re-put of a binary frame appends nothing, and
+// a reopen's scan counts what is still JSON.
 func TestMixedFormatStore(t *testing.T) {
 	path := parentV1(t)
 	const fresh = 5
@@ -1314,24 +1213,19 @@ func TestMixedFormatStore(t *testing.T) {
 		t.Fatalf("identical re-puts grew the log: %d frames appended, want %d", got, 2*fresh+1)
 	}
 	verify(s, "in process")
-	if err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	verify(s, "after Compact")
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	const live = parentV1Records + parentV1Gens + 2*fresh
 	s2, err := store.Open(path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer s2.Close()
-	// Compact copied frames raw: record 7 and the fresh ones are binary,
-	// every other live frame is still the JSON the parent wrote.
-	if st := s2.LastOpen(); st.ScannedFrames != live || st.LegacyFrames != live-2*fresh-1 {
-		t.Fatalf("LastOpen after Compact = %+v, want %d scanned, %d JSON", st, live, live-2*fresh-1)
+	// The parent's 43 JSON frames are all still there, superseded record
+	// 7 included, followed by the binary frames appended here.
+	if st := s2.LastOpen(); st.ScannedFrames != 43+2*fresh+1 || st.LegacyFrames != 43 {
+		t.Fatalf("LastOpen after reopen = %+v, want %d scanned, 43 JSON", st, 43+2*fresh+1)
 	}
 	verify(s2, "reopened")
 }
