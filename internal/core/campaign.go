@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 )
 
 // A campaign is a checkpointed experiment run rooted at a directory:
@@ -59,10 +60,13 @@ func CampaignRoot(dataDir, tenant string) string {
 	return filepath.Join(dataDir, "tenants", tenant, "campaigns")
 }
 
-// campaignManifest maps completed experiment IDs to their output file
-// names (relative to the campaign directory).
+// campaignManifest is a campaign's record: the experiments it was last
+// run with and, for each completed experiment, its output file name
+// (relative to the campaign directory). Manifests written before
+// Experiments existed lack it; they still resume.
 type campaignManifest struct {
-	Completed map[string]string `json:"completed"`
+	Experiments []string          `json:"experiments,omitempty"`
+	Completed   map[string]string `json:"completed"`
 }
 
 // CampaignReport summarizes one RunCampaign call.
@@ -73,150 +77,162 @@ type CampaignReport struct {
 	Skipped []string
 }
 
-// CampaignCompleted reads a campaign directory's manifest and reports
-// which experiment IDs have completed. A missing manifest is an empty
-// campaign, not an error.
-func CampaignCompleted(dir string) ([]string, error) {
-	m, err := loadManifest(dir)
-	if err != nil {
-		return nil, err
-	}
-	ids := make([]string, 0, len(m.Completed))
-	for _, id := range ExperimentIDs {
-		if _, ok := m.Completed[id]; ok {
-			ids = append(ids, id)
+// Campaign is what a campaign directory records.
+type Campaign struct {
+	// Experiments are the IDs the campaign was last run with; empty for
+	// a directory with no manifest or one written before they were
+	// recorded.
+	Experiments []string
+	// Completed lists the experiments with a checkpointed output, in
+	// presentation order; Outputs holds those outputs.
+	Completed []string
+	Outputs   map[string]string
+}
+
+// ReadCampaign reads the campaign rooted at dir. A missing or empty
+// manifest is an empty campaign, not an error, and an experiment whose
+// output file is missing or empty is not completed: RunCampaign
+// re-runs it.
+func ReadCampaign(dir string) (Campaign, error) {
+	var m campaignManifest
+	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
+	switch {
+	case os.IsNotExist(err), err == nil && len(data) == 0:
+		// An empty manifest is what a power loss between creating and
+		// filling one can leave: it reads as missing.
+	case err != nil:
+		return Campaign{}, err
+	default:
+		if err := json.Unmarshal(data, &m); err != nil {
+			return Campaign{}, fmt.Errorf("core: corrupt campaign manifest: %w", err)
 		}
 	}
-	return ids, nil
+	c := Campaign{
+		Experiments: m.Experiments,
+		Completed:   make([]string, 0, len(m.Completed)),
+		Outputs:     make(map[string]string, len(m.Completed)),
+	}
+	for _, id := range ExperimentIDs {
+		name, ok := m.Completed[id]
+		if !ok {
+			continue
+		}
+		if data, err := os.ReadFile(filepath.Join(dir, name)); err == nil && len(data) > 0 {
+			c.Completed = append(c.Completed, id)
+			c.Outputs[id] = string(data)
+		}
+	}
+	return c, nil
 }
 
-func loadManifest(dir string) (campaignManifest, error) {
-	m := campaignManifest{Completed: map[string]string{}}
-	data, err := os.ReadFile(filepath.Join(dir, ManifestName))
-	if os.IsNotExist(err) {
-		return m, nil
-	}
+func (m campaignManifest) write(dir string) error {
+	data, err := json.MarshalIndent(m, "", "  ")
 	if err != nil {
-		return m, err
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("core: corrupt campaign manifest: %w", err)
-	}
-	if m.Completed == nil {
-		m.Completed = map[string]string{}
-	}
-	return m, nil
-}
-
-// writeAtomic writes data to path via a temp file + rename, so a crash
-// mid-checkpoint leaves the previous checkpoint intact.
-func writeAtomic(path string, data []byte) error {
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
 		return err
 	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
+	if err := writeAtomic(filepath.Join(dir, ManifestName), data); err != nil {
+		return fmt.Errorf("core: checkpoint manifest: %w", err)
 	}
 	return nil
+}
+
+// writeAtomic writes data to path via a synced temp file and a rename,
+// so a crash mid-checkpoint leaves the previous checkpoint intact and a
+// power loss after the rename cannot leave the new one empty.
+func writeAtomic(path string, data []byte) error {
+	tmp := path + ".tmp"
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		os.Remove(tmp)
+	}
+	return err
 }
 
 // RunCampaign executes the given experiment IDs (all of ExperimentIDs
 // when ids is nil) as a resumable campaign rooted at dir, writing each
 // experiment's output to w in order — replayed from checkpoint files
 // for experiments a previous run completed, freshly generated
-// otherwise. The manifest is checkpointed atomically after every
-// experiment, so an interrupted campaign resumes exactly where it
-// died.
+// otherwise. The manifest records ids before the first experiment runs
+// and is checkpointed atomically after every experiment, so an
+// interrupted campaign resumes exactly where it died.
 //
-// gen, when non-nil, produces fresh outputs in place of the
-// benchmark's own generators, and onDone, when non-nil, is called as
-// each experiment completes (id, skipped). The daemon routes campaign
-// generation through its coalescing layer this way, so a campaign and
-// a concurrent direct request share one computation, and surfaces live
-// campaign status from the callback.
-func (b *Benchmark) RunCampaign(dir string, ids []string, w io.Writer, gen func(id string) (string, error), onDone func(id string, skipped bool)) (CampaignReport, error) {
+// gen, when non-nil, produces fresh outputs in place of b.Experiment,
+// and onDone, when non-nil, is handed each experiment's output as it
+// completes. The daemon routes campaign generation through its result
+// cache this way, so a campaign and a concurrent direct request share
+// one computation, and surfaces live campaign status from the
+// callback.
+func (b *Benchmark) RunCampaign(dir string, ids []string, w io.Writer, gen func(id string) (string, error), onDone func(id, out string)) (CampaignReport, error) {
 	var report CampaignReport
 	if ids == nil {
 		ids = ExperimentIDs
 	}
-	gens := b.Experiments()
 	for _, id := range ids {
-		if _, ok := gens[id]; !ok {
+		if !slices.Contains(ExperimentIDs, id) {
 			return report, fmt.Errorf("core: unknown experiment %q", id)
 		}
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return report, err
 	}
-	manifest, err := loadManifest(dir)
+	// The manifest promises at least as much as the files deliver,
+	// never more: it is rebuilt from what ReadCampaign found.
+	rec, err := ReadCampaign(dir)
 	if err != nil {
 		return report, err
+	}
+	manifest := campaignManifest{Experiments: ids, Completed: make(map[string]string, len(rec.Completed))}
+	for _, id := range rec.Completed {
+		manifest.Completed[id] = id + ".txt"
+	}
+	if !slices.Equal(rec.Experiments, ids) {
+		if err := manifest.write(dir); err != nil {
+			return report, err
+		}
 	}
 	if w == nil {
 		w = io.Discard
 	}
+	if gen == nil {
+		gen = b.Experiment
+	}
 
 	for _, id := range ids {
-		var out string
-		skipped := false
-		if name, ok := manifest.Completed[id]; ok {
-			data, err := os.ReadFile(filepath.Join(dir, name))
-			if err == nil {
-				out = string(data)
-				skipped = true
-			}
-			// A manifest entry whose output file vanished falls through
-			// and re-runs: the manifest promises at least as much as the
-			// files deliver, never more.
-		}
-		if !skipped {
-			if gen != nil {
-				var err error
-				if out, err = gen(id); err != nil {
-					return report, fmt.Errorf("core: generate %s: %w", id, err)
-				}
-			} else {
-				// An experiment whose generations failed (replay-trace
-				// miss, dead endpoint) scores empty answers; it must
-				// fail the campaign here, not be checkpointed as
-				// complete and replayed as authoritative forever. The
-				// delta is over the dispatcher's counter, which the
-				// whole benchmark shares, so a concurrent failing
-				// campaign on the same benchmark can fail this one
-				// too — conservative: a clean retry succeeds, corrupt
-				// output never persists.
-				disp := b.ev.Dispatcher()
-				errsBefore := disp.Stats().Errors
-				out = gens[id]()
-				if failed := disp.Stats().Errors - errsBefore; failed > 0 {
-					return report, fmt.Errorf("core: experiment %s: %d generation failures (first: %v)", id, failed, disp.Err())
-				}
+		out, skipped := rec.Outputs[id]
+		if skipped {
+			report.Skipped = append(report.Skipped, id)
+		} else {
+			if out, err = gen(id); err != nil {
+				return report, fmt.Errorf("core: generate %s: %w", id, err)
 			}
 			name := id + ".txt"
 			if err := writeAtomic(filepath.Join(dir, name), []byte(out)); err != nil {
 				return report, fmt.Errorf("core: checkpoint %s: %w", id, err)
 			}
 			manifest.Completed[id] = name
-			data, err := json.MarshalIndent(manifest, "", "  ")
-			if err != nil {
+			if err := manifest.write(dir); err != nil {
 				return report, err
 			}
-			if err := writeAtomic(filepath.Join(dir, ManifestName), data); err != nil {
-				return report, fmt.Errorf("core: checkpoint manifest: %w", err)
-			}
-		}
-		if skipped {
-			report.Skipped = append(report.Skipped, id)
-		} else {
 			report.Ran = append(report.Ran, id)
 		}
 		if _, err := fmt.Fprintf(w, "=== %s ===\n%s\n", id, out); err != nil {
 			return report, err
 		}
 		if onDone != nil {
-			onDone(id, skipped)
+			onDone(id, out)
 		}
 	}
 	return report, nil

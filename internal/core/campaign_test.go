@@ -36,12 +36,17 @@ func TestCampaignCheckpointAndResume(t *testing.T) {
 	if !reflect.DeepEqual(report.Ran, ids) || len(report.Skipped) != 0 {
 		t.Fatalf("first run report = %+v", report)
 	}
-	completed, err := core.CampaignCompleted(dir)
+	rec, err := core.ReadCampaign(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !reflect.DeepEqual(completed, ids) {
-		t.Fatalf("manifest completed = %v, want %v", completed, ids)
+	if !reflect.DeepEqual(rec.Experiments, ids) || !reflect.DeepEqual(rec.Completed, ids) {
+		t.Fatalf("manifest experiments = %v, completed = %v, want %v", rec.Experiments, rec.Completed, ids)
+	}
+	for _, id := range ids {
+		if !strings.Contains(first.String(), "=== "+id+" ===\n"+rec.Outputs[id]+"\n") {
+			t.Errorf("recorded %s output is not what the run wrote", id)
+		}
 	}
 
 	// A fresh benchmark (fresh process) replays from the checkpoint:
@@ -75,20 +80,45 @@ func TestCampaignPartialResume(t *testing.T) {
 	}
 }
 
+// TestCampaignMissingOutputFileReruns: a checkpoint the manifest
+// promises but the disk does not deliver is re-run. A power loss can
+// leave an output file or the manifest empty as well as missing: an
+// empty output file is not replayed as the experiment's output, and an
+// empty manifest reads as a fresh campaign instead of failing every
+// later run.
 func TestCampaignMissingOutputFileReruns(t *testing.T) {
-	dir := t.TempDir()
-	if _, err := smallBench().RunCampaign(dir, []string{"table2"}, nil, nil, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.Remove(filepath.Join(dir, "table2.txt")); err != nil {
-		t.Fatal(err)
-	}
-	report, err := smallBench().RunCampaign(dir, []string{"table2"}, nil, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(report.Ran, []string{"table2"}) {
-		t.Fatalf("report after deleted checkpoint = %+v, want table2 re-run", report)
+	for _, tc := range []struct {
+		name   string
+		damage func(dir string) error
+	}{
+		{"deleted output", func(dir string) error { return os.Remove(filepath.Join(dir, "table2.txt")) }},
+		{"empty output", func(dir string) error { return os.Truncate(filepath.Join(dir, "table2.txt"), 0) }},
+		{"empty manifest", func(dir string) error { return os.Truncate(filepath.Join(dir, core.ManifestName), 0) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			var first strings.Builder
+			if _, err := smallBench().RunCampaign(dir, []string{"table2"}, &first, nil, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.damage(dir); err != nil {
+				t.Fatal(err)
+			}
+			if rec, err := core.ReadCampaign(dir); err != nil || len(rec.Completed) != 0 {
+				t.Fatalf("ReadCampaign after %s = %+v, %v; want nothing completed", tc.name, rec, err)
+			}
+			var second strings.Builder
+			report, err := smallBench().RunCampaign(dir, []string{"table2"}, &second, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(report.Ran, []string{"table2"}) {
+				t.Fatalf("report after %s = %+v, want table2 re-run", tc.name, report)
+			}
+			if second.String() != first.String() {
+				t.Errorf("re-run output %q, want %q", second.String(), first.String())
+			}
+		})
 	}
 }
 
@@ -119,12 +149,15 @@ func TestCampaignFailsOnGenerationErrors(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "generation failures") {
 		t.Fatalf("campaign over a dead provider: err = %v, want generation failures", err)
 	}
-	completed, err := core.CampaignCompleted(dir)
+	rec, err := core.ReadCampaign(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(completed) != 0 {
-		t.Fatalf("failed experiment checkpointed as complete: %v", completed)
+	if len(rec.Completed) != 0 || len(rec.Outputs) != 0 {
+		t.Fatalf("failed experiment checkpointed as complete: %v", rec.Completed)
+	}
+	if !reflect.DeepEqual(rec.Experiments, []string{"table4"}) {
+		t.Fatalf("manifest experiments = %v, want them recorded before the first experiment", rec.Experiments)
 	}
 
 	// After the provider recovers, the same campaign runs clean.

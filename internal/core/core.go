@@ -336,6 +336,33 @@ func (b *Benchmark) Experiments() map[string]func() string {
 	}
 }
 
+// Experiment renders experiment id. It fails for an unknown ID, for a
+// generator that panics, and when a generation the dispatcher served
+// during it failed: the experiments render an errored generation as an
+// empty answer so the run completes, and a table scored on those must
+// never be cached or checkpointed as the answer. The error count is
+// the dispatcher's, which every caller shares, so a concurrent failing
+// run can fail an unrelated clean experiment — deliberately
+// conservative: a retry succeeds, a corrupt output is never kept.
+func (b *Benchmark) Experiment(id string) (out string, err error) {
+	gen, ok := b.Experiments()[id]
+	if !ok {
+		return "", fmt.Errorf("unknown experiment %q", id)
+	}
+	disp := b.ev.Dispatcher()
+	before := disp.Stats().Errors
+	defer func() {
+		if r := recover(); r != nil {
+			out, err = "", fmt.Errorf("experiment %s: %v", id, r)
+		}
+	}()
+	out = gen()
+	if failed := disp.Stats().Errors - before; failed > 0 {
+		return "", fmt.Errorf("experiment %s: %d generation failures (first: %v)", id, failed, disp.Err())
+	}
+	return out, nil
+}
+
 // ExperimentIDs lists experiments in presentation order.
 var ExperimentIDs = []string{
 	"table1", "table2", "table3", "table4", "table5", "table6",

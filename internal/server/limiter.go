@@ -10,9 +10,12 @@ import (
 // burst. POST /v1/eval and POST /v1/campaign each spend one token; an
 // empty bucket yields 429 + Retry-After instead of unbounded work.
 //
-// Buckets are created on first use and never expire — the tenant
-// cardinality a daemon sees is bounded by its user base, and one
-// bucket is two floats. The clock is injectable for tests.
+// Buckets are created on first use. Tenant names are the client's to
+// choose, so buckets also go: one that has refilled to burst is
+// indistinguishable from a new one and is deleted by a sweep, run
+// whenever the map has doubled since the last, which keeps the sweeps'
+// cost amortized constant per new tenant. The clock is injectable for
+// tests.
 type tenantLimiter struct {
 	rate  float64 // tokens per second; <= 0 disables the limiter
 	burst float64 // bucket capacity
@@ -20,6 +23,7 @@ type tenantLimiter struct {
 
 	mu      sync.Mutex
 	buckets map[string]*bucket
+	swept   int // len(buckets) after the last sweep
 }
 
 type bucket struct {
@@ -59,6 +63,14 @@ func (l *tenantLimiter) allow(tenant string) (bool, time.Duration) {
 	defer l.mu.Unlock()
 	b, ok := l.buckets[tenant]
 	if !ok {
+		if len(l.buckets) >= 2*l.swept {
+			for t, b := range l.buckets {
+				if b.tokens+now.Sub(b.last).Seconds()*l.rate >= l.burst {
+					delete(l.buckets, t)
+				}
+			}
+			l.swept = len(l.buckets)
+		}
 		b = &bucket{tokens: l.burst, last: now}
 		l.buckets[tenant] = b
 	}

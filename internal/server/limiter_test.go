@@ -3,6 +3,7 @@ package server
 import (
 	"crypto/sha256"
 	"encoding/hex"
+	"fmt"
 	"testing"
 	"time"
 
@@ -66,6 +67,42 @@ func TestTenantLimiterIsolation(t *testing.T) {
 	}
 	if ok, _ := l.allow("b"); !ok {
 		t.Error("tenant b starved by tenant a's bucket")
+	}
+}
+
+// TestTenantLimiterForgetsRefilledBuckets: tenant names are the
+// client's to choose, so a stream of new names must not grow the
+// bucket map without bound. Each of 100,000 tenants is admitted once,
+// 1ms apart; a bucket refills in 100ms, so at most about a hundred are
+// not yet full at any time.
+func TestTenantLimiterForgetsRefilledBuckets(t *testing.T) {
+	l := newTenantLimiter(10, 2) // a spent token refills in 100ms
+	now := time.Unix(1000, 0)
+	l.now = func() time.Time { return now }
+
+	peak := 0
+	for i := 0; i < 100000; i++ {
+		if ok, _ := l.allow(fmt.Sprintf("t%d", i)); !ok {
+			t.Fatalf("tenant %d's first request denied", i)
+		}
+		peak = max(peak, len(l.buckets))
+		now = now.Add(time.Millisecond)
+	}
+	if peak > 512 {
+		t.Errorf("bucket map peaked at %d entries for 100 live tenants", peak)
+	}
+
+	// A bucket that is still refilling survives a sweep: its tenant
+	// stays limited.
+	if ok, _ := l.allow("hot"); !ok {
+		t.Fatal("hot tenant's first request denied")
+	}
+	l.allow("hot")
+	for i := 0; i < 1000; i++ {
+		l.allow(fmt.Sprintf("u%d", i))
+	}
+	if ok, _ := l.allow("hot"); ok {
+		t.Error("a sweep forgot a spent bucket: its tenant was admitted past its burst")
 	}
 }
 

@@ -16,13 +16,13 @@
 //
 // Every request belongs to a tenant (X-Tenant header or ?tenant=;
 // absent means the default tenant, which keeps the single-tenant wire
-// contract byte-for-byte). Experiment caches, in-flight coalescing,
-// campaign IDs and checkpoint directories are tenant-scoped; the
-// engine, store and dispatcher underneath are shared content-addressed
-// tiers. Admission control guards the two POST endpoints: a per-tenant
-// token bucket and a bounded campaign queue, both answering 429 +
-// Retry-After when exhausted, so one tenant's flood degrades into
-// polite backpressure instead of starving the fleet.
+// contract byte-for-byte). Experiment results, campaign IDs and
+// checkpoint directories are tenant-scoped; the engine, store and
+// dispatcher underneath are shared content-addressed tiers. Admission
+// control guards the two POST endpoints: a per-tenant token bucket and
+// a bounded campaign queue, both answering 429 + Retry-After when
+// exhausted, so one tenant's flood degrades into polite backpressure
+// instead of starving the fleet.
 //
 // All error responses share one JSON envelope,
 // {"error":{"code","message"}}, decoded by the typed client in
@@ -33,11 +33,13 @@
 // evaluator (core.New); every model generation the server performs
 // routes through its dispatcher and generation cache.
 //
-// Every experiment computation is coalesced per tenant: concurrent
-// requests for the same experiment share one in-flight generation, and
-// completed outputs are served from memory. Campaigns are checkpointed
-// via core.Benchmark.RunCampaign under the server's data directory, so
-// a restarted daemon resumes them instead of recomputing.
+// Experiment outputs live in one memo.LRU keyed by (tenant, experiment)
+// under a fixed byte budget: concurrent requests for the same
+// experiment share one computation, completed outputs are served from
+// memory, and a failed one is never kept. Campaigns are checkpointed
+// via core.Benchmark.RunCampaign under the server's data directory,
+// whose manifest is the campaign's one record: a restarted daemon
+// reads status from it and resumes instead of recomputing.
 package server
 
 import (
@@ -45,9 +47,11 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"hash/maphash"
+	"maps"
 	"net/http"
-	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -58,6 +62,7 @@ import (
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/memo"
 	"cloudeval/internal/store"
 )
 
@@ -96,35 +101,42 @@ type Server struct {
 	cfg     Config
 	limiter *tenantLimiter
 	routes  map[string]*routeStats
+	results *memo.LRU[tenantKey, string] // experiment outputs
 
 	problems map[string]dataset.Problem
 	models   map[string]llm.Model
 
 	mu              sync.Mutex
-	tenants         map[string]*tenantState
+	campaigns       map[tenantKey]*campaign
 	campaignPending int           // campaigns admitted and not yet finished
 	campaignSem     chan struct{} // nil = unbounded concurrent campaigns
 
 	start time.Time
 }
 
-// flight coalesces concurrent requests for one experiment into a
-// single generation.
-type flight struct {
-	done chan struct{}
-	out  string
-	err  error
+// tenantKey scopes an experiment or campaign ID to its tenant.
+type tenantKey struct{ tenant, id string }
+
+// resultsBudget bounds the experiment result cache. All 15 outputs of
+// one full campaign total about 15 KB, so hundreds of tenants' full
+// campaigns fit before anything is evicted.
+const resultsBudget = 16 << 20
+
+var resultsSeed = maphash.MakeSeed()
+
+func resultsShard(k tenantKey) uint32 {
+	return uint32(maphash.String(resultsSeed, k.tenant) ^ maphash.String(resultsSeed, k.id))
 }
 
 // campaign tracks one async experiment run.
 type campaign struct {
-	ID          string   `json:"id"`
-	Experiments []string `json:"experiments"`
-	tenant      string
+	key         tenantKey
+	experiments []string
 
 	mu        sync.Mutex
 	state     string // "queued", "running", "done", "failed"
 	completed []string
+	outputs   map[string]string
 	errMsg    string
 }
 
@@ -134,16 +146,17 @@ type campaign struct {
 // <dataDir>/tenants/<tenant>/campaigns/<id>).
 func NewWithConfig(bench *core.Benchmark, dataDir string, cfg Config) *Server {
 	s := &Server{
-		bench:    bench,
-		dataDir:  dataDir,
-		mux:      http.NewServeMux(),
-		cfg:      cfg,
-		limiter:  newTenantLimiter(cfg.TenantRate, cfg.TenantBurst),
-		routes:   make(map[string]*routeStats),
-		problems: make(map[string]dataset.Problem, len(bench.Problems)),
-		models:   make(map[string]llm.Model, len(bench.Models)),
-		tenants:  make(map[string]*tenantState),
-		start:    time.Now(),
+		bench:     bench,
+		dataDir:   dataDir,
+		mux:       http.NewServeMux(),
+		cfg:       cfg,
+		limiter:   newTenantLimiter(cfg.TenantRate, cfg.TenantBurst),
+		routes:    make(map[string]*routeStats),
+		problems:  make(map[string]dataset.Problem, len(bench.Problems)),
+		models:    make(map[string]llm.Model, len(bench.Models)),
+		results:   memo.NewLRU[tenantKey, string](resultsShard, resultsBudget),
+		campaigns: make(map[tenantKey]*campaign),
+		start:     time.Now(),
 	}
 	if cfg.CampaignWorkers > 0 {
 		s.campaignSem = make(chan struct{}, cfg.CampaignWorkers)
@@ -170,77 +183,36 @@ func (s *Server) Handler() http.Handler { return withRequestID(s.mux) }
 
 // admit runs the per-tenant token bucket for one POST request, writing
 // the 429 itself when the bucket is dry.
-func (s *Server) admit(w http.ResponseWriter, tn *tenantState) bool {
-	ok, retry := s.limiter.allow(tn.name)
+func (s *Server) admit(w http.ResponseWriter, tenant string) bool {
+	ok, retry := s.limiter.allow(tenant)
 	if !ok {
 		writeRetryError(w, http.StatusTooManyRequests, codeRateLimited,
-			fmt.Sprintf("tenant %q is over its request rate", tn.name), retry)
+			fmt.Sprintf("tenant %q is over its request rate", tenant), retry)
 		return false
 	}
 	return true
 }
 
-// experiment generates (or replays) one experiment with per-tenant
-// request coalescing: the first caller computes, concurrent callers of
-// the same tenant park on the flight, later callers hit the in-memory
-// result. Distinct tenants compute independently — the shared engine
-// and dispatcher underneath make the recompute a cache walk, and the
-// serving layer never hands one tenant an object another tenant's
-// request produced.
-func (s *Server) experiment(tn *tenantState, id string) (string, error) {
-	gens := s.bench.Experiments()
-	gen, ok := gens[id]
-	if !ok {
-		return "", fmt.Errorf("unknown experiment %q", id)
-	}
-	s.mu.Lock()
-	if out, ok := tn.results[id]; ok {
-		s.mu.Unlock()
-		return out, nil
-	}
-	if f, ok := tn.flights[id]; ok {
-		s.mu.Unlock()
-		<-f.done
-		return f.out, f.err
-	}
-	f := &flight{done: make(chan struct{})}
-	tn.flights[id] = f
-	s.mu.Unlock()
+// experiment returns the tenant's output of experiment id, computed by
+// core.Benchmark.Experiment on a miss. Concurrent callers share one
+// computation and a failed one is not kept. Distinct tenants compute
+// independently — the shared engine and dispatcher underneath make the
+// recompute a cache walk, and the serving layer never hands one tenant
+// an object another tenant's request produced.
+func (s *Server) experiment(tenant, id string) (string, error) {
+	return s.result(tenant, id, s.bench.Experiment)
+}
 
-	// Generation failures surface as failed experiments, not as
-	// silently zero-scored tables: campaign paths render an errored
-	// generation as an empty answer so the run completes, latching the
-	// error into the dispatcher — so count failures across the run and
-	// refuse to cache (or checkpoint) an output produced with any. The
-	// counter is the dispatcher's, which every request shares, so a
-	// concurrent failing request can fail an unrelated clean experiment
-	// — deliberately conservative: a retry succeeds, a corrupt output
-	// is never cached. A request whose client hung up is not counted.
-	disp := s.bench.Evaluator().Dispatcher()
-	genStats := disp.Stats()
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				f.err = fmt.Errorf("experiment %s: %v", id, r)
-			}
-		}()
-		f.out = gen()
-	}()
-	if f.err == nil {
-		if failed := disp.Stats().Errors - genStats.Errors; failed > 0 {
-			f.err = fmt.Errorf("experiment %s: %d generation failures (first: %v)",
-				id, failed, disp.Err())
-		}
-	}
-	close(f.done)
-
-	s.mu.Lock()
-	delete(tn.flights, id)
-	if f.err == nil {
-		tn.results[id] = f.out
-	}
-	s.mu.Unlock()
-	return f.out, f.err
+// result is the result cache's one entry point: the tenant's output of
+// experiment id, computed by fn on a miss. Each entry is charged its
+// key and output text.
+func (s *Server) result(tenant, id string, fn func(id string) (string, error)) (string, error) {
+	k := tenantKey{tenant, id}
+	out, err, _ := s.results.Do(k, func() (string, int64, error) {
+		out, err := fn(id)
+		return out, memo.EntryOverhead + int64(len(k.tenant)+len(k.id)+len(out)), err
+	})
+	return out, err
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -251,11 +223,11 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // handleLeaderboard serves Table 4 byte-identical to
 // core.Benchmark.Table4, cached and coalesced per tenant.
 func (s *Server) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
-	tn, ok := s.tenantFor(w, r)
+	tenant, ok := s.tenantFor(w, r)
 	if !ok {
 		return
 	}
-	out, err := s.experiment(tn, "table4")
+	out, err := s.experiment(tenant, "table4")
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		return
@@ -270,11 +242,11 @@ func (s *Server) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
 // Table 4 excludes. It shares the ZeroShot campaign with the main
 // leaderboard, so serving both costs one evaluation.
 func (s *Server) handleFamilyLeaderboard(w http.ResponseWriter, r *http.Request) {
-	tn, ok := s.tenantFor(w, r)
+	tenant, ok := s.tenantFor(w, r)
 	if !ok {
 		return
 	}
-	out, err := s.experiment(tn, "families")
+	out, err := s.experiment(tenant, "families")
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		return
@@ -321,8 +293,8 @@ type statsResponse struct {
 	GenCacheBytes     int64 `json:"gen_cache_bytes"`
 	GenCacheEvictions int64 `json:"gen_cache_evictions"`
 
-	// Serving-layer counters: daemon uptime, known tenants, and
-	// per-route request/latency aggregates.
+	// Serving-layer counters: daemon uptime, tenants holding a campaign
+	// in memory, and per-route request/latency aggregates.
 	UptimeSec float64                   `json:"uptime_sec"`
 	Tenants   int                       `json:"tenants"`
 	Routes    map[string]routeStatsJSON `json:"routes"`
@@ -390,7 +362,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		routes[pattern] = rs.snapshot()
 	}
 	s.mu.Lock()
-	tenants := len(s.tenants)
+	tenants := make(map[string]struct{})
+	for k := range s.campaigns {
+		tenants[k.tenant] = struct{}{}
+	}
 	s.mu.Unlock()
 	var storeStats *storeStatsJSON
 	if s.cfg.Store != nil {
@@ -424,7 +399,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		GenCacheEvictions: gst.CacheEvictions,
 
 		UptimeSec: time.Since(s.start).Seconds(),
-		Tenants:   tenants,
+		Tenants:   len(tenants),
 		Routes:    routes,
 		Store:     storeStats,
 	})
@@ -461,11 +436,11 @@ type evalScores struct {
 }
 
 func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
-	tn, ok := s.tenantFor(w, r)
+	tenant, ok := s.tenantFor(w, r)
 	if !ok {
 		return
 	}
-	if !s.admit(w, tn) {
+	if !s.admit(w, tenant) {
 		return
 	}
 	var req evalRequest
@@ -550,11 +525,11 @@ func campaignID(tenant string, ids []string) string {
 const campaignRetryAfter = 2 * time.Second
 
 func (s *Server) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
-	tn, ok := s.tenantFor(w, r)
+	tenant, ok := s.tenantFor(w, r)
 	if !ok {
 		return
 	}
-	if !s.admit(w, tn) {
+	if !s.admit(w, tenant) {
 		return
 	}
 	var req campaignRequest
@@ -565,17 +540,16 @@ func (s *Server) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
 	if len(ids) == 0 {
 		ids = core.ExperimentIDs
 	}
-	gens := s.bench.Experiments()
 	for _, id := range ids {
-		if _, ok := gens[id]; !ok {
+		if !slices.Contains(core.ExperimentIDs, id) {
 			writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("unknown experiment %q", id))
 			return
 		}
 	}
 
-	id := campaignID(tn.name, ids)
+	k := tenantKey{tenant, campaignID(tenant, ids)}
 	s.mu.Lock()
-	c, ok := tn.campaigns[id]
+	c, ok := s.campaigns[k]
 	if ok {
 		// A failed campaign must not wedge its ID: re-posting retries
 		// it (from its checkpoints) instead of echoing the stale
@@ -601,31 +575,28 @@ func (s *Server) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
 		if s.campaignSem != nil {
 			state = "queued"
 		}
-		c = &campaign{ID: id, Experiments: ids, tenant: tn.name, state: state}
-		tn.campaigns[id] = c
+		c = &campaign{
+			key:         k,
+			experiments: ids,
+			state:       state,
+			outputs:     make(map[string]string, len(ids)),
+		}
+		s.campaigns[k] = c
 		s.campaignPending++
-		go s.runCampaign(tn, c)
+		go s.runCampaign(c)
 	}
 	s.mu.Unlock()
-	writeJSON(w, http.StatusAccepted, s.campaignStatus(c, false))
-}
-
-// campaignMeta is persisted as campaign.json inside each campaign
-// directory, so a restarted daemon can identify and resume on-disk
-// campaigns it no longer holds in memory.
-type campaignMeta struct {
-	ID          string   `json:"id"`
-	Experiments []string `json:"experiments"`
+	writeJSON(w, http.StatusAccepted, c.status(false))
 }
 
 // runCampaign drives one checkpointed campaign in the background,
-// routing fresh generations through the tenant's coalescing layer (so
-// a campaign and a concurrent direct request share one computation,
-// and campaign outputs warm the request cache). When the server bounds
-// campaign concurrency, the campaign waits in state "queued" for a
-// worker slot first; either way it releases its admission-queue slot
-// when it finishes.
-func (s *Server) runCampaign(tn *tenantState, c *campaign) {
+// routing fresh generations through the result cache (so a campaign
+// and a concurrent direct request share one computation) and putting
+// every output it completes, replayed ones too, into that cache. When
+// the server bounds campaign concurrency, the campaign waits in state
+// "queued" for a worker slot first; either way it releases its
+// admission-queue slot when it finishes.
+func (s *Server) runCampaign(c *campaign) {
 	defer func() {
 		s.mu.Lock()
 		s.campaignPending--
@@ -638,150 +609,98 @@ func (s *Server) runCampaign(tn *tenantState, c *campaign) {
 		c.state = "running"
 		c.mu.Unlock()
 	}
-	dir := filepath.Join(s.campaignRoot(tn.name), c.ID)
-	fail := func(err error) {
-		c.mu.Lock()
-		c.state = "failed"
-		c.errMsg = err.Error()
-		c.mu.Unlock()
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		fail(err)
-		return
-	}
-	meta, err := json.Marshal(campaignMeta{ID: c.ID, Experiments: c.Experiments})
-	if err != nil {
-		fail(err)
-		return
-	}
-	// Temp-file + rename, like every other checkpoint write: a crash
-	// mid-write must not leave torn JSON that hides the campaign from a
-	// restarted daemon.
-	metaPath := filepath.Join(dir, "campaign.json")
-	if err := os.WriteFile(metaPath+".tmp", meta, 0o644); err != nil {
-		fail(err)
-		return
-	}
-	if err := os.Rename(metaPath+".tmp", metaPath); err != nil {
-		fail(err)
-		return
-	}
-	_, err = s.bench.RunCampaign(dir, c.Experiments, nil,
-		func(id string) (string, error) { return s.experiment(tn, id) },
-		func(id string, skipped bool) {
-			if skipped {
-				// A checkpoint replay warms the request cache too.
-				if out, err := readCampaignOutput(dir, id); err == nil {
-					s.mu.Lock()
-					if _, ok := tn.results[id]; !ok {
-						tn.results[id] = out
-					}
-					s.mu.Unlock()
-				}
-			}
+	tenant := c.key.tenant
+	dir := filepath.Join(s.campaignRoot(tenant), c.key.id)
+	_, err := s.bench.RunCampaign(dir, c.experiments, nil,
+		func(id string) (string, error) { return s.experiment(tenant, id) },
+		func(id, out string) {
+			s.result(tenant, id, func(string) (string, error) { return out, nil })
 			c.mu.Lock()
 			c.completed = append(c.completed, id)
+			c.outputs[id] = out
 			c.mu.Unlock()
 		})
-	if err != nil {
-		fail(err)
-		return
-	}
 	c.mu.Lock()
-	c.state = "done"
+	if err != nil {
+		c.state, c.errMsg = "failed", err.Error()
+	} else {
+		c.state = "done"
+	}
 	c.mu.Unlock()
 }
 
 func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
-	tn, ok := s.tenantFor(w, r)
+	tenant, ok := s.tenantFor(w, r)
 	if !ok {
 		return
 	}
 	id := r.PathValue("id")
-	s.mu.Lock()
-	c, ok := tn.campaigns[id]
-	s.mu.Unlock()
-	if !ok {
-		// Not in memory — maybe a previous daemon's campaign. Serve its
-		// on-disk checkpoint state as "interrupted": re-posting the same
-		// experiment set resumes it. The lookup stays inside this
-		// tenant's checkpoint root, so one tenant can never read
-		// another's campaign by guessing its ID.
-		if resp, err := s.campaignFromDisk(tn.name, id); err == nil {
-			writeJSON(w, http.StatusOK, resp)
+	// The path segment is unescaped, so anything but an ID campaignID
+	// could have made — "..%2F…" above all — is refused before it
+	// reaches a map or a path.
+	if validCampaignID(id) {
+		s.mu.Lock()
+		c, ok := s.campaigns[tenantKey{tenant, id}]
+		s.mu.Unlock()
+		if ok {
+			writeJSON(w, http.StatusOK, c.status(true))
 			return
 		}
-		writeError(w, http.StatusNotFound, codeNotFound, fmt.Sprintf("unknown campaign %q", id))
-		return
-	}
-	writeJSON(w, http.StatusOK, s.campaignStatus(c, true))
-}
-
-// campaignFromDisk reconstructs a campaign's status from its directory
-// under the tenant's checkpoint root after a daemon restart.
-func (s *Server) campaignFromDisk(tenant, id string) (campaignResponse, error) {
-	dir := filepath.Join(s.campaignRoot(tenant), id)
-	data, err := os.ReadFile(filepath.Join(dir, "campaign.json"))
-	if err != nil {
-		return campaignResponse{}, err
-	}
-	var meta campaignMeta
-	if err := json.Unmarshal(data, &meta); err != nil {
-		return campaignResponse{}, err
-	}
-	completed, err := core.CampaignCompleted(dir)
-	if err != nil {
-		return campaignResponse{}, err
-	}
-	state := "interrupted"
-	if len(completed) >= len(meta.Experiments) {
-		state = "done"
-	}
-	resp := campaignResponse{
-		ID:          meta.ID,
-		State:       state,
-		Experiments: meta.Experiments,
-		Completed:   completed,
-		Outputs:     make(map[string]string, len(completed)),
-	}
-	for _, eid := range completed {
-		if out, err := readCampaignOutput(dir, eid); err == nil {
-			resp.Outputs[eid] = out
+		// Not in memory — maybe a previous daemon's campaign. Serve its
+		// manifest as "interrupted" (re-posting the same experiment
+		// set resumes it) or "done". The lookup stays inside this
+		// tenant's checkpoint root, so one tenant can never read
+		// another's campaign by guessing its ID.
+		rec, err := core.ReadCampaign(filepath.Join(s.campaignRoot(tenant), id))
+		if err == nil && len(rec.Experiments) > 0 {
+			state := "interrupted"
+			if len(rec.Completed) >= len(rec.Experiments) {
+				state = "done"
+			}
+			writeJSON(w, http.StatusOK, campaignResponse{
+				ID:          id,
+				State:       state,
+				Experiments: rec.Experiments,
+				Completed:   rec.Completed,
+				Outputs:     rec.Outputs,
+			})
+			return
 		}
 	}
-	return resp, nil
+	writeError(w, http.StatusNotFound, codeNotFound, fmt.Sprintf("unknown campaign %q", id))
 }
 
-func (s *Server) campaignStatus(c *campaign, includeOutputs bool) campaignResponse {
+// validCampaignID reports whether id has campaignID's shape: "c-" and
+// 12 lowercase hex digits.
+func validCampaignID(id string) bool {
+	if len(id) != 14 || id[:2] != "c-" {
+		return false
+	}
+	for i := 2; i < len(id); i++ {
+		if c := id[i]; (c < '0' || c > '9') && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return true
+}
+
+// status is c's reply. Outputs ride along only once the campaign stops
+// running: polls of an in-flight campaign need state and completed,
+// not every output shipped on each request.
+func (c *campaign) status(includeOutputs bool) campaignResponse {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	resp := campaignResponse{
-		ID:          c.ID,
+		ID:          c.key.id,
 		State:       c.state,
-		Experiments: c.Experiments,
-		Completed:   append([]string(nil), c.completed...),
+		Experiments: c.experiments,
+		Completed:   slices.Clone(c.completed),
 		Error:       c.errMsg,
 	}
-	c.mu.Unlock()
-	// Outputs ride along only once the campaign stops running: polls of
-	// an in-flight campaign need state/completed, not a re-read of every
-	// checkpoint file shipped on each request.
-	if includeOutputs && resp.State != "running" && resp.State != "queued" && len(resp.Completed) > 0 {
-		dir := filepath.Join(s.campaignRoot(c.tenant), c.ID)
-		outputs := make(map[string]string, len(resp.Completed))
-		for _, id := range resp.Completed {
-			data, err := readCampaignOutput(dir, id)
-			if err == nil {
-				outputs[id] = data
-			}
-		}
-		resp.Outputs = outputs
+	if includeOutputs && c.state != "running" && c.state != "queued" && len(c.completed) > 0 {
+		resp.Outputs = maps.Clone(c.outputs)
 	}
 	return resp
-}
-
-func readCampaignOutput(dir, id string) (string, error) {
-	data, err := os.ReadFile(filepath.Join(dir, id+".txt"))
-	return string(data), err
 }
 
 // jsonContentType is every JSON reply's Content-Type value. Handlers

@@ -3,14 +3,18 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -331,7 +335,7 @@ func TestCampaignAsyncResume(t *testing.T) {
 	c2 := client.New(ts2.URL)
 
 	// Before any re-POST, the restarted daemon reconstructs the
-	// campaign's status from its on-disk checkpoints instead of 404ing.
+	// campaign's status from its manifest instead of 404ing.
 	fromDisk, err := c2.Campaign(ctx, started.ID)
 	if err != nil {
 		t.Fatal(err)
@@ -339,6 +343,31 @@ func TestCampaignAsyncResume(t *testing.T) {
 	if fromDisk.State != "done" || len(fromDisk.Completed) != 2 || fromDisk.Outputs["table4"] != firstTable4 {
 		t.Fatalf("rehydrated campaign status = %+v", fromDisk)
 	}
+
+	// A directory written before manifests recorded their experiments
+	// (a campaign.json beside a manifest holding only "completed") is
+	// unknown to a GET, and a re-post resumes it.
+	legacyIDs := []string{"table2"}
+	sum := sha256.Sum256([]byte("table2")) // the default tenant's campaign ID derivation
+	legacyID := "c-" + hex.EncodeToString(sum[:6])
+	legacy := filepath.Join(dataDir, "campaigns", legacyID)
+	if err := os.MkdirAll(legacy, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	// A checkpoint no run would write, so the resumed output shows it
+	// was replayed.
+	const table2 = "table2 as a pre-manifest daemon checkpointed it\n"
+	for name, data := range map[string]string{
+		"campaign.json":   `{"id":"` + legacyID + `","experiments":["table2"]}`,
+		core.ManifestName: `{"completed":{"table2":"table2.txt"}}`,
+		"table2.txt":      table2,
+	} {
+		if err := os.WriteFile(filepath.Join(legacy, name), []byte(data), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	_, err = c2.Campaign(ctx, legacyID)
+	apiErr(t, err, 404, "not_found")
 
 	restarted, err := c2.StartCampaign(ctx, ids)
 	if err != nil {
@@ -353,6 +382,16 @@ func TestCampaignAsyncResume(t *testing.T) {
 	}
 	if st := eng2.Stats(); st.Executed != 0 {
 		t.Errorf("resumed campaign executed %d unit tests, want 0", st.Executed)
+	}
+	if _, err := c2.StartCampaign(ctx, legacyIDs); err != nil {
+		t.Fatal(err)
+	}
+	resumed := waitCampaignDone(t, c2, legacyID)
+	if resumed.Outputs["table2"] != table2 {
+		t.Errorf("resumed pre-manifest campaign's table2 = %q, want its checkpoint replayed", resumed.Outputs["table2"])
+	}
+	if st := eng2.Stats(); st.Executed != 0 {
+		t.Errorf("resumed pre-manifest campaign executed %d unit tests, want 0", st.Executed)
 	}
 }
 
@@ -597,23 +636,32 @@ func TestColdStartWarmGenerationStore(t *testing.T) {
 	}
 }
 
-// failingProvider errors on every generation.
-type failingProvider struct{}
+// failingProvider errors on every generation until healthy is set,
+// then serves inner's.
+type failingProvider struct {
+	healthy atomic.Bool
+	inner   inference.Provider
+}
 
-func (failingProvider) Name() string { return "failing" }
-func (failingProvider) Generate(ctx context.Context, req inference.Request) (inference.Response, error) {
+func (*failingProvider) Name() string { return "failing" }
+func (p *failingProvider) Generate(ctx context.Context, req inference.Request) (inference.Response, error) {
+	if p.healthy.Load() {
+		return p.inner.Generate(ctx, req)
+	}
 	return inference.Response{}, fmt.Errorf("backend down")
 }
-func (failingProvider) Close() error { return nil }
+func (*failingProvider) Close() error { return nil }
 
 // TestGenerationFailuresFailExperiments pins the daemon's error
-// surfacing: a campaign whose provider fails must produce a 500 with
-// the generation-failure count — never a silently zero-scored
-// leaderboard cached as complete.
+// surfacing: an experiment or campaign whose provider fails must
+// produce a 500 (or a failed campaign) with the generation-failure
+// count — never a silently zero-scored leaderboard cached as complete.
+// Once the provider recovers, the same requests succeed.
 func TestGenerationFailuresFailExperiments(t *testing.T) {
 	ctx := context.Background()
-	disp := inference.NewDispatcher(failingProvider{})
-	bench := core.New(score.NewEvaluator(engine.New(), disp), dataset.Generate()[:4], llm.Models[:2])
+	models := llm.Models[:2]
+	prov := &failingProvider{inner: inference.NewSim(models)}
+	bench := core.New(score.NewEvaluator(engine.New(), inference.NewDispatcher(prov)), dataset.Generate()[:4], models)
 	c := newTestClient(t, bench)
 
 	_, err := c.Leaderboard(ctx)
@@ -624,4 +672,30 @@ func TestGenerationFailuresFailExperiments(t *testing.T) {
 	// The model-generation eval path reports the failure directly.
 	_, err = c.Eval(ctx, client.EvalRequest{Problem: bench.Problems[0].ID, Model: bench.Models[0].Name})
 	apiErr(t, err, 502, "bad_gateway")
+	start, err := c.StartCampaign(ctx, []string{"table4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCtx, cancel := context.WithTimeout(ctx, 60*time.Second)
+	defer cancel()
+	if st, err := c.WaitCampaign(waitCtx, start.ID, 20*time.Millisecond); err == nil || !strings.Contains(st.Error, "generation failures") {
+		t.Fatalf("campaign over a failing provider = %+v, %v; want failed on generation failures", st, err)
+	}
+
+	// Nothing failed was kept: the leaderboard is computed afresh, and
+	// the re-posted campaign runs to completion.
+	prov.healthy.Store(true)
+	got, err := c.Leaderboard(ctx)
+	if err != nil {
+		t.Fatalf("leaderboard after the provider recovered: %v", err)
+	}
+	if want := bench.Table4(); got != want {
+		t.Errorf("leaderboard after recovery differs from core.Table4:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	if _, err := c.StartCampaign(ctx, []string{"table4"}); err != nil {
+		t.Fatal(err)
+	}
+	if done := waitCampaignDone(t, c, start.ID); done.Outputs["table4"] != got {
+		t.Error("re-posted campaign's table4 differs from the leaderboard")
+	}
 }

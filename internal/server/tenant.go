@@ -14,21 +14,15 @@ import (
 // campaign IDs and checkpoint directories are byte- and
 // layout-identical to the pre-tenancy daemon.
 //
-// Tenant state is the serving layer only: experiment result caches,
-// in-flight coalescing and campaign bookkeeping are per-tenant, so
-// tenants share nothing above the engine. The engine, store and
-// dispatcher tiers below stay shared deliberately — they are
-// content-addressed, so one tenant's warm cache can never show another
-// tenant anything but the deterministic output of the same
-// computation.
-
-// tenantState is one tenant's slice of the serving layer.
-type tenantState struct {
-	name      string
-	flights   map[string]*flight // experiment ID → in-flight generation
-	results   map[string]string  // experiment ID → completed output
-	campaigns map[string]*campaign
-}
+// Tenants share nothing above the engine: experiment results are
+// cached under (tenant, experiment) keys and campaigns under (tenant,
+// campaign ID) keys. Only a campaign keeps per-tenant state in memory,
+// so requests under made-up tenant names leave nothing behind but a
+// rate-limit bucket, which goes once it has refilled.
+// The engine, store and dispatcher tiers below stay shared
+// deliberately — they are content-addressed, so one tenant's warm
+// cache can never show another tenant anything but the deterministic
+// output of the same computation.
 
 // tenantName extracts and validates the requesting tenant.
 func tenantName(r *http.Request) (string, error) {
@@ -45,34 +39,15 @@ func tenantName(r *http.Request) (string, error) {
 	return t, nil
 }
 
-// tenantLocked returns (creating on first use) the named tenant's
-// state. Callers must hold s.mu.
-func (s *Server) tenantLocked(name string) *tenantState {
-	tn, ok := s.tenants[name]
-	if !ok {
-		tn = &tenantState{
-			name:      name,
-			flights:   make(map[string]*flight),
-			results:   make(map[string]string),
-			campaigns: make(map[string]*campaign),
-		}
-		s.tenants[name] = tn
-	}
-	return tn
-}
-
-// tenantFor resolves the request's tenant state, writing the error
+// tenantFor resolves the request's tenant name, writing the error
 // envelope itself on an invalid name.
-func (s *Server) tenantFor(w http.ResponseWriter, r *http.Request) (*tenantState, bool) {
+func (s *Server) tenantFor(w http.ResponseWriter, r *http.Request) (string, bool) {
 	name, err := tenantName(r)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, codeInvalidTenant, err.Error())
-		return nil, false
+		return "", false
 	}
-	s.mu.Lock()
-	tn := s.tenantLocked(name)
-	s.mu.Unlock()
-	return tn, true
+	return name, true
 }
 
 // campaignRoot is the tenant's checkpoint root under the server's data

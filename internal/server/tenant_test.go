@@ -74,6 +74,16 @@ func TestTenantIsolationCampaigns(t *testing.T) {
 	apiErr(t, err, 404, "not_found")
 	_, err = defTenant.Campaign(ctx, betaStart.ID)
 	apiErr(t, err, 404, "not_found")
+	// An escaped path segment is one {id}; unescaped, it must not walk
+	// out of the default tenant's checkpoint root into beta's.
+	resp, err := http.Get(ts.URL + "/v1/campaign/..%2Ftenants%2Fbeta%2Fcampaigns%2F" + betaStart.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Errorf("campaign ID escaping the tenant's checkpoint root = %d, want 404", resp.StatusCode)
+	}
 
 	// Both tenants' leaderboards are byte-identical to core.
 	want := bench.Table4()
@@ -294,7 +304,17 @@ func TestRouteMetricsInStats(t *testing.T) {
 	if evalStats.AvgMs < 0 {
 		t.Errorf("negative average latency %v", evalStats.AvgMs)
 	}
-	if stats.Tenants == 0 {
-		t.Error("stats reports zero known tenants after requests")
+	// tenants counts tenants holding a campaign in memory; evals leave
+	// no per-tenant state behind.
+	if stats.Tenants != 0 {
+		t.Errorf("stats reports %d tenants after evals alone, want 0", stats.Tenants)
+	}
+	start, err := c.StartCampaign(ctx, []string{"table2"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCampaignDone(t, c, start.ID)
+	if stats, err = c.Stats(ctx); err != nil || stats.Tenants != 1 {
+		t.Errorf("stats after one campaign = %d tenants (err %v), want 1", stats.Tenants, err)
 	}
 }
