@@ -140,9 +140,12 @@ func TestExecutorsAgree(t *testing.T) {
 // strings.Builders and jsonpath built a slice per step, 16.6 while
 // they wrote into pooled buffers but the simulated cluster built a
 // manifest tree per spawned pod, deep-copied every Service and keyed
-// its objects by "ns/name" strings, and reads 12.4 since it keeps
-// typed state and builds YAML only where a command reads it.
-const unitTestMaxAllocs = 14
+// its objects by "ns/name" strings, 12.4 while it kept typed state but
+// the run still copied out its stderr, expanded each command into a
+// fresh argv, parsed each -l selector into a fresh slice, formatted
+// each apply line and rendered each timestamp and address, and reads
+// 8.1 since none of those allocates.
+const unitTestMaxAllocs = 9
 
 func TestUnitTestAllocs(t *testing.T) {
 	if testing.Short() {

@@ -4,6 +4,8 @@ import (
 	"strings"
 	"sync"
 	"testing"
+
+	"cloudeval/internal/kubesim"
 )
 
 // TestPooledEnvNoLeak is the regression test for environment
@@ -68,6 +70,26 @@ sleep 5
 	}
 	if strings.Contains(out1.Stdout, "oops") {
 		t.Error("leaked variable observable in output")
+	}
+
+	// A second cycle: the Deployment's and its pods' buckets were
+	// written and reset; a Service is written now and reset, and all
+	// three stay empty.
+	recycled.Shell.FS["svc.yaml"] = "apiVersion: v1\nkind: Service\nmetadata:\n  name: front\nspec:\n  selector: {app: web}\n  ports: [{port: 80}]\n"
+	if res, err := recycled.Shell.Run("kubectl apply -f svc.yaml"); err != nil || res.ExitCode != 0 {
+		t.Fatalf("service apply: %v %+v", err, res)
+	}
+	recycled.Reset()
+	for _, r := range []*kubesim.Resource{kubesim.Deployment, kubesim.Pod, kubesim.Service} {
+		if objs := recycled.Cluster.ListObjects(r, "*", nil); len(objs) != 0 {
+			t.Errorf("%d %s objects survived Reset", len(objs), r.Plural)
+		}
+	}
+	const listAll = "kubectl get deployments -A -o name; kubectl get pods -A -o name; kubectl get services -A -o name"
+	out1, _ = recycled.Shell.Run(listAll)
+	out2, _ = NewEnv().Shell.Run(listAll)
+	if out1 != out2 {
+		t.Errorf("after two resets: %+v, a fresh env: %+v", out1, out2)
 	}
 }
 

@@ -31,6 +31,11 @@ type Env struct {
 	named       []*yamlx.Node
 	list, items yamlx.Node
 	rendered    []byte
+
+	// The storage the last command's -l selector was parsed into, and
+	// the last apply's results, reused by the next.
+	sel     kubesim.Selector
+	applied []kubesim.ApplyResult
 }
 
 // The head of the List a jsonpath template is evaluated over; like the
@@ -75,6 +80,7 @@ func (e *Env) Reset() {
 	if cap(e.rendered) > maxRendered {
 		e.rendered = nil
 	}
+	clear(e.sel[:cap(e.sel)])
 }
 
 // maxRendered is the largest jsonpath buffer a pooled Env keeps, the

@@ -60,11 +60,19 @@ func (e *Env) kubectlApply(fs shell.FlagSet, io *shell.IO) int {
 		fmt.Fprintln(io.Err, err)
 		return 1
 	}
-	results, err := e.Cluster.ApplyYAML(src, e.namespaceOf(fs))
+	results, err := e.Cluster.ApplyYAML(e.applied[:0], src, e.namespaceOf(fs))
 	for _, r := range results {
-		io.Out.WriteString(r.String())
-		io.Out.WriteByte('\n')
+		io.Out.WriteString(r.Resource.Singular)
+		io.Out.WriteByte('/')
+		io.Out.WriteString(r.Name)
+		if r.Created {
+			io.Out.WriteString(" created\n")
+		} else {
+			io.Out.WriteString(" configured\n")
+		}
 	}
+	clear(results)
+	e.applied = results[:0]
 	if err != nil {
 		io.Err.WriteString("Error from server (BadRequest): error when creating ")
 		writeQuoted(io.Err, fs.Get("-f", "--filename"))
@@ -189,15 +197,17 @@ func listOf(csv string) *yamlx.Node {
 	return seq
 }
 
-// selectorOf parses the command's -l/--selector. What kubectl cannot
-// parse is its error and the command's failure, never a selector that
-// matches everything.
-func selectorOf(fs shell.FlagSet, io *shell.IO) (kubesim.Selector, bool) {
-	sel, err := kubesim.ParseSelector(fs.Get("-l", "--selector"))
+// selectorOf parses the command's -l/--selector into the storage of the
+// last command's, which nothing holds once that command has returned.
+// What kubectl cannot parse is its error and the command's failure,
+// never a selector that matches everything.
+func (e *Env) selectorOf(fs shell.FlagSet, io *shell.IO) (kubesim.Selector, bool) {
+	sel, err := kubesim.AppendSelector(e.sel[:0], fs.Get("-l", "--selector"))
 	if err != nil {
 		io.Err.WriteString("error: " + err.Error() + "\n")
 		return nil, false
 	}
+	e.sel = sel
 	return sel, true
 }
 
@@ -253,7 +263,7 @@ func (e *Env) kubectlGet(fs shell.FlagSet, io *shell.IO) int {
 	if fs.Has("-A", "--all-namespaces") {
 		ns = "*"
 	}
-	sel, ok := selectorOf(fs, io)
+	sel, ok := e.selectorOf(fs, io)
 	if !ok {
 		return 1
 	}
@@ -304,7 +314,7 @@ func (e *Env) kubectlDescribe(fs shell.FlagSet, io *shell.IO) int {
 	}
 	ns := e.namespaceOf(fs)
 	if len(names) == 0 {
-		sel, ok := selectorOf(fs, io)
+		sel, ok := e.selectorOf(fs, io)
 		if !ok {
 			return 1
 		}
@@ -350,7 +360,7 @@ func (e *Env) kubectlWait(fs shell.FlagSet, io *shell.IO) int {
 	if !ok {
 		return 1
 	}
-	sel, ok := selectorOf(fs, io)
+	sel, ok := e.selectorOf(fs, io)
 	if !ok {
 		return 1
 	}

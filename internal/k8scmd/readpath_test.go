@@ -322,3 +322,47 @@ func TestSelectorFormsThroughKubectl(t *testing.T) {
 		t.Errorf("wait -l 'app in (solo)': exit %d, %q", code, out)
 	}
 }
+
+// TestSelectorStorageReused: each command's -l selector is parsed into
+// the storage the last one's was, so one must never leak into the next,
+// whether the commands follow each other, the next one's selector is
+// shorter or longer, fails to parse, or is itself built by a kubectl
+// get -l in a command substitution. Each command's output is compared
+// with the same command alone on an environment in the same state.
+func TestSelectorStorageReused(t *testing.T) {
+	env := freshEnv(t)
+	env.Shell.FS["all.yaml"] = oneOfEach
+	const setup = "kubectl apply -f all.yaml\nsleep 5"
+	runIn(t, env, setup)
+	const names = " -o jsonpath='{.items[*].metadata.name}'"
+	cmds := []string{
+		"kubectl get pods -l app=solo" + names,
+		"kubectl get pods -l 'app!=solo,app!=web,app!=db,app!=rset'" + names,
+		"kubectl get pods -l app=db" + names,
+		"kubectl get pods -l 'app in (web'" + names,
+		"kubectl get pods" + names,
+		"kubectl get pods -l app=$(kubectl get pods -l app=agent -o jsonpath='{.items[0].metadata.labels.app}')" + names,
+		"kubectl wait --for=condition=Ready pod -l 'app in (solo,db)' --timeout=5s",
+		"kubectl describe pods -l app=solo | grep -c '^Name:'",
+		"kubectl get pods -l app=solo" + names,
+	}
+	var script strings.Builder
+	for _, cmd := range cmds {
+		script.WriteString(cmd + "; echo \"[$?]\"\n")
+	}
+	got, _, _ := runIn(t, env, script.String())
+	var want strings.Builder
+	for _, cmd := range cmds {
+		alone := freshEnv(t)
+		alone.Shell.FS["all.yaml"] = oneOfEach
+		runIn(t, alone, setup)
+		out, _, _ := runIn(t, alone, cmd+"; echo \"[$?]\"")
+		want.WriteString(out)
+	}
+	if got != want.String() {
+		t.Errorf("one after another:\n%s\neach alone:\n%s", got, want.String())
+	}
+	if !strings.HasPrefix(got, "solo\n[0]\nagent-mrttpq-0\n[0]\ndb-0\n[0]\n[1]\n") {
+		t.Errorf("the selectors chose %q", got)
+	}
+}

@@ -62,8 +62,6 @@ type Object struct {
 	// A spawned pod's share of its owner's pod template, never written.
 	tmplLabels, tmplSpec *yamlx.Node
 
-	createdStampNode *yamlx.Node // lazily rendered CreatedAt, see createdStamp
-
 	// The kubectl-style document withStatus last built for this object
 	// and the cluster generation it was built at. It lives and dies with
 	// the Object: Reset drops the objects, and their documents with them.
@@ -87,16 +85,6 @@ func (o *Object) spec() *yamlx.Node {
 	return o.manifest.Get("spec")
 }
 
-// createdStamp is CreatedAt as the metadata.creationTimestamp scalar of
-// the object's status documents, rendered once: the timestamp never
-// changes after creation.
-func (o *Object) createdStamp() *yamlx.Node {
-	if o.createdStampNode == nil {
-		o.createdStampNode = yamlx.String(o.CreatedAt.Format("2006-01-02T15:04:05Z"))
-	}
-	return o.createdStampNode
-}
-
 // Cluster is a simulated Kubernetes cluster.
 type Cluster struct {
 	now        time.Time
@@ -107,6 +95,34 @@ type Cluster struct {
 
 	// gen counts the changes made to the cluster; see touch.
 	gen uint64
+
+	// stamps holds the timestamp scalar of each virtual second a status
+	// document has shown (creationTimestamp, completionTime). Reset puts
+	// the clock back to epoch, so a pooled cluster meets the same few
+	// seconds execution after execution; it keeps them across resets,
+	// up to maxStamps.
+	stamps map[int64]*yamlx.Node
+}
+
+// maxStamps bounds Cluster.stamps: a script that sleeps through more
+// distinct seconds than this has the rest rendered afresh.
+const maxStamps = 64
+
+// stamp is t as a status document's timestamp scalar. Like the shared
+// status scalars, it is only ever read.
+func (c *Cluster) stamp(t time.Time) *yamlx.Node {
+	sec := t.Unix()
+	if n := c.stamps[sec]; n != nil {
+		return n
+	}
+	n := yamlx.String(t.Format("2006-01-02T15:04:05Z"))
+	if c.stamps == nil {
+		c.stamps = make(map[int64]*yamlx.Node)
+	}
+	if len(c.stamps) < maxStamps {
+		c.stamps[sec] = n
+	}
+	return n
 }
 
 // touch marks the cluster as changed. State derived from the cluster —
@@ -211,21 +227,15 @@ func (c *Cluster) DeleteNamespace(name string) error {
 	return nil
 }
 
-// ApplyResult describes one applied manifest.
+// ApplyResult describes one applied manifest. kubectl reports it as
+// Resource.Singular + "/" + Name and "created" or "configured": a
+// manifest's kind is its row's Kind exactly, so that is the kind as the
+// manifest spells it, lower-cased.
 type ApplyResult struct {
 	Resource  *Resource
-	Kind      string // as the manifest spells it
 	Name      string
 	Namespace string
 	Created   bool // false: configured (updated)
-}
-
-func (r ApplyResult) String() string {
-	verb := "configured"
-	if r.Created {
-		verb = "created"
-	}
-	return strings.ToLower(r.Kind) + "/" + r.Name + " " + verb
 }
 
 // yamlError is what ApplyYAML and DeleteYAML return for text that does
@@ -237,32 +247,35 @@ type yamlError struct{ err *yamlx.ParseError }
 func (e yamlError) Error() string { return e.err.ApplyText() }
 
 // ApplyYAML parses a (possibly multi-document) manifest and applies
-// every document, mimicking "kubectl apply -f". The defaultNS applies
-// to namespaced resources without an explicit metadata.namespace.
-// Parsing goes through the yamlx document cache — the same answer text
-// is applied once per model sample but parsed once per process — and
-// Apply never writes a document it is given, so the cached trees stay
-// pristine.
-func (c *Cluster) ApplyYAML(src string, defaultNS string) ([]ApplyResult, error) {
+// every document, mimicking "kubectl apply -f". It appends a result per
+// applied document to dst and returns the extended slice, which holds
+// the documents applied before an error too, so a caller that keeps
+// dst's storage applies without allocating a slice. The defaultNS
+// applies to namespaced resources without an explicit
+// metadata.namespace. Parsing goes through the yamlx document cache —
+// the same answer text is applied once per model sample but parsed once
+// per process — and Apply never writes a document it is given, so the
+// cached trees stay pristine.
+func (c *Cluster) ApplyYAML(dst []ApplyResult, src string, defaultNS string) ([]ApplyResult, error) {
 	docs, err := yamlx.ParseAllCached(src)
 	if err != nil {
-		return nil, yamlError{err.(*yamlx.ParseError)}
+		return dst, yamlError{err.(*yamlx.ParseError)}
 	}
-	var results []ApplyResult
+	n := len(dst)
 	for _, doc := range docs {
 		if doc == nil || doc.Kind == yamlx.NullKind {
 			continue
 		}
 		res, err := c.Apply(doc, defaultNS)
 		if err != nil {
-			return results, err
+			return dst, err
 		}
-		results = append(results, res)
+		dst = append(dst, res)
 	}
-	if len(results) == 0 {
-		return nil, fmt.Errorf("error: no objects passed to apply")
+	if len(dst) == n {
+		return dst, fmt.Errorf("error: no objects passed to apply")
 	}
-	return results, nil
+	return dst, nil
 }
 
 // Apply validates and stores a single manifest, then runs the
@@ -275,7 +288,6 @@ func (c *Cluster) Apply(doc *yamlx.Node, defaultNS string) (ApplyResult, error) 
 		return ApplyResult{}, err
 	}
 	c.touch()
-	kind := doc.Get("kind").ScalarString()
 	meta := doc.Get("metadata")
 	name := meta.Get("name").ScalarString()
 	ns := defaultNS
@@ -295,7 +307,7 @@ func (c *Cluster) Apply(doc *yamlx.Node, defaultNS string) (ApplyResult, error) 
 		created := !c.namespaces[name]
 		c.namespaces[name] = true
 		c.put(&Object{manifest: doc, Resource: r, Name: name, CreatedAt: c.now})
-		return ApplyResult{Resource: r, Kind: kind, Name: name, Created: created}, nil
+		return ApplyResult{Resource: r, Name: name, Created: created}, nil
 	}
 
 	_, existed := c.bucket(r)[key{ns, name}]
@@ -308,7 +320,7 @@ func (c *Cluster) Apply(doc *yamlx.Node, defaultNS string) (ApplyResult, error) 
 	}
 	c.put(obj)
 	c.runControllers(obj)
-	return ApplyResult{Resource: r, Kind: kind, Name: name, Namespace: ns, Created: !existed}, nil
+	return ApplyResult{Resource: r, Name: name, Namespace: ns, Created: !existed}, nil
 }
 
 // DeleteYAML deletes every resource named in a manifest, mimicking

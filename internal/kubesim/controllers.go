@@ -60,15 +60,15 @@ func (c *Cluster) spawnPods(owner *Object, n int) {
 	if template == nil {
 		return
 	}
-	prefix := owner.Name + "-"
+	var hash [6]byte
 	if owner.Resource != StatefulSet {
-		prefix += shortHash(owner.Name) + "-"
+		hash = shortHash(owner.Name)
 	}
 	labels, spec := template.Path("metadata", "labels"), template.Get("spec")
 	for i := 0; i < n; i++ {
 		p := &Object{
 			Resource:   Pod,
-			Name:       prefix + strconv.Itoa(i),
+			Name:       podName(owner, hash, i),
 			Namespace:  owner.Namespace,
 			CreatedAt:  c.now,
 			OwnerKind:  owner.Resource,
@@ -81,10 +81,58 @@ func (c *Cluster) spawnPods(owner *Object, n int) {
 	}
 }
 
+// podName is the name of a workload's i-th pod, built as one string:
+// "<owner>-<hash>-<i>", or "<owner>-<i>" for a StatefulSet, whose hash
+// is left zero.
+func podName(owner *Object, hash [6]byte, i int) string {
+	var buf [128]byte
+	b := append(append(buf[:0], owner.Name...), '-')
+	if hash[0] != 0 {
+		b = append(append(b, hash[:]...), '-')
+	}
+	return string(strconv.AppendInt(b, int64(i), 10))
+}
+
+// addrTable holds the first 256 addresses of a /24 as status-document
+// scalars, shared by every cluster in the process under the read-only
+// contract of the status scalars.
+type addrTable struct {
+	prefix string
+	nodes  [256]*yamlx.Node
+}
+
+func newAddrTable(prefix string) *addrTable {
+	t := &addrTable{prefix: prefix}
+	for i := range t.nodes {
+		t.nodes[i] = yamlx.String(prefix + strconv.Itoa(i))
+	}
+	return t
+}
+
+// The pod and service address ranges. Pods and services draw host
+// numbers from one counter (nextPodIP), starting at 2.
+var podAddrs, serviceAddrs = newAddrTable("10.244.0."), newAddrTable("10.96.0.")
+
+// node is the address with host number i.
+func (t *addrTable) node(i int) *yamlx.Node {
+	if i >= 0 && i < len(t.nodes) {
+		return t.nodes[i]
+	}
+	return yamlx.String(t.prefix + strconv.Itoa(i))
+}
+
+// nodeOf is address a as a scalar, the shared one if the table has it.
+func (t *addrTable) nodeOf(a string) *yamlx.Node {
+	if i, err := strconv.Atoi(strings.TrimPrefix(a, t.prefix)); err == nil && i >= 0 && i < len(t.nodes) && t.nodes[i].Str == a {
+		return t.nodes[i]
+	}
+	return yamlx.String(a)
+}
+
 // schedulePod assigns IPs and the readiness timestamp, or marks the pod
 // failed when its images cannot be pulled.
 func (c *Cluster) schedulePod(p *Object) {
-	p.PodIP = "10.244.0." + strconv.Itoa(c.nextPodIP)
+	p.PodIP = podAddrs.node(c.nextPodIP).Str
 	c.nextPodIP++
 	if reason, bad := badImage(p.spec()); bad {
 		p.Failed = true
@@ -126,7 +174,7 @@ func (c *Cluster) initService(svc *Object) {
 	if spec.Get("clusterIP") == nil {
 		newSpec = spec.ShallowClone()
 		c.nextPodIP++
-		newSpec.Set("clusterIP", yamlx.String("10.96.0."+strconv.Itoa(c.nextPodIP)))
+		newSpec.Set("clusterIP", serviceAddrs.node(c.nextPodIP))
 	}
 	if typ := spec.Get("type").ScalarString(); typ == "NodePort" || typ == "LoadBalancer" {
 		ports := spec.Get("ports")
@@ -192,10 +240,10 @@ func (c *Cluster) buildStatus(obj *Object) *yamlx.Node {
 	}
 	n.Set("metadata", meta)
 	if meta.Get("namespace") == nil && obj.Resource.Namespaced {
-		meta.Set("namespace", yamlx.String(obj.Namespace))
+		meta.Set("namespace", namespaceNode(obj.Namespace))
 	}
 	if meta.Get("creationTimestamp") == nil {
-		meta.Set("creationTimestamp", obj.createdStamp())
+		meta.Set("creationTimestamp", c.stamp(obj.CreatedAt))
 	}
 	switch obj.Resource {
 	case Pod:
@@ -218,11 +266,11 @@ func (c *Cluster) buildStatus(obj *Object) *yamlx.Node {
 // metadata (name, namespace, the template's labels, creationTimestamp),
 // the template's spec and the pod's status.
 func (c *Cluster) spawnedPodDoc(obj *Object) *yamlx.Node {
-	meta := append(make([]yamlx.Entry, 0, 4), kv("name", yamlx.String(obj.Name)), kv("namespace", yamlx.String(obj.Namespace)))
+	meta := append(make([]yamlx.Entry, 0, 4), kv("name", yamlx.String(obj.Name)), kv("namespace", namespaceNode(obj.Namespace)))
 	if obj.tmplLabels != nil {
 		meta = append(meta, kv("labels", obj.tmplLabels))
 	}
-	meta = append(meta, kv("creationTimestamp", obj.createdStamp()))
+	meta = append(meta, kv("creationTimestamp", c.stamp(obj.CreatedAt)))
 	doc := append(make([]yamlx.Entry, 0, 5), kv("apiVersion", strV1), kv("kind", strPod), kv("metadata", mapOf(meta...)))
 	if obj.tmplSpec != nil {
 		doc = append(doc, kv("spec", obj.tmplSpec))
@@ -242,6 +290,7 @@ var (
 	strNodeIP       = yamlx.String(NodeIP)
 	strV1           = yamlx.String("v1")
 	strPod          = yamlx.String(Pod.Kind)
+	strDefault      = yamlx.String("default")
 	boolFalse       = yamlx.Boolean(false)
 	boolTrue        = yamlx.Boolean(true)
 	intZero         = yamlx.Integer(0)
@@ -257,6 +306,14 @@ var (
 )
 
 func kv(key string, v *yamlx.Node) yamlx.Entry { return yamlx.Entry{Key: key, Value: v} }
+
+// namespaceNode is a namespace name as a scalar, shared for "default".
+func namespaceNode(ns string) *yamlx.Node {
+	if ns == "default" {
+		return strDefault
+	}
+	return yamlx.String(ns)
+}
 
 // mapOf returns a mapping of exactly these entries, in this order: one
 // slice at its final size where a chain of Sets would grow it twice.
@@ -370,7 +427,7 @@ func (c *Cluster) podStatus(obj *Object) *yamlx.Node {
 	}
 	return mapOf(append(st,
 		kv("hostIP", strNodeIP),
-		kv("podIP", yamlx.String(obj.PodIP)),
+		kv("podIP", podAddrs.nodeOf(obj.PodIP)),
 		kv("conditions", yamlx.Seq(
 			condInitialized.is(!obj.Failed),
 			condReady.is(ready),
@@ -420,7 +477,7 @@ func (c *Cluster) jobStatus(obj *Object) *yamlx.Node {
 	}
 	return mapOf(
 		kv("succeeded", intOne),
-		kv("completionTime", yamlx.String(obj.DoneAt.Format("2006-01-02T15:04:05Z"))),
+		kv("completionTime", c.stamp(obj.DoneAt)),
 		conds,
 	)
 }
@@ -446,7 +503,7 @@ func (c *Cluster) loadBalancerStatus(obj *Object, balanced bool) *yamlx.Node {
 
 // shortHash derives a stable 6-character suffix from a name, like the
 // hashes in real pod names.
-func shortHash(s string) string {
+func shortHash(s string) [6]byte {
 	const alphabet = "bcdfghjklmnpqrstvwxz2456789"
 	h := uint32(2166136261)
 	for i := 0; i < len(s); i++ {
@@ -461,5 +518,5 @@ func shortHash(s string) string {
 			h = 7 + uint32(i)*31
 		}
 	}
-	return string(out[:])
+	return out
 }

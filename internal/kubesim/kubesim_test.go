@@ -1,6 +1,7 @@
 package kubesim
 
 import (
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -78,7 +79,7 @@ spec:
 
 func TestApplyDeploymentCreatesPods(t *testing.T) {
 	c := NewCluster()
-	res, err := c.ApplyYAML(nginxDeployment, "default")
+	res, err := c.ApplyYAML(nil, nginxDeployment, "default")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +106,7 @@ func TestApplyDeploymentCreatesPods(t *testing.T) {
 
 func TestWaitForPodsReady(t *testing.T) {
 	c := NewCluster()
-	if _, err := c.ApplyYAML(nginxDeployment, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, nginxDeployment, "default"); err != nil {
 		t.Fatal(err)
 	}
 	start := c.Now()
@@ -131,7 +132,7 @@ func TestWaitTimesOut(t *testing.T) {
 
 func TestDeploymentAvailableCondition(t *testing.T) {
 	c := NewCluster()
-	if _, err := c.ApplyYAML(nginxDeployment, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, nginxDeployment, "default"); err != nil {
 		t.Fatal(err)
 	}
 	err := c.WaitFor(WaitOptions{Resource: Deployment, Namespace: "default", All: true, Condition: "available", Timeout: 30 * time.Second})
@@ -142,10 +143,10 @@ func TestDeploymentAvailableCondition(t *testing.T) {
 
 func TestServiceEndpointsAndURL(t *testing.T) {
 	c := NewCluster()
-	if _, err := c.ApplyYAML(nginxDeployment, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, nginxDeployment, "default"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ApplyYAML(nginxLBService, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, nginxLBService, "default"); err != nil {
 		t.Fatal(err)
 	}
 	c.AdvanceTime(10 * time.Second)
@@ -172,7 +173,7 @@ func TestServiceEndpointsAndURL(t *testing.T) {
 
 func TestServiceWithoutEndpointsIs503(t *testing.T) {
 	c := NewCluster()
-	if _, err := c.ApplyYAML(nginxLBService, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, nginxLBService, "default"); err != nil {
 		t.Fatal(err)
 	}
 	c.AdvanceTime(10 * time.Second)
@@ -184,7 +185,7 @@ func TestServiceWithoutEndpointsIs503(t *testing.T) {
 
 func TestDaemonSetHostPortProbe(t *testing.T) {
 	c := NewCluster()
-	if _, err := c.ApplyYAML(registryDaemonSet, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, registryDaemonSet, "default"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.WaitFor(WaitOptions{Resource: Pod, Namespace: "default", Selector: mustSelector("app=kube-registry"), Condition: "Ready", Timeout: 60 * time.Second}); err != nil {
@@ -229,7 +230,7 @@ roleRef:
   name: secret-reader
   apiGroup: rbac.authorization.k8s.io
 `
-	if _, err := c.ApplyYAML(rb, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, rb, "default"); err != nil {
 		t.Fatal(err)
 	}
 	n, ok := c.GetByName(RoleBinding, "development", "read-secrets")
@@ -242,14 +243,14 @@ roleRef:
 	}
 	// Applying into a namespace that does not exist fails.
 	c2 := NewCluster()
-	if _, err := c2.ApplyYAML(rb, "default"); err == nil {
+	if _, err := c2.ApplyYAML(nil, rb, "default"); err == nil {
 		t.Error("apply into missing namespace should fail")
 	}
 }
 
 func TestDeleteCascades(t *testing.T) {
 	c := NewCluster()
-	if _, err := c.ApplyYAML(nginxDeployment, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, nginxDeployment, "default"); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.Delete(Deployment, "default", "nginx-deployment"); err != nil {
@@ -262,11 +263,11 @@ func TestDeleteCascades(t *testing.T) {
 
 func TestReapplyReplacesPods(t *testing.T) {
 	c := NewCluster()
-	if _, err := c.ApplyYAML(nginxDeployment, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, nginxDeployment, "default"); err != nil {
 		t.Fatal(err)
 	}
 	scaled := strings.Replace(nginxDeployment, "replicas: 3", "replicas: 2", 1)
-	res, err := c.ApplyYAML(scaled, "default")
+	res, err := c.ApplyYAML(nil, scaled, "default")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -292,7 +293,7 @@ spec:
         image: perl:5.34.0
       restartPolicy: Never
 `
-	if _, err := c.ApplyYAML(job, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, job, "default"); err != nil {
 		t.Fatal(err)
 	}
 	n, _ := c.GetByName(Job, "default", "pi")
@@ -320,7 +321,7 @@ spec:
   - name: app
     image: "not a valid image"
 `
-	if _, err := c.ApplyYAML(pod, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, pod, "default"); err != nil {
 		t.Fatal(err)
 	}
 	err := c.WaitFor(WaitOptions{Resource: Pod, Namespace: "default", Names: []string{"broken"}, Condition: "Ready", Timeout: 10 * time.Second})
@@ -349,7 +350,7 @@ spec:
           serviceName: test-app
           servicePort: 5000
 `
-	_, err := c.ApplyYAML(legacy, "default")
+	_, err := c.ApplyYAML(nil, legacy, "default")
 	if err == nil || !strings.Contains(err.Error(), "strict decoding error") {
 		t.Fatalf("legacy ingress error = %v", err)
 	}
@@ -371,7 +372,7 @@ spec:
             port:
               number: 5000
 `
-	if _, err := c.ApplyYAML(fixed, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, fixed, "default"); err != nil {
 		t.Fatalf("fixed ingress rejected: %v", err)
 	}
 	out, err := c.Describe(Ingress, "default", "minimal-ingress")
@@ -386,20 +387,20 @@ spec:
 func TestValidateWorkloadSelectorMismatch(t *testing.T) {
 	c := NewCluster()
 	bad := strings.Replace(nginxDeployment, "app: nginx\n  template", "app: other\n  template", 1)
-	if _, err := c.ApplyYAML(bad, "default"); err == nil {
+	if _, err := c.ApplyYAML(nil, bad, "default"); err == nil {
 		t.Error("selector/template mismatch should be rejected")
 	}
 }
 
 func TestValidateMissingKind(t *testing.T) {
 	c := NewCluster()
-	if _, err := c.ApplyYAML("metadata:\n  name: x\n", "default"); err == nil {
+	if _, err := c.ApplyYAML(nil, "metadata:\n  name: x\n", "default"); err == nil {
 		t.Error("manifest without kind should fail")
 	}
-	if _, err := c.ApplyYAML("kind: Pod\nmetadata:\n  name: x\n", "default"); err == nil {
+	if _, err := c.ApplyYAML(nil, "kind: Pod\nmetadata:\n  name: x\n", "default"); err == nil {
 		t.Error("manifest without apiVersion should fail")
 	}
-	if _, err := c.ApplyYAML("apiVersion: v1\nkind: Pod\nmetadata: {}\n", "default"); err == nil {
+	if _, err := c.ApplyYAML(nil, "apiVersion: v1\nkind: Pod\nmetadata: {}\n", "default"); err == nil {
 		t.Error("manifest without name should fail")
 	}
 }
@@ -407,7 +408,7 @@ func TestValidateMissingKind(t *testing.T) {
 func TestValidateWrongAPIVersion(t *testing.T) {
 	c := NewCluster()
 	old := strings.Replace(nginxDeployment, "apps/v1", "extensions/v1beta1", 1)
-	_, err := c.ApplyYAML(old, "default")
+	_, err := c.ApplyYAML(nil, old, "default")
 	if err == nil || !strings.Contains(err.Error(), "no matches for kind") {
 		t.Errorf("err = %v", err)
 	}
@@ -418,7 +419,7 @@ func TestValidateWrongAPIVersion(t *testing.T) {
 // cluster as it found it — no object and no bucket.
 func TestUnknownKindRefused(t *testing.T) {
 	c := NewCluster()
-	_, err := c.ApplyYAML("apiVersion: example.com/v1\nkind: Widget\nmetadata:\n  name: w\n", "default")
+	_, err := c.ApplyYAML(nil, "apiVersion: example.com/v1\nkind: Widget\nmetadata:\n  name: w\n", "default")
 	if want := `error: unable to recognize: no matches for kind "Widget" in version "example.com/v1"`; err == nil || err.Error() != want {
 		t.Errorf("apply kind: Widget: %v, want %s", err, want)
 	}
@@ -438,7 +439,7 @@ func TestUnknownKindRefused(t *testing.T) {
 func TestManifestKindIsExact(t *testing.T) {
 	for _, kind := range []string{"deploy", "deployment", "deployments", "DEPLOYMENT", "Deployments", `" deploy "`, `" Deployment"`} {
 		c := NewCluster()
-		_, err := c.ApplyYAML(strings.Replace(nginxDeployment, "kind: Deployment", "kind: "+kind, 1), "default")
+		_, err := c.ApplyYAML(nil, strings.Replace(nginxDeployment, "kind: Deployment", "kind: "+kind, 1), "default")
 		want := `error: unable to recognize: no matches for kind "` + strings.Trim(kind, `"`) + `" in version "apps/v1"`
 		if err == nil || err.Error() != want {
 			t.Errorf("kind: %s: %v, want %s", kind, err, want)
@@ -447,7 +448,7 @@ func TestManifestKindIsExact(t *testing.T) {
 			t.Errorf("kind: %s: applied %d deployments", kind, len(objs))
 		}
 	}
-	if _, err := NewCluster().ApplyYAML(nginxDeployment, "default"); err != nil {
+	if _, err := NewCluster().ApplyYAML(nil, nginxDeployment, "default"); err != nil {
 		t.Errorf("kind: Deployment: %v", err)
 	}
 }
@@ -466,11 +467,11 @@ spec:
     - name: PORT
       value: 5000
 `
-	if _, err := c.ApplyYAML(pod, "default"); err == nil {
+	if _, err := c.ApplyYAML(nil, pod, "default"); err == nil {
 		t.Error("unquoted numeric env value must fail strict decoding")
 	}
 	quoted := strings.Replace(pod, "value: 5000", `value: "5000"`, 1)
-	if _, err := c.ApplyYAML(quoted, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, quoted, "default"); err != nil {
 		t.Errorf("quoted env value rejected: %v", err)
 	}
 }
@@ -553,10 +554,10 @@ func TestKindShortNames(t *testing.T) {
 
 func TestDescribeService(t *testing.T) {
 	c := NewCluster()
-	if _, err := c.ApplyYAML(nginxDeployment, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, nginxDeployment, "default"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ApplyYAML(nginxLBService, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, nginxLBService, "default"); err != nil {
 		t.Fatal(err)
 	}
 	c.AdvanceTime(10 * time.Second)
@@ -591,7 +592,7 @@ spec:
       - name: nginx
         image: nginx
 `
-	if _, err := c.ApplyYAML(sts, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, sts, "default"); err != nil {
 		t.Fatal(err)
 	}
 	pods := c.List(Pod, "default", mustSelector("app=web"))
@@ -612,7 +613,7 @@ spec:
 func TestApplyParseErrorText(t *testing.T) {
 	const src = "apiVersion: v1\nkind: Pod\nmetadata: {name: [web\n"
 	c := NewCluster()
-	_, applyErr := c.ApplyYAML(src, "default")
+	_, applyErr := c.ApplyYAML(nil, src, "default")
 	_, deleteErr := c.DeleteYAML(src, "default")
 	_, parseErr := yamlx.ParseString(src)
 	want := "error parsing YAML: yaml: line 3: unterminated flow sequence"
@@ -627,7 +628,69 @@ func TestApplyParseErrorText(t *testing.T) {
 	if raceflag.Enabled {
 		return
 	}
-	if allocs := testing.AllocsPerRun(100, func() { c.ApplyYAML(src, "default") }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { c.ApplyYAML(nil, src, "default") }); allocs != 0 {
 		t.Errorf("%.1f allocations per failed apply of cached text, want 0", allocs)
+	}
+}
+
+// TestSharedStatusScalars: a status document's timestamps, namespace
+// and addresses are shared scalars wherever that is possible, and read
+// as the text they replaced.
+func TestSharedStatusScalars(t *testing.T) {
+	c := NewCluster()
+	if _, err := c.ApplyYAML(nil, nginxDeployment, "default"); err != nil {
+		t.Fatal(err)
+	}
+	pods := c.List(Pod, "default", nil)
+	a, b := pods[0].Path("metadata", "creationTimestamp"), pods[1].Path("metadata", "creationTimestamp")
+	if a != b || a.ScalarString() != "2024-01-01T00:00:00Z" {
+		t.Errorf("creationTimestamps %p %q and %p %q, want one shared 2024-01-01T00:00:00Z", a, a.ScalarString(), b, b.ScalarString())
+	}
+	if ns := pods[0].Path("metadata", "namespace"); ns != strDefault {
+		t.Errorf("namespace %q is not the shared scalar", ns.ScalarString())
+	}
+	c.Reset()
+	c.AdvanceTime(90 * time.Second)
+	if _, err := c.ApplyYAML(nil, nginxDeployment, "default"); err != nil {
+		t.Fatal(err)
+	}
+	if got := c.List(Pod, "default", nil)[0].Path("metadata", "creationTimestamp").ScalarString(); got != "2024-01-01T00:01:30Z" {
+		t.Errorf("creationTimestamp after a reset and 90 s: %q", got)
+	}
+	for i := 0; i < 2*maxStamps; i++ {
+		c.stamp(epoch.Add(time.Duration(i) * time.Hour))
+	}
+	if len(c.stamps) > maxStamps {
+		t.Errorf("%d stamps kept, cap %d", len(c.stamps), maxStamps)
+	}
+	for _, tab := range []*addrTable{podAddrs, serviceAddrs} {
+		for i := 0; i < 300; i++ {
+			want := tab.prefix + strconv.Itoa(i)
+			if tab.node(i).ScalarString() != want || tab.nodeOf(want).ScalarString() != want {
+				t.Errorf("address %d of %s: %q, %q", i, tab.prefix, tab.node(i).ScalarString(), tab.nodeOf(want).ScalarString())
+			}
+			if i < 256 && (tab.node(i) != tab.nodes[i] || tab.nodeOf(want) != tab.nodes[i]) {
+				t.Errorf("address %d of %s is not the shared scalar", i, tab.prefix)
+			}
+		}
+	}
+}
+
+// TestPodNames: a spawned pod's name is its owner's, the owner's hash
+// (not for a StatefulSet) and its ordinal, joined by '-'.
+func TestPodNames(t *testing.T) {
+	long := strings.Repeat("n", 200)
+	for _, owner := range []*Object{{Name: "web", Resource: Deployment}, {Name: "db", Resource: StatefulSet}, {Name: long, Resource: Job}} {
+		for _, i := range []int{0, 7, 12} {
+			want := owner.Name + "-" + strconv.Itoa(i)
+			var hash [6]byte
+			if owner.Resource != StatefulSet {
+				hash = shortHash(owner.Name)
+				want = owner.Name + "-" + string(hash[:]) + "-" + strconv.Itoa(i)
+			}
+			if got := podName(owner, hash, i); got != want {
+				t.Errorf("pod %d of %s: %q, want %q", i, owner.Name, got, want)
+			}
+		}
 	}
 }

@@ -110,7 +110,7 @@ spec:
 
 	c := NewCluster()
 	for name, src := range manifests {
-		if _, err := c.ApplyYAML(src, "default"); err != nil {
+		if _, err := c.ApplyYAML(nil, src, "default"); err != nil {
 			t.Fatalf("apply %s: %v", name, err)
 		}
 	}

@@ -83,14 +83,14 @@ func TestPropertyApplyIsIdempotent(t *testing.T) {
 	}
 	prop := func(kind, name, src string) bool {
 		c := NewCluster()
-		if _, err := c.ApplyYAML(src, "default"); err != nil {
+		if _, err := c.ApplyYAML(nil, src, "default"); err != nil {
 			t.Logf("first apply failed: %v\n%s", err, src)
 			return false
 		}
 		c.AdvanceTime(10 * time.Second)
 		before, ok1 := c.GetByName(mustResource(kind), "default", name)
 		podsBefore := len(c.List(Pod, "default", nil))
-		if _, err := c.ApplyYAML(src, "default"); err != nil {
+		if _, err := c.ApplyYAML(nil, src, "default"); err != nil {
 			return false
 		}
 		c.AdvanceTime(10 * time.Second)
@@ -122,7 +122,7 @@ func TestPropertyDeleteRemovesEverything(t *testing.T) {
 	}
 	prop := func(kind, name, src string) bool {
 		c := NewCluster()
-		if _, err := c.ApplyYAML(src, "default"); err != nil {
+		if _, err := c.ApplyYAML(nil, src, "default"); err != nil {
 			return false
 		}
 		if err := c.Delete(mustResource(kind), "default", name); err != nil {
@@ -150,7 +150,7 @@ func TestPropertyReadinessMonotone(t *testing.T) {
 	}
 	prop := func(d1, d2 int64) bool {
 		c := NewCluster()
-		if _, err := c.ApplyYAML(`apiVersion: v1
+		if _, err := c.ApplyYAML(nil, `apiVersion: v1
 kind: Pod
 metadata:
   name: mono

@@ -119,7 +119,7 @@ func TestStatusMemoNeverStale(t *testing.T) {
 			changed, read := false, false
 			switch op := rng.Intn(10); {
 			case op < 4:
-				_, err := c.ApplyYAML(drawManifest(rng, ns), "default")
+				_, err := c.ApplyYAML(nil, drawManifest(rng, ns), "default")
 				changed = err == nil
 			case op < 5:
 				changed = c.Delete(mustResource(kinds[rng.Intn(len(kinds))]), ns, []string{"a", "b", "c"}[rng.Intn(3)]) == nil
@@ -201,7 +201,7 @@ func TestWaitMatchesSteppingOracle(t *testing.T) {
 		}
 		for i := 0; i < 8; i++ {
 			// Errors are part of the draw: a re-apply may fail validation.
-			c.ApplyYAML(drawManifest(rng, []string{"default", "other"}[rng.Intn(2)]), "default")
+			c.ApplyYAML(nil, drawManifest(rng, []string{"default", "other"}[rng.Intn(2)]), "default")
 			c.AdvanceTime(time.Duration(rng.Intn(4)) * 700 * time.Millisecond)
 		}
 		return c

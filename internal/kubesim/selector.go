@@ -10,8 +10,8 @@ import (
 
 // Selector is a parsed label selector: requirements that must all hold.
 // The zero value (nil) selects everything. It is parsed once per
-// command by ParseSelector and then only read, so one value serves
-// every object a list or a wait looks at.
+// command by AppendSelector and then only read, so one
+// value serves every object a list or a wait looks at.
 type Selector []requirement
 
 type selectorOp uint8
@@ -62,19 +62,25 @@ func (s Selector) matches(labels *yamlx.Node) bool {
 	return true
 }
 
-// ParseSelector parses kubectl's -l/--selector grammar: comma-separated
+// AppendSelector parses kubectl's -l/--selector grammar: comma-separated
 // requirements of the equality forms key=value, key==value, key!=value,
 // the set forms "key in (a,b)" and "key notin (a,b)" — commas inside the
 // parentheses do not split — and the existence forms key and !key. The
 // empty string selects everything. Anything else is an error worded as
 // kubectl words it, never a selector that matches all: a typo in a
 // script's selector must fail the script, not pass it on every pod.
-func ParseSelector(s string) (Selector, error) {
+//
+// It appends the requirements it parses to dst, which it returns
+// extended; a nil dst parses into fresh storage. A caller that parses
+// each command's selector into the storage of the last one's (dst[:0])
+// allocates nothing for the usual key=value list. The requirements'
+// strings are substrings of s. On an error it returns nil.
+func AppendSelector(dst Selector, s string) (Selector, error) {
 	p := selectorParser{rest: s}
 	if p.peek() == "" {
-		return nil, nil
+		return dst, nil
 	}
-	var sel Selector
+	sel := dst
 	for {
 		r, err := p.requirement()
 		if err != nil {

@@ -5,12 +5,13 @@ import (
 	"testing"
 	"unicode"
 
+	"cloudeval/internal/raceflag"
 	"cloudeval/internal/yamlx"
 )
 
 // mustSelector parses a selector the test itself wrote.
 func mustSelector(s string) Selector {
-	sel, err := ParseSelector(s)
+	sel, err := AppendSelector(nil, s)
 	if err != nil {
 		panic(err)
 	}
@@ -63,7 +64,7 @@ spec:
 // "app!=web" dropped the term and matched everything.
 func TestSelectorGrammar(t *testing.T) {
 	c := NewCluster()
-	if _, err := c.ApplyYAML(selectorPods, "default"); err != nil {
+	if _, err := c.ApplyYAML(nil, selectorPods, "default"); err != nil {
 		t.Fatal(err)
 	}
 	for _, tc := range []struct{ selector, want string }{
@@ -99,9 +100,9 @@ func TestSelectorGrammar(t *testing.T) {
 		{"notin", ""},
 		{"app=nothing", ""},
 	} {
-		sel, err := ParseSelector(tc.selector)
+		sel, err := AppendSelector(nil, tc.selector)
 		if err != nil {
-			t.Errorf("ParseSelector(%q): %v", tc.selector, err)
+			t.Errorf("AppendSelector(nil, %q): %v", tc.selector, err)
 			continue
 		}
 		var names []string
@@ -124,13 +125,13 @@ func TestSelectorParseErrors(t *testing.T) {
 		"app in (web) tier", "app notin", "app notin web)", "(app)", "app)", "app in (a b)",
 		"app>1", "app<1", "app > 1", "a b", "!app=web", "app=(web)",
 	} {
-		sel, err := ParseSelector(s)
+		sel, err := AppendSelector(nil, s)
 		if err == nil {
-			t.Errorf("ParseSelector(%q) = %+v, want an error", s, sel)
+			t.Errorf("AppendSelector(nil, %q) = %+v, want an error", s, sel)
 			continue
 		}
 		if !strings.HasPrefix(err.Error(), "unable to parse requirement: found '") {
-			t.Errorf("ParseSelector(%q): error %q is not worded as kubectl's", s, err)
+			t.Errorf("AppendSelector(nil, %q): error %q is not worded as kubectl's", s, err)
 		}
 	}
 }
@@ -214,13 +215,13 @@ func FuzzParseSelector(f *testing.F) {
 		f.Add(s)
 	}
 	f.Fuzz(func(t *testing.T, s string) {
-		sel, err := ParseSelector(s)
+		sel, err := AppendSelector(nil, s)
 		if err != nil {
 			if sel != nil {
-				t.Fatalf("ParseSelector(%q) returned both %+v and %v", s, sel, err)
+				t.Fatalf("AppendSelector(nil, %q) returned both %+v and %v", s, sel, err)
 			}
 			if equalityList(s) {
-				t.Fatalf("ParseSelector(%q): %v, on a key=value list", s, err)
+				t.Fatalf("AppendSelector(nil, %q): %v, on a key=value list", s, err)
 			}
 			return
 		}
@@ -248,4 +249,47 @@ func FuzzParseSelector(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestAppendSelectorReusesStorage: parsed into the storage of the last
+// selector, a key=value list allocates nothing, and the selector parsed
+// there selects what it would on its own, whatever was parsed there
+// before.
+func TestAppendSelectorReusesStorage(t *testing.T) {
+	c := NewCluster()
+	if _, err := c.ApplyYAML(nil, selectorPods, "default"); err != nil {
+		t.Fatal(err)
+	}
+	names := func(sel Selector) string {
+		var out []string
+		for _, o := range c.ListObjects(Pod, "default", sel) {
+			out = append(out, o.Name)
+		}
+		return strings.Join(out, " ")
+	}
+	var buf Selector
+	for _, tc := range []struct{ selector, want string }{
+		{"app=web,env!=dev,tier in (frontend)", "web-prod"},
+		{"app=db", "db"},
+		{"", "bare db web-dev web-prod"},
+		{"env", "db web-dev web-prod"},
+		{"app=web,", "error"},
+		{"!tier,app=web", "web-dev"},
+		{"app=web", "web-dev web-prod"},
+	} {
+		sel, err := AppendSelector(buf[:0], tc.selector)
+		got := "error"
+		if err == nil {
+			got, buf = names(sel), sel
+		}
+		if got != tc.want {
+			t.Errorf("%q into reused storage: %q, want %q", tc.selector, got, tc.want)
+		}
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = AppendSelector(buf[:0], "app=web,env=prod") }); allocs != 0 {
+		t.Errorf("a key=value list parsed into reused storage allocates %.1f times, want 0", allocs)
+	}
 }

@@ -179,14 +179,21 @@ func builtinGrep(in *Interp, io *IO, args []string) int {
 				return 2
 			}
 			sb.WriteString(content)
-			if !strings.HasSuffix(content, "\n") {
+			if content != "" && !strings.HasSuffix(content, "\n") {
 				sb.WriteString("\n")
 			}
 		}
 		input = sb.String()
 	}
 	matched := 0
-	for _, line := range strings.Split(strings.TrimSuffix(input, "\n"), "\n") {
+	// Empty input is no lines, and a last line needs no newline.
+	for rest := input; rest != ""; {
+		line := rest
+		if i := strings.IndexByte(rest, '\n'); i >= 0 {
+			line, rest = rest[:i], rest[i+1:]
+		} else {
+			rest = ""
+		}
 		hit := matcher.match(line)
 		if invert {
 			hit = !hit

@@ -30,7 +30,9 @@ type fileOut struct {
 	io     *IO
 }
 
-// Builtin is a command implementation. It returns the exit status.
+// Builtin is a command implementation. It returns the exit status. Its
+// args slice comes from its Interp's pool, like its IO, so a builtin
+// must not keep the slice past its return (the strings in it it may).
 type Builtin func(in *Interp, io *IO, args []string) int
 
 // Interp executes parsed scripts. The zero value is not usable; call
@@ -60,6 +62,34 @@ type Interp struct {
 	// pipeline stages and redirected commands for the next one to take.
 	// Their streams keep their buffers, emptied, up to maxPooled each.
 	ioFree []*IO
+	// argvFree holds the argv slices of finished commands, emptied, for
+	// the next command whose words are not all literal to expand into.
+	argvFree [][]string
+}
+
+// maxPooledArgs is the largest argv a command gives back to the pool.
+const maxPooledArgs = 256
+
+// getArgv returns an empty argv to expand a command's words into. A
+// command substitution inside one of those words runs its commands on
+// argvs of their own: the one it is expanding into is out of the pool.
+func (in *Interp) getArgv() []string {
+	if n := len(in.argvFree); n > 0 {
+		argv := in.argvFree[n-1]
+		in.argvFree = in.argvFree[:n-1]
+		return argv
+	}
+	return make([]string, 0, 8)
+}
+
+// putArgv recycles an argv from getArgv once its command has returned,
+// dropping its strings so that a pooled Interp holds no output.
+func (in *Interp) putArgv(argv []string) {
+	if cap(argv) > maxPooledArgs {
+		return
+	}
+	clear(argv[:cap(argv)])
+	in.argvFree = append(in.argvFree, argv[:0])
 }
 
 // getIO returns an empty IO whose Out and Err are its own streams.
@@ -136,9 +166,23 @@ func (in *Interp) Run(script string) (Result, error) {
 
 // Exec executes a compiled script from a clean control-flow state
 // (variables, files and builtins persist across calls).
-func (in *Interp) Exec(prog *Program) Result {
+func (in *Interp) Exec(prog *Program) Result { return in.exec(prog, false) }
+
+// ExecStdout is Exec for a caller that reads only stdout and the exit
+// status: the script's top-level stderr is discarded unwritten. A
+// "2>&1" still reaches stdout, since it points stderr at whatever
+// stdout is.
+func (in *Interp) ExecStdout(prog *Program) (stdout string, code int) {
+	res := in.exec(prog, true)
+	return res.Stdout, res.ExitCode
+}
+
+func (in *Interp) exec(prog *Program, dropStderr bool) Result {
 	in.exited = false
 	io := in.getIO()
+	if dropStderr {
+		io.Err = discard
+	}
 	code := in.execList(prog.stmts, io)
 	res := Result{Stdout: io.out.String(), Stderr: io.err.String(), ExitCode: code}
 	in.putIO(io)
@@ -307,17 +351,27 @@ func (in *Interp) execSimple(c *simpleCmd, io *IO) int {
 		}
 		return 0
 	}
-	argv := c.argv
-	if argv == nil {
-		argv = make([]string, 0, len(c.words))
-		for i := range c.words {
-			var err error
-			if argv, err = in.expandFields(argv, &c.words[i]); err != nil {
-				fmt.Fprintf(io.Err, "shell: line %d: %v\n", c.line, err)
-				return 1
-			}
+	if c.argv != nil {
+		return in.runArgv(c, c.argv, io)
+	}
+	buf := in.getArgv()
+	argv := buf
+	for i := range c.words {
+		var err error
+		if argv, err = in.expandFields(argv, &c.words[i]); err != nil {
+			fmt.Fprintf(io.Err, "shell: line %d: %v\n", c.line, err)
+			in.putArgv(buf)
+			return 1
 		}
 	}
+	code := in.runArgv(c, argv, io)
+	in.putArgv(argv)
+	return code
+}
+
+// runArgv runs a command whose words have expanded to argv: its
+// per-command assignments, its redirections, then the command.
+func (in *Interp) runArgv(c *simpleCmd, argv []string, io *IO) int {
 	if len(argv) == 0 {
 		return 0
 	}

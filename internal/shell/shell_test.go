@@ -225,6 +225,29 @@ func TestGrepCombinedFlags(t *testing.T) {
 	}
 }
 
+// TestGrepEmptyInput: empty input is no lines, not one empty line, so
+// nothing is selected, not even by -v. Each want is what bash with GNU
+// grep prints and exits with.
+func TestGrepEmptyInput(t *testing.T) {
+	for _, tc := range []struct {
+		script, stdout string
+		exit           int
+	}{
+		{`echo -n "" | grep -v x`, "", 1},
+		{`echo -n "" | grep -vc x`, "0\n", 1},
+		{`echo -n "" | grep -c x`, "0\n", 1},
+		{`echo -n "" | grep -q -v x`, "", 1},
+		{`echo "" | grep -vc x`, "1\n", 0},
+		{`echo -n "a" | grep -c a`, "1\n", 0},
+		{`: > e.txt; grep -vc x e.txt`, "0\n", 1},
+		{`: > e.txt; grep -v x e.txt; echo "exit $?"`, "exit 1\n", 0},
+	} {
+		if res := run(t, tc.script); res.Stdout != tc.stdout || res.ExitCode != tc.exit {
+			t.Errorf("%s: stdout %q exit %d, want %q exit %d", tc.script, res.Stdout, res.ExitCode, tc.stdout, tc.exit)
+		}
+	}
+}
+
 // TestGrepMatcherHit: a repeated matcher lookup hands back the compiled
 // regexp the first one built and allocates nothing.
 func TestGrepMatcherHit(t *testing.T) {

@@ -1,8 +1,11 @@
 package shell
 
 import (
+	"fmt"
 	"strings"
 	"testing"
+
+	"cloudeval/internal/raceflag"
 )
 
 // TestStreamsCopyOut: every string that leaves a stream — Exec's
@@ -104,6 +107,108 @@ echo "$s" 2>&1 >> big.txt
 	for i, io := range in.ioFree {
 		if cap(io.out.buf) > maxPooled || cap(io.err.buf) > maxPooled || len(io.files) > 0 || io.In != "" {
 			t.Errorf("pooled IO %d keeps %d B of stdout, %d B of stderr, %d files, %d B of stdin", i, cap(io.out.buf), cap(io.err.buf), len(io.files), len(io.In))
+		}
+	}
+}
+
+// TestExecStdout: ExecStdout is Exec's stdout and exit status. What the
+// script writes to stderr is dropped, except what a "2>&1" at the top
+// level points at stdout.
+func TestExecStdout(t *testing.T) {
+	in := New()
+	in.Builtins["warn"] = func(_ *Interp, io *IO, _ []string) int {
+		io.Out.WriteString("out\n")
+		io.Err.WriteString("warned\n")
+		return 3
+	}
+	for _, script := range []string{
+		`warn`, `warn >/dev/null`, `warn 2>&1`, `warn 2>&1 >/dev/null`, `echo a; warn 2>&1 | grep -c e`,
+		`x=$(warn 2>&1); echo "[$x]"`, `echo only-stderr >&2`, `warn 2>&1 >&2`,
+	} {
+		prog, err := Parse(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := in.Exec(prog)
+		if stdout, code := in.ExecStdout(prog); stdout != want.Stdout || code != want.ExitCode {
+			t.Errorf("%s: ExecStdout %q exit %d, Exec %q exit %d", script, stdout, code, want.Stdout, want.ExitCode)
+		}
+	}
+	prog, _ := Parse(`echo only-stderr >&2`)
+	if stdout, code := in.ExecStdout(prog); stdout != "" || code != 0 {
+		t.Errorf("a stderr-only script gave %q exit %d", stdout, code)
+	}
+	// Top-level stderr is not buffered only to be dropped.
+	var discarded []bool
+	in.Builtins["where"] = func(_ *Interp, io *IO, _ []string) int {
+		discarded = append(discarded, io.Err == discard)
+		return 0
+	}
+	where, _ := Parse(`where; where 2>&1; where | where`)
+	in.ExecStdout(where)
+	in.Exec(where)
+	if got := fmt.Sprint(discarded); got != "[true false true true false false false false]" {
+		t.Errorf("stderr discarded under ExecStdout then Exec: %s", got)
+	}
+	if raceflag.Enabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(100, func() { in.ExecStdout(prog) }); allocs != 0 {
+		t.Errorf("a stderr-only script allocates %.1f times, want 0: its stderr was kept", allocs)
+	}
+}
+
+// TestArgvReuse: the argv a command expands into comes from the
+// interpreter's pool, and a command substitution in one of its words
+// runs commands of its own, which take argvs from the same pool while
+// the outer one is filling. Every field must still be where it was put,
+// through nesting, pipelines and repeated runs.
+func TestArgvReuse(t *testing.T) {
+	in := New()
+	var got [][]string
+	in.Builtins["keep"] = func(_ *Interp, _ *IO, args []string) int {
+		got = append(got, append([]string(nil), args...))
+		return 0
+	}
+	const script = `
+a=A
+for i in 1 2 3; do
+  keep $a $i $(echo $a $i $(echo $i $a inner) $(echo $a | grep $a) after) $i end
+  echo $a $i $(echo $i $i) | keep $a $(echo piped $i) $i
+done
+keep $(keep x y z; echo $a) $a
+`
+	for run := 0; run < 3; run++ {
+		got = got[:0]
+		if res, err := in.Run(script); err != nil || res.ExitCode != 0 {
+			t.Fatalf("run %d: %v %+v", run, err, res)
+		}
+		var lines []string
+		for _, args := range got {
+			lines = append(lines, strings.Join(args, " "))
+		}
+		want := []string{
+			"A 1 A 1 1 A inner A after 1 end", "A piped 1 1",
+			"A 2 A 2 2 A inner A after 2 end", "A piped 2 2",
+			"A 3 A 3 3 A inner A after 3 end", "A piped 3 3",
+			"x y z", "A A",
+		}
+		if strings.Join(lines, "\n") != strings.Join(want, "\n") {
+			t.Errorf("run %d: keep saw\n%s\nwant\n%s", run, strings.Join(lines, "\n"), strings.Join(want, "\n"))
+		}
+	}
+	if !raceflag.Enabled {
+		prog, _ := Parse("x=a\ntrue $x \"$x\" ${x} $x")
+		if allocs := testing.AllocsPerRun(100, func() { in.ExecStdout(prog) }); allocs != 0 {
+			t.Errorf("a command whose words expand allocates %.1f times, want 0", allocs)
+		}
+	}
+	in.Reset()
+	for i, argv := range in.argvFree {
+		for _, s := range argv[:cap(argv)] {
+			if s != "" {
+				t.Errorf("pooled argv %d keeps %q", i, s)
+			}
 		}
 	}
 }

@@ -59,11 +59,12 @@ func Run(p dataset.Problem, answerYAML string) Result {
 	sh := env.Interp()
 	sh.FS["labeled_code.yaml"] = answerYAML
 	start := env.Now()
-	res := sh.Exec(s.prog)
+	// Result keeps no stderr, so the script's goes unwritten.
+	out, code := sh.ExecStdout(s.prog)
 	return Result{
-		Passed:      strings.Contains(res.Stdout, "unit_test_passed"),
-		Output:      res.Stdout,
-		ExitCode:    res.ExitCode,
+		Passed:      strings.Contains(out, "unit_test_passed"),
+		Output:      out,
+		ExitCode:    code,
 		VirtualTime: env.Now().Sub(start),
 	}
 }

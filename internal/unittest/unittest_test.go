@@ -150,6 +150,32 @@ func TestCorporaShareCompiledPrograms(t *testing.T) {
 	}
 }
 
+// TestOutputIsStdoutOnly: Output is what the script wrote to stdout.
+// Its stderr is neither kept nor written, so a script that writes only
+// there leaves Output empty and cannot pass by it; a top-level "2>&1"
+// points stderr at stdout, so what it sends there is Output too.
+func TestOutputIsStdoutOnly(t *testing.T) {
+	const notFound = "Error from server (NotFound): pods \"web\" not found\n"
+	for _, tc := range []struct {
+		script, output string
+		exit           int
+		passed         bool
+	}{
+		{`kubectl get pods web`, "", 1, false},
+		{`echo unit_test_passed >&2`, "", 0, false},
+		{`kubectl get pods web 2>&1`, notFound, 1, false},
+		{`echo before; kubectl get pods web 2>&1; echo after`, "before\n" + notFound + "after\n", 0, false},
+		{`kubectl get pods web 2>&1 | grep -c NotFound`, "1\n", 0, false},
+		{`echo unit_test_passed 1>&2 2>&1`, "", 0, false},
+		{`echo unit_test_passed 2>&1 1>&2`, "unit_test_passed\n", 0, true},
+	} {
+		res := Run(dataset.Problem{UnitTest: tc.script}, "")
+		if res.Err != nil || res.Output != tc.output || res.ExitCode != tc.exit || res.Passed != tc.passed {
+			t.Errorf("%s: %+v, want Output %q, exit %d, passed %v", tc.script, res, tc.output, tc.exit, tc.passed)
+		}
+	}
+}
+
 func TestPassMarkerVariants(t *testing.T) {
 	p := dataset.Problem{UnitTest: `echo cn1000_unit_test_passed`}
 	if !Run(p, "").Passed {

@@ -16,3 +16,9 @@ func EmptyCache(t testing.TB) {
 	docCache = memo.NewLRU[string, docOutcome](docShard, docBudget)
 	t.Cleanup(func() { docCache = old })
 }
+
+// InferKind and InferKindOracle are the scanner and the strconv-only
+// function it replaced, for the external equivalence test.
+func InferKind(s string) Kind { return inferKind(s) }
+
+func InferKindOracle(s string) Kind { return inferKindOracle(s) }

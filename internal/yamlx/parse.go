@@ -602,12 +602,81 @@ func inferKind(s string) Kind {
 	case "true", "True", "TRUE", "false", "False", "FALSE":
 		return BoolKind
 	}
-	// Most scalars are plain strings; strconv's Parse* allocate an
-	// error for every non-numeric input, so gate them behind a cheap
-	// first-byte check.
+	return numericKind(s)
+}
+
+// numericKind is IntKind for text strconv.ParseInt reads in base 10, or
+// in base 16 after a "0x" or "0X", FloatKind for other text
+// strconv.ParseFloat reads, and StringKind for the rest, except that
+// text not starting with a sign, a dot or a digit is always a string
+// (looksNumeric). strconv's Parse functions build an error for every
+// input they refuse, and most scalars are strings, so a byte scan
+// decides: strconv runs only on decimal text the scan found well formed,
+// where it can fail only by overflow, and on the rare forms the scan
+// leaves to it (underscores, hexadecimal).
+func numericKind(s string) Kind {
 	if !looksNumeric(s) {
 		return StringKind
 	}
+	i := 0
+	if s[0] == '+' || s[0] == '-' {
+		i = 1
+	}
+	if rest := s[i:]; i == 1 && (strings.EqualFold(rest, "inf") || strings.EqualFold(rest, "infinity")) {
+		return FloatKind
+	} else if len(rest) > 1 && rest[0] == '0' && (rest[1] == 'x' || rest[1] == 'X') || strings.IndexByte(s, '_') >= 0 {
+		return strconvKind(s)
+	}
+	// [sign] digits [. digits] [(e|E) [sign] digits], with a digit on at
+	// least one side of the dot.
+	start := i
+	for i < len(s) && isDigit(s[i]) {
+		i++
+	}
+	intDigits := i - start
+	mantissa := intDigits
+	isFloat := false
+	if i < len(s) && s[i] == '.' {
+		isFloat = true
+		i++
+		frac := i
+		for i < len(s) && isDigit(s[i]) {
+			i++
+		}
+		mantissa += i - frac
+	}
+	if mantissa == 0 {
+		return StringKind
+	}
+	if i < len(s) && (s[i] == 'e' || s[i] == 'E') {
+		isFloat = true
+		i++
+		if i < len(s) && (s[i] == '+' || s[i] == '-') {
+			i++
+		}
+		exp := i
+		for i < len(s) && isDigit(s[i]) {
+			i++
+		}
+		if i == exp {
+			return StringKind
+		}
+	}
+	if i < len(s) {
+		return StringKind
+	}
+	if !isFloat && fitsInt64(s[start:], s[0] == '-') {
+		return IntKind
+	}
+	// Well formed: ParseFloat fails only if the value overflows.
+	if _, err := strconv.ParseFloat(s, 64); err == nil {
+		return FloatKind
+	}
+	return StringKind
+}
+
+// strconvKind is what numericKind decides, decided by strconv itself.
+func strconvKind(s string) Kind {
 	if _, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return IntKind
 	}
@@ -620,6 +689,26 @@ func inferKind(s string) Kind {
 		return FloatKind
 	}
 	return StringKind
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// fitsInt64 reports whether a run of decimal digits, negated when neg,
+// is within int64's range.
+func fitsInt64(digits string, neg bool) bool {
+	for len(digits) > 1 && digits[0] == '0' {
+		digits = digits[1:]
+	}
+	const maxInt64 = "9223372036854775807"
+	switch {
+	case len(digits) < len(maxInt64):
+		return true
+	case len(digits) > len(maxInt64):
+		return false
+	case neg:
+		return digits <= "9223372036854775808"
+	}
+	return digits <= maxInt64
 }
 
 // inferScalar is the node a plain scalar's text reads as.

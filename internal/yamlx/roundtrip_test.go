@@ -3,6 +3,8 @@ package yamlx_test
 // In the external test package because the corpus packages import yamlx.
 
 import (
+	"strconv"
+	"strings"
 	"testing"
 
 	"cloudeval/internal/augment"
@@ -126,4 +128,75 @@ func FuzzParseMarshalReparses(f *testing.F) {
 			t.Errorf("ParseAll accepts %q but not its MarshalAll:\n%q\n%v", src, out, err)
 		}
 	})
+}
+
+// TestInferKindMatchesOracleOnCorpus holds inferKind's byte scan to the
+// strconv-only function it replaced over the text this repository
+// reads: every whitespace-separated token (a trailing ':' or ',' off
+// and on) of every distinct reference and post-processed Table 4
+// answer, and every key and scalar of those that parse.
+func TestInferKindMatchesOracleOnCorpus(t *testing.T) {
+	texts := distinctReferences()
+	if !testing.Short() {
+		seen := map[string]bool{}
+		problems := augment.ExpandCorpus(dataset.Generate())
+		for _, m := range llm.Models {
+			for _, p := range problems {
+				if m.EnglishOnly && p.Variant == dataset.Translated {
+					continue
+				}
+				if answer := llm.Postprocess(m.Generate(p, llm.GenOptions{})); !seen[answer] {
+					seen[answer] = true
+					texts = append(texts, answer)
+				}
+			}
+		}
+	}
+	checked := map[string]bool{}
+	check := func(s string) {
+		if checked[s] {
+			return
+		}
+		checked[s] = true
+		if got, want := yamlx.InferKind(s), yamlx.InferKindOracle(s); got != want {
+			t.Errorf("inferKind(%q) = %v, the oracle says %v", s, got, want)
+		}
+	}
+	var walk func(n *yamlx.Node)
+	walk = func(n *yamlx.Node) {
+		if n == nil {
+			return
+		}
+		switch n.Kind {
+		case yamlx.MapKind:
+			for _, e := range n.Entries {
+				check(e.Key)
+				walk(e.Value)
+			}
+		case yamlx.SeqKind:
+			for _, it := range n.Items {
+				walk(it)
+			}
+		case yamlx.StringKind:
+			check(n.Str)
+		case yamlx.IntKind:
+			check(strconv.FormatInt(n.Int, 10))
+		case yamlx.FloatKind:
+			check(strconv.FormatFloat(n.Float, 'g', -1, 64))
+		}
+	}
+	for _, text := range texts {
+		for _, tok := range strings.Fields(text) {
+			check(tok)
+			check(strings.TrimRight(tok, ":,"))
+		}
+		docs, err := yamlx.ParseAll([]byte(text))
+		if err != nil {
+			continue
+		}
+		for _, d := range docs {
+			walk(d)
+		}
+	}
+	t.Logf("%d distinct texts checked over %d documents", len(checked), len(texts))
 }
