@@ -446,8 +446,8 @@ var benchSink int
 // BenchmarkCampaignParallel runs a 4-model campaign slice through a
 // fresh engine and dispatcher each iteration — the contention profile
 // of a cold fleet-concurrency campaign. Run it at -cpu 1,4 to expose
-// lock-behavior regressions: the sharded caches and group-commit
-// store are what let the 4-core run beat the 1-core run by the
+// lock-behavior regressions: the sharded caches and per-shard store
+// locks are what let the 4-core run beat the 1-core run by the
 // >=2.5x benchguard gates (parallel_scaling in ci/bench-baseline.json).
 func BenchmarkCampaignParallel(b *testing.B) {
 	originals, _ := fixtures()
@@ -529,10 +529,10 @@ func BenchmarkCampaignInterleaved(b *testing.B) {
 }
 
 // BenchmarkStoreAppendParallel hammers the store's append path from
-// every core: distinct keys, so each Put encodes a frame and rides a
-// group-commit batch to disk. Flushes()/Appended() is the measured
-// batching factor — a group-commit regression shows up here as ns/op
-// collapsing toward one syscall per record.
+// every core: distinct keys, so each Put encodes a frame and writes it
+// under its shard's log lock. A lock shared across shards shows up
+// here as ns/op that stops falling with cores. frames-per-flush is
+// Appended()/Flushes(), 1.0 while each frame is its own write.
 func BenchmarkStoreAppendParallel(b *testing.B) {
 	path := filepath.Join(b.TempDir(), "bench.store")
 	s, err := store.Open(path)

@@ -155,7 +155,7 @@ type Stats struct {
 	Routes    map[string]RouteStats `json:"routes"`
 
 	// Store is present when the daemon runs with a persistent store:
-	// its shard layout and group-commit batching counters.
+	// its shard layout and append counters.
 	Store *StoreStats `json:"store,omitempty"`
 }
 
@@ -168,8 +168,8 @@ type ShardStats struct {
 }
 
 // StoreStats is the persistent store block of GET /v1/stats.
-// FramesPerFlush is Appended/Flushes — how many records each
-// group-commit fsync batch carried on average.
+// FramesPerFlush is Appended/Flushes — how many records each write
+// syscall carried on average (1.0: each frame is its own write).
 type StoreStats struct {
 	Shards         int          `json:"shards"`
 	Records        int          `json:"records"`

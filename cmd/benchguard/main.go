@@ -39,9 +39,9 @@
 //     baseline re-records.
 //  8. Store scaling (-min-store-speedup): StoreAppendParallel run with
 //     -cpu 1,4 must be at least the given factor faster at 4 cores —
-//     the sharded group-commit log must scale with writers, not
-//     serialize them on one committer. Skipped (loudly) on runners
-//     with fewer than 4 CPUs, like the campaign parallel gate.
+//     appends under the store's per-shard log locks must scale with
+//     writers, not serialize on one shared lock. Skipped (loudly) on
+//     runners with fewer than 4 CPUs, like the campaign parallel gate.
 //  10. Cold-read allocation hard cap (no flag): when the baseline
 //     records store_cold_get_max_allocs, StoreColdGet allocs/op must
 //     stay at or under it — the pread + verify + decode path must not
@@ -541,7 +541,8 @@ func gateParallelScale(benchmarks map[string]BenchResult, minScale float64) erro
 // gateStoreScale enforces the sharded store's write-path scaling: the
 // 4-core StoreAppendParallel run must beat the 1-core run by at least
 // minScale. A collapse back to 1x means every writer is serializing on
-// one committer again — the exact contention sharding removed. Like
+// one lock again instead of its shard's own — the exact contention
+// sharding removed. Like
 // the campaign gate it announces itself skipped (rather than passing
 // silently) on machines with fewer than 4 CPUs.
 func gateStoreScale(benchmarks map[string]BenchResult, minScale float64) error {
@@ -559,7 +560,7 @@ func gateStoreScale(benchmarks map[string]BenchResult, minScale float64) error {
 	fmt.Printf("benchguard: %s 4-core speedup %.2fx over 1-core (required %.1fx)\n",
 		storeBench, scale, minScale)
 	if scale < minScale {
-		return fmt.Errorf("store scaling regressed: %s runs only %.2fx faster at 4 cores (need %.1fx) — appends are serializing on a shared committer",
+		return fmt.Errorf("store scaling regressed: %s runs only %.2fx faster at 4 cores (need %.1fx) — appends are serializing on a lock shared across shards",
 			storeBench, scale, minScale)
 	}
 	return nil

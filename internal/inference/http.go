@@ -29,10 +29,6 @@ type HTTPOption func(*HTTP)
 // WithAPIKey sets the bearer token sent as Authorization.
 func WithAPIKey(key string) HTTPOption { return func(h *HTTP) { h.apiKey = key } }
 
-// WithClient swaps the underlying http.Client (tests, custom
-// transports, proxies).
-func WithClient(c *http.Client) HTTPOption { return func(h *HTTP) { h.client = c } }
-
 // NewHTTP builds a provider for the OpenAI-compatible API rooted at
 // baseURL (e.g. "https://api.openai.com/v1" or a local vLLM server's
 // "http://127.0.0.1:8000/v1").

@@ -88,7 +88,7 @@ type Config struct {
 	CampaignWorkers int
 	// Store, when set, is the persistent evaluation store backing the
 	// benchmark; GET /v1/stats then surfaces its shard layout and
-	// group-commit batching counters. Nil (a store-less daemon) simply
+	// append counters. Nil (a store-less daemon) simply
 	// omits the block.
 	Store *store.Store
 }
@@ -299,22 +299,21 @@ type statsResponse struct {
 	Tenants   int                       `json:"tenants"`
 	Routes    map[string]routeStatsJSON `json:"routes"`
 
-	// Store is the persistent store's shard layout and group-commit
-	// batching snapshot; omitted when the daemon runs store-less.
+	// Store is the persistent store's shard layout and append
+	// counters; omitted when the daemon runs store-less.
 	Store *storeStatsJSON `json:"store,omitempty"`
 }
 
 // storeStatsJSON is the GET /v1/stats view of the sharded store:
-// layout, aggregate counters, and the frames-per-flush batching ratio
-// whose collapse toward 1.0 is the contention-regression tell.
+// layout, aggregate counters, and the frames-per-flush ratio.
 type storeStatsJSON struct {
 	Shards      int   `json:"shards"`
 	Records     int   `json:"records"`
 	Generations int   `json:"generations"`
 	Appended    int64 `json:"appended"`
 	Flushes     int64 `json:"flushes"`
-	// FramesPerFlush is Appended/Flushes: >1 means group commit is
-	// batching concurrent writers into shared fsyncs.
+	// FramesPerFlush is Appended/Flushes, frames per write syscall:
+	// 1.0 while each frame is its own write.
 	FramesPerFlush float64           `json:"frames_per_flush"`
 	PerShard       []store.ShardStat `json:"per_shard"`
 

@@ -473,7 +473,7 @@ func TestStatsExposeGenerationCounters(t *testing.T) {
 
 // TestStatsExposeStoreShards pins the store block of GET /v1/stats: a
 // store-backed daemon surfaces shard count, per-shard record counts
-// and the aggregate group-commit batching ratio, with the exact JSON
+// and the aggregate frames-per-flush ratio, with the exact JSON
 // key names the dashboards and benchguard consume; a store-less daemon
 // omits the block entirely.
 func TestStatsExposeStoreShards(t *testing.T) {

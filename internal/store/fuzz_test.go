@@ -65,13 +65,11 @@ func putGolden(s *Store) {
 	s.PutGen(goldenGenKey, goldenResponse)
 }
 
-// openOneShard opens a one-shard store whose only segment holds data.
+// openOneShard opens a one-shard store whose only segment holds data:
+// segment 0 is the top segment file, so Open infers one shard.
 func openOneShard(t testing.TB, data []byte) (*Store, string) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "oneshard")
-	if err := os.WriteFile(metaPath(path), []byte("1\n"), 0o644); err != nil {
-		t.Fatal(err)
-	}
 	if err := os.WriteFile(segPath(path, 0), data, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -60,10 +60,8 @@ func (lf *logFile) close() error {
 }
 
 // segment is one shard of the store: a key range's append-only log
-// file plus its slice of the offset index. Each segment carries its
-// own group-commit machinery — pending buffer, batch sequencing,
-// committer election — so appends to different shards batch and flush
-// with no shared state at all.
+// file plus its slice of the offset index. Each segment has its own
+// log lock, so appends to different shards share no state at all.
 type segment struct {
 	idx [idxStripes]stripe
 
@@ -78,26 +76,14 @@ type segment struct {
 	// lf is set by newSegment and closed by close, never replaced.
 	lf *logFile
 
-	// mu guards the log half: the logical size, the group-commit
-	// pending buffer and its batch/flush bookkeeping, and appendErr.
-	// Index reads never take it.
-	mu      sync.Mutex
-	flushed sync.Cond // signaled whenever flushedBatch advances
-	// size is the segment's logical end: file length plus enqueued but
-	// not yet flushed bytes. Frames are assigned their offsets here, at
-	// enqueue time — batches flush strictly in order, so the logical
-	// end is exactly where the next frame will land.
+	// mu guards the log half: the file's size, the frame buffer and
+	// appendErr. Index reads never take it.
+	mu sync.Mutex
+	// size is the segment's end of file, where the next frame lands.
 	size int64
-	// pending accumulates encoded frames for the batch curBatch;
-	// flushedBatch is the highest batch written. A writer's frames
-	// have reached the file exactly when flushedBatch has reached the
-	// batch it enqueued into. spare is the last written buffer, the
-	// next pending: no buffer is refilled while its write is in flight.
-	pending      []byte
-	spare        []byte
-	curBatch     uint64
-	flushedBatch uint64
-	flushing     bool
+	// buf is the frame buffer appendWait encodes into, reused from one
+	// append to the next unless it grew past maxPooledBuf.
+	buf []byte
 	// appendErr latches the first failed append so a sick disk surfaces
 	// on Sync/Close instead of being silently swallowed by the cache
 	// interface.
@@ -105,8 +91,7 @@ type segment struct {
 }
 
 func newSegment(f *os.File) *segment {
-	seg := &segment{lf: newLogFile(f), curBatch: 1}
-	seg.flushed.L = &seg.mu
+	seg := &segment{lf: newLogFile(f)}
 	for i := range seg.idx {
 		seg.idx[i].m = make(map[key]entry)
 	}
@@ -187,18 +172,13 @@ func (seg *segment) replay(s *Store) error {
 }
 
 // appendWait appends one frame under k — enc writes it onto the slice
-// it is given — to the segment's pending group-commit batch, and blocks
-// until that batch has been written, counting the frame in appended if
-// the write succeeded. The first writer to find no flush in progress
-// becomes the committer: it drains the whole pending buffer in a single
-// write syscall, then releases every writer it carried; writers
-// arriving mid-flush accumulate the next batch.
+// it is given — with one write syscall under the segment's log lock,
+// and returns once the write has completed.
 //
 // A frame whose length and CRC st already holds for k is an identical
-// re-record (encoding is deterministic): it is cut off again and the log
-// does not grow. Otherwise k's index entry is set now, under seg.mu,
-// so a get that finds it before the batch is written drains the shard
-// and reads it back.
+// re-record (encoding is deterministic): nothing is written. Otherwise
+// k's index entry is set only after the write succeeds, so an entry
+// always points at bytes already in the file.
 func (seg *segment) appendWait(k key, st *stripe, enc func(dst []byte) []byte) {
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
@@ -207,72 +187,26 @@ func (seg *segment) appendWait(k key, st *stripe, enc func(dst []byte) []byte) {
 		// appends persist.
 		return
 	}
-	start := len(seg.pending)
-	seg.pending = enc(seg.pending)
-	frame := seg.pending[start:]
+	frame := enc(seg.buf[:0])
+	if cap(frame) <= maxPooledBuf {
+		seg.buf = frame
+	} else {
+		seg.buf = nil
+	}
 	n, sum := uint32(len(frame)), binary.LittleEndian.Uint32(frame[4:8])
 	if old, ok := st.lookup(k); ok && old.n == n && old.sum == sum {
-		seg.pending = seg.pending[:start]
+		return
+	}
+	// O_APPEND places the write atomically at the end of file, and the
+	// frame's checksum catches a tear on the next Open.
+	if _, err := seg.lf.f.Write(frame); err != nil {
+		seg.appendErr = fmt.Errorf("store: append: %w", err)
 		return
 	}
 	st.set(k, entry{src: seg.lf, off: seg.size, n: n, sum: sum})
 	seg.size += int64(n)
-	myBatch := seg.curBatch
-	for {
-		if seg.flushedBatch >= myBatch {
-			if seg.appendErr == nil {
-				seg.appended.Add(1)
-			}
-			return
-		}
-		if !seg.flushing {
-			seg.flushBatchLocked()
-			continue
-		}
-		seg.flushed.Wait()
-	}
-}
-
-// flushBatchLocked writes the whole pending buffer as one syscall and
-// advances flushedBatch past every frame it carried. Callers hold
-// seg.mu; the lock is dropped for the write itself so concurrent
-// writers keep enqueueing the next batch, into the spare buffer; the
-// written one becomes the next spare unless it grew past maxPooledBuf.
-func (seg *segment) flushBatchLocked() {
-	batch := seg.curBatch
-	buf := seg.pending
-	f := seg.lf.f
-	seg.pending, seg.spare = seg.spare[:0], nil
-	seg.curBatch++
-	seg.flushing = true
-	seg.mu.Unlock()
-	// One write syscall per batch: O_APPEND places it atomically at
-	// the end of file, and each frame's checksum still catches a tear
-	// inside the batch on the next Open.
-	_, werr := f.Write(buf)
-	seg.mu.Lock()
-	if cap(buf) <= maxPooledBuf {
-		seg.spare = buf
-	}
-	seg.flushing = false
-	seg.flushedBatch = batch
+	seg.appended.Add(1)
 	seg.flushes.Add(1)
-	if werr != nil && seg.appendErr == nil {
-		seg.appendErr = fmt.Errorf("store: append: %w", werr)
-	}
-	seg.flushed.Broadcast()
-}
-
-// drainLocked flushes until no batch is pending or in flight. Callers
-// hold seg.mu.
-func (seg *segment) drainLocked() {
-	for seg.flushing || len(seg.pending) > 0 {
-		if !seg.flushing {
-			seg.flushBatchLocked()
-			continue
-		}
-		seg.flushed.Wait()
-	}
 }
 
 // count reports how many distinct keys of one kind the shard holds.
@@ -287,12 +221,11 @@ func (seg *segment) count(kd kind) int {
 	return n
 }
 
-// sync flushes pending batches and the segment to stable storage, and
-// surfaces any latched append error.
+// sync flushes the segment to stable storage, and surfaces any latched
+// append error.
 func (seg *segment) sync() error {
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
-	seg.drainLocked()
 	if seg.appendErr != nil {
 		return seg.appendErr
 	}
@@ -303,7 +236,6 @@ func (seg *segment) sync() error {
 func (seg *segment) close() error {
 	seg.mu.Lock()
 	defer seg.mu.Unlock()
-	seg.drainLocked()
 	syncErr := seg.lf.f.Sync()
 	closeErr := seg.lf.close()
 	if seg.appendErr != nil {

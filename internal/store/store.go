@@ -29,15 +29,18 @@
 //
 // # Sharded layout
 //
-// The store is partitioned into N key-range shards (N a power of two,
-// persisted in the <path>.shards meta file so routing never changes
-// for an existing store): a key's leading digest byte selects its
-// shard, and each shard owns its own segment file <path>.sNN, its own
-// group-commit pending buffer and committer, and its own index
-// stripes. Concurrent Puts to different shards land on independent
-// files with independent write batches instead of serializing on one
-// committer; Open replays all segments in parallel (one goroutine and
-// one reusable payload buffer per shard).
+// The store is partitioned into N key-range shards, N a power of two:
+// a key's leading digest byte selects its shard, and each shard owns
+// its own segment file <path>.sNN, its own log lock and frame buffer,
+// and its own index stripes. Concurrent Puts to different shards land
+// on independent files under independent locks; Open replays all
+// segments in parallel (one goroutine and one reusable payload buffer
+// per shard). The segment files are the only record of N: Open takes
+// the smallest power of two covering the highest segment index on
+// disk, so routing never changes for an existing store, and picks a
+// default from GOMAXPROCS only when there is no segment yet. A
+// <path>.shards meta file an earlier version wrote is neither read nor
+// removed.
 //
 // A regular file at <path> itself is a log in the pre-shard
 // single-file layout. Open refuses it before creating anything.
@@ -77,16 +80,15 @@
 // # Concurrency and durability
 //
 // Per-shard indexes are striped behind RWMutexes, so warm-store reads
-// never contend with appends or each other. Appends group-commit per
-// shard: each writer encodes its frame under the shard's log lock,
-// straight into the pending buffer that one of them — the committer —
-// drains with a single write syscall (the buffer of the previous write
-// is reused for the next batch), then releases every writer whose
-// frames it carried. N concurrent Puts to one shard cost one syscall
-// instead of N, and Puts to different shards batch independently.
+// never contend with appends or each other. An append holds its
+// shard's log lock while it encodes the frame into the shard's reused
+// buffer and writes it with one write syscall; the index entry is set
+// only after the write, so every entry points at bytes already in the
+// file. Puts to one shard serialize on its lock; Puts to different
+// shards do not meet.
 //
 // The durability contract, precisely: a returned Put/PutGen means its
-// group-commit batch completed a write(2) — the frame is in the
+// frame completed a write(2) — the frame is in the
 // kernel's page cache, visible to every reader of the file and safe
 // from a crash of this process, but not from a power loss. Only Sync
 // and Close fsync a segment. A crash mid-write leaves a torn tail that
@@ -125,7 +127,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -202,10 +203,10 @@ func (e entry) read(buf []byte) ([]byte, error) {
 // Shard-count policy: a power of two sized like memo.LRU's
 // GOMAXPROCS scaling, but clamped tighter — every shard is an open
 // file, and a store's worth of parallelism saturates well below a
-// cache's. The count is fixed at creation and persisted in the meta
-// file; an existing store always reopens with the count it was
-// created with, so key→shard routing (and therefore which segment
-// file owns a record) never changes under a different GOMAXPROCS.
+// cache's. The count is fixed at creation by the segment files Open
+// creates; an existing store always reopens with the count its files
+// give, so key→shard routing (and therefore which segment file owns a
+// record) never changes under a different GOMAXPROCS.
 const (
 	minShards = 8
 	maxShards = 64
@@ -269,9 +270,6 @@ type Store struct {
 // segPath names shard i's segment file.
 func segPath(path string, i int) string { return fmt.Sprintf("%s.s%02d", path, i) }
 
-// metaPath names the shard-count meta file.
-func metaPath(path string) string { return path + ".shards" }
-
 // defaultShardCount picks the shard count for a new store: the
 // smallest power of two at least twice GOMAXPROCS, clamped to
 // [minShards, maxShards].
@@ -289,45 +287,14 @@ func defaultShardCount() int {
 	return n
 }
 
-// resolveShardCount determines the shard count for the store at path:
-// the meta file if present, else inferred from existing segment files
-// (a crash can lose the meta file but not the renamed segments), else
-// the default for a fresh store. The resolved count is (re)written to
-// the meta file atomically. An empty meta file counts as a missing
-// one: it is what a power loss leaves when the rename that created it
-// reached the disk and its two bytes did not.
-func resolveShardCount(path string) (int, error) {
-	data, err := os.ReadFile(metaPath(path))
-	if err != nil && !os.IsNotExist(err) {
-		return 0, err
-	}
-	if len(data) > 0 {
-		n, err := strconv.Atoi(strings.TrimSpace(string(data)))
-		if err != nil || n < 1 || n > 1<<16 || n&(n-1) != 0 {
-			return 0, fmt.Errorf("store: corrupt shard meta %s: %q", metaPath(path), strings.TrimSpace(string(data)))
-		}
-		return n, nil
-	}
-	n := defaultShardCount()
-	if inferred, ok, err := inferShardCount(path); err != nil {
-		return 0, err
-	} else if ok {
-		n = inferred
-	}
-	if err := writeShardMeta(path, n); err != nil {
-		return 0, err
-	}
-	return n, nil
-}
-
-// inferShardCount scans for existing segment files and returns the
-// smallest power of two covering every index found. A name with
-// anything after the index (a <segment>.idx or <segment>.compact an
-// earlier version left behind) is not a segment.
+// inferShardCount lists the segment files beside path and returns the
+// smallest power of two covering every index found. Only a name segPath
+// writes counts: two ASCII digits with an index below maxShards. Any
+// other name (a <segment>.idx an earlier version left behind, a stray
+// <path>.s100 or <path>.s+1) is not a segment.
 func inferShardCount(path string) (int, bool, error) {
-	dir := filepath.Dir(path)
 	prefix := filepath.Base(path) + ".s"
-	entries, err := os.ReadDir(dir)
+	entries, err := os.ReadDir(filepath.Dir(path))
 	if err != nil {
 		if os.IsNotExist(err) {
 			return 0, false, nil
@@ -336,15 +303,11 @@ func inferShardCount(path string) (int, bool, error) {
 	}
 	maxIdx := -1
 	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, prefix) {
+		name, ok := strings.CutPrefix(e.Name(), prefix)
+		if !ok || len(name) != 2 || name[0] < '0' || name[0] > '9' || name[1] < '0' || name[1] > '9' {
 			continue
 		}
-		idx, err := strconv.Atoi(name[len(prefix):])
-		if err != nil || idx < 0 {
-			continue
-		}
-		if idx > maxIdx {
+		if idx := int(name[0]-'0')*10 + int(name[1]-'0'); idx < maxShards && idx > maxIdx {
 			maxIdx = idx
 		}
 	}
@@ -355,35 +318,7 @@ func inferShardCount(path string) (int, bool, error) {
 	for n <= maxIdx {
 		n <<= 1
 	}
-	if n < minShards {
-		n = minShards
-	}
 	return n, true, nil
-}
-
-// writeShardMeta records the shard count atomically (temp, fsync,
-// rename), so a crash mid-write never leaves a torn meta file and a
-// power loss never leaves the rename without the bytes it names.
-func writeShardMeta(path string, n int) error {
-	tmp := metaPath(path) + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return err
-	}
-	_, err = f.WriteString(strconv.Itoa(n) + "\n")
-	if err == nil {
-		err = f.Sync()
-	}
-	if cerr := f.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmp, metaPath(path))
-	}
-	if err != nil {
-		os.Remove(tmp)
-	}
-	return err
 }
 
 // Open reads (or creates) the sharded store rooted at path, rebuilding
@@ -401,20 +336,23 @@ func Open(path string) (*Store, error) {
 		return nil, fmt.Errorf("store: %s is a single-file log from before the sharded layout, which this version no longer reads: "+
 			"open it once with an older build to migrate it, or delete it (the store is a cache)", path)
 	}
-	n, err := resolveShardCount(path)
+	n, ok, err := inferShardCount(path)
 	if err != nil {
 		return nil, err
+	}
+	if !ok {
+		n = defaultShardCount()
 	}
 	s := &Store{
 		mask: n - 1,
 		segs: make([]*segment, n),
 	}
 	for i := range s.segs {
-		// O_APPEND: every flush is one write syscall that the kernel
+		// O_APPEND: every append is one write syscall that the kernel
 		// positions at the true end of file, so even a second process
 		// appending to the same segment (one writer per store is the
 		// intended deployment, but fleets misconfigure) interleaves
-		// whole batches rather than corrupting them mid-frame at a
+		// whole frames rather than corrupting them mid-frame at a
 		// stale offset.
 		f, err := os.OpenFile(segPath(path, i), os.O_RDWR|os.O_APPEND|os.O_CREATE, 0o644)
 		if err != nil {
@@ -479,20 +417,17 @@ type readBuf struct{ b []byte }
 var readBufs = sync.Pool{New: func() any { return new(readBuf) }}
 
 // maxPooledBuf is the largest buffer the store keeps for reuse: a read
-// buffer get hands back to readBufs, or a segment's spare batch buffer.
+// buffer get hands back to readBufs, or a segment's frame buffer.
 // One outsized output must not pin its megabytes for the life of the
 // process; a larger buffer is left to the collector.
 const maxPooledBuf = 64 << 10
 
 // get is the one read path: the index entry's frame, pread from its
-// segment into a pooled buffer, verified and decoded. It rides out the
-// one read race, an entry installed at enqueue time whose group-commit
-// batch has not hit the file yet, by draining the shard once and
-// retrying the pread. Anything else that keeps the frame from being
-// read back intact — a closed store, or a frame that verifies but
-// carries another key — is a miss.
+// segment into a pooled buffer, verified and decoded. Anything that
+// keeps the frame from being read back intact — a closed store, or a
+// frame that verifies but carries another key — is a miss.
 func (s *Store) get(k key) (record, bool) {
-	seg, st := s.route(k)
+	_, st := s.route(k)
 	e, ok := st.lookup(k)
 	if !ok {
 		return record{}, false
@@ -503,32 +438,20 @@ func (s *Store) get(k key) (record, bool) {
 			readBufs.Put(rb)
 		}
 	}()
-	drained := false
-	for {
-		var err error
-		if rb.b, err = e.read(rb.b); err == nil {
-			got, rec, ok := decode(rb.b[frameHeaderSize:])
-			if !ok || got != k {
-				return record{}, false
-			}
-			return rec, true
-		}
-		if drained {
-			return record{}, false
-		}
-		// The frame may still be in the shard's pending batch (entries
-		// become visible at enqueue, written at flush). Force the flush
-		// and try once more.
-		seg.mu.Lock()
-		seg.drainLocked()
-		seg.mu.Unlock()
-		drained = true
+	var err error
+	if rb.b, err = e.read(rb.b); err != nil {
+		return record{}, false
 	}
+	got, rec, ok := decode(rb.b[frameHeaderSize:])
+	if !ok || got != k {
+		return record{}, false
+	}
+	return rec, true
 }
 
 // put is the one write path for a fresh record: segment.appendWait
-// encodes its frame into the shard's pending batch and returns once the
-// batch is written; an identical re-record is a no-op, and append
+// encodes its frame into the shard's buffer and returns once the frame
+// is written; an identical re-record is a no-op, and append
 // failures latch into Sync/Close. A payload over maxPayload is
 // dropped — not written, not latched — because replay reads such a
 // length prefix as a torn header and would truncate the segment there,
@@ -556,7 +479,7 @@ func (s *Store) Get(test, answer [sha256.Size]byte) (unittest.Result, bool) {
 // engine's in-memory tier, a transient outage must not be frozen into
 // the cache. Put is advisory (see put): it never fails
 // the evaluation that produced the result, and returns once the
-// record's group-commit batch has been written.
+// record's frame has been written.
 func (s *Store) Put(test, answer [sha256.Size]byte, res unittest.Result) {
 	if res.Err != nil {
 		return
@@ -605,11 +528,9 @@ func (s *Store) Appended() int64 {
 	return n
 }
 
-// Flushes reports how many group-commit batches this handle has
-// written since Open, across all shards. Appended()/Flushes() is the
-// average batch size: 1 under serial traffic, climbing with per-shard
-// append concurrency as each committer drains more frames per
-// syscall.
+// Flushes reports how many write syscalls this handle has made to
+// append frames since Open, across all shards. Each frame is its own
+// write, so it equals Appended() and Appended()/Flushes() reads 1.
 func (s *Store) Flushes() int64 {
 	var n int64
 	for _, seg := range s.segs {
@@ -643,8 +564,8 @@ func (s *Store) ResidentBytes() int64 {
 }
 
 // ShardStat is one shard's observable state: index sizes plus this
-// handle's append/flush counters (their ratio is the shard's
-// group-commit batching factor).
+// handle's append and write-syscall counters (their ratio is frames
+// per write, 1 while each frame is its own write).
 type ShardStat struct {
 	Records     int   `json:"records"`
 	Generations int   `json:"generations"`
@@ -668,8 +589,8 @@ func (s *Store) ShardStats() []ShardStat {
 	return out
 }
 
-// Sync flushes pending batches and every segment to stable storage,
-// and surfaces any latched append error.
+// Sync flushes every segment to stable storage, and surfaces any
+// latched append error.
 func (s *Store) Sync() error {
 	var first error
 	for _, seg := range s.segs {
