@@ -135,8 +135,8 @@ func BenchmarkZeroShotSerial(b *testing.B) {
 }
 
 // BenchmarkZeroShotEngine runs the identical campaign through a fresh
-// engine each iteration: GOMAXPROCS-parallel work-stealing scheduling
-// plus cold-start memoization of duplicate answers. Output is
+// engine each iteration: GOMAXPROCS-parallel scheduling, each worker
+// claiming the next index, plus cold-start memoization of duplicate answers. Output is
 // byte-identical to the serial baseline (see engine_test.go); on a
 // 4-core box the wall-clock target is >=3x over BenchmarkZeroShotSerial,
 // and even single-core the answer cache keeps it ahead.

@@ -50,9 +50,9 @@ import (
 type Benchmark = core.Benchmark
 
 // Engine is the parallel evaluation engine every campaign submits
-// through: a work-stealing scheduler over a pluggable executor (the
-// in-process pool by default, the distributed evalcluster path via
-// cloudeval node) with answer memoization. A benchmark's evaluator holds
+// through: one claim loop over a pluggable executor (the in-process
+// pool by default, the distributed evalcluster path via cloudeval
+// node) with answer memoization. A benchmark's evaluator holds
 // its engine (Benchmark.Evaluator().Engine()); see DESIGN.md §2.
 type Engine = engine.Engine
 

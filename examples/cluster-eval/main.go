@@ -72,7 +72,7 @@ func main() {
 	}
 
 	fmt.Printf("dispatching %d jobs for %s over TCP\n", len(jobs), model.Name)
-	results := eng.Run(jobs, index, nil)
+	results := eng.Run(jobs, index)
 	wg.Wait()
 
 	passed := 0

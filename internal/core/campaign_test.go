@@ -16,6 +16,7 @@ import (
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/score"
+	"cloudeval/internal/unittest"
 )
 
 func smallBench() *core.Benchmark {
@@ -168,6 +169,38 @@ func TestCampaignFailsOnGenerationErrors(t *testing.T) {
 	}
 	if len(report.Ran) != 1 || len(report.Skipped) != 0 {
 		t.Fatalf("recovered campaign report = %+v, want table4 freshly run", report)
+	}
+}
+
+// panickingExecutor runs unit tests in process but panics on one
+// problem, as a simulator bug would.
+type panickingExecutor struct {
+	engine.PoolExecutor
+	id string
+}
+
+func (x panickingExecutor) RunUnitTest(p dataset.Problem, answer string) unittest.Result {
+	if p.ID == x.id {
+		panic("simulator bug on " + p.ID)
+	}
+	return x.PoolExecutor.RunUnitTest(p, answer)
+}
+
+// TestExperimentFailsOnExecutorPanic: a panic on one of the engine's
+// workers fails the experiment with the panic's value instead of
+// killing the process, and the same benchmark goes on serving.
+func TestExperimentFailsOnExecutorPanic(t *testing.T) {
+	models := llm.Models[:2]
+	originals := dataset.Generate()[:4]
+	eng := engine.New(engine.WithExecutor(panickingExecutor{id: originals[0].ID}))
+	b := core.New(score.NewEvaluator(eng, inference.NewDispatcher(inference.NewSim(models))), originals, models)
+	_, err := b.Experiment("table4")
+	if want := "simulator bug on " + originals[0].ID; err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("table4 over a panicking executor: err = %v, want one naming %q", err, want)
+	}
+	out, err := b.Experiment("table2")
+	if err != nil || out != b.Table2() {
+		t.Fatalf("table2 after the panic: %q, %v", out, err)
 	}
 }
 

@@ -337,13 +337,14 @@ func (b *Benchmark) Experiments() map[string]func() string {
 }
 
 // Experiment renders experiment id. It fails for an unknown ID, for a
-// generator that panics, and when a generation the dispatcher served
-// during it failed: the experiments render an errored generation as an
-// empty answer so the run completes, and a table scored on those must
-// never be cached or checkpointed as the answer. The error count is
-// the dispatcher's, which every caller shares, so a concurrent failing
-// run can fail an unrelated clean experiment — deliberately
-// conservative: a retry succeeds, a corrupt output is never kept.
+// generator that panics, on this goroutine or on an engine worker, and
+// when a generation the dispatcher served during it failed: the
+// experiments render an errored generation as an empty answer so the
+// run completes, and a table scored on those must never be cached or
+// checkpointed as the answer. The error count is the dispatcher's,
+// which every caller shares, so a concurrent failing run can fail an
+// unrelated clean experiment — deliberately conservative: a retry
+// succeeds, a corrupt output is never kept.
 func (b *Benchmark) Experiment(id string) (out string, err error) {
 	gen, ok := b.Experiments()[id]
 	if !ok {

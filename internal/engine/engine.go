@@ -1,11 +1,11 @@
 // Package engine is the unified parallel evaluation engine behind the
 // benchmark: every functional evaluation — one candidate answer run
-// against one problem's unit test — becomes a Job, scheduled by a
-// work-stealing parallel-for over a pluggable Executor. Two executors
-// ship: the in-process pool (PoolExecutor, the default) and the
-// evalcluster adapter that drives the same jobs over the master/worker
-// TCP wire protocol. A content-addressed memoization cache — keyed by
-// the digests of the unit-test script and the answer — sits above the
+// against one problem's unit test — becomes a Job, scheduled by one
+// claim loop over a pluggable Executor. Two executors ship: the
+// in-process pool (PoolExecutor, the default) and the evalcluster
+// adapter that drives the same jobs over the master/worker TCP wire
+// protocol. A content-addressed memoization cache — keyed by the
+// digests of the unit-test script and the answer — sits above the
 // executor, so augmented variants and repeated campaigns that share
 // answers never re-run a simulated cluster, and concurrent duplicates
 // collapse into a single execution. An optional persistent second tier
@@ -342,112 +342,75 @@ func (e *Engine) RunOne(job Job, problems map[string]dataset.Problem) Result {
 }
 
 // Run executes a batch of jobs, resolving problems by ID, and returns
-// results in job order. onResult, when non-nil, streams each result as
-// it completes (calls are serialized). Unknown problem IDs and
-// executor failures produce a result with Error set rather than
-// aborting, so a poisoned batch still drains — the same contract as a
-// cluster worker.
-func (e *Engine) Run(jobs []Job, problems map[string]dataset.Problem, onResult func(Result)) []Result {
+// results in job order. Unknown problem IDs and executor failures
+// produce a result with Error set rather than aborting, so a poisoned
+// batch still drains — the same contract as a cluster worker.
+func (e *Engine) Run(jobs []Job, problems map[string]dataset.Problem) []Result {
 	out := make([]Result, len(jobs))
-	var cbMu sync.Mutex
-	e.ForEach(len(jobs), func(i int) {
-		r := e.RunOne(jobs[i], problems)
-		out[i] = r
-		if onResult != nil {
-			cbMu.Lock()
-			onResult(r)
-			cbMu.Unlock()
-		}
-	})
+	e.ForEach(len(jobs), func(i int) { out[i] = e.RunOne(jobs[i], problems) })
 	return out
 }
 
-// ForEach runs fn(0..n-1) on the engine's worker pool using
-// work-stealing: the index space is split into contiguous per-worker
-// deques; each worker pops from the front of its own deque and, when
-// empty, steals from the back of a victim's. Output written to
-// index-addressed slots is therefore deterministic regardless of
-// schedule. fn must be safe to call concurrently. ForEach returns when
-// every index has run.
+// ForEach runs fn(0..n-1) on up to Workers goroutines, each claiming
+// the next unclaimed index until none is left, so a slow index holds
+// up only the goroutine running it. Output written to index-addressed
+// slots is therefore deterministic regardless of schedule. fn must be
+// safe to call concurrently. ForEach returns when every index has run.
+// If fn panics, no further index is claimed, and once every goroutine
+// has returned ForEach panics on the caller with the first value.
 func (e *Engine) ForEach(n int, fn func(int)) {
 	if n <= 0 {
 		return
 	}
-	w := e.workers
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	// Contiguous ranges [lo, hi) per worker; owner takes lo, thieves
-	// take hi-1. Each deque has its own lock; tasks here are coarse
-	// (a full simulated-cluster unit test), so lock traffic is noise.
-	type deque struct {
-		mu     sync.Mutex
-		lo, hi int
-	}
-	qs := make([]*deque, w)
-	chunk := n / w
-	extra := n % w
-	start := 0
-	for i := 0; i < w; i++ {
-		size := chunk
-		if i < extra {
-			size++
-		}
-		qs[i] = &deque{lo: start, hi: start + size}
-		start += size
-	}
+	var f fault
+	spread(n, min(e.workers, n), &f, fn)
+	f.raise()
+}
 
-	popOwn := func(q *deque) (int, bool) {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		if q.lo >= q.hi {
-			return 0, false
-		}
-		i := q.lo
-		q.lo++
-		return i, true
-	}
-	steal := func(q *deque) (int, bool) {
-		q.mu.Lock()
-		defer q.mu.Unlock()
-		if q.lo >= q.hi {
-			return 0, false
-		}
-		q.hi--
-		return q.hi, true
-	}
+// fault keeps the first panic raised on any goroutine of one ForEach
+// or Pipeline call. Once it holds one, spread claims no further index.
+type fault struct {
+	hit atomic.Bool
+	val any // written once, by the call that set hit
+}
 
+// run calls fn(i) and keeps a panic it raises, if it is the first.
+func (f *fault) run(fn func(int), i int) {
+	defer func() {
+		if v := recover(); v != nil && f.hit.CompareAndSwap(false, true) {
+			f.val = v
+		}
+	}()
+	fn(i)
+}
+
+// raise re-raises the first panic on the calling goroutine. Call it
+// once every goroutine that could set f has returned.
+func (f *fault) raise() {
+	if f.hit.Load() {
+		panic(f.val)
+	}
+}
+
+// spread is the engine's one claim loop: w goroutines each take the
+// next unclaimed index of 0..n-1 from one counter and run fn on it,
+// until none is left or f holds a panic. It returns once every
+// goroutine has returned; a panic in fn is kept in f, not raised.
+func spread(n, w int, f *fault, fn func(int)) {
+	var next atomic.Int64
 	var wg sync.WaitGroup
 	wg.Add(w)
-	for self := 0; self < w; self++ {
-		go func(self int) {
+	for range w {
+		go func() {
 			defer wg.Done()
-			own := qs[self]
-			for {
-				if i, ok := popOwn(own); ok {
-					fn(i)
-					continue
-				}
-				stole := false
-				for off := 1; off < w; off++ {
-					victim := qs[(self+off)%w]
-					if i, ok := steal(victim); ok {
-						fn(i)
-						stole = true
-						break
-					}
-				}
-				if !stole {
+			for !f.hit.Load() {
+				i := int(next.Add(1)) - 1
+				if i >= n {
 					return
 				}
+				f.run(fn, i)
 			}
-		}(self)
+		}()
 	}
 	wg.Wait()
 }
@@ -485,27 +448,21 @@ const DefaultPipelineWindow = 4
 // regardless of schedule — the same contract as ForEach. gen and exec
 // must be safe to call concurrently; error handling stays wherever the
 // stages put it (the dispatcher's latch, the engine's Result.Error).
-// Pipeline returns when every index has been through both stages.
+// Pipeline returns when every index has been through both stages. A
+// panic in gen or exec stops it as one in fn stops ForEach, and once
+// every goroutine has returned Pipeline re-raises it on the caller.
 func Pipeline[T any](e *Engine, n int, genWorkers, window int, gen func(int) T, exec func(int, T)) {
 	if n <= 0 {
 		return
 	}
-	execWorkers := e.workers
-	if execWorkers > n {
-		execWorkers = n
-	}
-	if execWorkers < 1 {
-		execWorkers = 1
-	}
+	execWorkers := min(e.workers, n)
 	if window <= 0 {
 		window = DefaultPipelineWindow * execWorkers
 		if genWorkers > 0 && window < 2*genWorkers {
 			window = 2 * genWorkers
 		}
 	}
-	if window > n {
-		window = n
-	}
+	window = min(window, n)
 	// More generators than the window can never all hold tokens; the
 	// excess would only park. Unbounded (<= 0) means window-many.
 	if genWorkers <= 0 || genWorkers > window {
@@ -524,44 +481,36 @@ func Pipeline[T any](e *Engine, n int, genWorkers, window int, gen func(int) T, 
 	// hand-off — the token bound is the only throttle.
 	tokens := make(chan struct{}, window)
 	ready := make(chan item, window)
-	var next atomic.Int64
-	var genWG sync.WaitGroup
-	genWG.Add(genWorkers)
-	for g := 0; g < genWorkers; g++ {
-		go func() {
-			defer genWG.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				tokens <- struct{}{}
-				e.genInflight.Add(1)
-				v := gen(i)
-				e.genInflight.Add(-1)
-				e.queueDepth.Add(1)
-				ready <- item{i: i, v: v}
-			}
-		}()
-	}
-	go func() {
-		genWG.Wait()
-		close(ready)
-	}()
-
-	var execWG sync.WaitGroup
-	execWG.Add(execWorkers)
-	for w := 0; w < execWorkers; w++ {
-		go func() {
-			defer execWG.Done()
+	var f fault
+	// Indices 0..execWorkers-1 drain ready and the last runs the gen
+	// stage: claims go out in order, so every drainer runs before a panic
+	// can stop the claims. After a panic every token still comes back:
+	// gen and exec are skipped, and the zero value is handed on.
+	spread(execWorkers+1, execWorkers+1, &f, func(stage int) {
+		if stage < execWorkers {
 			for it := range ready {
 				e.queueDepth.Add(-1)
-				e.execBusy.Add(1)
-				exec(it.i, it.v)
-				e.execBusy.Add(-1)
+				if !f.hit.Load() {
+					e.execBusy.Add(1)
+					f.run(func(i int) { exec(i, it.v) }, it.i)
+					e.execBusy.Add(-1)
+				}
 				<-tokens
 			}
-		}()
-	}
-	execWG.Wait()
+			return
+		}
+		spread(n, genWorkers, &f, func(i int) {
+			tokens <- struct{}{}
+			e.genInflight.Add(1)
+			var v T
+			if !f.hit.Load() {
+				f.run(func(i int) { v = gen(i) }, i)
+			}
+			e.genInflight.Add(-1)
+			e.queueDepth.Add(1)
+			ready <- item{i: i, v: v}
+		})
+		close(ready)
+	})
+	f.raise()
 }

@@ -51,21 +51,89 @@ func TestForEachCoversEveryIndexOnce(t *testing.T) {
 	}
 }
 
-func TestForEachStealsAcrossWorkers(t *testing.T) {
-	// One worker's chunk is pathologically slow; the others must steal
-	// from it instead of idling, so the wall clock stays far below the
-	// serial sum.
+// TestForEachSlowIndexDoesNotStrandOthers: index 0 blocks until every
+// other index has run. A scheduler that queues indices behind a busy
+// goroutine (static per-worker chunks) never runs the rest of index
+// 0's chunk; one whose idle goroutines take the next index does.
+func TestForEachSlowIndexDoesNotStrandOthers(t *testing.T) {
 	eng := engine.New(engine.WithWorkers(4))
 	const n = 64
-	var slowRan atomic.Int32
+	var others atomic.Int32
+	rest := make(chan struct{})
 	eng.ForEach(n, func(i int) {
-		if i < n/4 { // worker 0's own chunk
-			time.Sleep(2 * time.Millisecond)
-			slowRan.Add(1)
+		if i == 0 {
+			select {
+			case <-rest:
+			case <-time.After(10 * time.Second):
+				t.Errorf("only %d of %d other indices ran while index 0 was blocked", others.Load(), n-1)
+			}
+			return
+		}
+		if others.Add(1) == n-1 {
+			close(rest)
 		}
 	})
-	if slowRan.Load() != n/4 {
-		t.Fatalf("slow chunk ran %d/%d", slowRan.Load(), n/4)
+}
+
+// TestPanicReachesCaller: a panic on any worker of ForEach, or in
+// either stage of Pipeline, comes back to the caller with its original
+// value once every goroutine has returned, instead of killing the
+// process. No index is claimed after the panic, so a single goroutine
+// stops at the panicking index, and the pipeline gauges drain.
+func TestPanicReachesCaller(t *testing.T) {
+	const n, bad = 64, 7
+	type boom struct{ i int }
+	before := runtime.NumGoroutine()
+	var calls atomic.Int64
+	count := func(i int) int {
+		calls.Add(1)
+		if i == bad {
+			panic(boom{i})
+		}
+		return i
+	}
+	eng1, eng4 := engine.New(engine.WithWorkers(1)), engine.New(engine.WithWorkers(4))
+	for _, tc := range []struct {
+		name      string
+		eng       *engine.Engine
+		run       func()
+		wantCalls int64 // 0: any number
+	}{
+		{"ForEach", eng4, func() { eng4.ForEach(n, func(i int) { count(i) }) }, 0},
+		{"ForEach/one worker", eng1, func() { eng1.ForEach(n, func(i int) { count(i) }) }, bad + 1},
+		{"Pipeline/gen", eng4, func() {
+			engine.Pipeline(eng4, n, 1, 0, count, func(i, v int) {
+				if i == bad || v != i {
+					t.Errorf("exec(%d, %d) ran on a failed generation", i, v)
+				}
+			})
+		}, bad + 1},
+		{"Pipeline/exec", eng4, func() {
+			engine.Pipeline(eng4, n, 3, 0, func(i int) int { return i }, func(i, _ int) { count(i) })
+		}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			calls.Store(0)
+			got := func() (v any) {
+				defer func() { v = recover() }()
+				tc.run()
+				return nil
+			}()
+			if got != (boom{bad}) {
+				t.Fatalf("caller recovered %v, want %v", got, boom{bad})
+			}
+			if tc.wantCalls != 0 && calls.Load() != tc.wantCalls {
+				t.Errorf("%d calls, want %d: an index was claimed after the panic", calls.Load(), tc.wantCalls)
+			}
+			if st := tc.eng.Stats(); st.GenInflight != 0 || st.QueueDepth != 0 || st.ExecBusy != 0 {
+				t.Errorf("pipeline gauges did not drain: %+v", st)
+			}
+		})
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > before; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines left running, %d before", runtime.NumGoroutine(), before)
+		}
 	}
 }
 
@@ -84,7 +152,7 @@ func TestCacheHitDuplicateAnswers(t *testing.T) {
 		jobs[i] = engine.Job{ID: fmt.Sprintf("dup-%d", i), ProblemID: p.ID, Answer: answer}
 	}
 	index := map[string]dataset.Problem{p.ID: p}
-	results := eng.Run(jobs, index, nil)
+	results := eng.Run(jobs, index)
 
 	if got := exec.runs.Load(); got != 1 {
 		t.Errorf("duplicate answers executed %d unit tests, want exactly 1", got)
@@ -125,7 +193,7 @@ func TestCacheDistinguishesProblemsAndAnswers(t *testing.T) {
 
 func TestRunUnknownProblem(t *testing.T) {
 	eng := engine.New(engine.WithWorkers(2))
-	results := eng.Run([]engine.Job{{ID: "j1", ProblemID: "no-such-problem"}}, nil, nil)
+	results := eng.Run([]engine.Job{{ID: "j1", ProblemID: "no-such-problem"}}, nil)
 	if len(results) != 1 || results[0].Passed || results[0].Error == "" {
 		t.Errorf("unknown problem should report an Error, got %+v", results)
 	}
@@ -523,7 +591,7 @@ func TestExecutorSwap(t *testing.T) {
 	}
 
 	poolEng := engine.New(engine.WithWorkers(4))
-	poolResults := poolEng.Run(jobs, index, nil)
+	poolResults := poolEng.Run(jobs, index)
 
 	srv := miniredis.NewServer()
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -551,7 +619,7 @@ func TestExecutorSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	clusterEng := engine.New(engine.WithExecutor(exec), engine.WithWorkers(4))
-	clusterResults := clusterEng.Run(jobs, index, nil)
+	clusterResults := clusterEng.Run(jobs, index)
 	clusterEng.Close()
 	wg.Wait()
 
@@ -569,23 +637,5 @@ func TestExecutorSwap(t *testing.T) {
 		if pr.VirtualSecs != cr.VirtualSecs {
 			t.Errorf("%s: virtual time differs: %v vs %v", pr.ID, pr.VirtualSecs, cr.VirtualSecs)
 		}
-	}
-}
-
-// TestStreamingCallback checks that Run streams one serialized callback
-// per job.
-func TestStreamingCallback(t *testing.T) {
-	problems := dataset.Generate()[:8]
-	index := make(map[string]dataset.Problem, len(problems))
-	jobs := make([]engine.Job, len(problems))
-	for i, p := range problems {
-		index[p.ID] = p
-		jobs[i] = engine.Job{ID: fmt.Sprintf("job-%d", i), ProblemID: p.ID, Answer: yamlmatch.StripLabels(p.ReferenceYAML)}
-	}
-	eng := engine.New(engine.WithWorkers(4))
-	seen := map[string]bool{}
-	eng.Run(jobs, index, func(r engine.Result) { seen[r.ID] = true })
-	if len(seen) != len(jobs) {
-		t.Errorf("callback saw %d/%d results", len(seen), len(jobs))
 	}
 }

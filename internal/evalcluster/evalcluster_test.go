@@ -185,7 +185,7 @@ func TestMasterWorkerOverTCP(t *testing.T) {
 		}
 		jobs[i] = engine.Job{ID: fmt.Sprintf("job-%d", i), ProblemID: p.ID, Answer: answer}
 	}
-	results := master.Run(jobs, index, nil)
+	results := master.Run(jobs, index)
 	wg.Wait()
 	for i, r := range results {
 		if r.Error != "" {

@@ -7,12 +7,13 @@ import (
 	"cloudeval/internal/k8scmd"
 )
 
-// The built-in families, registered in the paper's presentation order
-// (Table 2) followed by the extension families. The paper families'
-// DifficultyBase values and the absence of PromptHints are pinned: they
-// are what keeps Tables 2/4 byte-identical to the seed reproduction.
-func init() {
-	Register(&Backend{
+// backends is every workload family, in the paper's presentation order
+// (Table 2) followed by the extension families; Kubernetes comes first
+// and is For's fallback. The paper families' DifficultyBase values and
+// the absence of PromptHints are pinned: they are what keeps Tables 2/4
+// byte-identical to the seed reproduction.
+var backends = []*Backend{
+	{
 		Category:      dataset.Kubernetes,
 		Paper:         true,
 		NewEnv:        func() Env { return k8scmd.NewEnv() },
@@ -20,8 +21,8 @@ func init() {
 		Marker:        "kind",
 		HasKind:       true,
 		DocStart:      "apiVersion:",
-	})
-	Register(&Backend{
+	},
+	{
 		Category:       dataset.Envoy,
 		Paper:          true,
 		NewEnv:         func() Env { return k8scmd.NewEnv() },
@@ -30,8 +31,8 @@ func init() {
 		HasKind:        false,
 		DocStart:       "static_resources:",
 		DifficultyBase: 0.55,
-	})
-	Register(&Backend{
+	},
+	{
 		Category:       dataset.Istio,
 		Paper:          true,
 		NewEnv:         func() Env { return k8scmd.NewEnv() },
@@ -40,8 +41,8 @@ func init() {
 		HasKind:        true,
 		DocStart:       "apiVersion:",
 		DifficultyBase: 0.25,
-	})
-	Register(&Backend{
+	},
+	{
 		Category:       dataset.Compose,
 		NewEnv:         func() Env { return composesim.NewEnv() },
 		ImpliedImages:  []string{"docker/compose-bin:v2.24"},
@@ -50,8 +51,8 @@ func init() {
 		DocStart:       "services:",
 		DifficultyBase: 0.10,
 		PromptHint:     "Answer with a single Docker Compose YAML file (a top-level services mapping).",
-	})
-	Register(&Backend{
+	},
+	{
 		Category:       dataset.Helm,
 		NewEnv:         func() Env { return helmsim.NewEnv() },
 		ImpliedImages:  []string{"alpine/helm:3.14", "registry.k8s.io/pause:3.9"},
@@ -60,5 +61,5 @@ func init() {
 		DocStart:       "apiVersion:",
 		DifficultyBase: 0.20,
 		PromptHint:     "Answer with the Kubernetes manifests the Helm chart renders; they will be installed with `helm install -f`.",
-	})
+	},
 }

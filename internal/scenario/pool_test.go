@@ -11,7 +11,7 @@ import (
 // of state a unit test can create, and probes whose output must be
 // identical between a recycled and a brand-new environment. This is
 // TestPooledEnvNoLeak (internal/k8scmd/envpool_test.go) generalized to
-// the scenario registry: every registered family's pool must recycle
+// the scenario table: every family's pool must recycle
 // to pristine, and no state may ever cross family pools.
 var poolFixtures = map[dataset.Category]struct {
 	seed  map[string]string // files installed before the dirty script

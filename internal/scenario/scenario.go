@@ -1,4 +1,4 @@
-// Package scenario is the workload-family registry of the benchmark:
+// Package scenario is the workload-family table of the benchmark:
 // one Backend per application family (Kubernetes, Envoy, Istio, Docker
 // Compose, Helm, ...) declaring everything the rest of the stack used
 // to hardwire per category — the simulated environment factory with
@@ -10,12 +10,12 @@
 // the per-family analysis grouping (analysis.Figure6Slices, the
 // daemon's family leaderboard).
 //
-// Adding a workload family is one Register call: provide an
-// environment whose shell binds the family's tools, point the backend
-// at it, and every layer — unittest execution, image accounting,
-// generation, post-processing, failure analysis, per-family
-// leaderboards — picks the family up from the registry. See DESIGN.md
-// §2.7 and CONTRIBUTING.md ("Adding a workload family").
+// Adding a workload family is one row in builtin.go's table: provide
+// an environment whose shell binds the family's tools, point the
+// backend at it, and every layer — unittest execution, image
+// accounting, generation, post-processing, failure analysis,
+// per-family leaderboards — picks the family up from the table. See
+// DESIGN.md §2.7 and CONTRIBUTING.md ("Adding a workload family").
 package scenario
 
 import (
@@ -101,54 +101,34 @@ func (b *Backend) PutEnv(e Env) {
 	b.pool.Put(e)
 }
 
-var (
-	mu       sync.RWMutex
-	backends = map[dataset.Category]*Backend{}
-	order    []*Backend
-)
-
-// Register installs a backend. Registering a category twice panics:
-// families are process-wide singletons.
-func Register(b *Backend) {
-	mu.Lock()
-	defer mu.Unlock()
-	if _, dup := backends[b.Category]; dup {
-		panic("scenario: duplicate backend for category " + string(b.Category))
-	}
-	backends[b.Category] = b
-	order = append(order, b)
-}
-
 // For resolves a category's backend. Unknown categories resolve to the
 // Kubernetes backend, mirroring the default arms of the category
-// switches this registry replaced.
+// switches this table replaced.
 func For(c dataset.Category) *Backend {
-	mu.RLock()
-	defer mu.RUnlock()
-	if b, ok := backends[c]; ok {
-		return b
+	for _, b := range backends {
+		if b.Category == c {
+			return b
+		}
 	}
-	return backends[dataset.Kubernetes]
+	return backends[0]
 }
 
-// All lists backends in registration order (the paper families first,
-// in the paper's presentation order, then extensions). Per-family
-// breakdowns across the stack iterate this, so row and column order is
-// stable everywhere.
+// All lists backends in table order (the paper families first, in the
+// paper's presentation order, then extensions). Per-family breakdowns
+// across the stack iterate this, so row and column order is stable
+// everywhere.
 func All() []*Backend {
-	mu.RLock()
-	defer mu.RUnlock()
-	return append([]*Backend(nil), order...)
+	return append([]*Backend(nil), backends...)
 }
 
-// docStartRules snapshots the marker set once: backends register at
-// package init and the post-processor calls IsDocStartLine per answer
-// line, so the set is immutable by the time it is read.
-var docStartRules = sync.OnceValues(func() (prefix, exact []string) {
-	mu.RLock()
-	defer mu.RUnlock()
+// docStartPrefix and docStartExact are the document-start markers of
+// every family, deduplicated: manifest families' markers match as line
+// prefixes, kindless families' only as whole lines.
+var docStartPrefix, docStartExact = docStartRules()
+
+func docStartRules() (prefix, exact []string) {
 	seenP, seenE := map[string]bool{}, map[string]bool{}
-	for _, b := range order {
+	for _, b := range backends {
 		if b.DocStart == "" {
 			continue
 		}
@@ -163,7 +143,7 @@ var docStartRules = sync.OnceValues(func() (prefix, exact []string) {
 		}
 	}
 	return prefix, exact
-})
+}
 
 // IsDocStartLine reports whether a trimmed answer line opens some
 // family's document — the post-processor's policy-2 predicate.
@@ -173,13 +153,12 @@ var docStartRules = sync.OnceValues(func() (prefix, exact []string) {
 // "services: web and db" is not a Compose document start and must not
 // swallow the manifest that follows it.
 func IsDocStartLine(trimmed string) bool {
-	prefix, exact := docStartRules()
-	for _, p := range prefix {
+	for _, p := range docStartPrefix {
 		if strings.HasPrefix(trimmed, p) {
 			return true
 		}
 	}
-	for _, e := range exact {
+	for _, e := range docStartExact {
 		if trimmed == e {
 			return true
 		}

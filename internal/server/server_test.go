@@ -28,6 +28,7 @@ import (
 	"cloudeval/internal/score"
 	"cloudeval/internal/server"
 	"cloudeval/internal/store"
+	"cloudeval/internal/unittest"
 	"cloudeval/internal/yamlmatch"
 )
 
@@ -651,6 +652,38 @@ func (p *failingProvider) Generate(ctx context.Context, req inference.Request) (
 	return inference.Response{}, fmt.Errorf("backend down")
 }
 func (*failingProvider) Close() error { return nil }
+
+// panickingExecutor runs unit tests in process but panics on one
+// problem, as a simulator bug would.
+type panickingExecutor struct {
+	engine.PoolExecutor
+	id string
+}
+
+func (x panickingExecutor) RunUnitTest(p dataset.Problem, answer string) unittest.Result {
+	if p.ID == x.id {
+		panic("simulator bug on " + p.ID)
+	}
+	return x.PoolExecutor.RunUnitTest(p, answer)
+}
+
+// TestExecutorPanicIsAnInternalError: a simulator panic on one of the
+// engine's workers answers the leaderboard request with a 500 naming
+// the panic, and the daemon stays up.
+func TestExecutorPanicIsAnInternalError(t *testing.T) {
+	ctx := context.Background()
+	models := llm.Models[:2]
+	originals := dataset.Generate()[:4]
+	eng := engine.New(engine.WithExecutor(panickingExecutor{id: originals[0].ID}))
+	c := newTestClient(t, core.New(score.NewEvaluator(eng, inference.NewDispatcher(inference.NewSim(models))), originals, models))
+	_, err := c.Leaderboard(ctx)
+	if ae := apiErr(t, err, 500, "internal"); !strings.Contains(ae.Message, "simulator bug on "+originals[0].ID) {
+		t.Errorf("error does not name the panic: %s", ae.Message)
+	}
+	if err := c.Healthz(ctx); err != nil {
+		t.Fatalf("healthz after the panic: %v", err)
+	}
+}
 
 // TestGenerationFailuresFailExperiments pins the daemon's error
 // surfacing: an experiment or campaign whose provider fails must
