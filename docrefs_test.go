@@ -9,6 +9,7 @@ import (
 	"os"
 	"path/filepath"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -235,4 +236,74 @@ func benchLayerMetrics(t *testing.T) map[string]bool {
 		out[m.Name] = true
 	}
 	return out
+}
+
+// apiHeading is an API.md route heading: ### `METHOD /path`.
+var apiHeading = regexp.MustCompile("^### `([A-Z]+ /[^`]*)`$")
+
+// TestAPIRoutesMatchMux holds API.md to the daemon's mux: the routes
+// its ### `METHOD /path` headings document are exactly the patterns
+// internal/server passes to (*Server).handle, so a route can neither
+// land undocumented nor linger in the document after it is gone.
+func TestAPIRoutesMatchMux(t *testing.T) {
+	data, err := os.ReadFile("API.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	documented := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if m := apiHeading.FindStringSubmatch(line); m != nil {
+			documented[m[1]] = true
+		}
+	}
+
+	served := map[string]bool{}
+	files, err := filepath.Glob(filepath.Join("internal", "server", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ast.Inspect(f, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok || len(call.Args) == 0 {
+				return true
+			}
+			if sel, ok := call.Fun.(*ast.SelectorExpr); !ok || sel.Sel.Name != "handle" {
+				return true
+			}
+			lit, ok := call.Args[0].(*ast.BasicLit)
+			if !ok || lit.Kind != token.STRING {
+				t.Errorf("%s: handle's pattern is not a string literal", fset.Position(call.Pos()))
+				return true
+			}
+			pattern, err := strconv.Unquote(lit.Value)
+			if err != nil {
+				t.Fatal(err)
+			}
+			served[pattern] = true
+			return true
+		})
+	}
+
+	if len(served) == 0 {
+		t.Fatal("found no (*Server).handle call in internal/server")
+	}
+	for p := range served {
+		if !documented[p] {
+			t.Errorf("route %q is served but API.md has no ### `%s` heading", p, p)
+		}
+	}
+	for p := range documented {
+		if !served[p] {
+			t.Errorf("API.md documents %q, which internal/server does not serve", p)
+		}
+	}
 }

@@ -75,6 +75,8 @@ type segment struct {
 
 	// lf is set by newSegment and closed by close, never replaced.
 	lf *logFile
+	// id is the segment's index in Store.segs, what its entries hold.
+	id uint8
 
 	// mu guards the log half: the file's size, the frame buffer and
 	// appendErr. Index reads never take it.
@@ -90,10 +92,10 @@ type segment struct {
 	appendErr error
 }
 
-func newSegment(f *os.File) *segment {
-	seg := &segment{lf: newLogFile(f)}
+func newSegment(f *os.File, id int) *segment {
+	seg := &segment{lf: newLogFile(f), id: uint8(id)}
 	for i := range seg.idx {
-		seg.idx[i].m = make(map[key]entry)
+		seg.idx[i].m = make(map[uint64]entry)
 	}
 	return seg
 }
@@ -103,7 +105,7 @@ func newSegment(f *os.File) *segment {
 const scanBufSize = 64 << 10
 
 // scanLog walks one log file from its start, calling apply for each
-// intact frame with its key and index entry (src unset — the caller
+// intact frame with its key and index entry (seg unset — the caller
 // knows which log it is scanning), and returns the offset of the first
 // bad (or missing) frame and how many of the intact ones carried a
 // JSON payload. One growable payload buffer is reused across frames,
@@ -156,7 +158,7 @@ func scanLog(f *os.File, apply func(k key, e entry)) (good int64, legacy int, er
 // for it) and truncates the segment's torn tail.
 func (seg *segment) replay(s *Store) error {
 	good, legacy, err := scanLog(seg.lf.f, func(k key, e entry) {
-		e.src = seg.lf
+		e.seg = seg.id
 		s.load(k, e)
 		seg.scanFrames++
 	})
@@ -194,6 +196,11 @@ func (seg *segment) appendWait(k key, st *stripe, enc func(dst []byte) []byte) {
 		seg.buf = nil
 	}
 	n, sum := uint32(len(frame)), binary.LittleEndian.Uint32(frame[4:8])
+	// The slot found may belong to another key with k's fingerprint
+	// (get's collision rule). Its frame differs from k's — each frame
+	// carries its own key — so length and CRC tell them apart but for a
+	// 2⁻³² chance on top of the collision's, and even then k only keeps
+	// missing: the frame the slot points at is still not k's.
 	if old, ok := st.lookup(k); ok && old.n == n && old.sum == sum {
 		return
 	}
@@ -203,7 +210,7 @@ func (seg *segment) appendWait(k key, st *stripe, enc func(dst []byte) []byte) {
 		seg.appendErr = fmt.Errorf("store: append: %w", err)
 		return
 	}
-	st.set(k, entry{src: seg.lf, off: seg.size, n: n, sum: sum})
+	st.set(k, entry{off: seg.size, n: n, sum: sum, seg: seg.id})
 	seg.size += int64(n)
 	seg.appended.Add(1)
 	seg.flushes.Add(1)

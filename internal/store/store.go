@@ -23,9 +23,10 @@
 // only convert records to and from unittest.Result and
 // inference.Response, and the payload codec (codec.go: appendFrame for
 // put, payloadKey for the scan, decode for get) is the only code that
-// knows what a payload looks like. The kind byte is part of the key
-// everywhere a key is used (index, frame), so the same 32 bytes used as
-// a generation key and as a unit-test digest never alias.
+// knows what a payload looks like. The kind is part of the key
+// everywhere a key is used (the frame whole, the index fingerprint), so
+// the same 32 bytes used as a generation key and as a unit-test digest
+// never alias.
 //
 // # Sharded layout
 //
@@ -96,23 +97,35 @@
 //
 // # Out-of-core index
 //
-// The resident index holds no payloads: each stripe maps a key to an
-// {owning log, offset, frame length, payload CRC} entry, so resident
-// cost per record is ~130 bytes regardless of how large its output or
-// response text is. A read preads the frame on demand into a pooled
-// buffer, re-verifies its length and checksum against the entry,
-// decodes it and checks that the key inside the frame is the key asked
-// for (anything else is a miss). Nothing decoded is kept: the engine's
-// and the dispatcher's memo.LRUs above the store already hold what a
+// The resident index holds no payloads and no keys: each stripe maps a
+// key's 64-bit fingerprint (key.fingerprint: digest bytes 8–15, which
+// SHA-256 has already made uniform, mixed with the kind) to a 24-byte
+// {offset, frame length, payload CRC, segment number, kind} entry.
+// Neither half holds a pointer, so the garbage collector never scans
+// the maps' slots, and resident cost per record is ~56 bytes (48–70 as
+// the maps grow) regardless of how large its output or response text
+// is. A read preads the frame on demand into a pooled buffer,
+// re-verifies its length and checksum against the entry, decodes it
+// and checks that the key inside the frame is the key asked for
+// (anything else is a miss). Nothing decoded is kept: the engine's and
+// the dispatcher's memo.LRUs above the store already hold what a
 // process reads twice, so RSS is bounded by index size, not corpus
 // size, and a read allocates only the text it returns.
+//
+// The index only locates a record; the frame is the authority on whose
+// record it is. Two keys of one shard and stripe whose fingerprints
+// collide share a slot, and the newest put or replayed frame holds it:
+// the other key reads a frame carrying the wrong key and misses, so a
+// collision costs a re-execution, never a wrong record. Among N
+// records one is about N²/2⁶⁵ likely — ~3·10⁻⁸ at a million.
 //
 // Open rebuilds the index by scanning every segment through a buffered
 // reader: per frame a checksum, a bounds check and a copy of the key
 // from its fixed offsets. A Table 4 campaign store (5,736 results +
-// 13,195 generations, 6 MB) opens in about 6 ms on the 2-vCPU reference
-// box — it was 43 ms when every frame was JSON — most of it building
-// the index maps rather than reading frames.
+// 13,195 generations, 6 MB) opens in about 7 ms on a 2-vCPU box, most
+// of it building the index maps rather than reading frames; with whole
+// keys in the maps the same box took 12–18 ms, and 43 ms when every
+// frame was JSON.
 //
 // Open neither reads nor deletes the index sidecars (<segment>.idx)
 // earlier versions wrote beside their segments.
@@ -124,6 +137,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"math/bits"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -146,9 +160,9 @@ const (
 	numKinds
 )
 
-// key addresses one record everywhere the store needs an address: the
-// offset index and the frame. a and b are (test digest, answer digest)
-// for a unit-test result and (request key, zero) for a generation.
+// key addresses one record: a and b are (test digest, answer digest)
+// for a unit-test result and (request key, zero) for a generation. A
+// frame carries its key whole; the index keeps only its fingerprint.
 type key struct {
 	kind kind
 	a, b [sha256.Size]byte
@@ -162,6 +176,21 @@ type key struct {
 func (k key) shard(mask int) int { return int(k.a[0]^k.b[0]) & mask }
 func (k key) stripe() int        { return int(k.a[1]^k.b[1]) & (idxStripes - 1) }
 
+// kindSalt separates the fingerprints of a generation and a unit-test
+// result whose digests agree where the fingerprint reads them.
+const kindSalt = 0x9e3779b97f4a7c15
+
+// fingerprint is k's index key: bytes 8–15 of both digests, which
+// SHA-256 has already made uniform and neither routing byte (0 for the
+// shard, 1 for the stripe) touches, with the kind mixed in. Nothing is
+// hashed. The rotation keeps (x, y) and (y, x) apart. Two keys that
+// share shard, stripe and fingerprint share one index slot; see get.
+func (k key) fingerprint() uint64 {
+	a := binary.LittleEndian.Uint64(k.a[8:16])
+	b := binary.LittleEndian.Uint64(k.b[8:16])
+	return a ^ bits.RotateLeft64(b, 32) ^ uint64(k.kind)*kindSalt
+}
+
 const frameHeaderSize = 8
 
 // maxPayload rejects absurd length prefixes (a torn header read as a
@@ -171,25 +200,31 @@ const maxPayload = 64 << 20
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // entry is one resident index entry: where a key's newest frame lives.
-// n is the full frame length, header included; sum is the payload
-// CRC-32C from the frame header, re-verified on every on-demand read
-// and used to recognize identical re-puts without decoding anything.
+// seg is the index in Store.segs of the segment holding the frame
+// (its key's own shard unless the file was hand-copied); n is the full
+// frame length, header included; sum is the payload CRC-32C from the
+// frame header, re-verified on every on-demand read and used to
+// recognize identical re-puts without decoding anything; kind is the
+// kind of the key that set the entry, for the stripe's counters. An
+// entry holds no pointer, so the garbage collector never scans an
+// index map's slots (TestIndexEntryHoldsNoPointers).
 type entry struct {
-	src *logFile
-	off int64
-	n   uint32
-	sum uint32
+	off  int64
+	n    uint32
+	sum  uint32
+	seg  uint8
+	kind kind
 }
 
-// read preads the frame e points at into buf (grown when too small)
-// and re-verifies the length prefix and payload checksum against the
-// entry before a byte of it is trusted.
-func (e entry) read(buf []byte) ([]byte, error) {
+// read preads the frame e points at from lf into buf (grown when too
+// small) and re-verifies the length prefix and payload checksum
+// against the entry before a byte of it is trusted.
+func (e entry) read(lf *logFile, buf []byte) ([]byte, error) {
 	if cap(buf) < int(e.n) {
 		buf = make([]byte, e.n)
 	}
 	buf = buf[:e.n]
-	if err := e.src.pread(buf, e.off); err != nil {
+	if err := lf.pread(buf, e.off); err != nil {
 		return buf, err
 	}
 	if binary.LittleEndian.Uint32(buf[0:4]) != e.n-frameHeaderSize ||
@@ -218,29 +253,34 @@ const (
 // its stripes outright.
 const idxStripes = 4
 
-// stripe is one lock's worth of a shard's offset index. n counts the
-// live keys of each kind so Len/GenLen cost a lock per stripe, not a
-// walk of the map.
+// stripe is one lock's worth of a shard's offset index, keyed by
+// fingerprint. n counts the slots holding each kind so Len/GenLen cost
+// a lock per stripe, not a walk of the map.
 type stripe struct {
 	mu sync.RWMutex
-	m  map[key]entry
+	m  map[uint64]entry
 	n  [numKinds]int
 }
 
 func (st *stripe) lookup(k key) (entry, bool) {
 	st.mu.RLock()
-	e, ok := st.m[k]
+	e, ok := st.m[k.fingerprint()]
 	st.mu.RUnlock()
 	return e, ok
 }
 
+// set points k's slot at e. A slot another key left behind (a
+// fingerprint collision) is taken over, and its count moves to k's
+// kind, so n never exceeds the distinct keys set nor drops below zero.
 func (st *stripe) set(k key, e entry) {
+	e.kind = k.kind
+	fp := k.fingerprint()
 	st.mu.Lock()
-	before := len(st.m)
-	st.m[k] = e
-	if len(st.m) > before {
-		st.n[k.kind]++
+	if old, ok := st.m[fp]; ok {
+		st.n[old.kind]--
 	}
+	st.m[fp] = e
+	st.n[e.kind]++
 	st.mu.Unlock()
 }
 
@@ -359,7 +399,7 @@ func Open(path string) (*Store, error) {
 			s.closeFiles()
 			return nil, err
 		}
-		s.segs[i] = newSegment(f)
+		s.segs[i] = newSegment(f, i)
 	}
 	// Parallel replay: one goroutine per shard, each with its own
 	// reusable payload buffer, each truncating its own torn tail.
@@ -425,7 +465,9 @@ const maxPooledBuf = 64 << 10
 // get is the one read path: the index entry's frame, pread from its
 // segment into a pooled buffer, verified and decoded. Anything that
 // keeps the frame from being read back intact — a closed store, or a
-// frame that verifies but carries another key — is a miss.
+// frame that verifies but carries another key — is a miss. That key
+// check is what makes a fingerprint collision a miss rather than a
+// wrong record: the frame, not the index, says whose record it is.
 func (s *Store) get(k key) (record, bool) {
 	_, st := s.route(k)
 	e, ok := st.lookup(k)
@@ -439,7 +481,7 @@ func (s *Store) get(k key) (record, bool) {
 		}
 	}()
 	var err error
-	if rb.b, err = e.read(rb.b); err != nil {
+	if rb.b, err = e.read(s.segs[e.seg].lf, rb.b); err != nil {
 		return record{}, false
 	}
 	got, rec, ok := decode(rb.b[frameHeaderSize:])
@@ -551,11 +593,13 @@ func (s *Store) CacheStats() memo.Stats { return memo.Stats{} }
 // frames and wall time.
 func (s *Store) LastOpen() OpenStats { return s.openStats }
 
-// residentPerEntry estimates one index entry's resident cost: key +
-// entry struct + map bucket overhead. An estimate, not a measurement —
-// the stats surface reports magnitude, and the invariant that matters
-// (payloads are not resident) is structural.
-const residentPerEntry = 128
+// residentPerEntry is one record's share of the index heap: an 8-byte
+// fingerprint, a 24-byte entry and the map's control bytes and empty
+// slots. Measured on Go 1.24 after an Open and a collection, it is
+// 48–70 bytes: the maps double in steps, so the share falls as a store
+// fills and jumps when they grow. 56 sits within 25 % of the whole
+// range (TestResidentBytesTracksHeap holds it at 100k records).
+const residentPerEntry = 56
 
 // ResidentBytes estimates the store's resident memory: the offset
 // index, which scales with key count, never payload size.
