@@ -40,7 +40,6 @@ import (
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/score"
-	"cloudeval/internal/store"
 	"cloudeval/internal/unittest"
 	"cloudeval/internal/yamlmatch"
 )
@@ -69,12 +68,6 @@ type ProblemScore = score.ProblemScore
 // UnitTestResult is the outcome of one functional evaluation.
 type UnitTestResult = unittest.Result
 
-// Store is the persistent, content-addressed evaluation store: an
-// append-only on-disk log of unit-test results keyed by
-// (unit-test-script digest, answer digest), the second cache tier
-// under the engine. See DESIGN.md §2.5.
-type Store = store.Store
-
 // New builds the default benchmark: the hand-written problems of every
 // registered workload family, their simplified and translated
 // variants, and the twelve-model zoo of Table 4, evaluated on an
@@ -82,25 +75,8 @@ type Store = store.Store
 // cache; this facade is where those defaults are chosen, and below it
 // every entry point is handed its evaluator.
 func New() *Benchmark {
-	return newBenchmark(engine.New(), inference.NewDispatcher(inference.NewSim(llm.Models)))
-}
-
-func newBenchmark(eng *engine.Engine, disp *inference.Dispatcher) *Benchmark {
-	return core.New(score.NewEvaluator(eng, disp), dataset.Generate(), llm.Models)
-}
-
-// NewPersistent builds a benchmark whose engine and inference
-// dispatcher are both backed by the persistent store at storePath:
-// unit-test results and generations survive the process, so a
-// repeated campaign neither executes nor generates anything. The
-// caller owns closing the returned store after the last evaluation.
-func NewPersistent(storePath string) (*Benchmark, *Store, error) {
-	st, err := store.Open(storePath)
-	if err != nil {
-		return nil, nil, err
-	}
-	disp := inference.NewDispatcher(inference.NewSim(llm.Models), inference.WithGenStore(st))
-	return newBenchmark(engine.New(engine.WithStore(st)), disp), st, nil
+	ev := score.NewEvaluator(engine.New(), inference.NewDispatcher(inference.NewSim(llm.Models)))
+	return core.New(ev, dataset.Generate(), llm.Models)
 }
 
 // Dataset returns the original problems of every workload family (the

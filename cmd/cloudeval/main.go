@@ -36,6 +36,7 @@ import (
 	"path/filepath"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"cloudeval"
@@ -288,7 +289,11 @@ func cmdBench(fs *flag.FlagSet) func() error {
 			return err
 		}
 		defer c.closeOnReturn(&retErr)
-		fmt.Println(c.benchmark().Table4())
+		out, err := c.benchmark().Experiment("table4")
+		if err != nil {
+			return err
+		}
+		fmt.Println(out)
 		if c.store != nil {
 			es := c.ev.Engine().Stats()
 			fmt.Printf("engine: %d executed, %d memory hits, %d store hits\n", es.Executed, es.CacheHits, es.StoreHits)
@@ -374,21 +379,34 @@ func cmdFigures(fs *flag.FlagSet) func() error {
 	w.storeFlag(fs, "persistent evaluation store path")
 	w.providerFlags(fs)
 	return func() (retErr error) {
+		ids := core.ExperimentIDs
+		if !*all {
+			ids = []string{strings.ToLower(*id)}
+			if !slices.Contains(core.ExperimentIDs, ids[0]) {
+				return fmt.Errorf("unknown experiment %q (known: %s)", *id, strings.Join(core.ExperimentIDs, ", "))
+			}
+		}
 		c, err := w.open()
 		if err != nil {
 			return err
 		}
 		defer c.closeOnReturn(&retErr)
 		b := c.benchmark()
-		if *all {
-			return b.RunAll(os.Stdout)
+		// Every experiment renders before any is printed, so a failed
+		// one leaves stdout empty.
+		var sb strings.Builder
+		for _, id := range ids {
+			out, err := b.Experiment(id)
+			if err != nil {
+				return err
+			}
+			if *all {
+				fmt.Fprintf(&sb, "=== %s ===\n", id)
+			}
+			sb.WriteString(out + "\n")
 		}
-		gen, ok := b.Experiments()[strings.ToLower(*id)]
-		if !ok {
-			return fmt.Errorf("unknown experiment %q (known: %s)", *id, strings.Join(core.ExperimentIDs, ", "))
-		}
-		fmt.Println(gen())
-		return nil
+		_, err = os.Stdout.WriteString(sb.String())
+		return err
 	}
 }
 
@@ -414,7 +432,9 @@ func cmdCampaign(fs *flag.FlagSet) func() error {
 		}
 		defer c.closeOnReturn(&retErr)
 		b := c.benchmark()
-		report, err := b.RunCampaign(*dir, ids, os.Stdout, nil, nil)
+		report, err := b.RunCampaign(*dir, ids, func(id, out string) {
+			fmt.Printf("=== %s ===\n%s\n", id, out)
+		})
 		if err != nil {
 			return err
 		}

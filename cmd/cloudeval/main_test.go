@@ -70,3 +70,55 @@ func TestCloseReturnsGenerationError(t *testing.T) {
 		t.Fatalf("close = %v, want the replay miss", err)
 	}
 }
+
+// TestFailedExperimentPrintsNothing: an experiment whose generations
+// fail prints nothing, not a table scored on empty answers, and its
+// error names the generation failures. figures -all renders every
+// experiment before it prints one.
+func TestFailedExperimentPrintsNothing(t *testing.T) {
+	trace := filepath.Join(t.TempDir(), "empty.trace")
+	if err := os.WriteFile(trace, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		cmd  string
+		args []string
+	}{
+		{"figures", []string{"-id", "table4", "-replay", trace}},
+		{"figures", []string{"-all", "-replay", trace}},
+		{"bench", []string{"-replay", trace}},
+	} {
+		fs := flag.NewFlagSet(tc.cmd, flag.ContinueOnError)
+		run := commands[tc.cmd](fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		var err error
+		out := captureStdout(t, func() { err = run() })
+		if err == nil || !strings.Contains(err.Error(), "generation failures") {
+			t.Errorf("%s %v: err = %v, want the generation failures", tc.cmd, tc.args, err)
+		}
+		if out != "" {
+			t.Errorf("%s %v printed %d bytes, want none:\n%s", tc.cmd, tc.args, len(out), out)
+		}
+	}
+}
+
+// captureStdout returns what fn writes to os.Stdout.
+func captureStdout(t *testing.T, fn func()) string {
+	t.Helper()
+	f, err := os.CreateTemp(t.TempDir(), "stdout")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	saved := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = saved }()
+	fn()
+	out, err := os.ReadFile(f.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(out)
+}

@@ -10,7 +10,6 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"log"
 	"os"
 	"path/filepath"
@@ -54,7 +53,7 @@ func main() {
 
 	// Checkpoint a campaign too, then "crash" before table4 finishes by
 	// only running part of it.
-	if _, err := bench.RunCampaign(campaignDir, []string{"table2"}, io.Discard, nil, nil); err != nil {
+	if _, err := bench.RunCampaign(campaignDir, []string{"table2"}, nil); err != nil {
 		log.Fatal(err)
 	}
 	if err := st.Close(); err != nil {
@@ -78,7 +77,7 @@ func main() {
 	// The campaign resumes from its manifest: table2 replays from its
 	// checkpoint file, only table4 is new — and its unit tests all come
 	// from the store.
-	report, err := bench2.RunCampaign(campaignDir, []string{"table2", "table4"}, io.Discard, nil, nil)
+	report, err := bench2.RunCampaign(campaignDir, []string{"table2", "table4"}, nil)
 	if err != nil {
 		log.Fatal(err)
 	}

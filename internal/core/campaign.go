@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"slices"
@@ -84,7 +83,8 @@ type Campaign struct {
 	// recorded.
 	Experiments []string
 	// Completed lists the experiments with a checkpointed output, in
-	// presentation order; Outputs holds those outputs.
+	// the order of Experiments and then, for any other, in presentation
+	// order; Outputs holds those outputs.
 	Completed []string
 	Outputs   map[string]string
 }
@@ -112,11 +112,14 @@ func ReadCampaign(dir string) (Campaign, error) {
 		Completed:   make([]string, 0, len(m.Completed)),
 		Outputs:     make(map[string]string, len(m.Completed)),
 	}
-	for _, id := range ExperimentIDs {
+	// The campaign's own order first, then any checkpoint a run over
+	// another set left, in presentation order; each ID once.
+	for _, id := range slices.Concat(m.Experiments, ExperimentIDs) {
 		name, ok := m.Completed[id]
 		if !ok {
 			continue
 		}
+		delete(m.Completed, id)
 		if data, err := os.ReadFile(filepath.Join(dir, name)); err == nil && len(data) > 0 {
 			c.Completed = append(c.Completed, id)
 			c.Outputs[id] = string(data)
@@ -161,29 +164,37 @@ func writeAtomic(path string, data []byte) error {
 	return err
 }
 
+// CheckExperiments reports the first ID in ids that is not an
+// experiment or that repeats an earlier one.
+func CheckExperiments(ids []string) error {
+	for i, id := range ids {
+		if !slices.Contains(ExperimentIDs, id) {
+			return fmt.Errorf("unknown experiment %q", id)
+		}
+		if slices.Contains(ids[:i], id) {
+			return fmt.Errorf("experiment %q listed twice", id)
+		}
+	}
+	return nil
+}
+
 // RunCampaign executes the given experiment IDs (all of ExperimentIDs
-// when ids is nil) as a resumable campaign rooted at dir, writing each
-// experiment's output to w in order — replayed from checkpoint files
-// for experiments a previous run completed, freshly generated
-// otherwise. The manifest records ids before the first experiment runs
+// when ids is nil) as a resumable campaign rooted at dir, handing each
+// experiment's output to onDone, when non-nil, in order: replayed from
+// checkpoint files for experiments a previous run completed, rendered
+// by b.Experiment otherwise. A replayed checkpoint is the campaign's
+// record, possibly from an older binary, so it is not kept as b's
+// rendering. The manifest records ids before the first experiment runs
 // and is checkpointed atomically after every experiment, so an
-// interrupted campaign resumes exactly where it died.
-//
-// gen, when non-nil, produces fresh outputs in place of b.Experiment,
-// and onDone, when non-nil, is handed each experiment's output as it
-// completes. The daemon routes campaign generation through its result
-// cache this way, so a campaign and a concurrent direct request share
-// one computation, and surfaces live campaign status from the
-// callback.
-func (b *Benchmark) RunCampaign(dir string, ids []string, w io.Writer, gen func(id string) (string, error), onDone func(id, out string)) (CampaignReport, error) {
+// interrupted campaign resumes exactly where it died. ids are checked
+// with CheckExperiments before dir is touched.
+func (b *Benchmark) RunCampaign(dir string, ids []string, onDone func(id, out string)) (CampaignReport, error) {
 	var report CampaignReport
 	if ids == nil {
 		ids = ExperimentIDs
 	}
-	for _, id := range ids {
-		if !slices.Contains(ExperimentIDs, id) {
-			return report, fmt.Errorf("core: unknown experiment %q", id)
-		}
+	if err := CheckExperiments(ids); err != nil {
+		return report, fmt.Errorf("core: %w", err)
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return report, err
@@ -203,19 +214,13 @@ func (b *Benchmark) RunCampaign(dir string, ids []string, w io.Writer, gen func(
 			return report, err
 		}
 	}
-	if w == nil {
-		w = io.Discard
-	}
-	if gen == nil {
-		gen = b.Experiment
-	}
 
 	for _, id := range ids {
 		out, skipped := rec.Outputs[id]
 		if skipped {
 			report.Skipped = append(report.Skipped, id)
 		} else {
-			if out, err = gen(id); err != nil {
+			if out, err = b.Experiment(id); err != nil {
 				return report, fmt.Errorf("core: generate %s: %w", id, err)
 			}
 			name := id + ".txt"
@@ -227,9 +232,6 @@ func (b *Benchmark) RunCampaign(dir string, ids []string, w io.Writer, gen func(
 				return report, err
 			}
 			report.Ran = append(report.Ran, id)
-		}
-		if _, err := fmt.Fprintf(w, "=== %s ===\n%s\n", id, out); err != nil {
-			return report, err
 		}
 		if onDone != nil {
 			onDone(id, out)

@@ -3,11 +3,12 @@ package core_test
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"cloudeval/internal/core"
@@ -24,13 +25,19 @@ func smallBench() *core.Benchmark {
 	return core.New(score.NewEvaluator(engine.New(), inference.NewDispatcher(inference.NewSim(models))), dataset.Generate()[:8], models)
 }
 
+// frame writes each experiment's output to w under its "=== id ==="
+// header, as cloudeval campaign prints it.
+func frame(w *strings.Builder) func(id, out string) {
+	return func(id, out string) { fmt.Fprintf(w, "=== %s ===\n%s\n", id, out) }
+}
+
 func TestCampaignCheckpointAndResume(t *testing.T) {
 	dir := t.TempDir()
 	b := smallBench()
 	ids := []string{"table2", "table4"}
 
 	var first strings.Builder
-	report, err := b.RunCampaign(dir, ids, &first, nil, nil)
+	report, err := b.RunCampaign(dir, ids, frame(&first))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +60,7 @@ func TestCampaignCheckpointAndResume(t *testing.T) {
 	// A fresh benchmark (fresh process) replays from the checkpoint:
 	// nothing runs, output identical.
 	var second strings.Builder
-	report2, err := smallBench().RunCampaign(dir, ids, &second, nil, nil)
+	report2, err := smallBench().RunCampaign(dir, ids, frame(&second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,10 +76,10 @@ func TestCampaignPartialResume(t *testing.T) {
 	dir := t.TempDir()
 	// Simulate a campaign interrupted after table2: only table2 in the
 	// manifest, then a wider re-run.
-	if _, err := smallBench().RunCampaign(dir, []string{"table2"}, nil, nil, nil); err != nil {
+	if _, err := smallBench().RunCampaign(dir, []string{"table2"}, nil); err != nil {
 		t.Fatal(err)
 	}
-	report, err := smallBench().RunCampaign(dir, []string{"table2", "table4"}, nil, nil, nil)
+	report, err := smallBench().RunCampaign(dir, []string{"table2", "table4"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -99,7 +106,7 @@ func TestCampaignMissingOutputFileReruns(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			dir := t.TempDir()
 			var first strings.Builder
-			if _, err := smallBench().RunCampaign(dir, []string{"table2"}, &first, nil, nil); err != nil {
+			if _, err := smallBench().RunCampaign(dir, []string{"table2"}, frame(&first)); err != nil {
 				t.Fatal(err)
 			}
 			if err := tc.damage(dir); err != nil {
@@ -109,7 +116,7 @@ func TestCampaignMissingOutputFileReruns(t *testing.T) {
 				t.Fatalf("ReadCampaign after %s = %+v, %v; want nothing completed", tc.name, rec, err)
 			}
 			var second strings.Builder
-			report, err := smallBench().RunCampaign(dir, []string{"table2"}, &second, nil, nil)
+			report, err := smallBench().RunCampaign(dir, []string{"table2"}, frame(&second))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,7 +131,7 @@ func TestCampaignMissingOutputFileReruns(t *testing.T) {
 }
 
 func TestCampaignUnknownExperiment(t *testing.T) {
-	if _, err := smallBench().RunCampaign(t.TempDir(), []string{"table99"}, nil, nil, nil); err == nil {
+	if _, err := smallBench().RunCampaign(t.TempDir(), []string{"table99"}, nil); err == nil {
 		t.Fatal("unknown experiment accepted")
 	}
 }
@@ -146,7 +153,7 @@ func TestCampaignFailsOnGenerationErrors(t *testing.T) {
 	dir := t.TempDir()
 	disp := inference.NewDispatcher(failingGenProvider{})
 	b := core.New(score.NewEvaluator(engine.New(), disp), dataset.Generate()[:4], llm.Models[:2])
-	_, err := b.RunCampaign(dir, []string{"table4"}, io.Discard, nil, nil)
+	_, err := b.RunCampaign(dir, []string{"table4"}, nil)
 	if err == nil || !strings.Contains(err.Error(), "generation failures") {
 		t.Fatalf("campaign over a dead provider: err = %v, want generation failures", err)
 	}
@@ -163,12 +170,143 @@ func TestCampaignFailsOnGenerationErrors(t *testing.T) {
 
 	// After the provider recovers, the same campaign runs clean.
 	healthy := core.New(score.NewEvaluator(engine.New(), inference.NewDispatcher(inference.NewSim(llm.Models[:2]))), dataset.Generate()[:4], llm.Models[:2])
-	report, err := healthy.RunCampaign(dir, []string{"table4"}, io.Discard, nil, nil)
+	report, err := healthy.RunCampaign(dir, []string{"table4"}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(report.Ran) != 1 || len(report.Skipped) != 0 {
 		t.Fatalf("recovered campaign report = %+v, want table4 freshly run", report)
+	}
+}
+
+// TestCampaignRefusesRepeatedID: a campaign lists each experiment
+// once. A repeat is refused before the directory is made, so it
+// neither runs an experiment twice nor leaves a manifest whose
+// completed list can never reach its experiment list.
+func TestCampaignRefusesRepeatedID(t *testing.T) {
+	dir := filepath.Join(t.TempDir(), "campaign")
+	_, err := smallBench().RunCampaign(dir, []string{"table2", "table7", "table2"}, nil)
+	if err == nil || !strings.Contains(err.Error(), `"table2" listed twice`) {
+		t.Fatalf("repeated table2: err = %v, want one naming it", err)
+	}
+	if _, err := os.Stat(dir); !os.IsNotExist(err) {
+		t.Errorf("refused campaign touched its directory (stat err %v)", err)
+	}
+}
+
+// TestReadCampaignKeepsCampaignOrder: ReadCampaign lists completed
+// experiments in the order the campaign ran them, the order onDone saw,
+// and any checkpoint an earlier campaign over another set left after
+// them in presentation order.
+func TestReadCampaignKeepsCampaignOrder(t *testing.T) {
+	dir := t.TempDir()
+	b := smallBench()
+	var live []string
+	if _, err := b.RunCampaign(dir, []string{"table7", "table2"}, func(id, _ string) { live = append(live, id) }); err != nil {
+		t.Fatal(err)
+	}
+	rec, err := core.ReadCampaign(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"table7", "table2"}; !reflect.DeepEqual(live, want) || !reflect.DeepEqual(rec.Completed, want) {
+		t.Fatalf("completed live %v, read back %v; want %v", live, rec.Completed, want)
+	}
+	if _, err := b.RunCampaign(dir, []string{"table8"}, nil); err != nil {
+		t.Fatal(err)
+	}
+	if rec, err = core.ReadCampaign(dir); err != nil {
+		t.Fatal(err)
+	}
+	if want := []string{"table8", "table2", "table7"}; !reflect.DeepEqual(rec.Completed, want) {
+		t.Fatalf("completed after a campaign over another set = %v, want %v", rec.Completed, want)
+	}
+}
+
+// TestExperimentKeepsItsRendering: a second Experiment call is served
+// from the first rendering, touching neither the engine nor the
+// dispatcher.
+func TestExperimentKeepsItsRendering(t *testing.T) {
+	b := smallBench()
+	first, err := b.Experiment("table5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng, disp := b.Evaluator().Engine().Stats(), b.Evaluator().Dispatcher().Stats()
+	again, err := b.Experiment("table5")
+	if err != nil || again != first {
+		t.Fatalf("second table5 = %q, %v; want the first rendering", again, err)
+	}
+	if got := b.Evaluator().Engine().Stats(); got != eng {
+		t.Errorf("engine stats moved: %+v -> %+v", eng, got)
+	}
+	if got := b.Evaluator().Dispatcher().Stats(); got != disp {
+		t.Errorf("dispatcher stats moved: %+v -> %+v", disp, got)
+	}
+}
+
+// TestExperimentSharesOneRendering: concurrent callers of one
+// experiment wait on one rendering, so the Table 4 campaign runs once
+// and every caller gets its output.
+func TestExperimentSharesOneRendering(t *testing.T) {
+	b := smallBench()
+	outs := make([]string, 8)
+	errs := make([]error, len(outs))
+	var wg sync.WaitGroup
+	for i := range outs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			outs[i], errs[i] = b.Experiment("table4")
+		}()
+	}
+	wg.Wait()
+	for i := range outs {
+		if errs[i] != nil || outs[i] != outs[0] {
+			t.Fatalf("caller %d: %v; outputs differ: %v", i, errs[i], outs[i] != outs[0])
+		}
+	}
+	st := b.Evaluator().Dispatcher().Stats()
+	if want := int64(len(b.Models) * len(b.Problems)); st.Generated != want || st.CacheHits != 0 {
+		t.Errorf("dispatcher: %d generated, %d cache hits; want one campaign, %d generated and no hits",
+			st.Generated, st.CacheHits, want)
+	}
+}
+
+// recoveringProvider fails every generation until healthy is set, then
+// serves inner's.
+type recoveringProvider struct {
+	healthy atomic.Bool
+	inner   inference.Provider
+}
+
+func (*recoveringProvider) Name() string { return "recovering" }
+func (p *recoveringProvider) Generate(ctx context.Context, req inference.Request) (inference.Response, error) {
+	if p.healthy.Load() {
+		return p.inner.Generate(ctx, req)
+	}
+	return inference.Response{}, fmt.Errorf("backend down")
+}
+func (*recoveringProvider) Close() error { return nil }
+
+// TestExperimentDoesNotKeepAFailure: a rendering scored on failed
+// generations is an error and is not kept; once the provider recovers
+// the same benchmark renders the experiment afresh.
+func TestExperimentDoesNotKeepAFailure(t *testing.T) {
+	models, originals := llm.Models[:2], dataset.Generate()[:4]
+	prov := &recoveringProvider{inner: inference.NewSim(models)}
+	b := core.New(score.NewEvaluator(engine.New(), inference.NewDispatcher(prov)), originals, models)
+	if out, err := b.Experiment("table4"); err == nil || out != "" || !strings.Contains(err.Error(), "generation failures") {
+		t.Fatalf("table4 over a dead provider = %q, %v; want no output and the generation failures", out, err)
+	}
+	prov.healthy.Store(true)
+	got, err := b.Experiment("table4")
+	if err != nil {
+		t.Fatal(err)
+	}
+	healthy := core.New(score.NewEvaluator(engine.New(), inference.NewDispatcher(inference.NewSim(models))), originals, models)
+	if want := healthy.Table4(); got != want {
+		t.Errorf("table4 after recovery differs from a healthy benchmark's:\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }
 

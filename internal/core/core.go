@@ -6,10 +6,11 @@ package core
 
 import (
 	"fmt"
-	"io"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 
 	"cloudeval/internal/analysis"
 	"cloudeval/internal/augment"
@@ -44,6 +45,8 @@ type Benchmark struct {
 	rows     []score.ModelAggregate
 	rawByMod map[string][]score.ProblemScore
 	jobs     []evalcluster.Job
+
+	rendered []rendering // one per experiment, in table order
 }
 
 // New builds a benchmark over a hand-written problem set, expanded
@@ -57,6 +60,7 @@ func New(ev *score.Evaluator, originals []dataset.Problem, models []llm.Model) *
 		Problems:  augment.ExpandCorpus(originals),
 		Models:    models,
 		ev:        ev,
+		rendered:  make([]rendering, len(experiments)),
 	}
 }
 
@@ -315,41 +319,90 @@ func (b *Benchmark) Figure9() string {
 		"\n(b) SHAP feature importance\n" + boost.FormatFigure9B(imp)
 }
 
-// Experiments maps experiment IDs to their generators.
-func (b *Benchmark) Experiments() map[string]func() string {
-	return map[string]func() string{
-		"table1":   b.Table1,
-		"table2":   b.Table2,
-		"table3":   b.Table3,
-		"table4":   b.Table4,
-		"table5":   b.Table5,
-		"table6":   b.Table6,
-		"table7":   b.Table7,
-		"table8":   b.Table8,
-		"table9":   b.Table9,
-		"figure5":  b.Figure5,
-		"figure6":  b.Figure6,
-		"figure7":  b.Figure7,
-		"figure8":  func() string { return b.Figure8(DefaultFigure8Config()) },
-		"figure9":  b.Figure9,
-		"families": b.FamilyLeaderboard,
-	}
+// experiments is every experiment in presentation order: its ID and
+// what renders it.
+var experiments = []struct {
+	id     string
+	render func(*Benchmark) string
+}{
+	{"table1", (*Benchmark).Table1},
+	{"table2", (*Benchmark).Table2},
+	{"table3", (*Benchmark).Table3},
+	{"table4", (*Benchmark).Table4},
+	{"table5", (*Benchmark).Table5},
+	{"table6", (*Benchmark).Table6},
+	{"table7", (*Benchmark).Table7},
+	{"table8", (*Benchmark).Table8},
+	{"table9", (*Benchmark).Table9},
+	{"figure5", (*Benchmark).Figure5},
+	{"figure6", (*Benchmark).Figure6},
+	{"figure7", (*Benchmark).Figure7},
+	{"figure8", func(b *Benchmark) string { return b.Figure8(DefaultFigure8Config()) }},
+	{"figure9", (*Benchmark).Figure9},
+	{"families", (*Benchmark).FamilyLeaderboard},
 }
 
-// Experiment renders experiment id. It fails for an unknown ID, for a
-// generator that panics, on this goroutine or on an engine worker, and
-// when a generation the dispatcher served during it failed: the
-// experiments render an errored generation as an empty answer so the
-// run completes, and a table scored on those must never be cached or
-// checkpointed as the answer. The error count is the dispatcher's,
-// which every caller shares, so a concurrent failing run can fail an
-// unrelated clean experiment — deliberately conservative: a retry
-// succeeds, a corrupt output is never kept.
-func (b *Benchmark) Experiment(id string) (out string, err error) {
-	gen, ok := b.Experiments()[id]
-	if !ok {
+// ExperimentIDs lists experiments in presentation order.
+var ExperimentIDs = experimentIDs()
+
+func experimentIDs() []string {
+	ids := make([]string, len(experiments))
+	for i, e := range experiments {
+		ids[i] = e.id
+	}
+	return ids
+}
+
+// rendering is one experiment's slot in a benchmark. Its lock is held
+// while rendering, so concurrent callers share one; failures counts
+// failed renderings, so a caller that waited on one gets its error.
+type rendering struct {
+	mu       sync.Mutex
+	out      string
+	kept     bool
+	err      error
+	failures atomic.Uint64
+}
+
+// Experiment renders experiment id, or returns its first successful
+// rendering: an output depends on the benchmark alone, so every caller
+// shares it. It fails for an unknown ID, for a renderer that panics,
+// on this goroutine or on an engine worker, and when a generation the
+// dispatcher served during it failed: the experiments render an
+// errored generation as an empty answer so the run completes, and such
+// a table must never be kept or checkpointed. A failed rendering is
+// handed to the callers waiting on it and not kept. The error count is
+// the dispatcher's, which every caller shares, so a concurrent failing
+// run can fail an unrelated clean experiment — deliberately
+// conservative: a retry succeeds, a corrupt output is never kept.
+func (b *Benchmark) Experiment(id string) (string, error) {
+	i := slices.Index(ExperimentIDs, id)
+	if i < 0 {
 		return "", fmt.Errorf("unknown experiment %q", id)
 	}
+	r := &b.rendered[i]
+	failures := r.failures.Load()
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.kept {
+		return r.out, nil
+	}
+	if r.failures.Load() != failures {
+		return "", r.err
+	}
+	out, err := b.render(id, experiments[i].render)
+	if err != nil {
+		r.err = err
+		r.failures.Add(1)
+		return "", err
+	}
+	r.out, r.kept = out, true
+	return out, nil
+}
+
+// render runs one renderer, turning a panic or a rise in the
+// dispatcher's error count into an error.
+func (b *Benchmark) render(id string, fn func(*Benchmark) string) (out string, err error) {
 	disp := b.ev.Dispatcher()
 	before := disp.Stats().Errors
 	defer func() {
@@ -357,28 +410,9 @@ func (b *Benchmark) Experiment(id string) (out string, err error) {
 			out, err = "", fmt.Errorf("experiment %s: %v", id, r)
 		}
 	}()
-	out = gen()
+	out = fn(b)
 	if failed := disp.Stats().Errors - before; failed > 0 {
 		return "", fmt.Errorf("experiment %s: %d generation failures (first: %v)", id, failed, disp.Err())
 	}
 	return out, nil
-}
-
-// ExperimentIDs lists experiments in presentation order.
-var ExperimentIDs = []string{
-	"table1", "table2", "table3", "table4", "table5", "table6",
-	"table7", "table8", "table9",
-	"figure5", "figure6", "figure7", "figure8", "figure9",
-	"families",
-}
-
-// RunAll writes every experiment to w.
-func (b *Benchmark) RunAll(w io.Writer) error {
-	gens := b.Experiments()
-	for _, id := range ExperimentIDs {
-		if _, err := fmt.Fprintf(w, "=== %s ===\n%s\n", id, gens[id]()); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -100,15 +100,23 @@ func TestExtensionFamiliesFlowThroughPipelines(t *testing.T) {
 	}
 }
 
+// TestExperimentRegistryComplete: the one experiment table lists each
+// ID once, each with a renderer, and ExperimentIDs is its order.
 func TestExperimentRegistryComplete(t *testing.T) {
-	b := paperBench()
-	gens := b.Experiments()
-	if len(gens) != len(ExperimentIDs) {
-		t.Errorf("registry has %d generators, IDs list %d", len(gens), len(ExperimentIDs))
+	if len(ExperimentIDs) != len(experiments) {
+		t.Fatalf("ExperimentIDs lists %d, the table %d", len(ExperimentIDs), len(experiments))
 	}
-	for _, id := range ExperimentIDs {
-		if gens[id] == nil {
-			t.Errorf("experiment %q has no generator", id)
+	seen := map[string]bool{}
+	for i, e := range experiments {
+		if seen[e.id] {
+			t.Errorf("experiment %q listed twice", e.id)
+		}
+		seen[e.id] = true
+		if e.render == nil {
+			t.Errorf("experiment %q has no renderer", e.id)
+		}
+		if ExperimentIDs[i] != e.id {
+			t.Errorf("ExperimentIDs[%d] = %q, the table says %q", i, ExperimentIDs[i], e.id)
 		}
 	}
 }
@@ -116,9 +124,9 @@ func TestExperimentRegistryComplete(t *testing.T) {
 func TestCheapExperimentsProduceOutput(t *testing.T) {
 	b := paperBench()
 	for _, id := range []string{"table1", "table2", "table7", "table8"} {
-		out := b.Experiments()[id]()
-		if strings.TrimSpace(out) == "" {
-			t.Errorf("%s produced no output", id)
+		out, err := b.Experiment(id)
+		if err != nil || strings.TrimSpace(out) == "" {
+			t.Errorf("%s produced no output (err %v)", id, err)
 		}
 	}
 }

@@ -27,9 +27,11 @@ func TestStudyOutputsPinned(t *testing.T) {
 		"figure7": "831e699dc2bcb6d2b191e531c2a09403e502bab92ba2a35be8928afdd4efcd97",
 		"figure8": "54effd313e18b135076c792f6b1a5ce73b4af9eef53e803b11b0d5d12fa7b38d",
 	}
-	gens := b.Experiments()
 	for _, id := range []string{"table5", "table6", "figure7", "figure8"} {
-		out := gens[id]()
+		out, err := b.Experiment(id)
+		if err != nil {
+			t.Fatal(err)
+		}
 		sum := sha256.Sum256([]byte(out))
 		if got := hex.EncodeToString(sum[:]); got != want[id] {
 			t.Errorf("%s sha256 = %s, want %s\n%s", id, got, want[id], out)

@@ -4,12 +4,10 @@
 //
 // LRU is a sharded singleflight map under a byte budget with LRU
 // eviction. One lock per shard, errors never cached, resident cost
-// never above the budget. Seven caches use it:
+// never above the budget. Six caches use it:
 //
 //   - the engine's unit-test executions and the dispatcher's provider
 //     generations, keyed by SHA-256 digests;
-//   - the daemon's rendered experiments (cloudeval serve), keyed by
-//     tenant and experiment ID;
 //   - yamlx's parsed documents, by the YAML text: mostly candidate
 //     answers, parsed again by every kubectl apply and metric;
 //   - envoysim's bootstraps, by the envoy config text, which is an

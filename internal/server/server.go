@@ -6,7 +6,7 @@
 //	POST /v1/eval            score one answer (or one model's answer) on one problem
 //	POST /v1/campaign        start (or resume) an async experiment campaign
 //	GET  /v1/campaign/{id}   poll campaign status and outputs
-//	GET  /v1/leaderboard     the cached Table 4 (byte-identical to core.Benchmark)
+//	GET  /v1/leaderboard     Table 4, rendered once (byte-identical to core.Benchmark)
 //	GET  /v1/leaderboard/families  per-workload-family rows (one column per scenario backend)
 //	GET  /v1/stats           engine counters (executed / cache / store hits),
 //	                         inference counters (generated / generation cache and
@@ -16,13 +16,14 @@
 //
 // Every request belongs to a tenant (X-Tenant header or ?tenant=;
 // absent means the default tenant, which keeps the single-tenant wire
-// contract byte-for-byte). Experiment results, campaign IDs and
-// checkpoint directories are tenant-scoped; the engine, store and
-// dispatcher underneath are shared content-addressed tiers. Admission
-// control guards the two POST endpoints: a per-tenant token bucket and
-// a bounded campaign queue, both answering 429 + Retry-After when
-// exhausted, so one tenant's flood degrades into polite backpressure
-// instead of starving the fleet.
+// contract byte-for-byte). Campaign IDs and checkpoint directories are
+// tenant-scoped; the engine, store and dispatcher underneath are
+// shared content-addressed tiers, and so are experiment outputs, which
+// depend on the benchmark alone. Admission control guards the two POST
+// endpoints: a per-tenant token bucket and a bounded campaign queue,
+// both answering 429 + Retry-After when exhausted, so one tenant's
+// flood degrades into polite backpressure instead of starving the
+// fleet.
 //
 // All error responses share one JSON envelope,
 // {"error":{"code","message"}}, decoded by the typed client in
@@ -33,11 +34,10 @@
 // evaluator (core.New); every model generation the server performs
 // routes through its dispatcher and generation cache.
 //
-// Experiment outputs live in one memo.LRU keyed by (tenant, experiment)
-// under a fixed byte budget: concurrent requests for the same
-// experiment share one computation, completed outputs are served from
-// memory, and a failed one is never kept. Campaigns are checkpointed
-// via core.Benchmark.RunCampaign under the server's data directory,
+// Experiment outputs come from core.Benchmark.Experiment, which renders
+// each once per benchmark and keeps no failed rendering; the server
+// holds no copy. Campaigns are checkpointed via
+// core.Benchmark.RunCampaign under the server's data directory,
 // whose manifest is the campaign's one record: a restarted daemon
 // reads status from it and resumes instead of recomputing.
 package server
@@ -47,7 +47,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/maphash"
 	"maps"
 	"net/http"
 	"path/filepath"
@@ -62,7 +61,6 @@ import (
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
-	"cloudeval/internal/memo"
 	"cloudeval/internal/store"
 )
 
@@ -101,7 +99,6 @@ type Server struct {
 	cfg     Config
 	limiter *tenantLimiter
 	routes  map[string]*routeStats
-	results *memo.LRU[tenantKey, string] // experiment outputs
 
 	problems map[string]dataset.Problem
 	models   map[string]llm.Model
@@ -114,19 +111,8 @@ type Server struct {
 	start time.Time
 }
 
-// tenantKey scopes an experiment or campaign ID to its tenant.
+// tenantKey scopes a campaign ID to its tenant.
 type tenantKey struct{ tenant, id string }
-
-// resultsBudget bounds the experiment result cache. All 15 outputs of
-// one full campaign total about 15 KB, so hundreds of tenants' full
-// campaigns fit before anything is evicted.
-const resultsBudget = 16 << 20
-
-var resultsSeed = maphash.MakeSeed()
-
-func resultsShard(k tenantKey) uint32 {
-	return uint32(maphash.String(resultsSeed, k.tenant) ^ maphash.String(resultsSeed, k.id))
-}
 
 // campaign tracks one async experiment run.
 type campaign struct {
@@ -154,7 +140,6 @@ func NewWithConfig(bench *core.Benchmark, dataDir string, cfg Config) *Server {
 		routes:    make(map[string]*routeStats),
 		problems:  make(map[string]dataset.Problem, len(bench.Problems)),
 		models:    make(map[string]llm.Model, len(bench.Models)),
-		results:   memo.NewLRU[tenantKey, string](resultsShard, resultsBudget),
 		campaigns: make(map[tenantKey]*campaign),
 		start:     time.Now(),
 	}
@@ -193,41 +178,19 @@ func (s *Server) admit(w http.ResponseWriter, tenant string) bool {
 	return true
 }
 
-// experiment returns the tenant's output of experiment id, computed by
-// core.Benchmark.Experiment on a miss. Concurrent callers share one
-// computation and a failed one is not kept. Distinct tenants compute
-// independently — the shared engine and dispatcher underneath make the
-// recompute a cache walk, and the serving layer never hands one tenant
-// an object another tenant's request produced.
-func (s *Server) experiment(tenant, id string) (string, error) {
-	return s.result(tenant, id, s.bench.Experiment)
-}
-
-// result is the result cache's one entry point: the tenant's output of
-// experiment id, computed by fn on a miss. Each entry is charged its
-// key and output text.
-func (s *Server) result(tenant, id string, fn func(id string) (string, error)) (string, error) {
-	k := tenantKey{tenant, id}
-	out, err, _ := s.results.Do(k, func() (string, int64, error) {
-		out, err := fn(id)
-		return out, memo.EntryOverhead + int64(len(k.tenant)+len(k.id)+len(out)), err
-	})
-	return out, err
-}
-
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	fmt.Fprintln(w, "ok")
 }
 
 // handleLeaderboard serves Table 4 byte-identical to
-// core.Benchmark.Table4, cached and coalesced per tenant.
+// core.Benchmark.Table4, rendered once by core.Benchmark.Experiment.
+// The tenant is validated, though every tenant gets the one rendering.
 func (s *Server) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
-	tenant, ok := s.tenantFor(w, r)
-	if !ok {
+	if _, ok := s.tenantFor(w, r); !ok {
 		return
 	}
-	out, err := s.experiment(tenant, "table4")
+	out, err := s.bench.Experiment("table4")
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		return
@@ -242,11 +205,10 @@ func (s *Server) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
 // Table 4 excludes. It shares the ZeroShot campaign with the main
 // leaderboard, so serving both costs one evaluation.
 func (s *Server) handleFamilyLeaderboard(w http.ResponseWriter, r *http.Request) {
-	tenant, ok := s.tenantFor(w, r)
-	if !ok {
+	if _, ok := s.tenantFor(w, r); !ok {
 		return
 	}
-	out, err := s.experiment(tenant, "families")
+	out, err := s.bench.Experiment("families")
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
 		return
@@ -539,11 +501,9 @@ func (s *Server) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
 	if len(ids) == 0 {
 		ids = core.ExperimentIDs
 	}
-	for _, id := range ids {
-		if !slices.Contains(core.ExperimentIDs, id) {
-			writeError(w, http.StatusBadRequest, codeBadRequest, fmt.Sprintf("unknown experiment %q", id))
-			return
-		}
+	if err := core.CheckExperiments(ids); err != nil {
+		writeError(w, http.StatusBadRequest, codeBadRequest, err.Error())
+		return
 	}
 
 	k := tenantKey{tenant, campaignID(tenant, ids)}
@@ -588,10 +548,9 @@ func (s *Server) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusAccepted, c.status(false))
 }
 
-// runCampaign drives one checkpointed campaign in the background,
-// routing fresh generations through the result cache (so a campaign
-// and a concurrent direct request share one computation) and putting
-// every output it completes, replayed ones too, into that cache. When
+// runCampaign drives one checkpointed campaign in the background;
+// its fresh experiments render through core.Benchmark.Experiment, so a
+// campaign and a concurrent direct request share one rendering. When
 // the server bounds campaign concurrency, the campaign waits in state
 // "queued" for a worker slot first; either way it releases its
 // admission-queue slot when it finishes.
@@ -608,17 +567,13 @@ func (s *Server) runCampaign(c *campaign) {
 		c.state = "running"
 		c.mu.Unlock()
 	}
-	tenant := c.key.tenant
-	dir := filepath.Join(s.campaignRoot(tenant), c.key.id)
-	_, err := s.bench.RunCampaign(dir, c.experiments, nil,
-		func(id string) (string, error) { return s.experiment(tenant, id) },
-		func(id, out string) {
-			s.result(tenant, id, func(string) (string, error) { return out, nil })
-			c.mu.Lock()
-			c.completed = append(c.completed, id)
-			c.outputs[id] = out
-			c.mu.Unlock()
-		})
+	dir := filepath.Join(s.campaignRoot(c.key.tenant), c.key.id)
+	_, err := s.bench.RunCampaign(dir, c.experiments, func(id, out string) {
+		c.mu.Lock()
+		c.completed = append(c.completed, id)
+		c.outputs[id] = out
+		c.mu.Unlock()
+	})
 	c.mu.Lock()
 	if err != nil {
 		c.state, c.errMsg = "failed", err.Error()

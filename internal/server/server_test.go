@@ -12,6 +12,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -393,6 +394,44 @@ func TestCampaignAsyncResume(t *testing.T) {
 	}
 	if st := eng2.Stats(); st.Executed != 0 {
 		t.Errorf("resumed pre-manifest campaign executed %d unit tests, want 0", st.Executed)
+	}
+}
+
+// TestCampaignRepeatedIDRejected: a campaign lists each experiment
+// once. A repeat is a 400 naming the experiment, not a second campaign
+// ID for the same set that runs it twice and reads as interrupted
+// after a restart.
+func TestCampaignRepeatedIDRejected(t *testing.T) {
+	c := newTestClient(t, smallBench(engine.New()))
+	_, err := c.StartCampaign(context.Background(), []string{"table2", "table2"})
+	if ae := apiErr(t, err, 400, "bad_request"); !strings.Contains(ae.Message, `"table2"`) {
+		t.Errorf("error does not name the repeated experiment: %s", ae.Message)
+	}
+}
+
+// TestCampaignCompletedOrderSurvivesRestart: a restarted daemon reports
+// a campaign's completed experiments in the order the live one did,
+// the order they were posted in, not in presentation order.
+func TestCampaignCompletedOrderSurvivesRestart(t *testing.T) {
+	ctx := context.Background()
+	dataDir := t.TempDir()
+	ids := []string{"table7", "table2"}
+	ts := httptest.NewServer(server.NewWithConfig(smallBench(engine.New()), dataDir, server.Config{}).Handler())
+	started, err := client.New(ts.URL).StartCampaign(ctx, ids)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := waitCampaignDone(t, client.New(ts.URL), started.ID)
+	ts.Close()
+
+	ts2 := httptest.NewServer(server.NewWithConfig(smallBench(engine.New()), dataDir, server.Config{}).Handler())
+	defer ts2.Close()
+	restarted, err := client.New(ts2.URL).Campaign(ctx, started.ID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(live.Completed, ids) || !slices.Equal(restarted.Completed, live.Completed) {
+		t.Errorf("completed: live %v, after restart %v; want both %v", live.Completed, restarted.Completed, ids)
 	}
 }
 

@@ -14,11 +14,12 @@ import (
 // campaign IDs and checkpoint directories are byte- and
 // layout-identical to the pre-tenancy daemon.
 //
-// Tenants share nothing above the engine: experiment results are
-// cached under (tenant, experiment) keys and campaigns under (tenant,
-// campaign ID) keys. Only a campaign keeps per-tenant state in memory,
-// so requests under made-up tenant names leave nothing behind but a
-// rate-limit bucket, which goes once it has refilled.
+// Campaigns are kept under (tenant, campaign ID) keys. Experiment
+// outputs are not per tenant: the benchmark alone determines each, so
+// core.Benchmark.Experiment renders it once for every tenant. Only a
+// campaign keeps per-tenant state in memory, so requests under made-up
+// tenant names leave nothing behind but a rate-limit bucket, which
+// goes once it has refilled.
 // The engine, store and dispatcher tiers below stay shared
 // deliberately — they are content-addressed, so one tenant's warm
 // cache can never show another tenant anything but the deterministic
