@@ -11,6 +11,7 @@ import (
 	"cloudeval/internal/evalcluster"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/miniredis"
+	"cloudeval/internal/unittest"
 )
 
 // The node subcommands run one node of the distributed evaluation
@@ -68,10 +69,6 @@ func cmdMaster(fs *flag.FlagSet) func() error {
 		}
 		defer c.closeOnReturn(&retErr)
 		eng, gen := c.ev.Engine(), c.ev.Dispatcher()
-		index := make(map[string]dataset.Problem, len(problems))
-		for _, p := range problems {
-			index[p.ID] = p
-		}
 		fmt.Printf("dispatching %d jobs for %s (%d in flight); waiting for workers...\n",
 			len(problems), model.Name, eng.Workers())
 		// Generation streams into cluster dispatch: the pipeline keeps
@@ -79,19 +76,13 @@ func cmdMaster(fs *flag.FlagSet) func() error {
 		// finished jobs ride the wire, so provider latency and worker
 		// round-trips overlap rather than add.
 		jobs := len(problems)
-		results := make([]engine.Result, jobs)
+		results := make([]unittest.Result, jobs)
 		done := 0
 		var progress sync.Mutex
 		engine.Pipeline(eng, jobs, gen.Concurrency(), 0,
-			func(i int) engine.Job {
-				return engine.Job{
-					ID:        fmt.Sprintf("job-%d", i+1),
-					ProblemID: problems[i].ID,
-					Answer:    gen.Answer(model, problems[i], llm.GenOptions{}),
-				}
-			},
-			func(i int, job engine.Job) {
-				results[i] = eng.RunOne(job, index)
+			func(i int) string { return gen.Answer(model, problems[i], llm.GenOptions{}) },
+			func(i int, answer string) {
+				results[i] = eng.UnitTest(problems[i], answer)
 				progress.Lock()
 				done++
 				if done%10 == 0 || done == jobs {
@@ -99,14 +90,17 @@ func cmdMaster(fs *flag.FlagSet) func() error {
 				}
 				progress.Unlock()
 			})
-		passed, errored, firstErr := 0, 0, ""
+		// The first failed job is taken in problem order, not in the
+		// order results arrived.
+		passed, errored := 0, 0
+		var firstErr error
 		for _, r := range results {
 			if r.Passed {
 				passed++
 			}
-			if r.Error != "" {
+			if r.Err != nil {
 				if errored == 0 {
-					firstErr = r.Error
+					firstErr = r.Err
 				}
 				errored++
 			}
@@ -117,7 +111,7 @@ func cmdMaster(fs *flag.FlagSet) func() error {
 		if errored > 0 {
 			// Jobs that never ran (no workers, store down) are an
 			// outage, not a model scoring zero.
-			return fmt.Errorf("%d/%d jobs did not execute (first: %s)", errored, jobs, firstErr)
+			return fmt.Errorf("%d/%d jobs did not execute (first: %v)", errored, jobs, firstErr)
 		}
 		return nil
 	}

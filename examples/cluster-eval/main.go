@@ -1,7 +1,7 @@
 // cluster-eval runs the distributed evaluation platform for real: an
 // in-process Redis-compatible server, four workers draining the queue
 // over TCP, and the evaluation engine dispatching one model's answers
-// through the cluster executor — the same scheduler and job type the
+// through the cluster executor — the same ForEach and UnitTest the
 // in-process campaigns use, pointed at real sockets. It then contrasts
 // the measured parallelism with the Figure 5 discrete-event model.
 //
@@ -19,6 +19,7 @@ import (
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/miniredis"
+	"cloudeval/internal/unittest"
 )
 
 func main() {
@@ -34,7 +35,8 @@ func main() {
 	model, _ := llm.ByName("gpt-4")
 
 	// The master side is just an engine with the cluster executor:
-	// identical jobs, scheduler and cache as the in-process path.
+	// the same UnitTest calls, scheduler and cache as the in-process
+	// path.
 	exec, err := evalcluster.NewClusterExecutor(addr, time.Minute)
 	if err != nil {
 		panic(err)
@@ -44,15 +46,9 @@ func main() {
 	defer eng.Close()
 
 	gen := inference.NewDispatcher(inference.NewSim(llm.Models))
-	index := make(map[string]dataset.Problem, len(problems))
-	jobs := make([]engine.Job, len(problems))
+	answers := make([]string, len(problems))
 	for i, p := range problems {
-		index[p.ID] = p
-		jobs[i] = engine.Job{
-			ID:        fmt.Sprintf("job-%d", i+1),
-			ProblemID: p.ID,
-			Answer:    gen.Answer(model, p, llm.GenOptions{}),
-		}
+		answers[i] = gen.Answer(model, p, llm.GenOptions{})
 	}
 
 	var wg sync.WaitGroup
@@ -71,8 +67,9 @@ func main() {
 		}(i, w)
 	}
 
-	fmt.Printf("dispatching %d jobs for %s over TCP\n", len(jobs), model.Name)
-	results := eng.Run(jobs, index)
+	fmt.Printf("dispatching %d jobs for %s over TCP\n", len(problems), model.Name)
+	results := make([]unittest.Result, len(problems))
+	eng.ForEach(len(problems), func(i int) { results[i] = eng.UnitTest(problems[i], answers[i]) })
 	wg.Wait()
 
 	passed := 0

@@ -1,9 +1,10 @@
 // Package engine is the unified parallel evaluation engine behind the
 // benchmark: every functional evaluation — one candidate answer run
-// against one problem's unit test — becomes a Job, scheduled by one
-// claim loop over a pluggable Executor. Two executors ship: the
-// in-process pool (PoolExecutor, the default) and the evalcluster
-// adapter that drives the same jobs over the master/worker TCP wire
+// against one problem's unit test — is one UnitTest call on a
+// pluggable Executor, and ForEach and Pipeline fan those calls out on
+// one claim loop. Two executors ship: the in-process pool
+// (PoolExecutor, the default) and the evalcluster adapter that runs
+// each unit test on a worker over the master/worker TCP wire
 // protocol. A content-addressed memoization cache — keyed by the
 // digests of the unit-test script and the answer — sits above the
 // executor, so augmented variants and repeated campaigns that share
@@ -14,8 +15,8 @@
 // executing anything.
 //
 // Layering: engine sits below score/analysis/core and above
-// dataset/unittest. evalcluster imports engine for the shared Job and
-// Result wire types; engine never imports evalcluster, so the
+// dataset/unittest. evalcluster imports engine to implement Executor
+// and owns the wire schema; engine never imports evalcluster, so the
 // distributed adapter lives there (evalcluster.ClusterExecutor).
 package engine
 
@@ -30,31 +31,6 @@ import (
 	"cloudeval/internal/memo"
 	"cloudeval/internal/unittest"
 )
-
-// Job is one unit-test execution request: a candidate answer to run
-// against a problem's unit test. It doubles as the JSON wire payload of
-// the evalcluster master/worker protocol, so the in-process and
-// distributed paths share one job type.
-type Job struct {
-	ID        string `json:"id"`
-	ProblemID string `json:"problem_id"`
-	Answer    string `json:"answer"`
-}
-
-// Result is one unit-test outcome, and the matching wire payload a
-// cluster worker reports back. A non-empty Error marks an evaluation
-// that never ran to completion (unknown problem, cluster timeout,
-// submit failure) as opposed to a test that ran and failed.
-type Result struct {
-	ID          string  `json:"id"`
-	ProblemID   string  `json:"problem_id"`
-	Passed      bool    `json:"passed"`
-	Output      string  `json:"output,omitempty"`
-	Error       string  `json:"error,omitempty"`
-	Worker      string  `json:"worker,omitempty"`
-	VirtualSecs float64 `json:"virtual_secs"`
-	CacheHit    bool    `json:"cache_hit,omitempty"`
-}
 
 // CacheStore is the persistent second cache tier under the engine's
 // in-memory map (implemented by store.Store): Get serves a previously
@@ -273,16 +249,9 @@ func (e *Engine) Close() error { return e.exec.Close() }
 // (problem, answer) collapse into one execution; the laggards block
 // until the winner's result is in.
 func (e *Engine) UnitTest(p dataset.Problem, answer string) unittest.Result {
-	res, _ := e.unitTest(p, answer)
-	return res
-}
-
-// unitTest is UnitTest plus a report of whether this call was served
-// from the cache.
-func (e *Engine) unitTest(p dataset.Problem, answer string) (unittest.Result, bool) {
 	if e.noCache {
 		e.executed.Add(1)
-		return e.exec.RunUnitTest(p, answer), false
+		return e.exec.RunUnitTest(p, answer)
 	}
 	key := cacheKey{test: TestDigest(p), answer: memo.Digest(answer)}
 	fromStore := false
@@ -313,42 +282,7 @@ func (e *Engine) unitTest(p dataset.Problem, answer string) (unittest.Result, bo
 			e.store.Put(key.test, key.answer, res)
 		}
 	}
-	return res, hit || fromStore
-}
-
-// RunOne executes a single job, resolving its problem by ID — the
-// per-job contract of Run, exported so streaming callers (cloudeval node
-// master's generation pipeline) can drive jobs one at a time as their
-// answers arrive instead of materializing the whole batch first. An
-// unknown problem ID or executor failure produces a Result with Error
-// set rather than a panic, the same contract as a cluster worker.
-func (e *Engine) RunOne(job Job, problems map[string]dataset.Problem) Result {
-	r := Result{ID: job.ID, ProblemID: job.ProblemID, Worker: e.exec.Name()}
-	if p, ok := problems[job.ProblemID]; ok {
-		res, hit := e.unitTest(p, job.Answer)
-		r.Passed = res.Passed
-		r.VirtualSecs = res.VirtualTime.Seconds()
-		r.CacheHit = hit
-		if !res.Passed {
-			r.Output = res.Output
-		}
-		if res.Err != nil {
-			r.Error = res.Err.Error()
-		}
-	} else {
-		r.Error = "unknown problem " + job.ProblemID
-	}
-	return r
-}
-
-// Run executes a batch of jobs, resolving problems by ID, and returns
-// results in job order. Unknown problem IDs and executor failures
-// produce a result with Error set rather than aborting, so a poisoned
-// batch still drains — the same contract as a cluster worker.
-func (e *Engine) Run(jobs []Job, problems map[string]dataset.Problem) []Result {
-	out := make([]Result, len(jobs))
-	e.ForEach(len(jobs), func(i int) { out[i] = e.RunOne(jobs[i], problems) })
-	return out
+	return res
 }
 
 // ForEach runs fn(0..n-1) on up to Workers goroutines, each claiming
@@ -447,7 +381,7 @@ const DefaultPipelineWindow = 4
 // original index), so output is byte-identical to the serial loop
 // regardless of schedule — the same contract as ForEach. gen and exec
 // must be safe to call concurrently; error handling stays wherever the
-// stages put it (the dispatcher's latch, the engine's Result.Error).
+// stages put it (the dispatcher's latch, unittest.Result's Err).
 // Pipeline returns when every index has been through both stages. A
 // panic in gen or exec stops it as one in fn stops ForEach, and once
 // every goroutine has returned Pipeline re-raises it on the caller.

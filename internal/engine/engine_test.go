@@ -139,7 +139,7 @@ func TestPanicReachesCaller(t *testing.T) {
 
 // TestCacheHitDuplicateAnswers is the memoization contract: a batch
 // with duplicate (problem, answer) pairs executes the unit test exactly
-// once, and every duplicate reports the same outcome with CacheHit set.
+// once, and every duplicate reports the same outcome as a cache hit.
 func TestCacheHitDuplicateAnswers(t *testing.T) {
 	p := dataset.Generate()[0]
 	answer := yamlmatch.StripLabels(p.ReferenceYAML)
@@ -147,27 +147,16 @@ func TestCacheHitDuplicateAnswers(t *testing.T) {
 	eng := engine.New(engine.WithExecutor(exec), engine.WithWorkers(8))
 
 	const n = 50
-	jobs := make([]engine.Job, n)
-	for i := range jobs {
-		jobs[i] = engine.Job{ID: fmt.Sprintf("dup-%d", i), ProblemID: p.ID, Answer: answer}
-	}
-	index := map[string]dataset.Problem{p.ID: p}
-	results := eng.Run(jobs, index)
+	results := make([]unittest.Result, n)
+	eng.ForEach(n, func(i int) { results[i] = eng.UnitTest(p, answer) })
 
 	if got := exec.runs.Load(); got != 1 {
 		t.Errorf("duplicate answers executed %d unit tests, want exactly 1", got)
 	}
-	hits := 0
-	for _, r := range results {
+	for i, r := range results {
 		if !r.Passed {
-			t.Fatalf("%s: reference answer failed: %s", r.ID, r.Output)
+			t.Fatalf("duplicate %d: reference answer failed: %s", i, r.Output)
 		}
-		if r.CacheHit {
-			hits++
-		}
-	}
-	if hits != n-1 {
-		t.Errorf("cache hits = %d, want %d", hits, n-1)
 	}
 	st := eng.Stats()
 	if st.Executed != 1 || st.CacheHits != int64(n-1) {
@@ -188,14 +177,6 @@ func TestCacheDistinguishesProblemsAndAnswers(t *testing.T) {
 	eng.UnitTest(ps[0], answer) // repeat of the first
 	if got := exec.runs.Load(); got != 3 {
 		t.Errorf("executed %d unit tests, want 3 distinct keys", got)
-	}
-}
-
-func TestRunUnknownProblem(t *testing.T) {
-	eng := engine.New(engine.WithWorkers(2))
-	results := eng.Run([]engine.Job{{ID: "j1", ProblemID: "no-such-problem"}}, nil)
-	if len(results) != 1 || results[0].Passed || results[0].Error == "" {
-		t.Errorf("unknown problem should report an Error, got %+v", results)
 	}
 }
 
@@ -579,19 +560,20 @@ func TestEngineCacheStaysUnderBudget(t *testing.T) {
 // executor is a pure placement decision.
 func TestExecutorSwap(t *testing.T) {
 	problems := dataset.Generate()[:20]
-	index := make(map[string]dataset.Problem, len(problems))
-	jobs := make([]engine.Job, len(problems))
+	answers := make([]string, len(problems))
 	for i, p := range problems {
-		index[p.ID] = p
-		answer := yamlmatch.StripLabels(p.ReferenceYAML)
+		answers[i] = yamlmatch.StripLabels(p.ReferenceYAML)
 		if i%3 == 0 {
-			answer = "not: yaml that passes" // force failures too
+			answers[i] = "not: yaml that passes" // force failures too
 		}
-		jobs[i] = engine.Job{ID: fmt.Sprintf("job-%d", i), ProblemID: p.ID, Answer: answer}
+	}
+	run := func(eng *engine.Engine) []unittest.Result {
+		out := make([]unittest.Result, len(problems))
+		eng.ForEach(len(problems), func(i int) { out[i] = eng.UnitTest(problems[i], answers[i]) })
+		return out
 	}
 
-	poolEng := engine.New(engine.WithWorkers(4))
-	poolResults := poolEng.Run(jobs, index)
+	poolResults := run(engine.New(engine.WithWorkers(4)))
 
 	srv := miniredis.NewServer()
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -619,23 +601,20 @@ func TestExecutorSwap(t *testing.T) {
 		t.Fatal(err)
 	}
 	clusterEng := engine.New(engine.WithExecutor(exec), engine.WithWorkers(4))
-	clusterResults := clusterEng.Run(jobs, index)
+	clusterResults := run(clusterEng)
 	clusterEng.Close()
 	wg.Wait()
 
-	if len(poolResults) != len(clusterResults) {
-		t.Fatalf("result counts differ: %d vs %d", len(poolResults), len(clusterResults))
-	}
-	for i := range poolResults {
+	for i, p := range problems {
 		pr, cr := poolResults[i], clusterResults[i]
-		if pr.ID != cr.ID || pr.ProblemID != cr.ProblemID {
-			t.Fatalf("result %d misrouted: pool %s/%s vs cluster %s/%s", i, pr.ID, pr.ProblemID, cr.ID, cr.ProblemID)
+		if cr.Err != nil {
+			t.Errorf("%s: cluster error: %v", p.ID, cr.Err)
 		}
 		if pr.Passed != cr.Passed {
-			t.Errorf("%s: pool passed=%v, cluster passed=%v (%s)", pr.ID, pr.Passed, cr.Passed, cr.Output)
+			t.Errorf("%s: pool passed=%v, cluster passed=%v (%s)", p.ID, pr.Passed, cr.Passed, cr.Output)
 		}
-		if pr.VirtualSecs != cr.VirtualSecs {
-			t.Errorf("%s: virtual time differs: %v vs %v", pr.ID, pr.VirtualSecs, cr.VirtualSecs)
+		if pr.VirtualTime != cr.VirtualTime {
+			t.Errorf("%s: virtual time differs: %v vs %v", p.ID, pr.VirtualTime, cr.VirtualTime)
 		}
 	}
 }

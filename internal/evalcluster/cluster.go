@@ -9,14 +9,36 @@ import (
 	"cloudeval/internal/miniredis"
 )
 
-// Queue names in the coordination store. A master pushes engine.Job
-// JSON onto jobQueue and a worker answers with engine.Result JSON on
-// resultQueue, so the distributed and in-process paths share one
-// schema.
+// Queue names in the coordination store. A master (ClusterExecutor)
+// pushes job JSON onto jobQueue and a worker answers with result JSON
+// on resultQueue. The schema is this package's own: both ends of the
+// wire live here.
 const (
 	jobQueue    = "cloudeval:jobs"
 	resultQueue = "cloudeval:results"
 )
+
+// job is one unit-test execution request on the wire: a candidate
+// answer to run against the problem named by ProblemID.
+type job struct {
+	ID        string `json:"id"`
+	ProblemID string `json:"problem_id"`
+	Answer    string `json:"answer"`
+}
+
+// result is the outcome a worker reports for the job with the same ID.
+// A non-empty Error marks a job that never ran to completion (unknown
+// problem, a script that does not parse) as opposed to a test that ran
+// and failed; Output is the tail of a failed test's output.
+type result struct {
+	ID          string  `json:"id"`
+	ProblemID   string  `json:"problem_id"`
+	Passed      bool    `json:"passed"`
+	Output      string  `json:"output,omitempty"`
+	Error       string  `json:"error,omitempty"`
+	Worker      string  `json:"worker,omitempty"`
+	VirtualSecs float64 `json:"virtual_secs"`
+}
 
 // Worker claims jobs, runs each through an engine of its own (a fresh
 // simulated environment per execution, repeated answers served from
@@ -64,16 +86,11 @@ func (w *Worker) Run(idleTimeout time.Duration) (int, error) {
 		if !ok {
 			return processed, nil // idle: queue drained
 		}
-		var job engine.Job
-		if err := json.Unmarshal([]byte(payload), &job); err != nil {
+		var j job
+		if err := json.Unmarshal([]byte(payload), &j); err != nil {
 			continue // poison message; skip
 		}
-		// An unknown problem or a script that does not parse comes back
-		// with Error set, and the engine stores only what ran.
-		res := w.eng.RunOne(job, w.problems)
-		res.Worker = w.Name
-		res.Output = tail(res.Output, 400)
-		data, err := json.Marshal(res)
+		data, err := json.Marshal(w.execute(j))
 		if err != nil {
 			return processed, err
 		}
@@ -82,6 +99,28 @@ func (w *Worker) Run(idleTimeout time.Duration) (int, error) {
 		}
 		processed++
 	}
+}
+
+// execute runs one claimed job through the worker's engine. An unknown
+// problem or a script that does not parse comes back with Error set,
+// and the engine stores only what ran.
+func (w *Worker) execute(j job) result {
+	r := result{ID: j.ID, ProblemID: j.ProblemID, Worker: w.Name}
+	p, ok := w.problems[j.ProblemID]
+	if !ok {
+		r.Error = "unknown problem " + j.ProblemID
+		return r
+	}
+	res := w.eng.UnitTest(p, j.Answer)
+	r.Passed = res.Passed
+	r.VirtualSecs = res.VirtualTime.Seconds()
+	if !res.Passed {
+		r.Output = tail(res.Output, 400)
+	}
+	if res.Err != nil {
+		r.Error = res.Err.Error()
+	}
+	return r
 }
 
 func tail(s string, n int) string {

@@ -4,6 +4,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -175,24 +176,22 @@ func TestMasterWorkerOverTCP(t *testing.T) {
 	}
 
 	// Half the answers are correct (the reference), half empty.
-	index := make(map[string]dataset.Problem, len(problems))
-	jobs := make([]engine.Job, len(problems))
-	for i, p := range problems {
-		index[p.ID] = p
+	results := make([]unittest.Result, len(problems))
+	master.ForEach(len(problems), func(i int) {
 		answer := ""
 		if i%2 == 0 {
-			answer = yamlmatch.StripLabels(p.ReferenceYAML)
+			answer = yamlmatch.StripLabels(problems[i].ReferenceYAML)
 		}
-		jobs[i] = engine.Job{ID: fmt.Sprintf("job-%d", i), ProblemID: p.ID, Answer: answer}
-	}
-	results := master.Run(jobs, index)
+		results[i] = master.UnitTest(problems[i], answer)
+	})
 	wg.Wait()
 	for i, r := range results {
-		if r.Error != "" {
-			t.Errorf("%s: %s", r.ProblemID, r.Error)
+		id := problems[i].ID
+		if r.Err != nil {
+			t.Errorf("%s: %v", id, r.Err)
 		}
 		if r.Passed != (i%2 == 0) {
-			t.Errorf("%s: passed = %v, want %v (%s)", r.ProblemID, r.Passed, i%2 == 0, r.Output)
+			t.Errorf("%s: passed = %v, want %v (%s)", id, r.Passed, i%2 == 0, r.Output)
 		}
 	}
 	total, took := 0, 0
@@ -290,7 +289,6 @@ func TestWorkerFailureIsAnError(t *testing.T) {
 	problems := dataset.Generate()[:2]
 	broken := problems[1]
 	broken.UnitTest = "echo `date`" // the shell refuses backticks at parse time
-	index := map[string]dataset.Problem{problems[0].ID: problems[0], broken.ID: broken}
 
 	exec, err := NewClusterExecutor(addr, 30*time.Second)
 	if err != nil {
@@ -306,11 +304,12 @@ func TestWorkerFailureIsAnError(t *testing.T) {
 	defer st.Close()
 	for _, tc := range []struct {
 		name     string
-		problems []dataset.Problem
-		job      engine.Job
+		problems []dataset.Problem // the worker's list
+		problem  dataset.Problem   // the master's job
+		want     string
 	}{
-		{"unknown problem", problems[1:], engine.Job{ID: "job-1", ProblemID: problems[0].ID, Answer: "a: 1"}},
-		{"unparsable unit test", []dataset.Problem{broken}, engine.Job{ID: "job-2", ProblemID: broken.ID, Answer: "a: 1"}},
+		{"unknown problem", problems[1:], problems[0], "unknown problem " + problems[0].ID},
+		{"unparsable unit test", []dataset.Problem{broken}, broken, "command substitution"},
 	} {
 		w, err := NewWorker(addr, "w", tc.problems)
 		if err != nil {
@@ -322,13 +321,13 @@ func TestWorkerFailureIsAnError(t *testing.T) {
 			_, err := w.Run(300 * time.Millisecond)
 			done <- err
 		}()
-		r := master.RunOne(tc.job, index)
+		r := master.UnitTest(tc.problem, "a: 1")
 		if err := <-done; err != nil {
 			t.Fatal(err)
 		}
 		w.Close()
-		if r.Error == "" {
-			t.Errorf("%s: master result %+v has no Error", tc.name, r)
+		if r.Err == nil || !strings.Contains(r.Err.Error(), tc.want) {
+			t.Errorf("%s: master result %+v, want an Err naming %q", tc.name, r, tc.want)
 		}
 	}
 	if n := st.Len(); n != 0 {

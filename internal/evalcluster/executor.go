@@ -8,17 +8,15 @@ import (
 	"time"
 
 	"cloudeval/internal/dataset"
-	"cloudeval/internal/engine"
 	"cloudeval/internal/miniredis"
 	"cloudeval/internal/unittest"
 )
 
-// ClusterExecutor drives engine jobs through the master/worker wire
-// protocol: each RunUnitTest submits a job to the coordination store
-// and blocks until a worker reports the matching result. It implements
-// engine.Executor, so the same scheduler that runs the in-process pool
-// can fan out over TCP; the engine keeps as many jobs in flight as it
-// has scheduler workers.
+// ClusterExecutor is the master's end of the wire: each RunUnitTest
+// submits a job to the coordination store and blocks until a worker
+// reports the matching result. It implements engine.Executor, so the
+// same scheduler that runs the in-process pool can fan out over TCP;
+// the engine keeps as many jobs in flight as it has scheduler workers.
 type ClusterExecutor struct {
 	submit  *miniredis.Client
 	collect *miniredis.Client
@@ -27,7 +25,13 @@ type ClusterExecutor struct {
 	nextID atomic.Int64
 
 	mu      sync.Mutex
-	waiters map[string]chan engine.Result
+	waiters map[string]chan result
+
+	// lost is closed when the collector's connection fails; lostErr,
+	// written before the close, says how. Every waiting and later
+	// RunUnitTest then fails at once instead of waiting out timeout.
+	lost    chan struct{}
+	lostErr error
 
 	done chan struct{}
 	wg   sync.WaitGroup
@@ -58,7 +62,8 @@ func NewClusterExecutor(addr string, timeout time.Duration) (*ClusterExecutor, e
 		submit:  submit,
 		collect: collect,
 		timeout: timeout,
-		waiters: make(map[string]chan engine.Result),
+		waiters: make(map[string]chan result),
+		lost:    make(chan struct{}),
 		done:    make(chan struct{}),
 	}
 	e.wg.Add(1)
@@ -72,12 +77,18 @@ func (e *ClusterExecutor) Name() string { return "cluster" }
 // RunUnitTest implements engine.Executor: the unit test executes on
 // whichever cluster worker claims the job. Problem bodies stay with the
 // workers (as in the paper); only the ID and answer cross the wire.
-// Missing workers, timeouts and a job the worker could not run (an
-// unknown problem, a script that does not parse) surface through the
-// result's Err field.
+// Missing workers, timeouts, a lost result connection and a job the
+// worker could not run (an unknown problem, a script that does not
+// parse) surface through the result's Err field.
 func (e *ClusterExecutor) RunUnitTest(p dataset.Problem, answer string) unittest.Result {
+	// A job submitted now would run, and its result never be collected.
+	select {
+	case <-e.lost:
+		return unittest.Result{Err: e.lostErr}
+	default:
+	}
 	id := fmt.Sprintf("xjob-%d", e.nextID.Add(1))
-	ch := make(chan engine.Result, 1)
+	ch := make(chan result, 1)
 	e.mu.Lock()
 	e.waiters[id] = ch
 	e.mu.Unlock()
@@ -87,7 +98,7 @@ func (e *ClusterExecutor) RunUnitTest(p dataset.Problem, answer string) unittest
 		e.mu.Unlock()
 	}()
 
-	payload, err := json.Marshal(engine.Job{ID: id, ProblemID: p.ID, Answer: answer})
+	payload, err := json.Marshal(job{ID: id, ProblemID: p.ID, Answer: answer})
 	if err == nil {
 		err = e.submit.LPush(jobQueue, string(payload))
 	}
@@ -107,13 +118,16 @@ func (e *ClusterExecutor) RunUnitTest(p dataset.Problem, answer string) unittest
 		return r
 	case <-time.After(e.timeout):
 		return unittest.Result{Err: fmt.Errorf("evalcluster: no result for %s within %v", id, e.timeout)}
+	case <-e.lost:
+		return unittest.Result{Err: e.lostErr}
 	case <-e.done:
 		return unittest.Result{Err: fmt.Errorf("evalcluster: executor closed")}
 	}
 }
 
 // collector drains the result queue and routes each result to the
-// goroutine waiting on its job ID.
+// goroutine waiting on its job ID. If the connection fails before
+// Close, it keeps the error and closes lost.
 func (e *ClusterExecutor) collector() {
 	defer e.wg.Done()
 	for {
@@ -124,12 +138,18 @@ func (e *ClusterExecutor) collector() {
 		}
 		_, payload, ok, err := e.collect.BRPop(500*time.Millisecond, resultQueue)
 		if err != nil {
-			return // connection gone; waiters time out
+			select {
+			case <-e.done: // Close shut the connection
+			default:
+				e.lostErr = fmt.Errorf("evalcluster: result connection lost: %w", err)
+				close(e.lost)
+			}
+			return
 		}
 		if !ok {
 			continue
 		}
-		var res engine.Result
+		var res result
 		if err := json.Unmarshal([]byte(payload), &res); err != nil {
 			continue
 		}

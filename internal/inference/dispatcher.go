@@ -44,7 +44,7 @@ type Stats struct {
 	Usage Usage
 }
 
-// Dispatcher is the batched async front-end over a Provider: a
+// Dispatcher is the concurrent front-end over a Provider: a
 // per-provider concurrency limit, a content-addressed generation
 // cache with singleflight (mirroring engine's execution cache, so
 // re-campaigns regenerate nothing), an optional persistent tier, and
@@ -57,7 +57,7 @@ type Dispatcher struct {
 	store   GenStore
 
 	// cache is the sharded singleflight generation cache: keys hash
-	// by digest prefix into GOMAXPROCS-scaled shards, so a batched
+	// by digest prefix into GOMAXPROCS-scaled shards, so a parallel
 	// campaign's hit traffic never serializes on one mutex the way
 	// the original single-lock map did. It holds at most cacheBudget;
 	// an evicted response is re-read from the store or re-generated.
@@ -290,51 +290,6 @@ func (d *Dispatcher) live(ctx context.Context, req Request) (Response, error) {
 	d.promptToks.Add(int64(resp.Usage.PromptTokens))
 	d.completionToks.Add(int64(resp.Usage.CompletionTokens))
 	return resp, nil
-}
-
-// GenerateBatch fans a batch of requests out asynchronously under the
-// concurrency limit and returns responses in request order. The batch
-// always drains; the first error is returned (and latched), with the
-// failed slots left zero — the same poisoned-batch contract as
-// engine.Run. Work is pulled by a bounded worker pool rather than one
-// goroutine per request: extra goroutines beyond the live-call limit
-// only ever park on the semaphore or on in-flight cache entries, so a
-// 256-request batch paid 256 goroutine spawns for at most
-// Concurrency() of actual parallelism.
-func (d *Dispatcher) GenerateBatch(ctx context.Context, reqs []Request) ([]Response, error) {
-	out := make([]Response, len(reqs))
-	errs := make([]error, len(reqs))
-	// An unbounded dispatcher (Concurrency() == 0) still gets a
-	// GOMAXPROCS-sized pool here: a batch over the sim or a replay
-	// trace is CPU-bound, so more goroutines would only add scheduler
-	// churn. Latency-hiding fan-out belongs to engine.Pipeline, which
-	// sizes its generation stage from Concurrency() directly.
-	workers := max(cap(d.sem), runtime.GOMAXPROCS(0))
-	if workers > len(reqs) {
-		workers = len(reqs)
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(reqs) {
-					return
-				}
-				out[i], errs[i] = d.Generate(ctx, reqs[i])
-			}
-		}()
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return out, err
-		}
-	}
-	return out, nil
 }
 
 // Answer is the shared generate-and-postprocess path every campaign

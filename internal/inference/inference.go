@@ -19,7 +19,7 @@
 //   - HTTP speaks the OpenAI-compatible chat-completions wire format
 //     to a real endpoint.
 //
-// Above the providers sits the Dispatcher: a batched async front-end
+// Above the providers sits the Dispatcher: a concurrent front-end
 // with a per-provider concurrency limit, a content-addressed
 // generation cache (singleflight in memory, optionally persisted as a
 // generation record kind in internal/store), error latching, and

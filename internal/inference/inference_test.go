@@ -228,7 +228,7 @@ func TestDispatcherConcurrencyLimit(t *testing.T) {
 	for i, p := range problems {
 		reqs[i] = Request{Model: "gpt-4", Problem: p}
 	}
-	if _, err := d.GenerateBatch(context.Background(), reqs); err != nil {
+	if _, err := generateAll(d, reqs); err != nil {
 		t.Fatal(err)
 	}
 	if got := tp.maxSeen.Load(); got > limit {
@@ -239,17 +239,36 @@ func TestDispatcherConcurrencyLimit(t *testing.T) {
 	}
 }
 
+// generateAll calls Generate for every request at once, one goroutine
+// each, and returns the responses in request order with the first
+// error.
+func generateAll(d *Dispatcher, reqs []Request) ([]Response, error) {
+	out := make([]Response, len(reqs))
+	errs := make([]error, len(reqs))
+	var wg sync.WaitGroup
+	for i := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			out[i], errs[i] = d.Generate(context.Background(), reqs[i])
+		}()
+	}
+	wg.Wait()
+	return out, errors.Join(errs...)
+}
+
 func TestGenerateBatchOrderAndDedup(t *testing.T) {
 	problems := dataset.Generate()[:8]
 	tp := &trackingProvider{inner: NewSim(llm.Models)}
 	d := NewDispatcher(tp)
-	// Each request twice: the batch must dedupe through the cache.
+	// Each request twice, all at once: the duplicates must dedupe
+	// through the cache.
 	var reqs []Request
 	for _, p := range problems {
 		reqs = append(reqs, Request{Model: "gpt-3.5", Problem: p})
 	}
 	reqs = append(reqs, reqs...)
-	out, err := d.GenerateBatch(context.Background(), reqs)
+	out, err := generateAll(d, reqs)
 	if err != nil {
 		t.Fatal(err)
 	}
