@@ -11,10 +11,7 @@
 #            twice (the second resumes), models, models -replay, cost,
 #            cluster -workers 8 -cache, eval; loadgen in process (-warm
 #            -store -tenants a,b -record-trace), then -trace; serve
-#            -pprof, driven by loadgen -addr and stopped with SIGINT;
-#            node redis, a node worker with a store and a node master
-#            with -limit 20 over loopback TCP, the redis node stopped
-#            with SIGTERM
+#            -pprof, driven by loadgen -addr and stopped with SIGINT
 #   example  one of the programs under examples/, built the same way
 #   test     some test of go test ./...
 #   nothing  none of them
@@ -26,8 +23,8 @@
 #
 # Run from the repository root: ci/module-reach.sh. It takes about two
 # minutes and listens on loopback: serve on port
-# $MODULE_REACH_HTTP_PORT (default 18631), node redis on a port the
-# kernel picks. CI runs it and fails when the committed file differs.
+# $MODULE_REACH_HTTP_PORT (default 18631). CI runs it and fails when
+# the committed file differs.
 set -euo pipefail
 
 out=ci/module-reach.txt
@@ -126,20 +123,6 @@ daemon=$started
 await "$tmp/serve.log" 'listening on'
 run binary cloudeval loadgen -addr "http://127.0.0.1:$http_port" -n 40 -out daemon.json
 stop serve "$daemon" INT
-
-start redis node redis -addr 127.0.0.1:0
-redis=$started
-await "$tmp/redis.log" 'listening on'
-addr=$(sed -n 's/^node redis: listening on //p' "$tmp/redis.log")
-start worker node worker -addr "$addr" -idle 2s -store worker.store
-worker=$started
-run binary cloudeval node master -addr "$addr" -limit 20
-if ! wait "$worker"; then
-	echo "module-reach: node worker failed:" >&2
-	cat "$tmp/worker.log" >&2
-	exit 1
-fi
-stop redis "$redis" TERM
 
 for e in "${examples[@]}"; do
 	run example "example-$e"

@@ -4,9 +4,9 @@
 // problems plus Docker Compose and Helm extension families, tripled by
 // augmentation), a six-metric scoring pipeline (text-level,
 // YAML-aware and function-level via simulated Kubernetes/Envoy
-// clusters), a unified parallel evaluation engine with in-process and
-// distributed executors, and the paper's full evaluation study over a
-// twelve-model zoo.
+// clusters), a unified parallel evaluation engine with answer
+// memoization, a model of the evaluation cluster's scaling (Figure 5),
+// and the paper's full evaluation study over a twelve-model zoo.
 //
 // Quick start:
 //
@@ -25,9 +25,8 @@
 // each other's caches.
 //
 // The cloudeval command (cmd/cloudeval) is the one binary over this
-// API: the tables and figures, the dataset writer, the HTTP daemon
-// (cloudeval serve) and the distributed cluster's nodes (cloudeval
-// node redis|worker|master).
+// API: the tables and figures, the dataset writer and the HTTP daemon
+// (cloudeval serve).
 //
 // See DESIGN.md for the system inventory, the engine architecture and
 // the index mapping experiment IDs to the paper's tables and figures.
@@ -49,9 +48,8 @@ import (
 type Benchmark = core.Benchmark
 
 // Engine is the parallel evaluation engine every campaign submits
-// through: one claim loop over a pluggable executor (the in-process
-// pool by default, the distributed evalcluster path via cloudeval
-// node) with answer memoization. A benchmark's evaluator holds
+// through: one claim loop over the in-process executor pool with
+// answer memoization. A benchmark's evaluator holds
 // its engine (Benchmark.Evaluator().Engine()); see DESIGN.md §2.
 type Engine = engine.Engine
 

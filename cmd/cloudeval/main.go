@@ -1,7 +1,6 @@
 // Command cloudeval is the benchmark's one binary: it prints and
 // writes the dataset, runs the model zoo, regenerates every table and
-// figure of the paper, serves the benchmark over HTTP, and runs the
-// nodes of the distributed evaluation cluster.
+// figure of the paper, and serves the benchmark over HTTP.
 //
 // Usage:
 //
@@ -21,9 +20,6 @@
 //	cloudeval eval -problem k8s-pod-001 -f answer.yaml
 //	cloudeval loadgen -n 300 -concurrency 8 -out loadgen.json   # drive the service tier under load
 //	cloudeval serve -addr :8080 -data cloudevald-data           # the HTTP daemon (API.md)
-//	cloudeval node redis  -addr 127.0.0.1:6399                  # the cluster's coordination store
-//	cloudeval node worker -addr 127.0.0.1:6399 -name worker-1   # a worker executing unit tests
-//	cloudeval node master -addr 127.0.0.1:6399 -model gpt-4 -limit 50
 //
 // wiring.go builds the evaluator chain every subcommand runs on.
 package main
@@ -50,22 +46,18 @@ import (
 )
 
 // commands maps each subcommand to the function that declares its
-// flags on fs and returns what runs it once they are parsed. The
-// cluster's roles are "node redis", "node worker" and "node master".
+// flags on fs and returns what runs it once they are parsed.
 var commands = map[string]func(fs *flag.FlagSet) func() error{
-	"dataset":     cmdDataset,
-	"bench":       cmdBench,
-	"figures":     cmdFigures,
-	"campaign":    cmdCampaign,
-	"models":      cmdModels,
-	"cost":        cmdCost,
-	"cluster":     cmdCluster,
-	"eval":        cmdEval,
-	"loadgen":     cmdLoadgen,
-	"serve":       cmdServe,
-	"node redis":  cmdRedis,
-	"node worker": cmdWorker,
-	"node master": cmdMaster,
+	"dataset":  cmdDataset,
+	"bench":    cmdBench,
+	"figures":  cmdFigures,
+	"campaign": cmdCampaign,
+	"models":   cmdModels,
+	"cost":     cmdCost,
+	"cluster":  cmdCluster,
+	"eval":     cmdEval,
+	"loadgen":  cmdLoadgen,
+	"serve":    cmdServe,
 }
 
 func main() {
@@ -74,9 +66,6 @@ func main() {
 		os.Exit(2)
 	}
 	name, args := os.Args[1], os.Args[2:]
-	if name == "node" && len(args) > 0 {
-		name, args = name+" "+args[0], args[1:]
-	}
 	if name == "help" || name == "-h" || name == "--help" {
 		usage()
 		return
@@ -124,13 +113,6 @@ Commands:
         [-tenant-burst B] [-campaign-queue N] [-campaign-workers N]
                       serve the benchmark over HTTP (API.md) until SIGINT
                       or SIGTERM; the store defaults to D/eval.store
-  node redis  [-addr A]           the cluster's coordination store, until SIGINT or SIGTERM
-  node worker [-addr A] [-name N] [-idle T] [-store F]
-                      execute the unit tests the master queues
-  node master [-addr A] [-model M] [-limit N] [-inflight N] [-timeout T]
-              [-gen-concurrency N]
-                      evaluate one model on the first N problems through
-                      the cluster's workers
 
 -store attaches the persistent evaluation store at F: unit-test
 results and generations persist across invocations, so a warm re-run
@@ -151,7 +133,6 @@ bench, figures, campaign, models and serve take inference provider flags:
                              generation stage into the CPU-sized
                              execution pool, so N is how much provider
                              latency can hide behind unit-test execution.
-                             node master takes this one alone.
 `)
 }
 

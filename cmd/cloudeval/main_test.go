@@ -16,21 +16,19 @@ import (
 // TestFlagsPinned: scripts and CI call these by name. One default
 // moved when the four binaries became one: dataset's -out was
 // "dataset", and is empty so that plain "cloudeval dataset" writes
-// nothing and prints Tables 1 and 2.
+// nothing and prints Tables 1 and 2. The three "node" subcommands and
+// their rows went with the live evaluation cluster.
 var pinnedFlags = map[string]string{
-	"bench":       "blockprofile= cpuprofile= gen-concurrency=-1 memprofile= mutexprofile= provider=sim record= replay= store=",
-	"campaign":    "dir= gen-concurrency=-1 ids= provider=sim record= replay= store=",
-	"cluster":     "cache=false workers=64",
-	"cost":        "",
-	"dataset":     "augmented=false digest= out=",
-	"eval":        "f= problem=",
-	"figures":     "all=false gen-concurrency=-1 id= provider=sim record= replay= store=",
-	"loadgen":     "addr= concurrency=8 n=200 out= qps=0 record-trace= seed=1 store= tenants= trace= warm=false",
-	"models":      "gen-concurrency=-1 provider=sim record= replay=",
-	"node master": "addr=127.0.0.1:6399 gen-concurrency=-1 inflight=16 limit=50 model=gpt-4 timeout=5m0s",
-	"node redis":  "addr=127.0.0.1:6399",
-	"node worker": "addr=127.0.0.1:6399 idle=10s name=worker store=",
-	"serve":       "addr=:8080 campaign-queue=0 campaign-workers=0 data=cloudevald-data gen-concurrency=-1 pprof=false provider=sim record= replay= store= tenant-burst=0 tenant-rate=0 warm=false",
+	"bench":    "blockprofile= cpuprofile= gen-concurrency=-1 memprofile= mutexprofile= provider=sim record= replay= store=",
+	"campaign": "dir= gen-concurrency=-1 ids= provider=sim record= replay= store=",
+	"cluster":  "cache=false workers=64",
+	"cost":     "",
+	"dataset":  "augmented=false digest= out=",
+	"eval":     "f= problem=",
+	"figures":  "all=false gen-concurrency=-1 id= provider=sim record= replay= store=",
+	"loadgen":  "addr= concurrency=8 n=200 out= qps=0 record-trace= seed=1 store= tenants= trace= warm=false",
+	"models":   "gen-concurrency=-1 provider=sim record= replay=",
+	"serve":    "addr=:8080 campaign-queue=0 campaign-workers=0 data=cloudevald-data gen-concurrency=-1 pprof=false provider=sim record= replay= store= tenant-burst=0 tenant-rate=0 warm=false",
 }
 
 func TestFlagsPinned(t *testing.T) {

@@ -34,11 +34,6 @@ func (w *wiring) providerFlags(fs *flag.FlagSet) {
 	fs.StringVar(&w.provider, "provider", w.provider, `inference provider: "sim" or "http:<base-url>" (key from $CLOUDEVAL_API_KEY)`)
 	fs.StringVar(&w.record, "record", "", "record every live generation to this JSONL trace")
 	fs.StringVar(&w.replay, "replay", "", "serve generations from this JSONL trace (overrides -provider)")
-	w.genConcurrencyFlag(fs)
-}
-
-// genConcurrencyFlag declares -gen-concurrency alone, for node master.
-func (w *wiring) genConcurrencyFlag(fs *flag.FlagSet) {
 	fs.IntVar(&w.genConcurrency, "gen-concurrency", w.genConcurrency,
 		"max generations in flight (0 = unbounded; -1 = provider default: sim/replay unbounded, http 64)")
 }
@@ -74,9 +69,8 @@ type chain struct {
 	store *store.Store
 }
 
-// open builds the chain; eopts add engine options, such as node
-// master's cluster executor.
-func (w *wiring) open(eopts ...engine.Option) (*chain, error) {
+// open builds the chain.
+func (w *wiring) open() (*chain, error) {
 	prov, err := w.openProvider()
 	if err != nil {
 		return nil, err
@@ -87,6 +81,7 @@ func (w *wiring) open(eopts ...engine.Option) (*chain, error) {
 		return nil, err
 	}
 	var dopts []inference.DispatchOption
+	var eopts []engine.Option
 	if w.genConcurrency >= 0 {
 		dopts = append(dopts, inference.WithConcurrency(w.genConcurrency))
 	}
@@ -105,12 +100,12 @@ func (c *chain) benchmark() *core.Benchmark {
 }
 
 // close flushes the dispatcher (the trace recorder's latched write
-// error surfaces here), closes the engine's executor and the store,
-// and returns their errors with the dispatcher's first generation
-// failure. It runs after the last evaluation.
+// error surfaces here), closes the store, and returns their errors
+// with the dispatcher's first generation failure. It runs after the
+// last evaluation.
 func (c *chain) close() error {
 	disp := c.ev.Dispatcher()
-	errs := []error{disp.Close(), c.ev.Engine().Close()}
+	errs := []error{disp.Close()}
 	if c.store != nil {
 		errs = append(errs, c.store.Close())
 	}
@@ -129,8 +124,8 @@ func (c *chain) closeOnReturn(err *error) {
 // interrupted returns a context the first SIGINT or SIGTERM cancels:
 // docker and systemd stop with SIGTERM, and the closes after it must
 // run. After it, signals take their default action again, so a second
-// Ctrl-C kills. Only the subcommands that wait for a signal (serve and
-// node redis) call it; the others still die on the first Ctrl-C.
+// Ctrl-C kills. Only serve, which waits for a signal, calls it; the
+// other subcommands still die on the first Ctrl-C.
 func interrupted() context.Context {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	context.AfterFunc(ctx, stop)

@@ -1,11 +1,10 @@
 // Package engine is the unified parallel evaluation engine behind the
 // benchmark: every functional evaluation — one candidate answer run
-// against one problem's unit test — is one UnitTest call on a
-// pluggable Executor, and ForEach and Pipeline fan those calls out on
-// one claim loop. Two executors ship: the in-process pool
-// (PoolExecutor, the default) and the evalcluster adapter that runs
-// each unit test on a worker over the master/worker TCP wire
-// protocol. A content-addressed memoization cache — keyed by the
+// against one problem's unit test — is one UnitTest call on an
+// Executor, and ForEach and Pipeline fan those calls out on one claim
+// loop. The in-process pool (PoolExecutor) is the executor that ships;
+// WithExecutor lets a caller wrap it, as a benchmark harness timing the
+// layer below does. A content-addressed memoization cache — keyed by the
 // digests of the unit-test script and the answer — sits above the
 // executor, so augmented variants and repeated campaigns that share
 // answers never re-run a simulated cluster, and concurrent duplicates
@@ -15,9 +14,7 @@
 // executing anything.
 //
 // Layering: engine sits below score/analysis/core and above
-// dataset/unittest. evalcluster imports engine to implement Executor
-// and owns the wire schema; engine never imports evalcluster, so the
-// distributed adapter lives there (evalcluster.ClusterExecutor).
+// dataset/unittest.
 package engine
 
 import (
@@ -43,18 +40,16 @@ type CacheStore interface {
 	Put(test, answer [sha256.Size]byte, res unittest.Result)
 }
 
-// Executor runs one unit test somewhere: on the calling goroutine
-// (PoolExecutor) or on a remote worker (evalcluster.ClusterExecutor).
-// Implementations must be safe for concurrent use; the engine calls
-// RunUnitTest from up to Workers goroutines at once.
+// Executor runs one unit test: PoolExecutor on the calling goroutine,
+// or a wrapper around it. Implementations must be safe for concurrent
+// use; the engine calls RunUnitTest from up to Workers goroutines at
+// once.
 type Executor interface {
-	// Name identifies the executor in stats and logs.
+	// Name identifies the executor.
 	Name() string
 	// RunUnitTest executes p's unit test against answer and blocks until
 	// the result is in.
 	RunUnitTest(p dataset.Problem, answer string) unittest.Result
-	// Close releases executor resources.
-	Close() error
 }
 
 // PoolExecutor executes unit tests inline on the scheduler's worker
@@ -70,9 +65,6 @@ func (PoolExecutor) Name() string { return "pool" }
 func (PoolExecutor) RunUnitTest(p dataset.Problem, answer string) unittest.Result {
 	return unittest.Run(p, answer)
 }
-
-// Close implements Executor.
-func (PoolExecutor) Close() error { return nil }
 
 // Stats counts engine activity since construction.
 type Stats struct {
@@ -179,18 +171,9 @@ func WarmDigests(problems []dataset.Problem) {
 // Option configures an Engine.
 type Option func(*Engine)
 
-// WithExecutor swaps the default in-process pool for another executor
-// (e.g. evalcluster.ClusterExecutor).
+// WithExecutor swaps the default in-process pool for another executor,
+// such as one that wraps it to time each execution.
 func WithExecutor(exec Executor) Option { return func(e *Engine) { e.exec = exec } }
-
-// WithWorkers sets the scheduler's parallelism (default GOMAXPROCS).
-func WithWorkers(n int) Option {
-	return func(e *Engine) {
-		if n > 0 {
-			e.workers = n
-		}
-	}
-}
 
 // WithoutCache disables answer memoization and the persistent store,
 // forcing every job to execute (useful for benchmarking the raw
@@ -222,9 +205,6 @@ func New(opts ...Option) *Engine {
 // Workers reports the scheduler's parallelism.
 func (e *Engine) Workers() int { return e.workers }
 
-// Executor returns the engine's executor.
-func (e *Engine) Executor() Executor { return e.exec }
-
 // Stats snapshots the engine counters.
 func (e *Engine) Stats() Stats {
 	cs := e.cache.Stats()
@@ -241,9 +221,6 @@ func (e *Engine) Stats() Stats {
 	}
 }
 
-// Close releases the underlying executor.
-func (e *Engine) Close() error { return e.exec.Close() }
-
 // UnitTest executes p's unit test against answer through the executor,
 // serving duplicates from the cache. Concurrent calls with the same
 // (problem, answer) collapse into one execution; the laggards block
@@ -255,10 +232,9 @@ func (e *Engine) UnitTest(p dataset.Problem, answer string) unittest.Result {
 	}
 	key := cacheKey{test: TestDigest(p), answer: memo.Digest(answer)}
 	fromStore := false
-	// Returning res.Err as the singleflight error keeps the old
-	// contract: transient executor failures (cluster submit errors,
-	// per-job timeouts) are shared with parked waiters but never
-	// cached — future calls re-execute.
+	// Returning res.Err as the singleflight error shares a failed
+	// execution (a unit test that does not parse) with parked waiters
+	// but never caches or stores it: future calls re-execute.
 	res, _, hit := e.cache.Do(key, func() (unittest.Result, int64, error) {
 		// Second tier: a result persisted by an earlier process (or a
 		// CI cache restore) short-circuits execution entirely.

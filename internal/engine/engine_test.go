@@ -15,10 +15,8 @@ import (
 	"cloudeval/internal/augment"
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/engine"
-	"cloudeval/internal/evalcluster"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
-	"cloudeval/internal/miniredis"
 	"cloudeval/internal/score"
 	"cloudeval/internal/store"
 	"cloudeval/internal/unittest"
@@ -195,7 +193,8 @@ func (f *flakyExecutor) RunUnitTest(p dataset.Problem, answer string) unittest.R
 
 // TestErroredResultsNotCached: a transient executor failure must not be
 // frozen into the memoization cache — the next identical call
-// re-executes and succeeds.
+// re-executes and succeeds. A unit test that does not parse comes back
+// as an Err, not as a failing test, and is neither cached nor stored.
 func TestErroredResultsNotCached(t *testing.T) {
 	p := dataset.Generate()[0]
 	answer := yamlmatch.StripLabels(p.ReferenceYAML)
@@ -216,6 +215,26 @@ func TestErroredResultsNotCached(t *testing.T) {
 	}
 	if got := exec.calls.Load(); got != 2 {
 		t.Errorf("executor called %d times after cache hit, want 2", got)
+	}
+
+	broken := p
+	broken.UnitTest = "echo `date`" // the shell refuses backticks at parse time
+	st, err := store.Open(filepath.Join(t.TempDir(), "eval.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	stored := engine.New(engine.WithStore(st))
+	for range 2 {
+		if r := stored.UnitTest(broken, "a: 1"); r.Err == nil || !strings.Contains(r.Err.Error(), "command substitution") {
+			t.Errorf("unparsable unit test: %+v, want an Err naming %q", r, "command substitution")
+		}
+	}
+	if n := st.Len(); n != 0 {
+		t.Errorf("store holds %d results of a unit test that did not run, want 0", n)
+	}
+	if got := stored.Stats().Executed; got != 2 {
+		t.Errorf("unparsable unit test executed %d times, want 2", got)
 	}
 }
 
@@ -469,7 +488,6 @@ type floodExecutor struct{ runs atomic.Int64 }
 var floodOutput = strings.Repeat("x", 4096)
 
 func (f *floodExecutor) Name() string { return "flood" }
-func (f *floodExecutor) Close() error { return nil }
 func (f *floodExecutor) RunUnitTest(_ dataset.Problem, answer string) unittest.Result {
 	f.runs.Add(1)
 	i, _ := strconv.Atoi(strings.TrimPrefix(answer, "answer-"))
@@ -552,69 +570,5 @@ func TestEngineCacheStaysUnderBudget(t *testing.T) {
 				t.Errorf("re-admitted key: %+v, want 1 cache hit and no new execution", got)
 			}
 		})
-	}
-}
-
-// TestExecutorSwap drives the same jobs through the in-process pool and
-// the evalcluster TCP path and requires identical outcomes: the
-// executor is a pure placement decision.
-func TestExecutorSwap(t *testing.T) {
-	problems := dataset.Generate()[:20]
-	answers := make([]string, len(problems))
-	for i, p := range problems {
-		answers[i] = yamlmatch.StripLabels(p.ReferenceYAML)
-		if i%3 == 0 {
-			answers[i] = "not: yaml that passes" // force failures too
-		}
-	}
-	run := func(eng *engine.Engine) []unittest.Result {
-		out := make([]unittest.Result, len(problems))
-		eng.ForEach(len(problems), func(i int) { out[i] = eng.UnitTest(problems[i], answers[i]) })
-		return out
-	}
-
-	poolResults := run(engine.New(engine.WithWorkers(4)))
-
-	srv := miniredis.NewServer()
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		w, err := evalcluster.NewWorker(addr, fmt.Sprintf("worker-%d", i), problems)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			defer w.Close()
-			if _, err := w.Run(time.Second); err != nil {
-				t.Errorf("worker: %v", err)
-			}
-		}()
-	}
-	exec, err := evalcluster.NewClusterExecutor(addr, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	clusterEng := engine.New(engine.WithExecutor(exec), engine.WithWorkers(4))
-	clusterResults := run(clusterEng)
-	clusterEng.Close()
-	wg.Wait()
-
-	for i, p := range problems {
-		pr, cr := poolResults[i], clusterResults[i]
-		if cr.Err != nil {
-			t.Errorf("%s: cluster error: %v", p.ID, cr.Err)
-		}
-		if pr.Passed != cr.Passed {
-			t.Errorf("%s: pool passed=%v, cluster passed=%v (%s)", p.ID, pr.Passed, cr.Passed, cr.Output)
-		}
-		if pr.VirtualTime != cr.VirtualTime {
-			t.Errorf("%s: virtual time differs: %v vs %v", p.ID, pr.VirtualTime, cr.VirtualTime)
-		}
 	}
 }

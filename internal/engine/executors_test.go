@@ -3,13 +3,9 @@ package engine_test
 import (
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
-	"time"
 
 	"cloudeval/internal/dataset"
-	"cloudeval/internal/evalcluster"
-	"cloudeval/internal/miniredis"
 	"cloudeval/internal/raceflag"
 	"cloudeval/internal/scenario"
 	"cloudeval/internal/unittest"
@@ -38,59 +34,12 @@ func runOn(env scenario.Env, p dataset.Problem, answer string) unittest.Result {
 // (the family's pool), on an environment built for it alone, and on one
 // environment per family reset after each of the executions before it:
 // nothing an execution leaves behind (documents memoised on objects,
-// bucket capacity, the clock) reaches the next. Every tenth execution
-// also goes through evalcluster.ClusterExecutor and a worker over
-// loopback TCP, which must report what the wire carries of the same
-// result: Passed, VirtualTime, and the last 400 bytes of a failing
-// test's Output (ExitCode and a passing test's Output do not cross it).
+// bucket capacity, the clock) reaches the next.
 func TestExecutorsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 4 matrix in -short mode")
 	}
 	execs := table4Executions()
-
-	srv := miniredis.NewServer()
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	problems := make([]dataset.Problem, len(execs))
-	for i, x := range execs {
-		problems[i] = x.problem
-	}
-	worker, err := evalcluster.NewWorker(addr, "w", problems)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The worker gives up on an idle queue quickly, so that the test
-	// ends quickly, and is started again until the test is over: a
-	// stall between two of the jobs must not leave the rest unclaimed.
-	over := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		defer worker.Close()
-		for {
-			select {
-			case <-over:
-				return
-			default:
-			}
-			if _, err := worker.Run(100 * time.Millisecond); err != nil {
-				t.Errorf("worker: %v", err)
-				return
-			}
-		}
-	}()
-	defer wg.Wait()
-	defer close(over)
-	remote, err := evalcluster.NewClusterExecutor(addr, 30*time.Second)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer remote.Close()
 
 	same := func(a, b unittest.Result) bool {
 		return a.Passed == b.Passed && a.Output == b.Output && a.ExitCode == b.ExitCode &&
@@ -98,7 +47,6 @@ func TestExecutorsAgree(t *testing.T) {
 			(a.Err == nil || a.Err.Error() == b.Err.Error())
 	}
 	reused := map[dataset.Category]scenario.Env{}
-	overTCP := 0
 	for i, x := range execs {
 		p, answer := x.problem, x.answer
 		backend := scenario.For(p.Category)
@@ -117,20 +65,8 @@ func TestExecutorsAgree(t *testing.T) {
 		if !same(got, want) {
 			t.Errorf("%s: an environment reset %d times gives %+v, the pool %+v", p.ID, i, got, want)
 		}
-
-		if i%10 != 0 {
-			continue
-		}
-		overTCP++
-		wire := unittest.Result{Passed: want.Passed, VirtualTime: want.VirtualTime}
-		if !want.Passed {
-			wire.Output = want.Output[max(0, len(want.Output)-400):]
-		}
-		if got := remote.RunUnitTest(p, answer); !same(got, wire) {
-			t.Errorf("%s: over TCP %+v, want %+v", p.ID, got, wire)
-		}
 	}
-	t.Logf("%d executions on three environments, %d of them over TCP too", len(execs), overTCP)
+	t.Logf("%d executions on three environments", len(execs))
 }
 
 // unitTestMaxAllocs caps the mean number of allocations of one

@@ -1,13 +1,9 @@
-// Package evalcluster implements the scalable evaluation cluster of
-// §3.3 twice over:
-//
-//   - Simulate: a deterministic discrete-event model of N workers
-//     draining the corpus's unit-test jobs behind a shared 100 Mbps uplink,
-//     with or without the shared Docker image cache — the generator of
-//     Figure 5's evaluation-time curves;
-//   - Master/Worker: real components coordinating through a Redis-
-//     compatible store over TCP, executing unit tests in the simulated
-//     cluster. They power cloudeval node and the cluster-eval example.
+// Package evalcluster models the scalable evaluation cluster of §3.3:
+// Simulate is a deterministic discrete-event model of N workers
+// draining the corpus's unit-test jobs behind a shared 100 Mbps
+// uplink, with or without the shared Docker image cache — the
+// generator of Figure 5's evaluation-time curves and of Table 3's
+// campaign durations.
 package evalcluster
 
 import (

@@ -16,7 +16,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net/http"
 	"os"
 	"sort"
 	"sync"
@@ -160,8 +159,6 @@ type Config struct {
 	QPS float64
 	// Concurrency is the in-flight request bound (default 1).
 	Concurrency int
-	// HTTPClient substitutes the transport (optional).
-	HTTPClient *http.Client
 }
 
 // Latency is the percentile summary, in milliseconds.
@@ -228,12 +225,9 @@ func Run(ctx context.Context, cfg Config, ops []Op) (Report, error) {
 	clientFor := func(tenant string) *client.Client {
 		c, ok := clients[tenant]
 		if !ok {
-			opts := []client.Option{}
+			var opts []client.Option
 			if tenant != "" {
 				opts = append(opts, client.WithTenant(tenant))
-			}
-			if cfg.HTTPClient != nil {
-				opts = append(opts, client.WithHTTPClient(cfg.HTTPClient))
 			}
 			c = client.New(cfg.BaseURL, opts...)
 			clients[tenant] = c

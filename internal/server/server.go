@@ -220,6 +220,8 @@ func (s *Server) handleFamilyLeaderboard(w http.ResponseWriter, r *http.Request)
 // statsResponse is the engine, inference and serving-layer counter
 // snapshot.
 type statsResponse struct {
+	// Executor is always "pool", the one executor the daemon runs on;
+	// the key stays for the dashboards that read it.
 	Executor  string `json:"executor"`
 	Workers   int    `json:"workers"`
 	Executed  int64  `json:"executed"`
@@ -333,7 +335,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		storeStats = storeStatsFor(s.cfg.Store)
 	}
 	writeJSON(w, http.StatusOK, statsResponse{
-		Executor:  eng.Executor().Name(),
+		Executor:  "pool",
 		Workers:   eng.Workers(),
 		Executed:  st.Executed,
 		CacheHits: st.CacheHits,

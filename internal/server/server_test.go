@@ -486,7 +486,7 @@ func TestColdStartWarmStore(t *testing.T) {
 
 // TestStatsExposeGenerationCounters verifies /v1/stats carries the
 // inference-side counters: provider name, live generations, generation
-// cache tiers and metered token usage.
+// cache tiers and metered token usage, next to the pinned executor key.
 func TestStatsExposeGenerationCounters(t *testing.T) {
 	ctx := context.Background()
 	eng := engine.New()
@@ -502,6 +502,9 @@ func TestStatsExposeGenerationCounters(t *testing.T) {
 	}
 	if stats.Provider != "sim" {
 		t.Errorf("provider = %q, want sim", stats.Provider)
+	}
+	if stats.Executor != "pool" {
+		t.Errorf("executor = %q, want pool", stats.Executor)
 	}
 	if stats.Generated == 0 {
 		t.Error("leaderboard campaign reported zero generations")
