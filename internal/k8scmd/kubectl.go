@@ -120,7 +120,7 @@ func (e *Env) kubectlDelete(fs shell.FlagSet, io *shell.IO) int {
 	for _, name := range fs.Positional[1:] {
 		switch err := e.Cluster.Delete(res, e.namespaceOf(fs), name); {
 		case errors.Is(err, kubesim.ErrNotFound):
-			writeNotFound(io, kind, name)
+			writeNotFound(io, res.GroupResource, name)
 			code = 1
 		case err != nil:
 			fmt.Fprintf(io.Err, "Error from server (NotFound): %v\n", err)
@@ -181,7 +181,7 @@ func (e *Env) kubectlCreate(fs shell.FlagSet, io *shell.IO) int {
 		fmt.Fprintf(io.Err, "%v\n", err)
 		return 1
 	}
-	io.Out.WriteString(role.Singular + ".rbac.authorization.k8s.io/" + name + " created\n")
+	io.Out.WriteString(role.Singular + strings.TrimPrefix(role.GroupResource, role.Plural) + "/" + name + " created\n")
 	return 0
 }
 
@@ -223,9 +223,11 @@ func resourceOf(io *shell.IO, kind string) (*kubesim.Resource, bool) {
 	return r, ok
 }
 
-func writeNotFound(io *shell.IO, kind, name string) {
+// writeNotFound is the API server's answer for an object that is not
+// there; resource is its row's GroupResource ("all" for get all).
+func writeNotFound(io *shell.IO, resource, name string) {
 	io.Err.WriteString("Error from server (NotFound): ")
-	io.Err.WriteString(strings.ToLower(kind))
+	io.Err.WriteString(resource)
 	io.Err.WriteByte(' ')
 	writeQuoted(io.Err, name)
 	io.Err.WriteString(" not found\n")
@@ -278,7 +280,7 @@ func (e *Env) kubectlGet(fs shell.FlagSet, io *shell.IO) int {
 		for _, name := range names {
 			n, ok := e.Cluster.GetByName(res, ns, name)
 			if !ok {
-				writeNotFound(io, kind, name)
+				writeNotFound(io, res.GroupResource, name)
 				return 1
 			}
 			items = append(items, n)

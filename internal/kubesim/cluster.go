@@ -347,7 +347,7 @@ func (c *Cluster) DeleteYAML(src string, defaultNS string) ([]string, error) {
 		}
 		if err := c.Delete(r, ns, name); err != nil {
 			if errors.Is(err, ErrNotFound) {
-				err = fmt.Errorf("%s %q not found", strings.ToLower(kind), name)
+				err = fmt.Errorf("%s %q not found", r.GroupResource, name)
 			}
 			return out, err
 		}
@@ -357,7 +357,7 @@ func (c *Cluster) DeleteYAML(src string, defaultNS string) ([]string, error) {
 }
 
 // ErrNotFound is Delete's error for an object that is not there; the
-// caller names it, as the command or manifest spelled its kind.
+// caller names it, by its row's GroupResource.
 var ErrNotFound = errors.New("not found")
 
 // Delete removes one resource and any objects it owns. Deleting a

@@ -1,7 +1,9 @@
 package kubesim
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
 	"io/fs"
 	"os"
 	"slices"
@@ -10,6 +12,7 @@ import (
 	"testing"
 
 	"cloudeval/internal/dataset"
+	"cloudeval/internal/raceflag"
 	"cloudeval/internal/yamlx"
 )
 
@@ -209,4 +212,63 @@ func TestValidateGolden(t *testing.T) {
 	if gone+added > 0 {
 		t.Errorf("%d rows gone, %d new, against %s's %d", gone, added, validateGolden, len(wantRows))
 	}
+}
+
+// TestValidateReferencesAllocs: every corpus reference document of a
+// row's kind is accepted, and walking it allocates nothing.
+func TestValidateReferencesAllocs(t *testing.T) {
+	docs := referenceDocs(t)
+	for _, d := range docs {
+		if _, err := ValidateManifest(d); err != nil {
+			t.Errorf("reference %s %s refused: %v", d.Get("kind").ScalarString(), d.Path("metadata", "name").ScalarString(), err)
+		}
+	}
+	if raceflag.Enabled {
+		return
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		for _, d := range docs {
+			ValidateManifest(d)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("%.1f allocations validating the %d reference documents, want 0", allocs, len(docs))
+	}
+}
+
+// FuzzValidateManifest feeds ValidateManifest every document of whatever
+// text parses, seeded with the corpus's references: it never panics or
+// changes the document, says the same twice, and an accepted document's
+// row is the one its kind names.
+func FuzzValidateManifest(f *testing.F) {
+	seen := map[string]bool{}
+	for _, p := range dataset.Generate() {
+		if !seen[p.ReferenceYAML] {
+			seen[p.ReferenceYAML] = true
+			f.Add(p.ReferenceYAML)
+		}
+	}
+	f.Fuzz(func(t *testing.T, src string) {
+		if len(src) > 4<<10 {
+			return // yamlx's slow-parse tail, not the validator's
+		}
+		docs, err := yamlx.ParseAll([]byte(src))
+		if err != nil {
+			return
+		}
+		for _, d := range docs {
+			before := yamlx.Marshal(d)
+			r, err := ValidateManifest(d)
+			_, again := ValidateManifest(d)
+			if fmt.Sprint(err) != fmt.Sprint(again) {
+				t.Fatalf("two calls said %v and %v", err, again)
+			}
+			if after := yamlx.Marshal(d); !bytes.Equal(before, after) {
+				t.Fatalf("document changed:\n%s\nbecame\n%s", before, after)
+			}
+			if err == nil && r.Kind != d.Get("kind").ScalarString() {
+				t.Fatalf("accepted kind %q as row %s", d.Get("kind").ScalarString(), r.Kind)
+			}
+		}
+	})
 }
