@@ -3,6 +3,8 @@ package composesim
 import (
 	"strings"
 	"testing"
+
+	"cloudeval/internal/shell"
 )
 
 const sampleCompose = `services:
@@ -127,20 +129,32 @@ func TestUpProbeAndVirtualTime(t *testing.T) {
 	}
 }
 
+// run parses script and executes it on e, its stderr gathered command
+// by command through the shell's Watch hook.
+func run(t *testing.T, e *Env, script string) (stdout, stderr string, code int) {
+	t.Helper()
+	prog, err := shell.Parse(script)
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	var errOut strings.Builder
+	e.Shell.Watch = func(_ int, _, s string, _ int) { errOut.WriteString(s) }
+	defer func() { e.Shell.Watch = nil }()
+	stdout, code = e.Shell.Exec(prog)
+	return stdout, errOut.String(), code
+}
+
 func TestEnvScriptEndToEnd(t *testing.T) {
 	e := NewEnv()
 	e.Shell.FS["labeled_code.yaml"] = sampleCompose
-	res, err := e.Shell.Run(`docker compose -f labeled_code.yaml config -q || exit 1
+	stdout, stderr, code := run(t, e, `docker compose -f labeled_code.yaml config -q || exit 1
 docker compose -f labeled_code.yaml up -d
 docker compose ps | grep web | grep -q Up || exit 1
 docker compose logs cache | grep -q 'Ready to accept connections' || exit 1
 status=$(curl -s -o /dev/null -w "%{http_code}" http://localhost:8080/)
 echo status=$status`)
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if res.ExitCode != 0 || !strings.Contains(res.Stdout, "status=200") {
-		t.Fatalf("script failed (exit %d):\n%s%s", res.ExitCode, res.Stdout, res.Stderr)
+	if code != 0 || !strings.Contains(stdout, "status=200") {
+		t.Fatalf("script failed (exit %d):\n%s%s", code, stdout, stderr)
 	}
 }
 
@@ -150,31 +164,23 @@ echo status=$status`)
 func TestLogsFollowFlag(t *testing.T) {
 	e := NewEnv()
 	e.Shell.FS["labeled_code.yaml"] = sampleCompose
-	if _, err := e.Shell.Run("docker compose -f labeled_code.yaml up -d"); err != nil {
-		t.Fatal(err)
+	run(t, e, "docker compose -f labeled_code.yaml up -d")
+	stdout, stderr, code := run(t, e, "docker compose logs -f cache")
+	if code != 0 || !strings.Contains(stdout, "Ready to accept connections") {
+		t.Fatalf("logs -f cache failed (exit %d):\n%s%s", code, stdout, stderr)
 	}
-	res, err := e.Shell.Run("docker compose logs -f cache")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ExitCode != 0 || !strings.Contains(res.Stdout, "Ready to accept connections") {
-		t.Fatalf("logs -f cache failed (exit %d):\n%s%s", res.ExitCode, res.Stdout, res.Stderr)
-	}
-	if strings.Contains(res.Stdout, "app-web-1") {
-		t.Errorf("logs -f cache leaked other services' logs:\n%s", res.Stdout)
+	if strings.Contains(stdout, "app-web-1") {
+		t.Errorf("logs -f cache leaked other services' logs:\n%s", stdout)
 	}
 }
 
 func TestEnvConfigEchoesCanonicalYAML(t *testing.T) {
 	e := NewEnv()
 	e.Shell.FS["labeled_code.yaml"] = sampleCompose
-	res, err := e.Shell.Run("docker compose -f labeled_code.yaml config")
-	if err != nil {
-		t.Fatal(err)
-	}
+	stdout, _, _ := run(t, e, "docker compose -f labeled_code.yaml config")
 	for _, want := range []string{"image: nginx:1.25", "restart: always", "8080:80", "CACHE_URL: redis://cache:6379"} {
-		if !strings.Contains(res.Stdout, want) {
-			t.Errorf("config output missing %q:\n%s", want, res.Stdout)
+		if !strings.Contains(stdout, want) {
+			t.Errorf("config output missing %q:\n%s", want, stdout)
 		}
 	}
 }
@@ -182,9 +188,7 @@ func TestEnvConfigEchoesCanonicalYAML(t *testing.T) {
 func TestEnvResetIsPristine(t *testing.T) {
 	e := NewEnv()
 	e.Shell.FS["labeled_code.yaml"] = sampleCompose
-	if _, err := e.Shell.Run("docker compose -f labeled_code.yaml up -d\nLEAK=1"); err != nil {
-		t.Fatal(err)
-	}
+	run(t, e, "docker compose -f labeled_code.yaml up -d\nLEAK=1")
 	e.Reset()
 	fresh := NewEnv()
 	if !e.Now().Equal(fresh.Now()) {

@@ -8,6 +8,7 @@ import (
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/raceflag"
 	"cloudeval/internal/scenario"
+	"cloudeval/internal/shell"
 	"cloudeval/internal/unittest"
 )
 
@@ -17,14 +18,15 @@ func runOn(env scenario.Env, p dataset.Problem, answer string) unittest.Result {
 	sh := env.Interp()
 	sh.FS["labeled_code.yaml"] = answer
 	start := env.Now()
-	res, err := sh.Run(p.UnitTest)
+	prog, err := shell.Parse(p.UnitTest)
 	if err != nil {
 		return unittest.Result{Err: err}
 	}
+	stdout, code := sh.Exec(prog)
 	return unittest.Result{
-		Passed:      strings.Contains(res.Stdout, "unit_test_passed"),
-		Output:      res.Stdout,
-		ExitCode:    res.ExitCode,
+		Passed:      strings.Contains(stdout, "unit_test_passed"),
+		Output:      stdout,
+		ExitCode:    code,
 		VirtualTime: env.Now().Sub(start),
 	}
 }

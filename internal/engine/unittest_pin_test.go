@@ -14,6 +14,7 @@ import (
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/scenario"
+	"cloudeval/internal/shell"
 	"cloudeval/internal/unittest"
 )
 
@@ -71,9 +72,10 @@ var table4Executions = sync.OnceValue(func() []execution {
 // TestUnitTestResultsPinned runs every distinct unit-test execution of
 // a Table 4 campaign (table4Executions) and pins one SHA-256
 // over what unittest.Run reports and a second over the three streams of
-// the same script run on the family's pooled environment directly:
-// unittest.Result drops stderr, and error text is where a change to the
-// shell's expander or a simulator's messages shows first.
+// the same script run on the family's pooled environment directly, its
+// stderr taken by a unittest.Recorder: unittest.Result drops stderr,
+// and error text is where a change to the shell's expander or a
+// simulator's messages shows first.
 func TestUnitTestResultsPinned(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 4 matrix in -short mode")
@@ -110,18 +112,20 @@ func TestUnitTestResultsPinned(t *testing.T) {
 		}
 		writeStr(results, errText)
 
+		prog, err := shell.Parse(p.UnitTest)
+		if err != nil {
+			t.Fatalf("%s: %v", p.ID, err)
+		}
 		backend := scenario.For(p.Category)
 		env := backend.GetEnv()
 		sh := env.Interp()
 		sh.FS["labeled_code.yaml"] = answer
-		raw, err := sh.Run(p.UnitTest)
+		rec := unittest.NewRecorder(sh, env.Now)
+		stdout, code := sh.Exec(prog)
 		backend.PutEnv(env)
-		if err != nil {
-			t.Fatalf("%s: %v", p.ID, err)
-		}
-		writeStr(streams, raw.Stdout)
-		writeStr(streams, raw.Stderr)
-		writeInt(streams, int64(raw.ExitCode))
+		writeStr(streams, stdout)
+		writeStr(streams, rec.Stderr())
+		writeInt(streams, int64(code))
 	}
 
 	if executions != 5736 || passed != 1012 {

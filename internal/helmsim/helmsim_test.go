@@ -3,6 +3,8 @@ package helmsim
 import (
 	"strings"
 	"testing"
+
+	"cloudeval/internal/shell"
 )
 
 const sampleChart = `apiVersion: apps/v1
@@ -37,13 +39,20 @@ spec:
     targetPort: 80
 `
 
+// run parses script and executes it on e: what it wrote to stdout,
+// then what it wrote to stderr, gathered command by command through the
+// shell's Watch hook, and its exit status.
 func run(t *testing.T, e *Env, script string) (string, int) {
 	t.Helper()
-	res, err := e.Shell.Run(script)
+	prog, err := shell.Parse(script)
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	return res.Stdout + res.Stderr, res.ExitCode
+	var stderr strings.Builder
+	e.Shell.Watch = func(_ int, _, s string, _ int) { stderr.WriteString(s) }
+	defer func() { e.Shell.Watch = nil }()
+	stdout, code := e.Shell.Exec(prog)
+	return stdout + stderr.String(), code
 }
 
 func TestTemplateRendersAndValidates(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"cloudeval/internal/kubesim"
+	"cloudeval/internal/shell"
 )
 
 // TestPooledEnvNoLeak is the regression test for environment
@@ -26,9 +27,7 @@ LEAKVAR=oops
 sleep 5
 `
 	first.Shell.FS["seed.yaml"] = "apiVersion: apps/v1\nkind: Deployment\nmetadata:\n  name: web\nspec:\n  selector:\n    matchLabels: {app: web}\n  template:\n    metadata:\n      labels: {app: web}\n    spec:\n      containers:\n      - name: web\n        image: nginx\n"
-	if _, err := first.Shell.Run(script); err != nil {
-		t.Fatalf("first run: %v", err)
-	}
+	runIn(t, first, script)
 	if !first.Cluster.HasNamespace("leaky") {
 		t.Fatal("setup failed: namespace not created")
 	}
@@ -59,16 +58,13 @@ sleep 5
 
 	// And it must behave identically: the same script produces the
 	// same output in a recycled env as in a fresh one.
-	out1, err1 := recycled.Shell.Run("kubectl get ns default -o name && echo $LEAKVAR done")
-	out2, err2 := fresh.Shell.Run("kubectl get ns default -o name && echo $LEAKVAR done")
-	if err1 != nil || err2 != nil {
-		t.Fatalf("runs errored: %v / %v", err1, err2)
-	}
-	if out1.Stdout != out2.Stdout || out1.ExitCode != out2.ExitCode {
+	out1, _, code1 := runIn(t, recycled, "kubectl get ns default -o name && echo $LEAKVAR done")
+	out2, _, code2 := runIn(t, fresh, "kubectl get ns default -o name && echo $LEAKVAR done")
+	if out1 != out2 || code1 != code2 {
 		t.Errorf("recycled env diverged from fresh env:\nrecycled: %q (%d)\nfresh:    %q (%d)",
-			out1.Stdout, out1.ExitCode, out2.Stdout, out2.ExitCode)
+			out1, code1, out2, code2)
 	}
-	if strings.Contains(out1.Stdout, "oops") {
+	if strings.Contains(out1, "oops") {
 		t.Error("leaked variable observable in output")
 	}
 
@@ -76,8 +72,8 @@ sleep 5
 	// written and reset; a Service is written now and reset, and all
 	// three stay empty.
 	recycled.Shell.FS["svc.yaml"] = "apiVersion: v1\nkind: Service\nmetadata:\n  name: front\nspec:\n  selector: {app: web}\n  ports: [{port: 80}]\n"
-	if res, err := recycled.Shell.Run("kubectl apply -f svc.yaml"); err != nil || res.ExitCode != 0 {
-		t.Fatalf("service apply: %v %+v", err, res)
+	if stdout, stderr, code := runIn(t, recycled, "kubectl apply -f svc.yaml"); code != 0 {
+		t.Fatalf("service apply: stdout %q, stderr %q, exit %d", stdout, stderr, code)
 	}
 	recycled.Reset()
 	for _, r := range []*kubesim.Resource{kubesim.Deployment, kubesim.Pod, kubesim.Service} {
@@ -86,10 +82,10 @@ sleep 5
 		}
 	}
 	const listAll = "kubectl get deployments -A -o name; kubectl get pods -A -o name; kubectl get services -A -o name"
-	out1, _ = recycled.Shell.Run(listAll)
-	out2, _ = NewEnv().Shell.Run(listAll)
-	if out1 != out2 {
-		t.Errorf("after two resets: %+v, a fresh env: %+v", out1, out2)
+	out1, err1, code1 := runIn(t, recycled, listAll)
+	out2, err2, code2 := runIn(t, NewEnv(), listAll)
+	if out1 != out2 || err1 != err2 || code1 != code2 {
+		t.Errorf("after two resets: %q %q %d, a fresh env: %q %q %d", out1, err1, code1, out2, err2, code2)
 	}
 }
 
@@ -104,25 +100,23 @@ sleep 5
 // scenario.Backend.GetEnv/PutEnv therefore recycle rather than
 // rebuild.
 func BenchmarkEnvFresh(b *testing.B) {
+	version, _ := shell.Parse("kubectl version")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := NewEnv()
 		e.Shell.FS["labeled_code.yaml"] = "kind: Pod"
-		if _, err := e.Shell.Run("kubectl version"); err != nil {
-			b.Fatal(err)
-		}
+		e.Shell.Exec(version)
 	}
 }
 
 func BenchmarkEnvPooled(b *testing.B) {
 	pool := sync.Pool{New: func() any { return NewEnv() }}
+	version, _ := shell.Parse("kubectl version")
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e := pool.Get().(*Env)
 		e.Shell.FS["labeled_code.yaml"] = "kind: Pod"
-		if _, err := e.Shell.Run("kubectl version"); err != nil {
-			b.Fatal(err)
-		}
+		e.Shell.Exec(version)
 		e.Reset()
 		pool.Put(e)
 	}

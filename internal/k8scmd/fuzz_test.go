@@ -11,6 +11,7 @@ import (
 	"cloudeval/internal/k8scmd"
 	"cloudeval/internal/kubesim"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/shell"
 )
 
 // readEveryKind reads every kind the simulator serves back as a table,
@@ -85,12 +86,14 @@ func FuzzKubectlOnAnswer(f *testing.F) {
 	} {
 		f.Add(s)
 	}
+	prog, err := shell.Parse(everyVerbScript)
+	if err != nil {
+		f.Fatalf("the script itself does not parse: %v", err)
+	}
 	f.Fuzz(func(t *testing.T, answer string) {
 		env := k8scmd.NewEnv()
 		env.Shell.MaxSteps = 2000
 		env.Shell.FS["labeled_code.yaml"] = answer
-		if _, err := env.Shell.Run(everyVerbScript); err != nil {
-			t.Errorf("the script itself does not parse: %v", err)
-		}
+		env.Shell.Exec(prog)
 	})
 }

@@ -16,11 +16,8 @@ func runScript(t *testing.T, labeledCode, script string) (string, int) {
 	t.Helper()
 	env := NewEnv()
 	env.Shell.FS["labeled_code.yaml"] = labeledCode
-	res, err := env.Shell.Run(script)
-	if err != nil {
-		t.Fatalf("script error: %v", err)
-	}
-	return res.Stdout, res.ExitCode
+	stdout, _, code := runIn(t, env, script)
+	return stdout, code
 }
 
 // Appendix C sample #1: DaemonSet with env vars, resource limits and a
@@ -337,40 +334,31 @@ fi
 
 func TestCurlConnectionRefused(t *testing.T) {
 	env := NewEnv()
-	res, err := env.Shell.Run(`curl -s -o /dev/null -w "%{http_code}" 10.0.0.99:1234; echo " exit=$?"`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Stdout, "000") || !strings.Contains(res.Stdout, "exit=7") {
-		t.Errorf("refused connection: %q", res.Stdout)
+	stdout, _, _ := runIn(t, env, `curl -s -o /dev/null -w "%{http_code}" 10.0.0.99:1234; echo " exit=$?"`)
+	if !strings.Contains(stdout, "000") || !strings.Contains(stdout, "exit=7") {
+		t.Errorf("refused connection: %q", stdout)
 	}
 }
 
 func TestKubectlGetTableAndName(t *testing.T) {
 	env := NewEnv()
 	env.Shell.FS["svc.yaml"] = sample2YAML
-	res, err := env.Shell.Run(`kubectl apply -f svc.yaml; kubectl get svc`)
-	if err != nil {
-		t.Fatal(err)
+	stdout, _, _ := runIn(t, env, `kubectl apply -f svc.yaml; kubectl get svc`)
+	if !strings.Contains(stdout, "nginx-service") || !strings.Contains(stdout, "LoadBalancer") {
+		t.Errorf("get svc table:\n%s", stdout)
 	}
-	if !strings.Contains(res.Stdout, "nginx-service") || !strings.Contains(res.Stdout, "LoadBalancer") {
-		t.Errorf("get svc table:\n%s", res.Stdout)
-	}
-	res, _ = env.Shell.Run(`kubectl get svc -o name`)
-	if !strings.Contains(res.Stdout, "svc/nginx-service") && !strings.Contains(res.Stdout, "service/nginx-service") {
-		t.Errorf("get -o name: %q", res.Stdout)
+	stdout, _, _ = runIn(t, env, `kubectl get svc -o name`)
+	if !strings.Contains(stdout, "svc/nginx-service") && !strings.Contains(stdout, "service/nginx-service") {
+		t.Errorf("get -o name: %q", stdout)
 	}
 }
 
 func TestKubectlApplyErrorSurfacesToScript(t *testing.T) {
 	env := NewEnv()
 	env.Shell.FS["bad.yaml"] = "not: a: valid: manifest\n"
-	res, err := env.Shell.Run(`kubectl apply -f bad.yaml || echo apply_failed`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Stdout, "apply_failed") {
-		t.Errorf("apply of invalid YAML should fail: %+v", res)
+	stdout, stderr, code := runIn(t, env, `kubectl apply -f bad.yaml || echo apply_failed`)
+	if !strings.Contains(stdout, "apply_failed") {
+		t.Errorf("apply of invalid YAML should fail: stdout %q, stderr %q, exit %d", stdout, stderr, code)
 	}
 }
 
@@ -395,12 +383,9 @@ spec:
       - name: c
         image: nginx
 `
-	res, err := env.Shell.Run(`kubectl apply -f deploy.yaml && kubectl rollout status deployment/web --timeout=30s && echo rolled`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(res.Stdout, "rolled") {
-		t.Errorf("rollout status failed: %+v", res)
+	stdout, stderr, code := runIn(t, env, `kubectl apply -f deploy.yaml && kubectl rollout status deployment/web --timeout=30s && echo rolled`)
+	if !strings.Contains(stdout, "rolled") {
+		t.Errorf("rollout status failed: stdout %q, stderr %q, exit %d", stdout, stderr, code)
 	}
 }
 
@@ -411,7 +396,7 @@ spec:
 func TestGetJSONPathOverList(t *testing.T) {
 	env := NewEnv()
 	env.Shell.FS["labeled_code.yaml"] = sample1YAML
-	res, err := env.Shell.Run(`kubectl apply -f labeled_code.yaml
+	stdout, stderr, code := runIn(t, env, `kubectl apply -f labeled_code.yaml
 sleep 5
 kubectl get pods -l app=kube-registry-modified -o jsonpath='{.items[0].spec.containers[0].env[*].name}'
 kubectl get pods --selector=app=kube-registry-modified -o=jsonpath='{.items[0].spec.containers[0].resources.limits.cpu}'
@@ -419,13 +404,10 @@ kubectl get pods -l app=nothing -o jsonpath='{.kind} {.apiVersion} [{.items}]'
 kubectl get ds kube-registry-proxy-modified -o jsonpath='{.kind}'
 kubectl get ds kube-registry-proxy-modified kube-registry-proxy-modified -o jsonpath='{.kind} {.items[*].kind}'
 `)
-	if err != nil {
-		t.Fatal(err)
-	}
 	want := "daemonset/kube-registry-proxy-modified created\n" +
 		"REGISTRY_HOST REGISTRY_PORT\n100m\nList v1 [[]]\nDaemonSet\nList DaemonSet DaemonSet\n"
-	if res.Stdout != want || res.Stderr != "" || res.ExitCode != 0 {
-		t.Errorf("stdout %q, stderr %q, exit %d; want %q", res.Stdout, res.Stderr, res.ExitCode, want)
+	if stdout != want || stderr != "" || code != 0 {
+		t.Errorf("stdout %q, stderr %q, exit %d; want %q", stdout, stderr, code, want)
 	}
 	if env.items.Items != nil || slices.ContainsFunc(env.named, func(n *yamlx.Node) bool { return n != nil }) {
 		t.Errorf("the Env still holds the objects of its last gets: %d listed, %v named", len(env.items.Items), env.named)
@@ -450,8 +432,8 @@ func TestGetJSONPathAllocs(t *testing.T) {
 	}
 	env := NewEnv()
 	env.Shell.FS["pod.yaml"] = "apiVersion: v1\nkind: Pod\nmetadata:\n  name: web\nspec:\n  containers:\n  - name: web\n    image: nginx\n"
-	if res, err := env.Shell.Run("kubectl apply -f pod.yaml"); err != nil || res.ExitCode != 0 {
-		t.Fatalf("apply: %v %+v", err, res)
+	if stdout, stderr, code := runIn(t, env, "kubectl apply -f pod.yaml"); code != 0 {
+		t.Fatalf("apply: stdout %q, stderr %q, exit %d", stdout, stderr, code)
 	}
 	prog, err := shell.Parse(getPhase)
 	if err != nil {

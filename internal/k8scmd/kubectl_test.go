@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cloudeval/internal/kubesim"
+	"cloudeval/internal/shell"
 )
 
 func freshEnv(t *testing.T) *Env {
@@ -12,13 +13,19 @@ func freshEnv(t *testing.T) *Env {
 	return NewEnv()
 }
 
-func runIn(t *testing.T, env *Env, script string) (string, string, int) {
+// runIn parses script and executes it on env, its stderr gathered
+// command by command through the shell's Watch hook.
+func runIn(t testing.TB, env *Env, script string) (stdout, stderr string, code int) {
 	t.Helper()
-	res, err := env.Shell.Run(script)
+	prog, err := shell.Parse(script)
 	if err != nil {
 		t.Fatalf("script error: %v\n%s", err, script)
 	}
-	return res.Stdout, res.Stderr, res.ExitCode
+	var errOut strings.Builder
+	env.Shell.Watch = func(_ int, _, s string, _ int) { errOut.WriteString(s) }
+	defer func() { env.Shell.Watch = nil }()
+	stdout, code = env.Shell.Exec(prog)
+	return stdout, errOut.String(), code
 }
 
 func TestKubectlDeleteByNameAndNamespace(t *testing.T) {

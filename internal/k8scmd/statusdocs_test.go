@@ -8,8 +8,26 @@ import (
 	"cloudeval/internal/helmsim"
 	"cloudeval/internal/k8scmd"
 	"cloudeval/internal/kubesim"
+	"cloudeval/internal/shell"
+	"cloudeval/internal/unittest"
 	"cloudeval/internal/yamlx"
 )
+
+// execScript parses script and executes it on sh, what it writes to
+// stderr gathered by a unittest.Recorder. It may run on any goroutine:
+// a script that does not parse is an error, not a fatal one.
+func execScript(t testing.TB, sh *shell.Interp, script string) (stdout, stderr string, code int) {
+	t.Helper()
+	prog, err := shell.Parse(script)
+	if err != nil {
+		t.Error(err)
+		return "", "", 2
+	}
+	rec := unittest.NewRecorder(sh, nil)
+	defer func() { sh.Watch = nil }()
+	stdout, code = sh.Exec(prog)
+	return stdout, rec.Stderr(), code
+}
 
 const statusDocsManifest = `apiVersion: apps/v1
 kind: Deployment
@@ -79,8 +97,8 @@ spec:
 func TestStatusDocsNeverWritten(t *testing.T) {
 	env := k8scmd.NewEnv()
 	env.Shell.FS["labeled_code.yaml"] = statusDocsManifest
-	if res, err := env.Shell.Run("kubectl apply -f labeled_code.yaml\nsleep 10"); err != nil || res.ExitCode != 0 {
-		t.Fatalf("apply: %v, %+v", err, res)
+	if stdout, stderr, code := execScript(t, env.Shell, "kubectl apply -f labeled_code.yaml\nsleep 10"); code != 0 {
+		t.Fatalf("apply: stdout %q, stderr %q, exit %d", stdout, stderr, code)
 	}
 	kinds := []*kubesim.Resource{kubesim.Pod, kubesim.Deployment, kubesim.ReplicaSet, kubesim.DaemonSet, kubesim.Job, kubesim.Service, kubesim.Ingress}
 	snapshot := func() (docs []*yamlx.Node, text []string) {
@@ -98,9 +116,7 @@ func TestStatusDocsNeverWritten(t *testing.T) {
 	}
 
 	read := func(e *k8scmd.Env) {
-		if _, err := e.Shell.Run(readEveryKind + readEveryPod); err != nil {
-			t.Error(err)
-		}
+		execScript(t, e.Shell, readEveryKind+readEveryPod)
 	}
 	// One pass alone first: it leaves the cluster with nothing lazy left
 	// to fill in (the status documents), so that the concurrent passes
@@ -238,12 +254,8 @@ sleep 10
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			res, err := env.Shell.Run(preludes[i] + script)
-			if err != nil {
-				t.Error(err)
-				return
-			}
-			outs[i] = res.Stdout + res.Stderr
+			stdout, stderr, _ := execScript(t, env.Shell, preludes[i]+script)
+			outs[i] = stdout + stderr
 		}()
 	}
 	stop := make(chan struct{})
@@ -288,11 +300,11 @@ sleep 10
 		"chart-svc": "10.96.0.9 30003",
 	}}
 	for i, env := range envs {
-		res, err := env.Shell.Run("kubectl get svc -o yaml")
-		if err != nil || res.ExitCode != 0 {
-			t.Fatalf("environment %d: get svc: %v, %+v", i, err, res)
+		stdout, stderr, code := execScript(t, env.Shell, "kubectl get svc -o yaml")
+		if code != 0 {
+			t.Fatalf("environment %d: get svc: stdout %q, stderr %q, exit %d", i, stdout, stderr, code)
 		}
-		svcs, err := yamlx.ParseAll([]byte(res.Stdout))
+		svcs, err := yamlx.ParseAll([]byte(stdout))
 		if err != nil {
 			t.Fatalf("environment %d: get svc -o yaml does not parse: %v", i, err)
 		}

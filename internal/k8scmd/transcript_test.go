@@ -4,12 +4,12 @@ import (
 	"errors"
 	"io/fs"
 	"os"
-	"strconv"
 	"strings"
 	"testing"
 
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/k8scmd"
+	"cloudeval/internal/unittest"
 	"cloudeval/internal/yamlx"
 )
 
@@ -106,42 +106,6 @@ metadata:
 
 const transcriptGolden = "testdata/kubectl.golden"
 
-// transcript runs commands on one environment and records, for each,
-// the command line, its stdout, its stderr and its exit code.
-type transcript struct {
-	t   *testing.T
-	env *k8scmd.Env
-	b   strings.Builder
-}
-
-func (tr *transcript) section(title string) {
-	tr.env = k8scmd.NewEnv()
-	tr.b.WriteString("\n### " + title + "\n")
-}
-
-func (tr *transcript) run(cmds ...string) {
-	for _, cmd := range cmds {
-		res, err := tr.env.Shell.Run(cmd)
-		if err != nil {
-			tr.t.Fatalf("%s: %v", cmd, err)
-		}
-		tr.b.WriteString("$ " + cmd + "\n")
-		tr.stream(res.Stdout)
-		if res.Stderr != "" {
-			tr.b.WriteString("--- stderr\n")
-			tr.stream(res.Stderr)
-		}
-		tr.b.WriteString("--- exit " + strconv.Itoa(res.ExitCode) + "\n")
-	}
-}
-
-func (tr *transcript) stream(s string) {
-	tr.b.WriteString(s)
-	if s != "" && !strings.HasSuffix(s, "\n") {
-		tr.b.WriteString("\n--- no newline at end\n")
-	}
-}
-
 // referenceFor returns the reference of the first Kubernetes or Istio
 // problem, in corpus order, that applies an object of the kind, and that
 // object's name and namespace ("" for none given).
@@ -209,7 +173,19 @@ func contains(list []string, s string) bool {
 // it again, and review the diff.
 func TestKubectlTranscripts(t *testing.T) {
 	problems := dataset.Generate()
-	tr := &transcript{t: t}
+	var (
+		b   strings.Builder
+		env *k8scmd.Env
+		rec *unittest.Recorder
+	)
+	// Each section runs on a fresh environment; the golden keeps no
+	// virtual time, so the recorder reads no clock.
+	section := func(title string) {
+		env = k8scmd.NewEnv()
+		rec = unittest.NewRecorder(env.Shell, nil)
+		b.WriteString("\n### " + title + "\n")
+	}
+	run := func(cmds ...string) { rec.Transcribe(&b, cmds...) }
 	for _, k := range transcriptKinds {
 		src, name, ns := referenceFor(t, problems, k.kind)
 		nsFlag := ""
@@ -219,14 +195,14 @@ func TestKubectlTranscripts(t *testing.T) {
 		spellings := append([]string{k.kind, strings.ToLower(k.kind), k.plural}, k.short...)
 		spellings = append(spellings, strings.ToUpper(k.plural))
 
-		tr.section(k.kind)
-		tr.env.Shell.FS["ref.yaml"] = src
+		section(k.kind)
+		env.Shell.FS["ref.yaml"] = src
 		for _, extra := range namespacesOf(src) {
-			tr.run("kubectl create ns " + extra)
+			run("kubectl create ns " + extra)
 		}
-		tr.run("kubectl apply -f ref.yaml", "sleep 10")
+		run("kubectl apply -f ref.yaml", "sleep 10")
 		for _, s := range spellings {
-			tr.run(
+			run(
 				"kubectl get "+s+nsFlag,
 				"kubectl get "+s+nsFlag+" -o wide",
 				"kubectl get "+s+" -A",
@@ -238,21 +214,21 @@ func TestKubectlTranscripts(t *testing.T) {
 				"kubectl describe "+s+" "+name+nsFlag,
 			)
 			if k.cond != "" {
-				tr.run(
+				run(
 					"kubectl wait --for=condition="+k.cond+" "+s+" --all"+nsFlag+" --timeout=30s",
 					"kubectl wait --for=condition="+k.cond+" "+s+"/"+name+nsFlag+" --timeout=30s",
 				)
 			}
 			if k.rollout {
-				tr.run("kubectl rollout status " + s + "/" + name + nsFlag + " --timeout=30s")
+				run("kubectl rollout status " + s + "/" + name + nsFlag + " --timeout=30s")
 			}
-			tr.run(
+			run(
 				"kubectl delete "+s+" "+name+nsFlag,
 				"kubectl get "+s+" "+name+nsFlag,
 				"kubectl apply -f ref.yaml",
 			)
 		}
-		tr.run(
+		run(
 			"kubectl get "+k.plural+" no-such"+nsFlag,
 			"kubectl get "+k.plural+" no-such"+nsFlag+" -o name",
 			"kubectl describe "+k.plural+" no-such"+nsFlag,
@@ -261,16 +237,16 @@ func TestKubectlTranscripts(t *testing.T) {
 			"kubectl get "+k.plural+" -l 'app in'"+nsFlag,
 		)
 		if k.cond != "" {
-			tr.run(
+			run(
 				"kubectl wait --for=condition="+k.cond+" "+k.plural+"/no-such"+nsFlag+" --timeout=5s",
 				"kubectl wait --for=condition="+k.cond+" "+k.plural+" -l no-such=label"+nsFlag+" --timeout=5s",
 			)
 		}
 	}
 
-	tr.section("selectors")
-	tr.env.Shell.FS["ref.yaml"], _, _ = referenceFor(t, problems, "Deployment")
-	tr.run(
+	section("selectors")
+	env.Shell.FS["ref.yaml"], _, _ = referenceFor(t, problems, "Deployment")
+	run(
 		"kubectl apply -f ref.yaml",
 		"kubectl get pods -l 'app in'",
 		"kubectl get pods --selector='app=a=b' -o name",
@@ -279,9 +255,9 @@ func TestKubectlTranscripts(t *testing.T) {
 		"kubectl get pods -l '!app' -o name",
 	)
 
-	tr.section("unknown types")
-	tr.env.Shell.FS["widget.yaml"] = "apiVersion: example.com/v1\nkind: Widget\nmetadata:\n  name: w\n"
-	tr.run(
+	section("unknown types")
+	env.Shell.FS["widget.yaml"] = "apiVersion: example.com/v1\nkind: Widget\nmetadata:\n  name: w\n"
+	run(
 		"kubectl get foo",
 		"kubectl get foo -o name",
 		"kubectl get foo bar",
@@ -302,11 +278,11 @@ func TestKubectlTranscripts(t *testing.T) {
 		"kubectl get all -A -o yaml",
 	)
 
-	tr.section("logs")
+	section("logs")
 	podSrc, pod, _ := referenceFor(t, problems, "Pod")
-	tr.env.Shell.FS["pod.yaml"] = podSrc
-	tr.env.Shell.FS["deploy.yaml"], _, _ = referenceFor(t, problems, "Deployment")
-	tr.run(
+	env.Shell.FS["pod.yaml"] = podSrc
+	env.Shell.FS["deploy.yaml"], _, _ = referenceFor(t, problems, "Deployment")
+	run(
 		"kubectl create ns other",
 		"kubectl apply -f pod.yaml",
 		"kubectl logs "+pod,
@@ -320,8 +296,8 @@ func TestKubectlTranscripts(t *testing.T) {
 		"for p in $(kubectl get pods -o jsonpath='{.items[*].metadata.name}'); do kubectl logs $p | grep -c 'container started'; done",
 	)
 
-	tr.section("api-resources")
-	tr.run(
+	section("api-resources")
+	run(
 		"kubectl api-resources",
 		"kubectl api-resources -o name",
 		"kubectl api-resources --output=name | wc -l",
@@ -329,13 +305,19 @@ func TestKubectlTranscripts(t *testing.T) {
 		"kubectl api-resources -o wide",
 	)
 
-	got := tr.b.String()
-	want, err := os.ReadFile(transcriptGolden)
+	checkTranscript(t, transcriptGolden, b.String())
+}
+
+// checkTranscript compares a transcript with its golden file. When the
+// file is missing it records it and fails: delete the golden to record
+// it again, and review the diff.
+func checkTranscript(t *testing.T, golden, got string) {
+	want, err := os.ReadFile(golden)
 	if errors.Is(err, fs.ErrNotExist) {
-		if err := os.WriteFile(transcriptGolden, []byte(got), 0o644); err != nil {
+		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		t.Fatalf("recorded %s (%d bytes): review it and run the test again", transcriptGolden, len(got))
+		t.Fatalf("recorded %s (%d bytes): review it and run the test again", golden, len(got))
 	}
 	if err != nil {
 		t.Fatal(err)
@@ -346,12 +328,12 @@ func TestKubectlTranscripts(t *testing.T) {
 	// One block per command: report the commands whose output changed.
 	gotCmds, wantCmds := strings.Split(got, "\n$ "), strings.Split(string(want), "\n$ ")
 	if len(gotCmds) != len(wantCmds) {
-		t.Fatalf("%d commands run, %s has %d", len(gotCmds), transcriptGolden, len(wantCmds))
+		t.Fatalf("%d commands run, %s has %d", len(gotCmds), golden, len(wantCmds))
 	}
 	reported := 0
 	for i := range gotCmds {
 		if gotCmds[i] != wantCmds[i] && reported < 10 {
-			t.Errorf("kubectl output differs from %s:\n--- got\n$ %s\n--- want\n$ %s", transcriptGolden, gotCmds[i], wantCmds[i])
+			t.Errorf("kubectl output differs from %s:\n--- got\n$ %s\n--- want\n$ %s", golden, gotCmds[i], wantCmds[i])
 			reported++
 		}
 	}

@@ -43,10 +43,11 @@ var (
 			f("image", filled),
 			f("env", each, f("name", required), f("value", text)),
 			f("ports", each, f("containerPort", required|port))))
-	workloadFields = []field{f("spec", required, f("template", required, podSpec))}
-	jobFields      = []field{f("spec", 0, f("template", required, podSpec))}
-	cronJobFields  = []field{f("spec", 0, f("schedule", required), f("jobTemplate", required))}
-	serviceFields  = []field{{key: "spec", is: required, says: "spec is required", fields: []field{
+	workloadFields   = []field{f("spec", required, f("template", required, podSpec))}
+	replicatedFields = []field{f("spec", required, f("template", required, podSpec), f("replicas", replicas))}
+	jobFields        = []field{f("spec", 0, f("template", required, podSpec))}
+	cronJobFields    = []field{f("spec", 0, f("schedule", required), f("jobTemplate", required))}
+	serviceFields    = []field{{key: "spec", is: required, says: "spec is required", fields: []field{
 		f("ports", each|filled, f("port", required|port)),
 		{key: "type", enum: []string{"ClusterIP", "NodePort", "LoadBalancer", "ExternalName"}},
 	}}}
@@ -63,6 +64,13 @@ var (
 		f("subjects", each, f("kind", required), f("name", required)),
 	}
 )
+
+// maxReplicas is the pod budget: the most replicas a workload may ask
+// for, since the cluster allocates an Object per replica. It is ten
+// times the largest count applied by a corpus reference (3) or by any
+// of the 542,880 zoo generations of TestGenerateDigestPinned's sweep
+// (17, gpt-3.5 on k8s-deployment-013).
+const maxReplicas = 170
 
 // specHolds is the fields of a kind whose spec must hold key.
 func specHolds(key string) []field { return []field{f("spec", 0, f(key, required))} }
@@ -86,9 +94,9 @@ var (
 	Service               = row(&Resource{Kind: "Service", Plural: "services", ShortNames: []string{"svc"}, Versions: core, Namespaced: true, fields: serviceFields})
 
 	DaemonSet   = row(&Resource{Kind: "DaemonSet", Plural: "daemonsets", ShortNames: []string{"ds"}, Versions: apps, Namespaced: true, fields: workloadFields, selector: true})
-	Deployment  = row(&Resource{Kind: "Deployment", Plural: "deployments", ShortNames: []string{"deploy"}, Versions: apps, Namespaced: true, fields: workloadFields, selector: true})
-	ReplicaSet  = row(&Resource{Kind: "ReplicaSet", Plural: "replicasets", ShortNames: []string{"rs"}, Versions: apps, Namespaced: true, fields: workloadFields, selector: true})
-	StatefulSet = row(&Resource{Kind: "StatefulSet", Plural: "statefulsets", ShortNames: []string{"sts"}, Versions: apps, Namespaced: true, fields: workloadFields, selector: true})
+	Deployment  = row(&Resource{Kind: "Deployment", Plural: "deployments", ShortNames: []string{"deploy"}, Versions: apps, Namespaced: true, fields: replicatedFields, selector: true})
+	ReplicaSet  = row(&Resource{Kind: "ReplicaSet", Plural: "replicasets", ShortNames: []string{"rs"}, Versions: apps, Namespaced: true, fields: replicatedFields, selector: true})
+	StatefulSet = row(&Resource{Kind: "StatefulSet", Plural: "statefulsets", ShortNames: []string{"sts"}, Versions: apps, Namespaced: true, fields: replicatedFields, selector: true})
 
 	HorizontalPodAutoscaler = row(&Resource{Kind: "HorizontalPodAutoscaler", Plural: "horizontalpodautoscalers", ShortNames: []string{"hpa"}, Versions: []string{"autoscaling/v2", "autoscaling/v1"}, Namespaced: true, fields: specHolds("scaleTargetRef")})
 

@@ -76,6 +76,7 @@ const (
 	text                      // not a number or a boolean: strict decoding wants a string
 	dropped                   // removed in v1: its presence is a strict decoding error
 	rooted                    // paths restart at the key, as a pod spec's always have
+	replicas                  // an integer, if it is one, from 0 to maxReplicas
 )
 
 // f is the field key with the rules is and the fields of its value.
@@ -102,8 +103,18 @@ func (r *Resource) walk(n *yamlx.Node, fields []field, path []byte) error {
 			if n, ok := v.AsInt(); !ok || n < 1 || n > 65535 {
 				return errors.New("error validating " + r.Kind + ": " + string(fl.at(path)) + ": Invalid value: " + v.ScalarString())
 			}
-		case fl.is&text != 0 && (v.Kind == yamlx.IntKind || v.Kind == yamlx.FloatKind || v.Kind == yamlx.BoolKind):
+		case fl.is&replicas != 0:
+			if n, ok := v.AsInt(); ok && (n < 0 || n > maxReplicas) {
+				bound := "must be greater than or equal to 0"
+				if n > 0 {
+					bound = "must be less than or equal to " + strconv.Itoa(maxReplicas)
+				}
+				return errors.New("error validating " + r.Kind + ": " + string(fl.at(path)) + ": Invalid value: " + v.ScalarString() + ": " + bound)
+			}
+		case fl.is&text != 0 && (v.Kind == yamlx.IntKind || v.Kind == yamlx.FloatKind):
 			return errors.New("error validating " + r.Kind + ": cannot unmarshal number into Go struct field EnvVar." + string(fl.at(path)) + " of type string")
+		case fl.is&text != 0 && v.Kind == yamlx.BoolKind:
+			return errors.New("error validating " + r.Kind + ": cannot unmarshal bool into Go struct field EnvVar." + string(fl.at(path)) + " of type string")
 		case fl.enum != nil && !slices.Contains(fl.enum, v.ScalarString()):
 			return errors.New("error validating " + r.Kind + ": " + string(fl.at(path)) + ": Unsupported value: " + strconv.Quote(v.ScalarString()))
 		}

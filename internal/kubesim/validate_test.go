@@ -98,7 +98,8 @@ func parsePath(s string) []any {
 }
 
 // valueCases are the mutations deleting a key cannot make: a value the
-// validators must refuse, or a field v1 dropped. Each is applied to the
+// validators must refuse (replicas on either side of the pod budget
+// among them), or a field v1 dropped. Each is applied to the
 // first reference document of its kind that holds the path's parent.
 var valueCases = []struct{ kind, path, value string }{
 	{"Pod", "spec.containers[0].ports[0].containerPort", "0"},
@@ -119,6 +120,11 @@ var valueCases = []struct{ kind, path, value string }{
 	{"Deployment", "spec.template.metadata.labels", "{app: zz-other}"},
 	{"DaemonSet", "spec.template.metadata.labels", "{app: zz-other}"},
 	{"StatefulSet", "spec.template.metadata.labels", "{app: zz-other}"},
+	{"Deployment", "spec.replicas", "-1"},
+	{"Deployment", "spec.replicas", "170"},
+	{"Deployment", "spec.replicas", "171"},
+	{"Deployment", "spec.replicas", "1000000000"},
+	{"StatefulSet", "spec.replicas", "1000000000"},
 }
 
 // validateRows is the golden's content: one row per distinct

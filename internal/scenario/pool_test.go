@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"cloudeval/internal/dataset"
+	"cloudeval/internal/shell"
 )
 
 // Family-specific scripts that pollute an environment with every kind
@@ -58,9 +59,7 @@ func TestScenarioPoolNoLeakPerFamily(t *testing.T) {
 			for name, content := range fx.seed {
 				dirty.Interp().FS[name] = content
 			}
-			if _, err := dirty.Interp().Run(fx.dirty); err != nil {
-				t.Fatalf("dirty script: %v", err)
-			}
+			execIn(t, dirty, fx.dirty)
 			b.PutEnv(dirty)
 
 			recycled := b.GetEnv()
@@ -80,20 +79,27 @@ func TestScenarioPoolNoLeakPerFamily(t *testing.T) {
 			if !recycled.Now().Equal(fresh.Now()) {
 				t.Errorf("virtual clock leaked: recycled %v, fresh %v", recycled.Now(), fresh.Now())
 			}
-			out1, err1 := recycled.Interp().Run(fx.probe)
-			out2, err2 := fresh.Interp().Run(fx.probe)
-			if err1 != nil || err2 != nil {
-				t.Fatalf("probes errored: %v / %v", err1, err2)
-			}
-			if out1.Stdout != out2.Stdout || out1.ExitCode != out2.ExitCode {
+			out1, code1 := execIn(t, recycled, fx.probe)
+			out2, code2 := execIn(t, fresh, fx.probe)
+			if out1 != out2 || code1 != code2 {
 				t.Errorf("recycled env diverged from fresh env:\nrecycled: %q (%d)\nfresh:    %q (%d)",
-					out1.Stdout, out1.ExitCode, out2.Stdout, out2.ExitCode)
+					out1, code1, out2, code2)
 			}
-			if strings.Contains(out1.Stdout, "oops") || strings.Contains(out1.Stdout, "secret") {
+			if strings.Contains(out1, "oops") || strings.Contains(out1, "secret") {
 				t.Error("leaked state observable in probe output")
 			}
 		})
 	}
+}
+
+// execIn parses script and executes it in env.
+func execIn(t *testing.T, env Env, script string) (stdout string, code int) {
+	t.Helper()
+	prog, err := shell.Parse(script)
+	if err != nil {
+		t.Fatalf("%v\n%s", err, script)
+	}
+	return env.Interp().Exec(prog)
 }
 
 // TestScenarioPoolNoCrossFamilyLeak pollutes one family's environment,
@@ -106,9 +112,7 @@ func TestScenarioPoolNoCrossFamilyLeak(t *testing.T) {
 		for name, content := range fx.seed {
 			e.Interp().FS[name] = content
 		}
-		if _, err := e.Interp().Run(fx.dirty); err != nil {
-			t.Fatalf("%s dirty script: %v", polluter.Category, err)
-		}
+		execIn(t, e, fx.dirty)
 		polluter.PutEnv(e)
 
 		for _, other := range All() {

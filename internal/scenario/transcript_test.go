@@ -1,72 +1,35 @@
-package scenario
+package scenario_test
 
 import (
 	"errors"
 	"io/fs"
 	"os"
-	"strconv"
 	"strings"
 	"testing"
 	"time"
 
 	"cloudeval/internal/dataset"
+	"cloudeval/internal/scenario"
 	"cloudeval/internal/shell"
+	"cloudeval/internal/unittest"
 )
 
-// transcript runs commands in an environment and records, for each, the
-// command line, its stdout, its stderr, the virtual time it took and its
-// exit code: the shape of internal/k8scmd/testdata/kubectl.golden. A
-// script that does not parse is recorded with its error.
-type transcript struct {
-	t      *testing.T
-	newEnv func() Env
-	env    Env
-	b      strings.Builder
-}
-
-// section starts a fresh environment holding files.
-func (tr *transcript) section(title string, files map[string]string) {
-	tr.env = tr.newEnv()
+// section writes a transcript section's title to b, installs files in
+// env and returns a recorder on env: what its scripts print, the
+// virtual time they take and their exit codes, rendered by
+// unittest.Recorder.Transcribe.
+func section(b *strings.Builder, env scenario.Env, title string, files map[string]string) *unittest.Recorder {
 	for name, content := range files {
-		tr.env.Interp().FS[name] = content
+		env.Interp().FS[name] = content
 	}
-	tr.b.WriteString("\n### " + title + "\n")
+	b.WriteString("\n### " + title + "\n")
+	return unittest.NewRecorder(env.Interp(), env.Now)
 }
 
-func (tr *transcript) run(cmds ...string) {
-	for _, cmd := range cmds {
-		tr.b.WriteString("$ " + cmd + "\n")
-		start := tr.env.Now()
-		res, err := tr.env.Interp().Run(cmd)
-		if err != nil {
-			tr.b.WriteString("--- parse error: " + err.Error() + "\n")
-			continue
-		}
-		tr.stream(res.Stdout)
-		if res.Stderr != "" {
-			tr.b.WriteString("--- stderr\n")
-			tr.stream(res.Stderr)
-		}
-		if d := tr.env.Now().Sub(start); d != 0 {
-			tr.b.WriteString("--- virtual time +" + d.String() + "\n")
-		}
-		tr.b.WriteString("--- exit " + strconv.Itoa(res.ExitCode) + "\n")
-	}
-}
-
-func (tr *transcript) stream(s string) {
-	tr.b.WriteString(s)
-	if s != "" && !strings.HasSuffix(s, "\n") {
-		tr.b.WriteString("\n--- no newline at end\n")
-	}
-}
-
-// check compares the transcript with the golden file. When the file is
-// missing it records it and fails: delete a golden to record it again,
-// and review the diff.
-func (tr *transcript) check(golden string) {
-	t := tr.t
-	got := tr.b.String()
+// checkTranscript compares a transcript with its golden file. When the
+// file is missing it records it and fails: delete a golden to record it
+// again, and review the diff.
+func checkTranscript(t *testing.T, golden, got string) {
 	want, err := os.ReadFile(golden)
 	if errors.Is(err, fs.ErrNotExist) {
 		if err := os.WriteFile(golden, []byte(got), 0o644); err != nil {
@@ -101,7 +64,7 @@ type bareShell struct {
 	now time.Time
 }
 
-func newBareShell() Env {
+func newBareShell() scenario.Env {
 	b := &bareShell{sh: shell.New()}
 	b.sh.AdvanceClock = func(d time.Duration) { b.now = b.now.Add(d) }
 	return b
@@ -123,10 +86,14 @@ db-0          1/1     Running
 // substitutions, redirects) and their error cases, parse errors
 // included.
 func TestShellTranscripts(t *testing.T) {
-	tr := &transcript{t: t, newEnv: newBareShell}
+	var (
+		b   strings.Builder
+		rec *unittest.Recorder
+	)
+	newEnv := newBareShell
 
-	tr.section("echo and cat", map[string]string{"f.txt": "one\ntwo\n", "nonl.txt": "no newline"})
-	tr.run(
+	rec = section(&b, newEnv(), "echo and cat", map[string]string{"f.txt": "one\ntwo\n", "nonl.txt": "no newline"})
+	rec.Transcribe(&b,
 		`echo hello   world`,
 		`echo -n no newline`,
 		`echo -e 'a\tb\nc\\d'`,
@@ -143,8 +110,8 @@ func TestShellTranscripts(t *testing.T) {
 		`cat f.txt missing.txt f.txt`,
 	)
 
-	tr.section("grep", map[string]string{"pods.txt": podsTable})
-	tr.run(
+	rec = section(&b, newEnv(), "grep", map[string]string{"pods.txt": podsTable})
+	rec.Transcribe(&b,
 		`grep Running pods.txt`,
 		`grep -c Running pods.txt`,
 		`grep -v Running pods.txt`,
@@ -168,11 +135,11 @@ func TestShellTranscripts(t *testing.T) {
 		`grep -q`,
 	)
 
-	tr.section("wc and head", map[string]string{
+	rec = section(&b, newEnv(), "wc and head", map[string]string{
 		"pods.txt":   podsTable,
 		"twelve.txt": "1\n2\n3\n4\n5\n6\n7\n8\n9\n10\n11\n12\n",
 	})
-	tr.run(
+	rec.Transcribe(&b,
 		`wc -l pods.txt`,
 		`cat pods.txt | wc -l`,
 		`wc pods.txt`,
@@ -191,8 +158,8 @@ func TestShellTranscripts(t *testing.T) {
 		`grep -o 'web-[0-9]' pods.txt | head -n 1 | wc -l`,
 	)
 
-	tr.section("sleep and timeout", nil)
-	tr.run(
+	rec = section(&b, newEnv(), "sleep and timeout", nil)
+	rec.Transcribe(&b,
 		`sleep 5`,
 		`sleep 0.5`,
 		`sleep 2m`,
@@ -209,8 +176,8 @@ func TestShellTranscripts(t *testing.T) {
 		`timeout 5 no-such-command`,
 	)
 
-	tr.section("variables and substitution", nil)
-	tr.run(
+	rec = section(&b, newEnv(), "variables and substitution", nil)
+	rec.Transcribe(&b,
 		`x=hello; echo $x ${x} "$x" '$x'`,
 		`echo ${#x} ${#unset}`,
 		`echo ${unset:-fallback} ${x:-fallback}`,
@@ -237,8 +204,8 @@ func TestShellTranscripts(t *testing.T) {
 		`echo a # trailing comment`,
 	)
 
-	tr.section("conditions", map[string]string{"f.txt": "content\n", "empty.txt": ""})
-	tr.run(
+	rec = section(&b, newEnv(), "conditions", map[string]string{"f.txt": "content\n", "empty.txt": ""})
+	rec.Transcribe(&b,
 		`x=hello`,
 		`[ -z "" ] && echo empty`,
 		`[ -n "$x" ] && echo set`,
@@ -279,8 +246,8 @@ func TestShellTranscripts(t *testing.T) {
 		`[[ a -eq 1 ]]`,
 	)
 
-	tr.section("control flow", map[string]string{"status.txt": "starting\n"})
-	tr.run(
+	rec = section(&b, newEnv(), "control flow", map[string]string{"status.txt": "starting\n"})
+	rec.Transcribe(&b,
 		`if true; then echo yes; fi`,
 		`if false; then echo yes; elif true; then echo elif; else echo else; fi`,
 		`if false; then echo yes; else echo else; fi`,
@@ -311,8 +278,8 @@ fi`,
 		`exit x`,
 	)
 
-	tr.section("redirects", nil)
-	tr.run(
+	rec = section(&b, newEnv(), "redirects", nil)
+	rec.Transcribe(&b,
 		`echo first > out.txt; echo second >> out.txt; cat out.txt`,
 		`cat missing.txt 2> err.txt; cat err.txt`,
 		`cat missing.txt > all.txt 2>&1; cat all.txt`,
@@ -327,8 +294,8 @@ fi`,
 		`echo x >`,
 	)
 
-	tr.section("other builtins", nil)
-	tr.run(
+	rec = section(&b, newEnv(), "other builtins", nil)
+	rec.Transcribe(&b,
 		`true; echo $?`,
 		`false; echo $?`,
 		`:; echo $?`,
@@ -340,15 +307,16 @@ fi`,
 		`no-such-command --flag`,
 	)
 
-	tr.section("step limit", nil)
-	tr.env.Interp().MaxSteps = 50
-	tr.run(
+	stepLimited := newEnv()
+	stepLimited.Interp().MaxSteps = 50
+	rec = section(&b, stepLimited, "step limit", nil)
+	rec.Transcribe(&b,
 		`while true; do :; done`,
 		`echo after-limit`,
 	)
 
-	tr.section("parse errors", nil)
-	tr.run(
+	rec = section(&b, newEnv(), "parse errors", nil)
+	rec.Transcribe(&b,
 		`echo "unterminated`,
 		`echo 'unterminated`,
 		`if true; then echo x`,
@@ -361,7 +329,7 @@ fi`,
 		`[[ a == b`,
 	)
 
-	tr.check("testdata/shell.golden")
+	checkTranscript(t, "testdata/shell.golden", b.String())
 }
 
 const composeProject = `name: shop
@@ -419,10 +387,14 @@ var composeFiles = map[string]string{
 // accepts and refuses, and curl against published ports and service
 // names.
 func TestComposeTranscripts(t *testing.T) {
-	tr := &transcript{t: t, newEnv: For(dataset.Compose).NewEnv}
+	var (
+		b   strings.Builder
+		rec *unittest.Recorder
+	)
+	newEnv := scenario.For(dataset.Compose).NewEnv
 
-	tr.section("config", composeFiles)
-	tr.run(
+	rec = section(&b, newEnv(), "config", composeFiles)
+	rec.Transcribe(&b,
 		`docker compose -f c.yaml config`,
 		`docker compose -f c.yaml config -q; echo $?`,
 		`docker compose -f c.yaml config --quiet`,
@@ -433,11 +405,11 @@ func TestComposeTranscripts(t *testing.T) {
 		`docker compose -f missing.yaml config`,
 	)
 	for _, f := range []string{"bad-port", "bad-proto", "zero-port", "range", "no-image", "cycle", "ghost", "two-docs", "list", "empty-svc", "scalar-svc", "not-yaml", "no-services"} {
-		tr.run("docker compose -f " + f + ".yaml config")
+		rec.Transcribe(&b, "docker compose -f "+f+".yaml config")
 	}
 
-	tr.section("up, ps, logs and down", composeFiles)
-	tr.run(
+	rec = section(&b, newEnv(), "up, ps, logs and down", composeFiles)
+	rec.Transcribe(&b,
 		`docker compose ps`,
 		`docker compose -f c.yaml up -d`,
 		`docker compose ps`,
@@ -456,8 +428,8 @@ func TestComposeTranscripts(t *testing.T) {
 		`docker compose -f bad-port.yaml up -d`,
 	)
 
-	tr.section("curl", composeFiles)
-	tr.run(
+	rec = section(&b, newEnv(), "curl", composeFiles)
+	rec.Transcribe(&b,
 		`docker compose -f c.yaml up -d`,
 		`curl http://localhost:8080/`,
 		`curl -s http://localhost:8080/index.html`,
@@ -478,8 +450,8 @@ func TestComposeTranscripts(t *testing.T) {
 		`curl -s localhost:8080; echo "exit=$?"`,
 	)
 
-	tr.section("default file, project name and other verbs", composeFiles)
-	tr.run(
+	rec = section(&b, newEnv(), "default file, project name and other verbs", composeFiles)
+	rec.Transcribe(&b,
 		`docker compose -p demo up -d`,
 		`docker compose ps`,
 		`curl -s http://localhost/`,
@@ -498,7 +470,7 @@ func TestComposeTranscripts(t *testing.T) {
 		`docker run nginx`,
 	)
 
-	tr.check("testdata/compose.golden")
+	checkTranscript(t, "testdata/compose.golden", b.String())
 }
 
 const helmChart = `apiVersion: apps/v1
@@ -547,10 +519,14 @@ var helmFiles = map[string]string{
 // upgrade, ls (one namespace and all of them), status and uninstall,
 // with -n and --create-namespace, and what kubectl sees of a release.
 func TestHelmTranscripts(t *testing.T) {
-	tr := &transcript{t: t, newEnv: For(dataset.Helm).NewEnv}
+	var (
+		b   strings.Builder
+		rec *unittest.Recorder
+	)
+	newEnv := scenario.For(dataset.Helm).NewEnv
 
-	tr.section("template", helmFiles)
-	tr.run(
+	rec = section(&b, newEnv(), "template", helmFiles)
+	rec.Transcribe(&b,
 		`helm template web -f chart.yaml`,
 		`helm template web --values cm.yaml`,
 		`helm template web`,
@@ -562,8 +538,8 @@ func TestHelmTranscripts(t *testing.T) {
 		`kubectl get deployments`,
 	)
 
-	tr.section("install, upgrade, ls and status", helmFiles)
-	tr.run(
+	rec = section(&b, newEnv(), "install, upgrade, ls and status", helmFiles)
+	rec.Transcribe(&b,
 		`helm ls`,
 		`helm install web -f chart.yaml`,
 		`kubectl get deployments`,
@@ -592,8 +568,8 @@ func TestHelmTranscripts(t *testing.T) {
 		`helm install`,
 	)
 
-	tr.section("uninstall", helmFiles)
-	tr.run(
+	rec = section(&b, newEnv(), "uninstall", helmFiles)
+	rec.Transcribe(&b,
 		`helm install web -f chart.yaml`,
 		`helm install cfg -f cm.yaml -n apps --create-namespace`,
 		`helm uninstall web`,
@@ -606,12 +582,12 @@ func TestHelmTranscripts(t *testing.T) {
 		`kubectl get configmaps -n apps`,
 	)
 
-	tr.section("other verbs", nil)
-	tr.run(
+	rec = section(&b, newEnv(), "other verbs", nil)
+	rec.Transcribe(&b,
 		`helm version`,
 		`helm`,
 		`helm frob`,
 	)
 
-	tr.check("testdata/helm.golden")
+	checkTranscript(t, "testdata/helm.golden", b.String())
 }

@@ -31,6 +31,7 @@ import (
 	"cloudeval/internal/store"
 	"cloudeval/internal/unittest"
 	"cloudeval/internal/yamlmatch"
+	"cloudeval/internal/yamlx"
 )
 
 func smallBench(eng *engine.Engine) *core.Benchmark {
@@ -116,6 +117,55 @@ func TestEvalEndpoint(t *testing.T) {
 		if rec.Code != tc.status || !strings.Contains(rec.Body.String(), tc.code) {
 			t.Errorf("%s: %d %s, want %d %s", tc.name, rec.Code, rec.Body, tc.status, tc.code)
 		}
+	}
+}
+
+// TestEvalOverPodBudget: an answer whose Deployment asks for a billion
+// replicas is refused at apply, as a workload over the simulator's pod
+// budget, so /v1/eval answers at once with a failed unit test rather
+// than allocating a pod per replica.
+func TestEvalOverPodBudget(t *testing.T) {
+	var p dataset.Problem
+	var deploy *yamlx.Node
+	var docs []*yamlx.Node
+	for _, q := range dataset.Generate() {
+		if q.Category != dataset.Kubernetes {
+			continue
+		}
+		docs, _ = yamlx.ParseAll([]byte(yamlmatch.StripLabels(q.ReferenceYAML)))
+		if i := slices.IndexFunc(docs, func(d *yamlx.Node) bool {
+			return d.Get("kind").ScalarString() == "Deployment" && d.Path("spec", "replicas") != nil
+		}); i >= 0 {
+			p, deploy = q, docs[i]
+			break
+		}
+	}
+	if deploy == nil {
+		t.Fatal("no Kubernetes reference applies a Deployment with replicas")
+	}
+	deploy.Get("spec").Set("replicas", yamlx.Integer(1_000_000_000))
+	var answer strings.Builder
+	for i, d := range docs {
+		if i > 0 {
+			answer.WriteString("---\n")
+		}
+		answer.WriteString(yamlx.MarshalString(d))
+	}
+
+	models := llm.Models[:1]
+	bench := core.New(score.NewEvaluator(engine.New(), inference.NewDispatcher(inference.NewSim(models))), []dataset.Problem{p}, models)
+	c := newTestClient(t, bench)
+	start := time.Now()
+	got, err := c.Eval(context.Background(), client.EvalRequest{Problem: p.ID, Answer: answer.String()})
+	took := time.Since(start)
+	if err != nil {
+		t.Fatalf("%s with replicas: 1000000000: %v", p.ID, err)
+	}
+	if got.Scores["unit_test"] != 0 {
+		t.Errorf("%s with replicas: 1000000000 scored unit_test %v, want 0", p.ID, got.Scores["unit_test"])
+	}
+	if took > time.Second {
+		t.Errorf("%s with replicas: 1000000000 took %v, want under a second", p.ID, took)
 	}
 }
 

@@ -311,7 +311,7 @@ func parseDuration(s string) (time.Duration, error) {
 }
 
 func builtinExit(in *Interp, io *IO, args []string) int {
-	code := in.LastExit()
+	code := in.lastExit
 	if len(args) > 0 {
 		if v, err := strconv.Atoi(args[0]); err == nil {
 			code = v

@@ -484,11 +484,11 @@ func TestSubstitutionDepthBounded(t *testing.T) {
 	nest := func(n int) string {
 		return "echo before; echo " + strings.Repeat("$(echo ", n) + "x" + strings.Repeat(")", n) + "; echo after"
 	}
-	res, err := New().Run(nest(maxSubDepth))
+	res, err := runOn(New(), nest(maxSubDepth))
 	if err != nil || res.Stdout != "before\nx\nafter\n" {
 		t.Errorf("depth %d: %+v, %v", maxSubDepth, res, err)
 	}
-	res, err = New().Run(nest(maxSubDepth + 1))
+	res, err = runOn(New(), nest(maxSubDepth+1))
 	if err != nil || res.Stdout != "before\n\nafter\n" {
 		t.Errorf("depth %d: %+v, %v", maxSubDepth+1, res, err)
 	}

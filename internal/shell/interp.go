@@ -53,6 +53,11 @@ type Interp struct {
 	AdvanceClock func(time.Duration)
 	// MaxSteps bounds total command executions to stop runaway loops.
 	MaxSteps int
+	// Watch, when set, is handed each top-level command Exec runs: the
+	// line it starts on, what it wrote to stdout and to stderr (which
+	// collects in the run's own stream instead of being discarded), and
+	// its exit status. Nil by default; Reset clears it.
+	Watch func(line int, stdout, stderr string, code int)
 
 	steps    int
 	lastExit int
@@ -130,7 +135,7 @@ func New() *Interp {
 }
 
 // Reset returns the interpreter to its post-New state — variables,
-// virtual files, step budget and exit state cleared — while keeping
+// virtual files, step budget, exit state and Watch cleared — while keeping
 // the embedder-registered Builtins wired. Environment pools use this
 // to recycle interpreters instead of rebuilding them per execution.
 func (in *Interp) Reset() {
@@ -139,6 +144,7 @@ func (in *Interp) Reset() {
 	in.steps = 0
 	in.lastExit = 0
 	in.exited = false
+	in.Watch = nil
 }
 
 // Advance forwards virtual time to the embedder's clock.
@@ -148,45 +154,28 @@ func (in *Interp) Advance(d time.Duration) {
 	}
 }
 
-// Result is the outcome of running a script.
-type Result struct {
-	Stdout   string
-	Stderr   string
-	ExitCode int
-}
-
-// Run parses and executes a script; see Exec.
-func (in *Interp) Run(script string) (Result, error) {
-	prog, err := Parse(script)
-	if err != nil {
-		return Result{}, err
-	}
-	return in.Exec(prog), nil
-}
-
 // Exec executes a compiled script from a clean control-flow state
-// (variables, files and builtins persist across calls).
-func (in *Interp) Exec(prog *Program) Result { return in.exec(prog, false) }
-
-// ExecStdout is Exec for a caller that reads only stdout and the exit
-// status: the script's top-level stderr is discarded unwritten. A
-// "2>&1" still reaches stdout, since it points stderr at whatever
-// stdout is.
-func (in *Interp) ExecStdout(prog *Program) (stdout string, code int) {
-	res := in.exec(prog, true)
-	return res.Stdout, res.ExitCode
-}
-
-func (in *Interp) exec(prog *Program, dropStderr bool) Result {
+// (variables, files and builtins persist across calls) and returns what
+// it wrote to stdout and its exit status. Its top-level stderr is
+// discarded unwritten unless Watch is set; a "2>&1" still reaches
+// stdout, since it points stderr at whatever stdout is.
+func (in *Interp) Exec(prog *Program) (stdout string, code int) {
 	in.exited = false
 	io := in.getIO()
-	if dropStderr {
+	if in.Watch == nil {
 		io.Err = discard
 	}
-	code := in.execList(prog.stmts, io)
-	res := Result{Stdout: io.out.String(), Stderr: io.err.String(), ExitCode: code}
+	for i := 0; i < len(prog.stmts) && !in.exited; i++ {
+		from := len(io.out.buf)
+		code = in.execNode(prog.stmts[i], io)
+		if in.Watch != nil {
+			in.Watch(prog.lines[i], string(io.out.buf[from:]), io.err.String(), code)
+			io.err.reset()
+		}
+	}
+	stdout = io.out.String()
 	in.putIO(io)
-	return res
+	return stdout, code
 }
 
 func (in *Interp) execList(stmts []node, io *IO) int {
@@ -477,9 +466,6 @@ func (in *Interp) invoke(argv []string, io *IO) int {
 	fmt.Fprintf(io.Err, "shell: %s: command not found\n", name)
 	return 127
 }
-
-// LastExit exposes the last command's exit code ($?).
-func (in *Interp) LastExit() int { return in.lastExit }
 
 // Exit terminates the running script with the given code. Exposed for
 // builtins.

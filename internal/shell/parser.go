@@ -97,7 +97,10 @@ type redir struct {
 // once: every piece of mutable state (variables, the virtual FS, step
 // counts, exit flags, the IO free list) lives in the Interp, and the
 // argv an all-literal command shares with every run is only ever read.
-type Program struct{ stmts []node }
+type Program struct {
+	stmts []node
+	lines []int // the line each of stmts starts on
+}
 
 // Parse compiles a script into its AST, words included: see word for
 // what is decided here and what is left to a run.
@@ -143,14 +146,16 @@ func (p *parser) skipSeparators() {
 }
 
 func (p *parser) parseProgram() (*Program, error) {
-	stmts, err := p.parseList(nil)
-	if err != nil {
-		return nil, err
+	prog := &Program{}
+	for p.skipSeparators(); p.peek().kind != tokEOF; p.skipSeparators() {
+		prog.lines = append(prog.lines, p.peek().line)
+		stmt, err := p.parseAndOr(nil)
+		if err != nil {
+			return nil, err
+		}
+		prog.stmts = append(prog.stmts, stmt)
 	}
-	if p.peek().kind != tokEOF {
-		return nil, p.errf("unexpected token %q", p.peek())
-	}
-	return &Program{stmts: stmts}, nil
+	return prog, nil
 }
 
 // parseList parses statements until EOF or one of the stop keywords

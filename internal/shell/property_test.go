@@ -62,7 +62,7 @@ func TestPropertyScriptsNeverPanicAndTerminate(t *testing.T) {
 	prop := func(script string) bool {
 		in := New()
 		in.MaxSteps = 10000
-		res, err := in.Run(script)
+		res, err := runOn(in, script)
 		if err != nil {
 			t.Logf("script failed to run: %v\n%s", err, script)
 			return false
@@ -84,8 +84,8 @@ func TestPropertyRunIsDeterministic(t *testing.T) {
 		},
 	}
 	prop := func(script string) bool {
-		r1, err1 := New().Run(script)
-		r2, err2 := New().Run(script)
+		r1, err1 := runOn(New(), script)
+		r2, err2 := runOn(New(), script)
 		if (err1 == nil) != (err2 == nil) {
 			return false
 		}

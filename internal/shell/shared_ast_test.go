@@ -38,7 +38,7 @@ echo done | wc -l
 // benchmark problem compile its unit test once and run it everywhere:
 // all mutable state lives in the Interp, never in the shared nodes.
 func TestSharedASTConcurrent(t *testing.T) {
-	want, err := New().Run(sharedASTScript)
+	want, err := runOn(New(), sharedASTScript)
 	if err != nil {
 		t.Fatalf("reference run: %v", err)
 	}
@@ -55,7 +55,7 @@ func TestSharedASTConcurrent(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for r := 0; r < rounds; r++ {
-				got := New().Exec(prog)
+				got := watched(New(), prog)
 				if got != want {
 					errs <- fmt.Errorf("goroutine %d round %d diverged from fresh parse:\ngot  %q (%d)\nwant %q (%d)",
 						g, r, got.Stdout, got.ExitCode, want.Stdout, want.ExitCode)

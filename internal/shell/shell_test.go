@@ -8,10 +8,34 @@ import (
 	"cloudeval/internal/raceflag"
 )
 
-func run(t *testing.T, script string) Result {
+// ran is what a script wrote to each stream and its exit status.
+type ran struct {
+	Stdout, Stderr string
+	ExitCode       int
+}
+
+// runOn parses script and executes it on in; see watched.
+func runOn(in *Interp, script string) (ran, error) {
+	prog, err := Parse(script)
+	if err != nil {
+		return ran{}, err
+	}
+	return watched(in, prog), nil
+}
+
+// watched executes prog on in, its stderr gathered command by command
+// through Watch.
+func watched(in *Interp, prog *Program) ran {
+	var stderr strings.Builder
+	in.Watch = func(_ int, _, errOut string, _ int) { stderr.WriteString(errOut) }
+	defer func() { in.Watch = nil }()
+	out, code := in.Exec(prog)
+	return ran{out, stderr.String(), code}
+}
+
+func run(t *testing.T, script string) ran {
 	t.Helper()
-	in := New()
-	res, err := in.Run(script)
+	res, err := runOn(New(), script)
 	if err != nil {
 		t.Fatalf("run %q: %v", script, err)
 	}
@@ -52,7 +76,7 @@ echo "escaped: \`+"`"+`"
 	}
 	// $(...) is the one spelling of a command substitution.
 	for _, src := range []string{"echo `echo old-style`", "echo \"ticks: `echo old-style`\""} {
-		_, err := New().Run(src)
+		_, err := Parse(src)
 		if err == nil || !strings.Contains(err.Error(), "use $(...)") {
 			t.Errorf("%s: err = %v, want the error naming $(...)", src, err)
 		}
@@ -172,7 +196,7 @@ done
 func TestStepLimitStopsRunawayLoops(t *testing.T) {
 	in := New()
 	in.MaxSteps = 500
-	res, err := in.Run(`while true; do x=1; done`)
+	res, err := runOn(in, `while true; do x=1; done`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,7 +324,7 @@ echo unreachable
 
 func TestRedirects(t *testing.T) {
 	in := New()
-	res, err := in.Run(`
+	res, err := runOn(in, `
 echo first > out.txt
 echo second >> out.txt
 cat out.txt
@@ -319,7 +343,7 @@ echo hidden > /dev/null
 
 func TestStderrRedirect(t *testing.T) {
 	in := New()
-	res, err := in.Run(`cat missing.yaml > log.txt 2>&1
+	res, err := runOn(in, `cat missing.yaml > log.txt 2>&1
 cat log.txt`)
 	if err != nil {
 		t.Fatal(err)
@@ -332,7 +356,7 @@ cat log.txt`)
 func TestStdinRedirect(t *testing.T) {
 	in := New()
 	in.FS["data.txt"] = "from file\n"
-	res, err := in.Run(`cat < data.txt`)
+	res, err := runOn(in, `cat < data.txt`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -354,7 +378,7 @@ func TestSleepAdvancesVirtualClock(t *testing.T) {
 	var advanced time.Duration
 	in.AdvanceClock = func(d time.Duration) { advanced += d }
 	start := time.Now()
-	if _, err := in.Run(`sleep 15; sleep 2s`); err != nil {
+	if _, err := runOn(in, `sleep 15; sleep 2s`); err != nil {
 		t.Fatal(err)
 	}
 	if advanced != 17*time.Second {
@@ -369,7 +393,7 @@ func TestTimeoutRunsCommand(t *testing.T) {
 	in := New()
 	var advanced time.Duration
 	in.AdvanceClock = func(d time.Duration) { advanced += d }
-	res, err := in.Run(`timeout -s INT 8s echo survived`)
+	res, err := runOn(in, `timeout -s INT 8s echo survived`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -483,8 +507,7 @@ func TestParseErrors(t *testing.T) {
 		`echo 'unterminated`,
 	}
 	for _, src := range bad {
-		in := New()
-		if _, err := in.Run(src); err == nil {
+		if _, err := Parse(src); err == nil {
 			t.Errorf("expected parse error for %q", src)
 		}
 	}
@@ -492,10 +515,10 @@ func TestParseErrors(t *testing.T) {
 
 func TestEnvPersistsAcrossRuns(t *testing.T) {
 	in := New()
-	if _, err := in.Run(`x=keep`); err != nil {
+	if _, err := runOn(in, `x=keep`); err != nil {
 		t.Fatal(err)
 	}
-	res, err := in.Run(`echo $x`)
+	res, err := runOn(in, `echo $x`)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ echo piped-first | keep
 echo stdout-first
 echo stderr-first >&2
 `
-	res, err := in.Run(first)
+	res, err := runOn(in, first)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ echo stderr-first >&2
 	// then more, into other variables and files.
 	second := strings.NewReplacer("first", "FIRST", "sub=", "sub2=", "f.txt", "f2.txt", "g.txt", "g2.txt").Replace(first)
 	for i := 0; i < 3; i++ {
-		if _, err := in.Run(second + second); err != nil {
+		if _, err := runOn(in, second+second); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -64,7 +64,7 @@ func TestSubstitutionStderr(t *testing.T) {
 		io.Err.WriteString("warned\n")
 		return 0
 	}
-	res, err := in.Run(`a=$(warn 2>&1); b=$(warn); c=$(warn 2>/dev/null); echo "[$a] [$b] [$c]"`)
+	res, err := runOn(in, `a=$(warn 2>&1); b=$(warn); c=$(warn 2>/dev/null); echo "[$a] [$b] [$c]"`)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,7 +73,7 @@ func TestSubstitutionStderr(t *testing.T) {
 	}
 	// Outside a substitution stderr is still the script's, and "2>&1"
 	// before ">/dev/null" sends it where stdout went before.
-	res, _ = in.Run(`warn; warn >/dev/null; warn 2>&1 >/dev/null`)
+	res, _ = runOn(in, `warn; warn >/dev/null; warn 2>&1 >/dev/null`)
 	if res.Stdout != "out\nwarned\n" || res.Stderr != "warned\nwarned\n" {
 		t.Errorf("stdout %q stderr %q", res.Stdout, res.Stderr)
 	}
@@ -84,7 +84,7 @@ func TestSubstitutionStderr(t *testing.T) {
 // pool, so a pooled interpreter never keeps a hostile answer's output.
 func TestPooledStreamsCapped(t *testing.T) {
 	in := New()
-	res, err := in.Run(`
+	res, err := runOn(in, `
 s=x
 for i in 1 2 3 4 5 6 7 8 9 10 11 12 13 14 15 16 17 18 19 20; do s="$s$s"; done
 echo "$s"
@@ -111,10 +111,11 @@ echo "$s" 2>&1 >> big.txt
 	}
 }
 
-// TestExecStdout: ExecStdout is Exec's stdout and exit status. What the
-// script writes to stderr is dropped, except what a "2>&1" at the top
-// level points at stdout.
-func TestExecStdout(t *testing.T) {
+// TestExecWatch: Exec with Watch unset returns the stdout and exit
+// status it returns with Watch set. What the script writes to stderr
+// is then dropped, except what a "2>&1" at the top level points at
+// stdout, and it is not buffered only to be dropped.
+func TestExecWatch(t *testing.T) {
 	in := New()
 	in.Builtins["warn"] = func(_ *Interp, io *IO, _ []string) int {
 		io.Out.WriteString("out\n")
@@ -129,31 +130,30 @@ func TestExecStdout(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want := in.Exec(prog)
-		if stdout, code := in.ExecStdout(prog); stdout != want.Stdout || code != want.ExitCode {
-			t.Errorf("%s: ExecStdout %q exit %d, Exec %q exit %d", script, stdout, code, want.Stdout, want.ExitCode)
+		want := watched(in, prog)
+		if stdout, code := in.Exec(prog); stdout != want.Stdout || code != want.ExitCode {
+			t.Errorf("%s: unwatched %q exit %d, watched %q exit %d", script, stdout, code, want.Stdout, want.ExitCode)
 		}
 	}
 	prog, _ := Parse(`echo only-stderr >&2`)
-	if stdout, code := in.ExecStdout(prog); stdout != "" || code != 0 {
+	if stdout, code := in.Exec(prog); stdout != "" || code != 0 {
 		t.Errorf("a stderr-only script gave %q exit %d", stdout, code)
 	}
-	// Top-level stderr is not buffered only to be dropped.
 	var discarded []bool
 	in.Builtins["where"] = func(_ *Interp, io *IO, _ []string) int {
 		discarded = append(discarded, io.Err == discard)
 		return 0
 	}
 	where, _ := Parse(`where; where 2>&1; where | where`)
-	in.ExecStdout(where)
 	in.Exec(where)
+	watched(in, where)
 	if got := fmt.Sprint(discarded); got != "[true false true true false false false false]" {
-		t.Errorf("stderr discarded under ExecStdout then Exec: %s", got)
+		t.Errorf("stderr discarded unwatched, then watched: %s", got)
 	}
 	if raceflag.Enabled {
 		return
 	}
-	if allocs := testing.AllocsPerRun(100, func() { in.ExecStdout(prog) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(100, func() { in.Exec(prog) }); allocs != 0 {
 		t.Errorf("a stderr-only script allocates %.1f times, want 0: its stderr was kept", allocs)
 	}
 }
@@ -180,7 +180,7 @@ keep $(keep x y z; echo $a) $a
 `
 	for run := 0; run < 3; run++ {
 		got = got[:0]
-		if res, err := in.Run(script); err != nil || res.ExitCode != 0 {
+		if res, err := runOn(in, script); err != nil || res.ExitCode != 0 {
 			t.Fatalf("run %d: %v %+v", run, err, res)
 		}
 		var lines []string
@@ -199,7 +199,7 @@ keep $(keep x y z; echo $a) $a
 	}
 	if !raceflag.Enabled {
 		prog, _ := Parse("x=a\ntrue $x \"$x\" ${x} $x")
-		if allocs := testing.AllocsPerRun(100, func() { in.ExecStdout(prog) }); allocs != 0 {
+		if allocs := testing.AllocsPerRun(100, func() { in.Exec(prog) }); allocs != 0 {
 			t.Errorf("a command whose words expand allocates %.1f times, want 0", allocs)
 		}
 	}

@@ -50,7 +50,7 @@ func TestCurl(t *testing.T) {
 			}
 			return 0, "", false
 		})
-		res, err := in.Run(c.cmd)
+		res, err := runOn(in, c.cmd)
 		if err != nil {
 			t.Fatalf("%s: %v", c.cmd, err)
 		}

@@ -60,7 +60,7 @@ func Run(p dataset.Problem, answerYAML string) Result {
 	sh.FS["labeled_code.yaml"] = answerYAML
 	start := env.Now()
 	// Result keeps no stderr, so the script's goes unwritten.
-	out, code := sh.ExecStdout(s.prog)
+	out, code := sh.Exec(s.prog)
 	return Result{
 		Passed:      strings.Contains(out, "unit_test_passed"),
 		Output:      out,
