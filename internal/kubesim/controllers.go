@@ -18,6 +18,8 @@ func (c *Cluster) runControllers(obj *Object) {
 		c.schedulePod(obj)
 	case Deployment, ReplicaSet, StatefulSet:
 		c.reapOwnedPods(obj)
+		// ValidateManifest refused every replicas value but an integer
+		// or null, so the default is for an absent or null one.
 		replicas := int64(1)
 		if r, ok := obj.spec().Get("replicas").AsInt(); ok {
 			replicas = r

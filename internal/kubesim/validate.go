@@ -3,6 +3,7 @@ package kubesim
 import (
 	"errors"
 	"fmt"
+	"math"
 	"slices"
 	"strconv"
 
@@ -76,8 +77,14 @@ const (
 	text                      // not a number or a boolean: strict decoding wants a string
 	dropped                   // removed in v1: its presence is a strict decoding error
 	rooted                    // paths restart at the key, as a pod spec's always have
-	replicas                  // an integer, if it is one, from 0 to maxReplicas
+	replicas                  // unless null, an integer from 0 to maxReplicas
 )
+
+// decodedAs is the JSON type a strict decoder names when it cannot read
+// a value of each kind into an integer field. Null, an integer, and a
+// float with no fraction inside int64 (which the conversion of YAML to
+// JSON writes as an integer) decode.
+var decodedAs = [...]string{yamlx.BoolKind: "bool", yamlx.StringKind: "string", yamlx.MapKind: "object", yamlx.SeqKind: "array"}
 
 // f is the field key with the rules is and the fields of its value.
 func f(key string, is rule, fields ...field) field {
@@ -104,6 +111,13 @@ func (r *Resource) walk(n *yamlx.Node, fields []field, path []byte) error {
 				return errors.New("error validating " + r.Kind + ": " + string(fl.at(path)) + ": Invalid value: " + v.ScalarString())
 			}
 		case fl.is&replicas != 0:
+			t := decodedAs[v.Kind]
+			if v.Kind == yamlx.FloatKind && (v.Float != math.Trunc(v.Float) || math.Abs(v.Float) >= 1<<63) {
+				t = "number"
+			}
+			if t != "" {
+				return errors.New("error validating " + r.Kind + ": cannot unmarshal " + t + " into Go struct field " + r.Kind + "Spec." + string(fl.at(path)) + " of type int32")
+			}
 			if n, ok := v.AsInt(); ok && (n < 0 || n > maxReplicas) {
 				bound := "must be greater than or equal to 0"
 				if n > 0 {

@@ -98,8 +98,8 @@ func parsePath(s string) []any {
 }
 
 // valueCases are the mutations deleting a key cannot make: a value the
-// validators must refuse (replicas on either side of the pod budget
-// among them), or a field v1 dropped. Each is applied to the
+// validators must refuse (replicas on either side of the pod budget,
+// and replicas that are not integers, among them), or a field v1 dropped. Each is applied to the
 // first reference document of its kind that holds the path's parent.
 var valueCases = []struct{ kind, path, value string }{
 	{"Pod", "spec.containers[0].ports[0].containerPort", "0"},
@@ -125,6 +125,11 @@ var valueCases = []struct{ kind, path, value string }{
 	{"Deployment", "spec.replicas", "171"},
 	{"Deployment", "spec.replicas", "1000000000"},
 	{"StatefulSet", "spec.replicas", "1000000000"},
+	{"Deployment", "spec.replicas", `"3"`},
+	{"Deployment", "spec.replicas", "2.5"},
+	{"Deployment", "spec.replicas", "9223372036854775808"},
+	{"StatefulSet", "spec.replicas", `"3"`},
+	{"Deployment", "spec.replicas", "null"},
 }
 
 // validateRows is the golden's content: one row per distinct
