@@ -50,7 +50,7 @@ type Benchmark = core.Benchmark
 // Engine is the parallel evaluation engine every campaign submits
 // through: one claim loop over the in-process executor pool with
 // answer memoization. A benchmark's evaluator holds
-// its engine (Benchmark.Evaluator().Engine()); see DESIGN.md §2.
+// its engine (Benchmark.Evaluator().Engine()); see DESIGN.md §2.4.
 type Engine = engine.Engine
 
 // Problem is one benchmark entry: question, optional YAML context,

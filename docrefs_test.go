@@ -18,11 +18,15 @@ import (
 // name code that exists.
 var docRefFiles = []string{"DESIGN.md", "API.md", "CONTRIBUTING.md"}
 
-// docRefAllowed are backticked spans of the pkg.Name form that are not
-// Go identifiers, each with the reason it is kept.
+// docRefAllowed are backticked spans of the pkg.Name form or one
+// camelCase word that are not Go identifiers, each with the reason it
+// is kept.
 var docRefAllowed = map[string]string{
 	"store.get":    "a bench --trace layer, the span store.get_us_per_op times",
 	"store.getgen": "a bench --trace layer, the span store.getgen_us_per_op times",
+	"GetX":         "a placeholder: the Get method a new store record kind adds",
+	"PutX":         "a placeholder: the Put method a new store record kind adds",
+	"apiVersion":   "a manifest's top-level field, not a Go name",
 }
 
 // qualifiedRef is a backticked span that is one qualified identifier:
@@ -30,17 +34,24 @@ var docRefAllowed = map[string]string{
 // parenthesized arguments.
 var qualifiedRef = regexp.MustCompile(`^(?:\(\*(\w+)\.(\w+)\)\.(\w+)|(\w+)\.(\w+)(?:\.(\w+))?)(?:\(.*\))?$`)
 
+// bareRef is a backticked span that is one camelCase or PascalCase
+// word of at least two humps (runQuery, NumError, HTTPProbe, IPv4),
+// optionally followed by (): a Go name written without its package.
+var bareRef = regexp.MustCompile(`^([a-z][a-z0-9]*[A-Z][A-Za-z0-9]*|[A-Z][A-Za-z0-9]*(?:[a-z][A-Z]|[A-Z][a-z])[A-Za-z0-9]*)(?:\(\))?$`)
+
 // codeSpan is one inline code span of a markdown line.
 var codeSpan = regexp.MustCompile("`([^`]+)`")
 
 // TestDocIdentifiersResolve holds the documents to the code: every
 // backticked pkg.Name, pkg.Name(), pkg.T.Sel or (*pkg.T).M whose pkg is
 // a package of this module must name a declaration of that package or
-// its tests (and Sel or M a field or method of T), so a doc that still
-// names deleted or renamed code fails here. File names (x.go) and
-// BENCHMARK.json's per-layer metric names are not identifiers.
+// its tests (and Sel or M a field or method of T), and every backticked
+// camelCase or PascalCase word must name a declaration somewhere in the
+// module, so a doc that still names deleted or renamed code fails here.
+// File names (x.go) and BENCHMARK.json's per-layer metric names are not
+// identifiers.
 func TestDocIdentifiersResolve(t *testing.T) {
-	pkgs := moduleDecls(t)
+	pkgs, names := moduleDecls(t)
 	layerMetrics := benchLayerMetrics(t)
 	for _, doc := range docRefFiles {
 		data, err := os.ReadFile(doc)
@@ -58,8 +69,17 @@ func TestDocIdentifiersResolve(t *testing.T) {
 			}
 			for _, m := range codeSpan.FindAllStringSubmatch(line, -1) {
 				span := m[1]
+				if docRefAllowed[span] != "" {
+					continue
+				}
+				if word := bareRef.FindStringSubmatch(span); word != nil {
+					if !names[word[1]] {
+						t.Errorf("%s:%d: `%s` names no declaration of the module", doc, n+1, span)
+					}
+					continue
+				}
 				ref := qualifiedRef.FindStringSubmatch(span)
-				if ref == nil || strings.HasSuffix(span, ".go") || layerMetrics[span] || docRefAllowed[span] != "" {
+				if ref == nil || strings.HasSuffix(span, ".go") || layerMetrics[span] {
 					continue
 				}
 				pkg, name, sel := ref[4], ref[5], ref[6]
@@ -104,33 +124,21 @@ func (d pkgDecls) typ(name string) map[string]bool {
 	return d.members[name]
 }
 
-// moduleDecls parses every non-main package of the module, tests
-// included (bench/ is a module of its own), and indexes its
-// declarations by package name.
-func moduleDecls(t *testing.T) map[string]pkgDecls {
+// moduleDecls parses every package of the module, tests included
+// (bench/ is a module of its own). It indexes the declarations of each
+// non-main package by package name, and returns every name declared
+// anywhere: top-level names, fields and methods, and each Benchmark
+// function under its suffix too, as benchguard and -bench patterns name
+// it. A Test or Fuzz function is named in full.
+func moduleDecls(t *testing.T) (map[string]pkgDecls, map[string]bool) {
 	pkgs := map[string]pkgDecls{}
 	fset := token.NewFileSet()
-	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
-		if err != nil {
-			return err
-		}
-		if e.IsDir() {
-			if name := e.Name(); path != "." && (name == "bench" || name == "testdata" || strings.HasPrefix(name, ".")) {
-				return filepath.SkipDir
-			}
-			return nil
-		}
-		if !strings.HasSuffix(path, ".go") {
-			return nil
-		}
+	for _, path := range moduleGoFiles(t) {
 		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
 		if err != nil {
-			return err
+			t.Fatal(err)
 		}
 		name := strings.TrimSuffix(f.Name.Name, "_test")
-		if name == "main" {
-			return nil
-		}
 		d, ok := pkgs[name]
 		if !ok {
 			d = pkgDecls{top: map[string]bool{}, members: map[string]map[string]bool{}}
@@ -158,12 +166,48 @@ func moduleDecls(t *testing.T) map[string]pkgDecls {
 				}
 			}
 		}
+	}
+	names := map[string]bool{}
+	for _, d := range pkgs {
+		for n := range d.top {
+			names[n] = true
+			if suffix, ok := strings.CutPrefix(n, "Benchmark"); ok {
+				names[suffix] = true
+			}
+		}
+		for _, members := range d.members {
+			for m := range members {
+				names[m] = true
+			}
+		}
+	}
+	delete(pkgs, "main")
+	return pkgs, names
+}
+
+// moduleGoFiles lists the module's Go files, tests included; bench/ is
+// a module of its own.
+func moduleGoFiles(t *testing.T) []string {
+	var files []string
+	err := filepath.WalkDir(".", func(path string, e fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if e.IsDir() {
+			if name := e.Name(); path != "." && (name == "bench" || name == "testdata" || strings.HasPrefix(name, ".")) {
+				return filepath.SkipDir
+			}
+			return nil
+		}
+		if strings.HasSuffix(path, ".go") {
+			files = append(files, path)
+		}
 		return nil
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return pkgs
+	return files
 }
 
 // receiverType is the type name of a method receiver: T, *T, T[P] or *T[P].
@@ -305,5 +349,53 @@ func TestAPIRoutesMatchMux(t *testing.T) {
 		if !served[p] {
 			t.Errorf("API.md documents %q, which internal/server does not serve", p)
 		}
+	}
+}
+
+// designCitation is a citation of a DESIGN.md section by its number,
+// allowing a line break (and a comment's slashes) before the §.
+var designCitation = regexp.MustCompile(`DESIGN\.md[\s/]*§\s*([0-9]+(?:\.[0-9]+)*)`)
+
+// designHeading is a numbered DESIGN.md heading, "## 2. …" or "### 2.4 …".
+var designHeading = regexp.MustCompile(`^#{2,} ([0-9]+(?:\.[0-9]+)*)\.? `)
+
+// TestDesignCitationsResolve holds every citation of a DESIGN.md
+// section by number, in the module's Go files and in the documents
+// other than DESIGN.md, to a numbered heading DESIGN.md has, so
+// renumbering the document cannot leave a comment pointing at nothing.
+// CHANGES.md is a record of how things were and is not read.
+func TestDesignCitationsResolve(t *testing.T) {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if m := designHeading.FindStringSubmatch(line); m != nil {
+			sections[m[1]] = true
+		}
+	}
+	files := append(moduleGoFiles(t), "ROADMAP.md")
+	for _, doc := range docRefFiles {
+		if doc != "DESIGN.md" {
+			files = append(files, doc)
+		}
+	}
+	cited := 0
+	for _, path := range files {
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, m := range designCitation.FindAllSubmatchIndex(data, -1) {
+			cited++
+			if n := string(data[m[2]:m[3]]); !sections[n] {
+				line := 1 + strings.Count(string(data[:m[0]]), "\n")
+				t.Errorf("%s:%d: DESIGN.md has no section %s", path, line, n)
+			}
+		}
+	}
+	if cited == 0 {
+		t.Fatal("found no DESIGN.md § citation; the pattern no longer matches how they are written")
 	}
 }

@@ -22,7 +22,7 @@ func table4Pair(m Model, p dataset.Problem) bool {
 // answer, and both random streams left where the oracle leaves them,
 // for every model and problem at the default options and over the whole
 // pinSweep on every tenth problem. It also pins how Table 4's 13,195
-// generations divide among the corruptors, which DESIGN.md §2.14 quotes.
+// generations divide among the corruptors, which DESIGN.md §2.2 quotes.
 func TestCorruptorsMatchCloneOracle(t *testing.T) {
 	problems := augment.ExpandCorpus(dataset.Generate())
 	const (

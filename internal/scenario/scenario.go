@@ -15,7 +15,7 @@
 // backend at it, and every layer — unittest execution, image
 // accounting, generation, post-processing, failure analysis,
 // per-family leaderboards — picks the family up from the table. See
-// DESIGN.md §2.7 and CONTRIBUTING.md ("Adding a workload family").
+// DESIGN.md §2.6 and CONTRIBUTING.md ("Adding a workload family").
 package scenario
 
 import (

@@ -147,8 +147,8 @@ func TestScoreAnswerAllocs(t *testing.T) {
 
 // BenchmarkInlineMetrics times the five inline metrics over the Table 4
 // pairs, compiled against two-string (the two KV metrics together, as
-// they share the answer's parse): the per-kernel ledger behind DESIGN.md
-// §2.13. One op is one answer scored.
+// they share the answer's parse): what compiling the reference saves
+// per answer (DESIGN.md §2.7). One op is one answer scored.
 func BenchmarkInlineMetrics(b *testing.B) {
 	type pair struct {
 		p      dataset.Problem

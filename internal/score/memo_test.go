@@ -53,7 +53,7 @@ func TestCampaignMemoMatchesDirect(t *testing.T) {
 			distinct[textKey{refFor(p), got.Answer}] = true
 		}
 	}
-	// The repeat fraction DESIGN.md §2.13 quotes; if the zoo or the
+	// The repeat fraction DESIGN.md §2.7 quotes; if the zoo or the
 	// corpus moves it, the memo's sizing comment moves with it.
 	if ops != 13195 || len(distinct) != 5759 {
 		t.Errorf("%d ops, %d distinct (reference, answer) pairs; want 13195 / 5759", ops, len(distinct))

@@ -236,7 +236,7 @@ type statsResponse struct {
 	CacheEvictions int64 `json:"cache_evictions"`
 
 	// Pipeline depth gauges: instantaneous occupancy of the streaming
-	// generation→execution pipeline (DESIGN.md §2.12). All three read
+	// generation→execution pipeline (DESIGN.md §2.4). All three read
 	// zero when no campaign is mid-flight.
 	GenInflight        int64 `json:"gen_inflight"`
 	PipelineQueueDepth int64 `json:"pipeline_queue_depth"`

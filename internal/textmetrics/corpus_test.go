@@ -58,7 +58,7 @@ func TestEstimateTokensOverCorpus(t *testing.T) {
 // reference n-gram (n = 1..4) is found, from its prefix, with the count
 // the oracle's own n-gram counter gives; no probe sequence laps its
 // table; both tables stay at load ≤ 0.5; and what the 312 compiled
-// references retain stays under the 3 MB DESIGN.md §2.13 quotes.
+// references retain stays under the 3 MiB DESIGN.md §2.7 quotes.
 func TestBLEURefTables(t *testing.T) {
 	seen := map[string]bool{}
 	bytes, maxProbes := 0, 0
