@@ -20,6 +20,7 @@ package engine
 import (
 	"crypto/sha256"
 	"encoding/binary"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -134,10 +135,12 @@ type cacheKey struct {
 	answer [sha256.Size]byte
 }
 
-// shardOf maps a key to a shard by the leading bytes of its digests —
-// uniformly distributed by construction, so shards stay balanced.
-func shardOf(k cacheKey) uint32 {
-	return binary.LittleEndian.Uint32(k.test[:4]) ^ binary.LittleEndian.Uint32(k.answer[:4])
+// keyHash is a key's fingerprint, from the leading bytes of its
+// digests — uniformly distributed by construction, so shards stay
+// balanced. The answer's half is rotated so that a test and an answer
+// of one text do not cancel to zero.
+func keyHash(k cacheKey) uint64 {
+	return binary.LittleEndian.Uint64(k.test[:8]) ^ bits.RotateLeft64(binary.LittleEndian.Uint64(k.answer[:8]), 32)
 }
 
 // cacheBudget caps the execution cache: a long-lived daemon is fed
@@ -194,7 +197,7 @@ func New(opts ...Option) *Engine {
 	e := &Engine{
 		exec:    PoolExecutor{},
 		workers: runtime.GOMAXPROCS(0),
-		cache:   memo.NewLRU[cacheKey, unittest.Result](shardOf, cacheBudget),
+		cache:   memo.NewLRU[cacheKey, unittest.Result](keyHash, cacheBudget),
 	}
 	for _, o := range opts {
 		o(e)

@@ -87,10 +87,10 @@ func bootCost(src string) int64 { return memo.EntryOverhead + 2*int64(len(src)) 
 
 var (
 	bootSeed  = maphash.MakeSeed()
-	bootCache = memo.NewLRU[string, bootOutcome](bootShard, bootBudget)
+	bootCache = memo.NewLRU[string, bootOutcome](bootHash, bootBudget)
 )
 
-func bootShard(s string) uint32 { return uint32(maphash.String(bootSeed, s)) }
+func bootHash(s string) uint64 { return maphash.String(bootSeed, s) }
 
 // Load parses and validates a bootstrap config from YAML text.
 func Load(src string) (*Bootstrap, error) {

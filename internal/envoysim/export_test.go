@@ -13,6 +13,6 @@ func CacheStats() memo.Stats { return bootCache.Stats() }
 // budget, so that its stats count t's traffic alone.
 func EmptyCache(t testing.TB) {
 	old := bootCache
-	bootCache = memo.NewLRU[string, bootOutcome](bootShard, bootBudget)
+	bootCache = memo.NewLRU[string, bootOutcome](bootHash, bootBudget)
 	t.Cleanup(func() { bootCache = old })
 }

@@ -150,7 +150,7 @@ func WithoutGenCache() DispatchOption { return func(d *Dispatcher) { d.noCache =
 func NewDispatcher(prov Provider, opts ...DispatchOption) *Dispatcher {
 	d := &Dispatcher{
 		prov:  prov,
-		cache: memo.NewLRU[Key, Response](keyShard, cacheBudget),
+		cache: memo.NewLRU[Key, Response](keyHash, cacheBudget),
 	}
 	if n := DefaultConcurrency(prov); n > 0 {
 		d.sem = make(chan struct{}, n)
@@ -225,9 +225,9 @@ func (d *Dispatcher) Generate(ctx context.Context, req Request) (Response, error
 	return resp, err
 }
 
-// keyShard maps a content-addressed key to a shard by its leading
-// bytes — uniformly distributed by construction.
-func keyShard(k Key) uint32 { return binary.LittleEndian.Uint32(k[:4]) }
+// keyHash is a content-addressed key's fingerprint: its leading eight
+// bytes, uniformly distributed by construction.
+func keyHash(k Key) uint64 { return binary.LittleEndian.Uint64(k[:8]) }
 
 func (d *Dispatcher) generate(ctx context.Context, req Request) (Response, error) {
 	if d.noCache {

@@ -13,6 +13,6 @@ func CacheStats() memo.Stats { return templates.Stats() }
 // budget, so that its stats count t's traffic alone.
 func EmptyCache(t testing.TB) {
 	old := templates
-	templates = memo.NewLRU[string, compiled](templateShard, templateBudget)
+	templates = memo.NewLRU[string, compiled](templateHash, templateBudget)
 	t.Cleanup(func() { templates = old })
 }

@@ -74,10 +74,10 @@ func templateCost(template string) int64 { return memo.EntryOverhead + 16*int64(
 
 var (
 	templateSeed = maphash.MakeSeed()
-	templates    = memo.NewLRU[string, compiled](templateShard, templateBudget)
+	templates    = memo.NewLRU[string, compiled](templateHash, templateBudget)
 )
 
-func templateShard(s string) uint32 { return uint32(maphash.String(templateSeed, s)) }
+func templateHash(s string) uint64 { return maphash.String(templateSeed, s) }
 
 func compile(template string) (*Template, error) {
 	t := &Template{}

@@ -73,7 +73,7 @@ const (
 	required rule = 1 << iota // present, whatever its value
 	filled                    // present, and a scalar with text or a sequence with items
 	each                      // a sequence: the fields apply to each item
-	port                      // an integer from 1 to 65535
+	port                      // an integer from 1 to 65535, never a string or a boolean
 	text                      // not a number or a boolean: strict decoding wants a string
 	dropped                   // removed in v1: its presence is a strict decoding error
 	rooted                    // paths restart at the key, as a pod spec's always have
@@ -85,6 +85,21 @@ const (
 // float with no fraction inside int64 (which the conversion of YAML to
 // JSON writes as an integer) decode.
 var decodedAs = [...]string{yamlx.BoolKind: "bool", yamlx.StringKind: "string", yamlx.MapKind: "object", yamlx.SeqKind: "array"}
+
+// notInt32 is the strict decoder's refusal of a value it reads as JSON
+// type t for the int32 field at path of the Go struct goType.
+func (r *Resource) notInt32(t, goType string, path []byte) error {
+	return errors.New("error validating " + r.Kind + ": cannot unmarshal " + t + " into Go struct field " + goType + "." + string(path) + " of type int32")
+}
+
+// portStruct is the Go struct that holds a port field of key: a
+// container's port, or else a Service's.
+func portStruct(key string) string {
+	if key == "containerPort" {
+		return "ContainerPort"
+	}
+	return "ServicePort"
+}
 
 // f is the field key with the rules is and the fields of its value.
 func f(key string, is rule, fields ...field) field {
@@ -107,6 +122,9 @@ func (r *Resource) walk(n *yamlx.Node, fields []field, path []byte) error {
 		case fl.is&dropped != 0:
 			return r.unknownFields(n, fields, path)
 		case fl.is&port != 0:
+			if t := decodedAs[v.Kind]; t != "" {
+				return r.notInt32(t, portStruct(fl.key), fl.at(path))
+			}
 			if n, ok := v.AsInt(); !ok || n < 1 || n > 65535 {
 				return errors.New("error validating " + r.Kind + ": " + string(fl.at(path)) + ": Invalid value: " + v.ScalarString())
 			}
@@ -116,7 +134,7 @@ func (r *Resource) walk(n *yamlx.Node, fields []field, path []byte) error {
 				t = "number"
 			}
 			if t != "" {
-				return errors.New("error validating " + r.Kind + ": cannot unmarshal " + t + " into Go struct field " + r.Kind + "Spec." + string(fl.at(path)) + " of type int32")
+				return r.notInt32(t, r.Kind+"Spec", fl.at(path))
 			}
 			if n, ok := v.AsInt(); ok && (n < 0 || n > maxReplicas) {
 				bound := "must be greater than or equal to 0"

@@ -99,7 +99,7 @@ func parsePath(s string) []any {
 
 // valueCases are the mutations deleting a key cannot make: a value the
 // validators must refuse (replicas on either side of the pod budget,
-// and replicas that are not integers, among them), or a field v1 dropped. Each is applied to the
+// and replicas and ports that are not integers, among them), or a field v1 dropped. Each is applied to the
 // first reference document of its kind that holds the path's parent.
 var valueCases = []struct{ kind, path, value string }{
 	{"Pod", "spec.containers[0].ports[0].containerPort", "0"},
@@ -108,6 +108,10 @@ var valueCases = []struct{ kind, path, value string }{
 	{"Deployment", "spec.template.spec.containers[0].ports[0].containerPort", "70000"},
 	{"Service", "spec.ports[0].port", "0"},
 	{"Service", "spec.ports[0].port", "70000"},
+	{"Pod", "spec.containers[0].ports[0].containerPort", `"8080"`},
+	{"Pod", "spec.containers[0].ports[0].containerPort", "true"},
+	{"Service", "spec.ports[0].port", `"8080"`},
+	{"Service", "spec.ports[0].port", "true"},
 	{"Pod", "spec.containers[0].env[0].value", "8080"},
 	{"Pod", "spec.containers[0].env[0].value", "true"},
 	{"Deployment", "spec.template.spec.containers[0].env[0].value", "8080"},

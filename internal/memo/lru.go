@@ -4,12 +4,17 @@ import (
 	"errors"
 	"runtime"
 	"sync"
+	"unsafe"
 )
 
 // LRU is a sharded singleflight cache under a byte budget, behind every
-// process-wide cache the package comment lists. Keys hash into shards,
-// each with its own mutex, map and recency list, so concurrent calls on
-// different keys never serialize on one lock.
+// process-wide cache the package comment lists. The caller's hash gives
+// each key a 64-bit fingerprint whose low bits pick a shard, each with
+// its own mutex, map and recency list, so concurrent calls on different
+// keys never serialize on one lock. A shard maps fingerprints, not
+// keys, to entries that keep their full key: a key whose fingerprint
+// another key holds is computed uncached, never served the other's
+// value.
 //
 // Do is its one operation, the singleflight contract for expensive,
 // fallible computations: concurrent calls with the same key collapse
@@ -31,48 +36,66 @@ import (
 // The zero value is not usable; construct with NewLRU.
 type LRU[K comparable, V any] struct {
 	shards []lruShard[K, V]
-	mask   uint32
-	hash   func(K) uint32
+	mask   uint64
+	hash   func(K) uint64
 	// perShard is the budget each shard enforces independently.
 	perShard int64
 }
 
-// lruEntry is one key's slot. From creation until its computation
-// settles it is pending (in flight): present in the shard's map, off
-// the recency list, and v belongs to the computing goroutine. Settling
-// publishes v to parked waiters through fl and — on success — links the
-// entry, after which it is immutable apart from its list pointers.
+// lruEntry is one key's slot, taken from its shard's free list. From
+// then until its computation settles it is pending (in flight): present
+// in the shard's map under fp, off the recency list, and holding no
+// value yet. Settling hands the value to parked waiters through fl and
+// — on success — stores it and links the entry, after which it is
+// immutable apart from its list pointers until eviction zeroes it and
+// returns it to the free list.
 type lruEntry[K comparable, V any] struct {
-	key        K
-	v          V
-	cost       int64
+	key K
+	v   V
+	fp  uint64
+	// cost is what a committed entry charges the shard's budget.
+	cost int64
+	// prev and next link the recency list; next also links the free
+	// list.
 	prev, next *lruEntry[K, V]
 	pending    bool
 	// fl is the rendezvous of a pending entry, allocated by the first
-	// caller that parks on it: most computations have no waiter, and a
-	// miss then costs the entry alone. Settling drops it.
-	fl *flight
+	// caller that parks on it: most computations have no waiter, and an
+	// uncontended miss then allocates nothing. Settling drops it.
+	fl *flight[V]
 }
 
 // flight is where callers of one in-flight computation meet: done is
-// released when it settles, after which err is its verdict.
-type flight struct {
+// released when it settles, after which v and err are its outcome.
+// Waiters read the value here, not from the entry, whose slot may
+// already hold another key by the time they wake.
+type flight[V any] struct {
 	done sync.WaitGroup
+	v    V
 	err  error
 }
 
-// lruShard is 64 bytes on 64-bit, so neighboring shards' locks sit on
-// distinct cache lines.
+// lruShard is padded to 128 bytes, two cache lines on 64-bit, so
+// neighboring shards' locks sit on distinct cache lines.
 type lruShard[K comparable, V any] struct {
 	mu sync.Mutex
-	m  map[K]*lruEntry[K, V]
+	m  map[uint64]*lruEntry[K, V]
 	// head is the most recently used entry, tail the eviction victim.
 	head, tail *lruEntry[K, V]
-	bytes      int64
-	hits       int64
-	misses     int64
-	evictions  int64
+	// free is the first of the zeroed entries a miss takes its slot
+	// from, linked through next.
+	free      *lruEntry[K, V]
+	bytes     int64
+	hits      int64
+	misses    int64
+	evictions int64
+	_         [56]byte
 }
+
+// chunkBytes is what one refill of a shard's free list allocates: a
+// size class of its own, so an array of entries that fills it loses
+// less than one entry to rounding.
+const chunkBytes = 8192
 
 // EntryOverhead is the flat part of what a resident entry costs a
 // caller that budgets in bytes: the entry with its key and value
@@ -95,21 +118,24 @@ func shardCount() int {
 	return n
 }
 
-// NewLRU builds a cache keyed by hash holding at most budget of entry
-// cost, split evenly across shardCount shards fixed at construction. A
+// NewLRU builds a cache holding at most budget of entry cost, split
+// evenly across shardCount shards fixed at construction. hash is the
+// keys' 64-bit fingerprint: its low bits pick the shard, so they must
+// be as uniform as the rest, and two keys that share one are each
+// computed uncached while the other is resident. A
 // budget below the shard count still grants each shard one unit,
 // degenerating to a cache that admits nothing — legal, and how
 // benchmarks force the uncached path.
-func NewLRU[K comparable, V any](hash func(K) uint32, budget int64) *LRU[K, V] {
+func NewLRU[K comparable, V any](hash func(K) uint64, budget int64) *LRU[K, V] {
 	n := shardCount()
 	c := &LRU[K, V]{
 		shards:   make([]lruShard[K, V], n),
-		mask:     uint32(n - 1),
+		mask:     uint64(n - 1),
 		hash:     hash,
 		perShard: max(budget/int64(n), 1),
 	}
 	for i := range c.shards {
-		c.shards[i].m = make(map[K]*lruEntry[K, V])
+		c.shards[i].m = make(map[uint64]*lruEntry[K, V])
 	}
 	return c
 }
@@ -120,30 +146,39 @@ func NewLRU[K comparable, V any](hash func(K) uint32, budget int64) *LRU[K, V] {
 // flight (parked on another caller's computation) — as opposed to
 // running fn itself. When fn returns an error or panics, the entry is
 // removed before waiters are released: they share the error, the next
-// Do recomputes.
+// Do recomputes. A key whose fingerprint another key's entry holds
+// counts a miss and runs fn outside the cache, leaving that entry be.
 func (c *LRU[K, V]) Do(key K, fn func() (V, int64, error)) (v V, err error, hit bool) {
-	sh := &c.shards[c.hash(key)&c.mask]
+	fp := c.hash(key)
+	sh := &c.shards[fp&c.mask]
 	sh.mu.Lock()
-	if e, ok := sh.m[key]; ok {
+	if e, ok := sh.m[fp]; ok {
+		if e.key != key {
+			sh.misses++
+			sh.mu.Unlock()
+			v, _, err = fn()
+			return v, err, false
+		}
 		sh.hits++
 		if e.pending {
 			fl := e.fl
 			if fl == nil {
-				fl = new(flight)
+				fl = new(flight[V])
 				fl.done.Add(1)
 				e.fl = fl
 			}
 			sh.mu.Unlock()
 			fl.done.Wait()
-			return e.v, fl.err, true
+			return fl.v, fl.err, true
 		}
 		sh.moveToFront(e)
 		v = e.v
 		sh.mu.Unlock()
 		return v, nil, true
 	}
-	e := &lruEntry[K, V]{key: key, pending: true}
-	sh.m[key] = e
+	e := sh.take()
+	e.key, e.fp, e.pending = key, fp, true
+	sh.m[fp] = e
 	sh.misses++
 	sh.mu.Unlock()
 
@@ -152,35 +187,60 @@ func (c *LRU[K, V]) Do(key K, fn func() (V, int64, error)) (v V, err error, hit 
 	// errPanicked with no recover in the way of the panic.
 	var cost int64
 	err = errPanicked
-	defer func() { c.settle(sh, e, cost, err) }()
-	e.v, cost, err = fn()
-	return e.v, err, false
+	defer func() { c.settle(sh, e, v, cost, err) }()
+	v, cost, err = fn()
+	return v, err, false
 }
 
-// settle ends e's flight with fn's verdict err: commit e at cost if err
-// is nil and it fits, drop it otherwise, then hand err to the waiters,
-// if any parked, and release them. A pending entry is never evicted,
-// so e still owns its key.
-func (c *LRU[K, V]) settle(sh *lruShard[K, V], e *lruEntry[K, V], cost int64, err error) {
+// settle ends e's flight with fn's outcome: commit v at cost if err is
+// nil and it fits, drop e otherwise, then hand v and err to the
+// waiters, if any parked, and release them. A pending entry is never
+// evicted, so e still owns its fingerprint.
+func (c *LRU[K, V]) settle(sh *lruShard[K, V], e *lruEntry[K, V], v V, cost int64, err error) {
 	cost = max(cost, 1)
 	sh.mu.Lock()
 	fl := e.fl
 	e.pending, e.fl = false, nil
 	if err == nil && cost <= c.perShard {
+		e.v = v
 		sh.admit(e, cost, c.perShard)
 	} else {
-		delete(sh.m, e.key)
+		delete(sh.m, e.fp)
+		sh.recycle(e)
 	}
 	sh.mu.Unlock()
 	if fl != nil {
-		fl.err = err
+		fl.v, fl.err = v, err
 		fl.done.Done()
 	}
 }
 
+// take pops a zeroed entry off the free list, refilling the list with
+// one chunk of entries when it is empty.
+func (sh *lruShard[K, V]) take() *lruEntry[K, V] {
+	if sh.free == nil {
+		chunk := make([]lruEntry[K, V], max(chunkBytes/unsafe.Sizeof(lruEntry[K, V]{}), 1))
+		for i := range len(chunk) - 1 {
+			chunk[i].next = &chunk[i+1]
+		}
+		sh.free = &chunk[0]
+	}
+	e := sh.free
+	sh.free, e.next = e.next, nil
+	return e
+}
+
+// recycle zeroes e, so that its slot keeps neither key nor value alive,
+// and pushes it on the free list.
+func (sh *lruShard[K, V]) recycle(e *lruEntry[K, V]) {
+	*e = lruEntry[K, V]{next: sh.free}
+	sh.free = e
+}
+
 // admit links e, already in the map, as most recently used, charges
 // its cost and evicts from the tail until the shard is within budget.
-// cost <= budget, so e itself is never the victim.
+// cost <= budget, so e itself is never the victim. A victim's slot goes
+// back to the free list.
 func (sh *lruShard[K, V]) admit(e *lruEntry[K, V], cost, budget int64) {
 	e.cost = cost
 	sh.pushFront(e)
@@ -188,9 +248,10 @@ func (sh *lruShard[K, V]) admit(e *lruEntry[K, V], cost, budget int64) {
 	for sh.bytes > budget {
 		victim := sh.tail
 		sh.unlink(victim)
-		delete(sh.m, victim.key)
+		delete(sh.m, victim.fp)
 		sh.bytes -= victim.cost
 		sh.evictions++
+		sh.recycle(victim)
 	}
 }
 

@@ -7,13 +7,18 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+	"unsafe"
 )
 
-func intHash(k int) uint32 { return uint32(k) * 2654435761 }
+// intHash spreads keys over the shards; an odd multiplier is a
+// bijection, so no two keys share a fingerprint.
+func intHash(k int) uint64 { return uint64(k) * 0x9e3779b97f4a7c15 }
 
-// oneShard routes every key to shard 0, so eviction order is
-// deterministic; perShard sizes a budget that gives each shard n.
-func oneShard(int) uint32    { return 0 }
+// oneShard routes every key to shard 0 under a fingerprint of its own
+// (the low 16 bits, above any shard mask, are zero), so eviction order
+// is deterministic; perShard sizes a budget that gives each shard n.
+func oneShard(k int) uint64  { return uint64(k) << 16 }
 func perShard(n int64) int64 { return n * int64(shardCount()) }
 
 // val is an fn for Do that yields v at cost. Do is the one way a value
@@ -25,10 +30,11 @@ func val(v int, cost int64) func() (int, int64, error) {
 // peek reports key's committed value without counting a hit or a miss
 // or refreshing its recency.
 func (c *LRU[K, V]) peek(key K) (V, bool) {
-	sh := &c.shards[c.hash(key)&c.mask]
+	fp := c.hash(key)
+	sh := &c.shards[fp&c.mask]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	if e, ok := sh.m[key]; ok && !e.pending {
+	if e, ok := sh.m[fp]; ok && e.key == key && !e.pending {
 		return e.v, true
 	}
 	var zero V
@@ -264,10 +270,10 @@ func TestShardedErrorsNeverCached(t *testing.T) {
 // TestShardedConcurrentDistinctKeys hammers many keys across shards
 // under the race detector: every key computes exactly once.
 func TestShardedConcurrentDistinctKeys(t *testing.T) {
-	s := NewLRU[string, int](func(k string) uint32 {
-		var h uint32 = 2166136261
+	s := NewLRU[string, int](func(k string) uint64 {
+		var h uint64 = 14695981039346656037
 		for i := 0; i < len(k); i++ {
-			h = (h ^ uint32(k[i])) * 16777619
+			h = (h ^ uint64(k[i])) * 1099511628211
 		}
 		return h
 	}, 1<<20)
@@ -345,18 +351,23 @@ func TestInFlightNeitherChargedNorEvicted(t *testing.T) {
 	}
 }
 
-// TestDoMissAllocs: an uncontended miss allocates its entry and nothing
-// else — no rendezvous unless a caller parks — and a hit allocates
-// nothing. The one-unit shard keeps one committed entry, each miss
-// evicting the last, so the map never grows.
+// TestDoMissAllocs: an uncontended miss allocates nothing — its entry
+// comes off the shard's free list, refilled a chunk of entries at a
+// time, and no rendezvous is made unless a caller parks — and a hit
+// allocates nothing. The one-unit shard keeps one committed entry, each
+// miss evicting the last back onto the free list, so neither the map
+// nor the list grows.
 func TestDoMissAllocs(t *testing.T) {
 	c := NewLRU[int, int](oneShard, 0)
 	key := 0
 	fn := func() (int, int64, error) { return key, 1, nil }
-	miss := testing.AllocsPerRun(100, func() {
-		key++
-		if _, _, hit := c.Do(key, fn); hit {
-			t.Fatal("a new key hit")
+	const misses = 4096
+	total := testing.AllocsPerRun(1, func() {
+		for range misses {
+			key++
+			if _, _, hit := c.Do(key, fn); hit {
+				t.Fatal("a new key hit")
+			}
 		}
 	})
 	hit := testing.AllocsPerRun(100, func() {
@@ -364,8 +375,8 @@ func TestDoMissAllocs(t *testing.T) {
 			t.Fatal("the last key missed")
 		}
 	})
-	if miss != 1 || hit != 0 {
-		t.Errorf("Do allocates %v per miss and %v per hit, want 1 and 0", miss, hit)
+	if miss := total / misses; miss >= 1.0/32 || hit != 0 {
+		t.Errorf("Do allocates %v per miss and %v per hit, want under 1/32 and 0", miss, hit)
 	}
 	if st := c.Stats(); st.Entries != 1 {
 		t.Errorf("Stats = %+v, want the one committed entry", st)
@@ -412,5 +423,118 @@ func TestConcurrentDoOverBudget(t *testing.T) {
 	}
 	if want := st.Bytes / cost; int64(st.Entries) != want {
 		t.Fatalf("%d entries but %d bytes at %d each: accounting drifted", st.Entries, st.Bytes, cost)
+	}
+}
+
+// pairHash gives 2k and 2k+1 one fingerprint, in shard 0.
+func pairHash(k int) uint64 { return uint64(k/2) << 16 }
+
+// TestFingerprintCollision: a key whose fingerprint another key holds
+// is computed by its own fn, in flight or not, and neither key's value
+// is ever served for the other or cached over it.
+func TestFingerprintCollision(t *testing.T) {
+	c := NewLRU[int, int](pairHash, 1<<20)
+	release, done := blockedDo(c, 2, val(20, 1))
+	beside := make(chan [2]any, 1)
+	go func() {
+		v, err, hit := c.Do(3, val(30, 1))
+		if err != nil || hit {
+			t.Errorf("Do(3) beside an in-flight 2: %v, hit=%v", err, hit)
+		}
+		beside <- [2]any{v, hit}
+	}()
+	select {
+	case got := <-beside:
+		if got[0] != 30 {
+			t.Fatalf("Do(3) beside an in-flight 2 = %v, want its own 30", got[0])
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Do(3) parked on 2's flight")
+	}
+	close(release)
+	if got := <-done; got[0] != 20 || got[1] != nil {
+		t.Fatalf("Do(2) = %v, want 20", got)
+	}
+	for i, want := range []int{31, 32} {
+		if v, err, hit := c.Do(3, val(31+i, 1)); err != nil || hit || v != want {
+			t.Fatalf("Do(3) = %d, %v, hit=%v; want a fresh %d, uncached", v, err, hit, want)
+		}
+	}
+	if v, err, hit := c.Do(2, val(-1, 1)); err != nil || !hit || v != 20 {
+		t.Fatalf("Do(2) = %d, %v, hit=%v; want the cached 20", v, err, hit)
+	}
+	if _, ok := c.peek(3); ok {
+		t.Fatal("3 was cached over 2")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Bytes != 1 || st.Hits != 1 || st.Misses != 4 {
+		t.Fatalf("Stats = %+v, want 1 entry of 1 byte, 1 hit, 4 misses", st)
+	}
+}
+
+// TestWaiterOutlivesItsSlot: callers parked on an entry get its value
+// even when the entry is evicted the moment it settles and its slot
+// taken by the next key before they wake.
+func TestWaiterOutlivesItsSlot(t *testing.T) {
+	c := NewLRU[int, int](oneShard, perShard(1))
+	release, done := blockedDo(c, 1, val(11, 1))
+	sh := &c.shards[0]
+	sh.mu.Lock()
+	slot := sh.m[oneShard(1)]
+	sh.mu.Unlock()
+	const waiters = 8
+	got := make(chan int, waiters)
+	for range waiters {
+		go func() {
+			v, _, _ := c.Do(1, val(-1, 1))
+			got <- v
+		}()
+	}
+	waitHits(c, waiters)
+	close(release)
+	<-done
+	c.Do(2, val(22, 1)) // evicts 1
+	c.Do(3, val(33, 1)) // takes 1's slot off the free list
+	sh.mu.Lock()
+	reused := sh.m[oneShard(3)] == slot
+	sh.mu.Unlock()
+	if !reused {
+		t.Fatal("3 did not take 1's slot: the free list is not last in, first out")
+	}
+	for range waiters {
+		if v := <-got; v != 11 {
+			t.Fatalf("a waiter on 1 got %d, want 11", v)
+		}
+	}
+}
+
+// TestEvictedValueCollectable: an evicted entry's slot is zeroed, so a
+// value the cache no longer holds is garbage once its caller drops it:
+// its finalizer runs.
+func TestEvictedValueCollectable(t *testing.T) {
+	type payload struct{ b [64]byte }
+	c := NewLRU[int, *payload](oneShard, perShard(1))
+	collected := make(chan struct{})
+	c.Do(1, func() (*payload, int64, error) {
+		p := new(payload)
+		runtime.SetFinalizer(p, func(*payload) { close(collected) })
+		return p, 1, nil
+	})
+	c.Do(2, func() (*payload, int64, error) { return new(payload), 1, nil }) // evicts 1
+	runtime.GC()
+	select {
+	case <-collected:
+	case <-time.After(10 * time.Second):
+		t.Fatal("an evicted value is still reachable: its recycled slot keeps it")
+	}
+	runtime.KeepAlive(c)
+}
+
+// TestShardPadded: shards fill whole cache lines, so no two shards'
+// locks share one.
+func TestShardPadded(t *testing.T) {
+	for _, size := range []uintptr{unsafe.Sizeof(lruShard[int, int]{}), unsafe.Sizeof(lruShard[string, [64]byte]{})} {
+		if size%64 != 0 {
+			t.Errorf("lruShard is %d bytes, not a multiple of 64", size)
+		}
 	}
 }

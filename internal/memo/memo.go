@@ -4,7 +4,12 @@
 //
 // LRU is a sharded singleflight map under a byte budget with LRU
 // eviction. One lock per shard, errors never cached, resident cost
-// never above the budget. Six caches use it:
+// never above the budget. A shard maps the 64-bit fingerprint the
+// caller's hash gives each key to an entry that keeps the full key, so
+// a key whose fingerprint another holds is computed uncached, never
+// served the other's value. Entries come from a per-shard free list
+// refilled a chunk at a time, so an uncontended miss allocates nothing.
+// Six caches use it:
 //
 //   - the engine's unit-test executions and the dispatcher's provider
 //     generations, keyed by SHA-256 digests;

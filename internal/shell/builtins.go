@@ -248,10 +248,18 @@ func grepCost(pattern string) int64 { return memo.EntryOverhead + 1<<10 + 64*int
 // grepMatchers holds each matcher the first time a script asks for it.
 var (
 	grepSeed     = maphash.MakeSeed()
-	grepMatchers = memo.NewLRU[grepKey, grepMatcher](grepShard, grepBudget)
+	grepMatchers = memo.NewLRU[grepKey, grepMatcher](grepHash, grepBudget)
 )
 
-func grepShard(k grepKey) uint32 { return uint32(maphash.String(grepSeed, k.pattern)) }
+// grepHash is the pattern's hash, inverted under -i, so that a pattern
+// with and without -i hold distinct fingerprints.
+func grepHash(k grepKey) uint64 {
+	h := maphash.String(grepSeed, k.pattern)
+	if k.fold {
+		h = ^h
+	}
+	return h
+}
 
 func compileGrep(pattern string, ignoreCase bool) grepMatcher {
 	m, _, _ := grepMatchers.Do(grepKey{pattern, ignoreCase}, func() (grepMatcher, int64, error) {

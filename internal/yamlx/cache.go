@@ -42,10 +42,10 @@ func docCost(src string) int64 { return memo.EntryOverhead + 16*int64(len(src)) 
 
 var (
 	docSeed  = maphash.MakeSeed()
-	docCache = memo.NewLRU[string, docOutcome](docShard, docBudget)
+	docCache = memo.NewLRU[string, docOutcome](docHash, docBudget)
 )
 
-func docShard(s string) uint32 { return uint32(maphash.String(docSeed, s)) }
+func docHash(s string) uint64 { return maphash.String(docSeed, s) }
 
 // ParseAllCached is ParseAll through the document cache. The returned
 // nodes are shared: callers must not mutate them. Use Clone or

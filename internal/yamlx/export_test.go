@@ -13,7 +13,7 @@ func CacheStats() memo.Stats { return docCache.Stats() }
 // budget, so that its stats count t's traffic alone.
 func EmptyCache(t testing.TB) {
 	old := docCache
-	docCache = memo.NewLRU[string, docOutcome](docShard, docBudget)
+	docCache = memo.NewLRU[string, docOutcome](docHash, docBudget)
 	t.Cleanup(func() { docCache = old })
 }
 
