@@ -2,12 +2,15 @@ package server_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"cloudeval/client"
@@ -18,6 +21,7 @@ import (
 	"cloudeval/internal/llm"
 	"cloudeval/internal/score"
 	"cloudeval/internal/server"
+	"cloudeval/internal/store"
 	"cloudeval/internal/yamlmatch"
 )
 
@@ -110,4 +114,104 @@ func TestEvalReplyBytes(t *testing.T) {
 	// The campaign checkpoints under the test's temporary directory until
 	// it finishes.
 	waitCampaignDone(t, client.New(ts.URL), campaign.ID)
+}
+
+// keyShape renders the object keys of a JSON body in the order they
+// are written, one per line and indented by depth, with the values
+// left out. An array element is a "-" line followed by its own shape,
+// and a run of elements with one shape is written once, so the store's
+// per-shard array, whose length follows GOMAXPROCS, has one shape on
+// every machine. Two bodies with the same shape differ only in their
+// values and array lengths.
+func keyShape(t *testing.T, body []byte) []byte {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	var walk func(b *bytes.Buffer, depth int)
+	walk = func(b *bytes.Buffer, depth int) {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		indent := strings.Repeat("  ", depth)
+		switch tok {
+		case json.Delim('{'):
+			for dec.More() {
+				key, err := dec.Token()
+				if err != nil {
+					t.Fatal(err)
+				}
+				fmt.Fprintf(b, "%s%s\n", indent, key)
+				walk(b, depth+1)
+			}
+		case json.Delim('['):
+			var prev []byte
+			for dec.More() {
+				var elem bytes.Buffer
+				fmt.Fprintf(&elem, "%s-\n", indent)
+				walk(&elem, depth+1)
+				if !bytes.Equal(elem.Bytes(), prev) {
+					b.Write(elem.Bytes())
+					prev = elem.Bytes()
+				}
+			}
+		default:
+			return
+		}
+		if _, err := dec.Token(); err != nil { // the closing delimiter
+			t.Fatal(err)
+		}
+	}
+	var b bytes.Buffer
+	walk(&b, 0)
+	return b.Bytes()
+}
+
+// getBody fetches path and returns the reply body, failing unless the
+// status is 200.
+func getBody(t *testing.T, url, path string) []byte {
+	t.Helper()
+	resp, err := http.Get(url + path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET %s: %d %s", path, resp.StatusCode, body)
+	}
+	return body
+}
+
+// TestReplyKeyShapes pins the order of every key, at every depth, in
+// the two largest JSON replies: GET /v1/stats of a store-backed daemon
+// after one leaderboard, and GET /v1/campaign/{id} of a finished
+// campaign. encoding/json writes a struct's fields in declaration
+// order, so a change to the type a reply is encoded from shows here
+// even when every key is still present.
+func TestReplyKeyShapes(t *testing.T) {
+	ctx := context.Background()
+	st, err := store.Open(filepath.Join(t.TempDir(), "eval.store"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	bench := smallBench(engine.New(engine.WithStore(st)))
+	ts := httptest.NewServer(server.NewWithConfig(bench, t.TempDir(), server.Config{Store: st}).Handler())
+	defer ts.Close()
+	c := client.New(ts.URL)
+
+	if _, err := c.Leaderboard(ctx); err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "stats.keys", keyShape(t, getBody(t, ts.URL, "/v1/stats")))
+
+	started, err := c.StartCampaign(ctx, []string{"table2", "table4"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	waitCampaignDone(t, c, started.ID)
+	checkGolden(t, "campaign_done.keys", keyShape(t, getBody(t, ts.URL, "/v1/campaign/"+started.ID)))
 }
