@@ -11,6 +11,13 @@
 // machine-readable envelope code (e.g. "rate_limited",
 // "campaign_queue_full", "not_found") and, for 429s, the server's
 // Retry-After as a duration.
+//
+// The request and reply types here are the /v1 wire format itself: the
+// server decodes its request bodies into them and writes its replies
+// from them, so each key is declared once. The eval reply is the one
+// exception: the server writes EvalResponse's bytes from a struct of
+// its own, because Scores is a map and the server does not reflect
+// over one per request.
 package client
 
 import (
@@ -98,6 +105,12 @@ type EvalResponse struct {
 	Scores  Scores `json:"scores"`
 }
 
+// CampaignRequest is the body of POST /v1/campaign: the experiments
+// to run, where none means every experiment.
+type CampaignRequest struct {
+	Experiments []string `json:"experiments,omitempty"`
+}
+
 // CampaignStatus is one campaign's lifecycle snapshot: state is
 // "queued", "running", "done", "failed" or (after a daemon restart)
 // "interrupted"; Outputs ride along once the campaign stops running.
@@ -110,6 +123,15 @@ type CampaignStatus struct {
 	Outputs     map[string]string `json:"outputs,omitempty"`
 }
 
+// ErrorBody is the body of every /v1 error reply:
+// {"error":{"code","message"}}.
+type ErrorBody struct {
+	Error struct {
+		Code    string `json:"code"`
+		Message string `json:"message"`
+	} `json:"error"`
+}
+
 // RouteStats is one route's serving counters from GET /v1/stats.
 type RouteStats struct {
 	Requests int64   `json:"requests"`
@@ -117,31 +139,33 @@ type RouteStats struct {
 	AvgMs    float64 `json:"avg_latency_ms"`
 }
 
-// Stats mirrors GET /v1/stats: engine counters, inference counters and
-// per-route serving counters.
+// Stats is the body of GET /v1/stats: engine counters, inference
+// counters and per-route serving counters.
 type Stats struct {
+	// Executor is always "pool", the one executor the daemon runs on;
+	// the key stays for the dashboards that read it.
 	Executor  string `json:"executor"`
 	Workers   int    `json:"workers"`
 	Executed  int64  `json:"executed"`
 	CacheHits int64  `json:"cache_hits"`
 	StoreHits int64  `json:"store_hits"`
 
+	// The engine's in-memory execution cache: resident results, their
+	// charge against its fixed budget, and results dropped to stay
+	// under it.
+	CacheEntries   int   `json:"cache_entries"`
+	CacheBytes     int64 `json:"cache_bytes"`
+	CacheEvictions int64 `json:"cache_evictions"`
+
 	// Pipeline depth gauges: instantaneous occupancy of the streaming
-	// generation→execution pipeline; zero when no campaign is running.
+	// generation→execution pipeline (DESIGN.md §2.4); zero when no
+	// campaign is running.
 	GenInflight        int64 `json:"gen_inflight"`
 	PipelineQueueDepth int64 `json:"pipeline_queue_depth"`
 	ExecBusy           int64 `json:"exec_busy"`
 
-	// The engine's and the dispatcher's in-memory caches: resident
-	// entries, their charge against the cache's fixed budget, and
-	// entries dropped to stay under it.
-	CacheEntries      int   `json:"cache_entries"`
-	CacheBytes        int64 `json:"cache_bytes"`
-	CacheEvictions    int64 `json:"cache_evictions"`
-	GenCacheEntries   int   `json:"gen_cache_entries"`
-	GenCacheBytes     int64 `json:"gen_cache_bytes"`
-	GenCacheEvictions int64 `json:"gen_cache_evictions"`
-
+	// Inference-side counters: live provider calls, generation cache
+	// tiers, and the metered token usage of live generations.
 	Provider         string `json:"provider"`
 	Generated        int64  `json:"generated"`
 	GenCacheHits     int64  `json:"gen_cache_hits"`
@@ -150,6 +174,13 @@ type Stats struct {
 	PromptTokens     int64  `json:"prompt_tokens"`
 	CompletionTokens int64  `json:"completion_tokens"`
 
+	// The dispatcher's in-memory generation cache, as for the engine's.
+	GenCacheEntries   int   `json:"gen_cache_entries"`
+	GenCacheBytes     int64 `json:"gen_cache_bytes"`
+	GenCacheEvictions int64 `json:"gen_cache_evictions"`
+
+	// Serving-layer counters: daemon uptime, tenants holding a campaign
+	// in memory, and per-route request/latency aggregates.
 	UptimeSec float64               `json:"uptime_sec"`
 	Tenants   int                   `json:"tenants"`
 	Routes    map[string]RouteStats `json:"routes"`
@@ -207,9 +238,7 @@ func (c *Client) Eval(ctx context.Context, req EvalRequest) (EvalResponse, error
 // ID to poll.
 func (c *Client) StartCampaign(ctx context.Context, experiments []string) (CampaignStatus, error) {
 	var out CampaignStatus
-	err := c.postJSON(ctx, "/v1/campaign", struct {
-		Experiments []string `json:"experiments,omitempty"`
-	}{experiments}, &out)
+	err := c.postJSON(ctx, "/v1/campaign", CampaignRequest{experiments}, &out)
 	return out, err
 }
 
@@ -375,12 +404,7 @@ func apiError(resp *http.Response, body []byte) *APIError {
 		Message:   strings.TrimSpace(string(body)),
 		RequestID: resp.Header.Get("X-Request-ID"),
 	}
-	var env struct {
-		Error struct {
-			Code    string `json:"code"`
-			Message string `json:"message"`
-		} `json:"error"`
-	}
+	var env ErrorBody
 	if err := json.Unmarshal(body, &env); err == nil && env.Error.Code != "" {
 		ae.Code = env.Error.Code
 		ae.Message = env.Error.Message

@@ -43,6 +43,7 @@ import (
 	"cloudeval/internal/evalcluster"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/server"
 )
 
 // commands maps each subcommand to the function that declares its
@@ -215,22 +216,17 @@ func manifest(problems []dataset.Problem) string {
 // metered inference cost.
 func (c *chain) report(w *wiring) {
 	ev := c.ev
-	if st := c.store; st != nil {
-		ratio := 0.0
-		if f := st.Flushes(); f > 0 {
-			ratio = float64(st.Appended()) / float64(f)
-		}
+	if c.store != nil {
+		ss := server.StoreStats(c.store)
 		fmt.Fprintf(os.Stderr, "store: %d shards, %d results, %d generations, %.2f frames/flush\n",
-			st.Shards(), st.Len(), st.GenLen(), ratio)
-		perShard := st.ShardStats()
-		counts := make([]string, len(perShard))
-		for i, sh := range perShard {
+			ss.Shards, ss.Records, ss.Generations, ss.FramesPerFlush)
+		counts := make([]string, len(ss.PerShard))
+		for i, sh := range ss.PerShard {
 			counts[i] = fmt.Sprintf("%d", sh.Records+sh.Generations)
 		}
 		fmt.Fprintf(os.Stderr, "store: per-shard records [%s]\n", strings.Join(counts, " "))
-		op := st.LastOpen()
 		fmt.Fprintf(os.Stderr, "store: open %.1fms — %d frames scanned (%d legacy JSON), index ~%.1f MiB resident\n",
-			float64(op.Duration.Microseconds())/1e3, op.ScannedFrames, op.LegacyFrames, float64(st.ResidentBytes())/(1<<20))
+			ss.LastOpen.DurationMs, ss.LastOpen.ScannedFrames, ss.LastOpen.LegacyFrames, float64(ss.ResidentBytes)/(1<<20))
 		es, gs := ev.Engine().Stats(), ev.Dispatcher().Stats()
 		fmt.Fprintf(os.Stderr, "caches: engine %d entries, %.1f MiB, %d evictions; inference %d entries, %.1f MiB, %d evictions\n",
 			es.CacheEntries, float64(es.CacheBytes)/(1<<20), es.CacheEvictions,

@@ -63,11 +63,11 @@ func cmdServe(fs *flag.FlagSet) func() error {
 			Store:           st,
 		})
 
+		ss := server.StoreStats(st)
 		fmt.Printf("serve: store %s (%d shards, %d results, %d generations), provider %s, %d problems, %d models\n",
-			w.store, st.Shards(), st.Len(), st.GenLen(), disp.Provider().Name(), len(bench.Problems), len(bench.Models))
-		op := st.LastOpen()
+			w.store, ss.Shards, ss.Records, ss.Generations, disp.Provider().Name(), len(bench.Problems), len(bench.Models))
 		fmt.Printf("serve: store open %.1fms — %d frames scanned (%d legacy JSON)\n",
-			float64(op.Duration.Microseconds())/1e3, op.ScannedFrames, op.LegacyFrames)
+			ss.LastOpen.DurationMs, ss.LastOpen.ScannedFrames, ss.LastOpen.LegacyFrames)
 		if *warm {
 			start := time.Now()
 			bench.ZeroShot()

@@ -9,6 +9,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"cloudeval/client"
 )
 
 // Every /v1 error response is one JSON envelope:
@@ -32,18 +34,11 @@ const (
 	codeInternal      = "internal"
 )
 
-type errorDetail struct {
-	Code    string `json:"code"`
-	Message string `json:"message"`
-}
-
-type errorEnvelope struct {
-	Error errorDetail `json:"error"`
-}
-
 // writeError renders the shared error envelope with the given status.
 func writeError(w http.ResponseWriter, status int, code, message string) {
-	writeJSON(w, status, errorEnvelope{Error: errorDetail{Code: code, Message: message}})
+	var body client.ErrorBody
+	body.Error.Code, body.Error.Message = code, message
+	writeJSON(w, status, body)
 }
 
 // writeRetryError is writeError with a Retry-After header: the

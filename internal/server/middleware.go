@@ -7,6 +7,8 @@ import (
 	"strconv"
 	"sync/atomic"
 	"time"
+
+	"cloudeval/client"
 )
 
 // Request-ID middleware and per-route counters. Every response carries
@@ -66,16 +68,9 @@ type routeStats struct {
 	totalNs  atomic.Int64
 }
 
-// routeStatsJSON is the /v1/stats rendering of one route's counters.
-type routeStatsJSON struct {
-	Requests int64   `json:"requests"`
-	Errors   int64   `json:"errors,omitempty"`
-	AvgMs    float64 `json:"avg_latency_ms"`
-}
-
-func (rs *routeStats) snapshot() routeStatsJSON {
+func (rs *routeStats) snapshot() client.RouteStats {
 	n := rs.requests.Load()
-	out := routeStatsJSON{Requests: n, Errors: rs.errors.Load()}
+	out := client.RouteStats{Requests: n, Errors: rs.errors.Load()}
 	if n > 0 {
 		out.AvgMs = float64(rs.totalNs.Load()) / float64(n) / 1e6
 	}

@@ -5,11 +5,15 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -214,4 +218,66 @@ func TestReplyKeyShapes(t *testing.T) {
 	}
 	waitCampaignDone(t, c, started.ID)
 	checkGolden(t, "campaign_done.keys", keyShape(t, getBody(t, ts.URL, "/v1/campaign/"+started.ID)))
+}
+
+// jsonTaggedStructs parses the non-test Go files of dir and returns the
+// structs with a field carrying a json tag: a named struct by its type
+// name, an anonymous one by its position.
+func jsonTaggedStructs(t *testing.T, dir string) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join(dir, "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	fset := token.NewFileSet()
+	var tagged []string
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names := map[*ast.StructType]string{}
+		ast.Inspect(f, func(n ast.Node) bool {
+			switch n := n.(type) {
+			case *ast.TypeSpec:
+				if st, ok := n.Type.(*ast.StructType); ok {
+					names[st] = n.Name.Name
+				}
+			case *ast.StructType:
+				for _, field := range n.Fields.List {
+					if field.Tag == nil || !strings.Contains(field.Tag.Value, "json:") {
+						continue
+					}
+					name, ok := names[n]
+					if !ok {
+						name = "anonymous struct at " + fset.Position(n.Pos()).String()
+					}
+					tagged = append(tagged, name)
+					break
+				}
+			}
+			return true
+		})
+	}
+	return tagged
+}
+
+// TestWireTypesDeclaredOnce holds the /v1 schema to one declaration, in
+// package client: the server encodes and decodes client's types, so the
+// only JSON-tagged structs it declares are evalResponse and evalScores,
+// which write the eval reply's scores from fields instead of a map.
+// The store, which knows nothing of the wire, tags no field of
+// ShardStat.
+func TestWireTypesDeclaredOnce(t *testing.T) {
+	got := jsonTaggedStructs(t, ".")
+	slices.Sort(got)
+	if want := []string{"evalResponse", "evalScores"}; !slices.Equal(got, want) {
+		t.Errorf("internal/server declares JSON-tagged structs %q, want only %q: encode and decode the client package's types", got, want)
+	}
+	if slices.Contains(jsonTaggedStructs(t, filepath.Join("..", "store")), "ShardStat") {
+		t.Error("store.ShardStat carries json tags: the wire form of a shard is client.ShardStats")
+	}
 }

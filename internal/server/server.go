@@ -25,9 +25,12 @@
 // flood degrades into polite backpressure instead of starving the
 // fleet.
 //
-// All error responses share one JSON envelope,
-// {"error":{"code","message"}}, decoded by the typed client in
-// cloudeval/client.
+// The wire format is declared once, in cloudeval/client: the server
+// decodes request bodies into client.EvalRequest and
+// client.CampaignRequest and writes client.CampaignStatus, client.Stats
+// and, for every error, the one envelope client.ErrorBody,
+// {"error":{"code","message"}}. The eval reply alone is written from
+// this package's evalResponse (see there).
 //
 // The inference provider — sim zoo, replayed trace, or live HTTP
 // endpoint — is configured at construction via the benchmark's
@@ -57,6 +60,7 @@ import (
 	"sync"
 	"time"
 
+	"cloudeval/client"
 	"cloudeval/internal/core"
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/inference"
@@ -153,8 +157,8 @@ func NewWithConfig(bench *core.Benchmark, dataDir string, cfg Config) *Server {
 		s.models[m.Name] = m
 	}
 	s.handle("GET /healthz", s.handleHealthz)
-	s.handle("GET /v1/leaderboard", s.handleLeaderboard)
-	s.handle("GET /v1/leaderboard/families", s.handleFamilyLeaderboard)
+	s.handle("GET /v1/leaderboard", s.handleExperiment("table4"))
+	s.handle("GET /v1/leaderboard/families", s.handleExperiment("families"))
 	s.handle("GET /v1/stats", s.handleStats)
 	s.handle("POST /v1/eval", s.handleEval)
 	s.handle("POST /v1/campaign", s.handleCampaignStart)
@@ -183,128 +187,43 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprintln(w, "ok")
 }
 
-// handleLeaderboard serves Table 4 byte-identical to
-// core.Benchmark.Table4, rendered once by core.Benchmark.Experiment.
-// The tenant is validated, though every tenant gets the one rendering.
-func (s *Server) handleLeaderboard(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.tenantFor(w, r); !ok {
-		return
+// handleExperiment serves experiment id's rendering as text, rendered
+// once by core.Benchmark.Experiment. GET /v1/leaderboard serves
+// "table4", byte-identical to core.Benchmark.Table4; GET
+// /v1/leaderboard/families serves "families", the per-workload-family
+// breakdown (core.Benchmark.FamilyLeaderboard), with one column per
+// registered scenario backend, the extension families the pinned
+// Table 4 excludes included. Both share the ZeroShot campaign, so
+// serving both costs one evaluation. The tenant is validated, though
+// every tenant gets the one rendering.
+func (s *Server) handleExperiment(id string) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if _, ok := s.tenantFor(w, r); !ok {
+			return
+		}
+		out, err := s.bench.Experiment(id)
+		if err != nil {
+			writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
+			return
+		}
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		fmt.Fprint(w, out)
 	}
-	out, err := s.bench.Experiment("table4")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, out)
 }
 
-// handleFamilyLeaderboard serves the per-workload-family breakdown
-// (core.Benchmark.FamilyLeaderboard): one column per registered
-// scenario backend, including the extension families the pinned
-// Table 4 excludes. It shares the ZeroShot campaign with the main
-// leaderboard, so serving both costs one evaluation.
-func (s *Server) handleFamilyLeaderboard(w http.ResponseWriter, r *http.Request) {
-	if _, ok := s.tenantFor(w, r); !ok {
-		return
-	}
-	out, err := s.bench.Experiment("families")
-	if err != nil {
-		writeError(w, http.StatusInternalServerError, codeInternal, err.Error())
-		return
-	}
-	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-	fmt.Fprint(w, out)
-}
-
-// statsResponse is the engine, inference and serving-layer counter
-// snapshot.
-type statsResponse struct {
-	// Executor is always "pool", the one executor the daemon runs on;
-	// the key stays for the dashboards that read it.
-	Executor  string `json:"executor"`
-	Workers   int    `json:"workers"`
-	Executed  int64  `json:"executed"`
-	CacheHits int64  `json:"cache_hits"`
-	StoreHits int64  `json:"store_hits"`
-
-	// The engine's in-memory execution cache: resident results, their
-	// charge against its fixed budget, and results dropped to stay
-	// under it.
-	CacheEntries   int   `json:"cache_entries"`
-	CacheBytes     int64 `json:"cache_bytes"`
-	CacheEvictions int64 `json:"cache_evictions"`
-
-	// Pipeline depth gauges: instantaneous occupancy of the streaming
-	// generation→execution pipeline (DESIGN.md §2.4). All three read
-	// zero when no campaign is mid-flight.
-	GenInflight        int64 `json:"gen_inflight"`
-	PipelineQueueDepth int64 `json:"pipeline_queue_depth"`
-	ExecBusy           int64 `json:"exec_busy"`
-
-	// Inference-side counters: live provider calls, generation cache
-	// tiers, and the metered token usage of live generations.
-	Provider         string `json:"provider"`
-	Generated        int64  `json:"generated"`
-	GenCacheHits     int64  `json:"gen_cache_hits"`
-	GenStoreHits     int64  `json:"gen_store_hits"`
-	GenErrors        int64  `json:"gen_errors,omitempty"`
-	PromptTokens     int64  `json:"prompt_tokens"`
-	CompletionTokens int64  `json:"completion_tokens"`
-
-	// The dispatcher's in-memory generation cache, as for the engine's.
-	GenCacheEntries   int   `json:"gen_cache_entries"`
-	GenCacheBytes     int64 `json:"gen_cache_bytes"`
-	GenCacheEvictions int64 `json:"gen_cache_evictions"`
-
-	// Serving-layer counters: daemon uptime, tenants holding a campaign
-	// in memory, and per-route request/latency aggregates.
-	UptimeSec float64                   `json:"uptime_sec"`
-	Tenants   int                       `json:"tenants"`
-	Routes    map[string]routeStatsJSON `json:"routes"`
-
-	// Store is the persistent store's shard layout and append
-	// counters; omitted when the daemon runs store-less.
-	Store *storeStatsJSON `json:"store,omitempty"`
-}
-
-// storeStatsJSON is the GET /v1/stats view of the sharded store:
-// layout, aggregate counters, and the frames-per-flush ratio.
-type storeStatsJSON struct {
-	Shards      int   `json:"shards"`
-	Records     int   `json:"records"`
-	Generations int   `json:"generations"`
-	Appended    int64 `json:"appended"`
-	Flushes     int64 `json:"flushes"`
-	// FramesPerFlush is Appended/Flushes, frames per write syscall:
-	// 1.0 while each frame is its own write.
-	FramesPerFlush float64           `json:"frames_per_flush"`
-	PerShard       []store.ShardStat `json:"per_shard"`
-
-	// Out-of-core economics: resident memory (the offset index, never
-	// payload-proportional) and how the last Open rebuilt the index.
-	ResidentBytes int64              `json:"resident_bytes"`
-	LastOpen      storeOpenStatsJSON `json:"last_open"`
-}
-
-// storeOpenStatsJSON describes the last Open's index rebuild.
-type storeOpenStatsJSON struct {
-	ScannedFrames int     `json:"scanned_frames"`
-	LegacyFrames  int     `json:"legacy_frames"`
-	DurationMs    float64 `json:"duration_ms"`
-}
-
-func storeStatsFor(st *store.Store) *storeStatsJSON {
+// StoreStats is the store block of GET /v1/stats: st's shard layout,
+// append counters, frames per flush and last Open. cloudeval prints
+// its store lines from the same value.
+func StoreStats(st *store.Store) *client.StoreStats {
 	op := st.LastOpen()
-	out := &storeStatsJSON{
+	out := &client.StoreStats{
 		Shards:        st.Shards(),
 		Records:       st.Len(),
 		Generations:   st.GenLen(),
 		Appended:      st.Appended(),
 		Flushes:       st.Flushes(),
-		PerShard:      st.ShardStats(),
 		ResidentBytes: st.ResidentBytes(),
-		LastOpen: storeOpenStatsJSON{
+		LastOpen: client.StoreOpenStats{
 			ScannedFrames: op.ScannedFrames,
 			LegacyFrames:  op.LegacyFrames,
 			DurationMs:    float64(op.Duration.Microseconds()) / 1e3,
@@ -313,6 +232,9 @@ func storeStatsFor(st *store.Store) *storeStatsJSON {
 	if out.Flushes > 0 {
 		out.FramesPerFlush = float64(out.Appended) / float64(out.Flushes)
 	}
+	for _, sh := range st.ShardStats() {
+		out.PerShard = append(out.PerShard, client.ShardStats(sh))
+	}
 	return out
 }
 
@@ -320,7 +242,7 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	eng, gen := s.bench.Evaluator().Engine(), s.bench.Evaluator().Dispatcher()
 	st := eng.Stats()
 	gst := gen.Stats()
-	routes := make(map[string]routeStatsJSON, len(s.routes))
+	routes := make(map[string]client.RouteStats, len(s.routes))
 	for pattern, rs := range s.routes {
 		routes[pattern] = rs.snapshot()
 	}
@@ -330,11 +252,11 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		tenants[k.tenant] = struct{}{}
 	}
 	s.mu.Unlock()
-	var storeStats *storeStatsJSON
+	var storeStats *client.StoreStats
 	if s.cfg.Store != nil {
-		storeStats = storeStatsFor(s.cfg.Store)
+		storeStats = StoreStats(s.cfg.Store)
 	}
-	writeJSON(w, http.StatusOK, statsResponse{
+	writeJSON(w, http.StatusOK, client.Stats{
 		Executor:  "pool",
 		Workers:   eng.Workers(),
 		Executed:  st.Executed,
@@ -368,15 +290,12 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// evalRequest scores one problem: either a literal candidate answer,
-// or the named zoo model's generated answer. Exactly one of Answer and
-// Model must be set.
-type evalRequest struct {
-	Problem string `json:"problem"`
-	Answer  string `json:"answer,omitempty"`
-	Model   string `json:"model,omitempty"`
-}
-
+// evalResponse is client.EvalResponse's wire form, and the one reply
+// the server writes from a struct of its own. client.Scores is a map,
+// because the benchmark harness in bench/ indexes it by metric name;
+// encoding a map reflects over it on every request, where evalScores
+// writes the same bytes from fields (TestEvalReplyBytes,
+// TestEvalHandlerAllocs).
 type evalResponse struct {
 	Problem string     `json:"problem"`
 	Model   string     `json:"model,omitempty"`
@@ -406,7 +325,7 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, tenant) {
 		return
 	}
-	var req evalRequest
+	var req client.EvalRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -449,21 +368,6 @@ func (s *Server) handleEval(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-type campaignRequest struct {
-	// Experiments to run; empty means every experiment.
-	Experiments []string `json:"experiments,omitempty"`
-}
-
-type campaignResponse struct {
-	ID          string   `json:"id"`
-	State       string   `json:"state"`
-	Experiments []string `json:"experiments"`
-	Completed   []string `json:"completed"`
-	Error       string   `json:"error,omitempty"`
-	// Outputs holds each completed experiment's rendered text.
-	Outputs map[string]string `json:"outputs,omitempty"`
-}
-
 // campaignID derives a deterministic ID from the tenant and experiment
 // set, so re-posting the same campaign — against this daemon or a
 // restarted one — coalesces onto (or resumes) the same checkpointed
@@ -495,7 +399,7 @@ func (s *Server) handleCampaignStart(w http.ResponseWriter, r *http.Request) {
 	if !s.admit(w, tenant) {
 		return
 	}
-	var req campaignRequest
+	var req client.CampaignRequest
 	if !decodeBody(w, r, &req) {
 		return
 	}
@@ -613,7 +517,7 @@ func (s *Server) handleCampaignStatus(w http.ResponseWriter, r *http.Request) {
 			if len(rec.Completed) >= len(rec.Experiments) {
 				state = "done"
 			}
-			writeJSON(w, http.StatusOK, campaignResponse{
+			writeJSON(w, http.StatusOK, client.CampaignStatus{
 				ID:          id,
 				State:       state,
 				Experiments: rec.Experiments,
@@ -643,10 +547,10 @@ func validCampaignID(id string) bool {
 // status is c's reply. Outputs ride along only once the campaign stops
 // running: polls of an in-flight campaign need state and completed,
 // not every output shipped on each request.
-func (c *campaign) status(includeOutputs bool) campaignResponse {
+func (c *campaign) status(includeOutputs bool) client.CampaignStatus {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	resp := campaignResponse{
+	resp := client.CampaignStatus{
 		ID:          c.key.id,
 		State:       c.state,
 		Experiments: c.experiments,

@@ -611,10 +611,10 @@ func (s *Store) ResidentBytes() int64 {
 // handle's append and write-syscall counters (their ratio is frames
 // per write, 1 while each frame is its own write).
 type ShardStat struct {
-	Records     int   `json:"records"`
-	Generations int   `json:"generations"`
-	Appended    int64 `json:"appended"`
-	Flushes     int64 `json:"flushes"`
+	Records     int
+	Generations int
+	Appended    int64
+	Flushes     int64
 }
 
 // ShardStats snapshots every shard, in shard order. The snapshot is
