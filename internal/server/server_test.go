@@ -487,8 +487,9 @@ func TestCampaignCompletedOrderSurvivesRestart(t *testing.T) {
 
 // TestColdStartWarmStore is the daemon-side acceptance contract: a
 // cold-started daemon whose engine sits on a warm persistent store
-// serves the Table 4 leaderboard byte-identical to core.Benchmark
-// without executing a single unit test.
+// serves the Table 4 leaderboard and the family leaderboard
+// byte-identical to the benchmark that warmed the store, without
+// executing a single unit test.
 func TestColdStartWarmStore(t *testing.T) {
 	ctx := context.Background()
 	storePath := filepath.Join(t.TempDir(), "eval.store")
@@ -500,6 +501,10 @@ func TestColdStartWarmStore(t *testing.T) {
 	}
 	warmBench := smallBench(engine.New(engine.WithStore(st)))
 	want := warmBench.Table4()
+	wantFamilies, err := warmBench.Experiment("families")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -520,6 +525,13 @@ func TestColdStartWarmStore(t *testing.T) {
 	}
 	if got != want {
 		t.Errorf("cold-start leaderboard differs from warm benchmark's Table 4:\n--- got ---\n%s--- want ---\n%s", got, want)
+	}
+	gotFamilies, err := c.FamilyLeaderboard(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if gotFamilies != wantFamilies {
+		t.Errorf("cold-start family leaderboard differs from warm benchmark's:\n--- got ---\n%s--- want ---\n%s", gotFamilies, wantFamilies)
 	}
 
 	stats, err := c.Stats(ctx)
