@@ -1,7 +1,7 @@
 // Command benchguard turns `go test -bench` output into a JSON
 // benchmark artifact and enforces the CI bench-regression gates.
 //
-//	go test -bench 'ZeroShot|ColdPath' -benchmem -benchtime 1x -run '^$' . | tee bench.txt
+//	go test -bench 'ZeroShot|ColdPath' -benchmem -benchtime 1x -count 5 -run '^$' . | tee bench.txt
 //	benchguard -in bench.txt -out BENCH_$SHA.json -sha $SHA \
 //	    -baseline ci/bench-baseline.json -max-regress 20
 //
@@ -15,7 +15,9 @@
 //     engine-ns ÷ serial-ns from the same run must not exceed the
 //     baseline ratio by more than the given percent. Raw ns/op swings
 //     with whatever hardware CI lands on, but the engine must stay
-//     proportionally ahead of the serial loop it replaced.
+//     proportionally ahead of the serial loop it replaced. Each side
+//     is the median of its -count repeats: one iteration of each
+//     spreads wider than the gate on a loaded machine.
 //  2. Allocations (-max-alloc-regress): for every benchmark that has
 //     an allocs/op baseline, the current allocs/op must not exceed it
 //     by more than the given percent. Allocation counts are
@@ -93,11 +95,12 @@ import (
 	"cloudeval/internal/loadgen"
 )
 
-// BenchResult is one benchmark's measurements. When a benchmark runs
-// at several -cpu values, the headline fields hold the last line
-// parsed (the highest requested GOMAXPROCS, matching go test's output
-// order) and ByCPU records ns/op per GOMAXPROCS — the raw material of
-// the parallel-scaling gate.
+// BenchResult is one benchmark's measurements. The lines of one name
+// and GOMAXPROCS, one per -count repeat, fold into their median ns/op,
+// which ByCPU records per GOMAXPROCS — the raw material of the
+// parallel-scaling gate. NsPerOp is the median at the last GOMAXPROCS
+// parsed (the highest requested, matching go test's output order), and
+// the other fields hold the last line parsed.
 type BenchResult struct {
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
@@ -190,12 +193,17 @@ const (
 //
 //	BenchmarkZeroShotSerial-8  1  537016704 ns/op  128 B/op  7 allocs/op  0.483 gpt4-unit-test
 //
-// The -8 suffix is GOMAXPROCS (absent when 1); under -cpu 1,4 the same
-// benchmark emits one line per value, folded into one BenchResult.
+// The -8 suffix is GOMAXPROCS (absent when 1); under -cpu 1,4 or
+// -count 5 the same benchmark emits one line per value and repeat,
+// folded into one BenchResult.
 var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op(.*)$`)
 
 func parseBench(r io.Reader) (map[string]BenchResult, error) {
 	out := map[string]BenchResult{}
+	// ns holds every ns/op read for a name, by GOMAXPROCS; lastCPU is
+	// the GOMAXPROCS of the name's last line.
+	ns := map[string]map[string][]float64{}
+	lastCPU := map[string]string{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -207,11 +215,11 @@ func parseBench(r io.Reader) (map[string]BenchResult, error) {
 		if err != nil {
 			continue
 		}
-		ns, err := strconv.ParseFloat(m[4], 64)
+		v, err := strconv.ParseFloat(m[4], 64)
 		if err != nil {
 			continue
 		}
-		res := BenchResult{Iterations: iters, NsPerOp: ns}
+		res := BenchResult{Iterations: iters}
 		// The remainder alternates "value unit" pairs: -benchmem's
 		// B/op and allocs/op columns plus any ReportMetric values.
 		fields := strings.Fields(m[5])
@@ -236,20 +244,34 @@ func parseBench(r io.Reader) (map[string]BenchResult, error) {
 		if cpu == "" {
 			cpu = "1"
 		}
-		// Later lines for the same name (higher -cpu values) take the
-		// headline fields; ByCPU accumulates across them.
-		if prev, ok := out[m[1]]; ok {
-			if res.ByCPU == nil {
-				res.ByCPU = prev.ByCPU
-			}
+		if ns[m[1]] == nil {
+			ns[m[1]] = map[string][]float64{}
 		}
-		if res.ByCPU == nil {
-			res.ByCPU = map[string]float64{}
-		}
-		res.ByCPU[cpu] = ns
+		ns[m[1]][cpu] = append(ns[m[1]][cpu], v)
+		lastCPU[m[1]] = cpu
 		out[m[1]] = res
 	}
+	for name, byCPU := range ns {
+		res := out[name]
+		res.ByCPU = make(map[string]float64, len(byCPU))
+		for cpu, vs := range byCPU {
+			res.ByCPU[cpu] = median(vs)
+		}
+		res.NsPerOp = res.ByCPU[lastCPU[name]]
+		out[name] = res
+	}
 	return out, sc.Err()
+}
+
+// median returns the middle value of vs, or the mean of the two middle
+// values when there is an even number of them. It sorts vs.
+func median(vs []float64) float64 {
+	sort.Float64s(vs)
+	n := len(vs)
+	if n%2 == 1 {
+		return vs[n/2]
+	}
+	return (vs[n/2-1] + vs[n/2]) / 2
 }
 
 func ratio(benchmarks map[string]BenchResult) (float64, error) {

@@ -212,6 +212,54 @@ func TestParseBenchFoldsCPUVariants(t *testing.T) {
 	}
 }
 
+// repeatSample is -count 5 of the engine-ratio pair, with the serial
+// run's slowest repeat last, and -count 2 -cpu 1,4 of CampaignParallel.
+const repeatSample = `goos: linux
+pkg: cloudeval
+BenchmarkZeroShotSerial-2    	       1	2700000000 ns/op	         0.483 gpt4-unit-test
+BenchmarkZeroShotSerial-2    	       1	2800000000 ns/op	         0.483 gpt4-unit-test
+BenchmarkZeroShotSerial-2    	       1	2750000000 ns/op	         0.483 gpt4-unit-test
+BenchmarkZeroShotSerial-2    	       1	2600000000 ns/op	         0.483 gpt4-unit-test
+BenchmarkZeroShotSerial-2    	       1	4000000000 ns/op	         0.483 gpt4-unit-test
+BenchmarkZeroShotEngine-2    	       1	 250000000 ns/op	      7459 cache-hits	 7348112 B/op	   49090 allocs/op
+BenchmarkZeroShotEngine-2    	       1	 400000000 ns/op	      7459 cache-hits	 7265120 B/op	   48587 allocs/op
+BenchmarkZeroShotEngine-2    	       1	 240000000 ns/op	      7459 cache-hits	 7240752 B/op	   48260 allocs/op
+BenchmarkZeroShotEngine-2    	       1	 275000000 ns/op	      7459 cache-hits	 7243592 B/op	   48464 allocs/op
+BenchmarkZeroShotEngine-2    	       1	 260000000 ns/op	      7459 cache-hits	 7226560 B/op	   48222 allocs/op
+BenchmarkCampaignParallel    	       3	 320000000 ns/op	 4000000 B/op	   20000 allocs/op
+BenchmarkCampaignParallel    	       3	 360000000 ns/op	 4000000 B/op	   20000 allocs/op
+BenchmarkCampaignParallel-4  	       4	 100000000 ns/op	 4100000 B/op	   20500 allocs/op
+BenchmarkCampaignParallel-4  	       4	 120000000 ns/op	 4100000 B/op	   20400 allocs/op
+PASS
+`
+
+// TestParseBenchMedianOfRepeats: the repeated lines of one name and
+// GOMAXPROCS fold into their median ns/op, so one slow repeat moves
+// neither side of the engine ratio; the other fields are the last
+// line's.
+func TestParseBenchMedianOfRepeats(t *testing.T) {
+	got, err := parseBench(strings.NewReader(repeatSample))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serial, eng := got["ZeroShotSerial"], got["ZeroShotEngine"]
+	if serial.NsPerOp != 2.75e9 || serial.ByCPU["2"] != 2.75e9 {
+		t.Errorf("ZeroShotSerial = %+v, want median 2.75e9", serial)
+	}
+	if eng.NsPerOp != 2.6e8 || eng.AllocsPerOp != 48222 || eng.Metrics["cache-hits"] != 7459 {
+		t.Errorf("ZeroShotEngine = %+v, want median 2.6e8 and the last line's allocs", eng)
+	}
+	if r, err := ratio(got); err != nil || r != 2.6e8/2.75e9 {
+		t.Errorf("ratio = %v, %v; want %v", r, err, 2.6e8/2.75e9)
+	}
+	// An even count takes the mean of the two middle values, and each
+	// GOMAXPROCS folds on its own.
+	cp := got["CampaignParallel"]
+	if cp.ByCPU["1"] != 3.4e8 || cp.ByCPU["4"] != 1.1e8 || cp.NsPerOp != 1.1e8 || cp.AllocsPerOp != 20400 {
+		t.Errorf("CampaignParallel = %+v, want ByCPU 1:3.4e8 4:1.1e8, headline 1.1e8 with the last line's allocs", cp)
+	}
+}
+
 func TestParallelScaleGate(t *testing.T) {
 	good, err := parseBench(strings.NewReader(parallelSample))
 	if err != nil {
