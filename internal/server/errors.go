@@ -19,8 +19,8 @@ import (
 //
 // The HTTP status carries the class (400/404/413/429/500/502), the code a
 // machine-readable cause within it, and the message the human detail.
-// Handlers never call http.Error directly — the envelope is the wire
-// contract the typed client (cloudeval/client) decodes.
+// Handlers never call http.Error directly — the envelope,
+// client.ErrorBody, is the wire contract the typed client decodes.
 
 // Error codes used across the /v1 surface.
 const (
