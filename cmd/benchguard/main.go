@@ -215,7 +215,7 @@ func parseBench(r io.Reader) (map[string]BenchResult, error) {
 		if err != nil {
 			continue
 		}
-		v, err := strconv.ParseFloat(m[4], 64)
+		nsPerOp, err := strconv.ParseFloat(m[4], 64)
 		if err != nil {
 			continue
 		}
@@ -247,7 +247,7 @@ func parseBench(r io.Reader) (map[string]BenchResult, error) {
 		if ns[m[1]] == nil {
 			ns[m[1]] = map[string][]float64{}
 		}
-		ns[m[1]][cpu] = append(ns[m[1]][cpu], v)
+		ns[m[1]][cpu] = append(ns[m[1]][cpu], nsPerOp)
 		lastCPU[m[1]] = cpu
 		out[m[1]] = res
 	}
