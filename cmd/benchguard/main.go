@@ -98,9 +98,11 @@ import (
 // BenchResult is one benchmark's measurements. The lines of one name
 // and GOMAXPROCS, one per -count repeat, fold into their median ns/op,
 // which ByCPU records per GOMAXPROCS — the raw material of the
-// parallel-scaling gate. NsPerOp is the median at the last GOMAXPROCS
-// parsed (the highest requested, matching go test's output order), and
-// the other fields hold the last line parsed.
+// parallel-scaling gate — and into their highest B/op and allocs/op,
+// so a benchmark whose first repeat runs cold keeps that repeat's cost
+// under the allocation gate. NsPerOp, BytesPerOp and AllocsPerOp are
+// read at the last GOMAXPROCS parsed (the highest requested, matching
+// go test's output order); Iterations and Metrics hold the last line.
 type BenchResult struct {
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
@@ -200,9 +202,13 @@ var benchLine = regexp.MustCompile(`^Benchmark(\S+?)(?:-(\d+))?\s+(\d+)\s+([0-9.
 
 func parseBench(r io.Reader) (map[string]BenchResult, error) {
 	out := map[string]BenchResult{}
-	// ns holds every ns/op read for a name, by GOMAXPROCS; lastCPU is
-	// the GOMAXPROCS of the name's last line.
-	ns := map[string]map[string][]float64{}
+	// folds holds every repeat of a name, by GOMAXPROCS; lastCPU is the
+	// GOMAXPROCS of the name's last line.
+	type fold struct {
+		ns            []float64
+		bytes, allocs float64
+	}
+	folds := map[string]map[string]*fold{}
 	lastCPU := map[string]string{}
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
@@ -219,6 +225,19 @@ func parseBench(r io.Reader) (map[string]BenchResult, error) {
 		if err != nil {
 			continue
 		}
+		cpu := m[2]
+		if cpu == "" {
+			cpu = "1"
+		}
+		if folds[m[1]] == nil {
+			folds[m[1]] = map[string]*fold{}
+		}
+		f := folds[m[1]][cpu]
+		if f == nil {
+			f = &fold{}
+			folds[m[1]][cpu] = f
+		}
+		f.ns = append(f.ns, nsPerOp)
 		res := BenchResult{Iterations: iters}
 		// The remainder alternates "value unit" pairs: -benchmem's
 		// B/op and allocs/op columns plus any ReportMetric values.
@@ -230,9 +249,9 @@ func parseBench(r io.Reader) (map[string]BenchResult, error) {
 			}
 			switch fields[i+1] {
 			case "B/op":
-				res.BytesPerOp = v
+				f.bytes = max(f.bytes, v)
 			case "allocs/op":
-				res.AllocsPerOp = v
+				f.allocs = max(f.allocs, v)
 			default:
 				if res.Metrics == nil {
 					res.Metrics = map[string]float64{}
@@ -240,24 +259,18 @@ func parseBench(r io.Reader) (map[string]BenchResult, error) {
 				res.Metrics[fields[i+1]] = v
 			}
 		}
-		cpu := m[2]
-		if cpu == "" {
-			cpu = "1"
-		}
-		if ns[m[1]] == nil {
-			ns[m[1]] = map[string][]float64{}
-		}
-		ns[m[1]][cpu] = append(ns[m[1]][cpu], nsPerOp)
 		lastCPU[m[1]] = cpu
 		out[m[1]] = res
 	}
-	for name, byCPU := range ns {
+	for name, byCPU := range folds {
 		res := out[name]
 		res.ByCPU = make(map[string]float64, len(byCPU))
-		for cpu, vs := range byCPU {
-			res.ByCPU[cpu] = median(vs)
+		for cpu, f := range byCPU {
+			res.ByCPU[cpu] = median(f.ns)
 		}
+		last := byCPU[lastCPU[name]]
 		res.NsPerOp = res.ByCPU[lastCPU[name]]
+		res.BytesPerOp, res.AllocsPerOp = last.bytes, last.allocs
 		out[name] = res
 	}
 	return out, sc.Err()

@@ -213,7 +213,9 @@ func TestParseBenchFoldsCPUVariants(t *testing.T) {
 }
 
 // repeatSample is -count 5 of the engine-ratio pair, with the serial
-// run's slowest repeat last, and -count 2 -cpu 1,4 of CampaignParallel.
+// run's slowest repeat last, -count 3 of Table4ZeroShot, whose first
+// repeat runs cold and the rest warm, and -count 2 -cpu 1,4 of
+// CampaignParallel.
 const repeatSample = `goos: linux
 pkg: cloudeval
 BenchmarkZeroShotSerial-2    	       1	2700000000 ns/op	         0.483 gpt4-unit-test
@@ -226,8 +228,11 @@ BenchmarkZeroShotEngine-2    	       1	 400000000 ns/op	      7459 cache-hits	 7
 BenchmarkZeroShotEngine-2    	       1	 240000000 ns/op	      7459 cache-hits	 7240752 B/op	   48260 allocs/op
 BenchmarkZeroShotEngine-2    	       1	 275000000 ns/op	      7459 cache-hits	 7243592 B/op	   48464 allocs/op
 BenchmarkZeroShotEngine-2    	       1	 260000000 ns/op	      7459 cache-hits	 7226560 B/op	   48222 allocs/op
+BenchmarkTable4ZeroShot-2    	       1	 455000000 ns/op	         0.483 gpt4-unit-test	75946928 B/op	  530112 allocs/op
+BenchmarkTable4ZeroShot-2    	       1	 130000000 ns/op	         0.483 gpt4-unit-test	 2426312 B/op	    1683 allocs/op
+BenchmarkTable4ZeroShot-2    	       1	 135000000 ns/op	         0.483 gpt4-unit-test	 2431000 B/op	    1702 allocs/op
 BenchmarkCampaignParallel    	       3	 320000000 ns/op	 4000000 B/op	   20000 allocs/op
-BenchmarkCampaignParallel    	       3	 360000000 ns/op	 4000000 B/op	   20000 allocs/op
+BenchmarkCampaignParallel    	       3	 360000000 ns/op	 4000000 B/op	   21000 allocs/op
 BenchmarkCampaignParallel-4  	       4	 100000000 ns/op	 4100000 B/op	   20500 allocs/op
 BenchmarkCampaignParallel-4  	       4	 120000000 ns/op	 4100000 B/op	   20400 allocs/op
 PASS
@@ -235,8 +240,9 @@ PASS
 
 // TestParseBenchMedianOfRepeats: the repeated lines of one name and
 // GOMAXPROCS fold into their median ns/op, so one slow repeat moves
-// neither side of the engine ratio; the other fields are the last
-// line's.
+// neither side of the engine ratio, and into their highest B/op and
+// allocs/op, so a cold first repeat stays under the allocation gate
+// whatever order the repeats print in.
 func TestParseBenchMedianOfRepeats(t *testing.T) {
 	got, err := parseBench(strings.NewReader(repeatSample))
 	if err != nil {
@@ -246,8 +252,11 @@ func TestParseBenchMedianOfRepeats(t *testing.T) {
 	if serial.NsPerOp != 2.75e9 || serial.ByCPU["2"] != 2.75e9 {
 		t.Errorf("ZeroShotSerial = %+v, want median 2.75e9", serial)
 	}
-	if eng.NsPerOp != 2.6e8 || eng.AllocsPerOp != 48222 || eng.Metrics["cache-hits"] != 7459 {
-		t.Errorf("ZeroShotEngine = %+v, want median 2.6e8 and the last line's allocs", eng)
+	if eng.NsPerOp != 2.6e8 || eng.AllocsPerOp != 49090 || eng.BytesPerOp != 7348112 || eng.Metrics["cache-hits"] != 7459 {
+		t.Errorf("ZeroShotEngine = %+v, want median 2.6e8 and the highest B/op and allocs", eng)
+	}
+	if t4 := got["Table4ZeroShot"]; t4.NsPerOp != 1.35e8 || t4.AllocsPerOp != 530112 || t4.BytesPerOp != 75946928 {
+		t.Errorf("Table4ZeroShot = %+v, want median 1.35e8 and the cold repeat's 530112 allocs, 75946928 B", t4)
 	}
 	if r, err := ratio(got); err != nil || r != 2.6e8/2.75e9 {
 		t.Errorf("ratio = %v, %v; want %v", r, err, 2.6e8/2.75e9)
@@ -255,8 +264,8 @@ func TestParseBenchMedianOfRepeats(t *testing.T) {
 	// An even count takes the mean of the two middle values, and each
 	// GOMAXPROCS folds on its own.
 	cp := got["CampaignParallel"]
-	if cp.ByCPU["1"] != 3.4e8 || cp.ByCPU["4"] != 1.1e8 || cp.NsPerOp != 1.1e8 || cp.AllocsPerOp != 20400 {
-		t.Errorf("CampaignParallel = %+v, want ByCPU 1:3.4e8 4:1.1e8, headline 1.1e8 with the last line's allocs", cp)
+	if cp.ByCPU["1"] != 3.4e8 || cp.ByCPU["4"] != 1.1e8 || cp.NsPerOp != 1.1e8 || cp.AllocsPerOp != 20500 {
+		t.Errorf("CampaignParallel = %+v, want ByCPU 1:3.4e8 4:1.1e8, headline 1.1e8 with the -4 lines' highest allocs", cp)
 	}
 }
 
