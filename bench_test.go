@@ -108,13 +108,19 @@ func BenchmarkTable3Cost(b *testing.B) {
 }
 
 // BenchmarkTable4ZeroShot runs the full 12-model x 1011-problem
-// zero-shot benchmark with all six metrics through the shared engine
-// (warm cache after the first iteration).
+// zero-shot benchmark with all six metrics on a fresh engine and
+// dispatcher in every iteration, so no repeat reuses an earlier one's
+// generations or executions. Only the first repeat in a process also
+// finds the process-wide text caches and the problems' compiled state
+// cold; under CI's -count 5 that repeat is the one the allocation gate
+// reads, while the reported ns/op is the median of all five.
 func BenchmarkTable4ZeroShot(b *testing.B) {
 	_, full := fixtures()
 	var gpt4 float64
+	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		rows, _ := benchEv.Benchmark(llm.Models, full)
+		gen := inference.NewDispatcher(inference.NewSim(llm.Models))
+		rows, _ := score.NewEvaluator(engine.New(), gen).Benchmark(llm.Models, full)
 		gpt4 = rows[0].UnitTest
 	}
 	b.ReportMetric(gpt4, "gpt4-unit-test")
@@ -142,6 +148,7 @@ func BenchmarkZeroShotSerial(b *testing.B) {
 // and even single-core the answer cache keeps it ahead.
 func BenchmarkZeroShotEngine(b *testing.B) {
 	_, full := fixtures()
+	zeroShot() // warms benchGen, whose generations every iteration reuses
 	var gpt4 float64
 	var stats engine.Stats
 	b.ResetTimer()

@@ -83,8 +83,8 @@ db-0          1/1     Running
 // TestShellTranscripts pins what the shell's own commands and syntax
 // print, byte for byte: the idioms of the corpus's unit tests (echo,
 // cat, grep, pipes to wc and head, [ ] and [[ ]], loops with sleep,
-// substitutions, redirects) and their error cases, parse errors
-// included.
+// substitutions, redirects), their error cases, parse errors included,
+// and one refusal for each form the shell does not read.
 func TestShellTranscripts(t *testing.T) {
 	var (
 		b   strings.Builder
@@ -96,9 +96,7 @@ func TestShellTranscripts(t *testing.T) {
 	rec.Transcribe(&b,
 		`echo hello   world`,
 		`echo -n no newline`,
-		`echo -e 'a\tb\nc\\d'`,
 		`echo 'a\tb'`,
-		`echo -n -e 'x\n'`,
 		`echo`,
 		`echo -- -n`,
 		`cat f.txt`,
@@ -114,17 +112,9 @@ func TestShellTranscripts(t *testing.T) {
 	rec.Transcribe(&b,
 		`grep Running pods.txt`,
 		`grep -c Running pods.txt`,
-		`grep -v Running pods.txt`,
 		`grep -q Pending pods.txt && echo found`,
 		`grep -q Failed pods.txt || echo absent`,
-		`grep -i RUNNING pods.txt`,
-		`grep -o 'web-[0-9]' pods.txt`,
-		`grep -io 'running' pods.txt`,
-		`grep -v -o web pods.txt`,
 		`grep -E 'web|db' pods.txt`,
-		`grep -e -1 pods.txt`,
-		`grep -m 1 Running pods.txt`,
-		`grep -x Running pods.txt`,
 		`cat pods.txt | grep web | grep -c Running`,
 		`grep -c absent pods.txt`,
 		`grep Running pods.txt missing.txt`,
@@ -155,7 +145,6 @@ func TestShellTranscripts(t *testing.T) {
 		`cat pods.txt | head -n 1`,
 		`head twelve.txt`,
 		`head -n x pods.txt`,
-		`grep -o 'web-[0-9]' pods.txt | head -n 1 | wc -l`,
 	)
 
 	rec = section(&b, newEnv(), "sleep and timeout", nil)
@@ -179,8 +168,6 @@ func TestShellTranscripts(t *testing.T) {
 	rec = section(&b, newEnv(), "variables and substitution", nil)
 	rec.Transcribe(&b,
 		`x=hello; echo $x ${x} "$x" '$x'`,
-		`echo ${#x} ${#unset}`,
-		`echo ${unset:-fallback} ${x:-fallback}`,
 		`echo $?; false; echo $?`,
 		`echo $#`,
 		`list="a  b   c"; for w in $list; do echo "[$w]"; done`,
@@ -192,10 +179,6 @@ func TestShellTranscripts(t *testing.T) {
 		`echo "$(echo nested $(echo deeper))"`,
 		`z="$(echo multi; echo line)"; echo "$z" | wc -l`,
 		`echo $(echo '  spaced   out  ')`,
-		`echo $((2 + 3 * 4)) $(( (2 + 3) * 4 )) $((7 / 2)) $((7 % 2)) $((-3))`,
-		`n=1; ((n++)); ((n += 5)); echo $n`,
-		`(( 3 > 2 )) && echo bigger`,
-		`(( 1 / 0 ))`,
 		`echo $((x + 1))`,
 		`PREFIX=run echo "[$PREFIX]"; echo "[$PREFIX]"`,
 		`echo $UNDEFINED_VAR.`,
@@ -208,19 +191,14 @@ func TestShellTranscripts(t *testing.T) {
 	rec.Transcribe(&b,
 		`x=hello`,
 		`[ -z "" ] && echo empty`,
-		`[ -n "$x" ] && echo set`,
 		`[ "$x" == hello ] && echo eq`,
 		`[ "$x" = hello ] && echo eq1`,
 		`[ "$x" != hello ] || echo ne`,
 		`[ 3 -lt 5 ] && [ 5 -ge 5 ] && [ 2 -ne 3 ] && [ 4 -gt 1 ] && [ 1 -le 1 ] && [ 7 -eq 7 ] && echo numeric`,
 		`[ " 7" -eq 7 ] && echo trimmed`,
-		`[ -f f.txt ] && [ -e f.txt ] && [ -s f.txt ] && echo file`,
-		`[ -s empty.txt ] || echo no-content`,
-		`[ -f missing.txt ] || echo nofile`,
-		`[ -d / ] || echo nodirs`,
-		`[ ! -f missing.txt ] && echo negated`,
 		`[ \( 1 -eq 1 \) -a \( 2 -eq 3 \) ] || echo and`,
 		`[ 1 -eq 1 -o 2 -eq 3 ] && echo or`,
+		`[ ! -z "" ] || echo negated`,
 		`[ "$x" ] && echo bare`,
 		`[ a b ]`,
 		`[ "it's" x ]`,
@@ -234,13 +212,10 @@ func TestShellTranscripts(t *testing.T) {
 		`[[ $x == "h*" ]] || echo quoted-literal`,
 		`[[ $x == h?llo ]] && echo one-char`,
 		`[[ $x != *z* ]] && echo no-z`,
-		`[[ $x =~ ^h(el)+o$ ]] && echo regex`,
-		`[[ $x =~ [ ]]`,
-		`[[ -n $x && ( $x == hello || $x == bye ) ]] && echo grouped`,
+		`[[ ! -z $x && ( $x == hello || $x == bye ) ]] && echo grouped`,
 		`[[ ! -z $x ]] && echo notempty`,
 		`[[ 10 -gt 9 ]] && echo num`,
 		`[[ $x ]] && echo nonempty`,
-		`[[ -f f.txt ]] && echo file`,
 		`[[ a < b ]]`,
 		`[[ 1 -eq 1`,
 		`[[ a -eq 1 ]]`,
@@ -299,12 +274,44 @@ fi`,
 		`true; echo $?`,
 		`false; echo $?`,
 		`:; echo $?`,
-		`set -e; echo after-set`,
-		`x=1; unset x; echo "[$x]"`,
-		`echo data > tmp.txt; rm -f tmp.txt; cat tmp.txt`,
-		`basename /a/b/file.yaml`,
-		`basename`,
 		`no-such-command --flag`,
+	)
+
+	rec = section(&b, newEnv(), "forms the shell refuses", map[string]string{"pods.txt": podsTable, "f.txt": "content\n"})
+	rec.Transcribe(&b,
+		`echo -e 'a\tb'`,
+		`grep -o web pods.txt`,
+		`grep -v web pods.txt`,
+		`grep -i web pods.txt`,
+		`grep -e web pods.txt`,
+		`grep -m 1 web pods.txt`,
+		`grep -x web pods.txt`,
+		`x=hello; echo ${#x}`,
+		`echo ${x:-fallback}`,
+		`echo $((2 * 3))`,
+		`echo $((7 / 2))`,
+		`echo $((7 % 2))`,
+		`(( 3 > 2 ))`,
+		`(( 1 && 1 ))`,
+		`(( !0 ))`,
+		`echo $((-3))`,
+		`echo $(( (2 + 3) ))`,
+		`n=1; (( n += 5 ))`,
+		`(( ++n ))`,
+		`(( n-- ))`,
+		`echo $(( $n + 1 ))`,
+		`set -e`,
+		`unset x`,
+		`rm -f f.txt`,
+		`basename /a/b/file.yaml`,
+		`[ -n "$x" ]`,
+		`[ -e f.txt ]`,
+		`[ -f f.txt ]`,
+		`[ -d / ]`,
+		`[ -s f.txt ]`,
+		`[[ $x =~ ^h ]]`,
+		`[ a \< b ]`,
+		`[ b \> a ]`,
 	)
 
 	stepLimited := newEnv()

@@ -3,6 +3,7 @@ package shell
 import (
 	"fmt"
 	"hash/maphash"
+	"math"
 	"regexp"
 	"strconv"
 	"strings"
@@ -38,65 +39,30 @@ func buildCoreBuiltins() map[string]Builtin {
 	b["wc"] = builtinWC
 	b["head"] = builtinHead
 	b["timeout"] = builtinTimeout
-	b["set"] = func(*Interp, *IO, []string) int { return 0 }
-	b["unset"] = func(in *Interp, _ *IO, args []string) int {
-		for _, a := range args {
-			delete(in.Env, a)
-		}
-		return 0
-	}
-	b["rm"] = func(in *Interp, _ *IO, args []string) int {
-		for _, a := range args {
-			if !strings.HasPrefix(a, "-") {
-				delete(in.FS, a)
-			}
-		}
-		return 0
-	}
-	b["basename"] = func(_ *Interp, io *IO, args []string) int {
-		if len(args) > 0 {
-			parts := strings.Split(args[0], "/")
-			fmt.Fprintln(io.Out, parts[len(parts)-1])
-		}
-		return 0
-	}
 	return b
 }
 
 func builtinEcho(_ *Interp, io *IO, args []string) int {
 	newline := true
-	interpret := false
-	for len(args) > 0 {
-		if args[0] == "-n" {
-			newline = false
-			args = args[1:]
-		} else if args[0] == "-e" {
-			interpret = true
-			args = args[1:]
-		} else {
-			break
-		}
+	for len(args) > 0 && args[0] == "-n" {
+		newline = false
+		args = args[1:]
+	}
+	if len(args) > 0 && args[0] == "-e" {
+		fmt.Fprintln(io.Err, "echo: -e is not supported")
+		return 1
 	}
 	for i, a := range args {
 		if i > 0 {
 			io.Out.WriteByte(' ')
 		}
-		if interpret {
-			// No escape holds a space, so escaping each argument is
-			// escaping the line.
-			echoEscapes.WriteString(io.Out, a)
-		} else {
-			io.Out.WriteString(a)
-		}
+		io.Out.WriteString(a)
 	}
 	if newline {
 		io.Out.WriteByte('\n')
 	}
 	return 0
 }
-
-// echoEscapes are the backslash escapes echo -e interprets.
-var echoEscapes = strings.NewReplacer(`\n`, "\n", `\t`, "\t", `\\`, `\`)
 
 func builtinCat(in *Interp, io *IO, args []string) int {
 	if len(args) == 0 {
@@ -120,41 +86,22 @@ func builtinCat(in *Interp, io *IO, args []string) int {
 	return code
 }
 
+// builtinGrep is grep as the corpus runs it, a pattern over files or
+// stdin with -q, and as the counting idiom runs it, with -c. -E, the
+// matcher's syntax already, is accepted; any other option is refused.
 func builtinGrep(in *Interp, io *IO, args []string) int {
-	quiet, invert, count, ignoreCase, only := false, false, false, false, false
+	quiet, count := false, false
 	var pattern string
 	var files []string
 	havePattern := false
-	for i := 0; i < len(args); i++ {
-		a := args[i]
+	for _, a := range args {
 		switch {
-		case len(a) > 1 && a[0] == '-' && strings.Trim(a[1:], "qvcioE") == "":
-			// One flag or several combined (-qi, -io); -E is the
-			// default syntax already.
-			for _, f := range a[1:] {
-				switch f {
-				case 'q':
-					quiet = true
-				case 'v':
-					invert = true
-				case 'c':
-					count = true
-				case 'i':
-					ignoreCase = true
-				case 'o':
-					only = true
-				}
-			}
-		case a == "-e":
-			if i+1 < len(args) {
-				pattern = args[i+1]
-				havePattern = true
-				i++
-			}
-		case a == "-m":
-			i++ // max-count: with our small outputs, safely ignored
-		case strings.HasPrefix(a, "-"):
-			// Unknown flag: ignore, matching the forgiving scripts.
+		case len(a) > 1 && a[0] == '-' && strings.Trim(a[1:], "qcE") == "":
+			quiet = quiet || strings.Contains(a, "q")
+			count = count || strings.Contains(a, "c")
+		case len(a) > 1 && a[0] == '-':
+			fmt.Fprintf(io.Err, "grep: %s is not supported\n", a)
+			return 2
 		case !havePattern:
 			pattern = a
 			havePattern = true
@@ -163,10 +110,10 @@ func builtinGrep(in *Interp, io *IO, args []string) int {
 		}
 	}
 	if !havePattern {
-		fmt.Fprintln(io.Err, "usage: grep [-qvcio] pattern [file...]")
+		fmt.Fprintln(io.Err, "usage: grep [-qcE] pattern [file...]")
 		return 2
 	}
-	matcher := compileGrep(pattern, ignoreCase)
+	matcher := compileGrep(pattern)
 	var input string
 	if len(files) == 0 {
 		input = io.In
@@ -194,22 +141,11 @@ func builtinGrep(in *Interp, io *IO, args []string) int {
 		} else {
 			rest = ""
 		}
-		hit := matcher.match(line)
-		if invert {
-			hit = !hit
-		}
-		if !hit {
+		if !matcher.match(line) {
 			continue
 		}
 		matched++
-		if quiet || count {
-			continue
-		}
-		if only && !invert {
-			for _, m := range matcher.findAll(line) {
-				fmt.Fprintln(io.Out, m)
-			}
-		} else {
+		if !quiet && !count {
 			fmt.Fprintln(io.Out, line)
 		}
 	}
@@ -222,16 +158,11 @@ func builtinGrep(in *Interp, io *IO, args []string) int {
 	return 1
 }
 
+// grepMatcher matches by its regexp, or by substring when the pattern
+// does not compile as one.
 type grepMatcher struct {
 	re      *regexp.Regexp
 	literal string
-	fold    bool
-}
-
-// grepKey is what a matcher is a pure function of.
-type grepKey struct {
-	pattern string
-	fold    bool
 }
 
 // grepBudget bounds the matcher cache. Patterns are mostly the
@@ -245,30 +176,19 @@ const grepBudget = 4 << 20
 // pattern byte.
 func grepCost(pattern string) int64 { return memo.EntryOverhead + 1<<10 + 64*int64(len(pattern)) }
 
-// grepMatchers holds each matcher the first time a script asks for it.
+// grepMatchers holds each matcher, keyed by its pattern, the first time
+// a script asks for it.
 var (
 	grepSeed     = maphash.MakeSeed()
-	grepMatchers = memo.NewLRU[grepKey, grepMatcher](grepHash, grepBudget)
+	grepMatchers = memo.NewLRU[string, grepMatcher](grepHash, grepBudget)
 )
 
-// grepHash is the pattern's hash, inverted under -i, so that a pattern
-// with and without -i hold distinct fingerprints.
-func grepHash(k grepKey) uint64 {
-	h := maphash.String(grepSeed, k.pattern)
-	if k.fold {
-		h = ^h
-	}
-	return h
-}
+func grepHash(pattern string) uint64 { return maphash.String(grepSeed, pattern) }
 
-func compileGrep(pattern string, ignoreCase bool) grepMatcher {
-	m, _, _ := grepMatchers.Do(grepKey{pattern, ignoreCase}, func() (grepMatcher, int64, error) {
-		p := pattern
-		if ignoreCase {
-			p = "(?i)" + p
-		}
-		m := grepMatcher{literal: pattern, fold: ignoreCase}
-		if re, err := regexp.Compile(p); err == nil {
+func compileGrep(pattern string) grepMatcher {
+	m, _, _ := grepMatchers.Do(pattern, func() (grepMatcher, int64, error) {
+		m := grepMatcher{literal: pattern}
+		if re, err := regexp.Compile(pattern); err == nil {
 			m = grepMatcher{re: re}
 		}
 		return m, grepCost(pattern), nil
@@ -280,28 +200,15 @@ func (g grepMatcher) match(line string) bool {
 	if g.re != nil {
 		return g.re.MatchString(line)
 	}
-	if g.fold {
-		return strings.Contains(strings.ToLower(line), strings.ToLower(g.literal))
-	}
 	return strings.Contains(line, g.literal)
-}
-
-func (g grepMatcher) findAll(line string) []string {
-	if g.re != nil {
-		return g.re.FindAllString(line, -1)
-	}
-	if g.match(line) {
-		return []string{g.literal}
-	}
-	return nil
 }
 
 func builtinSleep(in *Interp, io *IO, args []string) int {
 	if len(args) == 0 {
 		return 0
 	}
-	d, err := parseDuration(args[0])
-	if err != nil {
+	d, ok := parseDuration(args[0])
+	if !ok {
 		fmt.Fprintf(io.Err, "sleep: invalid time interval %q\n", args[0])
 		return 1
 	}
@@ -309,13 +216,17 @@ func builtinSleep(in *Interp, io *IO, args []string) int {
 	return 0
 }
 
-// parseDuration accepts bash sleep/timeout formats: "15", "0.5", "8s",
-// "2m", "1h".
-func parseDuration(s string) (time.Duration, error) {
+// parseDuration reads a sleep or timeout interval: "15", "0.5", "8s",
+// "2m", "1h". It refuses one that is negative, NaN or past
+// time.Duration's range ("inf", "1e12"): GNU sleep would wait the last
+// out, but a script's virtual time is never unbounded (ROADMAP item 4).
+func parseDuration(s string) (time.Duration, bool) {
 	if f, err := strconv.ParseFloat(s, 64); err == nil {
-		return time.Duration(f * float64(time.Second)), nil
+		secs := f * float64(time.Second)
+		return time.Duration(secs), secs >= 0 && secs < math.MaxInt64
 	}
-	return time.ParseDuration(s)
+	d, err := time.ParseDuration(s)
+	return d, err == nil && d >= 0
 }
 
 func builtinExit(in *Interp, io *IO, args []string) int {
@@ -412,8 +323,8 @@ func builtinTimeout(in *Interp, io *IO, args []string) int {
 		fmt.Fprintln(io.Err, "timeout: missing duration")
 		return 125
 	}
-	d, err := parseDuration(args[i])
-	if err != nil {
+	d, ok := parseDuration(args[i])
+	if !ok {
 		fmt.Fprintf(io.Err, "timeout: invalid duration %q\n", args[i])
 		return 125
 	}

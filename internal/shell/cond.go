@@ -2,7 +2,6 @@ package shell
 
 import (
 	"fmt"
-	"regexp"
 	"strconv"
 	"strings"
 )
@@ -75,10 +74,10 @@ func (c *condParser) value(i int) (string, error) {
 // condition grammar rather than an operand.
 func condSyntax(a string) bool {
 	switch a {
-	case "!", "(", ")", "&&", "||", "-a", "-o":
+	case "!", "(", ")", "&&", "||", "-a", "-o", "-z":
 		return true
 	}
-	return binaryOps[a] || unaryOps[a]
+	return binaryOps[a]
 }
 
 func (c *condParser) parseOr() (bool, error) {
@@ -128,13 +127,19 @@ func (c *condParser) parseNot() (bool, error) {
 	return c.parsePrimary()
 }
 
-var unaryOps = map[string]bool{
-	"-z": true, "-n": true, "-e": true, "-f": true, "-d": true, "-s": true,
+// binaryOps are the comparisons a condition makes: strings, with a
+// glob pattern on the right of == = != inside [[ ]], and integers.
+var binaryOps = map[string]bool{
+	"==": true, "=": true, "!=": true,
+	"-eq": true, "-ne": true, "-gt": true, "-ge": true, "-lt": true, "-le": true,
 }
 
-var binaryOps = map[string]bool{
-	"==": true, "=": true, "!=": true, "=~": true, "<": true, ">": true,
-	"-eq": true, "-ne": true, "-gt": true, "-ge": true, "-lt": true, "-le": true,
+// removedUnary are the unary tests the shell no longer evaluates.
+var removedUnary = map[string]bool{"-n": true, "-e": true, "-f": true, "-d": true, "-s": true}
+
+// unaryFlag reports whether w is spelled like a unary test, -<letter>.
+func unaryFlag(w string) bool {
+	return len(w) == 2 && w[0] == '-' && (w[1] >= 'a' && w[1] <= 'z' || w[1] >= 'A' && w[1] <= 'Z')
 }
 
 // patternOps take a glob pattern on their right inside [[ ]].
@@ -157,36 +162,27 @@ func (c *condParser) parsePrimary() (bool, error) {
 		c.pos++
 		return v, nil
 	}
-	if unaryOps[w] {
+	if w == "-z" {
 		c.pos++
 		if _, ok := c.peek(); !ok {
 			return false, fmt.Errorf("condition: %s needs an operand", w)
 		}
 		c.pos++
 		val, err := c.value(c.pos - 1)
-		if err != nil {
-			return false, err
-		}
-		switch w {
-		case "-z":
-			return val == "", nil
-		case "-n":
-			return val != "", nil
-		case "-e", "-f":
-			_, exists := c.in.FS[val]
-			return exists, nil
-		case "-d":
-			return false, nil // no directories in the virtual FS
-		case "-s":
-			content, exists := c.in.FS[val]
-			return exists && len(content) > 0, nil
-		}
+		return val == "", err
 	}
 	// word [binop word]
 	lhsAt := c.pos
 	c.pos++
 	opWord, ok := c.peek()
 	if !ok || !binaryOps[opWord] {
+		if ok && (removedUnary[w] || !c.plain && unaryFlag(w)) {
+			// A unary test other than -z. The words of [[ ]] are
+			// source text, so any -<letter> there is one; an operand
+			// of [ is an expanded value, which may start with '-', so
+			// there only the operators the shell dropped are refused.
+			return false, fmt.Errorf("condition: %s is not supported", w)
+		}
 		// Bare word: true when non-empty.
 		val, err := c.value(lhsAt)
 		return val != "", err
@@ -217,16 +213,6 @@ func (c *condParser) parsePrimary() (bool, error) {
 		return lhs == rhs, nil
 	case "!=":
 		return lhs != rhs, nil
-	case "=~":
-		re, err := regexp.Compile(rhs)
-		if err != nil {
-			return false, fmt.Errorf("condition: bad regexp %q: %w", rhs, err)
-		}
-		return re.MatchString(lhs), nil
-	case "<":
-		return lhs < rhs, nil
-	case ">":
-		return lhs > rhs, nil
 	}
 	// numeric comparisons
 	ln, err1 := strconv.ParseInt(strings.TrimSpace(lhs), 10, 64)
@@ -245,8 +231,6 @@ func (c *condParser) parsePrimary() (bool, error) {
 		return ln >= rn, nil
 	case "-lt":
 		return ln < rn, nil
-	case "-le":
-		return ln <= rn, nil
 	}
-	return false, fmt.Errorf("condition: unsupported operator %q", opWord)
+	return ln <= rn, nil // -le
 }

@@ -39,14 +39,12 @@ type word struct {
 type segKind uint8
 
 const (
-	segLit     segKind = iota // text, verbatim
-	segVar                    // $NAME, ${NAME}: text is the name
-	segLen                    // ${#NAME}
-	segDefault                // ${NAME:-alt}
-	segStatus                 // $?
-	segArith                  // $((text))
-	segSub                    // $(...): sub is the parsed body
-	segErr                    // err, raised when evaluation gets here
+	segLit    segKind = iota // text, verbatim
+	segVar                   // $NAME, ${NAME}: text is the name
+	segStatus                // $?
+	segArith                 // $((text))
+	segSub                   // $(...): sub is the parsed body
+	segErr                   // err, raised when evaluation gets here
 )
 
 // segment is one piece of a word. Quoted pieces never undergo field
@@ -61,7 +59,6 @@ type segment struct {
 	kind   segKind
 	quoted bool
 	text   string
-	alt    string
 	sub    *Program
 	err    error
 }
@@ -275,16 +272,17 @@ func compileDollar(s string, depth int) (segment, int) {
 	return segment{kind: segVar, text: s[1:j]}, j
 }
 
-// compileParam handles ${NAME}, ${NAME:-default}, ${#NAME}.
+// compileParam handles ${NAME}, the one parameter expansion scripts
+// write; any other form, ${#NAME} and ${NAME:-alt} among them, is an
+// error naming it.
 func compileParam(inner string) segment {
-	if rest, ok := strings.CutPrefix(inner, "#"); ok {
-		return segment{kind: segLen, text: rest}
-	}
-	if name, alt, ok := strings.Cut(inner, ":-"); ok {
-		return segment{kind: segDefault, text: name, alt: alt}
+	if inner == "" || strings.Trim(inner, nameChars) != "" {
+		return segment{kind: segErr, err: fmt.Errorf("${%s} is not supported: use ${NAME}", inner)}
 	}
 	return segment{kind: segVar, text: inner}
 }
+
+const nameChars = "_abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789"
 
 // compileSub parses the body of a command substitution. A body that
 // does not parse, or that nests past maxSubDepth, is an error of the
@@ -377,13 +375,6 @@ func (in *Interp) value(s *segment) (string, error) {
 		return s.text, nil
 	case segVar:
 		return in.Env[s.text], nil
-	case segLen:
-		return strconv.Itoa(len(in.Env[s.text])), nil
-	case segDefault:
-		if v := in.Env[s.text]; v != "" {
-			return v, nil
-		}
-		return s.alt, nil
 	case segStatus:
 		return strconv.Itoa(in.lastExit), nil
 	case segArith:

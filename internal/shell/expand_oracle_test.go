@@ -197,7 +197,11 @@ func (in *Interp) oracleExpandDollar(s string) (string, int, error) {
 		if err != nil {
 			return "", 0, err
 		}
-		return in.oracleParamValue(inner), 1 + n, nil
+		v, err := in.oracleParamValue(inner)
+		if err != nil {
+			return "", 0, err
+		}
+		return v, 1 + n, nil
 	case s[1] == '?':
 		return fmt.Sprint(in.lastExit), 2, nil
 	case s[1] == '#':
@@ -214,19 +218,16 @@ func (in *Interp) oracleExpandDollar(s string) (string, int, error) {
 	}
 }
 
-// oracleParamValue handles ${NAME}, ${NAME:-default}, ${#NAME}.
-func (in *Interp) oracleParamValue(inner string) string {
-	if rest, ok := strings.CutPrefix(inner, "#"); ok {
-		return fmt.Sprint(len(in.Env[rest]))
+// oracleParamValue handles ${NAME} and refuses every other form.
+func (in *Interp) oracleParamValue(inner string) (string, error) {
+	bad := inner == ""
+	for _, c := range inner {
+		bad = bad || !(c == '_' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || '0' <= c && c <= '9')
 	}
-	if idx := strings.Index(inner, ":-"); idx >= 0 {
-		name, def := inner[:idx], inner[idx+2:]
-		if v := in.Env[name]; v != "" {
-			return v
-		}
-		return def
+	if bad {
+		return "", fmt.Errorf("${%s} is not supported: use ${NAME}", inner)
 	}
-	return in.Env[inner]
+	return in.Env[inner], nil
 }
 
 // oracleCaptureSub runs a command substitution and returns its stdout with
@@ -413,6 +414,79 @@ func wordSeeds(t testing.TB) []string {
 	return out
 }
 
+// removedForms are the bash forms the shell does not read, each with
+// the text its refusal names: a script using one exits non-zero with an
+// error naming it and prints nothing, never another value. Both fuzzers
+// start from them.
+var removedForms = []struct{ script, names string }{
+	{`echo $((2*3))`, `"*"`},
+	{`echo $((7/2))`, `"/"`},
+	{`echo $((7%2))`, `"%"`},
+	{`(( 3 > 2 ))`, `">"`},
+	{`(( 2 <= 3 ))`, `"<="`},
+	{`(( 1 == 1 ))`, `"=="`},
+	{`(( 1 != 2 ))`, `"!="`},
+	{`(( 1 && 1 ))`, `"&&"`},
+	{`(( 0 || 1 ))`, `"||"`},
+	{`(( !0 ))`, `"!"`},
+	{`echo $((-3))`, `"-"`},
+	{`echo $(( (2+3) ))`, `"("`},
+	{`(( n = 1 ))`, `"="`},
+	{`(( n += 5 ))`, `"+="`},
+	{`(( n -= 5 ))`, `"-="`},
+	{`(( n *= 5 ))`, `"*="`},
+	{`(( n /= 5 ))`, `"/="`},
+	{`(( ++n ))`, `"++"`},
+	{`(( n-- ))`, `"--"`},
+	{`(( --n ))`, `"--"`},
+	{`echo $(( $(echo 2) + 1 ))`, `"$"`},
+	{`echo ${#x}`, `${#x}`},
+	{`echo "${x:-alt}"`, `${x:-alt}`},
+	{`grep -o x f`, `-o`},
+	{`grep -v x f`, `-v`},
+	{`grep -i x f`, `-i`},
+	{`grep -e x f`, `-e`},
+	{`grep -m 1 x f`, `-m`},
+	{`echo -e 'a\tb'`, `-e`},
+	{`set -e`, `set`},
+	{`unset x`, `unset`},
+	{`rm -f f`, `rm`},
+	{`basename /a/b`, `basename`},
+	{`[ -n x ]`, `-n`},
+	{`[ -e f ]`, `-e`},
+	{`[[ -f f ]]`, `-f`},
+	{`[ -d / ]`, `-d`},
+	{`[ -s f ]`, `-s`},
+	{`[[ x =~ x ]]`, `=~`},
+	{`[ a \< b ]`, `<`},
+	{`[ b \> a ]`, `>`},
+}
+
+// TestRemovedFormsRefused holds removedForms to their refusal, as a
+// script and inside a word the way FuzzWordMatchesOracle seeds them,
+// where the compiled word and the reference agree and $? shows the
+// failure.
+func TestRemovedFormsRefused(t *testing.T) {
+	for _, f := range removedForms {
+		in := New()
+		in.FS["f"] = "x\n"
+		res, err := runOn(in, f.script)
+		if err != nil || res.ExitCode == 0 || res.Stdout != "" || !strings.Contains(res.Stderr, f.names) {
+			t.Errorf("%s: %+v, %v; want a non-zero exit and an error naming %s", f.script, res, err, f.names)
+		}
+		raw := "$( " + f.script + " )$?"
+		in = fuzzInterp(0)
+		w := argWord(raw, 0)
+		fields, err := in.expandFields(nil, &w)
+		got := observe(in, fields, "", err)
+		in = fuzzInterp(0)
+		fields, err = in.oracleExpandFields(raw)
+		if want := observe(in, fields, "", err); !reflect.DeepEqual(got, want) || len(got.Fields) != 1 || got.Fields[0] == "0" {
+			t.Errorf("%s:\n got %+v\nwant %+v, and a non-zero status", raw, got, want)
+		}
+	}
+}
+
 // FuzzWordMatchesOracle: for any raw word and any seeded interpreter
 // state, the three renditions of the compiled word — argv fields,
 // unsplit text, glob pattern — equal the oracle's, and so do the error
@@ -427,11 +501,14 @@ func FuzzWordMatchesOracle(f *testing.F) {
 		`${unterminated`, `$((1+`, `a$`, `$#`, `$?`, `trailing\`, `$(echo $(echo x))`, "\"\\`echo tick\\`\"",
 		`$(echo side > g)$(if)`, `$(x=changed)"unterminated`, `"$(echo "nested quotes")"`, `${x:-fallback}`, `${#x}`,
 		`$((COUNT + 1))`, `$(( $(echo 2) * 3 ))`, `pre"$a"post`, `''`, `""`, `''$x`, `"a\$b\q"`, `*"*"\*`, `$(exit 3)$?`,
-		`$(cat f)`, `"$(echo -e 'a\n\n')"`, `$(while true; do :; done)`,
+		`$(cat f)`, "\"$(echo 'a\n\n')\"", `$(while true; do :; done)`,
 	} {
 		for seed := uint64(0); seed < 4; seed++ {
 			f.Add(w, seed*7+uint64(i))
 		}
+	}
+	for i, r := range removedForms {
+		f.Add("$( "+r.script+" )$?", uint64(i))
 	}
 	f.Fuzz(func(t *testing.T, raw string, envSeed uint64) {
 		if oraclePlainWord(raw) && (raw == "" || strings.ContainsAny(raw, " \t\n")) {
@@ -514,6 +591,9 @@ func FuzzRunTerminates(f *testing.F) {
 		"echo " + strings.Repeat("$(", maxSubDepth+2) + strings.Repeat(")", maxSubDepth+2),
 	} {
 		f.Add(s)
+	}
+	for _, r := range removedForms {
+		f.Add(r.script)
 	}
 	f.Fuzz(func(t *testing.T, script string) {
 		prog, err := Parse(script)

@@ -13,6 +13,6 @@ func CacheStats() memo.Stats { return grepMatchers.Stats() }
 // budget, so that its stats count t's traffic alone.
 func EmptyCache(t testing.TB) {
 	old := grepMatchers
-	grepMatchers = memo.NewLRU[grepKey, grepMatcher](grepHash, grepBudget)
+	grepMatchers = memo.NewLRU[string, grepMatcher](grepHash, grepBudget)
 	t.Cleanup(func() { grepMatchers = old })
 }

@@ -1,8 +1,8 @@
 // Package shell implements the subset of bash that CloudEval-YAML unit
 // test scripts are written in: pipelines, && / || / ; lists, if/elif/
-// else, for loops, [[ ]] and [ ] conditionals, (( )) arithmetic,
-// variable and command substitution, pattern matching, and redirects
-// onto an in-memory filesystem.
+// else, for and while loops, [[ ]] and [ ] conditionals, (( )) and
+// $(( )) sums, variable and command substitution, pattern matching, and
+// redirects onto an in-memory filesystem.
 //
 // A script is compiled once and run many times. Parse produces an
 // immutable Program in which every word is already split into its
@@ -18,8 +18,16 @@
 // virtual clock supplied by the embedder; kubectl, helm, docker compose
 // and the rest are registered by each workload family against its
 // simulator, parsing their flags with ParseFlags, and curl is Curl over
-// the family's probe. The builtins are those the corpus's scripts run
-// or a transcript golden pins (see ci/oracle-reach.txt).
+// the family's probe.
+//
+// What the shell reads is decided statement by statement: a construct
+// stays if a corpus script reaches it (ci/oracle-reach.txt counts the
+// statements the corpus runs in each function), if it serves one of
+// the paper's idioms (polling loops, counting with wc, head and
+// grep -c), or if it reports an error in a script. The grammar is kept
+// whole; a form outside the kept vocabulary, such as $((a*b)), ${#x},
+// grep -v or [ -f x ], fails with an error naming it rather than being
+// read as something else (DESIGN.md §2.6).
 package shell
 
 import (

@@ -97,7 +97,8 @@ func TestPropertyRunIsDeterministic(t *testing.T) {
 }
 
 // TestPropertyArithmeticMatchesGo: the arithmetic evaluator agrees with
-// Go on random integer expressions.
+// Go on random sums of literals and variables, and a postfix ++ reads
+// the old value and stores the next.
 func TestPropertyArithmeticMatchesGo(t *testing.T) {
 	cfg := &quick.Config{
 		MaxCount: 500,
@@ -109,12 +110,13 @@ func TestPropertyArithmeticMatchesGo(t *testing.T) {
 	}
 	prop := func(a, b, c int64) bool {
 		in := New()
-		expr := sprintf("(%d + %d) * %d - %d / %d", a, c, b, a, b)
+		in.Env["a"], in.Env["c"] = itoa64(a), itoa64(c)
+		expr := sprintf("a + %d - c++ -%d+a", b, b)
 		got, err := in.evalArith(expr)
 		if err != nil {
 			return false
 		}
-		return got == (a+c)*b-a/b
+		return got == a+b-c-b+a && in.Env["c"] == itoa64(c+1)
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)

@@ -15,15 +15,15 @@ import (
 const sharedASTScript = `
 COUNT=0
 for f in a b c d; do
-  COUNT=$((COUNT + 1))
+  ((COUNT++))
   echo "item $f -> $COUNT"
 done
 if [[ $COUNT == 4 && -z "$MISSING" ]]; then
-  echo four | grep -o our
+  echo four | grep our
 else
   echo wrong
 fi
-while (( COUNT > 0 )); do
+while [ $COUNT -gt 0 ]; do
   COUNT=$((COUNT - 1))
 done
 echo "left $COUNT ok_$(echo sub)" > out.txt
