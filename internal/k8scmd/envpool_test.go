@@ -1,12 +1,14 @@
 package k8scmd
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
 
 	"cloudeval/internal/kubesim"
 	"cloudeval/internal/shell"
+	"cloudeval/internal/yamlx"
 )
 
 // TestPooledEnvNoLeak is the regression test for environment
@@ -77,7 +79,7 @@ sleep 5
 	}
 	recycled.Reset()
 	for _, r := range []*kubesim.Resource{kubesim.Deployment, kubesim.Pod, kubesim.Service} {
-		if objs := recycled.Cluster.ListObjects(r, "*", nil); len(objs) != 0 {
+		if objs := recycled.Cluster.ListObjects(nil, r, "*", nil); len(objs) != 0 {
 			t.Errorf("%d %s objects survived Reset", len(objs), r.Plural)
 		}
 	}
@@ -119,5 +121,28 @@ func BenchmarkEnvPooled(b *testing.B) {
 		e.Shell.Exec(version)
 		e.Reset()
 		pool.Put(e)
+	}
+}
+
+// TestResetDropsLongListings bounds the listing storage a pooled Env
+// keeps. An answer of seven workloads at the replica cap lists 1,190
+// pods in one get; Reset lets go of storage that long, so it does not
+// stay with the Env for every execution after.
+func TestResetDropsLongListings(t *testing.T) {
+	var manifest strings.Builder
+	for i := range 7 {
+		fmt.Fprintf(&manifest, "---\napiVersion: apps/v1\nkind: Deployment\nmetadata: {name: web%d}\nspec:\n  replicas: 170\n  selector: {matchLabels: {app: web}}\n  template:\n    metadata: {labels: {app: web}}\n    spec: {containers: [{name: c, image: nginx}]}\n", i)
+	}
+	env := NewEnv()
+	env.Shell.FS["labeled_code.yaml"] = manifest.String()
+	if stdout, stderr, code := runIn(t, env, "kubectl apply -f labeled_code.yaml\nkubectl get pods -A -o name > /dev/null"); code != 0 {
+		t.Fatalf("stdout %q, stderr %q, exit %d", stdout, stderr, code)
+	}
+	if cap(env.docs) <= yamlx.ChunkCap {
+		t.Fatalf("the get listed into storage of %d documents, want more than %d", cap(env.docs), yamlx.ChunkCap)
+	}
+	env.Reset()
+	if env.docs != nil {
+		t.Errorf("Reset kept listing storage of %d documents", cap(env.docs))
 	}
 }

@@ -23,12 +23,13 @@ type Env struct {
 	Envoy   *envoysim.Bootstrap // set once "envoy -c file" runs
 	Shell   *shell.Interp
 
-	// What kubectl get reuses from one call to the next. named holds the
-	// objects a get names while it prints them. list is the List a
+	// What kubectl get reuses from one call to the next. docs holds the
+	// documents a get prints while it prints them. list is the List a
 	// jsonpath template reads when a get does not name exactly one
-	// object; items holds that get's objects while the template renders,
-	// into rendered, which is then written out.
-	named       []*yamlx.Node
+	// object; items holds that get's documents while the template
+	// renders, into rendered, which is then written out. All of these
+	// point into the cluster's arena only while the command runs.
+	docs        []*yamlx.Node
 	list, items yamlx.Node
 	rendered    []byte
 
@@ -80,12 +81,16 @@ func (e *Env) Reset() {
 	if cap(e.rendered) > maxRendered {
 		e.rendered = nil
 	}
+	if cap(e.docs) > yamlx.ChunkCap {
+		e.docs = nil
+	}
 	clear(e.sel[:cap(e.sel)])
 }
 
 // maxRendered is the largest jsonpath buffer a pooled Env keeps, the
 // same cap as the shell's streams: one hostile answer's output does not
-// stay with the Env.
+// stay with the Env. Its listing storage (docs) is kept up to one arena
+// chunk's worth of documents, yamlx.ChunkCap, for the same reason.
 const maxRendered = 64 << 10
 
 // Interp returns the environment's shell, satisfying scenario.Env.

@@ -409,8 +409,8 @@ kubectl get ds kube-registry-proxy-modified kube-registry-proxy-modified -o json
 	if stdout != want || stderr != "" || code != 0 {
 		t.Errorf("stdout %q, stderr %q, exit %d; want %q", stdout, stderr, code, want)
 	}
-	if env.items.Items != nil || slices.ContainsFunc(env.named, func(n *yamlx.Node) bool { return n != nil }) {
-		t.Errorf("the Env still holds the objects of its last gets: %d listed, %v named", len(env.items.Items), env.named)
+	if env.items.Items != nil || slices.ContainsFunc(env.docs, func(n *yamlx.Node) bool { return n != nil }) {
+		t.Errorf("the Env still holds the objects of its last gets: %d listed, %v printed", len(env.items.Items), env.docs)
 	}
 }
 

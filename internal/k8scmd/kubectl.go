@@ -270,26 +270,26 @@ func (e *Env) kubectlGet(fs shell.FlagSet, io *shell.IO) int {
 		return 1
 	}
 	format := fs.Get("-o", "--output")
-	var items []*yamlx.Node
+	items := e.docs[:0]
 	switch {
 	case res == nil && len(names) > 0:
 		writeNotFound(io, kind, names[0])
 		return 1
 	case len(names) > 0:
-		items = e.named[:0]
 		for _, name := range names {
 			n, ok := e.Cluster.GetByName(res, ns, name)
 			if !ok {
+				clear(items)
 				writeNotFound(io, res.GroupResource, name)
 				return 1
 			}
 			items = append(items, n)
 		}
-		e.named = items
-		defer clear(items)
 	case res != nil:
-		items = e.Cluster.List(res, ns, sel)
+		items = e.Cluster.List(items, res, ns, sel)
 	}
+	e.docs = items
+	defer clear(items)
 	if len(items) == 0 && format == "" {
 		writeNoResources(io, ns)
 		return 0
@@ -320,7 +320,7 @@ func (e *Env) kubectlDescribe(fs shell.FlagSet, io *shell.IO) int {
 		if !ok {
 			return 1
 		}
-		for _, o := range e.Cluster.ListObjects(res, ns, sel) {
+		for _, o := range e.Cluster.ListObjects(nil, res, ns, sel) {
 			names = append(names, o.Name)
 		}
 	}

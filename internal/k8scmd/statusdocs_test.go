@@ -103,7 +103,7 @@ func TestStatusDocsNeverWritten(t *testing.T) {
 	kinds := []*kubesim.Resource{kubesim.Pod, kubesim.Deployment, kubesim.ReplicaSet, kubesim.DaemonSet, kubesim.Job, kubesim.Service, kubesim.Ingress}
 	snapshot := func() (docs []*yamlx.Node, text []string) {
 		for _, kind := range kinds {
-			for _, doc := range env.Cluster.List(kind, "*", nil) {
+			for _, doc := range env.Cluster.List(nil, kind, "*", nil) {
 				docs = append(docs, doc)
 				text = append(text, yamlx.MarshalString(doc))
 			}

@@ -63,8 +63,9 @@ type Object struct {
 	tmplLabels, tmplSpec *yamlx.Node
 
 	// The kubectl-style document withStatus last built for this object
-	// and the cluster generation it was built at. It lives and dies with
-	// the Object: Reset drops the objects, and their documents with them.
+	// and the cluster generation it was built at. It is built in the
+	// cluster's arena, like the Object itself, so both are good until the
+	// cluster's next Reset, which reuses their memory.
 	statusDoc *yamlx.Node
 	statusGen uint64
 }
@@ -100,8 +101,19 @@ type Cluster struct {
 	// document has shown (creationTimestamp, completionTime). Reset puts
 	// the clock back to epoch, so a pooled cluster meets the same few
 	// seconds execution after execution; it keeps them across resets,
-	// up to maxStamps.
+	// up to maxStamps, on the heap.
 	stamps map[int64]*yamlx.Node
+
+	// What one execution builds: the Objects (objs) and the nodes of
+	// status documents and of a Service's allocations (arena). Reset
+	// rewinds both, so the next execution on a pooled cluster reuses the
+	// memory, and keeps at most one chunk of each (yamlx.ChunkCap).
+	arena yamlx.Arena
+	objs  yamlx.Chunks[Object]
+
+	// targets is the storage WaitFor resolves its targets into. Reset
+	// drops it once it outgrows one arena chunk's worth (yamlx.ChunkCap).
+	targets []*Object
 }
 
 // maxStamps bounds Cluster.stamps: a script that sleeps through more
@@ -115,13 +127,15 @@ func (c *Cluster) stamp(t time.Time) *yamlx.Node {
 	if n := c.stamps[sec]; n != nil {
 		return n
 	}
-	n := yamlx.String(t.Format("2006-01-02T15:04:05Z"))
+	s := t.Format("2006-01-02T15:04:05Z")
+	if len(c.stamps) >= maxStamps {
+		return c.arena.String(s)
+	}
 	if c.stamps == nil {
 		c.stamps = make(map[int64]*yamlx.Node)
 	}
-	if len(c.stamps) < maxStamps {
-		c.stamps[sec] = n
-	}
+	n := yamlx.String(s)
+	c.stamps[sec] = n
 	return n
 }
 
@@ -150,9 +164,12 @@ func NewCluster() *Cluster {
 }
 
 // Reset returns the cluster to its pristine NewCluster state while
-// retaining allocated bucket capacity, so environment pools can stamp
-// out executions without rebuilding the world. Equivalence with a
-// fresh cluster is what TestPooledEnvNoLeak pins down.
+// retaining allocated bucket capacity and the current chunks of its
+// arena, so environment pools can stamp out executions without
+// rebuilding the world. Every Object and status document the cluster
+// handed out before is reused from here on, so none may be kept past
+// it. Equivalence with a fresh cluster is what TestPooledEnvNoLeak pins
+// down, and TestResetKeepsOneChunk the bound on what it keeps.
 func (c *Cluster) Reset() {
 	c.touch()
 	c.now = epoch
@@ -164,6 +181,19 @@ func (c *Cluster) Reset() {
 	c.namespaces["kube-system"] = true
 	c.nextPodIP = 2
 	c.nextPort = 30000
+	c.arena.Rewind()
+	c.objs.Rewind()
+	if cap(c.targets) > yamlx.ChunkCap {
+		c.targets = nil
+	}
+}
+
+// newObject stores o in the cluster's chunks of Objects, where it is
+// good until the next Reset.
+func (c *Cluster) newObject(o Object) *Object {
+	p := &c.objs.Take(1)[0]
+	*p = o
+	return p
 }
 
 // Now returns the current virtual time.
@@ -306,18 +336,18 @@ func (c *Cluster) Apply(doc *yamlx.Node, defaultNS string) (ApplyResult, error) 
 	if r == Namespace {
 		created := !c.namespaces[name]
 		c.namespaces[name] = true
-		c.put(&Object{manifest: doc, Resource: r, Name: name, CreatedAt: c.now})
+		c.put(c.newObject(Object{manifest: doc, Resource: r, Name: name, CreatedAt: c.now}))
 		return ApplyResult{Resource: r, Name: name, Created: created}, nil
 	}
 
 	_, existed := c.bucket(r)[key{ns, name}]
-	obj := &Object{
+	obj := c.newObject(Object{
 		manifest:  doc,
 		Resource:  r,
 		Name:      name,
 		Namespace: ns,
 		CreatedAt: c.now,
-	}
+	})
 	c.put(obj)
 	c.runControllers(obj)
 	return ApplyResult{Resource: r, Name: name, Namespace: ns, Created: !existed}, nil
@@ -400,23 +430,25 @@ func (c *Cluster) GetByName(r *Resource, ns, name string) (*yamlx.Node, bool) {
 	return c.withStatus(obj), true
 }
 
-// ListObjects returns the stored objects of a kind in a namespace (all
-// namespaces when ns is "*") that a label selector matches (the nil
-// selector matches all), sorted by name. A wait resolves its targets
-// through this, without building kubectl-style documents.
-func (c *Cluster) ListObjects(r *Resource, ns string, sel Selector) []*Object {
+// ListObjects appends to dst the stored objects of a kind in a
+// namespace (all namespaces when ns is "*") that a label selector
+// matches (the nil selector matches all), sorted by name, and returns
+// the extended slice: a caller that keeps dst's storage lists without
+// allocating. A wait resolves its targets through this, without
+// building kubectl-style documents.
+func (c *Cluster) ListObjects(dst []*Object, r *Resource, ns string, sel Selector) []*Object {
 	if ns == "" {
 		ns = "default"
 	}
 	anyNS := ns == "*" || !r.Namespaced
-	var objs []*Object
+	n := len(dst)
 	for _, obj := range c.bucket(r) {
 		if (anyNS || obj.Namespace == ns) && sel.matches(obj.labels()) {
-			objs = append(objs, obj)
+			dst = append(dst, obj)
 		}
 	}
-	sortByName(objs)
-	return objs
+	sortByName(dst[n:])
+	return dst
 }
 
 // sortByName puts objects in the order every listing shows them: by
@@ -445,13 +477,13 @@ func first(bucket map[key]*Object, ok func(*Object) bool) *Object {
 	return best
 }
 
-// List returns resources of a kind with live status populated, in the
-// same order and under the same filters as ListObjects.
-func (c *Cluster) List(r *Resource, ns string, sel Selector) []*yamlx.Node {
-	objs := c.ListObjects(r, ns, sel)
-	out := make([]*yamlx.Node, len(objs))
-	for i, o := range objs {
-		out[i] = c.withStatus(o)
+// List appends to dst the resources of a kind with live status
+// populated, in the same order and under the same filters as
+// ListObjects, and returns the extended slice.
+func (c *Cluster) List(dst []*yamlx.Node, r *Resource, ns string, sel Selector) []*yamlx.Node {
+	var buf [16]*Object // List keeps none of them, so they may sit on the stack
+	for _, o := range c.ListObjects(buf[:0], r, ns, sel) {
+		dst = append(dst, c.withStatus(o))
 	}
-	return out
+	return dst
 }

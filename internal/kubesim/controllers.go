@@ -53,10 +53,11 @@ func (c *Cluster) reapOwnedPods(owner *Object) {
 	}
 }
 
-// spawnPods creates n pods from the workload's pod template. A pod
-// holds no manifest of its own: every replica refers to the template's
-// labels and spec subtrees, which nothing writes, and its documents are
-// built only when a command reads them (buildStatus).
+// spawnPods creates n pods from the workload's pod template, in the
+// cluster's arena. A pod holds no manifest of its own: every replica
+// refers to the template's labels and spec subtrees, which nothing
+// writes, and its documents are built only when a command reads them
+// (buildStatus).
 func (c *Cluster) spawnPods(owner *Object, n int) {
 	template := owner.spec().Get("template")
 	if template == nil {
@@ -68,7 +69,7 @@ func (c *Cluster) spawnPods(owner *Object, n int) {
 	}
 	labels, spec := template.Path("metadata", "labels"), template.Get("spec")
 	for i := 0; i < n; i++ {
-		p := &Object{
+		p := c.newObject(Object{
 			Resource:   Pod,
 			Name:       podName(owner, hash, i),
 			Namespace:  owner.Namespace,
@@ -77,7 +78,7 @@ func (c *Cluster) spawnPods(owner *Object, n int) {
 			OwnerName:  owner.Name,
 			tmplLabels: labels,
 			tmplSpec:   spec,
-		}
+		})
 		c.put(p)
 		c.schedulePod(p)
 	}
@@ -166,15 +167,16 @@ func badImage(spec *yamlx.Node) (string, bool) {
 // manifest so repeated gets are stable. The applied document may be the
 // yamlx cache's, shared by every cluster, so it is copied on write: only
 // the nodes on the path to an allocated value — the root, spec, the
-// ports sequence and each port given a nodePort — are copied
-// (ShallowClone), and a Service that names all of its values is stored
-// as applied. validateService has made sure spec is a mapping and
-// spec.ports a sequence of mappings.
+// ports sequence and each port given a nodePort — are copied, into the
+// cluster's arena (ShallowClone), and a Service that names all of its
+// values is stored as applied. validateService has made sure spec is a
+// mapping and spec.ports a sequence of mappings.
 func (c *Cluster) initService(svc *Object) {
+	a := &c.arena
 	spec := svc.manifest.Get("spec")
 	var newSpec *yamlx.Node
 	if spec.Get("clusterIP") == nil {
-		newSpec = spec.ShallowClone()
+		newSpec = a.ShallowClone(spec)
 		c.nextPodIP++
 		newSpec.Set("clusterIP", serviceAddrs.node(c.nextPodIP))
 	}
@@ -186,22 +188,22 @@ func (c *Cluster) initService(svc *Object) {
 				continue
 			}
 			if newPorts == nil {
-				newPorts = ports.ShallowClone()
+				newPorts = a.ShallowClone(ports)
 			}
-			p = p.ShallowClone()
-			p.Set("nodePort", yamlx.Integer(int64(c.nextPort)))
+			p = a.ShallowClone(p)
+			p.Set("nodePort", a.Integer(int64(c.nextPort)))
 			c.nextPort++
 			newPorts.Items[i] = p
 		}
 		if newPorts != nil {
 			if newSpec == nil {
-				newSpec = spec.ShallowClone()
+				newSpec = a.ShallowClone(spec)
 			}
 			newSpec.Set("ports", newPorts)
 		}
 	}
 	if newSpec != nil {
-		svc.manifest = svc.manifest.ShallowClone()
+		svc.manifest = a.ShallowClone(svc.manifest)
 		svc.manifest.Set("spec", newSpec)
 	}
 }
@@ -216,7 +218,10 @@ func (c *Cluster) initService(svc *Object) {
 // marshalers, condition checks — is read-only, as sharing subtrees with
 // the stored manifest has always required of them;
 // TestStatusDocsNeverWritten holds them to it and
-// TestStatusMemoNeverStale holds the memo to buildStatus.
+// TestStatusMemoNeverStale holds the memo to buildStatus. A miss builds
+// in the cluster's arena, so a document is good until the cluster's
+// next Reset and must not be kept past it: whatever a reader keeps of
+// it is a string it copied out.
 func (c *Cluster) withStatus(obj *Object) *yamlx.Node {
 	if obj.statusDoc == nil || obj.statusGen != c.gen {
 		obj.statusDoc, obj.statusGen = c.buildStatus(obj), c.gen
@@ -224,25 +229,25 @@ func (c *Cluster) withStatus(obj *Object) *yamlx.Node {
 	return obj.statusDoc
 }
 
-// buildStatus builds withStatus's document. Only the spine is copied
-// (root and metadata, via ShallowClone); all other subtrees are shared
-// with the stored manifest. A spawned pod, which has no manifest, gets
-// its document built whole, in the key order a manifest of its own
-// would have had.
+// buildStatus builds withStatus's document in the cluster's arena. Only
+// the spine is copied (root and metadata, via ShallowClone); all other
+// subtrees are shared with the stored manifest. A spawned pod, which
+// has no manifest, gets its document built whole, in the key order a
+// manifest of its own would have had.
 func (c *Cluster) buildStatus(obj *Object) *yamlx.Node {
 	if obj.manifest == nil {
 		return c.spawnedPodDoc(obj)
 	}
-	n := obj.manifest.ShallowClone()
+	n := c.arena.ShallowClone(obj.manifest)
 	meta := n.Get("metadata")
 	if meta == nil {
-		meta = yamlx.Map()
+		meta = c.arena.Map()
 	} else {
-		meta = meta.ShallowClone()
+		meta = c.arena.ShallowClone(meta)
 	}
 	n.Set("metadata", meta)
 	if meta.Get("namespace") == nil && obj.Resource.Namespaced {
-		meta.Set("namespace", namespaceNode(obj.Namespace))
+		meta.Set("namespace", c.namespaceNode(obj.Namespace))
 	}
 	if meta.Get("creationTimestamp") == nil {
 		meta.Set("creationTimestamp", c.stamp(obj.CreatedAt))
@@ -268,21 +273,25 @@ func (c *Cluster) buildStatus(obj *Object) *yamlx.Node {
 // metadata (name, namespace, the template's labels, creationTimestamp),
 // the template's spec and the pod's status.
 func (c *Cluster) spawnedPodDoc(obj *Object) *yamlx.Node {
-	meta := append(make([]yamlx.Entry, 0, 4), kv("name", yamlx.String(obj.Name)), kv("namespace", namespaceNode(obj.Namespace)))
+	a := &c.arena
+	var metaBuf [4]yamlx.Entry
+	var docBuf [5]yamlx.Entry
+	meta := append(metaBuf[:0], kv("name", a.String(obj.Name)), kv("namespace", c.namespaceNode(obj.Namespace)))
 	if obj.tmplLabels != nil {
 		meta = append(meta, kv("labels", obj.tmplLabels))
 	}
 	meta = append(meta, kv("creationTimestamp", c.stamp(obj.CreatedAt)))
-	doc := append(make([]yamlx.Entry, 0, 5), kv("apiVersion", strV1), kv("kind", strPod), kv("metadata", mapOf(meta...)))
+	doc := append(docBuf[:0], kv("apiVersion", strV1), kv("kind", strPod), kv("metadata", a.Map(meta...)))
 	if obj.tmplSpec != nil {
 		doc = append(doc, kv("spec", obj.tmplSpec))
 	}
-	return mapOf(append(doc, kv("status", c.podStatus(obj)))...)
+	return a.Map(append(doc, kv("status", c.podStatus(obj)))...)
 }
 
 // The scalars and conditions below are shared by every status document
 // of every cluster in the process, under the same read-only contract as
-// the documents themselves.
+// the documents themselves. They outlive every Reset, so they are on
+// the heap, not in a cluster's arena.
 var (
 	strTrue         = yamlx.String("True")
 	strFalse        = yamlx.String("False")
@@ -310,15 +319,15 @@ var (
 func kv(key string, v *yamlx.Node) yamlx.Entry { return yamlx.Entry{Key: key, Value: v} }
 
 // namespaceNode is a namespace name as a scalar, shared for "default".
-func namespaceNode(ns string) *yamlx.Node {
+func (c *Cluster) namespaceNode(ns string) *yamlx.Node {
 	if ns == "default" {
 		return strDefault
 	}
-	return yamlx.String(ns)
+	return c.arena.String(ns)
 }
 
-// mapOf returns a mapping of exactly these entries, in this order: one
-// slice at its final size where a chain of Sets would grow it twice.
+// mapOf returns a heap mapping of exactly these entries, in this order,
+// for the shared conditions.
 func mapOf(entries ...yamlx.Entry) *yamlx.Node {
 	return &yamlx.Node{Kind: yamlx.MapKind, Entries: entries}
 }
@@ -406,20 +415,22 @@ func (c *Cluster) readyOwnedPods(obj *Object) int64 {
 }
 
 func (c *Cluster) podStatus(obj *Object) *yamlx.Node {
+	a := &c.arena
 	ready := c.PodReady(obj)
 	phase, readyNode := strPending, boolFalse
 	if ready {
 		phase, readyNode = strRunning, boolTrue
 	}
-	st := append(make([]yamlx.Entry, 0, 7), kv("phase", phase))
+	var buf [7]yamlx.Entry
+	st := append(buf[:0], kv("phase", phase))
 	if obj.Failed {
-		st = append(st, kv("reason", strErrImagePull), kv("message", yamlx.String(obj.FailMsg)))
+		st = append(st, kv("reason", strErrImagePull), kv("message", a.String(obj.FailMsg)))
 	}
-	ctStatuses := yamlx.Seq()
+	ctStatuses := a.Seq()
 	if containers := obj.spec().Get("containers"); containers != nil {
-		ctStatuses.Items = make([]*yamlx.Node, len(containers.Items))
+		ctStatuses = a.Seq(containers.Items...) // the same length; each item replaced below
 		for i, ct := range containers.Items {
-			ctStatuses.Items[i] = mapOf(
+			ctStatuses.Items[i] = a.Map(
 				kv("name", ct.Get("name")),
 				kv("image", ct.Get("image")),
 				kv("ready", readyNode),
@@ -427,10 +438,10 @@ func (c *Cluster) podStatus(obj *Object) *yamlx.Node {
 			)
 		}
 	}
-	return mapOf(append(st,
+	return a.Map(append(st,
 		kv("hostIP", strNodeIP),
 		kv("podIP", podAddrs.nodeOf(obj.PodIP)),
-		kv("conditions", yamlx.Seq(
+		kv("conditions", a.Seq(
 			condInitialized.is(!obj.Failed),
 			condReady.is(ready),
 			condContainersReady.is(ready),
@@ -441,19 +452,20 @@ func (c *Cluster) podStatus(obj *Object) *yamlx.Node {
 }
 
 func (c *Cluster) workloadStatus(obj *Object) *yamlx.Node {
+	a := &c.arena
 	desired := int64(1)
 	if r, ok := obj.spec().Get("replicas").AsInt(); ok {
 		desired = r
 	}
 	ready := c.readyOwnedPods(obj)
-	desiredNode, readyNode := yamlx.Integer(desired), yamlx.Integer(ready)
+	desiredNode, readyNode := a.Integer(desired), a.Integer(ready)
 	allReady := ready >= desired && desired > 0
-	return mapOf(
+	return a.Map(
 		kv("replicas", desiredNode),
 		kv("readyReplicas", readyNode),
 		kv("availableReplicas", readyNode),
 		kv("updatedReplicas", desiredNode),
-		kv("conditions", yamlx.Seq(
+		kv("conditions", a.Seq(
 			condAvailable.is(allReady),
 			condProgressing.is(true),
 			condReady.is(allReady),
@@ -462,22 +474,24 @@ func (c *Cluster) workloadStatus(obj *Object) *yamlx.Node {
 }
 
 func (c *Cluster) daemonSetStatus(obj *Object) *yamlx.Node {
+	a := &c.arena
 	ready := c.readyOwnedPods(obj)
-	return mapOf(
+	return a.Map(
 		kv("desiredNumberScheduled", intOne),
 		kv("currentNumberScheduled", intOne),
-		kv("numberReady", yamlx.Integer(ready)),
-		kv("conditions", yamlx.Seq(condReady.is(ready >= 1))),
+		kv("numberReady", a.Integer(ready)),
+		kv("conditions", a.Seq(condReady.is(ready >= 1))),
 	)
 }
 
 func (c *Cluster) jobStatus(obj *Object) *yamlx.Node {
+	a := &c.arena
 	done := !obj.DoneAt.IsZero() && !c.now.Before(obj.DoneAt)
-	conds := kv("conditions", yamlx.Seq(condComplete.is(done)))
+	conds := kv("conditions", a.Seq(condComplete.is(done)))
 	if !done {
-		return mapOf(kv("active", intOne), conds)
+		return a.Map(kv("active", intOne), conds)
 	}
-	return mapOf(
+	return a.Map(
 		kv("succeeded", intOne),
 		kv("completionTime", c.stamp(obj.DoneAt)),
 		conds,
@@ -496,11 +510,14 @@ func (c *Cluster) ingressStatus(obj *Object) *yamlx.Node {
 // loadBalancerStatus is the status of a Service or an Ingress: its
 // loadBalancer gains the node's address once provisioning time is up.
 func (c *Cluster) loadBalancerStatus(obj *Object, balanced bool) *yamlx.Node {
-	lb := yamlx.Map()
+	a := &c.arena
+	var lb *yamlx.Node
 	if balanced && !c.now.Before(obj.CreatedAt.Add(LBProvisionTime)) {
-		lb = mapOf(kv("ingress", yamlx.Seq(mapOf(kv("ip", strNodeIP)))))
+		lb = a.Map(kv("ingress", a.Seq(a.Map(kv("ip", strNodeIP)))))
+	} else {
+		lb = a.Map()
 	}
-	return mapOf(kv("loadBalancer", lb))
+	return a.Map(kv("loadBalancer", lb))
 }
 
 // shortHash derives a stable 6-character suffix from a name, like the

@@ -86,7 +86,7 @@ func TestApplyDeploymentCreatesPods(t *testing.T) {
 	if len(res) != 1 || !res[0].Created {
 		t.Fatalf("apply results = %+v", res)
 	}
-	pods := c.List(Pod, "default", mustSelector("app=nginx"))
+	pods := c.List(nil, Pod, "default", mustSelector("app=nginx"))
 	if len(pods) != 3 {
 		t.Fatalf("got %d pods, want 3", len(pods))
 	}
@@ -97,7 +97,7 @@ func TestApplyDeploymentCreatesPods(t *testing.T) {
 		}
 	}
 	c.AdvanceTime(PodReadyDelay)
-	for _, p := range c.List(Pod, "default", mustSelector("app=nginx")) {
+	for _, p := range c.List(nil, Pod, "default", mustSelector("app=nginx")) {
 		if !HasCondition(p, "Ready") {
 			t.Error("pod should be Ready after the readiness delay")
 		}
@@ -116,6 +116,30 @@ func TestWaitForPodsReady(t *testing.T) {
 	}
 	if elapsed := c.Now().Sub(start); elapsed > 10*time.Second {
 		t.Errorf("wait advanced %v of virtual time, want about %v", elapsed, PodReadyDelay)
+	}
+}
+
+// TestResetDropsLongWaits bounds the target storage a pooled cluster
+// keeps: a wait over 1,190 pods, seven workloads at the replica cap,
+// resolves them into storage that Reset then lets go of.
+func TestResetDropsLongWaits(t *testing.T) {
+	c := NewCluster()
+	for i := range 7 {
+		doc := strings.Replace(strings.Replace(nginxDeployment, "replicas: 3", "replicas: 170", 1),
+			"name: nginx-deployment", "name: nginx-"+strconv.Itoa(i), 1)
+		if _, err := c.ApplyYAML(nil, doc, "default"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := c.WaitFor(WaitOptions{Resource: Pod, Namespace: "default", Selector: mustSelector("app=nginx"), Condition: "Ready", Timeout: 60 * time.Second}); err != nil {
+		t.Fatal(err)
+	}
+	if cap(c.targets) <= yamlx.ChunkCap {
+		t.Fatalf("the wait resolved its targets into storage of %d, want more than %d", cap(c.targets), yamlx.ChunkCap)
+	}
+	c.Reset()
+	if c.targets != nil {
+		t.Errorf("Reset kept target storage of %d objects", cap(c.targets))
 	}
 }
 
@@ -191,7 +215,7 @@ func TestDaemonSetHostPortProbe(t *testing.T) {
 	if err := c.WaitFor(WaitOptions{Resource: Pod, Namespace: "default", Selector: mustSelector("app=kube-registry"), Condition: "Ready", Timeout: 60 * time.Second}); err != nil {
 		t.Fatal(err)
 	}
-	pods := c.List(Pod, "default", mustSelector("app=kube-registry"))
+	pods := c.List(nil, Pod, "default", mustSelector("app=kube-registry"))
 	if len(pods) != 1 {
 		t.Fatalf("daemonset pods = %d, want 1 on single-node cluster", len(pods))
 	}
@@ -256,7 +280,7 @@ func TestDeleteCascades(t *testing.T) {
 	if err := c.Delete(Deployment, "default", "nginx-deployment"); err != nil {
 		t.Fatal(err)
 	}
-	if pods := c.List(Pod, "default", nil); len(pods) != 0 {
+	if pods := c.List(nil, Pod, "default", nil); len(pods) != 0 {
 		t.Errorf("pods after delete = %d, want 0", len(pods))
 	}
 }
@@ -274,7 +298,7 @@ func TestReapplyReplacesPods(t *testing.T) {
 	if res[0].Created {
 		t.Error("re-apply should report configured, not created")
 	}
-	if pods := c.List(Pod, "default", mustSelector("app=nginx")); len(pods) != 2 {
+	if pods := c.List(nil, Pod, "default", mustSelector("app=nginx")); len(pods) != 2 {
 		t.Errorf("pods after scale down = %d, want 2", len(pods))
 	}
 }
@@ -444,7 +468,7 @@ func TestManifestKindIsExact(t *testing.T) {
 		if err == nil || err.Error() != want {
 			t.Errorf("kind: %s: %v, want %s", kind, err, want)
 		}
-		if objs := c.ListObjects(Deployment, "*", nil); len(objs) != 0 {
+		if objs := c.ListObjects(nil, Deployment, "*", nil); len(objs) != 0 {
 			t.Errorf("kind: %s: applied %d deployments", kind, len(objs))
 		}
 	}
@@ -595,7 +619,7 @@ spec:
 	if _, err := c.ApplyYAML(nil, sts, "default"); err != nil {
 		t.Fatal(err)
 	}
-	pods := c.List(Pod, "default", mustSelector("app=web"))
+	pods := c.List(nil, Pod, "default", mustSelector("app=web"))
 	if len(pods) != 2 {
 		t.Fatalf("pods = %d", len(pods))
 	}
@@ -641,7 +665,7 @@ func TestSharedStatusScalars(t *testing.T) {
 	if _, err := c.ApplyYAML(nil, nginxDeployment, "default"); err != nil {
 		t.Fatal(err)
 	}
-	pods := c.List(Pod, "default", nil)
+	pods := c.List(nil, Pod, "default", nil)
 	a, b := pods[0].Path("metadata", "creationTimestamp"), pods[1].Path("metadata", "creationTimestamp")
 	if a != b || a.ScalarString() != "2024-01-01T00:00:00Z" {
 		t.Errorf("creationTimestamps %p %q and %p %q, want one shared 2024-01-01T00:00:00Z", a, a.ScalarString(), b, b.ScalarString())
@@ -654,7 +678,7 @@ func TestSharedStatusScalars(t *testing.T) {
 	if _, err := c.ApplyYAML(nil, nginxDeployment, "default"); err != nil {
 		t.Fatal(err)
 	}
-	if got := c.List(Pod, "default", nil)[0].Path("metadata", "creationTimestamp").ScalarString(); got != "2024-01-01T00:01:30Z" {
+	if got := c.List(nil, Pod, "default", nil)[0].Path("metadata", "creationTimestamp").ScalarString(); got != "2024-01-01T00:01:30Z" {
 		t.Errorf("creationTimestamp after a reset and 90 s: %q", got)
 	}
 	for i := 0; i < 2*maxStamps; i++ {

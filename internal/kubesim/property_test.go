@@ -89,13 +89,13 @@ func TestPropertyApplyIsIdempotent(t *testing.T) {
 		}
 		c.AdvanceTime(10 * time.Second)
 		before, ok1 := c.GetByName(mustResource(kind), "default", name)
-		podsBefore := len(c.List(Pod, "default", nil))
+		podsBefore := len(c.List(nil, Pod, "default", nil))
 		if _, err := c.ApplyYAML(nil, src, "default"); err != nil {
 			return false
 		}
 		c.AdvanceTime(10 * time.Second)
 		after, ok2 := c.GetByName(mustResource(kind), "default", name)
-		podsAfter := len(c.List(Pod, "default", nil))
+		podsAfter := len(c.List(nil, Pod, "default", nil))
 		if !ok1 || !ok2 {
 			return false
 		}
@@ -131,7 +131,7 @@ func TestPropertyDeleteRemovesEverything(t *testing.T) {
 		if _, ok := c.GetByName(mustResource(kind), "default", name); ok {
 			return false
 		}
-		return len(c.List(Pod, "default", nil)) == 0
+		return len(c.List(nil, Pod, "default", nil)) == 0
 	}
 	if err := quick.Check(prop, cfg); err != nil {
 		t.Error(err)

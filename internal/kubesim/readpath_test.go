@@ -135,7 +135,7 @@ func TestStatusMemoNeverStale(t *testing.T) {
 				changed = d > 0
 			default:
 				read = true
-				c.List(mustResource(kinds[rng.Intn(len(kinds))]), "*", nil)
+				c.List(nil, mustResource(kinds[rng.Intn(len(kinds))]), "*", nil)
 				c.GetByName(Pod, ns, "a")
 			}
 			now := map[*Object]*yamlx.Node{}
@@ -170,7 +170,7 @@ func waitForOracle(c *Cluster, opts WaitOptions) error {
 	deadline := c.now.Add(opts.Timeout)
 	const step = 500 * time.Millisecond
 	for {
-		targets := c.waitTargets(opts)
+		targets := c.waitTargets(nil, opts)
 		if len(targets) == 0 {
 			if len(opts.Names) > 0 {
 				return fmt.Errorf("error: %s %q not found", opts.Resource.Singular, strings.Join(opts.Names, ", "))

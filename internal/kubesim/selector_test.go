@@ -106,7 +106,7 @@ func TestSelectorGrammar(t *testing.T) {
 			continue
 		}
 		var names []string
-		for _, o := range c.ListObjects(Pod, "default", sel) {
+		for _, o := range c.ListObjects(nil, Pod, "default", sel) {
 			names = append(names, o.Name)
 		}
 		if got := strings.Join(names, " "); got != tc.want {
@@ -262,7 +262,7 @@ func TestAppendSelectorReusesStorage(t *testing.T) {
 	}
 	names := func(sel Selector) string {
 		var out []string
-		for _, o := range c.ListObjects(Pod, "default", sel) {
+		for _, o := range c.ListObjects(nil, Pod, "default", sel) {
 			out = append(out, o.Name)
 		}
 		return strings.Join(out, " ")

@@ -35,14 +35,18 @@ type WaitOptions struct {
 // on the stored objects via ObjectCondition instead of materializing
 // kubectl-style status documents each step;
 // TestObjectConditionMatchesStatus pins the two representations
-// together.
+// together. The targets go into storage the cluster keeps (c.targets),
+// so a wait allocates nothing; like every other mutator, it is for one
+// goroutine at a time.
 func (c *Cluster) WaitFor(opts WaitOptions) error {
 	if opts.Timeout <= 0 {
 		opts.Timeout = 30 * time.Second
 	}
 	deadline := c.now.Add(opts.Timeout)
 	const step = 500 * time.Millisecond
-	targets := c.waitTargets(opts)
+	targets := c.waitTargets(c.targets[:0], opts)
+	c.targets = targets
+	defer clear(targets)
 	if len(targets) == 0 {
 		if len(opts.Names) > 0 {
 			return fmt.Errorf("error: %s %q not found", opts.Resource.Singular, strings.Join(opts.Names, ", "))
@@ -62,17 +66,17 @@ func (c *Cluster) WaitFor(opts WaitOptions) error {
 
 var errNoMatch = errors.New("error: no matching resources found")
 
-func (c *Cluster) waitTargets(opts WaitOptions) []*Object {
+// waitTargets appends a wait's targets to dst.
+func (c *Cluster) waitTargets(dst []*Object, opts WaitOptions) []*Object {
 	if len(opts.Names) == 0 {
-		return c.ListObjects(opts.Resource, opts.Namespace, opts.Selector)
+		return c.ListObjects(dst, opts.Resource, opts.Namespace, opts.Selector)
 	}
-	out := make([]*Object, 0, len(opts.Names))
 	for _, name := range opts.Names {
 		if o, ok := c.GetObject(opts.Resource, opts.Namespace, name); ok {
-			out = append(out, o)
+			dst = append(dst, o)
 		}
 	}
-	return out
+	return dst
 }
 
 func (c *Cluster) allConditionsTrue(objs []*Object, condType string) bool {

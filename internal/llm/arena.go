@@ -10,53 +10,28 @@ import (
 // a genContext are shared and never written, so an edit copies the
 // nodes from the document root down to what it changes (own, ownPath)
 // and leaves every other subtree shared; the copies and the new
-// scalars come from here. The call renders its answer — a string of
-// its own bytes — and releases the arena; nothing outlives the call
-// that points into it.
+// scalars come from the embedded yamlx.Arena. The call renders its
+// answer — a string of its own bytes — and releases the arena; nothing
+// outlives the call that points into it.
 type arena struct {
-	nodes   []yamlx.Node
-	entries []yamlx.Entry
-	items   []*yamlx.Node
-	owned   []*yamlx.Node // the mappings and sequences copied so far
+	yamlx.Arena
+	owned []*yamlx.Node // the mappings and sequences copied so far
 }
 
 var arenas = sync.Pool{New: func() any { return new(arena) }}
 
-// release zeroes what the call used, so that a pooled arena keeps no
-// string or tree alive, and returns it to the pool.
+// release rewinds the arena, so that a pooled arena keeps no string or
+// tree alive, and returns it to the pool.
 func (a *arena) release() {
-	clear(a.nodes)
-	clear(a.entries)
-	clear(a.items)
+	a.Rewind()
 	clear(a.owned)
-	a.nodes, a.entries, a.items, a.owned = a.nodes[:0], a.entries[:0], a.items[:0], a.owned[:0]
+	a.owned = a.owned[:0]
 	arenas.Put(a)
-}
-
-// slots takes n zeroed elements off the end of *s. A chunk that is full
-// is left to the nodes that point into it and a larger one started.
-func slots[T any](s *[]T, n int) []T {
-	if cap(*s)-len(*s) < n {
-		*s = make([]T, 0, max(64, 2*cap(*s), n))
-	}
-	l := len(*s)
-	*s = (*s)[:l+n]
-	return (*s)[l : l+n : l+n]
-}
-
-func (a *arena) node() *yamlx.Node { return &slots(&a.nodes, 1)[0] }
-
-func (a *arena) str(s string) *yamlx.Node {
-	n := a.node()
-	n.Kind, n.Str = yamlx.StringKind, s
-	return n
 }
 
 // docs is a document list the call may write, over the shared documents.
 func (a *arena) docs(shared []*yamlx.Node) []*yamlx.Node {
-	docs := slots(&a.items, len(shared))
-	copy(docs, shared)
-	return docs
+	return a.CopyItems(shared)
 }
 
 // own returns n if this call has already copied it, else a copy whose
@@ -68,16 +43,7 @@ func (a *arena) own(n *yamlx.Node) *yamlx.Node {
 			return n
 		}
 	}
-	c := a.node()
-	*c = *n
-	switch n.Kind {
-	case yamlx.MapKind:
-		c.Entries = slots(&a.entries, len(n.Entries))
-		copy(c.Entries, n.Entries)
-	case yamlx.SeqKind:
-		c.Items = slots(&a.items, len(n.Items))
-		copy(c.Items, n.Items)
-	}
+	c := a.ShallowClone(n)
 	a.owned = append(a.owned, c)
 	return c
 }

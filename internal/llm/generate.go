@@ -274,7 +274,7 @@ func wrongKind(c *genContext, rng *rand.Rand) string {
 	for alt == cur {
 		alt = alternatives[rng.Intn(len(alternatives))]
 	}
-	return c.tmpl.Marshal(a.own(doc).Set("kind", a.str(alt)))
+	return c.tmpl.Marshal(a.own(doc).Set("kind", a.String(alt)))
 }
 
 // corruptYAML perturbs functional leaves of the reference: numeric
@@ -359,11 +359,9 @@ func (a *arena) mutateScalar(v *yamlx.Node, rng *rand.Rand) *yamlx.Node {
 		if rng.Intn(2) == 0 && v.Int > delta {
 			delta = -delta
 		}
-		n := a.node()
-		n.Kind, n.Int = yamlx.IntKind, v.Int+delta
-		return n
+		return a.Integer(v.Int + delta)
 	case yamlx.BoolKind:
-		n := a.node()
+		n := a.Node()
 		n.Kind, n.Bool = yamlx.BoolKind, !v.Bool
 		return n
 	case yamlx.StringKind:
@@ -375,11 +373,11 @@ func (a *arena) mutateScalar(v *yamlx.Node, rng *rand.Rand) *yamlx.Node {
 			if s[mid] == 'x' {
 				c = "q"
 			}
-			return a.str(s[:mid] + c + s[mid+1:])
+			return a.String(s[:mid] + c + s[mid+1:])
 		}
-		return a.str(s + "x")
+		return a.String(s + "x")
 	default:
-		return a.str("changed")
+		return a.String("changed")
 	}
 }
 
@@ -442,9 +440,9 @@ func (a *arena) applyHarmless(c *genContext, n *yamlx.Node, rng *rand.Rand) *yam
 				nv = a.applyHarmless(c, v, rng)
 			} else if label := c.labelOf(v); label != nil && rng.Float64() < 0.85 {
 				if label.Kind == yamlmatch.SetLabel {
-					nv = a.str(label.Values[rng.Intn(len(label.Values))])
+					nv = a.String(label.Values[rng.Intn(len(label.Values))])
 				} else {
-					nv = a.str("alt-" + v.ScalarString())
+					nv = a.String("alt-" + v.ScalarString())
 				}
 				nv.Quoted = v.Quoted // the value changes, the way it was written does not
 			}

@@ -94,8 +94,13 @@ func (b *Backend) GetEnv() Env {
 }
 
 // PutEnv wipes an environment and recycles it into this family's pool.
-// The wipe happens on Put rather than Get so a leaked reference can at
-// most observe an empty environment, never a later execution's state.
+// The wipe happens on Put rather than Get, so a pooled environment holds
+// nothing of the execution before it. The wipe also rewinds the memory
+// a simulated cluster built its Objects and status documents in, so a
+// node or Object pointer kept past PutEnv reads a later execution's
+// state. What outlives an execution is copied out of it first:
+// unittest.Result and a unittest.Recorder's records carry strings, ints
+// and durations, never a node.
 func (b *Backend) PutEnv(e Env) {
 	e.Reset()
 	b.pool.Put(e)

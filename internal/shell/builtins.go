@@ -205,7 +205,8 @@ func (g grepMatcher) match(line string) bool {
 
 func builtinSleep(in *Interp, io *IO, args []string) int {
 	if len(args) == 0 {
-		return 0
+		io.Err.WriteString("sleep: missing operand\n")
+		return 1
 	}
 	d, ok := parseDuration(args[0])
 	if !ok {

@@ -425,6 +425,7 @@ func TestSleepRefusesBadIntervals(t *testing.T) {
 		{`sleep 9223372036`, "", 0, 9223372036 * time.Second},
 		{`sleep 1e3`, "", 0, 1000 * time.Second},
 		{`sleep 0`, "", 0, 0},
+		{`sleep`, "sleep: missing operand\n", 1, 0},
 		{`timeout inf echo x`, `timeout: invalid duration "inf"` + "\n", 125, 0},
 		{`timeout nan echo x`, `timeout: invalid duration "nan"` + "\n", 125, 0},
 		{`timeout 1e12 echo x`, `timeout: invalid duration "1e12"` + "\n", 125, 0},

@@ -15,8 +15,8 @@ import (
 // Cached documents are shared across goroutines and MUST be treated as
 // immutable. Callers that change what they parsed copy first, and only
 // the nodes above each change: kubesim's status documents and Service
-// allocations (ShallowClone), the llm answer corruptors (an arena of
-// their own). Parse errors are cached too, text and all, so a malformed
+// allocations and the llm answer corruptors, each into an Arena of
+// their own (Arena.ShallowClone). Parse errors are cached too, text and all, so a malformed
 // answer sampled at high temperature is diagnosed once, not once per
 // metric or apply.
 //
@@ -82,8 +82,7 @@ func ParseCachedString(s string) (*Node, error) {
 // slice header and backing array — while sharing the child nodes. The
 // copy's own shape can be changed (Set, Append, Delete) without
 // affecting the original; the shared children must still be treated as
-// immutable. This is the copy-on-write primitive the kubesim status
-// path uses to decorate stored manifests without deep-copying them.
+// immutable. Arena.ShallowClone is the same copy built in an arena.
 func (n *Node) ShallowClone() *Node {
 	if n == nil {
 		return nil
