@@ -3,7 +3,8 @@
 // platform, the way kubesim stands in for minikube.
 //
 // The simulator parses a compose file (top-level services mapping with
-// image, ports, environment, command, depends_on, restart, volumes),
+// image, ports, command and depends_on; other keys are accepted and
+// not read),
 // starts containers in dependency order against a virtual clock, and
 // answers the probes the benchmark's unit tests make: `docker compose
 // config/up/ps/logs/down`, plus curl against published host ports and
@@ -13,7 +14,7 @@ package composesim
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -32,19 +33,26 @@ const StartDelay = 2 * time.Second
 // starts at, so evaluations are deterministic.
 var epoch = time.Date(2024, 1, 1, 0, 0, 0, 0, time.UTC)
 
-// Service is one parsed compose service.
+// Service is one parsed compose service. Its lists live in its
+// project's chunks, like the Service itself: they are good until the
+// project's next Reset.
 type Service struct {
-	Name        string
-	Image       string
-	Command     string
-	Restart     string
-	DependsOn   []string
-	Environment map[string]string
+	Name      string
+	Image     string
+	Command   string
+	DependsOn []string
 	// Ports are the published "host:container" mappings.
 	Ports []PortMapping
-	// Volumes are the raw volume strings.
-	Volumes []string
+
+	mark uint8 // Load's depth-first walk: unvisited, visiting or done
 }
+
+// The marks of Load's walk over depends_on.
+const (
+	unvisited uint8 = iota
+	visiting
+	done
+)
 
 // PortMapping is one port entry. Host 0 means the port is not
 // published to the host (the container-port-only short form, which
@@ -69,6 +77,20 @@ type Project struct {
 	Services   []*Service // dependency order (topological, then by name)
 	containers map[string]*Container
 	now        time.Time
+
+	// What Load and Up build, reused from one execution to the next:
+	// the services, their depends_on lists and ports, and the
+	// containers, in chunks; byName (the services sorted by name) and
+	// next (their start order, built while Load walks them) as
+	// scratch. Reset rewinds the chunks, which keep one chunk each, and
+	// drops a slice or the container map once it outgrows
+	// yamlx.ChunkCap, the bound the chunks keep.
+	services yamlx.Chunks[Service]
+	deps     yamlx.Chunks[string]
+	ports    yamlx.Chunks[PortMapping]
+	ctrs     yamlx.Chunks[Container]
+	byName   []*Service
+	next     []*Service
 }
 
 // NewProject returns an empty project named "app".
@@ -76,13 +98,31 @@ func NewProject() *Project {
 	return &Project{Name: "app", containers: make(map[string]*Container), now: epoch}
 }
 
-// Reset returns the project to its pristine state while retaining map
-// capacity, so environment pools can recycle it.
+// Reset returns the project to its pristine state while keeping its
+// memory within the bound above, so environment pools can recycle it.
+// Every Service and Container the project handed out before is reused
+// from here on, so none may be kept past it.
 func (p *Project) Reset() {
 	p.Name = "app"
-	p.Services = nil
-	clear(p.containers)
+	p.Services = reuse(p.Services)
+	p.Down()
 	p.now = epoch
+	p.services.Rewind()
+	p.deps.Rewind()
+	p.ports.Rewind()
+	p.ctrs.Rewind()
+	p.byName = reuse(p.byName)
+	p.next = reuse(p.next)
+}
+
+// reuse returns s emptied for the next execution, or nil once it has
+// outgrown yamlx.ChunkCap.
+func reuse(s []*Service) []*Service {
+	if cap(s) > yamlx.ChunkCap {
+		return nil
+	}
+	clear(s[:cap(s)])
+	return s[:0]
 }
 
 // Now returns the project's virtual time.
@@ -98,7 +138,8 @@ func (p *Project) AdvanceTime(d time.Duration) {
 // Load parses a compose file and installs its services (without
 // starting anything). It validates the schema the benchmark's corpus
 // relies on: a top-level `services` mapping of service maps, each with
-// an image, and ports in "host:container" form.
+// an image, and ports in "host:container" form. A file it refuses
+// leaves the services loaded before in place.
 func (p *Project) Load(src string) error {
 	docs, err := yamlx.ParseAllCached(src)
 	if err != nil {
@@ -123,35 +164,37 @@ func (p *Project) Load(src string) error {
 	if n := root.Get("name"); n != nil && n.ScalarString() != "" {
 		p.Name = n.ScalarString()
 	}
-	var parsed []*Service
+	p.byName = p.byName[:0]
 	for _, e := range svcs.Entries {
-		s, err := parseService(e.Key, e.Value)
+		s, err := p.parseService(e.Key, e.Value)
 		if err != nil {
 			return err
 		}
-		parsed = append(parsed, s)
+		p.byName = append(p.byName, s)
 	}
-	ordered, err := orderServices(parsed)
-	if err != nil {
-		return err
+	// Start order: dependencies before dependents, ties broken by name.
+	slices.SortFunc(p.byName, func(a, b *Service) int { return strings.Compare(a.Name, b.Name) })
+	p.next = p.next[:0]
+	for _, s := range p.byName {
+		if err := p.visit(s); err != nil {
+			return err
+		}
 	}
-	p.Services = ordered
+	p.Services, p.next = p.next, p.Services[:0]
 	return nil
 }
 
-func parseService(name string, n *yamlx.Node) (*Service, error) {
+func (p *Project) parseService(name string, n *yamlx.Node) (*Service, error) {
 	if n == nil || n.Kind != yamlx.MapKind {
 		return nil, fmt.Errorf("service %q must be a mapping", name)
 	}
-	s := &Service{Name: name, Environment: map[string]string{}}
+	s := &p.services.Take(1)[0]
+	s.Name = name
 	if img := n.Get("image"); img != nil && img.IsScalar() {
 		s.Image = img.ScalarString()
 	}
 	if s.Image == "" {
 		return nil, fmt.Errorf("service %q has no image", name)
-	}
-	if r := n.Get("restart"); r != nil {
-		s.Restart = r.ScalarString()
 	}
 	if c := n.Get("command"); c != nil {
 		if c.Kind == yamlx.SeqKind {
@@ -164,38 +207,20 @@ func parseService(name string, n *yamlx.Node) (*Service, error) {
 			s.Command = c.ScalarString()
 		}
 	}
-	if d := n.Get("depends_on"); d != nil && d.Kind == yamlx.SeqKind {
-		for _, it := range d.Items {
-			s.DependsOn = append(s.DependsOn, it.ScalarString())
+	if d := n.Get("depends_on"); d != nil && d.Kind == yamlx.SeqKind && len(d.Items) > 0 {
+		s.DependsOn = p.deps.Take(len(d.Items))
+		for i, it := range d.Items {
+			s.DependsOn[i] = it.ScalarString()
 		}
 	}
-	if env := n.Get("environment"); env != nil {
-		switch env.Kind {
-		case yamlx.MapKind:
-			for _, e := range env.Entries {
-				s.Environment[e.Key] = e.Value.ScalarString()
-			}
-		case yamlx.SeqKind:
-			for _, it := range env.Items {
-				kv := it.ScalarString()
-				if k, v, ok := strings.Cut(kv, "="); ok {
-					s.Environment[k] = v
-				}
-			}
-		}
-	}
-	if ports := n.Get("ports"); ports != nil && ports.Kind == yamlx.SeqKind {
-		for _, it := range ports.Items {
+	if ports := n.Get("ports"); ports != nil && ports.Kind == yamlx.SeqKind && len(ports.Items) > 0 {
+		s.Ports = p.ports.Take(len(ports.Items))
+		for i, it := range ports.Items {
 			pm, err := parsePort(it.ScalarString())
 			if err != nil {
 				return nil, fmt.Errorf("service %q: %v", name, err)
 			}
-			s.Ports = append(s.Ports, pm)
-		}
-	}
-	if vols := n.Get("volumes"); vols != nil && vols.Kind == yamlx.SeqKind {
-		for _, it := range vols.Items {
-			s.Volumes = append(s.Volumes, it.ScalarString())
+			s.Ports[i] = pm
 		}
 	}
 	return s, nil
@@ -218,109 +243,82 @@ func parsePort(spec string) (PortMapping, error) {
 		n, err := strconv.Atoi(strings.TrimSpace(p))
 		return n, err == nil && n > 0 && n < 65536
 	}
-	parts := strings.Split(s, ":")
-	switch len(parts) {
-	case 1:
-		c, ok := port(parts[0])
-		if !ok {
-			return PortMapping{}, fmt.Errorf("invalid port mapping %q", spec)
+	switch strings.Count(s, ":") {
+	case 0:
+		if c, ok := port(s); ok {
+			return PortMapping{Container: c}, nil
 		}
-		return PortMapping{Container: c}, nil
 	case 2:
-		h, ok1 := port(parts[0])
-		c, ok2 := port(parts[1])
-		if !ok1 || !ok2 {
-			return PortMapping{}, fmt.Errorf("invalid port mapping %q", spec)
-		}
-		return PortMapping{Host: h, Container: c}, nil
-	case 3:
 		// ip:host:container — the bind address is accepted and ignored
 		// (the simulated host has one interface).
-		h, ok1 := port(parts[1])
-		c, ok2 := port(parts[2])
-		if !ok1 || !ok2 {
-			return PortMapping{}, fmt.Errorf("invalid port mapping %q", spec)
+		s = s[strings.IndexByte(s, ':')+1:]
+		fallthrough
+	case 1:
+		host, ctr, _ := strings.Cut(s, ":")
+		h, ok1 := port(host)
+		c, ok2 := port(ctr)
+		if ok1 && ok2 {
+			return PortMapping{Host: h, Container: c}, nil
 		}
-		return PortMapping{Host: h, Container: c}, nil
 	}
 	return PortMapping{}, fmt.Errorf("invalid port mapping %q", spec)
 }
 
-// orderServices sorts services into a deterministic start order:
-// dependencies before dependents, ties broken by name.
-func orderServices(in []*Service) ([]*Service, error) {
-	byName := make(map[string]*Service, len(in))
-	for _, s := range in {
-		byName[s.Name] = s
+// visit appends s to p.next after the services it depends on, each
+// found in p.byName, in name order.
+func (p *Project) visit(s *Service) error {
+	switch s.mark {
+	case visiting:
+		return fmt.Errorf("dependency cycle through service %q", s.Name)
+	case done:
+		return nil
 	}
-	names := make([]string, 0, len(in))
-	for _, s := range in {
-		names = append(names, s.Name)
-	}
-	sort.Strings(names)
-	var out []*Service
-	state := map[string]int{} // 0 unvisited, 1 visiting, 2 done
-	var visit func(name string) error
-	visit = func(name string) error {
-		s, ok := byName[name]
+	s.mark = visiting
+	slices.Sort(s.DependsOn)
+	for _, name := range s.DependsOn {
+		i, ok := slices.BinarySearchFunc(p.byName, name, func(s *Service, name string) int { return strings.Compare(s.Name, name) })
 		if !ok {
 			return fmt.Errorf("depends_on references undefined service %q", name)
 		}
-		switch state[name] {
-		case 1:
-			return fmt.Errorf("dependency cycle through service %q", name)
-		case 2:
-			return nil
-		}
-		state[name] = 1
-		deps := append([]string(nil), s.DependsOn...)
-		sort.Strings(deps)
-		for _, d := range deps {
-			if err := visit(d); err != nil {
-				return err
-			}
-		}
-		state[name] = 2
-		out = append(out, s)
-		return nil
-	}
-	for _, n := range names {
-		if err := visit(n); err != nil {
-			return nil, err
+		if err := p.visit(p.byName[i]); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	s.mark = done
+	p.next = append(p.next, s)
+	return nil
 }
 
 // Up starts every loaded service in dependency order, advancing the
 // virtual clock StartDelay per container.
-func (p *Project) Up() []*Container {
-	var started []*Container
+func (p *Project) Up() {
 	for _, s := range p.Services {
 		p.AdvanceTime(StartDelay)
-		c := &Container{
-			Name:      fmt.Sprintf("%s-%s-1", p.Name, s.Name),
-			Service:   s,
-			StartedAt: p.now,
-		}
+		c := &p.ctrs.Take(1)[0]
+		*c = Container{Name: p.Name + "-" + s.Name + "-1", Service: s, StartedAt: p.now}
 		p.containers[s.Name] = c
-		started = append(started, c)
 	}
-	return started
 }
 
-// Down removes every container.
-func (p *Project) Down() { clear(p.containers) }
+// Down removes every container. The map is kept for the next up unless
+// it has grown past yamlx.ChunkCap.
+func (p *Project) Down() {
+	if len(p.containers) > yamlx.ChunkCap {
+		p.containers = make(map[string]*Container)
+	} else {
+		clear(p.containers)
+	}
+}
 
-// Running lists containers in service start order.
-func (p *Project) Running() []*Container {
-	var out []*Container
+// Running appends the running containers, in service start order, to
+// dst and returns the extended slice.
+func (p *Project) Running(dst []*Container) []*Container {
 	for _, s := range p.Services {
 		if c, ok := p.containers[s.Name]; ok {
-			out = append(out, c)
+			dst = append(dst, c)
 		}
 	}
-	return out
+	return dst
 }
 
 // ContainerFor returns the running container of a service.
@@ -335,10 +333,14 @@ func (p *Project) ContainerFor(service string) (*Container, bool) {
 // network.
 func (p *Project) HTTPProbe(host string, port int) (code int, body string, ok bool) {
 	if host == "localhost" || host == "127.0.0.1" || host == "0.0.0.0" {
-		for _, c := range p.Running() {
+		for _, s := range p.Services {
+			c, ok := p.containers[s.Name]
+			if !ok {
+				continue
+			}
 			for _, pm := range c.Service.Ports {
 				if pm.Host != 0 && pm.Host == port {
-					return 200, fmt.Sprintf("%s ok", c.Service.Name), true
+					return 200, c.Service.Name + " ok", true
 				}
 			}
 		}
@@ -347,41 +349,42 @@ func (p *Project) HTTPProbe(host string, port int) (code int, body string, ok bo
 	if c, ok := p.containers[host]; ok {
 		for _, pm := range c.Service.Ports {
 			if pm.Container == port {
-				return 200, fmt.Sprintf("%s ok", c.Service.Name), true
+				return 200, c.Service.Name + " ok", true
 			}
 		}
 	}
 	return 0, "", false
 }
 
-// Logs renders deterministic startup logs for one container, shaped by
-// its image the way unit tests grep for them.
-func (p *Project) Logs(c *Container) string {
-	var b strings.Builder
-	prefix := c.Name
-	emit := func(line string) { fmt.Fprintf(&b, "%s  | %s\n", prefix, line) }
+// writeLogs writes deterministic startup logs for one container,
+// shaped by its image the way unit tests grep for them.
+func writeLogs(out *shell.Stream, c *Container) {
+	line := func(text ...string) {
+		out.WriteStrings(c.Name, "  | ")
+		out.WriteStrings(text...)
+		out.WriteByte('\n')
+	}
 	img := c.Service.Image
 	switch {
 	case strings.HasPrefix(img, "redis"):
-		emit("* monotonic clock: POSIX clock_gettime")
-		emit("* Ready to accept connections tcp")
+		line("* monotonic clock: POSIX clock_gettime")
+		line("* Ready to accept connections tcp")
 	case strings.HasPrefix(img, "nginx"):
-		emit("/docker-entrypoint.sh: Configuration complete; ready for start up")
-		emit("start worker processes")
+		line("/docker-entrypoint.sh: Configuration complete; ready for start up")
+		line("start worker processes")
 	case strings.HasPrefix(img, "httpd"):
-		emit("AH00094: Command line: 'httpd -D FOREGROUND'")
-		emit("resuming normal operations")
+		line("AH00094: Command line: 'httpd -D FOREGROUND'")
+		line("resuming normal operations")
 	case strings.HasPrefix(img, "memcached"):
-		emit("server listening")
+		line("server listening")
 	case strings.HasPrefix(img, "postgres"), strings.HasPrefix(img, "mysql"), strings.HasPrefix(img, "mariadb"):
-		emit("database system is ready to accept connections")
+		line("database system is ready to accept connections")
 	default:
-		emit(fmt.Sprintf("%s started", c.Service.Name))
+		line(c.Service.Name, " started")
 	}
 	if c.Service.Command != "" {
-		emit(fmt.Sprintf("exec: %s", c.Service.Command))
+		line("exec: ", c.Service.Command)
 	}
-	return b.String()
 }
 
 // Env is the execution environment for one compose-family unit test: a
@@ -390,6 +393,10 @@ func (p *Project) Logs(c *Container) string {
 type Env struct {
 	Project *Project
 	Shell   *shell.Interp
+
+	// running is the storage ps, logs and down list containers into,
+	// dropped by Reset once it outgrows yamlx.ChunkCap.
+	running []*Container
 }
 
 // NewEnv builds a fresh environment with the compose tools registered.
@@ -414,4 +421,7 @@ func (e *Env) Now() time.Time { return e.Project.Now() }
 func (e *Env) Reset() {
 	e.Project.Reset()
 	e.Shell.Reset()
+	if cap(e.running) > yamlx.ChunkCap {
+		e.running = nil
+	}
 }

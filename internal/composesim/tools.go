@@ -21,7 +21,7 @@ func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 		case "ps":
 			return e.ps(io)
 		case "version", "info", "images", "pull":
-			fmt.Fprintf(io.Out, "docker %s: ok\n", args[0])
+			io.Out.WriteStrings("docker ", args[0], ": ok\n")
 			return 0
 		default:
 			fmt.Fprintf(io.Err, "docker: unknown command %q\n", args[0])
@@ -36,11 +36,9 @@ func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 	file := "compose.yaml"
 	var verb string
 	var rest []string
-	for i := 1; i < len(args); i++ {
+	for i := 1; i < len(args) && verb == ""; i++ {
 		a := args[i]
 		switch {
-		case verb != "":
-			rest = append(rest, a)
 		case (a == "-f" || a == "--file") && i+1 < len(args):
 			file = args[i+1]
 			i++
@@ -48,7 +46,7 @@ func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 			e.Project.Name = args[i+1]
 			i++
 		case !strings.HasPrefix(a, "-"):
-			verb = a
+			verb, rest = a, args[i+1:]
 		}
 	}
 	if verb == "" {
@@ -87,8 +85,9 @@ func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 		if _, ok := load(); !ok {
 			return 1
 		}
-		for _, c := range e.Project.Up() {
-			fmt.Fprintf(io.Out, " Container %s  Started\n", c.Name)
+		e.Project.Up()
+		for _, c := range e.list() {
+			io.Out.WriteStrings(" Container ", c.Name, "  Started\n")
 		}
 		return 0
 	case "ps":
@@ -103,29 +102,27 @@ func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 				break
 			}
 		}
-		var targets []*Container
-		if service != "" {
-			c, ok := e.Project.ContainerFor(service)
-			if !ok {
-				fmt.Fprintf(io.Err, "no such service: %s\n", service)
-				return 1
+		if service == "" {
+			for _, c := range e.list() {
+				writeLogs(io.Out, c)
 			}
-			targets = []*Container{c}
-		} else {
-			targets = e.Project.Running()
+			return 0
 		}
-		for _, c := range targets {
-			io.Out.WriteString(e.Project.Logs(c))
+		c, ok := e.Project.ContainerFor(service)
+		if !ok {
+			fmt.Fprintf(io.Err, "no such service: %s\n", service)
+			return 1
 		}
+		writeLogs(io.Out, c)
 		return 0
 	case "down":
-		for _, c := range e.Project.Running() {
-			fmt.Fprintf(io.Out, " Container %s  Removed\n", c.Name)
+		for _, c := range e.list() {
+			io.Out.WriteStrings(" Container ", c.Name, "  Removed\n")
 		}
 		e.Project.Down()
 		return 0
 	case "version":
-		fmt.Fprintln(io.Out, "Docker Compose version v2.24.0 (composesim)")
+		io.Out.WriteString("Docker Compose version v2.24.0 (composesim)\n")
 		return 0
 	default:
 		fmt.Fprintf(io.Err, "docker compose: unknown subcommand %q\n", verb)
@@ -133,20 +130,39 @@ func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 	}
 }
 
+// list is the running containers, in e.running until the next list.
+func (e *Env) list() []*Container {
+	clear(e.running)
+	e.running = e.Project.Running(e.running[:0])
+	return e.running
+}
+
 // ps renders the `docker compose ps` table for running containers.
 func (e *Env) ps(io *shell.IO) int {
-	fmt.Fprintf(io.Out, "%-24s %-24s %-16s %-12s %s\n", "NAME", "IMAGE", "SERVICE", "STATUS", "PORTS")
-	for _, c := range e.Project.Running() {
-		var ports []string
-		for _, pm := range c.Service.Ports {
-			if pm.Host == 0 {
-				ports = append(ports, fmt.Sprintf("%d/tcp", pm.Container))
-				continue
+	out := io.Out
+	out.WriteColumn("NAME", 24)
+	out.WriteColumn("IMAGE", 24)
+	out.WriteColumn("SERVICE", 16)
+	out.WriteColumn("STATUS", 12)
+	out.WriteString("PORTS\n")
+	for _, c := range e.list() {
+		out.WriteColumn(c.Name, 24)
+		out.WriteColumn(c.Service.Image, 24)
+		out.WriteColumn(c.Service.Name, 16)
+		out.WriteColumn("Up", 12)
+		for i, pm := range c.Service.Ports {
+			if i > 0 {
+				out.WriteString(", ")
 			}
-			ports = append(ports, fmt.Sprintf("0.0.0.0:%d->%d/tcp", pm.Host, pm.Container))
+			if pm.Host != 0 {
+				out.WriteString("0.0.0.0:")
+				out.WriteInt(pm.Host)
+				out.WriteString("->")
+			}
+			out.WriteInt(pm.Container)
+			out.WriteString("/tcp")
 		}
-		fmt.Fprintf(io.Out, "%-24s %-24s %-16s %-12s %s\n",
-			c.Name, c.Service.Image, c.Service.Name, "Up", strings.Join(ports, ", "))
+		out.WriteByte('\n')
 	}
 	return 0
 }

@@ -11,7 +11,8 @@ package helmsim
 
 import (
 	"fmt"
-	"strings"
+	"slices"
+	"strconv"
 	"time"
 
 	"cloudeval/internal/k8scmd"
@@ -22,26 +23,36 @@ import (
 
 // release records one installed chart.
 type release struct {
-	Name       string
-	Namespace  string
+	relKey
 	Revision   int
 	DeployedAt time.Time
 	Applied    []kubesim.ApplyResult
 }
+
+// relKey names a release: its namespace and its name.
+type relKey struct{ ns, name string }
 
 // Env is the execution environment for one Helm-family unit test: the
 // full Kubernetes tool environment plus the helm builtin and its
 // release table. It satisfies scenario.Env.
 type Env struct {
 	*k8scmd.Env
-	releases map[string]*release // ns/name
-	order    []string            // install order of release keys
+
+	// What helm keeps from one command to the next, and from one
+	// execution to the next on a pooled Env: the releases in install
+	// order, their applied objects in chunks, and the documents of the
+	// chart being rendered. Reset empties them, rewinds the chunks
+	// (which keep one chunk) and drops a slice once it outgrows
+	// yamlx.ChunkCap.
+	releases []release
+	applied  yamlx.Chunks[kubesim.ApplyResult]
+	docs     []*yamlx.Node
 }
 
 // NewEnv builds a fresh environment with helm registered alongside the
 // Kubernetes tools.
 func NewEnv() *Env {
-	e := &Env{Env: k8scmd.NewEnv(), releases: make(map[string]*release)}
+	e := &Env{Env: k8scmd.NewEnv()}
 	e.Shell.Builtins["helm"] = e.helm
 	return e
 }
@@ -50,11 +61,22 @@ func NewEnv() *Env {
 // pool recycling.
 func (e *Env) Reset() {
 	e.Env.Reset()
-	clear(e.releases)
-	e.order = e.order[:0]
+	if cap(e.releases) > yamlx.ChunkCap {
+		e.releases = nil
+	} else {
+		clear(e.releases)
+		e.releases = e.releases[:0]
+	}
+	e.applied.Rewind()
+	if cap(e.docs) > yamlx.ChunkCap {
+		e.docs = nil
+	}
 }
 
-func relKey(ns, name string) string { return ns + "/" + name }
+// find returns the index of the release ns/name, or -1.
+func (e *Env) find(ns, name string) int {
+	return slices.IndexFunc(e.releases, func(r release) bool { return r.relKey == relKey{ns, name} })
+}
 
 // helm implements template, install, upgrade, ls/list, status and
 // uninstall against the simulated cluster.
@@ -74,7 +96,7 @@ func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 
 	switch verb {
 	case "version":
-		fmt.Fprintln(io.Out, `version.BuildInfo{Version:"v3.14.0 (helmsim)"}`)
+		io.Out.WriteString("version.BuildInfo{Version:\"v3.14.0 (helmsim)\"}\n")
 		return 0
 	case "template", "install", "upgrade":
 		if len(positional) == 0 {
@@ -83,26 +105,36 @@ func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 		}
 		name := positional[0]
 		docs, code := e.renderChart(in, io, fs.Get("-f", "--values"))
+		defer clear(e.docs)
 		if code != 0 {
 			return code
 		}
 		if verb == "template" {
 			for _, d := range docs {
-				kind := strings.ToLower(d.Get("kind").ScalarString())
-				fmt.Fprintf(io.Out, "---\n# Source: %s/templates/%s.yaml\n", name, kind)
+				// renderChart validated d, so its kind is a row's Kind.
+				r, _ := kubesim.Lookup(d.Get("kind").ScalarString())
+				io.Out.WriteStrings("---\n# Source: ", name, "/templates/", r.Singular, ".yaml\n")
 				io.Out.Write(yamlx.Marshal(d))
 			}
 			return 0
 		}
 		return e.install(io, verb, name, ns, fs.Has("--create-namespace"), docs)
 	case "ls", "list":
-		fmt.Fprintf(io.Out, "%-16s %-12s %-9s %-10s %s\n", "NAME", "NAMESPACE", "REVISION", "STATUS", "CHART")
-		for _, key := range e.order {
-			r := e.releases[key]
-			if r.Namespace != ns && !fs.Has("-A", "--all-namespaces") {
+		out := io.Out
+		out.WriteColumn("NAME", 16)
+		out.WriteColumn("NAMESPACE", 12)
+		out.WriteColumn("REVISION", 9)
+		out.WriteColumn("STATUS", 10)
+		out.WriteString("CHART\n")
+		for _, r := range e.releases {
+			if r.ns != ns && !fs.Has("-A", "--all-namespaces") {
 				continue
 			}
-			fmt.Fprintf(io.Out, "%-16s %-12s %-9d %-10s %s-0.1.0\n", r.Name, r.Namespace, r.Revision, "deployed", r.Name)
+			out.WriteColumn(r.name, 16)
+			out.WriteColumn(r.ns, 12)
+			out.WriteColumn(strconv.Itoa(r.Revision), 9)
+			out.WriteColumn("deployed", 10)
+			out.WriteStrings(r.name, "-0.1.0\n")
 		}
 		return 0
 	case "status":
@@ -110,36 +142,36 @@ func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 			fmt.Fprintln(io.Err, "Error: status requires a release name")
 			return 1
 		}
-		r, ok := e.releases[relKey(ns, positional[0])]
-		if !ok {
+		i := e.find(ns, positional[0])
+		if i < 0 {
 			fmt.Fprintf(io.Err, "Error: release: not found\n")
 			return 1
 		}
-		fmt.Fprintf(io.Out, "NAME: %s\nLAST DEPLOYED: %s\nNAMESPACE: %s\nSTATUS: deployed\nREVISION: %d\nRESOURCES: %d\n",
-			r.Name, r.DeployedAt.Format("Mon Jan  2 15:04:05 2006"), r.Namespace, r.Revision, len(r.Applied))
+		r := &e.releases[i]
+		var stamp [32]byte
+		io.Out.WriteStrings("NAME: ", r.name, "\nLAST DEPLOYED: ")
+		io.Out.Write(r.DeployedAt.AppendFormat(stamp[:0], "Mon Jan  2 15:04:05 2006"))
+		io.Out.WriteStrings("\nNAMESPACE: ", r.ns, "\nSTATUS: deployed\nREVISION: ")
+		io.Out.WriteInt(r.Revision)
+		io.Out.WriteString("\nRESOURCES: ")
+		io.Out.WriteInt(len(r.Applied))
+		io.Out.WriteByte('\n')
 		return 0
 	case "uninstall", "delete":
 		if len(positional) == 0 {
 			fmt.Fprintln(io.Err, "Error: uninstall requires a release name")
 			return 1
 		}
-		key := relKey(ns, positional[0])
-		r, ok := e.releases[key]
-		if !ok {
+		i := e.find(ns, positional[0])
+		if i < 0 {
 			fmt.Fprintf(io.Err, "Error: uninstall: Release not loaded: %s: release: not found\n", positional[0])
 			return 1
 		}
-		for _, a := range r.Applied {
+		for _, a := range e.releases[i].Applied {
 			e.Cluster.Delete(a.Resource, a.Namespace, a.Name)
 		}
-		delete(e.releases, key)
-		for i, k := range e.order {
-			if k == key {
-				e.order = append(e.order[:i], e.order[i+1:]...)
-				break
-			}
-		}
-		fmt.Fprintf(io.Out, "release \"%s\" uninstalled\n", positional[0])
+		e.releases = slices.Delete(e.releases, i, i+1)
+		io.Out.WriteStrings("release \"", positional[0], "\" uninstalled\n")
 		return 0
 	default:
 		fmt.Fprintf(io.Err, "Error: unknown command %q for \"helm\"\n", verb)
@@ -149,7 +181,9 @@ func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 
 // renderChart reads and validates the chart bundle: every document must
 // be a well-formed manifest (apiVersion, kind, metadata.name), the same
-// contract `helm template` enforces on rendered output.
+// contract `helm template` enforces on rendered output. The documents
+// are listed in e.docs, which the caller clears once it is done with
+// them.
 func (e *Env) renderChart(in *shell.Interp, io *shell.IO, file string) ([]*yamlx.Node, int) {
 	if file == "" {
 		fmt.Fprintln(io.Err, "Error: chart bundle required: pass -f <file>")
@@ -165,7 +199,7 @@ func (e *Env) renderChart(in *shell.Interp, io *shell.IO, file string) ([]*yamlx
 		fmt.Fprintf(io.Err, "Error: YAML parse error on %s: %v\n", file, err)
 		return nil, 1
 	}
-	var out []*yamlx.Node
+	e.docs = e.docs[:0]
 	for _, d := range docs {
 		if d == nil || d.Kind == yamlx.NullKind {
 			continue
@@ -174,13 +208,13 @@ func (e *Env) renderChart(in *shell.Interp, io *shell.IO, file string) ([]*yamlx
 			fmt.Fprintf(io.Err, "Error: unable to build kubernetes objects from release manifest: %v\n", err)
 			return nil, 1
 		}
-		out = append(out, d)
+		e.docs = append(e.docs, d)
 	}
-	if len(out) == 0 {
+	if len(e.docs) == 0 {
 		fmt.Fprintf(io.Err, "Error: release manifest contains no resources\n")
 		return nil, 1
 	}
-	return out, 0
+	return e.docs, 0
 }
 
 // install applies rendered documents into the cluster and records the
@@ -191,16 +225,16 @@ func (e *Env) install(io *shell.IO, verb, name, ns string, createNS bool, docs [
 	if createNS && !e.Cluster.HasNamespace(ns) {
 		e.Cluster.CreateNamespace(ns)
 	}
-	r := &release{Name: name, Namespace: ns, Revision: 1, DeployedAt: e.Cluster.Now()}
-	key := relKey(ns, name)
-	prev, existed := e.releases[key]
-	if existed {
-		r.Revision = prev.Revision + 1
+	r := release{relKey: relKey{ns, name}, Revision: 1, DeployedAt: e.Cluster.Now()}
+	i := e.find(ns, name)
+	if i >= 0 {
+		r.Revision = e.releases[i].Revision + 1
 	}
+	r.Applied = e.applied.Take(len(docs))[:0]
 	for _, d := range docs {
 		res, err := e.Cluster.Apply(d, ns)
 		if err != nil {
-			if !existed {
+			if i < 0 {
 				// Fresh install: roll back what landed so a failed
 				// release leaves no trace. A failed upgrade must NOT
 				// delete — the applied objects are the live release's
@@ -215,10 +249,13 @@ func (e *Env) install(io *shell.IO, verb, name, ns string, createNS bool, docs [
 		}
 		r.Applied = append(r.Applied, res)
 	}
-	if !existed {
-		e.order = append(e.order, key)
+	if i < 0 {
+		e.releases = append(e.releases, r)
+	} else {
+		e.releases[i] = r
 	}
-	e.releases[key] = r
-	fmt.Fprintf(io.Out, "NAME: %s\nNAMESPACE: %s\nSTATUS: deployed\nREVISION: %d\n", name, ns, r.Revision)
+	io.Out.WriteStrings("NAME: ", name, "\nNAMESPACE: ", ns, "\nSTATUS: deployed\nREVISION: ")
+	io.Out.WriteInt(r.Revision)
+	io.Out.WriteByte('\n')
 	return 0
 }

@@ -1,10 +1,12 @@
 package helmsim
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"cloudeval/internal/shell"
+	"cloudeval/internal/yamlx"
 )
 
 const sampleChart = `apiVersion: apps/v1
@@ -208,5 +210,48 @@ func TestResetClearsReleases(t *testing.T) {
 	}
 	if _, code := run(t, e, "kubectl get deployment web"); code == 0 {
 		t.Error("cluster objects survived reset")
+	}
+}
+
+// TestResetKeepsOneChunk bounds what a pooled helm environment keeps.
+// A script installs 1,100 releases and then one chart of 1,100
+// documents; Reset keeps one chunk of applied objects, no larger than
+// yamlx.ChunkCap, drops the release table and the document list that
+// outgrew it, and the environment then answers as a fresh one does.
+func TestResetKeepsOneChunk(t *testing.T) {
+	const n = 1100
+	const cm = "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: settings%d\n"
+	var script, bundle strings.Builder
+	for i := range n {
+		fmt.Fprintf(&script, "helm install r%d -f cm.yaml > /dev/null\n", i)
+		fmt.Fprintf(&bundle, "---\n"+cm, i)
+	}
+	script.WriteString("helm install big -f bundle.yaml > /dev/null\nhelm ls | grep -c deployed")
+	e := NewEnv()
+	e.Shell.FS["cm.yaml"] = fmt.Sprintf(cm, 0)
+	e.Shell.FS["bundle.yaml"] = bundle.String()
+	if out, code := run(t, e, script.String()); code != 0 || out != "1101\n" {
+		t.Fatalf("installing %d releases: exit %d\n%s", n+1, code, out)
+	}
+	if cap(e.releases) <= yamlx.ChunkCap || cap(e.docs) <= yamlx.ChunkCap {
+		t.Fatalf("the script left %d releases in storage of %d and a chart in storage of %d", len(e.releases), cap(e.releases), cap(e.docs))
+	}
+	e.Reset()
+	if taken, capacity := e.applied.Held(); taken != 0 || capacity > yamlx.ChunkCap {
+		t.Errorf("Reset left %d taken of a chunk of %d applied objects, want none of at most %d", taken, capacity, yamlx.ChunkCap)
+	}
+	if e.releases != nil || e.docs != nil {
+		t.Errorf("Reset kept storage of %d releases and %d documents", cap(e.releases), cap(e.docs))
+	}
+
+	const again = "helm install web -f labeled_code.yaml\nhelm install cfg -f cm.yaml -n apps --create-namespace\nsleep 5\nhelm upgrade web -f labeled_code.yaml\nhelm ls -A\nhelm status web\nhelm uninstall cfg -n apps\nhelm ls -A"
+	fresh := NewEnv()
+	for _, env := range []*Env{e, fresh} {
+		env.Shell.FS["labeled_code.yaml"] = sampleChart
+		env.Shell.FS["cm.yaml"] = fmt.Sprintf(cm, 0)
+	}
+	want, wantCode := run(t, fresh, again)
+	if got, code := run(t, e, again); got != want || code != wantCode {
+		t.Errorf("after Reset the environment prints (exit %d)\n%s\na fresh one (exit %d)\n%s", code, got, wantCode, want)
 	}
 }

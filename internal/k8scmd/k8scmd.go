@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"strings"
 	"time"
+	"unicode/utf8"
 
 	"cloudeval/internal/envoysim"
 	"cloudeval/internal/jsonpath"
@@ -138,27 +139,37 @@ func parseTimeout(s string) time.Duration {
 
 // renderTable prints the default "kubectl get" table for a kind.
 func renderTable(io *shell.IO, res *kubesim.Resource, items []*yamlx.Node) {
+	out := io.Out
 	switch res {
 	case kubesim.Pod:
-		fmt.Fprintf(io.Out, "%-44s %-7s %-9s %-9s %s\n", "NAME", "READY", "STATUS", "RESTARTS", "AGE")
+		out.WriteColumn("NAME", 44)
+		out.WriteColumn("READY", 7)
+		out.WriteColumn("STATUS", 9)
+		out.WriteColumn("RESTARTS", 9)
+		out.WriteString("AGE\n")
 		for _, it := range items {
-			name := it.Path("metadata", "name").ScalarString()
-			phase := it.Path("status", "phase").ScalarString()
 			ready := "0/1"
 			if kubesim.HasCondition(it, "Ready") {
 				ready = "1/1"
 			}
-			fmt.Fprintf(io.Out, "%-44s %-7s %-9s %-9s %s\n", name, ready, phase, "0", "1m")
+			out.WriteColumn(it.Path("metadata", "name").ScalarString(), 44)
+			out.WriteColumn(ready, 7)
+			out.WriteColumn(it.Path("status", "phase").ScalarString(), 9)
+			out.WriteColumn("0", 9)
+			out.WriteString("1m\n")
 		}
 	case kubesim.Service:
-		fmt.Fprintf(io.Out, "%-20s %-14s %-14s %-14s %-14s %s\n", "NAME", "TYPE", "CLUSTER-IP", "EXTERNAL-IP", "PORT(S)", "AGE")
+		out.WriteColumn("NAME", 20)
+		out.WriteColumn("TYPE", 14)
+		out.WriteColumn("CLUSTER-IP", 14)
+		out.WriteColumn("EXTERNAL-IP", 14)
+		out.WriteColumn("PORT(S)", 14)
+		out.WriteString("AGE\n")
 		for _, it := range items {
-			name := it.Path("metadata", "name").ScalarString()
 			typ := it.Path("spec", "type").ScalarString()
 			if typ == "" {
 				typ = "ClusterIP"
 			}
-			clusterIP := it.Path("spec", "clusterIP").ScalarString()
 			external := "<none>"
 			if typ == "LoadBalancer" {
 				external = "<pending>"
@@ -166,27 +177,40 @@ func renderTable(io *shell.IO, res *kubesim.Resource, items []*yamlx.Node) {
 					external = ip.ScalarString()
 				}
 			}
-			var ports strings.Builder
+			out.WriteColumn(it.Path("metadata", "name").ScalarString(), 20)
+			out.WriteColumn(typ, 14)
+			out.WriteColumn(it.Path("spec", "clusterIP").ScalarString(), 14)
+			out.WriteColumn(external, 14)
+			// PORT(S) is written a port at a time and then padded to
+			// its column by what it took.
+			width := 0
 			if pn := it.Path("spec", "ports"); pn != nil {
-				ports.Grow(16 * len(pn.Items))
 				for i, p := range pn.Items {
 					if i > 0 {
-						ports.WriteByte(',')
+						out.WriteByte(',')
+						width++
 					}
-					ports.WriteString(p.Get("port").ScalarString())
+					port := p.Get("port").ScalarString()
+					out.WriteString(port)
+					width += utf8.RuneCountInString(port)
 					if np := p.Get("nodePort"); np != nil {
-						ports.WriteByte(':')
-						ports.WriteString(np.ScalarString())
+						nodePort := np.ScalarString()
+						out.WriteStrings(":", nodePort)
+						width += 1 + utf8.RuneCountInString(nodePort)
 					}
-					ports.WriteString("/TCP")
+					out.WriteString("/TCP")
+					width += 4
 				}
 			}
-			fmt.Fprintf(io.Out, "%-20s %-14s %-14s %-14s %-14s %s\n", name, typ, clusterIP, external, ports.String(), "1m")
+			out.WriteColumn("", 14-width)
+			out.WriteString("1m\n")
 		}
 	default:
-		fmt.Fprintf(io.Out, "%-44s %s\n", "NAME", "AGE")
+		out.WriteColumn("NAME", 44)
+		out.WriteString("AGE\n")
 		for _, it := range items {
-			fmt.Fprintf(io.Out, "%-44s %s\n", it.Path("metadata", "name").ScalarString(), "1m")
+			out.WriteColumn(it.Path("metadata", "name").ScalarString(), 44)
+			out.WriteString("1m\n")
 		}
 	}
 }
@@ -223,7 +247,7 @@ func (e *Env) evalOutput(io *shell.IO, format string, res *kubesim.Resource, nam
 		return 0
 	case format == "name":
 		for _, it := range items {
-			io.Out.WriteString(res.Singular + "/" + it.Path("metadata", "name").ScalarString() + "\n")
+			io.Out.WriteStrings(res.Singular, "/", it.Path("metadata", "name").ScalarString(), "\n")
 		}
 		return 0
 	case format == "wide":

@@ -9,7 +9,6 @@ import (
 
 	"cloudeval/internal/kubesim"
 	"cloudeval/internal/shell"
-	"cloudeval/internal/yamlx"
 )
 
 // kubectl implements the kubectl subcommands the benchmark's unit tests
@@ -43,10 +42,10 @@ func (e *Env) kubectl(in *shell.Interp, io *shell.IO, args []string) int {
 	case "api-resources":
 		return kubectlAPIResources(fs, io)
 	case "version":
-		fmt.Fprintln(io.Out, "Client Version: v1.28.0 (kubesim)")
+		io.Out.WriteString("Client Version: v1.28.0 (kubesim)\n")
 		return 0
 	case "cluster-info":
-		fmt.Fprintf(io.Out, "Kubernetes control plane is running at https://%s:8443\n", kubesim.NodeIP)
+		io.Out.WriteStrings("Kubernetes control plane is running at https://", kubesim.NodeIP, ":8443\n")
 		return 0
 	default:
 		fmt.Fprintf(io.Err, "error: unknown command %q for \"kubectl\"\n", sub)
@@ -99,7 +98,7 @@ func (e *Env) kubectlDelete(fs shell.FlagSet, io *shell.IO) int {
 		}
 		lines, err := e.Cluster.DeleteYAML(src, e.namespaceOf(fs))
 		for _, ln := range lines {
-			fmt.Fprintln(io.Out, ln)
+			io.Out.WriteStrings(ln, "\n")
 		}
 		if err != nil {
 			fmt.Fprintf(io.Err, "%v\n", err)
@@ -126,7 +125,9 @@ func (e *Env) kubectlDelete(fs shell.FlagSet, io *shell.IO) int {
 			fmt.Fprintf(io.Err, "Error from server (NotFound): %v\n", err)
 			code = 1
 		default:
-			fmt.Fprintf(io.Out, "%s %q deleted\n", strings.ToLower(kind), name)
+			io.Out.WriteStrings(strings.ToLower(kind), " ")
+			writeQuoted(io.Out, name)
+			io.Out.WriteString(" deleted\n")
 		}
 	}
 	return code
@@ -163,38 +164,15 @@ func (e *Env) kubectlCreate(fs shell.FlagSet, io *shell.IO) int {
 			fmt.Fprintf(io.Err, "Error from server (AlreadyExists): %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(io.Out, "namespace/%s created\n", name)
+		io.Out.WriteStrings("namespace/", name, " created\n")
 		return 0
 	}
-	meta := yamlx.Map()
-	meta.Set("name", yamlx.String(name))
-	rule := yamlx.Map()
-	rule.Set("apiGroups", yamlx.Seq(yamlx.String("")))
-	rule.Set("verbs", listOf(fs.Get("--verb")))
-	rule.Set("resources", listOf(fs.Get("--resource")))
-	doc := yamlx.Map()
-	doc.Set("apiVersion", yamlx.String(role.Versions[0]))
-	doc.Set("kind", yamlx.String(role.Kind))
-	doc.Set("metadata", meta)
-	doc.Set("rules", yamlx.Seq(rule))
-	if _, err := e.Cluster.Apply(doc, e.namespaceOf(fs)); err != nil {
+	if _, err := e.Cluster.CreateRole(role, e.namespaceOf(fs), name, fs.Get("--verb"), fs.Get("--resource")); err != nil {
 		fmt.Fprintf(io.Err, "%v\n", err)
 		return 1
 	}
-	io.Out.WriteString(role.Singular + strings.TrimPrefix(role.GroupResource, role.Plural) + "/" + name + " created\n")
+	io.Out.WriteStrings(role.Singular, strings.TrimPrefix(role.GroupResource, role.Plural), "/", name, " created\n")
 	return 0
-}
-
-// listOf is a comma-separated flag value as a sequence, empty items
-// dropped.
-func listOf(csv string) *yamlx.Node {
-	seq := yamlx.Seq()
-	for _, v := range strings.Split(csv, ",") {
-		if v != "" {
-			seq.Append(yamlx.String(v))
-		}
-	}
-	return seq
 }
 
 // selectorOf parses the command's -l/--selector into the storage of the
@@ -382,10 +360,10 @@ func (e *Env) kubectlWait(fs shell.FlagSet, io *shell.IO) int {
 	}
 	lower := strings.ToLower(kind)
 	for _, n := range names {
-		io.Out.WriteString(lower + "/" + n + " condition met\n")
+		io.Out.WriteStrings(lower, "/", n, " condition met\n")
 	}
 	if len(names) == 0 {
-		io.Out.WriteString(lower + " condition met\n")
+		io.Out.WriteStrings(lower, " condition met\n")
 	}
 	return 0
 }
@@ -402,7 +380,7 @@ func (e *Env) kubectlLogs(fs shell.FlagSet, io *shell.IO) int {
 		return 1
 	}
 	img := n.Path("spec", "containers", 0, "image").ScalarString()
-	fmt.Fprintf(io.Out, "%s: container started (image %s)\n", name, img)
+	io.Out.WriteStrings(name, ": container started (image ", img, ")\n")
 	return 0
 }
 
@@ -432,7 +410,9 @@ func (e *Env) kubectlRollout(fs shell.FlagSet, io *shell.IO) int {
 		fmt.Fprintln(io.Err, err)
 		return 1
 	}
-	fmt.Fprintf(io.Out, "%s %q successfully rolled out\n", kind, name)
+	io.Out.WriteStrings(kind, " ")
+	writeQuoted(io.Out, name)
+	io.Out.WriteString(" successfully rolled out\n")
 	return 0
 }
 
@@ -442,7 +422,7 @@ func kubectlAPIResources(fs shell.FlagSet, io *shell.IO) int {
 	switch format := fs.Get("-o", "--output"); format {
 	case "name":
 		for _, r := range kubesim.Resources {
-			io.Out.WriteString(r.Plural + "\n")
+			io.Out.WriteStrings(r.Plural, "\n")
 		}
 	case "":
 		w := tabwriter.NewWriter(io.Out, 0, 8, 3, ' ', 0)

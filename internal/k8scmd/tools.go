@@ -2,7 +2,6 @@ package k8scmd
 
 import (
 	"fmt"
-	"strings"
 
 	"cloudeval/internal/envoysim"
 	"cloudeval/internal/shell"
@@ -29,14 +28,13 @@ func (e *Env) minikube(in *shell.Interp, io *shell.IO, args []string) int {
 	}
 	switch args[0] {
 	case "ip":
-		fmt.Fprintln(io.Out, "192.168.49.2")
+		io.Out.WriteString("192.168.49.2\n")
 		return 0
 	case "start":
-		fmt.Fprintln(io.Out, "* minikube v1.31.0 (kubesim)")
-		fmt.Fprintln(io.Out, "* Done! kubectl is now configured to use \"minikube\" cluster")
+		io.Out.WriteString("* minikube v1.31.0 (kubesim)\n* Done! kubectl is now configured to use \"minikube\" cluster\n")
 		return 0
 	case "stop", "delete", "status":
-		fmt.Fprintf(io.Out, "* minikube %s: ok\n", args[0])
+		io.Out.WriteStrings("* minikube ", args[0], ": ok\n")
 		return 0
 	case "service":
 		var buf shell.FlagBuf
@@ -53,17 +51,27 @@ func (e *Env) minikube(in *shell.Interp, io *shell.IO, args []string) int {
 			return 1
 		}
 		if fs.Has("--url") {
-			fmt.Fprintln(io.Out, url)
+			io.Out.WriteStrings(url, "\n")
 			return 0
 		}
-		fmt.Fprintf(io.Out, "|-----------|%s|-------------|%s|\n", strings.Repeat("-", len(name)+2), strings.Repeat("-", len(url)+2))
-		fmt.Fprintf(io.Out, "| NAMESPACE | %s | TARGET PORT | %s |\n", name, url)
-		fmt.Fprintf(io.Out, "* Starting tunnel for service %s.\n", name)
-		fmt.Fprintf(io.Out, "* Opening service %s/%s in default browser...\n", ns, name)
+		io.Out.WriteString("|-----------|")
+		writeDashes(io.Out, len(name)+2)
+		io.Out.WriteString("|-------------|")
+		writeDashes(io.Out, len(url)+2)
+		io.Out.WriteStrings("|\n| NAMESPACE | ", name, " | TARGET PORT | ", url, " |\n")
+		io.Out.WriteStrings("* Starting tunnel for service ", name, ".\n")
+		io.Out.WriteStrings("* Opening service ", ns, "/", name, " in default browser...\n")
 		return 0
 	default:
 		fmt.Fprintf(io.Err, "minikube: unknown command %q\n", args[0])
 		return 1
+	}
+}
+
+// writeDashes writes n dashes, a rule of minikube's service table.
+func writeDashes(out *shell.Stream, n int) {
+	for ; n > 0; n-- {
+		out.WriteByte('-')
 	}
 }
 
@@ -89,10 +97,10 @@ func (e *Env) envoy(in *shell.Interp, io *shell.IO, args []string) int {
 		return 1
 	}
 	if fs.Get("--mode") == "validate" {
-		fmt.Fprintf(io.Out, "configuration '%s' OK\n", file)
+		io.Out.WriteStrings("configuration '", file, "' OK\n")
 		return 0
 	}
 	e.Envoy = b
-	fmt.Fprintln(io.Out, "[info] all dependencies initialized. starting main dispatch loop")
+	io.Out.WriteString("[info] all dependencies initialized. starting main dispatch loop\n")
 	return 0
 }

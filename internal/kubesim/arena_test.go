@@ -60,3 +60,34 @@ spec:
 		t.Errorf("after Reset the cluster prints\n%s\na fresh one\n%s", got, want)
 	}
 }
+
+// TestCreateRoleInArena: the Role kubectl create applies, built in the
+// cluster's arena, reads as the manifest kubectl writes: the CSV flags
+// split on commas with empty items dropped, past the eight items that
+// fit on the stack too.
+func TestCreateRoleInArena(t *testing.T) {
+	c := kubesim.NewCluster()
+	many := "a,b,c,d,e,f,g,h,i,j"
+	for _, tc := range []struct {
+		r                       *kubesim.Resource
+		verbs, resources, rules string
+	}{
+		{kubesim.Role, "get,,list,", "", "- apiGroups:\n  - \"\"\n  verbs:\n  - get\n  - list\n  resources: []\n"},
+		{kubesim.ClusterRole, "get", many, "- apiGroups:\n  - \"\"\n  verbs:\n  - get\n  resources:\n  - a\n  - b\n  - c\n  - d\n  - e\n  - f\n  - g\n  - h\n  - i\n  - j\n"},
+	} {
+		res, err := c.CreateRole(tc.r, "default", "reader", tc.verbs, tc.resources)
+		if err != nil || res.Resource != tc.r || !res.Created {
+			t.Fatalf("CreateRole(%s): %+v, %v", tc.r.Kind, res, err)
+		}
+		doc, ok := c.GetByName(tc.r, "default", "reader")
+		if !ok {
+			t.Fatalf("no %s after CreateRole", tc.r.Kind)
+		}
+		if got := doc.Get("apiVersion").ScalarString() + " " + doc.Get("kind").ScalarString(); got != tc.r.Versions[0]+" "+tc.r.Kind {
+			t.Errorf("head %q", got)
+		}
+		if got := string(yamlx.Marshal(doc.Get("rules"))); got != tc.rules {
+			t.Errorf("%s rules:\n%s\nwant\n%s", tc.r.Kind, got, tc.rules)
+		}
+	}
+}

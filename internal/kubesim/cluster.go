@@ -235,6 +235,42 @@ func (c *Cluster) CreateNamespace(name string) error {
 	return nil
 }
 
+// CreateRole applies the Role or ClusterRole r that `kubectl create
+// role` writes: name, granting verbs on resources, each a
+// comma-separated list whose empty items are dropped. The manifest is
+// built in the cluster's arena, so like every Object it is good until
+// the next Reset.
+func (c *Cluster) CreateRole(r *Resource, ns, name, verbs, resources string) (ApplyResult, error) {
+	a := &c.arena
+	rule := a.Map(
+		yamlx.Entry{Key: "apiGroups", Value: a.Seq(a.String(""))},
+		yamlx.Entry{Key: "verbs", Value: c.listOf(verbs)},
+		yamlx.Entry{Key: "resources", Value: c.listOf(resources)},
+	)
+	doc := a.Map(
+		yamlx.Entry{Key: "apiVersion", Value: a.String(r.Versions[0])},
+		yamlx.Entry{Key: "kind", Value: a.String(r.Kind)},
+		yamlx.Entry{Key: "metadata", Value: a.Map(yamlx.Entry{Key: "name", Value: a.String(name)})},
+		yamlx.Entry{Key: "rules", Value: a.Seq(rule)},
+	)
+	return c.Apply(doc, ns)
+}
+
+// listOf is a comma-separated list as a sequence of its non-empty
+// items, in the arena.
+func (c *Cluster) listOf(csv string) *yamlx.Node {
+	var buf [8]*yamlx.Node
+	items := buf[:0]
+	for csv != "" {
+		var v string
+		v, csv, _ = strings.Cut(csv, ",")
+		if v != "" {
+			items = append(items, c.arena.String(v))
+		}
+	}
+	return c.arena.Seq(items...)
+}
+
 // HasNamespace reports whether the namespace exists.
 func (c *Cluster) HasNamespace(name string) bool { return c.namespaces[name] }
 

@@ -598,3 +598,96 @@ func TestHelmTranscripts(t *testing.T) {
 
 	checkTranscript(t, "testdata/helm.golden", b.String())
 }
+
+const (
+	// lonelyService selects no pods, so it has no ready endpoints and
+	// answers 503.
+	lonelyService = `apiVersion: v1
+kind: Service
+metadata:
+  name: web
+spec:
+  selector:
+    app: nothing
+  ports:
+  - port: 80
+    targetPort: 80
+`
+	// apiRouteEnvoy routes /api to a cluster with an endpoint and has no
+	// route for any other path, which answers 404.
+	apiRouteEnvoy = `static_resources:
+  listeners:
+  - name: listener_0
+    address:
+      socket_address:
+        address: 0.0.0.0
+        port_value: 10000
+    filter_chains:
+    - filters:
+      - name: envoy.filters.network.http_connection_manager
+        typed_config:
+          stat_prefix: ingress_http
+          route_config:
+            name: local_route
+            virtual_hosts:
+            - name: local_service
+              domains: ["*"]
+              routes:
+              - match:
+                  prefix: "/api"
+                route:
+                  cluster: api
+  clusters:
+  - name: api
+    type: STATIC
+    load_assignment:
+      cluster_name: api
+      endpoints:
+      - lb_endpoints:
+        - endpoint:
+            address:
+              socket_address:
+                address: 127.0.0.1
+                port_value: 8080
+`
+)
+
+// TestCurlTranscripts pins what curl does with an answer of 400 or
+// more, with and without -f, and which options it refuses: against a
+// Kubernetes Service with no ready endpoints (503) and an Envoy
+// listener with no route for the path (404).
+func TestCurlTranscripts(t *testing.T) {
+	var (
+		b   strings.Builder
+		rec *unittest.Recorder
+	)
+
+	rec = section(&b, scenario.For(dataset.Kubernetes).NewEnv(), "a Service with no ready endpoints", map[string]string{"svc.yaml": lonelyService})
+	rec.Transcribe(&b,
+		`kubectl apply -f svc.yaml`,
+		`curl http://web/; echo "exit=$?"`,
+		`curl -s -o /dev/null -w "%{http_code}" http://web/; echo " exit=$?"`,
+		`curl -f http://web/; echo "exit=$?"`,
+		`curl --fail -s http://web/; echo "exit=$?"`,
+		`curl -s -f -w "%{http_code}" http://web/; echo " exit=$?"`,
+		`curl -f -o page.html http://web/; echo "exit=$?"; cat page.html`,
+		`curl -f -m 5 -L -k http://web/; echo "exit=$?"`,
+		`curl -L -k http://web/`,
+		`curl -sf http://web/`,
+		`curl -v http://web/`,
+		`curl --retry 3 http://web/`,
+	)
+
+	rec = section(&b, scenario.For(dataset.Envoy).NewEnv(), "an Envoy route miss", map[string]string{"envoy.yaml": apiRouteEnvoy})
+	rec.Transcribe(&b,
+		`envoy -c envoy.yaml`,
+		`curl -s localhost:10000/api`,
+		`curl -s localhost:10000/other; echo "exit=$?"`,
+		`curl -f localhost:10000/other; echo "exit=$?"`,
+		`curl -s -f -o /dev/null -w "%{http_code}" localhost:10000/other; echo " exit=$?"`,
+		`curl -f localhost:10000/api; echo "exit=$?"`,
+		`curl -f localhost:10001/api; echo "exit=$?"`,
+	)
+
+	checkTranscript(t, "testdata/curl.golden", b.String())
+}

@@ -113,7 +113,11 @@ func builtinGrep(in *Interp, io *IO, args []string) int {
 		fmt.Fprintln(io.Err, "usage: grep [-qcE] pattern [file...]")
 		return 2
 	}
-	matcher := compileGrep(pattern)
+	re, err := compileGrep(pattern)
+	if err != nil {
+		fmt.Fprintf(io.Err, "grep: %v\n", err)
+		return 2
+	}
 	var input string
 	if len(files) == 0 {
 		input = io.In
@@ -141,28 +145,22 @@ func builtinGrep(in *Interp, io *IO, args []string) int {
 		} else {
 			rest = ""
 		}
-		if !matcher.match(line) {
+		if !re.MatchString(line) {
 			continue
 		}
 		matched++
 		if !quiet && !count {
-			fmt.Fprintln(io.Out, line)
+			io.Out.WriteStrings(line, "\n")
 		}
 	}
 	if count {
-		fmt.Fprintln(io.Out, matched)
+		io.Out.WriteInt(matched)
+		io.Out.WriteByte('\n')
 	}
 	if matched > 0 {
 		return 0
 	}
 	return 1
-}
-
-// grepMatcher matches by its regexp, or by substring when the pattern
-// does not compile as one.
-type grepMatcher struct {
-	re      *regexp.Regexp
-	literal string
 }
 
 // grepBudget bounds the matcher cache. Patterns are mostly the
@@ -176,31 +174,22 @@ const grepBudget = 4 << 20
 // pattern byte.
 func grepCost(pattern string) int64 { return memo.EntryOverhead + 1<<10 + 64*int64(len(pattern)) }
 
-// grepMatchers holds each matcher, keyed by its pattern, the first time
-// a script asks for it.
+// grepMatchers holds each compiled pattern, keyed by its text, the
+// first time a script asks for it. A pattern that does not compile is
+// grep's error, never cached.
 var (
 	grepSeed     = maphash.MakeSeed()
-	grepMatchers = memo.NewLRU[string, grepMatcher](grepHash, grepBudget)
+	grepMatchers = memo.NewLRU[string, *regexp.Regexp](grepHash, grepBudget)
 )
 
 func grepHash(pattern string) uint64 { return maphash.String(grepSeed, pattern) }
 
-func compileGrep(pattern string) grepMatcher {
-	m, _, _ := grepMatchers.Do(pattern, func() (grepMatcher, int64, error) {
-		m := grepMatcher{literal: pattern}
-		if re, err := regexp.Compile(pattern); err == nil {
-			m = grepMatcher{re: re}
-		}
-		return m, grepCost(pattern), nil
+func compileGrep(pattern string) (*regexp.Regexp, error) {
+	re, err, _ := grepMatchers.Do(pattern, func() (*regexp.Regexp, int64, error) {
+		re, err := regexp.Compile(pattern)
+		return re, grepCost(pattern), err
 	})
-	return m
-}
-
-func (g grepMatcher) match(line string) bool {
-	if g.re != nil {
-		return g.re.MatchString(line)
-	}
-	return strings.Contains(line, g.literal)
+	return re, err
 }
 
 func builtinSleep(in *Interp, io *IO, args []string) int {
@@ -262,12 +251,14 @@ func builtinWC(in *Interp, io *IO, args []string) int {
 			n++
 		}
 	}
-	if lines {
-		fmt.Fprintln(io.Out, n)
-	} else {
-		words := len(strings.Fields(input))
-		fmt.Fprintf(io.Out, "%d %d %d\n", n, words, len(input))
+	io.Out.WriteInt(n)
+	if !lines {
+		io.Out.WriteByte(' ')
+		io.Out.WriteInt(len(strings.Fields(input)))
+		io.Out.WriteByte(' ')
+		io.Out.WriteInt(len(input))
 	}
+	io.Out.WriteByte('\n')
 	return 0
 }
 
@@ -306,7 +297,7 @@ func builtinHead(in *Interp, io *IO, args []string) int {
 		lines = lines[:n]
 	}
 	for _, ln := range lines {
-		fmt.Fprintln(io.Out, ln)
+		io.Out.WriteStrings(ln, "\n")
 	}
 	return 0
 }

@@ -1,6 +1,7 @@
 package shell
 
 import (
+	"regexp"
 	"testing"
 
 	"cloudeval/internal/memo"
@@ -13,6 +14,6 @@ func CacheStats() memo.Stats { return grepMatchers.Stats() }
 // budget, so that its stats count t's traffic alone.
 func EmptyCache(t testing.TB) {
 	old := grepMatchers
-	grepMatchers = memo.NewLRU[string, grepMatcher](grepHash, grepBudget)
+	grepMatchers = memo.NewLRU[string, *regexp.Regexp](grepHash, grepBudget)
 	t.Cleanup(func() { grepMatchers = old })
 }

@@ -256,6 +256,8 @@ b
 a" | grep -cE 'a|x'`, "2\n", "", 0},
 		{`echo a | grep -qi A`, "", "grep: -qi is not supported\n", 2},
 		{`echo a | grep -x a`, "", "grep: -x is not supported\n", 2},
+		{`echo 'a[b' | grep 'a['`, "", "grep: error parsing regexp: missing closing ]: `[`\n", 2},
+		{`echo 'a[b' | grep -c 'a['`, "", "grep: error parsing regexp: missing closing ]: `[`\n", 2},
 	} {
 		if res := run(t, tc.script); res.Stdout != tc.stdout || res.Stderr != tc.stderr || res.ExitCode != tc.exit {
 			t.Errorf("%s: %+v, want stdout %q stderr %q exit %d", tc.script, res, tc.stdout, tc.stderr, tc.exit)
@@ -292,8 +294,8 @@ func TestGrepEmptyInput(t *testing.T) {
 // TestGrepMatcherHit: a repeated matcher lookup hands back the compiled
 // regexp the first one built and allocates nothing.
 func TestGrepMatcherHit(t *testing.T) {
-	m := compileGrep("Run+ing")
-	if again := compileGrep("Run+ing"); m.re == nil || again.re != m.re {
+	re, err := compileGrep("Run+ing")
+	if again, _ := compileGrep("Run+ing"); err != nil || again != re {
 		t.Fatal("a repeated lookup compiled the pattern again")
 	}
 	if raceflag.Enabled {

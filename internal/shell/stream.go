@@ -1,5 +1,10 @@
 package shell
 
+import (
+	"strconv"
+	"unicode/utf8"
+)
+
 // Stream is an output stream a command writes: stdout, stderr, a
 // pipeline stage's output or a redirected file's contents. It is a byte
 // buffer owned by the IO it belongs to, and the interpreter reuses that
@@ -53,5 +58,39 @@ func (s *Stream) reset() {
 		s.buf = nil
 	} else {
 		s.buf = s.buf[:0]
+	}
+}
+
+// What builtins write their stdout with instead of fmt, which boxes
+// every argument it formats: a run of strings, a left-justified table
+// column and a decimal integer.
+
+// WriteStrings writes each of strs in turn.
+func (s *Stream) WriteStrings(strs ...string) {
+	if s.discard {
+		return
+	}
+	for _, str := range strs {
+		s.buf = append(s.buf, str...)
+	}
+}
+
+// WriteColumn writes str left-justified in a column width characters
+// wide, as fmt's %-*s pads it, and then the space that ends the column.
+func (s *Stream) WriteColumn(str string, width int) {
+	if s.discard {
+		return
+	}
+	s.buf = append(s.buf, str...)
+	for n := utf8.RuneCountInString(str); n < width; n++ {
+		s.buf = append(s.buf, ' ')
+	}
+	s.buf = append(s.buf, ' ')
+}
+
+// WriteInt writes n in decimal.
+func (s *Stream) WriteInt(n int) {
+	if !s.discard {
+		s.buf = strconv.AppendInt(s.buf, int64(n), 10)
 	}
 }

@@ -212,3 +212,35 @@ keep $(keep x y z; echo $a) $a
 		}
 	}
 }
+
+// TestWriteHelpersMatchFmt: the helpers builtins write stdout with
+// print what the fmt verbs they replace printed, padding by characters
+// as %-*s does (a negative width is no padding, where fmt would read it
+// as a flag), and a discarded stream stays unwritten.
+func TestWriteHelpersMatchFmt(t *testing.T) {
+	var s Stream
+	var want strings.Builder
+	for _, str := range []string{"", "web", "exactly-8", "much-longer-than-the-column", "héllo", "日本"} {
+		for _, width := range []int{0, 5, 8} {
+			s.WriteColumn(str, width)
+			fmt.Fprintf(&want, "%-*s ", width, str)
+		}
+	}
+	// A width the text already fills, or past it, is no padding.
+	s.WriteColumn("", -3)
+	want.WriteString(" ")
+	for _, n := range []int{0, 7, -12, 503, 1 << 40} {
+		s.WriteInt(n)
+		s.WriteStrings("|", "x", "", "|")
+		fmt.Fprintf(&want, "%d|x|", n)
+	}
+	if got := s.String(); got != want.String() {
+		t.Errorf("helpers wrote\n%q\nfmt\n%q", got, want.String())
+	}
+	discard.WriteColumn("x", 4)
+	discard.WriteInt(1)
+	discard.WriteStrings("a", "b")
+	if len(discard.buf) != 0 {
+		t.Errorf("a discarded stream holds %q", discard.buf)
+	}
+}

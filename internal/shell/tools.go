@@ -105,16 +105,24 @@ func (fs FlagSet) Has(names ...string) bool {
 // Curl returns the curl builtin, simulating the invocations unit tests
 // use to probe services: "curl -s -o /dev/null -w "%{http_code}"
 // $host_ip:5000". probe answers an HTTP GET of path at host:port with a
-// status code and a body, or ok false when nothing listens there.
+// status code and a body, or ok false when nothing listens there. It
+// reads -s, -o, -w, -f (an answer of 400 or more is exit 22 with no
+// body) and -m, and refuses any other option by name.
 func Curl(probe func(host string, port int, path string) (code int, body string, ok bool)) Builtin {
 	return func(in *Interp, io *IO, args []string) int {
 		var url, outFile, writeFmt string
-		silent := false
+		silent, fail := false, false
 		for i := 0; i < len(args); i++ {
 			a := args[i]
 			switch {
 			case a == "-s" || a == "--silent":
 				silent = true
+			case a == "-f" || a == "--fail":
+				fail = true
+			case a == "-L" || a == "-k":
+				// Accepted and ignored: no simulated service redirects
+				// (-L follows redirects) or serves TLS (-k skips its
+				// certificate check).
 			case a == "-o" && i+1 < len(args):
 				outFile = args[i+1]
 				i++
@@ -123,8 +131,11 @@ func Curl(probe func(host string, port int, path string) (code int, body string,
 				i++
 			case (a == "-m" || a == "--max-time") && i+1 < len(args):
 				i++ // budget only matters on failure; probes are instant
+			case a == "-o" || a == "-w" || a == "-m" || a == "--max-time":
+				// Its value is missing, and so is the URL.
 			case strings.HasPrefix(a, "-"):
-				// Accepted and ignored: -f, -L, -k, -v, ... and the unknown.
+				fmt.Fprintf(io.Err, "curl: %s is not supported\n", a)
+				return 2
 			default:
 				url = a
 			}
@@ -139,10 +150,15 @@ func Curl(probe func(host string, port int, path string) (code int, body string,
 			if !silent {
 				fmt.Fprintf(io.Err, "curl: (7) Failed to connect to %s port %d: Connection refused\n", host, port)
 			}
-			if writeFmt != "" {
-				io.Out.WriteString(strings.ReplaceAll(writeFmt, "%{http_code}", "000"))
-			}
+			writeOut(io.Out, writeFmt, 0)
 			return 7
+		}
+		if fail && code >= 400 {
+			if !silent {
+				fmt.Fprintf(io.Err, "curl: (22) The requested URL returned error: %d\n", code)
+			}
+			writeOut(io.Out, writeFmt, code)
+			return 22
 		}
 		if outFile != "" {
 			if outFile != "/dev/null" {
@@ -154,10 +170,28 @@ func Curl(probe func(host string, port int, path string) (code int, body string,
 				io.Out.WriteString("\n")
 			}
 		}
-		if writeFmt != "" {
-			io.Out.WriteString(strings.ReplaceAll(writeFmt, "%{http_code}", fmt.Sprint(code)))
-		}
+		writeOut(io.Out, writeFmt, code)
 		return 0
+	}
+}
+
+// writeOut writes curl's -w format with each %{http_code} replaced by
+// code, which is "000" when nothing answered.
+func writeOut(out *Stream, format string, code int) {
+	const httpCode = "%{http_code}"
+	for format != "" {
+		i := strings.Index(format, httpCode)
+		if i < 0 {
+			out.WriteString(format)
+			return
+		}
+		out.WriteString(format[:i])
+		if code == 0 {
+			out.WriteString("000")
+		} else {
+			out.WriteInt(code)
+		}
+		format = format[i+len(httpCode):]
 	}
 }
 

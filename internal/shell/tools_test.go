@@ -5,9 +5,10 @@ import (
 	"testing"
 )
 
-// TestCurl runs the one curl against a fake probe: which flags it reads,
-// what it hands the probe of a URL, and what it prints and exits with
-// when something answers and when nothing does.
+// TestCurl runs the one curl against a fake probe: which flags it reads
+// and which it refuses, what it hands the probe of a URL, and what it
+// prints and exits with when something answers, when it answers 404
+// with and without -f, and when nothing does.
 func TestCurl(t *testing.T) {
 	cases := []struct {
 		cmd            string
@@ -24,7 +25,14 @@ func TestCurl(t *testing.T) {
 		{cmd: `curl -w ' code=%{http_code}' web:81`, stdout: "web ok\n code=200", probed: "web 81 /"},
 		{cmd: "curl -m 5 web:81", stdout: "web ok\n", probed: "web 81 /"},
 		{cmd: "curl --max-time 5 web:81", stdout: "web ok\n", probed: "web 81 /"},
-		{cmd: "curl --compressed -L -k web:81", stdout: "web ok\n", probed: "web 81 /"},
+		{cmd: "curl -L -k web:81", stdout: "web ok\n", probed: "web 81 /"},
+		{cmd: "curl --compressed web:81", stderr: "curl: --compressed is not supported\n", exit: 2},
+		{cmd: "curl -sS web:81", stderr: "curl: -sS is not supported\n", exit: 2},
+		{cmd: "curl gone:81/x", stdout: "not found\n", probed: "gone 81 /x"},
+		{cmd: "curl -f web:81", stdout: "web ok\n", probed: "web 81 /"},
+		{cmd: "curl -f gone:81/x", stderr: "curl: (22) The requested URL returned error: 404\n", exit: 22, probed: "gone 81 /x"},
+		{cmd: `curl -s --fail -w '%{http_code}' gone:81`, stdout: "404", exit: 22, probed: "gone 81 /"},
+		{cmd: "curl -s -f -o out.txt gone:81", exit: 22, probed: "gone 81 /"},
 		{cmd: "curl empty:81", probed: "empty 81 /"},
 		{cmd: "curl http://web/", stdout: "web ok\n", probed: "web 80 /"},
 		{cmd: "curl web", stdout: "web ok\n", probed: "web 80 /"},
@@ -47,6 +55,8 @@ func TestCurl(t *testing.T) {
 				return 200, "web ok", true
 			case "empty":
 				return 204, "", true
+			case "gone":
+				return 404, "not found", true
 			}
 			return 0, "", false
 		})
