@@ -399,3 +399,138 @@ func TestDesignCitationsResolve(t *testing.T) {
 		t.Fatal("found no DESIGN.md § citation; the pattern no longer matches how they are written")
 	}
 }
+
+// oraclePackages are the packages ci/oracle-reach.txt files, under
+// internal/.
+var oraclePackages = []string{"shell", "kubesim", "k8scmd", "composesim", "helmsim", "envoysim", "jsonpath", "yamlx"}
+
+// TestReachTableNamesUncoveredRows holds DESIGN.md §2.6's "Why it stays"
+// table to ci/oracle-reach.txt: every function of the oracle packages
+// that only a transcript golden reaches (filed golden) or no test at all
+// (nothing) must be named in the table's Functions column, so code the
+// corpus does not run stays only with a stated reason; and every name
+// the column gives must be a function or method of those packages, so
+// the table cannot keep a reason for code that is gone. A name ending
+// in * stands for every function with that prefix.
+func TestReachTableNamesUncoveredRows(t *testing.T) {
+	named := reachTableFunctions(t)
+	defined := oracleFunctions(t)
+	for name := range named {
+		prefix, glob := strings.CutSuffix(name, "*")
+		found := defined[name]
+		for fn := range defined {
+			found = found || glob && strings.HasPrefix(fn, prefix)
+		}
+		if !found {
+			t.Errorf("DESIGN.md §2.6's reasons table names %s, which no oracle package defines", name)
+		}
+	}
+	data, err := os.ReadFile("ci/oracle-reach.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rows := 0
+	for _, line := range strings.Split(string(data), "\n") {
+		f := strings.Fields(line)
+		if len(f) != 4 || strings.HasPrefix(line, "#") {
+			continue
+		}
+		rows++
+		if f[0] != "golden" && f[0] != "nothing" {
+			continue
+		}
+		fn := f[3]
+		ok := named[fn]
+		for name := range named {
+			prefix, glob := strings.CutSuffix(name, "*")
+			ok = ok || glob && strings.HasPrefix(fn, prefix)
+		}
+		if !ok {
+			t.Errorf("ci/oracle-reach.txt files %s (%s) as %s, and DESIGN.md §2.6's reasons table gives no reason it stays", fn, f[2], f[0])
+		}
+	}
+	if rows == 0 {
+		t.Fatal("read no rows from ci/oracle-reach.txt; its format no longer matches")
+	}
+}
+
+// reachTableFunctions returns the backticked names of the Functions
+// column of DESIGN.md's "| Surface | Functions | Why it stays |" table.
+func reachTableFunctions(t *testing.T) map[string]bool {
+	data, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	in := false
+	for _, line := range strings.Split(string(data), "\n") {
+		if strings.HasPrefix(line, "| Surface | Functions | Why it stays |") {
+			in = true
+			continue
+		}
+		if !in {
+			continue
+		}
+		if !strings.HasPrefix(line, "|") {
+			break
+		}
+		cells := tableCells(line)
+		if len(cells) != 3 || strings.HasPrefix(cells[1], "---") {
+			continue
+		}
+		for _, m := range codeSpan.FindAllStringSubmatch(cells[1], -1) {
+			names[m[1]] = true
+		}
+	}
+	if len(names) == 0 {
+		t.Fatal("found no reasons table in DESIGN.md")
+	}
+	return names
+}
+
+// tableCells splits a markdown table row into its trimmed cells; a |
+// inside a code span does not split.
+func tableCells(row string) []string {
+	var cells []string
+	start, code := 1, false
+	for i := 1; i < len(row); i++ {
+		switch row[i] {
+		case '`':
+			code = !code
+		case '|':
+			if !code {
+				cells = append(cells, strings.TrimSpace(row[start:i]))
+				start = i + 1
+			}
+		}
+	}
+	return cells
+}
+
+// oracleFunctions returns the names of the functions and methods the
+// oracle packages' non-test files declare.
+func oracleFunctions(t *testing.T) map[string]bool {
+	fns := map[string]bool{}
+	fset := token.NewFileSet()
+	for _, pkg := range oraclePackages {
+		files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, path := range files {
+			if strings.HasSuffix(path, "_test.go") {
+				continue
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, decl := range f.Decls {
+				if fn, ok := decl.(*ast.FuncDecl); ok {
+					fns[fn.Name.Name] = true
+				}
+			}
+		}
+	}
+	return fns
+}
