@@ -468,8 +468,8 @@ func TestTable4CampaignNeverEvicts(t *testing.T) {
 	if es.CacheEvictions != 0 || gs.CacheEvictions != 0 {
 		t.Fatalf("a campaign evicted: engine %d, dispatcher %d", es.CacheEvictions, gs.CacheEvictions)
 	}
-	if es.CacheEntries != 5736 || es.CacheBytes != 1655802 {
-		t.Errorf("engine cache holds %d results / %d bytes, want 5736 / 1655802", es.CacheEntries, es.CacheBytes)
+	if es.CacheEntries != 5736 || es.CacheBytes != 1650594 {
+		t.Errorf("engine cache holds %d results / %d bytes, want 5736 / 1650594", es.CacheEntries, es.CacheBytes)
 	}
 	if gs.CacheEntries != 13195 || gs.CacheBytes != 7780746 {
 		t.Errorf("dispatcher cache holds %d responses / %d bytes, want 13195 / 7780746", gs.CacheEntries, gs.CacheBytes)

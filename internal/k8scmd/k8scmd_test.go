@@ -320,6 +320,13 @@ fi
 	if !strings.Contains(out, "unit_test_passed") {
 		t.Errorf("envoy config should validate and route; output:\n%s", out)
 	}
+	// Validation prints Envoy's verdict, exits 0 and starts no proxy:
+	// nothing listens for a curl that follows it.
+	out, code := runScript(t, config, `envoy --mode validate -c labeled_code.yaml
+curl -s -o /dev/null -w "%{http_code}" http://localhost:10000/; echo " curl=$?"`)
+	if want := "configuration 'labeled_code.yaml' OK\n000 curl=7\n"; out != want || code != 0 {
+		t.Errorf("validate-only run: stdout %q, exit %d; want %q, exit 0", out, code, want)
+	}
 	// A config whose route targets a missing cluster must fail validation.
 	broken := strings.Replace(config, "cluster: service_backend", "cluster: missing_cluster", 1)
 	out2, _ := runScript(t, broken, `envoy --mode validate -c labeled_code.yaml && echo validate_ok`)

@@ -37,7 +37,7 @@ var valueFlags = map[string]bool{
 	"-o": true, "--output": true,
 	"--for": true, "--timeout": true,
 	"-f": true, "--filename": true, "--values": true,
-	"-c": true, "-w": true, "--max-time": true, "-m": true,
+	"-c": true, "-w": true, "--max-time": true, "-m": true, "--mode": true,
 	"--verb": true, "--resource": true,
 	"-s": true,
 }
