@@ -33,11 +33,12 @@ trap 'rm -rf "$tmp"' EXIT
 
 # cover NAME RUN PACKAGE... writes the coverage profile of the tests RUN
 # selects in the packages to $tmp/NAME.out and its per-function
-# coverage to $tmp/NAME.
+# coverage to $tmp/NAME. TestReachTableNamesUncoveredRows is skipped: it
+# reads the file this script writes, and runs no oracle code.
 cover() {
 	local name=$1 run=$2
 	shift 2
-	go test -count=1 -run "$run" -coverpkg="$coverpkg" -coverprofile="$tmp/$name.out" "$@" >/dev/null
+	go test -count=1 -run "$run" -skip '^TestReachTableNamesUncoveredRows$' -coverpkg="$coverpkg" -coverprofile="$tmp/$name.out" "$@" >/dev/null
 	go tool cover -func="$tmp/$name.out" | grep -v '^total:' >"$tmp/$name"
 }
 

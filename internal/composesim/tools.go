@@ -8,31 +8,24 @@ import (
 	"cloudeval/internal/yamlx"
 )
 
-// docker implements the `docker compose` verbs the benchmark's compose
-// unit tests use (config, up, ps, logs, down, version) plus the classic
-// `docker ps` form, all against the simulated project.
+// docker implements the `docker compose` verbs the corpus's compose
+// unit tests use (config, up, ps and logs of a service) and the
+// clean-up idiom down, against the simulated project. Any other form is
+// refused by name.
 func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 	if len(args) == 0 {
 		fmt.Fprintln(io.Err, "docker: missing command")
 		return 1
 	}
 	if args[0] != "compose" {
-		switch args[0] {
-		case "ps":
-			return e.ps(io)
-		case "version", "info", "images", "pull":
-			io.Out.WriteStrings("docker ", args[0], ": ok\n")
-			return 0
-		default:
-			fmt.Fprintf(io.Err, "docker: unknown command %q\n", args[0])
-			return 1
-		}
+		fmt.Fprintf(io.Err, "docker: unknown command %q\n", args[0])
+		return 1
 	}
 
-	// docker compose [-f FILE] [-p NAME] VERB [args...]. The global
-	// -f/--file and -p flags only exist before the verb, exactly like
-	// real compose: after the verb, -f means the verb's own flag
-	// (`logs -f` is --follow) and must pass through untouched.
+	// docker compose [-f FILE] VERB [args...]. The global -f/--file flag
+	// only exists before the verb, exactly like real compose: after the
+	// verb, -f means the verb's own flag (`logs -f` is --follow) and
+	// must pass through untouched.
 	file := "compose.yaml"
 	var verb string
 	var rest []string
@@ -42,9 +35,9 @@ func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 		case (a == "-f" || a == "--file") && i+1 < len(args):
 			file = args[i+1]
 			i++
-		case (a == "-p" || a == "--project-name") && i+1 < len(args):
-			e.Project.Name = args[i+1]
-			i++
+		case a == "-p" || a == "--project-name":
+			fmt.Fprintf(io.Err, "docker compose: %s is not supported\n", a)
+			return 1
 		case !strings.HasPrefix(a, "-"):
 			verb, rest = a, args[i+1:]
 		}
@@ -103,10 +96,8 @@ func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 			}
 		}
 		if service == "" {
-			for _, c := range e.list() {
-				writeLogs(io.Out, c)
-			}
-			return 0
+			fmt.Fprintln(io.Err, "docker compose: logs of every service is not supported: name one")
+			return 1
 		}
 		c, ok := e.Project.ContainerFor(service)
 		if !ok {
@@ -120,9 +111,6 @@ func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 			io.Out.WriteStrings(" Container ", c.Name, "  Removed\n")
 		}
 		e.Project.Down()
-		return 0
-	case "version":
-		io.Out.WriteString("Docker Compose version v2.24.0 (composesim)\n")
 		return 0
 	default:
 		fmt.Fprintf(io.Err, "docker compose: unknown subcommand %q\n", verb)

@@ -12,7 +12,6 @@ package helmsim
 import (
 	"fmt"
 	"slices"
-	"strconv"
 	"time"
 
 	"cloudeval/internal/k8scmd"
@@ -21,10 +20,10 @@ import (
 	"cloudeval/internal/yamlx"
 )
 
-// release records one installed chart.
+// release records one installed chart. A release is installed once,
+// so it is always at revision 1.
 type release struct {
 	relKey
-	Revision   int
 	DeployedAt time.Time
 	Applied    []kubesim.ApplyResult
 }
@@ -78,8 +77,9 @@ func (e *Env) find(ns, name string) int {
 	return slices.IndexFunc(e.releases, func(r release) bool { return r.relKey == relKey{ns, name} })
 }
 
-// helm implements template, install, upgrade, ls/list, status and
-// uninstall against the simulated cluster.
+// helm implements the verbs the corpus's Helm unit tests use — template,
+// install, ls/list -n and status — and the clean-up idiom uninstall,
+// against the simulated cluster.
 func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 	if len(args) == 0 {
 		fmt.Fprintln(io.Err, "helm: missing command")
@@ -95,10 +95,7 @@ func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 	}
 
 	switch verb {
-	case "version":
-		io.Out.WriteString("version.BuildInfo{Version:\"v3.14.0 (helmsim)\"}\n")
-		return 0
-	case "template", "install", "upgrade":
+	case "template", "install":
 		if len(positional) == 0 {
 			fmt.Fprintf(io.Err, "Error: %s requires a release name\n", verb)
 			return 1
@@ -118,8 +115,12 @@ func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 			}
 			return 0
 		}
-		return e.install(io, verb, name, ns, fs.Has("--create-namespace"), docs)
+		return e.install(io, name, ns, fs.Has("--create-namespace"), docs)
 	case "ls", "list":
+		if fs.Has("-A", "--all-namespaces") {
+			fmt.Fprintf(io.Err, "Error: %s -A is not supported\n", verb)
+			return 1
+		}
 		out := io.Out
 		out.WriteColumn("NAME", 16)
 		out.WriteColumn("NAMESPACE", 12)
@@ -127,12 +128,12 @@ func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 		out.WriteColumn("STATUS", 10)
 		out.WriteString("CHART\n")
 		for _, r := range e.releases {
-			if r.ns != ns && !fs.Has("-A", "--all-namespaces") {
+			if r.ns != ns {
 				continue
 			}
 			out.WriteColumn(r.name, 16)
 			out.WriteColumn(r.ns, 12)
-			out.WriteColumn(strconv.Itoa(r.Revision), 9)
+			out.WriteColumn("1", 9)
 			out.WriteColumn("deployed", 10)
 			out.WriteStrings(r.name, "-0.1.0\n")
 		}
@@ -151,8 +152,7 @@ func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 		var stamp [32]byte
 		io.Out.WriteStrings("NAME: ", r.name, "\nLAST DEPLOYED: ")
 		io.Out.Write(r.DeployedAt.AppendFormat(stamp[:0], "Mon Jan  2 15:04:05 2006"))
-		io.Out.WriteStrings("\nNAMESPACE: ", r.ns, "\nSTATUS: deployed\nREVISION: ")
-		io.Out.WriteInt(r.Revision)
+		io.Out.WriteStrings("\nNAMESPACE: ", r.ns, "\nSTATUS: deployed\nREVISION: 1")
 		io.Out.WriteString("\nRESOURCES: ")
 		io.Out.WriteInt(len(r.Applied))
 		io.Out.WriteByte('\n')
@@ -218,44 +218,33 @@ func (e *Env) renderChart(in *shell.Interp, io *shell.IO, file string) ([]*yamlx
 }
 
 // install applies rendered documents into the cluster and records the
-// release. A failed apply rolls back the documents applied so far and
-// records nothing, mirroring helm's atomic failure mode — the release
-// table and install order are only touched once every document landed.
-func (e *Env) install(io *shell.IO, verb, name, ns string, createNS bool, docs []*yamlx.Node) int {
+// release. A name already installed in the namespace is refused, as
+// helm refuses it. A failed apply rolls back the documents applied so
+// far and records nothing, mirroring helm's atomic failure mode — the
+// release table and install order are only touched once every document
+// landed.
+func (e *Env) install(io *shell.IO, name, ns string, createNS bool, docs []*yamlx.Node) int {
 	if createNS && !e.Cluster.HasNamespace(ns) {
 		e.Cluster.CreateNamespace(ns)
 	}
-	r := release{relKey: relKey{ns, name}, Revision: 1, DeployedAt: e.Cluster.Now()}
-	i := e.find(ns, name)
-	if i >= 0 {
-		r.Revision = e.releases[i].Revision + 1
+	if e.find(ns, name) >= 0 {
+		fmt.Fprintln(io.Err, "Error: INSTALLATION FAILED: cannot re-use a name that is still in use")
+		return 1
 	}
+	r := release{relKey: relKey{ns, name}, DeployedAt: e.Cluster.Now()}
 	r.Applied = e.applied.Take(len(docs))[:0]
 	for _, d := range docs {
 		res, err := e.Cluster.Apply(d, ns)
 		if err != nil {
-			if i < 0 {
-				// Fresh install: roll back what landed so a failed
-				// release leaves no trace. A failed upgrade must NOT
-				// delete — the applied objects are the live release's
-				// own resources; like helm without --atomic, the
-				// release stays at its previous revision.
-				for _, a := range r.Applied {
-					e.Cluster.Delete(a.Resource, a.Namespace, a.Name)
-				}
+			for _, a := range r.Applied {
+				e.Cluster.Delete(a.Resource, a.Namespace, a.Name)
 			}
-			fmt.Fprintf(io.Err, "Error: %s failed: %v\n", verb, err)
+			fmt.Fprintf(io.Err, "Error: install failed: %v\n", err)
 			return 1
 		}
 		r.Applied = append(r.Applied, res)
 	}
-	if i < 0 {
-		e.releases = append(e.releases, r)
-	} else {
-		e.releases[i] = r
-	}
-	io.Out.WriteStrings("NAME: ", name, "\nNAMESPACE: ", ns, "\nSTATUS: deployed\nREVISION: ")
-	io.Out.WriteInt(r.Revision)
-	io.Out.WriteByte('\n')
+	e.releases = append(e.releases, r)
+	io.Out.WriteStrings("NAME: ", name, "\nNAMESPACE: ", ns, "\nSTATUS: deployed\nREVISION: 1\n")
 	return 0
 }

@@ -70,7 +70,7 @@ func TestTemplateRendersAndValidates(t *testing.T) {
 		}
 	}
 	// Template must not install anything.
-	if _, code := run(t, e, "kubectl get deployment web"); code == 0 {
+	if _, code := run(t, e, "kubectl get deployment web -o jsonpath='{.metadata.name}'"); code == 0 {
 		t.Error("helm template applied resources")
 	}
 }
@@ -111,7 +111,7 @@ func TestInstallStatusUninstall(t *testing.T) {
 	}
 	// Uninstall removes the released objects.
 	run(t, e, "helm uninstall web")
-	if _, code := run(t, e, "kubectl get deployment web"); code == 0 {
+	if _, code := run(t, e, "kubectl get deployment web -o jsonpath='{.metadata.name}'"); code == 0 {
 		t.Error("deployment survived uninstall")
 	}
 	if _, code := run(t, e, "helm status web"); code == 0 {
@@ -162,41 +162,45 @@ func TestFailedInstallLeavesNoTrace(t *testing.T) {
 		t.Error("failed install has a status")
 	}
 	// Nothing stranded in the cluster either.
-	if _, code := run(t, e, "kubectl get deployment web -n missing"); code == 0 {
+	if _, code := run(t, e, "kubectl get deployment web -n missing -o jsonpath='{.metadata.name}'"); code == 0 {
 		t.Error("failed install stranded objects in the cluster")
 	}
 }
 
-func TestUpgradeBumpsRevision(t *testing.T) {
+// TestReinstallRefusedKeepsLiveRelease: installing a name that is
+// already installed is refused, as helm refuses it, and leaves the live
+// release and its objects as they were.
+func TestReinstallRefusedKeepsLiveRelease(t *testing.T) {
 	e := NewEnv()
 	e.Shell.FS["labeled_code.yaml"] = sampleChart
 	run(t, e, "helm install web -f labeled_code.yaml")
-	run(t, e, "helm upgrade web -f labeled_code.yaml")
-	out, _ := run(t, e, "helm status web")
-	if !strings.Contains(out, "REVISION: 2") {
-		t.Errorf("upgrade did not bump revision:\n%s", out)
+	out, code := run(t, e, "helm install web -f labeled_code.yaml 2>&1")
+	if want := "Error: INSTALLATION FAILED: cannot re-use a name that is still in use\n"; out != want || code != 1 {
+		t.Errorf("second install: %q, exit %d; want %q, exit 1", out, code, want)
+	}
+	if _, code := run(t, e, "kubectl get deployment web -o jsonpath='{.metadata.name}'"); code != 0 {
+		t.Error("a refused install deleted the live release's deployment")
+	}
+	if out, _ := run(t, e, "helm ls"); strings.Count(out, "web ") != 1 {
+		t.Errorf("a refused install changed the release table:\n%s", out)
 	}
 }
 
-// TestFailedUpgradeKeepsLiveRelease: a failed upgrade must not delete
-// the live release's objects — unlike a failed fresh install, there is
-// a running revision to preserve.
-func TestFailedUpgradeKeepsLiveRelease(t *testing.T) {
+// TestCutFormsRefused: helm forms no corpus script uses fail, naming
+// the form.
+func TestCutFormsRefused(t *testing.T) {
 	e := NewEnv()
 	e.Shell.FS["labeled_code.yaml"] = sampleChart
 	run(t, e, "helm install web -f labeled_code.yaml")
-	// An upgrade whose chart targets a missing namespace fails.
-	e.Shell.FS["bad.yaml"] = strings.Replace(sampleChart, "metadata:\n  name: web\nspec:\n  replicas: 2",
-		"metadata:\n  name: web\n  namespace: missing\nspec:\n  replicas: 2", 1)
-	if out, code := run(t, e, "helm upgrade web -f bad.yaml"); code == 0 {
-		t.Fatalf("upgrade into a missing namespace succeeded:\n%s", out)
-	}
-	if _, code := run(t, e, "kubectl get deployment web"); code != 0 {
-		t.Error("failed upgrade deleted the live release's deployment")
-	}
-	out, _ := run(t, e, "helm status web")
-	if !strings.Contains(out, "REVISION: 1") {
-		t.Errorf("failed upgrade changed the release revision:\n%s", out)
+	for cmd, want := range map[string]string{
+		"helm upgrade web -f labeled_code.yaml": "Error: unknown command \"upgrade\" for \"helm\"\n",
+		"helm version":                          "Error: unknown command \"version\" for \"helm\"\n",
+		"helm ls -A":                            "Error: ls -A is not supported\n",
+		"helm list --all-namespaces":            "Error: list -A is not supported\n",
+	} {
+		if out, code := run(t, e, cmd+" 2>&1"); out != want || code != 1 {
+			t.Errorf("%s: %q, exit %d; want %q, exit 1", cmd, out, code, want)
+		}
 	}
 }
 
@@ -208,7 +212,7 @@ func TestResetClearsReleases(t *testing.T) {
 	if _, code := run(t, e, "helm status web"); code == 0 {
 		t.Error("release survived reset")
 	}
-	if _, code := run(t, e, "kubectl get deployment web"); code == 0 {
+	if _, code := run(t, e, "kubectl get deployment web -o jsonpath='{.metadata.name}'"); code == 0 {
 		t.Error("cluster objects survived reset")
 	}
 }
@@ -244,7 +248,7 @@ func TestResetKeepsOneChunk(t *testing.T) {
 		t.Errorf("Reset kept storage of %d releases and %d documents", cap(e.releases), cap(e.docs))
 	}
 
-	const again = "helm install web -f labeled_code.yaml\nhelm install cfg -f cm.yaml -n apps --create-namespace\nsleep 5\nhelm upgrade web -f labeled_code.yaml\nhelm ls -A\nhelm status web\nhelm uninstall cfg -n apps\nhelm ls -A"
+	const again = "helm install web -f labeled_code.yaml\nhelm install cfg -f cm.yaml -n apps --create-namespace\nsleep 5\nhelm install web -f labeled_code.yaml\nhelm ls\nhelm ls -n apps\nhelm status web\nhelm uninstall cfg -n apps\nhelm ls -n apps"
 	fresh := NewEnv()
 	for _, env := range []*Env{e, fresh} {
 		env.Shell.FS["labeled_code.yaml"] = sampleChart

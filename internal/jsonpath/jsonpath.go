@@ -6,11 +6,14 @@
 //	{.items..metadata.name}
 //	{.spec.containers[0].resources.limits.cpu}
 //
-// A template mixes literal text with {expression} segments. Expressions
-// are chains of steps over the object tree: field access (.name or
-// ['name']), index ([0]), wildcard ([*]), and recursive descent
-// (..name). Multiple results within one expression join with single
-// spaces, matching kubectl.
+// A template is one or more {expression} segments, written one after
+// the other. An expression is a chain of steps over the object tree,
+// each starting with '.' or '[': field access (.name or ['name']),
+// index ([0]), wildcard ([*]) and recursive descent (..name). Multiple
+// results within one expression join with single spaces, matching
+// kubectl. Text outside the braces, a leading $ or bare name, spaces
+// between steps, .[N] and a trailing '.' are kubectl forms no corpus
+// template writes, and are refused.
 package jsonpath
 
 import (
@@ -23,27 +26,11 @@ import (
 	"cloudeval/internal/yamlx"
 )
 
-// Eval renders a JSONPath template against a YAML tree.
-func Eval(root *yamlx.Node, template string) (string, error) {
-	t, err := Compile(template)
-	if err != nil {
-		return "", err
-	}
-	return string(t.Append(nil, root)), nil
-}
-
-// Template is a compiled JSONPath template: its literal text and the
-// steps of each expression, parsed once and only read afterwards, so
-// one Template serves any number of goroutines.
+// Template is a compiled JSONPath template: the steps of each
+// expression, parsed once and only read afterwards, so one Template
+// serves any number of goroutines.
 type Template struct {
-	parts []part
-}
-
-// part is literal text, or an expression's steps when expr is set.
-type part struct {
-	lit   string
-	expr  bool
-	steps []step
+	exprs [][]step
 }
 
 // Compile parses a template. Templates come from script text, run
@@ -82,14 +69,8 @@ func templateHash(s string) uint64 { return maphash.String(templateSeed, s) }
 func compile(template string) (*Template, error) {
 	t := &Template{}
 	for i := 0; i < len(template); {
-		open := strings.IndexByte(template[i:], '{')
-		if open < 0 {
-			t.parts = append(t.parts, part{lit: template[i:]})
-			break
-		}
-		if open > 0 {
-			t.parts = append(t.parts, part{lit: template[i : i+open]})
-			i += open
+		if template[i] != '{' {
+			return nil, fmt.Errorf("jsonpath: text outside {...} is not supported: %q", template)
 		}
 		end := strings.IndexByte(template[i:], '}')
 		if end < 0 {
@@ -100,28 +81,22 @@ func compile(template string) (*Template, error) {
 		if strings.HasPrefix(expr, "range") || strings.HasPrefix(expr, "end") {
 			return nil, fmt.Errorf("jsonpath: range templates are not supported: %q", expr)
 		}
-		steps, err := parseSteps(strings.TrimPrefix(expr, "$"))
+		steps, err := parseSteps(expr)
 		if err != nil {
 			return nil, err
 		}
-		t.parts = append(t.parts, part{expr: true, steps: steps})
+		t.exprs = append(t.exprs, steps)
 	}
 	return t, nil
 }
 
-// Append renders the template against root onto dst: literal text as
-// written, and each expression's matches in document order, separated
-// by single spaces. It walks each expression depth first and allocates
-// nothing but what dst grows by (and the flow text of a matched mapping
-// or sequence).
+// Append renders the template against root onto dst: each expression's
+// matches in document order, separated by single spaces. It walks each
+// expression depth first and allocates nothing but what dst grows by
+// (and the flow text of a matched mapping or sequence).
 func (t *Template) Append(dst []byte, root *yamlx.Node) []byte {
-	for i := range t.parts {
-		p := &t.parts[i]
-		if p.expr {
-			dst, _ = appendMatches(dst, root, p.steps, 0)
-		} else {
-			dst = append(dst, p.lit...)
-		}
+	for _, steps := range t.exprs {
+		dst, _ = appendMatches(dst, root, steps, 0)
 	}
 	return dst
 }
@@ -232,15 +207,9 @@ func parseSteps(expr string) ([]step, error) {
 			steps = append(steps, step{kind: recursiveStep, name: name})
 		case expr[i] == '.':
 			i++
-			if i < len(expr) && expr[i] == '[' {
-				continue // ".[0]" form
-			}
 			name, n := readName(expr[i:])
 			if name == "" {
-				if i >= len(expr) {
-					return steps, nil // trailing "." tolerated
-				}
-				return nil, fmt.Errorf("jsonpath: empty field name at %q", expr[i:])
+				return nil, fmt.Errorf("jsonpath: '.' must be followed by a field name in %q", expr)
 			}
 			i += n
 			steps = append(steps, step{kind: fieldStep, name: name})
@@ -263,16 +232,8 @@ func parseSteps(expr string) ([]step, error) {
 				}
 				steps = append(steps, step{kind: indexStep, index: idx})
 			}
-		case expr[i] == ' ':
-			i++
 		default:
-			// Leading bare name (no dot), e.g. "metadata.name".
-			name, n := readName(expr[i:])
-			if name == "" {
-				return nil, fmt.Errorf("jsonpath: unexpected character %q in %q", expr[i], expr)
-			}
-			i += n
-			steps = append(steps, step{kind: fieldStep, name: name})
+			return nil, fmt.Errorf("jsonpath: %q in %q is not supported: a step starts with '.' or '['", expr[i:i+1], expr)
 		}
 	}
 	return steps, nil

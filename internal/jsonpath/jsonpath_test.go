@@ -37,6 +37,16 @@ const podList = `items:
     phase: Pending
 `
 
+// eval renders template against root as kubectl get -o jsonpath does:
+// Compile, then Append.
+func eval(root *yamlx.Node, template string) (string, error) {
+	t, err := Compile(template)
+	if err != nil {
+		return "", err
+	}
+	return string(t.Append(nil, root)), nil
+}
+
 func parse(t *testing.T, src string) *yamlx.Node {
 	t.Helper()
 	n, err := yamlx.ParseString(src)
@@ -63,31 +73,33 @@ func TestEvalSimplePaths(t *testing.T) {
 		{"{.items[99].metadata.name}", ""},
 	}
 	for _, c := range cases {
-		got, err := Eval(root, c.tmpl)
+		got, err := eval(root, c.tmpl)
 		if err != nil {
-			t.Errorf("Eval(%q) error: %v", c.tmpl, err)
+			t.Errorf("eval(%q) error: %v", c.tmpl, err)
 			continue
 		}
 		if got != c.want {
-			t.Errorf("Eval(%q) = %q, want %q", c.tmpl, got, c.want)
+			t.Errorf("eval(%q) = %q, want %q", c.tmpl, got, c.want)
 		}
 	}
 }
 
-func TestEvalMixedTemplate(t *testing.T) {
+// TestEvalAdjacentExpressions: expressions written one after the other
+// render one after the other, with nothing between them.
+func TestEvalAdjacentExpressions(t *testing.T) {
 	root := parse(t, podList)
-	got, err := Eval(root, "host={.items[0].status.hostIP} phase={.items[0].status.phase}")
+	got, err := eval(root, "{.items[0].status.hostIP}{.items[0].status.phase}")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got != "host=10.0.0.1 phase=Running" {
+	if got != "10.0.0.1Running" {
 		t.Errorf("got %q", got)
 	}
 }
 
 func TestEvalQuotedStringStaysString(t *testing.T) {
 	root := parse(t, podList)
-	got, _ := Eval(root, "{.items[0].spec.containers[0].env[1].value}")
+	got, _ := eval(root, "{.items[0].spec.containers[0].env[1].value}")
 	if got != "5000" {
 		t.Errorf("quoted value rendered as %q", got)
 	}
@@ -95,30 +107,45 @@ func TestEvalQuotedStringStaysString(t *testing.T) {
 
 func TestEvalErrors(t *testing.T) {
 	root := parse(t, podList)
-	if _, err := Eval(root, "{.items[0"); err == nil {
+	if _, err := eval(root, "{.items[0"); err == nil {
 		t.Error("unterminated brace should error")
 	}
-	if _, err := Eval(root, "{.items[bad]}"); err == nil {
+	if _, err := eval(root, "{.items[bad]}"); err == nil {
 		t.Error("bad index should error")
 	}
-	if _, err := Eval(root, "{range .items[*]}x{end}"); err == nil {
+	if _, err := eval(root, "{range .items[*]}{.metadata.name}{end}"); err == nil {
 		t.Error("range templates should report unsupported")
 	}
 }
 
-func TestEvalBareNameAndDollar(t *testing.T) {
+// TestCutFormsRefused: the kubectl template forms no corpus template
+// writes fail with an error naming what was refused, never with another
+// value.
+func TestCutFormsRefused(t *testing.T) {
 	root := parse(t, "metadata:\n  name: foo\n")
-	for _, tmpl := range []string{"{.metadata.name}", "{$.metadata.name}", "{metadata.name}"} {
-		got, err := Eval(root, tmpl)
-		if err != nil || got != "foo" {
-			t.Errorf("Eval(%q) = %q, %v", tmpl, got, err)
+	if got, err := eval(root, "{.metadata.name}"); err != nil || got != "foo" {
+		t.Fatalf("eval({.metadata.name}) = %q, %v", got, err)
+	}
+	for _, c := range []struct{ tmpl, want string }{
+		{"name={.metadata.name}", `jsonpath: text outside {...} is not supported: "name={.metadata.name}"`},
+		{"{.metadata.name} {.metadata.name}", `jsonpath: text outside {...} is not supported: "{.metadata.name} {.metadata.name}"`},
+		{"{.metadata.name}\n", `jsonpath: text outside {...} is not supported: "{.metadata.name}\n"`},
+		{"{$.metadata.name}", `jsonpath: "$" in "$.metadata.name" is not supported: a step starts with '.' or '['`},
+		{"{metadata.name}", `jsonpath: "m" in "metadata.name" is not supported: a step starts with '.' or '['`},
+		{"{.metadata .name}", `jsonpath: " " in ".metadata .name" is not supported: a step starts with '.' or '['`},
+		{"{.metadata.}", `jsonpath: '.' must be followed by a field name in ".metadata."`},
+		{"{.items.[0]}", `jsonpath: '.' must be followed by a field name in ".items.[0]"`},
+	} {
+		got, err := eval(root, c.tmpl)
+		if err == nil || err.Error() != c.want {
+			t.Errorf("eval(%q) = %q, %v; want the error %s", c.tmpl, got, err, c.want)
 		}
 	}
 }
 
 func TestEvalNonScalarRendersFlow(t *testing.T) {
 	root := parse(t, "spec:\n  sel:\n    app: web\n")
-	got, err := Eval(root, "{.spec.sel}")
+	got, err := eval(root, "{.spec.sel}")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +156,7 @@ func TestEvalNonScalarRendersFlow(t *testing.T) {
 
 func TestEvalWildcardOnMap(t *testing.T) {
 	root := parse(t, "labels:\n  a: x\n  b: y\n")
-	got, _ := Eval(root, "{.labels[*]}")
+	got, _ := eval(root, "{.labels[*]}")
 	if got != "x y" {
 		t.Errorf("got %q", got)
 	}
@@ -182,11 +209,8 @@ func evalOracle(root *yamlx.Node, template string) (string, error) {
 	var out strings.Builder
 	i := 0
 	for i < len(template) {
-		c := template[i]
-		if c != '{' {
-			out.WriteByte(c)
-			i++
-			continue
+		if template[i] != '{' {
+			return "", fmt.Errorf("jsonpath: text outside {...} is not supported: %q", template)
 		}
 		end := strings.IndexByte(template[i:], '}')
 		if end < 0 {
@@ -222,7 +246,7 @@ func oracleExpr(root *yamlx.Node, expr string) ([]*yamlx.Node, error) {
 	if strings.HasPrefix(expr, "range") || strings.HasPrefix(expr, "end") {
 		return nil, fmt.Errorf("jsonpath: range templates are not supported: %q", expr)
 	}
-	steps, err := parseSteps(strings.TrimPrefix(expr, "$"))
+	steps, err := parseSteps(expr)
 	if err != nil {
 		return nil, err
 	}
@@ -298,24 +322,25 @@ func TestEvalMatchesOracleOnNestedNames(t *testing.T) {
 		{"{..env[*].name}", "A1 A2 C0E"},
 		{"{.spec..containers[*]..name}", "c0 C0E c1 http"},
 		{"{..name[*]}", "inner [{name: a, env: [{name: A1, value: x}, {name: A2}]}] n0 {name: n1}"},
-		{"{..ports[0].containerPort}/{..items[3]..name}", "80/[n0, {name: n1}] n1"},
+		{"{..ports[0].containerPort}{..items[3]..name}", "80[n0, {name: n1}] n1"},
 	} {
-		got, err := Eval(root, c.tmpl)
+		got, err := eval(root, c.tmpl)
 		want, oerr := evalOracle(root, c.tmpl)
 		if err != nil || oerr != nil || got != want || got != c.want {
-			t.Errorf("Eval(%q) = %q, %v; the oracle %q, %v; want %q", c.tmpl, got, err, want, oerr, c.want)
+			t.Errorf("eval(%q) = %q, %v; the oracle %q, %v; want %q", c.tmpl, got, err, want, oerr, c.want)
 		}
 	}
 }
 
 // FuzzEval: a template is script text, and a script is whatever the
-// corpus — or a caller of POST /v1/eval — says it is. Eval must return
+// corpus — or a caller of POST /v1/eval — says it is. Compile and
+// Append must return
 // for any template, without a panic, the same result each time it is
 // asked (compiled templates are cached), and what the breadth-first
 // evaluator it replaced returns — output and whether it fails — over
 // podList and over nestedNames. Seeded with every template the corpus
 // uses and with the syntax this subset leaves out: filters, slices,
-// unions, range/end.
+// unions, range/end, and the forms it refuses.
 func FuzzEval(f *testing.F) {
 	seen := map[string]bool{}
 	for _, p := range dataset.Generate() {
@@ -347,14 +372,14 @@ func FuzzEval(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, tmpl string) {
 		for _, root := range roots {
-			out, err := Eval(root, tmpl)
-			again, err2 := Eval(root, tmpl)
+			out, err := eval(root, tmpl)
+			again, err2 := eval(root, tmpl)
 			if out != again || (err == nil) != (err2 == nil) {
-				t.Errorf("Eval(%q) = %q, %v the first time and %q, %v the second", tmpl, out, err, again, err2)
+				t.Errorf("eval(%q) = %q, %v the first time and %q, %v the second", tmpl, out, err, again, err2)
 			}
 			want, werr := evalOracle(root, tmpl)
 			if out != want || (err == nil) != (werr == nil) {
-				t.Errorf("Eval(%q) = %q, %v; the breadth-first oracle says %q, %v", tmpl, out, err, want, werr)
+				t.Errorf("eval(%q) = %q, %v; the breadth-first oracle says %q, %v", tmpl, out, err, want, werr)
 			}
 		}
 	})

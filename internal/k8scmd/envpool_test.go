@@ -60,8 +60,8 @@ sleep 5
 
 	// And it must behave identically: the same script produces the
 	// same output in a recycled env as in a fresh one.
-	out1, _, code1 := runIn(t, recycled, "kubectl get ns default -o name && echo $LEAKVAR done")
-	out2, _, code2 := runIn(t, fresh, "kubectl get ns default -o name && echo $LEAKVAR done")
+	out1, _, code1 := runIn(t, recycled, "kubectl get ns default -o jsonpath='{.metadata.name}' && echo $LEAKVAR done")
+	out2, _, code2 := runIn(t, fresh, "kubectl get ns default -o jsonpath='{.metadata.name}' && echo $LEAKVAR done")
 	if out1 != out2 || code1 != code2 {
 		t.Errorf("recycled env diverged from fresh env:\nrecycled: %q (%d)\nfresh:    %q (%d)",
 			out1, code1, out2, code2)
@@ -83,7 +83,7 @@ sleep 5
 			t.Errorf("%d %s objects survived Reset", len(objs), r.Plural)
 		}
 	}
-	const listAll = "kubectl get deployments -A -o name; kubectl get pods -A -o name; kubectl get services -A -o name"
+	const listAll = "for ns in default leaky; do for kind in deployments pods services; do kubectl get $kind -n $ns -o jsonpath='{.items[*].metadata.name}'; done; done"
 	out1, err1, code1 := runIn(t, recycled, listAll)
 	out2, err2, code2 := runIn(t, NewEnv(), listAll)
 	if out1 != out2 || err1 != err2 || code1 != code2 {
@@ -135,7 +135,7 @@ func TestResetDropsLongListings(t *testing.T) {
 	}
 	env := NewEnv()
 	env.Shell.FS["labeled_code.yaml"] = manifest.String()
-	if stdout, stderr, code := runIn(t, env, "kubectl apply -f labeled_code.yaml\nkubectl get pods -A -o name > /dev/null"); code != 0 {
+	if stdout, stderr, code := runIn(t, env, "kubectl apply -f labeled_code.yaml\nkubectl get pods -o jsonpath='{.items[*].metadata.name}' > /dev/null"); code != 0 {
 		t.Fatalf("stdout %q, stderr %q, exit %d", stdout, stderr, code)
 	}
 	if cap(env.docs) <= yamlx.ChunkCap {

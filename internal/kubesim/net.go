@@ -181,7 +181,7 @@ func (c *Cluster) ServiceEndpoints(s *Object) []*Object {
 // mapping: every entry is a key=value requirement.
 func equalityMapMatches(sel, labels *yamlx.Node) bool {
 	for _, e := range sel.Entries {
-		if !(requirement{key: e.Key, op: opIn, value: e.Value.ScalarString()}).matches(labels) {
+		if !(requirement{key: e.Key, value: e.Value.ScalarString()}).matches(labels) {
 			return false
 		}
 	}

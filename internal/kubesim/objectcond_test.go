@@ -1,12 +1,15 @@
 package kubesim
 
 import (
+	"strings"
 	"testing"
 	"time"
+
+	"cloudeval/internal/yamlx"
 )
 
 // TestObjectConditionMatchesStatus pins ObjectCondition — the fast
-// predicate the wait loop polls — to HasCondition over the rendered
+// predicate the wait loop polls — to hasCondition over the rendered
 // status document, for every kind and condition the status builders
 // emit, at times before and after each transition. If a status builder
 // gains or changes a condition, this test forces ObjectCondition to
@@ -121,13 +124,29 @@ spec:
 				doc := c.withStatus(obj)
 				for _, cond := range conditions {
 					fast := c.ObjectCondition(obj, cond)
-					slow := HasCondition(doc, cond)
+					slow := hasCondition(doc, cond)
 					if fast != slow {
-						t.Errorf("at +%v: %s %s condition %q: ObjectCondition=%v, HasCondition(withStatus)=%v",
+						t.Errorf("at +%v: %s %s condition %q: ObjectCondition=%v, hasCondition(withStatus)=%v",
 							off, obj.Resource.Kind, obj.Name, cond, fast, slow)
 					}
 				}
 			}
 		}
 	}
+}
+
+// hasCondition reports whether a rendered document's status.conditions
+// include the given type (case-insensitive) with status "True": the
+// reading of the built document that ObjectCondition must agree with.
+func hasCondition(n *yamlx.Node, condType string) bool {
+	conds := n.Path("status", "conditions")
+	if conds == nil || conds.Kind != yamlx.SeqKind {
+		return false
+	}
+	for _, cd := range conds.Items {
+		if strings.EqualFold(cd.Get("type").ScalarString(), condType) {
+			return strings.EqualFold(cd.Get("status").ScalarString(), "True")
+		}
+	}
+	return false
 }

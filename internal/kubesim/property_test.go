@@ -165,10 +165,10 @@ spec:
 		}
 		c.AdvanceTime(time.Duration(d1))
 		n, _ := c.GetByName(Pod, "default", "mono")
-		readyBefore := HasCondition(n, "Ready")
+		readyBefore := hasCondition(n, "Ready")
 		c.AdvanceTime(time.Duration(d2))
 		n, _ = c.GetByName(Pod, "default", "mono")
-		readyAfter := HasCondition(n, "Ready")
+		readyAfter := hasCondition(n, "Ready")
 		if readyBefore && !readyAfter {
 			return false
 		}

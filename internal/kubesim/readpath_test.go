@@ -222,7 +222,7 @@ func TestWaitMatchesSteppingOracle(t *testing.T) {
 					{Names: []string{"missing"}},
 					{Names: []string{"missing", "c"}, Namespace: "other"},
 					{Selector: mustSelector("app=web")},
-					{Selector: mustSelector("app in (web,db),!tier"), Namespace: "other"},
+					{Selector: mustSelector("app=db"), Namespace: "other"},
 					{Selector: mustSelector("app=nothing")},
 					{All: true},
 					{All: true, Namespace: "*"},

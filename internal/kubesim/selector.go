@@ -2,53 +2,27 @@ package kubesim
 
 import (
 	"fmt"
-	"slices"
 	"strings"
 
 	"cloudeval/internal/yamlx"
 )
 
-// Selector is a parsed label selector: requirements that must all hold.
-// The zero value (nil) selects everything. It is parsed once per
-// command by AppendSelector and then only read, so one
-// value serves every object a list or a wait looks at.
+// Selector is a parsed label selector: key=value requirements that must
+// all hold. The zero value (nil) selects everything. It is parsed once
+// per command by AppendSelector and then only read, so one value serves
+// every object a list or a wait looks at.
 type Selector []requirement
 
-type selectorOp uint8
-
-const (
-	opIn        selectorOp = iota // key=v, key==v, key in (a,b)
-	opNotIn                       // key!=v, key notin (a,b)
-	opExists                      // key
-	opNotExists                   // !key
-)
-
-// requirement is one term of a selector. The first value is held inline
-// so that the common "key=value" term costs no slice of its own.
+// requirement is one term of a selector: the label key holds value.
 type requirement struct {
-	key   string
-	op    selectorOp
-	value string   // opIn, opNotIn: the first value
-	more  []string // the rest of a set's values
+	key, value string
 }
 
 // matches reports whether a metadata.labels node (nil when the object
-// has none) satisfies the requirement, with Kubernetes' semantics: the
-// negative operators also hold when the key is absent.
+// has none) satisfies the requirement.
 func (r requirement) matches(labels *yamlx.Node) bool {
 	lv := labels.Get(r.key)
-	switch r.op {
-	case opExists:
-		return lv != nil
-	case opNotExists:
-		return lv == nil
-	}
-	in := false
-	if lv != nil {
-		v := lv.ScalarString()
-		in = v == r.value || slices.Contains(r.more, v)
-	}
-	return in == (r.op == opIn)
+	return lv != nil && lv.ScalarString() == r.value
 }
 
 // matches reports whether an object's metadata.labels (nil when it has
@@ -62,19 +36,20 @@ func (s Selector) matches(labels *yamlx.Node) bool {
 	return true
 }
 
-// AppendSelector parses kubectl's -l/--selector grammar: comma-separated
-// requirements of the equality forms key=value, key==value, key!=value,
-// the set forms "key in (a,b)" and "key notin (a,b)" — commas inside the
-// parentheses do not split — and the existence forms key and !key. The
-// empty string selects everything. Anything else is an error worded as
-// kubectl words it, never a selector that matches all: a typo in a
-// script's selector must fail the script, not pass it on every pod.
+// AppendSelector parses the -l/--selector form the corpus's scripts
+// write: comma-separated key=value (or key==value) requirements. The
+// empty string selects everything. kubectl's other forms — key!=value,
+// "key in (a,b)", "key notin (a,b)", key and !key — are refused by
+// name, and anything kubectl cannot parse is its error, worded as
+// kubectl words it: never a selector that matches all, because a typo
+// in a script's selector must fail the script, not pass it on every
+// pod.
 //
 // It appends the requirements it parses to dst, which it returns
 // extended; a nil dst parses into fresh storage. A caller that parses
 // each command's selector into the storage of the last one's (dst[:0])
-// allocates nothing for the usual key=value list. The requirements'
-// strings are substrings of s. On an error it returns nil.
+// allocates nothing. The requirements' strings are substrings of s. On
+// an error it returns nil.
 func AppendSelector(dst Selector, s string) (Selector, error) {
 	p := selectorParser{rest: s}
 	if p.peek() == "" {
@@ -102,6 +77,12 @@ func AppendSelector(dst Selector, s string) (Selector, error) {
 
 func parseError(found, expected string) error {
 	return fmt.Errorf("unable to parse requirement: found '%s', expected: %s", found, expected)
+}
+
+// unsupported refuses a selector form kubectl reads and the corpus
+// does not write.
+func unsupported(form string) error {
+	return fmt.Errorf("selector form %q is not supported: use key=value", form)
 }
 
 // selectorParser hands out the tokens of a selector: the punctuation
@@ -152,66 +133,29 @@ func isIdentifier(tok string) bool { return tok != "" && !isSelectorPunct(tok[0]
 func (p *selectorParser) requirement() (requirement, error) {
 	tok := p.next()
 	if tok == "!" {
-		key := p.next()
-		if !isIdentifier(key) {
-			return requirement{}, parseError(key, "identifier")
-		}
-		return requirement{key: key, op: opNotExists}, nil
+		return requirement{}, unsupported("!key")
 	}
 	if !isIdentifier(tok) {
 		return requirement{}, parseError(tok, "identifier")
 	}
-	r := requirement{key: tok, op: opExists}
+	r := requirement{key: tok}
 	switch op := p.peek(); op {
 	case "", ",":
-		return r, nil
-	case "=", "==", "!=":
+		return requirement{}, unsupported("key")
+	case "=", "==":
 		p.next()
-		r.op = opIn
-		if op == "!=" {
-			r.op = opNotIn
-		}
 		// The value may be empty ("key=" selects the empty label).
 		if v := p.peek(); isIdentifier(v) {
 			p.next()
 			r.value = unquote(v)
 		}
 		return r, nil
+	case "!=":
+		return requirement{}, unsupported("key!=value")
 	case "in", "notin":
-		p.next()
-		r.op = opIn
-		if op == "notin" {
-			r.op = opNotIn
-		}
-		return p.values(r)
+		return requirement{}, unsupported("key " + op + " (…)")
 	default:
 		return requirement{}, parseError(op, "in, notin, =, ==, !=")
-	}
-}
-
-// values reads the parenthesised, comma-separated, non-empty value list
-// of a set requirement.
-func (p *selectorParser) values(r requirement) (requirement, error) {
-	if tok := p.next(); tok != "(" {
-		return requirement{}, parseError(tok, "'('")
-	}
-	for n := 0; ; n++ {
-		v := p.next()
-		if !isIdentifier(v) {
-			return requirement{}, parseError(v, "identifier")
-		}
-		if v = unquote(v); n == 0 {
-			r.value = v
-		} else {
-			r.more = append(r.more, v)
-		}
-		switch tok := p.next(); tok {
-		case ")":
-			return r, nil
-		case ",":
-		default:
-			return requirement{}, parseError(tok, "',' or ')'")
-		}
 	}
 }
 

@@ -58,10 +58,8 @@ spec:
   containers: [{name: c, image: busybox}]
 `
 
-// TestSelectorGrammar runs each form of kubectl's selector grammar
-// against labeled and unlabeled pods. Before there was a parser,
-// "app==web" matched nothing and "app in (web)", "app", "!app" and
-// "app!=web" dropped the term and matched everything.
+// TestSelectorGrammar runs each key=value form against labeled and
+// unlabeled pods. Before there was a parser, "app==web" matched nothing.
 func TestSelectorGrammar(t *testing.T) {
 	c := NewCluster()
 	if _, err := c.ApplyYAML(nil, selectorPods, "default"); err != nil {
@@ -73,31 +71,14 @@ func TestSelectorGrammar(t *testing.T) {
 		{"app=web", "web-dev web-prod"},
 		{"app==web", "web-dev web-prod"},
 		{" app = web ", "web-dev web-prod"},
-		{"app!=web", "bare db"},
-		{"app", "db web-dev web-prod"},
-		{"!app", "bare"},
-		{"! app", "bare"},
-		{"tier", "web-prod"},
-		{"!tier", "bare db web-dev"},
-		{"app in (web)", "web-dev web-prod"},
-		{"app in (web,db)", "db web-dev web-prod"},
-		{"app in ( web , db )", "db web-dev web-prod"},
-		{"app in(db)", "db"},
-		{"app notin (web)", "bare db"},
-		{"app notin (web, db)", "bare"},
-		{"env in (prod,dev),app=web", "web-dev web-prod"},
 		{"app=web,env=prod", "web-prod"},
-		{"app=web,env!=prod", "web-dev"},
-		{"app in (web,db),!tier,env notin (dev)", "db"},
 		{"app=web,app=db", ""},
 		{"env=", "db"},
 		{"env==", "db"},
 		{"env=,app=db", "db"},
-		{"env!=", "bare web-dev web-prod"},
 		{`app="web"`, "web-dev web-prod"},
 		{"app='db'", "db"},
 		{"in=web", ""},
-		{"notin", ""},
 		{"app=nothing", ""},
 	} {
 		sel, err := AppendSelector(nil, tc.selector)
@@ -115,15 +96,42 @@ func TestSelectorGrammar(t *testing.T) {
 	}
 }
 
+// TestSelectorCutFormsRefused: kubectl's selector forms that no corpus
+// script writes (key!=value, in, notin, key and !key) are refused by
+// name, alone or in a list, and never select anything.
+func TestSelectorCutFormsRefused(t *testing.T) {
+	for _, tc := range []struct{ selector, form string }{
+		{"app!=web", "key!=value"},
+		{"env!=", "key!=value"},
+		{"app=web,env!=prod", "key!=value"},
+		{"app!==web", "key!=value"},
+		{"app in (web)", "key in (…)"},
+		{"app in (web,db)", "key in (…)"},
+		{"app in", "key in (…)"},
+		{"app notin (web)", "key notin (…)"},
+		{"app", "key"},
+		{"notin", "key"},
+		{"app=web,tier", "key"},
+		{"!app", "!key"},
+		{"! app", "!key"},
+		{"!app=web", "!key"},
+		{"!", "!key"},
+	} {
+		sel, err := AppendSelector(nil, tc.selector)
+		want := "selector form \"" + tc.form + "\" is not supported: use key=value"
+		if err == nil || err.Error() != want || sel != nil {
+			t.Errorf("AppendSelector(nil, %q) = %+v, %v; want the error %q", tc.selector, sel, err, want)
+		}
+	}
+}
+
 // TestSelectorParseErrors: what kubectl rejects is an error here too,
 // never a selector that matches everything.
 func TestSelectorParseErrors(t *testing.T) {
 	for _, s := range []string{
-		",", "app=web,", ",app=web", "app=web,,tier=x", "=web", "==", "!=web", "!", "!,", "!=",
-		"app=web tier=x", "app=a=b", "app===web", "app!==web",
-		"app in", "app in web", "app in (", "app in ()", "app in (web", "app in (web,)", "app in (,web)",
-		"app in (web) tier", "app notin", "app notin web)", "(app)", "app)", "app in (a b)",
-		"app>1", "app<1", "app > 1", "a b", "!app=web", "app=(web)",
+		",", "app=web,", ",app=web", "app=web,,tier=x", "=web", "==", "!=web", "!=",
+		"app=web tier=x", "app=a=b", "app===web", "(app)", "app)",
+		"app>1", "app<1", "app > 1", "a b", "app=(web)",
 	} {
 		sel, err := AppendSelector(nil, s)
 		if err == nil {
@@ -269,12 +277,12 @@ func TestAppendSelectorReusesStorage(t *testing.T) {
 	}
 	var buf Selector
 	for _, tc := range []struct{ selector, want string }{
-		{"app=web,env!=dev,tier in (frontend)", "web-prod"},
+		{"app=web,env=prod,tier=frontend", "web-prod"},
 		{"app=db", "db"},
 		{"", "bare db web-dev web-prod"},
-		{"env", "db web-dev web-prod"},
+		{"env", "error"},
 		{"app=web,", "error"},
-		{"!tier,app=web", "web-dev"},
+		{"env=dev,app=web", "web-dev"},
 		{"app=web", "web-dev web-prod"},
 	} {
 		sel, err := AppendSelector(buf[:0], tc.selector)

@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"strings"
 	"time"
-
-	"cloudeval/internal/yamlx"
 )
 
 // WaitOptions mirror the flags of "kubectl wait".
@@ -86,19 +84,4 @@ func (c *Cluster) allConditionsTrue(objs []*Object, condType string) bool {
 		}
 	}
 	return true
-}
-
-// HasCondition reports whether a resource's status.conditions include
-// the given type (case-insensitive) with status "True".
-func HasCondition(n *yamlx.Node, condType string) bool {
-	conds := n.Path("status", "conditions")
-	if conds == nil || conds.Kind != yamlx.SeqKind {
-		return false
-	}
-	for _, cd := range conds.Items {
-		if strings.EqualFold(cd.Get("type").ScalarString(), condType) {
-			return strings.EqualFold(cd.Get("status").ScalarString(), "True")
-		}
-	}
-	return false
 }

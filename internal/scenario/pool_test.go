@@ -22,15 +22,15 @@ var poolFixtures = map[dataset.Category]struct {
 	dataset.Kubernetes: {
 		seed:  map[string]string{"web.yaml": "apiVersion: apps/v1\nkind: Deployment\nmetadata:\n  name: web\nspec:\n  selector:\n    matchLabels: {app: web}\n  template:\n    metadata:\n      labels: {app: web}\n    spec:\n      containers:\n      - name: web\n        image: nginx\n"},
 		dirty: "kubectl create namespace leaky\nkubectl apply -f web.yaml -n leaky\necho secret > leak.txt\nLEAKVAR=oops\nsleep 5\n",
-		probe: "kubectl get ns default -o name && cat leak.txt; echo [$LEAKVAR]",
+		probe: "kubectl get ns default -o jsonpath='{.metadata.name}' && cat leak.txt; echo [$LEAKVAR]",
 	},
 	dataset.Envoy: {
 		dirty: "kubectl create namespace leaky\necho secret > leak.txt\nLEAKVAR=oops\nsleep 5\n",
-		probe: "kubectl get ns default -o name && cat leak.txt; echo [$LEAKVAR]",
+		probe: "kubectl get ns default -o jsonpath='{.metadata.name}' && cat leak.txt; echo [$LEAKVAR]",
 	},
 	dataset.Istio: {
 		dirty: "kubectl create namespace leaky\necho secret > leak.txt\nLEAKVAR=oops\nsleep 5\n",
-		probe: "kubectl get ns default -o name && cat leak.txt; echo [$LEAKVAR]",
+		probe: "kubectl get ns default -o jsonpath='{.metadata.name}' && cat leak.txt; echo [$LEAKVAR]",
 	},
 	dataset.Compose: {
 		seed:  map[string]string{"app.yaml": "services:\n  leakweb:\n    image: nginx:latest\n    ports:\n    - \"8080:80\"\n"},
@@ -40,7 +40,7 @@ var poolFixtures = map[dataset.Category]struct {
 	dataset.Helm: {
 		seed:  map[string]string{"chart.yaml": "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: leaky\ndata:\n  k: v\n"},
 		dirty: "helm install leaky -f chart.yaml\necho secret > leak.txt\nLEAKVAR=oops\nsleep 5\n",
-		probe: "helm ls; kubectl get configmap leaky; cat leak.txt; echo [$LEAKVAR]",
+		probe: "helm ls; kubectl get configmap leaky -o jsonpath='{.data}'; cat leak.txt; echo [$LEAKVAR]",
 	},
 }
 

@@ -161,11 +161,11 @@ func TestOutputIsStdoutOnly(t *testing.T) {
 		exit           int
 		passed         bool
 	}{
-		{`kubectl get pods web`, "", 1, false},
+		{`kubectl get pods web -o jsonpath='{.metadata.name}'`, "", 1, false},
 		{`echo unit_test_passed >&2`, "", 0, false},
-		{`kubectl get pods web 2>&1`, notFound, 1, false},
-		{`echo before; kubectl get pods web 2>&1; echo after`, "before\n" + notFound + "after\n", 0, false},
-		{`kubectl get pods web 2>&1 | grep -c NotFound`, "1\n", 0, false},
+		{`kubectl get pods web -o jsonpath='{.metadata.name}' 2>&1`, notFound, 1, false},
+		{`echo before; kubectl get pods web -o jsonpath='{.metadata.name}' 2>&1; echo after`, "before\n" + notFound + "after\n", 0, false},
+		{`kubectl get pods web -o jsonpath='{.metadata.name}' 2>&1 | grep -c NotFound`, "1\n", 0, false},
 		{`echo unit_test_passed 1>&2 2>&1`, "", 0, false},
 		{`echo unit_test_passed 2>&1 1>&2`, "unit_test_passed\n", 0, true},
 	} {
