@@ -20,7 +20,6 @@ var backends = []*Backend{
 		ImpliedImages: []string{"registry.k8s.io/pause:3.9"},
 		Marker:        "kind",
 		HasKind:       true,
-		DocStart:      "apiVersion:",
 	},
 	{
 		Category:       dataset.Envoy,
@@ -29,7 +28,6 @@ var backends = []*Backend{
 		ImpliedImages:  []string{"envoyproxy/envoy:v1.27"},
 		Marker:         "static_resources",
 		HasKind:        false,
-		DocStart:       "static_resources:",
 		DifficultyBase: 0.55,
 	},
 	{
@@ -39,7 +37,6 @@ var backends = []*Backend{
 		ImpliedImages:  []string{"istio/pilot:1.19"},
 		Marker:         "kind",
 		HasKind:        true,
-		DocStart:       "apiVersion:",
 		DifficultyBase: 0.25,
 	},
 	{
@@ -48,7 +45,6 @@ var backends = []*Backend{
 		ImpliedImages:  []string{"docker/compose-bin:v2.24"},
 		Marker:         "services",
 		HasKind:        false,
-		DocStart:       "services:",
 		DifficultyBase: 0.10,
 		PromptHint:     "Answer with a single Docker Compose YAML file (a top-level services mapping).",
 	},
@@ -58,7 +54,6 @@ var backends = []*Backend{
 		ImpliedImages:  []string{"alpine/helm:3.14", "registry.k8s.io/pause:3.9"},
 		Marker:         "kind",
 		HasKind:        true,
-		DocStart:       "apiVersion:",
 		DifficultyBase: 0.20,
 		PromptHint:     "Answer with the Kubernetes manifests the Helm chart renders; they will be installed with `helm install -f`.",
 	},

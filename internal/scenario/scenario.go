@@ -19,6 +19,7 @@
 package scenario
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -60,18 +61,15 @@ type Backend struct {
 	// Marker is the top-level key that identifies a family-shaped
 	// answer ("kind" for manifest families, "static_resources" for
 	// Envoy, "services" for Compose). Failure categorization and the
-	// cheap format check key off it.
+	// cheap format check key off it, and a kindless family's document
+	// starts with it (IsDocStartLine).
 	Marker string
 	// HasKind reports whether the family's documents carry Kubernetes
 	// kind/apiVersion identity. It selects the "wrong kind" corruption
 	// for category-4 answers (families without document kinds produce
-	// functionally wrong configs instead) and the kind+apiVersion form
-	// of the format check.
+	// functionally wrong configs instead), the kind+apiVersion form of
+	// the format check, and "apiVersion:" as where a document starts.
 	HasKind bool
-	// DocStart is the line prefix a document of this family starts
-	// with; the §3.1 post-processor cuts chatty preambles at the first
-	// such line.
-	DocStart string
 	// DifficultyBase is the family's base difficulty in [0,1] before
 	// the solution-length term (the paper's Figure 6: Envoy hardest).
 	DifficultyBase float64
@@ -126,25 +124,21 @@ func All() []*Backend {
 	return append([]*Backend(nil), backends...)
 }
 
-// docStartPrefix and docStartExact are the document-start markers of
-// every family, deduplicated: manifest families' markers match as line
-// prefixes, kindless families' only as whole lines.
+// docStartPrefix and docStartExact are the lines every family's
+// documents start with, deduplicated: a manifest family's document
+// starts with "apiVersion:", matched as a line prefix, and a kindless
+// family's with its Marker key, matched only as a whole line. The §3.1
+// post-processor cuts chatty preambles at the first such line.
 var docStartPrefix, docStartExact = docStartRules()
 
 func docStartRules() (prefix, exact []string) {
-	seenP, seenE := map[string]bool{}, map[string]bool{}
 	for _, b := range backends {
-		if b.DocStart == "" {
-			continue
-		}
 		if b.HasKind {
-			if !seenP[b.DocStart] {
-				seenP[b.DocStart] = true
-				prefix = append(prefix, b.DocStart)
+			if !slices.Contains(prefix, "apiVersion:") {
+				prefix = append(prefix, "apiVersion:")
 			}
-		} else if !seenE[b.DocStart] {
-			seenE[b.DocStart] = true
-			exact = append(exact, b.DocStart)
+		} else if start := b.Marker + ":"; !slices.Contains(exact, start) {
+			exact = append(exact, start)
 		}
 	}
 	return prefix, exact
@@ -152,11 +146,11 @@ func docStartRules() (prefix, exact []string) {
 
 // IsDocStartLine reports whether a trimmed answer line opens some
 // family's document — the post-processor's policy-2 predicate.
-// Manifest families' DocStart ("apiVersion:") carries a scalar value,
-// so any suffix qualifies; kindless families' markers introduce a
-// block mapping, so only the bare key counts — a prose line like
-// "services: web and db" is not a Compose document start and must not
-// swallow the manifest that follows it.
+// Manifest families' "apiVersion:" carries a scalar value, so any
+// suffix qualifies; kindless families' markers introduce a block
+// mapping, so only the bare key counts — a prose line like "services:
+// web and db" is not a Compose document start and must not swallow the
+// manifest that follows it.
 func IsDocStartLine(trimmed string) bool {
 	for _, p := range docStartPrefix {
 		if strings.HasPrefix(trimmed, p) {

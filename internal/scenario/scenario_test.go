@@ -31,9 +31,6 @@ func TestBackendContracts(t *testing.T) {
 		if b.Marker == "" {
 			t.Errorf("%s: no answer marker", b.Category)
 		}
-		if b.DocStart == "" {
-			t.Errorf("%s: no document-start prefix", b.Category)
-		}
 		if len(b.ImpliedImages) == 0 {
 			t.Errorf("%s: no implied tool images", b.Category)
 		}
@@ -52,5 +49,25 @@ func TestBackendContracts(t *testing.T) {
 func TestForFallsBackToKubernetes(t *testing.T) {
 	if got := For("no-such-family"); got.Category != dataset.Kubernetes {
 		t.Errorf("unknown category resolved to %s", got.Category)
+	}
+}
+
+// TestDocStartLines pins where each family's documents start, derived
+// from its Marker and HasKind: "apiVersion:" as a line prefix for the
+// manifest families, the bare Marker key for the kindless ones.
+func TestDocStartLines(t *testing.T) {
+	for line, want := range map[string]bool{
+		"apiVersion: v1":         true,
+		"apiVersion:":            true,
+		"static_resources:":      true,
+		"services:":              true,
+		"services: web and db":   false,
+		"static_resources: none": false,
+		"kind: Pod":              false,
+		"Here is the manifest:":  false,
+	} {
+		if got := IsDocStartLine(line); got != want {
+			t.Errorf("IsDocStartLine(%q) = %v, want %v", line, got, want)
+		}
 	}
 }
