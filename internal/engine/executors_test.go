@@ -1,75 +1,140 @@
 package engine_test
 
 import (
+	"math/rand/v2"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
+	"time"
 
 	"cloudeval/internal/dataset"
+	"cloudeval/internal/engine"
+	"cloudeval/internal/llm"
 	"cloudeval/internal/raceflag"
 	"cloudeval/internal/scenario"
 	"cloudeval/internal/shell"
 	"cloudeval/internal/unittest"
 )
 
-// runOn is unittest.Run on an environment the caller chose instead of
-// the family pool's.
-func runOn(env scenario.Env, p dataset.Problem, answer string) unittest.Result {
-	sh := env.Interp()
-	sh.FS["labeled_code.yaml"] = answer
-	start := env.Now()
-	prog, err := shell.Parse(p.UnitTest)
-	if err != nil {
-		return unittest.Result{Err: err}
-	}
-	stdout, code := sh.Exec(prog)
-	return unittest.Result{
-		Passed:      strings.Contains(stdout, "unit_test_passed"),
-		Output:      stdout,
-		ExitCode:    code,
-		VirtualTime: env.Now().Sub(start),
-	}
+// outcome is what one execution shows: its stdout and stderr, exit code
+// and the virtual time it took.
+type outcome struct {
+	stdout, stderr string
+	exit           int
+	virtualTime    time.Duration
 }
 
-// TestExecutorsAgree: every distinct Table 4 execution gives the same
-// unittest.Result — every field, byte for byte — through unittest.Run
-// (the family's pool), on an environment built for it alone, and on one
-// environment per family reset after each of the executions before it:
-// nothing an execution leaves behind (documents memoised on objects,
-// bucket capacity, the clock) reaches the next.
+// runOn runs p's unit test against answer on an environment the caller
+// chose instead of the family pool's, its stderr taken by a
+// unittest.Recorder.
+func runOn(env scenario.Env, prog *shell.Program, answer string) outcome {
+	sh := env.Interp()
+	sh.FS["labeled_code.yaml"] = answer
+	rec := unittest.NewRecorder(sh, env.Now)
+	start := env.Now()
+	stdout, code := sh.Exec(prog)
+	return outcome{stdout, rec.Stderr(), code, env.Now().Sub(start)}
+}
+
+// sweepExecutions are the distinct Table 4 executions followed by every
+// corpus problem of every family, Compose and Helm included, against its
+// reference, the empty answer and each distinct answer of the model zoo,
+// deduplicated on (script, answer).
+func sweepExecutions() []execution {
+	type key struct{ test, answer string }
+	execs := slices.Clone(table4Executions())
+	seen := make(map[key]bool, len(execs))
+	for _, x := range execs {
+		seen[key{x.problem.UnitTest, x.answer}] = true
+	}
+	for _, p := range dataset.Generate() {
+		answers := []string{p.ReferenceYAML, ""}
+		for _, m := range llm.Models {
+			answers = append(answers, llm.Postprocess(m.Generate(p, llm.GenOptions{})))
+		}
+		for _, a := range answers {
+			if k := (key{p.UnitTest, a}); !seen[k] {
+				seen[k] = true
+				execs = append(execs, execution{p, a})
+			}
+		}
+	}
+	return execs
+}
+
+// TestExecutorsAgree is the determinism sweep. Every execution of
+// sweepExecutions gives one outcome — stdout, stderr, exit code and
+// virtual time, byte for byte — on each of sweepFresh environments built
+// for it alone, and on one environment per family that ran a shuffled
+// history of the other executions before it, reset after each: no map
+// order reaches what a script sees, and nothing an execution leaves
+// behind (documents memoised on objects, arena chunks, bucket capacity,
+// the clock) reaches the next. unittest.Run, on the family's pool,
+// agrees with them on everything its Result carries.
 func TestExecutorsAgree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full Table 4 matrix in -short mode")
 	}
-	execs := table4Executions()
-
-	same := func(a, b unittest.Result) bool {
-		return a.Passed == b.Passed && a.Output == b.Output && a.ExitCode == b.ExitCode &&
-			a.VirtualTime == b.VirtualTime && (a.Err == nil) == (b.Err == nil) &&
-			(a.Err == nil || a.Err.Error() == b.Err.Error())
+	execs := sweepExecutions()
+	fresh := sweepFresh
+	if raceflag.Enabled {
+		fresh = 2
 	}
-	reused := map[dataset.Category]scenario.Env{}
+	progs := make([]*shell.Program, len(execs))
 	for i, x := range execs {
-		p, answer := x.problem, x.answer
-		backend := scenario.For(p.Category)
-		want := unittest.Run(p, answer)
+		prog, err := shell.Parse(x.problem.UnitTest)
+		if err != nil {
+			t.Fatalf("%s: %v", x.problem.ID, err)
+		}
+		progs[i] = prog
+	}
 
-		if got := runOn(backend.NewEnv(), p, answer); !same(got, want) {
-			t.Errorf("%s: a fresh environment gives %+v, the pool %+v", p.ID, got, want)
+	// Fresh environments: each execution on its own ones, the first
+	// outcome the one every other run must give.
+	want := make([]outcome, len(execs))
+	engine.New().ForEach(len(execs), func(i int) {
+		x := execs[i]
+		backend := scenario.For(x.problem.Category)
+		want[i] = runOn(backend.NewEnv(), progs[i], x.answer)
+		for k := 1; k < fresh; k++ {
+			if got := runOn(backend.NewEnv(), progs[i], x.answer); got != want[i] {
+				t.Errorf("%s: fresh environment %d gives %+v, the first %+v", x.problem.ID, k, got, want[i])
+			}
 		}
-		env := reused[p.Category]
+	})
+
+	// One environment per family, in a seeded shuffled order.
+	reused := map[dataset.Category]scenario.Env{}
+	order := rand.New(rand.NewPCG(1, 55)).Perm(len(execs))
+	for _, i := range order {
+		x := execs[i]
+		env := reused[x.problem.Category]
 		if env == nil {
-			env = backend.NewEnv()
-			reused[p.Category] = env
+			env = scenario.For(x.problem.Category).NewEnv()
+			reused[x.problem.Category] = env
 		}
-		got := runOn(env, p, answer)
+		got := runOn(env, progs[i], x.answer)
 		env.Reset()
-		if !same(got, want) {
-			t.Errorf("%s: an environment reset %d times gives %+v, the pool %+v", p.ID, i, got, want)
+		if got != want[i] {
+			t.Errorf("%s: the shuffled reused environment gives %+v, a fresh one %+v", x.problem.ID, got, want[i])
 		}
 	}
-	t.Logf("%d executions on three environments", len(execs))
+
+	for i, x := range execs {
+		res := unittest.Run(x.problem, x.answer)
+		w := want[i]
+		if res.Err != nil || res.Output != w.stdout || res.ExitCode != w.exit || res.VirtualTime != w.virtualTime ||
+			res.Passed != strings.Contains(w.stdout, "unit_test_passed") {
+			t.Errorf("%s: unittest.Run gives %+v, a fresh environment %+v", x.problem.ID, res, w)
+		}
+	}
+	t.Logf("%d executions, each on %d fresh environments, a shuffled reused one and the pool", len(execs), fresh)
 }
+
+// sweepFresh is how many fresh environments TestExecutorsAgree runs each
+// execution on.
+const sweepFresh = 8
 
 // unitTestMaxAllocs caps the mean number of allocations of one
 // unittest.Run over the distinct Table 4 executions, on warm caches. It
