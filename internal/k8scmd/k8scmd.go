@@ -33,9 +33,11 @@ type Env struct {
 	list, items yamlx.Node
 	rendered    []byte
 
-	// The storage the last command's -l selector was parsed into, and
-	// the last apply's results, reused by the next.
+	// The storage the last command's -l selector was parsed into, the
+	// names of its KIND/NAME argument and the last apply's results,
+	// reused by the next.
 	sel     kubesim.Selector
+	names   []string
 	applied []kubesim.ApplyResult
 }
 
@@ -85,6 +87,7 @@ func (e *Env) Reset() {
 		e.docs = nil
 	}
 	clear(e.sel[:cap(e.sel)])
+	clear(e.names[:cap(e.names)])
 }
 
 // maxRendered is the largest jsonpath buffer a pooled Env keeps, the

@@ -53,11 +53,14 @@ func refuse(io *shell.IO, tool, form string) int {
 }
 
 // kindAndNames splits a command's positional arguments into the kind
-// and the names it is given, reading "KIND/NAME" as kubectl does.
-func kindAndNames(args []string) (string, []string) {
+// and the names it is given, reading "KIND/NAME" as kubectl does. The
+// names of that form are listed in the Env's storage for them, good
+// until the next command.
+func (e *Env) kindAndNames(args []string) (string, []string) {
 	kind, names := args[0], args[1:]
 	if k, name, ok := strings.Cut(kind, "/"); ok {
-		kind, names = k, append([]string{name}, names...)
+		e.names = append(append(e.names[:0], name), names...)
+		kind, names = k, e.names
 	}
 	return kind, names
 }
@@ -228,7 +231,7 @@ func (e *Env) kubectlGet(fs shell.FlagSet, io *shell.IO) int {
 		fmt.Fprintln(io.Err, "error: you must specify the type of resource to get")
 		return 1
 	}
-	kind, names := kindAndNames(fs.Positional)
+	kind, names := e.kindAndNames(fs.Positional)
 	// "all" names a category of kinds, not a kind. The simulator has
 	// always answered it as a kind with no objects (res stays nil), and
 	// scripts print what it says, so it still does.
@@ -289,7 +292,7 @@ func (e *Env) kubectlDescribe(fs shell.FlagSet, io *shell.IO) int {
 		fmt.Fprintln(io.Err, "error: you must specify the type of resource to describe")
 		return 1
 	}
-	kind, names := kindAndNames(fs.Positional)
+	kind, names := e.kindAndNames(fs.Positional)
 	res, ok := resourceOf(io, kind)
 	if !ok {
 		return 1
@@ -327,7 +330,7 @@ func (e *Env) kubectlWait(fs shell.FlagSet, io *shell.IO) int {
 		fmt.Fprintln(io.Err, "error: you must specify the type of resource to wait on")
 		return 1
 	}
-	kind, names := kindAndNames(fs.Positional)
+	kind, names := e.kindAndNames(fs.Positional)
 	res, ok := resourceOf(io, kind)
 	if !ok {
 		return 1
@@ -385,9 +388,10 @@ func (e *Env) kubectlRollout(fs shell.FlagSet, io *shell.IO) int {
 		fmt.Fprintln(io.Err, "error: only 'rollout status' is supported")
 		return 1
 	}
-	kind, names := kindAndNames(fs.Positional[1:])
+	kind, names := e.kindAndNames(fs.Positional[1:])
 	if len(names) == 0 {
-		kind, names = kubesim.Deployment.Singular, []string{kind}
+		e.names = append(e.names[:0], kind)
+		kind, names = kubesim.Deployment.Singular, e.names
 	}
 	res, ok := resourceOf(io, kind)
 	if !ok {
