@@ -51,23 +51,3 @@ func TestForFallsBackToKubernetes(t *testing.T) {
 		t.Errorf("unknown category resolved to %s", got.Category)
 	}
 }
-
-// TestDocStartLines pins where each family's documents start, derived
-// from its Marker and HasKind: "apiVersion:" as a line prefix for the
-// manifest families, the bare Marker key for the kindless ones.
-func TestDocStartLines(t *testing.T) {
-	for line, want := range map[string]bool{
-		"apiVersion: v1":         true,
-		"apiVersion:":            true,
-		"static_resources:":      true,
-		"services:":              true,
-		"services: web and db":   false,
-		"static_resources: none": false,
-		"kind: Pod":              false,
-		"Here is the manifest:":  false,
-	} {
-		if got := IsDocStartLine(line); got != want {
-			t.Errorf("IsDocStartLine(%q) = %v, want %v", line, got, want)
-		}
-	}
-}
