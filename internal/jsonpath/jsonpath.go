@@ -18,76 +18,46 @@ package jsonpath
 
 import (
 	"fmt"
-	"hash/maphash"
 	"strconv"
 	"strings"
 
-	"cloudeval/internal/memo"
 	"cloudeval/internal/yamlx"
 )
 
-// Template is a compiled JSONPath template: the steps of each
-// expression, parsed once and only read afterwards, so one Template
-// serves any number of goroutines.
+// Template is a parsed JSONPath template: the steps of every
+// expression, one after the other. Parse refills a Template in place,
+// so a caller that renders one template after another keeps one
+// Template and its storage; Append only reads it, and one Template
+// serves any number of goroutines between Parses.
 type Template struct {
-	exprs [][]step
+	steps []step
+	ends  []int // where each expression's steps end in steps
 }
 
-// Compile parses a template. Templates come from script text, run
-// again on every execution of the script, so each is compiled once per
-// process while its entry lasts; because the text may be expanded from
-// what a script read at run time, the cache is held to a byte budget
-// (see the memo package).
-func Compile(template string) (*Template, error) {
-	c, _, _ := templates.Do(template, func() (compiled, int64, error) {
-		t, err := compile(template)
-		return compiled{t, err}, templateCost(template), nil
-	})
-	return c.t, c.err
-}
-
-type compiled struct {
-	t   *Template
-	err error
-}
-
-// templateBudget holds, many times over, the 74 templates every
-// experiment of cloudeval figures together compiles, charged 54 KB.
-const templateBudget = 4 << 20
-
-// templateCost charges an entry its key text plus its compiled
-// Template, measured at 12.7 times the text on the corpus's templates.
-func templateCost(template string) int64 { return memo.EntryOverhead + 16*int64(len(template)) }
-
-var (
-	templateSeed = maphash.MakeSeed()
-	templates    = memo.NewLRU[string, compiled](templateHash, templateBudget)
-)
-
-func templateHash(s string) uint64 { return maphash.String(templateSeed, s) }
-
-func compile(template string) (*Template, error) {
-	t := &Template{}
+// Parse reads template into t, replacing what t held. After an error
+// t holds no template until the next Parse succeeds.
+func (t *Template) Parse(template string) error {
+	t.steps, t.ends = t.steps[:0], t.ends[:0]
 	for i := 0; i < len(template); {
 		if template[i] != '{' {
-			return nil, fmt.Errorf("jsonpath: text outside {...} is not supported: %q", template)
+			return fmt.Errorf("jsonpath: text outside {...} is not supported: %q", template)
 		}
 		end := strings.IndexByte(template[i:], '}')
 		if end < 0 {
-			return nil, fmt.Errorf("jsonpath: unterminated '{' in %q", template)
+			return fmt.Errorf("jsonpath: unterminated '{' in %q", template)
 		}
 		expr := strings.TrimSpace(template[i+1 : i+end])
 		i += end + 1
 		if strings.HasPrefix(expr, "range") || strings.HasPrefix(expr, "end") {
-			return nil, fmt.Errorf("jsonpath: range templates are not supported: %q", expr)
+			return fmt.Errorf("jsonpath: range templates are not supported: %q", expr)
 		}
-		steps, err := parseSteps(expr)
-		if err != nil {
-			return nil, err
+		var err error
+		if t.steps, err = appendSteps(t.steps, expr); err != nil {
+			return err
 		}
-		t.exprs = append(t.exprs, steps)
+		t.ends = append(t.ends, len(t.steps))
 	}
-	return t, nil
+	return nil
 }
 
 // Append renders the template against root onto dst: each expression's
@@ -95,8 +65,10 @@ func compile(template string) (*Template, error) {
 // expression depth first and allocates nothing but what dst grows by
 // (and the flow text of a matched mapping or sequence).
 func (t *Template) Append(dst []byte, root *yamlx.Node) []byte {
-	for _, steps := range t.exprs {
-		dst, _ = appendMatches(dst, root, steps, 0)
+	start := 0
+	for _, end := range t.ends {
+		dst, _ = appendMatches(dst, root, t.steps[start:end], 0)
+		start = end
 	}
 	return dst
 }
@@ -119,6 +91,14 @@ func appendMatches(dst []byte, n *yamlx.Node, steps []step, k int) ([]byte, int)
 	case fieldStep:
 		if v := n.Get(s.name); v != nil {
 			return appendMatches(dst, v, rest, k)
+		}
+	case escapedFieldStep:
+		if n.Kind == yamlx.MapKind {
+			for _, e := range n.Entries {
+				if keyIs(e.Key, s.name) {
+					return appendMatches(dst, e.Value, rest, k)
+				}
+			}
 		}
 	case indexStep:
 		if n.Kind == yamlx.SeqKind && s.index >= 0 && s.index < len(n.Items) {
@@ -180,7 +160,8 @@ func appendNode(dst []byte, n *yamlx.Node) []byte {
 type stepKind int
 
 const (
-	fieldStep stepKind = iota
+	fieldStep        stepKind = iota
+	escapedFieldStep          // a quoted name with backslash escapes, kept as written
 	indexStep
 	wildcardStep
 	recursiveStep
@@ -192,8 +173,8 @@ type step struct {
 	index int
 }
 
-func parseSteps(expr string) ([]step, error) {
-	var steps []step
+// appendSteps appends the steps of one expression to steps.
+func appendSteps(steps []step, expr string) ([]step, error) {
 	i := 0
 	for i < len(expr) {
 		switch {
@@ -201,7 +182,7 @@ func parseSteps(expr string) ([]step, error) {
 			i += 2
 			name, n := readName(expr[i:])
 			if name == "" {
-				return nil, fmt.Errorf("jsonpath: '..' must be followed by a field name in %q", expr)
+				return steps, fmt.Errorf("jsonpath: '..' must be followed by a field name in %q", expr)
 			}
 			i += n
 			steps = append(steps, step{kind: recursiveStep, name: name})
@@ -209,14 +190,14 @@ func parseSteps(expr string) ([]step, error) {
 			i++
 			name, n := readName(expr[i:])
 			if name == "" {
-				return nil, fmt.Errorf("jsonpath: '.' must be followed by a field name in %q", expr)
+				return steps, fmt.Errorf("jsonpath: '.' must be followed by a field name in %q", expr)
 			}
 			i += n
 			steps = append(steps, step{kind: fieldStep, name: name})
 		case expr[i] == '[':
 			end := strings.IndexByte(expr[i:], ']')
 			if end < 0 {
-				return nil, fmt.Errorf("jsonpath: unterminated '[' in %q", expr)
+				return steps, fmt.Errorf("jsonpath: unterminated '[' in %q", expr)
 			}
 			inner := strings.TrimSpace(expr[i+1 : i+end])
 			i += end + 1
@@ -224,35 +205,40 @@ func parseSteps(expr string) ([]step, error) {
 			case inner == "*":
 				steps = append(steps, step{kind: wildcardStep})
 			case len(inner) >= 2 && (inner[0] == '\'' || inner[0] == '"'):
-				steps = append(steps, step{kind: fieldStep, name: unescapeField(inner[1 : len(inner)-1])})
+				name, kind := inner[1:len(inner)-1], fieldStep
+				if strings.IndexByte(name, '\\') >= 0 {
+					kind = escapedFieldStep
+				}
+				steps = append(steps, step{kind: kind, name: name})
 			default:
 				idx, err := strconv.Atoi(inner)
 				if err != nil {
-					return nil, fmt.Errorf("jsonpath: bad index %q", inner)
+					return steps, fmt.Errorf("jsonpath: bad index %q", inner)
 				}
 				steps = append(steps, step{kind: indexStep, index: idx})
 			}
 		default:
-			return nil, fmt.Errorf("jsonpath: %q in %q is not supported: a step starts with '.' or '['", expr[i:i+1], expr)
+			return steps, fmt.Errorf("jsonpath: %q in %q is not supported: a step starts with '.' or '['", expr[i:i+1], expr)
 		}
 	}
 	return steps, nil
 }
 
-// unescapeField strips kubectl-style backslash escapes in quoted field
-// names, so ['log\.level'] addresses the literal key "log.level".
-func unescapeField(s string) string {
-	if !strings.Contains(s, "\\") {
-		return s
-	}
-	var b strings.Builder
-	for i := 0; i < len(s); i++ {
-		if s[i] == '\\' && i+1 < len(s) {
+// keyIs reports whether key is the quoted field name escaped, read
+// with kubectl's backslash escapes: ['log\.level'] names the key
+// "log.level". It compares in place, so a step keeps the name as the
+// template wrote it.
+func keyIs(key, escaped string) bool {
+	for i := 0; i < len(escaped); i++ {
+		if escaped[i] == '\\' && i+1 < len(escaped) {
 			i++
 		}
-		b.WriteByte(s[i])
+		if key == "" || key[0] != escaped[i] {
+			return false
+		}
+		key = key[1:]
 	}
-	return b.String()
+	return key == ""
 }
 
 func readName(s string) (string, int) {

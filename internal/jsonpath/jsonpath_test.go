@@ -37,11 +37,16 @@ const podList = `items:
     phase: Pending
 `
 
-// eval renders template against root as kubectl get -o jsonpath does:
-// Compile, then Append.
+// eval renders template against root as kubectl get -o jsonpath does,
+// on a fresh Template: Parse, then Append.
 func eval(root *yamlx.Node, template string) (string, error) {
-	t, err := Compile(template)
-	if err != nil {
+	var t Template
+	return evalInto(&t, root, template)
+}
+
+// evalInto is eval on a Template that may hold another template.
+func evalInto(t *Template, root *yamlx.Node, template string) (string, error) {
+	if err := t.Parse(template); err != nil {
 		return "", err
 	}
 	return string(t.Append(nil, root)), nil
@@ -163,8 +168,8 @@ func TestEvalWildcardOnMap(t *testing.T) {
 }
 
 // jsonpathFlag matches the template of a "-o jsonpath=…" flag in a
-// unit-test script, quoted or bare.
-var jsonpathFlag = regexp.MustCompile(`jsonpath=('[^']*'|"[^"]*"|\S+)`)
+// unit-test script, quoted or bare (a bare one may close a $(…)).
+var jsonpathFlag = regexp.MustCompile(`jsonpath=('[^']*'|"[^"]*"|[^\s)]+)`)
 
 // nestedNames has "name" keys under "name"-keyed values and in
 // sequences at several depths, where a recursive descent's matches
@@ -246,7 +251,7 @@ func oracleExpr(root *yamlx.Node, expr string) ([]*yamlx.Node, error) {
 	if strings.HasPrefix(expr, "range") || strings.HasPrefix(expr, "end") {
 		return nil, fmt.Errorf("jsonpath: range templates are not supported: %q", expr)
 	}
-	steps, err := parseSteps(expr)
+	steps, err := appendSteps(nil, expr)
 	if err != nil {
 		return nil, err
 	}
@@ -270,6 +275,10 @@ func oracleApply(s step, n *yamlx.Node) []*yamlx.Node {
 		if v := n.Get(s.name); v != nil {
 			return []*yamlx.Node{v}
 		}
+	case escapedFieldStep:
+		if v := n.Get(unescapeField(s.name)); v != nil {
+			return []*yamlx.Node{v}
+		}
 	case indexStep:
 		if n.Kind == yamlx.SeqKind && s.index >= 0 && s.index < len(n.Items) {
 			return []*yamlx.Node{n.Items[s.index]}
@@ -291,6 +300,20 @@ func oracleApply(s step, n *yamlx.Node) []*yamlx.Node {
 		return out
 	}
 	return nil
+}
+
+// unescapeField is how the oracle reads a quoted field name: it strips
+// kubectl-style backslash escapes, so ['log\.level'] addresses the key
+// "log.level".
+func unescapeField(s string) string {
+	var b strings.Builder
+	for i := 0; i < len(s); i++ {
+		if s[i] == '\\' && i+1 < len(s) {
+			i++
+		}
+		b.WriteByte(s[i])
+	}
+	return b.String()
 }
 
 func oracleCollect(n *yamlx.Node, name string, out *[]*yamlx.Node) {
@@ -332,27 +355,67 @@ func TestEvalMatchesOracleOnNestedNames(t *testing.T) {
 	}
 }
 
-// FuzzEval: a template is script text, and a script is whatever the
-// corpus — or a caller of POST /v1/eval — says it is. Compile and
-// Append must return
-// for any template, without a panic, the same result each time it is
-// asked (compiled templates are cached), and what the breadth-first
-// evaluator it replaced returns — output and whether it fails — over
-// podList and over nestedNames. Seeded with every template the corpus
-// uses and with the syntax this subset leaves out: filters, slices,
-// unions, range/end, and the forms it refuses.
-func FuzzEval(f *testing.F) {
+// corpusTemplates returns every distinct template the corpus's scripts
+// pass to kubectl get -o jsonpath, in corpus order, each with the
+// reference answer of the first problem that uses it.
+func corpusTemplates(tb testing.TB) (templates []string, refs []*yamlx.Node) {
 	seen := map[string]bool{}
 	for _, p := range dataset.Generate() {
 		for _, m := range jsonpathFlag.FindAllStringSubmatch(p.UnitTest, -1) {
 			if tmpl := strings.Trim(m[1], `'"`); !seen[tmpl] {
+				ref, err := yamlx.ParseString(p.ReferenceYAML)
+				if err != nil {
+					tb.Fatalf("%s: %v", p.ID, err)
+				}
 				seen[tmpl] = true
-				f.Add(tmpl)
+				templates, refs = append(templates, tmpl), append(refs, ref)
 			}
 		}
 	}
-	if len(seen) < 50 {
-		f.Fatalf("only %d jsonpath templates found in the corpus", len(seen))
+	if len(templates) < 50 {
+		tb.Fatalf("only %d jsonpath templates found in the corpus", len(templates))
+	}
+	return templates, refs
+}
+
+// TestReusedTemplateMatchesFresh: one Template, parsed into again for
+// every corpus template in corpus order and then in reverse, renders
+// what a fresh Template renders, over the template's own reference
+// answer and over podList and nestedNames. A step left over from a
+// longer template would show here.
+func TestReusedTemplateMatchesFresh(t *testing.T) {
+	templates, refs := corpusTemplates(t)
+	shared := []*yamlx.Node{parse(t, podList), parse(t, nestedNames)}
+	var reused Template
+	check := func(i int) {
+		for _, root := range append(shared, refs[i]) {
+			got, err := evalInto(&reused, root, templates[i])
+			want, werr := eval(root, templates[i])
+			if got != want || err != nil || werr != nil {
+				t.Errorf("reused Template on %q = %q, %v; a fresh one %q, %v", templates[i], got, err, want, werr)
+			}
+		}
+	}
+	for i := range templates {
+		check(i)
+	}
+	for i := len(templates) - 1; i >= 0; i-- {
+		check(i)
+	}
+}
+
+// FuzzEval: a template is script text, and a script is whatever the
+// corpus — or a caller of POST /v1/eval — says it is. Parse and Append
+// must return for any template, without a panic, what the breadth-first
+// evaluator they replaced returns — output and whether it fails — over
+// podList and over nestedNames, on a fresh Template and on one that
+// already holds another template. Seeded with every template the corpus
+// uses and with the syntax this subset leaves out: filters, slices,
+// unions, range/end, and the forms it refuses.
+func FuzzEval(f *testing.F) {
+	templates, _ := corpusTemplates(f)
+	for _, tmpl := range templates {
+		f.Add(tmpl)
 	}
 	for _, tmpl := range []string{
 		`{.items[?(@.metadata.name=="pod-a")].status.phase}`, `{.items[0:1].metadata.name}`, `{.items[-1:]}`, `{.items[0,1].metadata.name}`,
@@ -370,12 +433,19 @@ func FuzzEval(f *testing.F) {
 		}
 		roots = append(roots, root)
 	}
+	// What the reused Template holds first: more expressions and steps
+	// than most inputs, of every kind, escapes included.
+	const heldTemplate = `{..metadata.name}{.items[*].spec.containers[0].env[*]['va\lue']}{.items[0].status.hostIP}`
 	f.Fuzz(func(t *testing.T, tmpl string) {
 		for _, root := range roots {
 			out, err := eval(root, tmpl)
-			again, err2 := eval(root, tmpl)
+			var held Template
+			if err := held.Parse(heldTemplate); err != nil {
+				t.Fatal(err)
+			}
+			again, err2 := evalInto(&held, root, tmpl)
 			if out != again || (err == nil) != (err2 == nil) {
-				t.Errorf("eval(%q) = %q, %v the first time and %q, %v the second", tmpl, out, err, again, err2)
+				t.Errorf("eval(%q) = %q, %v on a fresh Template and %q, %v on one that held %s", tmpl, out, err, again, err2, heldTemplate)
 			}
 			want, werr := evalOracle(root, tmpl)
 			if out != want || (err == nil) != (werr == nil) {

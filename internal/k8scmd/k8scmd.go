@@ -33,10 +33,11 @@ type Env struct {
 	list, items yamlx.Node
 	rendered    []byte
 
-	// The storage the last command's -l selector was parsed into, the
-	// names of its KIND/NAME argument and the last apply's results,
-	// reused by the next.
+	// The storage the last command's -l selector and -o jsonpath
+	// template were parsed into, the names of its KIND/NAME argument and
+	// the last apply's results, reused by the next.
 	sel     kubesim.Selector
+	tmpl    jsonpath.Template
 	names   []string
 	applied []kubesim.ApplyResult
 }
@@ -127,8 +128,11 @@ func (e *Env) readManifest(fs shell.FlagSet, io *shell.IO) (string, error) {
 }
 
 // timeoutOf reads --timeout as kubectl does: a duration with its unit,
-// kubectl's 30 s when absent, and anything else the flag's error.
-func timeoutOf(fs shell.FlagSet, io *shell.IO) (time.Duration, bool) {
+// kubectl's 30 s when absent, and anything else the flag's error. A
+// negative value, and zero where zeroNoLimit (rollout status reads it
+// so), means no limit: a week of virtual time, what kubectl wait gives
+// a negative timeout, for a script's virtual time is never unbounded.
+func timeoutOf(fs shell.FlagSet, io *shell.IO, zeroNoLimit bool) (time.Duration, bool) {
 	s := fs.Get("--timeout")
 	if s == "" {
 		return 30 * time.Second, true
@@ -137,6 +141,9 @@ func timeoutOf(fs shell.FlagSet, io *shell.IO) (time.Duration, bool) {
 	if err != nil {
 		fmt.Fprintf(io.Err, "error: invalid argument %q for \"--timeout\" flag: %v\n", s, err)
 		return 0, false
+	}
+	if d < 0 || d == 0 && zeroNoLimit {
+		d = 7 * 24 * time.Hour
 	}
 	return d, true
 }
@@ -201,8 +208,7 @@ func (e *Env) evalOutput(io *shell.IO, format string, names []string, items []*y
 	}
 	tmpl := strings.TrimPrefix(format, "jsonpath=")
 	tmpl = strings.Trim(tmpl, "'\"")
-	t, err := jsonpath.Compile(tmpl)
-	if err != nil {
+	if err := e.tmpl.Parse(tmpl); err != nil {
 		fmt.Fprintf(io.Err, "error: error parsing jsonpath %s: %v\n", tmpl, err)
 		return 1
 	}
@@ -211,7 +217,7 @@ func (e *Env) evalOutput(io *shell.IO, format string, names []string, items []*y
 		root = items[0]
 	}
 	e.items.Items = items
-	e.rendered = t.Append(e.rendered[:0], root)
+	e.rendered = e.tmpl.Append(e.rendered[:0], root)
 	e.items.Items = nil
 	if len(e.rendered) > 0 {
 		io.Out.Write(e.rendered)

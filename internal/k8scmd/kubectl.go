@@ -118,17 +118,17 @@ func (e *Env) kubectlDelete(fs shell.FlagSet, io *shell.IO) int {
 		}
 		return 0
 	}
-	if len(fs.Positional) < 2 {
+	if len(fs.Positional) == 0 || len(fs.Positional) == 1 && !strings.Contains(fs.Positional[0], "/") {
 		fmt.Fprintln(io.Err, "error: resource(s) were provided, but no name was specified")
 		return 1
 	}
-	kind := fs.Positional[0]
+	kind, names := e.kindAndNames(fs.Positional)
 	res, ok := resourceOf(io, kind)
 	if !ok {
 		return 1
 	}
 	code := 0
-	for _, name := range fs.Positional[1:] {
+	for _, name := range names {
 		switch err := e.Cluster.Delete(res, e.namespaceOf(fs), name); {
 		case errors.Is(err, kubesim.ErrNotFound):
 			writeNotFound(io, res.GroupResource, name)
@@ -211,7 +211,7 @@ func resourceOf(io *shell.IO, kind string) (*kubesim.Resource, bool) {
 }
 
 // writeNotFound is the API server's answer for an object that is not
-// there; resource is its row's GroupResource ("all" for get all).
+// there; resource is its row's GroupResource.
 func writeNotFound(io *shell.IO, resource, name string) {
 	io.Err.WriteString("Error from server (NotFound): ")
 	io.Err.WriteString(resource)
@@ -232,15 +232,14 @@ func (e *Env) kubectlGet(fs shell.FlagSet, io *shell.IO) int {
 		return 1
 	}
 	kind, names := e.kindAndNames(fs.Positional)
-	// "all" names a category of kinds, not a kind. The simulator has
-	// always answered it as a kind with no objects (res stays nil), and
-	// scripts print what it says, so it still does.
-	var res *kubesim.Resource
-	if kind != "all" {
-		var ok bool
-		if res, ok = resourceOf(io, kind); !ok {
-			return 1
-		}
+	// "all" names a category of kinds, not a kind, and no corpus
+	// script names it.
+	if kind == "all" {
+		return refuse(io, "kubectl", "get all")
+	}
+	res, ok := resourceOf(io, kind)
+	if !ok {
+		return 1
 	}
 	// The corpus reads objects through -o jsonpath, and prints one
 	// table, of services.
@@ -259,22 +258,17 @@ func (e *Env) kubectlGet(fs shell.FlagSet, io *shell.IO) int {
 		return 1
 	}
 	items := e.docs[:0]
-	switch {
-	case res == nil && len(names) > 0:
-		writeNotFound(io, kind, names[0])
-		return 1
-	case len(names) > 0:
-		for _, name := range names {
-			n, ok := e.Cluster.GetByName(res, ns, name)
-			if !ok {
-				clear(items)
-				writeNotFound(io, res.GroupResource, name)
-				return 1
-			}
-			items = append(items, n)
-		}
-	case res != nil:
+	if len(names) == 0 {
 		items = e.Cluster.List(items, res, ns, sel)
+	}
+	for _, name := range names {
+		n, ok := e.Cluster.GetByName(res, ns, name)
+		if !ok {
+			clear(items)
+			writeNotFound(io, res.GroupResource, name)
+			return 1
+		}
+		items = append(items, n)
 	}
 	e.docs = items
 	defer clear(items)
@@ -339,7 +333,7 @@ func (e *Env) kubectlWait(fs shell.FlagSet, io *shell.IO) int {
 	if !ok {
 		return 1
 	}
-	timeout, ok := timeoutOf(fs, io)
+	timeout, ok := timeoutOf(fs, io, false)
 	if !ok {
 		return 1
 	}
@@ -397,7 +391,7 @@ func (e *Env) kubectlRollout(fs shell.FlagSet, io *shell.IO) int {
 	if !ok {
 		return 1
 	}
-	timeout, ok := timeoutOf(fs, io)
+	timeout, ok := timeoutOf(fs, io, true)
 	if !ok {
 		return 1
 	}

@@ -3,6 +3,7 @@ package k8scmd
 import (
 	"strings"
 	"testing"
+	"time"
 
 	"cloudeval/internal/kubesim"
 	"cloudeval/internal/shell"
@@ -197,3 +198,65 @@ func TestMinikubeIP(t *testing.T) {
 		t.Errorf("minikube ip: exit %d, %q", code, out)
 	}
 }
+
+// TestWaitTimeouts: kubectl wait checks once at --timeout=0s and waits
+// a week of virtual time at a negative timeout, where kubectl waits
+// without a limit; rollout status reads 0s as no limit, and so waits a
+// week too. Each condition here never holds, so the clock shows how
+// long the command waited.
+func TestWaitTimeouts(t *testing.T) {
+	const week = 7 * 24 * time.Hour
+	for _, tc := range []struct {
+		cmd  string
+		took time.Duration
+	}{
+		{"kubectl wait --for=condition=Complete pod/web", 30 * time.Second},
+		{"kubectl wait --for=condition=Complete pod/web --timeout=5s", 5 * time.Second},
+		{"kubectl wait --for=condition=Complete pod/web --timeout=0s", 0},
+		{"kubectl wait --for=condition=Complete pod/web --timeout=-1s", week},
+		{"kubectl rollout status deployment/stuck --timeout=0s", week},
+		{"kubectl rollout status deployment/stuck --timeout=-1s", week},
+		{"kubectl rollout status deployment/stuck --timeout=5s", 5 * time.Second},
+	} {
+		env := freshEnv(t)
+		env.Shell.FS["m.yaml"] = stuckManifests
+		if _, stderr, code := runIn(t, env, "kubectl apply -f m.yaml"); code != 0 {
+			t.Fatalf("apply: exit %d, %s", code, stderr)
+		}
+		start := env.Now()
+		_, stderr, code := runIn(t, env, tc.cmd)
+		if took := env.Now().Sub(start); code != 1 || !strings.Contains(stderr, "timed out") || took != tc.took {
+			t.Errorf("%s: exit %d after %v, stderr %q; want a timeout after %v", tc.cmd, code, took, stderr, tc.took)
+		}
+	}
+}
+
+// stuckManifests are a Pod, which never has the condition Complete, and
+// a Deployment whose image reference is invalid, which never becomes
+// Available.
+const stuckManifests = `apiVersion: v1
+kind: Pod
+metadata:
+  name: web
+spec:
+  containers:
+  - name: c
+    image: nginx
+---
+apiVersion: apps/v1
+kind: Deployment
+metadata:
+  name: stuck
+spec:
+  selector:
+    matchLabels:
+      app: stuck
+  template:
+    metadata:
+      labels:
+        app: stuck
+    spec:
+      containers:
+      - name: c
+        image: "no such image"
+`

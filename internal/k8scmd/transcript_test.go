@@ -330,6 +330,22 @@ spec:
 		"for p in $(kubectl get pods -o jsonpath='{.items[*].metadata.name}'); do kubectl logs $p | grep -c 'container started'; done",
 	)
 
+	// kubectl wait checks once at --timeout=0s and waits without a
+	// limit (a week) at a negative one; rollout status reads 0s as no
+	// limit. delete reads KIND/NAME as get does.
+	section("timeouts and KIND/NAME")
+	env.Shell.FS["pod.yaml"] = podSrc
+	deploySrc, deploy, _ := referenceFor(t, problems, "Deployment")
+	env.Shell.FS["deploy.yaml"] = deploySrc
+	run(
+		"kubectl apply -f pod.yaml",
+		"kubectl wait --for=condition=Ready pod/"+pod+" --timeout=0s",
+		"kubectl wait --for=condition=Ready pod/"+pod+" --timeout=-1s",
+		"kubectl apply -f deploy.yaml",
+		"kubectl rollout status deployment/"+deploy+" --timeout=0s",
+		"kubectl delete pod/"+pod,
+	)
+
 	// One refusal per form kubectl serves no corpus script with.
 	section("forms kubectl refuses")
 	env.Shell.FS["pod.yaml"] = podSrc

@@ -749,8 +749,8 @@ func TestPodNames(t *testing.T) {
 // evalJSONPath renders a jsonpath template against n, as kubectl get -o
 // jsonpath does.
 func evalJSONPath(n *yamlx.Node, template string) (string, error) {
-	t, err := jsonpath.Compile(template)
-	if err != nil {
+	var t jsonpath.Template
+	if err := t.Parse(template); err != nil {
 		return "", err
 	}
 	return string(t.Append(nil, n)), nil

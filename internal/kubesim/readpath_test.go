@@ -164,9 +164,6 @@ func TestStatusMemoNeverStale(t *testing.T) {
 // waitForOracle is WaitFor as it was before targets were resolved once:
 // every 500 ms step lists, filters and sorts the targets again.
 func waitForOracle(c *Cluster, opts WaitOptions) error {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 30 * time.Second
-	}
 	deadline := c.now.Add(opts.Timeout)
 	const step = 500 * time.Millisecond
 	for {
@@ -217,15 +214,17 @@ func TestWaitMatchesSteppingOracle(t *testing.T) {
 		for _, kind := range []string{"pod", "pods", "deployment", "deploy", "statefulset", "daemonset", "job", "service"} {
 			for _, cond := range []string{"Ready", "Available", "Complete", "ready"} {
 				for _, opts := range []WaitOptions{
-					{Names: []string{"a"}},
-					{Names: []string{"a", "b"}},
-					{Names: []string{"missing"}},
-					{Names: []string{"missing", "c"}, Namespace: "other"},
-					{Selector: mustSelector("app=web")},
-					{Selector: mustSelector("app=db"), Namespace: "other"},
-					{Selector: mustSelector("app=nothing")},
+					{Names: []string{"a"}, Timeout: 30 * time.Second},
+					{Names: []string{"a", "b"}, Timeout: 30 * time.Second},
+					{Names: []string{"missing"}, Timeout: 30 * time.Second},
+					{Names: []string{"missing", "c"}, Namespace: "other", Timeout: 30 * time.Second},
+					{Selector: mustSelector("app=web"), Timeout: 30 * time.Second},
+					{Selector: mustSelector("app=db"), Namespace: "other", Timeout: 30 * time.Second},
+					{Selector: mustSelector("app=nothing"), Timeout: 30 * time.Second},
+					{All: true, Timeout: 30 * time.Second},
+					{All: true, Namespace: "*", Timeout: 30 * time.Second},
 					{All: true},
-					{All: true, Namespace: "*"},
+					{Names: []string{"a"}, Timeout: -time.Second},
 					{All: true, Timeout: time.Second},
 					{Names: []string{"b"}, Timeout: 1200 * time.Millisecond},
 					{All: true, Timeout: 120 * time.Second},

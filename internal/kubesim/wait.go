@@ -11,17 +11,17 @@ import (
 type WaitOptions struct {
 	Resource  *Resource
 	Namespace string
-	Names     []string // explicit resource names; empty means selector/all
-	Selector  Selector // -l app=web
-	All       bool     // --all
-	Condition string   // condition name from --for=condition=X
-	Timeout   time.Duration
+	Names     []string      // explicit resource names; empty means selector/all
+	Selector  Selector      // -l app=web
+	All       bool          // --all
+	Condition string        // condition name from --for=condition=X
+	Timeout   time.Duration // zero or less checks once
 }
 
 // WaitFor advances the virtual clock until every targeted resource
 // reports the condition with status True, or the timeout elapses. Like
 // kubectl, it errors when no resources match or the condition never
-// becomes true.
+// becomes true, and a timeout of zero checks once.
 //
 // The targets — by name or by selector — are resolved once, before the
 // loop: a wait only advances the clock, and nothing it can change
@@ -37,9 +37,6 @@ type WaitOptions struct {
 // so a wait allocates nothing; like every other mutator, it is for one
 // goroutine at a time.
 func (c *Cluster) WaitFor(opts WaitOptions) error {
-	if opts.Timeout <= 0 {
-		opts.Timeout = 30 * time.Second
-	}
 	deadline := c.now.Add(opts.Timeout)
 	const step = 500 * time.Millisecond
 	targets := c.waitTargets(c.targets[:0], opts)

@@ -9,21 +9,17 @@
 // a key whose fingerprint another holds is computed uncached, never
 // served the other's value. Entries come from a per-shard free list
 // refilled a chunk at a time, so an uncontended miss allocates nothing.
-// Six caches use it:
+// Four caches use it:
 //
 //   - the engine's unit-test executions and the dispatcher's provider
 //     generations, keyed by SHA-256 digests;
 //   - yamlx's parsed documents, by the YAML text: mostly candidate
 //     answers, parsed again by every kubectl apply and metric;
 //   - envoysim's bootstraps, by the envoy config text, which is an
-//     answer file;
-//   - jsonpath's compiled templates, by the template text, which
-//     reaches it as a kubectl argument a script expands while it runs;
-//   - shell's grep matchers, by (pattern, -i), a grep argument likewise
-//     expanded at run time, sometimes from model output.
+//     answer file.
 //
-// The last four are pure functions of text that only exists at run
-// time, so nothing loaded with the corpus could hold their outcome;
+// The last two are pure functions of answer text that only exists at
+// run time, so nothing loaded with the corpus could hold their outcome;
 // they keep their outcomes, errors included, as values, and charge
 // each entry its key text plus what its value retains. That text is
 // model-generated, which in a long-lived daemon (cloudeval serve)
@@ -33,7 +29,10 @@
 //
 // What a benchmark problem fixes — its unit test's digest and program,
 // its compiled reference, its prompts — is compiled onto the problem
-// instead (dataset.Memo) and never looked up by content.
+// instead (dataset.Memo) and never looked up by content. A script's
+// tool arguments are read again on each run, without a cache and
+// without allocating: kubectl parses a jsonpath template into storage
+// its environment keeps, and grep scans for its pattern as written.
 package memo
 
 import "crypto/sha256"

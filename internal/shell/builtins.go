@@ -2,14 +2,11 @@ package shell
 
 import (
 	"fmt"
-	"hash/maphash"
 	"math"
-	"regexp"
 	"strconv"
 	"strings"
 	"time"
-
-	"cloudeval/internal/memo"
+	"unicode/utf8"
 )
 
 // coreBuiltins is the shared read-only table of coreutils-flavored
@@ -87,70 +84,57 @@ func builtinCat(in *Interp, io *IO, args []string) int {
 }
 
 // builtinGrep is grep as the corpus runs it, a pattern over files or
-// stdin with -q, and as the counting idiom runs it, with -c. -E, the
-// matcher's syntax already, is accepted; any other option is refused.
+// stdin with -q, and as the counting idiom runs it, with -c. Every
+// corpus pattern is literal text in which '.' is any one character,
+// which basic and extended syntax read alike, so that is the pattern
+// language and -E is accepted; a pattern holding any other
+// metacharacter is refused by name, and so is any other option.
 func builtinGrep(in *Interp, io *IO, args []string) int {
-	quiet, count := false, false
-	var pattern string
-	var files []string
-	havePattern := false
-	for _, a := range args {
+	quiet, count, haveFiles := false, false, false
+	at := -1 // the pattern's index in args
+	for i, a := range args {
 		switch {
-		case len(a) > 1 && a[0] == '-' && strings.Trim(a[1:], "qcE") == "":
+		case isOption(a) && strings.Trim(a[1:], "qcE") == "":
 			quiet = quiet || strings.Contains(a, "q")
 			count = count || strings.Contains(a, "c")
-		case len(a) > 1 && a[0] == '-':
+		case isOption(a):
 			fmt.Fprintf(io.Err, "grep: %s is not supported\n", a)
 			return 2
-		case !havePattern:
-			pattern = a
-			havePattern = true
+		case at < 0:
+			at = i
 		default:
-			files = append(files, a)
+			haveFiles = true
 		}
 	}
-	if !havePattern {
+	if at < 0 {
 		fmt.Fprintln(io.Err, "usage: grep [-qcE] pattern [file...]")
 		return 2
 	}
-	re, err := compileGrep(pattern)
-	if err != nil {
-		fmt.Fprintf(io.Err, "grep: %v\n", err)
+	pattern, files := args[at], args[at+1:]
+	if i := strings.IndexAny(pattern, grepMeta); i >= 0 {
+		fmt.Fprintf(io.Err, "grep: %q in %q is not supported: a pattern is literal text and '.'\n", pattern[i:i+1], pattern)
 		return 2
 	}
-	var input string
-	if len(files) == 0 {
-		input = io.In
-	} else {
-		var sb strings.Builder
-		for _, f := range files {
-			content, ok := in.FS[f]
-			if !ok {
-				fmt.Fprintf(io.Err, "grep: %s: No such file or directory\n", f)
-				return 2
-			}
-			sb.WriteString(content)
-			if content != "" && !strings.HasSuffix(content, "\n") {
-				sb.WriteString("\n")
-			}
-		}
-		input = sb.String()
+	if !utf8.ValidString(pattern) {
+		fmt.Fprintf(io.Err, "grep: %q is not valid UTF-8\n", pattern)
+		return 2
 	}
+	show := !quiet && !count
 	matched := 0
-	// Empty input is no lines, and a last line needs no newline.
-	for rest := input; rest != ""; {
-		line := rest
-		if i := strings.IndexByte(rest, '\n'); i >= 0 {
-			line, rest = rest[:i], rest[i+1:]
-		} else {
-			rest = ""
+	if !haveFiles {
+		matched = grepLines(io.Out, io.In, pattern, show)
+	}
+	// Every file is there before any is read, as when grep read them
+	// all as one input.
+	for _, f := range files {
+		if _, ok := in.FS[f]; !ok && !isOption(f) {
+			fmt.Fprintf(io.Err, "grep: %s: No such file or directory\n", f)
+			return 2
 		}
-		if !re.MatchString(line) {
-			continue
-		}
-		matched++
-		if !quiet && !count {
-			io.Out.WriteStrings(line, "\n")
+	}
+	for _, f := range files {
+		if !isOption(f) {
+			matched += grepLines(io.Out, in.FS[f], pattern, show)
 		}
 	}
 	if count {
@@ -163,33 +147,58 @@ func builtinGrep(in *Interp, io *IO, args []string) int {
 	return 1
 }
 
-// grepBudget bounds the matcher cache. Patterns are mostly the
-// constants of the corpus — every experiment of cloudeval figures
-// together compiles 65, charged 225 KB — but one built from a variable
-// holds model output.
-const grepBudget = 4 << 20
+func isOption(arg string) bool { return len(arg) > 1 && arg[0] == '-' }
 
-// grepCost charges an entry its pattern plus its compiled regexp,
-// measured at about 1 KB for a short pattern and 50 bytes more per
-// pattern byte.
-func grepCost(pattern string) int64 { return memo.EntryOverhead + 1<<10 + 64*int64(len(pattern)) }
+// grepMeta are the characters that make a pattern more than literal
+// text and '.' in basic syntax, extended syntax or both, and the
+// newline that separates patterns in either.
+const grepMeta = "\\[]*^$+?(){}|\n"
 
-// grepMatchers holds each compiled pattern, keyed by its text, the
-// first time a script asks for it. A pattern that does not compile is
-// grep's error, never cached.
-var (
-	grepSeed     = maphash.MakeSeed()
-	grepMatchers = memo.NewLRU[string, *regexp.Regexp](grepHash, grepBudget)
-)
+// grepLines writes each line of text that holds pattern to out if
+// show, and returns how many there are. Empty text is no lines, and a
+// last line needs no newline.
+func grepLines(out *Stream, text, pattern string, show bool) int {
+	n := 0
+	for text != "" {
+		line := text
+		if i := strings.IndexByte(text, '\n'); i >= 0 {
+			line, text = text[:i], text[i+1:]
+		} else {
+			text = ""
+		}
+		if grepMatch(line, pattern) {
+			n++
+			if show {
+				out.WriteStrings(line, "\n")
+			}
+		}
+	}
+	return n
+}
 
-func grepHash(pattern string) uint64 { return maphash.String(grepSeed, pattern) }
-
-func compileGrep(pattern string) (*regexp.Regexp, error) {
-	re, err, _ := grepMatchers.Do(pattern, func() (*regexp.Regexp, int64, error) {
-		re, err := regexp.Compile(pattern)
-		return re, grepCost(pattern), err
-	})
-	return re, err
+// grepMatch reports whether line holds pattern, literal text in which
+// '.' is any one character. It steps a character at a time, as a
+// regexp does, so a byte that is not UTF-8 is one character, U+FFFD.
+func grepMatch(line, pattern string) bool {
+	for {
+		s, p := line, pattern
+		for p != "" {
+			r, w := utf8.DecodeRuneInString(s)
+			q, qw := utf8.DecodeRuneInString(p)
+			if s == "" || q != '.' && q != r {
+				break
+			}
+			s, p = s[w:], p[qw:]
+		}
+		if p == "" {
+			return true
+		}
+		if line == "" {
+			return false
+		}
+		_, w := utf8.DecodeRuneInString(line)
+		line = line[w:]
+	}
 }
 
 func builtinSleep(in *Interp, io *IO, args []string) int {
@@ -211,9 +220,11 @@ func builtinSleep(in *Interp, io *IO, args []string) int {
 // time.Duration's range ("inf", "1e12"): GNU sleep would wait the last
 // out, but a script's virtual time is never unbounded (ROADMAP item 4).
 func parseDuration(s string) (time.Duration, bool) {
-	if f, err := strconv.ParseFloat(s, 64); err == nil {
+	// A bare number ends in a digit or '.'; one with a unit does not.
+	if s != "" && strings.IndexByte("0123456789.", s[len(s)-1]) >= 0 {
+		f, err := strconv.ParseFloat(s, 64)
 		secs := f * float64(time.Second)
-		return time.Duration(secs), secs >= 0 && secs < math.MaxInt64
+		return time.Duration(secs), err == nil && secs >= 0 && secs < math.MaxInt64
 	}
 	d, err := time.ParseDuration(s)
 	return d, err == nil && d >= 0
@@ -231,18 +242,13 @@ func builtinExit(in *Interp, io *IO, args []string) int {
 }
 
 func builtinWC(in *Interp, io *IO, args []string) int {
-	lines := false
-	var files []string
+	lines, input, haveFile := false, io.In, false
 	for _, a := range args {
 		if a == "-l" {
 			lines = true
-		} else if !strings.HasPrefix(a, "-") {
-			files = append(files, a)
+		} else if !strings.HasPrefix(a, "-") && !haveFile {
+			input, haveFile = in.FS[a], true
 		}
-	}
-	input := io.In
-	if len(files) > 0 {
-		input = in.FS[files[0]]
 	}
 	n := 0
 	if input != "" {
@@ -263,8 +269,7 @@ func builtinWC(in *Interp, io *IO, args []string) int {
 }
 
 func builtinHead(in *Interp, io *IO, args []string) int {
-	n := 10
-	var files []string
+	n, input, haveFile := 10, io.In, false
 	for i := 0; i < len(args); i++ {
 		a := args[i]
 		switch {
@@ -281,13 +286,9 @@ func builtinHead(in *Interp, io *IO, args []string) int {
 			if v, err := strconv.Atoi(a[1:]); err == nil {
 				n = v
 			}
-		default:
-			files = append(files, a)
+		case !haveFile:
+			input, haveFile = in.FS[a], true
 		}
-	}
-	input := io.In
-	if len(files) > 0 {
-		input = in.FS[files[0]]
 	}
 	lines := strings.Split(strings.TrimSuffix(input, "\n"), "\n")
 	if n < 0 {

@@ -1,11 +1,14 @@
 package shell
 
 import (
+	"regexp"
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
-	"cloudeval/internal/raceflag"
+	"cloudeval/internal/augment"
+	"cloudeval/internal/dataset"
 )
 
 // ran is what a script wrote to each stream and its exit status.
@@ -239,25 +242,29 @@ a" | grep -c a`)
 }
 
 // TestGrepCombinedFlags: -q, -c and -E combine into one argument as in GNU
-// grep; any other option is refused by name rather than ignored.
+// grep; any other option is refused by name rather than ignored, and so
+// is a pattern that is more than literal text and '.'.
 func TestGrepCombinedFlags(t *testing.T) {
+	const refused = " is not supported: a pattern is literal text and '.'\n"
 	for _, tc := range []struct {
 		script, stdout, stderr string
 		exit                   int
 	}{
 		{`echo "Running
-Pending" | grep -qE 'Run+ing'`, "", "", 0},
+Pending" | grep -qE 'Run.ing'`, "", "", 0},
 		{`echo "a
 b" | grep -Eq c`, "", "", 1},
+		{`echo "Running
+Pending" | grep -qE 'Run+ing'`, "", `grep: "+" in "Run+ing"` + refused, 2},
 		{`echo "a
-b" | grep -E 'a|b'`, "a\nb\n", "", 0},
+b" | grep -E 'a|b'`, "", `grep: "|" in "a|b"` + refused, 2},
 		{`echo "a
 b
-a" | grep -cE 'a|x'`, "2\n", "", 0},
+a" | grep -cE 'a|x'`, "", `grep: "|" in "a|x"` + refused, 2},
 		{`echo a | grep -qi A`, "", "grep: -qi is not supported\n", 2},
 		{`echo a | grep -x a`, "", "grep: -x is not supported\n", 2},
-		{`echo 'a[b' | grep 'a['`, "", "grep: error parsing regexp: missing closing ]: `[`\n", 2},
-		{`echo 'a[b' | grep -c 'a['`, "", "grep: error parsing regexp: missing closing ]: `[`\n", 2},
+		{`echo 'a[b' | grep 'a['`, "", `grep: "[" in "a["` + refused, 2},
+		{`echo 'a[b' | grep -c 'a['`, "", `grep: "[" in "a["` + refused, 2},
 	} {
 		if res := run(t, tc.script); res.Stdout != tc.stdout || res.Stderr != tc.stderr || res.ExitCode != tc.exit {
 			t.Errorf("%s: %+v, want stdout %q stderr %q exit %d", tc.script, res, tc.stdout, tc.stderr, tc.exit)
@@ -291,19 +298,54 @@ func TestGrepEmptyInput(t *testing.T) {
 	}
 }
 
-// TestGrepMatcherHit: a repeated matcher lookup hands back the compiled
-// regexp the first one built and allocates nothing.
-func TestGrepMatcherHit(t *testing.T) {
-	re, err := compileGrep("Run+ing")
-	if again, _ := compileGrep("Run+ing"); err != nil || again != re {
-		t.Fatal("a repeated lookup compiled the pattern again")
+// grepCommand matches a grep command in a unit-test script: its
+// options, then its pattern, quoted or bare.
+var grepCommand = regexp.MustCompile(`grep( -[a-zA-Z]+)* ('[^']*'|"[^"]*"|[^\s|;&)]+)`)
+
+// FuzzGrepMatchesRegexp: on any line, a pattern grep reads (literal
+// text and '.') selects the line exactly when Go's regexp, which grep
+// ran before, matches it. Seeded with every pattern the corpus's scripts
+// pass to grep, the one that expands $svc expanded, and with text that
+// is not UTF-8 or not ASCII.
+func FuzzGrepMatchesRegexp(f *testing.F) {
+	seen := map[string]bool{}
+	for _, p := range augment.ExpandCorpus(dataset.Generate()) {
+		for _, m := range grepCommand.FindAllStringSubmatch(p.UnitTest, -1) {
+			pattern := strings.ReplaceAll(strings.Trim(m[2], `'"`), "$svc", "web-svc")
+			if seen[pattern] {
+				continue
+			}
+			seen[pattern] = true
+			if strings.ContainsAny(pattern, grepMeta) {
+				f.Fatalf("the corpus pattern %q holds a character grep refuses", pattern)
+			}
+			f.Add(pattern, pattern)
+			f.Add("before "+pattern+" after", pattern)
+			f.Add(pattern[:len(pattern)/2], pattern)
+		}
 	}
-	if raceflag.Enabled {
-		return
+	if len(seen) < 38 {
+		f.Fatalf("only %d grep patterns found in the corpus", len(seen))
 	}
-	if allocs := testing.AllocsPerRun(100, func() { compileGrep("Run+ing") }); allocs != 0 {
-		t.Errorf("a grep-matcher hit allocates %.0f times, want 0", allocs)
+	for _, c := range [][2]string{
+		{"", ""}, {"abc", ""}, {"", "."}, {"a\xffb", "a.b"}, {"a\xffb", "a\uFFFDb"}, {"\xe2\x82", ".."},
+		{"héllo wörld", "h.llo"}, {"日本語", "本."}, {"日本語", "..."}, {"日本語", "...."}, {"\xf0\x9f\x98", "\uFFFD"},
+	} {
+		f.Add(c[0], c[1])
 	}
+	f.Fuzz(func(t *testing.T, line, pattern string) {
+		line, _, _ = strings.Cut(line, "\n") // grep reads its input a line at a time
+		if strings.ContainsAny(pattern, grepMeta) || !utf8.ValidString(pattern) {
+			return // refused
+		}
+		re, err := regexp.Compile(pattern)
+		if err != nil {
+			t.Fatalf("grep reads %q, which is no regexp: %v", pattern, err)
+		}
+		if got, want := grepMatch(line, pattern), re.MatchString(line); got != want {
+			t.Errorf("grepMatch(%q, %q) = %v, regexp says %v", line, pattern, got, want)
+		}
+	})
 }
 
 func TestAndOrChains(t *testing.T) {

@@ -211,8 +211,10 @@ func splitURL(url string) (host string, port int, path string) {
 	port = 80
 	if i := strings.LastIndexByte(rest, ':'); i >= 0 {
 		host = rest[:i]
-		if p, err := strconv.Atoi(rest[i+1:]); err == nil {
-			port = p
+		if digits := rest[i+1:]; digits != "" && strings.Trim(digits, "0123456789") == "" {
+			if p, err := strconv.Atoi(digits); err == nil {
+				port = p
+			}
 		}
 	}
 	return host, port, path
