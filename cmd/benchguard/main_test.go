@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -45,172 +44,28 @@ func TestParseBench(t *testing.T) {
 	if _, ok := cold.Metrics["B/op"]; ok {
 		t.Error("B/op leaked into the metric map")
 	}
-	r, err := ratio(got)
-	if err != nil || r != 0.3 {
-		t.Errorf("ratio = %v, %v; want 0.3", r, err)
+	// Repeats keep their highest B/op as well as their highest allocs.
+	if eng := mustParse(repeatSample)["ZeroShotEngine"]; eng.BytesPerOp != 7348112 || eng.Metrics["cache-hits"] != 7459 {
+		t.Errorf("repeated ZeroShotEngine = %+v, want the highest B/op 7348112", eng)
 	}
 }
 
-func writeSample(t *testing.T, dir string) string {
-	t.Helper()
-	benchPath := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(benchPath, []byte(sample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return benchPath
-}
-
-func writeBaseline(t *testing.T, dir string, art Artifact) string {
-	t.Helper()
-	baselinePath := filepath.Join(dir, "baseline.json")
-	data, err := json.Marshal(art)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(baselinePath, data, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	return baselinePath
-}
-
-func TestRegressionGate(t *testing.T) {
-	dir := t.TempDir()
-	benchPath := writeSample(t, dir)
-
-	// Current ratio 0.3 vs baseline ratio 0.3: within the gate.
-	baselinePath := writeBaseline(t, dir, Artifact{
-		Sha: "baseline",
-		Benchmarks: map[string]BenchResult{
-			"ZeroShotSerial": {Iterations: 1, NsPerOp: 3e9},
-			"ZeroShotEngine": {Iterations: 1, NsPerOp: 9e8},
-		},
-	})
-	outPath := filepath.Join(dir, "BENCH_abc.json")
-	if err := run(benchPath, outPath, "abc", baselinePath, gates{maxRegress: 20}); err != nil {
-		t.Fatalf("gate failed within tolerance: %v", err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if art.Sha != "abc" || art.EngineVsSerial != 0.3 {
-		t.Errorf("artifact = sha %q ratio %v", art.Sha, art.EngineVsSerial)
-	}
-	if art.Benchmarks["ColdPathUnitTest"].AllocsPerOp != 227 {
-		t.Errorf("artifact lost allocs/op: %+v", art.Benchmarks["ColdPathUnitTest"])
-	}
-
-	// Baseline engine was 2x faster (ratio 0.15): current 0.3 is a 100%
-	// regression and must fail the gate.
-	baselinePath = writeBaseline(t, dir, Artifact{
-		Sha: "baseline",
-		Benchmarks: map[string]BenchResult{
-			"ZeroShotSerial": {Iterations: 1, NsPerOp: 3e9},
-			"ZeroShotEngine": {Iterations: 1, NsPerOp: 4.5e8},
-		},
-	})
-	if err := run(benchPath, "", "abc", baselinePath, gates{maxRegress: 20}); err == nil {
-		t.Fatal("gate passed a 100% engine regression")
-	}
-
-	// The same regression passes with the gate disabled.
-	if err := run(benchPath, "", "abc", baselinePath, gates{}); err != nil {
-		t.Fatalf("disabled gate failed: %v", err)
-	}
-}
-
-func TestAllocGate(t *testing.T) {
-	dir := t.TempDir()
-	benchPath := writeSample(t, dir)
-
-	// Baseline allocs match the sample: pass.
-	ok := Artifact{Benchmarks: map[string]BenchResult{
-		"ColdPathUnitTest": {Iterations: 1, NsPerOp: 25000, AllocsPerOp: 227},
-		"ColdPathCampaign": {Iterations: 1, NsPerOp: 8.2e6, AllocsPerOp: 50274},
-	}}
-	if err := run(benchPath, "", "abc", writeBaseline(t, dir, ok), gates{maxAllocRegress: 15}); err != nil {
-		t.Fatalf("alloc gate failed at parity: %v", err)
-	}
-
-	// Baseline was 100 allocs/op: the sample's 227 is a regression.
-	bad := Artifact{Benchmarks: map[string]BenchResult{
-		"ColdPathUnitTest": {Iterations: 1, NsPerOp: 25000, AllocsPerOp: 100},
-	}}
-	badPath := writeBaseline(t, dir, bad)
-	if err := run(benchPath, "", "abc", badPath, gates{maxAllocRegress: 15}); err == nil {
-		t.Fatal("alloc gate passed a 127% regression")
-	}
-	if err := run(benchPath, "", "abc", badPath, gates{}); err != nil {
-		t.Fatalf("disabled alloc gate failed: %v", err)
-	}
-
-	// Benchmarks without an alloc baseline never participate.
-	unrelated := Artifact{Benchmarks: map[string]BenchResult{
-		"ZeroShotSerial": {Iterations: 1, NsPerOp: 3e9},
-	}}
-	if err := run(benchPath, "", "abc", writeBaseline(t, dir, unrelated), gates{maxAllocRegress: 15}); err != nil {
-		t.Fatalf("alloc gate tripped without a baseline: %v", err)
-	}
-}
-
-// TestArtifactWrittenOnBadBaseline pins the CI contract: the
-// BENCH_<sha>.json artifact is written even when the baseline is
-// missing or corrupt (the workflow uploads it with `if: always()`),
-// and the baseline error still fails the run afterwards.
-func TestArtifactWrittenOnBadBaseline(t *testing.T) {
-	dir := t.TempDir()
-	benchPath := writeSample(t, dir)
-	outPath := filepath.Join(dir, "BENCH_bad.json")
-	missing := filepath.Join(dir, "nope.json")
-	if err := run(benchPath, outPath, "bad", missing, gates{maxRegress: 20}); err == nil {
-		t.Fatal("missing baseline did not fail the run")
-	}
-	if _, err := os.Stat(outPath); err != nil {
-		t.Fatalf("artifact not written on bad baseline: %v", err)
-	}
-}
-
-const parallelSample = `goos: linux
-pkg: cloudeval
+// full is one run of every benchmark a row reads, with -cpu 1,4 points
+// where a row needs both: CampaignParallel scales 3.2x,
+// StoreAppendParallel 2x, and the pipelined campaign is 8x faster than
+// the interleaved one at 4 cores (20x at 1 core).
+const full = sample + `BenchmarkGenerateBatched-4   	      50	  11000000 ns/op	 4340000 B/op	   15729 allocs/op
+BenchmarkStoreColdGet-4      	  200000	      6500 ns/op	     824 B/op	       1 allocs/op
+BenchmarkScoreAnswer-4       	   13195	     21000 ns/op	     712 B/op	       1 allocs/op
 BenchmarkCampaignParallel    	       3	 320000000 ns/op	 4000000 B/op	   20000 allocs/op
 BenchmarkCampaignParallel-4  	       4	 100000000 ns/op	 4100000 B/op	   20500 allocs/op
-BenchmarkGenerateBatched-4   	      50	  11000000 ns/op	 4340000 B/op	   15729 allocs/op
-PASS
+BenchmarkStoreAppendParallel    	    1000	     30000 ns/op	         8.000 frames-per-flush
+BenchmarkStoreAppendParallel-4  	    4000	     15000 ns/op	        24.00 frames-per-flush
+BenchmarkCampaignPipelined      	       5	 200000000 ns/op	        64.00 peak-gen-inflight
+BenchmarkCampaignPipelined-4    	      10	 150000000 ns/op	        64.00 peak-gen-inflight
+BenchmarkCampaignInterleaved    	       1	4000000000 ns/op
+BenchmarkCampaignInterleaved-4  	       1	1200000000 ns/op
 `
-
-func TestParseBenchFoldsCPUVariants(t *testing.T) {
-	got, err := parseBench(strings.NewReader(parallelSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, ok := got["CampaignParallel"]
-	if !ok {
-		t.Fatalf("CampaignParallel missing; parsed %v", got)
-	}
-	if cp.ByCPU["1"] != 3.2e8 || cp.ByCPU["4"] != 1e8 {
-		t.Errorf("ByCPU = %v, want 1:3.2e8 4:1e8", cp.ByCPU)
-	}
-	// Headline fields hold the last -cpu line parsed.
-	if cp.NsPerOp != 1e8 || cp.AllocsPerOp != 20500 {
-		t.Errorf("headline = %+v, want the -4 line", cp)
-	}
-	scale, ok := parallelScale(got)
-	if !ok || scale != 3.2 {
-		t.Errorf("parallelScale = %v, %v; want 3.2", scale, ok)
-	}
-	// A single-cpu run (no -4 line) yields no scaling figure.
-	single, err := parseBench(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, ok := parallelScale(single); ok {
-		t.Error("parallelScale reported a figure without -cpu 1,4 data")
-	}
-}
 
 // repeatSample is -count 5 of the engine-ratio pair, with the serial
 // run's slowest repeat last, -count 3 of Table4ZeroShot, whose first
@@ -238,484 +93,196 @@ BenchmarkCampaignParallel-4  	       4	 120000000 ns/op	 4100000 B/op	   20400 a
 PASS
 `
 
-// TestParseBenchMedianOfRepeats: the repeated lines of one name and
-// GOMAXPROCS fold into their median ns/op, so one slow repeat moves
-// neither side of the engine ratio, and into their highest B/op and
-// allocs/op, so a cold first repeat stays under the allocation gate
-// whatever order the repeats print in.
-func TestParseBenchMedianOfRepeats(t *testing.T) {
-	got, err := parseBench(strings.NewReader(repeatSample))
+func mustParse(text string) map[string]BenchResult {
+	benchmarks, err := parseBench(strings.NewReader(text))
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	serial, eng := got["ZeroShotSerial"], got["ZeroShotEngine"]
-	if serial.NsPerOp != 2.75e9 || serial.ByCPU["2"] != 2.75e9 {
-		t.Errorf("ZeroShotSerial = %+v, want median 2.75e9", serial)
-	}
-	if eng.NsPerOp != 2.6e8 || eng.AllocsPerOp != 49090 || eng.BytesPerOp != 7348112 || eng.Metrics["cache-hits"] != 7459 {
-		t.Errorf("ZeroShotEngine = %+v, want median 2.6e8 and the highest B/op and allocs", eng)
-	}
-	if t4 := got["Table4ZeroShot"]; t4.NsPerOp != 1.35e8 || t4.AllocsPerOp != 530112 || t4.BytesPerOp != 75946928 {
-		t.Errorf("Table4ZeroShot = %+v, want median 1.35e8 and the cold repeat's 530112 allocs, 75946928 B", t4)
-	}
-	if r, err := ratio(got); err != nil || r != 2.6e8/2.75e9 {
-		t.Errorf("ratio = %v, %v; want %v", r, err, 2.6e8/2.75e9)
-	}
-	// An even count takes the mean of the two middle values, and each
-	// GOMAXPROCS folds on its own.
-	cp := got["CampaignParallel"]
-	if cp.ByCPU["1"] != 3.4e8 || cp.ByCPU["4"] != 1.1e8 || cp.NsPerOp != 1.1e8 || cp.AllocsPerOp != 20500 {
-		t.Errorf("CampaignParallel = %+v, want ByCPU 1:3.4e8 4:1.1e8, headline 1.1e8 with the -4 lines' highest allocs", cp)
-	}
+	return benchmarks
 }
 
-func TestParallelScaleGate(t *testing.T) {
-	good, err := parseBench(strings.NewReader(parallelSample))
+// baseline renders bench output as a baseline file.
+func baseline(text string) string {
+	data, err := json.Marshal(Artifact{Sha: "baseline", Benchmarks: mustParse(text)})
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	bad, err := parseBench(strings.NewReader(strings.ReplaceAll(
-		parallelSample, " 100000000 ns/op", " 200000000 ns/op")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gateParallelScale(good, 0); err != nil {
-		t.Fatalf("disabled gate failed: %v", err)
-	}
-	if runtime.NumCPU() < 4 {
-		// The gate must announce itself skipped, not fail, on small
-		// runners — including this one.
-		if err := gateParallelScale(bad, 2.5); err != nil {
-			t.Fatalf("gate did not skip on a %d-CPU machine: %v", runtime.NumCPU(), err)
-		}
-		t.Skipf("%d CPUs: enforcement paths need >= 4", runtime.NumCPU())
-	}
-	if err := gateParallelScale(good, 2.5); err != nil {
-		t.Fatalf("gate failed a 3.2x speedup: %v", err)
-	}
-	if err := gateParallelScale(bad, 2.5); err == nil {
-		t.Fatal("gate passed a 1.6x speedup")
-	}
-	if err := gateParallelScale(map[string]BenchResult{}, 2.5); err == nil {
-		t.Fatal("gate passed with no CampaignParallel measurements")
-	}
+	return string(data)
 }
 
-const storeSample = `goos: linux
-pkg: cloudeval
-BenchmarkStoreAppendParallel    	    1000	     30000 ns/op	         8.000 frames-per-flush
-BenchmarkStoreAppendParallel-4  	    4000	     15000 ns/op	        24.00 frames-per-flush
-BenchmarkStoreOpenWarm-4        	      20	  22000000 ns/op	      5000 records-replayed
-PASS
-`
-
-func TestStoreScaleGate(t *testing.T) {
-	good, err := parseBench(strings.NewReader(storeSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if scale, ok := storeScale(good); !ok || scale != 2.0 {
-		t.Errorf("storeScale = %v, %v; want 2.0", scale, ok)
-	}
-	if warm, ok := good["StoreOpenWarm"]; !ok || warm.Metrics["records-replayed"] != 5000 {
-		t.Errorf("StoreOpenWarm = %+v, want records-replayed 5000", warm)
-	}
-	bad, err := parseBench(strings.NewReader(strings.ReplaceAll(
-		storeSample, "     15000 ns/op", "     25000 ns/op")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gateStoreScale(good, 0); err != nil {
-		t.Fatalf("disabled gate failed: %v", err)
-	}
-	if runtime.NumCPU() < 4 {
-		// The gate must announce itself skipped, not fail, on small
-		// runners — including this one.
-		if err := gateStoreScale(bad, 1.5); err != nil {
-			t.Fatalf("gate did not skip on a %d-CPU machine: %v", runtime.NumCPU(), err)
-		}
-		t.Skipf("%d CPUs: enforcement paths need >= 4", runtime.NumCPU())
-	}
-	if err := gateStoreScale(good, 1.5); err != nil {
-		t.Fatalf("gate failed a 2.0x speedup: %v", err)
-	}
-	if err := gateStoreScale(bad, 1.5); err == nil {
-		t.Fatal("gate passed a 1.2x speedup")
-	}
-	if err := gateStoreScale(map[string]BenchResult{}, 1.5); err == nil {
-		t.Fatal("gate passed with no StoreAppendParallel measurements")
-	}
-}
-
-// coldGetSample is the store's read-path benchmark with -benchmem.
-const coldGetSample = `goos: linux
-pkg: cloudeval
-BenchmarkStoreColdGet-4         	  200000	      6500 ns/op	     824 B/op	      11 allocs/op
-PASS
-`
-
-// pipelineSample pairs the pipelined and interleaved latency-campaign
-// benchmarks of one run: 8x apart at 4 cores, 20x at 1 core (a single
-// executor leaves the most latency exposed in the interleaved shape).
-const pipelineSample = `goos: linux
-pkg: cloudeval
-BenchmarkCampaignPipelined      	       5	 200000000 ns/op	        64.00 peak-gen-inflight
-BenchmarkCampaignPipelined-4    	      10	 150000000 ns/op	        64.00 peak-gen-inflight
-BenchmarkCampaignInterleaved    	       1	4000000000 ns/op
-BenchmarkCampaignInterleaved-4  	       1	1200000000 ns/op
-PASS
-`
-
-func TestPipelineOverlapGate(t *testing.T) {
-	benchmarks, err := parseBench(strings.NewReader(pipelineSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The ratio must come from the 4-core points (8x), not the 1-core
-	// headline fallback (20x).
-	if overlap, ok := pipelineOverlap(benchmarks); !ok || overlap != 8 {
-		t.Errorf("pipelineOverlap = %v, %v; want 8 from the 4-core points", overlap, ok)
-	}
-	// Without -cpu points the headline ns/op carries the ratio.
-	headline := map[string]BenchResult{
-		pipelinedBench:   {NsPerOp: 100},
-		interleavedBench: {NsPerOp: 300},
-	}
-	if overlap, ok := pipelineOverlap(headline); !ok || overlap != 3 {
-		t.Errorf("headline pipelineOverlap = %v, %v; want 3", overlap, ok)
-	}
-	bad, err := parseBench(strings.NewReader(strings.ReplaceAll(
-		pipelineSample, " 150000000 ns/op", " 1000000000 ns/op")))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gatePipelineOverlap(benchmarks, 0); err != nil {
-		t.Fatalf("disabled gate failed: %v", err)
-	}
-	if runtime.NumCPU() < 4 {
-		// The gate must announce itself skipped, not fail, on small
-		// runners — including this one.
-		if err := gatePipelineOverlap(bad, 1.54); err != nil {
-			t.Fatalf("gate did not skip on a %d-CPU machine: %v", runtime.NumCPU(), err)
-		}
-		t.Skipf("%d CPUs: enforcement paths need >= 4", runtime.NumCPU())
-	}
-	if err := gatePipelineOverlap(benchmarks, 1.54); err != nil {
-		t.Fatalf("gate failed an 8x overlap: %v", err)
-	}
-	if err := gatePipelineOverlap(bad, 1.54); err == nil {
-		t.Fatal("gate passed a 1.2x overlap")
-	}
-	if err := gatePipelineOverlap(map[string]BenchResult{}, 1.54); err == nil {
-		t.Fatal("gate passed with neither campaign benchmark present")
-	}
-}
-
-// TestPipelineOverlapInArtifact: the measured overlap folds into the
-// written artifact whether or not the gate is active.
-func TestPipelineOverlapInArtifact(t *testing.T) {
-	dir := t.TempDir()
-	benchPath := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(benchPath, []byte(pipelineSample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outPath := filepath.Join(dir, "BENCH_pipe.json")
-	if err := run(benchPath, outPath, "pipe", "", gates{}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if art.PipelineOverlap != 8 {
-		t.Errorf("artifact pipeline overlap = %v, want 8", art.PipelineOverlap)
-	}
-}
-
-func TestColdGetAllocCapGate(t *testing.T) {
-	benchmarks, err := parseBench(strings.NewReader(coldGetSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sample StoreColdGet is 11 allocs/op; cap 24 passes, 10 fails.
-	if err := gateColdGetAllocCap(benchmarks, Artifact{StoreColdGetMaxAllocs: 24}); err != nil {
-		t.Fatalf("cap gate failed under the cap: %v", err)
-	}
-	if err := gateColdGetAllocCap(benchmarks, Artifact{StoreColdGetMaxAllocs: 10}); err == nil {
-		t.Fatal("cap gate passed 11 allocs/op against a 10 cap")
-	}
-	if err := gateColdGetAllocCap(benchmarks, Artifact{}); err != nil {
-		t.Fatalf("cap gate tripped without a baseline record: %v", err)
-	}
-	if err := gateColdGetAllocCap(map[string]BenchResult{}, Artifact{StoreColdGetMaxAllocs: 24}); err != nil {
-		t.Fatalf("cap gate tripped on a run without the benchmark: %v", err)
-	}
-
-	// The cap is carried from the baseline into the artifact.
-	dir := t.TempDir()
-	benchPath := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(benchPath, []byte(coldGetSample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outPath := filepath.Join(dir, "BENCH_cold.json")
-	base := Artifact{StoreColdGetMaxAllocs: 24}
-	if err := run(benchPath, outPath, "cold", writeBaseline(t, dir, base), gates{}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if art.StoreColdGetMaxAllocs != 24 {
-		t.Errorf("artifact cold-get cap = %v, want 24 carried from baseline", art.StoreColdGetMaxAllocs)
-	}
-}
-
-func TestScoreAnswerAllocCapGate(t *testing.T) {
-	const sample = `goos: linux
-pkg: cloudeval
-BenchmarkScoreAnswer-4   	   13195	     21000 ns/op	     712 B/op	       1 allocs/op
-PASS
-`
-	benchmarks, err := parseBench(strings.NewReader(sample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := gateScoreAnswerAllocCap(benchmarks, Artifact{ScoreAnswerMaxAllocs: 8}); err != nil {
-		t.Fatalf("cap gate failed under the cap: %v", err)
-	}
-	benchmarks["ScoreAnswer"] = BenchResult{AllocsPerOp: 330} // the two-string forms
-	if err := gateScoreAnswerAllocCap(benchmarks, Artifact{ScoreAnswerMaxAllocs: 8}); err == nil {
-		t.Fatal("cap gate passed 330 allocs/op against a cap of 8")
-	}
-	if err := gateScoreAnswerAllocCap(benchmarks, Artifact{}); err != nil {
-		t.Fatalf("cap gate tripped without a baseline record: %v", err)
-	}
-
-	// End to end: the cap is carried from baseline into the artifact.
-	dir := t.TempDir()
-	benchPath := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(benchPath, []byte(sample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outPath := filepath.Join(dir, "BENCH_score.json")
-	if err := run(benchPath, outPath, "score", writeBaseline(t, dir, Artifact{ScoreAnswerMaxAllocs: 8}), gates{}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if art.ScoreAnswerMaxAllocs != 8 {
-		t.Errorf("artifact cap = %v, want 8 carried from baseline", art.ScoreAnswerMaxAllocs)
-	}
-}
-
-func TestAllocCapGate(t *testing.T) {
-	benchmarks, err := parseBench(strings.NewReader(parallelSample))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Sample GenerateBatched is 15729 allocs/op; cap 35500 passes.
-	if err := gateAllocCap(benchmarks, Artifact{GenerateBatchedMaxAllocs: 35500}); err != nil {
-		t.Fatalf("cap gate failed under the cap: %v", err)
-	}
-	if err := gateAllocCap(benchmarks, Artifact{GenerateBatchedMaxAllocs: 15000}); err == nil {
-		t.Fatal("cap gate passed 15729 allocs/op against a 15000 cap")
-	}
-	// No recorded cap, or a run that skipped the benchmark: inactive.
-	if err := gateAllocCap(benchmarks, Artifact{}); err != nil {
-		t.Fatalf("cap gate tripped without a baseline record: %v", err)
-	}
-	if err := gateAllocCap(map[string]BenchResult{}, Artifact{GenerateBatchedMaxAllocs: 100}); err != nil {
-		t.Fatalf("cap gate tripped on a run without the benchmark: %v", err)
-	}
-
-	// End to end: the cap is carried from baseline into the artifact.
-	dir := t.TempDir()
-	benchPath := filepath.Join(dir, "bench.txt")
-	if err := os.WriteFile(benchPath, []byte(parallelSample), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	base := Artifact{GenerateBatchedMaxAllocs: 35500}
-	outPath := filepath.Join(dir, "BENCH_cap.json")
-	if err := run(benchPath, outPath, "cap", writeBaseline(t, dir, base), gates{}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(outPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if art.GenerateBatchedMaxAllocs != 35500 {
-		t.Errorf("artifact cap = %v, want 35500", art.GenerateBatchedMaxAllocs)
-	}
-	if art.CampaignParallelScaling != 3.2 {
-		t.Errorf("artifact scaling = %v, want 3.2", art.CampaignParallelScaling)
-	}
-}
-
-// healthyReport is a plausible loadgen report for a healthy service.
-func healthyReport() loadgen.Report {
-	return loadgen.Report{
+// report renders a loadgen report with the given p99, error rate and
+// error classes.
+func report(p99, errorRate float64, errs map[string]int) string {
+	data, err := json.Marshal(loadgen.Report{
 		Target: "http://127.0.0.1:1", Requests: 200, Concurrency: 8,
 		DurationSec: 2, ThroughputQPS: 100,
-		LatencyMs: loadgen.Latency{P50: 3, P95: 12, P99: 40, Mean: 5, Max: 55},
-	}
-}
-
-func writeLoadgenReport(t *testing.T, dir string, rep loadgen.Report) string {
-	t.Helper()
-	path := filepath.Join(dir, "loadgen.json")
-	if err := loadgen.WriteReport(path, rep); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestLoadgenLatencyGate is the seeded-regression check: a report whose
-// p99 exceeds the ceiling must fail the gate (cpus forced to 4 so the
-// enforcement path runs regardless of the host).
-func TestLoadgenLatencyGate(t *testing.T) {
-	good := healthyReport()
-	if err := gateLoadgenLatency(good, 100, 4); err != nil {
-		t.Fatalf("latency gate failed a 40ms p99 against a 100ms ceiling: %v", err)
-	}
-
-	// The seeded regression: p99 blows past the ceiling.
-	bad := healthyReport()
-	bad.LatencyMs.P99 = 250
-	if err := gateLoadgenLatency(bad, 100, 4); err == nil {
-		t.Fatal("latency gate passed a 250ms p99 against a 100ms ceiling")
-	}
-
-	// Small runners skip loudly instead of measuring scheduler noise.
-	if err := gateLoadgenLatency(bad, 100, 2); err != nil {
-		t.Fatalf("latency gate did not skip on a 2-CPU machine: %v", err)
-	}
-	// Ceiling 0 disables.
-	if err := gateLoadgenLatency(bad, 0, 4); err != nil {
-		t.Fatalf("disabled latency gate failed: %v", err)
-	}
-}
-
-func TestLoadgenErrorRateGate(t *testing.T) {
-	good := healthyReport()
-	if err := gateLoadgenErrors(good, 0.01); err != nil {
-		t.Fatalf("error gate failed a clean report: %v", err)
-	}
-	// A ceiling of exactly 0 is active: no errors tolerated.
-	if err := gateLoadgenErrors(good, 0); err != nil {
-		t.Fatalf("zero-ceiling gate failed a clean report: %v", err)
-	}
-
-	bad := healthyReport()
-	bad.ErrorRate = 0.05
-	bad.Errors = map[string]int{"rate_limited": 8, "http_500": 2}
-	err := gateLoadgenErrors(bad, 0.01)
-	if err == nil {
-		t.Fatal("error gate passed a 5% error rate against a 1% ceiling")
-	}
-	// The failure names the error classes, so CI logs say what broke.
-	if !strings.Contains(err.Error(), "rate_limited=8") {
-		t.Errorf("error gate failure does not name the classes: %v", err)
-	}
-	// Negative disables.
-	if err := gateLoadgenErrors(bad, -1); err != nil {
-		t.Fatalf("disabled error gate failed: %v", err)
-	}
-}
-
-// TestLoadgenGateEndToEnd drives the -loadgen path through run(): the
-// report folds into the artifact, a healthy report passes, a seeded
-// regression fails, and a corrupt report still writes the artifact.
-func TestLoadgenGateEndToEnd(t *testing.T) {
-	if runtime.NumCPU() < 4 {
-		t.Skipf("%d CPUs: the p99 enforcement path needs >= 4", runtime.NumCPU())
-	}
-	dir := t.TempDir()
-	benchPath := writeSample(t, dir)
-	repPath := writeLoadgenReport(t, dir, healthyReport())
-	outPath := filepath.Join(dir, "BENCH_lg.json")
-
-	g := gates{loadgenPath: repPath, maxP99Ms: 100, maxErrorRate: 0.01}
-	if err := run(benchPath, outPath, "lg", "", g); err != nil {
-		t.Fatalf("healthy loadgen report failed the gates: %v", err)
-	}
-	data, err := os.ReadFile(outPath)
+		LatencyMs: loadgen.Latency{P50: 3, P95: 12, P99: p99, Mean: 5, Max: p99 + 15},
+		ErrorRate: errorRate, Errors: errs,
+	})
 	if err != nil {
-		t.Fatal(err)
+		panic(err)
 	}
-	var art Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if art.Loadgen == nil || art.Loadgen.LatencyMs.P99 != 40 || art.Loadgen.Requests != 200 {
-		t.Errorf("loadgen report not folded into the artifact: %+v", art.Loadgen)
-	}
+	return string(data)
+}
 
-	// Seeded regression through the full run() path.
-	slow := healthyReport()
-	slow.LatencyMs.P99 = 250
-	g.loadgenPath = writeLoadgenReport(t, dir, slow)
-	if err := run(benchPath, "", "lg", "", g); err == nil {
-		t.Fatal("run() passed a seeded p99 regression")
+// TestGates runs every row through run(): each case's log or error must
+// hold its lines, the run must fail exactly when a row or an input
+// fails, and the artifact is written whatever the verdict (CI uploads it
+// with if: always()).
+func TestGates(t *testing.T) {
+	healthy := report(40, 0, nil)
+	edit := func(s string, oldnew ...string) string { return strings.NewReplacer(oldnew...).Replace(s) }
+	cases := []struct {
+		name     string
+		bench    string
+		base, lg string // file contents; "" passes no flag
+		cpus     int
+		fail     bool
+		want     []string // lines the log or the error must hold
+	}{
+		{name: "pass", bench: full, base: baseline(full), lg: healthy, cpus: 4, want: []string{
+			"pass engine-ratio 0.3 (needs ≤ 0.36 = 1.2 × baseline 0.3)",
+			"pass cold-speedup 3.99248 (needs ≥ 2)",
+			"pass allocs-cap GenerateBatched 15729 (needs ≤ 35500)",
+			"pass allocs-cap StoreColdGet 1 (needs ≤ 4)",
+			"pass allocs-cap ScoreAnswer 1 (needs ≤ 8)",
+			"pass campaign-scaling 3.2 (needs ≥ 2.5)",
+			"pass store-scaling 2 (needs ≥ 1.5)",
+			"pass pipeline-overlap 8 (needs ≥ 1.54)",
+			"pass loadgen-p99-ms 40 (needs ≤ 500)",
+			"pass loadgen-error-rate 0 (needs ≤ 0.01)",
+			"pass allocs ColdPathUnitTest 227 (needs ≤ 261.05 = 1.15 × baseline 227)",
+		}},
+		{name: "loud skip below 4 CPUs", cpus: 2, base: baseline(full), lg: report(600, 0, nil),
+			bench: edit(full, " 100000000 ns/op", " 200000000 ns/op", "     15000 ns/op", "     25000 ns/op", " 150000000 ns/op", " 1000000000 ns/op"),
+			want: []string{
+				"skip campaign-scaling: 2 CPUs, needs 4",
+				"skip store-scaling: 2 CPUs, needs 4",
+				"skip pipeline-overlap: 2 CPUs, needs 4",
+				"skip loadgen-p99-ms: 2 CPUs, needs 4",
+			}},
+		{name: "scaling regressions", cpus: 4, base: baseline(full), lg: healthy, fail: true,
+			bench: edit(full, " 100000000 ns/op", " 200000000 ns/op", "     15000 ns/op", "     25000 ns/op", " 150000000 ns/op", " 1000000000 ns/op"),
+			want: []string{
+				"FAIL campaign-scaling 1.6 (needs ≥ 2.5): a shared lock is serializing the campaign",
+				"FAIL store-scaling 1.2 (needs ≥ 1.5): appends are serializing on a lock shared across shards",
+				"FAIL pipeline-overlap 1.2 (needs ≥ 1.54): provider latency is paid in sequence with execution again",
+			}},
+		{name: "engine ratio regression", bench: full, lg: healthy, cpus: 2, fail: true,
+			base: baseline(edit(full, " 900000000 ns/op", " 450000000 ns/op")),
+			want: []string{"FAIL engine-ratio 0.3 (needs ≤ 0.18 = 1.2 × baseline 0.15)"}},
+		{name: "allocs regression", bench: full, lg: healthy, cpus: 2, fail: true,
+			base: baseline(edit(full, "     227 allocs/op", "     100 allocs/op")),
+			want: []string{"FAIL allocs ColdPathUnitTest 227 (needs ≤ 115 = 1.15 × baseline 100)"}},
+		{name: "hard caps and cold speedup", base: baseline(full), lg: healthy, cpus: 2, fail: true,
+			bench: edit(full, "   15729 allocs/op", "   36000 allocs/op", "       1 allocs/op", "      11 allocs/op", "     25000 ns/op", "     60000 ns/op"),
+			want: []string{
+				"FAIL allocs-cap GenerateBatched 36000 (needs ≤ 35500)",
+				"FAIL allocs-cap StoreColdGet 11 (needs ≤ 4)",
+				"FAIL allocs-cap ScoreAnswer 11 (needs ≤ 8)",
+				"FAIL cold-speedup 1.66353 (needs ≥ 2)",
+			}},
+		{name: "loadgen regressions", bench: full, base: baseline(full), cpus: 4, fail: true,
+			lg: report(600, 0.05, map[string]int{"rate_limited": 8, "http_500": 2}),
+			want: []string{
+				"loadgen errors http_500=2 rate_limited=8",
+				"FAIL loadgen-p99-ms 600 (needs ≤ 500)",
+				"FAIL loadgen-error-rate 0.05 (needs ≤ 0.01)",
+			}},
+		{name: "missing inputs", bench: edit(sample, "-8 ", "-4 ") + "BenchmarkCampaignParallel 3 320000000 ns/op\n",
+			base: baseline(full), cpus: 4, fail: true, want: []string{
+				"FAIL allocs-cap ScoreAnswer: ScoreAnswer missing",
+				"FAIL campaign-scaling: CampaignParallel missing -cpu 1,4 measurements",
+				"FAIL pipeline-overlap: CampaignInterleaved missing",
+				"FAIL loadgen-p99-ms: no loadgen report",
+				"FAIL loadgen-error-rate: no loadgen report",
+				"FAIL allocs GenerateBatched: GenerateBatched missing",
+				"pass allocs ColdPathUnitTest 227 (needs ≤ 261.05 = 1.15 × baseline 227)",
+			}},
+		{name: "no baseline", bench: full, lg: healthy, cpus: 2, fail: true,
+			want: []string{"FAIL engine-ratio: baseline: ZeroShotEngine missing"}},
+		{name: "bad baseline", bench: full, base: "{not json", lg: healthy, cpus: 2, fail: true,
+			want: []string{"baseline: invalid character"}},
+		{name: "corrupt loadgen report", bench: full, base: baseline(full), lg: "{not json", cpus: 2, fail: true,
+			want: []string{"loadgen report: invalid character", "FAIL loadgen-error-rate: no loadgen report"}},
+		// Repeats fold into their median ns/op, so one slow repeat moves
+		// neither side of the engine ratio (2.6e8 / 2.75e9), and into
+		// their highest allocs/op, so Table4ZeroShot's cold first repeat
+		// stays under its row. Each -cpu point folds on its own, an even
+		// count to the mean of its middle two (3.4e8 / 1.1e8).
+		{name: "repeats", bench: repeatSample, base: baseline(repeatSample), lg: healthy, cpus: 4, fail: true, want: []string{
+			"pass engine-ratio 0.0945455 (needs ≤ 0.113455 = 1.2 × baseline 0.0945455)",
+			"pass allocs Table4ZeroShot 530112 (needs ≤ 609629 = 1.15 × baseline 530112)",
+			"pass allocs ZeroShotEngine 49090 (needs ≤ 56453.5 = 1.15 × baseline 49090)",
+			"pass campaign-scaling 3.09091 (needs ≥ 2.5)",
+		}},
 	}
-
-	// A corrupt report fails the run but never suppresses the artifact.
-	corrupt := filepath.Join(dir, "corrupt.json")
-	if err := os.WriteFile(corrupt, []byte("{not json"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	outPath2 := filepath.Join(dir, "BENCH_corrupt.json")
-	g.loadgenPath = corrupt
-	if err := run(benchPath, outPath2, "lg", "", g); err == nil {
-		t.Fatal("corrupt loadgen report did not fail the run")
-	}
-	if _, err := os.Stat(outPath2); err != nil {
-		t.Fatalf("artifact not written on corrupt loadgen report: %v", err)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			write := func(name, text string) string {
+				if text == "" {
+					return ""
+				}
+				path := filepath.Join(dir, name)
+				if err := os.WriteFile(path, []byte(text), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return path
+			}
+			out := filepath.Join(dir, "BENCH_sha.json")
+			var log strings.Builder
+			err := run(&log, write("bench.txt", tc.bench), out, "sha", write("baseline.json", tc.base), write("loadgen.json", tc.lg), tc.cpus)
+			if (err != nil) != tc.fail {
+				t.Errorf("run() = %v, want failure %v\n%s", err, tc.fail, log.String())
+			}
+			got := log.String()
+			if err != nil {
+				got += err.Error()
+			}
+			for _, want := range tc.want {
+				if !strings.Contains(got, want) {
+					t.Errorf("log and error lack %q:\n%s", want, got)
+				}
+			}
+			data, err := os.ReadFile(out)
+			if err != nil {
+				t.Fatalf("artifact not written: %v", err)
+			}
+			var art Artifact
+			if err := json.Unmarshal(data, &art); err != nil || art.Sha != "sha" || len(art.Benchmarks) != len(mustParse(tc.bench)) {
+				t.Errorf("artifact = %.200s, %v", data, err)
+			}
+			var rep loadgen.Report
+			folded := json.Unmarshal([]byte(tc.lg), &rep) == nil && rep.Requests > 0
+			if (art.Loadgen != nil) != folded || folded && art.Loadgen.LatencyMs.P99 != rep.LatencyMs.P99 {
+				t.Errorf("artifact loadgen = %+v, want the report folded in: %v", art.Loadgen, folded)
+			}
+		})
 	}
 }
 
-func TestColdSpeedupGate(t *testing.T) {
-	dir := t.TempDir()
-	benchPath := writeSample(t, dir)
-
-	// Pre-PR cost 100000 ns, sample 25000 ns: 4x, passes a 2x gate.
-	pass := Artifact{ColdPrePRNs: 100000}
-	if err := run(benchPath, "", "abc", writeBaseline(t, dir, pass), gates{minColdSpeedup: 2}); err != nil {
-		t.Fatalf("cold gate failed a 4x speedup: %v", err)
+// TestCommittedBaseline evaluates every row with ci/bench-baseline.json
+// as both the run and the baseline on 2 CPUs: each row must pass, or
+// skip for its core count. A hand edit that leaves the baseline
+// unreadable or without a benchmark a row reads fails here.
+func TestCommittedBaseline(t *testing.T) {
+	var base Artifact
+	if err := readJSON("../../ci/bench-baseline.json", &base); err != nil {
+		t.Fatal(err)
 	}
-
-	// Pre-PR cost 40000 ns: 1.6x only, fails a 2x gate.
-	fail := Artifact{ColdPrePRNs: 40000}
-	failPath := writeBaseline(t, dir, fail)
-	if err := run(benchPath, "", "abc", failPath, gates{minColdSpeedup: 2}); err == nil {
-		t.Fatal("cold gate passed a 1.6x speedup")
+	var log strings.Builder
+	rows := table(&base)
+	if failed := gate(&log, rows, &base, &base, 2); failed > 0 {
+		t.Errorf("the committed baseline fails its own gates:\n%s", log.String())
 	}
-	if err := run(benchPath, "", "abc", failPath, gates{}); err != nil {
-		t.Fatalf("disabled cold gate failed: %v", err)
-	}
-
-	// A baseline without the cold record disables the gate even when
-	// the flag is set (pre-PR repositories).
-	empty := Artifact{Benchmarks: map[string]BenchResult{}}
-	if err := run(benchPath, "", "abc", writeBaseline(t, dir, empty), gates{minColdSpeedup: 2}); err != nil {
-		t.Fatalf("cold gate tripped without a baseline record: %v", err)
+	for _, r := range rows {
+		verdict := "pass "
+		if r.minCPUs > 2 {
+			verdict = "skip "
+		}
+		if !strings.Contains(log.String(), "benchguard: "+verdict+r.name) {
+			t.Errorf("row %s did not %s:\n%s", r.name, verdict, log.String())
+		}
 	}
 }

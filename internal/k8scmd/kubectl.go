@@ -137,7 +137,7 @@ func (e *Env) kubectlDelete(fs shell.FlagSet, io *shell.IO) int {
 			fmt.Fprintf(io.Err, "Error from server (NotFound): %v\n", err)
 			code = 1
 		default:
-			io.Out.WriteStrings(strings.ToLower(kind), " ")
+			io.Out.WriteStrings(res.Singular, " ")
 			writeQuoted(io.Out, name)
 			io.Out.WriteString(" deleted\n")
 		}
