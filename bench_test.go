@@ -358,8 +358,8 @@ func BenchmarkGenerateBatched(b *testing.B) {
 // memoized before the timer starts, so an op is the five inline metrics
 // streaming one answer over its compiled reference plus the engine's
 // memo lookup — what a warm-store campaign spends most of its time on.
-// Runs under -benchmem in CI; benchguard holds its allocs/op under a
-// hard cap of 8.
+// Runs under -benchmem in CI; benchguard's allocs-cap ScoreAnswer row
+// holds its allocs/op under a hard cap.
 func BenchmarkScoreAnswer(b *testing.B) {
 	_, full := fixtures()
 	_, raw := zeroShot() // through benchEng, which this leaves warm
@@ -459,7 +459,7 @@ var benchSink int
 // fresh engine and dispatcher each iteration — the contention profile
 // of a cold fleet-concurrency campaign. Run it at -cpu 1,4 to expose
 // lock-behavior regressions: the sharded caches and per-shard store
-// locks are what let the 4-core run beat the 1-core run by the 2.5x
+// locks are what let the 4-core run beat the 1-core run by the factor
 // benchguard's campaign-scaling row requires.
 func BenchmarkCampaignParallel(b *testing.B) {
 	originals, _ := fixtures()
@@ -494,8 +494,8 @@ func latencyCampaign() ([]llm.Model, []dataset.Problem, *inference.Delay, *infer
 // latency and execution overlap — wall clock approaches
 // max(generation, execution) instead of their sum. The twin
 // BenchmarkCampaignInterleaved is the pre-pipeline shape; benchguard's
-// pipeline-overlap row requires this benchmark to beat it by 1.54x in
-// the same run.
+// pipeline-overlap row requires this benchmark to beat it by a fixed
+// factor in the same run.
 func BenchmarkCampaignPipelined(b *testing.B) {
 	models, probs, prov, gen := latencyCampaign()
 	n := len(models) * len(probs)

@@ -17,9 +17,9 @@
 // scales the threshold by the same number measured from the baseline's
 // own benchmarks. A row needing more cores than the machine has is
 // skipped and says so. A row whose input is missing (a benchmark not in
-// the run, no loadgen report) fails and names it. Every row is
-// evaluated and printed, after the artifact is written, and any
-// failure exits 1.
+// the run or run without -benchmem, no loadgen report) fails and names
+// it. Every row is evaluated and printed, after the artifact is
+// written, and any failure exits 1.
 package main
 
 import (
@@ -46,13 +46,15 @@ import (
 // allocs/op, so a benchmark whose first repeat runs cold keeps that
 // repeat's cost under the allocation rows. NsPerOp, BytesPerOp and
 // AllocsPerOp are read at the last GOMAXPROCS parsed (the highest
-// requested, matching go test's output order); Iterations and Metrics
-// hold the last line.
+// requested, matching go test's output order); AllocsPerOp is nil when
+// the lines have no allocs/op column (a run without -benchmem), so a
+// row reading it cannot take the absence for zero. Iterations and
+// Metrics hold the last line.
 type BenchResult struct {
 	Iterations  int64              `json:"iterations"`
 	NsPerOp     float64            `json:"ns_per_op"`
 	BytesPerOp  float64            `json:"bytes_per_op,omitempty"`
-	AllocsPerOp float64            `json:"allocs_per_op,omitempty"`
+	AllocsPerOp *float64           `json:"allocs_per_op,omitempty"`
 	ByCPU       map[string]float64 `json:"ns_per_op_by_cpu,omitempty"`
 	Metrics     map[string]float64 `json:"metrics,omitempty"`
 }
@@ -96,14 +98,7 @@ const coldPreOverhaulNs = 99812
 // loadgen p99 need real cores to mean anything.
 func table(base *Artifact) []row {
 	rows := []row{
-		{name: "engine-ratio", measure: func(a *Artifact) (float64, error) {
-			eng, err := ns(a, "ZeroShotEngine")
-			if err != nil {
-				return 0, err
-			}
-			serial, err := ns(a, "ZeroShotSerial")
-			return eng / serial, err
-		}, limit: 1.20, relative: true,
+		{name: "engine-ratio", measure: quotient("ZeroShotEngine", "ZeroShotSerial"), limit: 1.20, relative: true,
 			why: "the engine campaign lost ground to the serial loop in the same run"},
 		{name: "cold-speedup", measure: func(a *Artifact) (float64, error) {
 			cold, err := ns(a, "ColdPathUnitTest")
@@ -120,14 +115,7 @@ func table(base *Artifact) []row {
 			why: "a shared lock is serializing the campaign"},
 		{name: "store-scaling", measure: scaling("StoreAppendParallel"), atLeast: true, limit: 1.5, minCPUs: 4,
 			why: "appends are serializing on a lock shared across shards"},
-		{name: "pipeline-overlap", measure: func(a *Artifact) (float64, error) {
-			inter, err := ns(a, "CampaignInterleaved")
-			if err != nil {
-				return 0, err
-			}
-			pipe, err := ns(a, "CampaignPipelined")
-			return inter / pipe, err
-		}, atLeast: true, limit: 1.54, minCPUs: 4,
+		{name: "pipeline-overlap", measure: quotient("CampaignInterleaved", "CampaignPipelined"), atLeast: true, limit: 1.54, minCPUs: 4,
 			why: "provider latency is paid in sequence with execution again"},
 		{name: "loadgen-p99-ms", measure: func(a *Artifact) (float64, error) {
 			if a.Loadgen == nil {
@@ -146,7 +134,7 @@ func table(base *Artifact) []row {
 	}
 	names := make([]string, 0, len(base.Benchmarks))
 	for name, b := range base.Benchmarks {
-		if b.AllocsPerOp > 0 {
+		if b.AllocsPerOp != nil && *b.AllocsPerOp > 0 {
 			names = append(names, name)
 		}
 	}
@@ -170,6 +158,18 @@ func ns(a *Artifact, name string) (float64, error) {
 	return b.NsPerOp, nil
 }
 
+// quotient measures one benchmark's ns/op over another's.
+func quotient(num, den string) func(a *Artifact) (float64, error) {
+	return func(a *Artifact) (float64, error) {
+		n, err := ns(a, num)
+		if err != nil {
+			return 0, err
+		}
+		d, err := ns(a, den)
+		return n / d, err
+	}
+}
+
 // allocs measures a benchmark's allocs/op.
 func allocs(name string) func(a *Artifact) (float64, error) {
 	return func(a *Artifact) (float64, error) {
@@ -177,7 +177,10 @@ func allocs(name string) func(a *Artifact) (float64, error) {
 		if !ok {
 			return 0, fmt.Errorf("%s missing", name)
 		}
-		return b.AllocsPerOp, nil
+		if b.AllocsPerOp == nil {
+			return 0, fmt.Errorf("%s has no allocs/op (run without -benchmem)", name)
+		}
+		return *b.AllocsPerOp, nil
 	}
 }
 
@@ -254,8 +257,9 @@ func parseBench(r io.Reader) (map[string]BenchResult, error) {
 	// folds holds every repeat of a name, by GOMAXPROCS; lastCPU is the
 	// GOMAXPROCS of the name's last line.
 	type fold struct {
-		ns            []float64
-		bytes, allocs float64
+		ns     []float64
+		bytes  float64
+		allocs *float64
 	}
 	folds := map[string]map[string]*fold{}
 	lastCPU := map[string]string{}
@@ -300,7 +304,9 @@ func parseBench(r io.Reader) (map[string]BenchResult, error) {
 			case "B/op":
 				f.bytes = max(f.bytes, v)
 			case "allocs/op":
-				f.allocs = max(f.allocs, v)
+				if f.allocs == nil || v > *f.allocs {
+					f.allocs = &v
+				}
 			default:
 				if res.Metrics == nil {
 					res.Metrics = map[string]float64{}
