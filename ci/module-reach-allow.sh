@@ -2,8 +2,8 @@
 # Checks ci/module-reach.txt's nothing rows against
 # ci/module-reach-allow.txt: every function reached by nothing must be
 # listed there, by file and function, with a reason, and every entry
-# there must still name a nothing row. A function no shipped program,
-# example or test runs is dead code unless the list says why it stays.
+# there must still name a nothing row. A function no shipped program
+# or test runs is dead code unless the list says why it stays.
 #
 # Run from the repository root: ci/module-reach-allow.sh. CI runs it
 # after regenerating ci/module-reach.txt.

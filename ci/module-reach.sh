@@ -12,8 +12,8 @@
 #            cluster -workers 8 -cache, eval; loadgen in process (-warm
 #            -store -tenants a,b -record-trace), then -trace; serve
 #            -pprof, driven by loadgen -addr and stopped with SIGINT
-#   example  one of the programs under examples/, built the same way
-#   test     some test of go test ./...
+#   test     some test of go test ./..., the Examples of the cloudeval
+#            package among them
 #   nothing  none of them
 #
 # A test or nothing row outside the eight oracle packages (see
@@ -21,8 +21,8 @@
 # shipped program runs; CHANGES.md keeps the list of those that stay,
 # each with its reason.
 #
-# Run from the repository root: ci/module-reach.sh. It takes about two
-# minutes and listens on loopback: serve on port
+# Run from the repository root: ci/module-reach.sh. It takes about a
+# minute on 2 vCPU and listens on loopback: serve on port
 # $MODULE_REACH_HTTP_PORT (default 18631). CI runs it and fails when
 # the committed file differs.
 set -euo pipefail
@@ -42,23 +42,15 @@ cleanup() {
 }
 trap cleanup EXIT
 
-mkdir -p "$tmp/bin" "$tmp/cov/binary" "$tmp/cov/example" "$tmp/work"
+mkdir -p "$tmp/bin" "$tmp/cov/binary" "$tmp/work"
 go build -cover -coverpkg="${module}..." -o "$tmp/bin/cloudeval" ./cmd/cloudeval
-examples=()
-for d in examples/*/; do
-	e=$(basename "$d")
-	examples+=("$e")
-	go build -cover -coverpkg="${module}..." -o "$tmp/bin/example-$e" "./$d"
-done
 
-# run CLASS PROGRAM ARG... runs one covered program in the scratch
-# directory, its counters going to $tmp/cov/CLASS; a failure prints the
-# program's output and stops the script.
+# run ARG... runs the covered cloudeval ARG... in the scratch directory,
+# its counters going to $tmp/cov/binary; a failure prints the program's
+# output and stops the script.
 run() {
-	local class=$1 prog=$2
-	shift 2
-	if ! (cd "$tmp/work" && GOCOVERDIR="$tmp/cov/$class" TMPDIR="$tmp/work" "$tmp/bin/$prog" "$@" >"$tmp/run.log" 2>&1); then
-		echo "module-reach: $prog $* failed:" >&2
+	if ! (cd "$tmp/work" && GOCOVERDIR="$tmp/cov/binary" TMPDIR="$tmp/work" "$tmp/bin/cloudeval" "$@" >"$tmp/run.log" 2>&1); then
+		echo "module-reach: cloudeval $* failed:" >&2
 		cat "$tmp/run.log" >&2
 		exit 1
 	fi
@@ -98,35 +90,31 @@ await() {
 	exit 1
 }
 
-run binary cloudeval dataset -out dataset -augmented -digest digest.txt
-run binary cloudeval help
-run binary cloudeval dataset
-run binary cloudeval bench
-run binary cloudeval bench -store eval.store
-run binary cloudeval bench -store eval.store
-run binary cloudeval bench -record gen.trace
-run binary cloudeval bench -replay gen.trace
-run binary cloudeval bench -store eval.store -record warm.trace
-run binary cloudeval figures -all
-run binary cloudeval campaign -dir campaign
-run binary cloudeval campaign -dir campaign
-run binary cloudeval models
-run binary cloudeval models -replay gen.trace
-run binary cloudeval cost
-run binary cloudeval cluster -workers 8 -cache
-run binary cloudeval eval -problem k8s-pod-001 -f dataset/k8s-pod-001/labeled_code.yaml
-run binary cloudeval loadgen -warm -store loadgen.store -tenants a,b -record-trace ops.trace -out loadgen.json
-run binary cloudeval loadgen -trace ops.trace -out replay.json
+run dataset -out dataset -augmented -digest digest.txt
+run help
+run dataset
+run bench
+run bench -store eval.store
+run bench -store eval.store
+run bench -record gen.trace
+run bench -replay gen.trace
+run bench -store eval.store -record warm.trace
+run figures -all
+run campaign -dir campaign
+run campaign -dir campaign
+run models
+run models -replay gen.trace
+run cost
+run cluster -workers 8 -cache
+run eval -problem k8s-pod-001 -f dataset/k8s-pod-001/labeled_code.yaml
+run loadgen -warm -store loadgen.store -tenants a,b -record-trace ops.trace -out loadgen.json
+run loadgen -trace ops.trace -out replay.json
 
 start serve serve -pprof -addr "127.0.0.1:$http_port" -data daemon
 daemon=$started
 await "$tmp/serve.log" 'listening on'
-run binary cloudeval loadgen -addr "http://127.0.0.1:$http_port" -n 40 -out daemon.json
+run loadgen -addr "http://127.0.0.1:$http_port" -n 40 -out daemon.json
 stop serve "$daemon" INT
-
-for e in "${examples[@]}"; do
-	run example "example-$e"
-done
 
 # funcs CLASS writes the per-function coverage of $tmp/CLASS.out to
 # $tmp/CLASS.
@@ -134,17 +122,16 @@ funcs() {
 	go tool cover -func="$tmp/$1.out" | grep -v '^total:' >"$tmp/$1"
 }
 go tool covdata textfmt -i="$tmp/cov/binary" -o "$tmp/binary.out"
-go tool covdata textfmt -i="$tmp/cov/example" -o "$tmp/example.out"
 if ! go test -count=1 -coverpkg="${module}..." -coverprofile="$tmp/test.out" ./... >"$tmp/test.log" 2>&1; then
 	cat "$tmp/test.log" >&2
 	exit 1
 fi
-for c in binary example test; do
+for c in binary test; do
 	funcs "$c"
 done
 
 # A program lists the functions of the packages it links, so a function
-# is keyed by file:line and name across the three lists; its row is the
+# is keyed by file:line and name across the two lists; its row is the
 # first class that covers any of its statements.
 awk -v module="$module" '
 	FNR == 1 { class = FILENAME; sub(/.*\//, "", class) }
@@ -160,14 +147,14 @@ awk -v module="$module" '
 		if (reach[fn] == "nothing" && $3 != "0.0%") reach[fn] = class
 	}
 	END { for (fn in reach) print reach[fn] "\t" fn }
-' "$tmp/binary" "$tmp/example" "$tmp/test" |
+' "$tmp/binary" "$tmp/test" |
 	LC_ALL=C sort -t "$(printf '\t')" -k2,2 -k3,3n -k4,4 |
 	awk -F '\t' '{ printf "%-8s %s:%s %s\n", $1, $2, $3, $4 }' >"$tmp/rows"
 
 {
 	echo "# Which shipped program first runs each function of the module."
 	echo "# Generated by ci/module-reach.sh; do not edit. Columns: reach, file:line function."
-	echo "# Reach, in order: binary, example, test, nothing (see the script)."
+	echo "# Reach, in order: binary, test, nothing (see the script)."
 	echo "#"
 	awk '
 		{ dir = $2; sub(/\/[^\/]*$/, "", dir); if (dir ~ /:/) dir = "."
@@ -176,8 +163,8 @@ awk -v module="$module" '
 		END {
 			for (i = 1; i <= n; i++) {
 				d = order[i]
-				printf "# %-26s binary %3d example %3d test %3d nothing %3d\n", d,
-					count[d, "binary"], count[d, "example"], count[d, "test"], count[d, "nothing"]
+				printf "# %-26s binary %3d test %3d nothing %3d\n", d,
+					count[d, "binary"], count[d, "test"], count[d, "nothing"]
 			}
 		}
 	' "$tmp/rows"

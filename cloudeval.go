@@ -8,16 +8,10 @@
 // memoization, a model of the evaluation cluster's scaling (Figure 5),
 // and the paper's full evaluation study over a twelve-model zoo.
 //
-// Quick start:
-//
-//	bench := cloudeval.New()
-//	fmt.Println(bench.Table4()) // the zero-shot leaderboard
-//
-// Score a single answer functionally:
-//
-//	p := bench.Originals[0]
-//	result := cloudeval.RunUnitTest(p, myYAML)
-//	fmt.Println(result.Passed)
+// The Examples in example_test.go are the walkthroughs: scoring an
+// answer (ScoreAnswer, RunUnitTest), a model on a slice of the corpus,
+// a campaign over a persistent store and the pass@k study. go test
+// checks every line they print.
 //
 // Each benchmark runs every evaluation on its own evaluator
 // (Benchmark.Evaluator), one engine and one inference dispatcher built

@@ -137,7 +137,7 @@ func (e *Env) kubectlDelete(fs shell.FlagSet, io *shell.IO) int {
 			fmt.Fprintf(io.Err, "Error from server (NotFound): %v\n", err)
 			code = 1
 		default:
-			io.Out.WriteStrings(res.Singular, " ")
+			io.Out.WriteStrings(res.GroupKind, " ")
 			writeQuoted(io.Out, name)
 			io.Out.WriteString(" deleted\n")
 		}
@@ -180,7 +180,7 @@ func (e *Env) kubectlCreate(fs shell.FlagSet, io *shell.IO) int {
 		fmt.Fprintf(io.Err, "%v\n", err)
 		return 1
 	}
-	io.Out.WriteStrings(role.Singular, strings.TrimPrefix(role.GroupResource, role.Plural), "/", name, " created\n")
+	io.Out.WriteStrings(role.GroupKind, "/", name, " created\n")
 	return 0
 }
 

@@ -417,7 +417,7 @@ func (c *Cluster) DeleteYAML(src string, defaultNS string) ([]string, error) {
 			}
 			return out, err
 		}
-		out = append(out, fmt.Sprintf("%s %q deleted", strings.ToLower(kind), name))
+		out = append(out, fmt.Sprintf("%s %q deleted", r.GroupKind, name))
 	}
 	return out, nil
 }

@@ -18,9 +18,12 @@ type Resource struct {
 	// GroupResource is Plural and Versions[0]'s API group, as a NotFound
 	// names the row: "deployments.apps", "pods" in the core group; set by row.
 	GroupResource string
-	fields        []field // what a manifest of the kind must hold, as ValidateManifest walks it
-	selector      bool    // the pod template's labels must carry spec.selector.matchLabels
-	bucket        int     // the row's index in Resources and in Cluster.objects
+	// GroupKind is Singular and the same group, as kubectl names an
+	// object it created or deleted: "deployment.apps", "pod"; set by row.
+	GroupKind string
+	fields    []field // what a manifest of the kind must hold, as ValidateManifest walks it
+	selector  bool    // the pod template's labels must carry spec.selector.matchLabels
+	bucket    int     // the row's index in Resources and in Cluster.objects
 }
 
 var (
@@ -127,9 +130,11 @@ var spellings = map[string]*Resource{}
 
 // row adds r to the table.
 func row(r *Resource) *Resource {
-	r.Singular, r.GroupResource, r.bucket = strings.ToLower(r.Kind), r.Plural, len(Resources)
+	r.Singular, r.bucket = strings.ToLower(r.Kind), len(Resources)
+	r.GroupResource, r.GroupKind = r.Plural, r.Singular
 	if group, _, ok := strings.Cut(r.Versions[0], "/"); ok {
 		r.GroupResource += "." + group
+		r.GroupKind += "." + group
 	}
 	Resources = append(Resources, r)
 	for _, s := range append([]string{r.Kind, r.Singular, r.Plural}, r.ShortNames...) {

@@ -119,6 +119,7 @@ func TestShellTranscripts(t *testing.T) {
 		`cat pods.txt | grep web | grep -c Running`,
 		`grep -c absent pods.txt`,
 		`grep Running pods.txt missing.txt`,
+		`grep Running missing.txt`,
 		`grep 'a[' pods.txt`,
 		`echo 'a[b' | grep 'a['`,
 		`echo -n '' | grep x`,

@@ -83,15 +83,17 @@ func builtinCat(in *Interp, io *IO, args []string) int {
 	return code
 }
 
-// builtinGrep is grep as the corpus runs it, a pattern over files or
-// stdin with -q, and as the counting idiom runs it, with -c. Every
+// builtinGrep is grep as the corpus runs it, a pattern over one file
+// or stdin with -q, and as the counting idiom runs it, with -c. Every
 // corpus pattern is literal text in which '.' is any one character,
 // which basic and extended syntax read alike, so that is the pattern
 // language and -E is accepted; a pattern holding any other
-// metacharacter is refused by name, and so is any other option.
+// metacharacter is refused by name, and so is any other option. No
+// corpus script passes more than one file, so that is refused too:
+// grep would prefix each line with its file's name and count per file.
 func builtinGrep(in *Interp, io *IO, args []string) int {
-	quiet, count, haveFiles := false, false, false
-	at := -1 // the pattern's index in args
+	quiet, count := false, false
+	at, file := -1, -1 // the pattern's and the file's index in args
 	for i, a := range args {
 		switch {
 		case isOption(a) && strings.Trim(a[1:], "qcE") == "":
@@ -102,15 +104,18 @@ func builtinGrep(in *Interp, io *IO, args []string) int {
 			return 2
 		case at < 0:
 			at = i
+		case file < 0:
+			file = i
 		default:
-			haveFiles = true
+			io.Err.WriteString("grep: more than one file is not supported\n")
+			return 2
 		}
 	}
 	if at < 0 {
 		fmt.Fprintln(io.Err, "usage: grep [-qcE] pattern [file...]")
 		return 2
 	}
-	pattern, files := args[at], args[at+1:]
+	pattern := args[at]
 	if i := strings.IndexAny(pattern, grepMeta); i >= 0 {
 		fmt.Fprintf(io.Err, "grep: %q in %q is not supported: a pattern is literal text and '.'\n", pattern[i:i+1], pattern)
 		return 2
@@ -119,24 +124,15 @@ func builtinGrep(in *Interp, io *IO, args []string) int {
 		fmt.Fprintf(io.Err, "grep: %q is not valid UTF-8\n", pattern)
 		return 2
 	}
-	show := !quiet && !count
-	matched := 0
-	if !haveFiles {
-		matched = grepLines(io.Out, io.In, pattern, show)
-	}
-	// Every file is there before any is read, as when grep read them
-	// all as one input.
-	for _, f := range files {
-		if _, ok := in.FS[f]; !ok && !isOption(f) {
-			fmt.Fprintf(io.Err, "grep: %s: No such file or directory\n", f)
+	text := io.In
+	if file >= 0 {
+		var ok bool
+		if text, ok = in.FS[args[file]]; !ok {
+			fmt.Fprintf(io.Err, "grep: %s: No such file or directory\n", args[file])
 			return 2
 		}
 	}
-	for _, f := range files {
-		if !isOption(f) {
-			matched += grepLines(io.Out, in.FS[f], pattern, show)
-		}
-	}
+	matched := grepLines(io.Out, text, pattern, !quiet && !count)
 	if count {
 		io.Out.WriteInt(matched)
 		io.Out.WriteByte('\n')
