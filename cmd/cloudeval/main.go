@@ -11,6 +11,7 @@
 //	cloudeval bench -record gen.trace      # ... recording every generation to a JSONL trace
 //	cloudeval bench -replay gen.trace      # ... replaying generations from the trace (zero live calls)
 //	cloudeval bench -provider http:http://127.0.0.1:8000/v1   # ... against a live OpenAI-compatible API
+//	cloudeval bench -layers ci/layers.txt  # the layer ledger: CPU share and allocations per stage
 //	cloudeval figures -id table5 # one experiment by ID
 //	cloudeval figures -all       # every table and figure
 //	cloudeval campaign -dir run1 # resumable checkpointed campaign
@@ -97,6 +98,8 @@ Commands:
                       the simplified and translated variants)
   bench [-store F] [-cpuprofile F] [-memprofile F] [-mutexprofile F] [-blockprofile F]
                       run the zero-shot benchmark (Table 4), optionally profiled
+  bench -layers F     write the layer ledger of two cold Table 4 campaigns to F:
+                      CPU share and allocations per pair of every stage
   figures -id <id>    regenerate one experiment (table1..table9, figure5..figure9)
   figures -all        regenerate every table and figure (both accept -store F)
   campaign -dir <d>   run a resumable checkpointed campaign [-ids a,b,...] [-store F]
@@ -254,8 +257,15 @@ func cmdBench(fs *flag.FlagSet) func() error {
 	memProfile := fs.String("memprofile", "", "write an allocation profile here after the campaign")
 	mutexProfile := fs.String("mutexprofile", "", "write a mutex-contention profile here after the campaign")
 	blockProfile := fs.String("blockprofile", "", "write a blocking profile here after the campaign")
+	layersPath := fs.String("layers", "", "profile two cold campaigns, process-cold then warm, and write their layer ledger here")
 	w.providerFlags(fs)
 	return func() (retErr error) {
+		if *layersPath != "" {
+			if w.store != "" || w.record != "" || *cpuProfile+*memProfile+*mutexProfile+*blockProfile != "" {
+				return fmt.Errorf("-layers profiles campaigns of its own on stores of its own: drop -store, -record and the other profiles")
+			}
+			return layers(w, *layersPath)
+		}
 		stopProfiles, err := startProfiles(*cpuProfile, *memProfile, *mutexProfile, *blockProfile)
 		if err != nil {
 			return err

@@ -19,7 +19,7 @@ import (
 // nothing and prints Tables 1 and 2. The three "node" subcommands and
 // their rows went with the live evaluation cluster.
 var pinnedFlags = map[string]string{
-	"bench":    "blockprofile= cpuprofile= gen-concurrency=-1 memprofile= mutexprofile= provider=sim record= replay= store=",
+	"bench":    "blockprofile= cpuprofile= gen-concurrency=-1 layers= memprofile= mutexprofile= provider=sim record= replay= store=",
 	"campaign": "dir= gen-concurrency=-1 ids= provider=sim record= replay= store=",
 	"cluster":  "cache=false workers=64",
 	"cost":     "",

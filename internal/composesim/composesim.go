@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"cloudeval/internal/shell"
+	"cloudeval/internal/stage"
 	"cloudeval/internal/yamlx"
 )
 
@@ -141,7 +142,9 @@ func (p *Project) AdvanceTime(d time.Duration) {
 // an image, and ports in "host:container" form. A file it refuses
 // leaves the services loaded before in place.
 func (p *Project) Load(src string) error {
+	stage.Set(stage.Parse)
 	docs, err := yamlx.ParseAllCached(src)
+	stage.Set(stage.Apply)
 	if err != nil {
 		return fmt.Errorf("parsing compose file: %v", err)
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 
 	"cloudeval/internal/shell"
+	"cloudeval/internal/stage"
 	"cloudeval/internal/yamlx"
 )
 
@@ -48,6 +49,8 @@ func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 	}
 
 	load := func() (string, bool) {
+		stage.Set(stage.Apply)
+		defer stage.Set(stage.Shell)
 		src, ok := in.FS[file]
 		if !ok {
 			fmt.Fprintf(io.Err, "open %s: no such file or directory\n", file)

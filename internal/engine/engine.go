@@ -27,6 +27,7 @@ import (
 
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/memo"
+	"cloudeval/internal/stage"
 	"cloudeval/internal/unittest"
 )
 
@@ -229,6 +230,7 @@ func (e *Engine) Stats() Stats {
 // (problem, answer) collapse into one execution; the laggards block
 // until the winner's result is in.
 func (e *Engine) UnitTest(p dataset.Problem, answer string) unittest.Result {
+	stage.Set(stage.Engine)
 	if e.noCache {
 		e.executed.Add(1)
 		return e.exec.RunUnitTest(p, answer)
@@ -242,12 +244,16 @@ func (e *Engine) UnitTest(p dataset.Problem, answer string) unittest.Result {
 		// Second tier: a result persisted by an earlier process (or a
 		// CI cache restore) short-circuits execution entirely.
 		if e.store != nil {
-			if res, ok := e.store.Get(key.test, key.answer); ok {
+			stage.Set(stage.Store)
+			res, ok := e.store.Get(key.test, key.answer)
+			stage.Set(stage.Engine)
+			if ok {
 				fromStore = true
 				return res, resultCost(res), nil
 			}
 		}
 		res := e.exec.RunUnitTest(p, answer)
+		stage.Set(stage.Engine)
 		return res, resultCost(res), res.Err
 	})
 	switch {
@@ -258,6 +264,7 @@ func (e *Engine) UnitTest(p dataset.Problem, answer string) unittest.Result {
 	default:
 		e.executed.Add(1)
 		if res.Err == nil && e.store != nil {
+			stage.Set(stage.Store)
 			e.store.Put(key.test, key.answer, res)
 		}
 	}
@@ -321,6 +328,7 @@ func spread(n, w int, f *fault, fn func(int)) {
 				if i >= n {
 					return
 				}
+				stage.Set(stage.Campaign)
 				f.run(fn, i)
 			}
 		}()
@@ -399,13 +407,14 @@ func Pipeline[T any](e *Engine, n int, genWorkers, window int, gen func(int) T, 
 	// stage: claims go out in order, so every drainer runs before a panic
 	// can stop the claims. After a panic every token still comes back:
 	// gen and exec are skipped, and the zero value is handed on.
-	spread(execWorkers+1, execWorkers+1, &f, func(stage int) {
-		if stage < execWorkers {
+	spread(execWorkers+1, execWorkers+1, &f, func(part int) {
+		if part < execWorkers {
 			for it := range ready {
 				e.queueDepth.Add(-1)
 				if !f.hit.Load() {
 					e.execBusy.Add(1)
 					f.run(func(i int) { exec(i, it.v) }, it.i)
+					stage.Set(stage.Campaign)
 					e.execBusy.Add(-1)
 				}
 				<-tokens
@@ -418,6 +427,7 @@ func Pipeline[T any](e *Engine, n int, genWorkers, window int, gen func(int) T, 
 			var v T
 			if !f.hit.Load() {
 				f.run(func(i int) { v = gen(i) }, i)
+				stage.Set(stage.Campaign)
 			}
 			e.genInflight.Add(-1)
 			e.queueDepth.Add(1)

@@ -17,6 +17,7 @@ import (
 	"cloudeval/internal/k8scmd"
 	"cloudeval/internal/kubesim"
 	"cloudeval/internal/shell"
+	"cloudeval/internal/stage"
 	"cloudeval/internal/yamlx"
 )
 
@@ -96,6 +97,8 @@ func (e *Env) helm(in *shell.Interp, io *shell.IO, args []string) int {
 
 	switch verb {
 	case "template", "install":
+		stage.Set(stage.Apply)
+		defer stage.Set(stage.Shell)
 		if len(positional) == 0 {
 			fmt.Fprintf(io.Err, "Error: %s requires a release name\n", verb)
 			return 1
@@ -194,7 +197,9 @@ func (e *Env) renderChart(in *shell.Interp, io *shell.IO, file string) ([]*yamlx
 		fmt.Fprintf(io.Err, "Error: open %s: no such file or directory\n", file)
 		return nil, 1
 	}
+	stage.Set(stage.Parse)
 	docs, err := yamlx.ParseAllCached(src)
+	stage.Set(stage.Apply)
 	if err != nil {
 		fmt.Fprintf(io.Err, "Error: YAML parse error on %s: %v\n", file, err)
 		return nil, 1

@@ -10,6 +10,7 @@ import (
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/llm"
 	"cloudeval/internal/memo"
+	"cloudeval/internal/stage"
 )
 
 // GenStore is the persistent second cache tier under the dispatcher's
@@ -218,6 +219,7 @@ func (d *Dispatcher) Close() error { return d.prov.Close() }
 // returned but neither latched nor counted: it says nothing about the
 // provider, and Stats().Errors is what fails a running campaign.
 func (d *Dispatcher) Generate(ctx context.Context, req Request) (Response, error) {
+	stage.Set(stage.Dispatch)
 	resp, err := d.generate(ctx, req)
 	if err != nil && ctx.Err() == nil {
 		d.latch(err)
@@ -242,7 +244,10 @@ func (d *Dispatcher) generate(ctx context.Context, req Request) (Response, error
 		// Second tier: a generation persisted by an earlier process
 		// (or a CI cache restore) short-circuits the provider entirely.
 		if d.store != nil {
-			if resp, ok := d.store.GetGen(key); ok {
+			stage.Set(stage.Store)
+			resp, ok := d.store.GetGen(key)
+			stage.Set(stage.Dispatch)
+			if ok {
 				fromStore = true
 				// A recording provider never sees store-served
 				// generations; hand them over anyway, or -record over a
@@ -265,7 +270,9 @@ func (d *Dispatcher) generate(ctx context.Context, req Request) (Response, error
 		d.storeHits.Add(1)
 	case err == nil:
 		if d.store != nil {
+			stage.Set(stage.Store)
 			d.store.PutGen(key, resp)
+			stage.Set(stage.Dispatch)
 		}
 	}
 	return resp, err
@@ -282,7 +289,9 @@ func (d *Dispatcher) live(ctx context.Context, req Request) (Response, error) {
 		}
 		defer func() { <-d.sem }()
 	}
+	stage.Set(stage.Provider)
 	resp, err := d.prov.Generate(ctx, req)
+	stage.Set(stage.Dispatch)
 	if err != nil {
 		return resp, err
 	}
@@ -303,5 +312,6 @@ func (d *Dispatcher) Answer(m llm.Model, p dataset.Problem, opts llm.GenOptions)
 	if err != nil {
 		return ""
 	}
+	stage.Set(stage.Postprocess)
 	return llm.Postprocess(resp.Text)
 }

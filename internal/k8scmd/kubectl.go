@@ -8,6 +8,7 @@ import (
 
 	"cloudeval/internal/kubesim"
 	"cloudeval/internal/shell"
+	"cloudeval/internal/stage"
 )
 
 // kubectl implements the kubectl subcommands the corpus's unit tests
@@ -20,6 +21,14 @@ func (e *Env) kubectl(in *shell.Interp, io *shell.IO, args []string) int {
 		return 1
 	}
 	sub := args[0]
+	switch sub {
+	case "apply", "delete", "create":
+		stage.Set(stage.Apply)
+		defer stage.Set(stage.Shell)
+	case "wait", "rollout":
+		stage.Set(stage.Wait)
+		defer stage.Set(stage.Shell)
+	}
 	var buf shell.FlagBuf
 	fs := shell.ParseFlags(args[1:], &buf)
 	switch sub {

@@ -5,6 +5,7 @@ import (
 
 	"cloudeval/internal/envoysim"
 	"cloudeval/internal/shell"
+	"cloudeval/internal/stage"
 )
 
 // probe answers curl's HTTP GETs against kubesim, falling back to a
@@ -84,7 +85,9 @@ func (e *Env) envoy(in *shell.Interp, io *shell.IO, args []string) int {
 		fmt.Fprintf(io.Err, "envoy: unable to read file: %s\n", file)
 		return 1
 	}
+	stage.Set(stage.Apply)
 	b, err := envoysim.LoadCached(src)
+	stage.Set(stage.Shell)
 	if err != nil {
 		fmt.Fprintf(io.Err, "%v\n", err)
 		return 1

@@ -28,6 +28,7 @@ import (
 	"strings"
 	"time"
 
+	"cloudeval/internal/stage"
 	"cloudeval/internal/yamlx"
 )
 
@@ -323,7 +324,9 @@ func (e yamlError) Error() string { return e.err.ApplyText() }
 // per process — and Apply never writes a document it is given, so the
 // cached trees stay pristine.
 func (c *Cluster) ApplyYAML(dst []ApplyResult, src string, defaultNS string) ([]ApplyResult, error) {
+	stage.Set(stage.Parse)
 	docs, err := yamlx.ParseAllCached(src)
+	stage.Set(stage.Apply)
 	if err != nil {
 		return dst, yamlError{err.(*yamlx.ParseError)}
 	}

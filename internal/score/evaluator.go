@@ -5,6 +5,7 @@ import (
 	"cloudeval/internal/engine"
 	"cloudeval/internal/inference"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/stage"
 )
 
 // Evaluator runs the paper's evaluations: it scores one answer, and it
@@ -83,6 +84,7 @@ func (ev *Evaluator) Benchmark(models []llm.Model, problems []dataset.Problem) (
 // pair-indexed slots and come back grouped per model in problem order,
 // so the output does not depend on the schedule.
 func (ev *Evaluator) run(models []llm.Model, problems []dataset.Problem, opts llm.GenOptions) [][]ProblemScore {
+	stage.Set(stage.Campaign)
 	type pair struct{ model, problem int }
 	pairs := make([]pair, 0, len(models)*len(problems))
 	counts := make([]int, len(models))
@@ -96,8 +98,11 @@ func (ev *Evaluator) run(models []llm.Model, problems []dataset.Problem, opts ll
 	// One warm pass compiles what both key pipelines read before the
 	// parallel phase starts: unit-test digests for the engine, prompt
 	// digests and token counts for the dispatcher.
+	stage.Set(stage.Engine)
 	engine.WarmDigests(problems)
+	stage.Set(stage.Prompt)
 	inference.WarmPrompts(problems, opts.Shots)
+	stage.Set(stage.Campaign)
 	scores := make([]ProblemScore, len(pairs))
 	tm := newTextMemo(len(pairs))
 	engine.Pipeline(ev.eng, len(pairs), ev.gen.Concurrency(), 0,
@@ -105,6 +110,7 @@ func (ev *Evaluator) run(models []llm.Model, problems []dataset.Problem, opts ll
 			return ev.gen.Answer(models[pairs[i].model], problems[pairs[i].problem], opts)
 		},
 		func(i int, answer string) {
+			stage.Set(stage.Score)
 			pr := pairs[i]
 			p := problems[pr.problem]
 			s := ev.score(p, answer, tm.score(refFor(p), answer))

@@ -13,6 +13,7 @@ import (
 
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/llm"
+	"cloudeval/internal/stage"
 	"cloudeval/internal/textmetrics"
 	"cloudeval/internal/unittest"
 	"cloudeval/internal/yamlmatch"
@@ -91,12 +92,15 @@ type textScores struct {
 }
 
 func (r *refContext) score(answer string) textScores {
-	t := textScores{
-		bleu:       r.bleu.Score(answer),
-		editDist:   r.lines.EditDistanceScore(answer),
-		exactMatch: r.lines.ExactMatch(answer),
-	}
-	t.kvExact, t.kvWildcard = r.kv.Score(answer)
+	var t textScores
+	stage.Set(stage.BLEU)
+	t.bleu = r.bleu.Score(answer)
+	stage.Set(stage.EditDist)
+	t.editDist = r.lines.EditDistanceScore(answer)
+	stage.Set(stage.Exact)
+	t.exactMatch = r.lines.ExactMatch(answer)
+	t.kvExact, t.kvWildcard = r.kv.Score(answer) // stage.KV
+	stage.Set(stage.Score)
 	return t
 }
 

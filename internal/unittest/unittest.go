@@ -14,6 +14,7 @@ import (
 	"cloudeval/internal/dataset"
 	"cloudeval/internal/scenario"
 	"cloudeval/internal/shell"
+	"cloudeval/internal/stage"
 )
 
 // Result captures one unit-test execution.
@@ -49,10 +50,12 @@ func compileScript(p dataset.Problem) *script {
 // "unit_test_passed" (some problems use prefixed markers such as
 // cn1000_unit_test_passed, as in the paper's Figure 1).
 func Run(p dataset.Problem, answerYAML string) Result {
+	stage.Set(stage.Compile)
 	s := dataset.Memo(p, dataset.TestProgram, compileScript)
 	if s.err != nil {
 		return Result{Err: s.err}
 	}
+	stage.Set(stage.Shell)
 	backend := scenario.For(p.Category)
 	env := backend.GetEnv()
 	defer backend.PutEnv(env)

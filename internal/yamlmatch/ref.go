@@ -4,6 +4,7 @@ import (
 	"strconv"
 	"sync"
 
+	"cloudeval/internal/stage"
 	"cloudeval/internal/yamlx"
 )
 
@@ -62,7 +63,9 @@ func NewRef(reference string) *Ref {
 // Score is KVExactMatch(generated, r.Clean) and
 // KVWildcardMatch(generated, reference) on one parse of the answer.
 func (r *Ref) Score(generated string) (kvExact, kvWildcard float64) {
+	stage.Set(stage.Parse)
 	docs, err := yamlx.ParseAllCached(generated)
+	stage.Set(stage.KV)
 	if err != nil {
 		return 0, 0
 	}
