@@ -55,7 +55,7 @@ func TestParseBench(t *testing.T) {
 // where a row needs both: CampaignParallel scales 3.2x,
 // StoreAppendParallel 2x, and the pipelined campaign is 8x faster than
 // the interleaved one at 4 cores (20x at 1 core).
-const full = sample + `BenchmarkGenerateBatched-4   	      50	  11000000 ns/op	 4340000 B/op	   15729 allocs/op
+const full = sample + `BenchmarkGenerateBatched-4   	      50	    590000 ns/op	   89860 B/op	     278 allocs/op
 BenchmarkStoreColdGet-4      	  200000	      6500 ns/op	     824 B/op	       1 allocs/op
 BenchmarkScoreAnswer-4       	   13195	     21000 ns/op	     712 B/op	       1 allocs/op
 BenchmarkCampaignParallel    	       3	 320000000 ns/op	 4000000 B/op	   20000 allocs/op
@@ -146,7 +146,7 @@ func TestGates(t *testing.T) {
 		{name: "pass", bench: full, base: baseline(edit(full, "712 B/op	       1 allocs/op", "712 B/op	       0 allocs/op")), lg: healthy, cpus: 4, want: []string{
 			"pass engine-ratio 0.3 (needs ≤ 0.36 = 1.2 × baseline 0.3)",
 			"pass cold-speedup 3.99248 (needs ≥ 2)",
-			"pass allocs-cap GenerateBatched 15729 (needs ≤ 35500)",
+			"pass allocs-cap GenerateBatched 278 (needs ≤ 560)",
 			"pass allocs-cap StoreColdGet 1 (needs ≤ 4)",
 			"pass allocs-cap ScoreAnswer 1 (needs ≤ 8)",
 			"pass campaign-scaling 3.2 (needs ≥ 2.5)",
@@ -178,9 +178,9 @@ func TestGates(t *testing.T) {
 			base: baseline(edit(full, "     227 allocs/op", "     100 allocs/op")),
 			want: []string{"FAIL allocs ColdPathUnitTest 227 (needs ≤ 115 = 1.15 × baseline 100)"}},
 		{name: "hard caps and cold speedup", base: baseline(full), lg: healthy, cpus: 2, fail: true,
-			bench: edit(full, "   15729 allocs/op", "   36000 allocs/op", "       1 allocs/op", "      11 allocs/op", "     25000 ns/op", "     60000 ns/op"),
+			bench: edit(full, "     278 allocs/op", "     600 allocs/op", "       1 allocs/op", "      11 allocs/op", "     25000 ns/op", "     60000 ns/op"),
 			want: []string{
-				"FAIL allocs-cap GenerateBatched 36000 (needs ≤ 35500)",
+				"FAIL allocs-cap GenerateBatched 600 (needs ≤ 560)",
 				"FAIL allocs-cap StoreColdGet 11 (needs ≤ 4)",
 				"FAIL allocs-cap ScoreAnswer 11 (needs ≤ 8)",
 				"FAIL cold-speedup 1.66353 (needs ≥ 2)",

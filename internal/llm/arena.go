@@ -2,21 +2,29 @@ package llm
 
 import (
 	"sync"
+	"unsafe"
 
 	"cloudeval/internal/yamlx"
 )
 
-// arena is the memory one corruptor call writes. The compiled trees of
-// a genContext are shared and never written, so an edit copies the
-// nodes from the document root down to what it changes (own, ownPath)
-// and leaves every other subtree shared; the copies and the new
-// scalars come from the embedded yamlx.Arena. The call renders its
-// answer — a string of its own bytes — and releases the arena; nothing
-// outlives the call that points into it.
+// arena is the memory one generation writes. The compiled trees of a
+// genContext are shared and never written, so an edit copies the nodes
+// from the document root down to what it changes (own, ownPath) and
+// leaves every other subtree shared; the copies and the new scalars
+// come from the embedded yamlx.Arena, and the bytes of the strings the
+// edits make from text. The generation renders its response into out —
+// the wrap prefix, the answer, the suffix — copies that out as the
+// string it returns, and releases the arena; nothing outlives the call
+// that points into it.
 type arena struct {
 	yamlx.Arena
 	owned []*yamlx.Node // the mappings and sequences copied so far
+	text  yamlx.Chunks[byte]
+	out   []byte // the response being rendered
 }
+
+// maxOut is the largest response buffer a pooled arena keeps.
+const maxOut = 64 << 10
 
 var arenas = sync.Pool{New: func() any { return new(arena) }}
 
@@ -24,9 +32,28 @@ var arenas = sync.Pool{New: func() any { return new(arena) }}
 // tree alive, and returns it to the pool.
 func (a *arena) release() {
 	a.Rewind()
+	a.text.Rewind()
 	clear(a.owned)
 	a.owned = a.owned[:0]
+	a.out = a.out[:0]
+	if cap(a.out) > maxOut {
+		a.out = nil
+	}
 	arenas.Put(a)
+}
+
+// concat returns x+y+z in bytes of the arena's: like the arena's nodes,
+// the string is valid until release, and must not be kept past it.
+func (a *arena) concat(x, y, z string) string {
+	n := len(x) + len(y) + len(z)
+	if n == 0 {
+		return ""
+	}
+	b := a.text.Take(n)
+	i := copy(b, x)
+	i += copy(b[i:], y)
+	copy(b[i:], z)
+	return unsafe.String(&b[0], n)
 }
 
 // docs is a document list the call may write, over the shared documents.

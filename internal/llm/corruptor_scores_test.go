@@ -21,7 +21,6 @@ func TestCorruptorOutputsScoreAlike(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full corpus in -short mode")
 	}
-	m := Models[0]
 	rng := rand.New(rand.NewSource(1))
 	for _, p := range augment.ExpandCorpus(dataset.Generate()) {
 		kv := yamlmatch.NewRef(p.ReferenceYAML)
@@ -29,13 +28,13 @@ func TestCorruptorOutputsScoreAlike(t *testing.T) {
 		bleu, lines := textmetrics.NewBLEURef(clean), textmetrics.NewLineRef(clean)
 		c := contextFor(p)
 		answers := []string{
-			truncateYAML(c, rng),
-			wrongKind(c, rng),
-			corruptYAML(c, rng),
-			harmlessNoise(c, rng),
+			rendered(func(a *arena) { truncateYAML(a, c, rng) }),
+			rendered(func(a *arena) { wrongKind(a, c, rng) }),
+			rendered(func(a *arena) { corruptYAML(a, c, rng) }),
+			rendered(func(a *arena) { harmlessNoise(a, c, rng) }),
 		}
 		for cat := 1; cat <= 2; cat++ {
-			answers = append(answers, m.emit(cat, p, rng, rng))
+			answers = append(answers, bare(cat, rng))
 		}
 		for _, a := range answers {
 			kvExact, kvWildcard := kv.Score(a)

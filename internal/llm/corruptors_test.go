@@ -12,6 +12,15 @@ import (
 	"cloudeval/internal/yamlx"
 )
 
+// rendered runs a corruptor on an arena of its own and returns what it
+// wrote.
+func rendered(write func(a *arena)) string {
+	a := arenas.Get().(*arena)
+	defer a.release()
+	write(a)
+	return string(a.out)
+}
+
 // table4Pair reports whether Table 4 has a cell for the pair.
 func table4Pair(m Model, p dataset.Problem) bool {
 	return !(m.EnglishOnly && p.Variant == dataset.Translated)
@@ -42,12 +51,12 @@ func TestCorruptorsMatchCloneOracle(t *testing.T) {
 		via := viaNone
 		switch { // as Model.emit dispatches
 		case cat == 5 || cat == 4 && !scenario.For(p.Category).HasKind:
-			via, got, want = viaCorruptYAML, corruptYAML(c, latent), oracleCorruptYAML(c, oLatent)
+			via, got, want = viaCorruptYAML, rendered(func(a *arena) { corruptYAML(a, c, latent) }), oracleCorruptYAML(c, oLatent)
 		case cat == 4:
-			via, got, want = viaWrongKind, wrongKind(c, latent), oracleWrongKind(c, oLatent)
+			via, got, want = viaWrongKind, rendered(func(a *arena) { wrongKind(a, c, latent) }), oracleWrongKind(c, oLatent)
 		case cat == 6 && rng.Float64() < m.Profile.NoiseWhenCorrect:
 			oRng.Float64()
-			via, got, want = viaHarmlessNoise, harmlessNoise(c, rng), oracleHarmlessNoise(c, oRng)
+			via, got, want = viaHarmlessNoise, rendered(func(a *arena) { harmlessNoise(a, c, rng) }), oracleHarmlessNoise(c, oRng)
 		}
 		if got != want {
 			t.Errorf("%s on %s %+v (category %d): copy-on-write answer\n%s\nclone-and-marshal answer\n%s", m.Name, p.ID, opts, cat, got, want)
@@ -139,39 +148,6 @@ func TestCompiledTreesNeverWritten(t *testing.T) {
 				t.Errorf("%s: %s marshals as\n%s\nfreshly parsed as\n%s", p.ID, trees.name, got, want)
 			}
 		}
-	}
-}
-
-// TestGenerateAllocs bounds what one generation allocates, as a mean
-// over Table 4's pairs with every context compiled: the response, the
-// answer inside it and the strings a corruptor mangles. It was 42 when
-// the corruptors cloned the reference and marshalled the clone.
-func TestGenerateAllocs(t *testing.T) {
-	if raceflag.Enabled {
-		t.Skip("the race detector makes sync.Pool drop what is put back")
-	}
-	problems := augment.ExpandCorpus(dataset.Generate())
-	pass := func() (n int) {
-		for _, m := range Models {
-			for _, p := range problems {
-				if table4Pair(m, p) {
-					m.Generate(p, GenOptions{})
-					n++
-				}
-			}
-		}
-		return n
-	}
-	pass() // compile the contexts, fill the pools
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	n := pass()
-	runtime.ReadMemStats(&after)
-	if n != 13195 {
-		t.Errorf("%d Table 4 pairs, want 13195", n)
-	}
-	if mean := float64(after.Mallocs-before.Mallocs) / float64(n); mean > 8 {
-		t.Errorf("a generation allocates %.2f times on average, want at most 8", mean)
 	}
 }
 

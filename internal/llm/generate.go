@@ -1,6 +1,7 @@
 package llm
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"strconv"
@@ -29,17 +30,36 @@ type GenOptions struct {
 // Generate produces the model's raw response text for a problem. The
 // response typically wraps YAML in the model's characteristic dressing;
 // run Postprocess to extract clean YAML.
+//
+// The response is written once, into the buffer of a pooled arena: the
+// wrap prefix, the answer, the suffix. The string it returns is the
+// generation's one allocation. A degenerate answer (categories 1–2,
+// returned bare) and a clean answer the model does not wrap are strings
+// the generation does not build, and allocate nothing.
 func (m Model) Generate(p dataset.Problem, opts GenOptions) string {
 	rng := m.rng(p, opts, true)
 	defer rngPool.Put(rng)
 	latent := m.rng(p, opts, false)
 	defer rngPool.Put(latent)
 	cat := m.drawCategory(p, opts, rng, latent)
+	if cat <= 2 {
+		return bare(cat, rng)
+	}
+	a := arenas.Get().(*arena)
+	defer a.release()
+	pre, post := m.Profile.Wrap.affixes()
+	a.out = append(a.out, pre...)
 	// Functional mistakes (which fields are wrong) are a property of the
 	// problem, not the sample: real models get the same thing wrong on
 	// every retry. Textual presentation still varies per sample.
-	answer := m.emit(cat, p, latent, rng)
-	return wrap(m.Profile.Wrap, answer, cat, rng)
+	if clean, ok := m.emit(a, cat, p, latent, rng); ok {
+		if pre == "" && post == "" {
+			return clean
+		}
+		a.out = append(a.out, clean...)
+	}
+	a.out = append(a.out, post...)
+	return string(a.out)
 }
 
 // rngPool recycles generators between generations. The front end is
@@ -201,46 +221,55 @@ func (m Model) drawCategory(p dataset.Problem, opts GenOptions, rng, latent *ran
 	return 6
 }
 
-// emit renders the answer text for a category. Functional content draws
-// from the latent (per-problem) stream; cosmetic variation draws from
-// the per-sample stream.
-func (m Model) emit(cat int, p dataset.Problem, latent, rng *rand.Rand) string {
+// bare is a degenerate answer: empty or under three lines (category
+// 1), or longer prose without a kind field (category 2).
+func bare(cat int, rng *rand.Rand) string {
+	if cat == 1 {
+		options := [...]string{"", "apiVersion: v1", "I cannot help with that.", "yaml"}
+		return options[rng.Intn(len(options))]
+	}
+	return "To accomplish this task you would configure the resource with the appropriate\n" +
+		"settings for your cluster. First create the object, then verify it with kubectl.\n" +
+		"The most important settings are the selector and the labels, which must agree.\n" +
+		"Afterwards, check the status and repeat as needed until everything is healthy.\n"
+}
+
+// emit writes the answer of category 3–6 to a.out. A clean answer is
+// the reference's own text, which it returns with ok instead.
+// Functional content draws from the latent (per-problem) stream;
+// cosmetic variation draws from the per-sample stream.
+func (m Model) emit(a *arena, cat int, p dataset.Problem, latent, rng *rand.Rand) (clean string, ok bool) {
 	c := contextFor(p)
 	switch cat {
-	case 1: // empty or under three lines
-		options := []string{"", "apiVersion: v1", "I cannot help with that.", "yaml"}
-		return options[rng.Intn(len(options))]
-	case 2: // longer prose without a kind field
-		return "To accomplish this task you would configure the resource with the appropriate\n" +
-			"settings for your cluster. First create the object, then verify it with kubectl.\n" +
-			"The most important settings are the selector and the labels, which must agree.\n" +
-			"Afterwards, check the status and repeat as needed until everything is healthy.\n"
 	case 3: // contains kind but the YAML is cut off / broken
-		return truncateYAML(c, rng)
+		truncateYAML(a, c, rng)
 	case 4: // valid YAML, wrong kind
 		if !scenario.For(p.Category).HasKind {
 			// Families without document kinds (Envoy bootstraps, Compose
 			// files) have nothing to swap; a confused answer of the
 			// "wrong flavor" is a functionally wrong config instead.
-			return corruptYAML(c, latent)
+			corruptYAML(a, c, latent)
+		} else {
+			wrongKind(a, c, latent)
 		}
-		return wrongKind(c, latent)
 	case 5: // valid YAML, right kind, functionally wrong
-		return corruptYAML(c, latent)
+		corruptYAML(a, c, latent)
 	default: // correct
-		if rng.Float64() < m.Profile.NoiseWhenCorrect {
-			return harmlessNoise(c, rng)
+		if rng.Float64() >= m.Profile.NoiseWhenCorrect || c.labeled == nil {
+			return c.clean, true
 		}
-		return c.clean
+		harmlessNoise(a, c, rng)
 	}
+	return "", false
 }
 
-// truncateYAML cuts the reference somewhere after the kind line and may
-// break indentation, producing category 3 answers.
-func truncateYAML(c *genContext, rng *rand.Rand) string {
+// truncateYAML writes the reference cut somewhere after the kind line
+// to a.out, and may break indentation, producing category 3 answers.
+func truncateYAML(a *arena, c *genContext, rng *rand.Rand) {
 	lines := len(c.lineEnds)
 	if lines < 4 {
-		return c.clean[:len(c.clean)/2]
+		a.out = append(a.out, c.clean[:len(c.clean)/2]...)
+		return
 	}
 	maxCut := lines - 2
 	if maxCut < 4 {
@@ -251,11 +280,12 @@ func truncateYAML(c *genContext, rng *rand.Rand) string {
 		cut = lines
 	}
 	// Leave a dangling flow value so the document is unparsable.
-	return c.clean[:c.lineEnds[cut-1]] + "\n  spec: [unterminated\n"
+	a.out = append(append(a.out, c.clean[:c.lineEnds[cut-1]]...), "\n  spec: [unterminated\n"...)
 }
 
-// wrongKind swaps the resource kind for a plausible but wrong one.
-func wrongKind(c *genContext, rng *rand.Rand) string {
+// wrongKind writes the reference with its resource kind swapped for a
+// plausible but wrong one to a.out.
+func wrongKind(a *arena, c *genContext, rng *rand.Rand) {
 	alternatives := []string{"Pod", "Deployment", "Service", "ConfigMap", "ReplicaSet"}
 	var doc *yamlx.Node // the first document that is not null, as yamlx.Parse picks it
 	for _, d := range c.docs {
@@ -265,30 +295,29 @@ func wrongKind(c *genContext, rng *rand.Rand) string {
 		}
 	}
 	if doc == nil || doc.Kind != yamlx.MapKind {
-		return c.clean
+		a.out = append(a.out, c.clean...)
+		return
 	}
-	a := arenas.Get().(*arena)
-	defer a.release()
 	cur := doc.Get("kind").ScalarString()
 	alt := alternatives[rng.Intn(len(alternatives))]
 	for alt == cur {
 		alt = alternatives[rng.Intn(len(alternatives))]
 	}
-	return c.tmpl.Marshal(a.own(doc).Set("kind", a.String(alt)))
+	a.out = c.tmpl.Append(a.out, a.own(doc).Set("kind", a.String(alt)))
 }
 
-// corruptYAML perturbs functional leaves of the reference: numeric
-// values drift, strings get mangled, or a required subtree is dropped.
+// corruptYAML writes the reference with functional leaves perturbed to
+// a.out: numeric values drift, strings get mangled, or a required
+// subtree is dropped.
 // The result stays valid YAML with the right kind but fails the unit
 // test: corruption is biased toward leaves whose values the unit-test
 // script actually asserts on, which is what "plausible but wrong"
 // answers get wrong in practice.
-func corruptYAML(c *genContext, rng *rand.Rand) string {
+func corruptYAML(a *arena, c *genContext, rng *rand.Rand) {
 	if len(c.docs) == 0 {
-		return c.clean
+		a.out = append(a.out, c.clean...)
+		return
 	}
-	a := arenas.Get().(*arena)
-	defer a.release()
 	docs := a.docs(c.docs)
 	// Corrupt most tested leaves (at least one), then a random leaf or
 	// two for texture.
@@ -316,7 +345,7 @@ func corruptYAML(c *genContext, rng *rand.Rand) string {
 	for i := 0; i < edits; i++ {
 		a.corruptNode(docs, rng.Intn(len(docs)), rng)
 	}
-	return c.tmpl.MarshalAll(docs)
+	a.out = c.tmpl.AppendAll(a.out, docs)
 }
 
 // corruptNode walks down from document doc, one random child a level,
@@ -373,30 +402,30 @@ func (a *arena) mutateScalar(v *yamlx.Node, rng *rand.Rand) *yamlx.Node {
 			if s[mid] == 'x' {
 				c = "q"
 			}
-			return a.String(s[:mid] + c + s[mid+1:])
+			return a.String(a.concat(s[:mid], c, s[mid+1:]))
 		}
-		return a.String(s + "x")
+		return a.String(a.concat(s, "x", ""))
 	default:
 		return a.String("changed")
 	}
 }
 
-// harmlessNoise rewrites the reference without changing semantics the
-// unit test observes: map keys reorder, wildcard-labeled names change,
-// set-labeled values pick another allowed member. Text metrics drop;
-// KV-wildcard and unit tests stay at 1.
-func harmlessNoise(c *genContext, rng *rand.Rand) string {
+// harmlessNoise writes the reference rewritten without changing
+// semantics the unit test observes to a.out: map keys reorder,
+// wildcard-labeled names change, set-labeled values pick another allowed
+// member. Text metrics drop; KV-wildcard and unit tests stay at 1.
+func harmlessNoise(a *arena, c *genContext, rng *rand.Rand) {
 	if c.labeled == nil {
-		return c.clean
+		a.out = append(a.out, c.clean...)
+		return
 	}
-	a := arenas.Get().(*arena)
-	defer a.release()
 	docs := a.docs(c.noiseBase)
 	for i, doc := range docs {
 		docs[i] = a.applyHarmless(c, doc, rng)
 	}
-	out := yamlmatch.StripLabels(c.noiseTmpl.MarshalAll(docs))
-	if textEqual(out, c.clean) {
+	start := len(a.out)
+	a.noise(c, docs)
+	if textEqual(a.out[start:], c.clean) {
 		// Noise is supposed to be visible: rotate the trailing top-level
 		// entries of the first document (YAML-legal, semantics intact).
 		if doc := docs[0]; doc.Kind == yamlx.MapKind && len(doc.Entries) >= 3 {
@@ -406,14 +435,27 @@ func harmlessNoise(c *genContext, rng *rand.Rand) string {
 			copy(doc.Entries[2:], doc.Entries[1:last])
 			doc.Entries[1] = e
 			docs[0] = doc
-			out = yamlmatch.StripLabels(c.noiseTmpl.MarshalAll(docs))
+			a.out = a.out[:start]
+			a.noise(c, docs)
 		}
 	}
-	return out
 }
 
-func textEqual(a, b string) bool {
-	return strings.TrimSpace(a) == strings.TrimSpace(b)
+// noise appends the rendering of noise documents, its labels stripped.
+// noiseBase carries no label a mapping value had, and the emitter
+// writes a comment only after a scalar, so a rendering without a "#"
+// is its own stripped text; one with a "#" goes through StripLabels.
+func (a *arena) noise(c *genContext, docs []*yamlx.Node) {
+	start := len(a.out)
+	a.out = c.noiseTmpl.AppendAll(a.out, docs)
+	if bytes.IndexByte(a.out[start:], '#') >= 0 {
+		stripped := yamlmatch.StripLabels(string(a.out[start:]))
+		a.out = append(a.out[:start], stripped...)
+	}
+}
+
+func textEqual(a []byte, b string) bool {
+	return string(bytes.TrimSpace(a)) == strings.TrimSpace(b)
 }
 
 // applyHarmless returns n with the noise applied: n itself where the
@@ -442,7 +484,7 @@ func (a *arena) applyHarmless(c *genContext, n *yamlx.Node, rng *rand.Rand) *yam
 				if label.Kind == yamlmatch.SetLabel {
 					nv = a.String(label.Values[rng.Intn(len(label.Values))])
 				} else {
-					nv = a.String("alt-" + v.ScalarString())
+					nv = a.String(a.concat("alt-", v.ScalarString(), ""))
 				}
 				nv.Quoted = v.Quoted // the value changes, the way it was written does not
 			}
@@ -462,23 +504,21 @@ func (a *arena) applyHarmless(c *genContext, n *yamlx.Node, rng *rand.Rand) *yam
 	return n
 }
 
-// wrap dresses an answer in the model's response style.
-func wrap(style WrapStyle, answer string, cat int, rng *rand.Rand) string {
-	if cat <= 2 {
-		return answer // degenerate answers are returned bare
-	}
+// affixes are the text a response style puts before and after the
+// answer.
+func (style WrapStyle) affixes() (pre, post string) {
 	switch style {
 	case WrapMarkdown:
-		return "Sure! Here's the configuration you asked for:\n```yaml\n" + answer + "```\nLet me know if you need changes.\n"
+		return "Sure! Here's the configuration you asked for:\n```yaml\n", "```\nLet me know if you need changes.\n"
 	case WrapHere:
-		return "Here is the YAML file that satisfies the requirements:\n" + answer
+		return "Here is the YAML file that satisfies the requirements:\n", ""
 	case WrapCodeTags:
-		return "<code>\n" + answer + "</code>\n"
+		return "<code>\n", "</code>\n"
 	case WrapLatex:
-		return "\\begin{code}\n" + answer + "\\end{code}\n"
+		return "\\begin{code}\n", "\\end{code}\n"
 	case WrapSolution:
-		return "START SOLUTION\n" + answer + "END SOLUTION\n"
+		return "START SOLUTION\n", "END SOLUTION\n"
 	default:
-		return answer
+		return "", ""
 	}
 }

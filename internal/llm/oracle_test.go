@@ -2,6 +2,7 @@ package llm
 
 import (
 	"math/rand"
+	"strings"
 
 	"cloudeval/internal/yamlmatch"
 	"cloudeval/internal/yamlx"
@@ -165,7 +166,7 @@ func oracleHarmlessNoise(c *genContext, rng *rand.Rand) string {
 		oracleApplyHarmless(doc, rng)
 	}
 	out := yamlmatch.StripLabels(string(yamlx.MarshalAll(labeled)))
-	if textEqual(out, c.clean) {
+	if strings.TrimSpace(out) == strings.TrimSpace(c.clean) {
 		// Noise is supposed to be visible: rotate the trailing top-level
 		// entries of the first document (YAML-legal, semantics intact).
 		doc := labeled[0]

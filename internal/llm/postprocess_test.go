@@ -156,7 +156,8 @@ var postprocessSink string
 func TestPostprocessAllocs(t *testing.T) {
 	answer := "apiVersion: v1\nkind: Pod\nmetadata:\n  name: x\n"
 	for style := WrapPlain; style <= WrapSolution; style++ {
-		raw := wrap(style, answer, 6, nil)
+		pre, post := style.affixes()
+		raw := pre + answer + post
 		if got := Postprocess(raw); got != answer {
 			t.Errorf("style %d: Postprocess = %q, want %q", style, got, answer)
 		}

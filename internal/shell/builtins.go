@@ -112,7 +112,7 @@ func builtinGrep(in *Interp, io *IO, args []string) int {
 		}
 	}
 	if at < 0 {
-		fmt.Fprintln(io.Err, "usage: grep [-qcE] pattern [file...]")
+		fmt.Fprintln(io.Err, "usage: grep [-qcE] pattern [file]")
 		return 2
 	}
 	pattern := args[at]

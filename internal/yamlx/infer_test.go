@@ -46,16 +46,19 @@ var inferKindEdges = []string{
 	"+inf", "-inf", "+Inf", "-INF", "+infinity", "-Infinity", "+infinit", "+infinityx", "inf", "Infinity",
 	"+nan", "-NaN", "nan", "NaN", "1.14.2", "8080:80", "3000-3010", "1Gi", "500m", "0.5Gi", "10.244.0.5",
 	"1,000", "1 ", " 1", "1\n", "+1", "--1", "+-1", "1-", "2024-01-01", "12:30", "1/2", "٣",
+	"0x0.0.0", "0x2 * * *", "0x*/6 * * *", "0x1e5", "0x1.8", "0X1.8P1", "0x1P3", "-0x1p3", "0x1_F", "0x",
+	"0x+", "0x-", "0x+-5", "0x8000000000000000", "0x-8000000000000000", "-0x0", "0xx1",
 }
 
 // TestInferKindAllocs: the kind of a scalar costs no allocation, number
-// or not, unless strconv has the last word (underscores, hexadecimal,
+// or not, unless strconv has the last word (underscores, 'p' exponents,
 // overflow).
 func TestInferKindAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts under the race detector")
 	}
-	for _, s := range []string{"8080:80", "1.14.2", "3000-3010", "1Gi", "10.244.0.5", "-", ".", "web", "80", "-1.5e3", "+inf", "true"} {
+	for _, s := range []string{"8080:80", "1.14.2", "3000-3010", "1Gi", "10.244.0.5", "-", ".", "web", "80", "-1.5e3", "+inf", "true",
+		"0x0.0.0", "0x2 * * *", "-0x1F", "0x1F"} {
 		if allocs := testing.AllocsPerRun(100, func() { inferKind(s) }); allocs != 0 {
 			t.Errorf("inferKind(%q) allocates %.0f times, want 0", s, allocs)
 		}

@@ -676,7 +676,19 @@ func numericKind(s string) Kind {
 }
 
 // strconvKind is what numericKind decides, decided by strconv itself.
+// Text with a hexadecimal prefix, no 'p' exponent and no underscore
+// (a mangled "0.0.0.0" or cron line) is read by neither base 10 nor
+// ParseFloat, which wants the exponent; strconv sees it only when it is
+// a base-16 integer, so that a refusal does not cost an error value.
 func strconvKind(s string) Kind {
+	if strings.IndexAny(s, "pP_") < 0 {
+		if hex, ok := cutHexPrefix(s); ok && isHexInt(hex) {
+			if _, err := strconv.ParseInt(hex, 16, 64); err == nil {
+				return IntKind
+			}
+		}
+		return StringKind
+	}
 	if _, err := strconv.ParseInt(s, 10, 64); err == nil {
 		return IntKind
 	}
@@ -692,6 +704,28 @@ func strconvKind(s string) Kind {
 }
 
 func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// cutHexPrefix returns s after a leading "0x" or "0X".
+func cutHexPrefix(s string) (string, bool) {
+	if len(s) > 1 && s[0] == '0' && (s[1] == 'x' || s[1] == 'X') {
+		return s[2:], true
+	}
+	return s, false
+}
+
+// isHexInt reports whether s is an optional sign and hexadecimal digits,
+// the text strconv.ParseInt(s, 16, 64) reads when the value fits.
+func isHexInt(s string) bool {
+	if s != "" && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	for i := 0; i < len(s); i++ {
+		if c := s[i] | 0x20; !isDigit(s[i]) && (c < 'a' || c > 'f') {
+			return false
+		}
+	}
+	return s != ""
+}
 
 // fitsInt64 reports whether a run of decimal digits, negated when neg,
 // is within int64's range.

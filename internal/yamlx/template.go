@@ -3,7 +3,6 @@ package yamlx
 import (
 	"math"
 	"math/bits"
-	"sync"
 )
 
 // Template is a set of documents rendered once, with the place of every
@@ -65,31 +64,20 @@ func (t *Template) home(n *Node) int {
 	return int(uint32(n.Line) * 2654435769 >> t.shift)
 }
 
-// MarshalAll returns string(yamlx.MarshalAll(docs)).
-func (t *Template) MarshalAll(docs []*Node) string {
-	e := emitters.Get().(*emitter)
-	e.use = t
+// AppendAll appends yamlx.MarshalAll(docs) to dst and returns the
+// extended buffer.
+func (t *Template) AppendAll(dst []byte, docs []*Node) []byte {
+	e := emitter{buf: dst, use: t}
 	e.all(docs)
-	return e.finish()
+	return e.buf
 }
 
-// Marshal returns MarshalString(doc).
-func (t *Template) Marshal(doc *Node) string {
-	e := emitters.Get().(*emitter)
-	e.use = t
+// Append appends yamlx.Marshal(doc) to dst and returns the extended
+// buffer.
+func (t *Template) Append(dst []byte, doc *Node) []byte {
+	e := emitter{buf: dst, use: t}
 	e.doc(doc)
-	return e.finish()
-}
-
-// emitters recycles the buffers templated output is built in; what is
-// returned is a copy.
-var emitters = sync.Pool{New: func() any { return new(emitter) }}
-
-func (e *emitter) finish() string {
-	s := string(e.buf)
-	e.buf, e.use = e.buf[:0], nil
-	emitters.Put(e)
-	return s
+	return e.buf
 }
 
 // reuse writes n's rendering from the template's text, if the template

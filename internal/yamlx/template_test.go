@@ -86,7 +86,7 @@ func FuzzTemplateMatchesMarshal(f *testing.F) {
 		}
 		before := string(yamlx.MarshalAll(docs))
 		tm := yamlx.NewTemplate(docs)
-		if got := tm.MarshalAll(docs); got != before {
+		if got := string(tm.AppendAll(nil, docs)); got != before {
 			t.Fatalf("template renders its own documents as\n%q\nMarshalAll as\n%q", got, before)
 		}
 		rng := rand.New(rand.NewSource(seed))
@@ -94,14 +94,14 @@ func FuzzTemplateMatchesMarshal(f *testing.F) {
 		for step := 0; step < 6 && len(cur) > 0; step++ {
 			i := rng.Intn(len(cur))
 			cur[i] = cowEdit(cur[i], rng)
-			if got, want := tm.MarshalAll(cur), string(yamlx.MarshalAll(cur)); got != want {
+			if got, want := string(tm.AppendAll([]byte("---\n"), cur)), "---\n"+string(yamlx.MarshalAll(cur)); got != want {
 				t.Fatalf("after edit %d (seed %d) template renders\n%q\nMarshalAll\n%q", step, seed, got, want)
 			}
-			if got, want := tm.Marshal(cur[i]), yamlx.MarshalString(cur[i]); got != want {
+			if got, want := string(tm.Append(nil, cur[i])), yamlx.MarshalString(cur[i]); got != want {
 				t.Fatalf("after edit %d (seed %d) template renders document %d as\n%q\nMarshal as\n%q", step, seed, i, got, want)
 			}
 		}
-		if got := tm.MarshalAll(docs); got != before || string(yamlx.MarshalAll(docs)) != before {
+		if got := string(tm.AppendAll(nil, docs)); got != before || string(yamlx.MarshalAll(docs)) != before {
 			t.Fatalf("the template's documents changed under the edits: now\n%q\nwere\n%q", got, before)
 		}
 	})
