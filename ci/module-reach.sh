@@ -7,7 +7,7 @@
 #            run on commands that need no network: dataset -out
 #            -augmented -digest, help, dataset, bench, bench -store
 #            twice (cold, then warm), bench -record then -replay, bench
-#            -record over the warm store, figures -all, campaign -dir
+#            -record over the warm store, bench -layers, figures -all, campaign -dir
 #            twice (the second resumes), models, models -replay, cost,
 #            cluster -workers 8 -cache, eval; loadgen in process (-warm
 #            -store -tenants a,b -record-trace), then -trace; serve
@@ -99,6 +99,7 @@ run bench -store eval.store
 run bench -record gen.trace
 run bench -replay gen.trace
 run bench -store eval.store -record warm.trace
+run bench -layers layers.txt
 run figures -all
 run campaign -dir campaign
 run campaign -dir campaign
