@@ -1,7 +1,6 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -84,34 +83,31 @@ func layers(w *wiring, path string) error {
 	}
 	defer os.RemoveAll(dir)
 	seq := 0
-	// campaigns runs n campaigns and returns the Table 4 they all print
-	// and how many pairs each scored.
-	campaigns := func(n int) (want string, ops int, err error) {
-		for i := range n {
-			seq++
-			w.store = filepath.Join(dir, fmt.Sprintf("cold-%d.store", seq))
-			rows, raw, err := stagedCampaign(w, problems)
-			if err != nil {
-				return "", 0, err
-			}
-			table := score.FormatTable4(rows)
-			if i == 0 && want == "" {
-				want = table
-			} else if table != want {
-				return "", 0, fmt.Errorf("layers: two campaigns' Table 4 differ:\n%s\n%s", want, table)
-			}
-			ops = 0
-			for _, scores := range raw {
-				ops += len(scores)
-			}
+	var want string // the Table 4 every campaign prints
+	// campaign runs one campaign on a store of its own and returns how
+	// many pairs it scored.
+	campaign := func() (ops int, err error) {
+		seq++
+		w.store = filepath.Join(dir, fmt.Sprintf("cold-%d.store", seq))
+		rows, raw, err := stagedCampaign(w, problems)
+		if err != nil {
+			return 0, err
 		}
-		return want, ops, nil
+		if table := score.FormatTable4(rows); want == "" {
+			want = table
+		} else if table != want {
+			return 0, fmt.Errorf("layers: two campaigns' Table 4 differ:\n%s\n%s", want, table)
+		}
+		for _, scores := range raw {
+			ops += len(scores)
+		}
+		return ops, nil
 	}
 	var cols [2]column
 	if alloc {
 		for k := range cols {
 			err := cols[k].countAllocs(func() (err error) {
-				_, cols[k].Ops, err = campaigns(1)
+				cols[k].Ops, err = campaign()
 				return err
 			})
 			if err != nil {
@@ -124,16 +120,14 @@ func layers(w *wiring, path string) error {
 		}
 		return os.WriteFile(path, data, 0o644)
 	}
-	var want string
 	for k, n := range [2]int{1, warmReps} {
 		err := cols[k].sampleCPU(func() error {
-			table, _, err := campaigns(n)
-			if want == "" {
-				want = table
-			} else if table != want {
-				return fmt.Errorf("layers: the warm campaigns' Table 4 differs from the cold one's:\n%s\n%s", want, table)
+			for range n {
+				if _, err := campaign(); err != nil {
+					return err
+				}
 			}
-			return err
+			return nil
 		})
 		if err != nil {
 			return err
@@ -146,17 +140,9 @@ func layers(w *wiring, path string) error {
 	for k := range cols {
 		cols[k].Ops, cols[k].Allocs = counts[k].Ops, counts[k].Allocs
 	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	bw := bufio.NewWriter(f)
-	writeLedger(bw, cols)
-	if err := bw.Flush(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
+	var ledger bytes.Buffer
+	writeLedger(&ledger, cols)
+	if err := os.WriteFile(path, ledger.Bytes(), 0o644); err != nil {
 		return err
 	}
 	fmt.Fprintf(os.Stderr, "cloudeval: wrote layer ledger to %s\n", path)
