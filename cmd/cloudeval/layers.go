@@ -261,10 +261,9 @@ func heapRecords() map[[32]uintptr]int64 {
 }
 
 // A heap profile has stacks, not labels, so an allocation's stage is
-// read off its stack: the innermost call of one of these functions (or
-// of a method of a type named as a root),
-// which are where the stages are entered. A name ends at "." or the end,
-// so a root also holds its closures.
+// read off its stack: the innermost call of one of these functions,
+// which are where the stages are entered. A root also holds its
+// closures, and a root that names a type holds its methods.
 var stageRoots = [stage.Count][]any{
 	stage.Campaign:    {(*score.Evaluator).Benchmark, "cloudeval/internal/score.(*Evaluator).run", "cloudeval/internal/engine.spread"},
 	stage.Prompt:      {prompt.Build, inference.WarmPrompts},

@@ -48,11 +48,6 @@ func TestReadCPUProfileLabels(t *testing.T) {
 	if got := share(col.cpu[stage.BLEU], col.cpu[:]); got < 0.5 {
 		t.Errorf("bleu has %.2f of %d samples, want most", got, col.samples)
 	}
-	for _, s := range samples {
-		if len(s.stack) == 0 {
-			t.Fatal("a sample without a stack")
-		}
-	}
 }
 
 var sink int

@@ -10,19 +10,17 @@ import (
 	"cloudeval/internal/stage"
 )
 
-// cpuSample is one sample of a CPU profile: its CPU time, the value of
-// its stage label ("" without one), and its stack, innermost frame
-// first, as function names.
+// cpuSample is one sample of a CPU profile: its CPU time and the value
+// of its stage label ("" without one).
 type cpuSample struct {
 	nanos int64
 	stage string
-	stack []string
 }
 
 // readCPUProfile decodes the samples of a gzipped profile.proto that
 // runtime/pprof's CPU profiler wrote. It reads the few fields a layer
-// ledger needs — sample values, string labels, locations' functions —
-// and skips the rest.
+// ledger needs — the sample types, sample values and string labels —
+// and skips the rest, stacks included.
 func readCPUProfile(gz []byte) ([]cpuSample, error) {
 	zr, err := gzip.NewReader(bytes.NewReader(gz))
 	if err != nil {
@@ -33,15 +31,13 @@ func readCPUProfile(gz []byte) ([]cpuSample, error) {
 		return nil, err
 	}
 	type rawSample struct {
-		locs, values []uint64
-		labels       [][2]uint64 // string-table indices of key and value
+		values []uint64
+		labels [][2]uint64 // string-table indices of key and value
 	}
 	var (
 		types   []uint64 // string-table index of each sample type's name
 		samples []rawSample
 		strs    []string
-		locFns  = map[uint64][]uint64{} // location id → function ids, innermost first
-		fnNames = map[uint64]uint64{}   // function id → string-table index
 	)
 	err = eachField(raw, func(num int, v uint64, b []byte) error {
 		switch num {
@@ -56,8 +52,6 @@ func readCPUProfile(gz []byte) ([]cpuSample, error) {
 			var s rawSample
 			err := eachField(b, func(num int, v uint64, b []byte) error {
 				switch num {
-				case 1:
-					s.locs = appendPacked(s.locs, v, b)
 				case 2:
 					s.values = appendPacked(s.values, v, b)
 				case 3:
@@ -74,38 +68,6 @@ func readCPUProfile(gz []byte) ([]cpuSample, error) {
 				return nil
 			})
 			samples = append(samples, s)
-			return err
-		case 4: // location
-			var id uint64
-			var fns []uint64
-			err := eachField(b, func(num int, v uint64, b []byte) error {
-				switch num {
-				case 1:
-					id = v
-				case 4: // line: function_id is field 1
-					return eachField(b, func(num int, v uint64, _ []byte) error {
-						if num == 1 {
-							fns = append(fns, v)
-						}
-						return nil
-					})
-				}
-				return nil
-			})
-			locFns[id] = fns
-			return err
-		case 5: // function
-			var id, name uint64
-			err := eachField(b, func(num int, v uint64, _ []byte) error {
-				switch num {
-				case 1:
-					id = v
-				case 2:
-					name = v
-				}
-				return nil
-			})
-			fnNames[id] = name
 			return err
 		case 6: // string_table
 			strs = append(strs, string(b))
@@ -139,11 +101,6 @@ func readCPUProfile(gz []byte) ([]cpuSample, error) {
 		for _, kv := range s.labels {
 			if str(kv[0]) == stage.Key {
 				cs.stage = str(kv[1])
-			}
-		}
-		for _, l := range s.locs {
-			for _, f := range locFns[l] {
-				cs.stack = append(cs.stack, str(fnNames[f]))
 			}
 		}
 		out = append(out, cs)
