@@ -13,9 +13,7 @@
 package composesim
 
 import (
-	"fmt"
 	"slices"
-	"strconv"
 	"strings"
 	"time"
 
@@ -90,6 +88,7 @@ type Project struct {
 	deps     yamlx.Chunks[string]
 	ports    yamlx.Chunks[PortMapping]
 	ctrs     yamlx.Chunks[Container]
+	refusals yamlx.Chunks[refusal]
 	byName   []*Service
 	next     []*Service
 }
@@ -112,6 +111,7 @@ func (p *Project) Reset() {
 	p.deps.Rewind()
 	p.ports.Rewind()
 	p.ctrs.Rewind()
+	p.refusals.Rewind()
 	p.byName = reuse(p.byName)
 	p.next = reuse(p.next)
 }
@@ -146,23 +146,23 @@ func (p *Project) Load(src string) error {
 	docs, err := yamlx.ParseAllCached(src)
 	stage.Set(stage.Apply)
 	if err != nil {
-		return fmt.Errorf("parsing compose file: %v", err)
+		return parseRefusal{err.(*yamlx.ParseError)}
 	}
 	var root *yamlx.Node
 	for _, d := range docs {
 		if d != nil && d.Kind != yamlx.NullKind {
 			if root != nil {
-				return fmt.Errorf("compose file must be a single document")
+				return errNotSingle
 			}
 			root = d
 		}
 	}
 	if root == nil || root.Kind != yamlx.MapKind {
-		return fmt.Errorf("top-level object must be a mapping")
+		return errNotMapping
 	}
 	svcs := root.Get("services")
 	if svcs == nil || svcs.Kind != yamlx.MapKind || len(svcs.Entries) == 0 {
-		return fmt.Errorf("missing or empty `services` mapping")
+		return errNoServices
 	}
 	if n := root.Get("name"); n != nil && n.ScalarString() != "" {
 		p.Name = n.ScalarString()
@@ -189,7 +189,7 @@ func (p *Project) Load(src string) error {
 
 func (p *Project) parseService(name string, n *yamlx.Node) (*Service, error) {
 	if n == nil || n.Kind != yamlx.MapKind {
-		return nil, fmt.Errorf("service %q must be a mapping", name)
+		return nil, p.refuse(serviceNotMap, name, "")
 	}
 	s := &p.services.Take(1)[0]
 	s.Name = name
@@ -197,7 +197,7 @@ func (p *Project) parseService(name string, n *yamlx.Node) (*Service, error) {
 		s.Image = img.ScalarString()
 	}
 	if s.Image == "" {
-		return nil, fmt.Errorf("service %q has no image", name)
+		return nil, p.refuse(serviceNoImage, name, "")
 	}
 	if c := n.Get("command"); c != nil {
 		if c.Kind == yamlx.SeqKind {
@@ -219,9 +219,9 @@ func (p *Project) parseService(name string, n *yamlx.Node) (*Service, error) {
 	if ports := n.Get("ports"); ports != nil && ports.Kind == yamlx.SeqKind && len(ports.Items) > 0 {
 		s.Ports = p.ports.Take(len(ports.Items))
 		for i, it := range ports.Items {
-			pm, err := parsePort(it.ScalarString())
-			if err != nil {
-				return nil, fmt.Errorf("service %q: %v", name, err)
+			pm, bad := parsePort(it.ScalarString())
+			if bad != accepted {
+				return nil, p.refuse(bad, name, it.ScalarString())
 			}
 			s.Ports[i] = pm
 		}
@@ -232,24 +232,39 @@ func (p *Project) parseService(name string, n *yamlx.Node) (*Service, error) {
 // parsePort parses the Compose short port syntax:
 // [ip:]host:container[/protocol]. A bare container port ("80") is
 // valid Compose but publishes on an ephemeral host port, modeled here
-// as unpublished (Host 0).
-func parsePort(spec string) (PortMapping, error) {
+// as unpublished (Host 0). A spec it cannot read is the form of its
+// refusal.
+func parsePort(spec string) (PortMapping, form) {
 	s := strings.TrimSpace(spec)
 	if i := strings.IndexByte(s, '/'); i >= 0 {
 		proto := s[i+1:]
 		if proto != "tcp" && proto != "udp" {
-			return PortMapping{}, fmt.Errorf("invalid port protocol in %q", spec)
+			return PortMapping{}, portProtocol
 		}
 		s = s[:i]
 	}
+	// port reads a port number as strconv.Atoi would, an optional '+'
+	// and decimal digits, without the error value Atoi makes of the rest.
 	port := func(p string) (int, bool) {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		return n, err == nil && n > 0 && n < 65536
+		p = strings.TrimSpace(p)
+		if p != "" && p[0] == '+' {
+			p = p[1:]
+		}
+		n := 0
+		for i := 0; i < len(p); i++ {
+			if p[i] < '0' || p[i] > '9' {
+				return 0, false
+			}
+			if n = n*10 + int(p[i]-'0'); n > 65535 {
+				return 0, false
+			}
+		}
+		return n, n > 0
 	}
 	switch strings.Count(s, ":") {
 	case 0:
 		if c, ok := port(s); ok {
-			return PortMapping{Container: c}, nil
+			return PortMapping{Container: c}, accepted
 		}
 	case 2:
 		// ip:host:container — the bind address is accepted and ignored
@@ -261,10 +276,10 @@ func parsePort(spec string) (PortMapping, error) {
 		h, ok1 := port(host)
 		c, ok2 := port(ctr)
 		if ok1 && ok2 {
-			return PortMapping{Host: h, Container: c}, nil
+			return PortMapping{Host: h, Container: c}, accepted
 		}
 	}
-	return PortMapping{}, fmt.Errorf("invalid port mapping %q", spec)
+	return PortMapping{}, portMapping
 }
 
 // visit appends s to p.next after the services it depends on, each
@@ -272,7 +287,7 @@ func parsePort(spec string) (PortMapping, error) {
 func (p *Project) visit(s *Service) error {
 	switch s.mark {
 	case visiting:
-		return fmt.Errorf("dependency cycle through service %q", s.Name)
+		return p.refuse(dependencyCycle, s.Name, "")
 	case done:
 		return nil
 	}
@@ -281,7 +296,7 @@ func (p *Project) visit(s *Service) error {
 	for _, name := range s.DependsOn {
 		i, ok := slices.BinarySearchFunc(p.byName, name, func(s *Service, name string) int { return strings.Compare(s.Name, name) })
 		if !ok {
-			return fmt.Errorf("depends_on references undefined service %q", name)
+			return p.refuse(dependsUndefined, name, "")
 		}
 		if err := p.visit(p.byName[i]); err != nil {
 			return err
@@ -397,6 +412,10 @@ type Env struct {
 	Project *Project
 	Shell   *shell.Interp
 
+	// text is the shell's text arena (shell.Interp.Text), rewound by
+	// Reset next to the project's chunks.
+	text yamlx.Chunks[byte]
+
 	// running is the storage ps, logs and down list containers into,
 	// dropped by Reset once it outgrows yamlx.ChunkCap.
 	running []*Container
@@ -405,6 +424,7 @@ type Env struct {
 // NewEnv builds a fresh environment with the compose tools registered.
 func NewEnv() *Env {
 	e := &Env{Project: NewProject(), Shell: shell.New()}
+	e.Shell.Text = &e.text
 	e.Shell.AdvanceClock = e.Project.AdvanceTime
 	e.Shell.Builtins["docker"] = e.docker
 	e.Shell.Builtins["curl"] = shell.Curl(func(host string, port int, _ string) (int, string, bool) {
@@ -423,6 +443,7 @@ func (e *Env) Now() time.Time { return e.Project.Now() }
 // survive, mirroring k8scmd.Env.Reset.
 func (e *Env) Reset() {
 	e.Project.Reset()
+	e.text.Rewind()
 	e.Shell.Reset()
 	if cap(e.running) > yamlx.ChunkCap {
 		e.running = nil

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"cloudeval/internal/raceflag"
 	"cloudeval/internal/shell"
 	"cloudeval/internal/yamlx"
 )
@@ -56,13 +57,13 @@ func TestParsePortForms(t *testing.T) {
 		" 8080:80 ":         {Host: 8080, Container: 80},
 	}
 	for spec, want := range valid {
-		got, err := parsePort(spec)
-		if err != nil || got != want {
-			t.Errorf("parsePort(%q) = %+v, %v; want %+v", spec, got, err, want)
+		got, bad := parsePort(spec)
+		if bad != accepted || got != want {
+			t.Errorf("parsePort(%q) = %+v, %v; want %+v", spec, got, bad, want)
 		}
 	}
 	for _, spec := range []string{"eighty:80", "8080:80/icmp", "0:80", "8080:", "a:b:c:d", "70000"} {
-		if _, err := parsePort(spec); err == nil {
+		if _, bad := parsePort(spec); bad == accepted {
 			t.Errorf("parsePort(%q) accepted invalid spec", spec)
 		}
 	}
@@ -84,6 +85,40 @@ func TestContainerOnlyPortNotPublished(t *testing.T) {
 	}
 	if code, _, ok := p.HTTPProbe("web", 80); !ok || code != 200 {
 		t.Error("container-only port unreachable over the project network")
+	}
+}
+
+// TestRefusedFileUnreadAllocatesNothing: docker compose says why it
+// refuses a file when its stderr is read, and when nobody reads it, as
+// in unittest.Run, the refusal is never worded, so the failing command
+// and the Reset that recycles its Env allocate nothing.
+func TestRefusedFileUnreadAllocatesNothing(t *testing.T) {
+	for _, c := range []struct{ file, stderr string }{
+		{"services:\n  web:\n    restart: always\n", `docker compose: bad.yaml: service "web" has no image`},
+		{"services:\n  web:\n    image: nginx\n    ports:\n    - \"eighty:80\"\n", `docker compose: bad.yaml: service "web": invalid port mapping "eighty:80"`},
+		{"services:\n  web:\n    image: nginx\n    depends_on:\n    - ghost\n", `docker compose: bad.yaml: depends_on references undefined service "ghost"`},
+	} {
+		e := NewEnv()
+		e.Shell.FS["bad.yaml"] = c.file
+		const script = "docker compose -f bad.yaml up -d"
+		if stdout, stderr, code := run(t, e, script); stdout != "" || stderr != c.stderr+"\n" || code != 1 {
+			t.Fatalf("stdout %q, stderr %q, exit %d; want stderr %q, exit 1", stdout, stderr, code, c.stderr)
+		}
+		if raceflag.Enabled {
+			continue
+		}
+		prog, err := shell.Parse(script)
+		if err != nil {
+			t.Fatal(err)
+		}
+		allocs := testing.AllocsPerRun(100, func() {
+			e.Reset()
+			e.Shell.FS["bad.yaml"] = c.file
+			e.Shell.Exec(prog)
+		})
+		if allocs != 0 {
+			t.Errorf("%.0f allocations per refusal of %q, want 0", allocs, c.file)
+		}
 	}
 }
 

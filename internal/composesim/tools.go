@@ -57,7 +57,8 @@ func (e *Env) docker(in *shell.Interp, io *shell.IO, args []string) int {
 			return "", false
 		}
 		if err := e.Project.Load(src); err != nil {
-			fmt.Fprintf(io.Err, "docker compose: %s: %v\n", file, err)
+			io.Err.WriteStrings("docker compose: ", file, ": ")
+			io.Err.WriteError(err)
 			return "", false
 		}
 		return src, true

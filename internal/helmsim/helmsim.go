@@ -201,7 +201,8 @@ func (e *Env) renderChart(in *shell.Interp, io *shell.IO, file string) ([]*yamlx
 	docs, err := yamlx.ParseAllCached(src)
 	stage.Set(stage.Apply)
 	if err != nil {
-		fmt.Fprintf(io.Err, "Error: YAML parse error on %s: %v\n", file, err)
+		io.Err.WriteStrings("Error: YAML parse error on ", file, ": ")
+		io.Err.WriteError(err)
 		return nil, 1
 	}
 	e.docs = e.docs[:0]
@@ -209,8 +210,9 @@ func (e *Env) renderChart(in *shell.Interp, io *shell.IO, file string) ([]*yamlx
 		if d == nil || d.Kind == yamlx.NullKind {
 			continue
 		}
-		if _, err := kubesim.ValidateManifest(d); err != nil {
-			fmt.Fprintf(io.Err, "Error: unable to build kubernetes objects from release manifest: %v\n", err)
+		if _, err := e.Cluster.ValidateManifest(d); err != nil {
+			io.Err.WriteString("Error: unable to build kubernetes objects from release manifest: ")
+			io.Err.WriteError(err)
 			return nil, 1
 		}
 		e.docs = append(e.docs, d)
@@ -244,7 +246,8 @@ func (e *Env) install(io *shell.IO, name, ns string, createNS bool, docs []*yaml
 			for _, a := range r.Applied {
 				e.Cluster.Delete(a.Resource, a.Namespace, a.Name)
 			}
-			fmt.Fprintf(io.Err, "Error: install failed: %v\n", err)
+			io.Err.WriteString("Error: install failed: ")
+			io.Err.WriteError(err)
 			return 1
 		}
 		r.Applied = append(r.Applied, res)

@@ -4,7 +4,6 @@
 package k8scmd
 
 import (
-	"fmt"
 	"strings"
 	"time"
 	"unicode/utf8"
@@ -22,6 +21,11 @@ type Env struct {
 	Cluster *kubesim.Cluster
 	Envoy   *envoysim.Bootstrap // set once "envoy -c file" runs
 	Shell   *shell.Interp
+
+	// text is the run's text arena: the shell's (shell.Interp.Text) and
+	// the cluster's (kubesim.Cluster.Text), rewound by Reset next to the
+	// cluster's own memory.
+	text yamlx.Chunks[byte]
 
 	// What kubectl get reuses from one call to the next. docs holds the
 	// documents a get prints while it prints them. list is the List a
@@ -58,6 +62,7 @@ func NewEnv() *Env {
 		{Key: "kind", Value: listKind},
 		{Key: "items", Value: &e.items},
 	}}
+	e.Shell.Text, e.Cluster.Text = &e.text, &e.text
 	e.Shell.AdvanceClock = e.Cluster.AdvanceTime
 	e.Shell.Builtins["kubectl"] = e.kubectl
 	e.Shell.Builtins["curl"] = shell.Curl(e.probe)
@@ -79,6 +84,7 @@ func NewEnv() *Env {
 // BenchmarkEnvPooled; see DESIGN.md §2.6).
 func (e *Env) Reset() {
 	e.Cluster.Reset()
+	e.text.Rewind()
 	e.Envoy = nil
 	e.Shell.Reset()
 	if cap(e.rendered) > maxRendered {
@@ -111,20 +117,23 @@ func (e *Env) namespaceOf(fs shell.FlagSet) string {
 }
 
 // readManifest resolves "-f FILE" or "-f -" against the virtual FS or
-// stdin.
-func (e *Env) readManifest(fs shell.FlagSet, io *shell.IO) (string, error) {
+// stdin. What it cannot resolve it refuses on stderr, and reports false.
+func (e *Env) readManifest(fs shell.FlagSet, io *shell.IO) (string, bool) {
 	file := fs.Get("-f", "--filename")
 	if file == "" {
-		return "", fmt.Errorf("error: must specify one of -f and -k")
+		io.Err.WriteString("error: must specify one of -f and -k\n")
+		return "", false
 	}
 	if file == "-" {
-		return io.In, nil
+		return io.In, true
 	}
 	content, ok := e.Shell.FS[file]
 	if !ok {
-		return "", fmt.Errorf("error: the path %q does not exist", file)
+		io.Err.WriteString("error: the path ")
+		writeQuoted(io.Err, file)
+		io.Err.WriteString(" does not exist\n")
 	}
-	return content, nil
+	return content, ok
 }
 
 // timeoutOf reads --timeout as kubectl does: a duration with its unit,
@@ -139,7 +148,10 @@ func timeoutOf(fs shell.FlagSet, io *shell.IO, zeroNoLimit bool) (time.Duration,
 	}
 	d, err := time.ParseDuration(s)
 	if err != nil {
-		fmt.Fprintf(io.Err, "error: invalid argument %q for \"--timeout\" flag: %v\n", s, err)
+		io.Err.WriteString("error: invalid argument ")
+		writeQuoted(io.Err, s)
+		io.Err.WriteString(" for \"--timeout\" flag: ")
+		io.Err.WriteError(err)
 		return 0, false
 	}
 	if d < 0 || d == 0 && zeroNoLimit {
@@ -209,7 +221,8 @@ func (e *Env) evalOutput(io *shell.IO, format string, names []string, items []*y
 	tmpl := strings.TrimPrefix(format, "jsonpath=")
 	tmpl = strings.Trim(tmpl, "'\"")
 	if err := e.tmpl.Parse(tmpl); err != nil {
-		fmt.Fprintf(io.Err, "error: error parsing jsonpath %s: %v\n", tmpl, err)
+		io.Err.WriteStrings("error: error parsing jsonpath ", tmpl, ": ")
+		io.Err.WriteError(err)
 		return 1
 	}
 	root := &e.list

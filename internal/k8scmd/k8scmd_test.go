@@ -418,17 +418,18 @@ kubectl get ds kube-registry-proxy-modified kube-registry-proxy-modified -o json
 }
 
 // getPhaseMaxAllocs caps what one execution of getPhase allocates on a
-// warmed Env: the substitution's value. It was 9 while the shell's
-// streams were strings.Builders, jsonpath built a slice per step and
-// kubectl a List node and an items slice per get.
-const getPhaseMaxAllocs = 1
+// warmed Env. It was 9 while the shell's streams were strings.Builders,
+// jsonpath built a slice per step and kubectl a List node and an items
+// slice per get, and 1, the substitution's value, until that value was
+// built in the Env's text arena.
+const getPhaseMaxAllocs = 0
 
 const getPhase = `p=$(kubectl get pod web -o jsonpath='{.status.phase}')`
 
 // TestGetJSONPathAllocs pins the read a unit test makes most: a kubectl
 // get through a jsonpath template, inside a command substitution. The
-// template is compiled, the streams are pooled and the rendering buffer
-// is the Env's, so what is left is the value the script keeps.
+// template is compiled, the streams are pooled, the rendering buffer is
+// the Env's and the value the script keeps is in its text arena.
 func TestGetJSONPathAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("the race detector allocates on its own")

@@ -75,9 +75,8 @@ func (e *Env) kindAndNames(args []string) (string, []string) {
 }
 
 func (e *Env) kubectlApply(fs shell.FlagSet, io *shell.IO) int {
-	src, err := e.readManifest(fs, io)
-	if err != nil {
-		fmt.Fprintln(io.Err, err)
+	src, ok := e.readManifest(fs, io)
+	if !ok {
 		return 1
 	}
 	results, err := e.Cluster.ApplyYAML(e.applied[:0], src, e.namespaceOf(fs))
@@ -97,8 +96,7 @@ func (e *Env) kubectlApply(fs shell.FlagSet, io *shell.IO) int {
 		io.Err.WriteString("Error from server (BadRequest): error when creating ")
 		writeQuoted(io.Err, fs.Get("-f", "--filename"))
 		io.Err.WriteString(": ")
-		io.Err.WriteString(err.Error())
-		io.Err.WriteByte('\n')
+		io.Err.WriteError(err)
 		return 1
 	}
 	return 0
@@ -112,9 +110,8 @@ func writeQuoted(w *shell.Stream, s string) {
 
 func (e *Env) kubectlDelete(fs shell.FlagSet, io *shell.IO) int {
 	if fs.Get("-f", "--filename") != "" {
-		src, err := e.readManifest(fs, io)
-		if err != nil {
-			fmt.Fprintln(io.Err, err)
+		src, ok := e.readManifest(fs, io)
+		if !ok {
 			return 1
 		}
 		lines, err := e.Cluster.DeleteYAML(src, e.namespaceOf(fs))
@@ -122,7 +119,7 @@ func (e *Env) kubectlDelete(fs shell.FlagSet, io *shell.IO) int {
 			io.Out.WriteStrings(ln, "\n")
 		}
 		if err != nil {
-			fmt.Fprintf(io.Err, "%v\n", err)
+			io.Err.WriteError(err)
 			return 1
 		}
 		return 0
@@ -143,7 +140,8 @@ func (e *Env) kubectlDelete(fs shell.FlagSet, io *shell.IO) int {
 			writeNotFound(io, res.GroupResource, name)
 			code = 1
 		case err != nil:
-			fmt.Fprintf(io.Err, "Error from server (NotFound): %v\n", err)
+			io.Err.WriteString("Error from server (NotFound): ")
+			io.Err.WriteError(err)
 			code = 1
 		default:
 			io.Out.WriteStrings(res.GroupKind, " ")
@@ -179,14 +177,15 @@ func (e *Env) kubectlCreate(fs shell.FlagSet, io *shell.IO) int {
 	name := fs.Positional[1]
 	if role == nil {
 		if err := e.Cluster.CreateNamespace(name); err != nil {
-			fmt.Fprintf(io.Err, "Error from server (AlreadyExists): %v\n", err)
+			io.Err.WriteString("Error from server (AlreadyExists): ")
+			io.Err.WriteError(err)
 			return 1
 		}
 		io.Out.WriteStrings("namespace/", name, " created\n")
 		return 0
 	}
 	if _, err := e.Cluster.CreateRole(role, e.namespaceOf(fs), name, fs.Get("--verb"), fs.Get("--resource")); err != nil {
-		fmt.Fprintf(io.Err, "%v\n", err)
+		io.Err.WriteError(err)
 		return 1
 	}
 	io.Out.WriteStrings(role.GroupKind, "/", name, " created\n")
@@ -200,7 +199,8 @@ func (e *Env) kubectlCreate(fs shell.FlagSet, io *shell.IO) int {
 func (e *Env) selectorOf(fs shell.FlagSet, io *shell.IO) (kubesim.Selector, bool) {
 	sel, err := kubesim.AppendSelector(e.sel[:0], fs.Get("-l", "--selector"))
 	if err != nil {
-		io.Err.WriteString("error: " + err.Error() + "\n")
+		io.Err.WriteString("error: ")
+		io.Err.WriteError(err)
 		return nil, false
 	}
 	e.sel = sel
@@ -311,7 +311,7 @@ func (e *Env) kubectlDescribe(fs shell.FlagSet, io *shell.IO) int {
 	for _, name := range names {
 		out, err := e.Cluster.Describe(ns, name)
 		if err != nil {
-			fmt.Fprintln(io.Err, err)
+			io.Err.WriteError(err)
 			code = 1
 			continue
 		}
@@ -356,8 +356,7 @@ func (e *Env) kubectlWait(fs shell.FlagSet, io *shell.IO) int {
 		Timeout:   timeout,
 	}
 	if err := e.Cluster.WaitFor(opts); err != nil {
-		io.Err.WriteString(err.Error())
-		io.Err.WriteByte('\n')
+		io.Err.WriteError(err)
 		return 1
 	}
 	lower := strings.ToLower(kind)
@@ -412,7 +411,7 @@ func (e *Env) kubectlRollout(fs shell.FlagSet, io *shell.IO) int {
 		Timeout:   timeout,
 	}
 	if err := e.Cluster.WaitFor(opts); err != nil {
-		fmt.Fprintln(io.Err, err)
+		io.Err.WriteError(err)
 		return 1
 	}
 	io.Out.WriteStrings(kind, " ")

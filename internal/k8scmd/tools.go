@@ -45,7 +45,12 @@ func (e *Env) minikube(in *shell.Interp, io *shell.IO, args []string) int {
 		ns := e.namespaceOf(fs)
 		url, err := e.Cluster.ServiceURL(ns, name)
 		if err != nil {
-			fmt.Fprintf(io.Err, "* Service %q was not found in %q namespace: %v\n", name, ns, err)
+			io.Err.WriteString("* Service ")
+			writeQuoted(io.Err, name)
+			io.Err.WriteString(" was not found in ")
+			writeQuoted(io.Err, ns)
+			io.Err.WriteString(" namespace: ")
+			io.Err.WriteError(err)
 			return 1
 		}
 		io.Out.WriteString("|-----------|")
@@ -89,7 +94,7 @@ func (e *Env) envoy(in *shell.Interp, io *shell.IO, args []string) int {
 	b, err := envoysim.LoadCached(src)
 	stage.Set(stage.Shell)
 	if err != nil {
-		fmt.Fprintf(io.Err, "%v\n", err)
+		io.Err.WriteError(err)
 		return 1
 	}
 	if fs.Get("--mode") == "validate" {

@@ -115,6 +115,16 @@ type Cluster struct {
 	// targets is the storage WaitFor resolves its targets into. Reset
 	// drops it once it outgrows one arena chunk's worth (yamlx.ChunkCap).
 	targets []*Object
+
+	// refusals holds the errors the cluster returned since its last
+	// Reset, which rewinds it (see refusal).
+	refusals yamlx.Chunks[refusal]
+
+	// Text, when set, is the run's text arena (shell.Interp.Text), which
+	// its owner rewinds next to the cluster's Reset: the names of the
+	// pods workloads spawn and the paths refusals name are built there.
+	// Nil builds them on the heap.
+	Text *yamlx.Chunks[byte]
 }
 
 // maxStamps bounds Cluster.stamps: a script that sleeps through more
@@ -184,6 +194,7 @@ func (c *Cluster) Reset() {
 	c.nextPort = 30000
 	c.arena.Rewind()
 	c.objs.Rewind()
+	c.refusals.Rewind()
 	if cap(c.targets) > yamlx.ChunkCap {
 		c.targets = nil
 	}
@@ -229,7 +240,7 @@ func (c *Cluster) put(obj *Object) {
 // like kubectl does.
 func (c *Cluster) CreateNamespace(name string) error {
 	if c.namespaces[name] {
-		return fmt.Errorf("namespaces %q already exists", name)
+		return c.refuse(namespaceExists, "", name, "", "")
 	}
 	c.touch()
 	c.namespaces[name] = true
@@ -279,7 +290,7 @@ func (c *Cluster) HasNamespace(name string) bool { return c.namespaces[name] }
 // it if there is one, and everything inside it.
 func (c *Cluster) DeleteNamespace(name string) error {
 	if !c.namespaces[name] {
-		return fmt.Errorf("namespaces %q not found", name)
+		return c.refuse(namespaceNotFound, "", name, "", "")
 	}
 	c.touch()
 	delete(c.namespaces, name)
@@ -342,7 +353,7 @@ func (c *Cluster) ApplyYAML(dst []ApplyResult, src string, defaultNS string) ([]
 		dst = append(dst, res)
 	}
 	if len(dst) == n {
-		return dst, fmt.Errorf("error: no objects passed to apply")
+		return dst, errNoObjects
 	}
 	return dst, nil
 }
@@ -352,7 +363,7 @@ func (c *Cluster) ApplyYAML(dst []ApplyResult, src string, defaultNS string) ([]
 // stores doc itself and never writes it: a Service's allocations go into
 // copies of the nodes they change (initService).
 func (c *Cluster) Apply(doc *yamlx.Node, defaultNS string) (ApplyResult, error) {
-	r, err := ValidateManifest(doc)
+	r, err := c.ValidateManifest(doc)
 	if err != nil {
 		return ApplyResult{}, err
 	}
@@ -369,7 +380,7 @@ func (c *Cluster) Apply(doc *yamlx.Node, defaultNS string) (ApplyResult, error) 
 	if !r.Namespaced {
 		ns = ""
 	} else if !c.namespaces[ns] {
-		return ApplyResult{}, fmt.Errorf("namespaces %q not found", ns)
+		return ApplyResult{}, c.refuse(namespaceNotFound, "", ns, "", "")
 	}
 
 	if r == Namespace {
@@ -407,7 +418,7 @@ func (c *Cluster) DeleteYAML(src string, defaultNS string) ([]string, error) {
 		kind := doc.Get("kind").ScalarString()
 		r, ok := Lookup(kind)
 		if !ok {
-			return out, noMatch(kind, doc.Get("apiVersion").ScalarString())
+			return out, c.refuse(noMatch, kind, doc.Get("apiVersion").ScalarString(), "", "")
 		}
 		name := doc.Path("metadata", "name").ScalarString()
 		ns := defaultNS

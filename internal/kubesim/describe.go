@@ -13,7 +13,7 @@ import (
 func (c *Cluster) Describe(ns, name string) (string, error) {
 	obj, ok := c.GetObject(Ingress, ns, name)
 	if !ok {
-		return "", fmt.Errorf(`Error from server (NotFound): %s %q not found`, Ingress.Singular, name)
+		return "", c.refuse(ingressNotFound, "", name, "", "")
 	}
 	var b strings.Builder
 	fmt.Fprintf(&b, "Name:             %s\n", obj.Name)

@@ -739,7 +739,7 @@ func TestPodNames(t *testing.T) {
 				hash = shortHash(owner.Name)
 				want = owner.Name + "-" + string(hash[:]) + "-" + strconv.Itoa(i)
 			}
-			if got := podName(owner, hash, i); got != want {
+			if got := NewCluster().podName(owner, hash, i); got != want {
 				t.Errorf("pod %d of %s: %q, want %q", i, owner.Name, got, want)
 			}
 		}

@@ -1,11 +1,10 @@
 package kubesim
 
 import (
-	"errors"
-	"fmt"
 	"math"
 	"slices"
 	"strconv"
+	"strings"
 
 	"cloudeval/internal/yamlx"
 )
@@ -16,43 +15,129 @@ import (
 // Kind, spelled exactly (a command line's plurals and short names name
 // no kind in a manifest), or an apiVersion the row does not accept, is
 // refused as the API server refuses it. What else the kind must hold is
-// the row's fields, walked once, plus the workload rows' selector rule;
-// testdata/validate.golden pins every verdict and message.
-func ValidateManifest(doc *yamlx.Node) (*Resource, error) {
+// the row's fields, walked once, plus the workload rows' selector rule,
+// and last the API server's rule for metadata.name (validName);
+// testdata/validate.golden pins every verdict and message. The error is
+// one of the cluster's refusals, good until its next Reset.
+func (c *Cluster) ValidateManifest(doc *yamlx.Node) (*Resource, error) {
 	if doc == nil || doc.Kind != yamlx.MapKind {
-		return nil, fmt.Errorf("error: unable to decode: document is not a mapping")
+		return nil, errNotMapping
 	}
 	kind := doc.Get("kind")
 	if kind == nil || kind.ScalarString() == "" {
-		return nil, fmt.Errorf("error: unable to decode: Object 'Kind' is missing")
+		return nil, errKindMissing
 	}
 	apiVersion := doc.Get("apiVersion")
 	if apiVersion == nil || apiVersion.ScalarString() == "" {
-		return nil, fmt.Errorf("error: unable to decode: Object 'apiVersion' is missing")
+		return nil, errAPIVersionMissing
 	}
 	k := kind.ScalarString()
 	av := apiVersion.ScalarString()
-	meta := doc.Get("metadata")
-	if meta == nil || meta.Get("name") == nil || meta.Get("name").ScalarString() == "" {
-		return nil, fmt.Errorf("error: resource name may not be empty (%s)", k)
+	name := doc.Path("metadata", "name").ScalarString()
+	if name == "" {
+		return nil, c.refuse(nameEmpty, k, "", "", "")
 	}
-	r, ok := Lookup(k)
+	// Only a row's Kind names it in a manifest, so the spelling is not
+	// lower-cased for a second look, as Lookup does.
+	r, ok := spellings[k]
 	if !ok || r.Kind != k || !slices.Contains(r.Versions, av) {
-		return nil, noMatch(k, av)
+		return nil, c.refuse(noMatch, k, av, "", "")
 	}
 	if r.selector {
-		if err := matchSelector(doc.Get("spec"), k); err != nil {
+		if err := c.matchSelector(doc.Get("spec"), k); err != nil {
 			return r, err
 		}
 	}
 	var path [64]byte
-	return r, r.walk(doc, r.fields, path[:0])
+	if err := c.walk(r, doc, r.fields, path[:0]); err != nil {
+		return r, err
+	}
+	if !validName(name, r == Service) {
+		return r, c.refuse(nameInvalid, r.Kind, name, r.GroupKind[len(r.Singular):], "")
+	}
+	return r, nil
 }
 
-// noMatch is the API server's answer to a kind it does not serve, or
-// serves under other group/versions.
-func noMatch(kind, apiVersion string) error {
-	return fmt.Errorf("error: unable to recognize: no matches for kind %q in version %q", kind, apiVersion)
+// validName reports whether name is what the API server accepts as the
+// metadata.name of a Service (a DNS-1035 label, label true) or of any
+// other kind (a DNS-1123 subdomain).
+func validName(name string, label bool) bool {
+	return len(name) <= maxNameLen(label) && nameForm(name, label)
+}
+
+// maxNameLen is the longest DNS-1035 label (label true) or DNS-1123
+// subdomain.
+func maxNameLen(label bool) int {
+	if label {
+		return 63
+	}
+	return 253
+}
+
+// nameForm reports whether name has the form of a DNS-1035 label (label
+// true) or of a DNS-1123 subdomain, whatever its length.
+func nameForm(name string, label bool) bool {
+	if label {
+		return dnsLabel(name, true)
+	}
+	for {
+		l, rest, more := strings.Cut(name, ".")
+		if !dnsLabel(l, false) {
+			return false
+		}
+		if !more {
+			return true
+		}
+		name = rest
+	}
+}
+
+// dnsLabel reports whether s is lower-case letters, digits and '-',
+// starting and ending with a letter or digit, and starting with a letter
+// where alpha: one label of a DNS name, of RFC 1035 where alpha, else of
+// RFC 1123.
+func dnsLabel(s string, alpha bool) bool {
+	if s == "" || s[0] == '-' || s[len(s)-1] == '-' || alpha && s[0] >= '0' && s[0] <= '9' {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if b := s[i]; !(b >= 'a' && b <= 'z' || b >= '0' && b <= '9' || b == '-') {
+			return false
+		}
+	}
+	return true
+}
+
+// What k8s.io/apimachinery's validation says of a name not of the form.
+const (
+	dns1035Message = `a DNS-1035 label must consist of lower case alphanumeric characters or '-', start with an alphabetic character, and end with an alphanumeric character (e.g. 'my-name',  or 'abc-123', regex used for validation is '[a-z]([-a-z0-9]*[a-z0-9])?')`
+	dns1123Message = `a lowercase RFC 1123 subdomain must consist of lower case alphanumeric characters, '-' or '.', and must start and end with an alphanumeric character (e.g. 'example.com', regex used for validation is '[a-z0-9]([-a-z0-9]*[a-z0-9])?(\.[a-z0-9]([-a-z0-9]*[a-z0-9])?)*')`
+)
+
+// nameMessage is the API server's refusal of name as the metadata.name
+// of an object of the group-qualified kind ("Deployment.apps"): a field
+// error for each rule broken, the length's first, listed as the
+// server's aggregate lists them.
+func nameMessage(kind, name string, label bool) string {
+	var errs []string
+	if max := maxNameLen(label); len(name) > max {
+		errs = append(errs, "must be no more than "+strconv.Itoa(max)+" characters")
+	}
+	if !nameForm(name, label) {
+		form := dns1123Message
+		if label {
+			form = dns1035Message
+		}
+		errs = append(errs, form)
+	}
+	for i, e := range errs {
+		errs[i] = "metadata.name: Invalid value: " + strconv.Quote(name) + ": " + e
+	}
+	msg := kind + " " + strconv.Quote(name) + " is invalid: "
+	if len(errs) == 1 {
+		return msg + errs[0]
+	}
+	return msg + "[" + strings.Join(errs, ", ") + "]"
 }
 
 // A field is one key a manifest of a row's kind may hold: what its value
@@ -88,8 +173,8 @@ var decodedAs = [...]string{yamlx.BoolKind: "bool", yamlx.StringKind: "string", 
 
 // notInt32 is the strict decoder's refusal of a value it reads as JSON
 // type t for the int32 field at path of the Go struct goType.
-func (r *Resource) notInt32(t, goType string, path []byte) error {
-	return errors.New("error validating " + r.Kind + ": cannot unmarshal " + t + " into Go struct field " + goType + "." + string(path) + " of type int32")
+func (c *Cluster) notInt32(r *Resource, t, goType string, path []byte) error {
+	return c.refuse(notInt32, r.Kind, c.text(path), t, goType)
 }
 
 // portStruct is the Go struct that holds a port field of key: a
@@ -106,10 +191,11 @@ func f(key string, is rule, fields ...field) field {
 	return field{key: key, is: is, fields: fields}
 }
 
-// walk checks n against fields, and each value present against its own
-// fields, in one pass; path spells n's place in the document as the API
-// server does ("spec.ports[0]"). The first field in breach is the error.
-func (r *Resource) walk(n *yamlx.Node, fields []field, path []byte) error {
+// walk checks n, in a manifest of r's kind, against fields, and each
+// value present against its own fields, in one pass; path spells n's
+// place in the document as the API server does ("spec.ports[0]"). The
+// first field in breach is the error.
+func (c *Cluster) walk(r *Resource, n *yamlx.Node, fields []field, path []byte) error {
 	for i := range fields {
 		fl := &fields[i]
 		v := n.Get(fl.key)
@@ -117,16 +203,16 @@ func (r *Resource) walk(n *yamlx.Node, fields []field, path []byte) error {
 		case fl.is&required != 0 && v == nil,
 			fl.is&filled != 0 && fl.is&each == 0 && v.ScalarString() == "",
 			fl.is&filled != 0 && fl.is&each != 0 && (v.Len() == 0 || v.Kind != yamlx.SeqKind):
-			return r.absent(fl, fl.at(path))
+			return c.absent(r, fl, fl.at(path))
 		case v == nil: // its fields may still be required
 		case fl.is&dropped != 0:
-			return r.unknownFields(n, fields, path)
+			return c.unknownFields(r, n, fields, path)
 		case fl.is&port != 0:
 			if t := decodedAs[v.Kind]; t != "" {
-				return r.notInt32(t, portStruct(fl.key), fl.at(path))
+				return c.notInt32(r, t, portStruct(fl.key), fl.at(path))
 			}
 			if n, ok := v.AsInt(); !ok || n < 1 || n > 65535 {
-				return errors.New("error validating " + r.Kind + ": " + string(fl.at(path)) + ": Invalid value: " + v.ScalarString())
+				return c.refuse(invalidValue, r.Kind, c.text(fl.at(path)), v.ScalarString(), "")
 			}
 		case fl.is&replicas != 0:
 			t := decodedAs[v.Kind]
@@ -134,33 +220,33 @@ func (r *Resource) walk(n *yamlx.Node, fields []field, path []byte) error {
 				t = "number"
 			}
 			if t != "" {
-				return r.notInt32(t, r.Kind+"Spec", fl.at(path))
+				return c.notInt32(r, t, r.Kind+"Spec", fl.at(path))
 			}
 			if n, ok := v.AsInt(); ok && (n < 0 || n > maxReplicas) {
 				bound := "must be greater than or equal to 0"
 				if n > 0 {
 					bound = "must be less than or equal to " + strconv.Itoa(maxReplicas)
 				}
-				return errors.New("error validating " + r.Kind + ": " + string(fl.at(path)) + ": Invalid value: " + v.ScalarString() + ": " + bound)
+				return c.refuse(outOfRange, r.Kind, c.text(fl.at(path)), v.ScalarString(), bound)
 			}
 		case fl.is&text != 0 && (v.Kind == yamlx.IntKind || v.Kind == yamlx.FloatKind):
-			return errors.New("error validating " + r.Kind + ": cannot unmarshal number into Go struct field EnvVar." + string(fl.at(path)) + " of type string")
+			return c.refuse(notString, r.Kind, c.text(fl.at(path)), "number", "")
 		case fl.is&text != 0 && v.Kind == yamlx.BoolKind:
-			return errors.New("error validating " + r.Kind + ": cannot unmarshal bool into Go struct field EnvVar." + string(fl.at(path)) + " of type string")
+			return c.refuse(notString, r.Kind, c.text(fl.at(path)), "bool", "")
 		case fl.enum != nil && !slices.Contains(fl.enum, v.ScalarString()):
-			return errors.New("error validating " + r.Kind + ": " + string(fl.at(path)) + ": Unsupported value: " + strconv.Quote(v.ScalarString()))
+			return c.refuse(unsupportedValue, r.Kind, c.text(fl.at(path)), v.ScalarString(), "")
 		}
 		if fl.fields == nil {
 			continue
 		}
 		p := fl.at(path)
 		if fl.is&each == 0 {
-			if err := r.walk(v, fl.fields, p); err != nil {
+			if err := c.walk(r, v, fl.fields, p); err != nil {
 				return err
 			}
 		} else if v != nil && v.Kind == yamlx.SeqKind {
 			for j, it := range v.Items {
-				if err := r.walk(it, fl.fields, append(strconv.AppendInt(append(p, '['), int64(j), 10), ']')); err != nil {
+				if err := c.walk(r, it, fl.fields, append(strconv.AppendInt(append(p, '['), int64(j), 10), ']')); err != nil {
 					return err
 				}
 			}
@@ -182,38 +268,37 @@ func (fl *field) at(path []byte) []byte {
 }
 
 // absent is the error for a field that must be there and is not.
-func (r *Resource) absent(fl *field, path []byte) error {
+func (c *Cluster) absent(r *Resource, fl *field, path []byte) error {
 	if fl.says != "" {
-		return errors.New("error validating " + r.Kind + ": " + fl.says)
+		return c.refuse(fieldSays, r.Kind, fl.says, "", "")
 	}
-	return errors.New("error validating " + r.Kind + ": " + string(path) + ": Required value")
+	return c.refuse(requiredValue, r.Kind, c.text(path), "", "")
 }
 
 // unknownFields is strict decoding's error for the fields v1 dropped
 // that n, at path, holds.
-func (r *Resource) unknownFields(n *yamlx.Node, fields []field, path []byte) error {
-	msg := r.Kind + ` in version "v1" cannot be handled as a ` + r.Kind + ": strict decoding error: "
-	sep := ""
+func (c *Cluster) unknownFields(r *Resource, n *yamlx.Node, fields []field, path []byte) error {
+	var buf [8]string
+	keys := buf[:0]
 	for _, fl := range fields {
 		if fl.is&dropped != 0 && n.Get(fl.key) != nil {
-			msg += sep + `unknown field "` + string(path) + "." + fl.key + `"`
-			sep = ", "
+			keys = append(keys, fl.key)
 		}
 	}
-	return errors.New(msg)
+	return c.refuse(unknownFields, r.Kind, c.text(path), yamlx.JoinText(c.Text, keys, ","), "")
 }
 
 // matchSelector is the workload rows' one rule that spans two fields:
 // spec.selector.matchLabels is there, and the pod template's labels
 // carry each of its labels. What the walk reports — no spec, no
 // template — it leaves to the walk.
-func matchSelector(spec *yamlx.Node, kind string) error {
+func (c *Cluster) matchSelector(spec *yamlx.Node, kind string) error {
 	if spec == nil {
 		return nil
 	}
 	sel := spec.Path("selector", "matchLabels")
 	if sel == nil {
-		return errors.New("error validating " + kind + ": spec.selector: Required value")
+		return c.refuse(selectorRequired, kind, "", "", "")
 	}
 	if spec.Get("template") == nil {
 		return nil
@@ -221,7 +306,7 @@ func matchSelector(spec *yamlx.Node, kind string) error {
 	labels := spec.Path("template", "metadata", "labels")
 	for _, e := range sel.Entries {
 		if lv := labels.Get(e.Key); lv == nil || lv.ScalarString() != e.Value.ScalarString() {
-			return fmt.Errorf(`error validating %s: "spec.template.metadata.labels" does not match selector %q`, kind, e.Key+"="+e.Value.ScalarString())
+			return c.refuse(selectorMismatch, kind, e.Key, e.Value.ScalarString(), "")
 		}
 	}
 	return nil

@@ -134,6 +134,20 @@ var valueCases = []struct{ kind, path, value string }{
 	{"Deployment", "spec.replicas", "9223372036854775808"},
 	{"StatefulSet", "spec.replicas", `"3"`},
 	{"Deployment", "spec.replicas", "null"},
+	// metadata.name: a DNS-1035 label for a Service, a DNS-1123
+	// subdomain for every other kind.
+	{"Service", "metadata.name", `"we*b"`},
+	{"Service", "metadata.name", "web.v1"},
+	{"Service", "metadata.name", "1web"},
+	{"Service", "metadata.name", "web-"},
+	{"Service", "metadata.name", strings.Repeat("w", 64)},
+	{"Service", "metadata.name", strings.Repeat("W", 64)},
+	{"Deployment", "metadata.name", "My_App"},
+	{"Deployment", "metadata.name", "1web.v1"},
+	{"Deployment", "metadata.name", "web..v1"},
+	{"Pod", "metadata.name", "web.v1"},
+	{"Pod", "metadata.name", strings.Repeat("p", 254)},
+	{"Namespace", "metadata.name", "Dev"},
 }
 
 // validateRows is the golden's content: one row per distinct
@@ -141,9 +155,10 @@ var valueCases = []struct{ kind, path, value string }{
 func validateRows(t *testing.T) []string {
 	docs := referenceDocs(t)
 	set := map[string]bool{}
+	c := NewCluster()
 	record := func(doc *yamlx.Node, mutation string) {
 		outcome := "ok"
-		if _, err := ValidateManifest(doc); err != nil {
+		if _, err := c.ValidateManifest(doc); err != nil {
 			outcome = err.Error()
 		}
 		set[doc.Get("kind").ScalarString()+"\t"+mutation+"\t"+outcome] = true
@@ -233,8 +248,9 @@ func TestValidateGolden(t *testing.T) {
 // row's kind is accepted, and walking it allocates nothing.
 func TestValidateReferencesAllocs(t *testing.T) {
 	docs := referenceDocs(t)
+	c := NewCluster()
 	for _, d := range docs {
-		if _, err := ValidateManifest(d); err != nil {
+		if _, err := c.ValidateManifest(d); err != nil {
 			t.Errorf("reference %s %s refused: %v", d.Get("kind").ScalarString(), d.Path("metadata", "name").ScalarString(), err)
 		}
 	}
@@ -243,7 +259,7 @@ func TestValidateReferencesAllocs(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(20, func() {
 		for _, d := range docs {
-			ValidateManifest(d)
+			c.ValidateManifest(d)
 		}
 	})
 	if allocs != 0 {
@@ -271,10 +287,11 @@ func FuzzValidateManifest(f *testing.F) {
 		if err != nil {
 			return
 		}
+		c := NewCluster()
 		for _, d := range docs {
 			before := yamlx.Marshal(d)
-			r, err := ValidateManifest(d)
-			_, again := ValidateManifest(d)
+			r, err := c.ValidateManifest(d)
+			_, again := c.ValidateManifest(d)
 			if fmt.Sprint(err) != fmt.Sprint(again) {
 				t.Fatalf("two calls said %v and %v", err, again)
 			}

@@ -1,10 +1,9 @@
 package kubesim
 
 import (
-	"errors"
-	"fmt"
-	"strings"
 	"time"
+
+	"cloudeval/internal/yamlx"
 )
 
 // WaitOptions mirror the flags of "kubectl wait".
@@ -44,7 +43,7 @@ func (c *Cluster) WaitFor(opts WaitOptions) error {
 	defer clear(targets)
 	if len(targets) == 0 {
 		if len(opts.Names) > 0 {
-			return fmt.Errorf("error: %s %q not found", opts.Resource.Singular, strings.Join(opts.Names, ", "))
+			return c.refuse(waitNotFound, opts.Resource.Singular, yamlx.JoinText(c.Text, opts.Names, ", "), "", "")
 		}
 		return errNoMatch
 	}
@@ -53,13 +52,11 @@ func (c *Cluster) WaitFor(opts WaitOptions) error {
 			return nil
 		}
 		if !c.now.Before(deadline) {
-			return fmt.Errorf("error: timed out waiting for the condition on %s", opts.Resource.Singular)
+			return c.refuse(waitTimedOut, opts.Resource.Singular, "", "", "")
 		}
 		c.AdvanceTime(step)
 	}
 }
-
-var errNoMatch = errors.New("error: no matching resources found")
 
 // waitTargets appends a wait's targets to dst.
 func (c *Cluster) waitTargets(dst []*Object, opts WaitOptions) []*Object {

@@ -4,10 +4,13 @@
 // the typed client, and reports throughput, latency percentiles and
 // error-class counts as a JSON artifact benchguard gates in CI.
 //
-// The harness is open-loop: a pacer emits operations on the QPS
-// schedule regardless of completions, and latency is measured from the
-// scheduled emission to the response — so a server that falls behind
-// shows up as tail latency, not as a silently slower offered load.
+// With a QPS the harness is open-loop: a pacer emits operations on the
+// QPS schedule regardless of completions, and latency is measured from
+// the scheduled emission to the response — so a server that falls
+// behind, or a pacer that runs late, shows up as tail latency, not as a
+// silently slower offered load. Without one it is a closed loop of
+// Concurrency clients, each sending its next operation when the last
+// one is answered, and latency is measured from that send.
 package loadgen
 
 import (
@@ -155,7 +158,8 @@ func LoadTrace(path string) ([]Op, error) {
 type Config struct {
 	// BaseURL is the daemon under load.
 	BaseURL string
-	// QPS is the offered load; 0 emits as fast as workers drain.
+	// QPS is the offered load; 0 runs a closed loop, each worker sending
+	// as soon as its last request is answered.
 	QPS float64
 	// Concurrency is the in-flight request bound (default 1).
 	Concurrency int
@@ -238,12 +242,14 @@ func Run(ctx context.Context, cfg Config, ops []Op) (Report, error) {
 		clientFor(op.Tenant)
 	}
 
-	// The pacer stamps each op with its scheduled emission time; the
-	// buffered channel means a slow server never slows the offered
-	// load, it just grows the tail.
+	// With a QPS, the pacer stamps each op with its scheduled emission
+	// time, and the buffered channel means a slow server never slows
+	// the offered load, it just grows the tail. In a closed loop an op
+	// is timed from when a worker takes it, so the wait in the channel,
+	// which only the run's length decides, is no part of its latency.
 	type job struct {
 		op Op
-		at time.Time
+		at time.Time // scheduled emission; zero in a closed loop
 	}
 	jobs := make(chan job, len(ops))
 	samples := make([]sample, 0, len(ops))
@@ -255,6 +261,9 @@ func Run(ctx context.Context, cfg Config, ops []Op) (Report, error) {
 		go func() {
 			defer wg.Done()
 			for j := range jobs {
+				if j.at.IsZero() {
+					j.at = time.Now()
+				}
 				errClass := execute(ctx, clientFor(j.op.Tenant), j.op)
 				s := sample{op: j.op.Op, latency: time.Since(j.at), errClass: errClass}
 				mu.Lock()
@@ -271,9 +280,10 @@ func Run(ctx context.Context, cfg Config, ops []Op) (Report, error) {
 	}
 pace:
 	for i, op := range ops {
-		if interval > 0 && i > 0 {
-			next := start.Add(time.Duration(i) * interval)
-			if d := time.Until(next); d > 0 {
+		var at time.Time
+		if interval > 0 {
+			at = start.Add(time.Duration(i) * interval)
+			if d := time.Until(at); d > 0 {
 				select {
 				case <-ctx.Done():
 					break pace
@@ -284,7 +294,7 @@ pace:
 		select {
 		case <-ctx.Done():
 			break pace
-		case jobs <- job{op: op, at: time.Now()}:
+		case jobs <- job{op: op, at: at}:
 		}
 	}
 	close(jobs)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -266,6 +267,33 @@ func TestRunPacesQPS(t *testing.T) {
 	}
 	if rep.QPSTarget != 100 {
 		t.Errorf("qps_target = %v", rep.QPSTarget)
+	}
+}
+
+// TestClosedLoopLatencyExcludesQueueing: without a QPS each request is
+// timed from when a worker sends it, so one worker draining 20 requests
+// to a handler that takes 5 ms reports a p99 near 5 ms, far below the
+// run's length, not the time the last request waited behind the others.
+func TestClosedLoopLatencyExcludesQueueing(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+		time.Sleep(5 * time.Millisecond)
+		w.Header().Set("Content-Type", "application/json")
+		w.Write([]byte("{}"))
+	}))
+	t.Cleanup(ts.Close)
+	ops := make([]Op, 20)
+	for i := range ops {
+		ops[i] = Op{Op: "stats"}
+	}
+	rep, err := Run(context.Background(), Config{BaseURL: ts.URL, Concurrency: 1}, ops)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.ErrorRate != 0 {
+		t.Fatalf("errors: %v", rep.Errors)
+	}
+	if run := rep.DurationSec * 1000; rep.LatencyMs.P99 > run/4 {
+		t.Errorf("p99 %.1f ms of a %.1f ms closed-loop run: queueing counted as latency", rep.LatencyMs.P99, run)
 	}
 }
 

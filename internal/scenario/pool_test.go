@@ -130,3 +130,60 @@ func TestScenarioPoolNoCrossFamilyLeak(t *testing.T) {
 		}
 	}
 }
+
+// runText is a pair of executions whose captures, assembled fields and
+// pod names differ, each also piping a captured manifest into kubectl
+// apply -f -: the strings a run keeps in its env's text arena.
+var runText = [2]struct{ manifest, script string }{
+	{
+		manifest: "apiVersion: apps/v1\nkind: Deployment\nmetadata:\n  name: alpha\nspec:\n  replicas: 2\n  selector:\n    matchLabels: {app: alpha}\n  template:\n    metadata:\n      labels: {app: alpha}\n    spec:\n      containers:\n      - name: alpha\n        image: nginx\n",
+		script: `m=$(cat labeled_code.yaml)
+echo "$m" | kubectl apply -f -
+kubectl wait --for=condition=Ready pods -l app=alpha --timeout=30s
+pods=$(kubectl get pods -l app=alpha -o jsonpath='{.items[*].metadata.name}')
+for p in $pods; do echo "pod=$p label=$(kubectl get pod $p -o jsonpath='{.metadata.labels.app}')"; done
+echo first-$(echo $pods)-last
+kubectl get deploy alpha -o jsonpath='{.status.readyReplicas}'`,
+	},
+	{
+		manifest: "apiVersion: apps/v1\nkind: StatefulSet\nmetadata:\n  name: beta-store\nspec:\n  replicas: 3\n  selector:\n    matchLabels: {app: beta}\n  template:\n    metadata:\n      labels: {app: beta}\n    spec:\n      containers:\n      - name: beta\n        image: redis\n",
+		script: `m=$(cat labeled_code.yaml)
+echo "$m" | kubectl apply -f -
+kubectl wait --for=condition=Ready pods -l app=beta --timeout=30s
+pods=$(kubectl get pods -l app=beta -o jsonpath='{.items[*].metadata.name}')
+echo all-$(echo $pods)-done
+echo "$m" | kubectl apply -f -`,
+	},
+}
+
+// TestResultsOutliveRunText runs execution A on an environment, keeps
+// what it returned, recycles the environment as PutEnv does and runs B,
+// whose run-scoped strings land where A's were: A's output must be
+// unchanged, so it does not point into the text arena, and A run again
+// on the recycled environment must give it again, whatever the process
+// caches kept of A's first run (the manifest A pipes into kubectl apply
+// -f - is a yamlx document cache key).
+func TestResultsOutliveRunText(t *testing.T) {
+	env := For(dataset.Kubernetes).NewEnv()
+	run := func(i int) (string, int) {
+		defer env.Reset()
+		env.Interp().FS["labeled_code.yaml"] = runText[i].manifest
+		return execIn(t, env, runText[i].script)
+	}
+	outA, codeA := run(0)
+	kept := strings.Clone(outA)
+	if codeA != 0 || !strings.Contains(outA, "label=alpha") || !strings.Contains(outA, "first-alpha-") {
+		t.Fatalf("A: exit %d, output %q", codeA, outA)
+	}
+	for i := 0; i < 3; i++ {
+		if outB, code := run(1); code != 0 || !strings.Contains(outB, "all-beta-store-0 beta-store-1 beta-store-2-done") {
+			t.Fatalf("B: exit %d, output %q", code, outB)
+		}
+		if outA != kept {
+			t.Fatalf("A's output changed after B ran:\n%q\nwas\n%q", outA, kept)
+		}
+		if again, code := run(0); again != kept || code != codeA {
+			t.Fatalf("A again: exit %d, output\n%q\nwant exit %d,\n%q", code, again, codeA, kept)
+		}
+	}
+}

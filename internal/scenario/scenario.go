@@ -94,11 +94,14 @@ func (b *Backend) GetEnv() Env {
 // PutEnv wipes an environment and recycles it into this family's pool.
 // The wipe happens on Put rather than Get, so a pooled environment holds
 // nothing of the execution before it. The wipe also rewinds the memory
-// a simulated cluster built its Objects and status documents in, so a
-// node or Object pointer kept past PutEnv reads a later execution's
-// state. What outlives an execution is copied out of it first:
-// unittest.Result and a unittest.Recorder's records carry strings, ints
-// and durations, never a node.
+// a simulated cluster built its Objects, status documents and refusals
+// in, and the environment's text arena (shell.Interp.Text), where the
+// run's captures, assembled argv fields and pod names are built: a node,
+// an Object, an error or such a string kept past PutEnv reads a later
+// execution's state. What outlives an execution is copied to the heap
+// first: unittest.Result and a unittest.Recorder's records carry heap
+// strings, ints and durations, never a node, and so does whatever can
+// key a process-wide cache (a pipeline's stdin, a file a script writes).
 func (b *Backend) PutEnv(e Env) {
 	e.Reset()
 	b.pool.Put(e)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+
+	"cloudeval/internal/yamlx"
 )
 
 // A word is compiled once, by Parse, into everything about it that
@@ -330,8 +332,9 @@ func balanced(s, open, close string) (string, int, error) {
 
 // literalOnly evaluates segments that need no interpreter: the parser
 // uses it to precompute the renditions of literal words with the same
-// assemblers a run uses.
-var literalOnly *Interp
+// assemblers a run uses. It has no Text, since a compiled word lives as
+// long as the process, and no other state, so parsers share it.
+var literalOnly = &Interp{}
 
 func allLiteral(segs []segment) bool {
 	for i := range segs {
@@ -390,12 +393,13 @@ func (in *Interp) value(s *segment) (string, error) {
 }
 
 // captureSub runs a command substitution and returns its stdout with
-// trailing newlines trimmed; its stderr is discarded unwritten.
+// trailing newlines trimmed, in the run's Text; its stderr is discarded
+// unwritten.
 func (in *Interp) captureSub(prog *Program) string {
 	io := in.getIO()
 	io.Err = discard
 	in.execList(prog.stmts, io)
-	out := string(bytes.TrimRight(io.out.buf, "\n"))
+	out := yamlx.CopyText(in.Text, bytes.TrimRight(io.out.buf, "\n"))
 	in.putIO(io)
 	return out
 }
@@ -433,41 +437,49 @@ func (in *Interp) appendFields(argv []string, segs []segment) ([]string, error) 
 		}
 		return argv, nil
 	}
-	// A field assembled from several fragments is accumulated in a
-	// builder, so it costs one final allocation.
-	var cur strings.Builder
-	open := false // a field is being accumulated
+	// Every segment is evaluated before a field is assembled: a
+	// substitution runs commands, which expand words of their own.
+	var valBuf, fragBuf [8]string
+	vals := valBuf[:0]
 	for i := range segs {
 		v, err := in.value(&segs[i])
 		if err != nil {
 			return nil, err
 		}
+		vals = append(vals, v)
+	}
+	// A field is the fragments of values between two splits, joined in
+	// the run's Text; a lone fragment is part of a value, which lives as
+	// long as the field.
+	frags := fragBuf[:0]
+	open := false // a field is being accumulated
+	for i, v := range vals {
 		if segs[i].quoted {
-			cur.WriteString(v)
+			frags = append(frags, v)
 			open = true
 			continue
 		}
 		for len(v) > 0 {
 			idx := strings.IndexAny(v, " \t\n")
 			if idx < 0 {
-				cur.WriteString(v)
+				frags = append(frags, v)
 				open = true
 				break
 			}
 			if idx > 0 {
-				cur.WriteString(v[:idx])
+				frags = append(frags, v[:idx])
 				open = true
 			}
 			if open {
-				argv = append(argv, cur.String())
-				cur.Reset()
+				argv = append(argv, yamlx.JoinText(in.Text, frags, ""))
+				frags = frags[:0]
 				open = false
 			}
 			v = strings.TrimLeft(v[idx:], " \t\n")
 		}
 	}
 	if open {
-		argv = append(argv, cur.String())
+		argv = append(argv, yamlx.JoinText(in.Text, frags, ""))
 	}
 	return argv, nil
 }

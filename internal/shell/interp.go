@@ -3,6 +3,8 @@ package shell
 import (
 	"fmt"
 	"time"
+
+	"cloudeval/internal/yamlx"
 )
 
 // IO carries a command's standard streams. Out and Err start at the two
@@ -58,6 +60,13 @@ type Interp struct {
 	// collects in the run's own stream instead of being discarded), and
 	// its exit status. Nil by default; Reset clears it.
 	Watch func(line int, stdout, stderr string, code int)
+	// Text, when set, is where the run's short-lived strings are built:
+	// the value of each command substitution and each argv field
+	// expansion assembles from several pieces. Its owner rewinds it
+	// between executions (a pooled environment, on PutEnv), so such a
+	// string — a variable's value, an argument a builtin is given — is
+	// good only until then. Nil builds them on the heap.
+	Text *yamlx.Chunks[byte]
 
 	steps    int
 	lastExit int

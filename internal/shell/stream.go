@@ -9,8 +9,11 @@ import (
 // pipeline stage's output or a redirected file's contents. It is a byte
 // buffer owned by the IO it belongs to, and the interpreter reuses that
 // buffer for the next command once this one's output has been taken.
-// Whatever leaves a stream is therefore a copy (String): nothing handed
-// out aliases a buffer that is written again.
+// What the interpreter takes out of a stream is copied, so nothing it
+// hands out aliases a buffer that is written again: to the heap for
+// what may outlive the execution (Exec's stdout, a pipeline's stdin, a
+// file's contents), to the interpreter's Text for a command
+// substitution's value.
 type Stream struct {
 	buf     []byte
 	discard bool
@@ -47,6 +50,16 @@ func (s *Stream) WriteByte(c byte) error {
 		s.buf = append(s.buf, c)
 	}
 	return nil
+}
+
+// WriteError writes err's text and a newline. Nothing renders the text
+// of an error headed for a stream nobody reads: a simulator's refusal
+// builds its message only in Error, and on the discarded stream that is
+// never called.
+func (s *Stream) WriteError(err error) {
+	if !s.discard {
+		s.buf = append(append(s.buf, err.Error()...), '\n')
+	}
 }
 
 // String returns a copy of what was written.

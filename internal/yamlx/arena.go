@@ -1,5 +1,7 @@
 package yamlx
 
+import "unsafe"
+
 // ChunkCap is the most elements a Chunks allocates at once, unless one
 // Take asks for more. It bounds what a rewound Chunks keeps: one chunk
 // of at most this many elements.
@@ -41,6 +43,53 @@ func (c *Chunks[T]) Rewind() {
 // Held reports how many elements of the current chunk have been taken
 // and how many it holds.
 func (c *Chunks[T]) Held() (taken, capacity int) { return len(c.cur), cap(c.cur) }
+
+// CopyText returns b as a string whose bytes are taken from c, so that
+// it costs an allocation only when c starts a chunk. Like every element
+// of c, the string is good until c's owner rewinds it: one that must
+// outlive that — a result, or a key of a cache that lives as long as the
+// process — is copied to the heap instead. With c nil, it is.
+func CopyText(c *Chunks[byte], b []byte) string {
+	if len(b) == 0 {
+		return ""
+	}
+	t := takeText(c, len(b))
+	copy(t, b)
+	return unsafe.String(&t[0], len(t))
+}
+
+// JoinText is strings.Join into c, under CopyText's terms, except that
+// a lone part is returned as it is.
+func JoinText(c *Chunks[byte], parts []string, sep string) string {
+	switch len(parts) {
+	case 0:
+		return ""
+	case 1:
+		return parts[0]
+	}
+	n := len(sep) * (len(parts) - 1)
+	for _, p := range parts {
+		n += len(p)
+	}
+	if n == 0 {
+		return ""
+	}
+	t := takeText(c, n)
+	i := copy(t, parts[0])
+	for _, p := range parts[1:] {
+		i += copy(t[i:], sep)
+		i += copy(t[i:], p)
+	}
+	return unsafe.String(&t[0], n)
+}
+
+// takeText returns n bytes from c, or from the heap when c is nil.
+func takeText(c *Chunks[byte], n int) []byte {
+	if c == nil {
+		return make([]byte, n)
+	}
+	return c.Take(n)
+}
 
 // Arena builds nodes out of chunks: the nodes themselves, mapping
 // entries and sequence items. Its nodes are written by their builder

@@ -1,7 +1,10 @@
 package yamlx_test
 
 import (
+	"slices"
+	"strings"
 	"testing"
+	"unsafe"
 
 	"cloudeval/internal/yamlx"
 )
@@ -69,5 +72,30 @@ func TestArenaNodesMarshalAsHeapNodes(t *testing.T) {
 	a.Rewind()
 	if n := a.Node(); n.Kind != yamlx.NullKind || n.Str != "" || n.Entries != nil {
 		t.Errorf("a rewound arena handed out %+v, want a zeroed node", n)
+	}
+}
+
+// TestTextInChunks: CopyText and JoinText give strings.Join's text, in
+// the chunks when given them and on the heap when not; a lone part is
+// returned as it is, and a string built earlier keeps its bytes while
+// later ones are taken after it.
+func TestTextInChunks(t *testing.T) {
+	var c yamlx.Chunks[byte]
+	for _, chunks := range []*yamlx.Chunks[byte]{&c, nil} {
+		var built, want []string
+		for _, parts := range [][]string{nil, {""}, {"", ""}, {"web"}, {"web", "7d9f", "0"}, {strings.Repeat("x", 3000), "y"}} {
+			built = append(built, yamlx.JoinText(chunks, parts, "-"), yamlx.CopyText(chunks, []byte(strings.Join(parts, "+"))))
+			want = append(want, strings.Join(parts, "-"), strings.Join(parts, "+"))
+		}
+		if !slices.Equal(built, want) {
+			t.Errorf("chunks %v: built %q, want %q", chunks != nil, built, want)
+		}
+	}
+	lone := "web"
+	if got := yamlx.JoinText(&c, []string{lone}, ","); unsafe.StringData(got) != unsafe.StringData(lone) {
+		t.Error("a lone part was copied")
+	}
+	if taken, _ := c.Held(); taken == 0 {
+		t.Error("nothing was taken from the chunks")
 	}
 }
