@@ -69,7 +69,6 @@ func (c *Cluster) text(b []byte) string { return yamlx.CopyText(c.Text, b) }
 
 // Error words the refusal as the API server or kubectl does.
 func (r *refusal) Error() string {
-	validating := "error validating " + r.kind + ": "
 	switch r.form {
 	case nameEmpty:
 		return "error: resource name may not be empty (" + r.kind + ")"
@@ -77,24 +76,6 @@ func (r *refusal) Error() string {
 		return nameMessage(r.kind+r.b, r.a, r.kind == Service.Kind)
 	case noMatch:
 		return "error: unable to recognize: no matches for kind " + strconv.Quote(r.kind) + " in version " + strconv.Quote(r.a)
-	case selectorRequired:
-		return validating + "spec.selector: Required value"
-	case selectorMismatch:
-		return validating + `"spec.template.metadata.labels" does not match selector ` + strconv.Quote(r.a+"="+r.b)
-	case requiredValue:
-		return validating + r.a + ": Required value"
-	case fieldSays:
-		return validating + r.a
-	case notInt32:
-		return validating + "cannot unmarshal " + r.b + " into Go struct field " + r.c + "." + r.a + " of type int32"
-	case invalidValue:
-		return validating + r.a + ": Invalid value: " + r.b
-	case outOfRange:
-		return validating + r.a + ": Invalid value: " + r.b + ": " + r.c
-	case notString:
-		return validating + "cannot unmarshal " + r.b + " into Go struct field EnvVar." + r.a + " of type string"
-	case unsupportedValue:
-		return validating + r.a + ": Unsupported value: " + strconv.Quote(r.b)
 	case unknownFields:
 		msg := r.kind + ` in version "v1" cannot be handled as a ` + r.kind + ": strict decoding error: "
 		for i, key := range strings.Split(r.b, ",") {
@@ -114,6 +95,32 @@ func (r *refusal) Error() string {
 		return "error: timed out waiting for the condition on " + r.kind
 	case ingressNotFound:
 		return "Error from server (NotFound): " + Ingress.Singular + " " + strconv.Quote(r.a) + " not found"
+	}
+	return "error validating " + r.kind + ": " + r.invalid()
+}
+
+// invalid is what a refusal of the schema walk or the selector rule
+// says after naming the kind it validated.
+func (r *refusal) invalid() string {
+	switch r.form {
+	case selectorRequired:
+		return "spec.selector: Required value"
+	case selectorMismatch:
+		return `"spec.template.metadata.labels" does not match selector ` + strconv.Quote(r.a+"="+r.b)
+	case requiredValue:
+		return r.a + ": Required value"
+	case fieldSays:
+		return r.a
+	case notInt32:
+		return "cannot unmarshal " + r.b + " into Go struct field " + r.c + "." + r.a + " of type int32"
+	case invalidValue:
+		return r.a + ": Invalid value: " + r.b
+	case outOfRange:
+		return r.a + ": Invalid value: " + r.b + ": " + r.c
+	case notString:
+		return "cannot unmarshal " + r.b + " into Go struct field EnvVar." + r.a + " of type string"
+	case unsupportedValue:
+		return r.a + ": Unsupported value: " + strconv.Quote(r.b)
 	}
 	panic("kubesim: refusal of unknown form")
 }

@@ -2,7 +2,6 @@ package llm
 
 import (
 	"sync"
-	"unsafe"
 
 	"cloudeval/internal/yamlx"
 )
@@ -45,15 +44,7 @@ func (a *arena) release() {
 // concat returns x+y+z in bytes of the arena's: like the arena's nodes,
 // the string is valid until release, and must not be kept past it.
 func (a *arena) concat(x, y, z string) string {
-	n := len(x) + len(y) + len(z)
-	if n == 0 {
-		return ""
-	}
-	b := a.text.Take(n)
-	i := copy(b, x)
-	i += copy(b[i:], y)
-	copy(b[i:], z)
-	return unsafe.String(&b[0], n)
+	return yamlx.JoinText(&a.text, []string{x, y, z}, "")
 }
 
 // docs is a document list the call may write, over the shared documents.
