@@ -13,7 +13,9 @@
 package composesim
 
 import (
+	"errors"
 	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -146,7 +148,10 @@ func (p *Project) Load(src string) error {
 	docs, err := yamlx.ParseAllCached(src)
 	stage.Set(stage.Apply)
 	if err != nil {
-		return parseRefusal{err.(*yamlx.ParseError)}
+		if pe, ok := err.(*yamlx.ParseError); ok {
+			return parseRefusal{pe}
+		}
+		return errors.New("parsing compose file: " + err.Error())
 	}
 	var root *yamlx.Node
 	for _, d := range docs {
@@ -243,23 +248,16 @@ func parsePort(spec string) (PortMapping, form) {
 		}
 		s = s[:i]
 	}
-	// port reads a port number as strconv.Atoi would, an optional '+'
-	// and decimal digits, without the error value Atoi makes of the rest.
+	// port reads a port number as strconv.Atoi would, but refuses what
+	// is not an optional '+' and digits before Atoi can make an error
+	// value of it.
 	port := func(p string) (int, bool) {
-		p = strings.TrimSpace(p)
-		if p != "" && p[0] == '+' {
-			p = p[1:]
+		p = strings.TrimPrefix(strings.TrimSpace(p), "+")
+		if p == "" || strings.Trim(p, "0123456789") != "" {
+			return 0, false
 		}
-		n := 0
-		for i := 0; i < len(p); i++ {
-			if p[i] < '0' || p[i] > '9' {
-				return 0, false
-			}
-			if n = n*10 + int(p[i]-'0'); n > 65535 {
-				return 0, false
-			}
-		}
-		return n, n > 0
+		n, err := strconv.Atoi(p)
+		return n, err == nil && n > 0 && n < 65536
 	}
 	switch strings.Count(s, ":") {
 	case 0:

@@ -22,11 +22,6 @@ type Env struct {
 	Envoy   *envoysim.Bootstrap // set once "envoy -c file" runs
 	Shell   *shell.Interp
 
-	// text is the run's text arena: the shell's (shell.Interp.Text) and
-	// the cluster's (kubesim.Cluster.Text), rewound by Reset next to the
-	// cluster's own memory.
-	text yamlx.Chunks[byte]
-
 	// What kubectl get reuses from one call to the next. docs holds the
 	// documents a get prints while it prints them. list is the List a
 	// jsonpath template reads when a get does not name exactly one
@@ -62,7 +57,7 @@ func NewEnv() *Env {
 		{Key: "kind", Value: listKind},
 		{Key: "items", Value: &e.items},
 	}}
-	e.Shell.Text, e.Cluster.Text = &e.text, &e.text
+	e.Shell.Text = e.Cluster.Text()
 	e.Shell.AdvanceClock = e.Cluster.AdvanceTime
 	e.Shell.Builtins["kubectl"] = e.kubectl
 	e.Shell.Builtins["curl"] = shell.Curl(e.probe)
@@ -84,7 +79,6 @@ func NewEnv() *Env {
 // BenchmarkEnvPooled; see DESIGN.md §2.6).
 func (e *Env) Reset() {
 	e.Cluster.Reset()
-	e.text.Rewind()
 	e.Envoy = nil
 	e.Shell.Reset()
 	if cap(e.rendered) > maxRendered {

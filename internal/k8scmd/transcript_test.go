@@ -312,18 +312,23 @@ spec:
 		"kubectl get all/web -o jsonpath='{.items}'",
 	)
 
-	// metadata.name is a DNS-1035 label for a Service, a DNS-1123
+	// metadata.name is a DNS-1035 label for a Service, a DNS-1123 label
+	// for a Namespace, a path segment for the RBAC kinds and a DNS-1123
 	// subdomain for any other kind.
 	section("names the API server refuses")
 	env.Shell.FS["svc.yaml"] = "apiVersion: v1\nkind: Service\nmetadata:\n  name: \"we*b\"\nspec:\n  ports:\n  - port: 80\n"
 	env.Shell.FS["dotted-svc.yaml"] = "apiVersion: v1\nkind: Service\nmetadata:\n  name: web.v1\nspec:\n  ports:\n  - port: 80\n"
 	env.Shell.FS["cm.yaml"] = "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: My_Config\n"
 	env.Shell.FS["dotted-cm.yaml"] = "apiVersion: v1\nkind: ConfigMap\nmetadata:\n  name: web.v1\n"
+	env.Shell.FS["dotted-ns.yaml"] = "apiVersion: v1\nkind: Namespace\nmetadata:\n  name: web.v1\n"
 	run(
 		"kubectl apply -f svc.yaml",
 		"kubectl apply -f dotted-svc.yaml",
 		"kubectl apply -f cm.yaml",
 		"kubectl apply -f dotted-cm.yaml",
+		"kubectl apply -f dotted-ns.yaml",
+		"kubectl create clusterrole system:pod-reader --verb=get --resource=pods",
+		"kubectl create clusterrole a/b --verb=get --resource=pods",
 	)
 
 	section("logs")

@@ -120,11 +120,10 @@ type Cluster struct {
 	// Reset, which rewinds it (see refusal).
 	refusals yamlx.Chunks[refusal]
 
-	// Text, when set, is the run's text arena (shell.Interp.Text), which
-	// its owner rewinds next to the cluster's Reset: the names of the
-	// pods workloads spawn and the paths refusals name are built there.
-	// Nil builds them on the heap.
-	Text *yamlx.Chunks[byte]
+	// text is the run's short-lived text: the names of the pods
+	// workloads spawn, the paths refusals name and whatever the cluster's
+	// owner builds there through Text. Reset rewinds it.
+	text yamlx.Chunks[byte]
 }
 
 // maxStamps bounds Cluster.stamps: a script that sleeps through more
@@ -195,6 +194,7 @@ func (c *Cluster) Reset() {
 	c.arena.Rewind()
 	c.objs.Rewind()
 	c.refusals.Rewind()
+	c.text.Rewind()
 	if cap(c.targets) > yamlx.ChunkCap {
 		c.targets = nil
 	}
@@ -207,6 +207,11 @@ func (c *Cluster) newObject(o Object) *Object {
 	*p = o
 	return p
 }
+
+// Text is the cluster's text arena, for the owner to build the rest of
+// a run's short-lived text in (shell.Interp.Text): a string taken from it
+// is good until the cluster's next Reset.
+func (c *Cluster) Text() *yamlx.Chunks[byte] { return &c.text }
 
 // Now returns the current virtual time.
 func (c *Cluster) Now() time.Time { return c.now }

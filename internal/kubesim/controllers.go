@@ -84,16 +84,16 @@ func (c *Cluster) spawnPods(owner *Object, n int) {
 	}
 }
 
-// podName is the name of a workload's i-th pod, built in the run's
-// Text: "<owner>-<hash>-<i>", or "<owner>-<i>" for a StatefulSet, whose
-// hash is left zero.
+// podName is the name of a workload's i-th pod, built in the cluster's
+// text arena: "<owner>-<hash>-<i>", or "<owner>-<i>" for a StatefulSet,
+// whose hash is left zero.
 func (c *Cluster) podName(owner *Object, hash [6]byte, i int) string {
 	var buf [128]byte
 	b := append(append(buf[:0], owner.Name...), '-')
 	if hash[0] != 0 {
 		b = append(append(b, hash[:]...), '-')
 	}
-	return c.text(strconv.AppendInt(b, int64(i), 10))
+	return c.copyText(strconv.AppendInt(b, int64(i), 10))
 }
 
 // addrTable holds the first 256 addresses of a /24 as status-document

@@ -14,9 +14,9 @@ import (
 // to a stream nobody reads (shell.Stream.WriteError), so their text is
 // never built. A cluster takes its refusals from chunks its Reset
 // rewinds, and their operands are strings of the manifest, the command
-// line or the run's Text, so like the cluster's Objects a refusal is
-// good only until that Reset. A refusal that names nothing is one of a
-// fixed set of package errors instead.
+// line or the cluster's text arena, so like the cluster's Objects a
+// refusal is good only until that Reset. A refusal that names nothing is
+// one of a fixed set of package errors instead.
 type refusal struct {
 	form    form
 	kind    string // the row's Kind or Singular, or the manifest's kind
@@ -28,7 +28,7 @@ type form uint8
 
 const (
 	nameEmpty         form = iota // kind
-	nameInvalid                   // kind, name, API group suffix of the kind (".apps", "" for core)
+	nameInvalid                   // Kind, name
 	noMatch                       // kind, apiVersion
 	selectorRequired              // kind
 	selectorMismatch              // kind, label key, label value
@@ -63,9 +63,9 @@ func (c *Cluster) refuse(f form, kind, a, b, x string) error {
 	return r
 }
 
-// text is b as a string in the run's Text, where a refusal keeps a path
-// the walk spelled in its own buffer.
-func (c *Cluster) text(b []byte) string { return yamlx.CopyText(c.Text, b) }
+// copyText is b as a string in the cluster's text arena, where a
+// refusal keeps a path the walk spelled in its own buffer.
+func (c *Cluster) copyText(b []byte) string { return yamlx.CopyText(&c.text, b) }
 
 // Error words the refusal as the API server or kubectl does.
 func (r *refusal) Error() string {
@@ -73,7 +73,7 @@ func (r *refusal) Error() string {
 	case nameEmpty:
 		return "error: resource name may not be empty (" + r.kind + ")"
 	case nameInvalid:
-		return nameMessage(r.kind+r.b, r.a, r.kind == Service.Kind)
+		return nameMessage(spellings[r.kind], r.a)
 	case noMatch:
 		return "error: unable to recognize: no matches for kind " + strconv.Quote(r.kind) + " in version " + strconv.Quote(r.a)
 	case unknownFields:

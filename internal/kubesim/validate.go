@@ -16,7 +16,7 @@ import (
 // no kind in a manifest), or an apiVersion the row does not accept, is
 // refused as the API server refuses it. What else the kind must hold is
 // the row's fields, walked once, plus the workload rows' selector rule,
-// and last the API server's rule for metadata.name (validName);
+// and last the API server's rule for metadata.name (nameRuleOf);
 // testdata/validate.golden pins every verdict and message. The error is
 // one of the cluster's refusals, good until its next Reset.
 func (c *Cluster) ValidateManifest(doc *yamlx.Node) (*Resource, error) {
@@ -52,33 +52,56 @@ func (c *Cluster) ValidateManifest(doc *yamlx.Node) (*Resource, error) {
 	if err := c.walk(r, doc, r.fields, path[:0]); err != nil {
 		return r, err
 	}
-	if !validName(name, r == Service) {
-		return r, c.refuse(nameInvalid, r.Kind, name, r.GroupKind[len(r.Singular):], "")
+	if rule := nameRuleOf(r); !rule.accepts(name) {
+		return r, c.refuse(nameInvalid, r.Kind, name, "", "")
 	}
 	return r, nil
 }
 
-// validName reports whether name is what the API server accepts as the
-// metadata.name of a Service (a DNS-1035 label, label true) or of any
-// other kind (a DNS-1123 subdomain).
-func validName(name string, label bool) bool {
-	return len(name) <= maxNameLen(label) && nameForm(name, label)
-}
+// A nameRule is the API server's rule for the metadata.name of a kind.
+type nameRule uint8
 
-// maxNameLen is the longest DNS-1035 label (label true) or DNS-1123
-// subdomain.
-func maxNameLen(label bool) int {
-	if label {
-		return 63
+const (
+	dns1123Subdomain nameRule = iota // every kind not named below
+	dns1035Label                     // Service
+	dns1123Label                     // Namespace
+	pathSegment                      // Role, ClusterRole, RoleBinding, ClusterRoleBinding
+)
+
+// nameRuleOf is the rule r's names follow.
+func nameRuleOf(r *Resource) nameRule {
+	switch r {
+	case Service:
+		return dns1035Label
+	case Namespace:
+		return dns1123Label
+	case Role, ClusterRole, RoleBinding, ClusterRoleBinding:
+		return pathSegment
 	}
-	return 253
+	return dns1123Subdomain
 }
 
-// nameForm reports whether name has the form of a DNS-1035 label (label
-// true) or of a DNS-1123 subdomain, whatever its length.
-func nameForm(name string, label bool) bool {
-	if label {
-		return dnsLabel(name, true)
+// accepts reports whether name breaks none of the rule's checks.
+func (rule nameRule) accepts(name string) bool {
+	if rule == pathSegment {
+		return name != "." && name != ".." && !strings.ContainsAny(name, "/%")
+	}
+	return len(name) <= rule.maxLen() && rule.form(name)
+}
+
+// maxLen is the longest name a DNS rule accepts.
+func (rule nameRule) maxLen() int {
+	if rule == dns1123Subdomain {
+		return 253
+	}
+	return 63
+}
+
+// form reports whether name has the form of the DNS rule, whatever its
+// length.
+func (rule nameRule) form(name string) bool {
+	if rule != dns1123Subdomain {
+		return dnsLabel(name, rule == dns1035Label)
 	}
 	for {
 		l, rest, more := strings.Cut(name, ".")
@@ -108,32 +131,57 @@ func dnsLabel(s string, alpha bool) bool {
 	return true
 }
 
-// What k8s.io/apimachinery's validation says of a name not of the form.
+// What k8s.io/apimachinery's validation says of a name not of a DNS
+// rule's form.
 const (
-	dns1035Message = `a DNS-1035 label must consist of lower case alphanumeric characters or '-', start with an alphabetic character, and end with an alphanumeric character (e.g. 'my-name',  or 'abc-123', regex used for validation is '[a-z]([-a-z0-9]*[a-z0-9])?')`
-	dns1123Message = `a lowercase RFC 1123 subdomain must consist of lower case alphanumeric characters, '-' or '.', and must start and end with an alphanumeric character (e.g. 'example.com', regex used for validation is '[a-z0-9]([-a-z0-9]*[a-z0-9])?(\.[a-z0-9]([-a-z0-9]*[a-z0-9])?)*')`
+	dns1035Message          = `a DNS-1035 label must consist of lower case alphanumeric characters or '-', start with an alphabetic character, and end with an alphanumeric character (e.g. 'my-name',  or 'abc-123', regex used for validation is '[a-z]([-a-z0-9]*[a-z0-9])?')`
+	dns1123LabelMessage     = `a lowercase RFC 1123 label must consist of lower case alphanumeric characters or '-', and must start and end with an alphanumeric character (e.g. 'my-name',  or '123-abc', regex used for validation is '[a-z0-9]([-a-z0-9]*[a-z0-9])?')`
+	dns1123SubdomainMessage = `a lowercase RFC 1123 subdomain must consist of lower case alphanumeric characters, '-' or '.', and must start and end with an alphanumeric character (e.g. 'example.com', regex used for validation is '[a-z0-9]([-a-z0-9]*[a-z0-9])?(\.[a-z0-9]([-a-z0-9]*[a-z0-9])?)*')`
 )
 
-// nameMessage is the API server's refusal of name as the metadata.name
-// of an object of the group-qualified kind ("Deployment.apps"): a field
-// error for each rule broken, the length's first, listed as the
-// server's aggregate lists them.
-func nameMessage(kind, name string, label bool) string {
+// problems is what the API server says of each of the rule's checks
+// name breaks, in the order it checks them.
+func (rule nameRule) problems(name string) []string {
 	var errs []string
-	if max := maxNameLen(label); len(name) > max {
+	if rule == pathSegment {
+		if name == "." || name == ".." {
+			return []string{"may not be '" + name + "'"}
+		}
+		for _, s := range []string{"/", "%"} {
+			if strings.Contains(name, s) {
+				errs = append(errs, "may not contain '"+s+"'")
+			}
+		}
+		return errs
+	}
+	if max := rule.maxLen(); len(name) > max {
 		errs = append(errs, "must be no more than "+strconv.Itoa(max)+" characters")
 	}
-	if !nameForm(name, label) {
-		form := dns1123Message
-		if label {
-			form = dns1035Message
-		}
-		errs = append(errs, form)
+	switch {
+	case rule.form(name):
+	case rule == dns1035Label:
+		errs = append(errs, dns1035Message)
+	case rule == dns1123Label && dns1123Subdomain.form(name):
+		// A subdomain that is not a label has dots.
+		errs = append(errs, "must not contain dots")
+	case rule == dns1123Label:
+		errs = append(errs, dns1123LabelMessage)
+	default:
+		errs = append(errs, dns1123SubdomainMessage)
 	}
+	return errs
+}
+
+// nameMessage is the API server's refusal of name as the metadata.name
+// of an object of r's kind, group-qualified ("Deployment.apps"): a field
+// error for each check broken, listed as the server's aggregate lists
+// them.
+func nameMessage(r *Resource, name string) string {
+	errs := nameRuleOf(r).problems(name)
 	for i, e := range errs {
 		errs[i] = "metadata.name: Invalid value: " + strconv.Quote(name) + ": " + e
 	}
-	msg := kind + " " + strconv.Quote(name) + " is invalid: "
+	msg := r.Kind + r.GroupKind[len(r.Singular):] + " " + strconv.Quote(name) + " is invalid: "
 	if len(errs) == 1 {
 		return msg + errs[0]
 	}
@@ -174,7 +222,7 @@ var decodedAs = [...]string{yamlx.BoolKind: "bool", yamlx.StringKind: "string", 
 // notInt32 is the strict decoder's refusal of a value it reads as JSON
 // type t for the int32 field at path of the Go struct goType.
 func (c *Cluster) notInt32(r *Resource, t, goType string, path []byte) error {
-	return c.refuse(notInt32, r.Kind, c.text(path), t, goType)
+	return c.refuse(notInt32, r.Kind, c.copyText(path), t, goType)
 }
 
 // portStruct is the Go struct that holds a port field of key: a
@@ -212,7 +260,7 @@ func (c *Cluster) walk(r *Resource, n *yamlx.Node, fields []field, path []byte) 
 				return c.notInt32(r, t, portStruct(fl.key), fl.at(path))
 			}
 			if n, ok := v.AsInt(); !ok || n < 1 || n > 65535 {
-				return c.refuse(invalidValue, r.Kind, c.text(fl.at(path)), v.ScalarString(), "")
+				return c.refuse(invalidValue, r.Kind, c.copyText(fl.at(path)), v.ScalarString(), "")
 			}
 		case fl.is&replicas != 0:
 			t := decodedAs[v.Kind]
@@ -227,14 +275,14 @@ func (c *Cluster) walk(r *Resource, n *yamlx.Node, fields []field, path []byte) 
 				if n > 0 {
 					bound = "must be less than or equal to " + strconv.Itoa(maxReplicas)
 				}
-				return c.refuse(outOfRange, r.Kind, c.text(fl.at(path)), v.ScalarString(), bound)
+				return c.refuse(outOfRange, r.Kind, c.copyText(fl.at(path)), v.ScalarString(), bound)
 			}
 		case fl.is&text != 0 && (v.Kind == yamlx.IntKind || v.Kind == yamlx.FloatKind):
-			return c.refuse(notString, r.Kind, c.text(fl.at(path)), "number", "")
+			return c.refuse(notString, r.Kind, c.copyText(fl.at(path)), "number", "")
 		case fl.is&text != 0 && v.Kind == yamlx.BoolKind:
-			return c.refuse(notString, r.Kind, c.text(fl.at(path)), "bool", "")
+			return c.refuse(notString, r.Kind, c.copyText(fl.at(path)), "bool", "")
 		case fl.enum != nil && !slices.Contains(fl.enum, v.ScalarString()):
-			return c.refuse(unsupportedValue, r.Kind, c.text(fl.at(path)), v.ScalarString(), "")
+			return c.refuse(unsupportedValue, r.Kind, c.copyText(fl.at(path)), v.ScalarString(), "")
 		}
 		if fl.fields == nil {
 			continue
@@ -272,7 +320,7 @@ func (c *Cluster) absent(r *Resource, fl *field, path []byte) error {
 	if fl.says != "" {
 		return c.refuse(fieldSays, r.Kind, fl.says, "", "")
 	}
-	return c.refuse(requiredValue, r.Kind, c.text(path), "", "")
+	return c.refuse(requiredValue, r.Kind, c.copyText(path), "", "")
 }
 
 // unknownFields is strict decoding's error for the fields v1 dropped
@@ -285,7 +333,7 @@ func (c *Cluster) unknownFields(r *Resource, n *yamlx.Node, fields []field, path
 			keys = append(keys, fl.key)
 		}
 	}
-	return c.refuse(unknownFields, r.Kind, c.text(path), yamlx.JoinText(c.Text, keys, ","), "")
+	return c.refuse(unknownFields, r.Kind, c.copyText(path), yamlx.JoinText(&c.text, keys, ","), "")
 }
 
 // matchSelector is the workload rows' one rule that spans two fields:

@@ -134,7 +134,8 @@ var valueCases = []struct{ kind, path, value string }{
 	{"Deployment", "spec.replicas", "9223372036854775808"},
 	{"StatefulSet", "spec.replicas", `"3"`},
 	{"Deployment", "spec.replicas", "null"},
-	// metadata.name: a DNS-1035 label for a Service, a DNS-1123
+	// metadata.name: a DNS-1035 label for a Service, a DNS-1123 label
+	// for a Namespace, a path segment for the RBAC kinds and a DNS-1123
 	// subdomain for every other kind.
 	{"Service", "metadata.name", `"we*b"`},
 	{"Service", "metadata.name", "web.v1"},
@@ -148,6 +149,14 @@ var valueCases = []struct{ kind, path, value string }{
 	{"Pod", "metadata.name", "web.v1"},
 	{"Pod", "metadata.name", strings.Repeat("p", 254)},
 	{"Namespace", "metadata.name", "Dev"},
+	{"Namespace", "metadata.name", "web.v1"},
+	{"Namespace", "metadata.name", strings.Repeat("n", 64)},
+	{"ClusterRole", "metadata.name", `"system:pod-reader"`},
+	{"ClusterRole", "metadata.name", `"."`},
+	{"ClusterRole", "metadata.name", `"a/b%c"`},
+	{"Role", "metadata.name", "Pod_Reader"},
+	{"RoleBinding", "metadata.name", `"read/pods"`},
+	{"RoleBinding", "metadata.name", `".."`},
 }
 
 // validateRows is the golden's content: one row per distinct

@@ -43,7 +43,7 @@ func (c *Cluster) WaitFor(opts WaitOptions) error {
 	defer clear(targets)
 	if len(targets) == 0 {
 		if len(opts.Names) > 0 {
-			return c.refuse(waitNotFound, opts.Resource.Singular, yamlx.JoinText(c.Text, opts.Names, ", "), "", "")
+			return c.refuse(waitNotFound, opts.Resource.Singular, yamlx.JoinText(&c.text, opts.Names, ", "), "", "")
 		}
 		return errNoMatch
 	}
