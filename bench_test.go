@@ -612,7 +612,8 @@ func BenchmarkStoreOpenWarm(b *testing.B) {
 }
 
 // BenchmarkStoreColdGet measures the store's one read path: every Get
-// pays pread + CRC + decode. Run with -benchmem; benchguard caps
+// checks the frame's CRC and key and decodes it where it lies in the
+// segment's mapping, with no syscall. Run with -benchmem; benchguard caps
 // allocs/op here so the on-demand read path cannot silently grow
 // allocation fat — it is what every request that misses the in-memory
 // tiers pays at the store.

@@ -107,7 +107,7 @@ func table(base *Artifact) []row {
 			why: "one cold unit-test execution is no longer 2x below its pre-overhaul cost"},
 		{name: "allocs-cap GenerateBatched", measure: allocs("GenerateBatched"), limit: 560,
 			why: "generation builds more than one string per response again"},
-		{name: "allocs-cap StoreColdGet", measure: allocs("StoreColdGet"), limit: 4,
+		{name: "allocs-cap StoreColdGet", measure: allocs("StoreColdGet"), limit: 2,
 			why: "the store's read path is growing per-Get garbage"},
 		{name: "allocs-cap ScoreAnswer", measure: allocs("ScoreAnswer"), limit: 8,
 			why: "the inline metrics build per-answer strings, maps or slices again"},

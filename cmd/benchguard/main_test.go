@@ -147,7 +147,7 @@ func TestGates(t *testing.T) {
 			"pass engine-ratio 0.3 (needs ≤ 0.36 = 1.2 × baseline 0.3)",
 			"pass cold-speedup 3.99248 (needs ≥ 2)",
 			"pass allocs-cap GenerateBatched 278 (needs ≤ 560)",
-			"pass allocs-cap StoreColdGet 1 (needs ≤ 4)",
+			"pass allocs-cap StoreColdGet 1 (needs ≤ 2)",
 			"pass allocs-cap ScoreAnswer 1 (needs ≤ 8)",
 			"pass campaign-scaling 3.2 (needs ≥ 2.5)",
 			"pass store-scaling 2 (needs ≥ 1.5)",
@@ -181,7 +181,7 @@ func TestGates(t *testing.T) {
 			bench: edit(full, "     278 allocs/op", "     600 allocs/op", "       1 allocs/op", "      11 allocs/op", "     25000 ns/op", "     60000 ns/op"),
 			want: []string{
 				"FAIL allocs-cap GenerateBatched 600 (needs ≤ 560)",
-				"FAIL allocs-cap StoreColdGet 11 (needs ≤ 4)",
+				"FAIL allocs-cap StoreColdGet 11 (needs ≤ 2)",
 				"FAIL allocs-cap ScoreAnswer 11 (needs ≤ 8)",
 				"FAIL cold-speedup 1.66353 (needs ≥ 2)",
 			}},

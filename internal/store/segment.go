@@ -1,54 +1,126 @@
 package store
 
 import (
-	"bufio"
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
+	"runtime/debug"
 	"sync"
 	"sync/atomic"
+	"syscall"
 )
 
-// errLogClosed is returned by logFile.pread once the store has been
-// closed: a Get racing Close misses, and its pread never lands on a
-// recycled file descriptor.
-var errLogClosed = errors.New("store: log file closed")
-
-// errCorruptFrame marks an on-demand read whose frame failed its
-// length or checksum check — served as a cache miss, never a panic.
-var errCorruptFrame = errors.New("store: corrupt frame")
-
-// logFile wraps one log's *os.File behind a close guard so on-demand
-// reads (Get pread) can race Close safely: pread takes the read half,
-// close takes the write half, and a pread after close reports
-// errLogClosed instead of touching a dead (or worse, recycled)
-// descriptor.
+// logFile is one log's *os.File and a read-only, shared mapping of it
+// (syscall.Mmap, so the store builds on unix only). A read holds the
+// read half of mu while it touches the mapping; growing the mapping
+// and close take the write half, so a read never touches an unmapped
+// page or a closed descriptor, and a read after close misses.
 type logFile struct {
 	mu     sync.RWMutex
 	f      *os.File
+	data   []byte // the mapping; nil while the log has never been mapped, and after close
 	closed bool
 }
 
 func newLogFile(f *os.File) *logFile { return &logFile{f: f} }
 
-// pread fills p from offset off, failing with errLogClosed once the
-// file has been closed. Short reads (a torn tail, an offset past EOF)
-// surface as io errors and are treated like corruption by callers.
-func (lf *logFile) pread(p []byte, off int64) error {
-	lf.mu.RLock()
-	defer lf.mu.RUnlock()
-	if lf.closed {
-		return errLogClosed
-	}
-	_, err := lf.f.ReadAt(p, off)
-	return err
+// maxHeadroom bounds how far a mapping reaches past the bytes it was
+// made to cover.
+const maxHeadroom = 64 << 20
+
+// mapLen is the length of a mapping that covers a log's first n bytes:
+// n and half again (at most maxHeadroom more), in whole pages. The
+// headroom lets a read reach frames appended after the mapping was
+// made without a remap until the log has grown by half; pages past the
+// end of the file cost address space, not memory.
+func mapLen(n int64) int {
+	n += min(n/2, maxHeadroom)
+	page := int64(os.Getpagesize())
+	return int((n + page - 1) / page * page)
 }
 
-// close closes the underlying file exactly once, after waiting out any
-// pread in flight.
+// remap maps the log anew so the mapping covers its first n bytes, and
+// unmaps the old mapping. The caller holds the write half of mu, or is
+// Open, which no read can reach yet.
+func (lf *logFile) remap(n int64) error {
+	data, err := syscall.Mmap(int(lf.f.Fd()), 0, mapLen(n), syscall.PROT_READ, syscall.MAP_SHARED)
+	if err != nil {
+		return fmt.Errorf("store: map %s: %w", lf.f.Name(), err)
+	}
+	if lf.data != nil {
+		syscall.Munmap(lf.data)
+	}
+	lf.data = data
+	return nil
+}
+
+// grow remaps the log to cover its first end bytes, unless a racing
+// read already has or the log is closed. A failed remap leaves the old
+// mapping, so the read that asked misses.
+func (lf *logFile) grow(end int64) {
+	lf.mu.Lock()
+	defer lf.mu.Unlock()
+	if !lf.closed && int64(len(lf.data)) < end {
+		lf.remap(end)
+	}
+}
+
+// read returns k's record from the frame e points at, verified and
+// decoded where it lies in the mapping: the length prefix and CRC-32C
+// must match the entry and the frame must carry k itself, or the read
+// misses. Only the returned text is copied out. A frame past the
+// mapped length (appended after the mapping was made) grows the
+// mapping first. Another process may truncate the file under the
+// mapping; the fault that raises on the lost pages is a miss too.
+func (lf *logFile) read(k key, e entry) (rec record, ok bool) {
+	end := e.off + int64(e.n)
+	lf.mu.RLock()
+	if int64(len(lf.data)) < end {
+		lf.mu.RUnlock()
+		lf.grow(end)
+		lf.mu.RLock()
+	}
+	defer lf.mu.RUnlock()
+	if int64(len(lf.data)) < end {
+		return record{}, false // closed, or the remap failed
+	}
+	defer func(old bool) {
+		if endFaultGuard(old, recover()) {
+			rec, ok = record{}, false
+		}
+	}(debug.SetPanicOnFault(true))
+	frame := lf.data[e.off:end]
+	if binary.LittleEndian.Uint32(frame[0:4]) != e.n-frameHeaderSize ||
+		binary.LittleEndian.Uint32(frame[4:8]) != e.sum ||
+		crc32.Checksum(frame[frameHeaderSize:], castagnoli) != e.sum {
+		return record{}, false
+	}
+	got, rec, ok := decode(frame[frameHeaderSize:])
+	if !ok || got != k {
+		return record{}, false
+	}
+	return rec, true
+}
+
+// endFaultGuard ends a stretch of code that reads a mapping with
+// debug.SetPanicOnFault set: it restores the goroutine's old setting
+// and reports whether r, the value its deferred caller recovered, is
+// a memory fault (the mapped file shrank under the read). Any other
+// panic is raised again.
+func endFaultGuard(old bool, r any) bool {
+	debug.SetPanicOnFault(old)
+	if r == nil {
+		return false
+	}
+	if _, fault := r.(interface{ Addr() uintptr }); !fault {
+		panic(r)
+	}
+	return true
+}
+
+// close unmaps the log and closes its file exactly once, after waiting
+// out any read in flight.
 func (lf *logFile) close() error {
 	lf.mu.Lock()
 	defer lf.mu.Unlock()
@@ -56,6 +128,10 @@ func (lf *logFile) close() error {
 		return nil
 	}
 	lf.closed = true
+	if lf.data != nil {
+		syscall.Munmap(lf.data)
+		lf.data = nil
+	}
 	return lf.f.Close()
 }
 
@@ -93,79 +169,116 @@ type segment struct {
 }
 
 func newSegment(f *os.File, id int) *segment {
-	seg := &segment{lf: newLogFile(f), id: uint8(id)}
-	for i := range seg.idx {
-		seg.idx[i].m = make(map[uint64]entry)
-	}
-	return seg
+	return &segment{lf: newLogFile(f), id: uint8(id)}
 }
 
-// scanBufSize is the buffered reader scanLog reads a log through: a
-// frame is a few hundred bytes, so one read(2) serves hundreds of them.
-const scanBufSize = 64 << 10
+// guard runs f on the log's mapping and turns a fault there into an
+// error: another process truncated the file while Open read it.
+func (lf *logFile) guard(f func(data []byte)) (err error) {
+	defer func(old bool) {
+		if endFaultGuard(old, recover()) {
+			err = fmt.Errorf("store: %s shrank while it was read", lf.f.Name())
+		}
+	}(debug.SetPanicOnFault(true))
+	f(lf.data)
+	return nil
+}
 
-// scanLog walks one log file from its start, calling apply for each
+// countFrames hops from frame header to frame header of a log's bytes,
+// checking no CRC, and counts each binary frame in counts under the
+// shard and stripe its key routes to (counts[shard*idxStripes+stripe]).
+// It returns how many JSON frames it passed, whose keys it cannot
+// route without parsing them. The counts bound what replay indexes
+// from above, superseded and corrupt frames included, so Open can make
+// every stripe's map at its final size. Like replay, it stops at a
+// length that runs past the end or an unknown tag.
+func countFrames(data []byte, mask int, counts []int) (legacy int) {
+	for len(data) >= frameHeaderSize {
+		n := int(binary.LittleEndian.Uint32(data))
+		if n == 0 || n > len(data)-frameHeaderSize {
+			break
+		}
+		p := data[frameHeaderSize : frameHeaderSize+n]
+		if p[0] == tagJSON {
+			legacy++
+		} else if k, _, ok := binaryKey(p); ok {
+			counts[k.shard(mask)*idxStripes+k.stripe()]++
+		} else {
+			break
+		}
+		data = data[frameHeaderSize+n:]
+	}
+	return legacy
+}
+
+// mapLog maps the segment's log, unless it is empty, and counts its
+// frames into counts (countFrames). It sets size to the file's size,
+// which bounds what replay scans.
+func (seg *segment) mapLog(mask int, counts []int) (legacy int, err error) {
+	fi, err := seg.lf.f.Stat()
+	if err != nil {
+		return 0, err
+	}
+	if seg.size = fi.Size(); seg.size == 0 {
+		return 0, nil
+	}
+	if err := seg.lf.remap(seg.size); err != nil {
+		return 0, err
+	}
+	err = seg.lf.guard(func(data []byte) { legacy = countFrames(data[:seg.size], mask, counts) })
+	return legacy, err
+}
+
+// scanLog walks a log's bytes from the start, calling apply for each
 // intact frame with its key and index entry (seg unset — the caller
 // knows which log it is scanning), and returns the offset of the first
 // bad (or missing) frame and how many of the intact ones carried a
-// JSON payload. One growable payload buffer is reused across frames,
-// and payloadKey reads only the key, so a multi-gigabyte log replays
-// without ever materializing its payload strings. A frame whose tag is
-// unknown or whose key is malformed is bad: the scan stops there,
-// exactly like a failed CRC.
-func scanLog(f *os.File, apply func(k key, e entry)) (good int64, legacy int, err error) {
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return 0, 0, err
-	}
-	var off int64
-	var hdr [frameHeaderSize]byte
-	var payload []byte
-	r := bufio.NewReaderSize(f, scanBufSize)
-	for {
-		if _, err := io.ReadFull(r, hdr[:]); err != nil {
-			// Clean EOF or a torn header: the log ends here.
-			return off, legacy, nil
+// JSON payload. Frames are checked where they lie and payloadKey reads
+// only the key, so a multi-gigabyte log replays without copying a
+// payload. A frame whose tag is unknown or whose key is malformed is
+// bad: the scan stops there, exactly like a failed CRC.
+func scanLog(data []byte, apply func(k key, e entry)) (good int64, legacy int) {
+	for int64(len(data))-good >= frameHeaderSize {
+		frame := data[good:]
+		n := binary.LittleEndian.Uint32(frame[0:4])
+		sum := binary.LittleEndian.Uint32(frame[4:8])
+		if n == 0 || n > maxPayload || int64(n) > int64(len(frame))-frameHeaderSize {
+			return good, legacy // a torn header or payload: the log ends here
 		}
-		n := binary.LittleEndian.Uint32(hdr[0:4])
-		sum := binary.LittleEndian.Uint32(hdr[4:8])
-		if n == 0 || n > maxPayload {
-			return off, legacy, nil
-		}
-		if cap(payload) < int(n) {
-			payload = make([]byte, n)
-		}
-		payload = payload[:n]
-		if _, err := io.ReadFull(r, payload); err != nil {
-			return off, legacy, nil // torn payload
-		}
+		payload := frame[frameHeaderSize : frameHeaderSize+n]
 		if crc32.Checksum(payload, castagnoli) != sum {
-			return off, legacy, nil // corrupt frame; drop it and everything after
+			return good, legacy // corrupt frame; drop it and everything after
 		}
 		k, isJSON, ok := payloadKey(payload)
 		if !ok {
-			return off, legacy, nil
+			return good, legacy
 		}
 		if isJSON {
 			legacy++
 		}
-		apply(k, entry{off: off, n: frameHeaderSize + n, sum: sum})
-		off += frameHeaderSize + int64(n)
+		apply(k, entry{off: good, n: frameHeaderSize + n, sum: sum})
+		good += frameHeaderSize + int64(n)
 	}
+	return good, legacy
 }
 
-// replay scans the segment's log into the store's offset index
-// (routing by key, so even a misplaced record lands where get looks
-// for it) and truncates the segment's torn tail.
+// replay scans the segment's mapped log, up to the size mapLog found,
+// into the store's offset index (routing by key, so even a misplaced
+// record lands where get looks for it) and truncates the segment's
+// torn tail. The mapping outlives the truncation: it already reaches
+// past the new end, where appends land.
 func (seg *segment) replay(s *Store) error {
-	good, legacy, err := scanLog(seg.lf.f, func(k key, e entry) {
-		e.seg = seg.id
-		s.load(k, e)
-		seg.scanFrames++
+	var good int64
+	err := seg.lf.guard(func(data []byte) {
+		good, seg.legacyFrames = scanLog(data[:seg.size], func(k key, e entry) {
+			e.seg = seg.id
+			s.load(k, e)
+			seg.scanFrames++
+		})
 	})
 	if err != nil {
 		return err
 	}
-	seg.legacyFrames = legacy
 	if err := seg.lf.f.Truncate(good); err != nil {
 		return fmt.Errorf("store: truncate torn tail: %w", err)
 	}

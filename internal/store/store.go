@@ -35,13 +35,12 @@
 // its own segment file <path>.sNN, its own log lock and frame buffer,
 // and its own index stripes. Concurrent Puts to different shards land
 // on independent files under independent locks; Open replays all
-// segments in parallel (one goroutine and one reusable payload buffer
-// per shard). The segment files are the only record of N: Open takes
-// the smallest power of two covering the highest segment index on
-// disk, so routing never changes for an existing store, and picks a
-// default from GOMAXPROCS only when there is no segment yet. A
-// <path>.shards meta file an earlier version wrote is neither read nor
-// removed.
+// segments in parallel, one goroutine per shard. The segment files are
+// the only record of N: Open takes the smallest power of two covering
+// the highest segment index on disk, so routing never changes for an
+// existing store, and picks a default from GOMAXPROCS only when there
+// is no segment yet. A <path>.shards meta file an earlier version wrote
+// is neither read nor removed.
 //
 // A regular file at <path> itself is a log in the pre-shard
 // single-file layout. Open refuses it before creating anything.
@@ -102,15 +101,26 @@
 // SHA-256 has already made uniform, mixed with the kind) to a 24-byte
 // {offset, frame length, payload CRC, segment number, kind} entry.
 // Neither half holds a pointer, so the garbage collector never scans
-// the maps' slots, and resident cost per record is ~56 bytes (48–70 as
-// the maps grow) regardless of how large its output or response text
-// is. A read preads the frame on demand into a pooled buffer,
-// re-verifies its length and checksum against the entry, decodes it
-// and checks that the key inside the frame is the key asked for
-// (anything else is a miss). Nothing decoded is kept: the engine's and
-// the dispatcher's memo.LRUs above the store already hold what a
-// process reads twice, so RSS is bounded by index size, not corpus
-// size, and a read allocates only the text it returns.
+// the maps' slots, and the heap per record is ~52 bytes (52–81 with
+// the maps' sizes) regardless of how large its output or response text
+// is.
+//
+// The frames stay in their files. Open maps every non-empty segment
+// read-only and shared (syscall.Mmap, so the store builds on unix
+// only), reaching past the end of the file by half its size, at most
+// 64 MiB; a read checks the frame where it lies in the mapping: its
+// length and checksum against the entry, then the key inside it
+// against the key asked for (anything else is a miss). decode copies
+// out only the text it returns, and nothing decoded is kept: the
+// engine's and the dispatcher's memo.LRUs above the store already hold
+// what a process reads twice. A frame appended past the mapped length
+// grows the mapping, by half again, under the log's write lock, on its
+// first read. So the anonymous heap is bounded by the index, not by
+// the corpus; the mapped pages a read touches are the kernel's page
+// cache, shared with every reader of the file, though a process's peak
+// resident size (VmHWM) counts them. Another process may truncate a
+// segment under the mapping: a read of a page it cut off faults, and
+// the fault is a miss.
 //
 // The index only locates a record; the frame is the authority on whose
 // record it is. Two keys of one shard and stripe whose fingerprints
@@ -119,13 +129,16 @@
 // collision costs a re-execution, never a wrong record. Among N
 // records one is about N²/2⁶⁵ likely — ~3·10⁻⁸ at a million.
 //
-// Open rebuilds the index by scanning every segment through a buffered
-// reader: per frame a checksum, a bounds check and a copy of the key
-// from its fixed offsets. A Table 4 campaign store (5,736 results +
-// 13,195 generations, 6 MB) opens in about 7 ms on a 2-vCPU box, most
-// of it building the index maps rather than reading frames; with whole
-// keys in the maps the same box took 12–18 ms, and 43 ms when every
-// frame was JSON.
+// Open rebuilds the index from the mappings in two passes. The first
+// hops from frame header to frame header, checking nothing, and counts
+// the frames each stripe will index, so every stripe's map is made at
+// its final size and replay never grows one. The second checks each
+// frame's checksum and copies its key from fixed offsets into the
+// index. A Table 4 campaign store (5,736 results + 13,195 generations,
+// 6 MB) opens in a few milliseconds on a 2-vCPU box, most of it
+// building the index maps rather than reading frames; with whole keys
+// in the maps the same box took 12–18 ms, and 43 ms when every frame
+// was JSON.
 //
 // Open neither reads nor deletes the index sidecars (<segment>.idx)
 // earlier versions wrote beside their segments.
@@ -214,25 +227,6 @@ type entry struct {
 	sum  uint32
 	seg  uint8
 	kind kind
-}
-
-// read preads the frame e points at from lf into buf (grown when too
-// small) and re-verifies the length prefix and payload checksum
-// against the entry before a byte of it is trusted.
-func (e entry) read(lf *logFile, buf []byte) ([]byte, error) {
-	if cap(buf) < int(e.n) {
-		buf = make([]byte, e.n)
-	}
-	buf = buf[:e.n]
-	if err := lf.pread(buf, e.off); err != nil {
-		return buf, err
-	}
-	if binary.LittleEndian.Uint32(buf[0:4]) != e.n-frameHeaderSize ||
-		binary.LittleEndian.Uint32(buf[4:8]) != e.sum ||
-		crc32.Checksum(buf[frameHeaderSize:], castagnoli) != e.sum {
-		return buf, errCorruptFrame
-	}
-	return buf, nil
 }
 
 // Shard-count policy: a power of two sized like memo.LRU's
@@ -401,28 +395,69 @@ func Open(path string) (*Store, error) {
 		}
 		s.segs[i] = newSegment(f, i)
 	}
-	// Parallel replay: one goroutine per shard, each with its own
-	// reusable payload buffer, each truncating its own torn tail.
-	errs := make([]error, n)
-	var wg sync.WaitGroup
-	for i, seg := range s.segs {
-		wg.Add(1)
-		go func(i int, seg *segment) {
-			defer wg.Done()
-			errs[i] = seg.replay(s)
-		}(i, seg)
+	// Replay in two parallel passes, one goroutine per shard in each.
+	// The first maps every segment and counts its frames by the stripe
+	// that will index them; once every stripe's map is made at that
+	// size, so that no map grows, the second scans each segment into
+	// the index and truncates its torn tail.
+	counts := make([][]int, n)
+	legacy := make([]int, n)
+	err = s.eachSegment(func(seg *segment) (err error) {
+		counts[seg.id] = make([]int, n*idxStripes)
+		legacy[seg.id], err = seg.mapLog(s.mask, counts[seg.id])
+		return err
+	})
+	if err == nil {
+		s.presize(counts, legacy)
+		err = s.eachSegment(func(seg *segment) error { return seg.replay(s) })
 	}
-	wg.Wait()
 	for _, seg := range s.segs {
 		s.openStats.ScannedFrames += seg.scanFrames
 		s.openStats.LegacyFrames += seg.legacyFrames
 	}
-	if err := errors.Join(errs...); err != nil {
+	if err != nil {
 		s.closeFiles()
 		return nil, err
 	}
 	s.openStats.Duration = time.Since(start)
 	return s, nil
+}
+
+// eachSegment runs f on every segment, one goroutine each, and joins
+// their errors.
+func (s *Store) eachSegment(f func(seg *segment) error) error {
+	errs := make([]error, len(s.segs))
+	var wg sync.WaitGroup
+	for i, seg := range s.segs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = f(seg)
+		}()
+	}
+	wg.Wait()
+	return errors.Join(errs...)
+}
+
+// presize makes every stripe's map for as many entries as the frame
+// counts of all segments route to it (counts[seg][shard*idxStripes+
+// stripe], from countFrames), plus an even share of the JSON frames
+// the counts could not route.
+func (s *Store) presize(counts [][]int, legacy []int) {
+	spread := 0
+	for _, l := range legacy {
+		spread += l
+	}
+	spread = (spread + len(s.segs)*idxStripes - 1) / (len(s.segs) * idxStripes)
+	for i, seg := range s.segs {
+		for j := range seg.idx {
+			hint := spread
+			for _, c := range counts {
+				hint += c[i*idxStripes+j]
+			}
+			seg.idx[j].m = make(map[uint64]entry, hint)
+		}
+	}
 }
 
 func (s *Store) closeFiles() {
@@ -449,46 +484,25 @@ func (s *Store) load(k key, e entry) {
 	st.set(k, e)
 }
 
-// readBuf is a pooled frame buffer for get: a campaign reads each key
-// once, so without it every read allocates its frame. The pool holds
-// pointers so that Put does not allocate a slice header.
-type readBuf struct{ b []byte }
-
-var readBufs = sync.Pool{New: func() any { return new(readBuf) }}
-
-// maxPooledBuf is the largest buffer the store keeps for reuse: a read
-// buffer get hands back to readBufs, or a segment's frame buffer.
-// One outsized output must not pin its megabytes for the life of the
-// process; a larger buffer is left to the collector.
+// maxPooledBuf is the largest frame buffer a segment keeps for its
+// next append: one outsized output must not pin its megabytes for the
+// life of the process; a larger buffer is left to the collector.
 const maxPooledBuf = 64 << 10
 
-// get is the one read path: the index entry's frame, pread from its
-// segment into a pooled buffer, verified and decoded. Anything that
-// keeps the frame from being read back intact — a closed store, or a
-// frame that verifies but carries another key — is a miss. That key
-// check is what makes a fingerprint collision a miss rather than a
-// wrong record: the frame, not the index, says whose record it is.
+// get is the one read path: the index entry's frame, verified and
+// decoded in place in its segment's mapping (logFile.read). Anything
+// that keeps the frame from being read back intact — a closed store, a
+// file another process truncated, or a frame that verifies but carries
+// another key — is a miss. That key check is what makes a fingerprint
+// collision a miss rather than a wrong record: the frame, not the
+// index, says whose record it is.
 func (s *Store) get(k key) (record, bool) {
 	_, st := s.route(k)
 	e, ok := st.lookup(k)
 	if !ok {
 		return record{}, false
 	}
-	rb := readBufs.Get().(*readBuf)
-	defer func() {
-		if cap(rb.b) <= maxPooledBuf {
-			readBufs.Put(rb)
-		}
-	}()
-	var err error
-	if rb.b, err = e.read(s.segs[e.seg].lf, rb.b); err != nil {
-		return record{}, false
-	}
-	got, rec, ok := decode(rb.b[frameHeaderSize:])
-	if !ok || got != k {
-		return record{}, false
-	}
-	return rec, true
+	return s.segs[e.seg].lf.read(k, e)
 }
 
 // put is the one write path for a fresh record: segment.appendWait
@@ -596,9 +610,11 @@ func (s *Store) LastOpen() OpenStats { return s.openStats }
 // residentPerEntry is one record's share of the index heap: an 8-byte
 // fingerprint, a 24-byte entry and the map's control bytes and empty
 // slots. Measured on Go 1.24 after an Open and a collection, it is
-// 48–70 bytes: the maps double in steps, so the share falls as a store
-// fills and jumps when they grow. 56 sits within 25 % of the whole
-// range (TestResidentBytesTracksHeap holds it at 100k records).
+// 52–81 bytes between 10k and 130k records: Open makes each map at its
+// final size, but a map's slots come in power-of-two tables, so the
+// share depends on where a stripe's count falls between two sizes. At
+// 100k records it is 52.6, as it was while the maps grew during replay,
+// and 56 is within the 25 % TestResidentBytesTracksHeap holds there.
 const residentPerEntry = 56
 
 // ResidentBytes estimates the store's resident memory: the offset

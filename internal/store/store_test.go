@@ -995,7 +995,7 @@ func TestConcurrentPutGet(t *testing.T) {
 
 // TestConcurrentGetsAcrossClose races readers of both kinds against
 // Close: a read that wins the race returns the record as written, one
-// that loses it misses, and none preads a closed descriptor. After
+// that loses it misses, and none reads an unmapped segment. After
 // Close every read misses.
 func TestConcurrentGetsAcrossClose(t *testing.T) {
 	s, err := store.Open(filepath.Join(t.TempDir(), "eval.store"))
