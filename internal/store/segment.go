@@ -85,38 +85,39 @@ func (lf *logFile) read(k key, e entry) (rec record, ok bool) {
 	if int64(len(lf.data)) < end {
 		return record{}, false // closed, or the remap failed
 	}
-	defer func(old bool) {
-		if endFaultGuard(old, recover()) {
-			rec, ok = record{}, false
+	faulted := lf.guard(func(data []byte) {
+		frame := data[e.off:end]
+		if binary.LittleEndian.Uint32(frame[0:4]) != e.n-frameHeaderSize ||
+			binary.LittleEndian.Uint32(frame[4:8]) != e.sum ||
+			crc32.Checksum(frame[frameHeaderSize:], castagnoli) != e.sum {
+			return
 		}
-	}(debug.SetPanicOnFault(true))
-	frame := lf.data[e.off:end]
-	if binary.LittleEndian.Uint32(frame[0:4]) != e.n-frameHeaderSize ||
-		binary.LittleEndian.Uint32(frame[4:8]) != e.sum ||
-		crc32.Checksum(frame[frameHeaderSize:], castagnoli) != e.sum {
-		return record{}, false
-	}
-	got, rec, ok := decode(frame[frameHeaderSize:])
-	if !ok || got != k {
+		var got key
+		got, rec, ok = decode(frame[frameHeaderSize:])
+		ok = ok && got == k
+	})
+	if faulted || !ok {
 		return record{}, false
 	}
 	return rec, true
 }
 
-// endFaultGuard ends a stretch of code that reads a mapping with
-// debug.SetPanicOnFault set: it restores the goroutine's old setting
-// and reports whether r, the value its deferred caller recovered, is
-// a memory fault (the mapped file shrank under the read). Any other
-// panic is raised again.
-func endFaultGuard(old bool, r any) bool {
-	debug.SetPanicOnFault(old)
-	if r == nil {
-		return false
-	}
-	if _, fault := r.(interface{ Addr() uintptr }); !fault {
-		panic(r)
-	}
-	return true
+// guard runs f on the log's mapping with debug.SetPanicOnFault set and
+// reports whether a memory fault cut it short: another process
+// truncated the file under the mapping. Any other panic is raised
+// again.
+func (lf *logFile) guard(f func(data []byte)) (faulted bool) {
+	defer func(old bool) {
+		debug.SetPanicOnFault(old)
+		if r := recover(); r != nil {
+			if _, fault := r.(interface{ Addr() uintptr }); !fault {
+				panic(r)
+			}
+			faulted = true
+		}
+	}(debug.SetPanicOnFault(true))
+	f(lf.data)
+	return false
 }
 
 // close unmaps the log and closes its file exactly once, after waiting
@@ -172,18 +173,6 @@ func newSegment(f *os.File, id int) *segment {
 	return &segment{lf: newLogFile(f), id: uint8(id)}
 }
 
-// guard runs f on the log's mapping and turns a fault there into an
-// error: another process truncated the file while Open read it.
-func (lf *logFile) guard(f func(data []byte)) (err error) {
-	defer func(old bool) {
-		if endFaultGuard(old, recover()) {
-			err = fmt.Errorf("store: %s shrank while it was read", lf.f.Name())
-		}
-	}(debug.SetPanicOnFault(true))
-	f(lf.data)
-	return nil
-}
-
 // countFrames hops from frame header to frame header of a log's bytes,
 // checking no CRC, and counts each binary frame in counts under the
 // shard and stripe its key routes to (counts[shard*idxStripes+stripe]).
@@ -225,8 +214,16 @@ func (seg *segment) mapLog(mask int, counts []int) (legacy int, err error) {
 	if err := seg.lf.remap(seg.size); err != nil {
 		return 0, err
 	}
-	err = seg.lf.guard(func(data []byte) { legacy = countFrames(data[:seg.size], mask, counts) })
-	return legacy, err
+	if seg.lf.guard(func(data []byte) { legacy = countFrames(data[:seg.size], mask, counts) }) {
+		return 0, seg.errShrank()
+	}
+	return legacy, nil
+}
+
+// errShrank is Open's error for a segment another process truncated
+// while Open read it.
+func (seg *segment) errShrank() error {
+	return fmt.Errorf("store: %s shrank while Open read it", seg.lf.f.Name())
 }
 
 // scanLog walks a log's bytes from the start, calling apply for each
@@ -269,15 +266,14 @@ func scanLog(data []byte, apply func(k key, e entry)) (good int64, legacy int) {
 // past the new end, where appends land.
 func (seg *segment) replay(s *Store) error {
 	var good int64
-	err := seg.lf.guard(func(data []byte) {
+	if seg.lf.guard(func(data []byte) {
 		good, seg.legacyFrames = scanLog(data[:seg.size], func(k key, e entry) {
 			e.seg = seg.id
 			s.load(k, e)
 			seg.scanFrames++
 		})
-	})
-	if err != nil {
-		return err
+	}) {
+		return seg.errShrank()
 	}
 	if err := seg.lf.f.Truncate(good); err != nil {
 		return fmt.Errorf("store: truncate torn tail: %w", err)
