@@ -215,15 +215,9 @@ func (seg *segment) mapLog(mask int, counts []int) (legacy int, err error) {
 		return 0, err
 	}
 	if seg.lf.guard(func(data []byte) { legacy = countFrames(data[:seg.size], mask, counts) }) {
-		return 0, seg.errShrank()
+		return 0, fmt.Errorf("store: %s shrank while Open read it", seg.lf.f.Name())
 	}
 	return legacy, nil
-}
-
-// errShrank is Open's error for a segment another process truncated
-// while Open read it.
-func (seg *segment) errShrank() error {
-	return fmt.Errorf("store: %s shrank while Open read it", seg.lf.f.Name())
 }
 
 // scanLog walks a log's bytes from the start, calling apply for each
@@ -273,7 +267,7 @@ func (seg *segment) replay(s *Store) error {
 			seg.scanFrames++
 		})
 	}) {
-		return seg.errShrank()
+		return fmt.Errorf("store: %s shrank while Open read it", seg.lf.f.Name())
 	}
 	if err := seg.lf.f.Truncate(good); err != nil {
 		return fmt.Errorf("store: truncate torn tail: %w", err)
