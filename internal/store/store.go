@@ -135,10 +135,10 @@
 // its final size and replay never grows one. The second checks each
 // frame's checksum and copies its key from fixed offsets into the
 // index. A Table 4 campaign store (5,736 results + 13,195 generations,
-// 6 MB) opens in a few milliseconds on a 2-vCPU box, most of it
-// building the index maps rather than reading frames; with whole keys
-// in the maps the same box took 12–18 ms, and 43 ms when every frame
-// was JSON.
+// 6 MB) opens in about 3.5 ms on a 2-vCPU box. Through a buffered
+// reader into maps that grew it took about 7 ms; with whole keys in
+// the maps the same box took 12–18 ms, and 43 ms when every frame was
+// JSON.
 //
 // Open neither reads nor deletes the index sidecars (<segment>.idx)
 // earlier versions wrote beside their segments.
