@@ -176,48 +176,46 @@ func newSegment(f *os.File, id int) *segment {
 // countFrames hops from frame header to frame header of a log's bytes,
 // checking no CRC, and counts each binary frame in counts under the
 // shard and stripe its key routes to (counts[shard*idxStripes+stripe]).
-// It returns how many JSON frames it passed, whose keys it cannot
-// route without parsing them. The counts bound what replay indexes
-// from above, superseded and corrupt frames included, so Open can make
-// every stripe's map at its final size. Like replay, it stops at a
-// length that runs past the end or an unknown tag.
-func countFrames(data []byte, mask int, counts []int) (legacy int) {
+// The counts bound what replay indexes from above, superseded and
+// corrupt frames included, so Open can make every stripe's map at its
+// final size. A JSON frame, whose key would need parsing, is passed
+// uncounted, so a legacy store's maps may still grow. Like replay, it
+// stops at a length that runs past the end or an unknown tag.
+func countFrames(data []byte, mask int, counts []int) {
 	for len(data) >= frameHeaderSize {
 		n := int(binary.LittleEndian.Uint32(data))
 		if n == 0 || n > len(data)-frameHeaderSize {
-			break
+			return
 		}
-		p := data[frameHeaderSize : frameHeaderSize+n]
-		if p[0] == tagJSON {
-			legacy++
-		} else if k, _, ok := binaryKey(p); ok {
+		if p := data[frameHeaderSize : frameHeaderSize+n]; p[0] != tagJSON {
+			k, _, ok := binaryKey(p)
+			if !ok {
+				return
+			}
 			counts[k.shard(mask)*idxStripes+k.stripe()]++
-		} else {
-			break
 		}
 		data = data[frameHeaderSize+n:]
 	}
-	return legacy
 }
 
 // mapLog maps the segment's log, unless it is empty, and counts its
 // frames into counts (countFrames). It sets size to the file's size,
 // which bounds what replay scans.
-func (seg *segment) mapLog(mask int, counts []int) (legacy int, err error) {
+func (seg *segment) mapLog(mask int, counts []int) error {
 	fi, err := seg.lf.f.Stat()
 	if err != nil {
-		return 0, err
+		return err
 	}
 	if seg.size = fi.Size(); seg.size == 0 {
-		return 0, nil
+		return nil
 	}
 	if err := seg.lf.remap(seg.size); err != nil {
-		return 0, err
+		return err
 	}
-	if seg.lf.guard(func(data []byte) { legacy = countFrames(data[:seg.size], mask, counts) }) {
-		return 0, fmt.Errorf("store: %s shrank while Open read it", seg.lf.f.Name())
+	if seg.lf.guard(func(data []byte) { countFrames(data[:seg.size], mask, counts) }) {
+		return fmt.Errorf("store: %s shrank while Open read it", seg.lf.f.Name())
 	}
-	return legacy, nil
+	return nil
 }
 
 // scanLog walks a log's bytes from the start, calling apply for each

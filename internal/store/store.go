@@ -135,9 +135,9 @@
 // its final size and replay never grows one. The second checks each
 // frame's checksum and copies its key from fixed offsets into the
 // index. A Table 4 campaign store (5,736 results + 13,195 generations,
-// 6 MB) opens in about 3.5 ms on a 2-vCPU box. Through a buffered
-// reader into maps that grew it took about 7 ms; with whole keys in
-// the maps the same box took 12–18 ms, and 43 ms when every frame was
+// 6 MB) opens in about 3.5 ms on a 2-vCPU box, most of it building
+// the index maps rather than reading frames; with whole keys in the
+// maps the same box took 12–18 ms, and 43 ms when every frame was
 // JSON.
 //
 // Open neither reads nor deletes the index sidecars (<segment>.idx)
@@ -401,14 +401,12 @@ func Open(path string) (*Store, error) {
 	// size, so that no map grows, the second scans each segment into
 	// the index and truncates its torn tail.
 	counts := make([][]int, n)
-	legacy := make([]int, n)
-	err = s.eachSegment(func(seg *segment) (err error) {
+	err = s.eachSegment(func(seg *segment) error {
 		counts[seg.id] = make([]int, n*idxStripes)
-		legacy[seg.id], err = seg.mapLog(s.mask, counts[seg.id])
-		return err
+		return seg.mapLog(s.mask, counts[seg.id])
 	})
 	if err == nil {
-		s.presize(counts, legacy)
+		s.presize(counts)
 		err = s.eachSegment(func(seg *segment) error { return seg.replay(s) })
 	}
 	for _, seg := range s.segs {
@@ -441,17 +439,11 @@ func (s *Store) eachSegment(f func(seg *segment) error) error {
 
 // presize makes every stripe's map for as many entries as the frame
 // counts of all segments route to it (counts[seg][shard*idxStripes+
-// stripe], from countFrames), plus an even share of the JSON frames
-// the counts could not route.
-func (s *Store) presize(counts [][]int, legacy []int) {
-	spread := 0
-	for _, l := range legacy {
-		spread += l
-	}
-	spread = (spread + len(s.segs)*idxStripes - 1) / (len(s.segs) * idxStripes)
+// stripe], from countFrames).
+func (s *Store) presize(counts [][]int) {
 	for i, seg := range s.segs {
 		for j := range seg.idx {
-			hint := spread
+			hint := 0
 			for _, c := range counts {
 				hint += c[i*idxStripes+j]
 			}
