@@ -44,36 +44,57 @@ const layersHz = 1000
 // samples are summed into the warm column.
 const warmReps = 20
 
-// allocPassEnv, set in its environment, makes cloudeval bench -layers
-// the allocation pass: the child process the CPU pass starts.
-const allocPassEnv = "CLOUDEVAL_LAYERS_ALLOCS"
+// minColdSamples is how many CPU samples the cold column holds at
+// least. One process-cold campaign gives a hundred or so (the kernel's
+// timer delivers a fraction of layersHz), too few for a stage below 5 %
+// to read the same twice, so the column merges process-cold campaigns,
+// each in a child process of its own, until it holds this many, or
+// maxColdRuns have run.
+const (
+	minColdSamples = 1000
+	maxColdRuns    = 40
+)
+
+// layersPassEnv, set in its environment, makes cloudeval bench -layers
+// one of the child processes a ledger is measured in: passAllocs counts
+// the allocations of a cold and a warm campaign, passCold profiles the
+// CPU of one process-cold campaign.
+const layersPassEnv = "CLOUDEVAL_LAYERS_PASS"
+
+const (
+	passAllocs = "allocs"
+	passCold   = "cold"
+)
 
 // unstaged is the ledger row of CPU samples without a stage label and of
 // allocations with no stage root on their stack.
 const unstaged = stage.Count
 
-// column is one campaign's share of the ledger.
+// column is the ledger's record of one kind of campaign.
 type column struct {
-	Ops     int                    // (model, problem) pairs in the campaign
+	Runs    int                    // campaigns whose CPU samples it holds
+	Ops     int                    // (model, problem) pairs in a campaign
 	Allocs  [stage.Count + 1]int64 // objects allocated, by stage
-	samples int                    // CPU samples
-	cpu     [stage.Count + 1]int64 // CPU nanoseconds, by stage
+	Samples int                    // CPU samples
+	CPU     [stage.Count + 1]int64 // CPU nanoseconds, by stage
 }
 
-// layers writes to path the ledger of two Table 4 campaigns, each on a
-// fresh dispatcher, engine and store as a cold campaign runs: the first
-// with the process cold, the second with every process-wide cache
+// layers writes to path the ledger of Table 4 campaigns, each on a
+// fresh dispatcher, engine and store as a cold campaign runs: campaigns
+// with the process cold, and campaigns with every process-wide cache
 // warm. For each it gives every stage's share of CPU and its
 // allocations per (model, problem) pair.
 //
 // Recording every allocation costs more CPU than the campaign itself,
-// so the two are measured in two processes: this one takes the CPU
-// profiles (one cold campaign, then warmReps warm ones), and a child
-// started from the same binary counts the allocations of one cold and
-// one warm campaign.
+// and a process is cold only once, so the ledger is measured in several
+// processes: this one profiles the CPU of warmReps warm campaigns, a
+// child process per process-cold campaign profiles that campaign's
+// (until the cold column holds minColdSamples), and one more child
+// counts the allocations of one cold and one warm campaign. All of them
+// run the same binary.
 func layers(w *wiring, path string) error {
-	alloc := os.Getenv(allocPassEnv) != ""
-	if alloc {
+	pass := os.Getenv(layersPassEnv)
+	if pass == passAllocs {
 		runtime.MemProfileRate = 1 // before the corpus is built
 	}
 	problems := augment.ExpandCorpus(dataset.Generate())
@@ -103,8 +124,13 @@ func layers(w *wiring, path string) error {
 		}
 		return ops, nil
 	}
-	var cols [2]column
-	if alloc {
+	run := func() error {
+		_, err := campaign()
+		return err
+	}
+	switch pass {
+	case passAllocs:
+		var cols [2]column
 		for k := range cols {
 			err := cols[k].countAllocs(func() (err error) {
 				cols[k].Ops, err = campaign()
@@ -114,27 +140,30 @@ func layers(w *wiring, path string) error {
 				return err
 			}
 		}
-		data, err := json.Marshal(cols)
-		if err != nil {
+		return writeJSON(path, cols)
+	case passCold:
+		var col column
+		if err := col.sampleCPU(1, run); err != nil {
 			return err
 		}
-		return os.WriteFile(path, data, 0o644)
+		return writeJSON(path, col)
 	}
-	for k, n := range [2]int{1, warmReps} {
-		err := cols[k].sampleCPU(func() error {
-			for range n {
-				if _, err := campaign(); err != nil {
-					return err
-				}
-			}
-			return nil
-		})
-		if err != nil {
+	var cols [2]column
+	for cols[0].Samples < minColdSamples && cols[0].Runs < maxColdRuns {
+		var cold column
+		if err := childPass(w, passCold, filepath.Join(dir, "cold.json"), &cold); err != nil {
 			return err
 		}
+		cols[0].addCPU(cold)
 	}
-	counts, err := allocPass(w, filepath.Join(dir, "allocs.json"))
-	if err != nil {
+	if err := run(); err != nil { // warms this process
+		return err
+	}
+	if err := cols[1].sampleCPU(warmReps, run); err != nil {
+		return err
+	}
+	var counts [2]column
+	if err := childPass(w, passAllocs, filepath.Join(dir, "allocs.json"), &counts); err != nil {
 		return err
 	}
 	for k := range cols {
@@ -149,31 +178,38 @@ func layers(w *wiring, path string) error {
 	return nil
 }
 
-// allocPass runs the allocation pass in a child process with this
-// one's provider flags, and reads back its two columns.
-func allocPass(w *wiring, out string) ([2]column, error) {
-	var cols [2]column
+func writeJSON(path string, v any) error {
+	data, err := json.Marshal(v)
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, data, 0o644)
+}
+
+// childPass runs a pass of the ledger in a child process with this
+// one's provider flags, and reads what it wrote to out into v.
+func childPass(w *wiring, pass, out string, v any) error {
 	exe, err := os.Executable()
 	if err != nil {
-		return cols, err
+		return err
 	}
 	cmd := exec.Command(exe, "bench", "-layers", out, "-provider", w.provider, "-replay", w.replay,
 		"-gen-concurrency", strconv.Itoa(w.genConcurrency))
-	cmd.Env = append(os.Environ(), allocPassEnv+"=1")
+	cmd.Env = append(os.Environ(), layersPassEnv+"="+pass)
 	cmd.Stdout, cmd.Stderr = os.Stderr, os.Stderr
 	if err := cmd.Run(); err != nil {
-		return cols, fmt.Errorf("layers: allocation pass: %w", err)
+		return fmt.Errorf("layers: %s pass: %w", pass, err)
 	}
 	data, err := os.ReadFile(out)
 	if err != nil {
-		return cols, err
+		return err
 	}
-	return cols, json.Unmarshal(data, &cols)
+	return json.Unmarshal(data, v)
 }
 
-// sampleCPU runs campaigns under a CPU profile at layersHz and adds
+// sampleCPU runs n campaigns under a CPU profile at layersHz and adds
 // their samples to the column.
-func (col *column) sampleCPU(campaigns func() error) error {
+func (col *column) sampleCPU(n int, campaign func() error) error {
 	var prof bytes.Buffer
 	// StartCPUProfile sets 100 Hz unless a rate is set already; then the
 	// rate set first stands, and the runtime says on stderr that it
@@ -183,7 +219,10 @@ func (col *column) sampleCPU(campaigns func() error) error {
 		runtime.SetCPUProfileRate(0)
 		return err
 	}
-	err := campaigns()
+	var err error
+	for i := 0; i < n && err == nil; i++ {
+		err = campaign()
+	}
 	pprof.StopCPUProfile()
 	if err != nil {
 		return err
@@ -193,6 +232,7 @@ func (col *column) sampleCPU(campaigns func() error) error {
 		return err
 	}
 	col.addSamples(samples)
+	col.Runs += n
 	return nil
 }
 
@@ -203,8 +243,17 @@ func (col *column) addSamples(samples []cpuSample) {
 		if !ok {
 			st = unstaged
 		}
-		col.samples++
-		col.cpu[st] += s.nanos
+		col.Samples++
+		col.CPU[st] += s.nanos
+	}
+}
+
+// addCPU adds the CPU samples of c's campaigns to the column.
+func (col *column) addCPU(c column) {
+	col.Runs += c.Runs
+	col.Samples += c.Samples
+	for s := range col.CPU {
+		col.CPU[s] += c.CPU[s]
 	}
 }
 
@@ -275,7 +324,7 @@ var stageRoots = [stage.Count][]any{
 	stage.EditDist:    {(*textmetrics.LineRef).EditDistanceScore},
 	stage.Exact:       {(*textmetrics.LineRef).ExactMatch},
 	stage.KV:          {(*yamlmatch.Ref).Score},
-	stage.Parse:       {yamlx.ParseAllCached, yamlx.ParseCachedString, "cloudeval/internal/yamlx.(*parser)"},
+	stage.Parse:       {yamlx.ParseAllCached, yamlx.ParseCachedString, "cloudeval/internal/yamlx.(*builder)"},
 	stage.Engine:      {(*engine.Engine).UnitTest, engine.WarmDigests},
 	stage.Store:       {store.Open, (*store.Store).Get, (*store.Store).Put, (*store.Store).GetGen, (*store.Store).PutGen, (*store.Store).Close},
 	stage.Compile:     {shell.Parse},
@@ -345,12 +394,12 @@ func writeLedger(w io.Writer, cols [2]column) {
 		cpuModel(), runtime.NumCPU(), runtime.GOMAXPROCS(0), runtime.GOOS, runtime.GOARCH, runtime.Version())
 	fmt.Fprintf(w, "# sha: %s\n", buildRevision())
 	fmt.Fprintf(w, "# cpu%%: share of CPU samples (%d Hz asked; the kernel's timer may give fewer), by the goroutine's pprof label %q; (none) is a sample without one\n", layersHz, stage.Key)
-	fmt.Fprintln(w, "# allocs/op: objects allocated per (model, problem) pair, every allocation recorded (MemProfileRate 1, in a second process),")
+	fmt.Fprintln(w, "# allocs/op: objects allocated per (model, problem) pair, every allocation recorded (MemProfileRate 1, in a child process),")
 	fmt.Fprintln(w, "#   by the innermost stage root on the allocating stack (stageRoots in cmd/cloudeval/layers.go); (none) is a stack without one")
-	for k, what := range [2]string{"campaign 1, process-cold: one campaign", fmt.Sprintf("campaign 2, warm caches: %d campaigns", warmReps)} {
+	for k, what := range [2]string{"cold: process-cold campaigns, each in a process of its own", "warm: campaigns with every process-wide cache warm"} {
 		c := cols[k]
-		fmt.Fprintf(w, "# %s, %d CPU samples, %.1f %% labelled; %d ops, %.3f allocs/op\n",
-			what, c.samples, 100*(1-share(c.cpu[unstaged], c.cpu[:])), c.Ops, perOp(sum(c.Allocs[:]), c.Ops))
+		fmt.Fprintf(w, "# %s: CPU of %d campaigns, %d samples, %.1f %% labelled; allocations of one, %d ops, %.3f allocs/op\n",
+			what, c.Runs, c.Samples, 100*(1-share(c.CPU[unstaged], c.CPU[:])), c.Ops, perOp(sum(c.Allocs[:]), c.Ops))
 	}
 	rows := make([]stage.Stage, 0, stage.Count+1)
 	for s := range stage.Count + 1 {
@@ -363,7 +412,7 @@ func writeLedger(w io.Writer, cols [2]column) {
 		fmt.Fprintf(w, "%-12s %10.1f %15.3f %10.1f %15.3f\n", name, cold[0], cold[1], warm[0], warm[1])
 	}
 	cell := func(c column, s stage.Stage) [2]float64 {
-		return [2]float64{100 * share(c.cpu[s], c.cpu[:]), perOp(c.Allocs[s], c.Ops)}
+		return [2]float64{100 * share(c.CPU[s], c.CPU[:]), perOp(c.Allocs[s], c.Ops)}
 	}
 	for _, s := range rows {
 		name := "(none)"

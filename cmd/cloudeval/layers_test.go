@@ -42,11 +42,11 @@ func TestReadCPUProfileLabels(t *testing.T) {
 	}
 	var col column
 	col.addSamples(samples)
-	if col.samples < 3 {
-		t.Skipf("%d samples: too few to judge", col.samples)
+	if col.Samples < 3 {
+		t.Skipf("%d samples: too few to judge", col.Samples)
 	}
-	if got := share(col.cpu[stage.BLEU], col.cpu[:]); got < 0.5 {
-		t.Errorf("bleu has %.2f of %d samples, want most", got, col.samples)
+	if got := share(col.CPU[stage.BLEU], col.CPU[:]); got < 0.5 {
+		t.Errorf("bleu has %.2f of %d samples, want most", got, col.Samples)
 	}
 }
 

@@ -329,15 +329,20 @@ func TestDispatcherNeverCachesErrors(t *testing.T) {
 // responses and the request's sample number as its completion tokens:
 // the cache charges each entry the text's length, so a flood of
 // distinct samples overruns the budget without the test holding that
-// much memory.
-type floodProvider struct{ calls atomic.Int64 }
+// much memory. It records the samples in the order it generated them.
+type floodProvider struct {
+	mu    sync.Mutex
+	order []int
+}
 
 var floodText = strings.Repeat("x", 4096)
 
 func (f *floodProvider) Name() string { return "flood" }
 func (f *floodProvider) Close() error { return nil }
 func (f *floodProvider) Generate(_ context.Context, req Request) (Response, error) {
-	f.calls.Add(1)
+	f.mu.Lock()
+	f.order = append(f.order, req.Opts.Sample)
+	f.mu.Unlock()
 	return Response{Text: floodText, Usage: Usage{CompletionTokens: req.Opts.Sample}}, nil
 }
 
@@ -389,22 +394,38 @@ func TestDispatcherCacheStaysUnderBudget(t *testing.T) {
 				t.Errorf("%d resident + %d evicted != %d samples", st.CacheEntries, st.CacheEvictions, samples)
 			}
 
-			// The oldest key of every shard is long gone.
-			resp, err := d.Generate(context.Background(), req(0))
-			if err != nil || resp.Text != floodText || resp.Usage.CompletionTokens != 0 {
-				t.Errorf("evicted key came back as %+v, %v", resp.Usage, err)
-			}
-			after := d.Stats()
-			if withStore {
-				if after.StoreHits != 1 || after.Generated != samples {
-					t.Errorf("evicted key with a store: %+v, want 1 store hit and no new generation", after)
+			// Eight racing writers leave no one key sure to be evicted, so
+			// the probe is the first sample, in the order the provider
+			// generated them, that the cache no longer holds. Asking for
+			// a resident key is a hit and admits nothing.
+			probe, before := -1, st
+			for _, i := range prov.order {
+				resp, err := d.Generate(context.Background(), req(i))
+				if err != nil || resp.Text != floodText || resp.Usage.CompletionTokens != i {
+					t.Fatalf("sample %d came back as %+v, %v", i, resp.Usage, err)
 				}
-			} else if after.Generated != samples+1 {
-				t.Errorf("evicted key without a store: %d generated, want %d", after.Generated, samples+1)
+				after := d.Stats()
+				if after.CacheHits == before.CacheHits+1 {
+					before = after
+					continue
+				}
+				probe = i
+				if withStore {
+					if after.StoreHits != 1 || after.Generated != samples {
+						t.Errorf("evicted key %d with a store: %+v, want 1 store hit and no new generation", i, after)
+					}
+				} else if after.Generated != samples+1 {
+					t.Errorf("evicted key %d without a store: %d generated, want %d", i, after.Generated, samples+1)
+				}
+				before = after
+				break
 			}
-			d.Generate(context.Background(), req(0))
-			if got := d.Stats(); got.CacheHits != 1 || got.Generated != after.Generated {
-				t.Errorf("re-admitted key: %+v, want 1 cache hit and no new generation", got)
+			if probe < 0 {
+				t.Fatalf("every sample is still cached after %d evictions", st.CacheEvictions)
+			}
+			d.Generate(context.Background(), req(probe))
+			if got := d.Stats(); got.CacheHits != before.CacheHits+1 || got.Generated != before.Generated {
+				t.Errorf("re-admitted key %d: %+v, want 1 more cache hit than %+v and no new generation", probe, got, before)
 			}
 		})
 	}

@@ -32,12 +32,17 @@ type docOutcome struct {
 // docBudget bounds what the cache retains. A full Table 4 campaign
 // keeps 5,245 texts charged 29 MB, every experiment of cloudeval
 // figures together 6,491 charged 37.5 MB, so no benchmark workload
-// evicts.
+// evicts. What the Table 4 texts hold is under half their charge (see
+// docCost).
 const docBudget = 128 << 20
 
-// docCost charges an entry its key text plus its parsed documents,
-// measured at 12.5 times the text on a 320-byte manifest and 7.8 times
-// on a 1 MiB one.
+// docCost charges an entry its key text plus its parsed documents. An
+// entry holds its documents' three slabs and the text the nodes slice
+// (the caller's string, not a copy), measured at 10.5 times the text on
+// a 317-byte manifest, 9.0 times on a 1 MiB stream of them, 7.6 times
+// on a 1 MiB mapping of 58,000 keys and 7.2 times over the 5,142
+// distinct Table 4 references and answers (2,334 B a text), so the
+// charge is an upper bound.
 func docCost(src string) int64 { return memo.EntryOverhead + 16*int64(len(src)) }
 
 var (
@@ -50,11 +55,12 @@ func docHash(s string) uint64 { return maphash.String(docSeed, s) }
 // ParseAllCached is ParseAll through the document cache. The returned
 // nodes are shared: callers must not mutate them. Use Clone or
 // ShallowClone when mutation is needed. The text is a string because
-// every caller holds one; a hit only hashes and compares it, and only
-// the parse a miss runs converts it.
+// every caller holds one; a hit only hashes and compares it, and a miss
+// parses it in place, so the documents are its three slabs and no copy
+// of the text.
 func ParseAllCached(src string) ([]*Node, error) {
 	o, _, _ := docCache.Do(src, func() (docOutcome, int64, error) {
-		docs, err := ParseAll([]byte(src))
+		docs, err := parseAll(src)
 		return docOutcome{docs, err}, docCost(src), nil
 	})
 	return o.docs, o.err
@@ -62,21 +68,7 @@ func ParseAllCached(src string) ([]*Node, error) {
 
 // ParseCachedString is Parse through the document cache: the first
 // non-empty document of the stream, shared and immutable.
-func ParseCachedString(s string) (*Node, error) {
-	docs, err := ParseAllCached(s)
-	if err != nil {
-		return nil, err
-	}
-	for _, d := range docs {
-		if d != nil && d.Kind != NullKind {
-			return d, nil
-		}
-	}
-	if len(docs) > 0 {
-		return docs[0], nil
-	}
-	return Null(), nil
-}
+func ParseCachedString(s string) (*Node, error) { return firstDocument(ParseAllCached(s)) }
 
 // ShallowClone copies the node itself — including its Entries or Items
 // slice header and backing array — while sharing the child nodes. The

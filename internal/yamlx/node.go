@@ -8,6 +8,16 @@
 // and "# v in [...]" for conditional match); the yamlmatch package
 // interprets them.
 //
+// A parse builds a stream in pooled scratch and copies it out into three
+// slabs of exactly its size: its nodes, its mapping entries and its item
+// pointers (the documents' list is the first items). Every Entries and
+// Items of a parsed node is a capped slice of a slab, so appending to
+// one, or Set or Append on its node, copies it instead of writing over
+// its neighbour's. The nodes' strings are slices of the text, except
+// where quoting or a block scalar made new ones. A slab is freed only
+// when nothing points into it: a parsed node kept alive keeps its whole
+// text's slabs, and the text, alive.
+//
 // The package is written from scratch on the standard library only.
 package yamlx
 
@@ -19,7 +29,7 @@ import (
 )
 
 // Kind identifies the type of a Node.
-type Kind int
+type Kind uint8
 
 // Node kinds.
 const (
@@ -61,9 +71,6 @@ type Entry struct {
 
 // Node is a parsed YAML value.
 type Node struct {
-	Kind Kind
-
-	Bool  bool
 	Int   int64
 	Float float64
 	Str   string
@@ -76,12 +83,18 @@ type Node struct {
 	// whitespace. Empty when there is none.
 	Comment string
 
+	// Line is the 1-based source line of the value, 0 if synthesized.
+	Line int
+
+	// The one-byte fields come last, where they share one word: a Node
+	// is 112 bytes, not 128, and a parse's slab of them is that much
+	// smaller.
+	Kind Kind
+	Bool bool
+
 	// Quoted records that a string scalar was written with quotes, so
 	// "5000" stays a string rather than an int on round trips.
 	Quoted bool
-
-	// Line is the 1-based source line of the value, 0 if synthesized.
-	Line int
 }
 
 // Null returns a new null node.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"sync"
 )
 
 // ParseError describes a parse failure with its source line. Every
@@ -33,8 +34,13 @@ func errAt(line int, format string, args ...any) error {
 
 // Parse parses a single YAML document. If the input contains multiple
 // documents, the first non-empty one is returned.
-func Parse(data []byte) (*Node, error) {
-	docs, err := ParseAll(data)
+func Parse(data []byte) (*Node, error) { return firstDocument(ParseAll(data)) }
+
+// ParseString is Parse on a string.
+func ParseString(s string) (*Node, error) { return firstDocument(parseAll(s)) }
+
+// firstDocument is the document Parse picks from a stream.
+func firstDocument(docs []*Node, err error) (*Node, error) {
 	if err != nil {
 		return nil, err
 	}
@@ -49,57 +55,278 @@ func Parse(data []byte) (*Node, error) {
 	return Null(), nil
 }
 
-// ParseString is Parse on a string.
-func ParseString(s string) (*Node, error) { return Parse([]byte(s)) }
-
 // ParseAll parses a multi-document YAML stream separated by "---" lines.
-func ParseAll(data []byte) ([]*Node, error) {
-	lines := splitLines(string(data))
-	var docs []*Node
+// The documents are built in three slabs, their text aside (see the
+// package comment).
+func ParseAll(data []byte) ([]*Node, error) { return parseAll(string(data)) }
+
+// parseAll parses src in place: the nodes' strings are slices of it.
+func parseAll(src string) ([]*Node, error) {
+	b := builders.Get().(*builder)
+	docs, err := b.parse(src)
+	b.release()
+	builders.Put(b)
+	return docs, err
+}
+
+var builders = sync.Pool{New: func() any { return new(builder) }}
+
+// builder is the scratch a parse builds a stream in: nodes, entries and
+// items in an Arena; the entries of the mappings still open, the items
+// of the sequences still open and the finished documents on stacks,
+// innermost last; and the text's lines. finish copies the stream out
+// into three slabs of exactly its size, so the scratch is reused by the
+// next parse and a stream costs three allocations whatever its shape.
+type builder struct {
+	a     Arena
+	lines []srcLine
+	ents  []Entry  // the open mappings' entries
+	items []*Node  // the documents, then the open sequences' items
+	body  []string // a block scalar's lines
+	// keys indexes the entries of each open mapping that has grown past
+	// indexAt, by its id and key, so that a duplicate key is found in
+	// constant time however many keys a mapping has.
+	keys   map[mappingKey]int
+	lastID int32
+	// n counts the entries and items of the stream as it will be
+	// copied out: those of every closed mapping and sequence that no
+	// other value replaced.
+	n counts
+}
+
+type counts struct{ entries, items int }
+
+type mappingKey struct {
+	id  int32
+	key string
+}
+
+// indexAt is how many entries a mapping holds before its keys are
+// indexed; below it, a scan of the entries is cheaper than the map.
+const indexAt = 16
+
+// openMapping is a mapping being built: its entries are the builder's
+// from base on, and id is its key index's, 0 until it has one.
+type openMapping struct {
+	base int
+	id   int32
+}
+
+func (b *builder) parse(src string) ([]*Node, error) {
+	lines := b.splitLines(src)
 	start := 0
-	flush := func(end int) error {
-		chunk := lines[start:end]
-		if !allBlank(chunk) {
-			p := &parser{lines: chunk}
-			n, err := p.parseDocument()
-			if err != nil {
-				return err
-			}
-			docs = append(docs, n)
-		}
-		return nil
-	}
-	for i, ln := range lines {
+	for i := range lines {
+		ln := &lines[i]
 		t := ln.content
 		if t == "---" || strings.HasPrefix(t, "--- ") {
-			if err := flush(i); err != nil {
+			if err := b.document(lines[start:i]); err != nil {
 				return nil, err
 			}
 			// "--- inline content" puts content back on the same line.
-			rest := strings.TrimSpace(strings.TrimPrefix(t, "---"))
-			lines[i].text = strings.Repeat(" ", ln.indent) + rest
-			lines[i].content = rest
-			if rest == "" {
+			if rest := strings.TrimSpace(t[3:]); rest == "" {
 				start = i + 1
 			} else {
+				ln.text = strings.Repeat(" ", ln.indent) + rest
+				ln.content = rest
 				start = i
 			}
 			continue
 		}
 		if t == "..." {
-			if err := flush(i); err != nil {
+			if err := b.document(lines[start:i]); err != nil {
 				return nil, err
 			}
 			start = i + 1
 		}
 	}
-	if err := flush(len(lines)); err != nil {
+	if err := b.document(lines[start:]); err != nil {
 		return nil, err
 	}
-	if len(docs) == 0 {
-		docs = append(docs, Null())
+	if len(b.items) == 0 {
+		b.items = append(b.items, b.a.Node())
 	}
-	return docs, nil
+	return b.finish(), nil
+}
+
+// document parses one document's lines, if they hold one, onto the
+// documents.
+func (b *builder) document(lines []srcLine) error {
+	if allBlank(lines) {
+		return nil
+	}
+	p := parser{b: b, lines: lines}
+	n, err := p.parseDocument()
+	if err != nil {
+		return err
+	}
+	b.items = append(b.items, n)
+	return nil
+}
+
+// finish copies the documents into slabs of nodes, entries and items.
+// The documents' list is the first items.
+func (b *builder) finish() []*Node {
+	docs := b.items
+	s := slabs{
+		nodes: make([]Node, len(docs)+b.n.entries+b.n.items),
+		items: make([]*Node, len(docs)+b.n.items),
+	}
+	if b.n.entries > 0 {
+		s.entries = make([]Entry, b.n.entries)
+	}
+	out, roots := s.takeItems(len(docs)), s.takeNodes(len(docs))
+	for i, d := range docs {
+		out[i] = &roots[i]
+		s.copy(&roots[i], d)
+	}
+	return out
+}
+
+// release readies the builder for the next parse: it holds nothing of
+// this one's, and no stack or index past ChunkCap.
+func (b *builder) release() {
+	b.a.Rewind()
+	b.lines = reuse(b.lines)
+	b.ents = reuse(b.ents)
+	b.items = reuse(b.items)
+	b.body = reuse(b.body)
+	if len(b.keys) > ChunkCap {
+		b.keys = nil
+	}
+	clear(b.keys)
+	b.lastID, b.n = 0, counts{}
+}
+
+// reuse is s emptied for the next parse, or nil when it grew past
+// ChunkCap.
+func reuse[T any](s []T) []T {
+	if cap(s) > ChunkCap {
+		return nil
+	}
+	clear(s)
+	return s[:0]
+}
+
+// slabs hands out a stream's nodes, entries and items. Every Entries and
+// Items it hands out is capped, so that an append copies it instead of
+// writing over its neighbour's.
+type slabs struct {
+	nodes   []Node
+	entries []Entry
+	items   []*Node
+}
+
+func (s *slabs) takeNodes(n int) []Node {
+	t := s.nodes[:n:n]
+	s.nodes = s.nodes[n:]
+	return t
+}
+
+func (s *slabs) takeItems(n int) []*Node {
+	t := s.items[:n:n]
+	s.items = s.items[n:]
+	return t
+}
+
+// copy writes src into dst, its children into nodes next to each other.
+func (s *slabs) copy(dst, src *Node) {
+	*dst = *src
+	dst.Entries, dst.Items = nil, nil
+	if k := len(src.Entries); k > 0 {
+		es, kids := s.entries[:k:k], s.takeNodes(k)
+		s.entries = s.entries[k:]
+		for i, e := range src.Entries {
+			es[i] = Entry{Key: e.Key, Value: &kids[i]}
+			s.copy(&kids[i], e.Value)
+		}
+		dst.Entries = es
+	}
+	if k := len(src.Items); k > 0 {
+		its, kids := s.takeItems(k), s.takeNodes(k)
+		for i, it := range src.Items {
+			its[i] = &kids[i]
+			s.copy(&kids[i], it)
+		}
+		dst.Items = its
+	}
+}
+
+func (b *builder) node(k Kind) *Node {
+	n := b.a.Node()
+	n.Kind = k
+	return n
+}
+
+func (b *builder) openMapping() openMapping { return openMapping{base: len(b.ents)} }
+
+// find returns the index in m of key's entry, or -1.
+func (b *builder) find(m *openMapping, key string) int {
+	es := b.ents[m.base:]
+	if m.id == 0 {
+		if len(es) < indexAt {
+			for i := range es {
+				if es[i].Key == key {
+					return i
+				}
+			}
+			return -1
+		}
+		if b.keys == nil {
+			b.keys = map[mappingKey]int{}
+		}
+		b.lastID++
+		m.id = b.lastID
+		for i := range es {
+			b.keys[mappingKey{m.id, es[i].Key}] = i
+		}
+	}
+	if i, ok := b.keys[mappingKey{m.id, key}]; ok {
+		return i
+	}
+	return -1
+}
+
+// add appends an entry of a key m does not hold.
+func (b *builder) add(m *openMapping, key string, v *Node) {
+	if m.id != 0 {
+		b.keys[mappingKey{m.id, key}] = len(b.ents) - m.base
+	}
+	b.ents = append(b.ents, Entry{Key: key, Value: v})
+}
+
+// closeMapping gives n the entries of m.
+func (b *builder) closeMapping(n *Node, m openMapping) {
+	es := b.ents[m.base:]
+	if len(es) > 0 {
+		n.Entries = b.a.entries.Take(len(es))
+		copy(n.Entries, es)
+		b.n.entries += len(es)
+	}
+	clear(es)
+	b.ents = b.ents[:m.base]
+}
+
+// closeSequence gives n the items pushed since base.
+func (b *builder) closeSequence(n *Node, base int) {
+	its := b.items[base:]
+	if len(its) > 0 {
+		n.Items = b.a.CopyItems(its)
+		b.n.items += len(its)
+	}
+	clear(its)
+	b.items = b.items[:base]
+}
+
+// forget uncounts a value another replaced.
+func (b *builder) forget(n *Node) {
+	b.n.entries -= len(n.Entries)
+	b.n.items -= len(n.Items)
+	for _, e := range n.Entries {
+		b.forget(e.Value)
+	}
+	for _, it := range n.Items {
+		b.forget(it)
+	}
 }
 
 type srcLine struct {
@@ -109,13 +336,17 @@ type srcLine struct {
 	content string // text with surrounding whitespace trimmed
 }
 
-func splitLines(s string) []srcLine {
+// splitLines splits s into the builder's lines.
+func (b *builder) splitLines(s string) []srcLine {
 	if strings.Contains(s, "\r\n") {
 		s = strings.ReplaceAll(s, "\r\n", "\n")
 	}
-	raw := strings.Split(s, "\n")
-	out := make([]srcLine, 0, len(raw))
-	for i, ln := range raw {
+	lines := b.lines[:0]
+	for num := 1; ; num++ {
+		ln, next := s, -1
+		if i := strings.IndexByte(s, '\n'); i >= 0 {
+			ln, next = s[:i], i+1
+		}
 		if strings.IndexByte(ln, '\t') >= 0 {
 			ln = strings.ReplaceAll(ln, "\t", "  ")
 		}
@@ -123,9 +354,14 @@ func splitLines(s string) []srcLine {
 		for ind < len(ln) && ln[ind] == ' ' {
 			ind++
 		}
-		out = append(out, srcLine{num: i + 1, indent: ind, text: ln, content: strings.TrimSpace(ln)})
+		lines = append(lines, srcLine{num: num, indent: ind, text: ln, content: strings.TrimSpace(ln)})
+		if next < 0 {
+			break
+		}
+		s = s[next:]
 	}
-	return out
+	b.lines = lines
+	return lines
 }
 
 func allBlank(lines []srcLine) bool {
@@ -139,6 +375,7 @@ func allBlank(lines []srcLine) bool {
 }
 
 type parser struct {
+	b     *builder
 	lines []srcLine
 	pos   int
 }
@@ -167,7 +404,7 @@ func (p *parser) advanceTo(ln srcLine) {
 func (p *parser) parseDocument() (*Node, error) {
 	ln, ok := p.peek()
 	if !ok {
-		return Null(), nil
+		return p.b.node(NullKind), nil
 	}
 	n, err := p.parseBlock(ln.indent)
 	if err != nil {
@@ -179,25 +416,39 @@ func (p *parser) parseDocument() (*Node, error) {
 	return n, nil
 }
 
+// isSeqItem reports whether a line's content starts a block sequence
+// item.
+func isSeqItem(content string) bool { return strings.HasPrefix(content, "- ") || content == "-" }
+
+// isBlockScalar reports whether the text after a key is a block scalar
+// header.
+func isBlockScalar(rest string) bool {
+	switch rest {
+	case "|", "|-", "|+", ">", ">-", ">+":
+		return true
+	}
+	return false
+}
+
 // parseBlock parses a block node whose first line is indented exactly at
 // or beyond min indent. The node ends at the first line with indent
 // below the block's own indent.
 func (p *parser) parseBlock(minIndent int) (*Node, error) {
 	ln, ok := p.peek()
 	if !ok || ln.indent < minIndent {
-		return Null(), nil
+		return p.b.node(NullKind), nil
 	}
 	content := ln.content
-	if strings.HasPrefix(content, "- ") || content == "-" {
+	if isSeqItem(content) {
 		return p.parseSequence(ln.indent)
 	}
-	if k, _, isMap := splitKey(stripComment(content)); isMap && k != "" {
+	val, comment := splitValueComment(content)
+	if k, _, isMap := splitKey(val); isMap && k != "" {
 		return p.parseMapping(ln.indent)
 	}
 	// Bare scalar document (possibly multi-line flow).
 	p.advanceTo(ln)
-	val, comment := splitValueComment(content)
-	node, err := parseFlowOrScalar(val, ln.num, p)
+	node, err := p.b.parseFlowOrScalar(val, ln.num)
 	if err != nil {
 		return nil, err
 	}
@@ -207,52 +458,62 @@ func (p *parser) parseBlock(minIndent int) (*Node, error) {
 }
 
 func (p *parser) parseMapping(indent int) (*Node, error) {
-	m := Map()
+	n, m := p.b.node(MapKind), p.b.openMapping()
+	if err := p.mappingEntries(n, &m, indent); err != nil {
+		return nil, err
+	}
+	p.b.closeMapping(n, m)
+	return n, nil
+}
+
+// mappingEntries adds to m the entries of a block mapping at indent,
+// and sets n's line to the first's.
+func (p *parser) mappingEntries(n *Node, m *openMapping, indent int) error {
 	first := true
 	for {
 		ln, ok := p.peek()
 		if !ok || ln.indent < indent {
-			return m, nil
+			return nil
 		}
 		if ln.indent > indent {
-			return nil, errAt(ln.num, "bad indentation in mapping (got %d, want %d)", ln.indent, indent)
+			return errAt(ln.num, "bad indentation in mapping (got %d, want %d)", ln.indent, indent)
 		}
 		content := ln.content
-		if strings.HasPrefix(content, "- ") || content == "-" {
+		if isSeqItem(content) {
 			if first {
-				return nil, errAt(ln.num, "sequence item where mapping expected")
+				return errAt(ln.num, "sequence item where mapping expected")
 			}
-			return m, nil
+			return nil
 		}
-		key, rest, isMap := splitKey(stripComment(content))
+		kv, comment := splitValueComment(content)
+		key, rest, isMap := splitKey(kv)
 		if !isMap {
-			return nil, errAt(ln.num, "expected key: value, got %q", content)
+			return errAt(ln.num, "expected key: value, got %q", content)
 		}
 		first = false
 		p.advanceTo(ln)
-		_, comment := splitValueComment(content)
 		var val *Node
 		var err error
 		switch {
 		case rest == "":
 			val, err = p.parseNested(ln, indent)
-		case rest == "|" || rest == "|-" || rest == "|+" || rest == ">" || rest == ">-" || rest == ">+":
+		case isBlockScalar(rest):
 			val, err = p.parseBlockScalar(rest, indent, ln.num)
 		default:
-			val, err = parseFlowOrScalar(rest, ln.num, p)
+			val, err = p.b.parseFlowOrScalar(rest, ln.num)
 		}
 		if err != nil {
-			return nil, err
+			return err
 		}
 		val.Comment = comment
 		if val.Line == 0 {
 			val.Line = ln.num
 		}
-		if m.Has(key) {
-			return nil, errAt(ln.num, "duplicate mapping key %q", key)
+		if p.b.find(m, key) >= 0 {
+			return errAt(ln.num, "duplicate mapping key %q", key)
 		}
-		m.Set(key, val)
-		m.Line = firstNonZero(m.Line, ln.num)
+		p.b.add(m, key, val)
+		n.Line = firstNonZero(n.Line, ln.num)
 	}
 }
 
@@ -261,99 +522,97 @@ func (p *parser) parseMapping(indent int) (*Node, error) {
 func (p *parser) parseNested(keyLine srcLine, keyIndent int) (*Node, error) {
 	next, ok := p.peek()
 	if !ok {
-		return Null(), nil
+		return p.b.node(NullKind), nil
 	}
-	nc := next.content
-	isSeq := strings.HasPrefix(nc, "- ") || nc == "-"
 	switch {
 	case next.indent > keyIndent:
 		return p.parseBlock(next.indent)
-	case next.indent == keyIndent && isSeq:
+	case next.indent == keyIndent && isSeqItem(next.content):
 		// YAML permits sequences under a key at the key's own indent.
 		return p.parseSequence(next.indent)
 	default:
-		return Null(), nil
+		return p.b.node(NullKind), nil
 	}
 }
 
 func (p *parser) parseSequence(indent int) (*Node, error) {
-	s := Seq()
+	s, base := p.b.node(SeqKind), len(p.b.items)
 	for {
-		ln, ok := p.peek()
-		if !ok || ln.indent != indent {
-			if ok && ln.indent > indent {
-				return nil, errAt(ln.num, "bad indentation in sequence")
-			}
-			return s, nil
-		}
-		content := ln.content
-		if !strings.HasPrefix(content, "-") || (len(content) > 1 && content[1] != ' ') {
-			return s, nil
-		}
-		p.advanceTo(ln)
-		rest := strings.TrimSpace(content[1:])
-		itemIndent := ln.indent + 2 // "- " consumes two columns
-		if rest == "" {
-			// Item entirely on following more-indented lines.
-			next, ok := p.peek()
-			if !ok || next.indent <= ln.indent {
-				s.Append(Null())
-				continue
-			}
-			item, err := p.parseBlock(next.indent)
-			if err != nil {
-				return nil, err
-			}
-			s.Append(item)
-			continue
-		}
-		restNoComment := stripComment(rest)
-		_, comment := splitValueComment(rest)
-		if strings.HasPrefix(restNoComment, "- ") || restNoComment == "-" {
-			// Nested sequence starting on the dash line: re-enter with a
-			// synthetic line. Simplest correct handling: treat the text
-			// after "- " as the first item of a nested sequence indented
-			// at itemIndent.
-			sub, err := p.parseInlineSeqItem(rest, ln, itemIndent)
-			if err != nil {
-				return nil, err
-			}
-			s.Append(sub)
-			continue
-		}
-		if key, krest, isMap := splitKey(restNoComment); isMap && key != "" {
-			item, err := p.parseInlineMapItem(key, krest, comment, ln, itemIndent)
-			if err != nil {
-				return nil, err
-			}
-			s.Append(item)
-			continue
-		}
-		val, err := parseFlowOrScalar(restNoComment, ln.num, p)
+		item, ok, err := p.sequenceItem(indent)
 		if err != nil {
 			return nil, err
 		}
-		val.Comment = comment
-		val.Line = ln.num
-		s.Append(val)
+		if !ok {
+			p.b.closeSequence(s, base)
+			return s, nil
+		}
+		p.b.items = append(p.b.items, item)
 	}
+}
+
+// sequenceItem parses the next item of a block sequence at indent, if
+// the sequence has one.
+func (p *parser) sequenceItem(indent int) (*Node, bool, error) {
+	ln, ok := p.peek()
+	if !ok || ln.indent != indent {
+		if ok && ln.indent > indent {
+			return nil, false, errAt(ln.num, "bad indentation in sequence")
+		}
+		return nil, false, nil
+	}
+	content := ln.content
+	if !strings.HasPrefix(content, "-") || (len(content) > 1 && content[1] != ' ') {
+		return nil, false, nil
+	}
+	p.advanceTo(ln)
+	rest := strings.TrimSpace(content[1:])
+	itemIndent := ln.indent + 2 // "- " consumes two columns
+	if rest == "" {
+		// Item entirely on following more-indented lines.
+		next, ok := p.peek()
+		if !ok || next.indent <= ln.indent {
+			return p.b.node(NullKind), true, nil
+		}
+		item, err := p.parseBlock(next.indent)
+		return item, err == nil, err
+	}
+	restNoComment, comment := splitValueComment(rest)
+	if isSeqItem(restNoComment) {
+		// Nested sequence starting on the dash line: re-enter with a
+		// synthetic line. Simplest correct handling: treat the text
+		// after "- " as the first item of a nested sequence indented
+		// at itemIndent.
+		sub, err := p.parseInlineSeqItem(rest, ln, itemIndent)
+		return sub, err == nil, err
+	}
+	if key, krest, isMap := splitKey(restNoComment); isMap && key != "" {
+		item, err := p.parseInlineMapItem(key, krest, comment, ln, itemIndent)
+		return item, err == nil, err
+	}
+	val, err := p.b.parseFlowOrScalar(restNoComment, ln.num)
+	if err != nil {
+		return nil, false, err
+	}
+	val.Comment = comment
+	val.Line = ln.num
+	return val, true, nil
 }
 
 // parseInlineMapItem parses a sequence item whose first mapping entry sits
 // on the dash line: "- key: value" followed by further entries indented
 // at itemIndent.
 func (p *parser) parseInlineMapItem(key, rest, comment string, ln srcLine, itemIndent int) (*Node, error) {
-	m := Map()
-	m.Line = ln.num
+	n := p.b.node(MapKind)
+	n.Line = ln.num
 	var val *Node
 	var err error
 	switch {
 	case rest == "":
 		val, err = p.parseNestedAfterDash(itemIndent)
-	case rest == "|" || rest == "|-" || rest == "|+" || rest == ">" || rest == ">-" || rest == ">+":
+	case isBlockScalar(rest):
 		val, err = p.parseBlockScalar(rest, itemIndent-2, ln.num)
 	default:
-		val, err = parseFlowOrScalar(rest, ln.num, p)
+		val, err = p.b.parseFlowOrScalar(rest, ln.num)
 	}
 	if err != nil {
 		return nil, err
@@ -362,38 +621,32 @@ func (p *parser) parseInlineMapItem(key, rest, comment string, ln srcLine, itemI
 	if val.Line == 0 {
 		val.Line = ln.num
 	}
-	m.Set(key, val)
-	// Continue with additional entries indented at itemIndent.
-	for {
-		next, ok := p.peek()
-		if !ok || next.indent < itemIndent {
-			return m, nil
-		}
-		nc := next.content
-		if next.indent == itemIndent && (strings.HasPrefix(nc, "- ") || nc == "-") {
-			return m, nil
-		}
+	m := p.b.openMapping()
+	p.b.add(&m, key, val)
+	// Continue with additional entries indented at itemIndent: a
+	// mapping of their own, whose keys the dash line's may not repeat.
+	if next, ok := p.peek(); ok && next.indent >= itemIndent && !(next.indent == itemIndent && isSeqItem(next.content)) {
 		if next.indent > itemIndent {
 			return nil, errAt(next.num, "bad indentation in sequence item mapping")
 		}
-		sub, err := p.parseMapping(itemIndent)
-		if err != nil {
+		more := p.b.openMapping()
+		if err := p.mappingEntries(n, &more, itemIndent); err != nil {
 			return nil, err
 		}
-		for _, e := range sub.Entries {
-			if m.Has(e.Key) {
-				return nil, errAt(next.num, "duplicate mapping key %q", e.Key)
+		for _, e := range p.b.ents[more.base:] {
+			if e.Key == key {
+				return nil, errAt(next.num, "duplicate mapping key %q", key)
 			}
-			m.Set(e.Key, e.Value)
 		}
-		return m, nil
 	}
+	p.b.closeMapping(n, m)
+	return n, nil
 }
 
 func (p *parser) parseInlineSeqItem(rest string, ln srcLine, itemIndent int) (*Node, error) {
 	// Build a synthetic sub-parser for "- a" nested on a dash line plus
 	// any following lines at >= itemIndent.
-	sub := &parser{}
+	sub := parser{b: p.b}
 	sub.lines = append(sub.lines, srcLine{num: ln.num, indent: itemIndent, text: strings.Repeat(" ", itemIndent) + rest, content: strings.TrimSpace(rest)})
 	for {
 		next, ok := p.peek()
@@ -409,24 +662,22 @@ func (p *parser) parseInlineSeqItem(rest string, ln srcLine, itemIndent int) (*N
 func (p *parser) parseNestedAfterDash(itemIndent int) (*Node, error) {
 	next, ok := p.peek()
 	if !ok || next.indent < itemIndent {
-		return Null(), nil
+		return p.b.node(NullKind), nil
 	}
-	nc := next.content
-	isSeq := strings.HasPrefix(nc, "- ") || nc == "-"
 	switch {
 	case next.indent > itemIndent:
 		return p.parseBlock(next.indent)
-	case next.indent == itemIndent && isSeq:
+	case next.indent == itemIndent && isSeqItem(next.content):
 		// A sequence at the key's own indent is that key's value.
 		return p.parseSequence(next.indent)
 	default:
-		return Null(), nil
+		return p.b.node(NullKind), nil
 	}
 }
 
 // parseBlockScalar handles "|" literal and ">" folded block scalars.
 func (p *parser) parseBlockScalar(marker string, parentIndent, lineNum int) (*Node, error) {
-	var body []string
+	body := p.b.body[:0]
 	blockIndent := -1
 	for p.pos < len(p.lines) {
 		ln := p.lines[p.pos]
@@ -448,23 +699,48 @@ func (p *parser) parseBlockScalar(marker string, parentIndent, lineNum int) (*No
 		body = append(body, t[blockIndent:])
 		p.pos++
 	}
+	p.b.body = body
 	// Trim trailing blank lines (clip chomping, the default).
 	for len(body) > 0 && body[len(body)-1] == "" {
 		body = body[:len(body)-1]
 	}
-	var text string
-	if strings.HasPrefix(marker, ">") {
-		text = strings.Join(body, " ")
-	} else {
-		text = strings.Join(body, "\n")
+	sep, end := "\n", "\n"
+	if marker[0] == '>' {
+		sep = " "
 	}
-	if !strings.HasSuffix(marker, "-") {
-		text += "\n"
+	if strings.HasSuffix(marker, "-") {
+		end = ""
 	}
-	n := String(text)
+	n := p.b.node(StringKind)
+	n.Str = joinLines(body, sep, end)
 	n.Quoted = true
 	n.Line = lineNum
 	return n, nil
+}
+
+// joinLines is strings.Join(lines, sep) + end, in one allocation, or
+// none when that is one line of the text.
+func joinLines(lines []string, sep, end string) string {
+	if len(lines) == 0 {
+		return end
+	}
+	if len(lines) == 1 && end == "" {
+		return lines[0]
+	}
+	size := len(end) + len(sep)*(len(lines)-1)
+	for _, ln := range lines {
+		size += len(ln)
+	}
+	var sb strings.Builder
+	sb.Grow(size)
+	for i, ln := range lines {
+		if i > 0 {
+			sb.WriteString(sep)
+		}
+		sb.WriteString(ln)
+	}
+	sb.WriteString(end)
+	return sb.String()
 }
 
 // splitKey splits "key: rest" at the first unquoted, un-bracketed colon
@@ -517,12 +793,6 @@ func unquoteKey(k string) string {
 	return k
 }
 
-// stripComment removes an unquoted trailing "# ..." comment.
-func stripComment(s string) string {
-	v, _ := splitValueComment(s)
-	return v
-}
-
 // SplitTrailingComment splits a single line into its content and any
 // unquoted trailing "#" comment (without the "#"). Exported for callers
 // that post-process raw YAML text, such as label stripping.
@@ -549,13 +819,13 @@ func splitValueComment(s string) (value, comment string) {
 
 // parseFlowOrScalar parses an inline value: flow sequence, flow mapping,
 // quoted string or plain scalar with type inference.
-func parseFlowOrScalar(s string, line int, p *parser) (*Node, error) {
+func (b *builder) parseFlowOrScalar(s string, line int) (*Node, error) {
 	s = strings.TrimSpace(s)
 	if s == "" {
-		return Null(), nil
+		return b.node(NullKind), nil
 	}
 	if s[0] == '[' || s[0] == '{' {
-		fp := &flowParser{src: s, line: line}
+		fp := flowParser{b: b, src: s, line: line}
 		n, err := fp.parseValue()
 		if err != nil {
 			return nil, err
@@ -567,30 +837,28 @@ func parseFlowOrScalar(s string, line int, p *parser) (*Node, error) {
 		n.Line = line
 		return n, nil
 	}
-	return scalarFromString(s, line)
+	return b.scalarFromString(s, line), nil
 }
 
-func scalarFromString(s string, line int) (*Node, error) {
-	if len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"' {
+func (b *builder) scalarFromString(s string, line int) *Node {
+	var n *Node
+	switch {
+	case len(s) >= 2 && s[0] == '"' && s[len(s)-1] == '"':
 		unq, err := strconv.Unquote(s)
 		if err != nil {
 			// Permit simple double-quoted strings Go's Unquote rejects.
 			unq = s[1 : len(s)-1]
 		}
-		n := String(unq)
-		n.Quoted = true
-		n.Line = line
-		return n, nil
+		n = b.node(StringKind)
+		n.Str, n.Quoted = unq, true
+	case len(s) >= 2 && s[0] == '\'' && s[len(s)-1] == '\'':
+		n = b.node(StringKind)
+		n.Str, n.Quoted = strings.ReplaceAll(s[1:len(s)-1], "''", "'"), true
+	default:
+		n = b.inferScalar(s)
 	}
-	if len(s) >= 2 && s[0] == '\'' && s[len(s)-1] == '\'' {
-		n := String(strings.ReplaceAll(s[1:len(s)-1], "''", "'"))
-		n.Quoted = true
-		n.Line = line
-		return n, nil
-	}
-	n := inferScalar(s)
 	n.Line = line
-	return n, nil
+	return n
 }
 
 // inferKind applies YAML 1.2 core-schema-ish type inference: the kind a
@@ -746,23 +1014,23 @@ func fitsInt64(digits string, neg bool) bool {
 }
 
 // inferScalar is the node a plain scalar's text reads as.
-func inferScalar(s string) *Node {
-	switch inferKind(s) {
-	case NullKind:
-		return Null()
+func (b *builder) inferScalar(s string) *Node {
+	n := b.node(inferKind(s))
+	switch n.Kind {
 	case BoolKind:
-		return Boolean(s[0] == 't' || s[0] == 'T')
+		n.Bool = s[0] == 't' || s[0] == 'T'
 	case IntKind:
 		i, err := strconv.ParseInt(s, 10, 64)
 		if err != nil {
 			i, _ = strconv.ParseInt(s[2:], 16, 64) // inferKind saw the 0x form parse
 		}
-		return Integer(i)
+		n.Int = i
 	case FloatKind:
-		f, _ := strconv.ParseFloat(s, 64) // inferKind saw it parse
-		return Number(f)
+		n.Float, _ = strconv.ParseFloat(s, 64) // inferKind saw it parse
+	case StringKind:
+		n.Str = s
 	}
-	return String(s)
+	return n
 }
 
 // looksNumeric guards against ParseFloat accepting "Inf"-like strings we
@@ -779,6 +1047,7 @@ func looksNumeric(s string) bool {
 }
 
 type flowParser struct {
+	b    *builder
 	src  string
 	pos  int
 	line int
@@ -809,7 +1078,7 @@ func (f *flowParser) parseValue() (*Node, error) {
 
 func (f *flowParser) parseSeq() (*Node, error) {
 	f.pos++ // consume '['
-	s := Seq()
+	s, base := f.b.node(SeqKind), len(f.b.items)
 	f.skipSpace()
 	if f.pos < len(f.src) && f.src[f.pos] == ']' {
 		f.pos++
@@ -820,7 +1089,7 @@ func (f *flowParser) parseSeq() (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.Append(item)
+		f.b.items = append(f.b.items, item)
 		f.skipSpace()
 		if f.pos >= len(f.src) {
 			return nil, errAt(f.line, "unterminated flow sequence")
@@ -830,6 +1099,7 @@ func (f *flowParser) parseSeq() (*Node, error) {
 			f.pos++
 		case ']':
 			f.pos++
+			f.b.closeSequence(s, base)
 			return s, nil
 		default:
 			return nil, errAt(f.line, "unexpected %q in flow sequence", f.src[f.pos])
@@ -839,17 +1109,22 @@ func (f *flowParser) parseSeq() (*Node, error) {
 
 func (f *flowParser) parseMap() (*Node, error) {
 	f.pos++ // consume '{'
-	m := Map()
+	n, m := f.b.node(MapKind), f.b.openMapping()
 	f.skipSpace()
 	if f.pos < len(f.src) && f.src[f.pos] == '}' {
 		f.pos++
-		return m, nil
+		return n, nil
 	}
 	for {
+		// The key node is read as text and left behind: what it counted
+		// is not copied out.
+		counted := f.b.n
 		keyNode, err := f.parseValue()
 		if err != nil {
 			return nil, err
 		}
+		key := keyNode.ScalarString()
+		f.b.n = counted
 		f.skipSpace()
 		if f.pos >= len(f.src) || f.src[f.pos] != ':' {
 			return nil, errAt(f.line, "expected ':' in flow mapping")
@@ -859,7 +1134,13 @@ func (f *flowParser) parseMap() (*Node, error) {
 		if err != nil {
 			return nil, err
 		}
-		m.Set(keyNode.ScalarString(), val)
+		// A repeated key keeps its first place and takes the last value.
+		if i := f.b.find(&m, key); i >= 0 {
+			f.b.forget(f.b.ents[m.base+i].Value)
+			f.b.ents[m.base+i].Value = val
+		} else {
+			f.b.add(&m, key, val)
+		}
 		f.skipSpace()
 		if f.pos >= len(f.src) {
 			return nil, errAt(f.line, "unterminated flow mapping")
@@ -870,7 +1151,8 @@ func (f *flowParser) parseMap() (*Node, error) {
 			f.skipSpace()
 		case '}':
 			f.pos++
-			return m, nil
+			f.b.closeMapping(n, m)
+			return n, nil
 		default:
 			return nil, errAt(f.line, "unexpected %q in flow mapping", f.src[f.pos])
 		}
@@ -888,7 +1170,7 @@ func (f *flowParser) parseQuoted() (*Node, error) {
 		}
 		if f.src[f.pos] == q {
 			f.pos++
-			return scalarFromString(f.src[start:f.pos], f.line)
+			return f.b.scalarFromString(f.src[start:f.pos], f.line), nil
 		}
 		f.pos++
 	}
@@ -919,9 +1201,9 @@ func (f *flowParser) parsePlain() (*Node, error) {
 	}
 	txt := strings.TrimSpace(f.src[start:f.pos])
 	if txt == "" {
-		return Null(), nil
+		return f.b.node(NullKind), nil
 	}
-	n := inferScalar(txt)
+	n := f.b.inferScalar(txt)
 	n.Line = f.line
 	return n, nil
 }
