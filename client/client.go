@@ -217,12 +217,15 @@ type StoreStats struct {
 }
 
 // StoreOpenStats describes how the store's last Open rebuilt its
-// index: frames scanned, how many of them were in the JSON payload
-// layout (read, no longer written), and the rebuild wall time.
+// index: frames scanned and the rebuild wall time.
 type StoreOpenStats struct {
-	ScannedFrames int     `json:"scanned_frames"`
-	LegacyFrames  int     `json:"legacy_frames"`
-	DurationMs    float64 `json:"duration_ms"`
+	ScannedFrames int `json:"scanned_frames"`
+	// Deprecated: LegacyFrames is always 0. The store no longer reads
+	// the JSON payload layout it counted; Open refuses a store holding
+	// one. The field stays on the wire for one release and is removed
+	// in the next (ROADMAP.md item 11).
+	LegacyFrames int     `json:"legacy_frames"`
+	DurationMs   float64 `json:"duration_ms"`
 }
 
 // Eval scores one problem via POST /v1/eval.

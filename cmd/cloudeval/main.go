@@ -228,8 +228,8 @@ func (c *chain) report(w *wiring) {
 			counts[i] = fmt.Sprintf("%d", sh.Records+sh.Generations)
 		}
 		fmt.Fprintf(os.Stderr, "store: per-shard records [%s]\n", strings.Join(counts, " "))
-		fmt.Fprintf(os.Stderr, "store: open %.1fms — %d frames scanned (%d legacy JSON), index ~%.1f MiB resident\n",
-			ss.LastOpen.DurationMs, ss.LastOpen.ScannedFrames, ss.LastOpen.LegacyFrames, float64(ss.ResidentBytes)/(1<<20))
+		fmt.Fprintf(os.Stderr, "store: open %.1fms — %d frames scanned, index ~%.1f MiB resident\n",
+			ss.LastOpen.DurationMs, ss.LastOpen.ScannedFrames, float64(ss.ResidentBytes)/(1<<20))
 		es, gs := ev.Engine().Stats(), ev.Dispatcher().Stats()
 		fmt.Fprintf(os.Stderr, "caches: engine %d entries, %.1f MiB, %d evictions; inference %d entries, %.1f MiB, %d evictions\n",
 			es.CacheEntries, float64(es.CacheBytes)/(1<<20), es.CacheEvictions,

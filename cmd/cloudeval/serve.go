@@ -66,8 +66,8 @@ func cmdServe(fs *flag.FlagSet) func() error {
 		ss := server.StoreStats(st)
 		fmt.Printf("serve: store %s (%d shards, %d results, %d generations), provider %s, %d problems, %d models\n",
 			w.store, ss.Shards, ss.Records, ss.Generations, disp.Provider().Name(), len(bench.Problems), len(bench.Models))
-		fmt.Printf("serve: store open %.1fms — %d frames scanned (%d legacy JSON)\n",
-			ss.LastOpen.DurationMs, ss.LastOpen.ScannedFrames, ss.LastOpen.LegacyFrames)
+		fmt.Printf("serve: store open %.1fms — %d frames scanned\n",
+			ss.LastOpen.DurationMs, ss.LastOpen.ScannedFrames)
 		if *warm {
 			start := time.Now()
 			bench.ZeroShot()

@@ -51,15 +51,42 @@ const (
 // slots, and the body half it shares.
 type compiled struct {
 	src      Problem // the fields compiled from; src.c is nil
-	question [maxShots + 1]atomic.Value
+	question [maxShots + 1]cell
 	body     *body
-	// simplified and translated are the variants Derive made.
-	simplified, translated atomic.Pointer[Problem]
+	// simplified and translated hold the variants Derive made.
+	simplified, translated cell
 }
 
 type body struct {
 	bodyKey
-	slots [bodySlots]atomic.Value
+	slots [bodySlots]cell
+}
+
+// cell holds one artefact, built on first touch under its own lock. A
+// lock per cell, not per problem, lets a build read another slot of
+// the same problem (SolutionLines is one); a build that read its own
+// slot would wait on itself.
+type cell struct {
+	mu sync.Mutex
+	v  atomic.Value
+}
+
+// load returns c's artefact, which build makes the first time it is
+// asked for. Callers that find c empty while another builds wait for
+// that build, so each artefact is built once; one whose build panics
+// stays empty.
+func load[V any](c *cell, build func() V) V {
+	if v, ok := c.v.Load().(V); ok {
+		return v
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if v, ok := c.v.Load().(V); ok {
+		return v
+	}
+	v := build()
+	c.v.Store(v)
+	return v
 }
 
 // bodyKey is what a body half is a function of.
@@ -72,7 +99,7 @@ func (p *Problem) bodyKey() bodyKey { return bodyKey{p.ReferenceYAML, p.UnitTest
 
 // slot is where p keeps s: nil when p has no state, or differs from the
 // fields s's half was compiled from.
-func (p *Problem) slot(s Slot) *atomic.Value {
+func (p *Problem) slot(s Slot) *cell {
 	c := p.c
 	switch {
 	case c == nil:
@@ -89,20 +116,16 @@ func (p *Problem) slot(s Slot) *atomic.Value {
 }
 
 // Memo returns the artefact in p's slot s, which build makes from p the
-// first time it is asked for. Goroutines racing on an empty slot may
-// each build one; all of them return the one stored first. A problem
-// with no state for s gets build(p) every time, and nothing is kept.
-// V must not be an interface type.
+// first time it is asked for. Goroutines racing on an empty slot wait
+// for one build and all return it. A problem with no state for s gets
+// build(p) every time, and nothing is kept. V must not be an interface
+// type.
 func Memo[V any](p Problem, s Slot, build func(Problem) V) V {
 	slot := p.slot(s)
 	if slot == nil {
 		return build(p)
 	}
-	if v, ok := slot.Load().(V); ok {
-		return v
-	}
-	slot.CompareAndSwap(nil, build(p))
-	return slot.Load().(V)
+	return load(slot, func() V { return build(p) })
 }
 
 // corpus is the original corpus, compiled once per process: every
@@ -146,10 +169,9 @@ func (p Problem) Derive(v Variant, build func(Problem) Problem) Problem {
 	if v == Translated {
 		kept = &c.translated
 	}
-	if kept.Load() == nil {
+	return *load(kept, func() *Problem {
 		d := build(p)
 		d.c = &compiled{src: d, body: c.body}
-		kept.CompareAndSwap(nil, &d)
-	}
-	return *kept.Load()
+		return &d
+	})
 }

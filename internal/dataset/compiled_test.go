@@ -2,7 +2,9 @@ package dataset
 
 import (
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // fresh builds a new artefact on every call, so two slots hold the same
@@ -66,14 +68,29 @@ func TestVariantSharesBodyNotQuestion(t *testing.T) {
 
 // TestFirstTouchRace: eight goroutines touch a compiled corpus nothing
 // has touched, all at once — body and question slots of every problem,
-// its line count and its variant's slots. Each slot ends up with one
-// artefact that every goroutine read. Run under -race in CI.
+// its line count and its variant's slots. Each slot and variant is
+// built exactly once, and every goroutine reads that one artefact.
+// The first problem's builds sleep, so the goroutines that find its
+// slots empty arrive while the first build runs. The reference's build
+// reads the line count, a slot of the same problem, as builders do.
+// Run under -race in CI.
 func TestFirstTouchRace(t *testing.T) {
 	ps := compiledCorpus()
 	type seen struct {
 		body, prompt, variantBody, variantPrompt *int
 		lines                                    int
 		variant                                  Problem
+	}
+	// builds counts, per problem, the builds of its variant, its body
+	// slot (shared with the variant), its line count and the two
+	// question slots.
+	type builds struct{ variant, body, lines, prompt, variantPrompt atomic.Int32 }
+	counts := make([]builds, len(ps))
+	counted := func(i int, n *atomic.Int32) {
+		n.Add(1)
+		if i == 0 {
+			time.Sleep(5 * time.Millisecond)
+		}
 	}
 	const goroutines = 8
 	got := make([][]seen, goroutines)
@@ -86,11 +103,17 @@ func TestFirstTouchRace(t *testing.T) {
 			<-start
 			out := make([]seen, len(ps))
 			for i, p := range ps {
-				v := p.Derive(Simplified, simplify)
+				c := &counts[i]
+				lines := func(q Problem) int {
+					return Memo(q, solutionLines, func(q Problem) int { counted(i, &c.lines); return nonBlankLines(q.ReferenceYAML) })
+				}
+				v := p.Derive(Simplified, func(q Problem) Problem { counted(i, &c.variant); return simplify(q) })
 				out[i] = seen{
-					Memo(p, Reference, fresh), Memo(p, Prompt+maxShots, fresh),
-					Memo(v, Reference, fresh), Memo(v, Prompt+maxShots, fresh),
-					p.SolutionLines(), v,
+					Memo(p, Reference, func(q Problem) *int { counted(i, &c.body); lines(q); return new(int) }),
+					Memo(p, Prompt+maxShots, func(Problem) *int { counted(i, &c.prompt); return new(int) }),
+					Memo(v, Reference, func(Problem) *int { counted(i, &c.body); return new(int) }),
+					Memo(v, Prompt+maxShots, func(Problem) *int { counted(i, &c.variantPrompt); return new(int) }),
+					lines(p), v,
 				}
 			}
 			got[g] = out
@@ -99,6 +122,15 @@ func TestFirstTouchRace(t *testing.T) {
 	close(start)
 	wg.Wait()
 	for i, p := range ps {
+		c := &counts[i]
+		for _, n := range []struct {
+			slot string
+			n    *atomic.Int32
+		}{{"variant", &c.variant}, {"body", &c.body}, {"lines", &c.lines}, {"prompt", &c.prompt}, {"variant's prompt", &c.variantPrompt}} {
+			if b := n.n.Load(); b != 1 {
+				t.Errorf("%s: %s built %d times, want once", p.ID, n.slot, b)
+			}
+		}
 		want := got[0][i]
 		if want.body != want.variantBody || want.prompt == want.variantPrompt || want.lines != nonBlankLines(p.ReferenceYAML) {
 			t.Fatalf("%s: body %p, variant's %p; prompt %p, variant's %p; %d lines",

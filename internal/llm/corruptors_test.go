@@ -155,7 +155,9 @@ func TestCompiledTreesNeverWritten(t *testing.T) {
 // hold — parsed trees, both templates and the noise base — counting the
 // documents too (parsed afresh, so each context owns its own). A
 // campaign keeps all of them for as long as it runs, and so does every
-// set-up of the benchmark.
+// set-up of the benchmark. Each reading follows two collections: the
+// first moves what the sync.Pools hold to their victim caches and the
+// second frees it, so the difference is the contexts alone.
 func TestContextsRetain(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("heap accounting differs under the race detector")
@@ -166,13 +168,16 @@ func TestContextsRetain(t *testing.T) {
 	}
 	contexts := make([]*genContext, len(problems))
 	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
+	read := func(ms *runtime.MemStats) {
+		runtime.GC()
+		runtime.GC()
+		runtime.ReadMemStats(ms)
+	}
+	read(&before)
 	for i, p := range problems {
 		contexts[i] = compileContext(p, parseAfresh)
 	}
-	runtime.GC()
-	runtime.ReadMemStats(&after)
+	read(&after)
 	retained := float64(after.HeapAlloc) - float64(before.HeapAlloc)
 	t.Logf("%d contexts retain %.2f MB", len(contexts), retained/1e6)
 	if retained > 4.0e6 {

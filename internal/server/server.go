@@ -225,7 +225,6 @@ func StoreStats(st *store.Store) *client.StoreStats {
 		ResidentBytes: st.ResidentBytes(),
 		LastOpen: client.StoreOpenStats{
 			ScannedFrames: op.ScannedFrames,
-			LegacyFrames:  op.LegacyFrames,
 			DurationMs:    float64(op.Duration.Microseconds()) / 1e3,
 		},
 	}

@@ -20,17 +20,17 @@ import (
 //	0x02  generation:       [32] request key
 //	                        [8] prompt tokens [8] completion tokens [8] latency, ns
 //	                        then Text to the end of the payload
-//	'{'   a JSON payload (jsonframe.go): read, never written
 //
 // Integers are little-endian int64. The key is in the payload as raw
 // digest bytes at fixed offsets, so a scan indexes a frame with a
 // bounds check and a copy, and a read compares the frame's own key with
 // the one it was asked for. Any other tag, or a payload shorter than
-// its tag's fixed header, is a corrupt frame exactly like a failed CRC.
+// its tag's fixed header, is a corrupt frame exactly like a failed CRC
+// — but for '{', which opens the JSON layout of stores written before
+// this one: scanLog refuses an intact frame holding it.
 const (
 	tagUnit = 0x01
 	tagGen  = 0x02
-	tagJSON = '{'
 
 	numFields      = 3
 	unitHeaderSize = 1 + 2*sha256.Size + 8*numFields
@@ -110,8 +110,9 @@ func appendFrame(dst []byte, k key, rec record) []byte {
 	return dst[:len(dst)+size]
 }
 
-// binaryKey reads the tag and key of a binary payload and returns what
-// follows them: the fixed fields and the text.
+// binaryKey reads the tag and key of a payload, without touching its
+// text, and returns what follows them: the fixed fields and the text.
+// Not ok means a corrupt frame: the scan stops there.
 func binaryKey(p []byte) (k key, rest []byte, ok bool) {
 	if len(p) == 0 {
 		return k, nil, false
@@ -135,24 +136,9 @@ func binaryKey(p []byte) (k key, rest []byte, ok bool) {
 	return k, nil, false
 }
 
-// payloadKey recovers the index key of a payload whose CRC has already
-// been checked, without touching its text; legacy reports a JSON
-// payload. Not ok means a corrupt frame: the scan stops there.
-func payloadKey(p []byte) (k key, legacy, ok bool) {
-	if len(p) > 0 && p[0] == tagJSON {
-		k, ok = jsonPayloadKey(p)
-		return k, true, ok
-	}
-	k, _, ok = binaryKey(p)
-	return k, false, ok
-}
-
 // decode parses a payload whose CRC has already been checked into its
 // key and record. The record's text is a copy: p may be reused.
 func decode(p []byte) (key, record, bool) {
-	if len(p) > 0 && p[0] == tagJSON {
-		return decodeJSON(p)
-	}
 	k, rest, ok := binaryKey(p)
 	if !ok {
 		return key{}, record{}, false

@@ -12,11 +12,12 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
-	"encoding/json"
 	"fmt"
 	"hash/crc32"
+	"maps"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -27,8 +28,9 @@ import (
 // One frame of each kind for the fixed inputs of putGolden, in both
 // payload layouts. The binary pair is what Put and PutGen write:
 // [LE payload length][LE CRC-32C][tag, key digests, three LE int64,
-// text]. The JSON pair is what every store before it wrote — fields in
-// declaration order, zero values omitted — and must stay readable.
+// text]. The JSON pair is what stores wrote before the binary layout —
+// fields in declaration order, zero values omitted — and Open refuses
+// a store holding it (TestJSONLayoutStoreRefused).
 const (
 	goldenUnitFrame = "6a000000e3459316018d35e3fad54a51c8559d3723f4904e4a9a74ed73d5445e670ef2fe88074b70b47963e6b7d677f6e80a43adf81f7a779334860f2a8f83ed18f09b7123105ac2090100000000000000030000000000000000046bf414000000756e69745f746573745f7061737365640a"
 	goldenGenFrame  = "52000000000c8531029456bdfa12ea76959c94a3572f5d91c73d838622df0a8d9b4e815c276c6b788078000000000000002200000000000000d30296490000000061706956657273696f6e3a2076310a6b696e643a20506f640a"
@@ -102,11 +104,11 @@ func nonEmptyFiles(t testing.TB, pattern string) [][]byte {
 }
 
 // TestGoldenFrames pins the frame bytes in both directions. Written:
-// what Put and PutGen write for the fixed inputs is the binary golden
-// hex, byte for byte, so identical re-puts stay recognizable by length
-// + CRC and a later reader knows exactly what it must accept. Read: the
-// JSON golden frames, as every earlier version wrote them, placed raw
-// in a segment, open and return the same fixed inputs.
+// what Put and PutGen write for the fixed inputs is the golden hex,
+// byte for byte, so identical re-puts stay recognizable by length +
+// CRC and a later reader knows exactly what it must accept. Read: the
+// golden frames placed raw in a segment open and return the same fixed
+// inputs.
 func TestGoldenFrames(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "golden")
 	s, err := Open(path)
@@ -129,54 +131,93 @@ func TestGoldenFrames(t *testing.T) {
 		t.Fatalf("segments hold frames %v, want the two golden frames", got)
 	}
 
+	t.Run("read/binary", func(t *testing.T) {
+		s, _ := openOneShard(t, append(mustUnhex(t, goldenUnitFrame), mustUnhex(t, goldenGenFrame)...))
+		defer s.Close()
+		if st := s.LastOpen(); st.ScannedFrames != 2 {
+			t.Fatalf("LastOpen = %+v, want 2 scanned frames", st)
+		}
+		if got, ok := s.Get(goldenTest, goldenAnswer); !ok || got != goldenResult {
+			t.Fatalf("Get = %+v, %v; want %+v", got, ok, goldenResult)
+		}
+		if got, ok := s.GetGen(goldenGenKey); !ok || got != goldenResponse {
+			t.Fatalf("GetGen = %+v, %v; want %+v", got, ok, goldenResponse)
+		}
+	})
+}
+
+// segmentSums returns the sha256 of every segment file of the store at
+// path, by name.
+func segmentSums(t testing.TB, path string) map[string][sha256.Size]byte {
+	t.Helper()
+	names, err := filepath.Glob(path + ".s[0-9][0-9]")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sums := make(map[string][sha256.Size]byte, len(names))
+	for _, name := range names {
+		data, err := os.ReadFile(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sums[name] = sha256.Sum256(data)
+	}
+	return sums
+}
+
+// TestJSONLayoutStoreRefused: a store holding an intact frame in the
+// JSON layout of stores written before the binary one fails Open,
+// which names the segment file holding it, and leaves every segment
+// file byte for byte as it was. Dropping the frame as a torn tail
+// instead would cut every binary frame after it, so the frame refuses
+// the store wherever it lies: alone, after a binary frame, or in one
+// shard of many, the others holding torn tails Open would otherwise
+// cut.
+func TestJSONLayoutStoreRefused(t *testing.T) {
+	unit, gen := mustUnhex(t, goldenUnitFrame), mustUnhex(t, goldenGenFrame)
+	jsonUnit, jsonGen := mustUnhex(t, goldenJSONUnitFrame), mustUnhex(t, goldenJSONGenFrame)
 	for _, tc := range []struct {
-		name      string
-		unit, gen string
-		legacy    int
+		name string
+		segs [][]byte // segment i's bytes
+		bad  int      // the segment holding the JSON frame
 	}{
-		{"json", goldenJSONUnitFrame, goldenJSONGenFrame, 2},
-		{"binary", goldenUnitFrame, goldenGenFrame, 0},
+		{"json only", [][]byte{append(append([]byte{}, jsonUnit...), jsonGen...)}, 0},
+		{"binary then json", [][]byte{append(append(append([]byte{}, unit...), jsonGen...), gen...)}, 0},
+		{"one shard of eight", [][]byte{
+			0: unit, 3: append(append([]byte{}, gen...), unit[:9]...), 5: append(append([]byte{}, unit...), jsonUnit...), 7: gen[:len(gen)-1],
+		}, 5},
 	} {
-		t.Run("read/"+tc.name, func(t *testing.T) {
-			s, _ := openOneShard(t, append(mustUnhex(t, tc.unit), mustUnhex(t, tc.gen)...))
-			defer s.Close()
-			if st := s.LastOpen(); st.ScannedFrames != 2 || st.LegacyFrames != tc.legacy {
-				t.Fatalf("LastOpen = %+v, want 2 scanned frames, %d of them JSON", st, tc.legacy)
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "stale")
+			for i, data := range tc.segs {
+				if err := os.WriteFile(segPath(path, i), data, 0o644); err != nil {
+					t.Fatal(err)
+				}
 			}
-			if got, ok := s.Get(goldenTest, goldenAnswer); !ok || got != goldenResult {
-				t.Fatalf("Get = %+v, %v; want %+v", got, ok, goldenResult)
+			before := segmentSums(t, path)
+			s, err := Open(path)
+			if err == nil {
+				s.Close()
+				t.Fatal("Open accepted a store holding a JSON frame")
 			}
-			if got, ok := s.GetGen(goldenGenKey); !ok || got != goldenResponse {
-				t.Fatalf("GetGen = %+v, %v; want %+v", got, ok, goldenResponse)
+			if name := segPath(path, tc.bad); !strings.Contains(err.Error(), name) || !strings.Contains(err.Error(), "JSON layout") {
+				t.Fatalf("Open: %v; want an error naming %s and the JSON layout", err, name)
+			}
+			if after := segmentSums(t, path); !maps.Equal(after, before) {
+				t.Fatalf("segment files changed under a refused Open")
 			}
 		})
 	}
 }
 
 // intactPrefix is the test's own reading of the segment format: the
-// byte length of data's longest prefix of intact frames, and how many
-// distinct keys those frames carry. A payload's first byte says how its
-// key is laid out: 0x01 two raw digests, 0x02 one, '{' JSON with hex
-// digests; anything else ends the prefix.
-func intactPrefix(data []byte) (int64, int) {
-	digest := func(s string) (string, bool) {
-		b, err := hex.DecodeString(s)
-		return string(b), err == nil && len(b) == sha256.Size
-	}
-	jsonKey := func(payload []byte) (string, bool) {
-		var fr struct{ Kind, Test, Answer, Gen string }
-		if json.Unmarshal(payload, &fr) != nil {
-			return "", false
-		}
-		if fr.Kind == "gen" {
-			g, ok := digest(fr.Gen)
-			return "gen " + g, ok
-		}
-		tk, ok1 := digest(fr.Test)
-		ak, ok2 := digest(fr.Answer)
-		return "unit " + tk + ak, ok1 && ok2
-	}
-	keys := map[string]bool{}
+// byte length of data's longest prefix of intact frames, how many
+// distinct keys those frames carry, and whether an intact JSON frame
+// follows them. A payload's first byte says how its key is laid out:
+// 0x01 two raw digests, 0x02 one; '{' is the JSON layout Open refuses,
+// and anything else ends the prefix.
+func intactPrefix(data []byte) (good int64, keys int, json bool) {
+	seen := map[string]bool{}
 	off := 0
 scan:
 	for len(data)-off >= frameHeaderSize {
@@ -189,31 +230,27 @@ scan:
 			break
 		}
 		var key string
-		ok := false
-		switch payload[0] {
-		case 0x01:
-			if ok = n >= 1+32+32+24; ok {
-				key = "unit " + string(payload[1:65])
-			}
-		case 0x02:
-			if ok = n >= 1+32+24; ok {
-				key = "gen " + string(payload[1:33])
-			}
-		case '{':
-			key, ok = jsonKey(payload)
-		}
-		if !ok {
+		switch {
+		case payload[0] == 0x01 && n >= 1+32+32+24:
+			key = "unit " + string(payload[1:65])
+		case payload[0] == 0x02 && n >= 1+32+24:
+			key = "gen " + string(payload[1:33])
+		case payload[0] == '{':
+			json = true
+			break scan
+		default:
 			break scan
 		}
-		keys[key] = true
+		seen[key] = true
 		off += frameHeaderSize + n
 	}
-	return int64(off), len(keys)
+	return int64(off), len(seen), json
 }
 
 // FuzzScanLog: arbitrary segment bytes never panic Open, which keeps
 // exactly the intact prefix — indexes its keys, truncates the file to
-// it — whatever follows.
+// it — whatever follows, unless an intact JSON frame follows it: then
+// Open fails and the file is left as it was.
 func FuzzScanLog(f *testing.F) {
 	unit, gen := mustUnhex(f, goldenUnitFrame), mustUnhex(f, goldenGenFrame)
 	jsonUnit, jsonGen := mustUnhex(f, goldenJSONUnitFrame), mustUnhex(f, goldenJSONGenFrame)
@@ -221,7 +258,7 @@ func FuzzScanLog(f *testing.F) {
 	f.Add(gen)
 	f.Add(append(append([]byte{}, gen...), unit...))
 	f.Add(append(append([]byte{}, jsonGen...), jsonUnit...))
-	f.Add(append(append([]byte{}, jsonUnit...), unit...))         // one key in both layouts
+	f.Add(append(append([]byte{}, unit...), jsonUnit...))         // one key in both layouts
 	f.Add(frameOf([]byte{tagUnit}))                               // shorter than its fixed header
 	f.Add(frameOf([]byte{0x03, 1, 2, 3}))                         // unknown tag
 	f.Add(append(append([]byte{}, unit...), gen[:len(gen)-7]...)) // torn tail
@@ -252,7 +289,21 @@ func FuzzScanLog(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// A one-shard store: two files per run instead of nine.
-		wantLen, wantKeys := intactPrefix(data)
+		wantLen, wantKeys, refused := intactPrefix(data)
+		if refused {
+			path := filepath.Join(t.TempDir(), "oneshard")
+			if err := os.WriteFile(segPath(path, 0), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if s, err := Open(path); err == nil {
+				s.closeFiles()
+				t.Fatal("Open accepted a segment holding an intact JSON frame")
+			}
+			if got, err := os.ReadFile(segPath(path, 0)); err != nil || !bytes.Equal(got, data) {
+				t.Fatalf("a refused Open changed the segment (read error %v)", err)
+			}
+			return
+		}
 		s, path := openOneShard(t, data)
 		defer s.closeFiles() // nothing to persist: skip Close's fsyncs
 		if got := s.Len() + s.GenLen(); got != wantKeys {
@@ -277,10 +328,10 @@ func frameOf(payload []byte) []byte {
 }
 
 // FuzzFrameCodec: the payload codec on arbitrary bytes. decode and
-// payloadKey never panic, accept and reject together where the layout
-// is binary, and agree on the key wherever both accept; an unknown tag
-// or a payload shorter than its tag's fixed header is rejected by both;
-// a binary payload they accept re-encodes to itself, so there is one
+// binaryKey never panic, accept and reject together, and agree on the
+// key wherever both accept; an unknown tag (a JSON payload's '{'
+// among them) or a payload shorter than its tag's fixed header is
+// rejected by both; a payload they accept re-encodes to itself, so there is one
 // payload per (key, record). appendFrame onto a non-empty prefix made
 // from the input — one with no room left, one with junk in its spare
 // capacity — leaves the prefix intact and appends exactly the frame it
@@ -297,26 +348,17 @@ func FuzzFrameCodec(f *testing.F) {
 	f.Add([]byte("{not json"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, p []byte) {
-		sk, legacy, scanOK := payloadKey(p)
+		sk, _, scanOK := binaryKey(p)
 		dk, rec, decodeOK := decode(p)
-		if decodeOK && !scanOK {
-			t.Fatalf("decode accepts a payload the scan rejects: %x", p)
-		}
 		if decodeOK && dk != sk {
-			t.Fatalf("decode and payloadKey disagree on the key: %+v vs %+v", dk, sk)
+			t.Fatalf("decode and binaryKey disagree on the key: %+v vs %+v", dk, sk)
 		}
-		isJSON := len(p) > 0 && p[0] == tagJSON
-		if scanOK && legacy != isJSON {
-			t.Fatalf("payloadKey reports legacy=%v for %x", legacy, p)
+		wantOK := len(p) > 0 && (p[0] == tagUnit && len(p) >= unitHeaderSize || p[0] == tagGen && len(p) >= genHeaderSize)
+		if scanOK != wantOK || decodeOK != wantOK {
+			t.Fatalf("binaryKey/decode accept = %v/%v, want %v for %x", scanOK, decodeOK, wantOK, p)
 		}
-		if !isJSON {
-			wantOK := len(p) > 0 && (p[0] == tagUnit && len(p) >= unitHeaderSize || p[0] == tagGen && len(p) >= genHeaderSize)
-			if scanOK != wantOK || decodeOK != wantOK {
-				t.Fatalf("payloadKey/decode accept = %v/%v, want %v for %x", scanOK, decodeOK, wantOK, p)
-			}
-			if wantOK && !bytes.Equal(appendFrame(nil, dk, rec)[frameHeaderSize:], p) {
-				t.Fatalf("accepted binary payload re-encodes differently: %x", p)
-			}
+		if wantOK && !bytes.Equal(appendFrame(nil, dk, rec)[frameHeaderSize:], p) {
+			t.Fatalf("accepted payload re-encodes differently: %x", p)
 		}
 
 		a := sha256.Sum256(p)
@@ -355,8 +397,8 @@ func FuzzFrameCodec(f *testing.F) {
 				if gk, got, ok := decode(payload); !ok || gk != c.k || got != c.rec {
 					t.Fatalf("decode(appendFrame(%+v, %+v)) = %+v, %+v, %v", c.k, c.rec, gk, got, ok)
 				}
-				if sk, legacy, ok := payloadKey(payload); !ok || legacy || sk != c.k {
-					t.Fatalf("payloadKey(appendFrame(%+v)) = %+v, %v, %v", c.k, sk, legacy, ok)
+				if sk, _, ok := binaryKey(payload); !ok || sk != c.k {
+					t.Fatalf("binaryKey(appendFrame(%+v)) = %+v, %v", c.k, sk, ok)
 				}
 			}
 		}

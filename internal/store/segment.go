@@ -2,6 +2,7 @@ package store
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"os"
@@ -145,10 +146,9 @@ type segment struct {
 	appended atomic.Int64
 	flushes  atomic.Int64
 
-	// Open bookkeeping for the store's LastOpen stats: how many frames
-	// the replay scanned, and how many of them were JSON.
-	scanFrames   int
-	legacyFrames int
+	// scanFrames is Open's bookkeeping for the store's LastOpen stats:
+	// how many frames the replay scanned.
+	scanFrames int
 
 	// lf is set by newSegment and closed by close, never replaced.
 	lf *logFile
@@ -178,22 +178,19 @@ func newSegment(f *os.File, id int) *segment {
 // shard and stripe its key routes to (counts[shard*idxStripes+stripe]).
 // The counts bound what replay indexes from above, superseded and
 // corrupt frames included, so Open can make every stripe's map at its
-// final size. A JSON frame, whose key would need parsing, is passed
-// uncounted, so a legacy store's maps may still grow. Like replay, it
-// stops at a length that runs past the end or an unknown tag.
+// final size. Like replay, it stops at a length that runs past the end
+// or an unknown tag.
 func countFrames(data []byte, mask int, counts []int) {
 	for len(data) >= frameHeaderSize {
 		n := int(binary.LittleEndian.Uint32(data))
 		if n == 0 || n > len(data)-frameHeaderSize {
 			return
 		}
-		if p := data[frameHeaderSize : frameHeaderSize+n]; p[0] != tagJSON {
-			k, _, ok := binaryKey(p)
-			if !ok {
-				return
-			}
-			counts[k.shard(mask)*idxStripes+k.stripe()]++
+		k, _, ok := binaryKey(data[frameHeaderSize : frameHeaderSize+n])
+		if !ok {
+			return
 		}
+		counts[k.shard(mask)*idxStripes+k.stripe()]++
 		data = data[frameHeaderSize+n:]
 	}
 }
@@ -221,45 +218,54 @@ func (seg *segment) mapLog(mask int, counts []int) error {
 // scanLog walks a log's bytes from the start, calling apply for each
 // intact frame with its key and index entry (seg unset — the caller
 // knows which log it is scanning), and returns the offset of the first
-// bad (or missing) frame and how many of the intact ones carried a
-// JSON payload. Frames are checked where they lie and payloadKey reads
-// only the key, so a multi-gigabyte log replays without copying a
-// payload. A frame whose tag is unknown or whose key is malformed is
-// bad: the scan stops there, exactly like a failed CRC.
-func scanLog(data []byte, apply func(k key, e entry)) (good int64, legacy int) {
+// bad (or missing) frame. Frames are checked where they lie and
+// binaryKey reads only the key, so a multi-gigabyte log replays without
+// copying a payload. A frame whose tag is unknown or whose key is
+// malformed is bad: the scan stops there, exactly like a failed CRC.
+//
+// An intact frame whose payload opens with '{' is in the JSON layout
+// stores wrote before the binary one. Dropping it as bad would take
+// every frame after it too, so scanLog fails with errJSONLayout
+// instead, and the store must be deleted.
+func scanLog(data []byte, apply func(k key, e entry)) (good int64, err error) {
 	for int64(len(data))-good >= frameHeaderSize {
 		frame := data[good:]
 		n := binary.LittleEndian.Uint32(frame[0:4])
 		sum := binary.LittleEndian.Uint32(frame[4:8])
 		if n == 0 || n > maxPayload || int64(n) > int64(len(frame))-frameHeaderSize {
-			return good, legacy // a torn header or payload: the log ends here
+			return good, nil // a torn header or payload: the log ends here
 		}
 		payload := frame[frameHeaderSize : frameHeaderSize+n]
 		if crc32.Checksum(payload, castagnoli) != sum {
-			return good, legacy // corrupt frame; drop it and everything after
+			return good, nil // corrupt frame; drop it and everything after
 		}
-		k, isJSON, ok := payloadKey(payload)
+		if payload[0] == '{' {
+			return good, errJSONLayout
+		}
+		k, _, ok := binaryKey(payload)
 		if !ok {
-			return good, legacy
-		}
-		if isJSON {
-			legacy++
+			return good, nil
 		}
 		apply(k, entry{off: good, n: frameHeaderSize + n, sum: sum})
 		good += frameHeaderSize + int64(n)
 	}
-	return good, legacy
+	return good, nil
 }
+
+// errJSONLayout is scanLog's refusal of a JSON payload.
+var errJSONLayout = errors.New("holds a frame in the JSON layout of stores written before the binary one, " +
+	"which this version no longer reads: delete the store (it is a cache)")
 
 // replay scans the segment's mapped log, up to the size mapLog found,
 // into the store's offset index (routing by key, so even a misplaced
-// record lands where get looks for it) and truncates the segment's
-// torn tail. The mapping outlives the truncation: it already reaches
-// past the new end, where appends land.
+// record lands where get looks for it), and sets size to the end of
+// its last intact frame; trimTail cuts the file there once every
+// segment has replayed.
 func (seg *segment) replay(s *Store) error {
 	var good int64
+	var scanErr error
 	if seg.lf.guard(func(data []byte) {
-		good, seg.legacyFrames = scanLog(data[:seg.size], func(k key, e entry) {
+		good, scanErr = scanLog(data[:seg.size], func(k key, e entry) {
 			e.seg = seg.id
 			s.load(k, e)
 			seg.scanFrames++
@@ -267,10 +273,20 @@ func (seg *segment) replay(s *Store) error {
 	}) {
 		return fmt.Errorf("store: %s shrank while Open read it", seg.lf.f.Name())
 	}
-	if err := seg.lf.f.Truncate(good); err != nil {
-		return fmt.Errorf("store: truncate torn tail: %w", err)
+	if scanErr != nil {
+		return fmt.Errorf("store: %s %w", seg.lf.f.Name(), scanErr)
 	}
 	seg.size = good
+	return nil
+}
+
+// trimTail truncates the segment's torn tail, past the size replay
+// left. The mapping outlives the truncation: it already reaches past
+// the new end, where appends land.
+func (seg *segment) trimTail() error {
+	if err := seg.lf.f.Truncate(seg.size); err != nil {
+		return fmt.Errorf("store: truncate torn tail: %w", err)
+	}
 	return nil
 }
 

@@ -22,7 +22,7 @@
 // One index, one get and one put serve every kind; Get/Put/GetGen/PutGen
 // only convert records to and from unittest.Result and
 // inference.Response, and the payload codec (codec.go: appendFrame for
-// put, payloadKey for the scan, decode for get) is the only code that
+// put, binaryKey for the scan, decode for get) is the only code that
 // knows what a payload looks like. The kind is part of the key
 // everywhere a key is used (the frame whole, the index fingerprint), so
 // the same 32 bytes used as a generation key and as a unit-test digest
@@ -51,18 +51,15 @@
 //
 //	[4-byte LE payload length][4-byte LE CRC-32C of payload][payload]
 //
-// A payload is in one of two layouts, told apart by its first byte.
-// The binary layout is the one written: tag 0x01 (unit-test result) or
+// A payload is in the binary layout: tag 0x01 (unit-test result) or
 // 0x02 (generation), the key's raw digests, three little-endian int64
 // fields, then the output or text to the end of the payload (codec.go
-// has the offsets). The JSON layout — a '{', hex digests, named fields
-// — is what every store wrote before; it is read wherever it is found
-// and never written again (jsonframe.go). There is no conversion pass:
-// a segment may hold both, and a JSON frame lives until its key is
-// re-recorded with different content.
-// Any other first byte, or a binary payload shorter than its fixed
-// header, is a corrupt frame exactly like a failed checksum.
-// OpenStats.LegacyFrames counts the JSON frames an Open scanned.
+// has the offsets). Any other first byte, or a payload shorter than
+// its tag's fixed header, is a corrupt frame exactly like a failed
+// checksum — but for '{'. That opens a payload in the JSON layout
+// stores wrote before the binary one, and their records are stale by
+// the rule below: Open refuses such a store, naming the segment file,
+// and leaves every file as it was. There is no migration.
 //
 // Writes are crash-safe by construction: a record torn by a crash or a
 // truncated copy fails its length or checksum check, and Open drops
@@ -137,8 +134,7 @@
 // index. A Table 4 campaign store (5,736 results + 13,195 generations,
 // 6 MB) opens in about 3.5 ms on a 2-vCPU box, most of it building
 // the index maps rather than reading frames; with whole keys in the
-// maps the same box took 12–18 ms, and 43 ms when every frame was
-// JSON.
+// maps the same box took 12–18 ms.
 //
 // Open neither reads nor deletes the index sidecars (<segment>.idx)
 // earlier versions wrote beside their segments.
@@ -284,11 +280,7 @@ type OpenStats struct {
 	// ScannedFrames counts the intact frames of every segment,
 	// superseded ones included.
 	ScannedFrames int
-	// LegacyFrames counts the scanned frames whose payload is in the
-	// JSON layout, which is read but no longer written; zero shows a
-	// store free of them.
-	LegacyFrames int
-	Duration     time.Duration
+	Duration      time.Duration
 }
 
 // Store is a persistent evaluation cache sharded across per-key-range
@@ -363,7 +355,8 @@ func inferShardCount(path string) (int, bool, error) {
 //
 // A regular file at path itself is a log in the pre-shard single-file
 // layout: Open fails before creating anything and leaves the file as
-// it was.
+// it was. An intact frame in the JSON payload layout fails Open too,
+// naming its segment file, and no segment is truncated.
 func Open(path string) (*Store, error) {
 	start := time.Now()
 	if fi, err := os.Stat(path); err == nil && fi.Mode().IsRegular() {
@@ -409,9 +402,13 @@ func Open(path string) (*Store, error) {
 		s.presize(counts)
 		err = s.eachSegment(func(seg *segment) error { return seg.replay(s) })
 	}
+	// Only once every segment has replayed are torn tails cut, so a
+	// store Open refuses is left as it was.
 	for _, seg := range s.segs {
+		if err == nil {
+			err = seg.trimTail()
+		}
 		s.openStats.ScannedFrames += seg.scanFrames
-		s.openStats.LegacyFrames += seg.legacyFrames
 	}
 	if err != nil {
 		s.closeFiles()

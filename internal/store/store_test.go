@@ -1137,159 +1137,3 @@ func TestStoreWriteAllocs(t *testing.T) {
 		t.Errorf("allocs per write: Put %v, PutGen %v, identical re-put %v; want <= 0.5, <= 0.5, 0", put, putGen, rePut)
 	}
 }
-
-// parentV1 copies testdata/parent-v1, a store directory written by the
-// commit before the single record path, and returns the copy's path.
-// Its 8 shards hold parentV1Records unit-test records and parentV1Gens
-// generations, every frame JSON: 24 records (key 0 re-recorded once)
-// and 12 generations compacted into segments beside version-1 index
-// sidecars, then a tail of 4 more records, 2 more generations and a
-// re-record of key 5 — 43 frames in all.
-func parentV1(t *testing.T) string {
-	t.Helper()
-	path := filepath.Join(t.TempDir(), "evalstore")
-	copyStore(t, filepath.Join("testdata", "parent-v1", "evalstore"), path)
-	return path
-}
-
-const parentV1Records, parentV1Gens = 28, 14
-
-// parentV1Result is the i-th unit-test record parentV1 was written with.
-func parentV1Result(i int) unittest.Result {
-	return unittest.Result{
-		Passed:      i%2 == 0,
-		Output:      fmt.Sprintf("compat output %d\n", i),
-		ExitCode:    i % 3,
-		VirtualTime: time.Duration(i) * 1500 * time.Millisecond,
-	}
-}
-
-// requireParentV1 fails unless s holds exactly parentV1's records, each
-// as last written.
-func requireParentV1(t *testing.T, s *store.Store) {
-	t.Helper()
-	if s.Shards() != 8 || s.Len() != parentV1Records || s.GenLen() != parentV1Gens {
-		t.Fatalf("Shards/Len/GenLen = %d/%d/%d, want 8/%d/%d", s.Shards(), s.Len(), s.GenLen(), parentV1Records, parentV1Gens)
-	}
-	for i := 0; i < parentV1Records; i++ {
-		want := parentV1Result(i)
-		if i == 5 {
-			want = parentV1Result(105) // re-recorded after the compaction
-		}
-		tk, ak := digests(fmt.Sprintf("compat-test-%d", i), fmt.Sprintf("compat-answer-%d", i))
-		if got, ok := s.Get(tk, ak); !ok || got != want {
-			t.Fatalf("record %d: Get = %+v, %v; want %+v", i, got, ok, want)
-		}
-	}
-	for i := 0; i < parentV1Gens; i++ {
-		want := inference.Response{
-			Text:    fmt.Sprintf("kind: Pod # %d\n", i),
-			Usage:   inference.Usage{PromptTokens: 100 + i, CompletionTokens: 30 + i},
-			Latency: time.Duration(i+1) * 1234567 * time.Nanosecond,
-		}
-		if got, ok := s.GetGen(genKey(fmt.Sprintf("compat-gen-%d", i))); !ok || got != want {
-			t.Fatalf("generation %d: GetGen = %+v, %v; want %+v", i, got, ok, want)
-		}
-	}
-}
-
-// TestParentWrittenStoreOpens: every record of testdata/parent-v1 reads
-// back as written. Open reads no sidecar, so the store is scanned in
-// full, both as the parent left it and after a close and reopen.
-func TestParentWrittenStoreOpens(t *testing.T) {
-	path := parentV1(t)
-	for _, when := range []string{"as the parent left it", "reopened"} {
-		s, err := store.Open(path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		// 36 compacted frames + a 7-frame tail.
-		if st := s.LastOpen(); st.ScannedFrames != 43 {
-			t.Fatalf("%s: LastOpen = %+v, want a full scan of 43 frames", when, st)
-		}
-		requireParentV1(t, s)
-		if err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-}
-
-// TestMixedFormatStore grows the parent-written fixture — every frame
-// of it JSON — with the binary frames written today, and carries the
-// mixture through the store's whole life cycle: newest wins across
-// layouts, an identical re-put of a binary frame appends nothing, and
-// a reopen's scan counts what is still JSON.
-func TestMixedFormatStore(t *testing.T) {
-	path := parentV1(t)
-	const fresh = 5
-	rerun := unittest.Result{Passed: true, Output: "re-run under the binary layout\n", VirtualTime: 1001 * time.Millisecond}
-	verify := func(s *store.Store, when string) {
-		t.Helper()
-		if s.Len() != parentV1Records+fresh || s.GenLen() != parentV1Gens+fresh {
-			t.Fatalf("%s: Len/GenLen = %d/%d, want %d/%d", when, s.Len(), s.GenLen(), parentV1Records+fresh, parentV1Gens+fresh)
-		}
-		for i := 0; i < parentV1Records; i++ {
-			want := parentV1Result(i)
-			switch i {
-			case 5:
-				want = parentV1Result(105) // re-recorded by the parent
-			case 7:
-				want = rerun // re-recorded here
-			}
-			tk, ak := digests(fmt.Sprintf("compat-test-%d", i), fmt.Sprintf("compat-answer-%d", i))
-			if got, ok := s.Get(tk, ak); !ok || got != want {
-				t.Fatalf("%s: record %d: Get = %+v, %v; want %+v", when, i, got, ok, want)
-			}
-		}
-		for i := 0; i < parentV1Gens; i++ {
-			if got, ok := s.GetGen(genKey(fmt.Sprintf("compat-gen-%d", i))); !ok || got.Text != fmt.Sprintf("kind: Pod # %d\n", i) {
-				t.Fatalf("%s: generation %d: GetGen = %+v, %v", when, i, got, ok)
-			}
-		}
-		for i := 0; i < fresh; i++ {
-			id := fmt.Sprintf("mixed-%d", i)
-			recordKinds[0].mustHold(t, s, id, i)
-			recordKinds[1].mustHold(t, s, id, i)
-		}
-	}
-
-	s, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st := s.LastOpen(); st.ScannedFrames != 43 || st.LegacyFrames != 43 {
-		t.Fatalf("LastOpen = %+v, want 43 scanned frames, all JSON", st)
-	}
-	for i := 0; i < fresh; i++ {
-		id := fmt.Sprintf("mixed-%d", i)
-		recordKinds[0].put(s, id, i)
-		recordKinds[1].put(s, id, i)
-	}
-	tk7, ak7 := digests("compat-test-7", "compat-answer-7")
-	s.Put(tk7, ak7, rerun)
-	if got := s.Appended(); got != 2*fresh+1 {
-		t.Fatalf("appended %d frames, want %d", got, 2*fresh+1)
-	}
-	// Identical re-puts of binary frames are recognised by length + CRC.
-	s.Put(tk7, ak7, rerun)
-	recordKinds[1].put(s, "mixed-0", 0)
-	if got := s.Appended(); got != 2*fresh+1 {
-		t.Fatalf("identical re-puts grew the log: %d frames appended, want %d", got, 2*fresh+1)
-	}
-	verify(s, "in process")
-	if err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	s2, err := store.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s2.Close()
-	// The parent's 43 JSON frames are all still there, superseded record
-	// 7 included, followed by the binary frames appended here.
-	if st := s2.LastOpen(); st.ScannedFrames != 43+2*fresh+1 || st.LegacyFrames != 43 {
-		t.Fatalf("LastOpen after reopen = %+v, want %d scanned, 43 JSON", st, 43+2*fresh+1)
-	}
-	verify(s2, "reopened")
-}
